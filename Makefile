@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzBatchFrameDecode -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run NONE -fuzz FuzzMembershipEvidence -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run NONE -fuzz FuzzChunkChecksum -fuzztime $(FUZZTIME) ./internal/comm/
+	$(GO) test -run NONE -fuzz FuzzCausalAttentionEquivalence -fuzztime $(FUZZTIME) ./internal/tensor/
 
 # modes runs the P2P mode-equivalence suite for one transport mode under
 # the race detector: every in-process and chaotic-TCP equivalence test plus
@@ -180,5 +181,5 @@ check-noasm-kernels:
 	$(GO) test -tags noasm ./internal/tensor/ ./internal/nn/
 
 bench:
-	$(GO) test -bench 'BenchmarkMatMul|BenchmarkTranspose' -benchmem -run NONE ./internal/tensor/
-	$(GO) test -bench BenchmarkBlock -benchmem -run NONE ./internal/nn/
+	$(GO) test -bench 'BenchmarkMatMul|BenchmarkTranspose|BenchmarkCausalAttention' -benchmem -run NONE ./internal/tensor/
+	$(GO) test -bench 'BenchmarkBlock|BenchmarkAttention' -benchmem -run NONE ./internal/nn/

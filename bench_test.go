@@ -2,8 +2,8 @@ package weipipe
 
 // The benchmark harness: one testing.B benchmark per table and figure of
 // the paper's evaluation section (regenerating the rows/series), plus
-// ablation benchmarks for the design choices DESIGN.md calls out and
-// wall-clock benchmarks of the real functional runtimes.
+// ablation benchmarks for the design choices DESIGN.md calls out. Measured
+// training steps of the real runtimes live in benchmark/ (see BENCHMARK.json).
 //
 //	go test -bench=. -benchmem
 //
@@ -195,37 +195,6 @@ func BenchmarkAblationRecompute(b *testing.B) {
 	}
 	b.ReportMetric(withoutR.MemoryGB/withR.MemoryGB, "mem_ratio")
 }
-
-// ---- real functional-runtime benchmarks ------------------------------------
-
-// benchTrain runs real (CPU) training iterations of a tiny model.
-func benchTrain(b *testing.B, s Strategy, p int) {
-	b.Helper()
-	cfg := Config{Vocab: 32, Hidden: 16, Layers: 4, Heads: 2, MaxSeq: 16, Seed: 1}
-	opts := DefaultOptions(0.01)
-	batches := Microbatches(1, 2*p, 2, 32, 16)
-	fn := func(int) []Batch { return batches }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunCluster(s, p, cfg, opts, 1, fn); err != nil {
-			b.Fatal(err)
-		}
-	}
-	tokens := float64(len(batches) * 2 * 16)
-	b.ReportMetric(tokens*float64(b.N)/b.Elapsed().Seconds(), "tokens/s")
-}
-
-// BenchmarkTrainWeiPipeInterleave measures the real in-process runtime.
-func BenchmarkTrainWeiPipeInterleave(b *testing.B) { benchTrain(b, WeiPipeInterleave, 2) }
-
-// BenchmarkTrainOneFOneB measures the real 1F1B runtime.
-func BenchmarkTrainOneFOneB(b *testing.B) { benchTrain(b, OneFOneB, 2) }
-
-// BenchmarkTrainFSDP measures the real FSDP runtime.
-func BenchmarkTrainFSDP(b *testing.B) { benchTrain(b, FSDP, 2) }
-
-// BenchmarkTrainSerial measures the serial reference.
-func BenchmarkTrainSerial(b *testing.B) { benchTrain(b, Serial, 1) }
 
 var _ = fmt.Sprintf // keep fmt for future metric labels
 

@@ -1,18 +1,35 @@
 package nn
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"weipipe/internal/tensor"
 )
 
-// Steady-state Block passes with an arena-backed cache must not allocate.
-// The shapes are kept below the matmul parallel threshold so every kernel
-// runs inline; the first iterations grow the arena to its high-water mark
-// and build the sub-cache tree, after which each round only reuses them.
+// forEachAllocShape runs fn at the sequence lengths of the zero-alloc tests:
+// S = 8 keeps every kernel below the parallel threshold (inline dispatch),
+// S = 128 puts the matmuls and the attention kernel on the worker pool
+// (GOMAXPROCS is raised so the pool path exists on a one-CPU host).
+func forEachAllocShape(t *testing.T, fn func(t *testing.T, s int)) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	for _, s := range []int{8, 128} {
+		t.Run(fmt.Sprintf("S%d", s), func(t *testing.T) { fn(t, s) })
+	}
+}
+
+// Steady-state Block passes with an arena-backed cache must not allocate:
+// the first iterations grow the arena to its high-water mark and build the
+// sub-cache tree, after which each round only reuses them.
 func TestBlockForwardSteadyStateZeroAlloc(t *testing.T) {
+	forEachAllocShape(t, testBlockForwardZeroAlloc)
+}
+
+func testBlockForwardZeroAlloc(t *testing.T, s int) {
 	rng := tensor.NewRNG(11)
-	const h, heads, f, s = 32, 2, 64, 8
+	const h, heads, f = 32, 2, 64
 	rope := NewRopeTable(s, h/heads)
 	blk := NewBlock("b", h, heads, f, rope, rng)
 	x := tensor.New(s, h)
@@ -40,8 +57,12 @@ func TestBlockForwardSteadyStateZeroAlloc(t *testing.T) {
 // The full fwd + B + W round must also be allocation-free once the gradient
 // sub-views are memoized.
 func TestBlockTrainStepSteadyStateAllocBound(t *testing.T) {
+	forEachAllocShape(t, testBlockTrainStepZeroAlloc)
+}
+
+func testBlockTrainStepZeroAlloc(t *testing.T, s int) {
 	rng := tensor.NewRNG(13)
-	const h, heads, f, s = 32, 2, 64, 8
+	const h, heads, f = 32, 2, 64
 	rope := NewRopeTable(s, h/heads)
 	blk := NewBlock("b", h, heads, f, rope, rng)
 	x := tensor.New(s, h)

@@ -1,14 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"weipipe/internal/tensor"
-)
-
-// negInf is the additive causal-mask value; after the softmax's max-subtract
-// it underflows to exactly zero probability.
-const negInf = float32(-1e30)
+import "weipipe/internal/tensor"
 
 // Attention is causal multi-head self-attention with rotary position
 // embeddings and no biases (Llama style). Weights are stored [in, out].
@@ -69,12 +61,13 @@ func (a *Attention) Name() string { return a.name }
 // Params implements Module.
 func (a *Attention) Params() *ParamSet { return a.params }
 
-// Forward implements Module. x is [G*S, H].
+// Forward implements Module. x is [G*S, H]. The attention core is the fused
+// tiled kernel: besides q, k, v and ctx only a per-row log-sum-exp is
+// stashed, never an [S,S] matrix.
 func (a *Attention) Forward(x *tensor.Tensor, cache *Cache) *tensor.Tensor {
 	g, s := cache.G, cache.S
 	inDim := a.Wq.Rows()
 	width := a.Heads * a.HeadDim
-	d := a.HeadDim
 	tokens := g * s
 
 	q := alloc(cache, tokens, width)
@@ -88,37 +81,9 @@ func (a *Attention) Forward(x *tensor.Tensor, cache *Cache) *tensor.Tensor {
 		a.rope.ApplyAll(k, s, a.Heads, 1)
 	}
 
-	// probs[(gi*Heads+hi)*S + i][j] = attention weight of query i on key j.
-	probs := alloc(cache, g*a.Heads*s, s)
 	ctx := alloc(cache, tokens, width)
-	scale := float32(1.0 / math.Sqrt(float64(d)))
-
-	qh := alloc(cache, s, d)
-	kh := alloc(cache, s, d)
-	vh := alloc(cache, s, d)
-	scores := alloc(cache, s, s)
-	ctxh := alloc(cache, s, d)
-	for gi := 0; gi < g; gi++ {
-		for hi := 0; hi < a.Heads; hi++ {
-			gatherHead(qh, q, gi, hi, s, d, width)
-			gatherHead(kh, k, gi, hi, s, d, width)
-			gatherHead(vh, v, gi, hi, s, d, width)
-			tensor.MatMulTB(scores, qh, kh)
-			for i := 0; i < s; i++ {
-				row := scores.Data[i*s : (i+1)*s]
-				for j := 0; j <= i; j++ {
-					row[j] *= scale
-				}
-				for j := i + 1; j < s; j++ {
-					row[j] = negInf
-				}
-			}
-			ph := sliceRows(cache, probs, (gi*a.Heads+hi)*s, (gi*a.Heads+hi+1)*s)
-			tensor.SoftmaxRows(ph, scores)
-			tensor.MatMul(ctxh, ph, vh)
-			scatterHead(ctx, ctxh, gi, hi, s, d, width)
-		}
-	}
+	lse := alloc(cache, g*a.Heads*s)
+	tensor.CausalAttention(ctx, lse, q, k, v, a.Heads, s, s, 0)
 
 	out := alloc(cache, tokens, inDim)
 	tensor.MatMul(out, ctx, a.Wo)
@@ -127,8 +92,8 @@ func (a *Attention) Forward(x *tensor.Tensor, cache *Cache) *tensor.Tensor {
 	cache.Put("q", q)
 	cache.Put("k", k)
 	cache.Put("v", v)
-	cache.Put("probs", probs)
 	cache.Put("ctx", ctx)
+	cache.Put("lse", lse)
 	return out
 }
 
@@ -137,14 +102,7 @@ func (a *Attention) BackwardInput(dy *tensor.Tensor, cache *Cache) *tensor.Tenso
 	g, s := cache.G, cache.S
 	inDim := a.Wq.Rows()
 	width := a.Heads * a.HeadDim
-	d := a.HeadDim
 	tokens := g * s
-	scale := float32(1.0 / math.Sqrt(float64(d)))
-
-	q := cache.Get("q")
-	k := cache.Get("k")
-	v := cache.Get("v")
-	probs := cache.Get("probs")
 
 	dctx := alloc(cache, tokens, width)
 	tensor.MatMulTB(dctx, dy, a.Wo) // dctx = dy·Woᵀ
@@ -152,38 +110,8 @@ func (a *Attention) BackwardInput(dy *tensor.Tensor, cache *Cache) *tensor.Tenso
 	dq := alloc(cache, tokens, width)
 	dk := alloc(cache, tokens, width)
 	dv := alloc(cache, tokens, width)
-
-	qh := alloc(cache, s, d)
-	kh := alloc(cache, s, d)
-	vh := alloc(cache, s, d)
-	dctxh := alloc(cache, s, d)
-	dp := alloc(cache, s, s)
-	ds := alloc(cache, s, s)
-	dqh := alloc(cache, s, d)
-	dkh := alloc(cache, s, d)
-	dvh := alloc(cache, s, d)
-	for gi := 0; gi < g; gi++ {
-		for hi := 0; hi < a.Heads; hi++ {
-			gatherHead(qh, q, gi, hi, s, d, width)
-			gatherHead(kh, k, gi, hi, s, d, width)
-			gatherHead(vh, v, gi, hi, s, d, width)
-			gatherHead(dctxh, dctx, gi, hi, s, d, width)
-			ph := sliceRows(cache, probs, (gi*a.Heads+hi)*s, (gi*a.Heads+hi+1)*s)
-
-			tensor.MatMulTB(dp, dctxh, vh)  // dp = dctx·vᵀ
-			tensor.MatMulTA(dvh, ph, dctxh) // dv = pᵀ·dctx
-			tensor.SoftmaxRowsBackward(ds, ph, dp)
-			// masked entries have p=0 ⇒ ds=0; scale folds into dq/dk.
-			tensor.MatMul(dqh, ds, kh) // dq = ds·k
-			tensor.Scale(dqh, dqh, scale)
-			tensor.MatMulTA(dkh, ds, qh) // dk = dsᵀ·q
-			tensor.Scale(dkh, dkh, scale)
-
-			scatterHead(dq, dqh, gi, hi, s, d, width)
-			scatterHead(dk, dkh, gi, hi, s, d, width)
-			scatterHead(dv, dvh, gi, hi, s, d, width)
-		}
-	}
+	tensor.CausalAttentionBackward(dq, dk, dv, cache.Get("q"), cache.Get("k"), cache.Get("v"),
+		cache.Get("ctx"), dctx, cache.Get("lse"), a.Heads, s, s, 0)
 
 	// Undo RoPE: grads of pre-rotation q/k are the inverse rotation.
 	if a.rope != nil {
@@ -216,20 +144,4 @@ func (a *Attention) BackwardParams(cache *Cache, grads *ParamSet) {
 	tensor.MatMulTAAcc(grads.Get("wk"), x, dk)
 	tensor.MatMulTAAcc(grads.Get("wv"), x, dv)
 	tensor.MatMulTAAcc(grads.Get("wo"), ctx, dy)
-}
-
-// gatherHead copies head hi of batch gi from full ([G*S, H]) into dst [S, d].
-func gatherHead(dst, full *tensor.Tensor, gi, hi, s, d, h int) {
-	for i := 0; i < s; i++ {
-		src := full.Data[(gi*s+i)*h+hi*d : (gi*s+i)*h+hi*d+d]
-		copy(dst.Data[i*d:(i+1)*d], src)
-	}
-}
-
-// scatterHead copies src [S, d] into head hi of batch gi of full ([G*S, H]).
-func scatterHead(full, src *tensor.Tensor, gi, hi, s, d, h int) {
-	for i := 0; i < s; i++ {
-		dst := full.Data[(gi*s+i)*h+hi*d : (gi*s+i)*h+hi*d+d]
-		copy(dst, src.Data[i*d:(i+1)*d])
-	}
 }

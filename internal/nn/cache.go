@@ -96,12 +96,3 @@ func alloc(c *Cache, shape ...int) *tensor.Tensor {
 	}
 	return tensor.New(shape...)
 }
-
-// sliceRows returns a row view of t, recycling the view header through the
-// cache's arena when one is attached.
-func sliceRows(c *Cache, t *tensor.Tensor, lo, hi int) *tensor.Tensor {
-	if c.Arena != nil {
-		return c.Arena.SliceRows(t, lo, hi)
-	}
-	return t.SliceRows(lo, hi)
-}

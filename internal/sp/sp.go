@@ -11,7 +11,6 @@ package sp
 
 import (
 	"fmt"
-	"math"
 
 	"weipipe/internal/comm"
 	"weipipe/internal/data"
@@ -212,16 +211,11 @@ func subParams(grads *nn.ParamSet, prefix string) *nn.ParamSet {
 
 // attnState carries the attention intermediates of one layer.
 type attnState struct {
-	q      *tensor.Tensor // local rows, post-rope
-	kFull  *tensor.Tensor // all positions, post-rope
-	vFull  *tensor.Tensor
-	probs  *tensor.Tensor // [g·heads·sl, S]
-	ctx    *tensor.Tensor // local rows
-	dyOut  *tensor.Tensor // set in backward for Wo grad
-	dq     *tensor.Tensor // pre-rope grads (local)
-	dkLoc  *tensor.Tensor // pre-rope grads for the local K slice
-	dvLoc  *tensor.Tensor
-	xLocal *tensor.Tensor // attention input (norm1 out), local rows
+	q     *tensor.Tensor // local rows, post-rope
+	kFull *tensor.Tensor // all positions, post-rope
+	vFull *tensor.Tensor
+	ctx   *tensor.Tensor // local rows
+	lse   *tensor.Tensor // [g·heads·sl] row log-sum-exps
 }
 
 // attnForward computes exact causal attention for this rank's query slice
@@ -229,7 +223,6 @@ type attnState struct {
 func (w *Worker) attnForward(blk *nn.Block, x1 *tensor.Tensor, g, sl, offset, s int) (*tensor.Tensor, *attnState, error) {
 	a := blk.Attn
 	h := w.cfg.Hidden
-	d := a.HeadDim
 	heads := a.Heads
 	tokensLoc := g * sl
 
@@ -251,39 +244,14 @@ func (w *Worker) attnForward(blk *nn.Block, x1 *tensor.Tensor, g, sl, offset, s 
 		return nil, nil, err
 	}
 
-	probs := tensor.New(g*heads*sl, s)
+	// The fused kernel takes the rank's query slice against the longer keys
+	// directly: query row i sits at global position offset+i.
 	ctx := tensor.New(tokensLoc, h)
-	scale := float32(1.0 / math.Sqrt(float64(d)))
-	qh := tensor.New(sl, d)
-	kh := tensor.New(s, d)
-	vh := tensor.New(s, d)
-	scores := tensor.New(sl, s)
-	ctxh := tensor.New(sl, d)
-	for gi := 0; gi < g; gi++ {
-		for hi := 0; hi < heads; hi++ {
-			gatherHeadRect(qh, q, gi, hi, sl, d, h)
-			gatherHeadRect(kh, kFull, gi, hi, s, d, h)
-			gatherHeadRect(vh, vFull, gi, hi, s, d, h)
-			tensor.MatMulTB(scores, qh, kh)
-			for i := 0; i < sl; i++ {
-				row := scores.Data[i*s : (i+1)*s]
-				limit := offset + i // causal: keys ≤ global query position
-				for j := 0; j <= limit; j++ {
-					row[j] *= scale
-				}
-				for j := limit + 1; j < s; j++ {
-					row[j] = float32(math.Inf(-1))
-				}
-			}
-			ph := probs.SliceRows((gi*heads+hi)*sl, (gi*heads+hi+1)*sl)
-			tensor.SoftmaxRows(ph, scores)
-			tensor.MatMul(ctxh, ph, vh)
-			scatterHeadRect(ctx, ctxh, gi, hi, sl, d, h)
-		}
-	}
+	lse := tensor.New(g * heads * sl)
+	tensor.CausalAttention(ctx, lse, q, kFull, vFull, heads, sl, s, offset)
 	out := tensor.New(tokensLoc, h)
 	tensor.MatMul(out, ctx, a.Wo)
-	return out, &attnState{q: q, kFull: kFull, vFull: vFull, probs: probs, ctx: ctx, xLocal: x1}, nil
+	return out, &attnState{q: q, kFull: kFull, vFull: vFull, ctx: ctx, lse: lse}, nil
 }
 
 // attnBackward mirrors attnForward; dK/dV contributions for remote
@@ -293,10 +261,8 @@ func (w *Worker) attnBackward(blk *nn.Block, st *layerState, dy *tensor.Tensor,
 	a := blk.Attn
 	as := st.attn
 	h := w.cfg.Hidden
-	d := a.HeadDim
 	heads := a.Heads
 	tokensLoc := g * sl
-	scale := float32(1.0 / math.Sqrt(float64(d)))
 
 	dctx := tensor.New(tokensLoc, h)
 	tensor.MatMulTB(dctx, dy, a.Wo)
@@ -304,37 +270,7 @@ func (w *Worker) attnBackward(blk *nn.Block, st *layerState, dy *tensor.Tensor,
 	dq := tensor.New(tokensLoc, h)
 	dkFull := tensor.New(g*s, h)
 	dvFull := tensor.New(g*s, h)
-
-	qh := tensor.New(sl, d)
-	kh := tensor.New(s, d)
-	vh := tensor.New(s, d)
-	dctxh := tensor.New(sl, d)
-	dp := tensor.New(sl, s)
-	ds := tensor.New(sl, s)
-	dqh := tensor.New(sl, d)
-	dkh := tensor.New(s, d)
-	dvh := tensor.New(s, d)
-	for gi := 0; gi < g; gi++ {
-		for hi := 0; hi < heads; hi++ {
-			gatherHeadRect(qh, as.q, gi, hi, sl, d, h)
-			gatherHeadRect(kh, as.kFull, gi, hi, s, d, h)
-			gatherHeadRect(vh, as.vFull, gi, hi, s, d, h)
-			gatherHeadRect(dctxh, dctx, gi, hi, sl, d, h)
-			ph := as.probs.SliceRows((gi*heads+hi)*sl, (gi*heads+hi+1)*sl)
-
-			tensor.MatMulTB(dp, dctxh, vh)
-			tensor.MatMulTA(dvh, ph, dctxh)
-			tensor.SoftmaxRowsBackward(ds, ph, dp)
-			tensor.MatMul(dqh, ds, kh)
-			tensor.Scale(dqh, dqh, scale)
-			tensor.MatMulTA(dkh, ds, qh)
-			tensor.Scale(dkh, dkh, scale)
-
-			scatterHeadRect(dq, dqh, gi, hi, sl, d, h)
-			scatterHeadRect(dkFull, dkh, gi, hi, s, d, h)
-			scatterHeadRect(dvFull, dvh, gi, hi, s, d, h)
-		}
-	}
+	tensor.CausalAttentionBackward(dq, dkFull, dvFull, as.q, as.kFull, as.vFull, as.ctx, dctx, as.lse, heads, sl, s, offset)
 
 	dkLoc, err := w.scatterSeq(dkFull, g, sl, s, h)
 	if err != nil {
@@ -409,21 +345,4 @@ func (w *Worker) scatterSeq(full *tensor.Tensor, g, sl, s, h int) (*tensor.Tenso
 		return nil, fmt.Errorf("sp: scatter shard size %d, want %d", len(shard), g*sl*h)
 	}
 	return tensor.FromSlice(shard, g*sl, h), nil
-}
-
-// gatherHeadRect copies head hi of batch gi from full ([g·rows, width]) into
-// dst [rows, d].
-func gatherHeadRect(dst, full *tensor.Tensor, gi, hi, rows, d, width int) {
-	for i := 0; i < rows; i++ {
-		src := full.Data[(gi*rows+i)*width+hi*d : (gi*rows+i)*width+hi*d+d]
-		copy(dst.Data[i*d:(i+1)*d], src)
-	}
-}
-
-// scatterHeadRect copies src [rows, d] into head hi of batch gi of full.
-func scatterHeadRect(full, src *tensor.Tensor, gi, hi, rows, d, width int) {
-	for i := 0; i < rows; i++ {
-		dst := full.Data[(gi*rows+i)*width+hi*d : (gi*rows+i)*width+hi*d+d]
-		copy(dst, src.Data[i*d:(i+1)*d])
-	}
 }

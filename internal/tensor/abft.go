@@ -281,4 +281,13 @@ func (b *abftBackend) RMSNormRows(y, inv, x, gain *Tensor, eps float64) {
 	b.inner.RMSNormRows(y, inv, x, gain, eps)
 }
 
+// The fused attention kernel has no matmul-shaped output to checksum (its
+// scores never materialise), so it runs unverified.
+func (b *abftBackend) CausalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) {
+	b.inner.CausalAttention(out, lse, q, k, v, heads, sq, sk, qOffset)
+}
+func (b *abftBackend) CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int) {
+	b.inner.CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset)
+}
+
 var _ Backend = (*abftBackend)(nil)

@@ -14,7 +14,7 @@ import "sync"
 // shapes in the same order every time.
 //
 // Reset invalidates every tensor handed out since the previous Reset; the
-// caller must ensure none of them is still live. Concurrent New/SliceRows
+// caller must ensure none of them is still live. Concurrent New
 // calls from multiple goroutines are safe (slot hand-out is mutex-guarded);
 // Reset must not run concurrently with allocation.
 type Arena struct {
@@ -23,8 +23,7 @@ type Arena struct {
 	next  int
 }
 
-// arenaSlot pairs a recycled Tensor header with its backing buffer. View
-// slots leave buf untouched (their header points into another tensor).
+// arenaSlot pairs a recycled Tensor header with its backing buffer.
 type arenaSlot struct {
 	t   *Tensor
 	buf []float32
@@ -62,26 +61,6 @@ func (a *Arena) New(shape ...int) *Tensor {
 	return t
 }
 
-// SliceRows returns a view of rows [lo, hi) of t's canonical 2-D view,
-// using a recycled header instead of allocating one like Tensor.SliceRows.
-// The view shares t's storage and dies with the arena's next Reset.
-func (a *Arena) SliceRows(t *Tensor, lo, hi int) *Tensor {
-	c := t.Cols()
-	if lo < 0 || hi > t.Rows() || lo > hi {
-		panic("tensor: Arena.SliceRows out of range")
-	}
-	s := a.take()
-	v := s.t
-	v.Data = t.Data[lo*c : hi*c : hi*c]
-	if cap(v.shape) < 2 {
-		v.shape = make([]int, 2)
-	}
-	v.shape = v.shape[:2]
-	v.shape[0] = hi - lo
-	v.shape[1] = c
-	return v
-}
-
 // Reset recycles every slot. All tensors handed out since the previous Reset
 // become invalid: their storage will be handed out again.
 func (a *Arena) Reset() {
@@ -95,6 +74,18 @@ func (a *Arena) Slots() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.slots)
+}
+
+// Bytes reports the heap the arena's buffers hold: what the largest round of
+// allocations between two Resets has cost so far.
+func (a *Arena) Bytes() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := 0
+	for _, s := range a.slots {
+		n += 4 * cap(s.buf)
+	}
+	return n
 }
 
 // take claims the next slot, growing the slot list if needed.

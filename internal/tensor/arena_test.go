@@ -59,21 +59,6 @@ func TestArenaResetReusesBuffers(t *testing.T) {
 	}
 }
 
-func TestArenaSliceRows(t *testing.T) {
-	a := NewArena()
-	x := a.New(6, 3)
-	for i := range x.Data {
-		x.Data[i] = float32(i)
-	}
-	v := a.SliceRows(x, 2, 4)
-	if v.Rows() != 2 || v.Cols() != 3 {
-		t.Fatalf("view shape %v", v.Shape())
-	}
-	if v.Data[0] != 6 || &v.Data[0] != &x.Data[6] {
-		t.Fatalf("view does not alias rows [2,4) of the source")
-	}
-}
-
 // Concurrent allocation from one arena must be safe (slot hand-out is
 // mutex-guarded) and still non-aliasing. Run with -race.
 func TestArenaConcurrentAllocation(t *testing.T) {

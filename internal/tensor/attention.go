@@ -1,0 +1,339 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+)
+
+// Fused causal attention (Flash-Attention-2 style). The kernel walks
+// query×key tiles with a running row max and row sum, so the [S,S] score
+// and probability matrices never exist: forward keeps one key tile of
+// scores per row, backward rebuilds each probability tile from q, k and the
+// saved per-row log-sum-exp. Tiles wholly above the causal diagonal are
+// never visited, and heads are read in place as strided column blocks of
+// the [G·S, heads·d] operands.
+//
+// Determinism: the tile sizes are compile-time constants and key tiles
+// always start at multiples of attnTileK, so every output element's
+// accumulation order is a function of the shapes only. A query row's
+// forward result does not depend on which query tile it sits in, and no
+// output element is ever written by two work items: forward fans out over
+// (g, head, query tile), backward over (g, head), which owns that head's
+// dq, dk and dv columns outright.
+
+const (
+	// attnTileQ is the query-row tile: how many rows reuse a key tile while
+	// it is hot in L1.
+	attnTileQ = 32
+	// attnTileK is the key tile; one row's scores for a tile live on the
+	// stack (forward), or a attnTileQ×attnTileK tile of them (backward).
+	attnTileK = 64
+)
+
+// CausalAttention computes, for every batch element g and head h,
+//
+//	out = softmax(q·kᵀ/√d + causal mask)·v
+//
+// where q and out are [G·sq, heads·d], k and v are [G·sk, heads·d] and head
+// h occupies columns [h·d, (h+1)·d). Query row i sits at global position
+// qOffset+i and attends to keys 0..min(qOffset+i, sk-1); self-attention is
+// sq == sk, qOffset == 0. lse, of G·heads·sq elements, receives each row's
+// log-sum-exp of the scaled scores — all the backward pass needs besides
+// q, k, v and out. out must not alias an input.
+func CausalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) {
+	checkAttnShapes("CausalAttention", heads, sq, sk, qOffset, lse, []*Tensor{q, out}, []*Tensor{k, v})
+	current().CausalAttention(out, lse, q, k, v, heads, sq, sk, qOffset)
+}
+
+// CausalAttentionBackward computes the gradients of CausalAttention's
+// inputs given dout = ∂L/∂out and the forward's out and lse. dq is shaped
+// like q, dk and dv like k; all three are overwritten. Each probability
+// tile is recomputed as exp(q·kᵀ/√d − lse), with D = rowsum(dout ⊙ out)
+// standing in for the softmax Jacobian's row dot.
+func CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int) {
+	checkAttnShapes("CausalAttentionBackward", heads, sq, sk, qOffset, lse,
+		[]*Tensor{q, out, dout, dq}, []*Tensor{k, v, dk, dv})
+	current().CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset)
+}
+
+func checkAttnShapes(op string, heads, sq, sk, qOffset int, lse *Tensor, qLike, kLike []*Tensor) {
+	q := qLike[0]
+	width := q.Cols()
+	ok := heads > 0 && sq > 0 && sk > 0 && qOffset >= 0 && width%heads == 0 && q.Rows()%sq == 0
+	g := 0
+	if ok {
+		g = q.Rows() / sq
+		ok = lse.Size() == g*heads*sq
+	}
+	for _, t := range qLike {
+		ok = ok && t.Rows() == g*sq && t.Cols() == width
+	}
+	for _, t := range kLike {
+		ok = ok && t.Rows() == g*sk && t.Cols() == width
+	}
+	if !ok {
+		panic(fmt.Sprintf("tensor: %s shapes q %v k %v lse %v with heads=%d sq=%d sk=%d qOffset=%d",
+			op, q.shape, kLike[0].shape, lse.shape, heads, sq, sk, qOffset))
+	}
+}
+
+// attnArgs carries one attention call by value through the worker pool.
+type attnArgs struct {
+	bwd              bool
+	q, k, v, out     []float32
+	lse              []float32
+	dout, dq, dk, dv []float32
+	g, heads, d      int
+	sq, sk, qOff     int
+	scale            float32
+}
+
+// run executes work items [lo, hi): (g, head, query tile) triples in
+// forward, (g, head) pairs in backward.
+func (a *attnArgs) run(lo, hi int) {
+	if a.bwd {
+		for it := lo; it < hi; it++ {
+			attnBackwardHead(a, it/a.heads, it%a.heads)
+		}
+		return
+	}
+	tiles := (a.sq + attnTileQ - 1) / attnTileQ
+	for it := lo; it < hi; it++ {
+		i0 := it % tiles * attnTileQ
+		gh := it / tiles
+		attnForwardTile(a, gh/a.heads, gh%a.heads, i0, min(i0+attnTileQ, a.sq))
+	}
+}
+
+func newAttnArgs(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) attnArgs {
+	d := q.Cols() / heads
+	return attnArgs{
+		q: q.Data, k: k.Data, v: v.Data, out: out.Data, lse: lse.Data,
+		g: q.Rows() / sq, heads: heads, d: d, sq: sq, sk: sk, qOff: qOffset,
+		scale: float32(1.0 / math.Sqrt(float64(d))),
+	}
+}
+
+func causalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) {
+	args := newAttnArgs(out, lse, q, k, v, heads, sq, sk, qOffset)
+	tiles := (sq + attnTileQ - 1) / attnTileQ
+	dispatchAttn(&args, args.g*heads*tiles)
+}
+
+func causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int) {
+	args := newAttnArgs(out, lse, q, k, v, heads, sq, sk, qOffset)
+	args.bwd = true
+	args.dout, args.dq, args.dk, args.dv = dout.Data, dq.Data, dk.Data, dv.Data
+	dispatchAttn(&args, args.g*heads)
+}
+
+// attnForwardTile runs the online softmax for query rows [i0, i1) of one
+// (g, head): for each key tile a row rescales its running sum and output by
+// exp(m_old − m_new) and folds in the tile's exp(s − m_new) weights. The out
+// row itself is the accumulator; it is normalised once at the end.
+func attnForwardTile(a *attnArgs, gi, hi, i0, i1 int) {
+	d, ld := a.d, a.heads*a.d
+	qBase := gi*a.sq*ld + hi*d
+	kBase := gi*a.sk*ld + hi*d
+	lse := a.lse[(gi*a.heads+hi)*a.sq:]
+	var (
+		s    [attnTileK]float32
+		m, l [attnTileQ]float32
+	)
+	for r := i0; r < i1; r++ {
+		m[r-i0] = float32(math.Inf(-1))
+		orow := a.out[qBase+r*ld : qBase+r*ld+d]
+		for c := range orow {
+			orow[c] = 0
+		}
+	}
+	jmax := min(a.sk, a.qOff+i1)
+	for j0 := 0; j0 < jmax; j0 += attnTileK {
+		j1 := min(j0+attnTileK, jmax)
+		ktile, vtile := a.k[kBase+j0*ld:], a.v[kBase+j0*ld:]
+		for r := max(i0, j0-a.qOff); r < i1; r++ {
+			n := min(j1, a.qOff+r+1) - j0
+			sc := s[:n]
+			attnDotRows(sc, a.q[qBase+r*ld:qBase+r*ld+d], ktile, ld, a.scale)
+			mNew := m[r-i0]
+			for _, x := range sc {
+				if x > mNew {
+					mNew = x
+				}
+			}
+			alpha := expNeg(m[r-i0] - mNew)
+			l[r-i0] = l[r-i0]*alpha + expSubRow(sc, mNew)
+			m[r-i0] = mNew
+			orow := a.out[qBase+r*ld : qBase+r*ld+d]
+			for c := range orow {
+				orow[c] *= alpha
+			}
+			attnAxpyRows(orow, sc, 1, n, vtile, ld)
+		}
+	}
+	for r := i0; r < i1; r++ {
+		inv := 1 / l[r-i0]
+		orow := a.out[qBase+r*ld : qBase+r*ld+d]
+		for c := range orow {
+			orow[c] *= inv
+		}
+		lse[r] = m[r-i0] + float32(math.Log(float64(l[r-i0])))
+	}
+}
+
+// attnBackwardHead computes dq, dk and dv of one (g, head). Per tile pair,
+// phase 1 rebuilds each row's p and ds = scale·p⊙(dp − D) into the tile
+// scratch and accumulates dq; phase 2 walks the tile's keys and folds the
+// rows that see each key into dv += pᵀ·dout and dk += dsᵀ·q. dk and dv rows
+// accumulate over query rows in ascending order.
+func attnBackwardHead(a *attnArgs, gi, hi int) {
+	d, ld := a.d, a.heads*a.d
+	qBase := gi*a.sq*ld + hi*d
+	kBase := gi*a.sk*ld + hi*d
+	lse := a.lse[(gi*a.heads+hi)*a.sq:]
+	for r := 0; r < a.sq; r++ {
+		row := a.dq[qBase+r*ld : qBase+r*ld+d]
+		for c := range row {
+			row[c] = 0
+		}
+	}
+	for j := 0; j < a.sk; j++ {
+		kr, vr := a.dk[kBase+j*ld:kBase+j*ld+d], a.dv[kBase+j*ld:kBase+j*ld+d]
+		for c := range kr {
+			kr[c], vr[c] = 0, 0
+		}
+	}
+	var (
+		p, ds [attnTileQ * attnTileK]float32
+		delta [attnTileQ]float32
+	)
+	for i0 := 0; i0 < a.sq; i0 += attnTileQ {
+		i1 := min(i0+attnTileQ, a.sq)
+		for r := i0; r < i1; r++ {
+			delta[r-i0] = dotF32Scalar(a.dout[qBase+r*ld:qBase+r*ld+d], a.out[qBase+r*ld:qBase+r*ld+d])
+		}
+		jmax := min(a.sk, a.qOff+i1)
+		for j0 := 0; j0 < jmax; j0 += attnTileK {
+			j1 := min(j0+attnTileK, jmax)
+			ktile, vtile := a.k[kBase+j0*ld:], a.v[kBase+j0*ld:]
+			rlo := max(i0, j0-a.qOff)
+			for r := rlo; r < i1; r++ {
+				n := min(j1, a.qOff+r+1) - j0
+				prow := p[(r-i0)*attnTileK : (r-i0)*attnTileK+n]
+				dsrow := ds[(r-i0)*attnTileK : (r-i0)*attnTileK+n]
+				attnDotRows(prow, a.q[qBase+r*ld:qBase+r*ld+d], ktile, ld, a.scale)
+				expSubRow(prow, lse[r])
+				attnDotRows(dsrow, a.dout[qBase+r*ld:qBase+r*ld+d], vtile, ld, 1)
+				dr := delta[r-i0]
+				for j, pv := range prow {
+					dsrow[j] = a.scale * pv * (dsrow[j] - dr)
+				}
+				attnAxpyRows(a.dq[qBase+r*ld:qBase+r*ld+d], dsrow, 1, n, ktile, ld)
+			}
+			for j := j0; j < j1; j++ {
+				// Rows before rs see key j masked and hold no tile entry.
+				rs := max(rlo, j-a.qOff)
+				at := (rs-i0)*attnTileK + j - j0
+				rows := i1 - rs
+				attnAxpyRows(a.dv[kBase+j*ld:kBase+j*ld+d], p[at:], attnTileK, rows, a.dout[qBase+rs*ld:], ld)
+				attnAxpyRows(a.dk[kBase+j*ld:kBase+j*ld+d], ds[at:], attnTileK, rows, a.q[qBase+rs*ld:], ld)
+			}
+		}
+	}
+}
+
+// attnDotRows computes dst[t] = scale · x·rows_t for t < len(dst), where
+// rows_t is the len(x) elements at rows[t·ld:]. Four rows share one pass
+// over x, each with its own ascending accumulator chain.
+func attnDotRows(dst, x, rows []float32, ld int, scale float32) {
+	d := len(x)
+	t := 0
+	for ; t+3 < len(dst); t += 4 {
+		// Reslicing to len(x) lets the compiler drop the inner bounds checks.
+		r0 := rows[t*ld : t*ld+d][:len(x)]
+		r1 := rows[(t+1)*ld : (t+1)*ld+d][:len(x)]
+		r2 := rows[(t+2)*ld : (t+2)*ld+d][:len(x)]
+		r3 := rows[(t+3)*ld : (t+3)*ld+d][:len(x)]
+		var s0, s1, s2, s3 float32
+		for c, xv := range x {
+			s0 += xv * r0[c]
+			s1 += xv * r1[c]
+			s2 += xv * r2[c]
+			s3 += xv * r3[c]
+		}
+		dst[t], dst[t+1], dst[t+2], dst[t+3] = scale*s0, scale*s1, scale*s2, scale*s3
+	}
+	for ; t < len(dst); t++ {
+		dst[t] = scale * dotF32Scalar(x, rows[t*ld:t*ld+d])
+	}
+}
+
+// attnAxpyRows computes dst += Σ_{t<n} coef[t·cstride] · rows_t (rows_t as in
+// attnDotRows), four rows per pass over dst.
+func attnAxpyRows(dst, coef []float32, cstride, n int, rows []float32, ld int) {
+	d := len(dst)
+	t := 0
+	for ; t+3 < n; t += 4 {
+		c0, c1, c2, c3 := coef[t*cstride], coef[(t+1)*cstride], coef[(t+2)*cstride], coef[(t+3)*cstride]
+		r0 := rows[t*ld : t*ld+d][:len(dst)]
+		r1 := rows[(t+1)*ld : (t+1)*ld+d][:len(dst)]
+		r2 := rows[(t+2)*ld : (t+2)*ld+d][:len(dst)]
+		r3 := rows[(t+3)*ld : (t+3)*ld+d][:len(dst)]
+		for c := range dst {
+			dst[c] += c0*r0[c] + c1*r1[c] + c2*r2[c] + c3*r3[c]
+		}
+	}
+	for ; t < n; t++ {
+		cv := coef[t*cstride]
+		row := rows[t*ld : t*ld+d][:len(dst)]
+		for c := range dst {
+			dst[c] += cv * row[c]
+		}
+	}
+}
+
+// expSubRow overwrites s[j] with expNeg(s[j] − shift) and returns the sum of
+// the results, accumulated ascending.
+func expSubRow(s []float32, shift float32) float32 {
+	var sum float32
+	for j, x := range s {
+		e := expNeg(x - shift)
+		s[j] = e
+		sum += e
+	}
+	return sum
+}
+
+const (
+	// expUnderflow is the smallest argument expNeg does not flush to zero:
+	// the float32 just above ln(2⁻¹²⁶), below which eˣ is subnormal.
+	expUnderflow = -87.33654
+	expLog2e     = 1.44269504088896341
+	// ln 2 split so that n·expLn2Hi is exact for |n| ≤ 2⁸.
+	expLn2Hi = 0.693359375
+	expLn2Lo = -2.12194440e-4
+)
+
+// expNeg returns eˣ for x ≤ 0 in float32 arithmetic: x = n·ln2 + r with
+// |r| ≤ ln2/2, eʳ from a fixed degree-7 polynomial, scaled by 2ⁿ through
+// the exponent bits. Exactly 1 at 0, exactly 0 below expUnderflow (and at
+// −Inf), monotone, within 2 ULP of the correctly rounded value in between;
+// NaN propagates. The attention kernel uses it on every backend, so
+// attention results do not depend on the backend.
+func expNeg(x float32) float32 {
+	if x < expUnderflow {
+		return 0
+	}
+	n := int32(x*expLog2e - 0.5) // round to nearest: the operand is ≤ 0
+	fn := float32(n)
+	r := x - fn*expLn2Hi - fn*expLn2Lo
+	// eʳ ≈ 1 + r + r²·P(r), the Cephes expf polynomial.
+	p := float32(1.9875691500e-4)
+	p = p*r + 1.3981999507e-3
+	p = p*r + 8.3334519073e-3
+	p = p*r + 4.1665795894e-2
+	p = p*r + 1.6666665459e-1
+	p = p*r + 5.0000001201e-1
+	p = p*(r*r) + r + 1
+	return p * math.Float32frombits(uint32(n+127)<<23)
+}

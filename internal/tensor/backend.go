@@ -9,7 +9,8 @@ import (
 
 // Backend is the pluggable compute seam: every hot primitive the training
 // and inference runtimes execute — the matmul variants, the BLAS-1 update
-// ops, the activation and softmax kernels, and the row-wise norm — goes
+// ops, the activation and softmax kernels, the row-wise norm and the fused
+// attention kernel — goes
 // through the process-wide current Backend. The scalar backend (pure Go,
 // the PR-1 kernels) is the default and the bit-exactness reference oracle;
 // SIMD backends register themselves at init when the CPU supports them and
@@ -73,6 +74,13 @@ type Backend interface {
 	// are [rows, h], gain is [h], inv is [rows]. The mean-square
 	// accumulates ascending in float64 in every backend.
 	RMSNormRows(y, inv, x, gain *Tensor, eps float64)
+
+	// CausalAttention computes fused multi-head causal attention and each
+	// row's log-sum-exp; see the package-level CausalAttention.
+	CausalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int)
+	// CausalAttentionBackward computes dq, dk and dv, recomputing the
+	// probabilities from q, k and lse.
+	CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int)
 }
 
 var (

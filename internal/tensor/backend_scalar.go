@@ -29,3 +29,11 @@ func (scalarBackend) SoftmaxRowsBackward(dst, y, dy *Tensor) {
 func (scalarBackend) RMSNormRows(y, inv, x, gain *Tensor, eps float64) {
 	rmsNormRowsScalar(y, inv, x, gain, eps)
 }
+
+func (scalarBackend) CausalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) {
+	causalAttention(out, lse, q, k, v, heads, sq, sk, qOffset)
+}
+
+func (scalarBackend) CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int) {
+	causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset)
+}

@@ -5,37 +5,49 @@ import (
 	"sync"
 )
 
-// The matmul kernels fan work out to a persistent pool of worker goroutines
-// instead of spawning goroutines per call: small and medium matmuls would
-// otherwise pay goroutine-creation latency comparable to their compute time.
-// The pool is started lazily on the first parallel dispatch and sized by
-// GOMAXPROCS at that moment; it lives for the process lifetime.
+// The matmul and attention kernels fan work out to a persistent pool of
+// worker goroutines instead of spawning goroutines per call: small and medium
+// matmuls would otherwise pay goroutine-creation latency comparable to their
+// compute time. The pool is started lazily on the first parallel dispatch and
+// sized by GOMAXPROCS at that moment; it lives for the process lifetime.
 //
-// Work items reference a pooled job header (mmJob) so a steady-state dispatch
-// performs no heap allocation: the job headers are recycled through a
+// Work items reference a pooled job header (poolJob) so a steady-state
+// dispatch performs no heap allocation: the job headers are recycled through a
 // sync.Pool and the per-chunk tasks are passed by value through the channel.
 //
-// Determinism: a chunk [lo,hi) always computes exactly the per-row results
-// the serial kernel computes — the kernels never accumulate across rows — so
-// results are bitwise identical regardless of worker count or chunking.
+// Determinism: a chunk [lo,hi) always computes exactly the per-item results
+// the serial kernel computes — the kernels never accumulate across work
+// items — so results are bitwise identical regardless of worker count or
+// chunking.
 
-// poolTask is one contiguous row-range of a dispatched kernel.
+// poolTask is one contiguous item-range of a dispatched kernel.
 type poolTask struct {
-	job    *mmJob
+	job    *poolJob
 	lo, hi int
 }
 
-// mmJob is the shared state of one dispatch: the kernel arguments plus the
-// completion latch. Recycled via jobPool.
-type mmJob struct {
-	args mmArgs
-	wg   sync.WaitGroup
+// poolJob is the shared state of one dispatch: the kernel arguments (matmul
+// or attention) plus the completion latch. Recycled via jobPool.
+type poolJob struct {
+	mm   mmArgs
+	attn attnArgs
+	// isAttn selects which of the two argument sets this dispatch runs.
+	isAttn bool
+	wg     sync.WaitGroup
+}
+
+func (j *poolJob) run(lo, hi int) {
+	if j.isAttn {
+		j.attn.run(lo, hi)
+	} else {
+		j.mm.run(lo, hi)
+	}
 }
 
 var (
 	poolOnce sync.Once
 	poolCh   chan poolTask
-	jobPool  = sync.Pool{New: func() any { return new(mmJob) }}
+	jobPool  = sync.Pool{New: func() any { return new(poolJob) }}
 )
 
 func startPool() {
@@ -48,38 +60,58 @@ func startPool() {
 
 func poolWorker() {
 	for t := range poolCh {
-		t.job.args.run(t.lo, t.hi)
+		t.job.run(t.lo, t.hi)
 		t.job.wg.Done()
 	}
 }
 
-// dispatch runs args over [0, rows) rows, splitting across the worker pool
-// when the problem is large enough. The calling goroutine always executes
-// the first chunk itself, so the pool only ever carries workers-1 tasks per
-// dispatch and the caller never idles while work remains.
+// dispatch runs a matmul over [0, rows) dst rows, splitting across the
+// worker pool when the problem is large enough.
 func dispatch(args *mmArgs, rows, flops int) {
-	workers := runtime.GOMAXPROCS(0)
-	if flops < parallelThreshold || workers <= 1 || rows <= 1 {
+	workers := poolWorkers(rows, flops)
+	if workers <= 1 {
 		args.run(0, rows)
 		return
 	}
+	job := jobPool.Get().(*poolJob)
+	job.mm, job.isAttn = *args, false
+	job.fanOut(rows, workers)
+}
+
+// dispatchAttn is dispatch for an attention call's work items.
+func dispatchAttn(args *attnArgs, items int) {
+	workers := poolWorkers(items, args.g*args.heads*args.sq*args.sk*args.d)
+	if workers <= 1 {
+		args.run(0, items)
+		return
+	}
+	job := jobPool.Get().(*poolJob)
+	job.attn, job.isAttn = *args, true
+	job.fanOut(items, workers)
+}
+
+// poolWorkers is how many chunks a dispatch of items work items splits into;
+// 1 means run on the calling goroutine.
+func poolWorkers(items, flops int) int {
+	workers := runtime.GOMAXPROCS(0)
+	if flops < parallelThreshold || workers <= 1 || items <= 1 {
+		return 1
+	}
+	return min(workers, items)
+}
+
+// fanOut runs the job over [0, items) in contiguous chunks and recycles it.
+// The calling goroutine always executes the first chunk itself, so the pool
+// only ever carries workers-1 tasks per dispatch and the caller never idles
+// while work remains.
+func (j *poolJob) fanOut(items, workers int) {
 	poolOnce.Do(startPool)
-	if workers > rows {
-		workers = rows
+	chunk := (items + workers - 1) / workers
+	j.wg.Add((items - 1) / chunk) // chunks beyond the caller's first
+	for lo := chunk; lo < items; lo += chunk {
+		poolCh <- poolTask{job: j, lo: lo, hi: min(lo+chunk, items)}
 	}
-	chunk := (rows + workers - 1) / workers
-	tasks := (rows - 1) / chunk // chunks beyond the caller's first
-	job := jobPool.Get().(*mmJob)
-	job.args = *args
-	job.wg.Add(tasks)
-	for lo := chunk; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		poolCh <- poolTask{job: job, lo: lo, hi: hi}
-	}
-	args.run(0, chunk)
-	job.wg.Wait()
-	jobPool.Put(job)
+	j.run(0, chunk)
+	j.wg.Wait()
+	jobPool.Put(j)
 }

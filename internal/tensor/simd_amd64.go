@@ -21,6 +21,8 @@ package tensor
 //     strategy remains bit-identical to every other under this backend.
 //   - Dot (float64), SiLU, Softmax, RMSNorm: delegate to the scalar
 //     kernels (exp/sqrt-bound or float64; vectorizing buys little).
+//   - CausalAttention and its backward: the shared pure-Go tiled kernel
+//     (attention.go), so attention is bit-identical across backends.
 
 //go:noescape
 func axpyAVX2(dst, a *float32, n8 int, s float32)
@@ -113,6 +115,14 @@ func (avx2Backend) SoftmaxRowsBackward(dst, y, dy *Tensor) { softmaxRowsBackward
 
 func (avx2Backend) RMSNormRows(y, inv, x, gain *Tensor, eps float64) {
 	rmsNormRowsScalar(y, inv, x, gain, eps)
+}
+
+func (avx2Backend) CausalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) {
+	causalAttention(out, lse, q, k, v, heads, sq, sk, qOffset)
+}
+
+func (avx2Backend) CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int) {
+	causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset)
 }
 
 // simdNNRange is the AVX2 NN kernel over dst rows [lo, hi). Same blocking
