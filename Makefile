@@ -72,10 +72,12 @@ modes:
 # against a 4-rank + 1-spare cross-process WZB2 cluster, requiring every
 # run to finish bit-identical to its fault-free in-process replay with no
 # goroutine or file-descriptor leaks. SOAK_OUT, when set, collects one
-# JSONL supervisor trace per schedule (CI uploads them on failure).
+# JSONL supervisor trace per schedule (CI uploads them on failure);
+# SOAK_BACKEND=scalar pins supervisor, workers and oracle to the scalar
+# kernels instead of the host's default backend.
 SOAK_SCHEDULES ?= 8
 soak:
-	WEIPIPE_SOAK=$(SOAK_SCHEDULES) WEIPIPE_SOAK_OUT=$(SOAK_OUT) \
+	WEIPIPE_SOAK=$(SOAK_SCHEDULES) WEIPIPE_SOAK_OUT=$(SOAK_OUT) WEIPIPE_SOAK_BACKEND=$(SOAK_BACKEND) \
 		$(GO) test -run TestSoakChaosSchedules -count=1 -v -timeout 600s ./internal/launch/
 
 # sdc replays SDC_SCHEDULES seeded bit-flip schedules — corruption injected
@@ -111,10 +113,12 @@ bench-overlap-quick:
 
 # bench-guard is the CI regression guard: run the quick overlap A/B and
 # fail unless the report's bit_identical verdict is true, then run the
-# functional MatMulNT 256³ kernel A/B and fail unless the best SIMD
-# backend beats scalar by 2× (the local target is 4×+; the CI margin
-# absorbs shared-runner noise; hosts with no SIMD backend pass
-# vacuously), then regenerate the grouped-belt traffic report and fail
+# functional kernel A/B — MatMulNT 256³ and attention forward+backward at
+# H 64 / 4 heads / S 512 — and fail unless the best SIMD backend beats
+# scalar by 2× on both (the local target is 4×+; the CI margin absorbs
+# shared-runner noise; a scalar-only build passes, an amd64 build whose
+# CPU registered no SIMD backend fails: it measured nothing), then
+# regenerate the grouped-belt traffic report and fail
 # unless wzb2g stays bit-identical to wzb2 while cutting inter-group bytes
 # both on the wire (p=16) and in the simulated grid. Report paths are
 # overridable so CI can upload artifacts.
@@ -138,7 +142,8 @@ bench-guard:
 bench-sweep:
 	$(GO) run ./cmd/weipipe-bench -sweep -sweep-out BENCH_sweep.json
 
-# bench-kernel records the committed functional kernel A/B measurement.
+# bench-kernel records the functional scalar-vs-SIMD kernel A/B (MatMulNT
+# and attention forward+backward).
 bench-kernel:
 	$(GO) run ./cmd/weipipe-bench -kernel -kernel-out BENCH_kernel.json
 
@@ -159,7 +164,7 @@ bench-p2p:
 	$(GO) run ./cmd/weipipe-bench -p2p -p2p-out BENCH_p2p.json
 
 # experiments regenerates the full paper-table output that EXPERIMENTS.md
-# is curated from, stamped with the kernel backend that produced it. CI
+# is curated from (pure cost-model output: the same bytes on any host). CI
 # uploads the file as an artifact on every run.
 EXPERIMENTS_OUT ?= /tmp/weipipe_experiments.txt
 experiments:

@@ -28,6 +28,7 @@ import (
 	"weipipe/internal/comm"
 	"weipipe/internal/launch"
 	"weipipe/internal/pipeline"
+	"weipipe/internal/tensor"
 )
 
 func main() {
@@ -55,7 +56,16 @@ func main() {
 	faults := flag.Int("faults", 0, "number of seeded process-level faults to schedule")
 	verify := flag.Bool("verify", false, "replay the run in-process and require bit-identical weights")
 	epochTimeout := flag.Duration("epoch-timeout", 2*time.Minute, "deadline for one incarnation to resolve")
+	backend := flag.String("backend", "", "tensor kernel backend, for every worker and the -verify replay: scalar, avx2, auto (default: auto, the fastest this CPU supports)")
 	flag.Parse()
+
+	if *backend != "" {
+		if err := tensor.SetBackend(*backend); err != nil {
+			fmt.Fprintf(os.Stderr, "weipipe-launch: %v\n", err)
+			os.Exit(1)
+		}
+	}
+	fmt.Printf("kernel backend: %s\n", tensor.BackendName())
 
 	spec := launch.TrainSpec{
 		Vocab: *vocab, Hidden: *hidden, Layers: *layers, Heads: *heads,

@@ -67,7 +67,7 @@ type runConfig struct {
 
 func main() {
 	strategy := flag.String("strategy", "weipipe-interleave", "training strategy")
-	backend := flag.String("backend", "", "tensor kernel backend: scalar (default; bit-exact reference), avx2 (SIMD, reassociated NT reductions), auto (best available)")
+	backend := flag.String("backend", "", "tensor kernel backend: auto (default; the fastest this CPU supports), avx2 (SIMD; FMA-reassociated NT matmul, attention and SiLU), scalar (the bit-exact reference)")
 	p := flag.Int("p", 2, "workers")
 	wp := flag.Int("wp", 0, "hybrid mode: WeiPipe ring size (0 = plain strategy; implies weipipe-interleave rings × data parallel)")
 	vocab := flag.Int("vocab", 256, "vocabulary size")
@@ -126,13 +126,11 @@ func main() {
 			fatal(err)
 		}
 	}
-	if name := tensor.BackendName(); name != "scalar" {
-		mode := "bit-exact"
-		if !tensor.BackendExact() {
-			mode = "tolerance mode: NT matmul and DotF32 reductions reassociated"
-		}
-		fmt.Printf("kernel backend: %s (%s; deterministic, strategies stay mutually bit-identical)\n", name, mode)
+	mode := "bit-exact reference"
+	if !tensor.BackendExact() {
+		mode = "tolerance mode: NT matmul, DotF32, attention and SiLU reassociated; -backend scalar pins the bit-exact reference"
 	}
+	fmt.Printf("kernel backend: %s (%s; deterministic, strategies stay mutually bit-identical)\n", tensor.BackendName(), mode)
 
 	cfg := weipipe.Config{
 		Vocab: *vocab, Hidden: *hidden, Layers: *layers, Heads: *heads,

@@ -42,3 +42,20 @@ func ExampleGenerate() {
 	fmt.Printf("len: %d, deterministic: %v\n", len(a), fmt.Sprint(a) == fmt.Sprint(b))
 	// Output: len: 5, deterministic: true
 }
+
+// ExampleSetBackend pins the scalar kernels, the bit-exactness oracle: the
+// process otherwise starts on the fastest backend its CPU supports, so
+// results compared across machines should pin one.
+func ExampleSetBackend() {
+	prev := weipipe.BackendName()
+	if err := weipipe.SetBackend("scalar"); err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println("backend:", weipipe.BackendName())
+	fmt.Println("unknown name rejected:", weipipe.SetBackend("no-such-backend") != nil)
+	_ = weipipe.SetBackend(prev) // the name that was active cannot be unknown
+	// Output:
+	// backend: scalar
+	// unknown name rejected: true
+}

@@ -4,12 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 
 	"weipipe/internal/cluster"
 	"weipipe/internal/cost"
-	"weipipe/internal/tensor"
 )
 
 // The sweep is the full strategy×topology×scale grid of the cost model:
@@ -74,15 +72,10 @@ type SweepCell struct {
 	OOM           bool    `json:"oom"`
 }
 
-// SweepReport is the serialised sweep. The header records the environment
-// that produced the numbers; KernelBackend stamps which tensor backend
-// was active (the cost model itself does no tensor math, so the stamp
-// documents provenance for mixed reports that join sweep and functional
-// kernel numbers).
+// SweepReport is the serialised sweep. The cost model does no tensor math,
+// so nothing about the host enters the report: regenerating it anywhere
+// yields the same bytes.
 type SweepReport struct {
-	KernelBackend  string      `json:"kernel_backend"`
-	KernelExact    bool        `json:"kernel_exact"`
-	GoArch         string      `json:"goarch"`
 	Hidden         int         `json:"hidden"`
 	SeqLen         int         `json:"seq_len"`
 	Layers         int         `json:"layers"`
@@ -95,9 +88,6 @@ type SweepReport struct {
 func RunSweep() (*SweepReport, error) {
 	base := sweepWorkload(sweepScales[0])
 	rep := &SweepReport{
-		KernelBackend:  tensor.BackendName(),
-		KernelExact:    tensor.BackendExact(),
-		GoArch:         runtime.GOARCH,
 		Hidden:         base.H,
 		SeqLen:         base.S,
 		Layers:         base.L,
@@ -142,8 +132,8 @@ func WriteSweep(path string) error {
 	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("sweep: %d cells (%d strategies × %d topologies × %d scales), backend %s\n",
-		len(rep.Cells), len(sweepStrategies), len(sweepTopologies), len(sweepScales), rep.KernelBackend)
+	fmt.Printf("sweep: %d cells (%d strategies × %d topologies × %d scales)\n",
+		len(rep.Cells), len(sweepStrategies), len(sweepTopologies), len(sweepScales))
 	type key struct {
 		top string
 		p   int

@@ -2,7 +2,9 @@ package launch
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,6 +15,7 @@ import (
 
 	"weipipe/internal/comm"
 	"weipipe/internal/pipeline"
+	"weipipe/internal/tensor"
 )
 
 // TestMain doubles as the worker entry point: the supervisor under test
@@ -121,6 +124,56 @@ func TestCrossProcessPlain(t *testing.T) {
 	}
 }
 
+// pinBackend selects a tensor backend in this (supervisor and oracle)
+// process for the rest of the test.
+func pinBackend(t *testing.T, name string) {
+	t.Helper()
+	prev := tensor.BackendName()
+	if err := tensor.SetBackend(name); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := tensor.SetBackend(prev); err != nil {
+			t.Errorf("restore backend %q: %v", prev, err)
+		}
+	})
+}
+
+// The supervisor's backend choice reaches every worker: with the scalar
+// oracle pinned here, workers left to their own CPUID default would check in
+// on another backend and be refused; instead the run matches the scalar
+// in-process replay bit for bit.
+func TestCrossProcessPinnedBackend(t *testing.T) {
+	pinBackend(t, "scalar")
+	runSupervised(t, Options{
+		Ranks: 3,
+		Spec:  testSpec(t.TempDir(), 3),
+	})
+}
+
+// A worker whose hello names another backend than the supervisor's — an
+// older binary that ignores the pin, or none at all — fails the fleet with
+// ErrMixedBackends before any rank is assigned.
+func TestMixedBackendFleetRejected(t *testing.T) {
+	for _, forged := range []string{"some-other-backend", ""} {
+		s := &supervisor{
+			backend: tensor.BackendName(),
+			events:  make(chan supEvent, 4),
+			procs:   map[int]*proc{0: {id: 0}, 1: {id: 1}},
+		}
+		for id, backend := range []string{s.backend, forged} {
+			near, far := net.Pipe()
+			defer near.Close()
+			defer far.Close()
+			s.events <- supEvent{id: id, c: newCodec(near), msg: Msg{Type: "hello", ID: id, Backend: backend}}
+		}
+		err := s.waitHellos(2)
+		if !errors.Is(err, ErrMixedBackends) {
+			t.Fatalf("forged hello %q: got %v, want ErrMixedBackends", forged, err)
+		}
+	}
+}
+
 func TestCrossProcessSIGKILLShrinkRecovery(t *testing.T) {
 	rep := runSupervised(t, Options{
 		Ranks: 4,
@@ -226,11 +279,15 @@ func TestCrossProcessPartitionMembershipFence(t *testing.T) {
 // timed partitions, plus frame-level chaos under the reliability layer —
 // each verified bit-identical to its fault-free oracle and leak-free.
 // WEIPIPE_SOAK_OUT, when set, receives one JSONL trace per schedule (the
-// CI artifact uploaded on failure).
+// CI artifact uploaded on failure). WEIPIPE_SOAK_BACKEND, when set, pins
+// the tensor backend of the supervisor, its workers and the oracle.
 func TestSoakChaosSchedules(t *testing.T) {
 	n, _ := strconv.Atoi(os.Getenv("WEIPIPE_SOAK"))
 	if n <= 0 {
 		t.Skip("set WEIPIPE_SOAK=<n> to run the chaos soak")
+	}
+	if name := os.Getenv("WEIPIPE_SOAK_BACKEND"); name != "" {
+		pinBackend(t, name)
 	}
 	outDir := os.Getenv("WEIPIPE_SOAK_OUT")
 	if outDir != "" {

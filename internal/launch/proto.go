@@ -33,6 +33,9 @@ const (
 	envWorker  = "WEIPIPE_LAUNCH_WORKER"
 	envSupAddr = "WEIPIPE_LAUNCH_SUP"
 	envWorkID  = "WEIPIPE_LAUNCH_ID"
+	// envBackend carries the supervisor's tensor backend to every worker:
+	// left alone, each process would pick by its own CPUID.
+	envBackend = "WEIPIPE_LAUNCH_BACKEND"
 )
 
 // TrainSpec is the full training configuration a worker needs — identical
@@ -63,9 +66,10 @@ type TrainSpec struct {
 type Msg struct {
 	Type string `json:"type"`
 
-	// hello (worker → supervisor)
-	ID  int `json:"id,omitempty"`
-	PID int `json:"pid,omitempty"`
+	// hello (worker → supervisor); Backend is the worker's tensor backend.
+	ID      int    `json:"id,omitempty"`
+	PID     int    `json:"pid,omitempty"`
+	Backend string `json:"backend,omitempty"`
 
 	// progress (worker → supervisor): one per completed iteration, plus
 	// barrier beacons (State nonempty) during long off-wire phases so the

@@ -2,6 +2,7 @@ package launch
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -14,7 +15,14 @@ import (
 
 	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
+	"weipipe/internal/tensor"
 )
+
+// ErrMixedBackends rejects a fleet whose workers do not all run the
+// supervisor's tensor backend: tolerance-mode backends are deterministic but
+// not bit-identical to each other, so a mixed fleet would silently break the
+// bit-identical replay oracle.
+var ErrMixedBackends = errors.New("launch: workers disagree on the tensor backend")
 
 // Options configures RunSupervisor.
 type Options struct {
@@ -111,6 +119,11 @@ type supEvent struct {
 // training incarnations under the fault schedule, and returns the final
 // report. The run succeeds when every rank of some incarnation completes
 // all iterations; it fails when no repair policy can continue.
+//
+// Every worker is told to run the tensor backend active in this process
+// (tensor.SetBackend before the call pins it), which is also the backend
+// ReplayOracle replays on; a worker that reports another one fails the run
+// with ErrMixedBackends before any rank is assigned.
 func RunSupervisor(o Options) (*Report, error) {
 	if o.Ranks < 2 {
 		return nil, fmt.Errorf("launch: need at least 2 ranks, got %d", o.Ranks)
@@ -132,9 +145,10 @@ func RunSupervisor(o Options) (*Report, error) {
 		return nil, err
 	}
 	s := &supervisor{
-		o:      o,
-		events: make(chan supEvent, 1024),
-		procs:  make(map[int]*proc),
+		o:       o,
+		backend: tensor.BackendName(),
+		events:  make(chan supEvent, 1024),
+		procs:   make(map[int]*proc),
 	}
 	defer s.teardown(ln)
 
@@ -157,6 +171,7 @@ func RunSupervisor(o Options) (*Report, error) {
 			envWorker+"=1",
 			envSupAddr+"="+ln.Addr().String(),
 			envWorkID+"="+strconv.Itoa(i),
+			envBackend+"="+s.backend,
 		)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
@@ -179,11 +194,13 @@ func RunSupervisor(o Options) (*Report, error) {
 }
 
 type supervisor struct {
-	o      Options
-	events chan supEvent
-	procs  map[int]*proc
-	hist   []EpochEvent
-	fired  []bool
+	o Options
+	// backend is this process's tensor backend, which the fleet must share.
+	backend string
+	events  chan supEvent
+	procs   map[int]*proc
+	hist    []EpochEvent
+	fired   []bool
 }
 
 func (s *supervisor) log(m Msg) {
@@ -222,6 +239,10 @@ func (s *supervisor) waitHellos(total int) error {
 				if p := s.procs[ev.id]; p != nil && p.c == nil {
 					p.c = ev.c
 					helloed++
+					if ev.msg.Backend != s.backend {
+						return fmt.Errorf("%w: worker %d runs %q, supervisor %q",
+							ErrMixedBackends, ev.id, ev.msg.Backend, s.backend)
+					}
 				}
 			} else if ev.died {
 				return fmt.Errorf("launch: worker %d died before hello", ev.id)

@@ -14,6 +14,7 @@ import (
 	"weipipe/internal/model"
 	"weipipe/internal/optim"
 	"weipipe/internal/pipeline"
+	"weipipe/internal/tensor"
 )
 
 // IsWorker reports whether this process was spawned by a supervisor and
@@ -25,10 +26,17 @@ func IsWorker() bool { return os.Getenv(envWorker) == "1" }
 // WorkerMain is the entry point of a spawned worker process: dial the
 // supervisor's control port, introduce ourselves, then serve rank
 // assignments until told to exit. The returned code is the process exit
-// status.
+// status. The supervisor's tensor backend is adopted first, so the fleet
+// and the replay oracle run the same kernels.
 func WorkerMain() int {
 	addr := os.Getenv(envSupAddr)
 	id, _ := strconv.Atoi(os.Getenv(envWorkID))
+	if name := os.Getenv(envBackend); name != "" {
+		if err := tensor.SetBackend(name); err != nil {
+			fmt.Fprintf(os.Stderr, "launch worker %d: %v\n", id, err)
+			return 1
+		}
+	}
 	if err := RunWorker(addr, id); err != nil {
 		fmt.Fprintf(os.Stderr, "launch worker %d: %v\n", id, err)
 		return 1
@@ -54,7 +62,7 @@ func RunWorker(addr string, id int) error {
 	}
 	w := &worker{id: id, c: newCodec(conn)}
 	defer w.c.close()
-	if err := w.c.send(Msg{Type: "hello", ID: id, PID: os.Getpid()}); err != nil {
+	if err := w.c.send(Msg{Type: "hello", ID: id, PID: os.Getpid(), Backend: tensor.BackendName()}); err != nil {
 		return err
 	}
 

@@ -55,30 +55,41 @@ func BenchmarkBlockForwardBackwardNoArena(b *testing.B) {
 }
 
 // BenchmarkAttentionFwdBwd times one attention layer's F+B+W at the
-// long-context shapes, where the fused kernel is the hot path; B/op stays 0
-// once the arena has grown.
+// long-context shapes, where the fused kernel is the hot path, once per
+// registered kernel backend; B/op stays 0 once the arena has grown.
 func BenchmarkAttentionFwdBwd(b *testing.B) {
 	for _, shape := range []struct {
 		name        string
 		h, heads, s int
 	}{{"H64_S512", 64, 4, 512}, {"H64_S2048", 64, 4, 2048}} {
-		b.Run(shape.name, func(b *testing.B) {
-			rng := tensor.NewRNG(7)
-			attn := NewAttention("a", shape.h, shape.heads, NewRopeTable(shape.s, shape.h/shape.heads), rng)
-			x, dy := tensor.New(shape.s, shape.h), tensor.New(shape.s, shape.h)
-			tensor.FillUniform(x, rng, -1, 1)
-			dy.Fill(0.01)
-			grads := attn.Params().NewLike()
-			arena := tensor.NewArena()
-			cache := NewCache(1, shape.s)
-			cache.Arena = arena
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				arena.Reset()
-				attn.Forward(x, cache)
-				attn.BackwardInput(dy, cache)
-				attn.BackwardParams(cache, grads)
-			}
-		})
+		for _, bk := range tensor.Backends() {
+			b.Run(shape.name+"/"+bk, func(b *testing.B) {
+				prev := tensor.BackendName()
+				if err := tensor.SetBackend(bk); err != nil {
+					b.Fatal(err)
+				}
+				defer func() {
+					if err := tensor.SetBackend(prev); err != nil {
+						b.Fatal(err)
+					}
+				}()
+				rng := tensor.NewRNG(7)
+				attn := NewAttention("a", shape.h, shape.heads, NewRopeTable(shape.s, shape.h/shape.heads), rng)
+				x, dy := tensor.New(shape.s, shape.h), tensor.New(shape.s, shape.h)
+				tensor.FillUniform(x, rng, -1, 1)
+				dy.Fill(0.01)
+				grads := attn.Params().NewLike()
+				arena := tensor.NewArena()
+				cache := NewCache(1, shape.s)
+				cache.Arena = arena
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					arena.Reset()
+					attn.Forward(x, cache)
+					attn.BackwardInput(dy, cache)
+					attn.BackwardParams(cache, grads)
+				}
+			})
+		}
 	}
 }

@@ -8,9 +8,11 @@ import (
 )
 
 // TestStrategiesPerBackend pins the determinism contract of the kernel
-// backends at the training level. Under any single backend — including
-// tolerance-mode SIMD backends whose NT reductions are reassociated
-// relative to scalar — each backend's accumulation order is a pure
+// backends at the training level, for every registered backend — the scalar
+// oracle and, where the CPU has one, the SIMD default. Under any single
+// backend — including tolerance-mode SIMD backends whose NT matmul,
+// attention and SiLU are reassociated relative to scalar — each backend's
+// accumulation order is a pure
 // function of the shapes, never of the worker-pool chunking, so:
 //
 //  1. repeating a run must reproduce bitwise identical weights, and
@@ -23,11 +25,12 @@ func TestStrategiesPerBackend(t *testing.T) {
 	for _, bk := range tensor.Backends() {
 		bk := bk
 		t.Run(bk, func(t *testing.T) {
+			prev := tensor.BackendName()
 			if err := tensor.SetBackend(bk); err != nil {
 				t.Fatal(err)
 			}
 			defer func() {
-				if err := tensor.SetBackend("scalar"); err != nil {
+				if err := tensor.SetBackend(prev); err != nil {
 					t.Fatal(err)
 				}
 			}()

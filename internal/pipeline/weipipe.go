@@ -101,6 +101,11 @@ type WeiPipe struct {
 	iter int
 	curR int // rounds in the current iteration (N/P)
 
+	// wGrads is the W pass's per-module gradient scratch, allocated on
+	// first use and zeroed before every reuse: a W pass flattens it into a
+	// belt buffer before returning, so one set serves every microbatch.
+	wGrads []*nn.ParamSet
+
 	// skipped counts optimizer steps dropped by the non-finite guard (or
 	// the loss scaler); the decision is global, so every rank agrees.
 	skipped int
@@ -793,14 +798,20 @@ func (w *WeiPipe) wStage(st *wpState, k, c int) error {
 	caches := st.caches[mb]
 	lo, hi := w.chunkRange(c)
 	span := w.tr.Begin()
-	grads := make([]*nn.ParamSet, len(w.mdl.Modules))
-	for i := lo; i < hi; i++ {
-		grads[i] = w.mdl.Modules[i].Params().NewLike()
+	if w.wGrads == nil {
+		w.wGrads = make([]*nn.ParamSet, len(w.mdl.Modules))
 	}
-	backwardRangeW(w.mdl, lo, hi, caches[lo:hi], grads)
+	for i := lo; i < hi; i++ {
+		if w.wGrads[i] == nil {
+			w.wGrads[i] = w.mdl.Modules[i].Params().NewLike()
+		} else {
+			w.wGrads[i].Zero()
+		}
+	}
+	backwardRangeW(w.mdl, lo, hi, caches[lo:hi], w.wGrads)
 	size := w.mdl.ChunkSize(lo, hi)
 	local := comm.GetBuf(size + w.pad)
-	flattenGradsRange(w.mdl, grads, lo, hi, local[:size])
+	flattenGradsRange(w.mdl, w.wGrads, lo, hi, local[:size])
 	w.tr.End(span, trace.CodeW, int64(mb), int64(c))
 	// accumulateAndForwardD owns local from here (donated or released inside).
 	if err := w.accumulateAndForwardD(c, mb, local); err != nil {

@@ -78,8 +78,10 @@ func checkAttnShapes(op string, heads, sq, sk, qOffset int, lse *Tensor, qLike, 
 }
 
 // attnArgs carries one attention call by value through the worker pool.
+// simd selects the leaf primitives the shared tile walk runs on, the way
+// mmArgs.simd selects a matmul range kernel.
 type attnArgs struct {
-	bwd              bool
+	bwd, simd        bool
 	q, k, v, out     []float32
 	lse              []float32
 	dout, dq, dk, dv []float32
@@ -105,23 +107,23 @@ func (a *attnArgs) run(lo, hi int) {
 	}
 }
 
-func newAttnArgs(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) attnArgs {
+func newAttnArgs(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int, simd bool) attnArgs {
 	d := q.Cols() / heads
 	return attnArgs{
 		q: q.Data, k: k.Data, v: v.Data, out: out.Data, lse: lse.Data,
 		g: q.Rows() / sq, heads: heads, d: d, sq: sq, sk: sk, qOff: qOffset,
-		scale: float32(1.0 / math.Sqrt(float64(d))),
+		scale: float32(1.0 / math.Sqrt(float64(d))), simd: simd,
 	}
 }
 
-func causalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) {
-	args := newAttnArgs(out, lse, q, k, v, heads, sq, sk, qOffset)
+func causalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int, simd bool) {
+	args := newAttnArgs(out, lse, q, k, v, heads, sq, sk, qOffset, simd)
 	tiles := (sq + attnTileQ - 1) / attnTileQ
 	dispatchAttn(&args, args.g*heads*tiles)
 }
 
-func causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int) {
-	args := newAttnArgs(out, lse, q, k, v, heads, sq, sk, qOffset)
+func causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int, simd bool) {
+	args := newAttnArgs(out, lse, q, k, v, heads, sq, sk, qOffset, simd)
 	args.bwd = true
 	args.dout, args.dq, args.dk, args.dv = dout.Data, dq.Data, dk.Data, dv.Data
 	dispatchAttn(&args, args.g*heads)
@@ -154,21 +156,21 @@ func attnForwardTile(a *attnArgs, gi, hi, i0, i1 int) {
 		for r := max(i0, j0-a.qOff); r < i1; r++ {
 			n := min(j1, a.qOff+r+1) - j0
 			sc := s[:n]
-			attnDotRows(sc, a.q[qBase+r*ld:qBase+r*ld+d], ktile, ld, a.scale)
+			a.dotRows(sc, a.q[qBase+r*ld:qBase+r*ld+d], ktile, ld, a.scale)
 			mNew := m[r-i0]
-			for _, x := range sc {
-				if x > mNew {
-					mNew = x
-				}
+			if x := a.rowMax(sc); x > mNew {
+				mNew = x
 			}
-			alpha := expNeg(m[r-i0] - mNew)
-			l[r-i0] = l[r-i0]*alpha + expSubRow(sc, mNew)
+			sum, alpha := a.expSubRow(sc, mNew, m[r-i0])
+			l[r-i0] = l[r-i0]*alpha + sum
 			m[r-i0] = mNew
 			orow := a.out[qBase+r*ld : qBase+r*ld+d]
-			for c := range orow {
-				orow[c] *= alpha
+			if alpha != 1 {
+				for c := range orow {
+					orow[c] *= alpha
+				}
 			}
-			attnAxpyRows(orow, sc, 1, n, vtile, ld)
+			a.axpyRows(orow, sc, 1, n, vtile, ld)
 		}
 	}
 	for r := i0; r < i1; r++ {
@@ -221,25 +223,66 @@ func attnBackwardHead(a *attnArgs, gi, hi int) {
 				n := min(j1, a.qOff+r+1) - j0
 				prow := p[(r-i0)*attnTileK : (r-i0)*attnTileK+n]
 				dsrow := ds[(r-i0)*attnTileK : (r-i0)*attnTileK+n]
-				attnDotRows(prow, a.q[qBase+r*ld:qBase+r*ld+d], ktile, ld, a.scale)
-				expSubRow(prow, lse[r])
-				attnDotRows(dsrow, a.dout[qBase+r*ld:qBase+r*ld+d], vtile, ld, 1)
-				dr := delta[r-i0]
-				for j, pv := range prow {
-					dsrow[j] = a.scale * pv * (dsrow[j] - dr)
-				}
-				attnAxpyRows(a.dq[qBase+r*ld:qBase+r*ld+d], dsrow, 1, n, ktile, ld)
+				a.dotRows(prow, a.q[qBase+r*ld:qBase+r*ld+d], ktile, ld, a.scale)
+				a.expSubRow(prow, lse[r], lse[r])
+				a.dotRows(dsrow, a.dout[qBase+r*ld:qBase+r*ld+d], vtile, ld, 1)
+				a.dsRow(dsrow, prow, a.scale, delta[r-i0])
+				a.axpyRows(a.dq[qBase+r*ld:qBase+r*ld+d], dsrow, 1, n, ktile, ld)
 			}
 			for j := j0; j < j1; j++ {
 				// Rows before rs see key j masked and hold no tile entry.
 				rs := max(rlo, j-a.qOff)
 				at := (rs-i0)*attnTileK + j - j0
 				rows := i1 - rs
-				attnAxpyRows(a.dv[kBase+j*ld:kBase+j*ld+d], p[at:], attnTileK, rows, a.dout[qBase+rs*ld:], ld)
-				attnAxpyRows(a.dk[kBase+j*ld:kBase+j*ld+d], ds[at:], attnTileK, rows, a.q[qBase+rs*ld:], ld)
+				a.axpyRows(a.dv[kBase+j*ld:kBase+j*ld+d], p[at:], attnTileK, rows, a.dout[qBase+rs*ld:], ld)
+				a.axpyRows(a.dk[kBase+j*ld:kBase+j*ld+d], ds[at:], attnTileK, rows, a.q[qBase+rs*ld:], ld)
 			}
 		}
 	}
+}
+
+// The leaf primitives of the tile walk. The simd versions are linked
+// statically (build-tagged stubs fall back to the Go loops), like the matmul
+// range kernels. Either way a leaf's result is a pure function of its
+// operands and n, d and the strides — never of the tile or work item that
+// called it.
+
+func (a *attnArgs) dotRows(dst, x, rows []float32, ld int, scale float32) {
+	if a.simd {
+		simdAttnDotRows(dst, x, rows, ld, scale)
+		return
+	}
+	attnDotRows(dst, x, rows, ld, scale)
+}
+
+func (a *attnArgs) axpyRows(dst, coef []float32, cstride, n int, rows []float32, ld int) {
+	if a.simd {
+		simdAttnAxpyRows(dst, coef, cstride, n, rows, ld)
+		return
+	}
+	attnAxpyRows(dst, coef, cstride, n, rows, ld)
+}
+
+func (a *attnArgs) expSubRow(s []float32, shift, prev float32) (sum, alpha float32) {
+	if a.simd {
+		return simdExpSubRow(s, shift, prev)
+	}
+	return expSubRow(s, shift, prev)
+}
+
+func (a *attnArgs) rowMax(s []float32) float32 {
+	if a.simd {
+		return simdRowMax(s)
+	}
+	return rowMax(s)
+}
+
+func (a *attnArgs) dsRow(ds, p []float32, scale, delta float32) {
+	if a.simd {
+		simdAttnDsRow(ds, p, scale, delta)
+		return
+	}
+	attnDsRow(ds, p, scale, delta)
 }
 
 // attnDotRows computes dst[t] = scale · x·rows_t for t < len(dst), where
@@ -293,15 +336,39 @@ func attnAxpyRows(dst, coef []float32, cstride, n int, rows []float32, ld int) {
 }
 
 // expSubRow overwrites s[j] with expNeg(s[j] − shift) and returns the sum of
-// the results, accumulated ascending.
-func expSubRow(s []float32, shift float32) float32 {
-	var sum float32
+// the results, accumulated ascending, and alpha = expNeg(prev − shift): with
+// shift the new running maximum and prev the old one, the factor the online
+// softmax rescales its running sum and output by. Most tiles leave the
+// maximum where it was, and expNeg(0) is exactly 1.
+func expSubRow(s []float32, shift, prev float32) (sum, alpha float32) {
 	for j, x := range s {
 		e := expNeg(x - shift)
 		s[j] = e
 		sum += e
 	}
-	return sum
+	if prev == shift {
+		return sum, 1
+	}
+	return sum, expNeg(prev - shift)
+}
+
+// rowMax returns the largest element of s (−Inf if none compares greater).
+func rowMax(s []float32) float32 {
+	m := float32(math.Inf(-1))
+	for _, x := range s {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}
+
+// attnDsRow overwrites ds[j] = dp_j with scale·p_j·(dp_j − delta), the
+// softmax Jacobian applied to one row.
+func attnDsRow(ds, p []float32, scale, delta float32) {
+	for j, pv := range p[:len(ds)] {
+		ds[j] = scale * pv * (ds[j] - delta)
+	}
 }
 
 const (
@@ -312,14 +379,23 @@ const (
 	// ln 2 split so that n·expLn2Hi is exact for |n| ≤ 2⁸.
 	expLn2Hi = 0.693359375
 	expLn2Lo = -2.12194440e-4
+	// eʳ ≈ 1 + r + r²·P(r) on |r| ≤ ln2/2: the Cephes expf polynomial,
+	// highest degree first.
+	expP0 = 1.9875691500e-4
+	expP1 = 1.3981999507e-3
+	expP2 = 8.3334519073e-3
+	expP3 = 4.1665795894e-2
+	expP4 = 1.6666665459e-1
+	expP5 = 5.0000001201e-1
 )
 
 // expNeg returns eˣ for x ≤ 0 in float32 arithmetic: x = n·ln2 + r with
 // |r| ≤ ln2/2, eʳ from a fixed degree-7 polynomial, scaled by 2ⁿ through
 // the exponent bits. Exactly 1 at 0, exactly 0 below expUnderflow (and at
 // −Inf), monotone, within 2 ULP of the correctly rounded value in between;
-// NaN propagates. The attention kernel uses it on every backend, so
-// attention results do not depend on the backend.
+// NaN propagates. The avx2 backend's vector exp (simd_avx2_amd64.s) keeps
+// this contract and these constants eight lanes at a time, but fuses its
+// multiply-adds, so the two may differ by an ULP.
 func expNeg(x float32) float32 {
 	if x < expUnderflow {
 		return 0
@@ -327,13 +403,12 @@ func expNeg(x float32) float32 {
 	n := int32(x*expLog2e - 0.5) // round to nearest: the operand is ≤ 0
 	fn := float32(n)
 	r := x - fn*expLn2Hi - fn*expLn2Lo
-	// eʳ ≈ 1 + r + r²·P(r), the Cephes expf polynomial.
-	p := float32(1.9875691500e-4)
-	p = p*r + 1.3981999507e-3
-	p = p*r + 8.3334519073e-3
-	p = p*r + 4.1665795894e-2
-	p = p*r + 1.6666665459e-1
-	p = p*r + 5.0000001201e-1
+	p := float32(expP0)
+	p = p*r + expP1
+	p = p*r + expP2
+	p = p*r + expP3
+	p = p*r + expP4
+	p = p*r + expP5
 	p = p*(r*r) + r + 1
 	return p * math.Float32frombits(uint32(n+127)<<23)
 }

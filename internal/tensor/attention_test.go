@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"hash/crc32"
 	"math"
 	"runtime"
 	"testing"
@@ -82,6 +83,15 @@ func (s attnShape) String() string {
 	return fmt.Sprintf("G%d_h%d_d%d_sq%d_sk%d_off%d", s.g, s.heads, s.d, s.sq, s.sk, s.qOff)
 }
 
+// eachBackend runs fn once per registered backend, as a subtest with that
+// backend selected: the attention invariants hold per backend, not just for
+// whichever one is the default on this machine.
+func eachBackend(t *testing.T, fn func(t *testing.T)) {
+	for _, name := range Backends() {
+		t.Run(name, func(t *testing.T) { withBackend(t, name, func() { fn(t) }) })
+	}
+}
+
 // attnInputs draws q, k, v and dout for a shape; spread scales the scores so
 // the softmax ranges from near-uniform to near-one-hot.
 func attnInputs(s attnShape, seed uint64, spread float64) (q, k, v, dout *Tensor) {
@@ -154,28 +164,34 @@ func checkAttentionAgainstNaive(t testing.TB, s attnShape, seed uint64, spread f
 
 func TestCausalAttentionMatchesNaive(t *testing.T) {
 	shapes := []attnShape{
-		{1, 1, 4, 1, 1, 0},                            // S = 1
-		{1, 1, 8, 7, 7, 0},                            // S < both tiles
-		{2, 4, 64, 8, 8, 0},                           // the wide-* shape
-		{1, 2, 5, attnTileQ - 1, attnTileQ - 1, 0},    // odd d, tile − 1
-		{1, 1, 4, attnTileQ, attnTileQ, 0},            // exactly one query tile
-		{1, 1, 3, attnTileQ + 1, attnTileQ + 1, 0},    // tile + 1
-		{1, 2, 8, attnTileK - 1, attnTileK - 1, 0},    // key tile − 1
-		{1, 1, 8, attnTileK, attnTileK, 0},            // exactly one key tile
-		{2, 3, 7, attnTileK + 1, attnTileK + 1, 0},    // key tile + 1, G > 1, heads > 1
-		{1, 2, 16, 200, 200, 0},                       // several tiles each way, ragged
-		{2, 2, 6, 10, 40, 30},                         // last query slice of longer keys
-		{1, 2, 4, 33, 4*attnTileK + 5, attnTileK + 9}, // middle slice: keys beyond every row
-		{1, 1, 8, 40, 20, 0},                          // sk < sq: late rows all see every key
+		{1, 1, 4, 1, 1, 0},                             // S = 1
+		{1, 1, 8, 7, 7, 0},                             // S < both tiles
+		{2, 4, 64, 8, 8, 0},                            // the wide-* shape
+		{1, 2, 5, attnTileQ - 1, attnTileQ - 1, 0},     // odd d, tile − 1
+		{1, 1, 4, attnTileQ, attnTileQ, 0},             // exactly one query tile
+		{1, 1, 3, attnTileQ + 1, attnTileQ + 1, 0},     // tile + 1
+		{1, 2, 8, attnTileK - 1, attnTileK - 1, 0},     // key tile − 1
+		{1, 1, 8, attnTileK, attnTileK, 0},             // exactly one key tile
+		{2, 3, 7, attnTileK + 1, attnTileK + 1, 0},     // key tile + 1, G > 1, heads > 1
+		{1, 2, 16, 200, 200, 0},                        // several tiles each way, ragged
+		{2, 2, 6, 10, 40, 30},                          // last query slice of longer keys
+		{1, 2, 4, 33, 4*attnTileK + 5, attnTileK + 9},  // middle slice: keys beyond every row
+		{1, 1, 8, 40, 20, 0},                           // sk < sq: late rows all see every key
+		{1, 2, 24, 70, 70, 0},                          // d = 16 + 8: both column-group widths
+		{1, 1, 64, 40, 40, 0},                          // d = 64, several rows per tile
+		{2, 2, 16, attnTileK + 9, 2*attnTileK + 3, 50}, // d = 16, G > 1, offset, sk ≠ sq
+		{1, 2, 13, 45, 45, 0},                          // d = 8 + 5: vector body and scalar tail
 	}
-	for _, s := range shapes {
-		t.Run(s.String(), func(t *testing.T) {
-			for seed := uint64(1); seed <= 3; seed++ {
-				checkAttentionAgainstNaive(t, s, seed, 1)
-			}
-			checkAttentionAgainstNaive(t, s, 9, 3) // peaked softmax: big score range
-		})
-	}
+	eachBackend(t, func(t *testing.T) {
+		for _, s := range shapes {
+			t.Run(s.String(), func(t *testing.T) {
+				for seed := uint64(1); seed <= 3; seed++ {
+					checkAttentionAgainstNaive(t, s, seed, 1)
+				}
+				checkAttentionAgainstNaive(t, s, 9, 3) // peaked softmax: big score range
+			})
+		}
+	})
 }
 
 // FuzzCausalAttentionEquivalence checks random shapes, offsets and score
@@ -186,135 +202,147 @@ func FuzzCausalAttentionEquivalence(f *testing.F) {
 	f.Add(uint64(3), uint8(1), uint8(1), uint8(1), uint16(1), uint16(0), uint16(300), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, g, heads, d uint8, sq, extraKeys, qOff uint16, spread uint8) {
 		s := attnShape{
-			g: 1 + int(g%2), heads: 1 + int(heads%3), d: 1 + int(d%20),
+			g: 1 + int(g%2), heads: 1 + int(heads%3), d: 1 + int(d%36),
 			sq: 1 + int(sq%150), qOff: int(qOff % 150),
 		}
 		// Keys cover at least the first query's position; any surplus may
 		// lie beyond the last query.
 		s.sk = s.qOff + 1 + int(extraKeys)%(s.sq+20)
-		checkAttentionAgainstNaive(t, s, seed, 0.1+float64(spread%40)/10)
+		eachBackend(t, func(t *testing.T) {
+			checkAttentionAgainstNaive(t, s, seed, 0.1+float64(spread%40)/10)
+		})
 	})
 }
 
 // With v all ones every output is a convex combination of ones: the
 // probabilities of every row sum to one and no masked key carries weight.
 func TestCausalAttentionRowsAreConvexCombinations(t *testing.T) {
-	s := attnShape{2, 2, 8, 150, 150, 0}
-	q, k, v, dout := attnInputs(s, 4, 2)
-	v.Fill(1)
-	out, _, _, _, _ := runAttention(s, q, k, v, dout)
-	for i, x := range out.Data {
-		if math.Abs(float64(x)-1) > 1e-6 {
-			t.Fatalf("out[%d] = %v with v = ones: probabilities do not sum to one", i, x)
+	eachBackend(t, func(t *testing.T) {
+		s := attnShape{2, 2, 24, 150, 150, 0}
+		q, k, v, dout := attnInputs(s, 4, 2)
+		v.Fill(1)
+		out, _, _, _, _ := runAttention(s, q, k, v, dout)
+		for i, x := range out.Data {
+			if math.Abs(float64(x)-1) > 1e-6 {
+				t.Fatalf("out[%d] = %v with v = ones: probabilities do not sum to one", i, x)
+			}
 		}
-	}
+	})
 }
 
 // Perturbing tokens after position i must leave row i bitwise unchanged:
 // masked keys are never read, whatever tile they share with visible ones.
 func TestCausalAttentionIgnoresFutureTokensBitwise(t *testing.T) {
-	s := attnShape{1, 2, 8, 150, 150, 0}
-	q, k, v, dout := attnInputs(s, 5, 1)
-	out1, lse1, _, _, _ := runAttention(s, q, k, v, dout)
-	const from = 70
-	width := s.heads * s.d
-	for i := from * width; i < len(k.Data); i++ {
-		q.Data[i] += 1.5
-		k.Data[i] -= 2.5
-		v.Data[i] *= -3
-	}
-	out2, lse2, _, _, _ := runAttention(s, q, k, v, dout)
-	for i := 0; i < from*width; i++ {
-		if math.Float32bits(out1.Data[i]) != math.Float32bits(out2.Data[i]) {
-			t.Fatalf("out[%d] (row %d < %d) changed: %v vs %v", i, i/width, from, out1.Data[i], out2.Data[i])
+	eachBackend(t, func(t *testing.T) {
+		s := attnShape{1, 2, 24, 150, 150, 0}
+		q, k, v, dout := attnInputs(s, 5, 1)
+		out1, lse1, _, _, _ := runAttention(s, q, k, v, dout)
+		const from = 70
+		width := s.heads * s.d
+		for i := from * width; i < len(k.Data); i++ {
+			q.Data[i] += 1.5
+			k.Data[i] -= 2.5
+			v.Data[i] *= -3
 		}
-	}
-	var moved bool
-	for i := from * width; i < len(out1.Data); i++ {
-		moved = moved || out1.Data[i] != out2.Data[i]
-	}
-	if !moved {
-		t.Fatal("rows at and after the perturbation did not move: attention inert")
-	}
-	for hi := 0; hi < s.heads; hi++ {
-		for r := 0; r < from; r++ {
-			if lse1.Data[hi*s.sq+r] != lse2.Data[hi*s.sq+r] {
-				t.Fatalf("lse head %d row %d changed", hi, r)
+		out2, lse2, _, _, _ := runAttention(s, q, k, v, dout)
+		for i := 0; i < from*width; i++ {
+			if math.Float32bits(out1.Data[i]) != math.Float32bits(out2.Data[i]) {
+				t.Fatalf("out[%d] (row %d < %d) changed: %v vs %v", i, i/width, from, out1.Data[i], out2.Data[i])
 			}
 		}
-	}
+		var moved bool
+		for i := from * width; i < len(out1.Data); i++ {
+			moved = moved || out1.Data[i] != out2.Data[i]
+		}
+		if !moved {
+			t.Fatal("rows at and after the perturbation did not move: attention inert")
+		}
+		for hi := 0; hi < s.heads; hi++ {
+			for r := 0; r < from; r++ {
+				if lse1.Data[hi*s.sq+r] != lse2.Data[hi*s.sq+r] {
+					t.Fatalf("lse head %d row %d changed", hi, r)
+				}
+			}
+		}
+	})
 }
 
 // A query slice against the full keys must reproduce the same rows of full
 // self-attention bit for bit: per-row results depend neither on the query
 // tile a row lands in nor on how many later rows exist.
 func TestCausalAttentionQuerySliceMatchesFullBitwise(t *testing.T) {
-	full := attnShape{1, 2, 8, 150, 150, 0}
-	q, k, v, dout := attnInputs(full, 6, 1)
-	outFull, lseFull, _, _, _ := runAttention(full, q, k, v, dout)
-	const off, sl = 50, 45 // neither a multiple of a tile size
-	part := attnShape{1, 2, 8, sl, 150, off}
-	outPart, lsePart, _, _, _ := runAttention(part, q.SliceRows(off, off+sl), k, v, dout.SliceRows(off, off+sl))
-	want := outFull.SliceRows(off, off+sl)
-	for i := range want.Data {
-		if math.Float32bits(want.Data[i]) != math.Float32bits(outPart.Data[i]) {
-			t.Fatalf("slice out[%d] = %v, full run has %v", i, outPart.Data[i], want.Data[i])
-		}
-	}
-	for hi := 0; hi < full.heads; hi++ {
-		for r := 0; r < sl; r++ {
-			if lsePart.Data[hi*sl+r] != lseFull.Data[hi*full.sq+off+r] {
-				t.Fatalf("slice lse head %d row %d differs from the full run", hi, r)
+	eachBackend(t, func(t *testing.T) {
+		full := attnShape{1, 2, 24, 150, 150, 0}
+		q, k, v, dout := attnInputs(full, 6, 1)
+		outFull, lseFull, _, _, _ := runAttention(full, q, k, v, dout)
+		const off, sl = 50, 45 // neither a multiple of a tile size
+		part := attnShape{1, 2, 24, sl, 150, off}
+		outPart, lsePart, _, _, _ := runAttention(part, q.SliceRows(off, off+sl), k, v, dout.SliceRows(off, off+sl))
+		want := outFull.SliceRows(off, off+sl)
+		for i := range want.Data {
+			if math.Float32bits(want.Data[i]) != math.Float32bits(outPart.Data[i]) {
+				t.Fatalf("slice out[%d] = %v, full run has %v", i, outPart.Data[i], want.Data[i])
 			}
 		}
-	}
+		for hi := 0; hi < full.heads; hi++ {
+			for r := 0; r < sl; r++ {
+				if lsePart.Data[hi*sl+r] != lseFull.Data[hi*full.sq+off+r] {
+					t.Fatalf("slice lse head %d row %d differs from the full run", hi, r)
+				}
+			}
+		}
+	})
 }
 
 // Attention results must be bitwise identical regardless of worker count:
 // a work item owns its outputs and accumulates in a shape-determined order.
 func TestCausalAttentionBitwiseIdenticalAcrossWorkerCounts(t *testing.T) {
-	s := attnShape{2, 3, 8, 150, 150, 0}
-	if s.g*s.heads*s.sq*s.sk*s.d < parallelThreshold {
-		t.Fatal("test shape below parallelThreshold; enlarge it")
-	}
-	q, k, v, dout := attnInputs(s, 7, 1)
-	run := func(workers int) []*Tensor {
-		prev := runtime.GOMAXPROCS(workers)
-		defer runtime.GOMAXPROCS(prev)
-		out, lse, dq, dk, dv := runAttention(s, q, k, v, dout)
-		return []*Tensor{out, lse, dq, dk, dv}
-	}
-	names := []string{"out", "lse", "dq", "dk", "dv"}
-	base := run(1)
-	for _, workers := range []int{2, 4, 7} {
-		got := run(workers)
-		for ti, name := range names {
-			for i := range base[ti].Data {
-				b0, bN := math.Float32bits(base[ti].Data[i]), math.Float32bits(got[ti].Data[i])
-				if b0 != bN {
-					t.Fatalf("%s elem %d differs between 1 and %d workers: %08x vs %08x", name, i, workers, b0, bN)
+	eachBackend(t, func(t *testing.T) {
+		s := attnShape{2, 3, 24, 150, 150, 0}
+		if s.g*s.heads*s.sq*s.sk*s.d < parallelThreshold {
+			t.Fatal("test shape below parallelThreshold; enlarge it")
+		}
+		q, k, v, dout := attnInputs(s, 7, 1)
+		run := func(workers int) []*Tensor {
+			prev := runtime.GOMAXPROCS(workers)
+			defer runtime.GOMAXPROCS(prev)
+			out, lse, dq, dk, dv := runAttention(s, q, k, v, dout)
+			return []*Tensor{out, lse, dq, dk, dv}
+		}
+		names := []string{"out", "lse", "dq", "dk", "dv"}
+		base := run(1)
+		for _, workers := range []int{2, 4, 7} {
+			got := run(workers)
+			for ti, name := range names {
+				for i := range base[ti].Data {
+					b0, bN := math.Float32bits(base[ti].Data[i]), math.Float32bits(got[ti].Data[i])
+					if b0 != bN {
+						t.Fatalf("%s elem %d differs between 1 and %d workers: %08x vs %08x", name, i, workers, b0, bN)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // Both attention dispatch paths — inline and pooled — must not allocate.
 func TestCausalAttentionZeroAlloc(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	for _, s := range []attnShape{{1, 2, 8, 8, 8, 0}, {1, 4, 16, 256, 256, 0}} {
-		pooled := s.g*s.heads*s.sq*s.sk*s.d >= parallelThreshold
-		q, k, v, dout := attnInputs(s, 8, 1)
-		out, lse, dq, dk, dv := runAttention(s, q, k, v, dout)
-		allocs := testing.AllocsPerRun(5, func() {
-			CausalAttention(out, lse, q, k, v, s.heads, s.sq, s.sk, s.qOff)
-			CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, s.heads, s.sq, s.sk, s.qOff)
-		})
-		if allocs != 0 {
-			t.Errorf("%v (pooled=%v): %v allocs per fwd+bwd, want 0", s, pooled, allocs)
+	eachBackend(t, func(t *testing.T) {
+		prev := runtime.GOMAXPROCS(4)
+		defer runtime.GOMAXPROCS(prev)
+		for _, s := range []attnShape{{1, 2, 8, 8, 8, 0}, {1, 4, 16, 256, 256, 0}} {
+			pooled := s.g*s.heads*s.sq*s.sk*s.d >= parallelThreshold
+			q, k, v, dout := attnInputs(s, 8, 1)
+			out, lse, dq, dk, dv := runAttention(s, q, k, v, dout)
+			allocs := testing.AllocsPerRun(5, func() {
+				CausalAttention(out, lse, q, k, v, s.heads, s.sq, s.sk, s.qOff)
+				CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, s.heads, s.sq, s.sk, s.qOff)
+			})
+			if allocs != 0 {
+				t.Errorf("%v (pooled=%v): %v allocs per fwd+bwd, want 0", s, pooled, allocs)
+			}
 		}
-	}
+	})
 }
 
 func TestCausalAttentionRejectsBadShapes(t *testing.T) {
@@ -344,38 +372,40 @@ func ulpDiff(a, b float32) uint32 {
 	return y - x
 }
 
-// expNeg against the float64 library exp rounded to float32, over every
-// 509th float32 in [−104, 0] plus the neighbourhoods of the special points.
-func TestExpNegAccuracy(t *testing.T) {
-	if got := expNeg(0); got != 1 {
-		t.Fatalf("expNeg(0) = %v, want exactly 1", got)
+// checkExpAccuracy holds f to expNeg's contract: against the float64 library
+// exp rounded to float32 over every 509th float32 in [−104, 0] plus the
+// neighbourhoods of the special points — within 2 ULP, exactly 1 at 0,
+// exactly 0 below expUnderflow and at −Inf, NaN propagated, monotone.
+func checkExpAccuracy(t *testing.T, f func(float32) float32) {
+	if got := f(0); got != 1 {
+		t.Fatalf("exp(0) = %v, want exactly 1", got)
 	}
 	for _, x := range []float32{float32(math.Inf(-1)), -104, -88, math.Nextafter32(expUnderflow, -1000)} {
-		if got := expNeg(x); got != 0 {
-			t.Fatalf("expNeg(%v) = %v, want exactly 0 below underflow", x, got)
+		if got := f(x); got != 0 {
+			t.Fatalf("exp(%v) = %v, want exactly 0 below underflow", x, got)
 		}
 	}
-	if got := expNeg(float32(math.NaN())); got == got {
-		t.Fatalf("expNeg(NaN) = %v, want NaN", got)
+	if got := f(float32(math.NaN())); got == got {
+		t.Fatalf("exp(NaN) = %v, want NaN", got)
 	}
-	if lo := expNeg(expUnderflow); lo <= 0 || lo > 1.2e-38 {
-		t.Fatalf("expNeg(expUnderflow) = %g, want the smallest normal's neighbourhood", lo)
+	if lo := f(expUnderflow); lo <= 0 || lo > 1.2e-38 {
+		t.Fatalf("exp(expUnderflow) = %g, want the smallest normal's neighbourhood", lo)
 	}
 
 	check := func(x, prevVal float32) float32 {
-		got := expNeg(x)
+		got := f(x)
 		if x < expUnderflow {
 			if got != 0 {
-				t.Fatalf("expNeg(%v) = %g, want 0", x, got)
+				t.Fatalf("exp(%v) = %g, want 0", x, got)
 			}
 			return got
 		}
 		want := float32(math.Exp(float64(x)))
 		if d := ulpDiff(got, want); d > 2 {
-			t.Fatalf("expNeg(%v) = %g, want %g (%d ULP)", x, got, want, d)
+			t.Fatalf("exp(%v) = %g, want %g (%d ULP)", x, got, want, d)
 		}
 		if got < prevVal {
-			t.Fatalf("expNeg not monotone at %v: %g after %g", x, got, prevVal)
+			t.Fatalf("exp not monotone at %v: %g after %g", x, got, prevVal)
 		}
 		return got
 	}
@@ -407,22 +437,55 @@ func TestExpNegAccuracy(t *testing.T) {
 	}
 }
 
+func TestExpNegAccuracy(t *testing.T) { checkExpAccuracy(t, expNeg) }
+
+// The scalar backend is the bit-exactness oracle: its attention results on
+// fixed inputs are pinned to what the kernel produced before the SIMD leaves
+// existed, so the oracle provably did not move.
+func TestScalarAttentionGolden(t *testing.T) {
+	const golden = 0x62c96080
+	crc := uint32(0)
+	withBackend(t, "scalar", func() {
+		for _, s := range []attnShape{
+			{2, 3, 7, attnTileK + 1, attnTileK + 1, 0},
+			{1, 2, 16, 200, 200, 0},
+			{2, 2, 6, 10, 40, 30},
+			{1, 4, 64, 8, 8, 0},
+		} {
+			q, k, v, dout := attnInputs(s, 11, 1.5)
+			out, lse, dq, dk, dv := runAttention(s, q, k, v, dout)
+			for _, t := range []*Tensor{out, lse, dq, dk, dv} {
+				for _, x := range t.Data {
+					b := math.Float32bits(x)
+					crc = crc32.Update(crc, crc32.IEEETable, []byte{byte(b), byte(b >> 8), byte(b >> 16), byte(b >> 24)})
+				}
+			}
+		}
+	})
+	if crc != golden {
+		t.Fatalf("scalar attention CRC = %#08x, want %#08x: the oracle moved", crc, golden)
+	}
+}
+
 func BenchmarkCausalAttention(b *testing.B) {
 	for _, s := range []attnShape{{1, 4, 16, 512, 512, 0}, {1, 4, 64, 8, 8, 0}} {
 		q, k, v, dout := attnInputs(s, 1, 1)
 		out, lse, dq, dk, dv := runAttention(s, q, k, v, dout)
-		b.Run("fwd/"+s.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				CausalAttention(out, lse, q, k, v, s.heads, s.sq, s.sk, s.qOff)
-			}
-		})
-		b.Run("bwd/"+s.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, s.heads, s.sq, s.sk, s.qOff)
-			}
-		})
+		for _, bk := range Backends() {
+			bk, _ := BackendByName(bk)
+			b.Run("fwd/"+s.String()+"/"+bk.Name(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					bk.CausalAttention(out, lse, q, k, v, s.heads, s.sq, s.sk, s.qOff)
+				}
+			})
+			b.Run("bwd/"+s.String()+"/"+bk.Name(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					bk.CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, s.heads, s.sq, s.sk, s.qOff)
+				}
+			})
+		}
 	}
 }
 
@@ -431,9 +494,15 @@ func BenchmarkExpSubRow(b *testing.B) {
 	FillUniform(src, NewRNG(1), -20, 0)
 	dst := New(4096)
 	var sink float32
-	for i := 0; i < b.N; i++ {
-		copy(dst.Data, src.Data)
-		sink += expSubRow(dst.Data, 0)
+	for _, simd := range []bool{false, true} {
+		a := attnArgs{simd: simd}
+		b.Run(fmt.Sprintf("simd=%v", simd), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(dst.Data, src.Data)
+				sum, _ := a.expSubRow(dst.Data, 0, 0)
+				sink += sum
+			}
+		})
 	}
 	_ = sink
 }

@@ -11,11 +11,12 @@ import (
 // and inference runtimes execute — the matmul variants, the BLAS-1 update
 // ops, the activation and softmax kernels, the row-wise norm and the fused
 // attention kernel — goes
-// through the process-wide current Backend. The scalar backend (pure Go,
-// the PR-1 kernels) is the default and the bit-exactness reference oracle;
-// SIMD backends register themselves at init when the CPU supports them and
-// are selected explicitly via SetBackend (or the cmd binaries' -backend
-// flag). A future BLAS or GPU backend drops into the same seam.
+// through the process-wide current Backend. SIMD backends register at init
+// when the build and the CPU support them, and the best registered backend
+// is the process default. The scalar backend (pure Go, the PR-1 kernels) is
+// the bit-exactness reference oracle and the default everywhere else; pin it
+// with SetBackend("scalar") (or the cmd binaries' -backend flag). A future
+// BLAS or GPU backend drops into the same seam.
 //
 // Contract:
 //
@@ -105,12 +106,13 @@ func current() Backend { return *curBackend.Load() }
 
 // SetBackend selects the kernel backend by name. The name "auto" picks
 // the fastest available backend (a SIMD backend when the CPU supports
-// one, the scalar reference otherwise). Returns an error and leaves the
-// selection unchanged if the name is unknown on this build/CPU.
+// one, the scalar reference otherwise) — the selection the process starts
+// with. Returns an error and leaves the selection unchanged if the name is
+// unknown on this build/CPU.
 //
-// Selecting a non-Exact backend is the documented tolerance-mode gate:
-// results remain deterministic and strategy-invariant, but are no longer
-// bit-identical to the scalar oracle on the reassociated kernels.
+// A non-Exact backend runs in tolerance mode: results remain deterministic
+// and strategy-invariant, but are not bit-identical to the scalar oracle on
+// the reassociated kernels.
 func SetBackend(name string) error {
 	backendMu.Lock()
 	defer backendMu.Unlock()
@@ -174,7 +176,9 @@ func BackendByName(name string) (Backend, bool) {
 }
 
 func init() {
-	b := Backend(scalarBackend{})
-	backends["scalar"] = b
-	curBackend.Store(&b)
+	registerBackend(scalarBackend{})
+	registerSIMDBackends()
+	if err := SetBackend("auto"); err != nil {
+		panic(err)
+	}
 }

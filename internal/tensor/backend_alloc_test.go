@@ -14,21 +14,17 @@ func TestMatMulBackendZeroAlloc(t *testing.T) {
 	FillUniform(a, rng, -1, 1)
 	FillUniform(b, rng, -1, 1)
 	for _, bk := range Backends() {
-		if err := SetBackend(bk); err != nil {
-			t.Fatal(err)
-		}
-		for name, fn := range map[string]func(){
-			"NN":    func() { MatMul(dst, a, b) },
-			"NT":    func() { MatMulTB(dst, a, b) },
-			"TN":    func() { MatMulTA(dst, a, b) },
-			"NNacc": func() { MatMulAcc(dst, a, b) },
-		} {
-			if n := testing.AllocsPerRun(5, fn); n != 0 {
-				t.Errorf("backend %s %s: %v allocs per run, want 0", bk, name, n)
+		withBackend(t, bk, func() {
+			for name, fn := range map[string]func(){
+				"NN":    func() { MatMul(dst, a, b) },
+				"NT":    func() { MatMulTB(dst, a, b) },
+				"TN":    func() { MatMulTA(dst, a, b) },
+				"NNacc": func() { MatMulAcc(dst, a, b) },
+			} {
+				if n := testing.AllocsPerRun(5, fn); n != 0 {
+					t.Errorf("backend %s %s: %v allocs per run, want 0", bk, name, n)
+				}
 			}
-		}
-	}
-	if err := SetBackend("scalar"); err != nil {
-		t.Fatal(err)
+		})
 	}
 }

@@ -42,6 +42,22 @@ func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 	return t
 }
 
+// pinScalar selects the scalar oracle for the rest of the test, so that
+// current() is the reference side of a comparison whatever this machine's
+// default backend is.
+func pinScalar(t *testing.T) {
+	t.Helper()
+	prev := BackendName()
+	if err := SetBackend("scalar"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := SetBackend(prev); err != nil {
+			t.Fatalf("restore backend %q: %v", prev, err)
+		}
+	})
+}
+
 // withBackend runs fn with the named backend selected, restoring the
 // previous backend afterwards.
 func withBackend(t *testing.T, name string, fn func()) {
@@ -92,6 +108,7 @@ func TestBackendMatMulEquivalence(t *testing.T) {
 	if len(others) == 0 {
 		t.Skip("no non-scalar backend registered on this machine")
 	}
+	pinScalar(t)
 	rng := rand.New(rand.NewSource(11))
 	type mmCase struct {
 		name  string
@@ -129,7 +146,7 @@ func TestBackendMatMulEquivalence(t *testing.T) {
 					copy(want.Data, seed.Data)
 					copy(got.Data, seed.Data)
 
-					c.run(want, a, b, acc) // scalar is current by default
+					c.run(want, a, b, acc)
 					withBackend(t, name, func() { c.run(got, a, b, acc) })
 
 					for i := 0; i < m; i++ {
@@ -166,6 +183,7 @@ func TestBackendMatMulAccAliasedHistory(t *testing.T) {
 	if len(others) == 0 {
 		t.Skip("no non-scalar backend registered on this machine")
 	}
+	pinScalar(t)
 	rng := rand.New(rand.NewSource(12))
 	for _, name := range others {
 		for _, sh := range equivShapes {
@@ -198,6 +216,7 @@ func TestBackendElementwiseEquivalence(t *testing.T) {
 	if len(others) == 0 {
 		t.Skip("no non-scalar backend registered on this machine")
 	}
+	pinScalar(t)
 	rng := rand.New(rand.NewSource(13))
 	sizes := []int{1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 100, 255, 1024}
 	for _, name := range others {
@@ -267,16 +286,22 @@ func TestBackendElementwiseEquivalence(t *testing.T) {
 
 // TestBackendRegistry exercises the selection API.
 func TestBackendRegistry(t *testing.T) {
-	if BackendName() != "scalar" {
-		t.Fatalf("default backend = %q, want scalar", BackendName())
+	// The process starts on the best registered backend: a SIMD one where
+	// the build and CPU have it, the scalar oracle everywhere else.
+	def := "scalar"
+	if others := nonScalarBackends(); len(others) > 0 {
+		def = others[0]
 	}
-	if !BackendExact() {
+	if BackendName() != def {
+		t.Fatalf("default backend = %q, want %q", BackendName(), def)
+	}
+	if b, _ := BackendByName("scalar"); !b.Exact() {
 		t.Fatal("scalar backend must report Exact")
 	}
 	if err := SetBackend("no-such-backend"); err == nil {
 		t.Fatal("SetBackend with unknown name must fail")
 	}
-	if BackendName() != "scalar" {
+	if BackendName() != def {
 		t.Fatalf("failed SetBackend changed backend to %q", BackendName())
 	}
 	names := Backends()
@@ -289,21 +314,94 @@ func TestBackendRegistry(t *testing.T) {
 	if !found {
 		t.Fatalf("Backends() = %v, missing scalar", names)
 	}
-	// auto resolves to some registered backend and back.
-	withBackend(t, "auto", func() {
-		cur := BackendName()
-		ok := false
-		for _, n := range names {
-			if n == cur {
-				ok = true
+	// The oracle is one call away, and auto returns to the default.
+	withBackend(t, "scalar", func() {
+		if BackendName() != "scalar" || !BackendExact() {
+			t.Fatalf("pinned scalar, running %q (exact %v)", BackendName(), BackendExact())
+		}
+		withBackend(t, "auto", func() {
+			if BackendName() != def {
+				t.Fatalf("auto selected %q, want %q", BackendName(), def)
 			}
-		}
-		if !ok {
-			t.Fatalf("auto selected %q, not in %v", cur, names)
-		}
+		})
 	})
-	if BackendName() != "scalar" {
+	if BackendName() != def {
 		t.Fatalf("backend not restored, now %q", BackendName())
+	}
+}
+
+// TestBackendSiLUEquivalence bounds the SIMD backends' SiLU pair — sigmoid
+// from a float32 vector exp — against the scalar kernels, which round a
+// float64 math.Exp: within 1e-6 relative, including large arguments of
+// either sign (where scalar's sigmoid is subnormal and the vector exp has
+// flushed to zero: the 1e-30 floor) and zero. The derivative σ + v·σ·(1−σ)
+// cancels near v ≈ −1.28, so its bound is relative to the sum of its terms'
+// magnitudes, the convention of the matmul bounds. An element's result must
+// not depend on its position in the tensor.
+func TestBackendSiLUEquivalence(t *testing.T) {
+	others := nonScalarBackends()
+	if len(others) == 0 {
+		t.Skip("no non-scalar backend registered on this machine")
+	}
+	pinScalar(t)
+	rng := rand.New(rand.NewSource(14))
+	special := []float32{0, float32(math.Copysign(0, -1)), 1e-8, -1e-8, 0.5, -0.5, 5, -5, 16, -16, 17.5, -17.5,
+		30, -30, 80, -80, 87, -87, 88, -88, 100, -100, 1e4, -1e4, 1e30, -1e30}
+	for _, name := range others {
+		for _, sz := range []int{1, 7, 8, 9, 31, 64, 100, 1000} {
+			x, dy := randTensor(rng, sz), randTensor(rng, sz)
+			for i := range x.Data {
+				x.Data[i] *= 6
+			}
+			copy(x.Data, special)
+			wantY, wantDx, gotY, gotDx := New(sz), New(sz), New(sz), New(sz)
+			current().SiLU(wantY, x)
+			current().SiLUBackward(wantDx, x, dy)
+			withBackend(t, name, func() {
+				current().SiLU(gotY, x)
+				current().SiLUBackward(gotDx, x, dy)
+			})
+			for i, v := range x.Data {
+				sig := 1 / (1 + math.Exp(-float64(v)))
+				terms := math.Abs(float64(dy.Data[i])) * (sig + math.Abs(float64(v))*sig*(1-sig))
+				for _, c := range []struct {
+					op        string
+					got, want float32
+					magnitude float64
+				}{
+					{"SiLU", gotY.Data[i], wantY.Data[i], math.Abs(float64(wantY.Data[i]))},
+					{"SiLUBackward", gotDx.Data[i], wantDx.Data[i], terms},
+				} {
+					bound := 1e-6*c.magnitude + 1e-30
+					if diff := math.Abs(float64(c.got) - float64(c.want)); !(diff <= bound) {
+						t.Fatalf("%s %s n=%d x=%g: %g vs scalar %g, |diff| %g > %g",
+							name, c.op, sz, v, c.got, c.want, diff, bound)
+					}
+				}
+			}
+			// Aliased dst, and every element moved to another position.
+			withBackend(t, name, func() {
+				alias := x.Clone()
+				current().SiLU(alias, alias)
+				rev, revDy := New(sz), New(sz)
+				for i := range x.Data {
+					rev.Data[sz-1-i], revDy.Data[sz-1-i] = x.Data[i], dy.Data[i]
+				}
+				revY, revDx := New(sz), New(sz)
+				current().SiLU(revY, rev)
+				current().SiLUBackward(revDx, rev, revDy)
+				for i := range x.Data {
+					if math.Float32bits(alias.Data[i]) != math.Float32bits(gotY.Data[i]) {
+						t.Fatalf("%s SiLU n=%d elem %d: aliased %g, separate %g", name, sz, i, alias.Data[i], gotY.Data[i])
+					}
+					if math.Float32bits(revY.Data[sz-1-i]) != math.Float32bits(gotY.Data[i]) ||
+						math.Float32bits(revDx.Data[sz-1-i]) != math.Float32bits(gotDx.Data[i]) {
+						t.Fatalf("%s n=%d: x=%g gives a different result at position %d than at %d",
+							name, sz, x.Data[i], sz-1-i, i)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -319,6 +417,7 @@ func FuzzBackendNTEquivalence(f *testing.F) {
 		if len(others) == 0 {
 			t.Skip("no non-scalar backend registered")
 		}
+		pinScalar(t)
 		m := int(mr%24) + 1
 		n := int(nr%24) + 1
 		k := int(kr%96) + 1

@@ -1,9 +1,9 @@
 package tensor
 
 // scalarBackend is the pure-Go reference backend: the register-tiled
-// kernels from the original hot-path work, unchanged. It is the default
-// backend, the bit-exactness oracle every other backend is tested
-// against, and the fallback on CPUs without a SIMD backend.
+// kernels from the original hot-path work, unchanged. It is the
+// bit-exactness oracle every other backend is tested against, and the
+// default on CPUs and builds without a SIMD backend.
 type scalarBackend struct{}
 
 func (scalarBackend) Name() string { return "scalar" }
@@ -31,9 +31,9 @@ func (scalarBackend) RMSNormRows(y, inv, x, gain *Tensor, eps float64) {
 }
 
 func (scalarBackend) CausalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) {
-	causalAttention(out, lse, q, k, v, heads, sq, sk, qOffset)
+	causalAttention(out, lse, q, k, v, heads, sq, sk, qOffset, false)
 }
 
 func (scalarBackend) CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int) {
-	causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset)
+	causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset, false)
 }

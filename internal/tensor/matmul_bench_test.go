@@ -21,11 +21,12 @@ func benchMatMulBackends(b *testing.B, mk func(sh struct{ m, k, n int }) (dst, x
 	for _, sh := range benchShapes {
 		for _, bk := range Backends() {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", sh.m, sh.k, sh.n, bk), func(b *testing.B) {
+				prev := BackendName()
 				if err := SetBackend(bk); err != nil {
 					b.Fatal(err)
 				}
 				defer func() {
-					if err := SetBackend("scalar"); err != nil {
+					if err := SetBackend(prev); err != nil {
 						b.Fatal(err)
 					}
 				}()
@@ -95,5 +96,26 @@ func BenchmarkTranspose(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Transpose(dst, a)
+	}
+}
+
+// BenchmarkSiLU times the FFN activation and its derivative over one
+// long-context microbatch's [512, 256] gate, per registered backend.
+func BenchmarkSiLU(b *testing.B) {
+	x, dy, dst := New(512, 256), New(512, 256), New(512, 256)
+	FillNormal(x, NewRNG(1), 2)
+	FillNormal(dy, NewRNG(2), 1)
+	for _, name := range Backends() {
+		bk, _ := BackendByName(name)
+		b.Run("fwd/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bk.SiLU(dst, x)
+			}
+		})
+		b.Run("bwd/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bk.SiLUBackward(dst, x, dy)
+			}
+		})
 	}
 }

@@ -3,10 +3,9 @@
 package tensor
 
 // AVX2 backend: Go-side drivers for the assembly kernels in
-// simd_avx2_amd64.s. Registered at init when the CPU supports AVX2+FMA;
-// selected only by an explicit SetBackend("avx2"/"auto") call — the
-// default backend stays scalar so all training strategies remain
-// bit-identical to the reference unless the user opts in.
+// simd_avx2_amd64.s. Registered at init when the CPU supports AVX2+FMA,
+// and then the process default (backend.go); SetBackend("scalar") pins the
+// bit-exactness oracle instead.
 //
 // Exactness partition (see DESIGN.md §13):
 //
@@ -19,10 +18,17 @@ package tensor
 //     mode. The order is a pure function of the shapes (never the
 //     worker chunking), so results stay deterministic and every
 //     strategy remains bit-identical to every other under this backend.
-//   - Dot (float64), SiLU, Softmax, RMSNorm: delegate to the scalar
-//     kernels (exp/sqrt-bound or float64; vectorizing buys little).
-//   - CausalAttention and its backward: the shared pure-Go tiled kernel
-//     (attention.go), so attention is bit-identical across backends.
+//   - CausalAttention and its backward: the shared tile walk of
+//     attention.go on assembly leaves — the score dot (the NT per-column
+//     contract, 8 keys per pass), the row axpy (four FMA chains per output
+//     element, combined (c0+c1)+(c2+c3)) and the 8-wide expNeg with its
+//     lane-split row sum, plus the row maximum and the Jacobian row, which
+//     are exact. Tolerance mode, bounded against the float64 reference;
+//     every leaf's order is a pure function of its operand shapes.
+//   - SiLU and its backward: sigmoid from the same vector expNeg of −|v|
+//     in float32, where scalar rounds a float64 math.Exp — tolerance mode.
+//   - Dot (float64), Softmax, RMSNorm: delegate to the scalar kernels
+//     (float64 accumulation or exp/sqrt over few elements).
 
 //go:noescape
 func axpyAVX2(dst, a *float32, n8 int, s float32)
@@ -45,19 +51,61 @@ func ntQuad2AVX2(a0, a1, b *float32, k8, kstride int, out *float32)
 //go:noescape
 func ntQuad1AVX2(a, b *float32, k8, kstride int, out *float32)
 
-func init() {
+//go:noescape
+func attnDotAVX2(dst, x, rows *float32, n, d8, ld int, scale float32)
+
+//go:noescape
+func attnAxpyAVX2(dst, coef, rows *float32, n, d8, cstride, ld int)
+
+//go:noescape
+func expSubAVX2(s *float32, n8 int, shift, prev float32) (sum, alpha float32)
+
+//go:noescape
+func rowMaxAVX2(s *float32, n8 int) float32
+
+//go:noescape
+func attnDsAVX2(ds, p *float32, n8 int, scale, delta float32)
+
+//go:noescape
+func siluAVX2(dst, a *float32, n8 int)
+
+//go:noescape
+func siluBackwardAVX2(dst, x, dy *float32, n8 int)
+
+// SIMDCompiled reports whether this build carries the assembly kernels:
+// true on amd64 without the noasm tag, whatever the CPU turns out to support.
+const SIMDCompiled = true
+
+func registerSIMDBackends() {
 	if cpuHasAVX2FMA() {
 		registerBackend(avx2Backend{})
 	}
 }
+
+// expTab holds expNeg's constants, each broadcast to a full vector, in the
+// order the EXPNEG macro of simd_avx2_amd64.s indexes them. Built from the
+// constants expNeg itself uses, so the two cannot drift apart.
+var expTab = func() (t [12][8]float32) {
+	for i, c := range [...]float32{
+		expUnderflow, expLog2e, expLn2Hi, expLn2Lo,
+		expP0, expP1, expP2, expP3, expP4, expP5, 1,
+		3 << 22, // 1.5·2²³: adding it rounds a small float to an integer
+	} {
+		for l := range t[i] {
+			t[i][l] = c
+		}
+	}
+	return t
+}()
 
 // avx2Backend implements Backend with the AVX2/FMA kernels.
 type avx2Backend struct{}
 
 func (avx2Backend) Name() string { return "avx2" }
 
-// Exact is false because the NT matmul and DotF32 use FMA lane chains
-// (reassociated relative to the scalar reference). All other primitives
+// Exact is false because the NT matmul, DotF32 and the attention leaves
+// use FMA lane chains (reassociated relative to the scalar reference) and
+// SiLU takes its sigmoid from the float32 vector exp. The other primitives
 // are bit-identical to scalar; the equivalence suite enforces both halves
 // of this contract.
 func (avx2Backend) Exact() bool { return false }
@@ -108,8 +156,40 @@ func (avx2Backend) DotF32(a, b *Tensor) float32 {
 	return dotAVX2(&a.Data[0], &b.Data[0], len(a.Data))
 }
 
-func (avx2Backend) SiLU(dst, a *Tensor)                    { siluScalar(dst, a) }
-func (avx2Backend) SiLUBackward(dst, x, dy *Tensor)        { siluBackwardScalar(dst, x, dy) }
+// SiLU computes v·σ(v) with σ from e = expNeg(−|v|): 1/(1+e) for v ≥ 0,
+// e/(1+e) below. A ragged tail runs through the same kernel on a padded
+// copy, so an element's result does not depend on its position.
+func (avx2Backend) SiLU(dst, a *Tensor) {
+	d, src := dst.Data, a.Data
+	n8 := len(src) >> 3
+	if n8 > 0 {
+		siluAVX2(&d[0], &src[0], n8)
+	}
+	if tail := len(src) & 7; tail > 0 {
+		var buf [8]float32
+		copy(buf[:], src[n8<<3:])
+		siluAVX2(&buf[0], &buf[0], 1)
+		copy(d[n8<<3:], buf[:tail])
+	}
+}
+
+// SiLUBackward computes dy·(σ + v·σ·(1−σ)), taking 1−σ = σ(−v) from the
+// other branch of the same quotient instead of a cancelling subtraction.
+func (avx2Backend) SiLUBackward(dst, x, dy *Tensor) {
+	d, xs, g := dst.Data, x.Data, dy.Data
+	n8 := len(xs) >> 3
+	if n8 > 0 {
+		siluBackwardAVX2(&d[0], &xs[0], &g[0], n8)
+	}
+	if tail := len(xs) & 7; tail > 0 {
+		var xb, gb [8]float32
+		copy(xb[:], xs[n8<<3:])
+		copy(gb[:], g[n8<<3:])
+		siluBackwardAVX2(&gb[0], &xb[0], &gb[0], 1)
+		copy(d[n8<<3:], gb[:tail])
+	}
+}
+
 func (avx2Backend) SoftmaxRows(dst, a *Tensor)             { softmaxRowsScalar(dst, a) }
 func (avx2Backend) SoftmaxRowsBackward(dst, y, dy *Tensor) { softmaxRowsBackwardScalar(dst, y, dy) }
 
@@ -118,11 +198,107 @@ func (avx2Backend) RMSNormRows(y, inv, x, gain *Tensor, eps float64) {
 }
 
 func (avx2Backend) CausalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) {
-	causalAttention(out, lse, q, k, v, heads, sq, sk, qOffset)
+	causalAttention(out, lse, q, k, v, heads, sq, sk, qOffset, true)
 }
 
 func (avx2Backend) CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int) {
-	causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset)
+	causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset, true)
+}
+
+// simdAttnDotRows is attnDotRows on the NT per-column contract (see
+// simdNTRange): for each key, 8 ascending FMA lane chains over x, the
+// balanced tree ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)), the d%8 remainder
+// folded in ascending with one mul+add per element, then one multiply by
+// scale. Keys run 8 per pass, the last n%8 one at a time, to the same
+// per-key order.
+func simdAttnDotRows(dst, x, rows []float32, ld int, scale float32) {
+	n, d := len(dst), len(x)
+	if n == 0 {
+		return
+	}
+	_ = rows[(n-1)*ld+d-1]
+	d8 := d >> 3
+	if d8<<3 == d {
+		attnDotAVX2(&dst[0], &x[0], &rows[0], n, d8, ld*4, scale)
+		return
+	}
+	attnDotAVX2(&dst[0], &x[0], &rows[0], n, d8, ld*4, 1)
+	for t := range dst {
+		s := dst[t]
+		row := rows[t*ld : t*ld+d]
+		for c := d8 << 3; c < d; c++ {
+			s += x[c] * row[c]
+		}
+		dst[t] = s * scale
+	}
+}
+
+// simdAttnAxpyRows is attnAxpyRows with four FMA chains per dst element:
+// chain i folds rows t ≡ i (mod 4) ascending, then
+// dst += (c0+c1) + (c2+c3). The d%8 trailing columns fold every row in
+// ascending with one mul+add each.
+func simdAttnAxpyRows(dst, coef []float32, cstride, n int, rows []float32, ld int) {
+	d := len(dst)
+	if n == 0 {
+		return
+	}
+	_, _ = coef[(n-1)*cstride], rows[(n-1)*ld+d-1]
+	d8 := d >> 3
+	if d8 > 0 {
+		attnAxpyAVX2(&dst[0], &coef[0], &rows[0], n, d8, cstride*4, ld*4)
+	}
+	for c := d8 << 3; c < d; c++ {
+		s := dst[c]
+		for t := 0; t < n; t++ {
+			s += coef[t*cstride] * rows[t*ld+c]
+		}
+		dst[c] = s
+	}
+}
+
+// simdExpSubRow is expSubRow on the vector exp: the full 8-blocks sum in 8
+// lane chains combined by the balanced tree, then the len%8 tail — run
+// through the same kernel on a padded copy — adds on ascending.
+func simdExpSubRow(s []float32, shift, prev float32) (sum, alpha float32) {
+	n8 := len(s) >> 3
+	tail := s[n8<<3:]
+	if n8 > 0 {
+		sum, alpha = expSubAVX2(&s[0], n8, shift, prev)
+		if len(tail) == 0 {
+			return sum, alpha
+		}
+	}
+	var buf [8]float32
+	copy(buf[:], tail)
+	_, alpha = expSubAVX2(&buf[0], 1, shift, prev)
+	for j := range tail {
+		tail[j] = buf[j]
+		sum += buf[j]
+	}
+	return sum, alpha
+}
+
+// simdRowMax is rowMax; a maximum is exact in any order.
+func simdRowMax(s []float32) float32 {
+	n8 := len(s) >> 3
+	m := rowMax(s[n8<<3:])
+	if n8 > 0 {
+		if x := rowMaxAVX2(&s[0], n8); x > m {
+			m = x
+		}
+	}
+	return m
+}
+
+// simdAttnDsRow is attnDsRow, vectorized with the scalar rounding sequence:
+// bit-identical to it.
+func simdAttnDsRow(ds, p []float32, scale, delta float32) {
+	p = p[:len(ds)]
+	n8 := len(ds) >> 3
+	if n8 > 0 {
+		attnDsAVX2(&ds[0], &p[0], n8, scale, delta)
+	}
+	attnDsRow(ds[n8<<3:], p[n8<<3:], scale, delta)
 }
 
 // simdNNRange is the AVX2 NN kernel over dst rows [lo, hi). Same blocking

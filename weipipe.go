@@ -257,6 +257,18 @@ func EnableABFT() { tensor.EnableABFT() }
 // DisableABFT restores the unverified kernels.
 func DisableABFT() { tensor.DisableABFT() }
 
+// SetBackend selects the process-wide tensor kernel backend by name. The
+// process starts on "auto": the fastest backend the build and CPU support
+// ("avx2" on amd64 with AVX2+FMA), which is deterministic and keeps every
+// strategy bit-identical to every other but reassociates some reductions.
+// "scalar" pins the pure-Go bit-exactness reference — the oracle runs on
+// different machines can be compared against. Unknown names return an error
+// and leave the selection unchanged. See DESIGN.md §13.
+func SetBackend(name string) error { return tensor.SetBackend(name) }
+
+// BackendName returns the name of the active tensor kernel backend.
+func BackendName() string { return tensor.BackendName() }
+
 // GenBitFlips derives a deterministic bit-flip schedule from a seed: count
 // events spread across ranks, the given sites and iterations [2, iters).
 func GenBitFlips(seed uint64, ranks, iters, count int, sites []FlipSite) []BitFlipEvent {
