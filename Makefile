@@ -2,7 +2,7 @@ GO ?= go
 # FUZZTIME bounds each fuzz target's run; CI's smoke tier shrinks it.
 FUZZTIME ?= 20s
 
-.PHONY: build test test-noasm check fmt-check bench race vet chaos elastic fuzz soak sdc sdc-quick modes bench-overlap bench-overlap-quick bench-guard bench-sweep bench-kernel bench-grouped bench-p2p experiments
+.PHONY: build test test-noasm check fmt-check bench race vet cross-be chaos elastic fuzz soak sdc sdc-quick modes bench-overlap bench-overlap-quick bench-guard bench-sweep bench-kernel bench-grouped bench-p2p experiments
 
 build:
 	$(GO) build ./...
@@ -24,8 +24,18 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# race implies checkptr, which is the reviewer for the one unsafe helper
+# (tensor.F32Bytes) and every slice the transports and the checkpoint
+# writer view through it.
 race:
-	$(GO) test -race ./internal/tensor/... ./internal/comm/... ./internal/pipeline/... ./internal/launch/...
+	$(GO) test -race ./internal/tensor/... ./internal/comm/... ./internal/checkpoint/... ./internal/pipeline/... ./internal/launch/...
+
+# cross-be compiles and vets for a big-endian target: the byte-swapping
+# branch of the zero-copy wire/checkpoint path (tensor.F32LE / F32FromLE)
+# never runs on CI hardware, so at least it must build.
+cross-be:
+	GOARCH=s390x GOOS=linux $(GO) build ./...
+	GOARCH=s390x GOOS=linux $(GO) vet ./internal/comm ./internal/tensor ./internal/checkpoint
 
 # chaos runs the fault-injection suite under the race detector: transport
 # chaos (drop/dup/reorder/corrupt/reset), deadline and peer-death paths,
@@ -117,7 +127,9 @@ bench-overlap-quick:
 # H 64 / 4 heads / S 512 — and fail unless the best SIMD backend beats
 # scalar by 2× on both (the local target is 4×+; the CI margin absorbs
 # shared-runner noise; a scalar-only build passes, an amd64 build whose
-# CPU registered no SIMD backend fails: it measured nothing), then
+# CPU registered no SIMD backend fails: it measured nothing) and print,
+# ungated, the TCP wire path's 3.2 MB-chunk loopback throughput and
+# allocations per chunk (BenchmarkTCPChunk), then
 # regenerate the grouped-belt traffic report and fail
 # unless wzb2g stays bit-identical to wzb2 while cutting inter-group bytes
 # both on the wire (p=16) and in the simulated grid. Report paths are
@@ -131,6 +143,7 @@ bench-guard:
 		-out $(BENCH_GUARD_OUT) -require-bit-identical
 	$(GO) run ./cmd/weipipe-bench -kernel -kernel-out $(KERNEL_GUARD_OUT) \
 		-require-kernel-speedup 2
+	$(GO) test -run NONE -bench BenchmarkTCPChunk -benchtime 100x ./internal/comm/
 	$(GO) run ./cmd/weipipe-bench -grouped -grouped-out $(GROUPED_GUARD_OUT) \
 		-require-grouped-win
 	$(GO) run ./cmd/weipipe-bench -p2p -p2p-out $(P2P_GUARD_OUT) \
@@ -186,5 +199,6 @@ check-noasm-kernels:
 	$(GO) test -tags noasm ./internal/tensor/ ./internal/nn/
 
 bench:
+	$(GO) test -bench BenchmarkTCPChunk -benchmem -run NONE ./internal/comm/
 	$(GO) test -bench 'BenchmarkMatMul|BenchmarkTranspose|BenchmarkCausalAttention' -benchmem -run NONE ./internal/tensor/
 	$(GO) test -bench 'BenchmarkBlock|BenchmarkAttention' -benchmem -run NONE ./internal/nn/

@@ -18,11 +18,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
 	"weipipe/internal/model"
+	"weipipe/internal/tensor"
 )
 
 const (
@@ -121,23 +121,10 @@ func Write(w io.Writer, s *Snapshot) error {
 }
 
 // sectionCRC is the CRC32-IEEE of a section's little-endian float32 bit
-// patterns — the same bytes writeSection puts on disk, computed without
-// materialising them.
+// patterns — the same bytes writeSection puts on disk, which are the
+// section's own memory (tensor.F32LE), so nothing is materialised.
 func sectionCRC(data []float32) uint32 {
-	var buf [512]byte
-	crc := uint32(0)
-	for i := 0; i < len(data); {
-		n := len(data) - i
-		if n > len(buf)/4 {
-			n = len(buf) / 4
-		}
-		for j := 0; j < n; j++ {
-			binary.LittleEndian.PutUint32(buf[j*4:], math.Float32bits(data[i+j]))
-		}
-		crc = crc32.Update(crc, crc32.IEEETable, buf[:n*4])
-		i += n
-	}
-	return crc
+	return crc32.ChecksumIEEE(tensor.F32LE(data))
 }
 
 // digestVector encodes one CRC32 per data section (weights first, then the
@@ -212,11 +199,7 @@ func writeSection(w io.Writer, name string, data []float32) error {
 	if err := binary.Write(w, binary.LittleEndian, int64(len(data))); err != nil {
 		return err
 	}
-	buf := make([]byte, 4*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-	}
-	_, err := w.Write(buf)
+	_, err := w.Write(tensor.F32LE(data))
 	return err
 }
 
@@ -334,14 +317,11 @@ func readSection(r io.Reader) (string, []float32, error) {
 	if n < 0 || n > 1<<34 {
 		return "", nil, fmt.Errorf("checkpoint: implausible section size %d", n)
 	}
-	buf := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	data := make([]float32, n)
+	if _, err := io.ReadFull(r, tensor.F32Bytes(data)); err != nil {
 		return "", nil, err
 	}
-	data := make([]float32, n)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-	}
+	tensor.F32FromLE(data)
 	return string(name), data, nil
 }
 

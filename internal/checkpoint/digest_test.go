@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -181,5 +183,29 @@ func TestSectionCRCMatchesBytes(t *testing.T) {
 	}
 	if sectionCRC(data) != crc32IEEE(raw) {
 		t.Fatal("sectionCRC disagrees with byte-stream CRC")
+	}
+}
+
+// The file format is the sections' own memory written as it lies; it must
+// be byte-for-byte what the per-element encoder of earlier commits wrote
+// (this SHA was taken from that encoder), so old checkpoints keep loading
+// and verifying and digests never move.
+func TestMarshalBytesUnchanged(t *testing.T) {
+	b, err := Marshal(digestSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "92e79dd410193f640af0b95f9972dd186f57f121aa2e9781f519547724af9a7e"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != 999 || got != want {
+		t.Fatalf("checkpoint image changed: %d bytes, sha256 %s", len(b), got)
+	}
+	s, err := Unmarshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range digestSnapshot().Weights {
+		if s.Weights[i] != v {
+			t.Fatalf("weights[%d] = %v, want %v", i, s.Weights[i], v)
+		}
 	}
 }

@@ -1,10 +1,11 @@
 package comm
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"net"
+
+	"weipipe/internal/tensor"
 )
 
 // Burst envelopes — the batched P2P mode's wire unit.
@@ -51,191 +52,187 @@ func burstByteCap(maxElems int) uint64 {
 }
 
 // encodeBurstHeader builds the envelope header for a burst of count inner
-// frames totalling payloadBytes of encoded wire. The CRC covers the
-// header only (see the package comment above).
+// frames totalling payloadBytes of wire. The CRC covers the header only
+// (see the package comment above).
 func encodeBurstHeader(src int, epoch uint32, count int, payloadBytes int) []byte {
-	hdr := make([]byte, frameHeaderLen)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(src))
-	binary.LittleEndian.PutUint32(hdr[4:8], ctlBurst)
-	binary.LittleEndian.PutUint32(hdr[8:12], epoch)
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(count))
-	binary.LittleEndian.PutUint64(hdr[36:44], uint64(payloadBytes))
-	binary.LittleEndian.PutUint32(hdr[frameCRCOffset:frameHeaderLen], frameCRC(hdr))
-	return hdr
+	var hdr [frameHeaderLen]byte
+	sealHeader(&hdr, src, ctlBurst, epoch, int64(count), 0, 0, payloadBytes, nil)
+	return hdr[:]
 }
 
-// splitBursts groups already-encoded wire frames into envelope-sized runs
-// respecting maxBurstFrames and the receiver's byte cap. A frame larger
-// than the cap on its own (impossible for legal frames, but the bound is
-// defensive) travels as a run of one.
-func splitBursts(maxElems int, wires [][]byte) [][][]byte {
+// splitBursts groups sealed frames into envelope-sized runs respecting
+// maxBurstFrames and the receiver's byte cap. A frame larger than the cap
+// on its own (impossible for legal frames, but the bound is defensive)
+// travels as a run of one.
+func splitBursts(maxElems int, frames []*outFrame) [][]*outFrame {
 	cap64 := burstByteCap(maxElems)
-	var groups [][][]byte
-	var cur [][]byte
-	var curBytes uint64
-	for _, w := range wires {
-		if len(cur) > 0 && (len(cur) >= maxBurstFrames || curBytes+uint64(len(w)) > cap64) {
-			groups = append(groups, cur)
-			cur, curBytes = nil, 0
+	var groups [][]*outFrame
+	start, curBytes := 0, uint64(0)
+	for i, f := range frames {
+		w := uint64(f.wireLen())
+		if i > start && (i-start >= maxBurstFrames || curBytes+w > cap64) {
+			groups = append(groups, frames[start:i])
+			start, curBytes = i, 0
 		}
-		cur = append(cur, w)
-		curBytes += uint64(len(w))
+		curBytes += w
 	}
-	if len(cur) > 0 {
-		groups = append(groups, cur)
+	if start < len(frames) {
+		groups = append(groups, frames[start:])
 	}
 	return groups
 }
 
-// flattenBurst builds one contiguous wire image of an envelope — header
-// plus inner frames — for write paths that need a single buffer (the
-// chaos injector flips bytes in place; writev paths skip the copy).
-func flattenBurst(src int, epoch uint32, wires [][]byte) []byte {
+// appendBurst adds one envelope — header, then each inner frame's own
+// header and payload bytes — to a writev batch.
+func appendBurst(bufs net.Buffers, src int, epoch uint32, run []*outFrame) net.Buffers {
 	total := 0
-	for _, w := range wires {
-		total += len(w)
+	for _, f := range run {
+		total += f.wireLen()
 	}
-	out := make([]byte, 0, frameHeaderLen+total)
-	out = append(out, encodeBurstHeader(src, epoch, len(wires), total)...)
-	for _, w := range wires {
-		out = append(out, w...)
+	bufs = append(bufs, encodeBurstHeader(src, epoch, len(run), total))
+	for _, f := range run {
+		bufs = f.appendTo(bufs)
+	}
+	return bufs
+}
+
+// burstImage materialises one envelope as a contiguous buffer, for the
+// chaos write path (see outFrame.image).
+func burstImage(src int, epoch uint32, run []*outFrame) []byte {
+	var out []byte
+	for _, piece := range appendBurst(nil, src, epoch, run) {
+		out = append(out, piece...)
 	}
 	return out
-}
-
-// burstFrame is one decoded inner frame of a burst — either a payload or
-// the *CorruptionError that frame (or the envelope's tail) produced.
-type burstFrame struct {
-	h       frameHeader
-	payload []float32
-	err     error
-}
-
-// decodeBurst splits an envelope's payload into its inner frames. Intact
-// frames come back decoded (payloads drawn from the pool; the caller owns
-// them). An inner frame whose payload fails its CRC becomes a
-// *CorruptionError entry — its siblings are unaffected. A malformed
-// structure — truncated inner frame, implausible inner header, nested
-// envelope, or a frame-count mismatch against the envelope header — ends
-// decoding with one final terminal *CorruptionError entry; frames decoded
-// before the damage still deliver. The envelope's byte count was read in
-// full before decoding, so every outcome leaves the outer stream aligned.
-func decodeBurst(buf []byte, count, size, maxElems int) []burstFrame {
-	out := make([]burstFrame, 0, count)
-	terminal := func(reason string) []burstFrame {
-		return append(out, burstFrame{err: &CorruptionError{Reason: "burst: " + reason}})
-	}
-	off := 0
-	for off < len(buf) {
-		if len(out) >= count {
-			return terminal(fmt.Sprintf("more than %d inner frames", count))
-		}
-		if off+frameHeaderLen > len(buf) {
-			return terminal("truncated inner frame header")
-		}
-		hdr := buf[off : off+frameHeaderLen]
-		h, err := parseFrameHeader(hdr, size, maxElems)
-		if err != nil {
-			return terminal(fmt.Sprintf("implausible inner header: %v", err))
-		}
-		if h.kind == ctlBurst {
-			return terminal("nested burst envelope")
-		}
-		pb := h.n * h.codec.bytesPerElem()
-		if off+frameHeaderLen+pb > len(buf) {
-			return terminal("truncated inner payload")
-		}
-		body := buf[off+frameHeaderLen : off+frameHeaderLen+pb]
-		crc := crc32.NewIEEE()
-		crc.Write(hdr[:frameCRCOffset])
-		crc.Write(body)
-		if got := crc.Sum32(); got != h.crc {
-			// One damaged frame; the header was plausible so the next
-			// boundary is still known. Skip it, keep its siblings.
-			out = append(out, burstFrame{err: &CorruptionError{Reason: fmt.Sprintf("inner payload CRC mismatch (got %#x want %#x)", got, h.crc)}})
-			off += frameHeaderLen + pb
-			continue
-		}
-		out = append(out, burstFrame{h: h, payload: decodePayload(h, body)})
-		off += frameHeaderLen + pb
-	}
-	if len(out) != count {
-		return terminal(fmt.Sprintf("inner frame count %d != envelope's %d", len(out), count))
-	}
-	return out
-}
-
-// releaseBurstFrames returns any decoded payloads of a pending burst to
-// the pool (connection teardown with frames still queued).
-func releaseBurstFrames(frames []burstFrame) {
-	for _, bf := range frames {
-		Release(bf.payload)
-	}
 }
 
 // frameReader decodes a connection's wire stream one frame at a time,
-// transparently unpacking burst envelopes: a burst's inner frames are
-// queued and handed out on subsequent calls before the socket is read
-// again. This is what makes every receiver mode-agnostic — plain frames
-// and bursts interleave freely on the same connection.
+// straight off the socket into pooled payload buffers, transparently
+// unpacking burst envelopes: while an envelope is open, next hands out its
+// inner frames as they arrive. This is what makes every receiver
+// mode-agnostic — plain frames and bursts interleave freely on the same
+// connection.
+//
+// Inside an envelope, an inner frame whose payload fails its CRC is one
+// synced *CorruptionError — its siblings are unaffected. A malformed
+// structure — truncated inner frame, implausible inner header, nested
+// envelope, or a frame-count mismatch against the envelope header — ends
+// the burst with one synced *CorruptionError after the rest of the
+// envelope's byte count has been consumed, so every outcome leaves the
+// outer stream aligned; frames handed out before the damage stay delivered.
 type frameReader struct {
 	r        io.Reader
 	size     int
 	maxElems int
-	pending  []burstFrame
+	hdr      [frameHeaderLen]byte // the header being decoded
+
+	// The open burst envelope: payload bytes still unread, the inner-frame
+	// count its header declared, and the inner frames seen so far. All
+	// zero when no envelope is open (a clean envelope ends with no bytes
+	// left and seen == count).
+	burstBytes int
+	burstCount int
+	burstSeen  int
 }
 
-// next returns the next frame. The synced flag and error semantics match
-// readFrame: synced == true with a *CorruptionError means one frame was
-// lost but the stream (and the reader's queue) remain aligned, so the
-// caller may keep reading; any other error requires connection teardown.
+// next returns the next frame; the caller owns the pooled payload. synced
+// == true with a *CorruptionError means one frame was lost but the stream
+// remains aligned on a frame boundary, so the caller may keep reading; any
+// other error requires connection teardown.
 func (fr *frameReader) next() (h frameHeader, payload []float32, synced bool, err error) {
 	for {
-		if len(fr.pending) > 0 {
-			bf := fr.pending[0]
-			fr.pending = fr.pending[1:]
-			if bf.err != nil {
-				return frameHeader{}, nil, true, bf.err
-			}
-			return bf.h, bf.payload, true, nil
+		if fr.burstBytes > 0 {
+			return fr.nextInner()
 		}
-		hdr := make([]byte, frameHeaderLen)
-		if _, err := io.ReadFull(fr.r, hdr); err != nil {
+		if fr.burstSeen != fr.burstCount {
+			return fr.endBurst(fmt.Sprintf("inner frame count %d != envelope's %d", fr.burstSeen, fr.burstCount))
+		}
+		if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 			return frameHeader{}, nil, false, err
 		}
-		h, err := parseFrameHeader(hdr, fr.size, fr.maxElems)
+		h, err := parseFrameHeader(fr.hdr[:], fr.size, fr.maxElems)
 		if err != nil {
 			return frameHeader{}, nil, false, err
 		}
 		if h.kind != ctlBurst {
-			// Plain frame: read and verify its payload in place.
-			buf := make([]byte, h.n*h.codec.bytesPerElem())
-			if _, err := io.ReadFull(fr.r, buf); err != nil {
-				return frameHeader{}, nil, false, err
-			}
-			crc := crc32.NewIEEE()
-			crc.Write(hdr[:frameCRCOffset])
-			crc.Write(buf)
-			if got := crc.Sum32(); got != h.crc {
-				return frameHeader{}, nil, true, &CorruptionError{Reason: fmt.Sprintf("payload CRC mismatch (got %#x want %#x)", got, h.crc)}
-			}
-			return h, decodePayload(h, buf), true, nil
+			return fr.readPayload(h)
 		}
 		// Burst envelope. The header seals itself; a mismatch means the
 		// byte count cannot be trusted, so alignment is lost.
-		if got := frameCRC(hdr); got != h.crc {
+		if got := frameCRC(fr.hdr[:], nil); got != h.crc {
 			return frameHeader{}, nil, false, &CorruptionError{Reason: fmt.Sprintf("burst envelope CRC mismatch (got %#x want %#x)", got, h.crc)}
 		}
-		buf := make([]byte, h.n)
-		if _, err := io.ReadFull(fr.r, buf); err != nil {
-			return frameHeader{}, nil, false, err
-		}
-		fr.pending = decodeBurst(buf, int(h.a), fr.size, fr.maxElems)
+		fr.burstBytes, fr.burstCount, fr.burstSeen = h.n, int(h.a), 0
 	}
 }
 
-// drop releases any queued inner frames (teardown mid-burst).
-func (fr *frameReader) drop() {
-	releaseBurstFrames(fr.pending)
-	fr.pending = nil
+// nextInner decodes the next inner frame of the open envelope.
+func (fr *frameReader) nextInner() (frameHeader, []float32, bool, error) {
+	if fr.burstSeen >= fr.burstCount {
+		return fr.endBurst(fmt.Sprintf("more than %d inner frames", fr.burstCount))
+	}
+	if fr.burstBytes < frameHeaderLen {
+		return fr.endBurst("truncated inner frame header")
+	}
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return frameHeader{}, nil, false, err
+	}
+	fr.burstBytes -= frameHeaderLen
+	h, err := parseFrameHeader(fr.hdr[:], fr.size, fr.maxElems)
+	if err != nil {
+		return fr.endBurst(fmt.Sprintf("implausible inner header: %v", err))
+	}
+	if h.kind == ctlBurst {
+		return fr.endBurst("nested burst envelope")
+	}
+	pb := h.n * h.codec.bytesPerElem()
+	if pb > fr.burstBytes {
+		return fr.endBurst("truncated inner payload")
+	}
+	// One damaged payload costs one frame: its header was plausible, so
+	// the next boundary is still known.
+	fr.burstBytes -= pb
+	fr.burstSeen++
+	return fr.readPayload(h)
+}
+
+// endBurst abandons the open envelope after structural damage: the rest
+// of its byte count is consumed so the outer stream stays frame-aligned,
+// and the damage surfaces as one synced *CorruptionError.
+func (fr *frameReader) endBurst(reason string) (frameHeader, []float32, bool, error) {
+	rest := int64(fr.burstBytes)
+	fr.burstBytes, fr.burstCount, fr.burstSeen = 0, 0, 0
+	if _, err := io.CopyN(io.Discard, fr.r, rest); err != nil {
+		return frameHeader{}, nil, false, err
+	}
+	return frameHeader{}, nil, true, &CorruptionError{Reason: "burst: " + reason}
+}
+
+// readPayload reads the payload of the frame whose validated header is h
+// (and whose raw header is fr.hdr) from the socket directly into a pooled
+// buffer's own memory, verifies the CRC over those bytes, and converts in
+// place: f32 is already the buffer's contents; bf16 is read into the upper
+// half and widened front to back.
+func (fr *frameReader) readPayload(h frameHeader) (frameHeader, []float32, bool, error) {
+	payload := GetBuf(h.n)
+	body := tensor.F32Bytes(payload)
+	if h.codec == CodecBF16 {
+		body = body[2*h.n:]
+	}
+	if _, err := io.ReadFull(fr.r, body); err != nil {
+		Release(payload)
+		return frameHeader{}, nil, false, err
+	}
+	if got := frameCRC(fr.hdr[:], body); got != h.crc {
+		// The length field was covered by the header checks and the payload
+		// was fully consumed: the stream is still frame-aligned.
+		Release(payload)
+		return frameHeader{}, nil, true, &CorruptionError{Reason: fmt.Sprintf("payload CRC mismatch (got %#x want %#x)", got, h.crc)}
+	}
+	if h.codec == CodecBF16 {
+		tensor.WidenBF16LE(payload)
+	} else {
+		tensor.F32FromLE(payload)
+	}
+	return h, payload, true, nil
 }

@@ -40,7 +40,6 @@ func FuzzBatchFrameDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, frameHeaderLen*2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := &frameReader{r: bytes.NewReader(data), size: 8, maxElems: 1 << 12}
-		defer fr.drop()
 		for {
 			h, payload, synced, err := fr.next()
 			if err != nil {
@@ -208,8 +207,8 @@ func TestBurstEnvelopeHeaderCorruption(t *testing.T) {
 // splitBursts must respect both the frame-count and byte caps, preserve
 // order, and carry an oversized frame as a run of one.
 func TestBurstSplit(t *testing.T) {
-	small := burstInner(1, CodecF32, []float32{1})
-	var wires [][]byte
+	small := &outFrame{body: make([]byte, 4)}
+	var wires []*outFrame
 	for i := 0; i < maxBurstFrames+3; i++ {
 		wires = append(wires, small)
 	}
@@ -225,8 +224,8 @@ func TestBurstSplit(t *testing.T) {
 		t.Fatalf("split dropped frames: %d != %d", total, len(wires))
 	}
 	// A frame bigger than the whole cap still travels (as a run of one).
-	huge := make([]byte, burstByteCap(4)+1)
-	groups = splitBursts(4, [][]byte{huge, small})
+	huge := &outFrame{body: make([]byte, burstByteCap(4)+1-frameHeaderLen)}
+	groups = splitBursts(4, []*outFrame{huge, small})
 	if len(groups) != 2 || len(groups[0]) != 1 {
 		t.Fatalf("oversized frame not isolated: %d groups", len(groups))
 	}

@@ -76,13 +76,14 @@ func RingAllReduceSum(t Transport, data []float32, seq int) error {
 }
 
 // ReduceScatterSum sums data across ranks and returns this rank's shard
-// (shard boundaries per ShardRanges). data is clobbered.
+// (shard boundaries per ShardRanges) in a pool buffer the caller owns and
+// may Release. data is clobbered.
 func ReduceScatterSum(t Transport, data []float32, seq int) ([]float32, error) {
 	p := t.Size()
 	r := t.Rank()
 	shards := ShardRanges(len(data), p)
 	if p == 1 {
-		out := make([]float32, len(data))
+		out := GetBuf(len(data))
 		copy(out, data)
 		return out, nil
 	}
@@ -127,7 +128,10 @@ func ReduceScatterSum(t Transport, data []float32, seq int) ([]float32, error) {
 
 // AllGather concatenates each rank's shard into the full vector. shardLens
 // gives every rank's shard length (all ranks pass the same slice); mine must
-// have length shardLens[rank].
+// have length shardLens[rank]. The result is drawn from the payload pool —
+// callers that Release it (FSDP does, per module per pass) feed the pool
+// exactly what the next gather takes out — and every element of it is
+// written: this rank's shard here, every other shard by its ring step.
 func AllGather(t Transport, mine []float32, shardLens []int, seq int) ([]float32, error) {
 	p := t.Size()
 	r := t.Rank()
@@ -141,7 +145,7 @@ func AllGather(t Transport, mine []float32, shardLens []int, seq int) ([]float32
 	for i := 0; i < p; i++ {
 		offsets[i+1] = offsets[i] + shardLens[i]
 	}
-	out := make([]float32, offsets[p])
+	out := GetBuf(offsets[p])
 	copy(out[offsets[r]:offsets[r+1]], mine)
 	if p == 1 {
 		return out, nil

@@ -4,8 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"math"
+	"net"
 
 	"weipipe/internal/tensor"
 )
@@ -30,6 +29,14 @@ import (
 // frames reuse the same layout with kind values outside the application
 // Kind space: acks carry the cumulative acknowledged sequence in a,
 // heartbeats are empty.
+//
+// Nothing is ever encoded into or decoded out of that layout: a []float32
+// in memory already is its little-endian payload image (tensor.F32Bytes;
+// big-endian hosts byte-swap around the same calls), so the sender
+// seals a header around the payload's own bytes and hands both to writev,
+// and the reader reads the socket straight into a pooled buffer's bytes.
+// The format itself is unchanged from the per-element encoder it replaced,
+// byte for byte (TestWireImageGolden).
 const (
 	frameHeaderLen = 4 + 4 + 4 + 8 + 8 + 8 + 8 + 4
 	frameCRCOffset = frameHeaderLen - 4
@@ -133,83 +140,93 @@ func kindField(kind Kind, codec WireCodec) uint32 {
 	return uint32(kind) | uint32(codec)<<codecShift
 }
 
-// encodeFrame builds a complete wire frame (header + CRC + payload),
-// encoding the payload at the codec's width.
-func encodeFrame(src int, kind, epoch uint32, a, b int64, seq uint64, codec WireCodec, payload []float32) []byte {
-	frame := make([]byte, frameHeaderLen+len(payload)*codec.bytesPerElem())
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(src))
-	binary.LittleEndian.PutUint32(frame[4:8], kind)
-	binary.LittleEndian.PutUint32(frame[8:12], epoch)
-	binary.LittleEndian.PutUint64(frame[12:20], uint64(a))
-	binary.LittleEndian.PutUint64(frame[20:28], uint64(b))
-	binary.LittleEndian.PutUint64(frame[28:36], seq)
-	binary.LittleEndian.PutUint64(frame[36:44], uint64(len(payload)))
-	if codec == CodecBF16 {
-		tensor.PackBF16LE(frame[frameHeaderLen:], payload)
+// outFrame is one outgoing frame in the only form the transport keeps: the
+// sealed 48-byte header and the payload's own bytes. A frame is enqueued
+// with the raw payload and sealed lazily by the link's writer goroutine;
+// from then on hdr and body are what every write — plain, inside a burst
+// envelope, on either duplex lane, first transmission or retransmit — hands
+// to the socket. The link owns payload from enqueue until the frame is
+// acknowledged (or the link shuts down): body aliases it, so it cannot go
+// back to the pool while a write may still be reading it. Only the writer
+// touches payload, hdr and body after enqueue; the ack handler reads seq
+// alone.
+type outFrame struct {
+	seq     uint64
+	tag     Tag
+	codec   WireCodec
+	payload []float32 // pool buffer behind body; nil once released
+	sealed  bool
+	hdr     [frameHeaderLen]byte
+	body    []byte // the payload's wire image: a view of payload, not a copy
+}
+
+// seal fixes the frame's wire image. An f32 payload is its own image
+// (tensor.F32LE); a bf16 payload is packed once into a pooled buffer half
+// the size, which replaces it. The CRC is computed here, once, and rides in
+// hdr for every later transmission.
+func (f *outFrame) seal(src int, epoch uint32) {
+	n := len(f.payload)
+	if f.codec == CodecBF16 {
+		packed := GetBuf((n + 1) / 2)
+		f.body = tensor.F32Bytes(packed)[:2*n]
+		tensor.PackBF16LE(f.body, f.payload)
+		Release(f.payload)
+		f.payload = packed
 	} else {
-		for i, v := range payload {
-			binary.LittleEndian.PutUint32(frame[frameHeaderLen+i*4:], math.Float32bits(v))
-		}
+		f.body = tensor.F32LE(f.payload)
 	}
-	binary.LittleEndian.PutUint32(frame[frameCRCOffset:frameHeaderLen], frameCRC(frame))
-	return frame
+	sealHeader(&f.hdr, src, kindField(f.tag.Kind, f.codec), epoch, int64(f.tag.A), int64(f.tag.B), f.seq, n, f.body)
+	f.sealed = true
 }
 
-// encodeCtlFrame builds a control frame (ack/heartbeat); control payloads
-// are always empty and carry no codec.
-func encodeCtlFrame(src int, kind, epoch uint32, a int64) []byte {
-	return encodeFrame(src, kind, epoch, a, 0, 0, CodecF32, nil)
+// release returns the retained payload to the pool, exactly once.
+func (f *outFrame) release() {
+	Release(f.payload)
+	f.payload, f.body = nil, nil
 }
 
-// frameCRC computes the checksum of an encoded frame: the header bytes
-// before the CRC field plus the payload bytes.
-func frameCRC(frame []byte) uint32 {
-	crc := crc32.NewIEEE()
-	crc.Write(frame[:frameCRCOffset])
-	crc.Write(frame[frameHeaderLen:])
-	return crc.Sum32()
+// wireLen is the frame's size on the wire.
+func (f *outFrame) wireLen() int { return frameHeaderLen + len(f.body) }
+
+// appendTo adds the frame's wire pieces to a writev batch.
+func (f *outFrame) appendTo(bufs net.Buffers) net.Buffers {
+	bufs = append(bufs, f.hdr[:])
+	if len(f.body) > 0 {
+		bufs = append(bufs, f.body)
+	}
+	return bufs
 }
 
-// readFrame reads and validates one frame from r. It returns the header and
-// the decoded payload (drawn from the payload pool; the caller owns it).
-// A *CorruptionError with synced == true means the frame was discarded but
-// the stream position is still aligned on a frame boundary (the header was
-// plausible; only the payload failed its checksum), so the caller may keep
-// reading; any other error means the connection must be torn down.
-func readFrame(r io.Reader, size, maxElems int) (h frameHeader, payload []float32, synced bool, err error) {
-	hdr := make([]byte, frameHeaderLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return frameHeader{}, nil, false, err
-	}
-	h, err = parseFrameHeader(hdr, size, maxElems)
-	if err != nil {
-		return frameHeader{}, nil, false, err
-	}
-	buf := make([]byte, h.n*h.codec.bytesPerElem())
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return frameHeader{}, nil, false, err
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:frameCRCOffset])
-	crc.Write(buf)
-	if got := crc.Sum32(); got != h.crc {
-		// The length field was covered by the header checks and the payload
-		// was fully consumed: the stream is still frame-aligned.
-		return frameHeader{}, nil, true, &CorruptionError{Reason: fmt.Sprintf("payload CRC mismatch (got %#x want %#x)", got, h.crc)}
-	}
-	return h, decodePayload(h, buf), true, nil
+// image materialises the frame as one contiguous buffer, for the write
+// paths that need one (the chaos injector flips, holds and replays whole
+// frames; the writev paths never call it).
+func (f *outFrame) image() []byte {
+	return append(append(make([]byte, 0, f.wireLen()), f.hdr[:]...), f.body...)
 }
 
-// decodePayload expands a validated frame's raw payload bytes into a
-// pooled []float32 at the codec's width. The caller owns the result.
-func decodePayload(h frameHeader, buf []byte) []float32 {
-	payload := GetBuf(h.n)
-	if h.codec == CodecBF16 {
-		tensor.UnpackBF16LE(payload, buf)
-	} else {
-		for i := range payload {
-			payload[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-	}
-	return payload
+// newCtlFrame builds a sealed control frame (ack/heartbeat); control
+// payloads are always empty and carry no codec.
+func newCtlFrame(src int, kind, epoch uint32, a int64) *outFrame {
+	f := &outFrame{sealed: true}
+	sealHeader(&f.hdr, src, kind, epoch, a, 0, 0, 0, nil)
+	return f
+}
+
+// sealHeader writes a frame header for a payload of n elements whose wire
+// image is body, CRC included.
+func sealHeader(hdr *[frameHeaderLen]byte, src int, kind, epoch uint32, a, b int64, seq uint64, n int, body []byte) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(src))
+	binary.LittleEndian.PutUint32(hdr[4:8], kind)
+	binary.LittleEndian.PutUint32(hdr[8:12], epoch)
+	binary.LittleEndian.PutUint64(hdr[12:20], uint64(a))
+	binary.LittleEndian.PutUint64(hdr[20:28], uint64(b))
+	binary.LittleEndian.PutUint64(hdr[28:36], seq)
+	binary.LittleEndian.PutUint64(hdr[36:44], uint64(n))
+	binary.LittleEndian.PutUint32(hdr[frameCRCOffset:], frameCRC(hdr[:], body))
+}
+
+// frameCRC computes a frame's checksum: the header bytes before the CRC
+// field, then the payload bytes.
+func frameCRC(hdr, body []byte) uint32 {
+	return crc32.Update(crc32.Update(0, crc32.IEEETable, hdr[:frameCRCOffset]), crc32.IEEETable, body)
 }

@@ -53,9 +53,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(badLen)
 	f.Add(append(append([]byte(nil), good...), good...)) // two frames back to back
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
+		fr := &frameReader{r: bytes.NewReader(data), size: 8, maxElems: 1 << 12}
 		for {
-			h, payload, _, err := readFrame(r, 8, 1<<12)
+			h, payload, _, err := fr.next()
 			if err != nil {
 				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 					return
@@ -79,7 +79,7 @@ func FuzzReadFrame(f *testing.F) {
 func TestFrameRoundTrip(t *testing.T) {
 	payload := []float32{0, -1.25, 3e9, 1e-30}
 	wire := encodeFrame(3, uint32(KindAct), 5, -9, 1<<40, 77, CodecF32, payload)
-	h, got, synced, err := readFrame(bytes.NewReader(wire), 4, 0)
+	h, got, synced, err := (&frameReader{r: bytes.NewReader(wire), size: 4}).next()
 	if err != nil || !synced {
 		t.Fatalf("decode: %v (synced=%v)", err, synced)
 	}
@@ -101,7 +101,7 @@ func TestFramePayloadCorruptionDetected(t *testing.T) {
 	for off := frameHeaderLen; off < len(wire); off++ {
 		bad := append([]byte(nil), wire...)
 		bad[off] ^= 0x01
-		_, _, synced, err := readFrame(bytes.NewReader(bad), 4, 0)
+		_, _, synced, err := (&frameReader{r: bytes.NewReader(bad), size: 4}).next()
 		if err == nil {
 			t.Fatalf("corruption at byte %d undetected", off)
 		}

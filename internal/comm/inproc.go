@@ -140,8 +140,7 @@ func (t *inprocTransport) Send(dst int, tag Tag, data []float32) error {
 }
 
 // SendOwned implements OwnedSender: the donated payload is delivered to the
-// receiver without a copy — the zero-copy handoff the overlapped belt engine
-// rides. The caller must have drawn payload from GetBuf and must not touch
+// receiver without a copy — the zero-copy handoff every belt hop rides. The caller must have drawn payload from GetBuf and must not touch
 // it again; the receiver Releases it as usual.
 func (t *inprocTransport) SendOwned(dst int, tag Tag, payload []float32) error {
 	if dst < 0 || dst >= t.Size() {

@@ -3,7 +3,8 @@ package comm
 import (
 	"fmt"
 	"hash/crc32"
-	"math"
+
+	"weipipe/internal/tensor"
 )
 
 // End-to-end chunk integrity. The TCP frame CRC (PR 2) protects a payload
@@ -30,41 +31,13 @@ import (
 // carries after its payload: four, one per CRC32 byte.
 const ChecksumTrailerLen = 4
 
-// crcTable is the table for the IEEE polynomial (the same one the TCP
-// frame layer uses), built once.
-var crcTable = crc32.MakeTable(crc32.IEEE)
-
-// crcSlicing extends crcTable to slicing-by-4: table k advances a byte
-// that still has k more bytes behind it in the same word. Four lookups
-// retire a whole float32 per step, so checksumming needs no staging
-// buffer (and no heap traffic — crc32.Update's []byte argument escapes).
-var crcSlicing = makeSlicingTables()
-
-func makeSlicingTables() *[4][256]uint32 {
-	var t [4][256]uint32
-	for i := 0; i < 256; i++ {
-		c := crcTable[i]
-		t[0][i] = c
-		for k := 1; k < 4; k++ {
-			c = crcTable[c&0xff] ^ (c >> 8)
-			t[k][i] = c
-		}
-	}
-	return &t
-}
-
 // ChecksumSlice returns the CRC32 (IEEE) over the little-endian bit
-// patterns of payload — bit-identical to crc32.ChecksumIEEE of the same
-// bytes. It allocates nothing: each float32 is folded into the running CRC
-// directly as a 4-byte little-endian word.
+// patterns of payload — crc32.ChecksumIEEE of the bytes the wire and the
+// checkpoint file carry for it. The payload's own memory is those bytes
+// (tensor.F32LE), so this is the standard library's hardware CRC over a
+// view: no staging buffer, no allocation.
 func ChecksumSlice(payload []float32) uint32 {
-	t := crcSlicing
-	crc := ^uint32(0)
-	for _, v := range payload {
-		crc ^= math.Float32bits(v)
-		crc = t[3][crc&0xff] ^ t[2][crc>>8&0xff] ^ t[1][crc>>16&0xff] ^ t[0][crc>>24]
-	}
-	return ^crc
+	return crc32.ChecksumIEEE(tensor.F32LE(payload))
 }
 
 // RoundToWire projects payload into the codec's value domain in place —

@@ -524,9 +524,9 @@ func (t *TCPTransport) CommStats() *Stats { return t.stats }
 func (t *TCPTransport) WireCodec(tag Tag) WireCodec { return codecFor(t.opts.Codec, tag) }
 
 // Send implements Transport. The payload is copied at the send boundary
-// (the caller keeps its slice); frame encoding and checksumming happen
-// later, on the link's writer goroutine, so the compute thread pays one
-// memcpy and never a CRC.
+// (the caller keeps its slice) into a pooled buffer that is then donated;
+// sealing and checksumming happen later, on the link's writer goroutine, so
+// the compute thread pays one memcpy and never a CRC.
 func (t *TCPTransport) Send(dst int, tag Tag, data []float32) error {
 	payload := GetBuf(len(data))
 	copy(payload, data)
@@ -534,8 +534,9 @@ func (t *TCPTransport) Send(dst int, tag Tag, data []float32) error {
 }
 
 // SendOwned implements OwnedSender: the donated payload is enqueued for the
-// link writer without a copy and released once encoded onto the wire (or at
-// shutdown). Self-sends deliver the buffer straight to the local mailbox.
+// link writer without a copy, its own bytes are what the socket reads, and
+// it is released when the peer acknowledges the frame (or at shutdown or
+// peer death). Self-sends deliver the buffer straight to the local mailbox.
 func (t *TCPTransport) SendOwned(dst int, tag Tag, payload []float32) error {
 	tr := t.opts.Trace
 	span := tr.Begin()
@@ -716,19 +717,6 @@ func (t *TCPTransport) Blackhole(peers []int, d time.Duration) {
 
 // ---- per-link state ------------------------------------------------------
 
-// outFrame is one unacknowledged outgoing data frame. Frames are enqueued
-// with the raw payload and encoded lazily by the writer goroutine: wire is
-// nil until the first write, after which payload has been released back to
-// the pool. Only the writer touches payload/wire post-enqueue; the ack
-// handler reads seq alone.
-type outFrame struct {
-	seq     uint64
-	tag     Tag
-	codec   WireCodec
-	payload []float32
-	wire    []byte
-}
-
 // oooMsg is a received data frame waiting for its predecessors.
 type oooMsg struct {
 	tag     Tag
@@ -756,8 +744,12 @@ type tcpLink struct {
 	// peer has not yet consumed (TCP reset semantics), so unbounded bursts
 	// would let a repeating connection-killing fault erase each burst whole
 	// and re-send it forever — the window keeps acknowledged progress
-	// accumulating between failures.
+	// accumulating between failures. A frame's payload stays with the link
+	// until it is acknowledged: popped frames move to retired, and the
+	// writer — the only goroutine that touches payloads, and possibly still
+	// mid-write on one — hands them back to the pool.
 	sendq       []*outFrame
+	retired     []*outFrame // acknowledged; the writer releases their payloads
 	sent        int
 	window      int
 	nextSeq     uint64
@@ -853,7 +845,7 @@ func (t *TCPTransport) LinkMode(peer int) P2PMode {
 	return l.mode
 }
 
-// send enqueues one data frame, taking ownership of payload. Encoding is
+// send enqueues one data frame, taking ownership of payload. Sealing is
 // deferred to the writer goroutine (writeLoop), so the caller never blocks
 // on checksumming or the socket.
 func (l *tcpLink) send(tag Tag, codec WireCodec, payload []float32) error {
@@ -1117,16 +1109,18 @@ func (l *tcpLink) tick(now time.Time) {
 
 // writeLoop is the link's single writer: it drains control frames (acks,
 // heartbeats) and unsent data frames onto the current connection. Data
-// frames are encoded here — outside the link lock and off the compute
+// frames are sealed here — outside the link lock and off the compute
 // thread — and the whole batch (control + data) goes out as a single
-// net.Buffers writev, one syscall per burst instead of one per frame. The
-// chaos injector, when armed, takes the per-frame path instead so its
+// net.Buffers writev of headers and the payloads' own bytes: one syscall
+// per flush instead of one per frame, and no copy on the way. The chaos
+// injector, when armed, takes the per-frame path instead so its
 // write-count-keyed fault decisions stay deterministic.
 func (l *tcpLink) writeLoop() {
 	defer l.t.wg.Done()
 	for {
 		l.mu.Lock()
 		for {
+			l.releaseRetiredLocked()
 			if l.closed || l.dead {
 				break
 			}
@@ -1140,12 +1134,10 @@ func (l *tcpLink) writeLoop() {
 			l.cond.Wait()
 		}
 		if l.closed || l.dead {
-			// Unencoded payloads still own pool buffers; give them back.
+			// Nothing will be written again: every payload the link still
+			// retains goes back to the pool.
 			for _, f := range l.sendq {
-				if f.wire == nil && f.payload != nil {
-					Release(f.payload)
-					f.payload = nil
-				}
+				f.release()
 			}
 			l.mu.Unlock()
 			return
@@ -1164,16 +1156,9 @@ func (l *tcpLink) writeLoop() {
 		conn, gen := l.conn, l.gen
 		mode := l.mode
 		epoch := l.t.opts.Epoch
-		var batch net.Buffers
+		var ctl []*outFrame
 		if l.ctlConn == nil || mode != P2PDuplex {
-			if l.ackDirty {
-				l.ackDirty = false
-				batch = append(batch, encodeCtlFrame(l.t.rank, ctlAck, epoch, int64(l.rexpect-1)))
-			}
-			if l.hbDue {
-				l.hbDue = false
-				batch = append(batch, encodeCtlFrame(l.t.rank, ctlHeartbeat, epoch, 0))
-			}
+			ctl = l.claimCtlLocked()
 		}
 		var frames []*outFrame
 		quiet := time.Until(l.quietUntil)
@@ -1192,92 +1177,69 @@ func (l *tcpLink) writeLoop() {
 		}
 		l.mu.Unlock()
 
-		// Lazy encode: only this goroutine touches payload/wire after
-		// enqueue, so no lock is needed. A retransmitted frame is already
-		// encoded and reused as-is (possibly in a different burst grouping —
-		// harmless, envelopes carry no sequence state of their own).
+		// Lazy seal: only this goroutine touches a frame's payload, header
+		// and body after enqueue, so no lock is needed. A retransmitted
+		// frame is already sealed and goes out again as it is (possibly in
+		// a different burst grouping — harmless, envelopes carry no
+		// sequence state of their own).
 		for _, f := range frames {
-			if f.wire == nil {
-				f.wire = encodeFrame(l.t.rank, kindField(f.tag.Kind, f.codec), epoch,
-					int64(f.tag.A), int64(f.tag.B), f.seq, f.codec, f.payload)
-				Release(f.payload)
-				f.payload = nil
+			if !f.sealed {
+				f.seal(l.t.rank, epoch)
 			}
 		}
 
 		maxElems := l.t.opts.MaxPayloadElems
-		broken := false
+		var err error
 		switch {
 		case l.t.opts.Chaos != nil:
 			// Per-write chaos: ctl frames go plain (the injector only rolls
 			// on data writes), data goes frame-per-write or burst-per-write
-			// so the injector's write ordinals stay deterministic for a
-			// given traffic pattern.
-			for _, w := range batch {
-				if _, err := conn.Write(w); err != nil {
-					broken = true
+			// as one contiguous image the injector can flip, hold and
+			// replay, so its write ordinals stay deterministic for a given
+			// traffic pattern.
+			for _, f := range ctl {
+				if _, err = conn.Write(f.hdr[:]); err != nil {
 					break
 				}
 			}
-			if !broken && mode == P2PBatched && len(frames) > 0 {
-				wires := make([][]byte, len(frames))
-				for i, f := range frames {
-					wires[i] = f.wire
-				}
-				for _, run := range splitBursts(maxElems, wires) {
+			if err == nil && mode == P2PBatched {
+				for _, run := range splitBursts(maxElems, frames) {
 					l.t.stats.recordBurst(l.peer, len(run))
 					l.t.stats.recordWireWrite(l.peer)
-					if err := l.writeData(conn, flattenBurst(l.t.rank, epoch, run)); err != nil {
-						broken = true
+					if err = l.writeData(conn, burstImage(l.t.rank, epoch, run)); err != nil {
 						break
 					}
 				}
-			} else if !broken {
+			} else if err == nil {
 				for _, f := range frames {
 					l.t.stats.recordWireWrite(l.peer)
-					if err := l.writeData(conn, f.wire); err != nil {
-						broken = true
+					if err = l.writeData(conn, f.image()); err != nil {
 						break
 					}
 				}
 			}
-		case mode == P2PBatched && len(batch)+len(frames) > 0:
+		case len(ctl)+len(frames) == 0:
+			// Nothing claimed (data held back post-reconnect).
+		case mode == P2PBatched:
 			// Batched mode: everything this flush made ready — the belt's
 			// same-tick weight + gradient chunks and any pending ctl frames
 			// — travels inside burst envelopes, one writev for the lot.
-			wires := make([][]byte, 0, len(batch)+len(frames))
-			for _, w := range batch {
-				wires = append(wires, w)
-			}
-			for _, f := range frames {
-				wires = append(wires, f.wire)
-			}
 			var out net.Buffers
-			for _, run := range splitBursts(maxElems, wires) {
-				total := 0
-				for _, w := range run {
-					total += len(w)
-				}
-				out = append(out, encodeBurstHeader(l.t.rank, epoch, len(run), total))
-				out = append(out, run...)
+			for _, run := range splitBursts(maxElems, append(ctl, frames...)) {
+				out = appendBurst(out, l.t.rank, epoch, run)
 				l.t.stats.recordBurst(l.peer, len(run))
 			}
 			l.t.stats.recordWireWrite(l.peer)
-			if _, err := out.WriteTo(conn); err != nil {
-				broken = true
-			}
+			_, err = out.WriteTo(conn)
 		default:
-			for _, f := range frames {
-				batch = append(batch, f.wire)
+			var out net.Buffers
+			for _, f := range append(ctl, frames...) {
+				out = f.appendTo(out)
 			}
-			if len(batch) > 0 {
-				l.t.stats.recordWireWrite(l.peer)
-				if _, err := batch.WriteTo(conn); err != nil {
-					broken = true
-				}
-			}
+			l.t.stats.recordWireWrite(l.peer)
+			_, err = out.WriteTo(conn)
 		}
-		if broken {
+		if err != nil {
 			l.markDown(gen)
 			continue
 		}
@@ -1287,6 +1249,33 @@ func (l *tcpLink) writeLoop() {
 			time.Sleep(quiet)
 		}
 	}
+}
+
+// claimCtlLocked takes the link's pending ack and heartbeat, as sealed
+// control frames, for whichever writer owns ctl traffic right now.
+func (l *tcpLink) claimCtlLocked() []*outFrame {
+	var ctl []*outFrame
+	if l.ackDirty {
+		l.ackDirty = false
+		ctl = append(ctl, newCtlFrame(l.t.rank, ctlAck, l.t.opts.Epoch, int64(l.rexpect-1)))
+	}
+	if l.hbDue {
+		l.hbDue = false
+		ctl = append(ctl, newCtlFrame(l.t.rank, ctlHeartbeat, l.t.opts.Epoch, 0))
+	}
+	return ctl
+}
+
+// releaseRetiredLocked hands the payloads of acknowledged frames back to
+// the pool. Only the writer calls it, between writes: a frame can be
+// acknowledged while this goroutine is still inside the writev that carries
+// it (or a retransmitted copy of it), so the ack handler may not.
+func (l *tcpLink) releaseRetiredLocked() {
+	for i, f := range l.retired {
+		f.release()
+		l.retired[i] = nil
+	}
+	l.retired = l.retired[:0]
 }
 
 // ctlWriteLoop is the duplex mode's second writer: while the ctl lane is
@@ -1319,21 +1308,13 @@ func (l *tcpLink) ctlWriteLoop() {
 			continue
 		}
 		conn, gen := l.ctlConn, l.ctlGen
-		epoch := l.t.opts.Epoch
-		var batch net.Buffers
-		if l.ackDirty {
-			l.ackDirty = false
-			batch = append(batch, encodeCtlFrame(l.t.rank, ctlAck, epoch, int64(l.rexpect-1)))
-		}
-		if l.hbDue {
-			l.hbDue = false
-			batch = append(batch, encodeCtlFrame(l.t.rank, ctlHeartbeat, epoch, 0))
-		}
+		ctl := l.claimCtlLocked()
 		l.mu.Unlock()
-		if len(batch) == 0 {
-			continue
+		var batch net.Buffers
+		for _, f := range ctl {
+			batch = f.appendTo(batch)
 		}
-		n := len(batch)
+		n := len(ctl)
 		if _, err := batch.WriteTo(conn); err != nil {
 			l.dropCtlLane(gen)
 			continue
@@ -1492,7 +1473,6 @@ func (l *tcpLink) ctlReadLoop(conn net.Conn, gen int) {
 // through the same sequence/dedup/mailbox path below.
 func (l *tcpLink) runReadLoop(conn net.Conn, down func()) {
 	fr := &frameReader{r: conn, size: l.t.size, maxElems: l.t.opts.MaxPayloadElems}
-	defer fr.drop()
 	for {
 		h, payload, synced, err := fr.next()
 		if err != nil {
@@ -1552,6 +1532,7 @@ func (l *tcpLink) handleAckLocked(upTo uint64) {
 	}
 	popped := 0
 	for len(l.sendq) > 0 && l.sendq[0].seq <= upTo {
+		l.retired = append(l.retired, l.sendq[0])
 		l.sendq = l.sendq[1:]
 		popped++
 	}

@@ -84,10 +84,13 @@ type Transport interface {
 
 // OwnedSender is implemented by transports that support buffer donation:
 // SendOwned transfers ownership of a pool-drawn payload to the transport,
-// which may deliver it without copying. The caller must not touch (or
-// Release) the slice afterwards — the transport releases or re-homes it.
-// Plain Send keeps its copy-at-the-boundary contract for callers that reuse
-// their slice.
+// which delivers it without copying. The caller must not touch (or Release)
+// the slice afterwards, whatever SendOwned returns. The in-process fabric
+// re-homes the buffer in the receiver's mailbox; the TCP transport hands the
+// buffer's own bytes to the socket and keeps it — a retransmission reads it
+// again — until the peer acknowledges the frame, then releases it (as it
+// does at shutdown or peer death). Plain Send keeps its
+// copy-at-the-boundary contract for callers that reuse their slice.
 type OwnedSender interface {
 	SendOwned(dst int, tag Tag, payload []float32) error
 }

@@ -269,10 +269,13 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 	invN := gradFactor(f.o, len(batches))
 	gradShards := make([][]float32, nMods)
 	for i := 0; i < nMods; i++ {
-		full := make([]float32, f.mdl.ModuleParamSize(i))
+		// Scratch from the pool the collectives release into (GetBuf
+		// contents are arbitrary; the flatten writes every element).
+		full := comm.GetBuf(f.mdl.ModuleParamSize(i))
 		flattenGradsRange(f.mdl, grads, i, i+1, full)
 		f.seq++
 		shard, err := comm.ReduceScatterSum(f.t, full, f.seq)
+		comm.Release(full)
 		if err != nil {
 			return 0, err
 		}
@@ -315,6 +318,9 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 		if f.o.Scaler != nil {
 			f.o.Scaler.Observe(true)
 		}
+	}
+	for _, s := range gradShards {
+		comm.Release(s) // received from the pool by the reduce-scatter
 	}
 
 	f.tr.End(optSpan, trace.CodeOpt, int64(f.seq), 0)

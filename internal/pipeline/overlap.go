@@ -37,10 +37,8 @@ import (
 // accumulate — producer serialization the schedule dictates, not transport
 // latency — so prefetching it cannot make it arrive earlier, and routing
 // it through an engine goroutine only inserts scheduler wake-ups into the
-// accumulation chain, which is the iteration's critical path. What overlap
-// does change for gradients is the outbound hop: buffer donation
-// (comm.SendOwned) instead of the copy-and-release pair of blocking mode,
-// removing one full chunk memcpy per W stage from the hot loop.
+// accumulation chain, which is the iteration's critical path. The outbound
+// gradient hop donates its buffer (comm.SendOwned) in both modes.
 //
 // Determinism: the engine reorders nothing and touches no payload bytes.
 // Relayed chunks are forwarded verbatim (blocking mode forwards the same

@@ -634,23 +634,12 @@ func (w *WeiPipe) beltRecvOn(t Transport, src int, tag Tag) ([]float32, error) {
 	return payload, err
 }
 
-// sendBelt passes an exhausted-here belt buffer on: in overlap mode the
-// buffer is donated to the transport (zero-copy on the in-process fabric),
-// in blocking mode it is copied out and released — the legacy semantics the
-// overlapped engine is measured against.
-func (w *WeiPipe) sendBelt(dst int, tag Tag, payload []float32) error {
-	if w.engine != nil {
-		return comm.SendOwned(w.t, dst, tag, payload)
-	}
-	err := w.t.Send(dst, tag, payload)
-	comm.Release(payload)
-	return err
-}
-
 // recvBeltChunk receives belt-copy `belt` of chunk c for use index `use`,
-// installs it into the local model buffer and forwards it downstream. In
-// overlap mode the engine has already relayed the chunk downstream at
-// receive time (store-and-forward), so only the install remains here.
+// installs it into the local model buffer and forwards it downstream by
+// donating the now-exhausted buffer (comm.SendOwned: no copy on either
+// fabric). In overlap mode the engine has already relayed the chunk
+// downstream at receive time (store-and-forward), so only the install
+// remains here.
 func (w *WeiPipe) recvBeltChunk(belt, c, use int) error {
 	if w.grouped != nil {
 		return w.recvBeltChunkGrouped(belt, c, use)
@@ -679,18 +668,18 @@ func (w *WeiPipe) recvBeltChunk(belt, c, use int) error {
 	lo, hi := w.chunkRange(c)
 	w.mdl.SetChunk(lo, hi, w.beltBody(payload))
 	if w.engine == nil && use < w.totalUses()-1 {
-		err = w.t.Send((w.t.Rank()+1)%w.t.Size(),
+		return comm.SendOwned(w.t, (w.t.Rank()+1)%w.t.Size(),
 			Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use+1)}, payload)
 	}
 	comm.Release(payload)
-	return err
+	return nil
 }
 
 // accumulateAndForwardD folds this worker's local gradient contribution for
 // chunk c into the belt accumulator and passes it on (or retires it to the
 // owner after the final use). It takes ownership of local: the buffer is
-// donated downstream in overlap mode and released here in blocking mode —
-// callers must not touch it after the call.
+// donated downstream (or released on error) — callers must not touch it
+// after the call.
 func (w *WeiPipe) accumulateAndForwardD(c, use int, local []float32) error {
 	body := w.beltBody(local)
 	if use > 0 {
@@ -724,17 +713,17 @@ func (w *WeiPipe) accumulateAndForwardD(c, use int, local []float32) error {
 	if use < w.totalUses()-1 {
 		tag := Tag{Kind: comm.KindGrad, A: c, B: w.enc(beltBwd, use+1)}
 		w.sealBelt(tag, local)
-		return w.sendBelt((w.t.Rank()+1)%w.t.Size(), tag, local)
+		return comm.SendOwned(w.t, (w.t.Rank()+1)%w.t.Size(), tag, local)
 	}
 	tag := Tag{Kind: comm.KindGrad, A: c, B: w.enc(beltRetire, 0)}
 	w.sealBelt(tag, local)
 	// The buddy copy must go out before the retire send: the retire donates
-	// the buffer in overlap mode, after which local is no longer ours.
+	// the buffer, after which local is no longer ours.
 	if err := w.buddyRetire(c, local); err != nil {
 		comm.Release(local)
 		return err
 	}
-	return w.sendBelt(w.owner(c), tag, local)
+	return comm.SendOwned(w.t, w.owner(c), tag, local)
 }
 
 // ---- compute stages ------------------------------------------------------

@@ -141,6 +141,20 @@ func UnpackBF16LE(dst []float32, src []byte) {
 	}
 }
 
+// WidenBF16LE decodes, in place, the len(x) little-endian bf16 words lying
+// in the upper half of x's own memory (bytes 2·len(x) onward of
+// F32Bytes(x), where a receiver read them) into x — the result
+// UnpackBF16LE gives, without a staging buffer. Element i's word sits at
+// byte 2n+2i and its float32 lands at byte 4i ≤ 2n+2i, so a front-to-back
+// pass overwrites only words it has already decoded.
+func WidenBF16LE(x []float32) {
+	src := F32Bytes(x)[2*len(x):]
+	for i := range x {
+		h := uint16(src[2*i]) | uint16(src[2*i+1])<<8
+		x[i] = BF16ToF32(h)
+	}
+}
+
 // PackF16 encodes src into half-precision words.
 func PackF16(src []float32) []uint16 {
 	out := make([]uint16, len(src))
