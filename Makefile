@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzMembershipEvidence -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run NONE -fuzz FuzzChunkChecksum -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run NONE -fuzz FuzzCausalAttentionEquivalence -fuzztime $(FUZZTIME) ./internal/tensor/
+	$(GO) test -run NONE -fuzz FuzzBackendNTEquivalence -fuzztime $(FUZZTIME) ./internal/tensor/
 
 # modes runs the P2P mode-equivalence suite for one transport mode under
 # the race detector: every in-process and chaotic-TCP equivalence test plus
@@ -123,9 +124,10 @@ bench-overlap-quick:
 
 # bench-guard is the CI regression guard: run the quick overlap A/B and
 # fail unless the report's bit_identical verdict is true, then run the
-# functional kernel A/B — MatMulNT 256³ and attention forward+backward at
-# H 64 / 4 heads / S 512 — and fail unless the best SIMD backend beats
-# scalar by 2× on both (the local target is 4×+; the CI margin absorbs
+# functional kernel A/B — MatMulNT 256³, and at the long-* benchmark shapes
+# MatMulNN 512×64×172, MatMulTN 64×512×172 and attention forward+backward
+# (H 64 / 4 heads / S 512) — and fail unless the best SIMD backend beats
+# scalar by 2× on every row (the local target is 4×+; the CI margin absorbs
 # shared-runner noise; a scalar-only build passes, an amd64 build whose
 # CPU registered no SIMD backend fails: it measured nothing) and print,
 # ungated, the TCP wire path's 3.2 MB-chunk loopback throughput and
@@ -155,8 +157,8 @@ bench-guard:
 bench-sweep:
 	$(GO) run ./cmd/weipipe-bench -sweep -sweep-out BENCH_sweep.json
 
-# bench-kernel records the functional scalar-vs-SIMD kernel A/B (MatMulNT
-# and attention forward+backward).
+# bench-kernel records the functional scalar-vs-SIMD kernel A/B (MatMulNT,
+# MatMulNN, MatMulTN and attention forward+backward).
 bench-kernel:
 	$(GO) run ./cmd/weipipe-bench -kernel -kernel-out BENCH_kernel.json
 

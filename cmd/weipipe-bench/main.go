@@ -12,8 +12,10 @@
 //	                              # belt engine, written to BENCH_overlap.json
 //	weipipe-bench -sweep          # strategy×topology×scale cost-model grid,
 //	                              # written to BENCH_sweep.json
-//	weipipe-bench -kernel         # functional MatMulNT 256³ scalar-vs-SIMD
-//	                              # A/B, written to BENCH_kernel.json
+//	weipipe-bench -kernel         # functional scalar-vs-SIMD kernel A/B
+//	                              # (MatMulNT 256³; NN, TN and attention at
+//	                              # the long-* benchmark shapes), written
+//	                              # to BENCH_kernel.json
 package main
 
 import (
@@ -45,10 +47,10 @@ func main() {
 	p2p := flag.Bool("p2p", false, "run the P2P mode benchmark (simulated frame/batched/duplex/auto link-model grid + functional mode A/B vs the frame baseline)")
 	p2pOut := flag.String("p2p-out", "BENCH_p2p.json", "output path for -p2p")
 	requireP2PWin := flag.Bool("require-p2p-win", false, "exit nonzero unless the -p2p-out report shows every mode bit-identical with unchanged belt traffic and a batched link-send reduction on the high-latency profiles (the CI P2P guard); checks an existing report when -p2p is absent")
-	kernel := flag.Bool("kernel", false, "run the functional MatMulNT kernel A/B (scalar vs best backend)")
+	kernel := flag.Bool("kernel", false, "run the functional kernel A/B (scalar vs best backend): MatMulNT 256³, and MatMulNN, MatMulTN and attention at the long-* benchmark shapes")
 	kernelOut := flag.String("kernel-out", "BENCH_kernel.json", "output path for -kernel")
 	kernelReps := flag.Int("kernel-reps", 20, "repetitions (min taken) for -kernel")
-	requireSpeedup := flag.Float64("require-kernel-speedup", 0, "exit nonzero unless the -kernel-out report's SIMD speedup reaches this factor (the CI kernel guard); 0 disables")
+	requireSpeedup := flag.Float64("require-kernel-speedup", 0, "exit nonzero unless every row of the -kernel-out report reaches this SIMD speedup (the CI kernel guard); 0 disables")
 	flag.Parse()
 
 	if *backend != "" {

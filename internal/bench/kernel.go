@@ -12,10 +12,11 @@ import (
 )
 
 // The kernel A/B is the functional counterpart of the Go benchmarks
-// BenchmarkMatMulNT/256x256x256 and BenchmarkCausalAttention: it times the
-// headline NT matmul and one fused-attention forward+backward at the
-// long-context benchmark shape on the scalar oracle and on the best
-// registered SIMD backend and records the speedups, so CI can guard the
+// BenchmarkMatMul{NT,NN,TN} and BenchmarkCausalAttention: it times the
+// headline 256³ NT matmul, the NN and TN matmuls at the long-context
+// benchmark's FFN shape, and one fused-attention forward+backward at that
+// benchmark's attention shape, on the scalar oracle and on the best
+// registered SIMD backend, and records the speedups, so CI can guard the
 // kernel work without go-test bench plumbing. On machines with no SIMD
 // backend the A/B degenerates to scalar-vs-scalar and reports speedups of 1.
 
@@ -27,19 +28,28 @@ type KernelReport struct {
 	// SIMDCompiled reports whether the build carries the assembly kernels
 	// (amd64 without the noasm tag); if it does and BestBackend is still
 	// scalar, the CPU lacks AVX2+FMA and the A/B measured nothing.
-	SIMDCompiled  bool    `json:"simd_compiled"`
-	BestBackend   string  `json:"best_backend"`
-	M             int     `json:"m"`
-	N             int     `json:"n"`
-	K             int     `json:"k"`
-	Reps          int     `json:"reps"`
-	ScalarMs      float64 `json:"scalar_ms"`
-	BestMs        float64 `json:"best_ms"`
-	Speedup       float64 `json:"speedup"`
-	MaxAbsDiff    float64 `json:"max_abs_diff"`
-	ToleranceMode bool    `json:"tolerance_mode"`
+	SIMDCompiled  bool   `json:"simd_compiled"`
+	BestBackend   string `json:"best_backend"`
+	Reps          int    `json:"reps"`
+	ToleranceMode bool   `json:"tolerance_mode"`
+	// Matmuls holds one row per matmul form.
+	Matmuls []MatmulAB `json:"matmuls"`
 	// Attention is the fused causal attention forward+backward A/B.
 	Attention AttentionAB `json:"attention"`
+}
+
+// MatmulAB is one matmul row of the kernel A/B: dst[M,N] from a K-long
+// reduction in the given form (NN a·b, NT a·bᵀ, TN aᵀ·b).
+type MatmulAB struct {
+	Form       string  `json:"form"`
+	M          int     `json:"m"`
+	N          int     `json:"n"`
+	K          int     `json:"k"`
+	ScalarMs   float64 `json:"scalar_ms"`
+	BestMs     float64 `json:"best_ms"`
+	Speedup    float64 `json:"speedup"`
+	BestGFlops float64 `json:"best_gflops"`
+	MaxAbsDiff float64 `json:"max_abs_diff"`
 }
 
 // AttentionAB is the attention row of the kernel A/B: one
@@ -64,22 +74,47 @@ func maxAbsDiff(a, b *tensor.Tensor) float64 {
 	return worst
 }
 
+// kernelMatmul is one matmul row under measurement: its operands, the
+// product call, and each side's output and fastest time.
+type kernelMatmul struct {
+	row  MatmulAB
+	a, b *tensor.Tensor
+	run  func(dst, a, b *tensor.Tensor)
+	dst  [2]*tensor.Tensor
+	ms   [2]float64
+}
+
+func newKernelMatmul(rng *tensor.RNG, form string, m, n, k int) *kernelMatmul {
+	km := &kernelMatmul{row: MatmulAB{Form: form, M: m, N: n, K: k}}
+	switch form {
+	case "NN":
+		km.a, km.b, km.run = tensor.New(m, k), tensor.New(k, n), tensor.MatMul
+	case "NT":
+		km.a, km.b, km.run = tensor.New(m, k), tensor.New(n, k), tensor.MatMulTB
+	case "TN":
+		km.a, km.b, km.run = tensor.New(k, m), tensor.New(k, n), tensor.MatMulTA
+	}
+	tensor.FillUniform(km.a, rng, -1, 1)
+	tensor.FillUniform(km.b, rng, -1, 1)
+	km.dst = [2]*tensor.Tensor{tensor.New(m, n), tensor.New(m, n)}
+	return km
+}
+
 // RunKernelBench measures the scalar-vs-best-backend A/B: MatMulNT at
-// 256×256×256 and attention forward+backward at the long-* benchmark
-// workloads' shape (H 64, 4 heads, S 512).
+// 256×256×256, and at the long-* benchmark workloads' shapes (H 64, F 172,
+// 4 heads, S 512) the FFN's NN product x·W₁, its TN product dW₁ = xᵀ·dy,
+// and attention forward+backward.
 func RunKernelBench(reps int) (*KernelReport, error) {
-	const (
-		dim                = 256
-		hidden, heads, seq = 64, 4, 512
-	)
+	const hidden, ffn, heads, seq = 64, 172, 4, 512
 	if reps <= 0 {
 		reps = 20
 	}
 	rng := tensor.NewRNG(1)
-	a := tensor.New(dim, dim)
-	bt := tensor.New(dim, dim)
-	tensor.FillUniform(a, rng, -1, 1)
-	tensor.FillUniform(bt, rng, -1, 1)
+	matmuls := []*kernelMatmul{
+		newKernelMatmul(rng, "NT", 256, 256, 256),
+		newKernelMatmul(rng, "NN", seq, ffn, hidden),
+		newKernelMatmul(rng, "TN", hidden, ffn, seq),
+	}
 	q, k, v, dout := tensor.New(seq, hidden), tensor.New(seq, hidden), tensor.New(seq, hidden), tensor.New(seq, hidden)
 	for _, t := range []*tensor.Tensor{q, k, v, dout} {
 		tensor.FillNormal(t, rng, 1)
@@ -87,7 +122,7 @@ func RunKernelBench(reps int) (*KernelReport, error) {
 
 	rep := &KernelReport{
 		GoArch: runtime.GOARCH, Backends: tensor.Backends(), SIMDCompiled: tensor.SIMDCompiled,
-		M: dim, N: dim, K: dim, Reps: reps,
+		Reps:      reps,
 		Attention: AttentionAB{Hidden: hidden, Heads: heads, Seq: seq},
 	}
 	prev := tensor.BackendName()
@@ -95,15 +130,9 @@ func RunKernelBench(reps int) (*KernelReport, error) {
 
 	// The two sides take turns rep by rep and each keeps its fastest
 	// timing, so a host that changes speed mid-run slows both alike.
-	type side struct {
-		backend      string
-		ntMs, attnMs float64
-		nt, dq       *tensor.Tensor
-	}
-	sides := [2]side{{backend: "scalar"}, {backend: "auto"}}
-	for i := range sides {
-		sides[i].nt, sides[i].dq = tensor.New(dim, dim), tensor.New(seq, hidden)
-	}
+	backends := [2]string{"scalar", "auto"}
+	var attnMs [2]float64
+	dq := [2]*tensor.Tensor{tensor.New(seq, hidden), tensor.New(seq, hidden)}
 	out, lse := tensor.New(seq, hidden), tensor.New(heads*seq)
 	dk, dv := tensor.New(seq, hidden), tensor.New(seq, hidden)
 	timed := func(best *float64, warm bool, run func()) {
@@ -114,30 +143,36 @@ func RunKernelBench(reps int) (*KernelReport, error) {
 		}
 	}
 	for r := 0; r <= reps; r++ { // rep 0 warms caches and the worker pool
-		for i := range sides {
-			sd := &sides[i]
-			if err := tensor.SetBackend(sd.backend); err != nil {
+		for i, backend := range backends {
+			if err := tensor.SetBackend(backend); err != nil {
 				return nil, err
 			}
-			timed(&sd.ntMs, r == 0, func() { tensor.MatMulTB(sd.nt, a, bt) })
-			timed(&sd.attnMs, r == 0, func() {
+			for _, km := range matmuls {
+				timed(&km.ms[i], r == 0, func() { km.run(km.dst[i], km.a, km.b) })
+			}
+			timed(&attnMs[i], r == 0, func() {
 				tensor.CausalAttention(out, lse, q, k, v, heads, seq, seq, 0)
-				tensor.CausalAttentionBackward(sd.dq, dk, dv, q, k, v, out, dout, lse, heads, seq, seq, 0)
+				tensor.CausalAttentionBackward(dq[i], dk, dv, q, k, v, out, dout, lse, heads, seq, seq, 0)
 			})
 		}
 	}
 	rep.BestBackend = tensor.BackendName()
 	rep.ToleranceMode = !tensor.BackendExact()
-	rep.ScalarMs, rep.Attention.ScalarMs = sides[0].ntMs, sides[0].attnMs
-	rep.BestMs, rep.Attention.BestMs = sides[1].ntMs, sides[1].attnMs
-	if rep.BestMs > 0 {
-		rep.Speedup = rep.ScalarMs / rep.BestMs
+	for _, km := range matmuls {
+		row := km.row
+		row.ScalarMs, row.BestMs = km.ms[0], km.ms[1]
+		if row.BestMs > 0 {
+			row.Speedup = row.ScalarMs / row.BestMs
+			row.BestGFlops = 2 * float64(row.M) * float64(row.N) * float64(row.K) / (row.BestMs * 1e6)
+		}
+		row.MaxAbsDiff = maxAbsDiff(km.dst[0], km.dst[1])
+		rep.Matmuls = append(rep.Matmuls, row)
 	}
+	rep.Attention.ScalarMs, rep.Attention.BestMs = attnMs[0], attnMs[1]
 	if rep.Attention.BestMs > 0 {
 		rep.Attention.Speedup = rep.Attention.ScalarMs / rep.Attention.BestMs
 	}
-	rep.MaxAbsDiff = maxAbsDiff(sides[0].nt, sides[1].nt)
-	rep.Attention.MaxAbsDiff = maxAbsDiff(sides[0].dq, sides[1].dq)
+	rep.Attention.MaxAbsDiff = maxAbsDiff(dq[0], dq[1])
 	return rep, nil
 }
 
@@ -156,16 +191,18 @@ func WriteKernelBench(path string, reps int) error {
 	}
 	at := rep.Attention
 	fmt.Printf("kernel A/B (best of %d, scalar vs %s, tolerance mode %v):\n", rep.Reps, rep.BestBackend, rep.ToleranceMode)
-	fmt.Printf("  MatMulNT %dx%dx%d            %8.3f ms -> %8.3f ms (%.2fx, max |diff| %.2e)\n",
-		rep.M, rep.K, rep.N, rep.ScalarMs, rep.BestMs, rep.Speedup, rep.MaxAbsDiff)
-	fmt.Printf("  attention fwd+bwd H%d h%d S%d  %8.3f ms -> %8.3f ms (%.2fx, max |dq diff| %.2e)\n",
+	for _, row := range rep.Matmuls {
+		fmt.Printf("  MatMul%s %dx%dx%d\t%8.3f ms -> %8.3f ms (%.2fx, %.1f GFLOP/s, max |diff| %.2e)\n",
+			row.Form, row.M, row.K, row.N, row.ScalarMs, row.BestMs, row.Speedup, row.BestGFlops, row.MaxAbsDiff)
+	}
+	fmt.Printf("  attention fwd+bwd H%d h%d S%d\t%8.3f ms -> %8.3f ms (%.2fx, max |dq diff| %.2e)\n",
 		at.Hidden, at.Heads, at.Seq, at.ScalarMs, at.BestMs, at.Speedup, at.MaxAbsDiff)
 	fmt.Printf("  written to %s\n", path)
 	return nil
 }
 
 // RequireKernelSpeedup reads a kernel A/B report and fails unless the best
-// backend reached the given speedup over scalar on both rows. A build
+// backend reached the given speedup over scalar on every row. A build
 // without the assembly kernels (noasm, non-amd64) has nothing to guard and
 // passes; a build with them whose best backend is still scalar fails — the
 // CPU registered no SIMD backend, and passing would make the guard vacuous.
@@ -186,9 +223,14 @@ func RequireKernelSpeedup(path string, min float64) error {
 		fmt.Printf("kernel guard: scalar-only build, skipping speedup check\n")
 		return nil
 	}
-	if rep.Speedup < min {
-		return fmt.Errorf("bench: %s: %s MatMulNT speedup %.2fx below required %.2fx",
-			path, rep.BestBackend, rep.Speedup, min)
+	if len(rep.Matmuls) == 0 {
+		return fmt.Errorf("bench: %s: no matmul rows: nothing was measured", path)
+	}
+	for _, row := range rep.Matmuls {
+		if row.Speedup < min {
+			return fmt.Errorf("bench: %s: %s MatMul%s %dx%dx%d speedup %.2fx below required %.2fx",
+				path, rep.BestBackend, row.Form, row.M, row.K, row.N, row.Speedup, min)
+		}
 	}
 	if rep.Attention.Speedup < min {
 		return fmt.Errorf("bench: %s: %s attention fwd+bwd speedup %.2fx below required %.2fx",

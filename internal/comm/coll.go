@@ -1,6 +1,10 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+
+	"weipipe/internal/tensor"
+)
 
 // This file implements ring collectives on top of the P2P Transport. They
 // follow NCCL's ring algorithms (the configuration the paper measured
@@ -51,9 +55,7 @@ func RingAllReduceSum(t Transport, data []float32, seq int) error {
 		if len(buf) != len(dst) {
 			return fmt.Errorf("comm: allreduce shard size mismatch %d != %d", len(buf), len(dst))
 		}
-		for i := range dst {
-			dst[i] += buf[i]
-		}
+		tensor.AddIntoF32(dst, buf)
 		Release(buf)
 	}
 	// Phase 2: all-gather the reduced shards.
@@ -102,9 +104,10 @@ func ReduceScatterSum(t Transport, data []float32, seq int) ([]float32, error) {
 		}
 		rg := shards[recvID]
 		dst := data[rg[0]:rg[1]]
-		for i := range dst {
-			dst[i] += buf[i]
+		if len(buf) != len(dst) {
+			return nil, fmt.Errorf("comm: reduce-scatter shard size mismatch %d != %d", len(buf), len(dst))
 		}
+		tensor.AddIntoF32(dst, buf)
 		Release(buf)
 	}
 	// After p−1 steps this rank holds the full sum of shard (r+1) mod p, and

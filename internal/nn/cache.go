@@ -90,9 +90,13 @@ func (c *Cache) Sub(name string) *Cache {
 // alloc returns a scratch tensor from the cache's arena, or a fresh heap
 // tensor when no arena is attached. Modules route every intermediate through
 // it so steady-state training steps reuse buffers instead of allocating.
+// The contents are unspecified (an arena does not clear a recycled buffer):
+// every caller hands the tensor to a kernel or loop that writes all of it —
+// a store-mode matmul, an elementwise op, a row kernel, a full copy — before
+// anything reads it.
 func alloc(c *Cache, shape ...int) *tensor.Tensor {
 	if c.Arena != nil {
-		return c.Arena.New(shape...)
+		return c.Arena.Scratch(shape...)
 	}
 	return tensor.New(shape...)
 }

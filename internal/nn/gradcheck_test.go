@@ -13,6 +13,14 @@ type tinyNet struct {
 	blocks []*Block
 	head   *OutputHead
 	g, s   int
+	// arena, when set, backs every cache the net creates.
+	arena *tensor.Arena
+}
+
+func (n *tinyNet) cache() *Cache {
+	c := NewCache(n.g, n.s)
+	c.Arena = n.arena
+	return c
 }
 
 func newTinyNet(t testing.TB, seed uint64) *tinyNet {
@@ -63,12 +71,11 @@ func (n *tinyNet) data(seed uint64) (tokens, targets [][]int) {
 
 // loss runs a pure forward pass and returns the scalar loss.
 func (n *tinyNet) loss(tokens, targets [][]int) float64 {
-	c := NewCache(n.g, n.s)
-	x := n.embed.ForwardTokens(tokens, c)
+	x := n.embed.ForwardTokens(tokens, n.cache())
 	for _, b := range n.blocks {
-		x = b.Forward(x, NewCache(n.g, n.s))
+		x = b.Forward(x, n.cache())
 	}
-	return n.head.ForwardLoss(x, targets, NewCache(n.g, n.s))
+	return n.head.ForwardLoss(x, targets, n.cache())
 }
 
 // lossAndGrads runs forward + full backward, returning loss and per-module
@@ -77,7 +84,7 @@ func (n *tinyNet) lossAndGrads(tokens, targets [][]int) (float64, []*ParamSet) {
 	mods := n.modules()
 	caches := make([]*Cache, len(mods))
 	for i := range caches {
-		caches[i] = NewCache(n.g, n.s)
+		caches[i] = n.cache()
 	}
 	x := n.embed.ForwardTokens(tokens, caches[0])
 	for i, b := range n.blocks {
@@ -119,14 +126,27 @@ func checkGradFD(t *testing.T, net *tinyNet, tokens, targets [][]int,
 		fd := (lp - lm) / (2 * eps)
 		an := float64(grad.Data[i])
 		tol := 3e-3 + 0.03*math.Abs(fd)
-		if math.Abs(fd-an) > tol {
+		if !(math.Abs(fd-an) <= tol) { // a NaN on either side fails too
 			t.Errorf("%s[%d]: analytic %.6f vs finite-diff %.6f", name, i, an, fd)
 		}
 	}
 }
 
-func TestGradCheckFullModel(t *testing.T) {
+func TestGradCheckFullModel(t *testing.T) { gradCheckFullModel(t, newTinyNet(t, 1)) }
+
+// The same check with every intermediate drawn from a NaN-poisoned arena:
+// a module that read a scratch tensor before writing all of it would turn
+// the loss or a gradient into NaN. This is the audit behind alloc handing
+// out uncleared buffers.
+func TestGradCheckFullModelPoisonedArena(t *testing.T) {
+	tensor.SetArenaPoison(true)
+	defer tensor.SetArenaPoison(false)
 	net := newTinyNet(t, 1)
+	net.arena = tensor.NewArena()
+	gradCheckFullModel(t, net)
+}
+
+func gradCheckFullModel(t *testing.T, net *tinyNet) {
 	tokens, targets := net.data(2)
 	loss, grads := net.lossAndGrads(tokens, targets)
 	if math.IsNaN(loss) || loss <= 0 {

@@ -20,8 +20,14 @@ import (
 //     reference that the scalar equivalence suite enforces (strategies
 //     are not bitwise equal to *each other*: they legitimately differ in
 //     gradient accumulation order, on every backend).
+//
+// The whole test runs with arena scratch NaN-poisoned: every strategy's
+// scratch tensors are overwritten before they are read, or the NaN reaches
+// the weights and check 1 fails (NaN != NaN).
 func TestStrategiesPerBackend(t *testing.T) {
 	const iters, n = 2, 8
+	tensor.SetArenaPoison(true)
+	defer tensor.SetArenaPoison(false)
 	for _, bk := range tensor.Backends() {
 		bk := bk
 		t.Run(bk, func(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"weipipe/internal/comm"
 	"weipipe/internal/data"
 	"weipipe/internal/model"
+	"weipipe/internal/nn"
 	"weipipe/internal/optim"
 	"weipipe/internal/tensor"
 	"weipipe/internal/trace"
@@ -16,12 +17,15 @@ import (
 // microbatches, and ring-all-reduces the flat gradient before every rank
 // takes the identical optimizer step.
 type DP struct {
-	t       Transport
-	mdl     *model.Model
-	opt     *optim.AdamW
-	opts    Options
-	seq     int // collective sequence counter (identical across ranks)
-	arena   *tensor.Arena
+	t     Transport
+	mdl   *model.Model
+	opt   *optim.AdamW
+	opts  Options
+	seq   int // collective sequence counter (identical across ranks)
+	arena *tensor.Arena
+	// grads accumulates an iteration's gradients; kept and re-zeroed across
+	// iterations (see zeroedGrads).
+	grads   []*nn.ParamSet
 	skipped int
 	tr      *trace.Tracer
 }
@@ -56,7 +60,8 @@ func (d *DP) TrainIteration(batches []data.Batch) (float64, error) {
 		d.mdl.Head.LossScale = float32(d.opts.Scaler.Scale())
 	}
 	nMods := len(d.mdl.Modules)
-	grads := newGrads(d.mdl)
+	d.grads = zeroedGrads(d.mdl, d.grads, 0, nMods)
+	grads := d.grads
 	var lossSum float64
 	for mi, b := range mine {
 		mb := int64(mi)

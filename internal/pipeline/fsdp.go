@@ -7,6 +7,7 @@ import (
 	"weipipe/internal/comm"
 	"weipipe/internal/data"
 	"weipipe/internal/model"
+	"weipipe/internal/nn"
 	"weipipe/internal/optim"
 	"weipipe/internal/tensor"
 	"weipipe/internal/trace"
@@ -21,13 +22,16 @@ import (
 // data-parallel: each rank trains its round-robin share of the
 // microbatches.
 type FSDP struct {
-	t       Transport
-	mdl     *model.Model // weight buffer; authoritative state is the shards
-	shards  [][]float32  // per-module owned parameter shard (fp32 master)
-	opts    []*optim.AdamW
-	o       Options
-	seq     int
-	arena   *tensor.Arena
+	t      Transport
+	mdl    *model.Model // weight buffer; authoritative state is the shards
+	shards [][]float32  // per-module owned parameter shard (fp32 master)
+	opts   []*optim.AdamW
+	o      Options
+	seq    int
+	arena  *tensor.Arena
+	// grads accumulates an iteration's full-model gradients before the
+	// reduce-scatter; kept and re-zeroed across iterations (see zeroedGrads).
+	grads   []*nn.ParamSet
 	skipped int
 
 	// stats is the transport's meter when it exposes one (nil otherwise);
@@ -205,7 +209,8 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 		f.mdl.Head.LossScale = float32(f.o.Scaler.Scale())
 	}
 	nMods := len(f.mdl.Modules)
-	grads := newGrads(f.mdl)
+	f.grads = zeroedGrads(f.mdl, f.grads, 0, nMods)
+	grads := f.grads
 	var lossSum float64
 
 	// With Overlap the microbatch loop's gathers run one ahead of compute on

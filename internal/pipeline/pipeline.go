@@ -396,14 +396,23 @@ type ArenaMeter interface {
 	ArenaHighWater() int
 }
 
-// newGrads allocates a gradient set per module of mdl (nil-safe access by
-// global module index).
-func newGrads(mdl *model.Model) []*nn.ParamSet {
-	out := make([]*nn.ParamSet, len(mdl.Modules))
-	for i, m := range mdl.Modules {
-		out[i] = m.Params().NewLike()
+// zeroedGrads returns grads — indexed by global module index — holding a
+// zeroed gradient set for every module in [lo, hi). A trainer keeps the
+// slice across iterations: the sets are allocated the first time a module is
+// asked for and zeroed in place from then on, so a steady-state step
+// allocates no gradient storage.
+func zeroedGrads(mdl *model.Model, grads []*nn.ParamSet, lo, hi int) []*nn.ParamSet {
+	if grads == nil {
+		grads = make([]*nn.ParamSet, len(mdl.Modules))
 	}
-	return out
+	for i := lo; i < hi; i++ {
+		if grads[i] == nil {
+			grads[i] = mdl.Modules[i].Params().NewLike()
+		} else {
+			grads[i].Zero()
+		}
+	}
+	return grads
 }
 
 // flattenGradsRange copies grads of modules [lo, hi) into dst in wire order.

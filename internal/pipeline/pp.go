@@ -81,7 +81,7 @@ func (p *ppBase) beginIteration() {
 		p.mdl.Head.LossScale = float32(p.opts.Scaler.Scale())
 	}
 	p.caches = make(map[int][]*nn.Cache)
-	p.grads = newGrads(p.mdl)
+	p.grads = zeroedGrads(p.mdl, p.grads, p.lo, p.hi)
 	p.lossMB = make(map[int]float64)
 	p.arenas = make(map[int]*tensor.Arena)
 }

@@ -19,7 +19,10 @@ type Serial struct {
 	opts Options
 	// arena supplies every per-microbatch intermediate; with one microbatch
 	// in flight at a time it is reset as soon as the W pass has run.
-	arena   *tensor.Arena
+	arena *tensor.Arena
+	// grads accumulates an iteration's gradients; kept and re-zeroed across
+	// iterations (see zeroedGrads).
+	grads   []*nn.ParamSet
 	skipped int
 	tr      *trace.Tracer
 }
@@ -42,7 +45,8 @@ func (s *Serial) Model() *model.Model { return s.mdl }
 // TrainIteration implements Trainer.
 func (s *Serial) TrainIteration(batches []data.Batch) (float64, error) {
 	n := len(s.mdl.Modules)
-	grads := newGrads(s.mdl)
+	s.grads = zeroedGrads(s.mdl, s.grads, 0, n)
+	grads := s.grads
 	if s.opts.Scaler != nil {
 		s.mdl.Head.LossScale = float32(s.opts.Scaler.Scale())
 	}

@@ -704,9 +704,7 @@ func (w *WeiPipe) accumulateAndForwardD(c, use int, local []float32) error {
 			comm.Release(local)
 			return fmt.Errorf("pipeline: D chunk size mismatch %d != %d", len(db), len(body))
 		}
-		for i := range body {
-			body[i] += db[i]
-		}
+		tensor.AddIntoF32(body, db)
 		comm.Release(d)
 	}
 	maybeRoundF16(w.opts, body)
@@ -787,16 +785,7 @@ func (w *WeiPipe) wStage(st *wpState, k, c int) error {
 	caches := st.caches[mb]
 	lo, hi := w.chunkRange(c)
 	span := w.tr.Begin()
-	if w.wGrads == nil {
-		w.wGrads = make([]*nn.ParamSet, len(w.mdl.Modules))
-	}
-	for i := lo; i < hi; i++ {
-		if w.wGrads[i] == nil {
-			w.wGrads[i] = w.mdl.Modules[i].Params().NewLike()
-		} else {
-			w.wGrads[i].Zero()
-		}
-	}
+	w.wGrads = zeroedGrads(w.mdl, w.wGrads, lo, hi)
 	backwardRangeW(w.mdl, lo, hi, caches[lo:hi], w.wGrads)
 	size := w.mdl.ChunkSize(lo, hi)
 	local := comm.GetBuf(size + w.pad)

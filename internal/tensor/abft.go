@@ -268,7 +268,7 @@ func (b *abftBackend) MatMulTN(dst, a, bb *Tensor, acc bool) {
 
 func (b *abftBackend) Axpy(dst *Tensor, s float32, a *Tensor) { b.inner.Axpy(dst, s, a) }
 func (b *abftBackend) Scale(dst, a *Tensor, s float32)        { b.inner.Scale(dst, a, s) }
-func (b *abftBackend) AddInto(dst, a *Tensor)                 { b.inner.AddInto(dst, a) }
+func (b *abftBackend) AddInto(dst, a []float32)               { b.inner.AddInto(dst, a) }
 func (b *abftBackend) Dot(a, bb *Tensor) float64              { return b.inner.Dot(a, bb) }
 func (b *abftBackend) DotF32(a, bb *Tensor) float32           { return b.inner.DotF32(a, bb) }
 func (b *abftBackend) SiLU(dst, a *Tensor)                    { b.inner.SiLU(dst, a) }

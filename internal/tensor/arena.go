@@ -1,6 +1,10 @@
 package tensor
 
-import "sync"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
 // Arena is a scratch allocator for training hot paths. It hands out tensors
 // backed by reusable buffers with get/reset semantics: allocations between
@@ -36,6 +40,17 @@ func NewArena() *Arena { return &Arena{} }
 // slot's buffer and header. Semantically identical to tensor.New except for
 // the Reset lifetime.
 func (a *Arena) New(shape ...int) *Tensor {
+	t := a.Scratch(shape...)
+	clear(t.Data)
+	return t
+}
+
+// Scratch is New without the zero fill: the tensor holds whatever its
+// recycled buffer held last. For destinations the caller overwrites in full
+// before reading — the output of a store-mode kernel — which is what nearly
+// every intermediate of a training step is, and where the fill was pure
+// cost.
+func (a *Arena) Scratch(shape ...int) *Tensor {
 	n := 1
 	ok := len(shape) > 0
 	for _, d := range shape {
@@ -45,21 +60,29 @@ func (a *Arena) New(shape ...int) *Tensor {
 		n *= d
 	}
 	if !ok {
-		panic("tensor: Arena.New with empty or non-positive shape")
+		panic("tensor: Arena allocation with empty or non-positive shape")
 	}
 	s := a.take()
 	if cap(s.buf) < n {
 		s.buf = make([]float32, n)
 	}
-	buf := s.buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
 	t := s.t
-	t.Data = buf
+	t.Data = s.buf[:n]
 	t.shape = setShape(t.shape, shape)
+	if arenaPoison.Load() {
+		t.Fill(float32(math.NaN()))
+	}
 	return t
 }
+
+// arenaPoison, when set, makes Scratch hand out NaN-filled tensors.
+var arenaPoison atomic.Bool
+
+// SetArenaPoison makes every Arena.Scratch tensor come back filled with NaN
+// rather than stale data, so a caller that reads one before writing it
+// poisons its results instead of passing by luck. Test use only: it is how
+// the suites prove every Scratch site overwrites its tensor.
+func SetArenaPoison(on bool) { arenaPoison.Store(on) }
 
 // Reset recycles every slot. All tensors handed out since the previous Reset
 // become invalid: their storage will be handed out again.

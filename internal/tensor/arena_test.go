@@ -59,6 +59,45 @@ func TestArenaResetReusesBuffers(t *testing.T) {
 	}
 }
 
+// Scratch recycles like New but leaves the buffer as it was; under
+// SetArenaPoison it comes back all NaN instead, fresh buffers included.
+func TestArenaScratchIsUnclearedOrPoisoned(t *testing.T) {
+	a := NewArena()
+	a.New(4, 4).Fill(3)
+	a.Reset()
+	s := a.Scratch(2, 4)
+	if got := s.Shape(); got[0] != 2 || got[1] != 4 || len(s.Data) != 8 {
+		t.Fatalf("scratch tensor has shape %v, len %d", got, len(s.Data))
+	}
+	for _, v := range s.Data {
+		if v != 3 {
+			t.Fatalf("Scratch touched the recycled buffer: %v", v)
+		}
+	}
+	a.Reset()
+	for _, v := range a.New(4, 4).Data {
+		if v != 0 {
+			t.Fatalf("New after Scratch not zeroed: %v", v)
+		}
+	}
+
+	SetArenaPoison(true)
+	defer SetArenaPoison(false)
+	a.Reset()
+	for _, x := range []*Tensor{a.Scratch(4, 4), a.Scratch(5)} {
+		for _, v := range x.Data {
+			if v == v {
+				t.Fatalf("poisoned Scratch holds %v, want NaN", v)
+			}
+		}
+	}
+	for _, v := range a.New(3).Data {
+		if v != 0 {
+			t.Fatalf("New under poison not zeroed: %v", v)
+		}
+	}
+}
+
 // Concurrent allocation from one arena must be safe (slot hand-out is
 // mutex-guarded) and still non-aliasing. Run with -race.
 func TestArenaConcurrentAllocation(t *testing.T) {

@@ -20,14 +20,24 @@ import (
 // output element is ever written by two work items: forward fans out over
 // (g, head, query tile), backward over (g, head), which owns that head's
 // dq, dk and dv columns outright.
+//
+// Per (query tile, key tile) the walk is five steps — score the tile, run
+// each row's softmax leaves over the keys it sees, then fold the tile into
+// the outputs — and the three tile products (scoreTile, addTile, addTileT)
+// are the only steps a backend replaces wholesale: row by row on the Go
+// leaves for scalar, as GEMM calls for the simd backends.
 
 const (
 	// attnTileQ is the query-row tile: how many rows reuse a key tile while
 	// it is hot in L1.
 	attnTileQ = 32
-	// attnTileK is the key tile; one row's scores for a tile live on the
-	// stack (forward), or a attnTileQ×attnTileK tile of them (backward).
+	// attnTileK is the key tile; an attnTileQ×attnTileK tile of scores
+	// lives on the stack (two of them in backward).
 	attnTileK = 64
+	// attnTransCols is how many head columns of a key or value tile the
+	// simd scoreTile transposes into the walk's scratch at a time; wider
+	// heads take several passes, accumulating.
+	attnTransCols = 32
 )
 
 // CausalAttention computes, for every batch element g and head h,
@@ -40,6 +50,16 @@ const (
 // sq == sk, qOffset == 0. lse, of G·heads·sq elements, receives each row's
 // log-sum-exp of the scaled scores — all the backward pass needs besides
 // q, k, v and out. out must not alias an input.
+//
+// Precondition: finite operands. On finite inputs row i is a function of
+// tokens 0..qOffset+i alone, bit for bit, on every backend. A NaN or Inf in
+// a later token's row is never read by an Exact backend, but the GEMM-tiled
+// ones multiply it by a masked entry's zero coefficient, so it can turn the
+// earlier rows of that token's own attnTileQ-row query tile non-finite (and
+// likewise dq in backward). It never yields a finite wrong value, never
+// crosses a query-tile boundary, and the token's own row is non-finite
+// either way, so a step that contains one trips the trainers' non-finite
+// gradient guard regardless (TestCausalAttentionNonFiniteFutureToken).
 func CausalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) {
 	checkAttnShapes("CausalAttention", heads, sq, sk, qOffset, lse, []*Tensor{q, out}, []*Tensor{k, v})
 	current().CausalAttention(out, lse, q, k, v, heads, sq, sk, qOffset)
@@ -90,12 +110,22 @@ type attnArgs struct {
 	scale            float32
 }
 
+// attnScratch is the tile walk's working set: the score tile (forward's
+// only one, backward's p), backward's ds tile, and the buffer the simd
+// scoreTile transposes a key or value tile into. It lives on the stack of
+// run, zeroed once per chunk of work items rather than once per tile.
+type attnScratch struct {
+	p, ds [attnTileQ * attnTileK]float32
+	trans [attnTransCols * attnTileK]float32
+}
+
 // run executes work items [lo, hi): (g, head, query tile) triples in
 // forward, (g, head) pairs in backward.
 func (a *attnArgs) run(lo, hi int) {
+	var w attnScratch
 	if a.bwd {
 		for it := lo; it < hi; it++ {
-			attnBackwardHead(a, it/a.heads, it%a.heads)
+			attnBackwardHead(a, &w, it/a.heads, it%a.heads)
 		}
 		return
 	}
@@ -103,7 +133,7 @@ func (a *attnArgs) run(lo, hi int) {
 	for it := lo; it < hi; it++ {
 		i0 := it % tiles * attnTileQ
 		gh := it / tiles
-		attnForwardTile(a, gh/a.heads, gh%a.heads, i0, min(i0+attnTileQ, a.sq))
+		attnForwardTile(a, &w, gh/a.heads, gh%a.heads, i0, min(i0+attnTileQ, a.sq))
 	}
 }
 
@@ -129,19 +159,31 @@ func causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads,
 	dispatchAttn(&args, args.g*heads)
 }
 
+// attnTile is one (query tile, key tile) pair of the walk: query rows
+// [rlo, i1) of the tile that starts at row i0 — rows before rlo see none of
+// these keys — against keys [j0, j1). Row r's entries of a tile buffer start
+// at (r−i0)·attnTileK.
+type attnTile struct{ i0, rlo, i1, j0, j1 int }
+
+func (a *attnArgs) tile(i0, i1, j0, jmax int) attnTile {
+	return attnTile{i0: i0, rlo: max(i0, j0-a.qOff), i1: i1, j0: j0, j1: min(j0+attnTileK, jmax)}
+}
+
+// visible is how many of the tile's keys row r attends to: the causal mask
+// cuts the row off after its own position.
+func (a *attnArgs) visible(t attnTile, r int) int { return min(t.j1, a.qOff+r+1) - t.j0 }
+
 // attnForwardTile runs the online softmax for query rows [i0, i1) of one
 // (g, head): for each key tile a row rescales its running sum and output by
 // exp(m_old − m_new) and folds in the tile's exp(s − m_new) weights. The out
 // row itself is the accumulator; it is normalised once at the end.
-func attnForwardTile(a *attnArgs, gi, hi, i0, i1 int) {
+func attnForwardTile(a *attnArgs, w *attnScratch, gi, hi, i0, i1 int) {
 	d, ld := a.d, a.heads*a.d
 	qBase := gi*a.sq*ld + hi*d
 	kBase := gi*a.sk*ld + hi*d
 	lse := a.lse[(gi*a.heads+hi)*a.sq:]
-	var (
-		s    [attnTileK]float32
-		m, l [attnTileQ]float32
-	)
+	s, scratch := w.p[:], w.trans[:]
+	var m, l [attnTileQ]float32
 	for r := i0; r < i1; r++ {
 		m[r-i0] = float32(math.Inf(-1))
 		orow := a.out[qBase+r*ld : qBase+r*ld+d]
@@ -151,12 +193,12 @@ func attnForwardTile(a *attnArgs, gi, hi, i0, i1 int) {
 	}
 	jmax := min(a.sk, a.qOff+i1)
 	for j0 := 0; j0 < jmax; j0 += attnTileK {
-		j1 := min(j0+attnTileK, jmax)
+		t := a.tile(i0, i1, j0, jmax)
 		ktile, vtile := a.k[kBase+j0*ld:], a.v[kBase+j0*ld:]
-		for r := max(i0, j0-a.qOff); r < i1; r++ {
-			n := min(j1, a.qOff+r+1) - j0
-			sc := s[:n]
-			a.dotRows(sc, a.q[qBase+r*ld:qBase+r*ld+d], ktile, ld, a.scale)
+		a.scoreTile(s, scratch, a.q[qBase:], ktile, t, a.scale)
+		for r := t.rlo; r < i1; r++ {
+			row := s[(r-i0)*attnTileK:][:t.j1-j0]
+			sc := row[:a.visible(t, r)]
 			mNew := m[r-i0]
 			if x := a.rowMax(sc); x > mNew {
 				mNew = x
@@ -164,14 +206,16 @@ func attnForwardTile(a *attnArgs, gi, hi, i0, i1 int) {
 			sum, alpha := a.expSubRow(sc, mNew, m[r-i0])
 			l[r-i0] = l[r-i0]*alpha + sum
 			m[r-i0] = mNew
-			orow := a.out[qBase+r*ld : qBase+r*ld+d]
 			if alpha != 1 {
+				orow := a.out[qBase+r*ld : qBase+r*ld+d]
 				for c := range orow {
 					orow[c] *= alpha
 				}
 			}
-			a.axpyRows(orow, sc, 1, n, vtile, ld)
+			// A masked key carries no weight.
+			clear(row[len(sc):])
 		}
+		a.addTile(a.out[qBase:], s, vtile, t)
 	}
 	for r := i0; r < i1; r++ {
 		inv := 1 / l[r-i0]
@@ -183,12 +227,11 @@ func attnForwardTile(a *attnArgs, gi, hi, i0, i1 int) {
 	}
 }
 
-// attnBackwardHead computes dq, dk and dv of one (g, head). Per tile pair,
-// phase 1 rebuilds each row's p and ds = scale·p⊙(dp − D) into the tile
-// scratch and accumulates dq; phase 2 walks the tile's keys and folds the
-// rows that see each key into dv += pᵀ·dout and dk += dsᵀ·q. dk and dv rows
+// attnBackwardHead computes dq, dk and dv of one (g, head). Per tile pair
+// it rebuilds p and ds = scale·p⊙(dp − D) into the tile buffers, then folds
+// them into dq += ds·k, dv += pᵀ·dout and dk += dsᵀ·q. dk and dv rows
 // accumulate over query rows in ascending order.
-func attnBackwardHead(a *attnArgs, gi, hi int) {
+func attnBackwardHead(a *attnArgs, w *attnScratch, gi, hi int) {
 	d, ld := a.d, a.heads*a.d
 	qBase := gi*a.sq*ld + hi*d
 	kBase := gi*a.sk*ld + hi*d
@@ -205,10 +248,8 @@ func attnBackwardHead(a *attnArgs, gi, hi int) {
 			kr[c], vr[c] = 0, 0
 		}
 	}
-	var (
-		p, ds [attnTileQ * attnTileK]float32
-		delta [attnTileQ]float32
-	)
+	p, ds, scratch := w.p[:], w.ds[:], w.trans[:]
+	var delta [attnTileQ]float32
 	for i0 := 0; i0 < a.sq; i0 += attnTileQ {
 		i1 := min(i0+attnTileQ, a.sq)
 		for r := i0; r < i1; r++ {
@@ -216,51 +257,74 @@ func attnBackwardHead(a *attnArgs, gi, hi int) {
 		}
 		jmax := min(a.sk, a.qOff+i1)
 		for j0 := 0; j0 < jmax; j0 += attnTileK {
-			j1 := min(j0+attnTileK, jmax)
+			t := a.tile(i0, i1, j0, jmax)
 			ktile, vtile := a.k[kBase+j0*ld:], a.v[kBase+j0*ld:]
-			rlo := max(i0, j0-a.qOff)
-			for r := rlo; r < i1; r++ {
-				n := min(j1, a.qOff+r+1) - j0
-				prow := p[(r-i0)*attnTileK : (r-i0)*attnTileK+n]
-				dsrow := ds[(r-i0)*attnTileK : (r-i0)*attnTileK+n]
-				a.dotRows(prow, a.q[qBase+r*ld:qBase+r*ld+d], ktile, ld, a.scale)
-				a.expSubRow(prow, lse[r], lse[r])
-				a.dotRows(dsrow, a.dout[qBase+r*ld:qBase+r*ld+d], vtile, ld, 1)
-				a.dsRow(dsrow, prow, a.scale, delta[r-i0])
-				a.axpyRows(a.dq[qBase+r*ld:qBase+r*ld+d], dsrow, 1, n, ktile, ld)
+			a.scoreTile(p, scratch, a.q[qBase:], ktile, t, a.scale)
+			a.scoreTile(ds, scratch, a.dout[qBase:], vtile, t, 1)
+			for r := t.rlo; r < i1; r++ {
+				at, n := (r-i0)*attnTileK, a.visible(t, r)
+				a.expSubRow(p[at:at+n], lse[r], lse[r])
+				a.dsRow(ds[at:at+n], p[at:at+n], a.scale, delta[r-i0])
+				// A masked key has no probability and passes no gradient.
+				clear(p[at+n : at+t.j1-j0])
+				clear(ds[at+n : at+t.j1-j0])
 			}
-			for j := j0; j < j1; j++ {
-				// Rows before rs see key j masked and hold no tile entry.
-				rs := max(rlo, j-a.qOff)
-				at := (rs-i0)*attnTileK + j - j0
-				rows := i1 - rs
-				a.axpyRows(a.dv[kBase+j*ld:kBase+j*ld+d], p[at:], attnTileK, rows, a.dout[qBase+rs*ld:], ld)
-				a.axpyRows(a.dk[kBase+j*ld:kBase+j*ld+d], ds[at:], attnTileK, rows, a.q[qBase+rs*ld:], ld)
-			}
+			a.addTile(a.dq[qBase:], ds, ktile, t)
+			a.addTileT(a.dv[kBase+j0*ld:], p, a.dout[qBase:], t)
+			a.addTileT(a.dk[kBase+j0*ld:], ds, a.q[qBase:], t)
 		}
 	}
 }
 
-// The leaf primitives of the tile walk. The simd versions are linked
-// statically (build-tagged stubs fall back to the Go loops), like the matmul
-// range kernels. Either way a leaf's result is a pure function of its
-// operands and n, d and the strides — never of the tile or work item that
-// called it.
+// The leaves of the tile walk. The simd versions are linked statically
+// (build-tagged stubs fall back to the Go loops), like the matmul range
+// kernels. Either way an element's result is a pure function of the operand
+// rows it is defined over — never of the tile or work item that computed it.
 
-func (a *attnArgs) dotRows(dst, x, rows []float32, ld int, scale float32) {
+// scoreTile writes dst[(r−i0)·attnTileK + u] = scale · x_r·rows_u for every
+// row r of the tile and every key u it sees; x_r is the d elements at
+// x[r·ld:], rows_u those at rows[u·ld:]. Entries of masked keys are left
+// unspecified. scratch is the simd leaves' transposition buffer.
+func (a *attnArgs) scoreTile(dst, scratch, x, rows []float32, t attnTile, scale float32) {
 	if a.simd {
-		simdAttnDotRows(dst, x, rows, ld, scale)
+		simdAttnScoreTile(a, dst, scratch, x, rows, t, scale)
 		return
 	}
-	attnDotRows(dst, x, rows, ld, scale)
+	d, ld := a.d, a.heads*a.d
+	for r := t.rlo; r < t.i1; r++ {
+		attnDotRows(dst[(r-t.i0)*attnTileK:][:a.visible(t, r)], x[r*ld:r*ld+d], rows, ld, scale)
+	}
 }
 
-func (a *attnArgs) axpyRows(dst, coef []float32, cstride, n int, rows []float32, ld int) {
+// addTile computes dst_r += Σ_u coef[(r−i0)·attnTileK + u] · rows_u over the
+// keys u row r sees, for every row of the tile. The walk has zeroed the
+// coefficients of masked keys, so a leaf may as well sum over the whole tile.
+func (a *attnArgs) addTile(dst, coef, rows []float32, t attnTile) {
 	if a.simd {
-		simdAttnAxpyRows(dst, coef, cstride, n, rows, ld)
+		simdAttnAddTile(a, dst, coef, rows, t)
 		return
 	}
-	attnAxpyRows(dst, coef, cstride, n, rows, ld)
+	d, ld := a.d, a.heads*a.d
+	for r := t.rlo; r < t.i1; r++ {
+		attnAxpyRows(dst[r*ld:r*ld+d], coef[(r-t.i0)*attnTileK:], 1, a.visible(t, r), rows, ld)
+	}
+}
+
+// addTileT is addTile transposed: dst_u += Σ_r coef[(r−i0)·attnTileK + u] ·
+// rows_r over the rows r that see key u, ascending, for every key of the
+// tile; dst_u is the d elements at dst[u·ld:].
+func (a *attnArgs) addTileT(dst, coef, rows []float32, t attnTile) {
+	if a.simd {
+		simdAttnAddTileT(a, dst, coef, rows, t)
+		return
+	}
+	d, ld := a.d, a.heads*a.d
+	for j := t.j0; j < t.j1; j++ {
+		// Rows before rs see key j masked.
+		rs := max(t.rlo, j-a.qOff)
+		at := (rs-t.i0)*attnTileK + j - t.j0
+		attnAxpyRows(dst[(j-t.j0)*ld:][:d], coef[at:], attnTileK, t.i1-rs, rows[rs*ld:], ld)
+	}
 }
 
 func (a *attnArgs) expSubRow(s []float32, shift, prev float32) (sum, alpha float32) {

@@ -267,6 +267,62 @@ func TestCausalAttentionIgnoresFutureTokensBitwise(t *testing.T) {
 	})
 }
 
+// A non-finite future token is outside the finite-operand precondition of
+// CausalAttention, and this pins what is still guaranteed there. An Exact
+// backend never reads a masked row, so earlier rows stay bitwise unchanged.
+// The GEMM-tiled backends multiply a masked key by a zero coefficient, and
+// 0·Inf = 0·NaN = NaN: rows of the poisoned token's own query tile may turn
+// non-finite, but no earlier row ever takes a finite value other than the
+// clean run's, rows of earlier query tiles are untouched, and the poisoned
+// token's own row is non-finite — so the step that carries it trips the
+// trainers' non-finite gradient guard whichever rows the NaN reached.
+func TestCausalAttentionNonFiniteFutureToken(t *testing.T) {
+	eachBackend(t, func(t *testing.T) {
+		s := attnShape{1, 2, 24, 150, 150, 0}
+		q, k, v, dout := attnInputs(s, 5, 1)
+		out1, lse1, dq1, _, _ := runAttention(s, q, k, v, dout)
+		const from = 70 // inside the query tile that starts at row 64
+		tileStart := from / attnTileQ * attnTileQ
+		width := s.heads * s.d
+		for c := 0; c < width; c++ {
+			k.Data[from*width+c] = float32(math.Inf(1))
+			v.Data[from*width+c] = float32(math.NaN())
+		}
+		out2, lse2, dq2, _, _ := runAttention(s, q, k, v, dout)
+
+		finite := func(x float32) bool { return !math.IsNaN(float64(x)) && !math.IsInf(float64(x), 0) }
+		same := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+		exact := current().Exact()
+		for _, pair := range []struct {
+			name        string
+			clean, pois *Tensor
+		}{{"out", out1, out2}, {"dq", dq1, dq2}} {
+			for i := 0; i < from*width; i++ {
+				c, p := pair.clean.Data[i], pair.pois.Data[i]
+				switch row := i / width; {
+				case same(c, p):
+				case exact || row < tileStart:
+					t.Fatalf("%s[%d] (row %d) changed: %v vs %v", pair.name, i, row, c, p)
+				case finite(p):
+					t.Fatalf("%s[%d] (row %d, the poisoned token's tile) is finite but wrong: %v vs %v", pair.name, i, row, c, p)
+				}
+			}
+		}
+		for hi := 0; hi < s.heads; hi++ {
+			for r := 0; r < from; r++ {
+				if !same(lse1.Data[hi*s.sq+r], lse2.Data[hi*s.sq+r]) {
+					t.Fatalf("lse head %d row %d changed", hi, r)
+				}
+			}
+		}
+		for c := 0; c < width; c++ {
+			if finite(out2.Data[from*width+c]) {
+				t.Fatalf("out[%d,%d] of the poisoned token is finite (%v): the step would pass the non-finite guard", from, c, out2.Data[from*width+c])
+			}
+		}
+	})
+}
+
 // A query slice against the full keys must reproduce the same rows of full
 // self-attention bit for bit: per-row results depend neither on the query
 // tile a row lands in nor on how many later rows exist.
@@ -298,9 +354,9 @@ func TestCausalAttentionQuerySliceMatchesFullBitwise(t *testing.T) {
 // a work item owns its outputs and accumulates in a shape-determined order.
 func TestCausalAttentionBitwiseIdenticalAcrossWorkerCounts(t *testing.T) {
 	eachBackend(t, func(t *testing.T) {
-		s := attnShape{2, 3, 24, 150, 150, 0}
-		if s.g*s.heads*s.sq*s.sk*s.d < parallelThreshold {
-			t.Fatal("test shape below parallelThreshold; enlarge it")
+		s := attnShape{2, 3, 24, 180, 180, 0}
+		if s.g*s.heads*s.sq*s.sk*s.d < splitThreshold(true, true) {
+			t.Fatal("test shape below the simd split threshold; enlarge it")
 		}
 		q, k, v, dout := attnInputs(s, 7, 1)
 		run := func(workers int) []*Tensor {
@@ -331,7 +387,7 @@ func TestCausalAttentionZeroAlloc(t *testing.T) {
 		prev := runtime.GOMAXPROCS(4)
 		defer runtime.GOMAXPROCS(prev)
 		for _, s := range []attnShape{{1, 2, 8, 8, 8, 0}, {1, 4, 16, 256, 256, 0}} {
-			pooled := s.g*s.heads*s.sq*s.sk*s.d >= parallelThreshold
+			pooled := s.g*s.heads*s.sq*s.sk*s.d >= splitThreshold(true, true)
 			q, k, v, dout := attnInputs(s, 8, 1)
 			out, lse, dq, dk, dv := runAttention(s, q, k, v, dout)
 			allocs := testing.AllocsPerRun(5, func() {

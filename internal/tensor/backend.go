@@ -53,8 +53,11 @@ type Backend interface {
 	Axpy(dst *Tensor, s float32, a *Tensor)
 	// Scale computes dst = s*a elementwise; dst may alias a.
 	Scale(dst, a *Tensor, s float32)
-	// AddInto computes dst += a elementwise.
-	AddInto(dst, a *Tensor)
+	// AddInto computes dst[i] += a[i] over equal-length slices, one add per
+	// element on every backend. It takes slices, not tensors: besides
+	// tensor.AddInto it sums the raw wire buffers of the gradient belt and
+	// the ring collectives.
+	AddInto(dst, a []float32)
 	// Dot returns the inner product accumulated in float64, ascending.
 	Dot(a, b *Tensor) float64
 	// DotF32 returns the inner product accumulated natively in float32.

@@ -8,31 +8,44 @@ import (
 
 // The backend equivalence suite: every registered backend is checked
 // against the scalar oracle over edge-case shapes. Order-preserving
-// kernels (NN, TN, Axpy, Scale, AddInto, Dot) must match bit for bit on
-// every backend; reduction-reassociated kernels (NT, DotF32) on
+// kernels (Axpy, Scale, AddInto, Dot) must match bit for bit on every
+// backend; the reassociated ones (the three matmul forms, DotF32) on
 // tolerance-mode backends must stay within a bound derived from the
 // absolute-value dot product.
 
 // equivShapes covers the dispatch edge cases: unit dims, odd sizes,
 // non-multiples of the 8-lane vector width and of the 4-wide unrolls,
-// sizes straddling the blockK/blockN boundaries, and odd m (the NT
-// pair-kernel remainder row).
-var equivShapes = [][3]int{
-	{1, 1, 1},
-	{1, 5, 3},
-	{3, 1, 7},
-	{7, 9, 1},
-	{2, 3, 4},
-	{8, 8, 8},
-	{5, 13, 17},
-	{9, 7, 15},
-	{16, 16, 16},
-	{31, 33, 63},
-	{33, 7, 65},
-	{4, 260, 66},
-	{3, 258, 130},
-	{64, 64, 64},
-}
+// sizes straddling the scalar kernels' blockK/blockN boundaries, odd m (the
+// NT pair-kernel remainder row), and — the cross product at the end —
+// every row tail of the 6×16 GEMM tile (m%6 of 1, 5, 0, and the 7 and 13
+// that split 4+3 and 6+4+3) against every column tail (one masked vector,
+// a full one, a full and a masked one, 172 = ten tiles and both) and k.
+var equivShapes = func() [][3]int {
+	shapes := [][3]int{
+		{1, 1, 1},
+		{1, 5, 3},
+		{3, 1, 7},
+		{7, 9, 1},
+		{2, 3, 4},
+		{8, 8, 8},
+		{5, 13, 17},
+		{9, 7, 15},
+		{16, 16, 16},
+		{31, 33, 63},
+		{33, 7, 65},
+		{4, 260, 66},
+		{3, 258, 130},
+		{64, 64, 64},
+	}
+	for _, m := range []int{1, 5, 6, 7, 13} {
+		for _, n := range []int{1, 7, 8, 15, 16, 17, 172} {
+			for _, k := range []int{1, 3, 64, 65} {
+				shapes = append(shapes, [3]int{m, n, k})
+			}
+		}
+	}
+	return shapes
+}()
 
 func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 	t := New(shape...)
@@ -86,22 +99,72 @@ func nonScalarBackends() []string {
 	return names
 }
 
-// absDotRow returns Σ_p |a_p|·|b_p| for NT output element (i,j), the
-// scale factor of the reassociation error bound.
-func absDotNT(a, b *Tensor, i, j, k int) float64 {
+// tolUlps is the relative reassociation bound of the lane-split kernels (NT,
+// DotF32): splitting a float32 sum into 8 lanes plus a balanced tree
+// changes each partial by a few ULPs; 4e-7 (~3.4 float32 ULPs) times the
+// absolute-value sum covers it with margin while still catching real kernel
+// bugs, which produce errors orders of magnitude larger.
+const tolUlps = 4e-7
+
+// tolFMA is the bound of the GEMM forms (NN, TN): one ascending FMA chain
+// per element keeps scalar's order but rounds once per step where scalar's
+// mul-then-add rounds twice. Measured over ~4 M elements (k from 8 to 2048,
+// unit normals) the worst deviation was 4.0e-7 of the absolute-value sum,
+// and the fuzzer found a TN element at 4.7e-7 (seeded below); 1e-6 (~8
+// float32 ULPs) covers that with margin — a dropped or doubled term is 1/k
+// of the sum, orders of magnitude larger.
+const tolFMA = 1e-6
+
+// mmForm is one of the three matmul forms: how it runs on the current
+// backend and how its operands are laid out for a given (m, n, k).
+type mmForm struct {
+	name string
+	// tol bounds the form's deviation from scalar, relative to Σ|ab|.
+	tol            float64
+	run            func(dst, a, b *Tensor, acc bool)
+	aShape, bShape func(m, n, k int) [2]int
+	// aAt and bAt index a[i,p] and b[p,j] of the product's canonical form.
+	aAt, bAt func(m, n, k, i, p int) int
+}
+
+// mmForms lists the forms in mmKind order (mmNN, mmNT, mmTN), so an index
+// into it is the kind.
+var mmForms = []mmForm{
+	{"NN", tolFMA,
+		func(dst, a, b *Tensor, acc bool) { current().MatMulNN(dst, a, b, acc) },
+		func(m, n, k int) [2]int { return [2]int{m, k} },
+		func(m, n, k int) [2]int { return [2]int{k, n} },
+		func(m, n, k, i, p int) int { return i*k + p },
+		func(m, n, k, p, j int) int { return p*n + j }},
+	{"NT", tolUlps,
+		func(dst, a, b *Tensor, acc bool) { current().MatMulNT(dst, a, b, acc) },
+		func(m, n, k int) [2]int { return [2]int{m, k} },
+		func(m, n, k int) [2]int { return [2]int{n, k} },
+		func(m, n, k, i, p int) int { return i*k + p },
+		func(m, n, k, p, j int) int { return j*k + p }},
+	{"TN", tolFMA,
+		func(dst, a, b *Tensor, acc bool) { current().MatMulTN(dst, a, b, acc) },
+		func(m, n, k int) [2]int { return [2]int{k, m} },
+		func(m, n, k int) [2]int { return [2]int{k, n} },
+		func(m, n, k, i, p int) int { return p*m + i },
+		func(m, n, k, p, j int) int { return p*n + j }},
+}
+
+// operands draws a and b of the form for an (m, n, k) product.
+func (f mmForm) operands(rng *rand.Rand, m, n, k int) (a, b *Tensor) {
+	as, bs := f.aShape(m, n, k), f.bShape(m, n, k)
+	return randTensor(rng, as[0], as[1]), randTensor(rng, bs[0], bs[1])
+}
+
+// absDot returns Σ_p |a[i,p]|·|b[p,j]|, the scale factor of the
+// reassociation error bound of output element (i, j).
+func (f mmForm) absDot(a, b *Tensor, m, n, k, i, j int) float64 {
 	var s float64
 	for p := 0; p < k; p++ {
-		s += math.Abs(float64(a.Data[i*k+p])) * math.Abs(float64(b.Data[j*k+p]))
+		s += math.Abs(float64(a.Data[f.aAt(m, n, k, i, p)])) * math.Abs(float64(b.Data[f.bAt(m, n, k, p, j)]))
 	}
 	return s
 }
-
-// tolUlps is the relative reassociation bound: splitting a float32 sum
-// into 8 lanes plus a balanced tree changes each partial by a few ULPs;
-// 4e-7 (~3.4 float32 ULPs) times the absolute-value sum covers it with
-// margin while still catching real kernel bugs, which produce errors
-// orders of magnitude larger.
-const tolUlps = 4e-7
 
 func TestBackendMatMulEquivalence(t *testing.T) {
 	others := nonScalarBackends()
@@ -110,62 +173,28 @@ func TestBackendMatMulEquivalence(t *testing.T) {
 	}
 	pinScalar(t)
 	rng := rand.New(rand.NewSource(11))
-	type mmCase struct {
-		name  string
-		exact bool // order-preserving on every backend
-		run   func(dst, a, b *Tensor, acc bool)
-		// shapes of a and b given (m, n, k)
-		aShape func(m, n, k int) [2]int
-		bShape func(m, n, k int) [2]int
-	}
-	cases := []mmCase{
-		{"NN", true,
-			func(dst, a, b *Tensor, acc bool) { current().MatMulNN(dst, a, b, acc) },
-			func(m, n, k int) [2]int { return [2]int{m, k} },
-			func(m, n, k int) [2]int { return [2]int{k, n} }},
-		{"NT", false,
-			func(dst, a, b *Tensor, acc bool) { current().MatMulNT(dst, a, b, acc) },
-			func(m, n, k int) [2]int { return [2]int{m, k} },
-			func(m, n, k int) [2]int { return [2]int{n, k} }},
-		{"TN", true,
-			func(dst, a, b *Tensor, acc bool) { current().MatMulTN(dst, a, b, acc) },
-			func(m, n, k int) [2]int { return [2]int{k, m} },
-			func(m, n, k int) [2]int { return [2]int{k, n} }},
-	}
 	for _, name := range others {
-		for _, c := range cases {
+		for _, f := range mmForms {
 			for _, acc := range []bool{false, true} {
 				for _, sh := range equivShapes {
 					m, n, k := sh[0], sh[1], sh[2]
-					as, bs := c.aShape(m, n, k), c.bShape(m, n, k)
-					a := randTensor(rng, as[0], as[1])
-					b := randTensor(rng, bs[0], bs[1])
+					a, b := f.operands(rng, m, n, k)
 					seed := randTensor(rng, m, n)
-					want := New(m, n)
-					got := New(m, n)
-					copy(want.Data, seed.Data)
-					copy(got.Data, seed.Data)
+					want, got := seed.Clone(), seed.Clone()
 
-					c.run(want, a, b, acc)
-					withBackend(t, name, func() { c.run(got, a, b, acc) })
+					f.run(want, a, b, acc)
+					withBackend(t, name, func() { f.run(got, a, b, acc) })
 
 					for i := 0; i < m; i++ {
 						for j := 0; j < n; j++ {
 							w, g := want.Data[i*n+j], got.Data[i*n+j]
-							if c.exact {
-								if w != g {
-									t.Fatalf("%s/%s acc=%v shape %v: dst[%d,%d] = %g, scalar %g (must be bit-identical)",
-										name, c.name, acc, sh, i, j, g, w)
-								}
-								continue
-							}
-							bound := tolUlps * absDotNT(a, b, i, j, k)
+							bound := f.tol * f.absDot(a, b, m, n, k, i, j)
 							if acc {
-								bound += tolUlps * math.Abs(float64(seed.Data[i*n+j]))
+								bound += f.tol * math.Abs(float64(seed.Data[i*n+j]))
 							}
-							if diff := math.Abs(float64(w) - float64(g)); diff > bound+1e-12 {
+							if diff := math.Abs(float64(w) - float64(g)); !(diff <= bound+1e-12) {
 								t.Fatalf("%s/%s acc=%v shape %v: dst[%d,%d] = %g, scalar %g, |diff| %g > bound %g",
-									name, c.name, acc, sh, i, j, g, w, diff, bound)
+									name, f.name, acc, sh, i, j, g, w, diff, bound)
 							}
 						}
 					}
@@ -177,7 +206,8 @@ func TestBackendMatMulEquivalence(t *testing.T) {
 
 // TestBackendMatMulAccAliasedHistory checks the accumulate path against a
 // dst that already holds a previous matmul result from the same backend —
-// the aliased-accumulate pattern of the backward pass (dW += xᵀ·dy).
+// the aliased-accumulate pattern of the backward pass (dW += xᵀ·dy): the
+// bound is the sum of the two products' bounds.
 func TestBackendMatMulAccAliasedHistory(t *testing.T) {
 	others := nonScalarBackends()
 	if len(others) == 0 {
@@ -185,26 +215,28 @@ func TestBackendMatMulAccAliasedHistory(t *testing.T) {
 	}
 	pinScalar(t)
 	rng := rand.New(rand.NewSource(12))
+	tn := mmForms[mmTN]
 	for _, name := range others {
 		for _, sh := range equivShapes {
 			m, n, k := sh[0], sh[1], sh[2]
-			a1 := randTensor(rng, k, m)
-			b1 := randTensor(rng, k, n)
-			a2 := randTensor(rng, k, m)
-			b2 := randTensor(rng, k, n)
+			a1, b1 := tn.operands(rng, m, n, k)
+			a2, b2 := tn.operands(rng, m, n, k)
 			want := New(m, n)
 			got := New(m, n)
 
-			current().MatMulTN(want, a1, b1, false)
-			current().MatMulTN(want, a2, b2, true)
+			tn.run(want, a1, b1, false)
+			tn.run(want, a2, b2, true)
 			withBackend(t, name, func() {
-				current().MatMulTN(got, a1, b1, false)
-				current().MatMulTN(got, a2, b2, true)
+				tn.run(got, a1, b1, false)
+				tn.run(got, a2, b2, true)
 			})
-			for i := range want.Data {
-				if want.Data[i] != got.Data[i] {
-					t.Fatalf("%s TN acc-chain shape %v: elem %d = %g, scalar %g",
-						name, sh, i, got.Data[i], want.Data[i])
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					bound := tn.tol * (tn.absDot(a1, b1, m, n, k, i, j) + tn.absDot(a2, b2, m, n, k, i, j))
+					if diff := math.Abs(float64(want.Data[i*n+j]) - float64(got.Data[i*n+j])); !(diff <= bound+1e-12) {
+						t.Fatalf("%s TN acc-chain shape %v: dst[%d,%d] = %g, scalar %g, |diff| %g > bound %g",
+							name, sh, i, j, got.Data[i*n+j], want.Data[i*n+j], diff, bound)
+					}
 				}
 			}
 		}
@@ -251,8 +283,8 @@ func TestBackendElementwiseEquivalence(t *testing.T) {
 			// AddInto: bit-identical.
 			copy(want.Data, seed.Data)
 			copy(got.Data, seed.Data)
-			current().AddInto(want, a)
-			withBackend(t, name, func() { current().AddInto(got, a) })
+			current().AddInto(want.Data, a.Data)
+			withBackend(t, name, func() { current().AddInto(got.Data, a.Data) })
 			for i := range want.Data {
 				if want.Data[i] != got.Data[i] {
 					t.Fatalf("%s AddInto n=%d elem %d: %g vs scalar %g", name, sz, i, got.Data[i], want.Data[i])
@@ -405,13 +437,16 @@ func TestBackendSiLUEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzBackendNTEquivalence drives the tolerance contract of the NT kernel
-// with fuzzer-chosen shapes and data.
+// FuzzBackendNTEquivalence drives the tolerance contract of the three
+// matmul forms with fuzzer-chosen shapes and data (the name predates NN
+// and TN joining NT in tolerance mode).
 func FuzzBackendNTEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(5), uint8(9))
 	f.Add(int64(7), uint8(1), uint8(1), uint8(1))
 	f.Add(int64(42), uint8(16), uint8(8), uint8(32))
 	f.Add(int64(99), uint8(5), uint8(4), uint8(65))
+	f.Add(int64(5), uint8(13), uint8(17), uint8(3))
+	f.Add(int64(88), uint8('#'), uint8('&'), uint8('^')) // TN 12×15×95: 4.7e-7 of Σ|ab|
 	f.Fuzz(func(t *testing.T, seed int64, mr, nr, kr uint8) {
 		others := nonScalarBackends()
 		if len(others) == 0 {
@@ -422,20 +457,21 @@ func FuzzBackendNTEquivalence(f *testing.F) {
 		n := int(nr%24) + 1
 		k := int(kr%96) + 1
 		rng := rand.New(rand.NewSource(seed))
-		a := randTensor(rng, m, k)
-		b := randTensor(rng, n, k)
-		want := New(m, n)
-		got := New(m, n)
-		current().MatMulNT(want, a, b, false)
-		for _, name := range others {
-			withBackend(t, name, func() { current().MatMulNT(got, a, b, false) })
-			for i := 0; i < m; i++ {
-				for j := 0; j < n; j++ {
-					bound := tolUlps*absDotNT(a, b, i, j, k) + 1e-12
-					diff := math.Abs(float64(want.Data[i*n+j]) - float64(got.Data[i*n+j]))
-					if diff > bound {
-						t.Fatalf("%s NT %dx%dx%d dst[%d,%d]: |diff| %g > bound %g",
-							name, m, n, k, i, j, diff, bound)
+		for _, form := range mmForms {
+			a, b := form.operands(rng, m, n, k)
+			want := New(m, n)
+			got := New(m, n)
+			form.run(want, a, b, false)
+			for _, name := range others {
+				withBackend(t, name, func() { form.run(got, a, b, false) })
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						bound := form.tol*form.absDot(a, b, m, n, k, i, j) + 1e-12
+						diff := math.Abs(float64(want.Data[i*n+j]) - float64(got.Data[i*n+j]))
+						if !(diff <= bound) {
+							t.Fatalf("%s %s %dx%dx%d dst[%d,%d]: |diff| %g > bound %g",
+								name, form.name, m, n, k, i, j, diff, bound)
+						}
 					}
 				}
 			}

@@ -15,7 +15,7 @@ func (scalarBackend) MatMulTN(dst, a, b *Tensor, acc bool) { matmulTN(dst, a, b,
 
 func (scalarBackend) Axpy(dst *Tensor, s float32, a *Tensor) { axpyScalar(dst, s, a) }
 func (scalarBackend) Scale(dst, a *Tensor, s float32)        { scaleScalar(dst, a, s) }
-func (scalarBackend) AddInto(dst, a *Tensor)                 { addIntoScalar(dst, a) }
+func (scalarBackend) AddInto(dst, a []float32)               { addIntoScalar(dst, a) }
 func (scalarBackend) Dot(a, b *Tensor) float64               { return dotScalar(a, b) }
 func (scalarBackend) DotF32(a, b *Tensor) float32            { return dotF32Scalar(a.Data, b.Data) }
 

@@ -2,9 +2,41 @@ package tensor
 
 import "fmt"
 
-// parallelThreshold is the approximate FLOP count below which matmuls run on
-// the calling goroutine. Small problems are dominated by dispatch overhead.
-const parallelThreshold = 1 << 17
+// parallelThreshold is the multiply-add count below which a scalar-kernel
+// matmul runs on the calling goroutine; splitThreshold scales it to the
+// other kernel classes. A split hands all but the first chunk to pool
+// workers and waits for them, so it wins only when the work it gives away
+// outlasts the hand-off — waking a parked worker, which on the benchmark's
+// host class (2 vCPUs, GOMAXPROCS 2) takes about as long as 100 µs of
+// kernel: measured there, every kernel class breaks even where its serial
+// run is 200–300 µs, and below that a split costs 0–10 % (the worker often
+// only starts when the caller parks). What the dispatcher can see is the
+// work count and the class, so the threshold is that time in each class's
+// units (DESIGN.md §8 has the split-vs-serial table):
+//
+//	scalar matmul   ~4.5 multiply-adds/ns   1<<20   (524 K: 125 µs serial, 126 split; 1.4 M NT: 312 → 202)
+//	simd matmul     25–60 multiply-adds/ns  1<<23   (5.6 M NN: 90 → 92; 11 M: 216 → 205; 16.8 M: 349 → 248)
+//	scalar attn     1–2 units/ns            1<<19   (S 64: 144 → 156 fwd; S 96: 317 → 266)
+//	simd attn       9–16 units/ns           1<<22   (S 192: 165 → 168 fwd; S 256: 276 → 227 fwd, 471 → 335 bwd)
+//
+// (an attention unit is one g·heads·sq·sk·d step: a causal forward spends
+// about one multiply-add plus its share of the exponential on it, a backward
+// about 2.5). The PR-1 value, 1<<17 for everything, predates all of these
+// kernels.
+const parallelThreshold = 1 << 20
+
+// splitThreshold is the work count from which a dispatch of the given
+// kernel class goes to the pool.
+func splitThreshold(simd, attn bool) int {
+	t := parallelThreshold
+	if simd {
+		t <<= 3
+	}
+	if attn {
+		t >>= 1
+	}
+	return t
+}
 
 // blockK is the k-panel size of the cache-blocked NN/TN kernels.
 const blockK = 64

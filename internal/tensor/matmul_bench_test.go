@@ -5,13 +5,17 @@ import (
 	"testing"
 )
 
-// benchShapes are the transformer-typical matmul shapes tracked by the
-// kernel benchmarks: a square projection-sized product and a long-sequence
-// narrow-head product (attention scores / context shapes).
+// benchShapes are the matmul shapes tracked by the kernel benchmarks: a
+// square projection-sized product, a short-k product with a large output, a
+// long-k product with a small one, and the two FFN shapes of the benchmark's
+// long-* workloads (S 512, H 64, F 172) — x·W₁ as [S,H]×[H,F] and, read as
+// TN, dW₁ = xᵀ·dy as [H,S]×[S,F].
 var benchShapes = []struct{ m, k, n int }{
 	{256, 256, 256},
 	{1024, 64, 1024},
 	{64, 512, 64},
+	{512, 64, 172},
+	{64, 512, 172},
 }
 
 // benchMatMulBackends runs one sub-benchmark per shape per registered

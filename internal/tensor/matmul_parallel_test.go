@@ -13,8 +13,9 @@ import (
 // so both sides of the comparison force GOMAXPROCS explicitly.
 func TestMatMulBitwiseIdenticalAcrossWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	// Big enough to clear parallelThreshold (m*n*k ≥ 1<<17) with rows to split.
-	const m, k, n = 96, 64, 80
+	// Big enough to split on every backend, with a row count no worker count
+	// below divides into whole 6-row GEMM tiles.
+	const m, k, n = 200, 256, 172
 	a := New(m, k)
 	bNN := New(k, n)
 	bNT := New(n, k)
@@ -24,8 +25,8 @@ func TestMatMulBitwiseIdenticalAcrossWorkerCounts(t *testing.T) {
 			x.Data[i] = rng.Float32()*2 - 1
 		}
 	}
-	if m*n*k < parallelThreshold {
-		t.Fatalf("test shape below parallelThreshold; enlarge it")
+	if m*n*k < splitThreshold(true, false) {
+		t.Fatalf("test shape below the simd split threshold; enlarge it")
 	}
 
 	run := func(workers int) (nn, nt, tn *Tensor) {

@@ -49,6 +49,16 @@ func Axpy(dst *Tensor, s float32, a *Tensor) {
 // AddInto computes dst += a.
 func AddInto(dst, a *Tensor) {
 	checkSameSize2(dst, a, "AddInto")
+	current().AddInto(dst.Data, a.Data)
+}
+
+// AddIntoF32 computes dst[i] += a[i] over two slices of equal length: the
+// backend's exact vector add for callers that hold wire buffers rather than
+// tensors. Bit-identical to the scalar loop on every backend.
+func AddIntoF32(dst, a []float32) {
+	if len(dst) != len(a) {
+		panic(fmt.Sprintf("tensor: AddIntoF32 size mismatch: %d vs %d", len(dst), len(a)))
+	}
 	current().AddInto(dst, a)
 }
 
@@ -127,9 +137,10 @@ func axpyScalar(dst *Tensor, s float32, a *Tensor) {
 	}
 }
 
-func addIntoScalar(dst, a *Tensor) {
-	for i := range dst.Data {
-		dst.Data[i] += a.Data[i]
+func addIntoScalar(dst, a []float32) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] += a[i]
 	}
 }
 

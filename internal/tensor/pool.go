@@ -68,7 +68,7 @@ func poolWorker() {
 // dispatch runs a matmul over [0, rows) dst rows, splitting across the
 // worker pool when the problem is large enough.
 func dispatch(args *mmArgs, rows, flops int) {
-	workers := poolWorkers(rows, flops)
+	workers := poolWorkers(rows, flops, splitThreshold(args.simd, false))
 	if workers <= 1 {
 		args.run(0, rows)
 		return
@@ -80,7 +80,7 @@ func dispatch(args *mmArgs, rows, flops int) {
 
 // dispatchAttn is dispatch for an attention call's work items.
 func dispatchAttn(args *attnArgs, items int) {
-	workers := poolWorkers(items, args.g*args.heads*args.sq*args.sk*args.d)
+	workers := poolWorkers(items, args.g*args.heads*args.sq*args.sk*args.d, splitThreshold(args.simd, true))
 	if workers <= 1 {
 		args.run(0, items)
 		return
@@ -92,9 +92,9 @@ func dispatchAttn(args *attnArgs, items int) {
 
 // poolWorkers is how many chunks a dispatch of items work items splits into;
 // 1 means run on the calling goroutine.
-func poolWorkers(items, flops int) int {
+func poolWorkers(items, work, threshold int) int {
 	workers := runtime.GOMAXPROCS(0)
-	if flops < parallelThreshold || workers <= 1 || items <= 1 {
+	if work < threshold || workers <= 1 || items <= 1 {
 		return 1
 	}
 	return min(workers, items)

@@ -9,9 +9,15 @@ package tensor
 //
 // Exactness partition (see DESIGN.md §13):
 //
-//   - NN and TN matmuls, Axpy, Scale, AddInto: vectorized across
-//     independent output elements with the scalar per-element rounding
-//     sequence (separate mul/add, no FMA) — bit-identical to scalar.
+//   - Axpy, Scale, AddInto: vectorized across independent output elements
+//     with the scalar per-element rounding sequence (separate mul/add, no
+//     FMA) — bit-identical to scalar.
+//   - NN and TN matmuls: the register-tiled GEMM micro-kernel (gemmAVX2).
+//     Every dst element is one ascending FMA chain over k in its own lane,
+//     from 0 or — accumulating — from dst: fused where scalar rounds the
+//     product and the sum separately, hence tolerance mode. The chain is a
+//     pure function of the element's a row, b column and k — never of m,
+//     the tile, or the worker chunk.
 //   - NT matmul and DotF32: dot-product shaped, vectorized along the
 //     reduction axis with 8 FMA lane chains and a fixed balanced
 //     combine tree — reassociated relative to scalar, hence tolerance
@@ -19,12 +25,13 @@ package tensor
 //     worker chunking), so results stay deterministic and every
 //     strategy remains bit-identical to every other under this backend.
 //   - CausalAttention and its backward: the shared tile walk of
-//     attention.go on assembly leaves — the score dot (the NT per-column
-//     contract, 8 keys per pass), the row axpy (four FMA chains per output
-//     element, combined (c0+c1)+(c2+c3)) and the 8-wide expNeg with its
-//     lane-split row sum, plus the row maximum and the Jacobian row, which
-//     are exact. Tolerance mode, bounded against the float64 reference;
-//     every leaf's order is a pure function of its operand shapes.
+//     attention.go with its three tile products on the GEMM kernel — the
+//     scores against a key tile transposed (and scaled) into scratch, the
+//     out/dq updates as NN calls, dk/dv as TN calls, every element one FMA
+//     chain continued from tile to tile — and, per row, the 8-wide expNeg
+//     with its lane-split row sum, plus the row maximum and the Jacobian
+//     row, which are exact. Tolerance mode, bounded against the float64
+//     reference; every element's order is a pure function of the shapes.
 //   - SiLU and its backward: sigmoid from the same vector expNeg of −|v|
 //     in float32, where scalar rounds a float64 math.Exp — tolerance mode.
 //   - Dot (float64), Softmax, RMSNorm: delegate to the scalar kernels
@@ -43,7 +50,7 @@ func addIntoAVX2(dst, a *float32, n8 int)
 func dotAVX2(a, b *float32, n int) float32
 
 //go:noescape
-func nnQuadAVX2(drow, b0, b1, b2, b3 *float32, n8 int, a0, a1, a2, a3 float32)
+func gemmAVX2(a *float32, ars, aks uintptr, b *float32, ldb uintptr, c *float32, ldc uintptr, m, n, k int, acc bool)
 
 //go:noescape
 func ntQuad2AVX2(a0, a1, b *float32, k8, kstride int, out *float32)
@@ -52,10 +59,7 @@ func ntQuad2AVX2(a0, a1, b *float32, k8, kstride int, out *float32)
 func ntQuad1AVX2(a, b *float32, k8, kstride int, out *float32)
 
 //go:noescape
-func attnDotAVX2(dst, x, rows *float32, n, d8, ld int, scale float32)
-
-//go:noescape
-func attnAxpyAVX2(dst, coef, rows *float32, n, d8, cstride, ld int)
+func transposeScaleAVX2(dst *float32, ldd uintptr, src *float32, lds uintptr, rb, cb int, scale float32)
 
 //go:noescape
 func expSubAVX2(s *float32, n8 int, shift, prev float32) (sum, alpha float32)
@@ -103,11 +107,11 @@ type avx2Backend struct{}
 
 func (avx2Backend) Name() string { return "avx2" }
 
-// Exact is false because the NT matmul, DotF32 and the attention leaves
-// use FMA lane chains (reassociated relative to the scalar reference) and
-// SiLU takes its sigmoid from the float32 vector exp. The other primitives
-// are bit-identical to scalar; the equivalence suite enforces both halves
-// of this contract.
+// Exact is false because the matmuls, DotF32 and the attention products
+// run on FMA chains (fused, and for NT and DotF32 reassociated, relative to
+// the scalar reference) and SiLU takes its sigmoid from the float32 vector
+// exp. The other primitives are bit-identical to scalar; the equivalence
+// suite enforces both halves of this contract.
 func (avx2Backend) Exact() bool { return false }
 
 func (avx2Backend) MatMulNN(dst, a, b *Tensor, acc bool) { matmulNN(dst, a, b, acc, true) }
@@ -136,8 +140,7 @@ func (avx2Backend) Scale(dst, a *Tensor, s float32) {
 	}
 }
 
-func (avx2Backend) AddInto(dst, a *Tensor) {
-	d, src := dst.Data, a.Data
+func (avx2Backend) AddInto(d, src []float32) {
 	n8 := len(d) >> 3
 	if n8 > 0 {
 		addIntoAVX2(&d[0], &src[0], n8)
@@ -205,55 +208,62 @@ func (avx2Backend) CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *
 	causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset, true)
 }
 
-// simdAttnDotRows is attnDotRows on the NT per-column contract (see
-// simdNTRange): for each key, 8 ascending FMA lane chains over x, the
-// balanced tree ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)), the d%8 remainder
-// folded in ascending with one mul+add per element, then one multiply by
-// scale. Keys run 8 per pass, the last n%8 one at a time, to the same
-// per-key order.
-func simdAttnDotRows(dst, x, rows []float32, ld int, scale float32) {
-	n, d := len(dst), len(x)
-	if n == 0 {
-		return
+// transposeScale writes dst[c·attnTileK + u] = scale·src[u·ld + c] for u < n,
+// c < cols: a key (or value) tile turned so that keys run along rows of
+// attnTileK, the b operand gemm wants. Whole 8×8 blocks go through the
+// shuffle kernel, the fringes through the loop; both round the one multiply
+// alike.
+func transposeScale(dst, src []float32, ld, n, cols int, scale float32) {
+	_, _ = dst[(cols-1)*attnTileK+n-1], src[(n-1)*ld+cols-1]
+	n8, c8 := n&^7, cols&^7
+	if n8 > 0 && c8 > 0 {
+		transposeScaleAVX2(&dst[0], attnTileK*4, &src[0], uintptr(ld)*4, n8>>3, c8>>3, scale)
 	}
-	_ = rows[(n-1)*ld+d-1]
-	d8 := d >> 3
-	if d8<<3 == d {
-		attnDotAVX2(&dst[0], &x[0], &rows[0], n, d8, ld*4, scale)
-		return
-	}
-	attnDotAVX2(&dst[0], &x[0], &rows[0], n, d8, ld*4, 1)
-	for t := range dst {
-		s := dst[t]
-		row := rows[t*ld : t*ld+d]
-		for c := d8 << 3; c < d; c++ {
-			s += x[c] * row[c]
+	for u := 0; u < n; u++ {
+		row := src[u*ld : u*ld+cols]
+		c := c8
+		if u >= n8 {
+			c = 0
 		}
-		dst[t] = s * scale
+		for ; c < cols; c++ {
+			dst[c*attnTileK+u] = scale * row[c]
+		}
 	}
 }
 
-// simdAttnAxpyRows is attnAxpyRows with four FMA chains per dst element:
-// chain i folds rows t ≡ i (mod 4) ascending, then
-// dst += (c0+c1) + (c2+c3). The d%8 trailing columns fold every row in
-// ascending with one mul+add each.
-func simdAttnAxpyRows(dst, coef []float32, cstride, n int, rows []float32, ld int) {
-	d := len(dst)
-	if n == 0 {
-		return
+// simdAttnScoreTile is scoreTile as one product per attnTransCols head
+// columns: the tile's scores are x[rows of the tile × d] · rowsᵀ[d × keys],
+// with rowsᵀ — scaled on the way — transposed into scratch. Every score is
+// one ascending FMA chain over d (see gemm); masked keys of the tile get
+// scores too, which the walk ignores.
+func simdAttnScoreTile(a *attnArgs, dst, scratch, x, rows []float32, t attnTile, scale float32) {
+	d, ld := a.d, a.heads*a.d
+	for c0 := 0; c0 < d; c0 += attnTransCols {
+		cols := min(attnTransCols, d-c0)
+		transposeScale(scratch, rows[c0:], ld, t.j1-t.j0, cols, scale)
+		gemm(x[t.rlo*ld+c0:], ld, 1, scratch, attnTileK,
+			dst[(t.rlo-t.i0)*attnTileK:], attnTileK, t.i1-t.rlo, t.j1-t.j0, cols, c0 > 0)
 	}
-	_, _ = coef[(n-1)*cstride], rows[(n-1)*ld+d-1]
-	d8 := d >> 3
-	if d8 > 0 {
-		attnAxpyAVX2(&dst[0], &coef[0], &rows[0], n, d8, cstride*4, ld*4)
-	}
-	for c := d8 << 3; c < d; c++ {
-		s := dst[c]
-		for t := 0; t < n; t++ {
-			s += coef[t*cstride] * rows[t*ld+c]
-		}
-		dst[c] = s
-	}
+}
+
+// simdAttnAddTile is addTile as dst[rows × d] += coef[rows × keys] ·
+// rows[keys × d] over all the tile's keys: each dst element continues its
+// one FMA chain through the keys in ascending order, and the zero
+// coefficient of a masked key adds an exact zero — provided that key's row
+// is finite: within a query tile, a NaN or Inf in a later token's row
+// reaches the earlier rows of the tile.
+func simdAttnAddTile(a *attnArgs, dst, coef, rows []float32, t attnTile) {
+	ld := a.heads * a.d
+	gemm(coef[(t.rlo-t.i0)*attnTileK:], attnTileK, 1, rows, ld,
+		dst[t.rlo*ld:], ld, t.i1-t.rlo, a.d, t.j1-t.j0, true)
+}
+
+// simdAttnAddTileT is addTileT as dst[keys × d] += coefᵀ[keys × rows] ·
+// rows[rows × d], the TN form of the same kernel, over all the tile's rows.
+func simdAttnAddTileT(a *attnArgs, dst, coef, rows []float32, t attnTile) {
+	ld := a.heads * a.d
+	gemm(coef[(t.rlo-t.i0)*attnTileK:], 1, attnTileK, rows[t.rlo*ld:], ld,
+		dst, ld, t.j1-t.j0, a.d, t.i1-t.rlo, true)
 }
 
 // simdExpSubRow is expSubRow on the vector exp: the full 8-blocks sum in 8
@@ -301,122 +311,42 @@ func simdAttnDsRow(ds, p []float32, scale, delta float32) {
 	attnDsRow(ds[n8<<3:], p[n8<<3:], scale, delta)
 }
 
-// simdNNRange is the AVX2 NN kernel over dst rows [lo, hi). Same blocking
-// and identical per-element accumulation order as mmNNRange: the k-quad
-// body runs through nnQuadAVX2 (mul/add, no FMA) and the j/k remainders
-// run the scalar expressions, so the result is bit-identical to scalar.
-func simdNNRange(g *mmArgs, lo, hi int) {
-	ad, bd, dd := g.ad, g.bd, g.dd
-	n, k := g.n, g.k
-	if !g.acc {
-		for i := lo; i < hi; i++ {
-			row := dd[i*n : (i+1)*n]
-			for j := range row {
-				row[j] = 0
-			}
-		}
+// gemmMask is the lane-mask table of gemmAVX2's 8-wide column tail: the
+// eight int32 starting at index 8−w select the first w lanes.
+var gemmMask = [16]int32{-1, -1, -1, -1, -1, -1, -1, -1}
+
+// gemm computes the m×n block c = a·b (c += a·b when acc) on the register-
+// tiled micro-kernel. Strides are in elements: a[i,p] sits at
+// a[i·ars + p·aks], b[p,j] at b[p·ldb + j], c[i,j] at c[i·ldc + j]. Every c
+// element is one ascending FMA chain over k — from 0, or from its own
+// value when acc — in its own vector lane, so it is a pure function of its
+// a row, its b column and k: independent of m, n, the tile it fell into and
+// how callers split the rows or columns between calls.
+func gemm(a []float32, ars, aks int, b []float32, ldb int, c []float32, ldc, m, n, k int, acc bool) {
+	if m == 0 || n == 0 {
+		return
 	}
-	for j0 := 0; j0 < n; j0 += blockN {
-		j1 := j0 + blockN
-		if j1 > n {
-			j1 = n
+	_ = c[(m-1)*ldc+n-1]
+	if k == 0 {
+		// An empty product: nothing to read, and nothing to add.
+		for i := 0; !acc && i < m; i++ {
+			clear(c[i*ldc : i*ldc+n])
 		}
-		jw := j1 - j0
-		j8 := jw &^ 7
-		for k0 := 0; k0 < k; k0 += blockK {
-			k1 := k0 + blockK
-			if k1 > k {
-				k1 = k
-			}
-			for i := lo; i < hi; i++ {
-				arow := ad[i*k : (i+1)*k]
-				drow := dd[i*n+j0 : i*n+j1]
-				p := k0
-				for ; p+3 < k1; p += 4 {
-					a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-					b0 := bd[p*n+j0 : p*n+j1]
-					b1 := bd[(p+1)*n+j0 : (p+1)*n+j1]
-					b2 := bd[(p+2)*n+j0 : (p+2)*n+j1]
-					b3 := bd[(p+3)*n+j0 : (p+3)*n+j1]
-					if j8 > 0 {
-						nnQuadAVX2(&drow[0], &b0[0], &b1[0], &b2[0], &b3[0], j8>>3, a0, a1, a2, a3)
-					}
-					for j := j8; j < jw; j++ {
-						drow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-					}
-				}
-				for ; p < k1; p++ {
-					av := arow[p]
-					brow := bd[p*n+j0 : p*n+j1]
-					if j8 > 0 {
-						axpyAVX2(&drow[0], &brow[0], j8>>3, av)
-					}
-					for j := j8; j < jw; j++ {
-						drow[j] += av * brow[j]
-					}
-				}
-			}
-		}
+		return
 	}
+	_, _ = a[(m-1)*ars+(k-1)*aks], b[(k-1)*ldb+n-1]
+	gemmAVX2(&a[0], uintptr(ars)*4, uintptr(aks)*4, &b[0], uintptr(ldb)*4, &c[0], uintptr(ldc)*4, m, n, k, acc)
 }
 
-// simdTNRange mirrors simdNNRange for aᵀ·b; only the four a loads differ
-// (strided a[p..p+3][i]). Bit-identical to mmTNRange.
+// simdNNRange computes dst rows [lo, hi) of a·b: a[i,p] = ad[i·k + p].
+func simdNNRange(g *mmArgs, lo, hi int) {
+	gemm(g.ad[lo*g.k:], g.k, 1, g.bd, g.n, g.dd[lo*g.n:], g.n, hi-lo, g.n, g.k, g.acc)
+}
+
+// simdTNRange computes dst rows [lo, hi) of aᵀ·b: the same kernel with a's
+// strides swapped, a[i,p] = ad[p·m + i].
 func simdTNRange(g *mmArgs, lo, hi int) {
-	ad, bd, dd := g.ad, g.bd, g.dd
-	m, n, k := g.m, g.n, g.k
-	if !g.acc {
-		for i := lo; i < hi; i++ {
-			row := dd[i*n : (i+1)*n]
-			for j := range row {
-				row[j] = 0
-			}
-		}
-	}
-	for j0 := 0; j0 < n; j0 += blockN {
-		j1 := j0 + blockN
-		if j1 > n {
-			j1 = n
-		}
-		jw := j1 - j0
-		j8 := jw &^ 7
-		for k0 := 0; k0 < k; k0 += blockK {
-			k1 := k0 + blockK
-			if k1 > k {
-				k1 = k
-			}
-			for i := lo; i < hi; i++ {
-				drow := dd[i*n+j0 : i*n+j1]
-				p := k0
-				for ; p+3 < k1; p += 4 {
-					a0 := ad[p*m+i]
-					a1 := ad[(p+1)*m+i]
-					a2 := ad[(p+2)*m+i]
-					a3 := ad[(p+3)*m+i]
-					b0 := bd[p*n+j0 : p*n+j1]
-					b1 := bd[(p+1)*n+j0 : (p+1)*n+j1]
-					b2 := bd[(p+2)*n+j0 : (p+2)*n+j1]
-					b3 := bd[(p+3)*n+j0 : (p+3)*n+j1]
-					if j8 > 0 {
-						nnQuadAVX2(&drow[0], &b0[0], &b1[0], &b2[0], &b3[0], j8>>3, a0, a1, a2, a3)
-					}
-					for j := j8; j < jw; j++ {
-						drow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-					}
-				}
-				for ; p < k1; p++ {
-					av := ad[p*m+i]
-					brow := bd[p*n+j0 : p*n+j1]
-					if j8 > 0 {
-						axpyAVX2(&drow[0], &brow[0], j8>>3, av)
-					}
-					for j := j8; j < jw; j++ {
-						drow[j] += av * brow[j]
-					}
-				}
-			}
-		}
-	}
+	gemm(g.ad[lo:], 1, g.m, g.bd, g.n, g.dd[lo*g.n:], g.n, hi-lo, g.n, g.k, g.acc)
 }
 
 // simdNTRange is the AVX2 NT kernel over dst rows [lo, hi): 2 dst rows ×

@@ -88,77 +88,33 @@ func TestSIMDExpSubRowTailsAndSum(t *testing.T) {
 	}
 }
 
-// Each key's score is a pure function of (x, row, scale): the same whether
-// the key runs in an 8-key block or alone, at any d. And it stays within the
-// NT matmul's reassociation bound of the float64 dot product.
-func TestSIMDAttnDotKeyPositionInvariance(t *testing.T) {
+// transposeScale turns a tile exactly — one rounded multiply per element —
+// for every block/fringe split of the key count and the column count, and
+// writes nothing outside the tile.
+func TestTransposeScale(t *testing.T) {
 	if !cpuHasAVX2FMA() {
 		t.Skip("no AVX2+FMA on this machine")
 	}
 	rng := rand.New(rand.NewSource(33))
-	const n = 19
-	for _, d := range []int{1, 5, 8, 13, 16, 24, 64, 70} {
-		ld := d + 3
-		x := randTensor(rng, d).Data
-		rows := randTensor(rng, n*ld).Data
-		const scale = 0.37
-		full := make([]float32, n)
-		simdAttnDotRows(full, x, rows, ld, scale)
-		for t0 := 0; t0 < n; t0++ {
-			var one [1]float32
-			simdAttnDotRows(one[:], x, rows[t0*ld:], ld, scale)
-			if math.Float32bits(one[0]) != math.Float32bits(full[t0]) {
-				t.Fatalf("d=%d key %d: %g alone, %g in the pass of %d", d, t0, one[0], full[t0], n)
+	const scale = 0.37
+	for _, n := range []int{1, 7, 8, 9, 16, 23, attnTileK} {
+		for _, cols := range []int{1, 5, 8, 13, 16, 24, attnTransCols} {
+			ld := cols + 3
+			src := randTensor(rng, n*ld).Data
+			dst := make([]float32, attnTransCols*attnTileK)
+			for i := range dst {
+				dst[i] = -99
 			}
-			var ref, abs float64
-			for c := 0; c < d; c++ {
-				p := float64(x[c]) * float64(rows[t0*ld+c])
-				ref += p
-				abs += math.Abs(p)
-			}
-			if diff := math.Abs(float64(full[t0]) - scale*ref); diff > scale*(tolUlps*abs)+1e-12 {
-				t.Fatalf("d=%d key %d: %g vs float64 %g, |diff| %g", d, t0, full[t0], scale*ref, diff)
-			}
-		}
-	}
-}
-
-// Each dst column is a pure function of (dst, coef, its column of rows, n):
-// the same whether the column runs in a 16-wide group, the trailing 8-wide
-// one, or as a d = 8 call of its own — for every n%4 remainder and both
-// coefficient strides the kernel sees.
-func TestSIMDAttnAxpyColumnInvariance(t *testing.T) {
-	if !cpuHasAVX2FMA() {
-		t.Skip("no AVX2+FMA on this machine")
-	}
-	rng := rand.New(rand.NewSource(34))
-	const d, ld = 40, 47 // 16 + 16 + 8 columns
-	for _, cstride := range []int{1, attnTileK} {
-		for n := 1; n <= 11; n++ {
-			coef := randTensor(rng, n*cstride).Data
-			rows := randTensor(rng, n*ld).Data
-			seed := randTensor(rng, d).Data
-			full := append([]float32(nil), seed...)
-			simdAttnAxpyRows(full, coef, cstride, n, rows, ld)
-			for c0 := 0; c0 < d; c0 += 8 {
-				part := append([]float32(nil), seed[c0:c0+8]...)
-				simdAttnAxpyRows(part, coef, cstride, n, rows[c0:], ld)
-				for c := range part {
-					if math.Float32bits(part[c]) != math.Float32bits(full[c0+c]) {
-						t.Fatalf("cstride=%d n=%d column %d: %g alone, %g in the d=%d call",
-							cstride, n, c0+c, part[c], full[c0+c], d)
+			transposeScale(dst, src, ld, n, cols, scale)
+			for c := 0; c < attnTransCols; c++ {
+				for u := 0; u < attnTileK; u++ {
+					want := float32(-99)
+					if c < cols && u < n {
+						want = scale * src[u*ld+c]
 					}
-				}
-			}
-			for c := 0; c < d; c++ {
-				ref, abs := float64(seed[c]), math.Abs(float64(seed[c]))
-				for t0 := 0; t0 < n; t0++ {
-					p := float64(coef[t0*cstride]) * float64(rows[t0*ld+c])
-					ref += p
-					abs += math.Abs(p)
-				}
-				if diff := math.Abs(float64(full[c]) - ref); diff > tolUlps*abs+1e-12 {
-					t.Fatalf("cstride=%d n=%d column %d: %g vs float64 %g", cstride, n, c, full[c], ref)
+					if got := dst[c*attnTileK+u]; math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("n=%d cols=%d: dst[%d,%d] = %g, want %g", n, cols, c, u, got, want)
+					}
 				}
 			}
 		}

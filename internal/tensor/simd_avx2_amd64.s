@@ -143,44 +143,391 @@ dot_done:
 	VZEROUPPER
 	RET
 
-// func nnQuadAVX2(drow, b0, b1, b2, b3 *float32, n8 int, a0, a1, a2, a3 float32)
+// The GEMM micro-kernel under the NN and TN matmuls and attention's tile
+// products. Every output element is one ascending FMA chain over k in a
+// single vector lane, starting from 0 (store) or from its own c element
+// (accumulate): a pure function of its a row, its b column and k, whatever
+// tile, panel or call it was computed in.
 //
-// drow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j] for j in [0, n8*8),
-// evaluated per element as (((a0*b0 + a1*b1) + a2*b2) + a3*b3) then added
-// to drow — the exact rounding sequence of the scalar NN/TN quad kernel
-// (separate VMULPS/VADDPS, no FMA), so the avx2 NN and TN paths stay
-// bit-identical to scalar. n8 must be >= 1.
-TEXT ·nnQuadAVX2(SB), NOSPLIT, $0-64
-	MOVQ drow+0(FP), DI
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ n8+40(FP), CX
-	VBROADCASTSS a0+48(FP), Y8
-	VBROADCASTSS a1+52(FP), Y9
-	VBROADCASTSS a2+56(FP), Y10
-	VBROADCASTSS a3+60(FP), Y11
-	XORQ DX, DX
+// Register tile: 6 rows × 16 columns in Y0..Y11 (row r in Y(2r), Y(2r+1)),
+// the two b vectors of the k step in Y12/Y13, the broadcast a element in
+// Y14. Each k step is 2 b loads + 6 broadcasts feeding 12 FMAs, so the
+// tile runs at the FMA rate with b read in place. The last m%6 rows run
+// the same loop with fewer rows; the last n%16 columns run 8 wide through
+// masked loads and stores (Y13 holds the mask), which keeps every lane on
+// the identical chain.
+//
+//	SI  a cursor         R8  ars     R9  3·ars    R10 5·ars    R11 aks
+//	DI  b cursor / c row BX  ldb     AX  b tile   DX  c tile   R12 ldc
+//	CX  k countdown      R13 columns left         R15 rows in this panel
 
-nnquad_loop:
-	VMOVUPS (R8)(DX*1), Y0
-	VMULPS  Y8, Y0, Y0
-	VMOVUPS (R9)(DX*1), Y1
-	VMULPS  Y9, Y1, Y1
-	VADDPS  Y1, Y0, Y0
-	VMOVUPS (R10)(DX*1), Y2
-	VMULPS  Y10, Y2, Y2
-	VADDPS  Y2, Y0, Y0
-	VMOVUPS (R11)(DX*1), Y3
-	VMULPS  Y11, Y3, Y3
-	VADDPS  Y3, Y0, Y0
-	VMOVUPS (DI)(DX*1), Y4
-	VADDPS  Y0, Y4, Y4
-	VMOVUPS Y4, (DI)(DX*1)
-	ADDQ    $32, DX
-	DECQ    CX
-	JNE     nnquad_loop
+#define GEMM_NEXT ADDQ R11, SI; ADDQ BX, DI; DECQ CX
+
+#define GEMM_B16 VMOVUPS (DI), Y12; VMOVUPS 32(DI), Y13
+// The panels of up to four rows also touch the b row's next tile: with so
+// few rows per b element the product runs at memory speed when b is not
+// cache-resident (an M = 8 microbatch against a 700 KB weight matrix), and
+// the column-tile sweep is a stride the hardware prefetcher does not follow.
+#define GEMM_B16_FEW GEMM_B16; PREFETCHT0 127(DI)
+#define GEMM_R0_16 VBROADCASTSS (SI), Y14; VFMADD231PS Y12, Y14, Y0; VFMADD231PS Y13, Y14, Y1
+#define GEMM_R1_16 VBROADCASTSS (SI)(R8*1), Y14; VFMADD231PS Y12, Y14, Y2; VFMADD231PS Y13, Y14, Y3
+#define GEMM_R2_16 VBROADCASTSS (SI)(R8*2), Y14; VFMADD231PS Y12, Y14, Y4; VFMADD231PS Y13, Y14, Y5
+#define GEMM_R3_16 VBROADCASTSS (SI)(R9*1), Y14; VFMADD231PS Y12, Y14, Y6; VFMADD231PS Y13, Y14, Y7
+#define GEMM_R4_16 VBROADCASTSS (SI)(R8*4), Y14; VFMADD231PS Y12, Y14, Y8; VFMADD231PS Y13, Y14, Y9
+#define GEMM_R5_16 VBROADCASTSS (SI)(R10*1), Y14; VFMADD231PS Y12, Y14, Y10; VFMADD231PS Y13, Y14, Y11
+
+#define GEMM_B8 VMASKMOVPS (DI), Y13, Y12
+#define GEMM_R0_8 VBROADCASTSS (SI), Y14; VFMADD231PS Y12, Y14, Y0
+#define GEMM_R1_8 VBROADCASTSS (SI)(R8*1), Y14; VFMADD231PS Y12, Y14, Y2
+#define GEMM_R2_8 VBROADCASTSS (SI)(R8*2), Y14; VFMADD231PS Y12, Y14, Y4
+#define GEMM_R3_8 VBROADCASTSS (SI)(R9*1), Y14; VFMADD231PS Y12, Y14, Y6
+#define GEMM_R4_8 VBROADCASTSS (SI)(R8*4), Y14; VFMADD231PS Y12, Y14, Y8
+#define GEMM_R5_8 VBROADCASTSS (SI)(R10*1), Y14; VFMADD231PS Y12, Y14, Y10
+
+// func gemmAVX2(a *float32, ars, aks uintptr, b *float32, ldb uintptr, c *float32, ldc uintptr, m, n, k int, acc bool)
+//
+// c[i,j] = (acc ? c[i,j] : 0) + Σ_p a[i·ars + p·aks]·b[p·ldb + j] for i < m,
+// j < n, with every stride in bytes: NN passes (row stride, 4) for a, TN
+// (4, row stride). m and n must be >= 1; k may be 0.
+TEXT ·gemmAVX2(SB), NOSPLIT, $0-81
+	MOVQ ars+8(FP), R8
+	LEAQ (R8)(R8*2), R9
+	LEAQ (R8)(R8*4), R10
+	MOVQ aks+16(FP), R11
+	MOVQ ldb+32(FP), BX
+	MOVQ ldc+48(FP), R12
+
+gemm_panel:
+	// One panel: 6 rows (fewer at the bottom) across all n columns. A last
+	// 7 or 8 rows split 4 + 3 or 4 + 4 instead of 6 + 1 or 6 + 2: one- and
+	// two-row panels have too few chains to cover the FMA latency. a, c
+	// and m live in their argument slots and advance by a panel below.
+	MOVQ m+56(FP), R15
+	CMPQ R15, $6
+	JLE  gemm_panel_rows
+	CMPQ R15, $8
+	MOVQ $6, R15
+	JG   gemm_panel_rows
+	MOVQ $4, R15
+
+gemm_panel_rows:
+	MOVQ b+24(FP), AX
+	MOVQ c+40(FP), DX
+	MOVQ n+64(FP), R13
+
+gemm_tile16:
+	CMPQ R13, $16
+	JLT  gemm_tile8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	CMPB acc+80(FP), $0
+	JE   gemm_k16
+	MOVQ DX, DI
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	CMPQ R15, $1
+	JE   gemm_k16
+	ADDQ R12, DI
+	VMOVUPS (DI), Y2
+	VMOVUPS 32(DI), Y3
+	CMPQ R15, $2
+	JE   gemm_k16
+	ADDQ R12, DI
+	VMOVUPS (DI), Y4
+	VMOVUPS 32(DI), Y5
+	CMPQ R15, $3
+	JE   gemm_k16
+	ADDQ R12, DI
+	VMOVUPS (DI), Y6
+	VMOVUPS 32(DI), Y7
+	CMPQ R15, $4
+	JE   gemm_k16
+	ADDQ R12, DI
+	VMOVUPS (DI), Y8
+	VMOVUPS 32(DI), Y9
+	CMPQ R15, $5
+	JE   gemm_k16
+	ADDQ R12, DI
+	VMOVUPS (DI), Y10
+	VMOVUPS 32(DI), Y11
+
+gemm_k16:
+	MOVQ a+0(FP), SI
+	MOVQ AX, DI
+	MOVQ k+72(FP), CX
+	TESTQ CX, CX
+	JZ   gemm_store16
+	CMPQ R15, $6
+	JE   gemm_k16_6
+	CMPQ R15, $5
+	JE   gemm_k16_5
+	CMPQ R15, $4
+	JE   gemm_k16_4
+	CMPQ R15, $3
+	JE   gemm_k16_3
+	CMPQ R15, $2
+	JE   gemm_k16_2
+
+gemm_k16_1:
+	GEMM_B16_FEW
+	GEMM_R0_16
+	GEMM_NEXT
+	JNE  gemm_k16_1
+	JMP  gemm_store16
+
+gemm_k16_2:
+	GEMM_B16_FEW
+	GEMM_R0_16
+	GEMM_R1_16
+	GEMM_NEXT
+	JNE  gemm_k16_2
+	JMP  gemm_store16
+
+gemm_k16_3:
+	GEMM_B16_FEW
+	GEMM_R0_16
+	GEMM_R1_16
+	GEMM_R2_16
+	GEMM_NEXT
+	JNE  gemm_k16_3
+	JMP  gemm_store16
+
+gemm_k16_4:
+	GEMM_B16_FEW
+	GEMM_R0_16
+	GEMM_R1_16
+	GEMM_R2_16
+	GEMM_R3_16
+	GEMM_NEXT
+	JNE  gemm_k16_4
+	JMP  gemm_store16
+
+gemm_k16_5:
+	GEMM_B16
+	GEMM_R0_16
+	GEMM_R1_16
+	GEMM_R2_16
+	GEMM_R3_16
+	GEMM_R4_16
+	GEMM_NEXT
+	JNE  gemm_k16_5
+	JMP  gemm_store16
+
+gemm_k16_6:
+	GEMM_B16
+	GEMM_R0_16
+	GEMM_R1_16
+	GEMM_R2_16
+	GEMM_R3_16
+	GEMM_R4_16
+	GEMM_R5_16
+	GEMM_NEXT
+	JNE  gemm_k16_6
+
+gemm_store16:
+	MOVQ DX, DI
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	CMPQ R15, $1
+	JE   gemm_next16
+	ADDQ R12, DI
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y3, 32(DI)
+	CMPQ R15, $2
+	JE   gemm_next16
+	ADDQ R12, DI
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	CMPQ R15, $3
+	JE   gemm_next16
+	ADDQ R12, DI
+	VMOVUPS Y6, (DI)
+	VMOVUPS Y7, 32(DI)
+	CMPQ R15, $4
+	JE   gemm_next16
+	ADDQ R12, DI
+	VMOVUPS Y8, (DI)
+	VMOVUPS Y9, 32(DI)
+	CMPQ R15, $5
+	JE   gemm_next16
+	ADDQ R12, DI
+	VMOVUPS Y10, (DI)
+	VMOVUPS Y11, 32(DI)
+
+gemm_next16:
+	ADDQ $64, AX
+	ADDQ $64, DX
+	SUBQ $16, R13
+	JMP  gemm_tile16
+
+gemm_tile8:
+	// The last n%16 columns, up to 8 at a time under the lane mask
+	// ·gemmMask[8−w : 16−w] (w ones, then zeros).
+	TESTQ R13, R13
+	JLE  gemm_next_panel
+	MOVQ $8, CX
+	CMPQ R13, $8
+	JGE  gemm_mask8
+	MOVQ R13, CX
+
+gemm_mask8:
+	LEAQ ·gemmMask+32(SB), DI
+	SHLQ $2, CX
+	SUBQ CX, DI
+	VMOVDQU (DI), Y13
+	VXORPS Y0, Y0, Y0
+	VXORPS Y2, Y2, Y2
+	VXORPS Y4, Y4, Y4
+	VXORPS Y6, Y6, Y6
+	VXORPS Y8, Y8, Y8
+	VXORPS Y10, Y10, Y10
+	CMPB acc+80(FP), $0
+	JE   gemm_k8
+	MOVQ DX, DI
+	VMASKMOVPS (DI), Y13, Y0
+	CMPQ R15, $1
+	JE   gemm_k8
+	ADDQ R12, DI
+	VMASKMOVPS (DI), Y13, Y2
+	CMPQ R15, $2
+	JE   gemm_k8
+	ADDQ R12, DI
+	VMASKMOVPS (DI), Y13, Y4
+	CMPQ R15, $3
+	JE   gemm_k8
+	ADDQ R12, DI
+	VMASKMOVPS (DI), Y13, Y6
+	CMPQ R15, $4
+	JE   gemm_k8
+	ADDQ R12, DI
+	VMASKMOVPS (DI), Y13, Y8
+	CMPQ R15, $5
+	JE   gemm_k8
+	ADDQ R12, DI
+	VMASKMOVPS (DI), Y13, Y10
+
+gemm_k8:
+	MOVQ a+0(FP), SI
+	MOVQ AX, DI
+	MOVQ k+72(FP), CX
+	TESTQ CX, CX
+	JZ   gemm_store8
+	CMPQ R15, $6
+	JE   gemm_k8_6
+	CMPQ R15, $5
+	JE   gemm_k8_5
+	CMPQ R15, $4
+	JE   gemm_k8_4
+	CMPQ R15, $3
+	JE   gemm_k8_3
+	CMPQ R15, $2
+	JE   gemm_k8_2
+
+gemm_k8_1:
+	GEMM_B8
+	GEMM_R0_8
+	GEMM_NEXT
+	JNE  gemm_k8_1
+	JMP  gemm_store8
+
+gemm_k8_2:
+	GEMM_B8
+	GEMM_R0_8
+	GEMM_R1_8
+	GEMM_NEXT
+	JNE  gemm_k8_2
+	JMP  gemm_store8
+
+gemm_k8_3:
+	GEMM_B8
+	GEMM_R0_8
+	GEMM_R1_8
+	GEMM_R2_8
+	GEMM_NEXT
+	JNE  gemm_k8_3
+	JMP  gemm_store8
+
+gemm_k8_4:
+	GEMM_B8
+	GEMM_R0_8
+	GEMM_R1_8
+	GEMM_R2_8
+	GEMM_R3_8
+	GEMM_NEXT
+	JNE  gemm_k8_4
+	JMP  gemm_store8
+
+gemm_k8_5:
+	GEMM_B8
+	GEMM_R0_8
+	GEMM_R1_8
+	GEMM_R2_8
+	GEMM_R3_8
+	GEMM_R4_8
+	GEMM_NEXT
+	JNE  gemm_k8_5
+	JMP  gemm_store8
+
+gemm_k8_6:
+	GEMM_B8
+	GEMM_R0_8
+	GEMM_R1_8
+	GEMM_R2_8
+	GEMM_R3_8
+	GEMM_R4_8
+	GEMM_R5_8
+	GEMM_NEXT
+	JNE  gemm_k8_6
+
+gemm_store8:
+	MOVQ DX, DI
+	VMASKMOVPS Y0, Y13, (DI)
+	CMPQ R15, $1
+	JE   gemm_next8
+	ADDQ R12, DI
+	VMASKMOVPS Y2, Y13, (DI)
+	CMPQ R15, $2
+	JE   gemm_next8
+	ADDQ R12, DI
+	VMASKMOVPS Y4, Y13, (DI)
+	CMPQ R15, $3
+	JE   gemm_next8
+	ADDQ R12, DI
+	VMASKMOVPS Y6, Y13, (DI)
+	CMPQ R15, $4
+	JE   gemm_next8
+	ADDQ R12, DI
+	VMASKMOVPS Y8, Y13, (DI)
+	CMPQ R15, $5
+	JE   gemm_next8
+	ADDQ R12, DI
+	VMASKMOVPS Y10, Y13, (DI)
+
+gemm_next8:
+	ADDQ $32, AX
+	ADDQ $32, DX
+	SUBQ $8, R13
+	JMP  gemm_tile8
+
+gemm_next_panel:
+	MOVQ  R15, CX
+	IMULQ R8, CX
+	ADDQ  CX, a+0(FP)
+	MOVQ  R15, CX
+	IMULQ R12, CX
+	ADDQ  CX, c+40(FP)
+	SUBQ  R15, m+56(FP)
+	JG    gemm_panel
 	VZEROUPPER
 	RET
 
@@ -305,256 +652,87 @@ nt1_reduce:
 	VZEROUPPER
 	RET
 
-// func attnDotAVX2(dst, x, rows *float32, n, d8, ld int, scale float32)
+// func transposeScaleAVX2(dst *float32, ldd uintptr, src *float32, lds uintptr, rb, cb int, scale float32)
 //
-// Attention score kernel: dst[t] = scale · Σ_c x[c]·rows[t·ld + c] over
-// the first d8*8 elements of x, for t in [0, n). ld is the row stride in
-// bytes. Keys run eight per pass — one x load feeds eight FMA
-// accumulators — and the n%8 remainder one at a time. Both paths follow
-// the dotAVX2 per-key contract (8 ascending FMA lane chains, balanced
-// tree, then one multiply by scale), so a key's result does not depend on
-// its position. d8 may be 0, in which case dst is zeroed.
-TEXT ·attnDotAVX2(SB), NOSPLIT, $0-52
-	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ rows+16(FP), R8
-	MOVQ n+24(FP), CX
-	MOVQ d8+32(FP), BX
-	MOVQ ld+40(FP), R11
-	VBROADCASTSS scale+48(FP), Y14
-	LEAQ (R11)(R11*2), R12 // 3·ld
-	MOVQ BX, R13
-	SHLQ $5, R13           // bytes of one row the chunk loop walks
+// dst[c·ldd + r] = scale·src[r·lds + c] for r < 8·rb, c < 8·cb (strides in
+// bytes), one 8×8 block at a time: the rows are scaled as they load, then
+// interleaved pairwise (UNPCK), by fours (SHUFPS) and across the two
+// 128-bit halves (PERM2F128). rb and cb must be >= 1.
+TEXT ·transposeScaleAVX2(SB), NOSPLIT, $0-52
+	MOVQ dst+0(FP), R13
+	MOVQ ldd+8(FP), R10
+	MOVQ src+16(FP), R12
+	MOVQ lds+24(FP), R8
+	MOVQ rb+32(FP), BX
+	VBROADCASTSS scale+48(FP), Y12
+	LEAQ (R8)(R8*2), R9   // 3·lds
+	LEAQ (R10)(R10*2), R11 // 3·ldd
 
-adot_block8:
-	CMPQ CX, $8
-	JLT  adot_single
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	LEAQ (R8)(R11*4), R9 // row 4 of the block
-	MOVQ SI, AX
-	MOVQ BX, DX
-	TESTQ DX, DX
-	JZ   adot8_reduce
+trsp_rows:
+	MOVQ R12, SI
+	MOVQ R13, DI
+	MOVQ cb+40(FP), CX
 
-adot8_loop:
-	VMOVUPS     (AX), Y8
-	VFMADD231PS (R8), Y8, Y0
-	VFMADD231PS (R8)(R11*1), Y8, Y1
-	VFMADD231PS (R8)(R11*2), Y8, Y2
-	VFMADD231PS (R8)(R12*1), Y8, Y3
-	VFMADD231PS (R9), Y8, Y4
-	VFMADD231PS (R9)(R11*1), Y8, Y5
-	VFMADD231PS (R9)(R11*2), Y8, Y6
-	VFMADD231PS (R9)(R12*1), Y8, Y7
-	ADDQ        $32, AX
-	ADDQ        $32, R8
-	ADDQ        $32, R9
-	DECQ        DX
-	JNE         adot8_loop
+trsp_block:
+	LEAQ   (SI)(R8*4), AX
+	VMULPS (SI), Y12, Y0
+	VMULPS (SI)(R8*1), Y12, Y1
+	VMULPS (SI)(R8*2), Y12, Y2
+	VMULPS (SI)(R9*1), Y12, Y3
+	VMULPS (AX), Y12, Y4
+	VMULPS (AX)(R8*1), Y12, Y5
+	VMULPS (AX)(R8*2), Y12, Y6
+	VMULPS (AX)(R9*1), Y12, Y7
 
-adot8_reduce:
-	// The ntQuad interleave twice over: Y0 and Y4 each end with their four
-	// keys' low-half tree sums in the low 128 bits and the high-half tree
-	// sums in the high 128 bits; gathering the halves and adding low + high
-	// gives eight keys' ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
-	VHADDPS    Y1, Y0, Y0
-	VHADDPS    Y3, Y2, Y2
-	VHADDPS    Y2, Y0, Y0
-	VHADDPS    Y5, Y4, Y4
-	VHADDPS    Y7, Y6, Y6
-	VHADDPS    Y6, Y4, Y4
-	VPERM2F128 $0x20, Y4, Y0, Y8
-	VPERM2F128 $0x31, Y4, Y0, Y9
-	VADDPS     Y9, Y8, Y8
-	VMULPS     Y14, Y8, Y8
-	VMOVUPS    Y8, (DI)
-	ADDQ       $32, DI
-	SUBQ       R13, R8
-	LEAQ       (R8)(R11*8), R8
-	SUBQ       $8, CX
-	JMP        adot_block8
+	// Pairs: Y8, Y9 = rows 0,1; Y0, Y1 = rows 2,3; Y2, Y3 = rows 4,5;
+	// Y4, Y5 = rows 6,7 (low, high halves of each 128-bit lane).
+	VUNPCKLPS Y1, Y0, Y8
+	VUNPCKHPS Y1, Y0, Y9
+	VUNPCKLPS Y3, Y2, Y0
+	VUNPCKHPS Y3, Y2, Y1
+	VUNPCKLPS Y5, Y4, Y2
+	VUNPCKHPS Y5, Y4, Y3
+	VUNPCKLPS Y7, Y6, Y4
+	VUNPCKHPS Y7, Y6, Y5
 
-adot_single:
-	TESTQ CX, CX
-	JZ    adot_done
-	VXORPS Y0, Y0, Y0
-	MOVQ SI, AX
-	MOVQ R8, R9
-	MOVQ BX, DX
-	TESTQ DX, DX
-	JZ   adot1_reduce
+	// Fours: columns c and c+4 of rows 0..3 in Y6, Y7, Y10, Y11 (c = 0..3),
+	// of rows 4..7 in Y8, Y9, Y0, Y1.
+	VSHUFPS $0x44, Y0, Y8, Y6
+	VSHUFPS $0xee, Y0, Y8, Y7
+	VSHUFPS $0x44, Y1, Y9, Y10
+	VSHUFPS $0xee, Y1, Y9, Y11
+	VSHUFPS $0x44, Y4, Y2, Y8
+	VSHUFPS $0xee, Y4, Y2, Y9
+	VSHUFPS $0x44, Y5, Y3, Y0
+	VSHUFPS $0xee, Y5, Y3, Y1
 
-adot1_loop:
-	VMOVUPS     (AX), Y8
-	VFMADD231PS (R9), Y8, Y0
-	ADDQ        $32, AX
-	ADDQ        $32, R9
-	DECQ        DX
-	JNE         adot1_loop
+	// Halves: low lanes make columns 0..3, high lanes columns 4..7.
+	LEAQ       (DI)(R10*4), DX
+	VPERM2F128 $0x20, Y8, Y6, Y2
+	VMOVUPS    Y2, (DI)
+	VPERM2F128 $0x20, Y9, Y7, Y3
+	VMOVUPS    Y3, (DI)(R10*1)
+	VPERM2F128 $0x20, Y0, Y10, Y4
+	VMOVUPS    Y4, (DI)(R10*2)
+	VPERM2F128 $0x20, Y1, Y11, Y5
+	VMOVUPS    Y5, (DI)(R11*1)
+	VPERM2F128 $0x31, Y8, Y6, Y2
+	VMOVUPS    Y2, (DX)
+	VPERM2F128 $0x31, Y9, Y7, Y3
+	VMOVUPS    Y3, (DX)(R10*1)
+	VPERM2F128 $0x31, Y0, Y10, Y4
+	VMOVUPS    Y4, (DX)(R10*2)
+	VPERM2F128 $0x31, Y1, Y11, Y5
+	VMOVUPS    Y5, (DX)(R11*1)
 
-adot1_reduce:
-	VHADDPS      Y0, Y0, Y0
-	VHADDPS      Y0, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDSS       X1, X0, X0
-	VMULSS       X14, X0, X0
-	VMOVSS       X0, (DI)
-	ADDQ         $4, DI
-	ADDQ         R11, R8
-	DECQ         CX
-	JMP          adot_single
-
-adot_done:
-	VZEROUPPER
-	RET
-
-// func attnAxpyAVX2(dst, coef, rows *float32, n, d8, cstride, ld int)
-//
-// Attention accumulate kernel: dst[c] += Σ_{t<n} coef[t·cstride]·rows[t·ld + c]
-// for c in [0, d8*8); cstride and ld are byte strides. Every dst element
-// owns four FMA chains — chain i folds rows t ≡ i (mod 4) in ascending
-// order from zero — and ends as dst + ((c0+c1) + (c2+c3)). Columns run 16
-// per pass (two vectors × four chains fill the FMA pipeline), a trailing
-// odd vector alone; the per-element order is the same in both.
-// n and d8 must be >= 1.
-TEXT ·attnAxpyAVX2(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), DI
-	MOVQ coef+8(FP), SI
-	MOVQ rows+16(FP), R8
-	MOVQ n+24(FP), CX
-	MOVQ d8+32(FP), BX
-	MOVQ cstride+40(FP), R10
-	MOVQ ld+48(FP), R11
-	LEAQ (R11)(R11*2), R12 // 3·ld
-	LEAQ (R10)(R10*2), R13 // 3·cstride
-
-aaxpy_cols16:
-	CMPQ BX, $2
-	JLT  aaxpy_cols8
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	MOVQ SI, AX
-	MOVQ R8, DX
-	MOVQ CX, R9
-	SHRQ $2, R9
-	JZ   aaxpy16_tail
-
-aaxpy16_loop:
-	VBROADCASTSS (AX), Y8
-	VBROADCASTSS (AX)(R10*1), Y9
-	VBROADCASTSS (AX)(R10*2), Y10
-	VBROADCASTSS (AX)(R13*1), Y11
-	VFMADD231PS  (DX), Y8, Y0
-	VFMADD231PS  32(DX), Y8, Y1
-	VFMADD231PS  (DX)(R11*1), Y9, Y2
-	VFMADD231PS  32(DX)(R11*1), Y9, Y3
-	VFMADD231PS  (DX)(R11*2), Y10, Y4
-	VFMADD231PS  32(DX)(R11*2), Y10, Y5
-	VFMADD231PS  (DX)(R12*1), Y11, Y6
-	VFMADD231PS  32(DX)(R12*1), Y11, Y7
-	LEAQ         (AX)(R10*4), AX
-	LEAQ         (DX)(R11*4), DX
-	DECQ         R9
-	JNE          aaxpy16_loop
-
-aaxpy16_tail:
-	// The n%4 trailing rows continue chains 0, 1, 2 in order.
-	MOVQ CX, R9
-	ANDQ $3, R9
-	JZ   aaxpy16_combine
-	VBROADCASTSS (AX), Y8
-	VFMADD231PS  (DX), Y8, Y0
-	VFMADD231PS  32(DX), Y8, Y1
-	DECQ         R9
-	JZ           aaxpy16_combine
-	VBROADCASTSS (AX)(R10*1), Y9
-	VFMADD231PS  (DX)(R11*1), Y9, Y2
-	VFMADD231PS  32(DX)(R11*1), Y9, Y3
-	DECQ         R9
-	JZ           aaxpy16_combine
-	VBROADCASTSS (AX)(R10*2), Y10
-	VFMADD231PS  (DX)(R11*2), Y10, Y4
-	VFMADD231PS  32(DX)(R11*2), Y10, Y5
-
-aaxpy16_combine:
-	VADDPS  Y2, Y0, Y0
-	VADDPS  Y6, Y4, Y4
-	VADDPS  Y4, Y0, Y0
-	VADDPS  (DI), Y0, Y0
-	VMOVUPS Y0, (DI)
-	VADDPS  Y3, Y1, Y1
-	VADDPS  Y7, Y5, Y5
-	VADDPS  Y5, Y1, Y1
-	VADDPS  32(DI), Y1, Y1
-	VMOVUPS Y1, 32(DI)
-	ADDQ    $64, DI
-	ADDQ    $64, R8
-	SUBQ    $2, BX
-	JMP     aaxpy_cols16
-
-aaxpy_cols8:
-	TESTQ BX, BX
-	JZ    aaxpy_done
-	VXORPS Y0, Y0, Y0
-	VXORPS Y2, Y2, Y2
-	VXORPS Y4, Y4, Y4
-	VXORPS Y6, Y6, Y6
-	MOVQ SI, AX
-	MOVQ R8, DX
-	MOVQ CX, R9
-	SHRQ $2, R9
-	JZ   aaxpy8_tail
-
-aaxpy8_loop:
-	VBROADCASTSS (AX), Y8
-	VBROADCASTSS (AX)(R10*1), Y9
-	VBROADCASTSS (AX)(R10*2), Y10
-	VBROADCASTSS (AX)(R13*1), Y11
-	VFMADD231PS  (DX), Y8, Y0
-	VFMADD231PS  (DX)(R11*1), Y9, Y2
-	VFMADD231PS  (DX)(R11*2), Y10, Y4
-	VFMADD231PS  (DX)(R12*1), Y11, Y6
-	LEAQ         (AX)(R10*4), AX
-	LEAQ         (DX)(R11*4), DX
-	DECQ         R9
-	JNE          aaxpy8_loop
-
-aaxpy8_tail:
-	MOVQ CX, R9
-	ANDQ $3, R9
-	JZ   aaxpy8_combine
-	VBROADCASTSS (AX), Y8
-	VFMADD231PS  (DX), Y8, Y0
-	DECQ         R9
-	JZ           aaxpy8_combine
-	VBROADCASTSS (AX)(R10*1), Y9
-	VFMADD231PS  (DX)(R11*1), Y9, Y2
-	DECQ         R9
-	JZ           aaxpy8_combine
-	VBROADCASTSS (AX)(R10*2), Y10
-	VFMADD231PS  (DX)(R11*2), Y10, Y4
-
-aaxpy8_combine:
-	VADDPS  Y2, Y0, Y0
-	VADDPS  Y6, Y4, Y4
-	VADDPS  Y4, Y0, Y0
-	VADDPS  (DI), Y0, Y0
-	VMOVUPS Y0, (DI)
-
-aaxpy_done:
+	ADDQ $32, SI          // the next 8 columns of src ...
+	LEAQ (DI)(R10*8), DI  // ... are the next 8 rows of dst
+	DECQ CX
+	JNE  trsp_block
+	LEAQ (R12)(R8*8), R12
+	ADDQ $32, R13
+	DECQ BX
+	JNE  trsp_rows
 	VZEROUPPER
 	RET
 

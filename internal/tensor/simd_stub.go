@@ -4,8 +4,10 @@ package tensor
 
 // Scalar-only builds (non-amd64, or the noasm tag): no SIMD backend ever
 // registers, so mmArgs.simd and attnArgs.simd are never set; these stubs
-// keep the static call sites linking and defensively fall back to the
-// scalar kernels.
+// keep the static call sites linking. Where the scalar kernel is a function
+// of the same signature they fall back to it; attention's tile products,
+// whose scalar form is the body of the dispatching method, cannot be
+// reached and say so.
 
 // SIMDCompiled reports whether this build carries the assembly kernels.
 const SIMDCompiled = false
@@ -16,12 +18,16 @@ func simdNNRange(g *mmArgs, lo, hi int) { mmNNRange(g, lo, hi) }
 func simdNTRange(g *mmArgs, lo, hi int) { mmNTRange(g, lo, hi) }
 func simdTNRange(g *mmArgs, lo, hi int) { mmTNRange(g, lo, hi) }
 
-func simdAttnDotRows(dst, x, rows []float32, ld int, scale float32) {
-	attnDotRows(dst, x, rows, ld, scale)
+func simdAttnScoreTile(a *attnArgs, dst, scratch, x, rows []float32, t attnTile, scale float32) {
+	panic("tensor: simd attention leaf in a scalar-only build")
 }
 
-func simdAttnAxpyRows(dst, coef []float32, cstride, n int, rows []float32, ld int) {
-	attnAxpyRows(dst, coef, cstride, n, rows, ld)
+func simdAttnAddTile(a *attnArgs, dst, coef, rows []float32, t attnTile) {
+	panic("tensor: simd attention leaf in a scalar-only build")
+}
+
+func simdAttnAddTileT(a *attnArgs, dst, coef, rows []float32, t attnTile) {
+	panic("tensor: simd attention leaf in a scalar-only build")
 }
 
 func simdExpSubRow(s []float32, shift, prev float32) (sum, alpha float32) {
