@@ -2,7 +2,7 @@ GO ?= go
 # FUZZTIME bounds each fuzz target's run; CI's smoke tier shrinks it.
 FUZZTIME ?= 20s
 
-.PHONY: build test test-noasm check fmt-check bench race vet cross-be chaos elastic fuzz soak sdc sdc-quick modes bench-overlap bench-overlap-quick bench-guard bench-sweep bench-kernel bench-grouped bench-p2p experiments
+.PHONY: build test test-noasm check fmt-check bench race vet cross-be chaos elastic fuzz soak sdc sdc-quick modes bench-guard bench-sweep bench-kernel bench-grouped bench-p2p experiments
 
 build:
 	$(GO) build ./...
@@ -26,9 +26,10 @@ fmt-check:
 
 # race implies checkptr, which is the reviewer for the one unsafe helper
 # (tensor.F32Bytes) and every slice the transports and the checkpoint
-# writer view through it.
+# writer view through it. nn and model ride along for the tensors a stage
+# re-points at belt buffers other goroutines read (ParamSet.Bind).
 race:
-	$(GO) test -race ./internal/tensor/... ./internal/comm/... ./internal/checkpoint/... ./internal/pipeline/... ./internal/launch/...
+	$(GO) test -race ./internal/tensor/... ./internal/comm/... ./internal/checkpoint/... ./internal/nn/... ./internal/model/... ./internal/pipeline/... ./internal/launch/...
 
 # cross-be compiles and vets for a big-endian target: the byte-swapping
 # branch of the zero-copy wire/checkpoint path (tensor.F32LE / F32FromLE)
@@ -108,44 +109,26 @@ sdc:
 sdc-quick:
 	WEIPIPE_SDC=2 $(GO) test -run TestSoakBitFlipSchedules -count=1 -timeout 300s ./internal/pipeline/
 
-# bench-overlap records the functional blocking-vs-overlapped belt-engine
-# A/B — step time, the compute loop's blocked time inside weight-belt
-# transport receives, exposed belt stalls, belt bytes in both wire formats,
-# and a bit-identity verdict — into BENCH_overlap.json. Reps of the two
-# modes are interleaved in time and min-filtered to suppress host noise.
-bench-overlap:
-	$(GO) run ./cmd/weipipe-bench -overlap -iters 4 -reps 6 -out BENCH_overlap.json
-
-# bench-overlap-quick keeps the same A/B inside the pre-merge gate at a
-# fraction of the cost (small model, single rep); the report goes to a
-# scratch file so the gate never dirties the checked-in measurement.
-bench-overlap-quick:
-	$(GO) run ./cmd/weipipe-bench -overlap -iters 1 -reps 1 -H 128 -out /tmp/weipipe_bench_overlap_quick.json
-
-# bench-guard is the CI regression guard: run the quick overlap A/B and
-# fail unless the report's bit_identical verdict is true, then run the
-# functional kernel A/B — MatMulNT 256³, and at the long-* benchmark shapes
-# MatMulNN 512×64×172, MatMulTN 64×512×172 and attention forward+backward
-# (H 64 / 4 heads / S 512) — and fail unless the best SIMD backend beats
-# scalar by 2× on every row (the local target is 4×+; the CI margin absorbs
-# shared-runner noise; a scalar-only build passes, an amd64 build whose
-# CPU registered no SIMD backend fails: it measured nothing) and print,
-# ungated, the TCP wire path's 3.2 MB-chunk loopback throughput and
-# allocations per chunk (BenchmarkTCPChunk), then
+# bench-guard is the CI regression guard: run the functional kernel A/B —
+# MatMulNT 256³, and at the long-* benchmark shapes MatMulNN 512×64×172,
+# MatMulTN 64×512×172 and attention forward+backward (H 64 / 4 heads /
+# S 512) — and fail unless the best SIMD backend beats scalar by 2× on every
+# row (the local target is 4×+; the CI margin absorbs shared-runner noise; a
+# scalar-only build passes, an amd64 build whose CPU registered no SIMD
+# backend fails: it measured nothing) and print, ungated, the TCP wire
+# path's 3.2 MB-chunk loopback throughput and allocations per chunk
+# (BenchmarkTCPChunk) and per belt hop (BenchmarkBeltHop), then
 # regenerate the grouped-belt traffic report and fail
 # unless wzb2g stays bit-identical to wzb2 while cutting inter-group bytes
 # both on the wire (p=16) and in the simulated grid. Report paths are
 # overridable so CI can upload artifacts.
-BENCH_GUARD_OUT ?= /tmp/weipipe_bench_guard.json
 KERNEL_GUARD_OUT ?= /tmp/weipipe_kernel_guard.json
 GROUPED_GUARD_OUT ?= /tmp/weipipe_grouped_guard.json
 P2P_GUARD_OUT ?= /tmp/weipipe_p2p_guard.json
 bench-guard:
-	$(GO) run ./cmd/weipipe-bench -overlap -iters 1 -reps 1 -H 128 \
-		-out $(BENCH_GUARD_OUT) -require-bit-identical
 	$(GO) run ./cmd/weipipe-bench -kernel -kernel-out $(KERNEL_GUARD_OUT) \
 		-require-kernel-speedup 2
-	$(GO) test -run NONE -bench BenchmarkTCPChunk -benchtime 100x ./internal/comm/
+	$(GO) test -run NONE -bench 'BenchmarkTCPChunk|BenchmarkBeltHop' -benchmem -benchtime 100x ./internal/comm/
 	$(GO) run ./cmd/weipipe-bench -grouped -grouped-out $(GROUPED_GUARD_OUT) \
 		-require-grouped-win
 	$(GO) run ./cmd/weipipe-bench -p2p -p2p-out $(P2P_GUARD_OUT) \
@@ -189,10 +172,9 @@ experiments:
 # check is the pre-merge gate: formatting, static analysis, the race
 # detector over the packages with real concurrency (kernel worker pool,
 # transports, pipeline schedules), the fault-injection suite, the
-# elastic-repair suite, a 2-schedule slice of the bit-flip SDC soak, the
-# noasm (scalar-only) build of the kernel packages, and a quick
-# overlap-engine A/B (bit-identity + telemetry sanity).
-check: fmt-check vet race chaos elastic sdc-quick check-noasm-kernels bench-overlap-quick
+# elastic-repair suite, a 2-schedule slice of the bit-flip SDC soak,
+# and the noasm (scalar-only) build of the kernel packages.
+check: fmt-check vet race chaos elastic sdc-quick check-noasm-kernels
 
 # check-noasm-kernels is the cheap slice of test-noasm used inside the
 # pre-merge gate: just the packages whose code paths change under the tag.
@@ -201,6 +183,6 @@ check-noasm-kernels:
 	$(GO) test -tags noasm ./internal/tensor/ ./internal/nn/
 
 bench:
-	$(GO) test -bench BenchmarkTCPChunk -benchmem -run NONE ./internal/comm/
+	$(GO) test -bench 'BenchmarkTCPChunk|BenchmarkBeltHop' -benchmem -run NONE ./internal/comm/
 	$(GO) test -bench 'BenchmarkMatMul|BenchmarkTranspose|BenchmarkCausalAttention' -benchmem -run NONE ./internal/tensor/
 	$(GO) test -bench 'BenchmarkBlock|BenchmarkAttention' -benchmem -run NONE ./internal/nn/

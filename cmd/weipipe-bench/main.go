@@ -8,8 +8,6 @@
 //	weipipe-bench -exp table2     # one experiment
 //	weipipe-bench -exp fig1       # a schedule-diagram figure (ASCII)
 //	weipipe-bench -list           # list experiment ids
-//	weipipe-bench -overlap        # functional A/B: blocking vs overlapped
-//	                              # belt engine, written to BENCH_overlap.json
 //	weipipe-bench -sweep          # strategy×topology×scale cost-model grid,
 //	                              # written to BENCH_sweep.json
 //	weipipe-bench -kernel         # functional scalar-vs-SIMD kernel A/B
@@ -32,13 +30,6 @@ func main() {
 	width := flag.Int("width", 96, "timeline width for fig1..fig4")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	backend := flag.String("backend", "", "tensor kernel backend: scalar, avx2, auto (default: auto, the fastest this CPU supports)")
-	overlap := flag.Bool("overlap", false, "run the functional blocking-vs-overlapped belt benchmark instead of the model tables")
-	overlapOut := flag.String("out", "BENCH_overlap.json", "output path for -overlap")
-	overlapIters := flag.Int("iters", 3, "timed iterations per rep for -overlap")
-	overlapReps := flag.Int("reps", 3, "repetitions (min taken) for -overlap")
-	overlapH := flag.Int("H", 0, "hidden size override for -overlap (0 = default)")
-	overlapN := flag.Int("N", 0, "microbatch count override for -overlap (0 = default)")
-	requireBI := flag.Bool("require-bit-identical", false, "with -overlap: exit nonzero unless the report's bit_identical verdict is true (the CI regression guard); alone: check an existing -out report")
 	sweep := flag.Bool("sweep", false, "run the strategy×topology×scale cost-model sweep")
 	sweepOut := flag.String("sweep-out", "BENCH_sweep.json", "output path for -sweep")
 	grouped := flag.Bool("grouped", false, "run the grouped-belt traffic benchmark (simulated grid + functional p=16 A/B)")
@@ -120,22 +111,6 @@ func main() {
 		fmt.Printf("kernel guard: %s ok\n", *kernelOut)
 	}
 	if *kernel || *requireSpeedup > 0 {
-		return
-	}
-	if *overlap {
-		if err := bench.WriteOverlapBench(*overlapOut, *overlapIters, *overlapReps, *overlapH, *overlapN); err != nil {
-			fmt.Fprintln(os.Stderr, "weipipe-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *requireBI {
-		if err := bench.RequireBitIdentical(*overlapOut); err != nil {
-			fmt.Fprintln(os.Stderr, "weipipe-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bit-identity guard: %s ok\n", *overlapOut)
-	}
-	if *overlap || *requireBI {
 		return
 	}
 	if *list {

@@ -3,7 +3,6 @@ package main
 import (
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -49,27 +48,5 @@ func TestSmokeFigure(t *testing.T) {
 func TestSmokeUnknownExperiment(t *testing.T) {
 	if out, err := runSelf(t, "-exp", "nope"); err == nil {
 		t.Fatalf("expected failure, got:\n%s", out)
-	}
-}
-
-func TestSmokeBitIdentityGuard(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.json")
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(good, []byte(`{"bit_identical": true}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(bad, []byte(`{"bit_identical": false}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, err := runSelf(t, "-require-bit-identical", "-out", good)
-	if err != nil {
-		t.Fatalf("guard rejected a passing report: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "bit-identity guard") {
-		t.Fatalf("unexpected guard output:\n%s", out)
-	}
-	if out, err := runSelf(t, "-require-bit-identical", "-out", bad); err == nil {
-		t.Fatalf("guard accepted a failing report:\n%s", out)
 	}
 }

@@ -29,7 +29,7 @@ func main() {
 	topo := flag.String("topo", "nvlink2", "topology: nvlink, nvlink2, pcie-eth, nvlink-eth")
 	perServer := flag.Int("per-server", 8, "GPUs per server for grouped topologies")
 	recompute := flag.Bool("recompute", true, "activation checkpointing")
-	linkScale := flag.Float64("link-scale", 1, "calibrated link-duration multiplier (from `weipipe-bench -overlap`'s suggested_link_scale)")
+	linkScale := flag.Float64("link-scale", 1, "calibrated link-duration multiplier (from `weipipe-trace -compare`'s suggested link scale)")
 	p2pMode := flag.String("p2p-mode", "", "P2P link model: frame (default; one link task per belt hop), batched (merge a tick's same-link hops into one envelope transfer), duplex (per-belt lanes per link), auto (per link from topology tier and latency)")
 	compare := flag.Bool("compare", false, "run every strategy and print a ranked table")
 	mtbf := flag.Duration("mtbf", 0, "mean time between failures of the whole cluster (e.g. 6h); when set, prints the Young/Daly-optimal -ckpt-every per strategy")

@@ -16,7 +16,7 @@
 //	weipipe-train -tcp -ckpt-every 5 -max-restarts 3 \
 //	    -checkpoint /tmp/m.wpck                            # survive rank failures
 //	weipipe-train -tcp -chaos 0.05 -stats                  # chaos-test the transport
-//	weipipe-train -p 4 -strategy wzb2 -overlap \
+//	weipipe-train -p 4 -strategy wzb2 \
 //	    -trace out.json -metrics                           # runtime tracing + rollup
 package main
 
@@ -84,7 +84,6 @@ func main() {
 	seed := flag.Uint64("seed", 42, "model and data seed")
 	recompute := flag.Bool("recompute", false, "activation checkpointing")
 	mixed := flag.Bool("mixed", false, "fp16/bf16 wire format")
-	overlap := flag.Bool("overlap", false, "asynchronous double-buffered belt engine: background prefetch and store-and-forward relay of weight chunks, zero-copy gradient retirement (bit-identical to blocking mode)")
 	bf16 := flag.Bool("bf16", false, "bf16 wire codec for weight and weight-gradient belt payloads (halves belt bytes)")
 	groupSize := flag.Int("group-size", 0, "ranks per topology group for the grouped belt (-strategy wzb2g): weight chunks cross a group boundary once per iteration and recirculate on the intra-group fabric (0 = topology-friendly default; sizes that do not divide -p fall back to the flat belt); also arms the per-link-tier byte meters shown by -stats for any strategy")
 	p2pMode := flag.String("p2p-mode", "", "per-link transport packaging: frame (default baseline protocol), batched (coalesce same-tick sends into one CRC'd burst envelope per link write), duplex (dedicated ack/heartbeat lane per link, no head-of-line blocking), auto (pick per link from topology tier and measured ack RTT); every mode is bit-identical to frame")
@@ -149,7 +148,6 @@ func main() {
 	opts := weipipe.DefaultOptions(*lr)
 	opts.Recompute = *recompute
 	opts.MixedPrecision = *mixed
-	opts.Overlap = *overlap
 	opts.BF16Wire = *bf16
 	opts.GroupSize = *groupSize
 	opts.ClipNorm = *clip
@@ -432,7 +430,7 @@ func writeTraceOutputs(rc runConfig, trainers []weipipe.Trainer, transports []we
 			Strategy: string(rc.strategy), P: rc.p, N: rc.n,
 			Hidden: rc.cfg.Hidden, Layers: rc.cfg.Layers, Seq: rc.cfg.MaxSeq,
 			Batch: rc.g, Heads: rc.cfg.Heads, Vocab: rc.cfg.Vocab,
-			Iters: rc.iters, Overlap: rc.opts.Overlap,
+			Iters:   rc.iters,
 			P2PMode: p2pMeta(rc.opts.P2PMode),
 		})
 		if err != nil {

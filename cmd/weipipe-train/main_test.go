@@ -32,7 +32,7 @@ func runSelf(t *testing.T, args ...string) (string, error) {
 func TestSmokeTrainWithTrace(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "out.json")
 	out, err := runSelf(t,
-		"-p", "2", "-strategy", "wzb2", "-overlap",
+		"-p", "2", "-strategy", "wzb2",
 		"-iters", "1", "-n", "2", "-g", "1",
 		"-hidden", "16", "-layers", "2", "-heads", "2", "-seq", "8", "-vocab", "32",
 		"-trace", tracePath, "-metrics")

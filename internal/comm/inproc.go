@@ -140,8 +140,12 @@ func (t *inprocTransport) Send(dst int, tag Tag, data []float32) error {
 }
 
 // SendOwned implements OwnedSender: the donated payload is delivered to the
-// receiver without a copy — the zero-copy handoff every belt hop rides. The caller must have drawn payload from GetBuf and must not touch
-// it again; the receiver Releases it as usual.
+// receiver without a copy — the zero-copy handoff every gradient hop rides.
+// A payload its sender still shares (Retain: a weight chunk relayed while the
+// stage computes out of it) is delivered as a private copy instead, so ranks
+// never alias each other's memory; that copy is the one memmove a weight hop
+// costs in process. The caller must have drawn payload from GetBuf and must
+// not touch it again; the receiver Releases it as usual.
 func (t *inprocTransport) SendOwned(dst int, tag Tag, payload []float32) error {
 	if dst < 0 || dst >= t.Size() {
 		Release(payload)
@@ -149,6 +153,7 @@ func (t *inprocTransport) SendOwned(dst int, tag Tag, payload []float32) error {
 	}
 	tr := t.cluster.trace.Rank(t.rank)
 	span := tr.Begin()
+	payload = private(payload)
 	codec := codecFor(t.cluster.codec, tag)
 	applyCodec(codec, payload)
 	t.stats.recordPeer(t.rank, dst, tag.Kind, len(payload), codec.bytesPerElem())

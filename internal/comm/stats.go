@@ -20,18 +20,15 @@ type Stats struct {
 	sentMsgs  map[Kind]int64
 	faults    map[int]*PeerFaults
 
-	// Overlap telemetry. recvWaitNs is the total time receivers spent
-	// blocked inside the transport waiting for a matching message (from any
-	// goroutine — including a prefetch engine's off-critical-path waits).
-	// beltStallNs is recorded by the runners themselves: the compute
-	// thread's critical-path wait for belt payloads, comparable between the
-	// blocking and the overlapped engines. inflightBytes gauges the bytes
-	// delivered to this rank's mailbox but not yet consumed; maxInflight is
-	// its high-water mark.
+	// Exposed-communication telemetry. recvWaitNs is the total time
+	// receivers spent blocked inside the transport waiting for a matching
+	// message (from any goroutine). beltStallNs is recorded by the runners
+	// themselves: the compute thread's critical-path wait for belt payloads.
+	// inflightBytes gauges the bytes delivered to this rank's mailbox but not
+	// yet consumed; maxInflight is its high-water mark.
 	recvWaitNs    int64
 	beltStallNs   int64
 	weightStallNs int64 // the KindWeight share of beltStallNs
-	computeRecvNs int64 // compute-thread time blocked inside a transport Recv for weights
 	inflightBytes int64
 	maxInflight   int64
 
@@ -180,9 +177,8 @@ func (s *Stats) noteInflight(delta int64) {
 }
 
 // RecordBeltStall accumulates compute-thread time spent waiting for a belt
-// payload. The pipeline runners call it around their critical-path receives
-// in both the blocking and the overlapped engines, so the two modes report
-// a directly comparable exposed-communication figure.
+// payload. The pipeline runners call it around their critical-path
+// receives: it is the measured exposed-communication figure.
 func (s *Stats) RecordBeltStall(d time.Duration) {
 	if s == nil || d <= 0 {
 		return
@@ -193,10 +189,10 @@ func (s *Stats) RecordBeltStall(d time.Duration) {
 }
 
 // RecordBeltStallKind is RecordBeltStall with payload-kind attribution.
-// Weight-belt waits are pure communication exposure — every weight chunk
-// exists from iteration start, so any wait for one is transport latency the
-// overlap engine can hide. Gradient-belt waits are producer serialization
-// (the upstream rank must accumulate first) and persist in any engine.
+// Weight-belt waits are communication exposure — every weight chunk exists
+// from iteration start, so a wait for one is the upstream hops' wire time
+// (or, on a CPU-saturated host, their turn on a core). Gradient-belt waits
+// are producer serialization: the upstream rank must accumulate first.
 func (s *Stats) RecordBeltStallKind(kind Kind, d time.Duration) {
 	if s == nil || d <= 0 {
 		return
@@ -207,29 +203,6 @@ func (s *Stats) RecordBeltStallKind(kind Kind, d time.Duration) {
 		s.weightStallNs += int64(d)
 	}
 	s.mu.Unlock()
-}
-
-// RecordComputeRecvWait accumulates time the *compute thread* spent blocked
-// inside a transport Recv for a weight-belt payload. This is the
-// overlap-engine headline metric: in blocking mode every weight hop is a
-// compute-thread transport receive, while in overlapped mode the engine owns
-// all weight-belt transport receives, so the compute loop records none — its
-// residual wait for staged payloads shows up in BeltStall instead.
-func (s *Stats) RecordComputeRecvWait(d time.Duration) {
-	if s == nil || d <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.computeRecvNs += int64(d)
-	s.mu.Unlock()
-}
-
-// ComputeRecvWait returns the cumulative compute-thread blocked time inside
-// weight-belt transport receives (see RecordComputeRecvWait).
-func (s *Stats) ComputeRecvWait() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return time.Duration(s.computeRecvNs)
 }
 
 // RecvWait returns the cumulative blocked-receive time.
@@ -532,7 +505,6 @@ func (s *Stats) Add(o *Stats) {
 		faultsCopy[p] = *f
 	}
 	recvWait, beltStall, weightStall, maxFly := o.recvWaitNs, o.beltStallNs, o.weightStallNs, o.maxInflight
-	computeRecv := o.computeRecvNs
 	gsz := o.groupSize
 	intraB, intraM, interB, interM := o.intraBytes, o.intraMsgs, o.interBytes, o.interMsgs
 	bursts, burstFrames, wireWrites := o.p2pBursts, o.p2pBurstFrames, o.p2pWireWrites
@@ -570,7 +542,6 @@ func (s *Stats) Add(o *Stats) {
 	s.recvWaitNs += recvWait
 	s.beltStallNs += beltStall
 	s.weightStallNs += weightStall
-	s.computeRecvNs += computeRecv
 	if s.groupSize == 0 {
 		s.groupSize = gsz
 	}
@@ -642,7 +613,7 @@ func (s *Stats) String() string {
 			s.groupSize, s.intraBytes, s.intraMsgs, s.interBytes, s.interMsgs))
 	}
 	if s.recvWaitNs > 0 || s.beltStallNs > 0 || s.maxInflight > 0 {
-		parts = append(parts, fmt.Sprintf("overlap[wait=%s stall=%s maxfly=%dB]",
+		parts = append(parts, fmt.Sprintf("exposed[wait=%s stall=%s maxfly=%dB]",
 			time.Duration(s.recvWaitNs).Round(time.Microsecond),
 			time.Duration(s.beltStallNs).Round(time.Microsecond), s.maxInflight))
 	}

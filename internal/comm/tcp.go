@@ -535,8 +535,11 @@ func (t *TCPTransport) Send(dst int, tag Tag, data []float32) error {
 
 // SendOwned implements OwnedSender: the donated payload is enqueued for the
 // link writer without a copy, its own bytes are what the socket reads, and
-// it is released when the peer acknowledges the frame (or at shutdown or
-// peer death). Self-sends deliver the buffer straight to the local mailbox.
+// the link's reference is released when the peer acknowledges the frame (or
+// at shutdown or peer death). The writer only ever reads a payload, so one
+// the sender still shares (Retain) goes out just the same while the sender
+// computes out of it. Self-sends deliver the buffer straight to the local
+// mailbox.
 func (t *TCPTransport) SendOwned(dst int, tag Tag, payload []float32) error {
 	tr := t.opts.Trace
 	span := tr.Begin()
@@ -546,7 +549,9 @@ func (t *TCPTransport) SendOwned(dst int, tag Tag, payload []float32) error {
 	if dst == t.rank {
 		// Self-sends never cross the wire, but a lossy codec must round them
 		// exactly like the mesh does or ranks would observe transport-
-		// dependent values.
+		// dependent values. A payload the sender still shares is copied: the
+		// mailbox hands it to a receiver who owns what it takes.
+		payload = private(payload)
 		applyCodec(codec, payload)
 		t.box.deliver(msgKey{src: t.rank, tag: tag}, payload)
 		return nil

@@ -83,14 +83,16 @@ type Transport interface {
 }
 
 // OwnedSender is implemented by transports that support buffer donation:
-// SendOwned transfers ownership of a pool-drawn payload to the transport,
-// which delivers it without copying. The caller must not touch (or Release)
-// the slice afterwards, whatever SendOwned returns. The in-process fabric
-// re-homes the buffer in the receiver's mailbox; the TCP transport hands the
-// buffer's own bytes to the socket and keeps it — a retransmission reads it
-// again — until the peer acknowledges the frame, then releases it (as it
-// does at shutdown or peer death). Plain Send keeps its
-// copy-at-the-boundary contract for callers that reuse their slice.
+// SendOwned transfers the caller's reference to a pool-drawn payload to the
+// transport, which delivers it without copying. The caller must not touch
+// (or Release) the slice through that reference afterwards, whatever
+// SendOwned returns; a caller that called Retain first keeps reading through
+// the reference it kept. The in-process fabric re-homes an unshared buffer
+// in the receiver's mailbox (and copies a shared one); the TCP transport
+// hands the buffer's own bytes to the socket and keeps its reference — a
+// retransmission reads the buffer again — until the peer acknowledges the
+// frame, then releases it (as it does at shutdown or peer death). Plain Send
+// keeps its copy-at-the-boundary contract for callers that reuse their slice.
 type OwnedSender interface {
 	SendOwned(dst int, tag Tag, payload []float32) error
 }
@@ -126,17 +128,17 @@ type mailbox struct {
 	free    [][][]float32         // recycled empty per-key queues (bounded; see take)
 	err     error                 // non-nil once closed
 
-	// stats, when non-nil, receives the overlap telemetry: bytes sitting in
+	// stats, when non-nil, receives the exposure telemetry: bytes sitting in
 	// the mailbox (delivered but not yet taken — the in-flight gauge) and
 	// the time receivers spend blocked in take.
 	stats *Stats
 }
 
 // keyWaiter parks the takes waiting on one key. Per-key conditions keep
-// delivery wakeups targeted: with the overlap engine a rank has several
-// goroutines blocked on the same mailbox (two belt lanes plus the compute
-// thread), and a shared broadcast would wake all of them on every deliver
-// only for all but one to re-park behind the mailbox lock.
+// delivery wakeups targeted: a rank can have several goroutines blocked on
+// the same mailbox (the compute thread, a buddy replica's receive, a
+// recovery protocol), and a shared broadcast would wake all of them on every
+// deliver only for all but one to re-park behind the mailbox lock.
 type keyWaiter struct {
 	cond *sync.Cond
 	n    int // parked takes; the entry is removed when it drops to 0

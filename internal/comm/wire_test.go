@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"weipipe/internal/nn"
 	"weipipe/internal/tensor"
 )
 
@@ -178,18 +179,26 @@ func assertNoRetainedPayloads(t *testing.T, trs []*TCPTransport) {
 	}
 }
 
-// A loopback pair exchanging 1 MiB donated frames must, once warm, allocate
-// (far) less than 1 KiB per frame: no encode buffer, no staging buffer, no
-// decode copy — only frame bookkeeping.
-func TestTCPSteadyStateAllocs(t *testing.T) {
-	// The race detector makes sync.Pool drop a quarter of all Puts at
-	// random, so no buffer pool has a steady state there.
+// lossyPool reports whether sync.Pool drops Puts: the race detector makes it
+// discard a quarter of them at random, so no buffer pool has a steady state
+// there.
+func lossyPool() bool {
 	var probe sync.Pool
 	for i := 0; i < 64; i++ {
 		probe.Put(new(int))
 		if probe.Get() == nil {
-			t.Skip("sync.Pool is lossy in this build (-race): no allocation steady state to pin")
+			return true
 		}
+	}
+	return false
+}
+
+// A loopback pair exchanging 1 MiB donated frames must, once warm, allocate
+// (far) less than 1 KiB per frame: no encode buffer, no staging buffer, no
+// decode copy — only frame bookkeeping.
+func TestTCPSteadyStateAllocs(t *testing.T) {
+	if lossyPool() {
+		t.Skip("sync.Pool is lossy in this build (-race): no allocation steady state to pin")
 	}
 	const elems = 1 << 18 // 1 MiB of f32
 	for _, tc := range []struct {
@@ -430,4 +439,89 @@ func BenchmarkTCPChunk(b *testing.B) {
 			tr.Close()
 		}
 	}
+}
+
+// BenchmarkBeltHop times the weight belt's unit of work at the wide-*
+// workloads' 3.2 MB chunk: receive a chunk, share it, relay it onward, bind a
+// module's tensors to it (the stage would compute here), unbind, release.
+// Two ranks bounce one chunk, so an iteration is two hops. Over loopback the
+// hop copies nothing in user space; in process it pays the one private copy
+// at the rank boundary.
+func BenchmarkBeltHop(b *testing.B) {
+	const elems = 800_000
+	// A block's worth of tensors covering the chunk, in wire order.
+	module := nn.NewParamSet()
+	for i, n := range []int{256, 65536, 65536, 65536, 65536, 256, 179114, 179115, 179115} {
+		module.Add(string(rune('a'+i)), tensor.New(n))
+	}
+	if module.Size() != elems {
+		b.Fatalf("module holds %d elements, want %d", module.Size(), elems)
+	}
+	tag := func(use int) Tag { return Tag{Kind: KindWeight, B: use} }
+	run := func(b *testing.B, trs [2]Transport) {
+		b.SetBytes(2 * 4 * elems)
+		b.ReportAllocs()
+		hop := func(at, use int) {
+			chunk, err := trs[at].Recv(1-at, tag(use)) // as the belt does: a deadline would allocate its timer
+			if err != nil {
+				b.Fatal(err)
+			}
+			Retain(chunk)
+			if err := SendOwned(trs[at], 1-at, tag(use+1), chunk); err != nil {
+				b.Fatal(err)
+			}
+			module.Bind(chunk)
+			module.Unbind()
+			Release(chunk)
+		}
+		first := GetBuf(elems)
+		clear(first)
+		if err := SendOwned(trs[0], 1, tag(0), first); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			hop(1, 2*i)
+			hop(0, 2*i+1)
+		}
+		b.StopTimer()
+		last, err := trs[1].RecvTimeout(0, tag(2*b.N), 10*time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		Release(last)
+	}
+	b.Run("inproc", func(b *testing.B) {
+		cl := NewCluster(2)
+		defer cl.Close()
+		run(b, [2]Transport{cl.Transport(0), cl.Transport(1)})
+	})
+	b.Run("tcp", func(b *testing.B) {
+		addrs, err := LoopbackAddrs(2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var trs [2]Transport
+		var errs [2]error
+		var wg sync.WaitGroup
+		for r := range trs {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				trs[r], errs[r] = DialTCPOpts(r, addrs, TCPOptions{})
+			}(r)
+		}
+		wg.Wait()
+		for _, tr := range trs {
+			if tr != nil {
+				defer tr.Close()
+			}
+		}
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		run(b, trs)
+	})
 }

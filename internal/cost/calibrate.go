@@ -54,8 +54,7 @@ type Calibration struct {
 	SuggestedMFU float64
 	// SuggestedLinkScale is the measured exposed communication over the
 	// simulator's predicted exposed link time, clamped to [0.01, 1] — drop
-	// it into schedule.Spec.LinkScale (same semantics as
-	// OverlapMeasurement.SuggestedLinkScale).
+	// it into schedule.Spec.LinkScale.
 	SuggestedLinkScale float64
 }
 

@@ -130,6 +130,28 @@ func (m *Model) SetChunk(lo, hi int, src []float32) {
 	}
 }
 
+// BindChunk makes modules [lo, hi) views of flat, in wire order, without
+// copying (nn.ParamSet.Bind): the zero-copy SetChunk. flat must have length
+// ChunkSize(lo, hi) and stay untouched by anyone else until UnbindChunk.
+func (m *Model) BindChunk(lo, hi int, flat []float32) {
+	if len(flat) != m.ChunkSize(lo, hi) {
+		panic("model: BindChunk length mismatch")
+	}
+	off := 0
+	for i := lo; i < hi; i++ {
+		p := m.Modules[i].Params()
+		p.Bind(flat[off : off+p.Size()])
+		off += p.Size()
+	}
+}
+
+// UnbindChunk returns modules [lo, hi) to their own storage.
+func (m *Model) UnbindChunk(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		m.Modules[i].Params().Unbind()
+	}
+}
+
 // Partition splits the module list into p contiguous ranges, balancing by
 // parameter count (a greedy even-cost split that keeps ranges contiguous).
 // Every range is non-empty; p must not exceed the module count.

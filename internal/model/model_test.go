@@ -93,6 +93,55 @@ func TestChunkFlattenRoundTrip(t *testing.T) {
 	}
 }
 
+// BindChunk is SetChunk without the copy: the chunk's modules read the flat
+// buffer in FlattenChunk's order, modules outside the range stay put, a
+// wrong-length buffer binds nothing, and UnbindChunk brings the modules' own
+// weights back.
+func TestBindChunkIsZeroCopySetChunk(t *testing.T) {
+	m := Build(tinyCfg())
+	n := m.ChunkSize(1, 3)
+	own := make([]float32, n)
+	m.FlattenChunk(1, 3, own)
+	outside := m.Modules[3].Params().Flatten()
+
+	chunk := make([]float32, n)
+	for i := range chunk {
+		chunk[i] = float32(i)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("BindChunk accepted a short buffer")
+			}
+		}()
+		m.BindChunk(1, 3, chunk[:n-1])
+	}()
+	m.BindChunk(1, 3, chunk)
+	got := make([]float32, n)
+	m.FlattenChunk(1, 3, got)
+	for i := range got {
+		if got[i] != chunk[i] {
+			t.Fatalf("bound chunk reads %v at %d, buffer holds %v", got[i], i, chunk[i])
+		}
+	}
+	chunk[0] = -5 // no copy was taken: the module sees the buffer change
+	if first := m.Modules[1].Params(); first.Get(first.Names()[0]).Data[0] != -5 {
+		t.Fatal("BindChunk copied the buffer")
+	}
+	for i, v := range m.Modules[3].Params().Flatten() {
+		if v != outside[i] {
+			t.Fatalf("module outside the bound range changed at %d", i)
+		}
+	}
+	m.UnbindChunk(1, 3)
+	m.FlattenChunk(1, 3, got)
+	for i := range got {
+		if got[i] != own[i] {
+			t.Fatalf("own weights not restored at %d: %v != %v", i, got[i], own[i])
+		}
+	}
+}
+
 func TestPartitionCoversAllModules(t *testing.T) {
 	m := Build(tinyCfg())
 	for p := 1; p <= 6; p++ {

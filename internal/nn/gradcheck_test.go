@@ -15,6 +15,9 @@ type tinyNet struct {
 	g, s   int
 	// arena, when set, backs every cache the net creates.
 	arena *tensor.Arena
+	// flatGrads makes lossAndGrads accumulate into storage-less gradient
+	// sets bound to flat buffers, the way a W pass writes its belt payload.
+	flatGrads bool
 }
 
 func (n *tinyNet) cache() *Cache {
@@ -94,7 +97,12 @@ func (n *tinyNet) lossAndGrads(tokens, targets [][]int) (float64, []*ParamSet) {
 
 	grads := make([]*ParamSet, len(mods))
 	for i, m := range mods {
-		grads[i] = m.Params().NewLike()
+		if n.flatGrads {
+			grads[i] = m.Params().NewUnbound()
+			grads[i].Bind(make([]float32, grads[i].Size()))
+		} else {
+			grads[i] = m.Params().NewLike()
+		}
 	}
 	var dy *tensor.Tensor
 	for i := len(mods) - 1; i >= 0; i-- {
@@ -143,6 +151,28 @@ func TestGradCheckFullModelPoisonedArena(t *testing.T) {
 	defer tensor.SetArenaPoison(false)
 	net := newTinyNet(t, 1)
 	net.arena = tensor.NewArena()
+	gradCheckFullModel(t, net)
+}
+
+// The same check computing straight out of a belt buffer: every module's
+// parameters are views of one flat chunk (ParamSet.Bind), their own storage
+// is NaN — so a layer that kept a slice of its home tensor instead of reading
+// through the bound one poisons the loss — and gradients accumulate into
+// bound flat buffers. The finite differences perturb the chunk itself.
+func TestGradCheckFullModelBound(t *testing.T) {
+	net := newTinyNet(t, 1)
+	net.flatGrads = true
+	for _, m := range net.modules() {
+		ps := m.Params()
+		chunk := ps.Flatten()
+		ps.Bind(chunk)
+		nan := float32(math.NaN())
+		for _, home := range ps.home {
+			for i := range home {
+				home[i] = nan
+			}
+		}
+	}
 	gradCheckFullModel(t, net)
 }
 

@@ -13,6 +13,11 @@ type ParamSet struct {
 	names   []string
 	tensors map[string]*tensor.Tensor
 	size    int
+
+	// home holds every tensor's own storage, in wire order, while the set is
+	// bound to a flat buffer (Bind); bound says whether it is.
+	home  [][]float32
+	bound bool
 }
 
 // NewParamSet returns an empty set.
@@ -27,7 +32,17 @@ func (p *ParamSet) Add(name string, t *tensor.Tensor) {
 	}
 	p.names = append(p.names, name)
 	p.tensors[name] = t
-	p.size += t.Size()
+	p.size += numel(t)
+}
+
+// numel is t's element count by shape — t.Size() for a tensor with storage,
+// and the size a storage-less one (NewUnbound) takes once bound.
+func numel(t *tensor.Tensor) int {
+	n := 1
+	for _, d := range t.Shape() {
+		n *= d
+	}
+	return n
 }
 
 // Get returns the tensor registered under name.
@@ -53,6 +68,56 @@ func (p *ParamSet) NewLike() *ParamSet {
 		out.Add(n, tensor.New(p.tensors[n].Shape()...))
 	}
 	return out
+}
+
+// NewUnbound returns a set with the same names and shapes and no storage at
+// all: its tensors are usable only while the set is bound to a flat buffer.
+// It is how a gradient accumulator lives in the buffer that ships it.
+func (p *ParamSet) NewUnbound() *ParamSet {
+	out := NewParamSet()
+	for _, n := range p.names {
+		out.Add(n, tensor.Shell(p.tensors[n].Shape()...))
+	}
+	return out
+}
+
+// Bind points every tensor at its slice of flat, in wire order, without
+// copying: until Unbind (or the next Bind) the set is a view of that buffer
+// — what SetFlat(flat) would have copied in is what the tensors read, and
+// what they accumulate lands in flat where FlattenInto would have put it.
+// Each slice is capacity-clamped, so a kernel that runs past its tensor
+// faults instead of reading its neighbour. flat must have length Size() and
+// must outlive the binding.
+func (p *ParamSet) Bind(flat []float32) {
+	if len(flat) != p.size {
+		panic(fmt.Sprintf("nn: Bind needs %d elems, got %d", p.size, len(flat)))
+	}
+	if p.home == nil {
+		p.home = make([][]float32, len(p.names))
+	}
+	off := 0
+	for i, n := range p.names {
+		t := p.tensors[n]
+		if !p.bound {
+			p.home[i] = t.Data
+		}
+		end := off + numel(t)
+		t.Data = flat[off:end:end]
+		off = end
+	}
+	p.bound = true
+}
+
+// Unbind points every tensor back at its own storage, untouched since Bind
+// (nil for a NewUnbound set). Unbinding an unbound set is a no-op.
+func (p *ParamSet) Unbind() {
+	if !p.bound {
+		return
+	}
+	for i, n := range p.names {
+		p.tensors[n].Data = p.home[i]
+	}
+	p.bound = false
 }
 
 // Clone returns a deep copy.

@@ -44,10 +44,16 @@ func serialReference(t *testing.T, iters, n int) ([]float64, []float32) {
 	return res.Losses, res.Weights
 }
 
+// maxAbsDiff returns the largest elementwise difference, +Inf if any
+// difference is NaN — a poisoned read must fail a tolerance check, not slip
+// under it because NaN compares false.
 func maxAbsDiff(a, b []float32) float64 {
 	var m float64
 	for i := range a {
 		d := math.Abs(float64(a[i] - b[i]))
+		if math.IsNaN(d) {
+			return math.Inf(1)
+		}
 		if d > m {
 			m = d
 		}
@@ -62,7 +68,7 @@ func checkEquivalence(t *testing.T, s Strategy, p, iters, n int, wantLoss []floa
 		t.Fatalf("%s p=%d: %v", s, p, err)
 	}
 	for i := range wantLoss {
-		if math.Abs(res.Losses[i]-wantLoss[i]) > 1e-4 {
+		if !(math.Abs(res.Losses[i]-wantLoss[i]) <= 1e-4) { // NaN fails too
 			t.Errorf("%s p=%d iter %d: loss %.6f, serial %.6f", s, p, i, res.Losses[i], wantLoss[i])
 		}
 	}

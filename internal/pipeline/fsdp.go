@@ -21,6 +21,12 @@ import (
 // ring reduce-scattered so each rank keeps only its shard. Data flow is
 // data-parallel: each rank trains its round-robin share of the
 // microbatches.
+//
+// Like WeiPipe's belt, the gathers are never copied into the model: a
+// module is bound to its gathered buffer (model.BindChunk) for the one pass
+// that needs it and the buffer goes back to the pool afterwards. Only the
+// end-of-step refresh copies, into the modules' own storage, which is what
+// Model() shows between iterations.
 type FSDP struct {
 	t      Transport
 	mdl    *model.Model // weight buffer; authoritative state is the shards
@@ -29,10 +35,17 @@ type FSDP struct {
 	o      Options
 	seq    int
 	arena  *tensor.Arena
-	// grads accumulates an iteration's full-model gradients before the
-	// reduce-scatter; kept and re-zeroed across iterations (see zeroedGrads).
-	grads   []*nn.ParamSet
-	skipped int
+	// grads accumulates an iteration's full-model gradients. The sets own no
+	// storage: module i's is bound for good to gradFlat[i], the flat buffer
+	// the reduce-scatter consumes as it lies.
+	grads    []*nn.ParamSet
+	gradFlat [][]float32
+	skipped  int
+
+	// gathered is the buffer module gatheredMod is bound to for the running
+	// pass (nil between passes); see bindGathered.
+	gathered    []float32
+	gatheredMod int
 
 	// stats is the transport's meter when it exposes one (nil otherwise);
 	// gather waits are recorded into it as belt stall so FSDP's exposed
@@ -64,6 +77,10 @@ func NewFSDP(t Transport, cfg model.Config, o Options) (*FSDP, error) {
 		copy(shard, full[rg[0]:rg[1]])
 		f.shards = append(f.shards, shard)
 		f.opts = append(f.opts, optim.NewAdamW(len(shard), o.Adam))
+		f.gradFlat = append(f.gradFlat, make([]float32, size))
+		g := mdl.Modules[i].Params().NewUnbound()
+		g.Bind(f.gradFlat[i])
+		f.grads = append(f.grads, g)
 	}
 	return f, nil
 }
@@ -81,121 +98,39 @@ func (f *FSDP) shardLens(i int) []int {
 	return lens
 }
 
-// gatherModule all-gathers module i's weights into the local buffer.
-func (f *FSDP) gatherModule(i int) error {
+// gather all-gathers module i's weights in place, on the compute thread,
+// recording the wait as belt stall so FSDP's exposed communication is
+// measured the same way as WeiPipe's. The caller owns the returned buffer.
+func (f *FSDP) gather(i int) ([]float32, error) {
 	f.seq++
 	span := f.tr.Begin()
 	start := time.Now()
 	full, err := comm.AllGather(f.t, f.shards[i], f.shardLens(i), f.seq)
 	f.tr.End(span, trace.CodeStall, int64(comm.KindWeight), int64(i))
 	f.stats.RecordBeltStallKind(comm.KindWeight, time.Since(start))
+	return full, err
+}
+
+// bindGathered gathers module i and makes it a view of the result for one
+// pass; releaseGathered ends the pass (and an aborted iteration) by
+// unbinding the module and returning the buffer to the pool.
+func (f *FSDP) bindGathered(i int) error {
+	full, err := f.gather(i)
 	if err != nil {
 		return err
 	}
-	f.mdl.SetChunk(i, i+1, full)
-	comm.Release(full)
+	f.mdl.BindChunk(i, i+1, full)
+	f.gathered, f.gatheredMod = full, i
 	return nil
 }
 
-// gatherItem is one prefetched module's gathered weights.
-type gatherItem struct {
-	full []float32
-	err  error
-}
-
-// gatherStream prefetches module all-gathers one ahead of compute
-// (Options.Overlap): a background goroutine runs the ring collectives for
-// the microbatch loop's known gather sequence while the compute thread
-// works on the previous module. The goroutine is the only transport user
-// during the loop (so the collectives stay well-ordered), and the compute
-// thread installs each buffer into the model at its consumption point (so
-// model mutation stays single-threaded). Sequence numbers are assigned from
-// the same counter in the same order as blocking mode, making the two modes
-// indistinguishable on the wire.
-type gatherStream struct {
-	ch   chan gatherItem
-	quit chan struct{}
-}
-
-// startGatherStream arms the prefetch goroutine for nMB local microbatches
-// (forward gathers 0..n-1 then backward gathers n-1..0, per microbatch).
-// The caller must pair it with stop().
-func (f *FSDP) startGatherStream(nMB int) *gatherStream {
-	nMods := len(f.mdl.Modules)
-	plan := make([]int, 0, 2*nMods*nMB)
-	for mb := 0; mb < nMB; mb++ {
-		for i := 0; i < nMods; i++ {
-			plan = append(plan, i)
-		}
-		for i := nMods - 1; i >= 0; i-- {
-			plan = append(plan, i)
-		}
+func (f *FSDP) releaseGathered() {
+	if f.gathered == nil {
+		return
 	}
-	s := &gatherStream{ch: make(chan gatherItem, 1), quit: make(chan struct{})}
-	base := f.seq
-	f.seq += len(plan) // reserve the stream's sequence range up front
-	go func() {
-		defer close(s.ch)
-		for j, i := range plan {
-			full, err := comm.AllGather(f.t, f.shards[i], f.shardLens(i), base+j+1)
-			if err != nil {
-				full = nil
-			}
-			select {
-			case <-s.quit:
-				comm.Release(full)
-				return
-			default:
-			}
-			select {
-			case s.ch <- gatherItem{full: full, err: err}:
-			case <-s.quit:
-				comm.Release(full)
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	return s
-}
-
-// nextGather installs the stream's next prefetched module (which must be
-// module i — the stream replays the same order as the compute loop).
-func (f *FSDP) nextGather(s *gatherStream, i int) error {
-	span := f.tr.Begin()
-	start := time.Now()
-	it, ok := <-s.ch
-	f.tr.End(span, trace.CodeStall, int64(comm.KindWeight), int64(i))
-	f.stats.RecordBeltStallKind(comm.KindWeight, time.Since(start))
-	if !ok {
-		return fmt.Errorf("pipeline: gather stream exhausted")
-	}
-	if it.err != nil {
-		return it.err
-	}
-	f.mdl.SetChunk(i, i+1, it.full)
-	comm.Release(it.full)
-	return nil
-}
-
-// stop tears the stream down, draining staged buffers back to the pool. It
-// never blocks; a goroutine still inside a collective bails at its next
-// quit check or when the transport closes.
-func (s *gatherStream) stop() {
-	close(s.quit)
-	for {
-		select {
-		case it, ok := <-s.ch:
-			if !ok {
-				return
-			}
-			comm.Release(it.full)
-		default:
-			return
-		}
-	}
+	f.mdl.UnbindChunk(f.gatheredMod, f.gatheredMod+1)
+	comm.Release(f.gathered)
+	f.gathered = nil
 }
 
 // TrainIteration implements Trainer.
@@ -209,40 +144,30 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 		f.mdl.Head.LossScale = float32(f.o.Scaler.Scale())
 	}
 	nMods := len(f.mdl.Modules)
-	f.grads = zeroedGrads(f.mdl, f.grads, 0, nMods)
-	grads := f.grads
+	for _, g := range f.gradFlat {
+		clear(g)
+	}
 	var lossSum float64
 
-	// With Overlap the microbatch loop's gathers run one ahead of compute on
-	// a background stream; without it every gather blocks in place. Both
-	// paths install identical bytes under identical sequence numbers.
-	var stream *gatherStream
-	if f.o.Overlap {
-		stream = f.startGatherStream(len(mine))
-		defer stream.stop()
-	}
-	gather := func(i int) error {
-		if stream != nil {
-			return f.nextGather(stream, i)
-		}
-		return f.gatherModule(i)
-	}
+	// An iteration that ends early leaves no module bound to a pool buffer.
+	defer f.releaseGathered()
 
 	for mi, b := range mine {
 		mb := int64(mi)
 		caches := newCaches(0, nMods, b.G(), b.S(), f.arena)
 
-		// Forward: gather each module just in time; the buffer is
-		// overwritten by the next gather, which is FSDP's "free".
+		// Forward: bind each module to its gather just in time; giving the
+		// buffer back right after the pass is FSDP's "free".
 		var x *tensor.Tensor
 		for i := 0; i < nMods; i++ {
-			if err := gather(i); err != nil {
+			if err := f.bindGathered(i); err != nil {
 				return 0, err
 			}
 			span := f.tr.Begin()
 			var l float64
 			x, l = forwardModule(f.mdl, i, x, b, caches[i])
 			f.tr.End(span, trace.CodeF, mb, int64(i))
+			f.releaseGathered()
 			lossSum += l
 			if f.o.Recompute && i != 0 && i != nMods-1 {
 				caches[i].DropAllButX()
@@ -252,7 +177,7 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 		// Backward: gather again before each module's B+W pass.
 		var dy *tensor.Tensor
 		for i := nMods - 1; i >= 0; i-- {
-			if err := gather(i); err != nil {
+			if err := f.bindGathered(i); err != nil {
 				return 0, err
 			}
 			c := caches[i]
@@ -263,8 +188,9 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 			dy = f.mdl.Modules[i].BackwardInput(dy, c)
 			f.tr.End(span, trace.CodeB, mb, int64(i))
 			span = f.tr.Begin()
-			f.mdl.Modules[i].BackwardParams(c, grads[i])
+			f.mdl.Modules[i].BackwardParams(c, f.grads[i])
 			f.tr.End(span, trace.CodeW, mb, int64(i))
+			f.releaseGathered()
 		}
 		f.arena.Reset()
 	}
@@ -274,13 +200,8 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 	invN := gradFactor(f.o, len(batches))
 	gradShards := make([][]float32, nMods)
 	for i := 0; i < nMods; i++ {
-		// Scratch from the pool the collectives release into (GetBuf
-		// contents are arbitrary; the flatten writes every element).
-		full := comm.GetBuf(f.mdl.ModuleParamSize(i))
-		flattenGradsRange(f.mdl, grads, i, i+1, full)
 		f.seq++
-		shard, err := comm.ReduceScatterSum(f.t, full, f.seq)
-		comm.Release(full)
+		shard, err := comm.ReduceScatterSum(f.t, f.gradFlat[i], f.seq)
 		if err != nil {
 			return 0, err
 		}
@@ -330,11 +251,15 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 
 	f.tr.End(optSpan, trace.CodeOpt, int64(f.seq), 0)
 
-	// Refresh the local buffer so Model() exposes post-step weights.
+	// Refresh the modules' own storage so Model() exposes post-step weights:
+	// the one gather per module that is copied rather than bound.
 	for i := 0; i < nMods; i++ {
-		if err := f.gatherModule(i); err != nil {
+		full, err := f.gather(i)
+		if err != nil {
 			return 0, err
 		}
+		f.mdl.SetChunk(i, i+1, full)
+		comm.Release(full)
 	}
 
 	f.seq++

@@ -54,8 +54,9 @@ type groupedState struct {
 	nG    int // number of groups
 	grp   *comm.Group
 	// cache maps chunk id -> this group's sealed, wire-rounded belt payload
-	// for the current iteration. Filled by the exchange, immutable until
-	// releaseCache, shared with the overlap engine's local ops.
+	// for the current iteration. Filled by the exchange and immutable until
+	// releaseCache: every injection and every self-held use shares the
+	// cached buffer (comm.Retain) instead of copying it.
 	cache map[int][]float32
 }
 
@@ -174,10 +175,19 @@ func (w *WeiPipe) cacheCodec(tag Tag) comm.WireCodec {
 // cachePayload rounds payload's body into the wire-value domain and caches
 // it, taking ownership. Transport-received payloads are already rounded
 // (RoundToWire is idempotent); the rounding matters for the owner's
-// self-held copy, which never crossed a link.
+// self-held copy, which never crossed a link. It is the last write the
+// buffer sees: from here it is only ever shared.
 func (w *WeiPipe) cachePayload(c int, payload []float32) {
 	comm.RoundToWire(w.cacheCodec(w.xchgTag(c, 0)), w.beltBody(payload))
 	w.grouped.cache[c] = payload
+}
+
+// sendCached ships chunk c's cached payload to dst over t under tag without
+// copying it: the cache keeps its reference and the transport takes another.
+func (w *WeiPipe) sendCached(t Transport, dst int, tag Tag, c int) error {
+	payload := w.grouped.cache[c]
+	comm.Retain(payload)
+	return comm.SendOwned(t, dst, tag, payload)
 }
 
 // groupedExchange runs the iteration-start shard exchange and the round-0
@@ -190,20 +200,15 @@ func (w *WeiPipe) groupedExchange() error {
 	// 1. Build the owned chunk's belt payload exactly as the flat injection
 	// would (copy, optional fp16 rounding, seal), then hand it to its local
 	// holder: cache it here, or send it as holder-ring hop 0.
-	payload := comm.GetBuf(len(w.masterW) + w.pad)
-	body := payload[:len(w.masterW)]
-	copy(body, w.masterW)
-	maybeRoundF16(w.opts, body)
-	w.sealBelt(w.xchgTag(w.ownChunk, 0), payload)
+	payload := w.ownedPayload(w.xchgTag(w.ownChunk, 0))
 	if h0 := g.holderIn(g.g, w.ownChunk); h0 == rank {
 		// Owner is the holder: the chain's first hop is ours to send.
+		w.cachePayload(w.ownChunk, payload)
 		if g.nG > 1 {
-			if err := w.t.Send(g.holderIn((g.g+1)%g.nG, w.ownChunk), w.xchgTag(w.ownChunk, 1), payload); err != nil {
-				comm.Release(payload)
+			if err := w.sendCached(w.t, g.holderIn((g.g+1)%g.nG, w.ownChunk), w.xchgTag(w.ownChunk, 1), w.ownChunk); err != nil {
 				return err
 			}
 		}
-		w.cachePayload(w.ownChunk, payload)
 	} else {
 		if err := comm.SendOwned(w.t, h0, w.xchgTag(w.ownChunk, 0), payload); err != nil {
 			return err
@@ -236,13 +241,12 @@ func (w *WeiPipe) groupedExchange() error {
 			comm.Release(payload)
 			return verr
 		}
+		w.cachePayload(c, payload)
 		if hop < g.nG-1 {
-			if err := w.t.Send(g.holderIn((g.g+1)%g.nG, c), w.xchgTag(c, hop+1), payload); err != nil {
-				comm.Release(payload)
+			if err := w.sendCached(w.t, g.holderIn((g.g+1)%g.nG, c), w.xchgTag(c, hop+1), c); err != nil {
 				return err
 			}
 		}
-		w.cachePayload(c, payload)
 	}
 
 	// 3. Round-0 injections: each held chunk enters both weight belts at
@@ -254,7 +258,7 @@ func (w *WeiPipe) groupedExchange() error {
 			continue
 		}
 		for _, belt := range []int{beltFwd, beltBwd} {
-			if err := g.grp.Send(0, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, g.first)}, g.cache[c]); err != nil {
+			if err := w.sendCached(g.grp, 0, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, g.first)}, c); err != nil {
 				return err
 			}
 		}
@@ -265,50 +269,39 @@ func (w *WeiPipe) groupedExchange() error {
 // recvBeltChunkGrouped is the grouped-belt analogue of recvBeltChunk: the
 // weight belt lives on the group sub-transport, the group's first rank is
 // fed by the chunk's holder (or its own cache), the last rank never
-// forwards, and the holder paces round k+1's injection off its own round-k
+// relays, and the holder paces round k+1's injection off its own round-k
 // consumption.
 func (w *WeiPipe) recvBeltChunkGrouped(belt, c, use int) error {
 	g := w.grouped
 	i := w.t.Rank() - g.first
-	tag := Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use)}
 	var payload []float32
-	var err error
-	switch {
-	case w.engine != nil:
-		// The engine's plan covers every op, including cache-local ones.
-		payload, err = w.engine.next(tag, w.stats)
-	case i == 0 && g.holderLocal(c) == 0:
-		// First rank holds the chunk itself: consume a pooled copy of the
-		// cache, no message.
-		cached := g.cache[c]
-		payload = comm.GetBuf(len(cached))
-		copy(payload, cached)
-	default:
+	if i == 0 && g.holderLocal(c) == 0 {
+		// First rank holds the chunk itself: compute out of the cache, no
+		// message. Only the chaos injector, which writes what it is handed,
+		// gets a copy of its own.
+		payload = g.cache[c]
+		if w.opts.BitFlip == nil {
+			comm.Retain(payload)
+		} else {
+			payload = append(comm.GetBuf(len(payload))[:0], payload...)
+		}
+	} else {
 		src := i - 1
 		if i == 0 {
 			src = g.holderLocal(c)
 		}
-		payload, err = w.beltRecvOn(g.grp, src, tag)
+		var err error
+		payload, err = w.beltRecvOn(g.grp, src, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use)})
+		if err != nil {
+			comm.Release(payload)
+			return err
+		}
 	}
-	if err != nil {
-		comm.Release(payload)
-		return err
+	relayTo := -1
+	if i < g.m-1 {
+		relayTo = i + 1
 	}
-	if w.opts.BitFlip != nil {
-		w.opts.BitFlip.Flip(w.t.Rank(), w.iter, FlipBeltWeight, w.beltBody(payload))
-	}
-	if verr := w.verifyBelt(comm.SiteBelt, comm.KindWeight, c, payload); verr != nil {
-		comm.Release(payload)
-		return verr
-	}
-	lo, hi := w.chunkRange(c)
-	w.mdl.SetChunk(lo, hi, w.beltBody(payload))
-	if w.engine == nil && i < g.m-1 {
-		err = comm.SendOwned(g.grp, i+1, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use+1)}, payload)
-	} else {
-		comm.Release(payload)
-	}
-	if err != nil {
+	if err := w.installBelt(g.grp, belt, c, use, payload, relayTo); err != nil {
 		return err
 	}
 	// Holder re-injection: our own consumption of round k frees the belt
@@ -318,7 +311,7 @@ func (w *WeiPipe) recvBeltChunkGrouped(belt, c, use int) error {
 	// cache without a message.
 	if g.holderLocal(c) == i && i != 0 {
 		if k := use / w.t.Size(); k+1 < w.curR {
-			return g.grp.Send(0, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, (k+1)*w.t.Size()+g.first)}, g.cache[c])
+			return w.sendCached(g.grp, 0, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, (k+1)*w.t.Size()+g.first)}, c)
 		}
 	}
 	return nil

@@ -3,9 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"weipipe/internal/comm"
 	"weipipe/internal/data"
@@ -31,20 +29,24 @@ func groupedBatches(iters, n int) func(int) []data.Batch {
 	return func(i int) []data.Batch { return all[i] }
 }
 
-// TestGroupedBitIdenticalToFlat sweeps ring size × group size × wire/engine
-// variants: plain blocking, the async engine, bf16 wire, integrity seals,
-// and all of them together. Every cell must reproduce flat WZB2 exactly.
+// TestGroupedBitIdenticalToFlat sweeps ring size × group size × wire
+// variants: plain, the fabric where relay and compute overlap on one shared
+// buffer (TCP: the cached shard goes to the socket as it lies while the
+// holder computes out of it; in process every hop is a copy), bf16 wire,
+// integrity seals, and all of them together. Every cell must reproduce flat
+// WZB2 on the same fabric exactly.
 func TestGroupedBitIdenticalToFlat(t *testing.T) {
 	const iters, n2 = 2, 2 // n2: microbatch rounds (n = n2*p per iteration)
 	variants := []struct {
 		name string
+		tcp  bool
 		mod  func(*Options)
 	}{
-		{"plain", func(*Options) {}},
-		{"overlap", func(o *Options) { o.Overlap = true }},
-		{"bf16", func(o *Options) { o.BF16Wire = true }},
-		{"integrity", func(o *Options) { o.Integrity = true }},
-		{"all", func(o *Options) { o.Overlap = true; o.BF16Wire = true; o.Integrity = true }},
+		{"plain", false, func(*Options) {}},
+		{"overlap", true, func(*Options) {}},
+		{"bf16", false, func(o *Options) { o.BF16Wire = true }},
+		{"integrity", false, func(o *Options) { o.Integrity = true }},
+		{"all", true, func(o *Options) { o.BF16Wire = true; o.Integrity = true }},
 	}
 	for _, p := range []int{4, 8} {
 		for _, gs := range []int{0, 2, 4} {
@@ -57,19 +59,23 @@ func TestGroupedBitIdenticalToFlat(t *testing.T) {
 				p, gs, v := p, gs, v
 				t.Run(fmt.Sprintf("p%d_gs%d_%s", p, gs, v.name), func(t *testing.T) {
 					t.Parallel()
+					run := func(s Strategy, opts Options) ([]float64, []float32) {
+						if v.tcp {
+							return runTCP(t, s, p, cfg, opts, iters, groupedBatches(iters, n))
+						}
+						res, err := RunCluster(s, p, cfg, opts, iters, groupedBatches(iters, n))
+						if err != nil {
+							t.Fatalf("%s: %v", s, err)
+						}
+						return res.Losses, res.Weights
+					}
 					flatOpts := eqOpts()
 					v.mod(&flatOpts)
-					ref, err := RunCluster(StrategyWZB2, p, cfg, flatOpts, iters, groupedBatches(iters, n))
-					if err != nil {
-						t.Fatalf("flat: %v", err)
-					}
+					refLosses, refWeights := run(StrategyWZB2, flatOpts)
 					opts := flatOpts
 					opts.GroupSize = gs
-					got, err := RunCluster(StrategyWZB2G, p, cfg, opts, iters, groupedBatches(iters, n))
-					if err != nil {
-						t.Fatalf("grouped: %v", err)
-					}
-					bitIdentical(t, "wzb2g", got.Losses, ref.Losses, got.Weights, ref.Weights)
+					losses, weights := run(StrategyWZB2G, opts)
+					bitIdentical(t, "wzb2g", losses, refLosses, weights, refWeights)
 				})
 			}
 		}
@@ -132,9 +138,9 @@ func TestGroupedCutsInterGroupBytes(t *testing.T) {
 
 // TestGroupedChaosTCPEquivalence: the grouped belt over real TCP with
 // frame-level chaos (drop/dup/reorder/corrupt/delay) — shard exchange on
-// the chaotic parent transport, belt circulation on sub-ring groups, async
-// engine armed — must still reproduce the clean in-process flat trajectory
-// bit for bit.
+// the chaotic parent transport, belt circulation on sub-ring groups, every
+// injection a retransmittable view of the shared cache — must still
+// reproduce the clean in-process flat trajectory bit for bit.
 func TestGroupedChaosTCPEquivalence(t *testing.T) {
 	const p, gs, iters, n = 4, 2, 2, 8
 	ref, err := RunCluster(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n))
@@ -143,46 +149,9 @@ func TestGroupedChaosTCPEquivalence(t *testing.T) {
 	}
 
 	base := runtime.NumGoroutine()
-	addrs, err := comm.LoopbackAddrs(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcpOpts := comm.TCPOptions{
-		DialTimeout:       10 * time.Second,
-		HeartbeatInterval: 20 * time.Millisecond,
-		PeerDeadTimeout:   2 * time.Second,
-		RetransmitTimeout: 40 * time.Millisecond,
-		ReconnectBackoff:  5 * time.Millisecond,
-		Chaos: &comm.ChaosConfig{
-			Seed:      4242,
-			Drop:      0.05,
-			Dup:       0.05,
-			Reorder:   0.05,
-			Corrupt:   0.02,
-			DelayProb: 0.05,
-			MaxDelay:  2 * time.Millisecond,
-		},
-	}
-	trs := make([]comm.Transport, p)
-	dialErrs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			trs[r], dialErrs[r] = comm.DialTCPOpts(r, addrs, tcpOpts)
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range dialErrs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	trs := dialMesh(t, p, chaosTCPOpts(comm.P2PFrame, 0))
 	opts := eqOpts()
 	opts.GroupSize = gs
-	opts.Overlap = true
 	losses, weights := runOnTransports(t, trs, StrategyWZB2G, opts, iters, n)
 	bitIdentical(t, "wzb2g chaos TCP", losses, ref.Losses, weights, ref.Weights)
 

@@ -134,7 +134,7 @@ func (w *WeiPipe) checkResidentGuards() error {
 // recoverIntegrity converts a tensor-layer ABFT panic into the typed
 // integrity error the repair path consumes. It is deferred first in
 // TrainIteration, so it runs last during an unwind — after the arena and
-// belt-engine cleanups have already released their resources. Any other
+// stage-buffer cleanups have already released their resources. Any other
 // panic is re-raised untouched.
 func (w *WeiPipe) recoverIntegrity(errp *error) {
 	r := recover()

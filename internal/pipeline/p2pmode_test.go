@@ -113,34 +113,8 @@ func chaosTCPOpts(mode comm.P2PMode, groupSize int) comm.TCPOptions {
 	}
 }
 
-// dialChaosMesh brings up a p-rank chaotic TCP mesh in the given mode.
-func dialChaosMesh(t *testing.T, p int, opts comm.TCPOptions) []comm.Transport {
-	t.Helper()
-	addrs, err := comm.LoopbackAddrs(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trs := make([]comm.Transport, p)
-	dialErrs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			trs[r], dialErrs[r] = comm.DialTCPOpts(r, addrs, opts)
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range dialErrs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return trs
-}
-
 // TestP2PModeEquivalenceChaosTCP: the full matrix over real TCP with
-// frame-level chaos — every mode's grouped overlapped run must reproduce
+// frame-level chaos — every mode's grouped run must reproduce
 // the clean in-process flat frame trajectory bit for bit, with the
 // reliability machinery demonstrably exercised and (for the packaging
 // modes) the mode demonstrably on the wire.
@@ -155,11 +129,10 @@ func TestP2PModeEquivalenceChaosTCP(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			skipUnlessMode(t, mode)
 			base := runtime.NumGoroutine()
-			trs := dialChaosMesh(t, p, chaosTCPOpts(mode, gs))
+			trs := dialMesh(t, p, chaosTCPOpts(mode, gs))
 
 			opts := eqOpts()
 			opts.GroupSize = gs
-			opts.Overlap = true
 			opts.P2PMode = mode
 			losses, weights := runOnTransports(t, trs, StrategyWZB2G, opts, iters, n)
 			bitIdentical(t, "wzb2g chaos TCP "+mode.String(), losses, ref.Losses, weights, ref.Weights)
@@ -207,10 +180,9 @@ func TestP2PModeMidRunAutoRedecision(t *testing.T) {
 	base := runtime.NumGoroutine()
 	tcpOpts := chaosTCPOpts(comm.P2PAuto, 0) // flat: every link seeds duplex
 	tcpOpts.AutoRTTSec = 1e-12               // any measured RTT forces batched
-	trs := dialChaosMesh(t, p, tcpOpts)
+	trs := dialMesh(t, p, tcpOpts)
 
 	opts := eqOpts()
-	opts.Overlap = true
 	opts.P2PMode = comm.P2PAuto
 	losses, weights := runOnTransports(t, trs, StrategyWZB2, opts, iters, n)
 	bitIdentical(t, "wzb2 mid-run auto re-decision", losses, ref.Losses, weights, ref.Weights)

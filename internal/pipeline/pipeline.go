@@ -87,17 +87,6 @@ type Options struct {
 	// cannot poison the weights. The check rides the same scalar all-reduce
 	// global-norm clipping uses, so every rank makes the identical decision.
 	GuardNonFinite bool
-	// Overlap enables the asynchronous belt engine on WeiPipe trainers (and
-	// gather prefetch on FSDP): a background receiver goroutine prefetches
-	// the next belt chunk into a second buffer and relays it downstream
-	// while the compute thread works on the current one, and gradient belts
-	// retire through buffer donation instead of a copying send. The engine
-	// preserves the exact dataflow — same payload values, same reduction
-	// order — so overlapped training is bit-identical to the blocking path;
-	// the equivalence suite asserts it for every strategy. Strategies
-	// without a belt (activation-passing pipelines, DP, serial) ignore the
-	// flag. All ranks of a run must agree on it.
-	Overlap bool
 	// BF16Wire selects the bf16 belt codec on the transport-facing helpers
 	// (RunCluster and the CLIs): weight/grad belt payloads travel as 2-byte
 	// bfloat16, halving belt bytes at a bounded rounding cost. Unlike the
@@ -115,7 +104,7 @@ type Options struct {
 	Buddy bool
 	// Trace, when non-nil, receives runtime spans from every rank: F/B/W
 	// compute stages, optimizer steps, exposed-communication stalls, belt
-	// engine prefetch/relay activity and checkpoint barriers. All ranks of
+	// relays and checkpoint barriers. All ranks of
 	// a run share the one Set (each pulls its own tracer by rank), so the
 	// per-rank timelines align on a common monotonic epoch. Nil means
 	// tracing off, which costs one pointer test per instrumentation site.
@@ -225,8 +214,10 @@ type Trainer interface {
 	// the mean microbatch loss (identical on every rank).
 	TrainIteration(batches []data.Batch) (float64, error)
 	// Model returns the rank's local model replica. After TrainIteration
-	// the modules this rank owns hold post-step weights; which modules
-	// those are depends on the strategy.
+	// the modules this rank owns (Owner) hold post-step weights; which
+	// modules those are depends on the strategy. Modules outside that range
+	// hold nothing a caller may read: weight-passing trainers only ever see
+	// them as views of a belt buffer, for the length of one stage.
 	Model() *model.Model
 }
 

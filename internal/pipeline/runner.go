@@ -224,12 +224,9 @@ func (w *WeiPipe) SetLR(lr float64) { w.opt.SetLR(lr) }
 // SetLR implements LRSetter for the hybrid trainer.
 func (h *WeiPipeDP) SetLR(lr float64) { h.inner.SetLR(lr) }
 
-// ReloadMasterFromModel refreshes this worker's owned master chunk from the
-// local model buffer — used after loading checkpoint weights into Model().
-// The reload is a legitimate mutation of guarded resident state, so the
-// integrity guards are re-armed over the fresh values.
-func (w *WeiPipe) ReloadMasterFromModel() {
-	lo, hi := w.chunkRange(w.ownChunk)
-	w.mdl.FlattenChunk(lo, hi, w.masterW)
-	w.refreshResidentGuards()
-}
+// ReloadMasterFromModel is called after loading checkpoint weights into
+// Model(). The owned chunk's modules are views of the master vector, so the
+// load already wrote it; what is left is that the load was a legitimate
+// mutation of guarded resident state, so the integrity guards are re-armed
+// over the fresh values.
+func (w *WeiPipe) ReloadMasterFromModel() { w.refreshResidentGuards() }

@@ -36,14 +36,17 @@ func codesByRank(set *trace.Set) map[int32]map[trace.Code]int {
 	return out
 }
 
-// TestWeiPipeTraceOverlap runs an overlapped WZB2 cluster with tracing on
-// and checks every instrumentation layer reported: per-stage compute spans,
-// step and optimizer spans, stall spans, engine prefetch/relay spans and
-// transport send/recv spans — on every rank.
+// TestWeiPipeTraceOverlap runs a WZB2 cluster with tracing on and checks
+// every instrumentation layer reported — per-stage compute spans, step and
+// optimizer spans, stall spans, belt relay spans and transport send/recv
+// spans, on every rank — and that the relay overlaps compute the way the
+// belt promises: the relay of use j+1 is enqueued before the F or B stage of
+// use j starts computing, so the next hop's wire time runs under that
+// compute, not after it.
 func TestWeiPipeTraceOverlap(t *testing.T) {
 	const p, n, iters = 2, 4, 2
 	set := trace.NewSet(p, 1<<14)
-	opts := Options{Overlap: true, Trace: set}
+	opts := Options{Trace: set}
 	batches := traceTestBatches(n)
 	res, err := RunCluster(StrategyWZB2, p, traceTestConfig(), opts, iters,
 		func(int) []data.Batch { return batches })
@@ -61,9 +64,9 @@ func TestWeiPipeTraceOverlap(t *testing.T) {
 	if len(byRank) != p {
 		t.Fatalf("ranks seen = %d, want %d", len(byRank), p)
 	}
-	// Per rank per iteration: p F, p B, p W stages (n/p rounds × p chunks ×
-	// ... = n stages of each kind per iteration: R rounds × p chunks).
+	// Per rank per iteration: R rounds × p chunks = n stages of each kind.
 	wantStages := n * iters
+	totalRelays := 0
 	for rank, codes := range byRank {
 		if codes[trace.CodeStep] != iters {
 			t.Errorf("rank %d: step spans = %d, want %d", rank, codes[trace.CodeStep], iters)
@@ -79,17 +82,49 @@ func TestWeiPipeTraceOverlap(t *testing.T) {
 		if codes[trace.CodeStall] == 0 {
 			t.Errorf("rank %d: no stall spans", rank)
 		}
-		// Overlap engine: one prefetch per F/B stage; relays on all but the
-		// final use of each belt.
-		if codes[trace.CodePrefetch] != 2*wantStages {
-			t.Errorf("rank %d: prefetch spans = %d, want %d", rank, codes[trace.CodePrefetch], 2*wantStages)
-		}
-		if codes[trace.CodeRelay] == 0 {
-			t.Errorf("rank %d: no relay spans", rank)
-		}
 		if codes[trace.CodeSend] == 0 || codes[trace.CodeRecv] == 0 {
 			t.Errorf("rank %d: transport spans missing (send=%d recv=%d)",
 				rank, codes[trace.CodeSend], codes[trace.CodeRecv])
+		}
+		totalRelays += codes[trace.CodeRelay]
+	}
+	// Every use of a weight chunk but its last is relayed: two belts, p
+	// chunks, n uses each.
+	if want := iters * 2 * p * (n - 1); totalRelays != want {
+		t.Errorf("relay spans = %d, want %d", totalRelays, want)
+	}
+
+	// Relay order. Events come back sorted by start time and a rank's relay
+	// and stage spans all start on its compute thread, so per rank they lie
+	// in the order they ran: a relay span (belt, next use) must be followed
+	// at once by the stage of that belt consuming use−1 — this rank's
+	// microbatch of that index — and must have ended before that stage began.
+	lastRelay := make(map[int32]*trace.Event)
+	for _, e := range set.Events() {
+		e := e
+		switch e.Code {
+		case trace.CodeRelay:
+			if prev := lastRelay[e.Rank]; prev != nil {
+				t.Fatalf("rank %d: relay of use %d follows relay of use %d with no stage between", e.Rank, e.B, prev.B)
+			}
+			lastRelay[e.Rank] = &e
+		case trace.CodeF, trace.CodeB:
+			r := lastRelay[e.Rank]
+			if r == nil {
+				continue // the chunk's last use: nothing to relay
+			}
+			lastRelay[e.Rank] = nil
+			wantBelt := int64(beltFwd)
+			if e.Code == trace.CodeB {
+				wantBelt = beltBwd
+			}
+			if r.A != wantBelt || r.B != e.A+1 {
+				t.Fatalf("rank %d: relay (belt %d, use %d) precedes %v of microbatch %d", e.Rank, r.A, r.B, e.Code, e.A)
+			}
+			if r.Start+r.Dur > e.Start {
+				t.Fatalf("rank %d: relay of use %d ended at %d, after %v of use %d began at %d",
+					e.Rank, r.B, r.Start+r.Dur, e.Code, e.A, e.Start)
+			}
 		}
 	}
 
@@ -121,8 +156,9 @@ func TestWeiPipeTraceOverlap(t *testing.T) {
 	}
 }
 
-// TestTraceBlockingModeStalls checks the blocking (non-overlap) path emits
-// the same span families minus the engine lanes.
+// TestTraceBlockingModeStalls checks that the compute thread's blocking
+// belt receives show up as stall spans next to the compute spans they
+// delay.
 func TestTraceBlockingModeStalls(t *testing.T) {
 	const p, n = 2, 2
 	set := trace.NewSet(p, 1<<13)
@@ -134,11 +170,8 @@ func TestTraceBlockingModeStalls(t *testing.T) {
 	}
 	byRank := codesByRank(set)
 	for rank, codes := range byRank {
-		if codes[trace.CodePrefetch] != 0 || codes[trace.CodeRelay] != 0 {
-			t.Errorf("rank %d: engine spans in blocking mode", rank)
-		}
 		if codes[trace.CodeStall] == 0 {
-			t.Errorf("rank %d: no stall spans in blocking mode", rank)
+			t.Errorf("rank %d: no stall spans", rank)
 		}
 		if codes[trace.CodeF] == 0 || codes[trace.CodeB] == 0 || codes[trace.CodeW] == 0 {
 			t.Errorf("rank %d: compute spans missing", rank)
@@ -154,12 +187,12 @@ func TestTraceOffIsUntouched(t *testing.T) {
 	const p, n = 2, 2
 	batches := traceTestBatches(n)
 	on := trace.NewSet(p, 1<<13)
-	resOff, err := RunCluster(StrategyWZB2, p, traceTestConfig(), Options{Overlap: true}, 1,
+	resOff, err := RunCluster(StrategyWZB2, p, traceTestConfig(), Options{}, 1,
 		func(int) []data.Batch { return batches })
 	if err != nil {
 		t.Fatal(err)
 	}
-	resOn, err := RunCluster(StrategyWZB2, p, traceTestConfig(), Options{Overlap: true, Trace: on}, 1,
+	resOn, err := RunCluster(StrategyWZB2, p, traceTestConfig(), Options{Trace: on}, 1,
 		func(int) []data.Batch { return batches })
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 	"time"
 
 	"weipipe/internal/comm"
@@ -101,10 +103,17 @@ type WeiPipe struct {
 	iter int
 	curR int // rounds in the current iteration (N/P)
 
-	// wGrads is the W pass's per-module gradient scratch, allocated on
-	// first use and zeroed before every reuse: a W pass flattens it into a
-	// belt buffer before returning, so one set serves every microbatch.
+	// wGrads is the W pass's per-module gradient sets. They own no storage
+	// (nn.ParamSet.NewUnbound): a W pass binds them to the zeroed belt
+	// buffer it is about to ship, so BackwardParams accumulates straight
+	// into the payload.
 	wGrads []*nn.ParamSet
+
+	// stage is the belt buffer the running stage computes out of (F, B: the
+	// chunk's modules are views of a weight payload) or into (W: the
+	// gradient sets are views of the outgoing payload). One stage runs at a
+	// time, so one slot serves; see bindStage.
+	stage stageBuf
 
 	// skipped counts optimizer steps dropped by the non-finite guard (or
 	// the loss scaler); the decision is global, so every rank agrees.
@@ -157,16 +166,9 @@ type WeiPipe struct {
 	// iteration via the holder-ring shard exchange. Nil runs the flat belt.
 	grouped *groupedState
 
-	// engine, when non-nil, is the per-iteration asynchronous belt engine
-	// (opts.Overlap): a background goroutine that receives belt payloads in
-	// schedule order, relays weight chunks downstream as soon as they
-	// arrive, and double-buffers them for the compute thread. Nil in
-	// blocking mode and between iterations.
-	engine *beltEngine
-
 	// stats is the transport's meter when it exposes one (nil otherwise);
-	// the runner records its critical-path belt waits into it so blocking
-	// and overlapped runs report comparable exposed-communication time.
+	// the runner records its critical-path belt waits into it as the
+	// measured exposed-communication time.
 	stats *comm.Stats
 
 	// board, when non-nil, receives this rank's schedule position before
@@ -196,8 +198,7 @@ const (
 	beltRetire = 2
 
 	// Tag.B layout: the low beltUseBits hold the belt use index, the high
-	// bits hold iter*beltCount+belt (so the belt id is recoverable as the
-	// residue mod beltCount — see beltOf).
+	// bits hold iter*beltCount+belt.
 	beltCount   = 4
 	beltUseBits = 36
 )
@@ -226,6 +227,9 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 	w.masterW = make([]float32, mdl.ChunkSize(lo, hi))
 	mdl.FlattenChunk(lo, hi, w.masterW)
 	w.opt = optim.NewAdamW(len(w.masterW), opts.Adam)
+	for _, m := range mdl.Modules {
+		w.wGrads = append(w.wGrads, m.Params().NewUnbound())
+	}
 	if m, ok := t.(comm.Meter); ok {
 		w.stats = m.CommStats()
 	}
@@ -243,10 +247,39 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 	if opts.Buddy && p >= 2 {
 		w.initBuddy()
 	}
+	// From here on the model's own storage is dead: the owned chunk's
+	// modules are views of masterW for good (the step updates what Model()
+	// shows, with no copy), and every other module holds weights only while
+	// a stage has it bound to a belt buffer.
+	if beltPoison.Load() {
+		nan := float32(math.NaN())
+		for _, m := range mdl.Modules {
+			for _, name := range m.Params().Names() {
+				m.Params().Get(name).Fill(nan)
+			}
+		}
+	}
+	mdl.BindChunk(lo, hi, w.masterW)
 	return w, nil
 }
 
-// Model implements Trainer.
+// beltPoison is the SetBeltPoison switch.
+var beltPoison atomic.Bool
+
+// SetBeltPoison is the belt's test hook, in the spirit of
+// tensor.SetArenaPoison: trainers built while it is on fill the model's own
+// storage with NaN before taking it out of use, and the buffer pool poisons
+// every buffer at its last release (comm.SetBufPoison) — so a module read
+// outside the stage that bound it, or a chunk read after its reference went
+// back, yields NaN losses instead of silently training on last turn's
+// weights.
+func SetBeltPoison(on bool) {
+	beltPoison.Store(on)
+	comm.SetBufPoison(on)
+}
+
+// Model implements Trainer. Only the owned chunk's modules (OwnedModules)
+// hold weights between stages.
 func (w *WeiPipe) Model() *model.Model { return w.mdl }
 
 // chunkRange returns the module range of chunk c.
@@ -280,8 +313,8 @@ type wpState struct {
 // TrainIteration implements Trainer.
 func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error) {
 	// Deferred first → runs last during an unwind, after the arena and
-	// engine cleanups below: an ABFT kernel panic leaves no leaked state
-	// and surfaces as a typed integrity error.
+	// stage-buffer cleanups below: an ABFT kernel panic leaves no leaked
+	// state and surfaces as a typed integrity error.
 	defer w.recoverIntegrity(&err)
 	p := w.t.Size()
 	n := len(batches)
@@ -308,62 +341,38 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 		arenas:     make(map[int]*tensor.Arena),
 	}
 	// Abort safety: when the iteration fails mid-schedule (a peer died, the
-	// transport closed), the in-flight microbatches' scratch arenas must go
-	// back to the pool — an aborting runner leaks nothing. On the success
-	// path every arena has already been released by its final W pass.
+	// transport closed, a kernel check fired), the in-flight microbatches'
+	// scratch arenas and the buffer the interrupted stage was bound to must
+	// go back to their pools — an aborting runner leaks nothing. On the
+	// success path every arena has already been released by its final W pass
+	// and every stage has given its buffer back.
 	defer func() {
+		comm.Release(w.unbindStage())
 		for mb, a := range st.arenas {
 			w.apool.release(a)
 			delete(st.arenas, mb)
 		}
 	}()
 
-	// The overlapped belt engine prefetches and relays this iteration's belt
-	// messages on a background goroutine; it is armed before the injection
-	// sends so the very first belt hop is already overlapped. stop() is
-	// abort-safe: it drains staged payloads back to the pool on any exit.
-	// The grouped belt arms it *after* the shard exchange instead: the
-	// engine's cache-local ops read payloads the exchange installs.
-	if w.opts.Overlap {
-		defer func() {
-			if w.engine != nil {
-				w.engine.stop()
-				w.engine = nil
-			}
-		}()
-		if w.grouped == nil {
-			w.engine = w.startBeltEngine(st.R)
-		}
-	}
-
 	if w.grouped != nil {
 		defer w.grouped.releaseCache()
 		if err := w.groupedExchange(); err != nil {
 			return 0, err
 		}
-		if w.opts.Overlap {
-			w.engine = w.startBeltEngine(st.R)
-		}
 	} else {
 		// Inject the owned chunk into both belts; the first user of every belt
-		// chunk is worker 0 at use index 0. The first send copies the buffer
-		// (the second belt still needs it); the second donates it to the
-		// transport, which releases it on completion — there is no window where
-		// a released buffer could still be queued for encoding.
-		payload := comm.GetBuf(len(w.masterW) + w.pad)
-		body := payload[:len(w.masterW)]
-		copy(body, w.masterW)
-		maybeRoundF16(w.opts, body)
+		// chunk is worker 0 at use index 0. One sealed copy of the master
+		// weights serves both: it is shared, and each belt's send carries one
+		// reference away.
 		tagFwd := Tag{Kind: comm.KindWeight, A: w.ownChunk, B: w.enc(beltFwd, 0)}
-		w.sealBelt(tagFwd, payload)
-		errInj := w.t.Send(0, tagFwd, payload)
-		if errInj == nil {
-			errInj = comm.SendOwned(w.t, 0, Tag{Kind: comm.KindWeight, A: w.ownChunk, B: w.enc(beltBwd, 0)}, payload)
-		} else {
-			comm.Release(payload)
+		payload := w.ownedPayload(tagFwd)
+		comm.Retain(payload)
+		if err := comm.SendOwned(w.t, 0, tagFwd, payload); err != nil {
+			comm.Release(payload) // the reference the second send would have taken
+			return 0, err
 		}
-		if errInj != nil {
-			return 0, errInj
+		if err := comm.SendOwned(w.t, 0, Tag{Kind: comm.KindWeight, A: w.ownChunk, B: w.enc(beltBwd, 0)}, payload); err != nil {
+			return 0, err
 		}
 	}
 
@@ -450,10 +459,6 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	}
 	w.ownerIters++
 	comm.Release(d)
-	// Reflect the update in the local replica buffer so Model() exposes
-	// this worker's post-step chunk.
-	lo, hi := w.chunkRange(w.ownChunk)
-	w.mdl.SetChunk(lo, hi, w.masterW)
 
 	if w.buddy != nil {
 		if err := w.buddyStep(); err != nil {
@@ -477,10 +482,7 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 
 // forEachStage drives a variant's local program order, invoking visit for
 // every compute stage: phase 'F' (forward), 'B' (backward-input) or 'W'
-// (backward-params) of chunk c in round k. It is the single source of truth
-// for stage order — the compute loop executes it, and the overlapped belt
-// engine derives its receive plan from it, so the prefetch order matches
-// the consumption order by construction.
+// (backward-params) of chunk c in round k.
 func forEachStage(v WeiPipeVariant, R, p int, visit func(phase byte, k, c int) error) error {
 	switch v {
 	case WeiPipeNaive:
@@ -603,22 +605,15 @@ func (w *WeiPipe) runSchedule(st *wpState) error {
 
 // ---- belt plumbing -------------------------------------------------------
 
-// beltRecv obtains the next belt payload the schedule consumes: from the
-// prefetch engine when overlapped, or with a blocking transport receive
-// otherwise. Both paths record the compute thread's wait as belt stall, so
-// the two modes report comparable exposed-communication time.
+// beltRecv blocks for the next belt payload the schedule consumes, recording
+// the compute thread's wait as belt stall — the measured exposed-
+// communication time.
 func (w *WeiPipe) beltRecv(src int, tag Tag) ([]float32, error) {
-	if w.engine != nil && tag.Kind == comm.KindWeight && beltOf(tag) != beltXchg {
-		span := w.tr.Begin()
-		payload, err := w.engine.next(tag, w.stats)
-		w.tr.End(span, trace.CodeStall, int64(tag.Kind), int64(src))
-		return payload, err
-	}
 	return w.beltRecvOn(w.t, src, tag)
 }
 
-// beltRecvOn is beltRecv's blocking transport path against an explicit
-// transport (the ring, or a grouped belt's sub-ring).
+// beltRecvOn is beltRecv against an explicit transport (the ring, or a
+// grouped belt's sub-ring).
 func (w *WeiPipe) beltRecvOn(t Transport, src int, tag Tag) ([]float32, error) {
 	span := w.tr.Begin()
 	start := time.Now()
@@ -626,25 +621,114 @@ func (w *WeiPipe) beltRecvOn(t Transport, src int, tag Tag) ([]float32, error) {
 	wait := time.Since(start)
 	w.tr.End(span, trace.CodeStall, int64(tag.Kind), int64(src))
 	w.stats.RecordBeltStallKind(tag.Kind, wait)
-	if tag.Kind == comm.KindWeight {
-		// In overlapped mode the engine owns every weight-belt transport
-		// receive, so this counter stays zero there by construction.
-		w.stats.RecordComputeRecvWait(wait)
-	}
 	return payload, err
 }
 
+// ownedPayload builds the owned chunk's belt payload for an iteration: one
+// copy of the master weights, rounded (mixed precision) and sealed under tag.
+// The caller owns it.
+func (w *WeiPipe) ownedPayload(tag Tag) []float32 {
+	payload := comm.GetBuf(len(w.masterW) + w.pad)
+	body := payload[:len(w.masterW)]
+	copy(body, w.masterW)
+	maybeRoundF16(w.opts, body)
+	w.sealBelt(tag, payload)
+	return payload
+}
+
+// stageBuf is a belt buffer bound to the running stage: modules [lo, hi) —
+// or, for a W pass, their gradient sets — are views of its body.
+type stageBuf struct {
+	buf    []float32
+	lo, hi int
+	grads  bool
+}
+
+// bindStage makes chunk c's modules (or, with grads, their gradient sets)
+// views of buf's body for the coming stage. The stage ends with unbindStage;
+// so does an aborted iteration, which is why the binding is recorded here
+// and not on the stage's stack.
+func (w *WeiPipe) bindStage(c int, buf []float32, grads bool) {
+	lo, hi := w.chunkRange(c)
+	body := w.beltBody(buf)
+	if grads {
+		off := 0
+		for i := lo; i < hi; i++ {
+			n := w.wGrads[i].Size()
+			w.wGrads[i].Bind(body[off : off+n])
+			off += n
+		}
+	} else {
+		w.mdl.BindChunk(lo, hi, body)
+	}
+	w.stage = stageBuf{buf: buf, lo: lo, hi: hi, grads: grads}
+}
+
+// unbindStage ends the running stage's binding and hands back the buffer it
+// held (nil when no stage is bound), which the caller releases or ships. The
+// owned chunk's modules go back to being views of the master weights; every
+// other module, and every gradient set, holds nothing until its next stage.
+func (w *WeiPipe) unbindStage() []float32 {
+	b := w.stage
+	w.stage = stageBuf{}
+	switch {
+	case b.buf == nil:
+	case b.grads:
+		for i := b.lo; i < b.hi; i++ {
+			w.wGrads[i].Unbind()
+		}
+	default:
+		w.mdl.UnbindChunk(b.lo, b.hi)
+		if lo, hi := w.chunkRange(w.ownChunk); b.lo == lo {
+			w.mdl.BindChunk(lo, hi, w.masterW)
+		}
+	}
+	return b.buf
+}
+
+// installBelt is the one way a received weight chunk — use `use` of belt-copy
+// `belt` of chunk c — enters a stage, on the flat belt and the grouped one:
+// chaos flip, verify, relay, bind, in that order. Verification comes first,
+// so a corrupt chunk neither enters this rank's compute nor travels on. The
+// relay (to rank relayTo of t, as use+1; none when relayTo < 0) comes before
+// the bind, so the next hop's wire time runs under this stage's compute
+// instead of after it: the payload is shared (comm.Retain), one reference
+// leaves with SendOwned, and the stage computes out of the other until
+// unbindStage. A shared payload is read-only to everyone, which is why the
+// flip and the seal's rounding happen on the way in; the TCP writer only
+// reads it, and the in-process fabric delivers a private copy.
+func (w *WeiPipe) installBelt(t Transport, belt, c, use int, payload []float32, relayTo int) error {
+	if w.opts.BitFlip != nil {
+		w.opts.BitFlip.Flip(w.t.Rank(), w.iter, FlipBeltWeight, w.beltBody(payload))
+	}
+	if verr := w.verifyBelt(comm.SiteBelt, comm.KindWeight, c, payload); verr != nil {
+		comm.Release(payload)
+		return verr
+	}
+	if relayTo >= 0 {
+		comm.Retain(payload)
+		span := w.tr.Begin()
+		err := comm.SendOwned(t, relayTo, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use+1)}, payload)
+		w.tr.End(span, trace.CodeRelay, int64(belt), int64(use+1))
+		if err != nil {
+			comm.Release(payload)
+			return err
+		}
+	}
+	w.bindStage(c, payload, false)
+	return nil
+}
+
 // recvBeltChunk receives belt-copy `belt` of chunk c for use index `use`,
-// installs it into the local model buffer and forwards it downstream by
-// donating the now-exhausted buffer (comm.SendOwned: no copy on either
-// fabric). In overlap mode the engine has already relayed the chunk
-// downstream at receive time (store-and-forward), so only the install
-// remains here.
+// relays it to the ring successor and binds chunk c's modules to it
+// (installBelt). The stage that called it computes and then gives the
+// buffer back with unbindStage.
 func (w *WeiPipe) recvBeltChunk(belt, c, use int) error {
 	if w.grouped != nil {
 		return w.recvBeltChunkGrouped(belt, c, use)
 	}
-	src := (w.t.Rank() - 1 + w.t.Size()) % w.t.Size()
+	p := w.t.Size()
+	src := (w.t.Rank() - 1 + p) % p
 	if use == 0 {
 		src = w.owner(c)
 	}
@@ -653,26 +737,11 @@ func (w *WeiPipe) recvBeltChunk(belt, c, use int) error {
 		comm.Release(payload)
 		return err
 	}
-	if w.opts.BitFlip != nil {
-		w.opts.BitFlip.Flip(w.t.Rank(), w.iter, FlipBeltWeight, w.beltBody(payload))
+	relayTo := -1
+	if use < w.totalUses()-1 {
+		relayTo = (w.t.Rank() + 1) % p
 	}
-	// Verify before installing *and* before the blocking-mode forward: a
-	// corrupt chunk neither enters this rank's compute nor travels on. (The
-	// overlapped engine store-and-forwards at receive time; its relayed copy
-	// is re-verified by the downstream consumer, so nothing corrupt is ever
-	// consumed there either.)
-	if verr := w.verifyBelt(comm.SiteBelt, comm.KindWeight, c, payload); verr != nil {
-		comm.Release(payload)
-		return verr
-	}
-	lo, hi := w.chunkRange(c)
-	w.mdl.SetChunk(lo, hi, w.beltBody(payload))
-	if w.engine == nil && use < w.totalUses()-1 {
-		return comm.SendOwned(w.t, (w.t.Rank()+1)%w.t.Size(),
-			Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use+1)}, payload)
-	}
-	comm.Release(payload)
-	return nil
+	return w.installBelt(w.t, belt, c, use, payload, relayTo)
 }
 
 // accumulateAndForwardD folds this worker's local gradient contribution for
@@ -747,6 +816,7 @@ func (w *WeiPipe) fStage(st *wpState, k, c int) error {
 	span := w.tr.Begin()
 	out, loss := forwardRange(w.mdl, lo, hi, st.fwdX[mb], b, caches[lo:hi], w.opts.Recompute)
 	w.tr.End(span, trace.CodeF, int64(mb), int64(c))
+	comm.Release(w.unbindStage())
 	st.lossSum += loss
 	if out != nil {
 		st.fwdX[mb] = out
@@ -768,6 +838,7 @@ func (w *WeiPipe) bStage(st *wpState, k, c int) error {
 	span := w.tr.Begin()
 	dx := backwardRangeB(w.mdl, lo, hi, st.bwdDy[mb], caches[lo:hi], w.opts.Recompute)
 	w.tr.End(span, trace.CodeB, int64(mb), int64(c))
+	comm.Release(w.unbindStage())
 	if lo > 0 && dx != nil {
 		st.bwdDy[mb] = dx
 	} else {
@@ -776,20 +847,22 @@ func (w *WeiPipe) bStage(st *wpState, k, c int) error {
 	return nil
 }
 
-// wStage runs the W pass of chunk c for this worker's round-k microbatch,
-// folds the result into the belt accumulator and forwards it. When the
-// microbatch's last W pass completes, its activations are released.
+// wStage runs the W pass of chunk c for this worker's round-k microbatch
+// straight into the zeroed belt buffer that carries the result away, folds
+// the incoming accumulator in and forwards it. When the microbatch's last W
+// pass completes, its activations are released.
 func (w *WeiPipe) wStage(st *wpState, k, c int) error {
 	mb := k*w.t.Size() + w.t.Rank()
 	w.post(mb, 'W')
 	caches := st.caches[mb]
 	lo, hi := w.chunkRange(c)
 	span := w.tr.Begin()
-	w.wGrads = zeroedGrads(w.mdl, w.wGrads, lo, hi)
-	backwardRangeW(w.mdl, lo, hi, caches[lo:hi], w.wGrads)
 	size := w.mdl.ChunkSize(lo, hi)
 	local := comm.GetBuf(size + w.pad)
-	flattenGradsRange(w.mdl, w.wGrads, lo, hi, local[:size])
+	clear(local[:size])
+	w.bindStage(c, local, true)
+	backwardRangeW(w.mdl, lo, hi, caches[lo:hi], w.wGrads)
+	w.unbindStage()
 	w.tr.End(span, trace.CodeW, int64(mb), int64(c))
 	// accumulateAndForwardD owns local from here (donated or released inside).
 	if err := w.accumulateAndForwardD(c, mb, local); err != nil {

@@ -8,10 +8,11 @@ import (
 	"weipipe/internal/comm"
 )
 
-// runHybrid trains WeiPipe×DP on `world` ranks in rings of wpSize.
-func runHybrid(t *testing.T, world, wpSize, iters, n int, opts Options) ([]float64, []Trainer) {
+// runHybrid trains WeiPipe×DP over the given transports in rings of wpSize
+// and returns every rank's last loss plus the trainers.
+func runHybrid(t *testing.T, trs []comm.Transport, wpSize, iters, n int, opts Options) ([]float64, []Trainer) {
 	t.Helper()
-	cl := comm.NewCluster(world)
+	world := len(trs)
 	trainers := make([]Trainer, world)
 	losses := make([]float64, world)
 	errs := make([]error, world)
@@ -21,7 +22,7 @@ func runHybrid(t *testing.T, world, wpSize, iters, n int, opts Options) ([]float
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			tr, err := NewWeiPipeDP(cl.Transport(r), eqCfg(), opts, WeiPipeInterleave, wpSize)
+			tr, err := NewWeiPipeDP(trs[r], eqCfg(), opts, WeiPipeInterleave, wpSize)
 			if err != nil {
 				errs[r] = err
 				return
@@ -48,7 +49,7 @@ func TestWeiPipeDPMatchesSerial(t *testing.T) {
 	const iters, n = 2, 12 // divisible by 2×2, 2×3 and 1×4 ring layouts
 	wantLoss, wantW := serialReference(t, iters, n)
 	for _, cfg := range []struct{ world, wp int }{{4, 2}, {6, 3}, {4, 4} /* degenerate: 1 replica */} {
-		losses, trainers := runHybrid(t, cfg.world, cfg.wp, iters, n, eqOpts())
+		losses, trainers := runHybrid(t, comm.NewCluster(cfg.world).Transports(), cfg.wp, iters, n, eqOpts())
 		for r := range losses {
 			if math.Abs(losses[r]-wantLoss[iters-1]) > 1e-4 {
 				t.Errorf("world=%d wp=%d rank %d: loss %.6f vs serial %.6f",
@@ -89,7 +90,7 @@ func TestWeiPipeDPWithClipMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, trainers := runHybrid(t, 4, 2, iters, n, opts)
+	_, trainers := runHybrid(t, comm.NewCluster(4).Transports(), 2, iters, n, opts)
 	got := AssembleWeights(trainers[:2])
 	if d := maxAbsDiff(got, ref.Weights); d > 5e-4 {
 		t.Errorf("clipped hybrid diverges by %g", d)

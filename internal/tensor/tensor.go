@@ -37,6 +37,14 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{Data: data, shape: dup(shape)}
 }
 
+// Shell returns a tensor with the given shape and no storage: Data is nil
+// until its owner points it at a buffer holding exactly the shape's element
+// count (nn.ParamSet.Bind does), and Size reports whatever Data holds.
+func Shell(shape ...int) *Tensor {
+	checkShape(shape)
+	return &Tensor{shape: dup(shape)}
+}
+
 func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")

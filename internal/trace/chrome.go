@@ -80,11 +80,11 @@ func ParseChrome(blob []byte) ([]ChromeEvent, *RunMeta, error) {
 
 // laneFor maps a code to its track (tid) within a rank's process row.
 // Compute-thread spans share one lane so Perfetto nests them under the
-// step span; engine lanes and comm spans get their own rows so overlap
-// with compute is visible, which is the whole point of the belt engine.
+// step span; belt relays and comm spans get their own rows so what runs
+// under compute is visible.
 func laneFor(e Event) string {
 	switch e.Code {
-	case CodePrefetch, CodeRelay:
+	case CodeRelay:
 		if e.A == 0 {
 			return "belt-fwd"
 		}

@@ -25,8 +25,8 @@ func goldenSet() *Set {
 		tr.Emit(base+42*us, 10*us, CodeW, 0, 1)
 		tr.Emit(base+60*us, 5*us, CodeOpt, 0, 0)
 		tr.Emit(base+70*us, 3*us, CodeStall, 0, int64(1-rank))
-		tr.Emit(base+1*us, 30*us, CodePrefetch, 0, 2)
-		tr.Emit(base+35*us, 12*us, CodeRelay, 1, 3)
+		tr.Emit(base+1*us, 1*us, CodeRelay, 0, 2)
+		tr.Emit(base+24*us, 1*us, CodeRelay, 1, 3)
 		tr.Emit(base+3*us, 2*us, CodeSend, 0, int64(1-rank))
 		tr.Emit(base+6*us, 4*us, CodeRecv, 1, int64(1-rank))
 		tr.Emit(base+80*us, 0, CodeRetransmit, int64(1-rank), 7)

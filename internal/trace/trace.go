@@ -1,8 +1,7 @@
 // Package trace is the runtime event tracer for real training runs: a
 // low-overhead, per-rank ring buffer of timed spans emitted by the pipeline
-// runners (F/B/W stages, optimizer steps, checkpoint barriers), the
-// overlapped belt engine (prefetch, relay, staged-wait stalls) and the comm
-// transports (send, recv, retransmit). It is the measured counterpart of the
+// runners (F/B/W stages, optimizer steps, belt stalls and relays, checkpoint
+// barriers) and the comm transports (send, recv, retransmit). It is the measured counterpart of the
 // discrete-event simulator: internal/sim predicts where time should go,
 // this package records where it actually went, and the compare tooling
 // (internal/bench, cmd/weipipe-trace -compare) reports the per-phase delta.
@@ -50,20 +49,17 @@ const (
 	// iterations at the barrier.
 	CodeCkpt
 	// CodeStall spans the compute thread's exposed wait for a payload it
-	// cannot progress without (belt chunk, boundary activation, staged
-	// engine buffer). A = comm.Kind, B = source rank. This is the
-	// measured analogue of the simulator's bubble.
+	// cannot progress without (belt chunk, boundary activation, gathered
+	// module). A = comm.Kind, B = source rank. This is the measured
+	// analogue of the simulator's bubble.
 	CodeStall
-	// CodePrefetch spans a belt-engine lane's blocking transport receive —
-	// off the critical path by design. A = belt id, B = use index.
-	CodePrefetch
-	// CodeRelay spans the engine's store-and-forward send of a weight
-	// chunk to the ring successor. A = belt id, B = next use index.
+	// CodeRelay spans the enqueue of a weight chunk's relay to the next
+	// rank on its belt, which a stage issues before it starts computing out
+	// of the same chunk. A = belt id, B = next use index.
 	CodeRelay
 	// CodeSend spans a transport send enqueue. A = comm.Kind, B = dst rank.
 	CodeSend
-	// CodeRecv spans a blocking transport receive (any goroutine — the
-	// compute thread in blocking mode, an engine lane in overlap mode).
+	// CodeRecv spans a blocking transport receive (any goroutine).
 	// A = comm.Kind, B = src rank.
 	CodeRecv
 	// CodeIntegrity marks a detected integrity failure (instant event):
@@ -102,7 +98,6 @@ var codeInfo = [codeCount]struct {
 	CodeOpt:        {"opt", "compute", "iter", ""},
 	CodeCkpt:       {"ckpt", "ckpt", "iters", ""},
 	CodeStall:      {"stall", "stall", "kind", "src"},
-	CodePrefetch:   {"prefetch", "belt", "belt", "use"},
 	CodeRelay:      {"relay", "belt", "belt", "use"},
 	CodeSend:       {"send", "comm", "kind", "dst"},
 	CodeRecv:       {"recv", "comm", "kind", "src"},

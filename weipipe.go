@@ -367,14 +367,10 @@ func Simulate(s Strategy, w Workload, top Topology) (SimResult, error) {
 	return SimulateScaled(s, w, top, 1)
 }
 
-// OverlapMeasurement is a blocking-vs-overlapped measurement pair from the
-// functional runtime; its SuggestedLinkScale feeds SimulateScaled.
-type OverlapMeasurement = cost.OverlapMeasurement
-
-// SimulateScaled is Simulate with a calibrated link-duration multiplier
-// (see cost.OverlapMeasurement.SuggestedLinkScale): linkScale expresses how
-// much of the modelled link time the measured transport actually exposes to
-// compute. linkScale <= 0 or 1 reproduces Simulate.
+// SimulateScaled is Simulate with a calibrated link-duration multiplier:
+// linkScale expresses how much of the modelled link time the measured
+// transport actually exposes to compute (cost.Calibration carries one fitted
+// from a traced run). linkScale <= 0 or 1 reproduces Simulate.
 func SimulateScaled(s Strategy, w Workload, top Topology, linkScale float64) (SimResult, error) {
 	return SimulateP2P(s, w, top, linkScale, "")
 }
