@@ -2,7 +2,7 @@ GO ?= go
 # FUZZTIME bounds each fuzz target's run; CI's smoke tier shrinks it.
 FUZZTIME ?= 20s
 
-.PHONY: build test test-noasm check fmt-check bench race vet cross-be chaos elastic fuzz soak sdc sdc-quick modes bench-guard bench-sweep bench-kernel bench-grouped bench-p2p experiments
+.PHONY: build test test-noasm check fmt-check orphans bench race vet cross-be chaos elastic fuzz soak sdc sdc-quick modes bench-guard bench-sweep bench-kernel bench-grouped bench-p2p experiments
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,15 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# orphans fails (listing the offenders) if a package under internal/ is not
+# in the import graph of the root package, a cmd/ tool or an example: code
+# nothing on a shipped path imports is caught when it is orphaned.
+orphans:
+	@used=$$($(GO) list -deps . ./cmd/... ./examples/...); \
+	out=$$($(GO) list ./internal/... | grep -vxF "$$used"); \
+	if [ -n "$$out" ]; then \
+		echo "packages nothing imports:"; echo "$$out"; exit 1; fi
 
 # race implies checkptr, which is the reviewer for the one unsafe helper
 # (tensor.F32Bytes) and every slice the transports and the checkpoint
@@ -169,12 +178,12 @@ experiments:
 	$(GO) run ./cmd/weipipe-bench -exp all > $(EXPERIMENTS_OUT)
 	@echo "experiments regenerated into $(EXPERIMENTS_OUT)"
 
-# check is the pre-merge gate: formatting, static analysis, the race
-# detector over the packages with real concurrency (kernel worker pool,
-# transports, pipeline schedules), the fault-injection suite, the
-# elastic-repair suite, a 2-schedule slice of the bit-flip SDC soak,
-# and the noasm (scalar-only) build of the kernel packages.
-check: fmt-check vet race chaos elastic sdc-quick check-noasm-kernels
+# check is the pre-merge gate: formatting, the orphan-package check, static
+# analysis, the race detector over the packages with real concurrency
+# (kernel worker pool, transports, pipeline schedules), the fault-injection
+# suite, the elastic-repair suite, a 2-schedule slice of the bit-flip SDC
+# soak, and the noasm (scalar-only) build of the kernel packages.
+check: fmt-check orphans vet race chaos elastic sdc-quick check-noasm-kernels
 
 # check-noasm-kernels is the cheap slice of test-noasm used inside the
 # pre-merge gate: just the packages whose code paths change under the tag.

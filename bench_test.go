@@ -103,7 +103,7 @@ func BenchmarkFigure4Timeline(b *testing.B) { benchTimeline(b, bench.Figure4) }
 // ablated mechanisms matter.
 func ablationSpec() schedule.Spec {
 	w := Workload{H: 2048, S: 16384, G: 4, L: 32, N: 32, P: 8, Recompute: true}.WithDefaults()
-	return schedule.Spec{W: w, GPU: cluster.A800(), Top: cluster.NVLinkEthernet(8, 4), Overlap: true}
+	return schedule.Spec{W: w, GPU: cluster.A800(), Top: cluster.NVLinkEthernet(8, 4)}
 }
 
 func runSpec(b *testing.B, spec schedule.Spec) float64 {
@@ -117,19 +117,6 @@ func runSpec(b *testing.B, spec schedule.Spec) float64 {
 		b.Fatal(err)
 	}
 	return res.Makespan
-}
-
-// BenchmarkAblationOverlap compares WeiPipe with and without
-// communication/computation overlap (belt prefetching).
-func BenchmarkAblationOverlap(b *testing.B) {
-	var on, off float64
-	for i := 0; i < b.N; i++ {
-		spec := ablationSpec()
-		on = runSpec(b, spec)
-		spec.Overlap = false
-		off = runSpec(b, spec)
-	}
-	b.ReportMetric(off/on, "speedup_x")
 }
 
 // BenchmarkAblationWireFormat compares the paper's fp16 wire format against

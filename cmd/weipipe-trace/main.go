@@ -57,7 +57,7 @@ func main() {
 	if *chrome != "" {
 		w := cost.Workload{H: 1024, S: 4096, G: 4, L: *p, N: *n, P: *p, Heads: 16}.WithDefaults()
 		tasks, err := schedule.Build(*strategy, schedule.Spec{
-			W: w, GPU: cluster.A800(), Top: cluster.NVLinkSingle(*p), Overlap: true,
+			W: w, GPU: cluster.A800(), Top: cluster.NVLinkSingle(*p),
 			P2PMode: *p2pMode,
 		})
 		if err != nil {

@@ -60,7 +60,7 @@ func RunCell(strategy string, w cost.Workload, top cluster.Topology) (Cell, erro
 		cell.OOM = true
 		return cell, nil
 	}
-	tasks, err := schedule.Build(strategy, schedule.Spec{W: w, GPU: gpu, Top: top, Overlap: true})
+	tasks, err := schedule.Build(strategy, schedule.Spec{W: w, GPU: gpu, Top: top})
 	if err != nil {
 		return cell, err
 	}

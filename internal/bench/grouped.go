@@ -102,7 +102,7 @@ func RunGroupedBench() (*GroupedReport, error) {
 		for _, topo := range groupedSimGrid {
 			top := topo.Build(p)
 			for _, s := range []string{"wzb2", "wzb2g"} {
-				spec := schedule.Spec{W: w, GPU: cluster.A800(), Top: top, Overlap: true}
+				spec := schedule.Spec{W: w, GPU: cluster.A800(), Top: top}
 				tasks, tr, err := schedule.BuildTraffic(s, spec)
 				if err != nil {
 					return nil, fmt.Errorf("grouped sim %s/%s/p=%d: %w", s, topo.Name, p, err)

@@ -106,7 +106,7 @@ func RunP2PBench() (*P2PReport, error) {
 		}
 		for _, s := range strategies {
 			for _, mode := range p2pModes {
-				spec := schedule.Spec{W: w, GPU: cluster.A800(), Top: top, Overlap: true, P2PMode: mode}
+				spec := schedule.Spec{W: w, GPU: cluster.A800(), Top: top, P2PMode: mode}
 				tasks, tr, err := schedule.BuildTraffic(s, spec)
 				if err != nil {
 					return nil, fmt.Errorf("p2p sim %s/%s/%s: %w", s, topo.Name, mode, err)

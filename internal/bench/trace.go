@@ -24,7 +24,7 @@ func Timeline(strategy string, p, n int, width int) (string, error) {
 		H: 1024, S: 4096, G: 4, L: p, N: n, P: p,
 		Heads: 16, Recompute: false,
 	}.WithDefaults()
-	spec := schedule.Spec{W: w, GPU: cluster.A800(), Top: cluster.NVLinkSingle(p), Overlap: true}
+	spec := schedule.Spec{W: w, GPU: cluster.A800(), Top: cluster.NVLinkSingle(p)}
 	tasks, err := schedule.Build(strategy, spec)
 	if err != nil {
 		return "", err

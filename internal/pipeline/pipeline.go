@@ -19,6 +19,7 @@ import (
 	"weipipe/internal/model"
 	"weipipe/internal/nn"
 	"weipipe/internal/optim"
+	"weipipe/internal/order"
 	"weipipe/internal/tensor"
 	"weipipe/internal/trace"
 )
@@ -235,14 +236,8 @@ func New(s Strategy, t Transport, cfg model.Config, opts Options) (Trainer, erro
 		return NewDP(t, cfg, opts)
 	case StrategyFSDP:
 		return NewFSDP(t, cfg, opts)
-	case StrategyGPipe:
-		return NewGPipe(t, cfg, opts)
-	case Strategy1F1B:
-		return NewOneFOneB(t, cfg, opts)
-	case StrategyZB1:
-		return NewZeroBubble(t, cfg, opts, 1)
-	case StrategyZB2:
-		return NewZeroBubble(t, cfg, opts, 2)
+	case StrategyGPipe, Strategy1F1B, StrategyZB1, StrategyZB2:
+		return NewPP(t, cfg, opts, s)
 	case StrategyWeiPipeNaive:
 		return NewWeiPipe(t, cfg, opts, WeiPipeNaive)
 	case StrategyWeiPipeInterleave:
@@ -256,6 +251,28 @@ func New(s Strategy, t Transport, cfg model.Config, opts Options) (Trainer, erro
 	default:
 		return nil, fmt.Errorf("pipeline: unknown strategy %q", s)
 	}
+}
+
+// program is a rank's compiled program order: the F/B/W passes it runs in one
+// iteration, which the pipelined trainers interpret op by op. The orders
+// themselves are written in internal/order, nowhere in this package.
+type program struct {
+	ops []order.Op
+	n   int // the microbatch count ops was compiled for
+}
+
+// compile makes pr the program of t's rank under strategy for n microbatches.
+// The list changes only with n, so a training run compiles it once.
+func (pr *program) compile(strategy string, t Transport, n int) error {
+	if pr.ops != nil && pr.n == n {
+		return nil
+	}
+	ops, err := order.Program(strategy, t.Rank(), t.Size(), n)
+	if err != nil {
+		return fmt.Errorf("pipeline: %w", err)
+	}
+	pr.ops, pr.n = ops, n
+	return nil
 }
 
 // Transport aliases comm.Transport; ranks communicate only through it.

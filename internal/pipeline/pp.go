@@ -12,18 +12,32 @@ import (
 	"weipipe/internal/trace"
 )
 
-// ppBase is the shared machinery of the activation-passing pipeline
-// strategies (GPipe, 1F1B, ZB1, ZB2): rank r permanently owns the
-// contiguous module range bounds[r] (its stage), activations flow
-// r → r+1 during forward and activation gradients flow r+1 → r during
-// backward, and every stage steps its own parameters locally — no weight
-// communication at all.
-type ppBase struct {
-	t      Transport
-	mdl    *model.Model
-	lo, hi int
-	opt    *optim.AdamW
-	opts   Options
+// PP is the trainer of the activation-passing pipeline strategies (GPipe,
+// 1F1B, ZB1, ZB2): rank r permanently owns the contiguous module range
+// bounds[r] (its stage), activations flow r → r+1 during forward and
+// activation gradients flow r+1 → r during backward, and every stage steps
+// its own parameters locally — no weight communication at all. The four
+// strategies differ only in the order a stage runs its F, B and W passes,
+// which is the stage's program (internal/order).
+//
+// The zero-bubble orders split the backward into a B pass (activation
+// gradients — on the critical path, sent upstream immediately) and a W pass
+// (weight gradients — filler work). Per the paper, recomputation is never
+// combined with them (it would save nothing: the B pass needs the activations
+// checkpointing would have dropped), so they ignore Options.Recompute.
+type PP struct {
+	t        Transport
+	mdl      *model.Model
+	lo, hi   int
+	opt      *optim.AdamW
+	opts     Options
+	strategy Strategy
+
+	// recompute is Options.Recompute, forced off under ZB1 and ZB2.
+	recompute bool
+
+	// prog is the stage's program order (order.Program of the strategy).
+	prog program
 
 	// per-microbatch state for the current iteration
 	caches map[int][]*nn.Cache
@@ -44,9 +58,16 @@ type ppBase struct {
 }
 
 // ArenaHighWater implements ArenaMeter.
-func (p *ppBase) ArenaHighWater() int { return p.apool.highWater() }
+func (p *PP) ArenaHighWater() int { return p.apool.highWater() }
 
-func newPPBase(t Transport, cfg model.Config, opts Options) (*ppBase, error) {
+// NewPP builds this rank's stage for strategy s: StrategyGPipe, Strategy1F1B,
+// StrategyZB1 or StrategyZB2.
+func NewPP(t Transport, cfg model.Config, opts Options, s Strategy) (*PP, error) {
+	switch s {
+	case StrategyGPipe, Strategy1F1B, StrategyZB1, StrategyZB2:
+	default:
+		return nil, fmt.Errorf("pipeline: %q is not an activation-passing pipeline strategy", s)
+	}
 	if opts.Scaler != nil {
 		opts.Scaler = opts.Scaler.Clone()
 	}
@@ -57,24 +78,26 @@ func newPPBase(t Transport, cfg model.Config, opts Options) (*ppBase, error) {
 	}
 	bounds := mdl.Partition(p)
 	lo, hi := bounds[t.Rank()][0], bounds[t.Rank()][1]
-	return &ppBase{
-		t:    t,
-		mdl:  mdl,
-		lo:   lo,
-		hi:   hi,
-		opt:  optim.NewAdamW(mdl.ChunkSize(lo, hi), opts.Adam),
-		opts: opts,
-		tr:   opts.Trace.Rank(t.Rank()),
+	return &PP{
+		t:         t,
+		mdl:       mdl,
+		lo:        lo,
+		hi:        hi,
+		opt:       optim.NewAdamW(mdl.ChunkSize(lo, hi), opts.Adam),
+		opts:      opts,
+		strategy:  s,
+		recompute: opts.Recompute && s != StrategyZB1 && s != StrategyZB2,
+		tr:        opts.Trace.Rank(t.Rank()),
 	}, nil
 }
 
-func (p *ppBase) Model() *model.Model { return p.mdl }
+func (p *PP) Model() *model.Model { return p.mdl }
 
-func (p *ppBase) isFirst() bool { return p.t.Rank() == 0 }
-func (p *ppBase) isLast() bool  { return p.t.Rank() == p.t.Size()-1 }
+func (p *PP) isFirst() bool { return p.t.Rank() == 0 }
+func (p *PP) isLast() bool  { return p.t.Rank() == p.t.Size()-1 }
 
 // beginIteration resets per-iteration state.
-func (p *ppBase) beginIteration() {
+func (p *PP) beginIteration() {
 	if p.opts.Scaler != nil {
 		// Only the last stage runs the head, but setting the scale is
 		// harmless elsewhere and keeps the stages symmetric.
@@ -87,11 +110,11 @@ func (p *ppBase) beginIteration() {
 }
 
 // hidden returns the boundary activation width (the hidden size).
-func (p *ppBase) hidden() int { return p.mdl.Cfg.Hidden }
+func (p *PP) hidden() int { return p.mdl.Cfg.Hidden }
 
 // forwardMB runs this stage's forward for microbatch m, receiving boundary
 // activations from the previous stage and sending them to the next.
-func (p *ppBase) forwardMB(m int, b data.Batch, recompute bool) error {
+func (p *PP) forwardMB(m int, b data.Batch) error {
 	var x *tensor.Tensor
 	if !p.isFirst() {
 		span := p.tr.Begin()
@@ -107,7 +130,7 @@ func (p *ppBase) forwardMB(m int, b data.Batch, recompute bool) error {
 	caches := newCaches(p.lo, p.hi, b.G(), b.S(), arena)
 	p.caches[m] = caches
 	span := p.tr.Begin()
-	out, loss := forwardRange(p.mdl, p.lo, p.hi, x, b, caches, recompute)
+	out, loss := forwardRange(p.mdl, p.lo, p.hi, x, b, caches, p.recompute)
 	p.tr.End(span, trace.CodeF, int64(m), int64(p.t.Rank()))
 	if p.isLast() {
 		p.lossMB[m] = loss
@@ -119,7 +142,7 @@ func (p *ppBase) forwardMB(m int, b data.Batch, recompute bool) error {
 // backwardMBInput runs this stage's B pass for microbatch m, receiving the
 // boundary gradient from the next stage and sending the propagated gradient
 // to the previous stage. The caches stay alive for the W pass.
-func (p *ppBase) backwardMBInput(m int, b data.Batch, recompute bool) error {
+func (p *PP) backwardMBInput(m int, b data.Batch) error {
 	var dy *tensor.Tensor
 	if !p.isLast() {
 		span := p.tr.Begin()
@@ -131,7 +154,7 @@ func (p *ppBase) backwardMBInput(m int, b data.Batch, recompute bool) error {
 		dy = tensor.FromSlice(payload, b.G()*b.S(), p.hidden())
 	}
 	span := p.tr.Begin()
-	dx := backwardRangeB(p.mdl, p.lo, p.hi, dy, p.caches[m], recompute)
+	dx := backwardRangeB(p.mdl, p.lo, p.hi, dy, p.caches[m], p.recompute)
 	p.tr.End(span, trace.CodeB, int64(m), int64(p.t.Rank()))
 	if p.isFirst() {
 		return nil
@@ -141,7 +164,7 @@ func (p *ppBase) backwardMBInput(m int, b data.Batch, recompute bool) error {
 
 // backwardMBParams runs this stage's W pass for microbatch m and releases
 // the microbatch's activation caches.
-func (p *ppBase) backwardMBParams(m int) {
+func (p *PP) backwardMBParams(m int) {
 	span := p.tr.Begin()
 	backwardRangeW(p.mdl, p.lo, p.hi, p.caches[m], p.grads)
 	p.tr.End(span, trace.CodeW, int64(m), int64(p.t.Rank()))
@@ -153,7 +176,7 @@ func (p *ppBase) backwardMBParams(m int) {
 // step averages this stage's accumulated gradients over n microbatches,
 // applies global-norm clipping (combining the stages' partial norms with a
 // scalar all-reduce) and takes the local optimizer update.
-func (p *ppBase) step(n int) error {
+func (p *PP) step(n int) error {
 	span := p.tr.Begin()
 	defer func() { p.tr.End(span, trace.CodeOpt, int64(p.seq), 0) }()
 	size := p.mdl.ChunkSize(p.lo, p.hi)
@@ -198,7 +221,7 @@ func (p *ppBase) step(n int) error {
 }
 
 // finishLoss broadcasts the last stage's mean loss to every rank.
-func (p *ppBase) finishLoss(n int) (float64, error) {
+func (p *PP) finishLoss(n int) (float64, error) {
 	var sum float64
 	for _, l := range p.lossMB {
 		sum += l
@@ -215,92 +238,32 @@ func (p *ppBase) finishLoss(n int) (float64, error) {
 	return float64(out[0]), nil
 }
 
-// GPipe runs all forwards, then all backwards in reverse microbatch order —
-// the classic schedule with the largest bubble and the largest activation
-// footprint.
-type GPipe struct{ *ppBase }
-
-// NewGPipe builds a GPipe stage for this rank.
-func NewGPipe(t Transport, cfg model.Config, opts Options) (*GPipe, error) {
-	b, err := newPPBase(t, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &GPipe{b}, nil
-}
-
-// TrainIteration implements Trainer.
-func (g *GPipe) TrainIteration(batches []data.Batch) (float64, error) {
-	g.beginIteration()
+// TrainIteration implements Trainer: it interprets the stage's program
+// (order.Program of the strategy), one pass per op, then steps.
+func (p *PP) TrainIteration(batches []data.Batch) (float64, error) {
 	n := len(batches)
-	for m := 0; m < n; m++ {
-		if err := g.forwardMB(m, batches[m], g.opts.Recompute); err != nil {
-			return 0, err
-		}
-	}
-	for m := n - 1; m >= 0; m-- {
-		if err := g.backwardMBInput(m, batches[m], g.opts.Recompute); err != nil {
-			return 0, err
-		}
-		g.backwardMBParams(m)
-	}
-	if err := g.step(n); err != nil {
+	if err := p.prog.compile(string(p.strategy), p.t, n); err != nil {
 		return 0, err
 	}
-	return g.finishLoss(n)
-}
-
-// OneFOneB is the 1F1B schedule (Megatron's default): a warm-up of
-// min(P−1−rank, N) forwards, then strict one-forward-one-backward
-// alternation, then a cool-down of the remaining backwards. Peak activation
-// memory is bounded by the warm-up depth instead of N.
-type OneFOneB struct{ *ppBase }
-
-// NewOneFOneB builds a 1F1B stage for this rank.
-func NewOneFOneB(t Transport, cfg model.Config, opts Options) (*OneFOneB, error) {
-	b, err := newPPBase(t, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &OneFOneB{b}, nil
-}
-
-// TrainIteration implements Trainer.
-func (o *OneFOneB) TrainIteration(batches []data.Batch) (float64, error) {
-	o.beginIteration()
-	n := len(batches)
-	warmup := o.t.Size() - 1 - o.t.Rank()
-	if warmup > n {
-		warmup = n
-	}
-	for m := 0; m < warmup; m++ {
-		if err := o.forwardMB(m, batches[m], o.opts.Recompute); err != nil {
+	p.beginIteration()
+	for _, op := range p.prog.ops {
+		var err error
+		switch op.Phase {
+		case 'F':
+			err = p.forwardMB(op.MB, batches[op.MB])
+		case 'B':
+			err = p.backwardMBInput(op.MB, batches[op.MB])
+		default:
+			p.backwardMBParams(op.MB)
+		}
+		if err != nil {
 			return 0, err
 		}
 	}
-	for m := warmup; m < n; m++ {
-		if err := o.forwardMB(m, batches[m], o.opts.Recompute); err != nil {
-			return 0, err
-		}
-		bm := m - warmup
-		if err := o.backwardMBInput(bm, batches[bm], o.opts.Recompute); err != nil {
-			return 0, err
-		}
-		o.backwardMBParams(bm)
-	}
-	for m := n - warmup; m < n; m++ {
-		if err := o.backwardMBInput(m, batches[m], o.opts.Recompute); err != nil {
-			return 0, err
-		}
-		o.backwardMBParams(m)
-	}
-	if err := o.step(n); err != nil {
+	if err := p.step(n); err != nil {
 		return 0, err
 	}
-	return o.finishLoss(n)
+	return p.finishLoss(n)
 }
 
-var (
-	_ Trainer = (*GPipe)(nil)
-	_ Trainer = (*OneFOneB)(nil)
-)
+var _ Trainer = (*PP)(nil)

@@ -576,5 +576,5 @@ type tracedRunner interface{ tracer() *trace.Tracer }
 func (s *Serial) tracer() *trace.Tracer  { return s.tr }
 func (d *DP) tracer() *trace.Tracer      { return d.tr }
 func (f *FSDP) tracer() *trace.Tracer    { return f.tr }
-func (p *ppBase) tracer() *trace.Tracer  { return p.tr }
+func (p *PP) tracer() *trace.Tracer      { return p.tr }
 func (w *WeiPipe) tracer() *trace.Tracer { return w.tr }

@@ -28,7 +28,7 @@ func (d *DP) OwnedModules() (int, int) { return 0, len(d.mdl.Modules) }
 func (f *FSDP) OwnedModules() (int, int) { return 0, len(f.mdl.Modules) }
 
 // OwnedModules implements Owner for the activation-passing stages.
-func (p *ppBase) OwnedModules() (int, int) { return p.lo, p.hi }
+func (p *PP) OwnedModules() (int, int) { return p.lo, p.hi }
 
 // OwnedModules implements Owner for WeiPipe (the owned chunk).
 func (w *WeiPipe) OwnedModules() (int, int) { return w.chunkRange(w.ownChunk) }
@@ -71,7 +71,7 @@ func (d *DP) SkippedSteps() int { return d.skipped }
 func (f *FSDP) SkippedSteps() int { return f.skipped }
 
 // SkippedSteps implements SkipCounter for the activation-passing stages.
-func (p *ppBase) SkippedSteps() int { return p.skipped }
+func (p *PP) SkippedSteps() int { return p.skipped }
 
 // SkippedSteps implements SkipCounter for WeiPipe.
 func (w *WeiPipe) SkippedSteps() int { return w.skipped }
@@ -216,7 +216,7 @@ func (f *FSDP) SetLR(lr float64) {
 }
 
 // SetLR implements LRSetter for the activation-passing stages.
-func (p *ppBase) SetLR(lr float64) { p.opt.SetLR(lr) }
+func (p *PP) SetLR(lr float64) { p.opt.SetLR(lr) }
 
 // SetLR implements LRSetter for WeiPipe.
 func (w *WeiPipe) SetLR(lr float64) { w.opt.SetLR(lr) }

@@ -1,10 +1,12 @@
 package pipeline
 
 import (
+	"slices"
 	"testing"
 
 	"weipipe/internal/data"
 	"weipipe/internal/model"
+	"weipipe/internal/order"
 	"weipipe/internal/trace"
 )
 
@@ -204,6 +206,58 @@ func TestTraceOffIsUntouched(t *testing.T) {
 	for i := range resOff.Weights {
 		if resOff.Weights[i] != resOn.Weights[i] {
 			t.Fatalf("weights diverge at %d: %v != %v", i, resOff.Weights[i], resOn.Weights[i])
+		}
+	}
+}
+
+// TestRuntimeFollowsProgram is the runtime half of "one program order, two
+// readers": for every pipelined strategy, each rank's traced F/B/W spans
+// (whose args carry the microbatch and the chunk or stage) are exactly
+// order.Program for that rank, iteration after iteration. An odd ring rides
+// along.
+func TestRuntimeFollowsProgram(t *testing.T) {
+	const iters = 2
+	strategies := append(order.Strategies(), string(StrategyWZB2G))
+	for _, shape := range []struct{ p, n int }{{2, 4}, {3, 6}} {
+		batches := traceTestBatches(shape.n)
+		for _, s := range strategies {
+			set := trace.NewSet(shape.p, 1<<14)
+			_, err := RunCluster(Strategy(s), shape.p, traceTestConfig(), Options{Trace: set}, iters,
+				func(int) []data.Batch { return batches })
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", s, shape.p, err)
+			}
+			if set.Dropped() != 0 {
+				t.Fatalf("%s p=%d: ring overflowed", s, shape.p)
+			}
+			ran := make([][]order.Op, shape.p)
+			for _, e := range set.Events() {
+				var phase byte
+				switch e.Code {
+				case trace.CodeF:
+					phase = 'F'
+				case trace.CodeB:
+					phase = 'B'
+				case trace.CodeW:
+					phase = 'W'
+				default:
+					continue
+				}
+				ran[e.Rank] = append(ran[e.Rank], order.Op{Phase: phase, MB: int(e.A), Chunk: int(e.B)})
+			}
+			for r := 0; r < shape.p; r++ {
+				prog, err := order.Program(s, r, shape.p, shape.n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []order.Op
+				for i := 0; i < iters; i++ {
+					want = append(want, prog...)
+				}
+				if !slices.Equal(ran[r], want) {
+					t.Errorf("%s p=%d rank %d ran\n %v\nprogram is\n %v", s, shape.p, r, ran[r], want)
+				}
+			}
 		}
 	}
 }

@@ -22,22 +22,20 @@ type WeiPipeVariant int
 // The four schedules of the paper (§4.2). All share the same dataflow —
 // and therefore produce identical gradients — but differ in the local
 // interleaving of forward, B and W work, which is what the performance
-// simulator distinguishes them by.
+// simulator distinguishes them by. The orders themselves are written in
+// internal/order (Program, under the variant's String name).
 const (
-	// WeiPipeNaive: a worker alternates whole-microbatch forward phases and
-	// whole-microbatch backward phases; both weight belts circulate but only
-	// one is used at a time (§4.2.1).
+	// WeiPipeNaive alternates whole-microbatch forward and backward phases;
+	// both weight belts circulate but only one is used at a time (§4.2.1).
 	WeiPipeNaive WeiPipeVariant = iota
-	// WeiPipeInterleave: once warm, every turn pairs one forward stage of a
-	// new microbatch with one backward stage of an old one, using the two
-	// chunks at diagonal belt positions (§4.2.2).
+	// WeiPipeInterleave pairs, once warm, one forward stage of a new
+	// microbatch with one backward stage of an old one per turn (§4.2.2).
 	WeiPipeInterleave
-	// WeiPipeZB1: like Interleave but the backward is split; a turn pairs a
-	// forward with either a B pass or a (one-step-delayed) W pass (§4.2.3.1).
+	// WeiPipeZB1 is Interleave with the backward split and each W pass
+	// delayed by one step (§4.2.3.1).
 	WeiPipeZB1
-	// WeiPipeZB2: B passes run in reverse order as usual, but the W passes
-	// of a microbatch run afterwards in forward layer order, letting chunk
-	// gradients complete and retire as early as possible (§4.2.3.2).
+	// WeiPipeZB2 runs a microbatch's W passes after its B passes, in forward
+	// layer order, so chunk gradients retire as early as possible (§4.2.3.2).
 	WeiPipeZB2
 )
 
@@ -102,6 +100,9 @@ type WeiPipe struct {
 
 	iter int
 	curR int // rounds in the current iteration (N/P)
+
+	// prog is this rank's program order (order.Program of the variant).
+	prog program
 
 	// wGrads is the W pass's per-module gradient sets. They own no storage
 	// (nn.ParamSet.NewUnbound): a W pass binds them to the zeroed belt
@@ -300,7 +301,6 @@ func (w *WeiPipe) totalUses() int { return w.curR * w.t.Size() }
 // wpState is the per-iteration working state.
 type wpState struct {
 	batches []data.Batch
-	R       int
 	// Per in-flight microbatch of this worker:
 	caches     map[int][]*nn.Cache    // one cache per model module
 	fwdX       map[int]*tensor.Tensor // boundary activations (forward cursor)
@@ -318,8 +318,9 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	defer w.recoverIntegrity(&err)
 	p := w.t.Size()
 	n := len(batches)
-	if n%p != 0 {
-		return 0, fmt.Errorf("pipeline: WeiPipe needs microbatch count divisible by %d workers", p)
+	// Compiling also rejects a microbatch count the ring does not divide.
+	if err := w.prog.compile(w.variant.String(), w.t, n); err != nil {
+		return 0, err
 	}
 	// Chaos-tier resident-state flips land before the guard check, so a
 	// scheduled corruption is always in the detector's field of view.
@@ -333,7 +334,6 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	}
 	st := &wpState{
 		batches:    batches,
-		R:          w.curR,
 		caches:     make(map[int][]*nn.Cache),
 		fwdX:       make(map[int]*tensor.Tensor),
 		bwdDy:      make(map[int]*tensor.Tensor),
@@ -478,129 +478,26 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	return loss / float64(n), nil
 }
 
-// ---- local program orders (the four schedules) ---------------------------
+// ---- the program order and its interpreter --------------------------------
 
-// forEachStage drives a variant's local program order, invoking visit for
-// every compute stage: phase 'F' (forward), 'B' (backward-input) or 'W'
-// (backward-params) of chunk c in round k.
-func forEachStage(v WeiPipeVariant, R, p int, visit func(phase byte, k, c int) error) error {
-	switch v {
-	case WeiPipeNaive:
-		// Whole-microbatch forward phases alternate with whole-microbatch
-		// backward phases; B and W stay fused.
-		for k := 0; k < R; k++ {
-			for c := 0; c < p; c++ {
-				if err := visit('F', k, c); err != nil {
-					return err
-				}
-			}
-			for c := p - 1; c >= 0; c-- {
-				if err := visit('B', k, c); err != nil {
-					return err
-				}
-				if err := visit('W', k, c); err != nil {
-					return err
-				}
-			}
+// runSchedule interprets the program: every op is one compute stage, and the
+// stage fetches what it needs off the belts.
+func (w *WeiPipe) runSchedule(st *wpState) error {
+	for _, op := range w.prog.ops {
+		var err error
+		switch op.Phase {
+		case 'F':
+			err = w.fStage(st, op.MB, op.Chunk)
+		case 'B':
+			err = w.bStage(st, op.MB, op.Chunk)
+		default:
+			err = w.wStage(st, op.MB, op.Chunk)
 		}
-	case WeiPipeInterleave:
-		// Once warm, each turn pairs one forward stage (new microbatch)
-		// with one fused backward stage (previous microbatch).
-		for k := 0; k <= R; k++ {
-			for step := 0; step < p; step++ {
-				if k < R {
-					if err := visit('F', k, step); err != nil {
-						return err
-					}
-				}
-				if k >= 1 {
-					c := p - 1 - step
-					if err := visit('B', k-1, c); err != nil {
-						return err
-					}
-					if err := visit('W', k-1, c); err != nil {
-						return err
-					}
-				}
-			}
+		if err != nil {
+			return err
 		}
-	case WeiPipeZB1:
-		// The backward splits: each turn pairs a forward with a B pass, and
-		// the W pass runs one turn later (bounded pending set of one).
-		type pending struct{ k, c int }
-		var queue []pending
-		for k := 0; k <= R; k++ {
-			for step := 0; step < p; step++ {
-				if k < R {
-					if err := visit('F', k, step); err != nil {
-						return err
-					}
-				}
-				if k >= 1 {
-					c := p - 1 - step
-					if err := visit('B', k-1, c); err != nil {
-						return err
-					}
-					queue = append(queue, pending{k - 1, c})
-					if len(queue) > 1 {
-						q := queue[0]
-						queue = queue[1:]
-						if err := visit('W', q.k, q.c); err != nil {
-							return err
-						}
-					}
-				}
-			}
-		}
-		for _, q := range queue {
-			if err := visit('W', q.k, q.c); err != nil {
-				return err
-			}
-		}
-	case WeiPipeZB2:
-		// All B passes of a microbatch run in reverse order (interleaved
-		// with the next microbatch's forwards), then its W passes run in
-		// forward chunk order so gradients retire as early as possible.
-		for k := 0; k <= R; k++ {
-			for step := 0; step < p; step++ {
-				if k < R {
-					if err := visit('F', k, step); err != nil {
-						return err
-					}
-				}
-				if k >= 1 {
-					if err := visit('B', k-1, p-1-step); err != nil {
-						return err
-					}
-				}
-			}
-			if k >= 1 {
-				for c := 0; c < p; c++ {
-					if err := visit('W', k-1, c); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	default:
-		return fmt.Errorf("pipeline: unknown WeiPipe variant %d", v)
 	}
 	return nil
-}
-
-// runSchedule executes the variant's program order against the compute
-// stages.
-func (w *WeiPipe) runSchedule(st *wpState) error {
-	return forEachStage(w.variant, st.R, w.t.Size(), func(phase byte, k, c int) error {
-		switch phase {
-		case 'F':
-			return w.fStage(st, k, c)
-		case 'B':
-			return w.bStage(st, k, c)
-		default:
-			return w.wStage(st, k, c)
-		}
-	})
 }
 
 // ---- belt plumbing -------------------------------------------------------
@@ -795,10 +692,9 @@ func (w *WeiPipe) accumulateAndForwardD(c, use int, local []float32) error {
 
 // ---- compute stages ------------------------------------------------------
 
-// fStage runs the forward of chunk c for this worker's round-k microbatch.
-// The belt use index equals the microbatch index kP+rank.
-func (w *WeiPipe) fStage(st *wpState, k, c int) error {
-	mb := k*w.t.Size() + w.t.Rank()
+// fStage runs the forward of chunk c for this worker's microbatch mb, which
+// is also the belt use index.
+func (w *WeiPipe) fStage(st *wpState, mb, c int) error {
 	w.post(mb, 'F')
 	if err := w.recvBeltChunk(beltFwd, c, mb); err != nil {
 		return err
@@ -826,9 +722,8 @@ func (w *WeiPipe) fStage(st *wpState, k, c int) error {
 	return nil
 }
 
-// bStage runs the B pass of chunk c for this worker's round-k microbatch.
-func (w *WeiPipe) bStage(st *wpState, k, c int) error {
-	mb := k*w.t.Size() + w.t.Rank()
+// bStage runs the B pass of chunk c for this worker's microbatch mb.
+func (w *WeiPipe) bStage(st *wpState, mb, c int) error {
 	w.post(mb, 'B')
 	if err := w.recvBeltChunk(beltBwd, c, mb); err != nil {
 		return err
@@ -847,12 +742,11 @@ func (w *WeiPipe) bStage(st *wpState, k, c int) error {
 	return nil
 }
 
-// wStage runs the W pass of chunk c for this worker's round-k microbatch
-// straight into the zeroed belt buffer that carries the result away, folds
+// wStage runs the W pass of chunk c for this worker's microbatch mb straight
+// into the zeroed belt buffer that carries the result away, folds
 // the incoming accumulator in and forwards it. When the microbatch's last W
 // pass completes, its activations are released.
-func (w *WeiPipe) wStage(st *wpState, k, c int) error {
-	mb := k*w.t.Size() + w.t.Rank()
+func (w *WeiPipe) wStage(st *wpState, mb, c int) error {
 	w.post(mb, 'W')
 	caches := st.caches[mb]
 	lo, hi := w.chunkRange(c)

@@ -19,7 +19,7 @@ import (
 // p2pSpec builds a spec for the given strategy scale, topology, and mode.
 func p2pSpec(p int, top cluster.Topology, mode string) Spec {
 	w := smallWorkload(p)
-	return Spec{W: w, GPU: cluster.A800(), Top: top, Overlap: true, P2PMode: mode}
+	return Spec{W: w, GPU: cluster.A800(), Top: top, P2PMode: mode}
 }
 
 // taskFingerprint renders the structural identity of a task list.

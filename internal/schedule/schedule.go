@@ -2,7 +2,9 @@
 // discrete-event task graph for internal/sim: per-worker compute ops in the
 // strategy's program order, link tasks for every point-to-point transfer on
 // the ring, and fabric tasks for ring collectives. Task durations come from
-// the analytic cost model and the cluster topology.
+// the analytic cost model and the cluster topology. The pipelined
+// strategies' program orders are not written here: the builders cost the
+// per-rank op lists of internal/order, the same lists the runtime interprets.
 package schedule
 
 import (
@@ -10,6 +12,7 @@ import (
 
 	"weipipe/internal/cluster"
 	"weipipe/internal/cost"
+	"weipipe/internal/order"
 	"weipipe/internal/sim"
 )
 
@@ -18,10 +21,6 @@ type Spec struct {
 	W   cost.Workload
 	GPU cluster.GPUSpec
 	Top cluster.Topology
-	// Overlap enables communication/computation overlap (the paper's
-	// batch_isend_irecv prefetching). Disabling it is an ablation: belt
-	// chunks are only forwarded after the local compute that used them.
-	Overlap bool
 	// WireFP32 doubles every wire payload, ablating the paper's fp16/bf16
 	// wire format against full-precision transfers.
 	WireFP32 bool
@@ -33,11 +32,10 @@ type Spec struct {
 	// gradient — the design alternative the D belt avoids.
 	TerminalGradAllReduce bool
 	// LinkScale multiplies every point-to-point link duration (0 means 1,
-	// the uncalibrated model). It is the calibration knob the functional
-	// runtime's overlap telemetry feeds: the ratio of overlapped to
-	// blocking belt stall (cost.OverlapMeasurement.SuggestedLinkScale)
-	// expresses how much of the modelled link time the async engine
-	// actually exposes to compute.
+	// the uncalibrated model). It is the calibration knob a traced run
+	// feeds: the ratio of measured to predicted exposed communication
+	// (cost.Calibration.SuggestedLinkScale) expresses how much of the
+	// modelled link time the runtime actually exposes to compute.
 	LinkScale float64
 	// P2PMode selects the transport link model, mirroring the runtime's
 	// per-link packaging modes. "" or "frame" reproduces the baseline
@@ -315,19 +313,23 @@ func (b *builder) fabric(dur float64, label string, deps ...int) int {
 
 // ---- per-stage / per-chunk durations ---------------------------------------
 
-// stageTimes returns the F/B/W durations of worker r's stage (L/P layers,
-// plus the LM head on the last stage; the embedding lookup is negligible).
-func stageTimes(w cost.Workload, t cost.OpTimes, r int) (f, bp, wp float64) {
+// phaseTimes is the F/B/W duration of one chunk's pass.
+type phaseTimes struct{ f, b, w float64 }
+
+// chunkTimes returns the pass durations of every chunk — equally, of every
+// activation-passing stage: L/P layers, plus the LM head on the last one (the
+// embedding lookup is negligible).
+func chunkTimes(w cost.Workload, t cost.OpTimes) []phaseTimes {
 	lp := float64(w.L) / float64(w.P)
-	f = lp * t.F
-	bp = lp * t.B
-	wp = lp * t.W
-	if r == w.P-1 {
-		f += t.HeadF
-		bp += t.HeadB
-		wp += t.HeadW
+	times := make([]phaseTimes, w.P)
+	for c := range times {
+		times[c] = phaseTimes{f: lp * t.F, b: lp * t.B, w: lp * t.W}
 	}
-	return
+	last := &times[w.P-1]
+	last.f += t.HeadF
+	last.b += t.HeadB
+	last.w += t.HeadW
+	return times
 }
 
 // chunkBytes returns the fp16 wire size of chunk c's weights (gradient
@@ -344,93 +346,130 @@ func chunkBytes(w cost.Workload, c int) float64 {
 	return bytes
 }
 
+// ---- the program orders, costed ---------------------------------------------
+
+// programs returns every worker's program for the spec's (P, N).
+func programs(strategy string, w cost.Workload) ([][]order.Op, error) {
+	progs := make([][]order.Op, w.P)
+	for r := range progs {
+		var err error
+		if progs[r], err = order.Program(strategy, r, w.P, w.N); err != nil {
+			return nil, err
+		}
+	}
+	return progs, nil
+}
+
+// opGrid finds a pipelined schedule's compute tasks by what they run:
+// f[c][m], b[c][m] and w[c][m] are the F, B and W task of microbatch m on
+// chunk c (for the activation-passing family, on stage c). On the belts m is
+// also the chunk's use index, and the worker of use m is m mod P.
+type opGrid struct {
+	f, b, w [][]int
+	p       int
+	// buffers is the per-worker, per-belt chunk buffer depth of the
+	// weight-passing builders' flow control.
+	buffers int
+}
+
+// emitPrograms appends strategy's compute tasks — every worker's program,
+// worker by worker, each op chained after the one before it — and returns
+// the grid that finds them. Link tasks are appended afterwards and wired by
+// mutating Deps.
+func (b *builder) emitPrograms(strategy string, label func(op order.Op, worker int) string) (*opGrid, error) {
+	w := b.spec.W
+	progs, err := programs(strategy, w)
+	if err != nil {
+		return nil, err
+	}
+	mk := func() [][]int {
+		g := make([][]int, w.P)
+		for c := range g {
+			g[c] = make([]int, w.N)
+			for m := range g[c] {
+				g[c][m] = -1
+			}
+		}
+		return g
+	}
+	g := &opGrid{f: mk(), b: mk(), w: mk(), p: w.P, buffers: b.spec.BeltBuffers}
+	if g.buffers <= 0 {
+		g.buffers = 2
+	}
+	times := chunkTimes(w, w.Times(b.spec.GPU))
+	for worker, prog := range progs {
+		for _, op := range prog {
+			t := times[op.Chunk]
+			dur, ids := t.f, g.f
+			switch op.Phase {
+			case 'B':
+				dur, ids = t.b, g.b
+			case 'W':
+				dur, ids = t.w, g.w
+			}
+			ids[op.Chunk][op.MB] = b.compute(worker, dur, string(rune(op.Phase)), label(op, worker))
+		}
+	}
+	return g, nil
+}
+
+// Belt flow control: a worker holds at most `buffers` in-flight chunks per
+// belt, so the hop delivering its n-th chunk of a belt waits for the compute
+// that consumed its (n−buffers)-th — finite buffering is what paces the ring.
+// A worker consumes the forward belt in (round, chunk) order and the backward
+// belt in (round, P−1−chunk) order; fwdEarlier and bwdEarlier return the
+// compute task that consumed the chunk `buffers` arrivals before chunk c of
+// round k at worker wk, or -1.
+func (g *opGrid) fwdEarlier(wk, k, c int) int {
+	idx := k*g.p + c - g.buffers
+	if idx < 0 {
+		return -1
+	}
+	return g.f[idx%g.p][(idx/g.p)*g.p+wk]
+}
+
+func (g *opGrid) bwdEarlier(wk, k, c int) int {
+	idx := k*g.p + (g.p - 1 - c) - g.buffers
+	if idx < 0 {
+		return -1
+	}
+	return g.b[g.p-1-idx%g.p][(idx/g.p)*g.p+wk]
+}
+
+// beltLabel names a weight-passing compute task: phase, chunk, round, worker.
+func beltLabel(p int) func(op order.Op, worker int) string {
+	return func(op order.Op, worker int) string {
+		return fmt.Sprintf("%c c%d k%d@w%d", op.Phase, op.Chunk, op.MB/p, worker)
+	}
+}
+
+// terminalGradAllReduce appends the TerminalGradAllReduce ablation's
+// end-of-iteration all-reduce of the full gradient, after every worker's
+// last op.
+func (b *builder) terminalGradAllReduce() {
+	p := b.spec.W.P
+	deps := make([]int, 0, p)
+	for worker := 0; worker < p; worker++ {
+		if id, ok := b.last[worker]; ok {
+			deps = append(deps, id)
+		}
+	}
+	b.fabric(b.spec.Top.RingAllReduceTime(b.spec.W.TotalParams()*2*b.spec.wireScale()), "grad allreduce", deps...)
+}
+
 // ---- activation-passing pipelines -------------------------------------------
 
 func buildPP(strategy string, spec Spec) ([]sim.Task, error) {
 	w := spec.W
-	t := w.Times(spec.GPU)
 	p := w.P
 	n := w.N
 	actBytes := w.ActBoundaryBytes()
 	b := newBuilder(spec)
-
-	// Pre-create compute ops in each rank's program order; cross-rank link
-	// tasks are appended afterwards and wired by mutating Deps.
-	type opRef struct{ f, bi, bw int } // forward, B pass, W pass task ids
-	ops := make([][]opRef, p)
-	for r := 0; r < p; r++ {
-		ops[r] = make([]opRef, n)
-		for m := range ops[r] {
-			ops[r][m] = opRef{f: -1, bi: -1, bw: -1}
-		}
-	}
-
-	for r := 0; r < p; r++ {
-		fDur, bDur, wDur := stageTimes(w, t, r)
-		emitF := func(m int) {
-			ops[r][m].f = b.compute(r, fDur, "F", fmt.Sprintf("F%d@w%d", m, r))
-		}
-		emitB := func(m int) {
-			ops[r][m].bi = b.compute(r, bDur, "B", fmt.Sprintf("B%d@w%d", m, r))
-		}
-		emitW := func(m int) {
-			ops[r][m].bw = b.compute(r, wDur, "W", fmt.Sprintf("W%d@w%d", m, r))
-		}
-		warmup := p - 1 - r
-		if warmup > n {
-			warmup = n
-		}
-		switch strategy {
-		case "gpipe":
-			for m := 0; m < n; m++ {
-				emitF(m)
-			}
-			for m := n - 1; m >= 0; m-- {
-				emitB(m)
-				emitW(m)
-			}
-		case "1f1b":
-			for m := 0; m < warmup; m++ {
-				emitF(m)
-			}
-			for m := warmup; m < n; m++ {
-				emitF(m)
-				emitB(m - warmup)
-				emitW(m - warmup)
-			}
-			for m := n - warmup; m < n; m++ {
-				emitB(m)
-				emitW(m)
-			}
-		case "zb1", "zb2":
-			var pending []int
-			limit := warmup
-			if strategy == "zb2" {
-				limit = n + 1 // never drain early
-			}
-			if limit < 1 {
-				limit = 1
-			}
-			for m := 0; m < warmup; m++ {
-				emitF(m)
-			}
-			for m := warmup; m < n; m++ {
-				emitF(m)
-				emitB(m - warmup)
-				pending = append(pending, m-warmup)
-				if len(pending) > limit {
-					emitW(pending[0])
-					pending = pending[1:]
-				}
-			}
-			for m := n - warmup; m < n; m++ {
-				emitB(m)
-				pending = append(pending, m)
-			}
-			for _, m := range pending {
-				emitW(m)
-			}
-		}
+	ops, err := b.emitPrograms(strategy, func(op order.Op, worker int) string {
+		return fmt.Sprintf("%c%d@w%d", op.Phase, op.MB, worker)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Activation transfers r→r+1: F at r+1 waits on the link task, which
@@ -439,9 +478,9 @@ func buildPP(strategy string, spec Spec) ([]sim.Task, error) {
 	// exactly the coupling WeiPipe's weight prefetching avoids.
 	for r := 0; r < p-1; r++ {
 		for m := 0; m < n; m++ {
-			lt := b.linkFwd(r, actBytes, fmt.Sprintf("act%d@l%d", m, r), ops[r][m].f)
-			b.tasks[ops[r+1][m].f].Deps = append(b.tasks[ops[r+1][m].f].Deps, lt)
-			if succ := b.successorOf(r, ops[r][m].f); succ >= 0 {
+			lt := b.linkFwd(r, actBytes, fmt.Sprintf("act%d@l%d", m, r), ops.f[r][m])
+			b.tasks[ops.f[r+1][m]].Deps = append(b.tasks[ops.f[r+1][m]].Deps, lt)
+			if succ := b.successorOf(r, ops.f[r][m]); succ >= 0 {
 				b.tasks[succ].Deps = append(b.tasks[succ].Deps, lt)
 			}
 		}
@@ -450,9 +489,9 @@ func buildPP(strategy string, spec Spec) ([]sim.Task, error) {
 	// on the sender.
 	for r := 0; r < p-1; r++ {
 		for m := 0; m < n; m++ {
-			lt := b.linkRev(r, actBytes, fmt.Sprintf("grad%d@r%d", m, r), ops[r+1][m].bi)
-			b.tasks[ops[r][m].bi].Deps = append(b.tasks[ops[r][m].bi].Deps, lt)
-			if succ := b.successorOf(r+1, ops[r+1][m].bi); succ >= 0 {
+			lt := b.linkRev(r, actBytes, fmt.Sprintf("grad%d@r%d", m, r), ops.b[r+1][m])
+			b.tasks[ops.b[r][m]].Deps = append(b.tasks[ops.b[r][m]].Deps, lt)
+			if succ := b.successorOf(r+1, ops.b[r+1][m]); succ >= 0 {
 				b.tasks[succ].Deps = append(b.tasks[succ].Deps, lt)
 			}
 		}
@@ -471,30 +510,39 @@ func buildPP(strategy string, spec Spec) ([]sim.Task, error) {
 // which is the redundant transmission WeiPipe-Interleave eliminates. The
 // bubble the paper attributes to Naive (forward workers idling while any
 // worker is in its longer backward turn) emerges from the barriers.
+//
+// A worker's turns are its program's ops, a B and the W fused to it counting
+// as one; worker i starts i turns late (the rotation reaches it then).
 func buildWeiPipeNaive(spec Spec) ([]sim.Task, error) {
 	w := spec.W
 	t := w.Times(spec.GPU)
+	times := chunkTimes(w, t)
 	p := w.P
-	rounds := w.N / p
 	b := newBuilder(spec)
-
-	chunkDur := func(c int, backward bool) float64 {
-		lp := float64(w.L) / float64(p)
-		d := lp * t.F
-		if backward {
-			d = lp * (t.B + t.W)
-		}
-		if c == p-1 {
-			if backward {
-				d += t.HeadB + t.HeadW
-			} else {
-				d += t.HeadF
+	progs, err := programs("weipipe-naive", w)
+	if err != nil {
+		return nil, err
+	}
+	turns := make([][]order.Op, p) // per worker: the op that opens each turn
+	for worker, prog := range progs {
+		for _, op := range prog {
+			if op.Phase != 'W' {
+				turns[worker] = append(turns[worker], op)
 			}
+		}
+	}
+
+	// A fused backward turn is costed as one pass, lp·(B+W) — the split
+	// passes' lp·B + lp·W rounds differently in the last bit.
+	fusedBW := func(c int) float64 {
+		d := float64(w.L) / float64(p) * (t.B + t.W)
+		if c == p-1 {
+			d += t.HeadB + t.HeadW
 		}
 		return d
 	}
 
-	totalTurns := 2*rounds*p + p - 1
+	totalTurns := len(turns[0]) + p - 1
 	prevBarrier := -1
 	maxBytes := chunkBytes(w, 0)
 	if hb := chunkBytes(w, p-1); hb > maxBytes {
@@ -504,25 +552,20 @@ func buildWeiPipeNaive(spec Spec) ([]sim.Task, error) {
 		var turnTasks []int
 		for worker := 0; worker < p; worker++ {
 			l := turn - worker // worker's local turn
-			if l < 0 || l >= 2*rounds*p {
+			if l < 0 || l >= len(turns[worker]) {
 				continue
 			}
-			k := l / (2 * p)
-			r := l % (2 * p)
+			op := turns[worker][l]
 			deps := []int{}
 			if prevBarrier >= 0 {
 				deps = append(deps, prevBarrier)
 			}
-			var id int
-			if r < p {
-				id = b.compute(worker, chunkDur(r, false), "F",
-					fmt.Sprintf("F c%d k%d@w%d", r, k, worker), deps...)
-			} else {
-				c := 2*p - 1 - r
-				id = b.compute(worker, chunkDur(c, true), "B",
-					fmt.Sprintf("B+W c%d k%d@w%d", c, k, worker), deps...)
+			dur, label := times[op.Chunk].f, "F"
+			if op.Phase == 'B' {
+				dur, label = fusedBW(op.Chunk), "B+W"
 			}
-			turnTasks = append(turnTasks, id)
+			turnTasks = append(turnTasks, b.compute(worker, dur, string(rune(op.Phase)),
+				fmt.Sprintf("%s c%d k%d@w%d", label, op.Chunk, op.MB/p, worker), deps...))
 		}
 		// Both weight flows plus the gradient flow hop every link every
 		// turn, used or not (Naive's redundant transmission).
@@ -545,150 +588,20 @@ func buildWeiPipeNaive(spec Spec) ([]sim.Task, error) {
 
 func buildWeiPipe(strategy string, spec Spec) ([]sim.Task, error) {
 	w := spec.W
-	t := w.Times(spec.GPU)
 	p := w.P
-	rounds := w.N / p
-	uses := rounds * p
+	uses := w.N
 	b := newBuilder(spec)
-
-	chunkF := make([]float64, p)
-	chunkB := make([]float64, p)
-	chunkW := make([]float64, p)
-	lp := float64(w.L) / float64(p)
-	for c := 0; c < p; c++ {
-		chunkF[c] = lp * t.F
-		chunkB[c] = lp * t.B
-		chunkW[c] = lp * t.W
-		if c == p-1 {
-			chunkF[c] += t.HeadF
-			chunkB[c] += t.HeadB
-			chunkW[c] += t.HeadW
-		}
-	}
-
-	// Compute ops per (chunk, use): fOp/bOp/wOp[c][use]. The worker of use
-	// j is j mod p. Program order is emitted per worker below; link tasks
-	// are wired afterwards.
-	mk := func() [][]int {
-		m := make([][]int, p)
-		for c := range m {
-			m[c] = make([]int, uses)
-			for j := range m[c] {
-				m[c][j] = -1
-			}
-		}
-		return m
-	}
-	fOp, bOp, wOp := mk(), mk(), mk()
-
-	for worker := 0; worker < p; worker++ {
-		use := func(k int) int { return k*p + worker }
-		emitF := func(k, c int) {
-			fOp[c][use(k)] = b.compute(worker, chunkF[c], "F", fmt.Sprintf("F c%d k%d@w%d", c, k, worker))
-		}
-		emitB := func(k, c int) {
-			bOp[c][use(k)] = b.compute(worker, chunkB[c], "B", fmt.Sprintf("B c%d k%d@w%d", c, k, worker))
-		}
-		emitW := func(k, c int) {
-			wOp[c][use(k)] = b.compute(worker, chunkW[c], "W", fmt.Sprintf("W c%d k%d@w%d", c, k, worker))
-		}
-		switch strategy {
-		case "weipipe-naive":
-			for k := 0; k < rounds; k++ {
-				for c := 0; c < p; c++ {
-					emitF(k, c)
-				}
-				for c := p - 1; c >= 0; c-- {
-					emitB(k, c)
-					emitW(k, c)
-				}
-			}
-		case "weipipe-interleave":
-			for k := 0; k <= rounds; k++ {
-				for step := 0; step < p; step++ {
-					if k < rounds {
-						emitF(k, step)
-					}
-					if k >= 1 {
-						emitB(k-1, p-1-step)
-						emitW(k-1, p-1-step)
-					}
-				}
-			}
-		case "wzb1":
-			type pw struct{ k, c int }
-			var queue []pw
-			for k := 0; k <= rounds; k++ {
-				for step := 0; step < p; step++ {
-					if k < rounds {
-						emitF(k, step)
-					}
-					if k >= 1 {
-						c := p - 1 - step
-						emitB(k-1, c)
-						queue = append(queue, pw{k - 1, c})
-						if len(queue) > 1 {
-							q := queue[0]
-							queue = queue[1:]
-							emitW(q.k, q.c)
-						}
-					}
-				}
-			}
-			for _, q := range queue {
-				emitW(q.k, q.c)
-			}
-		case "wzb2":
-			for k := 0; k <= rounds; k++ {
-				for step := 0; step < p; step++ {
-					if k < rounds {
-						emitF(k, step)
-					}
-					if k >= 1 {
-						emitB(k-1, p-1-step)
-					}
-				}
-				if k >= 1 {
-					for c := 0; c < p; c++ {
-						emitW(k-1, c)
-					}
-				}
-			}
-		}
+	ops, err := b.emitPrograms(strategy, beltLabel(p))
+	if err != nil {
+		return nil, err
 	}
 
 	// Belt link tasks. Forward and backward weight belts hop j−1 → j with
-	// store-and-forward relaying (with Overlap) or compute-gated relaying
-	// (without). The D belt hop j−1 → j carries the accumulator and always
-	// depends on the producer's W pass.
-	//
-	// Flow control: a worker holds at most beltBuffers in-flight chunks per
-	// belt, so the hop delivering its n-th chunk of a belt waits for the
-	// compute that consumed its (n−beltBuffers)-th — finite buffering is
-	// what paces the ring.
-	beltBuffers := spec.BeltBuffers
-	if beltBuffers <= 0 {
-		beltBuffers = 2
-	}
-
-	// consumption order per worker per belt: fwd belt in (k, c) order, bwd
-	// belt in (k, P−1−c) order. earlierConsumer returns the compute op that
-	// consumed the chunk `beltBuffers` arrivals earlier at worker wk, or -1.
-	fwdEarlier := func(wk, k, c int) int {
-		idx := k*p + c - beltBuffers
-		if idx < 0 {
-			return -1
-		}
-		return fOp[idx%p][(idx/p)*p+wk]
-	}
-	bwdEarlier := func(wk, k, c int) int {
-		idx := k*p + (p - 1 - c) - beltBuffers
-		if idx < 0 {
-			return -1
-		}
-		return bOp[p-1-idx%p][(idx/p)*p+wk]
-	}
-
+	// store-and-forward relaying: the runtime passes a chunk on before it
+	// computes with it, so a hop waits for the previous hop, never for the
+	// previous user's compute. The D belt hop j−1 → j carries the
+	// accumulator and always depends on the producer's W pass. Flow control
+	// (fwdEarlier/bwdEarlier) is what paces the ring.
 	for c := 0; c < p; c++ {
 		bytes := chunkBytes(w, c)
 		var prevFLink, prevBLink = -1, -1
@@ -704,15 +617,11 @@ func buildWeiPipe(strategy string, spec Spec) ([]sim.Task, error) {
 			if prevBLink >= 0 {
 				bdeps = append(bdeps, prevBLink)
 			}
-			if e := fwdEarlier(dst, k, c); e >= 0 {
+			if e := ops.fwdEarlier(dst, k, c); e >= 0 {
 				fdeps = append(fdeps, e)
 			}
-			if e := bwdEarlier(dst, k, c); e >= 0 {
+			if e := ops.bwdEarlier(dst, k, c); e >= 0 {
 				bdeps = append(bdeps, e)
-			}
-			if !spec.Overlap {
-				fdeps = append(fdeps, fOp[c][j-1])
-				bdeps = append(bdeps, bOp[c][j-1])
 			}
 			dBytes := bytes
 			if spec.TerminalGradAllReduce {
@@ -726,31 +635,25 @@ func buildWeiPipe(strategy string, spec Spec) ([]sim.Task, error) {
 				// bandwidth cost only, no envelope of their own.
 				fl = b.linkFwd(from, bytes, fmt.Sprintf("Wf c%d u%d", c, j), fdeps...)
 				bl = b.linkPiggyback(from, bytes, fmt.Sprintf("Wb c%d u%d", c, j), bdeps...)
-				dl = b.linkPiggyback(from, dBytes, fmt.Sprintf("D c%d u%d", c, j), wOp[c][j-1])
+				dl = b.linkPiggyback(from, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
 			case spec.p2pLinkDuplex(from):
 				// Duplex: each belt gets its own lane on the link.
 				fl = b.linkFwd(from, bytes, fmt.Sprintf("Wf c%d u%d", c, j), fdeps...)
 				bl = b.linkLane(from, 'b', bytes, fmt.Sprintf("Wb c%d u%d", c, j), bdeps...)
-				dl = b.linkLane(from, 'd', dBytes, fmt.Sprintf("D c%d u%d", c, j), wOp[c][j-1])
+				dl = b.linkLane(from, 'd', dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
 			default:
 				fl = b.linkFwd(from, bytes, fmt.Sprintf("Wf c%d u%d", c, j), fdeps...)
 				bl = b.linkFwd(from, bytes, fmt.Sprintf("Wb c%d u%d", c, j), bdeps...)
-				dl = b.linkFwd(from, dBytes, fmt.Sprintf("D c%d u%d", c, j), wOp[c][j-1])
+				dl = b.linkFwd(from, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
 			}
-			b.tasks[fOp[c][j]].Deps = append(b.tasks[fOp[c][j]].Deps, fl)
-			b.tasks[bOp[c][j]].Deps = append(b.tasks[bOp[c][j]].Deps, bl)
-			b.tasks[wOp[c][j]].Deps = append(b.tasks[wOp[c][j]].Deps, dl)
+			b.tasks[ops.f[c][j]].Deps = append(b.tasks[ops.f[c][j]].Deps, fl)
+			b.tasks[ops.b[c][j]].Deps = append(b.tasks[ops.b[c][j]].Deps, bl)
+			b.tasks[ops.w[c][j]].Deps = append(b.tasks[ops.w[c][j]].Deps, dl)
 			prevFLink, prevBLink = fl, bl
 		}
 	}
 	if spec.TerminalGradAllReduce {
-		deps := make([]int, 0, p)
-		for worker := 0; worker < p; worker++ {
-			if id, ok := b.last[worker]; ok {
-				deps = append(deps, id)
-			}
-		}
-		b.fabric(spec.Top.RingAllReduceTime(w.TotalParams()*2*spec.wireScale()), "grad allreduce", deps...)
+		b.terminalGradAllReduce()
 	}
 	return b.tasks, nil
 }
@@ -776,59 +679,13 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 		return buildWeiPipe("wzb2", spec)
 	}
 	nG := p / m
-	t := w.Times(spec.GPU)
-	rounds := w.N / p
-	uses := rounds * p
+	uses := w.N
 	b := newBuilder(spec)
-
-	chunkF := make([]float64, p)
-	chunkB := make([]float64, p)
-	chunkW := make([]float64, p)
-	lp := float64(w.L) / float64(p)
-	for c := 0; c < p; c++ {
-		chunkF[c] = lp * t.F
-		chunkB[c] = lp * t.B
-		chunkW[c] = lp * t.W
-		if c == p-1 {
-			chunkF[c] += t.HeadF
-			chunkB[c] += t.HeadB
-			chunkW[c] += t.HeadW
-		}
-	}
-
-	mk := func() [][]int {
-		g := make([][]int, p)
-		for c := range g {
-			g[c] = make([]int, uses)
-			for j := range g[c] {
-				g[c][j] = -1
-			}
-		}
-		return g
-	}
-	fOp, bOp, wOp := mk(), mk(), mk()
-
-	// Compute grid: identical to flat wzb2 — the grouped belt changes how
-	// weights travel, never what each worker computes (bit-identity).
-	for worker := 0; worker < p; worker++ {
-		use := func(k int) int { return k*p + worker }
-		for k := 0; k <= rounds; k++ {
-			for step := 0; step < p; step++ {
-				if k < rounds {
-					c := step
-					fOp[c][use(k)] = b.compute(worker, chunkF[c], "F", fmt.Sprintf("F c%d k%d@w%d", c, k, worker))
-				}
-				if k >= 1 {
-					c := p - 1 - step
-					bOp[c][use(k-1)] = b.compute(worker, chunkB[c], "B", fmt.Sprintf("B c%d k%d@w%d", c, k-1, worker))
-				}
-			}
-			if k >= 1 {
-				for c := 0; c < p; c++ {
-					wOp[c][use(k-1)] = b.compute(worker, chunkW[c], "W", fmt.Sprintf("W c%d k%d@w%d", c, k-1, worker))
-				}
-			}
-		}
+	// Compute grid: wzb2g shares wzb2's program — the grouped belt changes
+	// how weights travel, never what each worker computes (bit-identity).
+	ops, err := b.emitPrograms("wzb2g", beltLabel(p))
+	if err != nil {
+		return nil, err
 	}
 
 	owner := func(c int) int { return (c - 1 + p) % p }
@@ -864,27 +721,6 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 			prev = b.linkFwd((fromG+1)*m-1, bytes, fmt.Sprintf("xchg c%d g%d", c, toG), deps...)
 			arrive[toG][c] = prev
 		}
-	}
-
-	// Flow control, as in the flat belt: a worker holds at most beltBuffers
-	// in-flight chunks per belt.
-	beltBuffers := spec.BeltBuffers
-	if beltBuffers <= 0 {
-		beltBuffers = 2
-	}
-	fwdEarlier := func(wk, k, c int) int {
-		idx := k*p + c - beltBuffers
-		if idx < 0 {
-			return -1
-		}
-		return fOp[idx%p][(idx/p)*p+wk]
-	}
-	bwdEarlier := func(wk, k, c int) int {
-		idx := k*p + (p - 1 - c) - beltBuffers
-		if idx < 0 {
-			return -1
-		}
-		return bOp[p-1-idx%p][(idx/p)*p+wk]
 	}
 
 	// Weight-belt wiring. Within a group the chunk hops rank-adjacent links
@@ -936,9 +772,6 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 				if e := earlier(dst, k, c); e >= 0 {
 					deps = append(deps, e)
 				}
-				if !spec.Overlap {
-					deps = append(deps, op[c][j-1])
-				}
 				lt := emit(dst-1, bytes, fmt.Sprintf("%s c%d u%d", name, c, j), deps)
 				b.tasks[op[c][j]].Deps = append(b.tasks[op[c][j]].Deps, lt)
 				prevLink = lt
@@ -964,8 +797,8 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 		}
 		return b.linkFwd(link, bytes, label, deps...)
 	}
-	wireBelt(fOp, "Wf", fwdEarlier, emitFwd)
-	wireBelt(bOp, "Wb", bwdEarlier, emitWb)
+	wireBelt(ops.f, "Wf", ops.fwdEarlier, emitFwd)
+	wireBelt(ops.b, "Wb", ops.bwdEarlier, emitWb)
 
 	// The D belt is untouched by grouping: in-transit gradient accumulation
 	// is a strict left-fold around the full ring (bit-identity requires the
@@ -984,23 +817,17 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 			var dl int
 			switch {
 			case c > 0 && spec.p2pLinkBatched(link):
-				dl = b.linkPiggyback(link, dBytes, fmt.Sprintf("D c%d u%d", c, j), wOp[c][j-1])
+				dl = b.linkPiggyback(link, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
 			case spec.p2pLinkDuplex(link):
-				dl = b.linkLane(link, 'd', dBytes, fmt.Sprintf("D c%d u%d", c, j), wOp[c][j-1])
+				dl = b.linkLane(link, 'd', dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
 			default:
-				dl = b.linkFwd(link, dBytes, fmt.Sprintf("D c%d u%d", c, j), wOp[c][j-1])
+				dl = b.linkFwd(link, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
 			}
-			b.tasks[wOp[c][j]].Deps = append(b.tasks[wOp[c][j]].Deps, dl)
+			b.tasks[ops.w[c][j]].Deps = append(b.tasks[ops.w[c][j]].Deps, dl)
 		}
 	}
 	if spec.TerminalGradAllReduce {
-		deps := make([]int, 0, p)
-		for worker := 0; worker < p; worker++ {
-			if id, ok := b.last[worker]; ok {
-				deps = append(deps, id)
-			}
-		}
-		b.fabric(spec.Top.RingAllReduceTime(w.TotalParams()*2*spec.wireScale()), "grad allreduce", deps...)
+		b.terminalGradAllReduce()
 	}
 	return b.tasks, nil
 }

@@ -1,10 +1,13 @@
 package schedule
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"weipipe/internal/cluster"
 	"weipipe/internal/cost"
+	"weipipe/internal/order"
 	"weipipe/internal/sim"
 )
 
@@ -16,7 +19,7 @@ var allStrategies = []string{
 
 func runStrategy(t *testing.T, strategy string, w cost.Workload, top cluster.Topology) *sim.Result {
 	t.Helper()
-	spec := Spec{W: w, GPU: cluster.A800(), Top: top, Overlap: true}
+	spec := Spec{W: w, GPU: cluster.A800(), Top: top}
 	tasks, err := Build(strategy, spec)
 	if err != nil {
 		t.Fatalf("%s build: %v", strategy, err)
@@ -137,34 +140,6 @@ func TestZeroBubbleReducesBubble(t *testing.T) {
 	}
 }
 
-func TestOverlapAblation(t *testing.T) {
-	// Disabling communication/computation overlap must not speed WeiPipe up.
-	p := 4
-	w := cost.Workload{H: 2048, S: 8192, G: 4, L: 8, N: 16, P: p, Recompute: true}.WithDefaults()
-	top := cluster.NVLinkEthernet(p, 2)
-	spec := Spec{W: w, GPU: cluster.A800(), Top: top, Overlap: true}
-	on, err := Build("weipipe-interleave", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Overlap = false
-	off, err := Build("weipipe-interleave", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rOn, err := sim.Run(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rOff, err := sim.Run(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rOn.Makespan > rOff.Makespan+1e-9 {
-		t.Errorf("overlap on (%v) slower than off (%v)", rOn.Makespan, rOff.Makespan)
-	}
-}
-
 func TestBuildValidation(t *testing.T) {
 	w := smallWorkload(4)
 	if _, err := Build("nope", Spec{W: w, GPU: cluster.A800(), Top: cluster.NVLinkSingle(4)}); err == nil {
@@ -197,18 +172,15 @@ func TestWeiPipeCommVolumeIndependentOfSeqLen(t *testing.T) {
 
 func TestGroupedScheduleBuildsOnGroupedTopologies(t *testing.T) {
 	// wzb2g must be legal (no deadlock) on hierarchical rings at several
-	// scales and with overlap on and off.
+	// scales.
 	for _, p := range []int{4, 8, 16} {
-		w := smallWorkload(p)
-		for _, overlap := range []bool{true, false} {
-			spec := Spec{W: w, GPU: cluster.A800(), Top: cluster.NVLinkEthernet(p, p/2), Overlap: overlap}
-			tasks, err := Build("wzb2g", spec)
-			if err != nil {
-				t.Fatalf("p=%d overlap=%v build: %v", p, overlap, err)
-			}
-			if _, err := sim.Run(tasks); err != nil {
-				t.Fatalf("p=%d overlap=%v run: %v", p, overlap, err)
-			}
+		spec := Spec{W: smallWorkload(p), GPU: cluster.A800(), Top: cluster.NVLinkEthernet(p, p/2)}
+		tasks, err := Build("wzb2g", spec)
+		if err != nil {
+			t.Fatalf("p=%d build: %v", p, err)
+		}
+		if _, err := sim.Run(tasks); err != nil {
+			t.Fatalf("p=%d run: %v", p, err)
 		}
 	}
 }
@@ -227,7 +199,7 @@ func TestGroupedScheduleCutsInterGroupTraffic(t *testing.T) {
 	} {
 		p := tc.top.P
 		w := smallWorkload(p)
-		spec := Spec{W: w, GPU: cluster.A800(), Top: tc.top, Overlap: true}
+		spec := Spec{W: w, GPU: cluster.A800(), Top: tc.top}
 		flatTasks, flat, err := BuildTraffic("wzb2", spec)
 		if err != nil {
 			t.Fatal(err)
@@ -328,5 +300,56 @@ func TestTPAndSPSchedulesBuildAndRun(t *testing.T) {
 	wr := ratio("weipipe-interleave")
 	if wr >= ratio("tp") || wr >= ratio("sp") {
 		t.Errorf("weipipe slowdown %f not below tp %f / sp %f", wr, ratio("tp"), ratio("sp"))
+	}
+}
+
+// TestSimulatorCostsProgram is the simulator half of "one program order, two
+// readers": for every pipelined strategy, the compute tasks Build emits for a
+// worker — in the order the simulator runs them — are exactly order.Program
+// for that rank. WeiPipe-Naive's lockstep model fuses each B with its W into
+// one "B+W" turn, so its W passes have no task of their own.
+func TestSimulatorCostsProgram(t *testing.T) {
+	for _, s := range append(order.Strategies(), "wzb2g") {
+		for _, p := range []int{2, 4} {
+			w := smallWorkload(p)
+			w.N = 3 * p
+			res := runStrategy(t, s, w, cluster.NVLinkEthernet(p, 2))
+			for r := 0; r < p; r++ {
+				var got []order.Op
+				for _, task := range res.WorkerTimeline(r) {
+					op := order.Op{Phase: task.Kind[0]}
+					var worker int
+					switch s {
+					case "gpipe", "1f1b", "zb1", "zb2":
+						var phase string
+						if _, err := fmt.Sscanf(task.Label, "%1s%d@w%d", &phase, &op.MB, &worker); err != nil {
+							t.Fatalf("%s: label %q: %v", s, task.Label, err)
+						}
+						op.Chunk = worker
+					default:
+						var phase string
+						var k int
+						if _, err := fmt.Sscanf(task.Label, "%s c%d k%d@w%d", &phase, &op.Chunk, &k, &worker); err != nil {
+							t.Fatalf("%s: label %q: %v", s, task.Label, err)
+						}
+						op.MB = k*p + worker
+					}
+					if worker != r {
+						t.Fatalf("%s: task %q on worker %d's timeline", s, task.Label, r)
+					}
+					got = append(got, op)
+				}
+				want, err := order.Program(s, r, p, w.N)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s == "weipipe-naive" {
+					want = slices.DeleteFunc(want, func(op order.Op) bool { return op.Phase == 'W' })
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%s p=%d worker %d simulated\n %v\nprogram is\n %v", s, p, r, got, want)
+				}
+			}
+		}
 	}
 }

@@ -37,7 +37,6 @@ type RunMeta struct {
 	Heads    int    `json:"heads,omitempty"`
 	Vocab    int    `json:"vocab,omitempty"`
 	Iters    int    `json:"iters"`
-	Overlap  bool   `json:"overlap,omitempty"`
 	// P2PMode records the transport's per-link packaging mode
 	// ("frame"/"batched"/"duplex"/"auto", empty = frame) so
 	// weipipe-trace -compare rebuilds the simulated schedule with the

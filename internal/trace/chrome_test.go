@@ -37,7 +37,7 @@ func goldenSet() *Set {
 func goldenMeta() *RunMeta {
 	return &RunMeta{
 		Strategy: "wzb2", P: 2, N: 4, Hidden: 64, Layers: 4, Seq: 32,
-		Batch: 8, Heads: 4, Vocab: 256, Iters: 1, Overlap: true,
+		Batch: 8, Heads: 4, Vocab: 256, Iters: 1,
 	}
 }
 

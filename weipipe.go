@@ -16,9 +16,8 @@
 //
 // RunCluster/NewTrainer drive the first system, Simulate the second; the
 // cmd/ tools and examples/ directory show both in use. Beyond the paper,
-// the module also provides tensor and sequence parallelism (internal/tp,
-// internal/sp), hybrid WeiPipe×DP rings (NewHybridTrainer), checkpointing,
-// and sampling-based generation.
+// the module also provides hybrid WeiPipe×DP rings (NewHybridTrainer),
+// checkpointing, and sampling-based generation.
 package weipipe
 
 import (
@@ -388,7 +387,7 @@ func SimulateP2P(s Strategy, w Workload, top Topology, linkScale float64, p2pMod
 		out.OOM = true
 		return out, nil
 	}
-	tasks, err := schedule.Build(string(s), schedule.Spec{W: w, GPU: gpu, Top: top, Overlap: true, LinkScale: linkScale, P2PMode: p2pMode})
+	tasks, err := schedule.Build(string(s), schedule.Spec{W: w, GPU: gpu, Top: top, LinkScale: linkScale, P2PMode: p2pMode})
 	if err != nil {
 		return out, err
 	}
@@ -440,8 +439,7 @@ func NewHybridTrainer(t Transport, cfg Config, opts Options, wpSize int) (Traine
 }
 
 // Simulator-only strategies (no functional Trainer): tensor and sequence
-// parallelism, implemented functionally in internal/tp and internal/sp and
-// modelled for Simulate under these names.
+// parallelism, modelled for Simulate under these names.
 const (
 	TP Strategy = "tp"
 	SP Strategy = "sp"
