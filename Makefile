@@ -2,7 +2,7 @@ GO ?= go
 # FUZZTIME bounds each fuzz target's run; CI's smoke tier shrinks it.
 FUZZTIME ?= 20s
 
-.PHONY: build test test-noasm check fmt-check orphans bench race vet cross-be chaos elastic fuzz soak sdc sdc-quick modes bench-guard bench-sweep bench-kernel bench-grouped bench-p2p experiments
+.PHONY: build test test-noasm check fmt-check orphans bench race vet cross-be chaos elastic fuzz soak sdc sdc-quick bench-guard bench-sweep bench-kernel bench-grouped experiments surface
 
 build:
 	$(GO) build ./...
@@ -70,23 +70,10 @@ elastic:
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzParseFrameHeader -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run NONE -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/comm/
-	$(GO) test -run NONE -fuzz FuzzBatchFrameDecode -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run NONE -fuzz FuzzMembershipEvidence -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run NONE -fuzz FuzzChunkChecksum -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run NONE -fuzz FuzzCausalAttentionEquivalence -fuzztime $(FUZZTIME) ./internal/tensor/
 	$(GO) test -run NONE -fuzz FuzzBackendNTEquivalence -fuzztime $(FUZZTIME) ./internal/tensor/
-
-# modes runs the P2P mode-equivalence suite for one transport mode under
-# the race detector: every in-process and chaotic-TCP equivalence test plus
-# the mode-specific transport tests. P2P_MODE filters the parameterized
-# equivalence tests to one mode (frame, batched, duplex, auto; empty runs
-# all), MODE_OUT collects JSONL run descriptors for artifact upload.
-P2P_MODE ?=
-MODE_OUT ?=
-modes:
-	WEIPIPE_P2P_MODE=$(P2P_MODE) WEIPIPE_MODE_OUT=$(MODE_OUT) \
-		$(GO) test -race -run 'P2PMode' -count=1 -timeout 600s \
-		./internal/comm/ ./internal/pipeline/ ./internal/schedule/
 
 # soak replays SOAK_SCHEDULES seeded randomized fault schedules — process
 # SIGKILLs, SIGSTOP stalls, timed one-sided partitions, frame-level chaos —
@@ -133,15 +120,12 @@ sdc-quick:
 # overridable so CI can upload artifacts.
 KERNEL_GUARD_OUT ?= /tmp/weipipe_kernel_guard.json
 GROUPED_GUARD_OUT ?= /tmp/weipipe_grouped_guard.json
-P2P_GUARD_OUT ?= /tmp/weipipe_p2p_guard.json
 bench-guard:
 	$(GO) run ./cmd/weipipe-bench -kernel -kernel-out $(KERNEL_GUARD_OUT) \
 		-require-kernel-speedup 2
 	$(GO) test -run NONE -bench 'BenchmarkTCPChunk|BenchmarkBeltHop' -benchmem -benchtime 100x ./internal/comm/
 	$(GO) run ./cmd/weipipe-bench -grouped -grouped-out $(GROUPED_GUARD_OUT) \
 		-require-grouped-win
-	$(GO) run ./cmd/weipipe-bench -p2p -p2p-out $(P2P_GUARD_OUT) \
-		-require-p2p-win
 
 # bench-sweep regenerates BENCH_sweep.json, the committed machine-readable
 # strategy×topology×scale grid of the cost model. The model is
@@ -162,14 +146,6 @@ bench-kernel:
 bench-grouped:
 	$(GO) run ./cmd/weipipe-bench -grouped -grouped-out BENCH_grouped.json
 
-# bench-p2p regenerates BENCH_p2p.json: the simulated frame/batched/duplex/
-# auto link-model grid (envelope counts, bytes, modelled throughput) plus
-# the functional p=4 mode A/B against the frame baseline (belt traffic and
-# bit-identity). Both halves are deterministic, so a clean regeneration
-# must leave the committed file unchanged.
-bench-p2p:
-	$(GO) run ./cmd/weipipe-bench -p2p -p2p-out BENCH_p2p.json
-
 # experiments regenerates the full paper-table output that EXPERIMENTS.md
 # is curated from (pure cost-model output: the same bytes on any host). CI
 # uploads the file as an artifact on every run.
@@ -177,6 +153,22 @@ EXPERIMENTS_OUT ?= /tmp/weipipe_experiments.txt
 experiments:
 	$(GO) run ./cmd/weipipe-bench -exp all > $(EXPERIMENTS_OUT)
 	@echo "experiments regenerated into $(EXPERIMENTS_OUT)"
+
+# surface prints the size counters ROADMAP "Where the counters stand"
+# tallies: non-test Go lines in the root module (benchmark/ is its own
+# module), exported fields of the option structs, flags per command,
+# WEIPIPE_* environment variables and the transport's line count. CI prints
+# it on every push so a PR's effect on the surface is a diff of two logs.
+surface:
+	@echo "non-test Go lines: $$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
+		| tr ' ' '\n' | grep '\.go$$' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@for t in pipeline.Options comm.TCPOptions schedule.Spec sim.Task; do \
+		echo "$$t fields: $$($(GO) doc ./internal/$${t%.*} $${t#*.} | grep -c '^	[A-Z][A-Za-z0-9_, ]* [^ ]')"; done
+	@total=0; for d in cmd/*/; do \
+		n=$$(cat $$d*.go | grep -c 'flag\.\(String\|Int\|Int64\|Uint\|Uint64\|Bool\|Float64\|Duration\)('); \
+		echo "$$d flags: $$n"; total=$$((total+n)); done; echo "flags in all: $$total"
+	@echo "WEIPIPE_* environment variables: $$(grep -rhoE --include='*.go' --include=Makefile 'WEIPIPE_[A-Z_]+' . | sort -u | wc -l)"
+	@wc -l internal/comm/tcp.go
 
 # check is the pre-merge gate: formatting, the orphan-package check, static
 # analysis, the race detector over the packages with real concurrency

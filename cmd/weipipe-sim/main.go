@@ -30,7 +30,6 @@ func main() {
 	perServer := flag.Int("per-server", 8, "GPUs per server for grouped topologies")
 	recompute := flag.Bool("recompute", true, "activation checkpointing")
 	linkScale := flag.Float64("link-scale", 1, "calibrated link-duration multiplier (from `weipipe-trace -compare`'s suggested link scale)")
-	p2pMode := flag.String("p2p-mode", "", "P2P link model: frame (default; one link task per belt hop), batched (merge a tick's same-link hops into one envelope transfer), duplex (per-belt lanes per link), auto (per link from topology tier and latency)")
 	compare := flag.Bool("compare", false, "run every strategy and print a ranked table")
 	mtbf := flag.Duration("mtbf", 0, "mean time between failures of the whole cluster (e.g. 6h); when set, prints the Young/Daly-optimal -ckpt-every per strategy")
 	ckptBW := flag.Float64("ckpt-bw", 2, "checkpoint write bandwidth in GB/s (for -mtbf)")
@@ -56,7 +55,7 @@ func main() {
 		runCompare(w, top, *mtbf, *ckptBW)
 		return
 	}
-	res, err := weipipe.SimulateP2P(weipipe.Strategy(*strategy), w, top, *linkScale, *p2pMode)
+	res, err := weipipe.SimulateScaled(weipipe.Strategy(*strategy), w, top, *linkScale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "weipipe-sim:", err)
 		os.Exit(1)
@@ -65,9 +64,6 @@ func main() {
 	fmt.Printf("workload           H=%d S=%d G=%d L=%d N=%d P=%d recompute=%v\n",
 		*h, *s, *g, *l, *n, *p, *recompute)
 	fmt.Printf("topology           %s\n", top.Name)
-	if *p2pMode != "" {
-		fmt.Printf("p2p mode           %s\n", *p2pMode)
-	}
 	fmt.Printf("memory             %.1f GB\n", res.MemoryGB)
 	if res.OOM {
 		fmt.Println("result             OOM (exceeds 80 GB A800 budget)")

@@ -28,7 +28,6 @@ func main() {
 	width := flag.Int("width", 96, "timeline width in characters")
 	chrome := flag.String("chrome", "", "also write a Chrome/Perfetto trace JSON to this path")
 	compare := flag.String("compare", "", "compare a measured trace JSON (from weipipe-train -trace) against the simulated schedule for the same strategy/p/n and print per-phase deltas")
-	p2pMode := flag.String("p2p-mode", "", "P2P link model for the -chrome simulated schedule: frame, batched, duplex, auto (-compare reads the mode from the measured trace's metadata instead)")
 	flag.Parse()
 
 	if *compare != "" {
@@ -58,7 +57,6 @@ func main() {
 		w := cost.Workload{H: 1024, S: 4096, G: 4, L: *p, N: *n, P: *p, Heads: 16}.WithDefaults()
 		tasks, err := schedule.Build(*strategy, schedule.Spec{
 			W: w, GPU: cluster.A800(), Top: cluster.NVLinkSingle(*p),
-			P2PMode: *p2pMode,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "weipipe-trace:", err)

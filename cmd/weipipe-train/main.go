@@ -86,7 +86,6 @@ func main() {
 	mixed := flag.Bool("mixed", false, "fp16/bf16 wire format")
 	bf16 := flag.Bool("bf16", false, "bf16 wire codec for weight and weight-gradient belt payloads (halves belt bytes)")
 	groupSize := flag.Int("group-size", 0, "ranks per topology group for the grouped belt (-strategy wzb2g): weight chunks cross a group boundary once per iteration and recirculate on the intra-group fabric (0 = topology-friendly default; sizes that do not divide -p fall back to the flat belt); also arms the per-link-tier byte meters shown by -stats for any strategy")
-	p2pMode := flag.String("p2p-mode", "", "per-link transport packaging: frame (default baseline protocol), batched (coalesce same-tick sends into one CRC'd burst envelope per link write), duplex (dedicated ack/heartbeat lane per link, no head-of-line blocking), auto (pick per link from topology tier and measured ack RTT); every mode is bit-identical to frame")
 	tcp := flag.Bool("tcp", false, "use a TCP mesh on loopback instead of in-process channels")
 	dialTimeout := flag.Duration("dial-timeout", 15*time.Second, "TCP mesh bring-up deadline (with -tcp)")
 	chaos := flag.Float64("chaos", 0, "per-frame fault probability for TCP chaos injection: drop, duplicate, reorder (and corrupt at half rate); masked by the reliability layer")
@@ -155,11 +154,6 @@ func main() {
 	opts.Integrity = *integrity
 	opts.SpikeWindow = *spikeWindow
 	opts.SpikeSkip = *spikeSkip
-	if pm, err := weipipe.ParseP2PMode(*p2pMode); err != nil {
-		fatal(err)
-	} else {
-		opts.P2PMode = pm
-	}
 	if *abft {
 		weipipe.EnableABFT()
 		fmt.Println("ABFT armed: matmul outputs verified against row/column checksums")
@@ -225,15 +219,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "weipipe-train:", err)
 	os.Exit(1)
-}
-
-// p2pMeta renders the P2P mode for trace metadata: the baseline mode maps
-// to "" so frame-mode traces are byte-identical to pre-mode ones.
-func p2pMeta(m weipipe.P2PMode) string {
-	if m == weipipe.P2PFrame {
-		return ""
-	}
-	return m.String()
 }
 
 func run(rc runConfig) error {
@@ -430,8 +415,7 @@ func writeTraceOutputs(rc runConfig, trainers []weipipe.Trainer, transports []we
 			Strategy: string(rc.strategy), P: rc.p, N: rc.n,
 			Hidden: rc.cfg.Hidden, Layers: rc.cfg.Layers, Seq: rc.cfg.MaxSeq,
 			Batch: rc.g, Heads: rc.cfg.Heads, Vocab: rc.cfg.Vocab,
-			Iters:   rc.iters,
-			P2PMode: p2pMeta(rc.opts.P2PMode),
+			Iters: rc.iters,
 		})
 		if err != nil {
 			return err
@@ -540,21 +524,13 @@ func buildTransports(rc runConfig, size int) ([]weipipe.Transport, error) {
 	if !rc.tcp {
 		cl := comm.NewClusterCodec(size, codec)
 		cl.AttachTrace(rc.traceSet)
-		if rc.opts.P2PMode != weipipe.P2PFrame {
-			if err := cl.SetP2PMode(rc.opts.P2PMode, rc.opts.GroupSize); err != nil {
-				return nil, err
-			}
-		}
 		return cl.Transports(), nil
 	}
 	addrs, err := weipipe.LoopbackAddrs(size)
 	if err != nil {
 		return nil, err
 	}
-	topts := weipipe.TCPOptions{
-		DialTimeout: rc.dialTimeout, Codec: codec,
-		P2PMode: rc.opts.P2PMode, GroupSize: rc.opts.GroupSize,
-	}
+	topts := weipipe.TCPOptions{DialTimeout: rc.dialTimeout, Codec: codec}
 	if rc.chaos > 0 {
 		topts.Chaos = &weipipe.ChaosConfig{
 			Seed:      rc.chaosSeed,

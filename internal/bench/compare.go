@@ -131,7 +131,7 @@ func CompareTrace(blob []byte) (*CompareReport, error) {
 	}
 
 	w := workloadFromMeta(meta)
-	spec := schedule.Spec{W: w, GPU: cluster.A800(), Top: cluster.NVLinkSingle(meta.P), P2PMode: meta.P2PMode}
+	spec := schedule.Spec{W: w, GPU: cluster.A800(), Top: cluster.NVLinkSingle(meta.P)}
 	tasks, err := schedule.Build(meta.Strategy, spec)
 	if err != nil {
 		return nil, fmt.Errorf("bench: build predicted schedule: %w", err)

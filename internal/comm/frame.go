@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net"
 
 	"weipipe/internal/tensor"
@@ -44,12 +45,9 @@ const (
 	// Control frame kinds, disjoint from the application Kind space.
 	ctlAck       uint32 = 0xFFFFFFF0
 	ctlHeartbeat uint32 = 0xFFFFFFF1
-	// ctlBurst is a burst envelope (the batched P2P mode): its payload is
-	// a back-to-back run of complete inner frames, each carrying its own
-	// header and CRC. For a burst header, a counts the inner frames and n
-	// counts payload BYTES (not elements). The envelope CRC covers the
-	// header only — see burst.go.
-	ctlBurst uint32 = 0xFFFFFFF2
+	// 0xFFFFFFF2 was the burst envelope of a retired packaging mode. It is
+	// refused like any unknown kind: its length field counted bytes, not
+	// elements, so half-understanding it would mis-frame the stream.
 
 	// maxAppKind is the largest application Kind a frame may carry.
 	maxAppKind = uint32(kindCount) - 1
@@ -79,9 +77,9 @@ func (h frameHeader) tag() Tag {
 	return Tag{Kind: Kind(h.kind & 0xff), A: int(h.a), B: int(h.b)}
 }
 
-// isCtl reports whether the frame is a control (ack/heartbeat/burst) frame.
+// isCtl reports whether the frame is a control (ack/heartbeat) frame.
 func (h frameHeader) isCtl() bool {
-	return h.kind == ctlAck || h.kind == ctlHeartbeat || h.kind == ctlBurst
+	return h.kind == ctlAck || h.kind == ctlHeartbeat
 }
 
 // parseFrameHeader validates and decodes a frame header. size bounds the
@@ -119,15 +117,6 @@ func parseFrameHeader(hdr []byte, size, maxElems int) (frameHeader, error) {
 		}
 		h.codec = codec
 	}
-	if h.kind == ctlBurst {
-		// Burst envelopes size their payload in bytes, bounded by the
-		// largest legal burst rather than the per-frame element cap.
-		if h.seq != 0 || h.a < 0 || h.a > maxBurstFrames || n > burstByteCap(maxElems) {
-			return frameHeader{}, &CorruptionError{Reason: fmt.Sprintf("implausible burst envelope (count %d, %d bytes)", h.a, n)}
-		}
-		h.n = int(n)
-		return h, nil
-	}
 	if n > uint64(maxElems) {
 		return frameHeader{}, &CorruptionError{Reason: fmt.Sprintf("implausible payload length %d elems", n)}
 	}
@@ -143,13 +132,12 @@ func kindField(kind Kind, codec WireCodec) uint32 {
 // outFrame is one outgoing frame in the only form the transport keeps: the
 // sealed 48-byte header and the payload's own bytes. A frame is enqueued
 // with the raw payload and sealed lazily by the link's writer goroutine;
-// from then on hdr and body are what every write — plain, inside a burst
-// envelope, on either duplex lane, first transmission or retransmit — hands
-// to the socket. The link owns payload from enqueue until the frame is
-// acknowledged (or the link shuts down): body aliases it, so it cannot go
-// back to the pool while a write may still be reading it. Only the writer
-// touches payload, hdr and body after enqueue; the ack handler reads seq
-// alone.
+// from then on hdr and body are what every write — first transmission or
+// retransmit — hands to the socket. The link owns payload from enqueue
+// until the frame is acknowledged (or the link shuts down): body aliases it,
+// so it cannot go back to the pool while a write may still be reading it.
+// Only the writer touches payload, hdr and body after enqueue; the ack
+// handler reads seq alone.
 type outFrame struct {
 	seq     uint64
 	tag     Tag
@@ -185,9 +173,6 @@ func (f *outFrame) release() {
 	f.payload, f.body = nil, nil
 }
 
-// wireLen is the frame's size on the wire.
-func (f *outFrame) wireLen() int { return frameHeaderLen + len(f.body) }
-
 // appendTo adds the frame's wire pieces to a writev batch.
 func (f *outFrame) appendTo(bufs net.Buffers) net.Buffers {
 	bufs = append(bufs, f.hdr[:])
@@ -197,11 +182,11 @@ func (f *outFrame) appendTo(bufs net.Buffers) net.Buffers {
 	return bufs
 }
 
-// image materialises the frame as one contiguous buffer, for the write
-// paths that need one (the chaos injector flips, holds and replays whole
-// frames; the writev paths never call it).
+// image materialises the frame as one contiguous buffer, for the chaos
+// injector, which flips, holds and replays whole frames; the writev path
+// never calls it.
 func (f *outFrame) image() []byte {
-	return append(append(make([]byte, 0, f.wireLen()), f.hdr[:]...), f.body...)
+	return append(append(make([]byte, 0, frameHeaderLen+len(f.body)), f.hdr[:]...), f.body...)
 }
 
 // newCtlFrame builds a sealed control frame (ack/heartbeat); control
@@ -229,4 +214,51 @@ func sealHeader(hdr *[frameHeaderLen]byte, src int, kind, epoch uint32, a, b int
 // field, then the payload bytes.
 func frameCRC(hdr, body []byte) uint32 {
 	return crc32.Update(crc32.Update(0, crc32.IEEETable, hdr[:frameCRCOffset]), crc32.IEEETable, body)
+}
+
+// frameReader decodes a connection's wire stream one frame at a time,
+// straight off the socket into pooled payload buffers.
+type frameReader struct {
+	r        io.Reader
+	size     int
+	maxElems int
+	hdr      [frameHeaderLen]byte // the header being decoded
+}
+
+// next returns the next frame; the caller owns the pooled payload. The
+// payload is read from the socket directly into the buffer's own memory, the
+// CRC verified over those bytes, and the conversion done in place: f32 is
+// already the buffer's contents; bf16 is read into the upper half and
+// widened front to back. synced == true with a *CorruptionError means one
+// frame was lost but the stream remains aligned on a frame boundary, so the
+// caller may keep reading; any other error requires connection teardown.
+func (fr *frameReader) next() (h frameHeader, payload []float32, synced bool, err error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return frameHeader{}, nil, false, err
+	}
+	h, err = parseFrameHeader(fr.hdr[:], fr.size, fr.maxElems)
+	if err != nil {
+		return frameHeader{}, nil, false, err
+	}
+	payload = GetBuf(h.n)
+	body := tensor.F32Bytes(payload)
+	if h.codec == CodecBF16 {
+		body = body[2*h.n:]
+	}
+	if _, err := io.ReadFull(fr.r, body); err != nil {
+		Release(payload)
+		return frameHeader{}, nil, false, err
+	}
+	if got := frameCRC(fr.hdr[:], body); got != h.crc {
+		// The length field was covered by the header checks and the payload
+		// was fully consumed: the stream is still frame-aligned.
+		Release(payload)
+		return frameHeader{}, nil, true, &CorruptionError{Reason: fmt.Sprintf("payload CRC mismatch (got %#x want %#x)", got, h.crc)}
+	}
+	if h.codec == CodecBF16 {
+		tensor.WidenBF16LE(payload)
+	} else {
+		tensor.F32FromLE(payload)
+	}
+	return h, payload, true, nil
 }

@@ -26,11 +26,7 @@ func FuzzParseFrameHeader(f *testing.F) {
 			}
 			return
 		}
-		limit := 1 << 16
-		if h.kind == ctlBurst {
-			limit = int(burstByteCap(1 << 16)) // an envelope sizes its payload in bytes
-		}
-		if h.n < 0 || h.n > limit {
+		if h.n < 0 || h.n > 1<<16 {
 			t.Fatalf("accepted implausible payload length %d", h.n)
 		}
 		if h.src < 0 || h.src >= 8 {

@@ -50,33 +50,6 @@ func NewClusterCodec(n int, codec CodecFunc) *Cluster {
 	return c
 }
 
-// SetP2PMode records the requested P2P link mode on every rank's meter.
-// In process there is no wire — no frames, no bursts, no ctl lanes — so
-// every mode delivers identically by construction; the call exists so
-// inproc reference runs report the mode they modelled (the mode-matrix CI
-// job reads it back) and so mode plumbing is exercised on both fabrics.
-// Auto seeds per link from groupSize exactly as the TCP transport's
-// topology seeding does (groupSize <= 0 means a flat ring: every link
-// seeds duplex).
-func (c *Cluster) SetP2PMode(mode P2PMode, groupSize int) error {
-	if mode >= p2pModeCount {
-		return fmt.Errorf("comm: invalid p2p mode %d", mode)
-	}
-	for rank, st := range c.stats {
-		for peer := range c.stats {
-			if peer == rank {
-				continue
-			}
-			m := mode
-			if m == P2PAuto {
-				m = autoSeedMode(groupSize, rank, peer)
-			}
-			st.recordLinkMode(peer, m)
-		}
-	}
-	return nil
-}
-
 // Size returns the number of ranks.
 func (c *Cluster) Size() int { return len(c.boxes) }
 

@@ -402,9 +402,16 @@ func TestStatsStringIncludesFaults(t *testing.T) {
 	s.record(KindWeight, 10, 4)
 	s.recordRetransmit(1, 3)
 	s.recordDup(1)
+	if out := s.String(); contains(out, "writes=") {
+		t.Fatalf("stats string %q reports kernel writes on a meter that made none", out)
+	}
+	s.recordWireWrite()
+	s.recordWireWrite()
 	out := s.String()
-	if want := "peer1[rtx=3 to=0 rc=0 hb=0 crc=0 dup=1 stale=0]"; !contains(out, want) {
-		t.Fatalf("stats string %q missing %q", out, want)
+	for _, want := range []string{"weights=40B/1 msgs writes=2", "peer1[rtx=3 to=0 rc=0 hb=0 crc=0 dup=1 stale=0]"} {
+		if !contains(out, want) {
+			t.Fatalf("stats string %q missing %q", out, want)
+		}
 	}
 }
 

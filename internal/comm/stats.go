@@ -51,22 +51,10 @@ type Stats struct {
 	interBytes int64
 	interMsgs  int64
 
-	// P2P mode telemetry. A burst is one batched-mode envelope; a wire
-	// write is one kernel write (writev or single buffer) of framed
-	// traffic, so wireWrites/burstFrames against SentMsgs measures the
-	// per-frame overhead amortization the batched mode exists for.
-	// ctlLaneFrames counts ctl frames that travelled on a duplex lane
-	// instead of the data connection. modeSwitches counts per-link mode
-	// changes (auto re-decisions and explicit SetLinkMode calls). The
-	// maps stay nil until the transport arms them, so frame-mode runs
-	// pay nothing.
-	p2pBursts      int64
-	p2pBurstFrames int64
-	p2pWireWrites  int64
-	p2pCtlFrames   int64
-	p2pSwitches    int64
-	p2pModes       map[int]uint8 // peer -> current P2PMode value
-	linkRTTNs      map[int]int64 // peer -> ack-RTT EWMA, nanoseconds
+	// wireWrites counts kernel writes (one writev per writer flush) of
+	// framed traffic: against SentMsgs it shows how many frames each flush
+	// coalesced.
+	wireWrites int64
 }
 
 // PeerFaults counts the fault-handling events of one peer link: the
@@ -341,98 +329,18 @@ func (s *Stats) recordStaleEpoch(peer int) {
 	s.mu.Unlock()
 }
 
-// recordBurst counts one batched-mode envelope carrying count inner frames.
-func (s *Stats) recordBurst(_ int, count int) {
+// recordWireWrite counts one kernel write of framed traffic.
+func (s *Stats) recordWireWrite() {
 	s.mu.Lock()
-	s.p2pBursts++
-	s.p2pBurstFrames += int64(count)
+	s.wireWrites++
 	s.mu.Unlock()
-}
-
-// recordWireWrite counts one kernel write of framed traffic on a link.
-func (s *Stats) recordWireWrite(_ int) {
-	s.mu.Lock()
-	s.p2pWireWrites++
-	s.mu.Unlock()
-}
-
-// recordCtlLane counts n ctl frames sent on a duplex ctl lane.
-func (s *Stats) recordCtlLane(_ int, n int) {
-	s.mu.Lock()
-	s.p2pCtlFrames += int64(n)
-	s.mu.Unlock()
-}
-
-// recordModeSwitch counts one per-link mode change.
-func (s *Stats) recordModeSwitch(_ int) {
-	s.mu.Lock()
-	s.p2pSwitches++
-	s.mu.Unlock()
-}
-
-// recordLinkMode notes peer's current P2P mode.
-func (s *Stats) recordLinkMode(peer int, mode P2PMode) {
-	s.mu.Lock()
-	if s.p2pModes == nil {
-		s.p2pModes = make(map[int]uint8)
-	}
-	s.p2pModes[peer] = uint8(mode)
-	s.mu.Unlock()
-}
-
-// recordLinkRTT notes peer's current ack-RTT EWMA.
-func (s *Stats) recordLinkRTT(peer int, d time.Duration) {
-	s.mu.Lock()
-	if s.linkRTTNs == nil {
-		s.linkRTTNs = make(map[int]int64)
-	}
-	s.linkRTTNs[peer] = int64(d)
-	s.mu.Unlock()
-}
-
-// Bursts returns the batched-mode envelope count and the total inner
-// frames they carried.
-func (s *Stats) Bursts() (envelopes, frames int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.p2pBursts, s.p2pBurstFrames
 }
 
 // WireWrites returns the number of kernel writes of framed traffic.
 func (s *Stats) WireWrites() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.p2pWireWrites
-}
-
-// CtlLaneFrames returns the ctl frames sent on duplex ctl lanes.
-func (s *Stats) CtlLaneFrames() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.p2pCtlFrames
-}
-
-// P2PModeSwitches returns the per-link mode changes recorded.
-func (s *Stats) P2PModeSwitches() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.p2pSwitches
-}
-
-// LinkP2PMode returns the last recorded P2P mode of the link to peer
-// (P2PFrame when never recorded).
-func (s *Stats) LinkP2PMode(peer int) P2PMode {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return P2PMode(s.p2pModes[peer])
-}
-
-// LinkRTT returns the last recorded ack-RTT EWMA of the link to peer
-// (0 when no probe has completed).
-func (s *Stats) LinkRTT(peer int) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return time.Duration(s.linkRTTNs[peer])
+	return s.wireWrites
 }
 
 // Faults returns a copy of the fault counters for one peer link.
@@ -507,8 +415,7 @@ func (s *Stats) Add(o *Stats) {
 	recvWait, beltStall, weightStall, maxFly := o.recvWaitNs, o.beltStallNs, o.weightStallNs, o.maxInflight
 	gsz := o.groupSize
 	intraB, intraM, interB, interM := o.intraBytes, o.intraMsgs, o.interBytes, o.interMsgs
-	bursts, burstFrames, wireWrites := o.p2pBursts, o.p2pBurstFrames, o.p2pWireWrites
-	ctlFrames, switches := o.p2pCtlFrames, o.p2pSwitches
+	wireWrites := o.wireWrites
 	var icCopy, ifCopy map[Kind]int64
 	if o.integrityChecks != nil {
 		icCopy = make(map[Kind]int64, len(o.integrityChecks))
@@ -549,13 +456,7 @@ func (s *Stats) Add(o *Stats) {
 	s.intraMsgs += intraM
 	s.interBytes += interB
 	s.interMsgs += interM
-	// Per-peer mode/RTT maps (p2pModes, linkRTTNs) are deliberately not
-	// merged: peer ids collide across aggregated per-rank meters.
-	s.p2pBursts += bursts
-	s.p2pBurstFrames += burstFrames
-	s.p2pWireWrites += wireWrites
-	s.p2pCtlFrames += ctlFrames
-	s.p2pSwitches += switches
+	s.wireWrites += wireWrites
 	if maxFly > s.maxInflight {
 		s.maxInflight = maxFly
 	}
@@ -593,6 +494,9 @@ func (s *Stats) String() string {
 		parts = append(parts, fmt.Sprintf("%s=%dB/%d msgs",
 			names[Kind(k)], s.sentBytes[Kind(k)], s.sentMsgs[Kind(k)]))
 	}
+	if s.wireWrites > 0 {
+		parts = append(parts, fmt.Sprintf("writes=%d", s.wireWrites))
+	}
 	peers := make([]int, 0, len(s.faults))
 	for p := range s.faults {
 		peers = append(peers, p)
@@ -616,10 +520,6 @@ func (s *Stats) String() string {
 		parts = append(parts, fmt.Sprintf("exposed[wait=%s stall=%s maxfly=%dB]",
 			time.Duration(s.recvWaitNs).Round(time.Microsecond),
 			time.Duration(s.beltStallNs).Round(time.Microsecond), s.maxInflight))
-	}
-	if s.p2pBursts > 0 || s.p2pCtlFrames > 0 || s.p2pSwitches > 0 {
-		parts = append(parts, fmt.Sprintf("p2p[bursts=%d/%d frames writes=%d ctl=%d switches=%d]",
-			s.p2pBursts, s.p2pBurstFrames, s.p2pWireWrites, s.p2pCtlFrames, s.p2pSwitches))
 	}
 	if len(s.integrityChecks) > 0 {
 		var checks, fails int64

@@ -91,29 +91,7 @@ type TCPOptions struct {
 	// rank. Each process owns one rank, so the option carries a single
 	// tracer rather than a Set.
 	Trace *trace.Tracer
-	// P2PMode selects the per-link wire packaging (see p2pmode.go):
-	// P2PFrame (default), P2PBatched burst envelopes, P2PDuplex ctl
-	// lanes, or P2PAuto per-link selection. Receivers accept every
-	// packaging unconditionally, so endpoints of one mesh may disagree.
-	P2PMode P2PMode
-	// GroupSize, when positive, seeds P2PAuto's per-link decision by
-	// topology tier before any RTT measurement exists: links crossing a
-	// group boundary (rank/GroupSize differs) start batched, intra-group
-	// links duplex. Mirrors pipeline.Options.GroupSize. Ignored unless
-	// P2PMode is P2PAuto.
-	GroupSize int
-	// AutoRTTSec overrides cost.P2PBatchRTTSec as P2PAuto's measured-RTT
-	// threshold for preferring the batched mode (tests use tiny values to
-	// force deterministic mid-run re-decisions). 0 selects the default.
-	AutoRTTSec float64
 }
-
-// Connection handshake lanes: the main data connection and the optional
-// duplex-mode ctl lane.
-const (
-	laneData uint32 = 0
-	laneCtl  uint32 = 1
-)
 
 // defaultSendWindow bounds the unacknowledged frames in flight per link.
 // Training traffic is few-but-large frames (whole weight chunks), so a
@@ -182,9 +160,6 @@ func DialTCPOpts(rank int, addrs []string, opts TCPOptions) (*TCPTransport, erro
 	if rank < 0 || rank >= size {
 		return nil, fmt.Errorf("comm: rank %d out of range of %d addrs", rank, size)
 	}
-	if opts.P2PMode >= p2pModeCount {
-		return nil, fmt.Errorf("comm: invalid P2P mode %d", opts.P2PMode)
-	}
 	opts = opts.withDefaults()
 	t := &TCPTransport{
 		rank:      rank,
@@ -231,16 +206,10 @@ func DialTCPOpts(rank int, addrs []string, opts TCPOptions) (*TCPTransport, erro
 				l.window = 1
 			}
 		}
-		l.mode = opts.P2PMode
-		if l.mode == P2PAuto {
-			l.mode = autoSeedMode(opts.GroupSize, rank, peer)
-		}
-		t.stats.recordLinkMode(peer, l.mode)
 		l.cond = sync.NewCond(&l.mu)
 		t.links[peer] = l
-		t.wg.Add(2)
+		t.wg.Add(1)
 		go l.writeLoop()
-		go l.ctlWriteLoop()
 	}
 
 	// Accept connections from higher ranks — during bring-up and, for
@@ -316,7 +285,7 @@ func (t *TCPTransport) dialPeer(peer int, deadline time.Time) error {
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
-		if err := l.completeHello(conn, laneData); err != nil {
+		if err := l.completeHello(conn); err != nil {
 			conn.Close()
 			if errors.Is(err, errStaleEpoch) {
 				// The peer is another cluster incarnation: retrying cannot
@@ -365,8 +334,10 @@ func (t *TCPTransport) acceptLoop(bringup time.Time) {
 		}
 		conn.SetReadDeadline(time.Time{})
 		peer := int(binary.LittleEndian.Uint32(hdr[0:4]))
-		lane := binary.LittleEndian.Uint32(hdr[8:12])
-		if peer <= t.rank || peer >= t.size || lane > laneCtl {
+		if peer <= t.rank || peer >= t.size || binary.LittleEndian.Uint32(hdr[8:12]) != 0 {
+			// The third word is reserved as zero: earlier builds dialled a
+			// second, control-only connection with 1 there, and admitting
+			// it would replace the link's data connection.
 			conn.Close()
 			continue
 		}
@@ -381,18 +352,11 @@ func (t *TCPTransport) acceptLoop(bringup time.Time) {
 		}
 		// Admission ack: echo our own hello so the dialer learns it was
 		// accepted (and at which epoch) before it considers the link up.
-		if _, err := conn.Write(t.helloBytes(lane)); err != nil {
+		if _, err := conn.Write(t.helloBytes()); err != nil {
 			conn.Close()
 			continue
 		}
-		if lane == laneCtl {
-			// Duplex-mode ctl lane: acks and heartbeats get their own
-			// connection. Accepted unconditionally — the lane is the
-			// *dialer's* mode decision, and a receiver is always willing.
-			t.links[peer].installCtl(conn)
-		} else {
-			t.links[peer].install(conn)
-		}
+		t.links[peer].install(conn)
 	}
 }
 
@@ -406,8 +370,8 @@ var errStaleEpoch = errors.New("comm: epoch fence rejected handshake")
 // admission ack. Without the ack the dialer cannot distinguish "admitted"
 // from "silently refused by the epoch fence", and would install a link
 // the peer has already discarded.
-func (l *tcpLink) completeHello(conn net.Conn, lane uint32) error {
-	if _, err := conn.Write(l.t.helloBytes(lane)); err != nil {
+func (l *tcpLink) completeHello(conn net.Conn) error {
+	if _, err := conn.Write(l.t.helloBytes()); err != nil {
 		return err
 	}
 	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
@@ -428,14 +392,12 @@ func (l *tcpLink) completeHello(conn net.Conn, lane uint32) error {
 }
 
 // helloBytes builds the connection handshake: rank u32 | epoch u32 |
-// lane u32. The acceptor validates rank and epoch, routes the connection
-// by lane (data vs duplex ctl), then echoes its own hello as the
-// admission ack.
-func (t *TCPTransport) helloBytes(lane uint32) []byte {
+// zero u32. The acceptor validates all three, then echoes its own hello
+// as the admission ack.
+func (t *TCPTransport) helloBytes() []byte {
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(t.rank))
 	binary.LittleEndian.PutUint32(hdr[4:8], t.opts.Epoch)
-	binary.LittleEndian.PutUint32(hdr[8:12], lane)
 	return hdr[:]
 }
 
@@ -780,74 +742,9 @@ type tcpLink struct {
 	up     chan struct{} // closed on first successful connection
 	upOnce sync.Once
 
-	// P2P mode controller state. mode is the link's current effective
-	// packaging (never P2PAuto: auto resolves to batched or duplex);
-	// modeForced pins it against the auto controller (SetLinkMode). The
-	// RTT probe stamps one in-flight data frame at a time and folds the
-	// ack round-trip into an EWMA the auto re-decision reads.
-	mode       P2PMode
-	modeForced bool
-	rttEWMA    time.Duration
-	probeSeq   uint64 // seq of the outstanding RTT probe frame; 0 = none
-	probeAt    time.Time
-
-	// Duplex ctl lane: a second connection carrying acks/heartbeats with
-	// its own writer goroutine, so a blocked bulk write never delays the
-	// ack that un-stalls the peer. nil outside duplex mode (and before
-	// the lazy dial completes); ctl traffic falls back to the main
-	// connection whenever the lane is down.
-	ctlConn     net.Conn
-	ctlGen      int
-	ctlDialing  bool
-	nextCtlDial time.Time
-
 	// chaos state (writer-side)
 	chaosN    uint64
 	chaosHeld []byte
-}
-
-// SetLinkMode pins one link's P2P packaging mode at runtime — the test
-// hook behind the mid-run mode-switch equivalence suite, and an operator
-// override. Passing P2PAuto un-pins the link and returns it to the auto
-// controller (re-seeded by topology tier until fresh RTT samples land).
-func (t *TCPTransport) SetLinkMode(peer int, mode P2PMode) error {
-	if peer < 0 || peer >= t.size || peer == t.rank || t.links[peer] == nil {
-		return fmt.Errorf("comm: no link to rank %d", peer)
-	}
-	if mode >= p2pModeCount {
-		return fmt.Errorf("comm: invalid P2P mode %d", mode)
-	}
-	l := t.links[peer]
-	l.mu.Lock()
-	eff := mode
-	if mode == P2PAuto {
-		l.modeForced = false
-		eff = autoSeedMode(t.opts.GroupSize, t.rank, peer)
-	} else {
-		l.modeForced = true
-	}
-	switched := eff != l.mode
-	l.mode = eff
-	l.mu.Unlock()
-	if switched {
-		t.stats.recordLinkMode(peer, eff)
-		t.stats.recordModeSwitch(peer)
-		t.opts.Trace.Instant(trace.CodeModeSwitch, int64(peer), int64(eff))
-	}
-	l.cond.Broadcast()
-	return nil
-}
-
-// LinkMode reports a link's current effective packaging mode (under
-// P2PAuto this is the controller's latest decision, never "auto" itself).
-func (t *TCPTransport) LinkMode(peer int) P2PMode {
-	if peer < 0 || peer >= t.size || peer == t.rank || t.links[peer] == nil {
-		return P2PFrame
-	}
-	l := t.links[peer]
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.mode
 }
 
 // send enqueues one data frame, taking ownership of payload. Sealing is
@@ -935,13 +832,6 @@ func (l *tcpLink) markDown(gen int) {
 	}
 	l.conn.Close()
 	l.conn = nil
-	if l.ctlConn != nil {
-		// The ctl lane shares the main connection's fate: a broken link
-		// re-dials both, and ctl traffic rides the main lane until the
-		// duplex controller re-dials its own.
-		l.ctlConn.Close()
-		l.ctlConn = nil
-	}
 	l.downSince = time.Now()
 	l.sent = 0
 	startRedial := l.dialer && !l.redialing
@@ -989,7 +879,7 @@ func (l *tcpLink) redialLoop() {
 		}
 		conn, err := net.DialTimeout("tcp", l.addr, backoff+50*time.Millisecond)
 		if err == nil {
-			if herr := l.completeHello(conn, laneData); herr == nil {
+			if herr := l.completeHello(conn); herr == nil {
 				l.install(conn)
 				return
 			}
@@ -1015,9 +905,6 @@ func (l *tcpLink) shutdown() {
 	l.closed = true
 	if l.conn != nil {
 		l.conn.Close()
-	}
-	if l.ctlConn != nil {
-		l.ctlConn.Close()
 	}
 	l.mu.Unlock()
 	l.cond.Broadcast()
@@ -1054,26 +941,6 @@ func (l *tcpLink) tick(now time.Time) {
 		l.lastAckTime = now
 		signal = true
 	}
-	// Auto mode re-decision: once measured ack RTTs exist, fold them into
-	// the link's packaging mode (hysteresis lives in the cost policy).
-	// SetLinkMode pins a link against this.
-	var switched P2PMode
-	var modeSwitch, dialCtl bool
-	if opts.P2PMode == P2PAuto && !l.modeForced && l.rttEWMA > 0 {
-		if want := autoDecide(l.rttEWMA.Seconds(), l.mode, opts.AutoRTTSec); want != l.mode {
-			l.mode = want
-			switched, modeSwitch = want, true
-			signal = true
-		}
-	}
-	// Duplex ctl lane: the dialing side brings it up lazily (and back up
-	// after a break), paced by a backoff so a refusing peer costs little.
-	if l.mode == P2PDuplex && l.dialer && l.conn != nil && l.ctlConn == nil &&
-		!l.ctlDialing && now.After(l.nextCtlDial) {
-		l.ctlDialing = true
-		l.nextCtlDial = now.Add(4 * opts.ReconnectBackoff)
-		dialCtl = true
-	}
 	// Death: silent past the grace window (connected-but-mute or
 	// disconnected with every reconnection attempt failed).
 	if now.Sub(l.lastContact) > opts.PeerDeadTimeout {
@@ -1082,10 +949,6 @@ func (l *tcpLink) tick(now time.Time) {
 			l.conn.Close()
 			l.conn = nil
 		}
-		if l.ctlConn != nil {
-			l.ctlConn.Close()
-			l.ctlConn = nil
-		}
 		if l.downSince.IsZero() {
 			deadCause = fmt.Errorf("no traffic for %v", opts.PeerDeadTimeout)
 		} else {
@@ -1093,19 +956,10 @@ func (l *tcpLink) tick(now time.Time) {
 		}
 	}
 	l.mu.Unlock()
-	if modeSwitch {
-		l.t.stats.recordLinkMode(l.peer, switched)
-		l.t.stats.recordModeSwitch(l.peer)
-		l.t.opts.Trace.Instant(trace.CodeModeSwitch, int64(l.peer), int64(switched))
-	}
 	if deadCause != nil {
 		l.cond.Broadcast()
 		l.t.peerDead(l.peer, deadCause)
 		return
-	}
-	if dialCtl {
-		l.t.wg.Add(1)
-		go l.dialCtlLane()
 	}
 	if signal {
 		l.cond.Broadcast()
@@ -1129,10 +983,7 @@ func (l *tcpLink) writeLoop() {
 			if l.closed || l.dead {
 				break
 			}
-			// When the duplex ctl lane is live, ctl frames are the ctl
-			// writer's job — this loop neither claims nor waits on them.
-			ctlLane := l.ctlConn != nil && l.mode == P2PDuplex
-			if l.conn != nil && (((l.ackDirty || l.hbDue) && !ctlLane) ||
+			if l.conn != nil && (l.ackDirty || l.hbDue ||
 				(l.sent < len(l.sendq) && l.sent < l.window)) {
 				break
 			}
@@ -1159,12 +1010,8 @@ func (l *tcpLink) writeLoop() {
 			continue
 		}
 		conn, gen := l.conn, l.gen
-		mode := l.mode
 		epoch := l.t.opts.Epoch
-		var ctl []*outFrame
-		if l.ctlConn == nil || mode != P2PDuplex {
-			ctl = l.claimCtlLocked()
-		}
+		ctl := l.claimCtlLocked()
 		var frames []*outFrame
 		quiet := time.Until(l.quietUntil)
 		if quiet <= 0 {
@@ -1172,76 +1019,41 @@ func (l *tcpLink) writeLoop() {
 				frames = append(frames, l.sendq[l.sent])
 				l.sent++
 			}
-			if len(frames) > 0 && l.probeSeq == 0 {
-				// Arm the RTT probe on the last frame of this flush: the
-				// cumulative ack covering it closes the sample (see
-				// handleAckLocked).
-				l.probeSeq = frames[len(frames)-1].seq
-				l.probeAt = time.Now()
-			}
 		}
 		l.mu.Unlock()
 
 		// Lazy seal: only this goroutine touches a frame's payload, header
 		// and body after enqueue, so no lock is needed. A retransmitted
-		// frame is already sealed and goes out again as it is (possibly in
-		// a different burst grouping — harmless, envelopes carry no
-		// sequence state of their own).
+		// frame is already sealed and goes out again as it is.
 		for _, f := range frames {
 			if !f.sealed {
 				f.seal(l.t.rank, epoch)
 			}
 		}
 
-		maxElems := l.t.opts.MaxPayloadElems
 		var err error
 		switch {
 		case l.t.opts.Chaos != nil:
 			// Per-write chaos: ctl frames go plain (the injector only rolls
-			// on data writes), data goes frame-per-write or burst-per-write
-			// as one contiguous image the injector can flip, hold and
-			// replay, so its write ordinals stay deterministic for a given
-			// traffic pattern.
+			// on data writes), data goes frame-per-write as one contiguous
+			// image the injector can flip, hold and replay, so its write
+			// ordinals stay deterministic for a given traffic pattern.
 			for _, f := range ctl {
 				if _, err = conn.Write(f.hdr[:]); err != nil {
 					break
 				}
 			}
-			if err == nil && mode == P2PBatched {
-				for _, run := range splitBursts(maxElems, frames) {
-					l.t.stats.recordBurst(l.peer, len(run))
-					l.t.stats.recordWireWrite(l.peer)
-					if err = l.writeData(conn, burstImage(l.t.rank, epoch, run)); err != nil {
-						break
-					}
-				}
-			} else if err == nil {
-				for _, f := range frames {
-					l.t.stats.recordWireWrite(l.peer)
-					if err = l.writeData(conn, f.image()); err != nil {
-						break
-					}
-				}
+			for i := 0; err == nil && i < len(frames); i++ {
+				l.t.stats.recordWireWrite()
+				err = l.writeData(conn, frames[i].image())
 			}
-		case len(ctl)+len(frames) == 0:
-			// Nothing claimed (data held back post-reconnect).
-		case mode == P2PBatched:
-			// Batched mode: everything this flush made ready — the belt's
-			// same-tick weight + gradient chunks and any pending ctl frames
-			// — travels inside burst envelopes, one writev for the lot.
-			var out net.Buffers
-			for _, run := range splitBursts(maxElems, append(ctl, frames...)) {
-				out = appendBurst(out, l.t.rank, epoch, run)
-				l.t.stats.recordBurst(l.peer, len(run))
-			}
-			l.t.stats.recordWireWrite(l.peer)
-			_, err = out.WriteTo(conn)
-		default:
+		case len(ctl)+len(frames) > 0:
+			// Nothing is claimed while data is held back post-reconnect.
 			var out net.Buffers
 			for _, f := range append(ctl, frames...) {
 				out = f.appendTo(out)
 			}
-			l.t.stats.recordWireWrite(l.peer)
+			l.t.stats.recordWireWrite()
 			_, err = out.WriteTo(conn)
 		}
 		if err != nil {
@@ -1256,8 +1068,8 @@ func (l *tcpLink) writeLoop() {
 	}
 }
 
-// claimCtlLocked takes the link's pending ack and heartbeat, as sealed
-// control frames, for whichever writer owns ctl traffic right now.
+// claimCtlLocked takes the link's pending ack and heartbeat as sealed
+// control frames.
 func (l *tcpLink) claimCtlLocked() []*outFrame {
 	var ctl []*outFrame
 	if l.ackDirty {
@@ -1281,51 +1093,6 @@ func (l *tcpLink) releaseRetiredLocked() {
 		l.retired[i] = nil
 	}
 	l.retired = l.retired[:0]
-}
-
-// ctlWriteLoop is the duplex mode's second writer: while the ctl lane is
-// live it owns the link's ack/heartbeat flags, so a bulk data write
-// blocked on the main connection can never delay the ack that retires the
-// peer's retransmit queue — the head-of-line independence duplex mode
-// promises. When the lane is down (or the link is in another mode) the
-// loop sleeps and the main writeLoop carries ctl traffic as always.
-func (l *tcpLink) ctlWriteLoop() {
-	defer l.t.wg.Done()
-	for {
-		l.mu.Lock()
-		for {
-			if l.closed || l.dead {
-				l.mu.Unlock()
-				return
-			}
-			if l.ctlConn != nil && l.mode == P2PDuplex && (l.ackDirty || l.hbDue) {
-				break
-			}
-			l.cond.Wait()
-		}
-		if hole := time.Until(l.blackUntil); hole > 0 {
-			// Injected partitions silence the ctl lane too.
-			l.mu.Unlock()
-			if hole > 5*time.Millisecond {
-				hole = 5 * time.Millisecond
-			}
-			time.Sleep(hole)
-			continue
-		}
-		conn, gen := l.ctlConn, l.ctlGen
-		ctl := l.claimCtlLocked()
-		l.mu.Unlock()
-		var batch net.Buffers
-		for _, f := range ctl {
-			batch = f.appendTo(batch)
-		}
-		n := len(ctl)
-		if _, err := batch.WriteTo(conn); err != nil {
-			l.dropCtlLane(gen)
-			continue
-		}
-		l.t.stats.recordCtlLane(l.peer, n)
-	}
 }
 
 var errChaosReset = errors.New("comm: chaos connection reset")
@@ -1388,95 +1155,9 @@ func (l *tcpLink) writeData(conn net.Conn, wire []byte) error {
 	return nil
 }
 
-// installCtl adopts a duplex ctl-lane connection (the acceptor side gets
-// it from acceptLoop, the dialer side from dialCtlLane) and spawns its
-// read loop. Accepting is unconditional: the lane is the dialer's mode
-// decision.
-func (l *tcpLink) installCtl(conn net.Conn) {
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	l.mu.Lock()
-	if l.closed || l.dead {
-		l.mu.Unlock()
-		conn.Close()
-		return
-	}
-	if l.ctlConn != nil {
-		l.ctlConn.Close() // replaced by a fresher lane
-	}
-	l.ctlGen++
-	gen := l.ctlGen
-	l.ctlConn = conn
-	l.mu.Unlock()
-	l.t.wg.Add(1)
-	go l.ctlReadLoop(conn, gen)
-	l.cond.Broadcast()
-}
-
-// dropCtlLane retires a broken ctl-lane connection (ignoring stale
-// generations). Ctl traffic falls back to the main connection — the
-// baseline protocol, always correct — and the dialer's tick re-dials the
-// lane with backoff while the link stays in duplex mode.
-func (l *tcpLink) dropCtlLane(gen int) {
-	l.mu.Lock()
-	if gen != l.ctlGen || l.ctlConn == nil {
-		l.mu.Unlock()
-		return
-	}
-	l.ctlConn.Close()
-	l.ctlConn = nil
-	if l.rexpect > 1 {
-		// An ack claimed by the ctl writer may have died with the lane;
-		// re-arm it so the main lane re-sends. A duplicate ack is harmless.
-		l.ackDirty = true
-	}
-	l.mu.Unlock()
-	l.cond.Broadcast()
-}
-
-// dialCtlLane runs the dialer side of a ctl-lane bring-up (one attempt;
-// tick paces retries via nextCtlDial).
-func (l *tcpLink) dialCtlLane() {
-	defer l.t.wg.Done()
-	defer func() {
-		l.mu.Lock()
-		l.ctlDialing = false
-		l.mu.Unlock()
-	}()
-	conn, err := net.DialTimeout("tcp", l.addr, 250*time.Millisecond)
-	if err != nil {
-		return
-	}
-	if err := l.completeHello(conn, laneCtl); err != nil {
-		conn.Close()
-		return
-	}
-	l.installCtl(conn)
-}
-
-// readLoop dispatches the main connection's incoming frames until it
-// breaks.
+// readLoop dispatches the connection's incoming frames until it breaks.
 func (l *tcpLink) readLoop(conn net.Conn, gen int) {
 	defer l.t.wg.Done()
-	l.runReadLoop(conn, func() { l.markDown(gen) })
-}
-
-// ctlReadLoop dispatches the ctl lane's incoming frames (the peer's acks
-// and heartbeats when it also runs duplex) until the lane breaks. A lane
-// break only drops the lane, never the link.
-func (l *tcpLink) ctlReadLoop(conn net.Conn, gen int) {
-	defer l.t.wg.Done()
-	l.runReadLoop(conn, func() { l.dropCtlLane(gen) })
-}
-
-// runReadLoop dispatches one connection's incoming frames until it breaks,
-// then invokes down. The frameReader makes the receive side mode-agnostic:
-// plain frames, burst envelopes, and ctl traffic interleave freely on any
-// lane, whatever this side's configured mode — which is what keeps every
-// mode (and every mid-run mode switch) bit-identical: all payloads funnel
-// through the same sequence/dedup/mailbox path below.
-func (l *tcpLink) runReadLoop(conn net.Conn, down func()) {
 	fr := &frameReader{r: conn, size: l.t.size, maxElems: l.t.opts.MaxPayloadElems}
 	for {
 		h, payload, synced, err := fr.next()
@@ -1487,7 +1168,7 @@ func (l *tcpLink) runReadLoop(conn net.Conn, down func()) {
 				l.t.stats.recordCorrupt(l.peer)
 				continue
 			}
-			down()
+			l.markDown(gen)
 			return
 		}
 		if h.epoch != l.t.opts.Epoch {
@@ -1519,22 +1200,8 @@ func (l *tcpLink) runReadLoop(conn net.Conn, down func()) {
 	}
 }
 
-// handleAckLocked retires acknowledged frames (cumulative up to upTo) and
-// closes the RTT probe when the ack covers it.
+// handleAckLocked retires acknowledged frames (cumulative up to upTo).
 func (l *tcpLink) handleAckLocked(upTo uint64) {
-	if l.probeSeq != 0 && upTo >= l.probeSeq {
-		// One probe in flight at a time; a retransmitted probe inflates
-		// the sample, which is the right bias — a lossy link should look
-		// slow to the auto controller.
-		sample := time.Since(l.probeAt)
-		if l.rttEWMA == 0 {
-			l.rttEWMA = sample
-		} else {
-			l.rttEWMA = (3*l.rttEWMA + sample) / 4
-		}
-		l.probeSeq = 0
-		l.t.stats.recordLinkRTT(l.peer, l.rttEWMA)
-	}
 	popped := 0
 	for len(l.sendq) > 0 && l.sendq[0].seq <= upTo {
 		l.retired = append(l.retired, l.sendq[0])

@@ -1,8 +1,12 @@
 package comm
 
 import (
+	"encoding/binary"
+	"io"
+	"net"
 	"sync"
 	"testing"
+	"time"
 )
 
 // dialMesh brings up an n-rank TCP mesh on loopback.
@@ -139,5 +143,39 @@ func TestTCPLargePayload(t *testing.T) {
 		if got[i] != big[i] {
 			t.Fatalf("corruption at %d", i)
 		}
+	}
+}
+
+// The hello's third word is reserved as zero. Earlier builds dialled a
+// second, control-only connection per link with 1 there; admitting one now
+// would install it over the live data connection.
+func TestTCPHelloRefusesRetiredCtlLane(t *testing.T) {
+	trs := dialMesh(t, 2)
+	conn, err := net.Dial("tcp", trs[0].ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := trs[1].helloBytes()
+	binary.LittleEndian.PutUint32(hello[8:12], 1)
+	if _, err := conn.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 12)); err != io.EOF {
+		t.Fatalf("lane-1 hello: read %d bytes, err %v; want the connection closed without an admission ack", n, err)
+	}
+	if err := trs[1].Send(0, Tag{Kind: KindWeight}, []float32{4}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := trs[0].RecvTimeout(1, Tag{Kind: KindWeight}, 5*time.Second); err != nil || got[0] != 4 {
+		t.Fatalf("recv over the data connection after the refused hello: %v %v", got, err)
+	}
+	l := trs[0].links[1]
+	l.mu.Lock()
+	gen := l.gen
+	l.mu.Unlock()
+	if gen != 1 {
+		t.Fatalf("data connection generation = %d after the refused hello, want 1 (not replaced)", gen)
 	}
 }

@@ -3,6 +3,7 @@ package comm
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -47,17 +48,10 @@ func encodeCtlFrame(src int, kind, epoch uint32, a int64) []byte {
 	return newCtlFrame(src, kind, epoch, a).image()
 }
 
-// flattenBurst builds a burst envelope around already-encoded inner frame
-// images (which tests may have damaged on purpose).
-func flattenBurst(src int, epoch uint32, wires [][]byte) []byte {
-	inner := bytes.Join(wires, nil)
-	return append(encodeBurstHeader(src, epoch, len(wires), len(inner)), inner...)
-}
-
-// Wire images produced by the parent commit's allocate-and-encode
-// encodeFrame / encodeCtlFrame / flattenBurst for goldenFrames below: an odd
-// payload length, negative tag fields, both codecs, an ack, and a burst of
-// all three.
+// Wire images produced by the allocate-and-encode encodeFrame /
+// encodeCtlFrame the view-based encoder replaced, for goldenFrames below: an
+// odd payload length, negative tag fields, both codecs and an ack — and the
+// envelope (kind 0xFFFFFFF2) a retired packaging mode wrapped all three in.
 const (
 	goldenF32   = "020000000100000007000000fdffffffffffffff05000000feffffff290000000000000005000000000000008ba1137c000000000000a0bf5ed0324f6042a20ddb0f4940"
 	goldenBF16  = "020000000101000007000000fdffffffffffffff05000000feffffff2a0000000000000005000000000000006865a4be0000a0bf334fa20d4940"
@@ -76,38 +70,33 @@ func goldenFrames() (ack, f32, bf16 *outFrame) {
 	return newCtlFrame(2, ctlAck, 7, 41), mk(41, CodecF32), mk(42, CodecBF16)
 }
 
-// The view-based encoder must put exactly the parent's bytes on the wire,
-// in every packaging.
+// The view-based encoder must put exactly the golden bytes on the wire,
+// as one image and as writev pieces.
 func TestWireImageGolden(t *testing.T) {
 	ack, f32, bf16 := goldenFrames()
 	defer f32.release()
 	defer bf16.release()
 	for _, tc := range []struct {
-		name string
-		got  []byte
-		want string
+		name  string
+		frame *outFrame
+		want  string
 	}{
-		{"f32", f32.image(), goldenF32},
-		{"bf16", bf16.image(), goldenBF16},
-		{"ack", ack.image(), goldenAck},
-		{"burst", burstImage(2, 7, []*outFrame{ack, f32, bf16}), goldenBurst},
+		{"f32", f32, goldenF32},
+		{"bf16", bf16, goldenBF16},
+		{"ack", ack, goldenAck},
 	} {
-		if got := hex.EncodeToString(tc.got); got != tc.want {
+		if got := hex.EncodeToString(tc.frame.image()); got != tc.want {
 			t.Errorf("%s image changed:\n got %s\nwant %s", tc.name, got, tc.want)
 		}
-	}
-	// The writev pieces concatenate to the same image.
-	var pieces []byte
-	for _, p := range appendBurst(nil, 2, 7, []*outFrame{ack, f32, bf16}) {
-		pieces = append(pieces, p...)
-	}
-	if hex.EncodeToString(pieces) != goldenBurst {
-		t.Errorf("writev pieces differ from the burst image")
+		if got := hex.EncodeToString(bytes.Join(tc.frame.appendTo(nil), nil)); got != tc.want {
+			t.Errorf("%s writev pieces differ from the image", tc.name)
+		}
 	}
 }
 
-// Images encoded by the parent commit must decode on the new reader, plain
-// and inside an envelope, to exactly the values the old decoder produced.
+// The golden images must decode to exactly the values the per-element
+// decoder produced; the retired envelope is refused without resynchronising,
+// so the link tears down and retransmits instead of mis-framing.
 func TestWireImageGoldenDecodes(t *testing.T) {
 	wantBF := append([]float32(nil), goldenPayload...)
 	tensor.RoundBF16Slice(wantBF)
@@ -139,12 +128,10 @@ func TestWireImageGoldenDecodes(t *testing.T) {
 	}
 	check("f32", unhex(goldenF32), 41, goldenPayload)
 	check("bf16", unhex(goldenBF16), 42, wantBF)
-	fr := unhex(goldenBurst)
-	if h, _, _, err := fr.next(); err != nil || h.kind != ctlAck || h.a != 41 {
-		t.Fatalf("burst ack: %+v %v", h, err)
+	var ce *CorruptionError
+	if _, payload, synced, err := unhex(goldenBurst).next(); !errors.As(err, &ce) || synced || payload != nil {
+		t.Fatalf("retired burst envelope: err %v, synced=%v, payload %v; want an unsynced *CorruptionError", err, synced, payload)
 	}
-	check("burst f32", fr, 41, goldenPayload)
-	check("burst bf16", fr, 42, wantBF)
 }
 
 // linkFrames returns every frame a link still references.
@@ -203,15 +190,13 @@ func TestTCPSteadyStateAllocs(t *testing.T) {
 	const elems = 1 << 18 // 1 MiB of f32
 	for _, tc := range []struct {
 		name  string
-		mode  P2PMode
 		codec CodecFunc
 	}{
-		{"frame", P2PFrame, nil},
-		{"batched", P2PBatched, nil},
-		{"frame-bf16", P2PFrame, BeltBF16},
+		{"frame", nil},
+		{"frame-bf16", BeltBF16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			trs := dialMeshOpts(t, 2, TCPOptions{P2PMode: tc.mode, Codec: tc.codec})
+			trs := dialMeshOpts(t, 2, TCPOptions{Codec: tc.codec})
 			tag := Tag{Kind: KindWeight, A: 3}
 			cycle := func() {
 				buf := GetBuf(elems)
@@ -263,18 +248,21 @@ func TestTCPSteadyStateAllocs(t *testing.T) {
 
 // Retransmission resends the retained payload itself. Under every chaos
 // fault, multi-element f32 and bf16 streams must still arrive exactly once,
-// in order and bit-identical, in frame and batched packaging — and every
-// retained payload must be back in the pool afterwards.
+// in order and bit-identical — and every retained payload must be back in
+// the pool afterwards.
 func TestTCPChaosRetransmitsRetainedPayload(t *testing.T) {
+	every := ChaosConfig{Seed: 11, Drop: 0.15, Dup: 0.1, Reorder: 0.1, Corrupt: 0.1, ResetEvery: 13}
 	for _, tc := range []struct {
 		name  string
-		mode  P2PMode
 		codec CodecFunc
+		chaos ChaosConfig
 	}{
-		{"frame-f32", P2PFrame, nil},
-		{"frame-bf16", P2PFrame, BeltBF16},
-		{"batched-f32", P2PBatched, nil},
-		{"batched-bf16", P2PBatched, BeltBF16},
+		{"frame-f32", nil, every},
+		{"frame-bf16", BeltBF16, every},
+		// Loss, duplication and reordering alone: the connection never
+		// breaks, so only retransmission and dedup stand between a dropped
+		// frame and a lost or doubled delivery.
+		{"drop-dup-reorder", nil, ChaosConfig{Seed: 99, Drop: 0.25, Dup: 0.2, Reorder: 0.1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			trs := dialMeshOpts(t, 2, TCPOptions{
@@ -282,9 +270,8 @@ func TestTCPChaosRetransmitsRetainedPayload(t *testing.T) {
 				HeartbeatInterval: 25 * time.Millisecond,
 				RetransmitTimeout: 40 * time.Millisecond,
 				ReconnectBackoff:  5 * time.Millisecond,
-				P2PMode:           tc.mode,
 				Codec:             tc.codec,
-				Chaos:             &ChaosConfig{Seed: 11, Drop: 0.15, Dup: 0.1, Reorder: 0.1, Corrupt: 0.1, ResetEvery: 13},
+				Chaos:             &tc.chaos,
 			})
 			const n, elems = 120, 777
 			value := func(i, j int) float32 { return float32(i) + float32(j)/1024 }
@@ -327,11 +314,38 @@ func TestTCPChaosRetransmitsRetainedPayload(t *testing.T) {
 				t.Fatal("a frame was delivered twice")
 			}
 			f := trs[0].CommStats().TotalFaults()
-			if f.Retransmits == 0 || f.Reconnects == 0 {
-				t.Errorf("chaos never forced a retransmission (%d) or a reconnection (%d)", f.Retransmits, f.Reconnects)
+			if f.Retransmits == 0 || (f.Reconnects == 0) != (tc.chaos.ResetEvery == 0) {
+				t.Errorf("chaos forced %d retransmissions and %d reconnections with ResetEvery=%d", f.Retransmits, f.Reconnects, tc.chaos.ResetEvery)
 			}
 			assertNoRetainedPayloads(t, trs)
 		})
+	}
+}
+
+// The writer hands everything a flush made ready to one writev, so frames
+// queued while the link could not write cost far fewer kernel writes than
+// frames: the byte stream coalesces them without any envelope.
+func TestTCPFlushCoalescesQueuedFrames(t *testing.T) {
+	trs := dialMeshOpts(t, 2, TCPOptions{})
+	trs[0].Blackhole([]int{1}, 50*time.Millisecond)
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := trs[0].Send(1, Tag{Kind: KindWeight, A: i}, []float32{float32(i), -float32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		got, err := trs[1].RecvTimeout(0, Tag{Kind: KindWeight, A: i}, 10*time.Second)
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if len(got) != 2 || got[0] != float32(i) || got[1] != -float32(i) {
+			t.Fatalf("recv %d: got %v", i, got)
+		}
+		Release(got)
+	}
+	if w := trs[0].CommStats().WireWrites(); w == 0 || w >= n {
+		t.Fatalf("%d kernel writes for %d queued frames, want 0 < writes < %d", w, n, n)
 	}
 }
 

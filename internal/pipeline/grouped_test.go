@@ -149,7 +149,7 @@ func TestGroupedChaosTCPEquivalence(t *testing.T) {
 	}
 
 	base := runtime.NumGoroutine()
-	trs := dialMesh(t, p, chaosTCPOpts(comm.P2PFrame, 0))
+	trs := dialMesh(t, p, chaosTCPOpts())
 	opts := eqOpts()
 	opts.GroupSize = gs
 	losses, weights := runOnTransports(t, trs, StrategyWZB2G, opts, iters, n)

@@ -142,16 +142,6 @@ type Options struct {
 	// the ring size falls back to the flat belt (which keeps elastic
 	// shrink-to-p−1 working). All ranks of a run must agree on it.
 	GroupSize int
-	// P2PMode selects the transport's per-link packaging policy (see
-	// comm.P2PMode): frame (the zero value, the baseline protocol),
-	// batched burst envelopes, duplex ctl lanes, or the auto controller.
-	// Like BF16Wire it configures the *transport*, not the runner —
-	// RunCluster records it on the in-process fabric and the CLIs pass it
-	// to DialTCPOpts; trainers built on a caller-owned Transport inherit
-	// that transport's mode. Every mode is bit-identical to frame by
-	// construction (modes change wire packaging, never delivery order or
-	// payload bytes), which the mode-matrix suite asserts.
-	P2PMode comm.P2PMode
 	// BitFlip, when non-nil, is the seeded in-memory fault injector of the
 	// chaos tier: it flips scheduled bits in master weights, optimizer
 	// moments and staged belt payloads as the schedule's (rank, iteration)

@@ -114,11 +114,6 @@ func RunCluster(s Strategy, p int, cfg model.Config, opts Options, iters int,
 	cluster := comm.NewClusterCodec(p, codec)
 	defer cluster.Close()
 	cluster.AttachTrace(opts.Trace)
-	if opts.P2PMode != comm.P2PFrame {
-		if err := cluster.SetP2PMode(opts.P2PMode, opts.GroupSize); err != nil {
-			return nil, err
-		}
-	}
 
 	trainers := make([]Trainer, p)
 	losses := make([][]float64, p)

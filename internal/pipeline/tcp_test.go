@@ -92,7 +92,7 @@ func runCfgOnTransports(t *testing.T, trs []comm.Transport, s Strategy, cfg mode
 func runTCP(t *testing.T, s Strategy, p int, cfg model.Config, opts Options,
 	iters int, batches func(int) []data.Batch) ([]float64, []float32) {
 	t.Helper()
-	tcpOpts := comm.TCPOptions{DialTimeout: 10 * time.Second, P2PMode: opts.P2PMode, GroupSize: opts.GroupSize}
+	tcpOpts := comm.TCPOptions{DialTimeout: 10 * time.Second}
 	if opts.BF16Wire {
 		tcpOpts.Codec = comm.BeltBF16
 	}
@@ -182,6 +182,27 @@ func TestOverlapBitIdenticalWeiPipeDP(t *testing.T) {
 	}
 }
 
+// chaosTCPOpts is the shared chaotic failure model of the TCP equivalence
+// tests.
+func chaosTCPOpts() comm.TCPOptions {
+	return comm.TCPOptions{
+		DialTimeout:       10 * time.Second,
+		HeartbeatInterval: 20 * time.Millisecond,
+		PeerDeadTimeout:   2 * time.Second,
+		RetransmitTimeout: 40 * time.Millisecond,
+		ReconnectBackoff:  5 * time.Millisecond,
+		Chaos: &comm.ChaosConfig{
+			Seed:      4242,
+			Drop:      0.05,
+			Dup:       0.05,
+			Reorder:   0.05,
+			Corrupt:   0.02,
+			DelayProb: 0.05,
+			MaxDelay:  2 * time.Millisecond,
+		},
+	}
+}
+
 // Real TCP with frame-level chaos: retransmission, duplication, reordering
 // and corruption of frames whose payload the sending rank is computing out
 // of at that moment must still produce the bit-exact in-process trajectory.
@@ -193,7 +214,7 @@ func TestOverlapChaosTCPWZB2(t *testing.T) {
 	}
 
 	base := runtime.NumGoroutine()
-	trs := dialMesh(t, p, chaosTCPOpts(comm.P2PFrame, 0))
+	trs := dialMesh(t, p, chaosTCPOpts())
 	losses, weights := runOnTransports(t, trs, StrategyWZB2, eqOpts(), iters, n)
 	bitIdentical(t, "chaos TCP", losses, ref.Losses, weights, ref.Weights)
 
@@ -392,7 +413,7 @@ func TestOneFOneBOverTCP(t *testing.T) {
 func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 	const p, iters, n = 4, 3, 8
 	for _, s := range []Strategy{StrategyWZB2, StrategyWZB2G} {
-		tcpOpts := chaosTCPOpts(comm.P2PFrame, 0)
+		tcpOpts := chaosTCPOpts()
 		tcpOpts.Chaos = nil
 		tcpOpts.PeerDeadTimeout = 300 * time.Millisecond
 		trs := dialMesh(t, p, tcpOpts)

@@ -37,23 +37,6 @@ type Spec struct {
 	// (cost.Calibration.SuggestedLinkScale) expresses how much of the
 	// modelled link time the runtime actually exposes to compute.
 	LinkScale float64
-	// P2PMode selects the transport link model, mirroring the runtime's
-	// per-link packaging modes. "" or "frame" reproduces the baseline
-	// protocol exactly (one link task per belt hop, each paying the
-	// link latency). "batched" models the sender's burst coalescing: the
-	// forward-belt hop is each tick's envelope carrier and pays the
-	// latency; the backward and gradient frames the tick makes ready on
-	// the same link ride that envelope — bandwidth cost only, no
-	// envelope (and no send count) of their own. Dependencies are
-	// untouched, so batching never delays a frame that frame mode would
-	// have sent — it only amortizes the per-envelope latency, the burst
-	// protocol's win. "duplex" gives each belt its own lane per link
-	// (independent engines at full bandwidth: acks and the runtime's ctl
-	// lane are not modelled, but belts no longer queue behind each other
-	// — no head-of-line blocking). "auto" picks per link: batched on
-	// group-boundary or high-latency links, duplex otherwise, mirroring
-	// the runtime controller's topology seeding and RTT threshold.
-	P2PMode string
 }
 
 // wireScale returns the payload multiplier of the wire-format ablation.
@@ -72,41 +55,6 @@ func (s Spec) linkScale() float64 {
 	return 1
 }
 
-// p2pLinkBatched reports whether ring link i (rank i → i+1) runs the
-// batched packaging under the spec's P2P mode. "auto" consults the same
-// inputs that seed the runtime controller: the topology tier (boundary
-// links batch) and the link's latency against the calibrated RTT
-// threshold.
-func (s Spec) p2pLinkBatched(i int) bool {
-	switch s.P2PMode {
-	case "batched":
-		return true
-	case "auto":
-		return s.Top.BoundaryLink(i) || cost.P2PTopoBatched(s.Top.Latency[i])
-	}
-	return false
-}
-
-// p2pLinkDuplex reports whether ring link i runs per-belt lanes.
-func (s Spec) p2pLinkDuplex(i int) bool {
-	switch s.P2PMode {
-	case "duplex":
-		return true
-	case "auto":
-		return !s.p2pLinkBatched(i)
-	}
-	return false
-}
-
-// validP2PMode reports whether the spec names a known P2P link model.
-func (s Spec) validP2PMode() bool {
-	switch s.P2PMode {
-	case "", "frame", "batched", "duplex", "auto":
-		return true
-	}
-	return false
-}
-
 // Build compiles the named strategy. Strategy names match the pipeline
 // package's Strategy constants.
 func Build(strategy string, spec Spec) ([]sim.Task, error) {
@@ -119,9 +67,6 @@ func Build(strategy string, spec Spec) ([]sim.Task, error) {
 	}
 	if spec.W.N%spec.W.P != 0 {
 		return nil, fmt.Errorf("schedule: %d microbatches not divisible by %d workers", spec.W.N, spec.W.P)
-	}
-	if !spec.validP2PMode() {
-		return nil, fmt.Errorf("schedule: unknown p2p mode %q (want frame, batched, duplex, or auto)", spec.P2PMode)
 	}
 	switch strategy {
 	case "gpipe", "1f1b", "zb1", "zb2":
@@ -188,14 +133,10 @@ func BuildTraffic(strategy string, spec Spec) ([]sim.Task, Traffic, error) {
 		}
 		if inter {
 			tr.InterBytes += t.Bytes
-			if !t.Coalesced {
-				tr.InterSends++
-			}
+			tr.InterSends++
 		} else {
 			tr.IntraBytes += t.Bytes
-			if !t.Coalesced {
-				tr.IntraSends++
-			}
+			tr.IntraSends++
 		}
 	}
 	return tasks, tr, nil
@@ -255,32 +196,6 @@ func (b *builder) successorOf(w, id int) int {
 func (b *builder) linkFwd(from int, bytes float64, label string, deps ...int) int {
 	dur := (bytes*b.spec.wireScale()/b.spec.Top.SendBW[from] + b.spec.Top.Latency[from]) * b.spec.linkScale()
 	id := b.raw(fmt.Sprintf("l%d", from), -1, dur, "comm", label, deps)
-	b.tasks[id].Bytes = bytes * b.spec.wireScale()
-	return id
-}
-
-// linkPiggyback appends a transfer that rides a concurrent carrier
-// transfer's burst envelope on ring link from→from+1 (the batched link
-// model): it pays the link's bandwidth cost for its payload but no
-// latency — the envelope's latency is charged to the carrier — and it
-// opens no envelope of its own (Coalesced, skipped by send counting).
-func (b *builder) linkPiggyback(from int, bytes float64, label string, deps ...int) int {
-	dur := bytes * b.spec.wireScale() / b.spec.Top.SendBW[from] * b.spec.linkScale()
-	id := b.raw(fmt.Sprintf("l%d", from), -1, dur, "comm", label, deps)
-	b.tasks[id].Bytes = bytes * b.spec.wireScale()
-	b.tasks[id].Coalesced = true
-	return id
-}
-
-// linkLane appends a transfer on a dedicated lane of ring link
-// from→from+1 (the duplex link model): resource "l<from><lane>" is its
-// own engine at the link's full bandwidth, so belts on different lanes
-// of one link never queue behind each other. BuildTraffic still
-// classifies lane tasks by the link number (Sscanf stops at the lane
-// letter).
-func (b *builder) linkLane(from int, lane byte, bytes float64, label string, deps ...int) int {
-	dur := (bytes*b.spec.wireScale()/b.spec.Top.SendBW[from] + b.spec.Top.Latency[from]) * b.spec.linkScale()
-	id := b.raw(fmt.Sprintf("l%d%c", from, lane), -1, dur, "comm", label, deps)
 	b.tasks[id].Bytes = bytes * b.spec.wireScale()
 	return id
 }
@@ -627,25 +542,9 @@ func buildWeiPipe(strategy string, spec Spec) ([]sim.Task, error) {
 			if spec.TerminalGradAllReduce {
 				dBytes = 0 // ablation: no D belt; gradients all-reduced at the end
 			}
-			var fl, bl, dl int
-			switch {
-			case spec.p2pLinkBatched(from):
-				// Batched: the forward hop is the tick's envelope carrier;
-				// the same-tick backward and gradient frames ride it —
-				// bandwidth cost only, no envelope of their own.
-				fl = b.linkFwd(from, bytes, fmt.Sprintf("Wf c%d u%d", c, j), fdeps...)
-				bl = b.linkPiggyback(from, bytes, fmt.Sprintf("Wb c%d u%d", c, j), bdeps...)
-				dl = b.linkPiggyback(from, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
-			case spec.p2pLinkDuplex(from):
-				// Duplex: each belt gets its own lane on the link.
-				fl = b.linkFwd(from, bytes, fmt.Sprintf("Wf c%d u%d", c, j), fdeps...)
-				bl = b.linkLane(from, 'b', bytes, fmt.Sprintf("Wb c%d u%d", c, j), bdeps...)
-				dl = b.linkLane(from, 'd', dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
-			default:
-				fl = b.linkFwd(from, bytes, fmt.Sprintf("Wf c%d u%d", c, j), fdeps...)
-				bl = b.linkFwd(from, bytes, fmt.Sprintf("Wb c%d u%d", c, j), bdeps...)
-				dl = b.linkFwd(from, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
-			}
+			fl := b.linkFwd(from, bytes, fmt.Sprintf("Wf c%d u%d", c, j), fdeps...)
+			bl := b.linkFwd(from, bytes, fmt.Sprintf("Wb c%d u%d", c, j), bdeps...)
+			dl := b.linkFwd(from, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
 			b.tasks[ops.f[c][j]].Deps = append(b.tasks[ops.f[c][j]].Deps, fl)
 			b.tasks[ops.b[c][j]].Deps = append(b.tasks[ops.b[c][j]].Deps, bl)
 			b.tasks[ops.w[c][j]].Deps = append(b.tasks[ops.w[c][j]].Deps, dl)
@@ -728,7 +627,7 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 	// (re-)injected from the group's holder cache over the group fabric,
 	// paced by the holder's own consumption one round earlier. The group-last
 	// rank never forwards — weight belts never touch a boundary link.
-	wireBelt := func(op [][]int, name string, earlier func(wk, k, c int) int, emit func(link int, bytes float64, label string, deps []int) int) {
+	wireBelt := func(op [][]int, name string, earlier func(wk, k, c int) int) {
 		for c := 0; c < p; c++ {
 			bytes := chunkBytes(w, c)
 			prevLink := -1 // segment-local store-and-forward chain
@@ -772,57 +671,25 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 				if e := earlier(dst, k, c); e >= 0 {
 					deps = append(deps, e)
 				}
-				lt := emit(dst-1, bytes, fmt.Sprintf("%s c%d u%d", name, c, j), deps)
+				lt := b.linkFwd(dst-1, bytes, fmt.Sprintf("%s c%d u%d", name, c, j), deps...)
 				b.tasks[op[c][j]].Deps = append(b.tasks[op[c][j]].Deps, lt)
 				prevLink = lt
 			}
 		}
 	}
-	// Belt packaging per link mode: the forward belt always opens the
-	// envelope (carrier, pays latency); on a batched link the backward
-	// belt's same-tick frame rides it (bandwidth only, no envelope of its
-	// own), and on a duplex link it moves to the 'b' lane. Group-fabric
-	// injections are per belt in every mode — bursts are a ring-link
-	// packaging, and the grouped exchange already deduplicated the
-	// boundary traffic.
-	emitFwd := func(link int, bytes float64, label string, deps []int) int {
-		return b.linkFwd(link, bytes, label, deps...)
-	}
-	emitWb := func(link int, bytes float64, label string, deps []int) int {
-		switch {
-		case spec.p2pLinkBatched(link):
-			return b.linkPiggyback(link, bytes, label, deps...)
-		case spec.p2pLinkDuplex(link):
-			return b.linkLane(link, 'b', bytes, label, deps...)
-		}
-		return b.linkFwd(link, bytes, label, deps...)
-	}
-	wireBelt(ops.f, "Wf", ops.fwdEarlier, emitFwd)
-	wireBelt(ops.b, "Wb", ops.bwdEarlier, emitWb)
+	wireBelt(ops.f, "Wf", ops.fwdEarlier)
+	wireBelt(ops.b, "Wb", ops.bwdEarlier)
 
 	// The D belt is untouched by grouping: in-transit gradient accumulation
 	// is a strict left-fold around the full ring (bit-identity requires the
-	// flat order), so it hops every link exactly as in wzb2. Packaging
-	// still applies per link: weight belts never cross group boundaries,
-	// so on a batched boundary link the use's first gradient frame is the
-	// flush's own envelope carrier and the remaining chunks ride it; a
-	// duplex link moves the belt to the 'd' lane.
+	// flat order), so it hops every link exactly as in wzb2.
 	for c := 0; c < p; c++ {
 		dBytes := chunkBytes(w, c)
 		if spec.TerminalGradAllReduce {
 			dBytes = 0
 		}
 		for j := 1; j < uses; j++ {
-			link := (j - 1) % p
-			var dl int
-			switch {
-			case c > 0 && spec.p2pLinkBatched(link):
-				dl = b.linkPiggyback(link, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
-			case spec.p2pLinkDuplex(link):
-				dl = b.linkLane(link, 'd', dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
-			default:
-				dl = b.linkFwd(link, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
-			}
+			dl := b.linkFwd((j-1)%p, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
 			b.tasks[ops.w[c][j]].Deps = append(b.tasks[ops.w[c][j]].Deps, dl)
 		}
 	}

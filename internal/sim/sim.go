@@ -41,11 +41,6 @@ type Task struct {
 	// compute and collective tasks). The simulator ignores it; the
 	// schedule package's traffic accounting classifies it by link tier.
 	Bytes float64
-	// Coalesced marks a transfer that rides another transfer's burst
-	// envelope (the batched P2P link model): it still occupies the link
-	// for its bandwidth cost, but opens no envelope of its own — the
-	// traffic accounting counts its bytes without counting a send.
-	Coalesced bool
 }
 
 // ScheduledTask is a task with its simulated start and end times.

@@ -37,11 +37,6 @@ type RunMeta struct {
 	Heads    int    `json:"heads,omitempty"`
 	Vocab    int    `json:"vocab,omitempty"`
 	Iters    int    `json:"iters"`
-	// P2PMode records the transport's per-link packaging mode
-	// ("frame"/"batched"/"duplex"/"auto", empty = frame) so
-	// weipipe-trace -compare rebuilds the simulated schedule with the
-	// same link model the run used.
-	P2PMode string `json:"p2p_mode,omitempty"`
 }
 
 // MarshalChrome renders events as a Chrome trace JSON object. meta, when
@@ -88,7 +83,7 @@ func laneFor(e Event) string {
 			return "belt-fwd"
 		}
 		return "belt-bwd"
-	case CodeSend, CodeRecv, CodeRetransmit, CodeModeSwitch:
+	case CodeSend, CodeRecv, CodeRetransmit:
 		return "comm"
 	default:
 		return "compute"

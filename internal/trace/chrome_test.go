@@ -76,15 +76,25 @@ func TestChromeTraceSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, meta, err := ParseChrome(blob)
-	if err != nil {
-		t.Fatal(err)
+	// Builds before the single wire protocol recorded a link mode in the
+	// metadata; their traces must still load, with the field ignored.
+	old := bytes.Replace(blob, []byte(`"strategy": "wzb2"`), []byte(`"p2p_mode": "batched", "strategy": "wzb2"`), 1)
+	if bytes.Equal(old, blob) {
+		t.Fatal("metadata carries no strategy key to extend")
 	}
-	if meta == nil || meta.Strategy != "wzb2" || meta.P != 2 || meta.N != 4 {
-		t.Fatalf("meta roundtrip = %+v", meta)
-	}
-	if len(events) != 22 { // 11 events × 2 ranks
-		t.Fatalf("events = %d, want 22", len(events))
+	var events []ChromeEvent
+	for _, doc := range [][]byte{old, blob} {
+		var meta *RunMeta
+		events, meta, err = ParseChrome(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta == nil || *meta != *goldenMeta() {
+			t.Fatalf("meta roundtrip = %+v", meta)
+		}
+		if len(events) != 22 { // 11 events × 2 ranks
+			t.Fatalf("events = %d, want 22", len(events))
+		}
 	}
 	lanes := map[string]bool{}
 	for _, e := range events {

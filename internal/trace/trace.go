@@ -78,10 +78,6 @@ const (
 	// CodeRetransmit marks a TCP retransmission burst (instant event).
 	// A = peer rank, B = frames re-sent.
 	CodeRetransmit
-	// CodeModeSwitch marks the auto P2P controller re-deciding a link's
-	// wire packaging mode (instant event). A = peer rank, B = the new
-	// comm.P2PMode value.
-	CodeModeSwitch
 
 	codeCount
 )
@@ -105,7 +101,6 @@ var codeInfo = [codeCount]struct {
 	CodeRepair:     {"repair", "integrity", "iter", "step"},
 	CodeSpike:      {"spike", "integrity", "iter", "skipped"},
 	CodeRetransmit: {"retransmit", "comm", "peer", "frames"},
-	CodeModeSwitch: {"p2p-mode", "comm", "peer", "mode"},
 }
 
 // String returns the code's slice name.

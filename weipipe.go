@@ -136,11 +136,6 @@ type (
 	FaultConfig = comm.FaultConfig
 	// FaultTransport wraps any Transport with FaultConfig-driven faults.
 	FaultTransport = comm.FaultTransport
-	// P2PMode is the transport's per-link packaging policy: the baseline
-	// frame protocol, batched burst envelopes, duplex ctl lanes, or the
-	// auto controller that picks per link from topology and measured RTT.
-	// Every mode is bit-identical to the baseline. See DESIGN.md §17.
-	P2PMode = comm.P2PMode
 	// CommStats is a rank's communication meter, including per-peer fault
 	// counters (retransmits, timeouts, reconnects, heartbeat misses…).
 	CommStats = comm.Stats
@@ -197,22 +192,6 @@ var (
 	// belts, resident-state guards, ABFT kernel verification).
 	ErrIntegrity = comm.ErrIntegrity
 )
-
-// P2P link modes (see P2PMode).
-const (
-	// P2PFrame is the baseline one-frame-at-a-time protocol.
-	P2PFrame = comm.P2PFrame
-	// P2PBatched coalesces same-tick sends into burst envelopes.
-	P2PBatched = comm.P2PBatched
-	// P2PDuplex runs a dedicated ctl lane per link.
-	P2PDuplex = comm.P2PDuplex
-	// P2PAuto picks batched or duplex per link from topology + RTT.
-	P2PAuto = comm.P2PAuto
-)
-
-// ParseP2PMode parses a -p2p-mode CLI spelling ("", "frame", "batched",
-// "duplex", "auto").
-func ParseP2PMode(s string) (P2PMode, error) { return comm.ParseP2PMode(s) }
 
 // Silent-data-corruption defense: checksummed weight belts and resident-state
 // guards (Options.Integrity), ABFT matmul verification (EnableABFT), the
@@ -371,15 +350,6 @@ func Simulate(s Strategy, w Workload, top Topology) (SimResult, error) {
 // transport actually exposes to compute (cost.Calibration carries one fitted
 // from a traced run). linkScale <= 0 or 1 reproduces Simulate.
 func SimulateScaled(s Strategy, w Workload, top Topology, linkScale float64) (SimResult, error) {
-	return SimulateP2P(s, w, top, linkScale, "")
-}
-
-// SimulateP2P is SimulateScaled with a P2P link-model selection: "" or
-// "frame" is the baseline (one link task per belt hop), "batched" merges a
-// tick's same-link belt hops into one envelope transfer, "duplex" gives
-// each belt its own lane per link, "auto" picks per link from topology
-// tier and latency — mirroring the runtime transport's -p2p-mode.
-func SimulateP2P(s Strategy, w Workload, top Topology, linkScale float64, p2pMode string) (SimResult, error) {
 	w = w.WithDefaults()
 	gpu := cluster.A800()
 	out := SimResult{MemoryGB: w.MemoryBytes(string(s)) / (1 << 30)}
@@ -387,7 +357,7 @@ func SimulateP2P(s Strategy, w Workload, top Topology, linkScale float64, p2pMod
 		out.OOM = true
 		return out, nil
 	}
-	tasks, err := schedule.Build(string(s), schedule.Spec{W: w, GPU: gpu, Top: top, LinkScale: linkScale, P2PMode: p2pMode})
+	tasks, err := schedule.Build(string(s), schedule.Spec{W: w, GPU: gpu, Top: top, LinkScale: linkScale})
 	if err != nil {
 		return out, err
 	}
