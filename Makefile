@@ -107,7 +107,8 @@ sdc-quick:
 
 # bench-guard is the CI regression guard: run the functional kernel A/B —
 # MatMulNT 256³, and at the long-* benchmark shapes MatMulNN 512×64×172,
-# MatMulTN 64×512×172 and attention forward+backward (H 64 / 4 heads /
+# MatMulTN 64×512×172, the B pass's MatMulNT 512×64×172 (dy·W₂ᵀ) and
+# 512×172×64 (du·W₁ᵀ) and attention forward+backward (H 64 / 4 heads /
 # S 512) — and fail unless the best SIMD backend beats scalar by 2× on every
 # row (the local target is 4×+; the CI margin absorbs shared-runner noise; a
 # scalar-only build passes, an amd64 build whose CPU registered no SIMD
@@ -157,7 +158,8 @@ experiments:
 # surface prints the size counters ROADMAP "Where the counters stand"
 # tallies: non-test Go lines in the root module (benchmark/ is its own
 # module), exported fields of the option structs, flags per command,
-# WEIPIPE_* environment variables and the transport's line count. CI prints
+# WEIPIPE_* environment variables, the transport's line count and the
+# assembly kernels' line count. CI prints
 # it on every push so a PR's effect on the surface is a diff of two logs.
 surface:
 	@echo "non-test Go lines: $$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
@@ -169,6 +171,7 @@ surface:
 		echo "$$d flags: $$n"; total=$$((total+n)); done; echo "flags in all: $$total"
 	@echo "WEIPIPE_* environment variables: $$(grep -rhoE --include='*.go' --include=Makefile 'WEIPIPE_[A-Z_]+' . | sort -u | wc -l)"
 	@wc -l internal/comm/tcp.go
+	@wc -l internal/tensor/*.s
 
 # check is the pre-merge gate: formatting, the orphan-package check, static
 # analysis, the race detector over the packages with real concurrency

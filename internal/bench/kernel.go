@@ -13,9 +13,10 @@ import (
 
 // The kernel A/B is the functional counterpart of the Go benchmarks
 // BenchmarkMatMul{NT,NN,TN} and BenchmarkCausalAttention: it times the
-// headline 256³ NT matmul, the NN and TN matmuls at the long-context
-// benchmark's FFN shape, and one fused-attention forward+backward at that
-// benchmark's attention shape, on the scalar oracle and on the best
+// headline 256³ NT matmul, the NN, TN and both NT matmuls of the
+// long-context benchmark's FFN (forward, W pass, B pass), and one
+// fused-attention forward+backward at that benchmark's attention shape, on
+// the scalar oracle and on the best
 // registered SIMD backend, and records the speedups, so CI can guard the
 // kernel work without go-test bench plumbing. On machines with no SIMD
 // backend the A/B degenerates to scalar-vs-scalar and reports speedups of 1.
@@ -103,7 +104,8 @@ func newKernelMatmul(rng *tensor.RNG, form string, m, n, k int) *kernelMatmul {
 // RunKernelBench measures the scalar-vs-best-backend A/B: MatMulNT at
 // 256×256×256, and at the long-* benchmark workloads' shapes (H 64, F 172,
 // 4 heads, S 512) the FFN's NN product x·W₁, its TN product dW₁ = xᵀ·dy,
-// and attention forward+backward.
+// its two NT products dy·W₂ᵀ and du·W₁ᵀ (the B pass), and attention
+// forward+backward.
 func RunKernelBench(reps int) (*KernelReport, error) {
 	const hidden, ffn, heads, seq = 64, 172, 4, 512
 	if reps <= 0 {
@@ -114,6 +116,8 @@ func RunKernelBench(reps int) (*KernelReport, error) {
 		newKernelMatmul(rng, "NT", 256, 256, 256),
 		newKernelMatmul(rng, "NN", seq, ffn, hidden),
 		newKernelMatmul(rng, "TN", hidden, ffn, seq),
+		newKernelMatmul(rng, "NT", seq, ffn, hidden),
+		newKernelMatmul(rng, "NT", seq, hidden, ffn),
 	}
 	q, k, v, dout := tensor.New(seq, hidden), tensor.New(seq, hidden), tensor.New(seq, hidden), tensor.New(seq, hidden)
 	for _, t := range []*tensor.Tensor{q, k, v, dout} {

@@ -45,6 +45,11 @@ type PP struct {
 	lossMB map[int]float64
 	seq    int
 
+	// flatW and flatG are the stage's weights and gradients in wire order,
+	// the optimizer's operands: overwritten whole by every step, so the
+	// trainer keeps them rather than allocating a chunk twice per step.
+	flatW, flatG []float32
+
 	// arenas holds each in-flight microbatch's scratch arena, acquired at
 	// forward time and released (reset + pooled) after the W pass. The pool
 	// therefore holds as many arenas as the schedule's peak in-flight
@@ -78,12 +83,15 @@ func NewPP(t Transport, cfg model.Config, opts Options, s Strategy) (*PP, error)
 	}
 	bounds := mdl.Partition(p)
 	lo, hi := bounds[t.Rank()][0], bounds[t.Rank()][1]
+	size := mdl.ChunkSize(lo, hi)
 	return &PP{
 		t:         t,
 		mdl:       mdl,
 		lo:        lo,
 		hi:        hi,
-		opt:       optim.NewAdamW(mdl.ChunkSize(lo, hi), opts.Adam),
+		opt:       optim.NewAdamW(size, opts.Adam),
+		flatW:     make([]float32, size),
+		flatG:     make([]float32, size),
 		opts:      opts,
 		strategy:  s,
 		recompute: opts.Recompute && s != StrategyZB1 && s != StrategyZB2,
@@ -179,9 +187,7 @@ func (p *PP) backwardMBParams(m int) {
 func (p *PP) step(n int) error {
 	span := p.tr.Begin()
 	defer func() { p.tr.End(span, trace.CodeOpt, int64(p.seq), 0) }()
-	size := p.mdl.ChunkSize(p.lo, p.hi)
-	flatW := make([]float32, size)
-	flatG := make([]float32, size)
+	flatW, flatG := p.flatW, p.flatG
 	p.mdl.FlattenChunk(p.lo, p.hi, flatW)
 	flattenGradsRange(p.mdl, p.grads, p.lo, p.hi, flatG)
 	inv := gradFactor(p.opts, n)

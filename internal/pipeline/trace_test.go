@@ -261,3 +261,43 @@ func TestRuntimeFollowsProgram(t *testing.T) {
 		}
 	}
 }
+
+// TestStallSpansLieOutsideOptSpans pins that a span counts towards one phase
+// only: the rollup adds stall time to Exposed and optimizer time to Opt, so a
+// wait recorded inside an opt span would be counted twice (and the step's
+// unattributed remainder would go negative). On no strategy and no rank may a
+// stall span overlap an opt span.
+func TestStallSpansLieOutsideOptSpans(t *testing.T) {
+	const p, n, iters = 2, 4, 2
+	batches := traceTestBatches(n)
+	strategies := append(order.Strategies(), string(StrategyWZB2G), string(StrategyFSDP), string(StrategyDP))
+	for _, s := range strategies {
+		set := trace.NewSet(p, 1<<14)
+		if _, err := RunCluster(Strategy(s), p, traceTestConfig(), Options{Trace: set}, iters,
+			func(int) []data.Batch { return batches }); err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		var opts, stalls [p][]trace.Event
+		for _, e := range set.Events() {
+			switch e.Code {
+			case trace.CodeOpt:
+				opts[e.Rank] = append(opts[e.Rank], e)
+			case trace.CodeStall:
+				stalls[e.Rank] = append(stalls[e.Rank], e)
+			}
+		}
+		for r := 0; r < p; r++ {
+			if len(opts[r]) != iters {
+				t.Fatalf("%s rank %d: %d opt spans, want %d", s, r, len(opts[r]), iters)
+			}
+			for _, o := range opts[r] {
+				for _, st := range stalls[r] {
+					if st.Start < o.Start+o.Dur && st.Start+st.Dur > o.Start {
+						t.Errorf("%s rank %d: stall [%d, %d] (kind %d) overlaps opt [%d, %d]",
+							s, r, st.Start, st.Start+st.Dur, st.A, o.Start, o.Start+o.Dur)
+					}
+				}
+			}
+		}
+	}
+}

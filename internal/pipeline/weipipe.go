@@ -381,11 +381,13 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	}
 
 	// Collect the fully-accumulated gradient for the owned chunk and step.
-	optSpan := w.tr.Begin()
+	// The opt span opens with the gradient in hand: the wait for it is the
+	// receive's own stall span, and a span counts towards one phase only.
 	d, err := w.beltRecv(p-1, Tag{Kind: comm.KindGrad, A: w.ownChunk, B: w.enc(beltRetire, 0)})
 	if err != nil {
 		return 0, err
 	}
+	optSpan := w.tr.Begin()
 	if w.opts.BitFlip != nil {
 		w.opts.BitFlip.Flip(w.t.Rank(), w.iter, FlipBeltGrad, w.beltBody(d))
 	}

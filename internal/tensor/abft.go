@@ -266,6 +266,8 @@ func (b *abftBackend) MatMulTN(dst, a, bb *Tensor, acc bool) {
 
 // The remaining kernels delegate untouched.
 
+func (b *abftBackend) Add(dst, a, bb *Tensor)                 { b.inner.Add(dst, a, bb) }
+func (b *abftBackend) Mul(dst, a, bb *Tensor)                 { b.inner.Mul(dst, a, bb) }
 func (b *abftBackend) Axpy(dst *Tensor, s float32, a *Tensor) { b.inner.Axpy(dst, s, a) }
 func (b *abftBackend) Scale(dst, a *Tensor, s float32)        { b.inner.Scale(dst, a, s) }
 func (b *abftBackend) AddInto(dst, a []float32)               { b.inner.AddInto(dst, a) }

@@ -32,7 +32,8 @@ const (
 	// it is hot in L1.
 	attnTileQ = 32
 	// attnTileK is the key tile; an attnTileQ×attnTileK tile of scores
-	// lives on the stack (two of them in backward).
+	// lives on the stack (two of them in backward). It is also the row
+	// length transposeScale writes, and so the simd NT matmul's b panel.
 	attnTileK = 64
 	// attnTransCols is how many head columns of a key or value tile the
 	// simd scoreTile transposes into the walk's scratch at a time; wider

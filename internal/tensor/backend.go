@@ -49,6 +49,12 @@ type Backend interface {
 	// b is [k,n], dst is [m,n].
 	MatMulTN(dst, a, b *Tensor, acc bool)
 
+	// Add computes dst = a + b elementwise, one add per element on every
+	// backend; dst may alias a or b.
+	Add(dst, a, b *Tensor)
+	// Mul computes dst = a * b elementwise, one multiply per element on
+	// every backend; dst may alias a or b.
+	Mul(dst, a, b *Tensor)
 	// Axpy computes dst += s*a elementwise.
 	Axpy(dst *Tensor, s float32, a *Tensor)
 	// Scale computes dst = s*a elementwise; dst may alias a.

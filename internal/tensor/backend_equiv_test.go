@@ -8,17 +8,17 @@ import (
 
 // The backend equivalence suite: every registered backend is checked
 // against the scalar oracle over edge-case shapes. Order-preserving
-// kernels (Axpy, Scale, AddInto, Dot) must match bit for bit on every
-// backend; the reassociated ones (the three matmul forms, DotF32) on
-// tolerance-mode backends must stay within a bound derived from the
-// absolute-value dot product.
+// kernels (Add, Mul, Axpy, Scale, AddInto, Dot) must match bit for bit on
+// every backend; on tolerance-mode backends the three matmul forms (one
+// fused chain per element) and DotF32 (the one lane-split reduction) must
+// stay within a bound derived from the absolute-value dot product.
 
 // equivShapes covers the dispatch edge cases: unit dims, odd sizes,
 // non-multiples of the 8-lane vector width and of the 4-wide unrolls,
-// sizes straddling the scalar kernels' blockK/blockN boundaries, odd m (the
-// NT pair-kernel remainder row), and — the cross product at the end —
-// every row tail of the 6×16 GEMM tile (m%6 of 1, 5, 0, and the 7 and 13
-// that split 4+3 and 6+4+3) against every column tail (one masked vector,
+// sizes straddling the scalar kernels' blockK/blockN boundaries (and with
+// them NT's transposed b panel and k block), and — the cross product at the
+// end — every row tail of the 6×16 GEMM tile (m%6 of 1, 5, 0, and the 7 and
+// 13 that split 4+3 and 6+4+3) against every column tail (one masked vector,
 // a full one, a full and a masked one, 172 = ten tiles and both) and k.
 var equivShapes = func() [][3]int {
 	shapes := [][3]int{
@@ -53,6 +53,15 @@ func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 		t.Data[i] = float32(rng.NormFloat64())
 	}
 	return t
+}
+
+func requireBitwise(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: elem %d = %b, want %b", what, i, got[i], want[i])
+		}
+	}
 }
 
 // pinScalar selects the scalar oracle for the rest of the test, so that
@@ -99,20 +108,21 @@ func nonScalarBackends() []string {
 	return names
 }
 
-// tolUlps is the relative reassociation bound of the lane-split kernels (NT,
-// DotF32): splitting a float32 sum into 8 lanes plus a balanced tree
-// changes each partial by a few ULPs; 4e-7 (~3.4 float32 ULPs) times the
-// absolute-value sum covers it with margin while still catching real kernel
-// bugs, which produce errors orders of magnitude larger.
+// tolUlps is the relative reassociation bound of the lane-split DotF32:
+// splitting a float32 sum into 8 lanes plus a balanced tree changes each
+// partial by a few ULPs; 4e-7 (~3.4 float32 ULPs) times the absolute-value
+// sum covers it with margin while still catching real kernel bugs, which
+// produce errors orders of magnitude larger.
 const tolUlps = 4e-7
 
-// tolFMA is the bound of the GEMM forms (NN, TN): one ascending FMA chain
-// per element keeps scalar's order but rounds once per step where scalar's
-// mul-then-add rounds twice. Measured over ~4 M elements (k from 8 to 2048,
-// unit normals) the worst deviation was 4.0e-7 of the absolute-value sum,
-// and the fuzzer found a TN element at 4.7e-7 (seeded below); 1e-6 (~8
-// float32 ULPs) covers that with margin — a dropped or doubled term is 1/k
-// of the sum, orders of magnitude larger.
+// tolFMA is the bound of the matmul forms, all three on the GEMM kernel: one
+// ascending FMA chain per element keeps scalar's order (for NN and TN;
+// scalar NT splits its ragged columns four ways) but rounds once per step
+// where scalar's mul-then-add rounds twice. Measured over ~4 M elements (k
+// from 8 to 2048, unit normals) the worst deviation was 4.0e-7 of the
+// absolute-value sum, and the fuzzer found a TN element at 4.7e-7 (seeded
+// below); 1e-6 (~8 float32 ULPs) covers that with margin — a dropped or
+// doubled term is 1/k of the sum, orders of magnitude larger.
 const tolFMA = 1e-6
 
 // mmForm is one of the three matmul forms: how it runs on the current
@@ -136,7 +146,7 @@ var mmForms = []mmForm{
 		func(m, n, k int) [2]int { return [2]int{k, n} },
 		func(m, n, k, i, p int) int { return i*k + p },
 		func(m, n, k, p, j int) int { return p*n + j }},
-	{"NT", tolUlps,
+	{"NT", tolFMA,
 		func(dst, a, b *Tensor, acc bool) { current().MatMulNT(dst, a, b, acc) },
 		func(m, n, k int) [2]int { return [2]int{m, k} },
 		func(m, n, k int) [2]int { return [2]int{n, k} },
@@ -316,6 +326,51 @@ func TestBackendElementwiseEquivalence(t *testing.T) {
 	}
 }
 
+// TestBackendAddMulBitwise pins Add and Mul as exact on every backend — one
+// rounding per element, whatever the vector width — at lengths around the
+// 8-lane step (and none at all), with dst apart from and aliasing either
+// operand.
+func TestBackendAddMulBitwise(t *testing.T) {
+	others := nonScalarBackends()
+	if len(others) == 0 {
+		t.Skip("no non-scalar backend registered on this machine")
+	}
+	scalar, _ := BackendByName("scalar")
+	rng := rand.New(rand.NewSource(15))
+	ops := []struct {
+		name string
+		run  func(bk Backend, dst, a, b *Tensor)
+	}{
+		{"Add", func(bk Backend, dst, a, b *Tensor) { bk.Add(dst, a, b) }},
+		{"Mul", func(bk Backend, dst, a, b *Tensor) { bk.Mul(dst, a, b) }},
+	}
+	for _, name := range others {
+		simd, _ := BackendByName(name)
+		for _, sz := range []int{0, 7, 8, 9, 1023} {
+			// Tensors have no empty shape; the kernels see only Data.
+			draw := func() *Tensor {
+				x := &Tensor{Data: make([]float32, sz)}
+				for i := range x.Data {
+					x.Data[i] = float32(rng.NormFloat64())
+				}
+				return x
+			}
+			clone := func(x *Tensor) *Tensor { return &Tensor{Data: append([]float32(nil), x.Data...)} }
+			a, b := draw(), draw()
+			for _, op := range ops {
+				want, apart, onA, onB := draw(), draw(), clone(a), clone(b)
+				op.run(scalar, want, a, b)
+				op.run(simd, apart, a, b)
+				op.run(simd, onA, onA, b)
+				op.run(simd, onB, a, onB)
+				requireBitwise(t, name+" "+op.name, apart.Data, want.Data)
+				requireBitwise(t, name+" "+op.name+" dst=a", onA.Data, want.Data)
+				requireBitwise(t, name+" "+op.name+" dst=b", onB.Data, want.Data)
+			}
+		}
+	}
+}
+
 // TestBackendRegistry exercises the selection API.
 func TestBackendRegistry(t *testing.T) {
 	// The process starts on the best registered backend: a SIMD one where
@@ -439,23 +494,31 @@ func TestBackendSiLUEquivalence(t *testing.T) {
 
 // FuzzBackendNTEquivalence drives the tolerance contract of the three
 // matmul forms with fuzzer-chosen shapes and data (the name predates NN
-// and TN joining NT in tolerance mode).
+// and TN joining NT in tolerance mode). The arguments are m−1, n−1, k−1.
 func FuzzBackendNTEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(5), uint8(9))
-	f.Add(int64(7), uint8(1), uint8(1), uint8(1))
-	f.Add(int64(42), uint8(16), uint8(8), uint8(32))
-	f.Add(int64(99), uint8(5), uint8(4), uint8(65))
-	f.Add(int64(5), uint8(13), uint8(17), uint8(3))
-	f.Add(int64(88), uint8('#'), uint8('&'), uint8('^')) // TN 12×15×95: 4.7e-7 of Σ|ab|
-	f.Fuzz(func(t *testing.T, seed int64, mr, nr, kr uint8) {
+	f.Add(int64(1), uint16(3), uint16(5), uint16(9))
+	f.Add(int64(7), uint16(0), uint16(0), uint16(0))
+	f.Add(int64(42), uint16(16), uint16(8), uint16(32))
+	f.Add(int64(99), uint16(5), uint16(4), uint16(65))
+	f.Add(int64(5), uint16(13), uint16(17), uint16(3))
+	f.Add(int64(88), uint16(11), uint16(14), uint16(94)) // TN 12×15×95: 4.7e-7 of Σ|ab|
+	// The ragged shapes of TestNTEqualsNNOfTranspose: m, n and k on, one
+	// short of and one past the register tile, the b panel and the k block.
+	for i, sh := range [][3]uint16{
+		{1, 1, 1}, {5, 15, 7}, {6, 64, 64}, {7, 65, 129}, {512, 172, 172},
+		{512, 64, 172}, {512, 172, 64}, {5, 172, 129}, {7, 64, 1}, {1, 65, 172},
+	} {
+		f.Add(int64(100+i), sh[0]-1, sh[1]-1, sh[2]-1)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, mr, nr, kr uint16) {
 		others := nonScalarBackends()
 		if len(others) == 0 {
 			t.Skip("no non-scalar backend registered")
 		}
 		pinScalar(t)
-		m := int(mr%24) + 1
-		n := int(nr%24) + 1
-		k := int(kr%96) + 1
+		m := int(mr%512) + 1
+		n := int(nr%192) + 1
+		k := int(kr%192) + 1
 		rng := rand.New(rand.NewSource(seed))
 		for _, form := range mmForms {
 			a, b := form.operands(rng, m, n, k)

@@ -13,6 +13,8 @@ func (scalarBackend) MatMulNN(dst, a, b *Tensor, acc bool) { matmulNN(dst, a, b,
 func (scalarBackend) MatMulNT(dst, a, b *Tensor, acc bool) { matmulNT(dst, a, b, acc, false) }
 func (scalarBackend) MatMulTN(dst, a, b *Tensor, acc bool) { matmulTN(dst, a, b, acc, false) }
 
+func (scalarBackend) Add(dst, a, b *Tensor)                  { addScalar(dst.Data, a.Data, b.Data) }
+func (scalarBackend) Mul(dst, a, b *Tensor)                  { mulScalar(dst.Data, a.Data, b.Data) }
 func (scalarBackend) Axpy(dst *Tensor, s float32, a *Tensor) { axpyScalar(dst, s, a) }
 func (scalarBackend) Scale(dst, a *Tensor, s float32)        { scaleScalar(dst, a, s) }
 func (scalarBackend) AddInto(dst, a []float32)               { addIntoScalar(dst, a) }

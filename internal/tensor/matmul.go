@@ -15,7 +15,7 @@ import "fmt"
 // units (DESIGN.md §8 has the split-vs-serial table):
 //
 //	scalar matmul   ~4.5 multiply-adds/ns   1<<20   (524 K: 125 µs serial, 126 split; 1.4 M NT: 312 → 202)
-//	simd matmul     25–60 multiply-adds/ns  1<<23   (5.6 M NN: 90 → 92; 11 M: 216 → 205; 16.8 M: 349 → 248)
+//	simd matmul     35–60 multiply-adds/ns  1<<23   (5.6 M NN: 90 → 92, NT 108 → 121; 11 M: 216 → 205, NT 242 → 258; 16.8 M: 349 → 248)
 //	scalar attn     1–2 units/ns            1<<19   (S 64: 144 → 156 fwd; S 96: 317 → 266)
 //	simd attn       9–16 units/ns           1<<22   (S 192: 165 → 168 fwd; S 256: 276 → 227 fwd, 471 → 335 bwd)
 //
@@ -38,7 +38,8 @@ func splitThreshold(simd, attn bool) int {
 	return t
 }
 
-// blockK is the k-panel size of the cache-blocked NN/TN kernels.
+// blockK is the k-panel size of the cache-blocked scalar NN/TN kernels, and
+// of the b panel the simd NT kernel transposes.
 const blockK = 64
 
 // blockN is the j-block width of the NN/TN kernels: the dst row segment and

@@ -7,15 +7,17 @@ import (
 
 // benchShapes are the matmul shapes tracked by the kernel benchmarks: a
 // square projection-sized product, a short-k product with a large output, a
-// long-k product with a small one, and the two FFN shapes of the benchmark's
-// long-* workloads (S 512, H 64, F 172) — x·W₁ as [S,H]×[H,F] and, read as
-// TN, dW₁ = xᵀ·dy as [H,S]×[S,F].
+// long-k product with a small one, and the three FFN shapes of the
+// benchmark's long-* workloads (S 512, H 64, F 172) — x·W₁ as [S,H]×[H,F]
+// (read as NT, the B pass's dy·W₂ᵀ), read as TN dW₁ = xᵀ·dy as [H,S]×[S,F],
+// and read as NT the B pass's du·W₁ᵀ as [S,F]×[F,H].
 var benchShapes = []struct{ m, k, n int }{
 	{256, 256, 256},
 	{1024, 64, 1024},
 	{64, 512, 64},
 	{512, 64, 172},
 	{64, 512, 172},
+	{512, 172, 64},
 }
 
 // benchMatMulBackends runs one sub-benchmark per shape per registered

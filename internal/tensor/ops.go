@@ -6,16 +6,13 @@ import (
 )
 
 // The exported ops below are thin routers: they validate shapes and hand
-// the kernel to the current Backend. Elementwise ops not on the Backend
-// seam (Add, Sub, Mul, Transpose) are pure memory-bound copies with a
-// single rounding per element and stay direct.
+// the kernel to the current Backend. Sub and Transpose, which no training
+// step calls, are not on the Backend seam and stay direct.
 
 // Add computes dst = a + b elementwise. dst may alias a or b.
 func Add(dst, a, b *Tensor) {
 	checkSameSize3(dst, a, b, "Add")
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
+	current().Add(dst, a, b)
 }
 
 // Sub computes dst = a - b elementwise. dst may alias a or b.
@@ -29,9 +26,7 @@ func Sub(dst, a, b *Tensor) {
 // Mul computes dst = a * b elementwise (Hadamard). dst may alias a or b.
 func Mul(dst, a, b *Tensor) {
 	checkSameSize3(dst, a, b, "Mul")
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
-	}
+	current().Mul(dst, a, b)
 }
 
 // Scale computes dst = s * a. dst may alias a.
@@ -124,6 +119,20 @@ func RMSNormRows(y, inv, x, gain *Tensor, eps float64) {
 }
 
 // ---- scalar reference kernels ---------------------------------------------
+
+func addScalar(dst, a, b []float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] + b[i]
+	}
+}
+
+func mulScalar(dst, a, b []float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] * b[i]
+	}
+}
 
 func scaleScalar(dst, a *Tensor, s float32) {
 	for i := range dst.Data {

@@ -9,21 +9,21 @@ package tensor
 //
 // Exactness partition (see DESIGN.md §13):
 //
-//   - Axpy, Scale, AddInto: vectorized across independent output elements
-//     with the scalar per-element rounding sequence (separate mul/add, no
-//     FMA) — bit-identical to scalar.
-//   - NN and TN matmuls: the register-tiled GEMM micro-kernel (gemmAVX2).
-//     Every dst element is one ascending FMA chain over k in its own lane,
-//     from 0 or — accumulating — from dst: fused where scalar rounds the
-//     product and the sum separately, hence tolerance mode. The chain is a
-//     pure function of the element's a row, b column and k — never of m,
-//     the tile, or the worker chunk.
-//   - NT matmul and DotF32: dot-product shaped, vectorized along the
-//     reduction axis with 8 FMA lane chains and a fixed balanced
-//     combine tree — reassociated relative to scalar, hence tolerance
-//     mode. The order is a pure function of the shapes (never the
-//     worker chunking), so results stay deterministic and every
-//     strategy remains bit-identical to every other under this backend.
+//   - Add, Mul, Axpy, Scale, AddInto: vectorized across independent output
+//     elements with the scalar per-element rounding sequence (separate
+//     mul/add, no FMA) — bit-identical to scalar.
+//   - NN, TN and NT matmuls: the register-tiled GEMM micro-kernel
+//     (gemmAVX2), NT through a transposed panel of b. Every dst element is
+//     one ascending FMA chain over k in its own lane, from 0 or —
+//     accumulating — from dst: fused where scalar rounds the product and the
+//     sum separately, hence tolerance mode. The chain is a pure function of
+//     the element's a row, b column and k — never of m, the tile, the panel
+//     or the worker chunk — so every strategy remains bit-identical to
+//     every other under this backend, and a·bᵀ equals a·(bᵀ) bit for bit.
+//   - DotF32: the one lane-split reduction left — 8 FMA lane chains along
+//     the reduction axis and a fixed balanced combine tree, reassociated
+//     relative to scalar, hence tolerance mode; a pure function of the
+//     length.
 //   - CausalAttention and its backward: the shared tile walk of
 //     attention.go with its three tile products on the GEMM kernel — the
 //     scores against a key tile transposed (and scaled) into scratch, the
@@ -47,16 +47,16 @@ func scaleAVX2(dst, a *float32, n8 int, s float32)
 func addIntoAVX2(dst, a *float32, n8 int)
 
 //go:noescape
+func addAVX2(dst, a, b *float32, n8 int)
+
+//go:noescape
+func mulAVX2(dst, a, b *float32, n8 int)
+
+//go:noescape
 func dotAVX2(a, b *float32, n int) float32
 
 //go:noescape
 func gemmAVX2(a *float32, ars, aks uintptr, b *float32, ldb uintptr, c *float32, ldc uintptr, m, n, k int, acc bool)
-
-//go:noescape
-func ntQuad2AVX2(a0, a1, b *float32, k8, kstride int, out *float32)
-
-//go:noescape
-func ntQuad1AVX2(a, b *float32, k8, kstride int, out *float32)
 
 //go:noescape
 func transposeScaleAVX2(dst *float32, ldd uintptr, src *float32, lds uintptr, rb, cb int, scale float32)
@@ -108,8 +108,8 @@ type avx2Backend struct{}
 func (avx2Backend) Name() string { return "avx2" }
 
 // Exact is false because the matmuls, DotF32 and the attention products
-// run on FMA chains (fused, and for NT and DotF32 reassociated, relative to
-// the scalar reference) and SiLU takes its sigmoid from the float32 vector
+// run on FMA chains (fused, and for DotF32 reassociated, relative to the
+// scalar reference) and SiLU takes its sigmoid from the float32 vector
 // exp. The other primitives are bit-identical to scalar; the equivalence
 // suite enforces both halves of this contract.
 func (avx2Backend) Exact() bool { return false }
@@ -117,6 +117,24 @@ func (avx2Backend) Exact() bool { return false }
 func (avx2Backend) MatMulNN(dst, a, b *Tensor, acc bool) { matmulNN(dst, a, b, acc, true) }
 func (avx2Backend) MatMulNT(dst, a, b *Tensor, acc bool) { matmulNT(dst, a, b, acc, true) }
 func (avx2Backend) MatMulTN(dst, a, b *Tensor, acc bool) { matmulTN(dst, a, b, acc, true) }
+
+func (avx2Backend) Add(dst, a, b *Tensor) {
+	d, x, y := dst.Data, a.Data, b.Data
+	n8 := len(d) >> 3
+	if n8 > 0 {
+		addAVX2(&d[0], &x[0], &y[0], n8)
+	}
+	addScalar(d[n8<<3:], x[n8<<3:], y[n8<<3:])
+}
+
+func (avx2Backend) Mul(dst, a, b *Tensor) {
+	d, x, y := dst.Data, a.Data, b.Data
+	n8 := len(d) >> 3
+	if n8 > 0 {
+		mulAVX2(&d[0], &x[0], &y[0], n8)
+	}
+	mulScalar(d[n8<<3:], x[n8<<3:], y[n8<<3:])
+}
 
 func (avx2Backend) Axpy(dst *Tensor, s float32, a *Tensor) {
 	d, src := dst.Data, a.Data
@@ -209,10 +227,10 @@ func (avx2Backend) CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *
 }
 
 // transposeScale writes dst[c·attnTileK + u] = scale·src[u·ld + c] for u < n,
-// c < cols: a key (or value) tile turned so that keys run along rows of
-// attnTileK, the b operand gemm wants. Whole 8×8 blocks go through the
-// shuffle kernel, the fringes through the loop; both round the one multiply
-// alike.
+// c < cols: a key tile — or, for NT, a panel of b rows — turned so that its
+// rows run along rows of attnTileK, the b operand gemm wants. Whole 8×8
+// blocks go through the shuffle kernel, the fringes through the loop; both
+// round the one multiply alike, and a scale of 1 is exact.
 func transposeScale(dst, src []float32, ld, n, cols int, scale float32) {
 	_, _ = dst[(cols-1)*attnTileK+n-1], src[(n-1)*ld+cols-1]
 	n8, c8 := n&^7, cols&^7
@@ -349,118 +367,30 @@ func simdTNRange(g *mmArgs, lo, hi int) {
 	gemm(g.ad[lo:], 1, g.m, g.bd, g.n, g.dd[lo*g.n:], g.n, hi-lo, g.n, g.k, g.acc)
 }
 
-// simdNTRange is the AVX2 NT kernel over dst rows [lo, hi): 2 dst rows ×
-// 4 columns register blocking through ntQuad2AVX2, each b vector feeding
-// two FMAs. Rows pair on global parity (2t with 2t+1) so the pairing —
-// and with it every element's accumulation order — is independent of the
-// worker chunking; a chunk-boundary row runs the single-row kernel, which
-// follows the identical per-column contract.
-//
-// Per-column contract (shared by ntQuad2AVX2, ntQuad1AVX2 and dotAVX2):
-// main sum = 8 ascending FMA lane chains combined by the balanced tree
-// ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)); the k%8 remainder folds in
-// ascending with one mul+add per element; finally dst = sum (store) or
-// dst += sum (accumulate).
+// simdNTRange computes dst rows [lo, hi) of a·bᵀ on the same kernel, the way
+// simdAttnScoreTile does: per panel of attnTileK b rows (dst columns) and per
+// k block, that block of b is transposed into stack scratch and gemm
+// continues every dst element's one FMA chain through it — so a·bᵀ is
+// bit-equal to MatMul(a, transpose(b)). One path for every m: the transpose
+// is paid once per panel, block and call, which only shows at m ≤ 4 (a
+// single row runs at a third of a dot-shaped kernel's rate), and every NT
+// caller is a BackwardInput with m = G·S rows; decode is forward-only NN.
 func simdNTRange(g *mmArgs, lo, hi int) {
-	ad, bd, dd := g.ad, g.bd, g.dd
 	n, k := g.n, g.k
-	k8 := k >> 3
-	kTail := k8 << 3
-	kstride := k * 4
-	nq := n >> 2
-	var out [8]float32
-	i := lo
-	if i < hi && i&1 == 1 {
-		ntRowSIMD(g, i, nq, k8, kTail, kstride)
-		i++
+	if lo == hi {
+		return
 	}
-	for ; i+1 < hi; i += 2 {
-		arow0 := ad[i*k : (i+1)*k]
-		arow1 := ad[(i+1)*k : (i+2)*k]
-		drow0 := dd[i*n : (i+1)*n]
-		drow1 := dd[(i+1)*n : (i+2)*n]
-		for q := 0; q < nq; q++ {
-			j := q * 4
-			if k8 > 0 {
-				ntQuad2AVX2(&arow0[0], &arow1[0], &bd[j*k], k8, kstride, &out[0])
-			} else {
-				out = [8]float32{}
-			}
-			for c := 0; c < 4; c++ {
-				s0, s1 := out[c], out[4+c]
-				brow := bd[(j+c)*k : (j+c+1)*k]
-				for p := kTail; p < k; p++ {
-					s0 += arow0[p] * brow[p]
-					s1 += arow1[p] * brow[p]
-				}
-				if g.acc {
-					drow0[j+c] += s0
-					drow1[j+c] += s1
-				} else {
-					drow0[j+c] = s0
-					drow1[j+c] = s1
-				}
-			}
-		}
-		for j := nq * 4; j < n; j++ {
-			brow := bd[j*k : (j+1)*k]
-			var s0, s1 float32
-			if k > 0 {
-				s0 = dotAVX2(&arow0[0], &brow[0], k)
-				s1 = dotAVX2(&arow1[0], &brow[0], k)
-			}
-			if g.acc {
-				drow0[j] += s0
-				drow1[j] += s1
-			} else {
-				drow0[j] = s0
-				drow1[j] = s1
-			}
-		}
+	if k == 0 {
+		gemm(nil, 0, 1, nil, attnTileK, g.dd[lo*n:], n, hi-lo, n, 0, g.acc)
+		return
 	}
-	if i < hi {
-		ntRowSIMD(g, i, nq, k8, kTail, kstride)
-	}
-}
-
-// ntRowSIMD computes one NT dst row with the single-row kernel, following
-// exactly the per-column contract of the pair path.
-func ntRowSIMD(g *mmArgs, i, nq, k8, kTail, kstride int) {
-	ad, bd, dd := g.ad, g.bd, g.dd
-	n, k := g.n, g.k
-	arow := ad[i*k : (i+1)*k]
-	drow := dd[i*n : (i+1)*n]
-	var out [4]float32
-	for q := 0; q < nq; q++ {
-		j := q * 4
-		if k8 > 0 {
-			ntQuad1AVX2(&arow[0], &bd[j*k], k8, kstride, &out[0])
-		} else {
-			out = [4]float32{}
-		}
-		for c := 0; c < 4; c++ {
-			s := out[c]
-			brow := bd[(j+c)*k : (j+c+1)*k]
-			for p := kTail; p < k; p++ {
-				s += arow[p] * brow[p]
-			}
-			if g.acc {
-				drow[j+c] += s
-			} else {
-				drow[j+c] = s
-			}
-		}
-	}
-	for j := nq * 4; j < n; j++ {
-		brow := bd[j*k : (j+1)*k]
-		var s float32
-		if k > 0 {
-			s = dotAVX2(&arow[0], &brow[0], k)
-		}
-		if g.acc {
-			drow[j] += s
-		} else {
-			drow[j] = s
+	var bt [blockK * attnTileK]float32
+	for j0 := 0; j0 < n; j0 += attnTileK {
+		nb := min(attnTileK, n-j0)
+		for k0 := 0; k0 < k; k0 += blockK {
+			kb := min(blockK, k-k0)
+			transposeScale(bt[:], g.bd[j0*k+k0:], k, nb, kb, 1)
+			gemm(g.ad[lo*k+k0:], k, 1, bt[:], attnTileK, g.dd[lo*n+j0:], n, hi-lo, nb, kb, g.acc || k0 > 0)
 		}
 	}
 }

@@ -95,13 +95,57 @@ addinto_loop:
 	VZEROUPPER
 	RET
 
+// func addAVX2(dst, a, b *float32, n8 int)
+//
+// dst[i] = a[i] + b[i] for i in [0, n8*8); dst may be a or b. Bit-identical
+// to addScalar.
+TEXT ·addAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n8+24(FP), CX
+
+add_loop:
+	VMOVUPS (SI), Y1
+	VADDPS  (DX), Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNE     add_loop
+	VZEROUPPER
+	RET
+
+// func mulAVX2(dst, a, b *float32, n8 int)
+//
+// dst[i] = a[i] * b[i] for i in [0, n8*8); dst may be a or b. Bit-identical
+// to mulScalar.
+TEXT ·mulAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n8+24(FP), CX
+
+mul_loop:
+	VMOVUPS (SI), Y1
+	VMULPS  (DX), Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNE     mul_loop
+	VZEROUPPER
+	RET
+
 // func dotAVX2(a, b *float32, n int) float32
 //
 // Single-vector FMA dot product. Lane l accumulates elements with index
 // ≡ l (mod 8) in ascending order; lanes combine through the balanced tree
 // ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)); the n%8 remainder then folds in
-// ascending with one mul and one add per element. This is the documented
-// tolerance-mode reduction contract shared with the NT matmul kernels.
+// ascending with one mul and one add per element: the documented
+// tolerance-mode contract of DotF32, the only lane-split reduction.
 TEXT ·dotAVX2(SB), NOSPLIT, $0-28
 	MOVQ a+0(FP), SI
 	MOVQ b+8(FP), DX
@@ -143,7 +187,7 @@ dot_done:
 	VZEROUPPER
 	RET
 
-// The GEMM micro-kernel under the NN and TN matmuls and attention's tile
+// The GEMM micro-kernel under the three matmuls and attention's tile
 // products. Every output element is one ascending FMA chain over k in a
 // single vector lane, starting from 0 (store) or from its own c element
 // (accumulate): a pure function of its a row, its b column and k, whatever
@@ -528,127 +572,6 @@ gemm_next_panel:
 	ADDQ  CX, c+40(FP)
 	SUBQ  R15, m+56(FP)
 	JG    gemm_panel
-	VZEROUPPER
-	RET
-
-// func ntQuad2AVX2(a0, a1, b *float32, k8, kstride int, out *float32)
-//
-// Main-sum kernel of the register-blocked NT matmul: two a rows against
-// four consecutive b rows (b, b+kstride, ..., b+3*kstride bytes), over the
-// first k8*8 elements of k. Eight independent FMA accumulators (2 rows ×
-// 4 columns) share every a and b load. Writes the eight raw column sums
-// to out[0..7] (row0 in out[0..3], row1 in out[4..7]); the caller folds
-// the k remainder and performs the store/accumulate, so every code path
-// shares one per-column reduction contract (see dotAVX2). k8 may be 0,
-// in which case out is zeroed.
-TEXT ·ntQuad2AVX2(SB), NOSPLIT, $0-48
-	MOVQ a0+0(FP), SI
-	MOVQ a1+8(FP), DI
-	MOVQ b+16(FP), R8
-	MOVQ k8+24(FP), CX
-	MOVQ kstride+32(FP), R13
-	MOVQ out+40(FP), R12
-	LEAQ (R8)(R13*1), R9
-	LEAQ (R9)(R13*1), R10
-	LEAQ (R10)(R13*1), R11
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	XORQ DX, DX
-	TESTQ CX, CX
-	JZ   nt2_reduce
-
-nt2_loop:
-	VMOVUPS     (SI)(DX*1), Y8
-	VMOVUPS     (DI)(DX*1), Y9
-	VMOVUPS     (R8)(DX*1), Y10
-	VMOVUPS     (R9)(DX*1), Y11
-	VFMADD231PS Y10, Y8, Y0
-	VFMADD231PS Y10, Y9, Y4
-	VFMADD231PS Y11, Y8, Y1
-	VFMADD231PS Y11, Y9, Y5
-	VMOVUPS     (R10)(DX*1), Y10
-	VMOVUPS     (R11)(DX*1), Y11
-	VFMADD231PS Y10, Y8, Y2
-	VFMADD231PS Y10, Y9, Y6
-	VFMADD231PS Y11, Y8, Y3
-	VFMADD231PS Y11, Y9, Y7
-	ADDQ        $32, DX
-	DECQ        CX
-	JNE         nt2_loop
-
-nt2_reduce:
-	// Row 0: Y0..Y3 -> out[0..3]. Two VHADDPS interleave the four
-	// accumulators so each 128-bit half of the result holds the four
-	// per-column half-tree sums; adding the high half onto the low yields
-	// ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)) per column — the dotAVX2 tree.
-	VHADDPS      Y1, Y0, Y0
-	VHADDPS      Y3, Y2, Y2
-	VHADDPS      Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X12
-	VADDPS       X12, X0, X12
-	VMOVUPS      X12, (R12)
-
-	// Row 1: Y4..Y7 -> out[4..7].
-	VHADDPS      Y5, Y4, Y4
-	VHADDPS      Y7, Y6, Y6
-	VHADDPS      Y6, Y4, Y4
-	VEXTRACTF128 $1, Y4, X13
-	VADDPS       X13, X4, X13
-	VMOVUPS      X13, 16(R12)
-	VZEROUPPER
-	RET
-
-// func ntQuad1AVX2(a, b *float32, k8, kstride int, out *float32)
-//
-// Single-row variant of ntQuad2AVX2: one a row against four b rows,
-// writing the four raw column sums to out[0..3]. Identical per-column
-// accumulation and reduction order to ntQuad2AVX2, so a row computed via
-// the single path is bitwise identical to the same row computed as either
-// half of a pair.
-TEXT ·ntQuad1AVX2(SB), NOSPLIT, $0-40
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), R8
-	MOVQ k8+16(FP), CX
-	MOVQ kstride+24(FP), R13
-	MOVQ out+32(FP), R12
-	LEAQ (R8)(R13*1), R9
-	LEAQ (R9)(R13*1), R10
-	LEAQ (R10)(R13*1), R11
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	XORQ DX, DX
-	TESTQ CX, CX
-	JZ   nt1_reduce
-
-nt1_loop:
-	VMOVUPS     (SI)(DX*1), Y8
-	VMOVUPS     (R8)(DX*1), Y10
-	VMOVUPS     (R9)(DX*1), Y11
-	VFMADD231PS Y10, Y8, Y0
-	VFMADD231PS Y11, Y8, Y1
-	VMOVUPS     (R10)(DX*1), Y10
-	VMOVUPS     (R11)(DX*1), Y11
-	VFMADD231PS Y10, Y8, Y2
-	VFMADD231PS Y11, Y8, Y3
-	ADDQ        $32, DX
-	DECQ        CX
-	JNE         nt1_loop
-
-nt1_reduce:
-	VHADDPS      Y1, Y0, Y0
-	VHADDPS      Y3, Y2, Y2
-	VHADDPS      Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X12
-	VADDPS       X12, X0, X12
-	VMOVUPS      X12, (R12)
 	VZEROUPPER
 	RET
 

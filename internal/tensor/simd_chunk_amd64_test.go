@@ -3,32 +3,22 @@
 package tensor
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
 
-func requireBitwise(t *testing.T, what string, got, want []float32) {
-	t.Helper()
-	for i := range want {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("%s: elem %d = %b, want %b", what, i, got[i], want[i])
-		}
-	}
-}
-
 // TestSIMDChunkInvariance pins the determinism contract of the three simd
 // range kernels: computing the same rows through different worker chunkings
-// must produce bitwise identical results. NT rows pair on global parity, so
-// a chunk boundary that splits a pair forces the single-row kernel; NN and
-// TN rows fall into different tiles of the GEMM kernel (a 6-row tile cut
-// into two tails, a 4+3 bottom instead of 6+1) under every split.
+// must produce bitwise identical results. Under every split the rows fall
+// into different tiles of the GEMM kernel (a 6-row tile cut into two tails, a
+// 4+3 bottom instead of 6+1); the last two shapes also cross NT's b panel and
+// k block edges.
 func TestSIMDChunkInvariance(t *testing.T) {
 	if !cpuHasAVX2FMA() {
 		t.Skip("no AVX2+FMA on this machine")
 	}
 	rng := rand.New(rand.NewSource(21))
-	for _, sh := range [][3]int{{8, 6, 19}, {7, 9, 33}, {5, 4, 8}, {9, 13, 64}, {13, 17, 5}, {20, 40, 3}} {
+	for _, sh := range [][3]int{{8, 6, 19}, {7, 9, 33}, {5, 4, 8}, {9, 13, 64}, {13, 17, 5}, {20, 40, 3}, {9, 65, 70}, {14, 172, 129}} {
 		m, n, k := sh[0], sh[1], sh[2]
 		for kind, f := range mmForms {
 			a, b := f.operands(rng, m, n, k)
@@ -53,12 +43,13 @@ func TestSIMDChunkInvariance(t *testing.T) {
 }
 
 // TestGEMMElementIsAPureFunction pins the GEMM kernel's per-element
-// contract: a dst element of an NN or TN product is a function of its a
-// row (column), its b column and k alone. Rows [r0, r1) of a product equal
-// the product of those rows alone, an element equals the 1×1 product of its
-// row and column, and a product split along k into a store and an
+// contract: a dst element of an NN, TN or NT product is a function of its a
+// row (column), its b column (row) and k alone. Rows [r0, r1) of a product
+// equal the product of those rows alone, an element equals the 1×1 product of
+// its row and column, and a product split along k into a store and an
 // accumulate call equals the unsplit one — all bitwise, store and
-// accumulate, across every row- and column-tail of the register tile.
+// accumulate, across every row- and column-tail of the register tile and,
+// for NT, of the transposed b panel and the k block.
 func TestGEMMElementIsAPureFunction(t *testing.T) {
 	if !cpuHasAVX2FMA() {
 		t.Skip("no AVX2+FMA on this machine")
@@ -99,5 +90,93 @@ func TestGEMMElementIsAPureFunction(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// NT has no strides to hand it a sub-matrix in place: columns [k0, k1) of
+	// a row-major operand are copied out.
+	nt := func(dst, a, b []float32, m, n, k int, acc bool) {
+		g := mmArgs{kind: mmNT, acc: acc, simd: true, ad: a, bd: b, dd: dst, m: m, n: n, k: k}
+		g.run(0, m)
+	}
+	cols := func(x []float32, rows, k, k0, k1 int) []float32 {
+		out := make([]float32, 0, rows*(k1-k0))
+		for r := 0; r < rows; r++ {
+			out = append(out, x[r*k+k0:r*k+k1]...)
+		}
+		return out
+	}
+	for _, sh := range [][3]int{{13, 17, 9}, {8, 172, 5}, {7, 24, 64}, {6, 16, 1}, {9, 65, 70}, {7, 130, 129}} {
+		m, n, k := sh[0], sh[1], sh[2]
+		a, b := randTensor(rng, m, k).Data, randTensor(rng, n, k).Data
+		for _, acc := range []bool{false, true} {
+			seed := randTensor(rng, m, n).Data
+			full := append([]float32(nil), seed...)
+			nt(full, a, b, m, n, k, acc)
+
+			for r0 := 0; r0 < m; r0++ {
+				for _, r1 := range []int{r0 + 1, (r0 + m + 1) / 2, m} {
+					got := append([]float32(nil), seed[r0*n:r1*n]...)
+					nt(got, a[r0*k:r1*k], b, r1-r0, n, k, acc)
+					requireBitwise(t, "NT row range", got, full[r0*n:r1*n])
+				}
+			}
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					one := []float32{seed[i*n+j]}
+					nt(one, a[i*k:(i+1)*k], b[j*k:(j+1)*k], 1, 1, k, acc)
+					requireBitwise(t, "NT single element", one, full[i*n+j:i*n+j+1])
+				}
+			}
+			for k1 := 0; k1 <= k; k1++ {
+				got := append([]float32(nil), seed...)
+				nt(got, cols(a, m, k, 0, k1), cols(b, n, k, 0, k1), m, n, k1, acc)
+				nt(got, cols(a, m, k, k1, k), cols(b, n, k, k1, k), m, n, k-k1, true)
+				requireBitwise(t, "NT k split", got, full)
+			}
+		}
+	}
+}
+
+// TestNTEqualsNNOfTranspose pins what putting NT on the GEMM kernel buys:
+// a·bᵀ is the NN product of a with b transposed, bit for bit — store and
+// accumulate, through the dispatcher (the largest shapes split across the
+// pool), over ragged shapes that cross the b panel and k block edges — and an
+// empty product (k = 0, which no tensor shape can carry) stores zeros or
+// leaves dst alone.
+func TestNTEqualsNNOfTranspose(t *testing.T) {
+	if !cpuHasAVX2FMA() {
+		t.Skip("no AVX2+FMA on this machine")
+	}
+	rng := rand.New(rand.NewSource(23))
+	withBackend(t, "avx2", func() {
+		for _, m := range []int{1, 5, 6, 7, 512} {
+			for _, n := range []int{1, 15, 64, 65, 172} {
+				for _, k := range []int{1, 7, 64, 129, 172} {
+					a, b := randTensor(rng, m, k), randTensor(rng, n, k)
+					bt := New(k, n)
+					Transpose(bt, b)
+					seed := randTensor(rng, m, n)
+					got, want := seed.Clone(), seed.Clone()
+					MatMulTB(got, a, b)
+					MatMul(want, a, bt)
+					requireBitwise(t, "NT store", got.Data, want.Data)
+					got, want = seed.Clone(), seed.Clone()
+					MatMulTBAcc(got, a, b)
+					MatMulAcc(want, a, bt)
+					requireBitwise(t, "NT accumulate", got.Data, want.Data)
+				}
+			}
+		}
+	})
+	for _, acc := range []bool{false, true} {
+		const m, n = 7, 65
+		seed := randTensor(rng, m, n)
+		got, want := seed.Clone(), seed.Clone()
+		if !acc {
+			want = New(m, n)
+		}
+		g := mmArgs{kind: mmNT, acc: acc, simd: true, dd: got.Data, m: m, n: n}
+		g.run(0, m)
+		requireBitwise(t, "NT k = 0", got.Data, want.Data)
 	}
 }
