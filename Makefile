@@ -2,7 +2,7 @@ GO ?= go
 # FUZZTIME bounds each fuzz target's run; CI's smoke tier shrinks it.
 FUZZTIME ?= 20s
 
-.PHONY: build test test-noasm check fmt-check orphans bench race vet cross-be chaos elastic fuzz soak sdc sdc-quick bench-guard bench-sweep bench-kernel bench-grouped experiments surface
+.PHONY: build test test-noasm backends check fmt-check orphans bench race vet cross-be chaos elastic fuzz soak sdc sdc-quick bench-guard bench-sweep bench-kernel bench-grouped experiments surface
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,13 @@ test:
 # resolve to the pure-Go fallbacks, mirroring non-amd64 platforms.
 test-noasm:
 	$(GO) test -tags noasm ./...
+
+# backends logs which kernel backends this machine registered and which one
+# "auto" resolves to (GOFLAGS=-tags=noasm for the scalar-only build): CI runs
+# it beside the tests, so a runner whose CPU lacks AVX-512 — where the width
+# tests skip — is visible in the log rather than silently green.
+backends:
+	@$(GO) test -count=1 -v -run 'TestBackendRegistry$$' ./internal/tensor/ | grep -E 'registered backends|^(ok|FAIL)'
 
 vet:
 	$(GO) vet ./...

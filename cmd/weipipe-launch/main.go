@@ -56,7 +56,7 @@ func main() {
 	faults := flag.Int("faults", 0, "number of seeded process-level faults to schedule")
 	verify := flag.Bool("verify", false, "replay the run in-process and require bit-identical weights")
 	epochTimeout := flag.Duration("epoch-timeout", 2*time.Minute, "deadline for one incarnation to resolve")
-	backend := flag.String("backend", "", "tensor kernel backend, for every worker and the -verify replay: scalar, avx2, auto (default: auto, the fastest this CPU supports)")
+	backend := flag.String("backend", "", "tensor kernel backend, for every worker and the -verify replay: scalar, avx2, avx512 (avx2's bits on 16-lane GEMM panels), auto (default: auto, the fastest this CPU supports)")
 	flag.Parse()
 
 	if *backend != "" {

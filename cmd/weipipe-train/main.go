@@ -67,7 +67,7 @@ type runConfig struct {
 
 func main() {
 	strategy := flag.String("strategy", "weipipe-interleave", "training strategy")
-	backend := flag.String("backend", "", "tensor kernel backend: auto (default; the fastest this CPU supports), avx2 (SIMD; FMA-reassociated NT matmul, attention and SiLU), scalar (the bit-exact reference)")
+	backend := flag.String("backend", "", "tensor kernel backend: auto (default; the fastest this CPU supports), avx512 or avx2 (SIMD, the same bits on 16- or 8-lane GEMM panels; FMA-reassociated matmul, attention and SiLU), scalar (the bit-exact reference)")
 	p := flag.Int("p", 2, "workers")
 	wp := flag.Int("wp", 0, "hybrid mode: WeiPipe ring size (0 = plain strategy; implies weipipe-interleave rings × data parallel)")
 	vocab := flag.Int("vocab", 256, "vocabulary size")

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"sync"
 	"time"
 
 	"weipipe/internal/tensor"
@@ -20,6 +21,12 @@ import (
 // registered SIMD backend, and records the speedups, so CI can guard the
 // kernel work without go-test bench plumbing. On machines with no SIMD
 // backend the A/B degenerates to scalar-vs-scalar and reports speedups of 1.
+//
+// Beside the A/B sits what it is a share of: the host's FMA peak, probed per
+// vector width on one goroutine and on GOMAXPROCS of them (vCPUs that share a
+// core's FMA ports sum to the one-goroutine figure), and — when the best
+// backend is avx512 — the avx2 reading of every row, so 16 lanes are stated
+// against 8 on the same run. Neither is gated.
 
 // KernelReport is the serialised measurement, written by
 // `weipipe-bench -kernel`.
@@ -33,10 +40,22 @@ type KernelReport struct {
 	BestBackend   string `json:"best_backend"`
 	Reps          int    `json:"reps"`
 	ToleranceMode bool   `json:"tolerance_mode"`
+	// FMAPeak holds one row per vector width this CPU runs.
+	FMAPeak []FMAPeak `json:"fma_peak"`
 	// Matmuls holds one row per matmul form.
 	Matmuls []MatmulAB `json:"matmuls"`
 	// Attention is the fused causal attention forward+backward A/B.
 	Attention AttentionAB `json:"attention"`
+}
+
+// FMAPeak is the measured FMA ceiling at one vector width: 12 independent
+// FMA chains on registers, on one goroutine and summed over Procs goroutines
+// spinning at once.
+type FMAPeak struct {
+	Lanes     int     `json:"lanes"`
+	Procs     int     `json:"procs"`
+	OneGFlops float64 `json:"one_gflops"`
+	AllGFlops float64 `json:"all_gflops"`
 }
 
 // MatmulAB is one matmul row of the kernel A/B: dst[M,N] from a K-long
@@ -50,6 +69,8 @@ type MatmulAB struct {
 	BestMs     float64 `json:"best_ms"`
 	Speedup    float64 `json:"speedup"`
 	BestGFlops float64 `json:"best_gflops"`
+	// AVX2Ms is the avx2 backend's time when the best backend is avx512.
+	AVX2Ms     float64 `json:"avx2_ms,omitempty"`
 	MaxAbsDiff float64 `json:"max_abs_diff"`
 }
 
@@ -62,6 +83,7 @@ type AttentionAB struct {
 	ScalarMs   float64 `json:"scalar_ms"`
 	BestMs     float64 `json:"best_ms"`
 	Speedup    float64 `json:"speedup"`
+	AVX2Ms     float64 `json:"avx2_ms,omitempty"`
 	MaxAbsDiff float64 `json:"max_abs_diff"`
 }
 
@@ -81,8 +103,8 @@ type kernelMatmul struct {
 	row  MatmulAB
 	a, b *tensor.Tensor
 	run  func(dst, a, b *tensor.Tensor)
-	dst  [2]*tensor.Tensor
-	ms   [2]float64
+	dst  [3]*tensor.Tensor
+	ms   [3]float64
 }
 
 func newKernelMatmul(rng *tensor.RNG, form string, m, n, k int) *kernelMatmul {
@@ -97,7 +119,7 @@ func newKernelMatmul(rng *tensor.RNG, form string, m, n, k int) *kernelMatmul {
 	}
 	tensor.FillUniform(km.a, rng, -1, 1)
 	tensor.FillUniform(km.b, rng, -1, 1)
-	km.dst = [2]*tensor.Tensor{tensor.New(m, n), tensor.New(m, n)}
+	km.dst = [3]*tensor.Tensor{tensor.New(m, n), tensor.New(m, n), tensor.New(m, n)}
 	return km
 }
 
@@ -134,9 +156,18 @@ func RunKernelBench(reps int) (*KernelReport, error) {
 
 	// The two sides take turns rep by rep and each keeps its fastest
 	// timing, so a host that changes speed mid-run slows both alike.
-	backends := [2]string{"scalar", "auto"}
-	var attnMs [2]float64
-	dq := [2]*tensor.Tensor{tensor.New(seq, hidden), tensor.New(seq, hidden)}
+	// The third side is avx2 beside a best backend of avx512.
+	backends := []string{"scalar", "auto"}
+	if err := tensor.SetBackend("auto"); err != nil {
+		return nil, err
+	}
+	rep.BestBackend = tensor.BackendName()
+	rep.ToleranceMode = !tensor.BackendExact()
+	if rep.BestBackend == "avx512" {
+		backends = append(backends, "avx2")
+	}
+	var attnMs [3]float64
+	dq := [3]*tensor.Tensor{tensor.New(seq, hidden), tensor.New(seq, hidden), tensor.New(seq, hidden)}
 	out, lse := tensor.New(seq, hidden), tensor.New(heads*seq)
 	dk, dv := tensor.New(seq, hidden), tensor.New(seq, hidden)
 	timed := func(best *float64, warm bool, run func()) {
@@ -160,11 +191,9 @@ func RunKernelBench(reps int) (*KernelReport, error) {
 			})
 		}
 	}
-	rep.BestBackend = tensor.BackendName()
-	rep.ToleranceMode = !tensor.BackendExact()
 	for _, km := range matmuls {
 		row := km.row
-		row.ScalarMs, row.BestMs = km.ms[0], km.ms[1]
+		row.ScalarMs, row.BestMs, row.AVX2Ms = km.ms[0], km.ms[1], km.ms[2]
 		if row.BestMs > 0 {
 			row.Speedup = row.ScalarMs / row.BestMs
 			row.BestGFlops = 2 * float64(row.M) * float64(row.N) * float64(row.K) / (row.BestMs * 1e6)
@@ -172,12 +201,46 @@ func RunKernelBench(reps int) (*KernelReport, error) {
 		row.MaxAbsDiff = maxAbsDiff(km.dst[0], km.dst[1])
 		rep.Matmuls = append(rep.Matmuls, row)
 	}
-	rep.Attention.ScalarMs, rep.Attention.BestMs = attnMs[0], attnMs[1]
+	rep.Attention.ScalarMs, rep.Attention.BestMs, rep.Attention.AVX2Ms = attnMs[0], attnMs[1], attnMs[2]
 	if rep.Attention.BestMs > 0 {
 		rep.Attention.Speedup = rep.Attention.ScalarMs / rep.Attention.BestMs
 	}
 	rep.Attention.MaxAbsDiff = maxAbsDiff(dq[0], dq[1])
+	rep.FMAPeak = fmaPeak()
 	return rep, nil
+}
+
+// fmaPeak probes the FMA ceiling at 8 and 16 lanes: the fastest of a few
+// ~20 ms spins on this goroutine, then the same with GOMAXPROCS goroutines
+// spinning at once, their rates summed. Widths the CPU lacks yield no row.
+func fmaPeak() []FMAPeak {
+	const rounds, tries = 5 << 20, 5
+	procs := runtime.GOMAXPROCS(0)
+	var rows []FMAPeak
+	for _, lanes := range []int{8, 16} {
+		row := FMAPeak{Lanes: lanes, Procs: procs}
+		for try := 0; try < tries; try++ {
+			start := time.Now()
+			flop := tensor.FMASpin(lanes, rounds)
+			row.OneGFlops = max(row.OneGFlops, flop/float64(time.Since(start).Nanoseconds()))
+
+			var wg sync.WaitGroup
+			start = time.Now()
+			for g := 0; g < procs; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tensor.FMASpin(lanes, rounds)
+				}()
+			}
+			wg.Wait()
+			row.AllGFlops = max(row.AllGFlops, float64(procs)*flop/float64(time.Since(start).Nanoseconds()))
+		}
+		if row.OneGFlops > 0 {
+			rows = append(rows, row)
+		}
+	}
+	return rows
 }
 
 // WriteKernelBench runs the A/B and writes the JSON report.
@@ -194,13 +257,24 @@ func WriteKernelBench(path string, reps int) error {
 		return err
 	}
 	at := rep.Attention
-	fmt.Printf("kernel A/B (best of %d, scalar vs %s, tolerance mode %v):\n", rep.Reps, rep.BestBackend, rep.ToleranceMode)
-	for _, row := range rep.Matmuls {
-		fmt.Printf("  MatMul%s %dx%dx%d\t%8.3f ms -> %8.3f ms (%.2fx, %.1f GFLOP/s, max |diff| %.2e)\n",
-			row.Form, row.M, row.K, row.N, row.ScalarMs, row.BestMs, row.Speedup, row.BestGFlops, row.MaxAbsDiff)
+	for _, pk := range rep.FMAPeak {
+		fmt.Printf("FMA peak, %2d lanes: %6.1f GFLOP/s on one goroutine, %6.1f summed over %d\n",
+			pk.Lanes, pk.OneGFlops, pk.AllGFlops, pk.Procs)
 	}
-	fmt.Printf("  attention fwd+bwd H%d h%d S%d\t%8.3f ms -> %8.3f ms (%.2fx, max |dq diff| %.2e)\n",
-		at.Hidden, at.Heads, at.Seq, at.ScalarMs, at.BestMs, at.Speedup, at.MaxAbsDiff)
+	fmt.Printf("kernel A/B (best of %d, scalar vs %s, tolerance mode %v):\n", rep.Reps, rep.BestBackend, rep.ToleranceMode)
+	// avx2 is the 8-lane reading beside an avx512 best, empty otherwise.
+	avx2 := func(ms float64) string {
+		if ms == 0 {
+			return ""
+		}
+		return fmt.Sprintf("; avx2 %.3f ms", ms)
+	}
+	for _, row := range rep.Matmuls {
+		fmt.Printf("  MatMul%s %dx%dx%d\t%8.3f ms -> %8.3f ms (%.2fx, %.1f GFLOP/s, max |diff| %.2e%s)\n",
+			row.Form, row.M, row.K, row.N, row.ScalarMs, row.BestMs, row.Speedup, row.BestGFlops, row.MaxAbsDiff, avx2(row.AVX2Ms))
+	}
+	fmt.Printf("  attention fwd+bwd H%d h%d S%d\t%8.3f ms -> %8.3f ms (%.2fx, max |dq diff| %.2e%s)\n",
+		at.Hidden, at.Heads, at.Seq, at.ScalarMs, at.BestMs, at.Speedup, at.MaxAbsDiff, avx2(at.AVX2Ms))
 	fmt.Printf("  written to %s\n", path)
 	return nil
 }

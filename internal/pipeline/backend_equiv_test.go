@@ -1,9 +1,12 @@
 package pipeline
 
 import (
+	"hash/crc32"
 	"math"
 	"testing"
 
+	"weipipe/internal/data"
+	"weipipe/internal/model"
 	"weipipe/internal/tensor"
 )
 
@@ -76,5 +79,48 @@ func TestStrategiesPerBackend(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSIMDBackendsTrainTheSameWeights pins the width contract at the
+// training level: three wzb2 and three 1f1b steps end on the same weights —
+// bit for bit, stated as their CRC — under every SIMD backend this machine
+// registers, so checkpoints, replay oracles and weipipe-launch workers may
+// mix avx2 and avx512. The shape gives the GEMM kernel 40-row products: three
+// whole 16-lane panels and a 4-row 8-lane tail under avx512.
+func TestSIMDBackendsTrainTheSameWeights(t *testing.T) {
+	var simd []string
+	for _, bk := range tensor.Backends() {
+		if bk != "scalar" {
+			simd = append(simd, bk)
+		}
+	}
+	if len(simd) < 2 {
+		t.Skipf("backends %v: needs avx2 and avx512 (AVX-512F) to compare", tensor.Backends())
+	}
+	const iters, n, seq = 3, 4, 40
+	cfg := model.Config{Vocab: 13, Hidden: 32, Layers: 4, Heads: 2, MaxSeq: seq, Seed: 42}
+	batches := func(i int) []data.Batch { return data.Microbatches(uint64(100+i), n, 1, cfg.Vocab, seq) }
+	prev := tensor.BackendName()
+	defer func() {
+		if err := tensor.SetBackend(prev); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, s := range []Strategy{StrategyWZB2, Strategy1F1B} {
+		crcs := make([]uint32, len(simd))
+		for i, bk := range simd {
+			if err := tensor.SetBackend(bk); err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunCluster(s, 2, cfg, eqOpts(), iters, batches)
+			if err != nil {
+				t.Fatalf("%s under %s: %v", s, bk, err)
+			}
+			crcs[i] = crc32.ChecksumIEEE(tensor.F32Bytes(res.Weights))
+			if crcs[i] != crcs[0] {
+				t.Errorf("%s: weights CRC %08x under %s, %08x under %s", s, crcs[i], bk, crcs[0], simd[0])
+			}
+		}
 	}
 }

@@ -25,9 +25,12 @@ type DP struct {
 	arena *tensor.Arena
 	// grads accumulates an iteration's gradients; kept and re-zeroed across
 	// iterations (see zeroedGrads).
-	grads   []*nn.ParamSet
-	skipped int
-	tr      *trace.Tracer
+	grads []*nn.ParamSet
+	// flatW and flatG are the replica's weights and gradients in wire order,
+	// overwritten whole by every step and kept for the same reason as PP's.
+	flatW, flatG []float32
+	skipped      int
+	tr           *trace.Tracer
 }
 
 // NewDP builds a DP trainer for this rank.
@@ -36,10 +39,13 @@ func NewDP(t Transport, cfg model.Config, opts Options) (*DP, error) {
 		opts.Scaler = opts.Scaler.Clone()
 	}
 	mdl := model.Build(cfg)
+	total := mdl.NumParams()
 	return &DP{
 		t:     t,
 		mdl:   mdl,
-		opt:   optim.NewAdamW(mdl.NumParams(), opts.Adam),
+		opt:   optim.NewAdamW(total, opts.Adam),
+		flatW: make([]float32, total),
+		flatG: make([]float32, total),
 		opts:  opts,
 		arena: tensor.NewArena(),
 		tr:    opts.Trace.Rank(t.Rank()),
@@ -81,8 +87,7 @@ func (d *DP) TrainIteration(batches []data.Batch) (float64, error) {
 	}
 
 	optSpan := d.tr.Begin()
-	total := d.mdl.NumParams()
-	flatG := make([]float32, total)
+	flatW, flatG := d.flatW, d.flatG
 	flattenGradsRange(d.mdl, grads, 0, nMods, flatG)
 	d.seq++
 	if err := comm.RingAllReduceSum(d.t, flatG, d.seq); err != nil {
@@ -110,7 +115,6 @@ func (d *DP) TrainIteration(batches []data.Batch) (float64, error) {
 				flatG[i] *= c
 			}
 		}
-		flatW := make([]float32, total)
 		d.mdl.FlattenChunk(0, nMods, flatW)
 		d.opt.Step(flatW, flatG)
 		d.mdl.SetChunk(0, nMods, flatW)

@@ -54,8 +54,13 @@ type PP struct {
 	// forward time and released (reset + pooled) after the W pass. The pool
 	// therefore holds as many arenas as the schedule's peak in-flight
 	// microbatch count (N for GPipe, warm-up depth for 1F1B/ZB).
-	arenas  map[int]*tensor.Arena
-	apool   arenaPool
+	arenas map[int]*tensor.Arena
+	apool  arenaPool
+	// inbox holds each in-flight microbatch's received boundary payloads —
+	// the activation from the previous stage, the activation gradient from
+	// the next — which the caches and the W-pass stashes alias until the W
+	// pass; releaseMB hands them back to the transport pool with the arena.
+	inbox   map[int][2][]float32
 	skipped int
 
 	// tr is this rank's runtime tracer (nil when tracing is off).
@@ -115,6 +120,7 @@ func (p *PP) beginIteration() {
 	p.grads = zeroedGrads(p.mdl, p.grads, p.lo, p.hi)
 	p.lossMB = make(map[int]float64)
 	p.arenas = make(map[int]*tensor.Arena)
+	p.inbox = make(map[int][2][]float32)
 }
 
 // hidden returns the boundary activation width (the hidden size).
@@ -131,6 +137,7 @@ func (p *PP) forwardMB(m int, b data.Batch) error {
 		if err != nil {
 			return err
 		}
+		p.inbox[m] = [2][]float32{payload}
 		x = tensor.FromSlice(payload, b.G()*b.S(), p.hidden())
 	}
 	arena := p.apool.acquire()
@@ -159,6 +166,7 @@ func (p *PP) backwardMBInput(m int, b data.Batch) error {
 		if err != nil {
 			return err
 		}
+		p.inbox[m] = [2][]float32{p.inbox[m][0], payload}
 		dy = tensor.FromSlice(payload, b.G()*b.S(), p.hidden())
 	}
 	span := p.tr.Begin()
@@ -176,9 +184,29 @@ func (p *PP) backwardMBParams(m int) {
 	span := p.tr.Begin()
 	backwardRangeW(p.mdl, p.lo, p.hi, p.caches[m], p.grads)
 	p.tr.End(span, trace.CodeW, int64(m), int64(p.t.Rank()))
+	p.releaseMB(m)
+}
+
+// releaseMB drops microbatch m's caches and gives its arena and its received
+// boundary payloads back to their pools: nothing of the microbatch may be
+// read afterwards.
+func (p *PP) releaseMB(m int) {
 	delete(p.caches, m)
 	p.apool.release(p.arenas[m])
 	delete(p.arenas, m)
+	for _, payload := range p.inbox[m] {
+		comm.Release(payload)
+	}
+	delete(p.inbox, m)
+}
+
+// abortIteration releases every microbatch a failed iteration left in
+// flight — each holds an arena from its forward on — so an aborting stage
+// leaks neither arenas nor transport buffers.
+func (p *PP) abortIteration() {
+	for m := range p.arenas {
+		p.releaseMB(m)
+	}
 }
 
 // step averages this stage's accumulated gradients over n microbatches,
@@ -263,6 +291,7 @@ func (p *PP) TrainIteration(batches []data.Batch) (float64, error) {
 			p.backwardMBParams(op.MB)
 		}
 		if err != nil {
+			p.abortIteration()
 			return 0, err
 		}
 	}

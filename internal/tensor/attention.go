@@ -102,7 +102,8 @@ func checkAttnShapes(op string, heads, sq, sk, qOffset int, lse *Tensor, qLike, 
 // simd selects the leaf primitives the shared tile walk runs on, the way
 // mmArgs.simd selects a matmul range kernel.
 type attnArgs struct {
-	bwd, simd        bool
+	bwd              bool
+	simd             lanes
 	q, k, v, out     []float32
 	lse              []float32
 	dout, dq, dk, dv []float32
@@ -138,7 +139,7 @@ func (a *attnArgs) run(lo, hi int) {
 	}
 }
 
-func newAttnArgs(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int, simd bool) attnArgs {
+func newAttnArgs(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int, simd lanes) attnArgs {
 	d := q.Cols() / heads
 	return attnArgs{
 		q: q.Data, k: k.Data, v: v.Data, out: out.Data, lse: lse.Data,
@@ -147,13 +148,13 @@ func newAttnArgs(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int, simd boo
 	}
 }
 
-func causalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int, simd bool) {
+func causalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int, simd lanes) {
 	args := newAttnArgs(out, lse, q, k, v, heads, sq, sk, qOffset, simd)
 	tiles := (sq + attnTileQ - 1) / attnTileQ
 	dispatchAttn(&args, args.g*heads*tiles)
 }
 
-func causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int, simd bool) {
+func causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int, simd lanes) {
 	args := newAttnArgs(out, lse, q, k, v, heads, sq, sk, qOffset, simd)
 	args.bwd = true
 	args.dout, args.dq, args.dk, args.dv = dout.Data, dq.Data, dk.Data, dv.Data
@@ -287,7 +288,7 @@ func attnBackwardHead(a *attnArgs, w *attnScratch, gi, hi int) {
 // x[r·ld:], rows_u those at rows[u·ld:]. Entries of masked keys are left
 // unspecified. scratch is the simd leaves' transposition buffer.
 func (a *attnArgs) scoreTile(dst, scratch, x, rows []float32, t attnTile, scale float32) {
-	if a.simd {
+	if a.simd > 0 {
 		simdAttnScoreTile(a, dst, scratch, x, rows, t, scale)
 		return
 	}
@@ -301,7 +302,7 @@ func (a *attnArgs) scoreTile(dst, scratch, x, rows []float32, t attnTile, scale 
 // keys u row r sees, for every row of the tile. The walk has zeroed the
 // coefficients of masked keys, so a leaf may as well sum over the whole tile.
 func (a *attnArgs) addTile(dst, coef, rows []float32, t attnTile) {
-	if a.simd {
+	if a.simd > 0 {
 		simdAttnAddTile(a, dst, coef, rows, t)
 		return
 	}
@@ -315,7 +316,7 @@ func (a *attnArgs) addTile(dst, coef, rows []float32, t attnTile) {
 // rows_r over the rows r that see key u, ascending, for every key of the
 // tile; dst_u is the d elements at dst[u·ld:].
 func (a *attnArgs) addTileT(dst, coef, rows []float32, t attnTile) {
-	if a.simd {
+	if a.simd > 0 {
 		simdAttnAddTileT(a, dst, coef, rows, t)
 		return
 	}
@@ -329,21 +330,21 @@ func (a *attnArgs) addTileT(dst, coef, rows []float32, t attnTile) {
 }
 
 func (a *attnArgs) expSubRow(s []float32, shift, prev float32) (sum, alpha float32) {
-	if a.simd {
+	if a.simd > 0 {
 		return simdExpSubRow(s, shift, prev)
 	}
 	return expSubRow(s, shift, prev)
 }
 
 func (a *attnArgs) rowMax(s []float32) float32 {
-	if a.simd {
+	if a.simd > 0 {
 		return simdRowMax(s)
 	}
 	return rowMax(s)
 }
 
 func (a *attnArgs) dsRow(ds, p []float32, scale, delta float32) {
-	if a.simd {
+	if a.simd > 0 {
 		simdAttnDsRow(ds, p, scale, delta)
 		return
 	}

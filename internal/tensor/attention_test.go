@@ -355,7 +355,7 @@ func TestCausalAttentionQuerySliceMatchesFullBitwise(t *testing.T) {
 func TestCausalAttentionBitwiseIdenticalAcrossWorkerCounts(t *testing.T) {
 	eachBackend(t, func(t *testing.T) {
 		s := attnShape{2, 3, 24, 180, 180, 0}
-		if s.g*s.heads*s.sq*s.sk*s.d < splitThreshold(true, true) {
+		if s.g*s.heads*s.sq*s.sk*s.d < splitThreshold(16, true) {
 			t.Fatal("test shape below the simd split threshold; enlarge it")
 		}
 		q, k, v, dout := attnInputs(s, 7, 1)
@@ -387,7 +387,7 @@ func TestCausalAttentionZeroAlloc(t *testing.T) {
 		prev := runtime.GOMAXPROCS(4)
 		defer runtime.GOMAXPROCS(prev)
 		for _, s := range []attnShape{{1, 2, 8, 8, 8, 0}, {1, 4, 16, 256, 256, 0}} {
-			pooled := s.g*s.heads*s.sq*s.sk*s.d >= splitThreshold(true, true)
+			pooled := s.g*s.heads*s.sq*s.sk*s.d >= splitThreshold(16, true)
 			q, k, v, dout := attnInputs(s, 8, 1)
 			out, lse, dq, dk, dv := runAttention(s, q, k, v, dout)
 			allocs := testing.AllocsPerRun(5, func() {
@@ -550,9 +550,9 @@ func BenchmarkExpSubRow(b *testing.B) {
 	FillUniform(src, NewRNG(1), -20, 0)
 	dst := New(4096)
 	var sink float32
-	for _, simd := range []bool{false, true} {
+	for _, simd := range []lanes{0, 8} {
 		a := attnArgs{simd: simd}
-		b.Run(fmt.Sprintf("simd=%v", simd), func(b *testing.B) {
+		b.Run(fmt.Sprintf("simd=%v", simd > 0), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(dst.Data, src.Data)
 				sum, _ := a.expSubRow(dst.Data, 0, 0)

@@ -136,19 +136,18 @@ func SetBackend(name string) error {
 	return nil
 }
 
-// bestBackendLocked resolves "auto": any non-scalar backend beats the
-// scalar reference; ties break lexicographically for determinism.
+// autoOrder lists the SIMD backends best first, widest vectors leading.
+var autoOrder = [...]string{"avx512", "avx2"}
+
+// bestBackendLocked resolves "auto": the first of autoOrder this build and
+// CPU registered, the scalar reference when there is none.
 func bestBackendLocked() string {
-	best := "scalar"
-	for n := range backends {
-		if n == "scalar" {
-			continue
-		}
-		if best == "scalar" || n < best {
-			best = n
+	for _, n := range autoOrder {
+		if _, ok := backends[n]; ok {
+			return n
 		}
 	}
-	return best
+	return "scalar"
 }
 
 // BackendName returns the name of the active backend.

@@ -108,6 +108,21 @@ func nonScalarBackends() []string {
 	return names
 }
 
+// simdLanes is the vector width each SIMD backend hands its matmul and
+// attention kernels (mmArgs.simd, attnArgs.simd).
+var simdLanes = map[string]lanes{"avx2": 8, "avx512": 16}
+
+// simdBackends is nonScalarBackends for a test of the kernels under the
+// backends: it skips, naming what is missing, where none is registered.
+func simdBackends(t *testing.T) []string {
+	t.Helper()
+	names := nonScalarBackends()
+	if len(names) == 0 {
+		t.Skip("no SIMD backend registered: needs an amd64 build without noasm on a CPU with AVX2+FMA")
+	}
+	return names
+}
+
 // tolUlps is the relative reassociation bound of the lane-split DotF32:
 // splitting a float32 sum into 8 lanes plus a balanced tree changes each
 // partial by a few ULPs; 4e-7 (~3.4 float32 ULPs) times the absolute-value
@@ -373,15 +388,21 @@ func TestBackendAddMulBitwise(t *testing.T) {
 
 // TestBackendRegistry exercises the selection API.
 func TestBackendRegistry(t *testing.T) {
-	// The process starts on the best registered backend: a SIMD one where
-	// the build and CPU have it, the scalar oracle everywhere else.
+	// The process starts on the best registered backend: the widest SIMD
+	// one the build and CPU have — not the first by name, which would be
+	// avx2 — and the scalar oracle everywhere else.
 	def := "scalar"
-	if others := nonScalarBackends(); len(others) > 0 {
-		def = others[0]
+	for _, name := range nonScalarBackends() {
+		if simdLanes[name] > simdLanes[def] {
+			def = name
+		}
 	}
 	if BackendName() != def {
 		t.Fatalf("default backend = %q, want %q", BackendName(), def)
 	}
+	// `make backends` greps this line into the CI log: a runner without
+	// AVX-512, where the width tests skip, shows there.
+	t.Logf("registered backends %v, auto resolves to %s", Backends(), def)
 	if b, _ := BackendByName("scalar"); !b.Exact() {
 		t.Fatal("scalar backend must report Exact")
 	}

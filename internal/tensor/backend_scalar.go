@@ -9,9 +9,9 @@ type scalarBackend struct{}
 func (scalarBackend) Name() string { return "scalar" }
 func (scalarBackend) Exact() bool  { return true }
 
-func (scalarBackend) MatMulNN(dst, a, b *Tensor, acc bool) { matmulNN(dst, a, b, acc, false) }
-func (scalarBackend) MatMulNT(dst, a, b *Tensor, acc bool) { matmulNT(dst, a, b, acc, false) }
-func (scalarBackend) MatMulTN(dst, a, b *Tensor, acc bool) { matmulTN(dst, a, b, acc, false) }
+func (scalarBackend) MatMulNN(dst, a, b *Tensor, acc bool) { matmulNN(dst, a, b, acc, 0) }
+func (scalarBackend) MatMulNT(dst, a, b *Tensor, acc bool) { matmulNT(dst, a, b, acc, 0) }
+func (scalarBackend) MatMulTN(dst, a, b *Tensor, acc bool) { matmulTN(dst, a, b, acc, 0) }
 
 func (scalarBackend) Add(dst, a, b *Tensor)                  { addScalar(dst.Data, a.Data, b.Data) }
 func (scalarBackend) Mul(dst, a, b *Tensor)                  { mulScalar(dst.Data, a.Data, b.Data) }
@@ -33,9 +33,9 @@ func (scalarBackend) RMSNormRows(y, inv, x, gain *Tensor, eps float64) {
 }
 
 func (scalarBackend) CausalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) {
-	causalAttention(out, lse, q, k, v, heads, sq, sk, qOffset, false)
+	causalAttention(out, lse, q, k, v, heads, sq, sk, qOffset, 0)
 }
 
 func (scalarBackend) CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int) {
-	causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset, false)
+	causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset, 0)
 }

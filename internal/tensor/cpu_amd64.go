@@ -2,11 +2,11 @@
 
 package tensor
 
-// CPU feature detection for the SIMD backend. The container-baked module
+// CPU feature detection for the SIMD backends. The container-baked module
 // has no external dependencies, so instead of golang.org/x/sys/cpu this is
 // the same three-probe sequence that package uses: CPUID leaf 1 for
-// AVX/FMA/OSXSAVE, XGETBV for OS-enabled XMM+YMM state, CPUID leaf 7 for
-// AVX2.
+// AVX/FMA/OSXSAVE, XGETBV for OS-enabled XMM+YMM (and opmask+ZMM) state,
+// CPUID leaf 7 for AVX2 and AVX-512F.
 
 // cpuidAsm executes CPUID with the given leaf and subleaf.
 //
@@ -43,4 +43,19 @@ func cpuHasAVX2FMA() bool {
 	const avx2 = 1 << 5 // CPUID.7.0:EBX.AVX2
 	_, ebx7, _, _ := cpuidAsm(7, 0)
 	return ebx7&avx2 != 0
+}
+
+// cpuHasAVX512F reports whether a CPU that passed cpuHasAVX2FMA also runs
+// the 16-lane GEMM kernel: AVX-512 Foundation present, and the OS saving the
+// opmask and ZMM register state beside XMM+YMM.
+func cpuHasAVX512F() bool {
+	// XCR0 bits 1, 2 (SSE, AVX) and 5, 6, 7 (opmask, ZMM0–15 high halves,
+	// ZMM16–31).
+	xlo, _ := xgetbvAsm()
+	if xlo&0xE6 != 0xE6 {
+		return false
+	}
+	const avx512f = 1 << 16 // CPUID.7.0:EBX.AVX512F
+	_, ebx7, _, _ := cpuidAsm(7, 0)
+	return ebx7&avx512f != 0
 }

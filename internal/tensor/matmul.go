@@ -16,24 +16,34 @@ import "fmt"
 //
 //	scalar matmul   ~4.5 multiply-adds/ns   1<<20   (524 K: 125 µs serial, 126 split; 1.4 M NT: 312 → 202)
 //	simd matmul     35–60 multiply-adds/ns  1<<23   (5.6 M NN: 90 → 92, NT 108 → 121; 11 M: 216 → 205, NT 242 → 258; 16.8 M: 349 → 248)
+//	  at 16 lanes   60–100 multiply-adds/ns 1<<24   (8.4 M NN: 100 → 121; 16.8 M: 201 → 224, TN 209 → 229; 22.5 M: 323 → 308; 33.6 M: 426 → 354)
 //	scalar attn     1–2 units/ns            1<<19   (S 64: 144 → 156 fwd; S 96: 317 → 266)
 //	simd attn       9–16 units/ns           1<<22   (S 192: 165 → 168 fwd; S 256: 276 → 227 fwd, 471 → 335 bwd)
 //
 // (an attention unit is one g·heads·sq·sk·d step: a causal forward spends
 // about one multiply-add plus its share of the exponential on it, a backward
-// about 2.5). The PR-1 value, 1<<17 for everything, predates all of these
-// kernels.
+// about 2.5; attention gains nothing from the wider GEMM panels — its row
+// leaves bound it — so its threshold does not know the width). The PR-1
+// value, 1<<17 for everything, predates all of these kernels.
 const parallelThreshold = 1 << 20
+
+// lanes is the vector width a kernel invocation runs on, in float32 lanes:
+// none selects the pure-Go kernels, 8 the AVX2 set, 16 the AVX2 set with the
+// GEMM micro-kernel's whole panels of rows on AVX-512 (gemm, simd_amd64.go).
+type lanes uint8
 
 // splitThreshold is the work count from which a dispatch of the given
 // kernel class goes to the pool.
-func splitThreshold(simd, attn bool) int {
+func splitThreshold(simd lanes, attn bool) int {
 	t := parallelThreshold
-	if simd {
+	if simd > 0 {
 		t <<= 3
 	}
-	if attn {
+	switch {
+	case attn:
 		t >>= 1
+	case simd == 16:
+		t <<= 1
 	}
 	return t
 }
@@ -83,7 +93,7 @@ const (
 type mmArgs struct {
 	kind       mmKind
 	acc        bool
-	simd       bool
+	simd       lanes
 	ad, bd, dd []float32
 	m, n, k    int
 }
@@ -98,7 +108,7 @@ type mmArgs struct {
 // values: a function-value call would make g escape and put one heap
 // allocation back on every matmul.
 func (g *mmArgs) run(lo, hi int) {
-	if g.simd {
+	if g.simd > 0 {
 		switch g.kind {
 		case mmNN:
 			simdNNRange(g, lo, hi)
@@ -119,7 +129,7 @@ func (g *mmArgs) run(lo, hi int) {
 	}
 }
 
-func matmulNN(dst, a, b *Tensor, acc, simd bool) {
+func matmulNN(dst, a, b *Tensor, acc bool, simd lanes) {
 	m, k := a.Rows(), a.Cols()
 	k2, n := b.Rows(), b.Cols()
 	if k != k2 || dst.Rows() != m || dst.Cols() != n {
@@ -129,7 +139,7 @@ func matmulNN(dst, a, b *Tensor, acc, simd bool) {
 	dispatch(&args, m, m*n*k)
 }
 
-func matmulNT(dst, a, b *Tensor, acc, simd bool) {
+func matmulNT(dst, a, b *Tensor, acc bool, simd lanes) {
 	m, k := a.Rows(), a.Cols()
 	n, k2 := b.Rows(), b.Cols()
 	if k != k2 || dst.Rows() != m || dst.Cols() != n {
@@ -139,7 +149,7 @@ func matmulNT(dst, a, b *Tensor, acc, simd bool) {
 	dispatch(&args, m, m*n*k)
 }
 
-func matmulTN(dst, a, b *Tensor, acc, simd bool) {
+func matmulTN(dst, a, b *Tensor, acc bool, simd lanes) {
 	k, m := a.Rows(), a.Cols()
 	k2, n := b.Rows(), b.Cols()
 	if k != k2 || dst.Rows() != m || dst.Cols() != n {

@@ -13,9 +13,10 @@ import (
 // so both sides of the comparison force GOMAXPROCS explicitly.
 func TestMatMulBitwiseIdenticalAcrossWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	// Big enough to split on every backend, with a row count no worker count
-	// below divides into whole 6-row GEMM tiles.
-	const m, k, n = 200, 256, 172
+	// Big enough to split on every backend (the 16-lane matmul class has the
+	// highest threshold), with a row count no worker count below divides into
+	// whole 6- or 12-row GEMM panels.
+	const m, k, n = 400, 256, 172
 	a := New(m, k)
 	bNN := New(k, n)
 	bNT := New(n, k)
@@ -25,8 +26,8 @@ func TestMatMulBitwiseIdenticalAcrossWorkerCounts(t *testing.T) {
 			x.Data[i] = rng.Float32()*2 - 1
 		}
 	}
-	if m*n*k < splitThreshold(true, false) {
-		t.Fatalf("test shape below the simd split threshold; enlarge it")
+	if m*n*k < splitThreshold(16, false) {
+		t.Fatalf("test shape below the 16-lane split threshold; enlarge it")
 	}
 
 	run := func(workers int) (nn, nt, tn *Tensor) {

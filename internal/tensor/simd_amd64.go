@@ -4,11 +4,15 @@ package tensor
 
 // AVX2 backend: Go-side drivers for the assembly kernels in
 // simd_avx2_amd64.s. Registered at init when the CPU supports AVX2+FMA,
-// and then the process default (backend.go); SetBackend("scalar") pins the
-// bit-exactness oracle instead.
+// and then the process default (backend.go) unless the CPU also has
+// AVX-512, which registers the avx512 backend above it;
+// SetBackend("scalar") pins the bit-exactness oracle instead.
 //
 // Exactness partition (see DESIGN.md §13):
 //
+//   - avx512 = avx2 bit for bit, on every method: it is the avx2 backend
+//     with gemm's rows in whole panels of 12 on the 16-lane micro-kernel
+//     (gemmAVX512, simd_avx512_amd64.s) and the rest on the 8-lane one.
 //   - Add, Mul, Axpy, Scale, AddInto: vectorized across independent output
 //     elements with the scalar per-element rounding sequence (separate
 //     mul/add, no FMA) — bit-identical to scalar.
@@ -59,6 +63,9 @@ func dotAVX2(a, b *float32, n int) float32
 func gemmAVX2(a *float32, ars, aks uintptr, b *float32, ldb uintptr, c *float32, ldc uintptr, m, n, k int, acc bool)
 
 //go:noescape
+func gemmAVX512(a *float32, ars, aks uintptr, b *float32, ldb uintptr, c *float32, ldc uintptr, m, n, k int, acc bool)
+
+//go:noescape
 func transposeScaleAVX2(dst *float32, ldd uintptr, src *float32, lds uintptr, rb, cb int, scale float32)
 
 //go:noescape
@@ -76,6 +83,12 @@ func siluAVX2(dst, a *float32, n8 int)
 //go:noescape
 func siluBackwardAVX2(dst, x, dy *float32, n8 int)
 
+//go:noescape
+func fmaSpinAVX2(iters int)
+
+//go:noescape
+func fmaSpinAVX512(iters int)
+
 // SIMDCompiled reports whether this build carries the assembly kernels:
 // true on amd64 without the noasm tag, whatever the CPU turns out to support.
 const SIMDCompiled = true
@@ -83,7 +96,28 @@ const SIMDCompiled = true
 func registerSIMDBackends() {
 	if cpuHasAVX2FMA() {
 		registerBackend(avx2Backend{})
+		if cpuHasAVX512F() {
+			registerBackend(avx512Backend{})
+		}
 	}
+}
+
+// FMASpin is the FMA-peak probe of the kernel bench: it runs rounds of 12
+// independent FMA chains on registers at the given vector width (8 or 16
+// float32 lanes) and returns the floating-point operations performed — 0
+// where the CPU has no backend of that width, and nothing ran.
+func FMASpin(width, rounds int) (flop float64) {
+	switch {
+	case rounds < 1:
+		return 0
+	case width == 8 && cpuHasAVX2FMA():
+		fmaSpinAVX2(rounds)
+	case width == 16 && cpuHasAVX2FMA() && cpuHasAVX512F():
+		fmaSpinAVX512(rounds)
+	default:
+		return 0
+	}
+	return 12 * 2 * float64(width) * float64(rounds)
 }
 
 // expTab holds expNeg's constants, each broadcast to a full vector, in the
@@ -114,9 +148,9 @@ func (avx2Backend) Name() string { return "avx2" }
 // suite enforces both halves of this contract.
 func (avx2Backend) Exact() bool { return false }
 
-func (avx2Backend) MatMulNN(dst, a, b *Tensor, acc bool) { matmulNN(dst, a, b, acc, true) }
-func (avx2Backend) MatMulNT(dst, a, b *Tensor, acc bool) { matmulNT(dst, a, b, acc, true) }
-func (avx2Backend) MatMulTN(dst, a, b *Tensor, acc bool) { matmulTN(dst, a, b, acc, true) }
+func (avx2Backend) MatMulNN(dst, a, b *Tensor, acc bool) { matmulNN(dst, a, b, acc, 8) }
+func (avx2Backend) MatMulNT(dst, a, b *Tensor, acc bool) { matmulNT(dst, a, b, acc, 8) }
+func (avx2Backend) MatMulTN(dst, a, b *Tensor, acc bool) { matmulTN(dst, a, b, acc, 8) }
 
 func (avx2Backend) Add(dst, a, b *Tensor) {
 	d, x, y := dst.Data, a.Data, b.Data
@@ -219,11 +253,30 @@ func (avx2Backend) RMSNormRows(y, inv, x, gain *Tensor, eps float64) {
 }
 
 func (avx2Backend) CausalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) {
-	causalAttention(out, lse, q, k, v, heads, sq, sk, qOffset, true)
+	causalAttention(out, lse, q, k, v, heads, sq, sk, qOffset, 8)
 }
 
 func (avx2Backend) CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int) {
-	causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset, true)
+	causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset, 8)
+}
+
+// avx512Backend is the avx2 backend with the width of gemm raised to 16
+// lanes on the five methods that reach it; everything else — and every
+// result bit — is avx2's.
+type avx512Backend struct{ avx2Backend }
+
+func (avx512Backend) Name() string { return "avx512" }
+
+func (avx512Backend) MatMulNN(dst, a, b *Tensor, acc bool) { matmulNN(dst, a, b, acc, 16) }
+func (avx512Backend) MatMulNT(dst, a, b *Tensor, acc bool) { matmulNT(dst, a, b, acc, 16) }
+func (avx512Backend) MatMulTN(dst, a, b *Tensor, acc bool) { matmulTN(dst, a, b, acc, 16) }
+
+func (avx512Backend) CausalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) {
+	causalAttention(out, lse, q, k, v, heads, sq, sk, qOffset, 16)
+}
+
+func (avx512Backend) CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int) {
+	causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset, 16)
 }
 
 // transposeScale writes dst[c·attnTileK + u] = scale·src[u·ld + c] for u < n,
@@ -259,7 +312,7 @@ func simdAttnScoreTile(a *attnArgs, dst, scratch, x, rows []float32, t attnTile,
 	for c0 := 0; c0 < d; c0 += attnTransCols {
 		cols := min(attnTransCols, d-c0)
 		transposeScale(scratch, rows[c0:], ld, t.j1-t.j0, cols, scale)
-		gemm(x[t.rlo*ld+c0:], ld, 1, scratch, attnTileK,
+		gemm(a.simd, x[t.rlo*ld+c0:], ld, 1, scratch, attnTileK,
 			dst[(t.rlo-t.i0)*attnTileK:], attnTileK, t.i1-t.rlo, t.j1-t.j0, cols, c0 > 0)
 	}
 }
@@ -272,7 +325,7 @@ func simdAttnScoreTile(a *attnArgs, dst, scratch, x, rows []float32, t attnTile,
 // reaches the earlier rows of the tile.
 func simdAttnAddTile(a *attnArgs, dst, coef, rows []float32, t attnTile) {
 	ld := a.heads * a.d
-	gemm(coef[(t.rlo-t.i0)*attnTileK:], attnTileK, 1, rows, ld,
+	gemm(a.simd, coef[(t.rlo-t.i0)*attnTileK:], attnTileK, 1, rows, ld,
 		dst[t.rlo*ld:], ld, t.i1-t.rlo, a.d, t.j1-t.j0, true)
 }
 
@@ -280,7 +333,7 @@ func simdAttnAddTile(a *attnArgs, dst, coef, rows []float32, t attnTile) {
 // rows[rows × d], the TN form of the same kernel, over all the tile's rows.
 func simdAttnAddTileT(a *attnArgs, dst, coef, rows []float32, t attnTile) {
 	ld := a.heads * a.d
-	gemm(coef[(t.rlo-t.i0)*attnTileK:], 1, attnTileK, rows[t.rlo*ld:], ld,
+	gemm(a.simd, coef[(t.rlo-t.i0)*attnTileK:], 1, attnTileK, rows[t.rlo*ld:], ld,
 		dst, ld, t.j1-t.j0, a.d, t.i1-t.rlo, true)
 }
 
@@ -333,14 +386,19 @@ func simdAttnDsRow(ds, p []float32, scale, delta float32) {
 // eight int32 starting at index 8−w select the first w lanes.
 var gemmMask = [16]int32{-1, -1, -1, -1, -1, -1, -1, -1}
 
+// gemmPanel512 is the one panel height of gemmAVX512.
+const gemmPanel512 = 12
+
 // gemm computes the m×n block c = a·b (c += a·b when acc) on the register-
 // tiled micro-kernel. Strides are in elements: a[i,p] sits at
 // a[i·ars + p·aks], b[p,j] at b[p·ldb + j], c[i,j] at c[i·ldc + j]. Every c
 // element is one ascending FMA chain over k — from 0, or from its own
 // value when acc — in its own vector lane, so it is a pure function of its
 // a row, its b column and k: independent of m, n, the tile it fell into and
-// how callers split the rows or columns between calls.
-func gemm(a []float32, ars, aks int, b []float32, ldb int, c []float32, ldc, m, n, k int, acc bool) {
+// how callers split the rows or columns between calls — and of the kernel:
+// at 16 lanes the rows go in whole panels of 12 to gemmAVX512 and the last
+// m%12 to gemmAVX2, which runs the same chain 8 lanes at a time.
+func gemm(w lanes, a []float32, ars, aks int, b []float32, ldb int, c []float32, ldc, m, n, k int, acc bool) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -353,18 +411,26 @@ func gemm(a []float32, ars, aks int, b []float32, ldb int, c []float32, ldc, m, 
 		return
 	}
 	_, _ = a[(m-1)*ars+(k-1)*aks], b[(k-1)*ldb+n-1]
+	if w == 16 && m >= gemmPanel512 {
+		wide := m - m%gemmPanel512
+		gemmAVX512(&a[0], uintptr(ars)*4, uintptr(aks)*4, &b[0], uintptr(ldb)*4, &c[0], uintptr(ldc)*4, wide, n, k, acc)
+		if wide == m {
+			return
+		}
+		a, c, m = a[wide*ars:], c[wide*ldc:], m-wide
+	}
 	gemmAVX2(&a[0], uintptr(ars)*4, uintptr(aks)*4, &b[0], uintptr(ldb)*4, &c[0], uintptr(ldc)*4, m, n, k, acc)
 }
 
 // simdNNRange computes dst rows [lo, hi) of a·b: a[i,p] = ad[i·k + p].
 func simdNNRange(g *mmArgs, lo, hi int) {
-	gemm(g.ad[lo*g.k:], g.k, 1, g.bd, g.n, g.dd[lo*g.n:], g.n, hi-lo, g.n, g.k, g.acc)
+	gemm(g.simd, g.ad[lo*g.k:], g.k, 1, g.bd, g.n, g.dd[lo*g.n:], g.n, hi-lo, g.n, g.k, g.acc)
 }
 
 // simdTNRange computes dst rows [lo, hi) of aᵀ·b: the same kernel with a's
 // strides swapped, a[i,p] = ad[p·m + i].
 func simdTNRange(g *mmArgs, lo, hi int) {
-	gemm(g.ad[lo:], 1, g.m, g.bd, g.n, g.dd[lo*g.n:], g.n, hi-lo, g.n, g.k, g.acc)
+	gemm(g.simd, g.ad[lo:], 1, g.m, g.bd, g.n, g.dd[lo*g.n:], g.n, hi-lo, g.n, g.k, g.acc)
 }
 
 // simdNTRange computes dst rows [lo, hi) of a·bᵀ on the same kernel, the way
@@ -381,7 +447,7 @@ func simdNTRange(g *mmArgs, lo, hi int) {
 		return
 	}
 	if k == 0 {
-		gemm(nil, 0, 1, nil, attnTileK, g.dd[lo*n:], n, hi-lo, n, 0, g.acc)
+		gemm(g.simd, nil, 0, 1, nil, attnTileK, g.dd[lo*n:], n, hi-lo, n, 0, g.acc)
 		return
 	}
 	var bt [blockK * attnTileK]float32
@@ -390,7 +456,7 @@ func simdNTRange(g *mmArgs, lo, hi int) {
 		for k0 := 0; k0 < k; k0 += blockK {
 			kb := min(blockK, k-k0)
 			transposeScale(bt[:], g.bd[j0*k+k0:], k, nb, kb, 1)
-			gemm(g.ad[lo*k+k0:], k, 1, bt[:], attnTileK, g.dd[lo*n+j0:], n, hi-lo, nb, kb, g.acc || k0 > 0)
+			gemm(g.simd, g.ad[lo*k+k0:], k, 1, bt[:], attnTileK, g.dd[lo*n+j0:], n, hi-lo, nb, kb, g.acc || k0 > 0)
 		}
 	}
 }

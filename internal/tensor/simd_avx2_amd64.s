@@ -861,3 +861,25 @@ silubwd_loop:
 	JNE       silubwd_loop
 	VZEROUPPER
 	RET
+
+// func fmaSpinAVX2(iters int)
+//
+// The FMA-peak probe: iters rounds of 12 independent FMA chains (the GEMM
+// tile's count) on registers, no memory touched — 12·8·2 flop a round at
+// whatever rate the core's FMA ports sustain. The operands are zeros, which
+// run at full speed. iters must be >= 1.
+TEXT ·fmaSpinAVX2(SB), NOSPLIT, $0-8
+	MOVQ iters+0(FP), CX
+	VXORPS Y0, Y0, Y0; VXORPS Y1, Y1, Y1; VXORPS Y2, Y2, Y2; VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4; VXORPS Y5, Y5, Y5; VXORPS Y6, Y6, Y6; VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8; VXORPS Y9, Y9, Y9; VXORPS Y10, Y10, Y10; VXORPS Y11, Y11, Y11
+	VXORPS Y12, Y12, Y12; VXORPS Y13, Y13, Y13
+
+fmaspin_loop:
+	VFMADD231PS Y12, Y13, Y0; VFMADD231PS Y12, Y13, Y1; VFMADD231PS Y12, Y13, Y2; VFMADD231PS Y12, Y13, Y3
+	VFMADD231PS Y12, Y13, Y4; VFMADD231PS Y12, Y13, Y5; VFMADD231PS Y12, Y13, Y6; VFMADD231PS Y12, Y13, Y7
+	VFMADD231PS Y12, Y13, Y8; VFMADD231PS Y12, Y13, Y9; VFMADD231PS Y12, Y13, Y10; VFMADD231PS Y12, Y13, Y11
+	DECQ CX
+	JNE  fmaspin_loop
+	VZEROUPPER
+	RET

@@ -3,7 +3,7 @@
 package tensor
 
 // Scalar-only builds (non-amd64, or the noasm tag): no SIMD backend ever
-// registers, so mmArgs.simd and attnArgs.simd are never set; these stubs
+// registers, so mmArgs.simd and attnArgs.simd stay 0 lanes; these stubs
 // keep the static call sites linking. Where the scalar kernel is a function
 // of the same signature they fall back to it; attention's tile products,
 // whose scalar form is the body of the dispatching method, cannot be
@@ -13,6 +13,10 @@ package tensor
 const SIMDCompiled = false
 
 func registerSIMDBackends() {}
+
+// FMASpin is the kernel bench's FMA-peak probe; a scalar-only build has no
+// vector width to probe and reports that nothing ran.
+func FMASpin(width, rounds int) (flop float64) { return 0 }
 
 func simdNNRange(g *mmArgs, lo, hi int) { mmNNRange(g, lo, hi) }
 func simdNTRange(g *mmArgs, lo, hi int) { mmNTRange(g, lo, hi) }

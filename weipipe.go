@@ -237,7 +237,8 @@ func DisableABFT() { tensor.DisableABFT() }
 
 // SetBackend selects the process-wide tensor kernel backend by name. The
 // process starts on "auto": the fastest backend the build and CPU support
-// ("avx2" on amd64 with AVX2+FMA), which is deterministic and keeps every
+// ("avx512" on amd64 with AVX2+FMA and AVX-512F, else "avx2" with AVX2+FMA;
+// the two compute the same bits), which is deterministic and keeps every
 // strategy bit-identical to every other but reassociates some reductions.
 // "scalar" pins the pure-Go bit-exactness reference — the oracle runs on
 // different machines can be compared against. Unknown names return an error
