@@ -164,15 +164,18 @@ experiments:
 
 # surface prints the size counters ROADMAP "Where the counters stand"
 # tallies: non-test Go lines in the root module (benchmark/ is its own
-# module), exported fields of the option structs, flags per command,
-# WEIPIPE_* environment variables, the transport's line count and the
-# assembly kernels' line count. CI prints
+# module), exported fields of the option structs, the in-process training
+# loops (TrainIteration call sites), flags per command, WEIPIPE_*
+# environment variables, the transport's line count and the assembly
+# kernels' line count. CI prints
 # it on every push so a PR's effect on the surface is a diff of two logs.
 surface:
 	@echo "non-test Go lines: $$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
 		| tr ' ' '\n' | grep '\.go$$' | grep -v '_test\.go$$' | xargs cat | wc -l)"
-	@for t in pipeline.Options comm.TCPOptions schedule.Spec sim.Task; do \
+	@for t in pipeline.Options pipeline.ResilientOptions launch.TrainSpec comm.TCPOptions schedule.Spec sim.Task; do \
 		echo "$$t fields: $$($(GO) doc ./internal/$${t%.*} $${t#*.} | grep -c '^	[A-Z][A-Za-z0-9_, ]* [^ ]')"; done
+	@echo "non-test .TrainIteration( call sites outside benchmark/ and examples/: $$(grep -rn --include='*.go' --exclude='*_test.go' \
+		--exclude-dir=benchmark --exclude-dir=examples '\.TrainIteration(' . | wc -l)"
 	@total=0; for d in cmd/*/; do \
 		n=$$(cat $$d*.go | grep -c 'flag\.\(String\|Int\|Int64\|Uint\|Uint64\|Bool\|Float64\|Duration\)('); \
 		echo "$$d flags: $$n"; total=$$((total+n)); done; echo "flags in all: $$total"

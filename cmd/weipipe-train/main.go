@@ -4,17 +4,18 @@
 // paths a multi-machine deployment would use. It supports the full training
 // loop a production run needs: warm-up + cosine learning-rate schedule,
 // global-norm gradient clipping, checkpoint/resume, hybrid WeiPipe×DP
-// rings, fault-tolerant execution with periodic coordinated checkpoints and
-// restart-on-failure, and a sampled generation at the end.
+// rings, and fault-tolerant execution with periodic coordinated checkpoints
+// and restart-on-failure — all on the one in-process loop
+// (weipipe.RunResilient).
 //
 // Examples:
 //
 //	weipipe-train -strategy weipipe-interleave -p 4 -iters 20
-//	weipipe-train -p 4 -wp 2 -iters 10                     # 2 replicas × 2-worker rings
-//	weipipe-train -iters 10 -checkpoint /tmp/m.wpck        # save when done
-//	weipipe-train -resume /tmp/m.wpck -iters 5             # continue from a snapshot
+//	weipipe-train -p 4 -strategy weipipe-dp -group-size 2  # 2 replicas × 2-worker rings
+//	weipipe-train -iters 10 -checkpoint /tmp/m.wpck        # save the weights when done
+//	weipipe-train -resume /tmp/m.wpck -iters 5             # train on from those weights
 //	weipipe-train -tcp -ckpt-every 5 -max-restarts 3 \
-//	    -checkpoint /tmp/m.wpck                            # survive rank failures
+//	    -checkpoint /tmp/m.wpck                            # survive rank failures; re-run to resume
 //	weipipe-train -tcp -chaos 0.05 -stats                  # chaos-test the transport
 //	weipipe-train -p 4 -strategy wzb2 \
 //	    -trace out.json -metrics                           # runtime tracing + rollup
@@ -32,7 +33,6 @@ import (
 	"weipipe"
 	"weipipe/internal/comm"
 	"weipipe/internal/optim"
-	"weipipe/internal/pipeline"
 	"weipipe/internal/tensor"
 	"weipipe/internal/trace"
 )
@@ -40,7 +40,7 @@ import (
 // runConfig carries every CLI decision into run().
 type runConfig struct {
 	strategy    weipipe.Strategy
-	p, wp       int
+	p           int
 	cfg         weipipe.Config
 	opts        weipipe.Options
 	sched       optim.Schedule
@@ -58,8 +58,7 @@ type runConfig struct {
 	spares      int
 	watchdog    bool
 	stats       bool
-	sample      int
-	resumeW     []float32
+	resume      *weipipe.Snapshot
 	tracePath   string
 	metrics     bool
 	traceSet    *trace.Set
@@ -69,7 +68,6 @@ func main() {
 	strategy := flag.String("strategy", "weipipe-interleave", "training strategy")
 	backend := flag.String("backend", "", "tensor kernel backend: auto (default; the fastest this CPU supports), avx512 or avx2 (SIMD, the same bits on 16- or 8-lane GEMM panels; FMA-reassociated matmul, attention and SiLU), scalar (the bit-exact reference)")
 	p := flag.Int("p", 2, "workers")
-	wp := flag.Int("wp", 0, "hybrid mode: WeiPipe ring size (0 = plain strategy; implies weipipe-interleave rings × data parallel)")
 	vocab := flag.Int("vocab", 256, "vocabulary size")
 	hidden := flag.Int("hidden", 64, "hidden size")
 	layers := flag.Int("layers", 4, "transformer layers")
@@ -85,7 +83,7 @@ func main() {
 	recompute := flag.Bool("recompute", false, "activation checkpointing")
 	mixed := flag.Bool("mixed", false, "fp16/bf16 wire format")
 	bf16 := flag.Bool("bf16", false, "bf16 wire codec for weight and weight-gradient belt payloads (halves belt bytes)")
-	groupSize := flag.Int("group-size", 0, "ranks per topology group for the grouped belt (-strategy wzb2g): weight chunks cross a group boundary once per iteration and recirculate on the intra-group fabric (0 = topology-friendly default; sizes that do not divide -p fall back to the flat belt); also arms the per-link-tier byte meters shown by -stats for any strategy")
+	groupSize := flag.Int("group-size", 0, "ranks per topology group: for -strategy wzb2g, the grouped belt's groups — weight chunks cross a group boundary once per iteration and recirculate on the intra-group fabric (0 = topology-friendly default; sizes that do not divide -p fall back to the flat belt); for -strategy weipipe-dp, the WeiPipe ring size, one data-parallel replica per ring (0 or a size that does not divide -p = one ring of -p); also arms the per-link-tier byte meters shown by -stats for any strategy")
 	tcp := flag.Bool("tcp", false, "use a TCP mesh on loopback instead of in-process channels")
 	dialTimeout := flag.Duration("dial-timeout", 15*time.Second, "TCP mesh bring-up deadline (with -tcp)")
 	chaos := flag.Float64("chaos", 0, "per-frame fault probability for TCP chaos injection: drop, duplicate, reorder (and corrupt at half rate); masked by the reliability layer")
@@ -105,11 +103,10 @@ func main() {
 	bitflipSeed := flag.Uint64("bitflip-seed", 1, "seed for the deterministic bit-flip schedule")
 	verifyCkpt := flag.String("verify-ckpt", "", "verify checkpoint integrity (whole-file CRC + per-section digests) for this file or every *.wpck in this directory, then exit")
 	stats := flag.Bool("stats", false, "print per-rank communication and fault statistics at the end")
-	ckpt := flag.String("checkpoint", "", "checkpoint path: periodic saves in recovery mode, final snapshot always")
-	resume := flag.String("resume", "", "resume from this checkpoint (overrides the model flags)")
-	sample := flag.Int("sample", 0, "sample this many tokens from the trained model at the end")
+	ckpt := flag.String("checkpoint", "", "checkpoint path: with -ckpt-every, the rotating full-state checkpoint (re-running the command resumes from it); else the final weights")
+	resume := flag.String("resume", "", "start from this snapshot's weights, with a fresh optimizer at iteration 0 (overrides the model flags)")
 	tracePath := flag.String("trace", "", "write a Chrome/Perfetto trace of the run to this path (per-rank F/B/W, optimizer, stall, belt-lane and transport spans; open in ui.perfetto.dev or feed to weipipe-trace -compare)")
-	metrics := flag.Bool("metrics", false, "print the per-iteration timing rollup (step/F/B/W/opt/exposed means, stall counts, arena high-water marks) at the end")
+	metrics := flag.Bool("metrics", false, "print the per-iteration timing rollup (step/F/B/W/opt/exposed means, stall counts, the busiest rank's arena high-water mark) at the end")
 	flag.Parse()
 
 	if *verifyCkpt != "" {
@@ -134,14 +131,14 @@ func main() {
 		Vocab: *vocab, Hidden: *hidden, Layers: *layers, Heads: *heads,
 		MaxSeq: *seq, Seed: *seed,
 	}
-	var resumeWeights []float32
+	var resumeSnap *weipipe.Snapshot
 	if *resume != "" {
 		snap, err := weipipe.LoadCheckpoint(*resume)
 		if err != nil {
 			fatal(err)
 		}
 		cfg = snap.Config
-		resumeWeights = snap.Weights
+		resumeSnap = &weipipe.Snapshot{Config: snap.Config, Weights: snap.Weights}
 		fmt.Printf("resumed config from %s (step %d)\n", *resume, snap.Step)
 	}
 	opts := weipipe.DefaultOptions(*lr)
@@ -193,7 +190,7 @@ func main() {
 	}
 
 	rc := runConfig{
-		strategy: weipipe.Strategy(*strategy), p: *p, wp: *wp,
+		strategy: weipipe.Strategy(*strategy), p: *p,
 		cfg: cfg, opts: opts, sched: sched,
 		iters: *iters, n: *n, g: *g,
 		tcp: *tcp, bf16: *bf16, dialTimeout: *dialTimeout,
@@ -201,7 +198,7 @@ func main() {
 		ckptPath: *ckpt, ckptEvery: *ckptEvery, ckptKeep: *ckptKeep,
 		maxRestarts: *maxRestarts, elastic: policy, spares: *spares,
 		watchdog: *watchdog,
-		stats:    *stats, sample: *sample, resumeW: resumeWeights,
+		stats:    *stats, resume: resumeSnap,
 		tracePath: *tracePath, metrics: *metrics,
 	}
 	if rc.chaos > 0 && !rc.tcp {
@@ -221,36 +218,23 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// run trains on the one loop, weipipe.RunResilient: the recovery flags only
+// fill in its options, and -trace/-metrics/-stats read its result.
 func run(rc runConfig) error {
-	resilient := rc.ckptEvery > 0 || rc.maxRestarts > 0 || rc.elastic != weipipe.ElasticNone || rc.watchdog
-	if resilient {
-		if rc.wp > 0 {
-			return fmt.Errorf("recovery mode (-ckpt-every/-max-restarts) does not support hybrid -wp rings yet")
-		}
-		if rc.traceSet != nil {
-			return fmt.Errorf("-trace/-metrics are not supported in recovery mode yet (the restart loop rebuilds trainers mid-trace)")
-		}
-		if rc.resumeW != nil {
-			return fmt.Errorf("recovery mode resumes full state from -checkpoint automatically; -resume is for weight-only snapshots")
-		}
-		return runResilient(rc)
+	mode := ""
+	if rc.ckptEvery > 0 || rc.maxRestarts > 0 || rc.elastic != weipipe.ElasticNone || rc.watchdog {
+		mode = fmt.Sprintf(" (fault-tolerant: checkpoint every %d, up to %d restarts, elastic %s)",
+			rc.ckptEvery, rc.maxRestarts, rc.elastic)
 	}
-	return runPlain(rc)
-}
-
-// runResilient drives training through the fault-tolerant runner: periodic
-// coordinated checkpoints, clean abort on rank failure, restart from the
-// last checkpoint. An existing full-state file at -checkpoint seeds the run.
-func runResilient(rc runConfig) error {
-	fmt.Printf("training %s on %d workers (fault-tolerant: checkpoint every %d, up to %d restarts, elastic %s): %d iterations × %d microbatches of %d×%d tokens\n",
-		rc.strategy, rc.p, rc.ckptEvery, rc.maxRestarts, rc.elastic, rc.iters, rc.n, rc.g, rc.cfg.MaxSeq)
+	fmt.Printf("training %s on %d workers%s: %d iterations × %d microbatches of %d×%d tokens\n",
+		rc.strategy, rc.p, mode, rc.iters, rc.n, rc.g, rc.cfg.MaxSeq)
 	ropts := weipipe.ResilientOptions{
 		CheckpointEvery: rc.ckptEvery,
-		CheckpointPath:  rc.ckptPath,
 		KeepCheckpoints: rc.ckptKeep,
 		MaxRestarts:     rc.maxRestarts,
 		Elastic:         rc.elastic,
 		Spares:          rc.spares,
+		InitialSnapshot: rc.resume,
 		LR:              rc.sched.LR,
 		OnIteration: func(iter int, loss float64) {
 			fmt.Printf("iter %3d  lr %.2e  loss %.4f\n", iter, rc.sched.LR(iter), loss)
@@ -259,6 +243,11 @@ func runResilient(rc runConfig) error {
 			fmt.Printf("elastic repair (%s): ranks %v died, world %d → %d, resuming at iteration %d from buddy replicas\n",
 				ev.Policy, ev.Dead, ev.OldSize, ev.NewSize, ev.Iteration)
 		},
+	}
+	if rc.ckptEvery > 0 {
+		// -checkpoint then holds the rotating full-state checkpoint, and
+		// one left there by an earlier run resumes it.
+		ropts.CheckpointPath = rc.ckptPath
 	}
 	if rc.watchdog {
 		ropts.Watchdog = &weipipe.WatchdogConfig{
@@ -289,122 +278,40 @@ func runResilient(rc runConfig) error {
 		fmt.Printf("spike-flagged steps: %d\n", res.SpikeSteps)
 		fmt.Printf("elastic repairs: %d\n", len(res.Repairs))
 	}
-	return finish(rc, res.Weights)
-}
-
-// runPlain is the direct lock-step loop (no recovery machinery), including
-// hybrid WeiPipe×DP and weight-only resume.
-func runPlain(rc runConfig) error {
-	transports, err := buildTransports(rc, rc.p)
-	if err != nil {
-		return err
-	}
-
-	trainers := make([]weipipe.Trainer, rc.p)
-	{
-		var wg sync.WaitGroup
-		errs := make([]error, rc.p)
-		for r := 0; r < rc.p; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				if rc.wp > 0 {
-					trainers[r], errs[r] = weipipe.NewHybridTrainer(transports[r], rc.cfg, rc.opts, rc.wp)
-				} else {
-					trainers[r], errs[r] = weipipe.NewTrainer(rc.strategy, transports[r], rc.cfg, rc.opts)
-				}
-			}(r)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-	}
-	if rc.resumeW != nil {
-		// load the snapshot into every rank's replica buffer; owners pick up
-		// their chunks from it on the next iteration's injection.
-		for _, tr := range trainers {
-			weipipe.LoadWeights(tr.Model(), rc.resumeW)
-			if w, ok := tr.(*pipeline.WeiPipe); ok {
-				w.ReloadMasterFromModel()
-			}
-		}
-	}
-
-	mode := string(rc.strategy)
-	if rc.wp > 0 {
-		mode = fmt.Sprintf("hybrid weipipe×dp (%d rings of %d)", rc.p/rc.wp, rc.wp)
-	}
-	fmt.Printf("training %s on %d workers: %d iterations × %d microbatches of %d×%d tokens\n",
-		mode, rc.p, rc.iters, rc.n, rc.g, rc.cfg.MaxSeq)
-	for it := 0; it < rc.iters; it++ {
-		for _, tr := range trainers {
-			if ls, ok := tr.(pipeline.LRSetter); ok {
-				ls.SetLR(rc.sched.LR(it))
-			}
-		}
-		batches := weipipe.Microbatches(rc.cfg.Seed+uint64(it), rc.n, rc.g, rc.cfg.Vocab, rc.cfg.MaxSeq)
-		losses := make([]float64, rc.p)
-		errs := make([]error, rc.p)
-		var wg sync.WaitGroup
-		for r := 0; r < rc.p; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				rt := rc.traceSet.Rank(r)
-				span := rt.Begin()
-				losses[r], errs[r] = trainers[r].TrainIteration(batches)
-				rt.End(span, trace.CodeStep, int64(it), 0)
-			}(r)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		fmt.Printf("iter %3d  lr %.2e  loss %.4f\n", it, rc.sched.LR(it), losses[0])
-	}
-
-	if rc.stats {
-		var all []*weipipe.CommStats
-		for _, t := range transports {
-			if m, ok := t.(interface{ CommStats() *weipipe.CommStats }); ok {
-				all = append(all, m.CommStats())
-			}
-		}
-		printStats(all)
-	}
 	if rc.traceSet != nil {
-		if err := writeTraceOutputs(rc, trainers, transports); err != nil {
+		if err := writeTraceOutputs(rc, res); err != nil {
 			return err
 		}
 	}
-	for _, t := range transports {
-		t.Close()
+	// With -ckpt-every the loop's last checkpoint — the final iteration's,
+	// optimizer state included — is already at -checkpoint; only a run
+	// that took none writes the weights.
+	if rc.ckptPath != "" && rc.ckptEvery == 0 {
+		final := weipipe.BuildModel(rc.cfg)
+		weipipe.LoadWeights(final, res.Weights)
+		snap := weipipe.SnapshotModel(final)
+		snap.Step = int64(rc.iters)
+		if err := weipipe.SaveCheckpoint(rc.ckptPath, snap); err != nil {
+			return err
+		}
+		fmt.Printf("checkpoint written to %s\n", rc.ckptPath)
 	}
-	return finish(rc, assemble(trainers, rc.p, rc.wp))
+	return nil
 }
 
 // writeTraceOutputs emits the tracer's two products after training: the
 // -metrics per-iteration rollup (with arena and in-flight high-water marks)
 // and the -trace Chrome JSON with the run's metadata embedded so
 // weipipe-trace -compare can rebuild the matching simulated schedule.
-func writeTraceOutputs(rc runConfig, trainers []weipipe.Trainer, transports []weipipe.Transport) error {
+func writeTraceOutputs(rc runConfig, res *weipipe.ClusterResult) error {
 	if rc.metrics {
 		sum := trace.Summarize(trace.PerIteration(rc.traceSet.Events()))
 		fmt.Print(sum)
-		for r, tr := range trainers {
-			if am, ok := tr.(pipeline.ArenaMeter); ok {
-				fmt.Printf("  rank %d arena high-water: %d slots\n", r, am.ArenaHighWater())
-			}
+		if res.ArenaHighWater > 0 {
+			fmt.Printf("  arena high-water: %d slots (busiest rank)\n", res.ArenaHighWater)
 		}
-		for r, t := range transports {
-			if m, ok := t.(interface{ CommStats() *weipipe.CommStats }); ok {
-				fmt.Printf("  rank %d max in-flight: %d bytes\n", r, m.CommStats().MaxInFlightBytes())
-			}
+		for r, s := range res.Comm {
+			fmt.Printf("  rank %d max in-flight: %d bytes\n", r, s.MaxInFlightBytes())
 		}
 		if d := rc.traceSet.Dropped(); d > 0 {
 			fmt.Printf("  (event ring wrapped: %d oldest events dropped)\n", d)
@@ -425,29 +332,6 @@ func writeTraceOutputs(rc runConfig, trainers []weipipe.Trainer, transports []we
 		}
 		fmt.Printf("trace written to %s (open in ui.perfetto.dev, or: weipipe-trace -compare %s)\n",
 			rc.tracePath, rc.tracePath)
-	}
-	return nil
-}
-
-// finish writes the final checkpoint and runs the optional sampling pass.
-func finish(rc runConfig, weights []float32) error {
-	final := weipipe.BuildModel(rc.cfg)
-	weipipe.LoadWeights(final, weights)
-	if rc.ckptPath != "" {
-		snap := weipipe.SnapshotModel(final)
-		snap.Step = int64(rc.iters)
-		if err := weipipe.SaveCheckpoint(rc.ckptPath, snap); err != nil {
-			return err
-		}
-		fmt.Printf("checkpoint written to %s\n", rc.ckptPath)
-	}
-	if rc.sample > 0 {
-		prompt := weipipe.Microbatches(rc.cfg.Seed, 1, 1, rc.cfg.Vocab, rc.cfg.MaxSeq)[0].Tokens[0][:4]
-		out, err := weipipe.Generate(final, prompt, rc.sample, weipipe.GenOptions{Temperature: 0.8, TopK: 8, Seed: 1})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("sample: prompt %v → %v\n", prompt, out[len(prompt):])
 	}
 	return nil
 }
@@ -567,21 +451,4 @@ func buildTransports(rc runConfig, size int) ([]weipipe.Transport, error) {
 	}
 	fmt.Printf("TCP mesh up on %v\n", addrs)
 	return transports, nil
-}
-
-// assemble gathers the authoritative post-training weights: for hybrid
-// runs, replica 0's ring covers the model; otherwise all trainers do.
-func assemble(trainers []weipipe.Trainer, p, wp int) []float32 {
-	if wp > 0 {
-		return pipeline.AssembleWeights(asPipeline(trainers[:wp]))
-	}
-	return pipeline.AssembleWeights(asPipeline(trainers))
-}
-
-func asPipeline(ts []weipipe.Trainer) []pipeline.Trainer {
-	out := make([]pipeline.Trainer, len(ts))
-	for i, t := range ts {
-		out[i] = t
-	}
-	return out
 }

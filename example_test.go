@@ -33,16 +33,6 @@ func ExampleSimulate() {
 	// Output: weipipe wins: true
 }
 
-// ExampleGenerate samples greedily from an (untrained) model — the decode
-// path is deterministic.
-func ExampleGenerate() {
-	m := weipipe.BuildModel(weipipe.Config{Vocab: 16, Hidden: 8, Layers: 2, Heads: 2, MaxSeq: 8, Seed: 1})
-	a, _ := weipipe.Generate(m, []int{1, 2}, 3, weipipe.GenOptions{})
-	b, _ := weipipe.Generate(m, []int{1, 2}, 3, weipipe.GenOptions{})
-	fmt.Printf("len: %d, deterministic: %v\n", len(a), fmt.Sprint(a) == fmt.Sprint(b))
-	// Output: len: 5, deterministic: true
-}
-
 // ExampleSetBackend pins the scalar kernels, the bit-exactness oracle: the
 // process otherwise starts on the fastest backend its CPU supports, so
 // results compared across machines should pin one.

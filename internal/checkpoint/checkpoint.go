@@ -1,8 +1,6 @@
 // Package checkpoint serialises models (and optionally optimizer moments)
 // to a compact, versioned, checksummed binary format, so long training
-// runs can stop and resume — table stakes for a training system, and the
-// piece that lets the distributed runtimes hand a trained model to the
-// generation tooling.
+// runs can stop and resume — table stakes for a training system.
 //
 // Layout (little-endian):
 //

@@ -27,9 +27,11 @@ func ReplayOracle(spec TrainSpec, history []EpochEvent) ([]float64, []float32, e
 	}
 	losses := make([]float64, spec.Iters)
 	var snap *checkpoint.Snapshot
-	batches := spec.batches()
 	opts := spec.options()
 	opts.Buddy = true // RunRank forces buddy replication on; mirror it
+	inproc := func(_, size int) ([]comm.Transport, error) {
+		return comm.NewCluster(size).Transports(), nil
+	}
 
 	for i, ev := range history {
 		// The segment ends where the next incarnation starts — not at
@@ -44,58 +46,21 @@ func ReplayOracle(spec TrainSpec, history []EpochEvent) ([]float64, []float32, e
 			return nil, nil, fmt.Errorf("launch: epoch %d rolls back from %d to %d across the boundary",
 				ev.Epoch, ev.StartIter, end)
 		}
-
-		cluster := comm.NewCluster(ev.World)
-		trainers := make([]pipeline.Trainer, ev.World)
-		for r := 0; r < ev.World; r++ {
-			tr, err := pipeline.New(pipeline.StrategyWZB2, cluster.Transport(r), spec.config(), opts)
-			if err != nil {
-				cluster.Close()
-				return nil, nil, err
-			}
-			trainers[r] = tr
-		}
-		if snap != nil {
-			if err := pipeline.RestoreSnapshot(snap, trainers); err != nil {
-				cluster.Close()
-				return nil, nil, err
-			}
-		}
-
-		for it := ev.StartIter; it < end; it++ {
-			mb := batches(it)
-			perRank := make([]float64, ev.World)
-			errs := make([]error, ev.World)
-			done := make(chan int, ev.World)
-			for r := 0; r < ev.World; r++ {
-				go func(r int) {
-					perRank[r], errs[r] = trainers[r].TrainIteration(mb)
-					done <- r
-				}(r)
-			}
-			for r := 0; r < ev.World; r++ {
-				<-done
-			}
-			for r := 0; r < ev.World; r++ {
-				if errs[r] != nil {
-					cluster.Close()
-					return nil, nil, fmt.Errorf("launch: oracle epoch %d iter %d rank %d: %w", ev.Epoch, it, r, errs[r])
-				}
-			}
-			losses[it] = perRank[0]
-		}
-
-		if i+1 == len(history) {
-			w := pipeline.AssembleWeights(trainers)
-			cluster.Close()
-			return losses, w, nil
-		}
-		captured, err := pipeline.CaptureSnapshot(trainers, end)
-		cluster.Close()
+		// One call into the shared loop per segment, seeded with the
+		// previous segment's end state. Checkpointing every `end`
+		// iterations makes the segment end its one capture; a zero-length
+		// segment takes none and hands its seed on unchanged.
+		res, err := pipeline.RunResilient(pipeline.StrategyWZB2, ev.World, spec.config(), opts, end,
+			spec.batches(), inproc,
+			pipeline.ResilientOptions{CheckpointEvery: end, InitialSnapshot: snap})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("launch: oracle epoch %d: %w", ev.Epoch, err)
 		}
-		snap = captured
+		copy(losses[ev.StartIter:end], res.Losses[ev.StartIter:])
+		if i+1 == len(history) {
+			return losses, res.Weights, nil
+		}
+		snap = res.Checkpoint
 	}
 	return nil, nil, fmt.Errorf("launch: unreachable")
 }

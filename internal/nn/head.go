@@ -143,12 +143,3 @@ func (o *OutputHead) BackwardParams(cache *Cache, grads *ParamSet) {
 	tensor.MatMulTAAcc(grads.Get("w"), normed, dlogits)
 	o.Norm.BackwardParams(cache.Sub("norm"), subGrads(grads, "norm."))
 }
-
-// ForwardLogits computes the final-norm + LM projection without a loss —
-// the inference path used by generation.
-func (o *OutputHead) ForwardLogits(x *tensor.Tensor, cache *Cache) *tensor.Tensor {
-	normed := o.Norm.Forward(x, cache.Sub("norm"))
-	logits := alloc(cache, x.Rows(), o.W.Cols())
-	tensor.MatMul(logits, normed, o.W)
-	return logits
-}

@@ -78,7 +78,8 @@ func TestHeadShiftInvarianceProperty(t *testing.T) {
 		// by c·Σnormed which differs per row; so instead test the loss of
 		// explicitly shifted logits through Sample-free math:
 		shift := float32(shiftRaw) / 8
-		logits := o.ForwardLogits(x, NewCache(1, 3))
+		logits := tensor.New(3, 7)
+		tensor.MatMul(logits, o.Norm.Forward(x, NewCache(1, 3).Sub("norm")), o.W)
 		l1 := ceOf(logits, targets[0])
 		for i := range logits.Data {
 			logits.Data[i] += shift

@@ -51,33 +51,6 @@ func (t *RopeTable) ApplyInverse(q *tensor.Tensor) {
 	t.rotate(q, -1)
 }
 
-// ApplyAllOffset is ApplyAll with a global position offset: row r encodes
-// position offset + (r % seqLen). Sequence-parallel ranks use it to rotate
-// their local token slice by its true positions.
-func (t *RopeTable) ApplyAllOffset(q *tensor.Tensor, seqLen, heads int, dir float32, offset int) {
-	d := t.headDim
-	half := d / 2
-	rows := q.Rows()
-	width := q.Cols()
-	if width != heads*d {
-		panic("nn: RoPE ApplyAllOffset width mismatch")
-	}
-	for r := 0; r < rows; r++ {
-		pos := offset + r%seqLen
-		row := q.Data[r*width : (r+1)*width]
-		for h := 0; h < heads; h++ {
-			seg := row[h*d : (h+1)*d]
-			for i := 0; i < half; i++ {
-				c := t.cos[pos*half+i]
-				sn := t.sin[pos*half+i] * dir
-				a, b := seg[2*i], seg[2*i+1]
-				seg[2*i] = a*c - b*sn
-				seg[2*i+1] = a*sn + b*c
-			}
-		}
-	}
-}
-
 // ApplyAll rotates every head segment of q, where q is [G*S, heads*headDim]
 // and the position of row r is r % seqLen. dir=+1 rotates forward, dir=-1
 // applies the inverse (gradient) rotation.

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -61,9 +62,9 @@ func maxAbsDiff(a, b []float32) float64 {
 	return m
 }
 
-func checkEquivalence(t *testing.T, s Strategy, p, iters, n int, wantLoss []float64, wantW []float32) {
+func checkEquivalence(t *testing.T, s Strategy, p int, opts Options, iters, n int, wantLoss []float64, wantW []float32) {
 	t.Helper()
-	res, err := RunCluster(s, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n))
+	res, err := RunCluster(s, p, eqCfg(), opts, iters, eqBatches(iters, n))
 	if err != nil {
 		t.Fatalf("%s p=%d: %v", s, p, err)
 	}
@@ -83,14 +84,27 @@ func checkEquivalence(t *testing.T, s Strategy, p, iters, n int, wantLoss []floa
 func TestAllStrategiesMatchSerial(t *testing.T) {
 	const iters, n = 2, 8
 	wantLoss, wantW := serialReference(t, iters, n)
+	type run struct {
+		s            Strategy
+		p, groupSize int
+	}
+	var runs []run
 	for _, s := range Strategies() {
-		for _, p := range []int{2, 4} {
-			s, p := s, p
-			t.Run(string(s)+"_p"+string(rune('0'+p)), func(t *testing.T) {
-				t.Parallel()
-				checkEquivalence(t, s, p, iters, n, wantLoss, wantW)
-			})
+		runs = append(runs, run{s, 2, 0}, run{s, 4, 0})
+	}
+	// The hybrid: two weipipe-interleave rings of 2, one replica each.
+	runs = append(runs, run{StrategyWeiPipeDP, 4, 2})
+	for _, r := range runs {
+		name := fmt.Sprintf("%s_p%d", r.s, r.p)
+		if r.groupSize > 0 {
+			name += fmt.Sprintf("_gs%d", r.groupSize)
 		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			opts := eqOpts()
+			opts.GroupSize = r.groupSize
+			checkEquivalence(t, r.s, r.p, opts, iters, n, wantLoss, wantW)
+		})
 	}
 }
 
@@ -103,7 +117,7 @@ func TestStrategiesMatchSerialOddWorkerCount(t *testing.T) {
 		s := s
 		t.Run(string(s), func(t *testing.T) {
 			t.Parallel()
-			checkEquivalence(t, s, 3, iters, n, wantLoss, wantW)
+			checkEquivalence(t, s, 3, eqOpts(), iters, n, wantLoss, wantW)
 		})
 	}
 }
@@ -136,8 +150,8 @@ func TestWeiPipeManyRounds(t *testing.T) {
 	// R = N/P > 2 rounds: belts must keep circulating across rounds.
 	const iters, n = 1, 12
 	wantLoss, wantW := serialReference(t, iters, n)
-	checkEquivalence(t, StrategyWeiPipeInterleave, 2, iters, n, wantLoss, wantW)
-	checkEquivalence(t, StrategyWeiPipeNaive, 4, iters, n, wantLoss, wantW)
+	checkEquivalence(t, StrategyWeiPipeInterleave, 2, eqOpts(), iters, n, wantLoss, wantW)
+	checkEquivalence(t, StrategyWeiPipeNaive, 4, eqOpts(), iters, n, wantLoss, wantW)
 }
 
 func TestLossDecreasesOverIterations(t *testing.T) {

@@ -46,6 +46,12 @@ const (
 	// crosses the slow inter-group links exactly once per iteration via a
 	// deduplicated holder-ring shard exchange. Bit-identical to WZB2.
 	StrategyWZB2G Strategy = "wzb2g"
+	// StrategyWeiPipeDP is the hybrid WeiPipe×DP runtime (WeiPipeDP):
+	// weipipe-interleave rings of Options.GroupSize contiguous ranks, one
+	// data-parallel replica each. 0 or a size that does not divide the
+	// world gives one ring of every rank. Not in Strategies(): it is a
+	// composition of two of them, not a schedule of its own.
+	StrategyWeiPipeDP Strategy = "weipipe-dp"
 )
 
 // Strategies lists every distributed strategy (excluding the serial
@@ -136,11 +142,13 @@ type Options struct {
 	// only counting them.
 	SpikeSkip bool
 	// GroupSize partitions the ring into contiguous blocks of this many
-	// ranks for the grouped-belt strategy (wzb2g) and for link-tier
-	// traffic accounting. 0 picks a topology-friendly default (4 when the
-	// ring divides by 4, else 2, else flat); a value that does not divide
-	// the ring size falls back to the flat belt (which keeps elastic
-	// shrink-to-p−1 working). All ranks of a run must agree on it.
+	// ranks for the grouped-belt strategy (wzb2g), the WeiPipe rings of
+	// weipipe-dp and link-tier traffic accounting. For wzb2g, 0 picks a
+	// topology-friendly default (4 when the ring divides by 4, else 2, else
+	// flat) and a value that does not divide the ring size falls back to
+	// the flat belt (which keeps elastic shrink-to-p−1 working); for
+	// weipipe-dp either gives one ring of every rank. All ranks of a run
+	// must agree on it.
 	GroupSize int
 	// BitFlip, when non-nil, is the seeded in-memory fault injector of the
 	// chaos tier: it flips scheduled bits in master weights, optimizer
@@ -238,6 +246,12 @@ func New(s Strategy, t Transport, cfg model.Config, opts Options) (Trainer, erro
 		return NewWeiPipe(t, cfg, opts, WeiPipeZB2)
 	case StrategyWZB2G:
 		return NewWeiPipeGrouped(t, cfg, opts)
+	case StrategyWeiPipeDP:
+		ring := opts.GroupSize
+		if ring <= 0 || t.Size()%ring != 0 {
+			ring = t.Size()
+		}
+		return NewWeiPipeDP(t, cfg, opts, WeiPipeInterleave, ring)
 	default:
 		return nil, fmt.Errorf("pipeline: unknown strategy %q", s)
 	}

@@ -170,6 +170,12 @@ func snapshotOptStep(snap *checkpoint.Snapshot) int64 {
 	return snap.Step
 }
 
+// fullState reports whether snap carries the optimizer moments — a
+// coordinated checkpoint rather than a weight-only snapshot.
+func fullState(snap *checkpoint.Snapshot) bool {
+	return snap.Sections["adam.m"] != nil && snap.Sections["adam.v"] != nil
+}
+
 // RestoreSnapshot loads a coordinated checkpoint into a fresh cluster:
 // every rank gets the full weights, its owned slice of the optimizer
 // moments, and the snapshot's iteration counter; WeiPipe ranks running
@@ -179,24 +185,32 @@ func snapshotOptStep(snap *checkpoint.Snapshot) int64 {
 // full flat state, the cluster restored into may have a different world
 // size than the one that captured it (that is the elastic re-shard).
 // Training resumed from the restored state is bit-identical to a run that
-// never stopped.
+// never stopped. A weight-only snapshot loads the weights alone: the
+// optimizer stays fresh and the iteration counter at 0.
 func RestoreSnapshot(snap *checkpoint.Snapshot, trainers []Trainer) error {
 	offsets := moduleOffsets(trainers[0].Model())
 	am, av := snap.Sections["adam.m"], snap.Sections["adam.v"]
-	if am == nil || av == nil {
-		return fmt.Errorf("pipeline: snapshot lacks optimizer moment sections")
-	}
 	optStep := snapshotOptStep(snap)
 	for _, tr := range trainers {
-		rec, ok := tr.(Recoverable)
-		if !ok {
-			return fmt.Errorf("pipeline: %T cannot restore optimizer state", tr)
-		}
 		if err := snap.ApplyTo(tr.Model()); err != nil {
 			return err
 		}
 		if r, ok := tr.(interface{ ReloadMasterFromModel() }); ok {
 			r.ReloadMasterFromModel()
+		}
+		if !fullState(snap) {
+			// The buddy's fresh optimizer is right as it is; its weights
+			// are the successor chunk's slice.
+			if wp, ok := tr.(*WeiPipe); ok && wp.buddy != nil {
+				c, _ := wp.BuddyChunk()
+				blo, bhi := wp.chunkRange(c)
+				copy(wp.buddy.w, snap.Weights[offsets[blo]:offsets[bhi]])
+			}
+			continue
+		}
+		rec, ok := tr.(Recoverable)
+		if !ok {
+			return fmt.Errorf("pipeline: %T cannot restore optimizer state", tr)
 		}
 		lo, hi := rec.OwnedModules()
 		if err := rec.RestoreOptimState(optStep, am[offsets[lo]:offsets[hi]], av[offsets[lo]:offsets[hi]]); err != nil {
@@ -226,8 +240,9 @@ func RestoreSnapshot(snap *checkpoint.Snapshot, trainers []Trainer) error {
 // ResilientOptions configures RunResilient.
 type ResilientOptions struct {
 	// CheckpointEvery takes a coordinated checkpoint after every n-th
-	// completed iteration (0 = never; elastic repair still works, since it
-	// recovers from buddy replicas, not checkpoints).
+	// completed iteration and after the final one (0 = never; elastic
+	// repair still works, since it recovers from buddy replicas, not
+	// checkpoints).
 	CheckpointEvery int
 	// CheckpointPath, when set, persists each checkpoint to disk (and an
 	// existing file there seeds the run, resuming a previous process).
@@ -254,7 +269,8 @@ type ResilientOptions struct {
 	OnRepair func(RepairEvent)
 	// InitialSnapshot, when set, seeds the run from an in-memory snapshot
 	// instead of CheckpointPath — the hook the repair equivalence tests use
-	// to start a fresh cluster from a harvested repair state.
+	// to start a fresh cluster from a harvested repair state. A weight-only
+	// snapshot seeds the weights alone (RestoreSnapshot).
 	InitialSnapshot *checkpoint.Snapshot
 	// WrapTransport, when set, wraps each rank's transport per attempt —
 	// the hook the chaos tests use to inject rank crashes. The straggler
@@ -281,8 +297,9 @@ type attemptFailure struct {
 	repair *checkpoint.Snapshot
 }
 
-// RunResilient is RunCluster with failure recovery: it drives `iters`
-// lock-step iterations of strategy s on p ranks and — when any rank fails
+// RunResilient is the in-process training loop — RunCluster, weipipe-train
+// and launch.ReplayOracle all run on it. It drives `iters` lock-step
+// iterations of strategy s on p ranks and — when any rank fails
 // (peer death, transport closure, injected crash, watchdog declaration) —
 // tears the survivors down cleanly and continues. How it continues is the
 // ElasticPolicy's choice: ElasticNone rebuilds the same world from the last
@@ -309,7 +326,7 @@ func RunResilient(s Strategy, p int, cfg model.Config, opts Options, iters int,
 			if err != nil {
 				return nil, fmt.Errorf("pipeline: resume checkpoint: %w", err)
 			}
-			if loaded.Sections["adam.m"] == nil || loaded.Sections["adam.v"] == nil {
+			if !fullState(loaded) {
 				return nil, fmt.Errorf("pipeline: %s is a weight-only snapshot (no optimizer state); full-state resume needs a checkpoint written by RunResilient mid-run", ropts.CheckpointPath)
 			}
 			snap = loaded
@@ -324,6 +341,9 @@ func RunResilient(s Strategy, p int, cfg model.Config, opts Options, iters int,
 		if fail == nil {
 			res.Repairs = repairs
 			return res, nil
+		}
+		if ropts.MaxRestarts == 0 {
+			return nil, fail.err
 		}
 		if attempt >= ropts.MaxRestarts {
 			return nil, fmt.Errorf("pipeline: failed after %d restarts: %w", attempt, fail.err)
@@ -419,7 +439,9 @@ func runAttempt(s Strategy, p int, cfg model.Config, opts Options, iters int,
 			closeAll()
 			return nil, &attemptFailure{err: err}
 		}
-		start = int((*snap).Step)
+		if fullState(*snap) {
+			start = int((*snap).Step)
+		}
 		if attempt > 0 {
 			// Mark the recovery restore on the timeline: attempt index and
 			// the iteration training resumes from.
@@ -465,7 +487,10 @@ func runAttempt(s Strategy, p int, cfg model.Config, opts Options, iters int,
 				board.SetIdle(r, false)
 			}
 			go func(r int) {
+				rt := opts.Trace.Rank(r)
+				span := rt.Begin()
 				loss, err := trainers[r].TrainIteration(batches)
+				rt.End(span, trace.CodeStep, int64(iter), 0)
 				if board != nil {
 					board.SetIdle(r, true)
 				}
@@ -529,7 +554,7 @@ func runAttempt(s Strategy, p int, cfg model.Config, opts Options, iters int,
 		if ropts.OnIteration != nil {
 			ropts.OnIteration(iter, iterLoss)
 		}
-		if ropts.CheckpointEvery > 0 && (iter+1)%ropts.CheckpointEvery == 0 && iter+1 < iters {
+		if ropts.CheckpointEvery > 0 && ((iter+1)%ropts.CheckpointEvery == 0 || iter+1 == iters) {
 			// The capture (and any disk write below) is a long off-wire
 			// barrier; beacon through it so a slow checkpoint never reads as
 			// a stalled rank.
@@ -554,10 +579,12 @@ func runAttempt(s Strategy, p int, cfg model.Config, opts Options, iters int,
 	}
 
 	res := &ClusterResult{
-		Losses:       append([]float64(nil), losses...),
-		Weights:      AssembleWeights(trainers),
-		SkippedSteps: maxSkipped(trainers),
-		SpikeSteps:   maxSpikes(trainers),
+		Losses:         append([]float64(nil), losses...),
+		Weights:        AssembleWeights(trainers),
+		SkippedSteps:   maxSkipped(trainers),
+		SpikeSteps:     maxSpikes(trainers),
+		Checkpoint:     *snap,
+		ArenaHighWater: maxArenaHighWater(trainers),
 	}
 	for _, t := range ts {
 		if m, ok := t.(comm.Meter); ok {
@@ -573,8 +600,9 @@ func runAttempt(s Strategy, p int, cfg model.Config, opts Options, iters int,
 // Trainer interface.
 type tracedRunner interface{ tracer() *trace.Tracer }
 
-func (s *Serial) tracer() *trace.Tracer  { return s.tr }
-func (d *DP) tracer() *trace.Tracer      { return d.tr }
-func (f *FSDP) tracer() *trace.Tracer    { return f.tr }
-func (p *PP) tracer() *trace.Tracer      { return p.tr }
-func (w *WeiPipe) tracer() *trace.Tracer { return w.tr }
+func (s *Serial) tracer() *trace.Tracer    { return s.tr }
+func (d *DP) tracer() *trace.Tracer        { return d.tr }
+func (f *FSDP) tracer() *trace.Tracer      { return f.tr }
+func (p *PP) tracer() *trace.Tracer        { return p.tr }
+func (w *WeiPipe) tracer() *trace.Tracer   { return w.tr }
+func (h *WeiPipeDP) tracer() *trace.Tracer { return h.inner.tr }

@@ -2,12 +2,11 @@ package pipeline
 
 import (
 	"fmt"
-	"sync"
 
+	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
 	"weipipe/internal/data"
 	"weipipe/internal/model"
-	"weipipe/internal/trace"
 )
 
 // Owner is implemented by every trainer; it reports which contiguous module
@@ -33,7 +32,7 @@ func (p *PP) OwnedModules() (int, int) { return p.lo, p.hi }
 // OwnedModules implements Owner for WeiPipe (the owned chunk).
 func (w *WeiPipe) OwnedModules() (int, int) { return w.chunkRange(w.ownChunk) }
 
-// ClusterResult is the outcome of RunCluster.
+// ClusterResult is the outcome of RunCluster and RunResilient.
 type ClusterResult struct {
 	// Losses holds the per-iteration mean loss (identical across ranks).
 	Losses []float64
@@ -54,6 +53,15 @@ type ClusterResult struct {
 	// Repairs lists the elastic repairs RunResilient performed (empty for
 	// plain runs and for checkpoint-only recovery).
 	Repairs []RepairEvent
+	// Checkpoint is the run's last restart point: the coordinated
+	// checkpoint the loop took last — with CheckpointEvery > 0 always the
+	// final iteration's — else the snapshot it was seeded or repaired from
+	// (nil when there is none). It is a segment's end state for the replay
+	// oracle.
+	Checkpoint *checkpoint.Snapshot
+	// ArenaHighWater is the largest scratch-arena slot count any rank
+	// reached (ArenaMeter; 0 when no trainer recycles arenas).
+	ArenaHighWater int
 }
 
 // SkipCounter is implemented by trainers that count guard-skipped steps.
@@ -100,10 +108,22 @@ func (r *ClusterResult) TotalComm() *comm.Stats {
 	return total
 }
 
+// maxArenaHighWater returns the largest ArenaMeter reading among trainers.
+func maxArenaHighWater(trainers []Trainer) int {
+	out := 0
+	for _, tr := range trainers {
+		if am, ok := tr.(ArenaMeter); ok && am.ArenaHighWater() > out {
+			out = am.ArenaHighWater()
+		}
+	}
+	return out
+}
+
 // RunCluster trains `iters` iterations of strategy s on p in-process ranks,
 // feeding iteration i the microbatch list batchesFn(i) (every rank receives
 // the same list). It returns the per-iteration losses and the assembled
-// final weights. It is the harness used by tests and examples.
+// final weights. It is RunResilient's loop with no recovery options over an
+// in-process fabric carrying the Options.BF16Wire codec and Options.Trace.
 func RunCluster(s Strategy, p int, cfg model.Config, opts Options, iters int,
 	batchesFn func(iter int) []data.Batch) (*ClusterResult, error) {
 
@@ -111,54 +131,12 @@ func RunCluster(s Strategy, p int, cfg model.Config, opts Options, iters int,
 	if opts.BF16Wire {
 		codec = comm.BeltBF16
 	}
-	cluster := comm.NewClusterCodec(p, codec)
-	defer cluster.Close()
-	cluster.AttachTrace(opts.Trace)
-
-	trainers := make([]Trainer, p)
-	losses := make([][]float64, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			tr, err := New(s, cluster.Transport(r), cfg, opts)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			trainers[r] = tr
-			rt := opts.Trace.Rank(r)
-			for i := 0; i < iters; i++ {
-				span := rt.Begin()
-				loss, err := tr.TrainIteration(batchesFn(i))
-				rt.End(span, trace.CodeStep, int64(i), 0)
-				if err != nil {
-					errs[r] = fmt.Errorf("iteration %d: %w", i, err)
-					return
-				}
-				losses[r] = append(losses[r], loss)
-			}
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("rank %d: %w", r, err)
-		}
-	}
-
-	res := &ClusterResult{
-		Losses:       losses[0],
-		Weights:      AssembleWeights(trainers),
-		SkippedSteps: maxSkipped(trainers),
-		SpikeSteps:   maxSpikes(trainers),
-	}
-	for r := 0; r < p; r++ {
-		res.Comm = append(res.Comm, cluster.Stats(r))
-	}
-	return res, nil
+	return RunResilient(s, p, cfg, opts, iters, batchesFn,
+		func(_, size int) ([]comm.Transport, error) {
+			cluster := comm.NewClusterCodec(size, codec)
+			cluster.AttachTrace(opts.Trace)
+			return cluster.Transports(), nil
+		}, ResilientOptions{})
 }
 
 // AssembleWeights builds the full flat parameter vector from each trainer's

@@ -97,7 +97,24 @@ func (h *WeiPipeDP) TrainIteration(batches []data.Batch) (float64, error) {
 	return total / float64(h.world.Size()), nil
 }
 
+// ExportOptimState implements Recoverable (the inner ring's owned chunk;
+// every replica holds the same state).
+func (h *WeiPipeDP) ExportOptimState() (int64, []float32, []float32) {
+	return h.inner.ExportOptimState()
+}
+
+// RestoreOptimState implements Recoverable.
+func (h *WeiPipeDP) RestoreOptimState(step int64, m, v []float32) error {
+	return h.inner.RestoreOptimState(step, m, v)
+}
+
+// SetIteration implements Recoverable.
+func (h *WeiPipeDP) SetIteration(iter int) { h.inner.SetIteration(iter) }
+
+// ReloadMasterFromModel re-arms the inner ring's guards after a weight load.
+func (h *WeiPipeDP) ReloadMasterFromModel() { h.inner.ReloadMasterFromModel() }
+
 var (
-	_ Trainer = (*WeiPipeDP)(nil)
-	_ Owner   = (*WeiPipeDP)(nil)
+	_ Trainer     = (*WeiPipeDP)(nil)
+	_ Recoverable = (*WeiPipeDP)(nil)
 )

@@ -16,8 +16,8 @@
 //
 // RunCluster/NewTrainer drive the first system, Simulate the second; the
 // cmd/ tools and examples/ directory show both in use. Beyond the paper,
-// the module also provides hybrid WeiPipe×DP rings (NewHybridTrainer),
-// checkpointing, and sampling-based generation.
+// the module also provides hybrid WeiPipe×DP rings (NewHybridTrainer, or
+// the "weipipe-dp" strategy name), checkpointing and failure recovery.
 package weipipe
 
 import (
@@ -26,7 +26,6 @@ import (
 	"weipipe/internal/comm"
 	"weipipe/internal/cost"
 	"weipipe/internal/data"
-	"weipipe/internal/generate"
 	"weipipe/internal/model"
 	"weipipe/internal/optim"
 	"weipipe/internal/pipeline"
@@ -276,12 +275,13 @@ func NewFaultTransport(inner Transport, cfg FaultConfig) *FaultTransport {
 	return comm.NewFaultTransport(inner, cfg)
 }
 
-// RunResilient is RunCluster with failure recovery: clean abort of the
-// surviving ranks when one fails, then either elastic repair at the failure
-// barrier from buddy replicas (shrinking the ring or admitting a spare,
-// per ResilientOptions.Elastic — no checkpoint read) or restart from the
-// last coordinated checkpoint, on fresh transports built by the transports
-// factory (once per attempt; elastic repair changes the requested size).
+// RunResilient is the in-process training loop RunCluster runs on, with
+// failure recovery: clean abort of the surviving ranks when one fails, then
+// either elastic repair at the failure barrier from buddy replicas
+// (shrinking the ring or admitting a spare, per ResilientOptions.Elastic —
+// no checkpoint read) or restart from the last coordinated checkpoint, on
+// fresh transports built by the transports factory (once per attempt;
+// elastic repair changes the requested size).
 // The recovered loss trajectory is bit-identical to an uninterrupted run.
 func RunResilient(s Strategy, p int, cfg Config, opts Options, iters int,
 	batchesFn func(iter int) []Batch,
@@ -379,14 +379,6 @@ func BuildModel(cfg Config) *Model { return model.Build(cfg) }
 // into a model built with the matching config.
 func LoadWeights(m *Model, weights []float32) {
 	m.SetChunk(0, len(m.Modules), weights)
-}
-
-// GenOptions controls sampling in Generate.
-type GenOptions = generate.Options
-
-// Generate extends prompt by n sampled tokens using the trained model.
-func Generate(m *Model, prompt []int, n int, opts GenOptions) ([]int, error) {
-	return generate.Generate(m, prompt, n, opts)
 }
 
 // Snapshot is a serialisable training state (weights + named sections).
