@@ -81,6 +81,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzChunkChecksum -fuzztime $(FUZZTIME) ./internal/comm/
 	$(GO) test -run NONE -fuzz FuzzCausalAttentionEquivalence -fuzztime $(FUZZTIME) ./internal/tensor/
 	$(GO) test -run NONE -fuzz FuzzBackendNTEquivalence -fuzztime $(FUZZTIME) ./internal/tensor/
+	$(GO) test -run NONE -fuzz FuzzBF16RoundTrip -fuzztime $(FUZZTIME) ./internal/tensor/
 
 # soak replays SOAK_SCHEDULES seeded randomized fault schedules — process
 # SIGKILLs, SIGSTOP stalls, timed one-sided partitions, frame-level chaos —

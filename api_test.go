@@ -36,6 +36,30 @@ func TestPublicAPITrainsAndMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestPublicAPIBF16Fabric: a bf16 wire is a fabric choice — RunResilient
+// over NewInprocClusterCodec(size, BeltBF16), as the README shows — and it
+// halves the belt bytes of the f32 RunCluster run.
+func TestPublicAPIBF16Fabric(t *testing.T) {
+	cfg := Config{Vocab: 13, Hidden: 8, Layers: 4, Heads: 2, MaxSeq: 6, Seed: 7}
+	opts := DefaultOptions(0.01)
+	batches := Microbatches(3, 4, 2, 13, 6)
+	fn := func(int) []Batch { return batches }
+	f32, err := RunCluster(WZB2, 2, cfg, opts, 1, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bf16 := func(_, size int) ([]Transport, error) {
+		return NewInprocClusterCodec(size, BeltBF16), nil
+	}
+	res, err := RunResilient(WZB2, 2, cfg, opts, 1, fn, bf16, ResilientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, b := f32.TotalComm().TotalSentBytes(), res.TotalComm().TotalSentBytes(); b >= f {
+		t.Fatalf("bf16 fabric sent %d bytes, f32 %d", b, f)
+	}
+}
+
 func TestPublicAPISimulate(t *testing.T) {
 	w := Workload{H: 2048, S: 16384, G: 4, L: 32, N: 32, P: 8, Recompute: true}
 	top := NVLinkEthernet(8, 4)

@@ -81,7 +81,6 @@ func main() {
 	clip := flag.Float64("clip", 0, "global gradient-norm clip (0 disables)")
 	seed := flag.Uint64("seed", 42, "model and data seed")
 	recompute := flag.Bool("recompute", false, "activation checkpointing")
-	mixed := flag.Bool("mixed", false, "fp16/bf16 wire format")
 	bf16 := flag.Bool("bf16", false, "bf16 wire codec for weight and weight-gradient belt payloads (halves belt bytes)")
 	groupSize := flag.Int("group-size", 0, "ranks per topology group: for -strategy wzb2g, the grouped belt's groups — weight chunks cross a group boundary once per iteration and recirculate on the intra-group fabric (0 = topology-friendly default; sizes that do not divide -p fall back to the flat belt); for -strategy weipipe-dp, the WeiPipe ring size, one data-parallel replica per ring (0 or a size that does not divide -p = one ring of -p); also arms the per-link-tier byte meters shown by -stats for any strategy")
 	tcp := flag.Bool("tcp", false, "use a TCP mesh on loopback instead of in-process channels")
@@ -143,8 +142,6 @@ func main() {
 	}
 	opts := weipipe.DefaultOptions(*lr)
 	opts.Recompute = *recompute
-	opts.MixedPrecision = *mixed
-	opts.BF16Wire = *bf16
 	opts.GroupSize = *groupSize
 	opts.ClipNorm = *clip
 	opts.GuardNonFinite = *guard

@@ -23,7 +23,9 @@ func main() {
 	)
 	cfg := weipipe.Config{Vocab: 64, Hidden: 24, Layers: 3, Heads: 2, MaxSeq: 24, Seed: 3}
 	opts := weipipe.DefaultOptions(2e-3)
-	opts.MixedPrecision = true // ship fp16 chunks like the paper
+	// The wire precision belongs to the transport: weight and gradient
+	// chunks cross the sockets as bf16, like the paper's working copies.
+	topts := weipipe.TCPOptions{Codec: weipipe.BeltBF16}
 
 	addrs, err := weipipe.LoopbackAddrs(p)
 	if err != nil {
@@ -39,7 +41,7 @@ func main() {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			tr, err := weipipe.DialTCP(r, addrs)
+			tr, err := weipipe.DialTCPOpts(r, addrs, topts)
 			if err != nil {
 				errs[r] = err
 				return

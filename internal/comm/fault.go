@@ -119,12 +119,7 @@ func (f *FaultTransport) CommStats() *Stats {
 
 // WireCodec implements CodecProvider when the wrapped transport does
 // (message-level fault injection never re-encodes payloads).
-func (f *FaultTransport) WireCodec(tag Tag) WireCodec {
-	if cp, ok := f.inner.(CodecProvider); ok {
-		return cp.WireCodec(tag)
-	}
-	return CodecF32
-}
+func (f *FaultTransport) WireCodec(tag Tag) WireCodec { return CodecOf(f.inner, tag) }
 
 // Send implements Transport, applying the configured faults.
 func (f *FaultTransport) Send(dst int, tag Tag, data []float32) error {

@@ -92,6 +92,10 @@ func (g *Group) CommStats() *Stats {
 	return nil
 }
 
+// WireCodec implements CodecProvider: a group's payloads travel on the
+// parent's links, salted tag and all, so they get the parent's codec.
+func (g *Group) WireCodec(tag Tag) WireCodec { return CodecOf(g.parent, g.saltTag(tag)) }
+
 // Recv implements Transport.
 func (g *Group) Recv(src int, tag Tag) ([]float32, error) {
 	if src < 0 || src >= len(g.ranks) {
@@ -112,4 +116,7 @@ func (g *Group) RecvTimeout(src int, tag Tag, timeout time.Duration) ([]float32,
 // the resources).
 func (g *Group) Close() error { return nil }
 
-var _ Transport = (*Group)(nil)
+var (
+	_ Transport     = (*Group)(nil)
+	_ CodecProvider = (*Group)(nil)
+)

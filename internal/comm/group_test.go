@@ -36,6 +36,29 @@ func TestGroupSendRecvAcrossMapping(t *testing.T) {
 	}
 }
 
+// TestGroupForwardsWireCodec: a group's payloads travel on the parent's
+// links, so it reports the parent's codec, salted tag and all — and f32 over
+// a parent that names no codec.
+func TestGroupForwardsWireCodec(t *testing.T) {
+	policy := func(tag Tag) WireCodec {
+		if tag.Kind == KindWeight && tag.B == 7^5<<55 { // the salted tag, not the raw one
+			return CodecBF16
+		}
+		return CodecF32
+	}
+	g, _ := NewGroup(NewClusterCodec(2, policy).Transport(0), []int{0, 1}, 5)
+	if got := g.WireCodec(Tag{Kind: KindWeight, B: 7}); got != CodecBF16 {
+		t.Fatalf("weight tag through the group: codec %v, want the parent's bf16", got)
+	}
+	if got := g.WireCodec(Tag{Kind: KindCtl, B: 7}); got != CodecF32 {
+		t.Fatalf("ctl tag through the group: codec %v, want f32", got)
+	}
+	plain, _ := NewGroup(NewCluster(2).Transport(0), []int{0, 1}, 5)
+	if got := plain.WireCodec(Tag{Kind: KindWeight}); got != CodecF32 {
+		t.Fatalf("group over an f32 parent: codec %v", got)
+	}
+}
+
 func TestGroupCollectivesWork(t *testing.T) {
 	// A ring all-reduce inside a group must only involve the group.
 	cl := NewCluster(4)

@@ -16,16 +16,15 @@ import (
 // flipped anywhere along the multi-hop belt path is detected at the point
 // of consumption, no matter which hop's memory it happened in.
 //
-// The trailer must itself survive the belt's lossy wire codecs (bf16, and
-// the optional f16 master-weight rounding). It therefore carries the CRC as
-// four float32 elements, each holding one checksum byte as an exact small
-// integer: every integer in [0, 255] is exactly representable in bf16
-// (8 significant bits) and f16 (11), so round-to-nearest-even re-encoding
-// is the identity on trailer elements. The checksum is computed over the
-// payload's *canonical wire-value domain* — the origin first projects the
-// payload through the link codec (RoundToWire), which is idempotent, so
-// the values the consumer receives after any number of lossy re-encodes
-// are bit-identical to the values the CRC covered.
+// The trailer must itself survive the belt's lossy bf16 wire codec. It
+// therefore carries the CRC as four float32 elements, each holding one
+// checksum byte as an exact small integer: every integer in [0, 255] is
+// exactly representable in bf16 (8 significant bits), so round-to-nearest-
+// even re-encoding is the identity on trailer elements. The checksum is
+// computed over the payload's *canonical wire-value domain* — the origin
+// first projects the payload through the link codec (RoundToWire), which is
+// idempotent, so the values the consumer receives after any number of lossy
+// re-encodes are bit-identical to the values the CRC covered.
 
 // ChecksumTrailerLen is the number of float32 elements a sealed chunk
 // carries after its payload: four, one per CRC32 byte.

@@ -15,10 +15,6 @@ type OutputHead struct {
 	Norm   *RMSNorm
 	W      *tensor.Tensor // [H, V]
 	params *ParamSet
-	// LossScale multiplies the loss gradient at its source (0 means 1) —
-	// the hook dynamic fp16 loss scaling uses. Downstream gradients scale
-	// linearly; the optimizer unscales before stepping.
-	LossScale float32
 }
 
 // NewOutputHead builds the final norm + LM head for hidden size h, vocab v.
@@ -111,9 +107,6 @@ func (o *OutputHead) BackwardFromLoss(cache *Cache) *tensor.Tensor {
 	dlogits := alloc(cache, n, v)
 	dlogits.CopyFrom(probs)
 	invN := float32(1.0 / float64(n))
-	if o.LossScale != 0 {
-		invN *= o.LossScale
-	}
 	for i := 0; i < n; i++ {
 		row := dlogits.Data[i*v : (i+1)*v]
 		row[int(tgt.Data[i])] -= 1

@@ -192,3 +192,43 @@ func ClipByGlobalNorm(g []float32, maxNorm float64) float64 {
 	}
 	return n
 }
+
+// Schedule maps a step index to a learning rate.
+type Schedule interface {
+	// LR returns the learning rate for 0-indexed optimizer step `step`.
+	LR(step int) float64
+}
+
+// ConstantLR is a fixed learning rate.
+type ConstantLR float64
+
+// LR implements Schedule.
+func (c ConstantLR) LR(int) float64 { return float64(c) }
+
+// WarmupCosine is the LLM-standard schedule: linear warm-up from 0 to Base
+// over Warmup steps, then cosine decay to Floor at Total steps (and Floor
+// afterwards).
+type WarmupCosine struct {
+	Base   float64
+	Floor  float64
+	Warmup int
+	Total  int
+}
+
+// LR implements Schedule.
+func (w WarmupCosine) LR(step int) float64 {
+	if w.Warmup > 0 && step < w.Warmup {
+		return w.Base * float64(step+1) / float64(w.Warmup)
+	}
+	if step >= w.Total {
+		return w.Floor
+	}
+	progress := float64(step-w.Warmup) / float64(w.Total-w.Warmup)
+	return w.Floor + 0.5*(w.Base-w.Floor)*(1+math.Cos(math.Pi*progress))
+}
+
+// SetLR changes the optimizer's learning rate (for schedules).
+func (o *AdamW) SetLR(lr float64) { o.cfg.LR = lr }
+
+// LR returns the optimizer's current learning rate.
+func (o *AdamW) LR() float64 { return o.cfg.LR }

@@ -121,3 +121,54 @@ func TestClipByGlobalNorm(t *testing.T) {
 		t.Fatal("clip modified small gradient")
 	}
 }
+
+func TestConstantLR(t *testing.T) {
+	if ConstantLR(0.1).LR(12345) != 0.1 {
+		t.Fatal("constant LR not constant")
+	}
+}
+
+func TestWarmupCosineShape(t *testing.T) {
+	sch := WarmupCosine{Base: 1.0, Floor: 0.1, Warmup: 10, Total: 110}
+	// warm-up is linear and increasing
+	for i := 1; i < 10; i++ {
+		if sch.LR(i) <= sch.LR(i-1) {
+			t.Fatalf("warmup not increasing at %d", i)
+		}
+	}
+	// peak ≈ base right after warmup
+	if math.Abs(sch.LR(10)-1.0) > 1e-9 {
+		t.Fatalf("post-warmup LR = %v", sch.LR(10))
+	}
+	// decays monotonically to the floor
+	for i := 11; i < 110; i++ {
+		if sch.LR(i) > sch.LR(i-1)+1e-12 {
+			t.Fatalf("decay not monotone at %d", i)
+		}
+	}
+	if math.Abs(sch.LR(109)-0.1) > 0.01 {
+		t.Fatalf("end LR = %v, want ≈ floor", sch.LR(109))
+	}
+	if sch.LR(1000) != 0.1 {
+		t.Fatalf("past-total LR = %v, want floor", sch.LR(1000))
+	}
+	// halfway point is the midpoint of base and floor
+	mid := sch.LR(60)
+	if math.Abs(mid-0.55) > 0.02 {
+		t.Fatalf("midpoint LR = %v, want ≈ 0.55", mid)
+	}
+}
+
+func TestAdamWSetLR(t *testing.T) {
+	o := NewAdamW(1, DefaultAdamW(0.1))
+	o.SetLR(0.2)
+	if o.LR() != 0.2 {
+		t.Fatalf("LR = %v", o.LR())
+	}
+	w := []float32{1}
+	o.Step(w, []float32{1})
+	// first AdamW step ≈ lr·sign(g)
+	if math.Abs(float64(w[0])-(1-0.2)) > 1e-3 {
+		t.Fatalf("step did not use new LR: w=%v", w[0])
+	}
+}

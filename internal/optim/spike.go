@@ -5,28 +5,28 @@ import (
 	"sort"
 )
 
+// SpikeThreshold is the spike verdict boundary in robust standard
+// deviations: a deliberately loose one, since legitimate training produces
+// heavy-tailed norm sequences.
+const SpikeThreshold = 6
+
 // SpikeDetector is a windowed gradient-norm anomaly detector: it keeps the
 // last Window accepted global grad norms and flags a new norm as a spike
-// when it sits more than Threshold robust standard deviations above the
+// when it sits more than SpikeThreshold robust standard deviations above the
 // window median, using the median absolute deviation (MAD) as the scale
 // estimate (σ ≈ 1.4826·MAD for Gaussian noise). Median+MAD survives the
 // contamination that defeats mean+stddev: a handful of earlier spikes in
 // the window barely move either statistic.
 //
-// It extends the non-finite Scaler guard to *finite* anomalies — a loss
-// blow-up, a corrupt batch, or a bit flip that landed in low-order
-// gradient bits below the checksum layers' detection floor. Verdicts are
-// driven by the globally all-reduced Σg², so every rank (and every buddy
-// shadow replay) reaches the identical decision without extra messages —
-// the same lock-step trick the loss scaler uses.
-//
-// Like Scaler, a detector carried in shared Options is a template: each
-// rank Clones its own copy and the copies evolve in lock-step.
+// It extends the non-finite guard to *finite* anomalies — a loss blow-up,
+// a corrupt batch, or a bit flip that landed in low-order gradient bits
+// below the checksum layers' detection floor. Verdicts are driven by the
+// globally all-reduced Σg², so every rank (and every buddy shadow replay)
+// builds its own detector and the copies reach the identical decision, in
+// lock-step, without extra messages.
 type SpikeDetector struct {
 	// Window is the number of accepted norms the detector remembers.
 	Window int
-	// Threshold is the verdict boundary in robust standard deviations.
-	Threshold float64
 	// Skip, when true, makes detected spikes skip the optimizer step
 	// (like the non-finite guard); otherwise they are only counted.
 	Skip bool
@@ -45,23 +45,12 @@ type SpikeDetector struct {
 }
 
 // NewSpikeDetector builds a detector. window must be ≥ 3 to make the
-// median meaningful; threshold ≤ 0 defaults to 6 (a deliberately loose
-// boundary: legitimate training produces heavy-tailed norm sequences).
-func NewSpikeDetector(window int, threshold float64, skip bool) *SpikeDetector {
+// median meaningful.
+func NewSpikeDetector(window int, skip bool) *SpikeDetector {
 	if window < 3 {
 		window = 3
 	}
-	if threshold <= 0 {
-		threshold = 6
-	}
-	return &SpikeDetector{Window: window, Threshold: threshold, Skip: skip}
-}
-
-// Clone returns an independent copy (per-rank instantiation).
-func (d *SpikeDetector) Clone() *SpikeDetector {
-	c := &SpikeDetector{Window: d.Window, Threshold: d.Threshold, Skip: d.Skip, spikes: d.spikes}
-	c.norms = append([]float64(nil), d.norms...)
-	return c
+	return &SpikeDetector{Window: window, Skip: skip}
 }
 
 // median returns the median of xs using the detector's scratch buffer.
@@ -115,7 +104,7 @@ func (d *SpikeDetector) Observe(sumSq float64) (spike, skipStep bool) {
 		if floor := 1e-12 * math.Abs(med); sigma < floor {
 			sigma = floor
 		}
-		if sigma > 0 && norm-med > d.Threshold*sigma {
+		if sigma > 0 && norm-med > SpikeThreshold*sigma {
 			d.spikes++
 			return true, d.Skip
 		}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSpikeDetectorFlagsOutlier(t *testing.T) {
-	d := NewSpikeDetector(8, 6, false)
+	d := NewSpikeDetector(8, false)
 	// Steady gradient norms around 1.0 (sumSq ~ 1.0).
 	for i := 0; i < 8; i++ {
 		spike, skip := d.Observe(1.0 + 0.01*float64(i%3))
@@ -27,7 +27,7 @@ func TestSpikeDetectorFlagsOutlier(t *testing.T) {
 }
 
 func TestSpikeDetectorSkipMode(t *testing.T) {
-	d := NewSpikeDetector(8, 6, true)
+	d := NewSpikeDetector(8, true)
 	for i := 0; i < 8; i++ {
 		d.Observe(1.0)
 	}
@@ -41,7 +41,7 @@ func TestSpikeDetectorSkipMode(t *testing.T) {
 // window, so a sustained corruption keeps being flagged instead of
 // normalising itself after window-many steps.
 func TestSpikeDetectorWindowNotContaminated(t *testing.T) {
-	d := NewSpikeDetector(6, 6, false)
+	d := NewSpikeDetector(6, false)
 	for i := 0; i < 6; i++ {
 		d.Observe(1.0)
 	}
@@ -58,7 +58,7 @@ func TestSpikeDetectorWindowNotContaminated(t *testing.T) {
 // TestSpikeDetectorTracksDrift: a slow legitimate trend (warm-up decay)
 // must not trip the detector — the windowed median follows it.
 func TestSpikeDetectorTracksDrift(t *testing.T) {
-	d := NewSpikeDetector(8, 6, false)
+	d := NewSpikeDetector(8, false)
 	norm := 10.0
 	for i := 0; i < 200; i++ {
 		if spike, _ := d.Observe(norm * norm); spike {
@@ -69,7 +69,7 @@ func TestSpikeDetectorTracksDrift(t *testing.T) {
 }
 
 func TestSpikeDetectorNonFinitePassThrough(t *testing.T) {
-	d := NewSpikeDetector(4, 6, true)
+	d := NewSpikeDetector(4, true)
 	for i := 0; i < 4; i++ {
 		d.Observe(1.0)
 	}
@@ -92,7 +92,7 @@ func TestSpikeDetectorNonFinitePassThrough(t *testing.T) {
 }
 
 func TestSpikeDetectorWarmup(t *testing.T) {
-	d := NewSpikeDetector(8, 6, false)
+	d := NewSpikeDetector(8, false)
 	// With fewer than 3 admitted norms there is no robust scale estimate;
 	// nothing may be flagged.
 	if spike, _ := d.Observe(1e9); spike {
@@ -104,14 +104,14 @@ func TestSpikeDetectorWarmup(t *testing.T) {
 }
 
 func TestSpikeDetectorExportRestoreRoundTrip(t *testing.T) {
-	d := NewSpikeDetector(6, 6, true)
+	d := NewSpikeDetector(6, true)
 	for i := 0; i < 10; i++ {
 		d.Observe(1.0 + float64(i)*0.05)
 	}
 	d.Observe(900.0) // one spike
 	st := d.ExportState(false)
 
-	fresh := NewSpikeDetector(6, 6, true)
+	fresh := NewSpikeDetector(6, true)
 	fresh.RestoreState(st)
 	if fresh.Spikes() != d.Spikes() {
 		t.Fatalf("restored Spikes() = %d, want %d", fresh.Spikes(), d.Spikes())
@@ -134,7 +134,7 @@ func TestSpikeDetectorExportRestoreRoundTrip(t *testing.T) {
 // the state as it was before the most recent Observe — the one-deep
 // rollback the repair cut needs.
 func TestSpikeDetectorRollbackExport(t *testing.T) {
-	d := NewSpikeDetector(5, 6, false)
+	d := NewSpikeDetector(5, false)
 	for i := 0; i < 9; i++ {
 		d.Observe(2.0)
 	}
@@ -151,24 +151,8 @@ func TestSpikeDetectorRollbackExport(t *testing.T) {
 	}
 }
 
-func TestSpikeDetectorCloneIndependent(t *testing.T) {
-	d := NewSpikeDetector(5, 6, false)
-	for i := 0; i < 7; i++ {
-		d.Observe(1.0)
-	}
-	c := d.Clone()
-	d.Observe(1e6)
-	if c.Spikes() != 0 {
-		t.Fatal("clone shares spike counter")
-	}
-	s1, _ := c.Observe(1e6)
-	if !s1 {
-		t.Fatal("clone lost window history")
-	}
-}
-
 func TestSpikeDetectorObserveAllocs(t *testing.T) {
-	d := NewSpikeDetector(16, 6, false)
+	d := NewSpikeDetector(16, false)
 	for i := 0; i < 16; i++ {
 		d.Observe(1.0)
 	}

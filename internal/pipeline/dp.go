@@ -35,9 +35,6 @@ type DP struct {
 
 // NewDP builds a DP trainer for this rank.
 func NewDP(t Transport, cfg model.Config, opts Options) (*DP, error) {
-	if opts.Scaler != nil {
-		opts.Scaler = opts.Scaler.Clone()
-	}
 	mdl := model.Build(cfg)
 	total := mdl.NumParams()
 	return &DP{
@@ -62,9 +59,6 @@ func (d *DP) TrainIteration(batches []data.Batch) (float64, error) {
 		return 0, fmt.Errorf("pipeline: DP needs microbatch count divisible by %d ranks", p)
 	}
 	mine := data.Split(batches, p)[d.t.Rank()]
-	if d.opts.Scaler != nil {
-		d.mdl.Head.LossScale = float32(d.opts.Scaler.Scale())
-	}
 	nMods := len(d.mdl.Modules)
 	d.grads = zeroedGrads(d.mdl, d.grads, 0, nMods)
 	grads := d.grads
@@ -93,7 +87,7 @@ func (d *DP) TrainIteration(batches []data.Batch) (float64, error) {
 	if err := comm.RingAllReduceSum(d.t, flatG, d.seq); err != nil {
 		return 0, err
 	}
-	inv := gradFactor(d.opts, len(batches))
+	inv := gradFactor(len(batches))
 	for i := range flatG {
 		flatG[i] *= inv
 	}
@@ -104,11 +98,8 @@ func (d *DP) TrainIteration(batches []data.Batch) (float64, error) {
 	if needGlobalSumSq(d.opts) {
 		sumSq = sumSquares(flatG)
 	}
-	if guardActive(d.opts) && !finiteSum(sumSq) {
+	if d.opts.GuardNonFinite && !finiteSum(sumSq) {
 		d.skipped++
-		if d.opts.Scaler != nil {
-			d.opts.Scaler.Observe(false)
-		}
 	} else {
 		if c := clipScale(d.opts, sumSq); c != 1 {
 			for i := range flatG {
@@ -118,9 +109,6 @@ func (d *DP) TrainIteration(batches []data.Batch) (float64, error) {
 		d.mdl.FlattenChunk(0, nMods, flatW)
 		d.opt.Step(flatW, flatG)
 		d.mdl.SetChunk(0, nMods, flatW)
-		if d.opts.Scaler != nil {
-			d.opts.Scaler.Observe(true)
-		}
 	}
 
 	d.tr.End(optSpan, trace.CodeOpt, int64(d.seq), 0)

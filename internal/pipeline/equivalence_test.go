@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"weipipe/internal/checkpoint"
 	"weipipe/internal/data"
 	"weipipe/internal/model"
 	"weipipe/internal/optim"
@@ -177,25 +178,6 @@ func TestIndivisibleMicrobatchesRejected(t *testing.T) {
 	}
 }
 
-func TestMixedPrecisionStaysClose(t *testing.T) {
-	// fp16 wire format perturbs but must not diverge: losses within a few
-	// percent of the fp32 run after two iterations.
-	const iters, n = 2, 4
-	wantLoss, _ := serialReference(t, iters, n)
-	opts := eqOpts()
-	opts.MixedPrecision = true
-	res, err := RunCluster(StrategyWeiPipeInterleave, 2, eqCfg(), opts, iters, eqBatches(iters, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantLoss {
-		rel := math.Abs(res.Losses[i]-wantLoss[i]) / wantLoss[i]
-		if rel > 0.05 {
-			t.Errorf("iter %d: mixed-precision loss %.5f vs fp32 %.5f (rel %f)", i, res.Losses[i], wantLoss[i], rel)
-		}
-	}
-}
-
 func TestClipNormMatchesSerial(t *testing.T) {
 	// A tight clip forces the scale path; every strategy must still match
 	// the serial reference (the clip is on the *global* norm, so the
@@ -230,42 +212,61 @@ func TestClipNormMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestDynamicLossScalingSerial(t *testing.T) {
-	// With a sane scale the trajectory matches the unscaled run (scaling is
-	// linear and exactly undone); with an absurd scale the gradients
-	// overflow, the step is skipped and the scale backs off.
+// TestGuardNonFiniteSkipsOnEveryRunner: the non-finite guard is the one skip
+// path for a poisoned gradient, so every runner must honour it. Each run
+// starts from weights holding one NaN in the output head — every logit
+// column it feeds, and so every gradient, turns non-finite — and with
+// GuardNonFinite must skip every step and finish on the seed's exact bits.
+// The same run without the guard must change the weights.
+func TestGuardNonFiniteSkipsOnEveryRunner(t *testing.T) {
 	const iters, n = 2, 4
-	ref, err := RunCluster(StrategySerial, 1, eqCfg(), eqOpts(), iters, eqBatches(iters, n))
-	if err != nil {
-		t.Fatal(err)
+	seed := func() *checkpoint.Snapshot {
+		snap := checkpoint.FromModel(model.Build(eqCfg()))
+		snap.Weights[len(snap.Weights)-1] = float32(math.NaN())
+		return snap
 	}
-	opts := eqOpts()
-	opts.Scaler = optim.NewLossScaler(1024, 1000)
-	res, err := RunCluster(StrategySerial, 1, eqCfg(), opts, iters, eqBatches(iters, n))
-	if err != nil {
-		t.Fatal(err)
+	type run struct {
+		s            Strategy
+		p, groupSize int
 	}
-	if d := maxAbsDiff(res.Weights, ref.Weights); d > 1e-4 {
-		t.Errorf("scaled run diverges by %g", d)
+	runs := []run{{StrategySerial, 1, 0}, {StrategyWeiPipeDP, 4, 2}}
+	for _, s := range Strategies() {
+		runs = append(runs, run{s, 2, 0})
 	}
-
-	// absurd scale → overflow → skipped steps → weights unchanged
-	cfg := eqCfg()
-	sOpts := eqOpts()
-	sOpts.Scaler = optim.NewLossScaler(1e38, 1000)
-	tr := NewSerial(cfg, sOpts)
-	before := make([]float32, tr.Model().NumParams())
-	tr.Model().FlattenChunk(0, len(tr.Model().Modules), before)
-	if _, err := tr.TrainIteration(eqBatches(1, n)(0)); err != nil {
-		t.Fatal(err)
-	}
-	after := make([]float32, tr.Model().NumParams())
-	tr.Model().FlattenChunk(0, len(tr.Model().Modules), after)
-	if maxAbsDiff(before, after) != 0 {
-		t.Error("overflowed step was not skipped")
-	}
-	if sOpts.Scaler.Skipped == 0 || sOpts.Scaler.Scale() >= 1e38 {
-		t.Errorf("scaler did not back off: skipped=%d scale=%g", sOpts.Scaler.Skipped, sOpts.Scaler.Scale())
+	for _, r := range runs {
+		t.Run(string(r.s), func(t *testing.T) {
+			t.Parallel()
+			train := func(guard bool) *ClusterResult {
+				opts := eqOpts()
+				opts.GroupSize = r.groupSize
+				opts.GuardNonFinite = guard
+				res, err := RunResilient(r.s, r.p, eqCfg(), opts, iters, eqBatches(iters, n),
+					inprocFactory(r.p), ResilientOptions{InitialSnapshot: seed()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			want := seed().Weights
+			sameBits := func(w []float32) bool {
+				for i := range want {
+					if math.Float32bits(w[i]) != math.Float32bits(want[i]) {
+						return false
+					}
+				}
+				return len(w) == len(want)
+			}
+			guarded := train(true)
+			if guarded.SkippedSteps != iters {
+				t.Errorf("SkippedSteps = %d, want every one of %d steps skipped", guarded.SkippedSteps, iters)
+			}
+			if !sameBits(guarded.Weights) {
+				t.Error("guarded run changed the weights")
+			}
+			if control := train(false); sameBits(control.Weights) {
+				t.Error("unguarded run left the weights unchanged; the poison never reached a gradient")
+			}
+		})
 	}
 }
 

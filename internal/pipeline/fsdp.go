@@ -58,9 +58,6 @@ type FSDP struct {
 
 // NewFSDP builds an FSDP trainer for this rank.
 func NewFSDP(t Transport, cfg model.Config, o Options) (*FSDP, error) {
-	if o.Scaler != nil {
-		o.Scaler = o.Scaler.Clone()
-	}
 	mdl := model.Build(cfg)
 	p := t.Size()
 	r := t.Rank()
@@ -70,11 +67,8 @@ func NewFSDP(t Transport, cfg model.Config, o Options) (*FSDP, error) {
 	}
 	for i := range mdl.Modules {
 		size := mdl.ModuleParamSize(i)
-		full := make([]float32, size)
-		mdl.FlattenChunk(i, i+1, full)
 		rg := comm.ShardRanges(size, p)[r]
 		shard := make([]float32, rg[1]-rg[0])
-		copy(shard, full[rg[0]:rg[1]])
 		f.shards = append(f.shards, shard)
 		f.opts = append(f.opts, optim.NewAdamW(len(shard), o.Adam))
 		f.gradFlat = append(f.gradFlat, make([]float32, size))
@@ -82,7 +76,21 @@ func NewFSDP(t Transport, cfg model.Config, o Options) (*FSDP, error) {
 		g.Bind(f.gradFlat[i])
 		f.grads = append(f.grads, g)
 	}
+	f.ReloadMasterFromModel()
 	return f, nil
+}
+
+// ReloadMasterFromModel cuts this rank's shards out of Model(): at
+// construction, and after a checkpoint load wrote the model's own storage —
+// FSDP trains the shards, so a load they did not see would be lost.
+func (f *FSDP) ReloadMasterFromModel() {
+	p, r := f.t.Size(), f.t.Rank()
+	for i, shard := range f.shards {
+		full := make([]float32, f.mdl.ModuleParamSize(i))
+		f.mdl.FlattenChunk(i, i+1, full)
+		rg := comm.ShardRanges(len(full), p)[r]
+		copy(shard, full[rg[0]:rg[1]])
+	}
 }
 
 // Model implements Trainer.
@@ -140,9 +148,6 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 		return 0, fmt.Errorf("pipeline: FSDP needs microbatch count divisible by %d ranks", p)
 	}
 	mine := data.Split(batches, p)[f.t.Rank()]
-	if f.o.Scaler != nil {
-		f.mdl.Head.LossScale = float32(f.o.Scaler.Scale())
-	}
 	nMods := len(f.mdl.Modules)
 	for _, g := range f.gradFlat {
 		clear(g)
@@ -197,7 +202,7 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 
 	// Reduce-scatter each module's gradient into the owned shards.
 	optSpan := f.tr.Begin()
-	invN := gradFactor(f.o, len(batches))
+	invN := gradFactor(len(batches))
 	gradShards := make([][]float32, nMods)
 	for i := 0; i < nMods; i++ {
 		f.seq++
@@ -225,11 +230,8 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 			return 0, err
 		}
 	}
-	if guardActive(f.o) && !finiteSum(sumSq) {
+	if f.o.GuardNonFinite && !finiteSum(sumSq) {
 		f.skipped++
-		if f.o.Scaler != nil {
-			f.o.Scaler.Observe(false)
-		}
 	} else {
 		if c := clipScale(f.o, sumSq); c != 1 {
 			for _, s := range gradShards {
@@ -240,9 +242,6 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 		}
 		for i := 0; i < nMods; i++ {
 			f.opts[i].Step(f.shards[i], gradShards[i])
-		}
-		if f.o.Scaler != nil {
-			f.o.Scaler.Observe(true)
 		}
 	}
 	for _, s := range gradShards {

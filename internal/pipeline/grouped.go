@@ -159,26 +159,14 @@ func (w *WeiPipe) xchgTag(c, hop int) Tag {
 	return Tag{Kind: comm.KindWeight, A: c, B: w.enc(beltXchg, hop)}
 }
 
-// cacheCodec resolves the wire codec chunk c's belt payloads travel under,
-// mirroring initIntegrity's resolution but independent of Options.Integrity:
-// the cache must hold wire-domain values even when seals are off.
-func (w *WeiPipe) cacheCodec(tag Tag) comm.WireCodec {
-	if cp, ok := w.t.(comm.CodecProvider); ok {
-		return cp.WireCodec(tag)
-	}
-	if w.opts.BF16Wire {
-		return comm.BeltBF16(tag)
-	}
-	return comm.CodecF32
-}
-
-// cachePayload rounds payload's body into the wire-value domain and caches
-// it, taking ownership. Transport-received payloads are already rounded
-// (RoundToWire is idempotent); the rounding matters for the owner's
+// cachePayload rounds payload's body into the wire-value domain — the codec
+// the transport sends chunk c under, with or without Options.Integrity — and
+// caches it, taking ownership. Transport-received payloads are already
+// rounded (RoundToWire is idempotent); the rounding matters for the owner's
 // self-held copy, which never crossed a link. It is the last write the
 // buffer sees: from here it is only ever shared.
 func (w *WeiPipe) cachePayload(c int, payload []float32) {
-	comm.RoundToWire(w.cacheCodec(w.xchgTag(c, 0)), w.beltBody(payload))
+	comm.RoundToWire(comm.CodecOf(w.t, w.xchgTag(c, 0)), w.beltBody(payload))
 	w.grouped.cache[c] = payload
 }
 
@@ -198,8 +186,8 @@ func (w *WeiPipe) groupedExchange() error {
 	p, rank := w.t.Size(), w.t.Rank()
 
 	// 1. Build the owned chunk's belt payload exactly as the flat injection
-	// would (copy, optional fp16 rounding, seal), then hand it to its local
-	// holder: cache it here, or send it as holder-ring hop 0.
+	// would (copy, seal), then hand it to its local holder: cache it here,
+	// or send it as holder-ring hop 0.
 	payload := w.ownedPayload(w.xchgTag(w.ownChunk, 0))
 	if h0 := g.holderIn(g.g, w.ownChunk); h0 == rank {
 		// Owner is the holder: the chain's first hop is ours to send.

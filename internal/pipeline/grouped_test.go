@@ -38,15 +38,16 @@ func groupedBatches(iters, n int) func(int) []data.Batch {
 func TestGroupedBitIdenticalToFlat(t *testing.T) {
 	const iters, n2 = 2, 2 // n2: microbatch rounds (n = n2*p per iteration)
 	variants := []struct {
-		name string
-		tcp  bool
-		mod  func(*Options)
+		name      string
+		tcp       bool
+		codec     comm.CodecFunc
+		integrity bool
 	}{
-		{"plain", false, func(*Options) {}},
-		{"overlap", true, func(*Options) {}},
-		{"bf16", false, func(o *Options) { o.BF16Wire = true }},
-		{"integrity", false, func(o *Options) { o.Integrity = true }},
-		{"all", true, func(o *Options) { o.BF16Wire = true; o.Integrity = true }},
+		{"plain", false, nil, false},
+		{"overlap", true, nil, false},
+		{"bf16", false, comm.BeltBF16, false},
+		{"integrity", false, nil, true},
+		{"all", true, comm.BeltBF16, true},
 	}
 	for _, p := range []int{4, 8} {
 		for _, gs := range []int{0, 2, 4} {
@@ -61,16 +62,13 @@ func TestGroupedBitIdenticalToFlat(t *testing.T) {
 					t.Parallel()
 					run := func(s Strategy, opts Options) ([]float64, []float32) {
 						if v.tcp {
-							return runTCP(t, s, p, cfg, opts, iters, groupedBatches(iters, n))
+							return runTCP(t, s, p, cfg, opts, iters, groupedBatches(iters, n), v.codec)
 						}
-						res, err := RunCluster(s, p, cfg, opts, iters, groupedBatches(iters, n))
-						if err != nil {
-							t.Fatalf("%s: %v", s, err)
-						}
+						res := runCodec(t, s, p, cfg, opts, iters, groupedBatches(iters, n), v.codec)
 						return res.Losses, res.Weights
 					}
 					flatOpts := eqOpts()
-					v.mod(&flatOpts)
+					flatOpts.Integrity = v.integrity
 					refLosses, refWeights := run(StrategyWZB2, flatOpts)
 					opts := flatOpts
 					opts.GroupSize = gs

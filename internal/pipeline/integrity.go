@@ -25,19 +25,10 @@ import (
 // as lost rank state — the evidence → agreement → buddy-harvest/checkpoint
 // repair path — so a detected flip is repaired or rejected, never trained on.
 
-// initIntegrity resolves the per-rank integrity configuration: the trailer
-// pad every belt buffer grows by, and the wire codec the seal must round
-// through (asked of the transport when it can say, inferred from the options
-// otherwise).
+// initIntegrity resolves the trailer pad every belt buffer grows by.
 func (w *WeiPipe) initIntegrity() {
-	if !w.opts.Integrity {
-		return
-	}
-	w.pad = comm.ChecksumTrailerLen
-	if cp, ok := w.t.(comm.CodecProvider); ok {
-		w.wireCodec = cp.WireCodec
-	} else if w.opts.BF16Wire {
-		w.wireCodec = comm.BeltBF16
+	if w.opts.Integrity {
+		w.pad = comm.ChecksumTrailerLen
 	}
 }
 
@@ -49,18 +40,14 @@ func (w *WeiPipe) beltBody(buf []float32) []float32 {
 	return buf[:len(buf)-w.pad]
 }
 
-// sealBelt projects buf's body into the wire-value domain of the codec tag
-// travels under and seals the CRC trailer over it. Idempotent rounding makes
-// the seal survive every downstream re-encode bit-exactly.
+// sealBelt projects buf's body into the wire-value domain of the codec the
+// transport sends tag under and seals the CRC trailer over it. Idempotent
+// rounding makes the seal survive every downstream re-encode bit-exactly.
 func (w *WeiPipe) sealBelt(tag Tag, buf []float32) {
 	if w.pad == 0 {
 		return
 	}
-	c := comm.CodecF32
-	if w.wireCodec != nil {
-		c = w.wireCodec(tag)
-	}
-	comm.RoundToWire(c, buf[:len(buf)-w.pad])
+	comm.RoundToWire(comm.CodecOf(w.t, tag), buf[:len(buf)-w.pad])
 	comm.SealChunk(buf)
 }
 

@@ -25,24 +25,13 @@ func integrityOpts() Options {
 // anyway (bf16) — and the meters must show the checks happening.
 func TestIntegrityCleanRunUnperturbed(t *testing.T) {
 	const p, iters, n = 2, 4, 4
-	for _, bf16 := range []bool{false, true} {
-		name := "f32"
-		if bf16 {
-			name = "bf16"
-		}
-		t.Run(name, func(t *testing.T) {
-			plain := eqOpts()
-			plain.BF16Wire = bf16
-			ref, err := RunCluster(StrategyWZB2, p, eqCfg(), plain, iters, eqBatches(iters, n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			armed := integrityOpts()
-			armed.BF16Wire = bf16
-			res, err := RunCluster(StrategyWZB2, p, eqCfg(), armed, iters, eqBatches(iters, n))
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, wire := range []struct {
+		name  string
+		codec comm.CodecFunc
+	}{{"f32", nil}, {"bf16", comm.BeltBF16}} {
+		t.Run(wire.name, func(t *testing.T) {
+			ref := runCodec(t, StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n), wire.codec)
+			res := runCodec(t, StrategyWZB2, p, eqCfg(), integrityOpts(), iters, eqBatches(iters, n), wire.codec)
 			bitIdentical(t, "integrity on vs off", res.Losses, ref.Losses, res.Weights, ref.Weights)
 
 			total := res.TotalComm()
@@ -286,5 +275,23 @@ func TestSpikeFlagsCorruptedGradients(t *testing.T) {
 		if l != l {
 			t.Fatalf("loss %d is NaN; the corrupt step leaked into the weights", i)
 		}
+	}
+}
+
+// TestIntegrityWeiPipeDPOverBF16Fabric: the hybrid's rings run on
+// comm.Group views of the world transport, so a seal taken inside a ring
+// must round through the codec the world fabric actually sends under. The
+// group answers the codec question for its parent; a ring that sealed in
+// the f32 domain would fail verification on the first bf16 belt hop.
+func TestIntegrityWeiPipeDPOverBF16Fabric(t *testing.T) {
+	const p, iters, n = 4, 3, 8
+	opts := eqOpts()
+	opts.GroupSize = 2
+	ref := runCodec(t, StrategyWeiPipeDP, p, eqCfg(), opts, iters, eqBatches(iters, n), comm.BeltBF16)
+	opts.Integrity = true
+	res := runCodec(t, StrategyWeiPipeDP, p, eqCfg(), opts, iters, eqBatches(iters, n), comm.BeltBF16)
+	bitIdentical(t, "weipipe-dp integrity on vs off over bf16", res.Losses, ref.Losses, res.Weights, ref.Weights)
+	if checks, _ := res.TotalComm().TotalIntegrityChecks(); checks == 0 {
+		t.Fatal("integrity run recorded no checks; defense was a no-op")
 	}
 }

@@ -73,34 +73,15 @@ type Options struct {
 	// before the B pass. Ignored by the ZB strategies (the paper applies
 	// recomputation to all strategies except zero-bubble ones).
 	Recompute bool
-	// MixedPrecision rounds weight and gradient payloads through fp16 and
-	// activation-gradient payloads through bf16 at every send, emulating
-	// the paper's wire format. Off in equivalence tests.
-	MixedPrecision bool
 	// ClipNorm, when positive, clips the global (cross-rank) gradient norm
 	// to this value before the optimizer step. Distributed strategies
 	// combine their local partial norms with a scalar all-reduce.
 	ClipNorm float64
-	// Scaler, when non-nil, enables dynamic loss scaling (the fp16
-	// mixed-precision guard): the loss gradient is multiplied by the scale
-	// at its source, gradients are unscaled before the step, and steps
-	// with non-finite gradients are skipped while the scale halves.
-	// Supported by the serial reference and the distributed runners (which
-	// fold the non-finite check into a global scalar all-reduce so every
-	// rank skips or steps identically).
-	Scaler *optim.LossScaler
-	// GuardNonFinite skips the optimizer step (without touching any loss
-	// scale) whenever the global gradient is non-finite, so a single NaN/Inf
-	// cannot poison the weights. The check rides the same scalar all-reduce
-	// global-norm clipping uses, so every rank makes the identical decision.
+	// GuardNonFinite skips the optimizer step whenever the global gradient
+	// is non-finite, so a single NaN/Inf cannot poison the weights. The
+	// check rides the same scalar all-reduce global-norm clipping uses, so
+	// every rank makes the identical decision.
 	GuardNonFinite bool
-	// BF16Wire selects the bf16 belt codec on the transport-facing helpers
-	// (RunCluster and the CLIs): weight/grad belt payloads travel as 2-byte
-	// bfloat16, halving belt bytes at a bounded rounding cost. Unlike the
-	// other options it configures the *transport*, not the runner — trainers
-	// built directly on a caller-owned Transport inherit whatever codec that
-	// transport was created with.
-	BF16Wire bool
 	// Buddy enables buddy replication on WeiPipe trainers: each rank
 	// additionally shadows its ring successor's owned chunk (fp32 weights,
 	// AdamW moments and step count) by replaying the successor's optimizer
@@ -119,7 +100,7 @@ type Options struct {
 	// Integrity enables end-to-end silent-data-corruption defense on
 	// WeiPipe trainers: every belt chunk carries a CRC32 trailer sealed at
 	// its origin over the canonical wire-value domain and verified at
-	// consumption (surviving relay hops and the lossy bf16/f16 codecs),
+	// consumption (surviving relay hops and the lossy bf16 codec),
 	// and the resident fp32 master weights and optimizer moments are
 	// guarded by checksums refreshed after each legitimate mutation. A
 	// mismatch surfaces as a typed *comm.IntegrityError, which RunResilient
@@ -130,14 +111,12 @@ type Options struct {
 	Integrity bool
 	// SpikeWindow, when positive, arms the windowed grad-norm spike
 	// detector: the globally agreed Σg² of each step is compared against
-	// the median + SpikeMAD·(1.4826·MAD) envelope of the last SpikeWindow
-	// accepted norms. Detected spikes are counted (see SpikeCounter) and,
-	// with SpikeSkip, skip the optimizer step exactly like the non-finite
-	// guard — the verdict is global, so every rank and buddy shadow agrees.
+	// the median + optim.SpikeThreshold·(1.4826·MAD) envelope of the last
+	// SpikeWindow accepted norms. Detected spikes are counted (see
+	// SpikeCounter) and, with SpikeSkip, skip the optimizer step exactly like
+	// the non-finite guard — the verdict is global, so every rank and buddy
+	// shadow agrees.
 	SpikeWindow int
-	// SpikeMAD is the spike verdict threshold in robust standard
-	// deviations; ≤ 0 defaults to 6.
-	SpikeMAD float64
 	// SpikeSkip makes detected spikes skip the optimizer step instead of
 	// only counting them.
 	SpikeSkip bool
@@ -158,14 +137,11 @@ type Options struct {
 	BitFlip *BitFlipInjector
 }
 
-// guardActive reports whether non-finite gradients must skip the step.
-func guardActive(opts Options) bool { return opts.GuardNonFinite || opts.Scaler != nil }
-
 // needGlobalSumSq reports whether the step phase needs the global Σg²
 // (for clipping, for the non-finite guard, or for the spike detector —
 // one all-reduce serves every consumer).
 func needGlobalSumSq(opts Options) bool {
-	return opts.ClipNorm > 0 || guardActive(opts) || opts.SpikeWindow > 0
+	return opts.ClipNorm > 0 || opts.GuardNonFinite || opts.SpikeWindow > 0
 }
 
 // finiteSum reports whether a gradient sum-of-squares is finite.
@@ -173,16 +149,9 @@ func finiteSum(sumSq float64) bool {
 	return !math.IsNaN(sumSq) && !math.IsInf(sumSq, 0)
 }
 
-// gradFactor returns the factor that turns an accumulated gradient sum into
-// the (unscaled) mean gradient: 1/(n·scale), folding the dynamic loss scale
-// into the same multiply as the microbatch average.
-func gradFactor(opts Options, n int) float32 {
-	scale := 1.0
-	if opts.Scaler != nil {
-		scale = opts.Scaler.Scale()
-	}
-	return float32(1.0 / (float64(n) * scale))
-}
+// gradFactor returns the factor that turns an accumulated gradient sum over
+// n microbatches into the mean gradient.
+func gradFactor(n int) float32 { return float32(1.0 / float64(n)) }
 
 // clipScale returns the factor to scale gradients by so the global norm
 // (whose square is sumSq) does not exceed opts.ClipNorm.
@@ -438,27 +407,4 @@ func flattenGradsRange(mdl *model.Model, grads []*nn.ParamSet, lo, hi int, dst [
 	if off != len(dst) {
 		panic("pipeline: flattenGradsRange size mismatch")
 	}
-}
-
-// maybeRoundF16 rounds payload through fp16 when mixed precision is on.
-func maybeRoundF16(opts Options, payload []float32) []float32 {
-	if !opts.MixedPrecision {
-		return payload
-	}
-	for i, v := range payload {
-		payload[i] = tensor.F16ToF32(tensor.F32ToF16(v))
-	}
-	return payload
-}
-
-// maybeRoundBF16 rounds payload through bf16 when mixed precision is on
-// (the paper ships activation gradients in bf16).
-func maybeRoundBF16(opts Options, payload []float32) []float32 {
-	if !opts.MixedPrecision {
-		return payload
-	}
-	for i, v := range payload {
-		payload[i] = tensor.BF16ToF32(tensor.F32ToBF16(v))
-	}
-	return payload
 }

@@ -78,9 +78,6 @@ func NewPP(t Transport, cfg model.Config, opts Options, s Strategy) (*PP, error)
 	default:
 		return nil, fmt.Errorf("pipeline: %q is not an activation-passing pipeline strategy", s)
 	}
-	if opts.Scaler != nil {
-		opts.Scaler = opts.Scaler.Clone()
-	}
 	mdl := model.Build(cfg)
 	p := t.Size()
 	if p > len(mdl.Modules) {
@@ -111,11 +108,6 @@ func (p *PP) isLast() bool  { return p.t.Rank() == p.t.Size()-1 }
 
 // beginIteration resets per-iteration state.
 func (p *PP) beginIteration() {
-	if p.opts.Scaler != nil {
-		// Only the last stage runs the head, but setting the scale is
-		// harmless elsewhere and keeps the stages symmetric.
-		p.mdl.Head.LossScale = float32(p.opts.Scaler.Scale())
-	}
 	p.caches = make(map[int][]*nn.Cache)
 	p.grads = zeroedGrads(p.mdl, p.grads, p.lo, p.hi)
 	p.lossMB = make(map[int]float64)
@@ -151,7 +143,7 @@ func (p *PP) forwardMB(m int, b data.Batch) error {
 		p.lossMB[m] = loss
 		return nil
 	}
-	return p.t.Send(p.t.Rank()+1, Tag{Kind: comm.KindAct, A: m}, maybeRoundF16(p.opts, out.Data))
+	return p.t.Send(p.t.Rank()+1, Tag{Kind: comm.KindAct, A: m}, out.Data)
 }
 
 // backwardMBInput runs this stage's B pass for microbatch m, receiving the
@@ -175,7 +167,7 @@ func (p *PP) backwardMBInput(m int, b data.Batch) error {
 	if p.isFirst() {
 		return nil
 	}
-	return p.t.Send(p.t.Rank()-1, Tag{Kind: comm.KindActGrad, A: m}, maybeRoundBF16(p.opts, dx.Data))
+	return p.t.Send(p.t.Rank()-1, Tag{Kind: comm.KindActGrad, A: m}, dx.Data)
 }
 
 // backwardMBParams runs this stage's W pass for microbatch m and releases
@@ -218,7 +210,7 @@ func (p *PP) step(n int) error {
 	flatW, flatG := p.flatW, p.flatG
 	p.mdl.FlattenChunk(p.lo, p.hi, flatW)
 	flattenGradsRange(p.mdl, p.grads, p.lo, p.hi, flatG)
-	inv := gradFactor(p.opts, n)
+	inv := gradFactor(n)
 	for i := range flatG {
 		flatG[i] *= inv
 	}
@@ -234,11 +226,8 @@ func (p *PP) step(n int) error {
 			return err
 		}
 	}
-	if guardActive(p.opts) && !finiteSum(sumSq) {
+	if p.opts.GuardNonFinite && !finiteSum(sumSq) {
 		p.skipped++
-		if p.opts.Scaler != nil {
-			p.opts.Scaler.Observe(false)
-		}
 		return nil
 	}
 	if c := clipScale(p.opts, sumSq); c != 1 {
@@ -248,9 +237,6 @@ func (p *PP) step(n int) error {
 	}
 	p.opt.Step(flatW, flatG)
 	p.mdl.SetChunk(p.lo, p.hi, flatW)
-	if p.opts.Scaler != nil {
-		p.opts.Scaler.Observe(true)
-	}
 	return nil
 }
 

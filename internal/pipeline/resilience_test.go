@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"weipipe/internal/comm"
+	"weipipe/internal/data"
+	"weipipe/internal/model"
 )
 
 // The resilience contract: a training run that loses a rank mid-iteration
@@ -59,6 +61,22 @@ func inprocFactory(int) func(int, int) ([]comm.Transport, error) {
 	return func(_, size int) ([]comm.Transport, error) {
 		return comm.NewCluster(size).Transports(), nil
 	}
+}
+
+// runCodec is RunCluster over an in-process fabric whose sends travel under
+// codec (nil = f32): the wire precision is the transport's choice, so a bf16
+// run is a fabric choice, not an option.
+func runCodec(t *testing.T, s Strategy, p int, cfg model.Config, opts Options, iters int,
+	batches func(int) []data.Batch, codec comm.CodecFunc) *ClusterResult {
+	t.Helper()
+	res, err := RunResilient(s, p, cfg, opts, iters, batches,
+		func(_, size int) ([]comm.Transport, error) {
+			return comm.NewClusterCodec(size, codec).Transports(), nil
+		}, ResilientOptions{})
+	if err != nil {
+		t.Fatalf("%s p=%d: %v", s, p, err)
+	}
+	return res
 }
 
 // sendsPerIteration measures how many transport sends one WZB2 rank issues

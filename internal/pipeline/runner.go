@@ -44,8 +44,8 @@ type ClusterResult struct {
 	// about.
 	Comm []*comm.Stats
 	// SkippedSteps counts optimizer steps dropped by the non-finite guard
-	// or the loss scaler. The skip decision is global, so the count is the
-	// same on every rank.
+	// or the spike detector. The skip decision is global, so the count is
+	// the same on every rank.
 	SkippedSteps int
 	// SpikeSteps counts steps the grad-norm spike detector flagged
 	// (Options.SpikeWindow); like the skip count, it is global.
@@ -123,17 +123,14 @@ func maxArenaHighWater(trainers []Trainer) int {
 // feeding iteration i the microbatch list batchesFn(i) (every rank receives
 // the same list). It returns the per-iteration losses and the assembled
 // final weights. It is RunResilient's loop with no recovery options over an
-// in-process fabric carrying the Options.BF16Wire codec and Options.Trace.
+// f32 in-process fabric carrying Options.Trace; a bf16 wire is a fabric
+// choice, made by calling RunResilient over comm.NewClusterCodec.
 func RunCluster(s Strategy, p int, cfg model.Config, opts Options, iters int,
 	batchesFn func(iter int) []data.Batch) (*ClusterResult, error) {
 
-	var codec comm.CodecFunc
-	if opts.BF16Wire {
-		codec = comm.BeltBF16
-	}
 	return RunResilient(s, p, cfg, opts, iters, batchesFn,
 		func(_, size int) ([]comm.Transport, error) {
-			cluster := comm.NewClusterCodec(size, codec)
+			cluster := comm.NewCluster(size)
 			cluster.AttachTrace(opts.Trace)
 			return cluster.Transports(), nil
 		}, ResilientOptions{})

@@ -54,11 +54,11 @@ func TestSoakBitFlipSchedules(t *testing.T) {
 			inj := NewBitFlipInjector(events)
 
 			opts := integrityOpts()
-			opts.BF16Wire = i%3 == 0 // bf16 belts × checksum coverage
-			ref, err := RunCluster(StrategyWZB2, p, eqCfg(), opts, iters, eqBatches(iters, nb))
-			if err != nil {
-				t.Fatalf("oracle: %v", err)
+			var codec comm.CodecFunc
+			if i%3 == 0 {
+				codec = comm.BeltBF16 // bf16 belts × checksum coverage
 			}
+			ref := runCodec(t, StrategyWZB2, p, eqCfg(), opts, iters, eqBatches(iters, nb), codec)
 
 			if kernel {
 				tensor.EnableABFT()
@@ -74,9 +74,9 @@ func TestSoakBitFlipSchedules(t *testing.T) {
 			faulted.Trace = set
 
 			tcpOpts := comm.TCPOptions{
-				// The TCP wire codec is a transport option, not a trainer one:
-				// match the oracle's belt width so trajectories are comparable.
-				Codec:             wireCodecFor(opts),
+				// Match the oracle fabric's belt width so trajectories are
+				// comparable.
+				Codec:             codec,
 				DialTimeout:       10 * time.Second,
 				HeartbeatInterval: 20 * time.Millisecond,
 				PeerDeadTimeout:   2 * time.Second,
@@ -122,15 +122,6 @@ func TestSoakBitFlipSchedules(t *testing.T) {
 		})
 	}
 	waitPipelineGoroutines(t, baseG)
-}
-
-// wireCodecFor maps the trainer's BF16Wire option to the transport-level
-// codec, the way a launcher wires the two layers together.
-func wireCodecFor(opts Options) comm.CodecFunc {
-	if opts.BF16Wire {
-		return comm.BeltBF16
-	}
-	return nil
 }
 
 // writeSDCReport persists one schedule's artifacts: a JSON report of the

@@ -47,9 +47,6 @@ func (s *Serial) TrainIteration(batches []data.Batch) (float64, error) {
 	n := len(s.mdl.Modules)
 	s.grads = zeroedGrads(s.mdl, s.grads, 0, n)
 	grads := s.grads
-	if s.opts.Scaler != nil {
-		s.mdl.Head.LossScale = float32(s.opts.Scaler.Scale())
-	}
 	var lossSum float64
 	for mi, b := range batches {
 		mb := int64(mi)
@@ -73,20 +70,16 @@ func (s *Serial) TrainIteration(batches []data.Batch) (float64, error) {
 	return lossSum / float64(len(batches)), nil
 }
 
-// step averages the accumulated gradients over n microbatches, unscales
-// the dynamic loss scale (skipping the update on overflow) and applies one
-// optimizer update across the whole model.
+// step averages the accumulated gradients over n microbatches and applies
+// one optimizer update across the whole model (or, under the non-finite
+// guard, skips it).
 func (s *Serial) step(grads []*nn.ParamSet, n int) {
 	total := s.mdl.NumParams()
 	flatW := make([]float32, total)
 	flatG := make([]float32, total)
 	s.mdl.FlattenChunk(0, len(s.mdl.Modules), flatW)
 	flattenGradsRange(s.mdl, grads, 0, len(s.mdl.Modules), flatG)
-	if s.opts.Scaler != nil && !s.opts.Scaler.Unscale(flatG) {
-		s.skipped++
-		return // overflow: skip the step; the scaler has already backed off
-	}
-	inv := float32(1.0 / float64(n))
+	inv := gradFactor(n)
 	for i := range flatG {
 		flatG[i] *= inv
 	}

@@ -87,16 +87,12 @@ func runCfgOnTransports(t *testing.T, trs []comm.Transport, s Strategy, cfg mode
 
 // runTCP is RunCluster on a clean TCP loopback mesh: the fabric where a
 // relayed weight chunk is shared between the link writer and the stage that
-// computes out of it, instead of copied. opts.BF16Wire selects the mesh's
-// codec as it selects the in-process cluster's.
+// computes out of it, instead of copied. The mesh sends under codec (nil =
+// f32), as runCodec's in-process fabric does.
 func runTCP(t *testing.T, s Strategy, p int, cfg model.Config, opts Options,
-	iters int, batches func(int) []data.Batch) ([]float64, []float32) {
+	iters int, batches func(int) []data.Batch, codec comm.CodecFunc) ([]float64, []float32) {
 	t.Helper()
-	tcpOpts := comm.TCPOptions{DialTimeout: 10 * time.Second}
-	if opts.BF16Wire {
-		tcpOpts.Codec = comm.BeltBF16
-	}
-	trs := dialMesh(t, p, tcpOpts)
+	trs := dialMesh(t, p, comm.TCPOptions{DialTimeout: 10 * time.Second, Codec: codec})
 	defer func() {
 		for _, tr := range trs {
 			tr.Close()
@@ -124,7 +120,7 @@ func TestOverlapBitIdenticalAllStrategies(t *testing.T) {
 				if err != nil {
 					t.Fatalf("in-process: %v", err)
 				}
-				losses, weights := runTCP(t, s, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n))
+				losses, weights := runTCP(t, s, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n), nil)
 				bitIdentical(t, string(s)+" over TCP", losses, ref.Losses, weights, ref.Weights)
 			})
 		}
@@ -140,7 +136,7 @@ func TestOverlapBitIdenticalOddWorkerCount(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s in-process: %v", s, err)
 		}
-		losses, weights := runTCP(t, s, 3, eqCfg(), eqOpts(), iters, eqBatches(iters, n))
+		losses, weights := runTCP(t, s, 3, eqCfg(), eqOpts(), iters, eqBatches(iters, n), nil)
 		bitIdentical(t, string(s)+" over TCP", losses, ref.Losses, weights, ref.Weights)
 	}
 }
@@ -157,7 +153,7 @@ func TestOverlapBitIdenticalWithBuddyAndClip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("in-process: %v", err)
 	}
-	losses, weights := runTCP(t, StrategyWZB2, 4, eqCfg(), opts, iters, eqBatches(iters, n))
+	losses, weights := runTCP(t, StrategyWZB2, 4, eqCfg(), opts, iters, eqBatches(iters, n), nil)
 	bitIdentical(t, "wzb2+buddy+clip over TCP", losses, ref.Losses, weights, ref.Weights)
 }
 
@@ -247,47 +243,39 @@ func TestOverlapRecordsBeltStall(t *testing.T) {
 	}
 }
 
-func TestBF16WireStaysClose(t *testing.T) {
-	// The bf16 belt codec perturbs but must not diverge (cf. the fp16
-	// mixed-precision bound), and it must actually halve the weight-belt
-	// wire volume.
+func TestBF16BeltStaysClose(t *testing.T) {
+	// The bf16 belt codec — the one reduced-precision wire — perturbs but
+	// must not diverge: losses within a few percent of fp32 after two
+	// iterations, on the zero-bubble schedule and on the interleaved one.
+	// And it must actually halve the weight-belt wire volume.
 	const iters, n = 2, 4
 	wantLoss, _ := serialReference(t, iters, n)
-	f32, err := RunCluster(StrategyWZB2, 2, eqCfg(), eqOpts(), iters, eqBatches(iters, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := eqOpts()
-	opts.BF16Wire = true
-	res, err := RunCluster(StrategyWZB2, 2, eqCfg(), opts, iters, eqBatches(iters, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantLoss {
-		rel := math.Abs(res.Losses[i]-wantLoss[i]) / wantLoss[i]
-		if rel > 0.05 {
-			t.Errorf("iter %d: bf16-wire loss %.5f vs fp32 %.5f (rel %f)", i, res.Losses[i], wantLoss[i], rel)
-		}
-	}
-	fw := f32.TotalComm().SentBytes(comm.KindWeight)
-	bw := res.TotalComm().SentBytes(comm.KindWeight)
-	if 2*bw != fw {
-		t.Errorf("bf16 weight-belt bytes %d, want exactly half of fp32's %d", bw, fw)
+	for _, s := range []Strategy{StrategyWZB2, StrategyWeiPipeInterleave} {
+		t.Run(string(s), func(t *testing.T) {
+			f32 := runCodec(t, s, 2, eqCfg(), eqOpts(), iters, eqBatches(iters, n), nil)
+			res := runCodec(t, s, 2, eqCfg(), eqOpts(), iters, eqBatches(iters, n), comm.BeltBF16)
+			for i := range wantLoss {
+				rel := math.Abs(res.Losses[i]-wantLoss[i]) / wantLoss[i]
+				if rel > 0.05 {
+					t.Errorf("iter %d: bf16-wire loss %.5f vs fp32 %.5f (rel %f)", i, res.Losses[i], wantLoss[i], rel)
+				}
+			}
+			fw := f32.TotalComm().SentBytes(comm.KindWeight)
+			bw := res.TotalComm().SentBytes(comm.KindWeight)
+			if 2*bw != fw {
+				t.Errorf("bf16 weight-belt bytes %d, want exactly half of fp32's %d", bw, fw)
+			}
+		})
 	}
 }
 
-func TestBF16WireWithOverlapStaysClose(t *testing.T) {
+func TestBF16BeltWithOverlapStaysClose(t *testing.T) {
 	// Codec and relay compose: a relayed chunk already holds rounded values,
 	// so packing it again (TCP, out of the shared buffer) or rounding its
 	// private copy (in process) is idempotent and the two fabrics agree.
 	const iters, n = 2, 4
-	opts := eqOpts()
-	opts.BF16Wire = true
-	ref, err := RunCluster(StrategyWZB2, 2, eqCfg(), opts, iters, eqBatches(iters, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	losses, weights := runTCP(t, StrategyWZB2, 2, eqCfg(), opts, iters, eqBatches(iters, n))
+	ref := runCodec(t, StrategyWZB2, 2, eqCfg(), eqOpts(), iters, eqBatches(iters, n), comm.BeltBF16)
+	losses, weights := runTCP(t, StrategyWZB2, 2, eqCfg(), eqOpts(), iters, eqBatches(iters, n), comm.BeltBF16)
 	bitIdentical(t, "bf16 over TCP", losses, ref.Losses, weights, ref.Weights)
 }
 

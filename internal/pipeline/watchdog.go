@@ -241,12 +241,7 @@ func (b *beaconTransport) CommStats() *comm.Stats {
 }
 
 // WireCodec forwards the inner codec report (the wrapper never re-encodes).
-func (b *beaconTransport) WireCodec(tag Tag) comm.WireCodec {
-	if cp, ok := b.Transport.(comm.CodecProvider); ok {
-		return cp.WireCodec(tag)
-	}
-	return comm.CodecF32
-}
+func (b *beaconTransport) WireCodec(tag Tag) comm.WireCodec { return comm.CodecOf(b.Transport, tag) }
 
 // watchdog samples a ProgressBoard and flags stragglers.
 type watchdog struct {

@@ -116,17 +116,15 @@ type WeiPipe struct {
 	// time, so one slot serves; see bindStage.
 	stage stageBuf
 
-	// skipped counts optimizer steps dropped by the non-finite guard (or
-	// the loss scaler); the decision is global, so every rank agrees.
+	// skipped counts optimizer steps dropped by the non-finite guard or the
+	// spike detector; the decision is global, so every rank agrees.
 	skipped int
 
 	// Integrity layer state (Options.Integrity; see integrity.go). pad is
 	// the checksum trailer length every belt buffer grows by (0 = off);
-	// wireCodec reports the codec a tag's payload travels under, so seals
-	// cover the canonical wire-value domain. guard* cache the resident
-	// state's checksums between legitimate mutations.
+	// guard* cache the resident state's checksums between legitimate
+	// mutations.
 	pad        int
-	wireCodec  comm.CodecFunc
 	guardW     uint32
 	guardM     uint32
 	guardV     uint32
@@ -211,11 +209,6 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 	if p > len(mdl.Modules) {
 		return nil, fmt.Errorf("pipeline: %d ranks exceed %d modules", p, len(mdl.Modules))
 	}
-	if opts.Scaler != nil {
-		// Every rank advances its own scaler copy; the skip decisions are
-		// global, so the copies evolve in lock-step without sharing state.
-		opts.Scaler = opts.Scaler.Clone()
-	}
 	w := &WeiPipe{
 		t:       t,
 		mdl:     mdl,
@@ -243,7 +236,7 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 	w.initIntegrity()
 	w.refreshResidentGuards()
 	if opts.SpikeWindow > 0 {
-		w.spike = optim.NewSpikeDetector(opts.SpikeWindow, opts.SpikeMAD, opts.SpikeSkip)
+		w.spike = optim.NewSpikeDetector(opts.SpikeWindow, opts.SpikeSkip)
 	}
 	if opts.Buddy && p >= 2 {
 		w.initBuddy()
@@ -329,9 +322,6 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 		return 0, gerr
 	}
 	w.curR = n / p
-	if w.opts.Scaler != nil {
-		w.mdl.Head.LossScale = float32(w.opts.Scaler.Scale())
-	}
 	st := &wpState{
 		batches:    batches,
 		caches:     make(map[int][]*nn.Cache),
@@ -406,7 +396,7 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	if w.globalN > 0 {
 		denom = w.globalN
 	}
-	inv := gradFactor(w.opts, denom)
+	inv := gradFactor(denom)
 	for i := range db {
 		db[i] *= inv
 	}
@@ -422,7 +412,7 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 			return 0, err
 		}
 	}
-	skip := guardActive(w.opts) && !finiteSum(sumSq)
+	skip := w.opts.GuardNonFinite && !finiteSum(sumSq)
 	spikeSkip := false
 	if w.spike != nil {
 		var isSpike bool
@@ -437,27 +427,15 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	}
 	w.lastInv, w.lastSumSq, w.lastSkip = inv, sumSq, skip || spikeSkip
 	w.stashOwnedRollback()
-	if skip {
+	if skip || spikeSkip {
 		w.skipped++
-		if w.opts.Scaler != nil {
-			w.opts.Scaler.Observe(false)
-		}
 	} else {
-		if spikeSkip {
-			w.skipped++
-		} else {
-			if c := clipScale(w.opts, sumSq); c != 1 {
-				for i := range db {
-					db[i] *= c
-				}
+		if c := clipScale(w.opts, sumSq); c != 1 {
+			for i := range db {
+				db[i] *= c
 			}
-			w.opt.Step(w.masterW, db)
 		}
-		// The scaler reacts to finiteness only: a finite spike says nothing
-		// about the loss scale.
-		if w.opts.Scaler != nil {
-			w.opts.Scaler.Observe(true)
-		}
+		w.opt.Step(w.masterW, db)
 	}
 	w.ownerIters++
 	comm.Release(d)
@@ -524,13 +502,10 @@ func (w *WeiPipe) beltRecvOn(t Transport, src int, tag Tag) ([]float32, error) {
 }
 
 // ownedPayload builds the owned chunk's belt payload for an iteration: one
-// copy of the master weights, rounded (mixed precision) and sealed under tag.
-// The caller owns it.
+// copy of the master weights, sealed under tag. The caller owns it.
 func (w *WeiPipe) ownedPayload(tag Tag) []float32 {
 	payload := comm.GetBuf(len(w.masterW) + w.pad)
-	body := payload[:len(w.masterW)]
-	copy(body, w.masterW)
-	maybeRoundF16(w.opts, body)
+	copy(payload, w.masterW)
 	w.sealBelt(tag, payload)
 	return payload
 }
@@ -675,7 +650,6 @@ func (w *WeiPipe) accumulateAndForwardD(c, use int, local []float32) error {
 		tensor.AddIntoF32(body, db)
 		comm.Release(d)
 	}
-	maybeRoundF16(w.opts, body)
 	if use < w.totalUses()-1 {
 		tag := Tag{Kind: comm.KindGrad, A: c, B: w.enc(beltBwd, use+1)}
 		w.sealBelt(tag, local)

@@ -2,79 +2,11 @@ package tensor
 
 import "math"
 
-// This file emulates the paper's mixed-precision storage formats. The paper
-// stores activations, weights and weight-gradients in fp16, activation
-// gradients in bf16, and optimizer state in fp32. We compute in fp32 but can
-// round values through fp16/bf16 so that the numerical behaviour (and the
-// byte counts used by the cost model) match the paper's recipe.
-
-// F32ToF16 converts a float32 to IEEE 754 binary16, round-to-nearest-even,
-// with overflow to infinity and subnormal flushing handled per the standard.
-func F32ToF16(f float32) uint16 {
-	b := math.Float32bits(f)
-	sign := uint16(b>>16) & 0x8000
-	exp := int32(b>>23&0xff) - 127 + 15
-	mant := b & 0x7fffff
-
-	switch {
-	case exp >= 0x1f: // overflow or inf/nan
-		if int32(b>>23&0xff) == 0xff {
-			if mant != 0 {
-				return sign | 0x7e00 // nan
-			}
-			return sign | 0x7c00 // inf
-		}
-		return sign | 0x7c00
-	case exp <= 0: // subnormal or zero
-		if exp < -10 {
-			return sign
-		}
-		mant |= 0x800000
-		shift := uint32(14 - exp)
-		half := uint32(1) << (shift - 1)
-		v := mant >> shift
-		// round to nearest even
-		if mant&(half<<1-1) > half || (mant&half != 0 && v&1 == 1) {
-			v++
-		}
-		return sign | uint16(v)
-	default:
-		v := uint16(exp)<<10 | uint16(mant>>13)
-		rem := mant & 0x1fff
-		if rem > 0x1000 || (rem == 0x1000 && v&1 == 1) {
-			v++
-		}
-		return sign | v
-	}
-}
-
-// F16ToF32 converts an IEEE 754 binary16 value to float32.
-func F16ToF32(h uint16) float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h >> 10 & 0x1f)
-	mant := uint32(h & 0x3ff)
-	switch {
-	case exp == 0x1f:
-		if mant != 0 {
-			return math.Float32frombits(sign | 0x7fc00000)
-		}
-		return math.Float32frombits(sign | 0x7f800000)
-	case exp == 0:
-		if mant == 0 {
-			return math.Float32frombits(sign)
-		}
-		// subnormal: normalise
-		for mant&0x400 == 0 {
-			mant <<= 1
-			exp--
-		}
-		mant &= 0x3ff
-		exp++
-		return math.Float32frombits(sign | (exp+112)<<23 | mant<<13)
-	default:
-		return math.Float32frombits(sign | (exp+112)<<23 | mant<<13)
-	}
-}
+// The one reduced-precision format: bfloat16, fp32's 8-bit exponent with a
+// 7-bit mantissa — the width weight and gradient belt chunks can travel at
+// (comm.BeltBF16) while masters, moments and compute stay fp32, the paper's
+// recipe. Which payloads travel as bf16 is the transport's codec decision;
+// this file only converts.
 
 // F32ToBF16 converts a float32 to bfloat16 (stored in uint16), with
 // round-to-nearest-even. NaNs are preserved quiet.
@@ -90,20 +22,6 @@ func F32ToBF16(f float32) uint16 {
 // BF16ToF32 converts a bfloat16 value back to float32.
 func BF16ToF32(h uint16) float32 {
 	return math.Float32frombits(uint32(h) << 16)
-}
-
-// RoundF16 rounds every element of t through fp16 in place.
-func RoundF16(t *Tensor) {
-	for i, v := range t.Data {
-		t.Data[i] = F16ToF32(F32ToF16(v))
-	}
-}
-
-// RoundBF16 rounds every element of t through bf16 in place.
-func RoundBF16(t *Tensor) {
-	for i, v := range t.Data {
-		t.Data[i] = BF16ToF32(F32ToBF16(v))
-	}
 }
 
 // RoundBF16Slice rounds every element of x through bf16 in place — the
@@ -153,22 +71,4 @@ func WidenBF16LE(x []float32) {
 		h := uint16(src[2*i]) | uint16(src[2*i+1])<<8
 		x[i] = BF16ToF32(h)
 	}
-}
-
-// PackF16 encodes src into half-precision words.
-func PackF16(src []float32) []uint16 {
-	out := make([]uint16, len(src))
-	for i, v := range src {
-		out[i] = F32ToF16(v)
-	}
-	return out
-}
-
-// UnpackF16 decodes half-precision words into float32s.
-func UnpackF16(src []uint16) []float32 {
-	out := make([]float32, len(src))
-	for i, v := range src {
-		out[i] = F16ToF32(v)
-	}
-	return out
 }

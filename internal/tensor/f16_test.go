@@ -3,98 +3,7 @@ package tensor
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestF16ExactValues(t *testing.T) {
-	cases := []struct {
-		f float32
-		h uint16
-	}{
-		{0, 0x0000},
-		{1, 0x3c00},
-		{-1, 0xbc00},
-		{2, 0x4000},
-		{0.5, 0x3800},
-		{65504, 0x7bff}, // max finite half
-		{float32(math.Inf(1)), 0x7c00},
-		{float32(math.Inf(-1)), 0xfc00},
-	}
-	for _, c := range cases {
-		if got := F32ToF16(c.f); got != c.h {
-			t.Errorf("F32ToF16(%v) = %#04x, want %#04x", c.f, got, c.h)
-		}
-		if got := F16ToF32(c.h); got != c.f {
-			t.Errorf("F16ToF32(%#04x) = %v, want %v", c.h, got, c.f)
-		}
-	}
-}
-
-func TestF16Overflow(t *testing.T) {
-	if got := F32ToF16(1e6); got != 0x7c00 {
-		t.Fatalf("overflow = %#04x, want +inf", got)
-	}
-	if got := F32ToF16(-1e6); got != 0xfc00 {
-		t.Fatalf("neg overflow = %#04x, want -inf", got)
-	}
-}
-
-func TestF16NaN(t *testing.T) {
-	h := F32ToF16(float32(math.NaN()))
-	if h&0x7c00 != 0x7c00 || h&0x3ff == 0 {
-		t.Fatalf("NaN encoding = %#04x", h)
-	}
-	if !math.IsNaN(float64(F16ToF32(h))) {
-		t.Fatal("F16ToF32(NaN) not NaN")
-	}
-}
-
-func TestF16Subnormals(t *testing.T) {
-	// smallest positive subnormal half = 2^-24
-	tiny := float32(math.Ldexp(1, -24))
-	if got := F32ToF16(tiny); got != 0x0001 {
-		t.Fatalf("subnormal = %#04x, want 0x0001", got)
-	}
-	if got := F16ToF32(0x0001); got != tiny {
-		t.Fatalf("round-trip subnormal = %v, want %v", got, tiny)
-	}
-	// below half the smallest subnormal flushes to zero
-	if got := F32ToF16(float32(math.Ldexp(1, -26))); got != 0 {
-		t.Fatalf("underflow = %#04x, want 0", got)
-	}
-}
-
-// Property: round-tripping any representable half is the identity.
-func TestF16RoundTripExhaustiveFinite(t *testing.T) {
-	for h := 0; h < 1<<16; h++ {
-		hu := uint16(h)
-		if hu&0x7c00 == 0x7c00 && hu&0x3ff != 0 {
-			continue // NaN payloads need not round-trip exactly
-		}
-		if got := F32ToF16(F16ToF32(hu)); got != hu {
-			// -0 vs +0 must still round-trip
-			t.Fatalf("round trip %#04x -> %v -> %#04x", hu, F16ToF32(hu), got)
-		}
-	}
-}
-
-// Property: f16 quantisation error is bounded by 2^-11 relative for normals.
-func TestF16RelativeError(t *testing.T) {
-	f := func(v float32) bool {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			return true
-		}
-		a := math.Abs(float64(v))
-		if a < 6.2e-5 || a > 65000 {
-			return true // outside half normal range
-		}
-		rt := float64(F16ToF32(F32ToF16(v)))
-		return math.Abs(rt-float64(v)) <= a*math.Ldexp(1, -11)+1e-30
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestBF16RoundTrip(t *testing.T) {
 	vals := []float32{0, 1, -1, 3.14159, 1e20, -1e-20, 65504}
@@ -116,34 +25,7 @@ func TestBF16RoundTrip(t *testing.T) {
 	}
 }
 
-func TestRoundTensorsAndPack(t *testing.T) {
-	rng := NewRNG(3)
-	x := New(64)
-	FillNormal(x, rng, 1)
-	y := x.Clone()
-	RoundF16(y)
-	for i := range y.Data {
-		if got := F16ToF32(F32ToF16(x.Data[i])); got != y.Data[i] {
-			t.Fatalf("RoundF16 mismatch at %d", i)
-		}
-	}
-	packed := PackF16(x.Data)
-	un := UnpackF16(packed)
-	for i := range un {
-		if un[i] != y.Data[i] {
-			t.Fatalf("Pack/Unpack mismatch at %d", i)
-		}
-	}
-	z := x.Clone()
-	RoundBF16(z)
-	for i := range z.Data {
-		if got := BF16ToF32(F32ToBF16(x.Data[i])); got != z.Data[i] {
-			t.Fatalf("RoundBF16 mismatch at %d", i)
-		}
-	}
-}
-
-func TestBF16WireKernels(t *testing.T) {
+func TestBF16PackKernels(t *testing.T) {
 	rng := NewRNG(9)
 	x := New(129) // odd length: no whole-vector alignment assumptions
 	FillNormal(x, rng, 1)

@@ -4,8 +4,8 @@
 // Tensors are row-major and always contiguous. The package favours
 // predictable memory behaviour over generality: shapes are immutable after
 // creation, views share storage explicitly via Slice/Reshape, and all
-// compute happens in float32 with optional float16 round-tripping to emulate
-// the mixed-precision storage/wire format the paper uses.
+// compute happens in float32. The bfloat16 conversions (f16.go) serve the
+// transports' bf16 wire codec.
 package tensor
 
 import (

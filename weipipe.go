@@ -40,7 +40,9 @@ type (
 	Config = model.Config
 	// Model is a built transformer.
 	Model = model.Model
-	// Options configures training (optimizer, recomputation, wire precision).
+	// Options configures training (optimizer, recomputation, clipping,
+	// guards). The wire precision is the transport's: see
+	// NewInprocClusterCodec and TCPOptions.Codec.
 	Options = pipeline.Options
 	// Strategy names a parallel training strategy.
 	Strategy = pipeline.Strategy
@@ -105,7 +107,8 @@ type CodecFunc = comm.CodecFunc
 // travel as bf16 (half the belt bytes), everything else stays f32.
 var BeltBF16 CodecFunc = comm.BeltBF16
 
-// NewInprocClusterCodec is NewInprocCluster with a wire codec (nil = f32).
+// NewInprocClusterCodec is NewInprocCluster with a wire codec (nil = f32):
+// the one place an in-process run's wire precision is chosen.
 func NewInprocClusterCodec(p int, codec CodecFunc) []Transport {
 	return comm.NewClusterCodec(p, codec).Transports()
 }
