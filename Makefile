@@ -116,9 +116,9 @@ sdc-quick:
 # bench-guard is the CI regression guard: run the functional kernel A/B —
 # MatMulNT 256³, and at the long-* benchmark shapes MatMulNN 512×64×172,
 # MatMulTN 64×512×172, the B pass's MatMulNT 512×64×172 (dy·W₂ᵀ) and
-# 512×172×64 (du·W₁ᵀ) and attention forward+backward (H 64 / 4 heads /
-# S 512) — and fail unless the best SIMD backend beats scalar by 2× on every
-# row (the local target is 4×+; the CI margin absorbs shared-runner noise; a
+# 512×172×64 (du·W₁ᵀ), attention forward+backward (H 64 / 4 heads /
+# S 512) and the LM head's SoftmaxRows over 512×256 logits — and fail
+# unless the best SIMD backend beats scalar by 2× on every row (the local target is 4×+; the CI margin absorbs shared-runner noise; a
 # scalar-only build passes, an amd64 build whose CPU registered no SIMD
 # backend fails: it measured nothing) and print, ungated, the TCP wire
 # path's 3.2 MB-chunk loopback throughput and allocations per chunk
@@ -143,7 +143,7 @@ bench-sweep:
 	$(GO) run ./cmd/weipipe-bench -sweep -sweep-out BENCH_sweep.json
 
 # bench-kernel records the functional scalar-vs-SIMD kernel A/B (MatMulNT,
-# MatMulNN, MatMulTN and attention forward+backward).
+# MatMulNN, MatMulTN, attention forward+backward and SoftmaxRows).
 bench-kernel:
 	$(GO) run ./cmd/weipipe-bench -kernel -kernel-out BENCH_kernel.json
 

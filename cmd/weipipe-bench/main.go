@@ -36,7 +36,7 @@ func main() {
 	grouped := flag.Bool("grouped", false, "run the grouped-belt traffic benchmark (simulated grid + functional p=16 A/B)")
 	groupedOut := flag.String("grouped-out", "BENCH_grouped.json", "output path for -grouped")
 	requireGroupedWin := flag.Bool("require-grouped-win", false, "exit nonzero unless the -grouped-out report shows bit-identity and an inter-group byte reduction, measured and simulated (the CI grouped guard); checks an existing report when -grouped is absent")
-	kernel := flag.Bool("kernel", false, "run the functional kernel A/B (scalar vs best backend): MatMulNT 256³, and MatMulNN, MatMulTN, the B pass's two MatMulNT and attention at the long-* benchmark shapes")
+	kernel := flag.Bool("kernel", false, "run the functional kernel A/B (scalar vs best backend): MatMulNT 256³, and MatMulNN, MatMulTN, the B pass's two MatMulNT, attention and the head's SoftmaxRows at the long-* benchmark shapes")
 	kernelOut := flag.String("kernel-out", "BENCH_kernel.json", "output path for -kernel")
 	kernelReps := flag.Int("kernel-reps", 20, "repetitions (min taken) for -kernel")
 	requireSpeedup := flag.Float64("require-kernel-speedup", 0, "exit nonzero unless every row of the -kernel-out report reaches this SIMD speedup (the CI kernel guard); 0 disables")

@@ -66,7 +66,7 @@ type runConfig struct {
 
 func main() {
 	strategy := flag.String("strategy", "weipipe-interleave", "training strategy")
-	backend := flag.String("backend", "", "tensor kernel backend: auto (default; the fastest this CPU supports), avx512 or avx2 (SIMD, the same bits on 16- or 8-lane GEMM panels; FMA-reassociated matmul, attention and SiLU), scalar (the bit-exact reference)")
+	backend := flag.String("backend", "", "tensor kernel backend: auto (default; the fastest this CPU supports), avx512 or avx2 (SIMD, the same bits on 16- or 8-lane GEMM panels; FMA-reassociated matmul, attention, SiLU and the head softmax), scalar (the bit-exact reference)")
 	p := flag.Int("p", 2, "workers")
 	vocab := flag.Int("vocab", 256, "vocabulary size")
 	hidden := flag.Int("hidden", 64, "hidden size")
@@ -122,7 +122,7 @@ func main() {
 	}
 	mode := "bit-exact reference"
 	if !tensor.BackendExact() {
-		mode = "tolerance mode: NT matmul, DotF32, attention and SiLU reassociated; -backend scalar pins the bit-exact reference"
+		mode = "tolerance mode: matmuls, DotF32, attention, SiLU and the head softmax reassociated; -backend scalar pins the bit-exact reference"
 	}
 	fmt.Printf("kernel backend: %s (%s; deterministic, strategies stay mutually bit-identical)\n", tensor.BackendName(), mode)
 

@@ -15,9 +15,10 @@ import (
 // The kernel A/B is the functional counterpart of the Go benchmarks
 // BenchmarkMatMul{NT,NN,TN} and BenchmarkCausalAttention: it times the
 // headline 256³ NT matmul, the NN, TN and both NT matmuls of the
-// long-context benchmark's FFN (forward, W pass, B pass), and one
-// fused-attention forward+backward at that benchmark's attention shape, on
-// the scalar oracle and on the best
+// long-context benchmark's FFN (forward, W pass, B pass), one
+// fused-attention forward+backward at that benchmark's attention shape and
+// the LM head's row softmax over its [S, V] logits, on the scalar oracle and
+// on the best
 // registered SIMD backend, and records the speedups, so CI can guard the
 // kernel work without go-test bench plumbing. On machines with no SIMD
 // backend the A/B degenerates to scalar-vs-scalar and reports speedups of 1.
@@ -46,6 +47,8 @@ type KernelReport struct {
 	Matmuls []MatmulAB `json:"matmuls"`
 	// Attention is the fused causal attention forward+backward A/B.
 	Attention AttentionAB `json:"attention"`
+	// Softmax is the LM head's SoftmaxRows A/B.
+	Softmax SoftmaxAB `json:"softmax"`
 }
 
 // FMAPeak is the measured FMA ceiling at one vector width: 12 independent
@@ -80,6 +83,18 @@ type AttentionAB struct {
 	Hidden     int     `json:"hidden"`
 	Heads      int     `json:"heads"`
 	Seq        int     `json:"seq"`
+	ScalarMs   float64 `json:"scalar_ms"`
+	BestMs     float64 `json:"best_ms"`
+	Speedup    float64 `json:"speedup"`
+	AVX2Ms     float64 `json:"avx2_ms,omitempty"`
+	MaxAbsDiff float64 `json:"max_abs_diff"`
+}
+
+// SoftmaxAB is the softmax row of the kernel A/B: one SoftmaxRows over
+// [Rows, Cols] logits.
+type SoftmaxAB struct {
+	Rows       int     `json:"rows"`
+	Cols       int     `json:"cols"`
 	ScalarMs   float64 `json:"scalar_ms"`
 	BestMs     float64 `json:"best_ms"`
 	Speedup    float64 `json:"speedup"`
@@ -125,11 +140,11 @@ func newKernelMatmul(rng *tensor.RNG, form string, m, n, k int) *kernelMatmul {
 
 // RunKernelBench measures the scalar-vs-best-backend A/B: MatMulNT at
 // 256×256×256, and at the long-* benchmark workloads' shapes (H 64, F 172,
-// 4 heads, S 512) the FFN's NN product x·W₁, its TN product dW₁ = xᵀ·dy,
-// its two NT products dy·W₂ᵀ and du·W₁ᵀ (the B pass), and attention
-// forward+backward.
+// 4 heads, S 512, V 256) the FFN's NN product x·W₁, its TN product
+// dW₁ = xᵀ·dy, its two NT products dy·W₂ᵀ and du·W₁ᵀ (the B pass),
+// attention forward+backward and the head's softmax.
 func RunKernelBench(reps int) (*KernelReport, error) {
-	const hidden, ffn, heads, seq = 64, 172, 4, 512
+	const hidden, ffn, heads, seq, vocab = 64, 172, 4, 512, 256
 	if reps <= 0 {
 		reps = 20
 	}
@@ -142,7 +157,8 @@ func RunKernelBench(reps int) (*KernelReport, error) {
 		newKernelMatmul(rng, "NT", seq, hidden, ffn),
 	}
 	q, k, v, dout := tensor.New(seq, hidden), tensor.New(seq, hidden), tensor.New(seq, hidden), tensor.New(seq, hidden)
-	for _, t := range []*tensor.Tensor{q, k, v, dout} {
+	logits := tensor.New(seq, vocab)
+	for _, t := range []*tensor.Tensor{q, k, v, dout, logits} {
 		tensor.FillNormal(t, rng, 1)
 	}
 
@@ -150,6 +166,7 @@ func RunKernelBench(reps int) (*KernelReport, error) {
 		GoArch: runtime.GOARCH, Backends: tensor.Backends(), SIMDCompiled: tensor.SIMDCompiled,
 		Reps:      reps,
 		Attention: AttentionAB{Hidden: hidden, Heads: heads, Seq: seq},
+		Softmax:   SoftmaxAB{Rows: seq, Cols: vocab},
 	}
 	prev := tensor.BackendName()
 	defer func() { _ = tensor.SetBackend(prev) }() // the name that was active cannot be unknown
@@ -166,8 +183,9 @@ func RunKernelBench(reps int) (*KernelReport, error) {
 	if rep.BestBackend == "avx512" {
 		backends = append(backends, "avx2")
 	}
-	var attnMs [3]float64
+	var attnMs, softmaxMs [3]float64
 	dq := [3]*tensor.Tensor{tensor.New(seq, hidden), tensor.New(seq, hidden), tensor.New(seq, hidden)}
+	probs := [3]*tensor.Tensor{tensor.New(seq, vocab), tensor.New(seq, vocab), tensor.New(seq, vocab)}
 	out, lse := tensor.New(seq, hidden), tensor.New(heads*seq)
 	dk, dv := tensor.New(seq, hidden), tensor.New(seq, hidden)
 	timed := func(best *float64, warm bool, run func()) {
@@ -189,6 +207,7 @@ func RunKernelBench(reps int) (*KernelReport, error) {
 				tensor.CausalAttention(out, lse, q, k, v, heads, seq, seq, 0)
 				tensor.CausalAttentionBackward(dq[i], dk, dv, q, k, v, out, dout, lse, heads, seq, seq, 0)
 			})
+			timed(&softmaxMs[i], r == 0, func() { tensor.SoftmaxRows(probs[i], logits) })
 		}
 	}
 	for _, km := range matmuls {
@@ -206,6 +225,11 @@ func RunKernelBench(reps int) (*KernelReport, error) {
 		rep.Attention.Speedup = rep.Attention.ScalarMs / rep.Attention.BestMs
 	}
 	rep.Attention.MaxAbsDiff = maxAbsDiff(dq[0], dq[1])
+	rep.Softmax.ScalarMs, rep.Softmax.BestMs, rep.Softmax.AVX2Ms = softmaxMs[0], softmaxMs[1], softmaxMs[2]
+	if rep.Softmax.BestMs > 0 {
+		rep.Softmax.Speedup = rep.Softmax.ScalarMs / rep.Softmax.BestMs
+	}
+	rep.Softmax.MaxAbsDiff = maxAbsDiff(probs[0], probs[1])
 	rep.FMAPeak = fmaPeak()
 	return rep, nil
 }
@@ -275,6 +299,9 @@ func WriteKernelBench(path string, reps int) error {
 	}
 	fmt.Printf("  attention fwd+bwd H%d h%d S%d\t%8.3f ms -> %8.3f ms (%.2fx, max |dq diff| %.2e%s)\n",
 		at.Hidden, at.Heads, at.Seq, at.ScalarMs, at.BestMs, at.Speedup, at.MaxAbsDiff, avx2(at.AVX2Ms))
+	sm := rep.Softmax
+	fmt.Printf("  SoftmaxRows %dx%d\t%8.3f ms -> %8.3f ms (%.2fx, max |diff| %.2e%s)\n",
+		sm.Rows, sm.Cols, sm.ScalarMs, sm.BestMs, sm.Speedup, sm.MaxAbsDiff, avx2(sm.AVX2Ms))
 	fmt.Printf("  written to %s\n", path)
 	return nil
 }
@@ -313,6 +340,10 @@ func RequireKernelSpeedup(path string, min float64) error {
 	if rep.Attention.Speedup < min {
 		return fmt.Errorf("bench: %s: %s attention fwd+bwd speedup %.2fx below required %.2fx",
 			path, rep.BestBackend, rep.Attention.Speedup, min)
+	}
+	if rep.Softmax.Speedup < min {
+		return fmt.Errorf("bench: %s: %s SoftmaxRows %dx%d speedup %.2fx below required %.2fx",
+			path, rep.BestBackend, rep.Softmax.Rows, rep.Softmax.Cols, rep.Softmax.Speedup, min)
 	}
 	return nil
 }

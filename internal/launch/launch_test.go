@@ -151,25 +151,42 @@ func TestCrossProcessPinnedBackend(t *testing.T) {
 	})
 }
 
-// A worker whose hello names another backend than the supervisor's — an
-// older binary that ignores the pin, or none at all — fails the fleet with
-// ErrMixedBackends before any rank is assigned.
+// A worker whose hello names a backend of another bit class than the
+// supervisor's — an older binary that ignores the pin, or none at all —
+// fails the fleet with ErrMixedBackends before any rank is assigned; one
+// that runs avx2 under an avx512 supervisor computes the same bits and is
+// admitted. Hellos are forged, so no CPU support is needed.
 func TestMixedBackendFleetRejected(t *testing.T) {
-	for _, forged := range []string{"some-other-backend", ""} {
+	for _, c := range []struct {
+		supervisor, worker string
+		admit              bool
+	}{
+		{"avx512", "avx2", true},
+		{"avx2", "avx512", true},
+		{"scalar", "scalar", true},
+		{"avx512", "scalar", false},
+		{"avx512", "", false},
+		{"scalar", "avx2", false},
+		{"scalar", "some-other-backend", false},
+		{"some-other-backend", "some-other-backend", false},
+	} {
 		s := &supervisor{
-			backend: tensor.BackendName(),
+			backend: c.supervisor,
 			events:  make(chan supEvent, 4),
 			procs:   map[int]*proc{0: {id: 0}, 1: {id: 1}},
 		}
-		for id, backend := range []string{s.backend, forged} {
+		for id, backend := range []string{c.worker, c.worker} {
 			near, far := net.Pipe()
 			defer near.Close()
 			defer far.Close()
 			s.events <- supEvent{id: id, c: newCodec(near), msg: Msg{Type: "hello", ID: id, Backend: backend}}
 		}
 		err := s.waitHellos(2)
-		if !errors.Is(err, ErrMixedBackends) {
-			t.Fatalf("forged hello %q: got %v, want ErrMixedBackends", forged, err)
+		if c.admit && err != nil {
+			t.Fatalf("supervisor %q, worker hello %q: got %v, want admitted", c.supervisor, c.worker, err)
+		}
+		if !c.admit && !errors.Is(err, ErrMixedBackends) {
+			t.Fatalf("supervisor %q, worker hello %q: got %v, want ErrMixedBackends", c.supervisor, c.worker, err)
 		}
 	}
 }

@@ -18,10 +18,11 @@ import (
 	"weipipe/internal/tensor"
 )
 
-// ErrMixedBackends rejects a fleet whose workers do not all run the
-// supervisor's tensor backend: tolerance-mode backends are deterministic but
-// not bit-identical to each other, so a mixed fleet would silently break the
-// bit-identical replay oracle.
+// ErrMixedBackends rejects a fleet whose workers do not all run a backend of
+// the supervisor's bit class (tensor.BitClass): the scalar reference and the
+// SIMD backends are deterministic but not bit-identical to each other, so a
+// mixed fleet would silently break the bit-identical replay oracle. avx2 and
+// avx512 compute the same bits and mix freely.
 var ErrMixedBackends = errors.New("launch: workers disagree on the tensor backend")
 
 // Options configures RunSupervisor.
@@ -122,8 +123,8 @@ type supEvent struct {
 //
 // Every worker is told to run the tensor backend active in this process
 // (tensor.SetBackend before the call pins it), which is also the backend
-// ReplayOracle replays on; a worker that reports another one fails the run
-// with ErrMixedBackends before any rank is assigned.
+// ReplayOracle replays on; a worker that reports one of another bit class
+// fails the run with ErrMixedBackends before any rank is assigned.
 func RunSupervisor(o Options) (*Report, error) {
 	if o.Ranks < 2 {
 		return nil, fmt.Errorf("launch: need at least 2 ranks, got %d", o.Ranks)
@@ -195,7 +196,8 @@ func RunSupervisor(o Options) (*Report, error) {
 
 type supervisor struct {
 	o Options
-	// backend is this process's tensor backend, which the fleet must share.
+	// backend is this process's tensor backend, whose bit class the fleet
+	// must share.
 	backend string
 	events  chan supEvent
 	procs   map[int]*proc
@@ -239,7 +241,7 @@ func (s *supervisor) waitHellos(total int) error {
 				if p := s.procs[ev.id]; p != nil && p.c == nil {
 					p.c = ev.c
 					helloed++
-					if ev.msg.Backend != s.backend {
+					if class := tensor.BitClass(ev.msg.Backend); class == "" || class != tensor.BitClass(s.backend) {
 						return fmt.Errorf("%w: worker %d runs %q, supervisor %q",
 							ErrMixedBackends, ev.id, ev.msg.Backend, s.backend)
 					}

@@ -26,13 +26,14 @@ func IsWorker() bool { return os.Getenv(envWorker) == "1" }
 // WorkerMain is the entry point of a spawned worker process: dial the
 // supervisor's control port, introduce ourselves, then serve rank
 // assignments until told to exit. The returned code is the process exit
-// status. The supervisor's tensor backend is adopted first, so the fleet
-// and the replay oracle run the same kernels.
+// status. The supervisor's tensor backend — or, on a CPU without it, one of
+// its bit class — is adopted first, so the fleet and the replay oracle
+// compute the same bits.
 func WorkerMain() int {
 	addr := os.Getenv(envSupAddr)
 	id, _ := strconv.Atoi(os.Getenv(envWorkID))
 	if name := os.Getenv(envBackend); name != "" {
-		if err := tensor.SetBackend(name); err != nil {
+		if err := tensor.SetBackendOfClass(name); err != nil {
 			fmt.Fprintf(os.Stderr, "launch worker %d: %v\n", id, err)
 			return 1
 		}

@@ -106,14 +106,10 @@ func (o *OutputHead) BackwardFromLoss(cache *Cache) *tensor.Tensor {
 	v := probs.Cols()
 	dlogits := alloc(cache, n, v)
 	dlogits.CopyFrom(probs)
-	invN := float32(1.0 / float64(n))
 	for i := 0; i < n; i++ {
-		row := dlogits.Data[i*v : (i+1)*v]
-		row[int(tgt.Data[i])] -= 1
-		for j := range row {
-			row[j] *= invN
-		}
+		dlogits.Data[i*v+int(tgt.Data[i])] -= 1
 	}
+	tensor.Scale(dlogits, dlogits, float32(1.0/float64(n)))
 
 	dnormed := alloc(cache, n, o.W.Rows())
 	tensor.MatMulTB(dnormed, dlogits, o.W)

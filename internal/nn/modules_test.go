@@ -44,7 +44,7 @@ func TestRopeRoundTripAndNormPreservation(t *testing.T) {
 	tensor.FillNormal(q, rng, 1)
 	orig := q.Clone()
 
-	rope.Apply(q)
+	rope.ApplyAll(q, 16, 1, 1)
 	// rotation preserves per-position norm
 	for pos := 0; pos < 16; pos++ {
 		var a, b float64
@@ -56,7 +56,7 @@ func TestRopeRoundTripAndNormPreservation(t *testing.T) {
 			t.Fatalf("pos %d: norm %v -> %v", pos, a, b)
 		}
 	}
-	rope.ApplyInverse(q)
+	rope.ApplyAll(q, 16, 1, -1)
 	for i := range q.Data {
 		if math.Abs(float64(q.Data[i]-orig.Data[i])) > 1e-5 {
 			t.Fatalf("round trip failed at %d: %v vs %v", i, q.Data[i], orig.Data[i])
@@ -82,8 +82,8 @@ func TestRopeRelativeProperty(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			buf2.Data[n*8+i] = k.Data[i]
 		}
-		rope.Apply(buf)
-		rope.Apply(buf2)
+		rope.ApplyAll(buf, 32, 1, 1)
+		rope.ApplyAll(buf2, 32, 1, 1)
 		var s float64
 		for i := 0; i < 8; i++ {
 			s += float64(buf.Data[m*8+i]) * float64(buf2.Data[n*8+i])
@@ -98,32 +98,37 @@ func TestRopeRelativeProperty(t *testing.T) {
 	}
 }
 
+// Rotating a [G·S, heads·d] tensor rotates each (sequence, head) block as
+// if it stood alone, bit for bit — at a head dim below one vector, on a
+// whole vector and with a ragged pair tail past two.
 func TestRopeApplyAllMatchesPerHead(t *testing.T) {
-	const S, heads, d = 4, 2, 6
-	rope := NewRopeTable(S, d)
-	rng := tensor.NewRNG(4)
-	full := tensor.New(2*S, heads*d) // G=2
-	tensor.FillNormal(full, rng, 1)
-	want := full.Clone()
+	const S, heads, G = 4, 2, 2
+	for _, d := range []int{6, 16, 20} {
+		rope := NewRopeTable(S, d)
+		rng := tensor.NewRNG(4)
+		full := tensor.New(G*S, heads*d)
+		tensor.FillNormal(full, rng, 1)
+		want := full.Clone()
 
-	// reference: gather each (g,h), rotate, scatter
-	const width = heads * d
-	for g := 0; g < 2; g++ {
-		for h := 0; h < heads; h++ {
-			buf := tensor.New(S, d)
-			for i := 0; i < S; i++ {
-				copy(buf.Data[i*d:(i+1)*d], want.Data[(g*S+i)*width+h*d:])
-			}
-			rope.Apply(buf)
-			for i := 0; i < S; i++ {
-				copy(want.Data[(g*S+i)*width+h*d:], buf.Data[i*d:(i+1)*d])
+		// reference: gather each (g,h), rotate it alone, scatter
+		width := heads * d
+		for g := 0; g < G; g++ {
+			for h := 0; h < heads; h++ {
+				buf := tensor.New(S, d)
+				for i := 0; i < S; i++ {
+					copy(buf.Data[i*d:(i+1)*d], want.Data[(g*S+i)*width+h*d:])
+				}
+				rope.ApplyAll(buf, S, 1, 1)
+				for i := 0; i < S; i++ {
+					copy(want.Data[(g*S+i)*width+h*d:], buf.Data[i*d:(i+1)*d])
+				}
 			}
 		}
-	}
-	rope.ApplyAll(full, S, heads, 1)
-	for i := range full.Data {
-		if math.Abs(float64(full.Data[i]-want.Data[i])) > 1e-6 {
-			t.Fatalf("ApplyAll mismatch at %d", i)
+		rope.ApplyAll(full, S, heads, 1)
+		for i := range full.Data {
+			if math.Float32bits(full.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("d=%d: ApplyAll mismatch at %d: %v vs %v", d, i, full.Data[i], want.Data[i])
+			}
 		}
 	}
 }

@@ -32,9 +32,9 @@ func (m *RMSNorm) Name() string { return m.name }
 // Params implements Module.
 func (m *RMSNorm) Params() *ParamSet { return m.params }
 
-// Forward implements Module. x is [rows, H]. The row-wise normalisation
-// runs through the tensor.Backend seam (tensor.RMSNormRows), which also
-// stores 1/rms per row for the backward pass.
+// Forward implements Module. x is [rows, H]. All three passes run through
+// the tensor.Backend seam; the forward (tensor.RMSNormRows) also stores
+// 1/rms per row for the backward passes.
 func (m *RMSNorm) Forward(x *tensor.Tensor, cache *Cache) *tensor.Tensor {
 	h := m.Gain.Size()
 	rows := x.Size() / h
@@ -50,44 +50,14 @@ func (m *RMSNorm) Forward(x *tensor.Tensor, cache *Cache) *tensor.Tensor {
 //
 // With r = 1/rms(x):  dx_j = r·g_j·dy_j − x_j · r³/H · Σ_k dy_k·g_k·x_k.
 func (m *RMSNorm) BackwardInput(dy *tensor.Tensor, cache *Cache) *tensor.Tensor {
-	h := m.Gain.Size()
 	x := cache.X
-	inv := cache.Get("inv")
-	rows := x.Size() / h
-	dx := alloc(cache, rows, h)
-	g := m.Gain.Data
-	for i := 0; i < rows; i++ {
-		xr := x.Data[i*h : (i+1)*h]
-		dyr := dy.Data[i*h : (i+1)*h]
-		dxr := dx.Data[i*h : (i+1)*h]
-		r := inv.Data[i]
-		var dot float64
-		for j := range xr {
-			dot += float64(dyr[j]) * float64(g[j]) * float64(xr[j])
-		}
-		c := r * r * r * float32(dot) / float32(h)
-		for j := range xr {
-			dxr[j] = r*g[j]*dyr[j] - xr[j]*c
-		}
-	}
+	dx := alloc(cache, x.Size()/m.Gain.Size(), m.Gain.Size())
+	tensor.RMSNormBackward(dx, x, dy, m.Gain, cache.Get("inv"))
 	cache.Put("dy", dy)
 	return dx
 }
 
 // BackwardParams implements Module (W pass): dg_j = Σ_rows dy_j·x_j·r.
 func (m *RMSNorm) BackwardParams(cache *Cache, grads *ParamSet) {
-	h := m.Gain.Size()
-	x := cache.X
-	inv := cache.Get("inv")
-	dy := cache.Get("dy")
-	dg := grads.Get("g").Data
-	rows := x.Size() / h
-	for i := 0; i < rows; i++ {
-		xr := x.Data[i*h : (i+1)*h]
-		dyr := dy.Data[i*h : (i+1)*h]
-		r := inv.Data[i]
-		for j := range xr {
-			dg[j] += dyr[j] * xr[j] * r
-		}
-	}
+	tensor.RMSNormGainGrad(grads.Get("g"), cache.X, cache.Get("dy"), cache.Get("inv"))
 }

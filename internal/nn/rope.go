@@ -38,58 +38,14 @@ func NewRopeTable(maxSeq, headDim int) *RopeTable {
 	return t
 }
 
-// Apply rotates q (shape [S, headDim], one head of one sequence) in place by
-// the position-dependent angles. Pairs are (2i, 2i+1).
-func (t *RopeTable) Apply(q *tensor.Tensor) {
-	t.rotate(q, 1)
-}
-
-// ApplyInverse applies the inverse rotation in place. Because rotation is
-// orthogonal, this is exactly the backward map for gradients: if y = R·x
-// then dx = Rᵀ·dy = R⁻¹·dy.
-func (t *RopeTable) ApplyInverse(q *tensor.Tensor) {
-	t.rotate(q, -1)
-}
-
-// ApplyAll rotates every head segment of q, where q is [G*S, heads*headDim]
-// and the position of row r is r % seqLen. dir=+1 rotates forward, dir=-1
-// applies the inverse (gradient) rotation.
+// ApplyAll rotates every head segment of q in place, where q is
+// [G*S, heads*headDim] and the position of row r is r % seqLen; pairs are
+// (2i, 2i+1). dir=+1 rotates forward, dir=-1 applies the inverse rotation,
+// which — rotation being orthogonal — is exactly the backward map for
+// gradients: if y = R·x then dx = Rᵀ·dy = R⁻¹·dy.
 func (t *RopeTable) ApplyAll(q *tensor.Tensor, seqLen, heads int, dir float32) {
-	d := t.headDim
-	half := d / 2
-	rows := q.Rows()
-	width := q.Cols()
-	if width != heads*d {
+	if q.Cols() != heads*t.headDim {
 		panic("nn: RoPE ApplyAll width mismatch")
 	}
-	for r := 0; r < rows; r++ {
-		pos := r % seqLen
-		row := q.Data[r*width : (r+1)*width]
-		for h := 0; h < heads; h++ {
-			seg := row[h*d : (h+1)*d]
-			for i := 0; i < half; i++ {
-				c := t.cos[pos*half+i]
-				sn := t.sin[pos*half+i] * dir
-				a, b := seg[2*i], seg[2*i+1]
-				seg[2*i] = a*c - b*sn
-				seg[2*i+1] = a*sn + b*c
-			}
-		}
-	}
-}
-
-func (t *RopeTable) rotate(q *tensor.Tensor, dir float32) {
-	d := t.headDim
-	half := d / 2
-	s := q.Size() / d
-	for pos := 0; pos < s; pos++ {
-		row := q.Data[pos*d : (pos+1)*d]
-		for i := 0; i < half; i++ {
-			c := t.cos[pos*half+i]
-			sn := t.sin[pos*half+i] * dir
-			a, b := row[2*i], row[2*i+1]
-			row[2*i] = a*c - b*sn
-			row[2*i+1] = a*sn + b*c
-		}
-	}
+	tensor.Rope(q, t.cos, t.sin, seqLen, heads, dir)
 }

@@ -276,11 +276,17 @@ func (b *abftBackend) DotF32(a, bb *Tensor) float32           { return b.inner.D
 func (b *abftBackend) SiLU(dst, a *Tensor)                    { b.inner.SiLU(dst, a) }
 func (b *abftBackend) SiLUBackward(dst, x, dy *Tensor)        { b.inner.SiLUBackward(dst, x, dy) }
 func (b *abftBackend) SoftmaxRows(dst, a *Tensor)             { b.inner.SoftmaxRows(dst, a) }
-func (b *abftBackend) SoftmaxRowsBackward(dst, y, dy *Tensor) {
-	b.inner.SoftmaxRowsBackward(dst, y, dy)
-}
 func (b *abftBackend) RMSNormRows(y, inv, x, gain *Tensor, eps float64) {
 	b.inner.RMSNormRows(y, inv, x, gain, eps)
+}
+func (b *abftBackend) RMSNormBackward(dx, x, dy, gain, inv *Tensor) {
+	b.inner.RMSNormBackward(dx, x, dy, gain, inv)
+}
+func (b *abftBackend) RMSNormGainGrad(dg, x, dy, inv *Tensor) {
+	b.inner.RMSNormGainGrad(dg, x, dy, inv)
+}
+func (b *abftBackend) Rope(q *Tensor, cos, sin []float32, seqLen, heads int, dir float32) {
+	b.inner.Rope(q, cos, sin, seqLen, heads, dir)
 }
 
 // The fused attention kernel has no matmul-shaped output to checksum (its

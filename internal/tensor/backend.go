@@ -9,8 +9,8 @@ import (
 
 // Backend is the pluggable compute seam: every hot primitive the training
 // and inference runtimes execute — the matmul variants, the BLAS-1 update
-// ops, the activation and softmax kernels, the row-wise norm and the fused
-// attention kernel — goes
+// ops, the activation and softmax kernels, RMSNorm's three passes, RoPE and
+// the fused attention kernel — goes
 // through the process-wide current Backend. SIMD backends register at init
 // when the build and the CPU support them, and the best registered backend
 // is the process default. The scalar backend (pure Go, the PR-1 kernels) is
@@ -77,13 +77,21 @@ type Backend interface {
 	SiLUBackward(dst, x, dy *Tensor)
 	// SoftmaxRows computes a numerically stable row-wise softmax.
 	SoftmaxRows(dst, a *Tensor)
-	// SoftmaxRowsBackward computes dx = y ⊙ (dy − Σ(dy⊙y)) row-wise.
-	SoftmaxRowsBackward(dst, y, dy *Tensor)
 	// RMSNormRows computes y_ij = g_j · x_ij / rms_i and stores each row's
 	// 1/rms_i into inv, where rms_i = sqrt(mean_j(x_ij²) + eps). y and x
 	// are [rows, h], gain is [h], inv is [rows]. The mean-square
 	// accumulates ascending in float64 in every backend.
 	RMSNormRows(y, inv, x, gain *Tensor, eps float64)
+	// RMSNormBackward is RMSNormRows' B pass: with r_i = inv_i,
+	// dx_ij = r_i·g_j·dy_ij − x_ij · r_i³/h · Σ_j dy_ij·g_j·x_ij, the sum
+	// ascending in float64 in every backend.
+	RMSNormBackward(dx, x, dy, gain, inv *Tensor)
+	// RMSNormGainGrad is its W pass: dg_j += Σ_i dy_ij·x_ij·inv_i, rows
+	// ascending.
+	RMSNormGainGrad(dg, x, dy, inv *Tensor)
+	// Rope rotates the pairs (2i, 2i+1) of every head of q in place; see
+	// the package-level Rope.
+	Rope(q *Tensor, cos, sin []float32, seqLen, heads int, dir float32)
 
 	// CausalAttention computes fused multi-head causal attention and each
 	// row's log-sum-exp; see the package-level CausalAttention.
@@ -148,6 +156,43 @@ func bestBackendLocked() string {
 		}
 	}
 	return "scalar"
+}
+
+// BitClass names the bits a backend computes, whether or not this build and
+// CPU registered it: "scalar" for the reference, "simd" for every backend of
+// autoOrder — avx512 is avx2 bit for bit — and "" for an unknown name.
+// Processes whose backends share a class train bit-identically.
+func BitClass(name string) string {
+	if name == "scalar" {
+		return "scalar"
+	}
+	for _, n := range autoOrder {
+		if n == name {
+			return "simd"
+		}
+	}
+	return ""
+}
+
+// SetBackendOfClass selects the named backend or, where this build or CPU
+// did not register it, the best registered backend of its bit class.
+func SetBackendOfClass(name string) error {
+	backendMu.Lock()
+	defer backendMu.Unlock()
+	if _, ok := backends[name]; !ok && BitClass(name) == "simd" {
+		for _, n := range autoOrder {
+			if _, ok := backends[n]; ok {
+				name = n
+				break
+			}
+		}
+	}
+	b, ok := backends[name]
+	if !ok {
+		return fmt.Errorf("tensor: no backend of %q's bit class (available: %v)", name, backendNamesLocked())
+	}
+	curBackend.Store(&b)
+	return nil
 }
 
 // BackendName returns the name of the active backend.

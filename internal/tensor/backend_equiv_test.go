@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -438,6 +439,47 @@ func TestBackendRegistry(t *testing.T) {
 	}
 }
 
+// TestBackendOfClassFallsBack pins the bit classes and the fallback a
+// launch worker relies on: asked for avx512 where it is not registered,
+// SetBackendOfClass selects avx2, which computes the same bits, and fails
+// where no SIMD backend is registered; unknown names fail and change
+// nothing.
+func TestBackendOfClassFallsBack(t *testing.T) {
+	for name, class := range map[string]string{"scalar": "scalar", "avx2": "simd", "avx512": "simd", "": "", "abft(avx2)": ""} {
+		if got := BitClass(name); got != class {
+			t.Fatalf("BitClass(%q) = %q, want %q", name, got, class)
+		}
+	}
+	prev := BackendName()
+	defer func() {
+		if err := SetBackend(prev); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	backendMu.Lock()
+	wide, hadWide := backends["avx512"]
+	delete(backends, "avx512")
+	backendMu.Unlock()
+	defer func() {
+		if hadWide {
+			registerBackend(wide)
+		}
+	}()
+	_, hasAVX2 := BackendByName("avx2")
+	switch err := SetBackendOfClass("avx512"); {
+	case hasAVX2 && (err != nil || BackendName() != "avx2"):
+		t.Fatalf("SetBackendOfClass(avx512) without avx512: %v, running %q; want avx2", err, BackendName())
+	case !hasAVX2 && err == nil:
+		t.Fatalf("SetBackendOfClass(avx512) with no SIMD backend selected %q", BackendName())
+	}
+	if err := SetBackendOfClass("scalar"); err != nil || BackendName() != "scalar" {
+		t.Fatalf("SetBackendOfClass(scalar): %v, running %q", err, BackendName())
+	}
+	if err := SetBackendOfClass("no-such-backend"); err == nil || BackendName() != "scalar" {
+		t.Fatalf("SetBackendOfClass(no-such-backend): %v, running %q", err, BackendName())
+	}
+}
+
 // TestBackendSiLUEquivalence bounds the SIMD backends' SiLU pair — sigmoid
 // from a float32 vector exp — against the scalar kernels, which round a
 // float64 math.Exp: within 1e-6 relative, including large arguments of
@@ -509,6 +551,130 @@ func TestBackendSiLUEquivalence(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestBackendRMSNormBitwise pins RMSNorm's three passes as exact on every
+// backend: its float64 chains stay ascending per row however many rows are
+// interleaved, and its elementwise parts keep scalar's roundings. Hidden
+// sizes below, on and past the 8-lane step, row counts on and off the
+// 4-row interleave; y aliasing x, dx aliasing dy, dg accumulating. The
+// mean-square's order cannot show — its terms are positive, so no order
+// moves the float32 1/rms — but the B pass's dot cancels: in rows 1–4
+// (every lane of the interleave) and the last, its terms are 2³⁰, −2³⁰,
+// 2⁻³⁰, which sum to 2⁻³⁰ ascending and to 0 in most other orders.
+func TestBackendRMSNormBitwise(t *testing.T) {
+	scalar, _ := BackendByName("scalar")
+	rng := rand.New(rand.NewSource(16))
+	for _, name := range simdBackends(t) {
+		simd, _ := BackendByName(name)
+		for _, h := range []int{1, 7, 8, 9, 64, 256} {
+			for _, rows := range []int{1, 3, 4, 5, 9, 14} {
+				what := fmt.Sprintf("%s h=%d rows=%d", name, h, rows)
+				x, dy, gain := randTensor(rng, rows, h), randTensor(rng, rows, h), randTensor(rng, h)
+				clear(x.Data[:h]) // an all-zero row: r = 1/sqrt(eps)
+				for _, q := range []int{1, 2, 3, 4, rows - 1} {
+					if h < 3 || q < 1 || q >= rows {
+						continue
+					}
+					clear(x.Data[q*h : (q+1)*h])
+					clear(dy.Data[q*h : (q+1)*h])
+					copy(x.Data[q*h:], []float32{1, 1, 1})
+					copy(dy.Data[q*h:], []float32{1 << 30, -1 << 30, 1.0 / (1 << 30)})
+					copy(gain.Data, []float32{1, 1, 1})
+				}
+				y := [2]*Tensor{x.Clone(), x.Clone()}
+				inv := [2]*Tensor{New(rows), New(rows)}
+				dx := [2]*Tensor{dy.Clone(), dy.Clone()}
+				seed := randTensor(rng, h)
+				dg := [2]*Tensor{seed.Clone(), seed.Clone()}
+				for i, bk := range []Backend{scalar, simd} {
+					bk.RMSNormRows(y[i], inv[i], y[i], gain, 1e-5)
+					bk.RMSNormBackward(dx[i], x, dx[i], gain, inv[i])
+					bk.RMSNormGainGrad(dg[i], x, dy, inv[i])
+				}
+				requireBitwise(t, what+" RMSNormRows (y aliasing x)", y[1].Data, y[0].Data)
+				requireBitwise(t, what+" RMSNormRows inv", inv[1].Data, inv[0].Data)
+				requireBitwise(t, what+" RMSNormBackward (dx aliasing dy)", dx[1].Data, dx[0].Data)
+				requireBitwise(t, what+" RMSNormGainGrad", dg[1].Data, dg[0].Data)
+			}
+		}
+	}
+}
+
+// TestBackendRopeBitwise pins Rope as exact on every backend, forward and
+// inverse, at head dims below one vector, on it, and with a ragged pair
+// tail past one or more, over one sequence and several.
+func TestBackendRopeBitwise(t *testing.T) {
+	scalar, _ := BackendByName("scalar")
+	rng := rand.New(rand.NewSource(17))
+	for _, name := range simdBackends(t) {
+		simd, _ := BackendByName(name)
+		for _, d := range []int{2, 6, 8, 10, 16, 18, 64} {
+			for _, heads := range []int{1, 3, 4} {
+				for _, sh := range [][2]int{{1, 1}, {7, 1}, {5, 3}} {
+					seqLen, g := sh[0], sh[1]
+					cos, sin := randTensor(rng, seqLen*d/2), randTensor(rng, seqLen*d/2)
+					q := randTensor(rng, g*seqLen, heads*d)
+					for _, dir := range []float32{1, -1} {
+						want, got := q.Clone(), q.Clone()
+						scalar.Rope(want, cos.Data, sin.Data, seqLen, heads, dir)
+						simd.Rope(got, cos.Data, sin.Data, seqLen, heads, dir)
+						requireBitwise(t, fmt.Sprintf("%s Rope d=%d heads=%d S=%d G=%d dir=%v",
+							name, d, heads, seqLen, g, dir), got.Data, want.Data)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBackendSoftmaxEquivalence bounds the SIMD backends' row softmax — the
+// float32 vector exp and a lane-split float32 row sum, where scalar rounds a
+// float64 math.Exp and sums in float64 — against scalar: within 4e-6
+// relative per element (the 1e-30 floor covers entries scalar leaves
+// subnormal and the vector exp flushes), each row summing to 1 within 4e-6,
+// at row lengths around the 8-lane step and the head's 256, with −Inf and
+// very negative entries and dst aliasing the input. Over 800 random rows of
+// each length up to 257 the worst deviations were 5.8e-7 and 4.2e-7; one
+// term dropped from a 257-long row is ~1e-3.
+func TestBackendSoftmaxEquivalence(t *testing.T) {
+	pinScalar(t)
+	rng := rand.New(rand.NewSource(18))
+	special := []float32{float32(math.Inf(-1)), -1e30, -100, -88, -87, 40}
+	for _, name := range simdBackends(t) {
+		for _, c := range []int{1, 7, 8, 9, 255, 256, 257} {
+			const rows = 5
+			x := randTensor(rng, rows, c)
+			for i := range x.Data {
+				x.Data[i] *= 4
+			}
+			// Row 1 (and row 2, where there is room) holds the special
+			// entries beside an ordinary maximum.
+			copy(x.Data[c+1:2*c], special)
+			copy(x.Data[2*c+1:], special[:min(len(special), c-1)])
+			want, got, alias := New(rows, c), New(rows, c), x.Clone()
+			current().SoftmaxRows(want, x)
+			withBackend(t, name, func() {
+				current().SoftmaxRows(got, x)
+				current().SoftmaxRows(alias, alias)
+			})
+			requireBitwise(t, fmt.Sprintf("%s SoftmaxRows c=%d dst=a", name, c), alias.Data, got.Data)
+			for i := 0; i < rows; i++ {
+				var sum float64
+				for j := 0; j < c; j++ {
+					w, g := float64(want.Data[i*c+j]), float64(got.Data[i*c+j])
+					if diff := math.Abs(g - w); !(diff <= 4e-6*w+1e-30) {
+						t.Fatalf("%s SoftmaxRows c=%d [%d,%d] (x=%g): %g vs scalar %g, |diff| %g",
+							name, c, i, j, x.Data[i*c+j], g, w, diff)
+					}
+					sum += g
+				}
+				if math.Abs(sum-1) > 4e-6 {
+					t.Fatalf("%s SoftmaxRows c=%d row %d sums to %v", name, c, i, sum)
+				}
+			}
 		}
 	}
 }

@@ -24,12 +24,19 @@ func (scalarBackend) DotF32(a, b *Tensor) float32            { return dotF32Scal
 func (scalarBackend) SiLU(dst, a *Tensor)             { siluScalar(dst, a) }
 func (scalarBackend) SiLUBackward(dst, x, dy *Tensor) { siluBackwardScalar(dst, x, dy) }
 func (scalarBackend) SoftmaxRows(dst, a *Tensor)      { softmaxRowsScalar(dst, a) }
-func (scalarBackend) SoftmaxRowsBackward(dst, y, dy *Tensor) {
-	softmaxRowsBackwardScalar(dst, y, dy)
-}
 
 func (scalarBackend) RMSNormRows(y, inv, x, gain *Tensor, eps float64) {
 	rmsNormRowsScalar(y, inv, x, gain, eps)
+}
+
+func (scalarBackend) RMSNormBackward(dx, x, dy, gain, inv *Tensor) {
+	rmsNormBackwardScalar(dx, x, dy, gain, inv)
+}
+
+func (scalarBackend) RMSNormGainGrad(dg, x, dy, inv *Tensor) { rmsNormGainGradScalar(dg, x, dy, inv) }
+
+func (scalarBackend) Rope(q *Tensor, cos, sin []float32, seqLen, heads int, dir float32) {
+	ropeScalar(q, cos, sin, seqLen, heads, dir, 0)
 }
 
 func (scalarBackend) CausalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) {

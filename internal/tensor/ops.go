@@ -97,25 +97,57 @@ func SoftmaxRows(dst, a *Tensor) {
 	current().SoftmaxRows(dst, a)
 }
 
-// SoftmaxRowsBackward computes dx for y = softmax(x) row-wise given y and dy:
-// dx = y ⊙ (dy − sum(dy ⊙ y)). dst may alias dy.
-func SoftmaxRowsBackward(dst, y, dy *Tensor) {
-	checkSameSize3(dst, y, dy, "SoftmaxRowsBackward")
-	current().SoftmaxRowsBackward(dst, y, dy)
-}
-
 // RMSNormRows computes y_ij = g_j · x_ij / rms_i row-wise over the hidden
 // dimension, where rms_i = sqrt(mean_j(x_ij²) + eps), and stores each
 // row's 1/rms_i into inv (for the backward pass). x and y are [rows, h]
 // under the canonical 2-D view with h = gain.Size(); inv has rows
 // elements. y may alias x.
 func RMSNormRows(y, inv, x, gain *Tensor, eps float64) {
+	checkRMSNorm("RMSNormRows", y, x, gain, inv)
+	current().RMSNormRows(y, inv, x, gain, eps)
+}
+
+// RMSNormBackward computes the input gradient of RMSNormRows from dy, the
+// forward's x and its inv: with r_i = inv_i,
+// dx_ij = r_i·g_j·dy_ij − x_ij · r_i³/h · Σ_j dy_ij·g_j·x_ij.
+// dx may alias dy.
+func RMSNormBackward(dx, x, dy, gain, inv *Tensor) {
+	checkRMSNorm("RMSNormBackward", dx, x, gain, inv)
+	checkSameSize2(dy, x, "RMSNormBackward")
+	current().RMSNormBackward(dx, x, dy, gain, inv)
+}
+
+// RMSNormGainGrad accumulates the gain gradient of RMSNormRows into dg:
+// dg_j += Σ_i dy_ij·x_ij·inv_i, rows ascending.
+func RMSNormGainGrad(dg, x, dy, inv *Tensor) {
+	checkRMSNorm("RMSNormGainGrad", dy, x, dg, inv)
+	current().RMSNormGainGrad(dg, x, dy, inv)
+}
+
+// checkRMSNorm panics unless y and x hold [rows, h] with h = gain.Size()
+// and inv holds rows elements.
+func checkRMSNorm(op string, y, x, gain, inv *Tensor) {
 	h := gain.Size()
 	if x.Size()%h != 0 || y.Size() != x.Size() || inv.Size() != x.Size()/h {
-		panic(fmt.Sprintf("tensor: RMSNormRows shapes y %v inv %v x %v gain %v",
-			y.shape, inv.shape, x.shape, gain.shape))
+		panic(fmt.Sprintf("tensor: %s shapes %v, inv %v, x %v, gain %v",
+			op, y.shape, inv.shape, x.shape, gain.shape))
 	}
-	current().RMSNormRows(y, inv, x, gain, eps)
+}
+
+// Rope applies rotary position embeddings in place. q is [rows, heads·d]
+// under the canonical 2-D view, d even; row r sits at position
+// pos = r mod seqLen, and each head's pair (2i, 2i+1) turns by the angle
+// whose cosine and sine are cos[pos·d/2 + i] and sin[pos·d/2 + i]. dir = 1
+// rotates forward, dir = −1 applies the inverse rotation — the gradient
+// map, rotation being orthogonal.
+func Rope(q *Tensor, cos, sin []float32, seqLen, heads int, dir float32) {
+	width := q.Cols()
+	if heads < 1 || seqLen < 1 || width%(2*heads) != 0 ||
+		len(cos) < seqLen*width/heads/2 || len(sin) != len(cos) {
+		panic(fmt.Sprintf("tensor: Rope q %v, %d heads, seqLen %d, tables %d and %d",
+			q.shape, heads, seqLen, len(cos), len(sin)))
+	}
+	current().Rope(q, cos, sin, seqLen, heads, dir)
 }
 
 // ---- scalar reference kernels ---------------------------------------------
@@ -212,23 +244,9 @@ func softmaxRowsScalar(dst, a *Tensor) {
 	}
 }
 
-func softmaxRowsBackwardScalar(dst, y, dy *Tensor) {
-	c := y.Cols()
-	r := y.Rows()
-	for i := 0; i < r; i++ {
-		yr := y.Data[i*c : (i+1)*c]
-		dyr := dy.Data[i*c : (i+1)*c]
-		out := dst.Data[i*c : (i+1)*c]
-		var dot float64
-		for j := range yr {
-			dot += float64(yr[j]) * float64(dyr[j])
-		}
-		d := float32(dot)
-		for j := range yr {
-			out[j] = yr[j] * (dyr[j] - d)
-		}
-	}
-}
+// The RMSNorm and RoPE kernels below are the bit-exactness reference of
+// every backend: the SIMD ones keep each per-row float64 chain ascending and
+// every element's rounding sequence (separate mul and add, no FMA).
 
 func rmsNormRowsScalar(y, inv, x, gain *Tensor, eps float64) {
 	h := gain.Size()
@@ -241,10 +259,75 @@ func rmsNormRowsScalar(y, inv, x, gain *Tensor, eps float64) {
 		for _, v := range xr {
 			ss += float64(v) * float64(v)
 		}
-		r := float32(1.0 / math.Sqrt(ss/float64(h)+eps))
+		r := rmsInv(ss, h, eps)
 		inv.Data[i] = r
 		for j, v := range xr {
 			yr[j] = g[j] * v * r
+		}
+	}
+}
+
+// rmsInv is 1/rms of a row of h elements whose squares sum to ss.
+func rmsInv(ss float64, h int, eps float64) float32 {
+	return float32(1.0 / math.Sqrt(ss/float64(h)+eps))
+}
+
+// rmsCoef is the B pass's per-row coefficient r³·dot/h of x.
+func rmsCoef(r float32, dot float64, h int) float32 {
+	return r * r * r * float32(dot) / float32(h)
+}
+
+func rmsNormBackwardScalar(dx, x, dy, gain, inv *Tensor) {
+	h := gain.Size()
+	rows := x.Size() / h
+	g := gain.Data
+	for i := 0; i < rows; i++ {
+		xr := x.Data[i*h : (i+1)*h]
+		dyr := dy.Data[i*h : (i+1)*h]
+		dxr := dx.Data[i*h : (i+1)*h]
+		r := inv.Data[i]
+		var dot float64
+		for j := range xr {
+			dot += float64(dyr[j]) * float64(g[j]) * float64(xr[j])
+		}
+		c := rmsCoef(r, dot, h)
+		for j := range xr {
+			dxr[j] = r*g[j]*dyr[j] - xr[j]*c
+		}
+	}
+}
+
+func rmsNormGainGradScalar(dg, x, dy, inv *Tensor) {
+	h := dg.Size()
+	rows := x.Size() / h
+	for i := 0; i < rows; i++ {
+		xr := x.Data[i*h : (i+1)*h]
+		dyr := dy.Data[i*h : (i+1)*h]
+		r := inv.Data[i]
+		for j := range xr {
+			dg.Data[j] += dyr[j] * xr[j] * r
+		}
+	}
+}
+
+// ropeScalar rotates the pairs i ≥ from of every head of q (see Rope); the
+// SIMD backends hand it the pairs past their last whole vector.
+func ropeScalar(q *Tensor, cos, sin []float32, seqLen, heads int, dir float32, from int) {
+	width := q.Cols()
+	d := width / heads
+	half := d / 2
+	for r := 0; r < q.Rows(); r++ {
+		pos := r % seqLen
+		row := q.Data[r*width : (r+1)*width]
+		for h := 0; h < heads; h++ {
+			seg := row[h*d : (h+1)*d]
+			for i := from; i < half; i++ {
+				c := cos[pos*half+i]
+				sn := sin[pos*half+i] * dir
+				a, b := seg[2*i], seg[2*i+1]
+				seg[2*i] = a*c - b*sn
+				seg[2*i+1] = a*sn + b*c
+			}
 		}
 	}
 }

@@ -13,9 +13,12 @@ package tensor
 //   - avx512 = avx2 bit for bit, on every method: it is the avx2 backend
 //     with gemm's rows in whole panels of 12 on the 16-lane micro-kernel
 //     (gemmAVX512, simd_avx512_amd64.s) and the rest on the 8-lane one.
-//   - Add, Mul, Axpy, Scale, AddInto: vectorized across independent output
-//     elements with the scalar per-element rounding sequence (separate
-//     mul/add, no FMA) — bit-identical to scalar.
+//   - Add, Mul, Axpy, Scale, AddInto, RMSNorm's three passes and RoPE:
+//     vectorized across independent output elements with the scalar
+//     per-element rounding sequence (separate mul/add, no FMA) —
+//     bit-identical to scalar. RMSNorm's per-row float64 sums stay one
+//     ascending chain each, four rows' chains interleaved; Dot (float64) is
+//     scalar's loop.
 //   - NN, TN and NT matmuls: the register-tiled GEMM micro-kernel
 //     (gemmAVX2), NT through a transposed panel of b. Every dst element is
 //     one ascending FMA chain over k in its own lane, from 0 or —
@@ -38,8 +41,10 @@ package tensor
 //     reference; every element's order is a pure function of the shapes.
 //   - SiLU and its backward: sigmoid from the same vector expNeg of −|v|
 //     in float32, where scalar rounds a float64 math.Exp — tolerance mode.
-//   - Dot (float64), Softmax, RMSNorm: delegate to the scalar kernels
-//     (float64 accumulation or exp/sqrt over few elements).
+//   - SoftmaxRows (the LM head's): attention's row leaves over whole rows —
+//     the vector exp with its lane-split float32 row sum, where scalar
+//     rounds a float64 math.Exp and sums in float64 — tolerance mode; the
+//     sum's order is a pure function of the row length.
 
 //go:noescape
 func axpyAVX2(dst, a *float32, n8 int, s float32)
@@ -82,6 +87,18 @@ func siluAVX2(dst, a *float32, n8 int)
 
 //go:noescape
 func siluBackwardAVX2(dst, x, dy *float32, n8 int)
+
+//go:noescape
+func rmsScaleAVX2(y, x, gain, inv *float32, ld uintptr, rows, n8 int)
+
+//go:noescape
+func rmsBackAVX2(dx, x, dy, gain, inv, c *float32, ld uintptr, rows, n8 int)
+
+//go:noescape
+func rmsGainGradAVX2(dg, x, dy, inv *float32, ld uintptr, rows, n8 int)
+
+//go:noescape
+func ropeAVX2(q *float32, ldq uintptr, cos, sin *float32, ldt uintptr, signs *float32, rows, heads, d8 int, d uintptr)
 
 //go:noescape
 func fmaSpinAVX2(iters int)
@@ -143,9 +160,9 @@ func (avx2Backend) Name() string { return "avx2" }
 
 // Exact is false because the matmuls, DotF32 and the attention products
 // run on FMA chains (fused, and for DotF32 reassociated, relative to the
-// scalar reference) and SiLU takes its sigmoid from the float32 vector
-// exp. The other primitives are bit-identical to scalar; the equivalence
-// suite enforces both halves of this contract.
+// scalar reference) and SiLU and SoftmaxRows take their exponentials from
+// the float32 vector exp. The other primitives are bit-identical to scalar;
+// the equivalence suite enforces both halves of this contract.
 func (avx2Backend) Exact() bool { return false }
 
 func (avx2Backend) MatMulNN(dst, a, b *Tensor, acc bool) { matmulNN(dst, a, b, acc, 8) }
@@ -181,8 +198,10 @@ func (avx2Backend) Axpy(dst *Tensor, s float32, a *Tensor) {
 	}
 }
 
-func (avx2Backend) Scale(dst, a *Tensor, s float32) {
-	d, src := dst.Data, a.Data
+func (avx2Backend) Scale(dst, a *Tensor, s float32) { scaleSlice(dst.Data, a.Data, s) }
+
+// scaleSlice computes d[i] = s·src[i] over equal-length slices.
+func scaleSlice(d, src []float32, s float32) {
 	n8 := len(d) >> 3
 	if n8 > 0 {
 		scaleAVX2(&d[0], &src[0], n8, s)
@@ -245,11 +264,162 @@ func (avx2Backend) SiLUBackward(dst, x, dy *Tensor) {
 	}
 }
 
-func (avx2Backend) SoftmaxRows(dst, a *Tensor)             { softmaxRowsScalar(dst, a) }
-func (avx2Backend) SoftmaxRowsBackward(dst, y, dy *Tensor) { softmaxRowsBackwardScalar(dst, y, dy) }
+// SoftmaxRows is attention's softmax leaf run over whole rows: the row
+// maximum, the vector exp of each element less it with the lane-split row
+// sum (simdExpSubRow: a pure function of the row length), then one exact
+// scale by 1/sum.
+func (avx2Backend) SoftmaxRows(dst, a *Tensor) {
+	c := a.Cols()
+	for i := 0; i < a.Rows(); i++ {
+		out := dst.Data[i*c : (i+1)*c]
+		m := simdRowMax(a.Data[i*c : (i+1)*c])
+		copy(out, a.Data[i*c:(i+1)*c])
+		sum, _ := simdExpSubRow(out, m, m)
+		scaleSlice(out, out, 1/sum)
+	}
+}
+
+// The RMSNorm passes keep the scalar kernels' bits. Each row's float64
+// sum is its own ascending chain, four rows' chains interleaved so that
+// their adds overlap (sumSq4, dotG4); the elementwise parts run eight
+// columns to a vector with scalar's separate roundings, over up to four
+// rows per call, and a ragged h's last h%8 columns run scalar's loop.
 
 func (avx2Backend) RMSNormRows(y, inv, x, gain *Tensor, eps float64) {
-	rmsNormRowsScalar(y, inv, x, gain, eps)
+	h, g := gain.Size(), gain.Data
+	rows, n8 := x.Size()/h, h>>3
+	for i := 0; i < rows; i += 4 {
+		k := min(4, rows-i)
+		xs := x.Data[i*h : (i+k)*h]
+		ss := sumSq4(xs, h)
+		r := inv.Data[i : i+k]
+		for q := range r {
+			r[q] = rmsInv(ss[q], h, eps)
+		}
+		ys := y.Data[i*h : (i+k)*h]
+		if n8 > 0 {
+			rmsScaleAVX2(&ys[0], &xs[0], &g[0], &r[0], uintptr(h)*4, k, n8)
+		}
+		for q := range r {
+			for j := n8 << 3; j < h; j++ {
+				ys[q*h+j] = g[j] * xs[q*h+j] * r[q]
+			}
+		}
+	}
+}
+
+func (avx2Backend) RMSNormBackward(dx, x, dy, gain, inv *Tensor) {
+	h, g := gain.Size(), gain.Data
+	rows, n8 := x.Size()/h, h>>3
+	for i := 0; i < rows; i += 4 {
+		k := min(4, rows-i)
+		xs, dys, dxs := x.Data[i*h:(i+k)*h], dy.Data[i*h:(i+k)*h], dx.Data[i*h:(i+k)*h]
+		dot := dotG4(g, dys, xs)
+		r := inv.Data[i : i+k]
+		var c [4]float32
+		for q := range r {
+			c[q] = rmsCoef(r[q], dot[q], h)
+		}
+		if n8 > 0 {
+			rmsBackAVX2(&dxs[0], &xs[0], &dys[0], &g[0], &r[0], &c[0], uintptr(h)*4, k, n8)
+		}
+		for q := range r {
+			for j := n8 << 3; j < h; j++ {
+				dxs[q*h+j] = r[q]*g[j]*dys[q*h+j] - xs[q*h+j]*c[q]
+			}
+		}
+	}
+}
+
+func (avx2Backend) RMSNormGainGrad(dg, x, dy, inv *Tensor) {
+	h, rows := dg.Size(), len(inv.Data)
+	n8 := h >> 3
+	if n8 > 0 && rows > 0 {
+		rmsGainGradAVX2(&dg.Data[0], &x.Data[0], &dy.Data[0], &inv.Data[0], uintptr(h)*4, rows, n8)
+	}
+	for i, r := range inv.Data {
+		for j := n8 << 3; j < h; j++ {
+			dg.Data[j] += dy.Data[i*h+j] * x.Data[i*h+j] * r
+		}
+	}
+}
+
+// sumSq4 returns Σ_j x_j² of each of the up to four h-long rows of x, each
+// one ascending float64 chain: a product of two float32s is exact in
+// float64, so the adds' order is all there is to keep.
+func sumSq4(x []float32, h int) (ss [4]float64) {
+	if len(x) < 4*h {
+		for q := range len(x) / h {
+			for _, v := range x[q*h : (q+1)*h] {
+				ss[q] += float64(v) * float64(v)
+			}
+		}
+		return ss
+	}
+	x0 := x[:h]
+	x1, x2, x3 := x[h:][:h], x[2*h:][:h], x[3*h:][:h]
+	var s0, s1, s2, s3 float64
+	for j, v := range x0 {
+		a, b, c, d := float64(v), float64(x1[j]), float64(x2[j]), float64(x3[j])
+		s0 += a * a
+		s1 += b * b
+		s2 += c * c
+		s3 += d * d
+	}
+	return [4]float64{s0, s1, s2, s3}
+}
+
+// dotG4 returns Σ_j (dy_j·g_j)·x_j of each of the up to four len(g)-long
+// rows of dy and x, each one ascending float64 chain.
+func dotG4(g, dy, x []float32) (dot [4]float64) {
+	h := len(g)
+	if len(x) < 4*h {
+		for q := range len(x) / h {
+			d, xr := dy[q*h:(q+1)*h], x[q*h:(q+1)*h]
+			for j, v := range xr {
+				dot[q] += float64(d[j]) * float64(g[j]) * float64(v)
+			}
+		}
+		return dot
+	}
+	d0, d1, d2, d3 := dy[:h], dy[h:][:h], dy[2*h:][:h], dy[3*h:][:h]
+	x0, x1, x2, x3 := x[:h], x[h:][:h], x[2*h:][:h], x[3*h:][:h]
+	var s0, s1, s2, s3 float64
+	for j, gv := range g {
+		w := float64(gv)
+		s0 += float64(d0[j]) * w * float64(x0[j])
+		s1 += float64(d1[j]) * w * float64(x1[j])
+		s2 += float64(d2[j]) * w * float64(x2[j])
+		s3 += float64(d3[j]) * w * float64(x3[j])
+	}
+	return [4]float64{s0, s1, s2, s3}
+}
+
+// ropePairs is the VPERMILPS control that spreads four table entries over
+// the eight lanes of their four pairs: (0, 0, 1, 1 | 2, 2, 3, 3).
+var ropePairs = [8]int32{0, 0, 1, 1, 2, 2, 3, 3}
+
+// Rope rotates each head's first d&^7 columns eight at a time: with x the
+// pairs (a, b), x̃ them swapped and the table entries spread over both
+// lanes of their pair, x·(c, c) + x̃·(−s, s) — scalar's products, and
+// sums a·c + (−b·s) ≡ a·c − b·s and b·c + a·s ≡ a·s + b·c exactly. The
+// pairs past the last whole vector of a head run the scalar loop.
+func (avx2Backend) Rope(q *Tensor, cos, sin []float32, seqLen, heads int, dir float32) {
+	width := q.Cols()
+	d := width / heads
+	if d8 := d >> 3; d8 > 0 {
+		signs := [8]float32{-dir, dir, -dir, dir, -dir, dir, -dir, dir}
+		rows := q.Rows()
+		for r0 := 0; r0 < rows; r0 += seqLen {
+			n := min(seqLen, rows-r0)
+			_ = q.Data[(r0+n)*width-1]
+			ropeAVX2(&q.Data[r0*width], uintptr(width)*4, &cos[0], &sin[0], uintptr(d)*2,
+				&signs[0], n, heads, d8, uintptr(d)*4)
+		}
+	}
+	if d&7 != 0 {
+		ropeScalar(q, cos, sin, seqLen, heads, dir, (d&^7)/2)
+	}
 }
 
 func (avx2Backend) CausalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) {

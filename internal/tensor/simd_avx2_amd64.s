@@ -862,6 +862,167 @@ silubwd_loop:
 	VZEROUPPER
 	RET
 
+// The RMSNorm and RoPE row kernels: elementwise over rows of 8·n8 (8·d8)
+// columns with the scalar kernels' rounding sequence — separate multiplies
+// and adds, no FMA — so each is bit-identical to its Go loop. Row strides
+// are in bytes; rows and n8 (d8, heads) must be >= 1.
+
+// func rmsScaleAVX2(y, x, gain, inv *float32, ld uintptr, rows, n8 int)
+//
+// y[i,j] = (gain[j]·x[i,j])·inv[i]: RMSNorm's forward row.
+TEXT ·rmsScaleAVX2(SB), NOSPLIT, $0-56
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ inv+24(FP), R8
+	MOVQ ld+32(FP), R9
+	MOVQ rows+40(FP), BX
+
+rmsscale_row:
+	VBROADCASTSS (R8), Y0
+	MOVQ gain+16(FP), DX
+	MOVQ n8+48(FP), CX
+	XORQ AX, AX
+
+rmsscale_loop:
+	VMOVUPS (DX)(AX*1), Y1
+	VMULPS  (SI)(AX*1), Y1, Y1
+	VMULPS  Y0, Y1, Y1
+	VMOVUPS Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNE     rmsscale_loop
+	ADDQ    R9, DI
+	ADDQ    R9, SI
+	ADDQ    $4, R8
+	DECQ    BX
+	JNE     rmsscale_row
+	VZEROUPPER
+	RET
+
+// func rmsBackAVX2(dx, x, dy, gain, inv, c *float32, ld uintptr, rows, n8 int)
+//
+// dx[i,j] = (inv[i]·gain[j])·dy[i,j] − x[i,j]·c[i]: RMSNorm's B-pass row.
+TEXT ·rmsBackAVX2(SB), NOSPLIT, $0-72
+	MOVQ dx+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ dy+16(FP), R10
+	MOVQ inv+32(FP), R8
+	MOVQ c+40(FP), R11
+	MOVQ ld+48(FP), R9
+	MOVQ rows+56(FP), BX
+
+rmsback_row:
+	VBROADCASTSS (R8), Y0
+	VBROADCASTSS (R11), Y1
+	MOVQ gain+24(FP), DX
+	MOVQ n8+64(FP), CX
+	XORQ AX, AX
+
+rmsback_loop:
+	VMULPS  (DX)(AX*1), Y0, Y2
+	VMULPS  (R10)(AX*1), Y2, Y2
+	VMULPS  (SI)(AX*1), Y1, Y3
+	VSUBPS  Y3, Y2, Y2
+	VMOVUPS Y2, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNE     rmsback_loop
+	ADDQ    R9, DI
+	ADDQ    R9, SI
+	ADDQ    R9, R10
+	ADDQ    $4, R8
+	ADDQ    $4, R11
+	DECQ    BX
+	JNE     rmsback_row
+	VZEROUPPER
+	RET
+
+// func rmsGainGradAVX2(dg, x, dy, inv *float32, ld uintptr, rows, n8 int)
+//
+// dg[j] += (dy[i,j]·x[i,j])·inv[i] for i = 0, 1, … rows−1 in turn: RMSNorm's
+// W pass, each dg element one add chain over the rows in ascending order.
+TEXT ·rmsGainGradAVX2(SB), NOSPLIT, $0-56
+	MOVQ x+8(FP), SI
+	MOVQ dy+16(FP), R10
+	MOVQ inv+24(FP), R8
+	MOVQ ld+32(FP), R9
+	MOVQ rows+40(FP), BX
+
+rmsgrad_row:
+	VBROADCASTSS (R8), Y0
+	MOVQ dg+0(FP), DI
+	MOVQ n8+48(FP), CX
+	XORQ AX, AX
+
+rmsgrad_loop:
+	VMOVUPS (R10)(AX*1), Y1
+	VMULPS  (SI)(AX*1), Y1, Y1
+	VMULPS  Y0, Y1, Y1
+	VADDPS  (DI)(AX*1), Y1, Y1
+	VMOVUPS Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNE     rmsgrad_loop
+	ADDQ    R9, SI
+	ADDQ    R9, R10
+	ADDQ    $4, R8
+	DECQ    BX
+	JNE     rmsgrad_row
+	VZEROUPPER
+	RET
+
+// func ropeAVX2(q *float32, ldq uintptr, cos, sin *float32, ldt uintptr, signs *float32, rows, heads, d8 int, d uintptr)
+//
+// Rotates the first 8·d8 columns of each of the heads d-byte segments of
+// rows rows of q, row i by table row i: per 8 columns, four cos and four
+// sin entries spread over their pairs (·ropePairs), the sines times signs
+// = (−dir, dir, …), then x·cos + swap(x)·sin — swap exchanging each pair.
+TEXT ·ropeAVX2(SB), NOSPLIT, $0-80
+	MOVQ    q+0(FP), DI
+	MOVQ    cos+16(FP), SI
+	MOVQ    sin+24(FP), DX
+	MOVQ    signs+40(FP), AX
+	VMOVUPS (AX), Y13
+	VMOVDQU ·ropePairs(SB), Y14
+	MOVQ    d+72(FP), R9
+	MOVQ    rows+48(FP), BX
+
+rope_row:
+	MOVQ DI, R10
+	MOVQ d8+64(FP), CX
+	XORQ AX, AX
+
+rope_block:
+	VBROADCASTF128 (SI)(AX*1), Y0
+	VPERMILPS      Y14, Y0, Y0
+	VBROADCASTF128 (DX)(AX*1), Y1
+	VPERMILPS      Y14, Y1, Y1
+	VMULPS         Y13, Y1, Y1
+	MOVQ           R10, R11
+	MOVQ           heads+56(FP), R12
+
+rope_head:
+	VMOVUPS   (R11), Y2
+	VPERMILPS $0xb1, Y2, Y3
+	VMULPS    Y0, Y2, Y2
+	VMULPS    Y1, Y3, Y3
+	VADDPS    Y3, Y2, Y2
+	VMOVUPS   Y2, (R11)
+	ADDQ      R9, R11
+	DECQ      R12
+	JNE       rope_head
+	ADDQ      $32, R10
+	ADDQ      $16, AX
+	DECQ      CX
+	JNE       rope_block
+	ADDQ      ldq+8(FP), DI
+	ADDQ      ldt+32(FP), SI
+	ADDQ      ldt+32(FP), DX
+	DECQ      BX
+	JNE       rope_row
+	VZEROUPPER
+	RET
+
 // func fmaSpinAVX2(iters int)
 //
 // The FMA-peak probe: iters rounds of 12 independent FMA chains (the GEMM

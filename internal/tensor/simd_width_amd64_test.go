@@ -133,9 +133,18 @@ func TestAVX512BackendEqualsAVX2(t *testing.T) {
 		both("Dot", dst, func(bk Backend, o []*Tensor) { o[0].Data[0] = float32(bk.Dot(x, y)) })
 		both("DotF32", dst, func(bk Backend, o []*Tensor) { o[0].Data[0] = bk.DotF32(x, y) })
 	}
-	rows, h := 7, 33
-	x, y, gain := randTensor(rng, rows, h), randTensor(rng, rows, h), randTensor(rng, h)
-	both("SoftmaxRows", []*Tensor{New(rows, h)}, func(bk Backend, o []*Tensor) { bk.SoftmaxRows(o[0], x) })
-	both("SoftmaxRowsBackward", []*Tensor{New(rows, h)}, func(bk Backend, o []*Tensor) { bk.SoftmaxRowsBackward(o[0], x, y) })
-	both("RMSNormRows", []*Tensor{New(rows, h), New(rows)}, func(bk Backend, o []*Tensor) { bk.RMSNormRows(o[0], o[1], x, gain, 1e-6) })
+	// The row kernels, at a ragged shape and at the long-* shapes: the head's
+	// softmax is [G·S, V] = 512 × 256, norm and RoPE run on [512, 64].
+	for _, sh := range [][3]int{{7, 33, 3}, {512, 256, 4}, {512, 64, 4}} {
+		rows, h, heads := sh[0], sh[1], sh[2]
+		x, dy, gain, inv := randTensor(rng, rows, h), randTensor(rng, rows, h), randTensor(rng, h), randTensor(rng, rows)
+		cos, sin := randTensor(rng, rows*h/heads/2), randTensor(rng, rows*h/heads/2)
+		both("SoftmaxRows", []*Tensor{New(rows, h)}, func(bk Backend, o []*Tensor) { bk.SoftmaxRows(o[0], x) })
+		both("RMSNormRows", []*Tensor{New(rows, h), New(rows)}, func(bk Backend, o []*Tensor) { bk.RMSNormRows(o[0], o[1], x, gain, 1e-6) })
+		both("RMSNormBackward", []*Tensor{New(rows, h)}, func(bk Backend, o []*Tensor) { bk.RMSNormBackward(o[0], x, dy, gain, inv) })
+		both("RMSNormGainGrad", []*Tensor{randTensor(rng, h)}, func(bk Backend, o []*Tensor) { bk.RMSNormGainGrad(o[0], x, dy, inv) })
+		if h%(2*heads) == 0 {
+			both("Rope", []*Tensor{x}, func(bk Backend, o []*Tensor) { bk.Rope(o[0], cos.Data, sin.Data, rows, heads, -1) })
+		}
+	}
 }

@@ -176,38 +176,6 @@ func TestSoftmaxRows(t *testing.T) {
 	}
 }
 
-func TestSoftmaxBackwardMatchesFiniteDiff(t *testing.T) {
-	rng := NewRNG(1)
-	x := New(2, 5)
-	FillNormal(x, rng, 1)
-	dy := New(2, 5)
-	FillNormal(dy, rng, 1)
-
-	y := New(2, 5)
-	SoftmaxRows(y, x)
-	dx := New(2, 5)
-	SoftmaxRowsBackward(dx, y, dy)
-
-	const eps = 1e-3
-	for i := range x.Data {
-		orig := x.Data[i]
-		x.Data[i] = orig + eps
-		yp := New(2, 5)
-		SoftmaxRows(yp, x)
-		x.Data[i] = orig - eps
-		ym := New(2, 5)
-		SoftmaxRows(ym, x)
-		x.Data[i] = orig
-		var fd float64
-		for j := range dy.Data {
-			fd += float64(dy.Data[j]) * float64(yp.Data[j]-ym.Data[j]) / (2 * eps)
-		}
-		if math.Abs(fd-float64(dx.Data[i])) > 1e-3 {
-			t.Fatalf("softmax grad[%d] = %v, fd = %v", i, dx.Data[i], fd)
-		}
-	}
-}
-
 func TestSiLUAndBackward(t *testing.T) {
 	x := FromSlice([]float32{-2, 0, 2}, 3)
 	y := New(3)
