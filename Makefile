@@ -64,14 +64,18 @@ chaos:
 		-run 'Fault|Chaos|Timeout|PeerDeath|Recovery|Resilient|Crash|Frame|CloseFailsPending|CloseLeaks|DialTimeout|Grouped|SubRing' \
 		./internal/comm/ ./internal/pipeline/ ./internal/launch/
 
-# elastic runs the ring-repair suite under the race detector: buddy
-# replication off the critical path, shrink/spare repair (including the
-# headline kill-over-chaotic-TCP bit-identity test), double-death
-# checkpoint fallback, membership agreement, restart-loop edge cases, and
-# the straggler watchdog.
+# elastic runs the ring-repair suite under the race detector. There is one
+# repair ladder — detect, agree (AgreeOverTransport), harvest (wireHarvest),
+# plan (PlanRepair) — and both drivers climb it: RunResilient's goroutine
+# ranks over the in-process fabric and TCP, RunRank's processes over TCP.
+# The suite covers the failure contract on both fabrics, buddy replication
+# off the critical path, shrink/spare repair after a crash, an integrity
+# flip or a watchdog declaration (including the headline
+# kill-over-chaotic-TCP bit-identity test), the no-quorum and double-death
+# checkpoint fallbacks, RunRank's checkpoints, and restart-loop edge cases.
 elastic:
 	$(GO) test -race -timeout 300s \
-		-run 'Elastic|Buddy|Watchdog|Repair|Membership|DeadPeer' \
+		-run 'Elastic|Buddy|Watchdog|Repair|Membership|DeadPeer|Agree|RunRank' \
 		./internal/comm/ ./internal/pipeline/ ./internal/launch/
 
 fuzz:

@@ -8,10 +8,15 @@ import (
 	"sort"
 )
 
-// Transport-level membership agreement. AgreeMembership (membership.go)
-// merges observation sets that are already in one process; this file gets
-// the observations across processes, over the same lossy, retransmitting
-// links the failure happened on.
+// Membership agreement: when a rank dies, the survivors must converge on
+// the same picture of who is gone before the ring can be rebuilt. Failure
+// evidence is decentralised — each survivor observes the death through its
+// own links (a *PeerDeadError naming the peer, or the dead set a
+// Recoverer reports) — so AgreeOverTransport gets the observations across
+// ranks over the same lossy, retransmitting links the failure happened on.
+// Both fabrics honour one failure contract (a closed endpoint is a dead
+// rank, BeginRecovery reopens the survivors), so the protocol below is
+// the only agreement there is, in process and across processes.
 //
 // The protocol is synchronous-round evidence flooding. Every participant
 // runs exactly oldSize rounds; in round r it broadcasts its current
@@ -38,6 +43,60 @@ import (
 //   - Eviction: evidence naming the local rank means some survivor's
 //     detector condemned *us* and the majority may repair around us; the
 //     local rank gets ErrEvicted and must abort to standby.
+
+// Recoverer is implemented by transports that can transition from
+// "failed" (a peer death closed the endpoint, unblocking every parked
+// receive) back to "recovering" (the healthy links usable again for the
+// membership-agreement and state-harvest exchanges). BeginRecovery
+// returns the locally-observed dead set. Wrapper transports forward it.
+type Recoverer interface {
+	BeginRecovery() []int
+}
+
+// BeginRecovery reopens t for recovery traffic when it supports it,
+// returning the locally-observed dead set (nil otherwise).
+func BeginRecovery(t Transport) []int {
+	if r, ok := t.(Recoverer); ok {
+		return r.BeginRecovery()
+	}
+	return nil
+}
+
+// DeadPeer extracts the rank a failure implicates, if the error names one:
+// a PeerDeadError identifies the remote peer. Errors that do not name a
+// peer (ErrClosed, ErrTimeout, collateral damage of tearing the cluster
+// down) return ok=false.
+func DeadPeer(err error) (rank int, ok bool) {
+	var pd *PeerDeadError
+	if errors.As(err, &pd) {
+		return pd.Rank, true
+	}
+	return 0, false
+}
+
+// Membership is an agreed-upon view of a cluster after failures: the old
+// world size and the sorted set of dead old-world ranks.
+type Membership struct {
+	OldSize int
+	Dead    []int // sorted, deduplicated old-world ranks
+}
+
+// Survivors lists the live old-world ranks in ascending order.
+func (m Membership) Survivors() []int {
+	out := make([]int, 0, m.OldSize-len(m.Dead))
+	for r := 0; r < m.OldSize; r++ {
+		if !m.IsDead(r) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// IsDead reports whether old-world rank r is in the dead set.
+func (m Membership) IsDead(r int) bool {
+	i := sort.SearchInts(m.Dead, r)
+	return i < len(m.Dead) && m.Dead[i] == r
+}
 
 // Evidence is one rank's suspected-dead set at one round of the exchange.
 type Evidence struct {
@@ -178,11 +237,10 @@ func UnpackBytes(p []float32) ([]byte, error) {
 // protocol, far above any training-loop control tag.
 const agreeTagBase = 1 << 30
 
-// agreeTag is the per-(attempt, round) message tag. attempt separates
-// successive agreements on the same transport incarnation (a second
-// failure during recovery starts a fresh exchange).
-func agreeTag(attempt, round int) Tag {
-	return Tag{Kind: KindCtl, A: agreeTagBase + attempt, B: round}
+// agreeTag is the per-round message tag. A transport carries one
+// agreement: a failure ends its incarnation, whatever the outcome.
+func agreeTag(round int) Tag {
+	return Tag{Kind: KindCtl, A: agreeTagBase, B: round}
 }
 
 // AgreeConfig parameterises AgreeOverTransport.
@@ -190,8 +248,6 @@ type AgreeConfig struct {
 	// Epoch is the current cluster incarnation; evidence from any other
 	// epoch aborts the exchange.
 	Epoch uint32
-	// Attempt separates successive agreement exchanges on one transport.
-	Attempt int
 	// Deadlines supplies AgreeRound, the per-peer round deadline.
 	Deadlines Deadlines
 }
@@ -200,8 +256,7 @@ type AgreeConfig struct {
 // failure, by evidence flooding over t (see the file comment for the
 // protocol and its partition guards). initial seeds the local suspected
 // set — typically the dead ranks named by *PeerDeadError evidence and
-// BeginRecovery. The caller must have called BeginRecovery (or use a
-// transport that never wholesale-fails, like the in-process one).
+// BeginRecovery. The caller must have called BeginRecovery.
 //
 // The returned Membership is this rank's final view. The error is nil
 // only when the view is actionable: quorum held and the local rank is not
@@ -223,7 +278,7 @@ func AgreeOverTransport(t Transport, initial []int, cfg AgreeConfig) (Membership
 	for round := 0; round < oldSize; round++ {
 		ev := Evidence{Epoch: cfg.Epoch, OldSize: oldSize, Round: round, From: self, Dead: sortedSet(suspect)}
 		payload := PackBytes(EncodeEvidence(ev))
-		tag := agreeTag(cfg.Attempt, round)
+		tag := agreeTag(round)
 
 		for peer := 0; peer < oldSize; peer++ {
 			if peer == self || suspect[peer] {

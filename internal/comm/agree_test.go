@@ -2,6 +2,7 @@ package comm
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -126,50 +127,157 @@ func TestMembershipEvidencePackBytesTCP(t *testing.T) {
 	Release(pl)
 }
 
-// A rank killed mid-run: the survivors' detectors fire, BeginRecovery
-// reopens the mailboxes, and transport-level agreement converges every
-// survivor on the same dead set with quorum.
-func TestMembershipAgreeTCPPeerDeath(t *testing.T) {
-	dl := testDeadlines()
-	trs := dialMeshOpts(t, 4, dl.TCPOptions())
+// failureFabrics are the fabrics that honour the failure contract: a
+// closed endpoint is a dead rank, every survivor's receives fail with
+// *PeerDeadError naming it, and BeginRecovery reopens the survivors.
+var failureFabrics = []struct {
+	name string
+	dial func(t *testing.T, n int, dl Deadlines) []Transport
+}{
+	{"inproc", func(t *testing.T, n int, _ Deadlines) []Transport {
+		return NewCluster(n).Transports()
+	}},
+	{"tcp", func(t *testing.T, n int, dl Deadlines) []Transport {
+		var out []Transport
+		for _, tr := range dialMeshOpts(t, n, dl.TCPOptions()) {
+			out = append(out, tr)
+		}
+		return out
+	}},
+}
 
-	// Rank 1 dies abruptly.
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		trs[1].Close()
-	}()
-
-	type result struct {
-		m   Membership
-		err error
-	}
-	results := make([]result, 4)
+// agreeAll runs AgreeOverTransport on the given ranks concurrently, each
+// seeded with its own evidence.
+func agreeAll(trs []Transport, ranks []int, evidence func(r int) []int, dl Deadlines) (map[int]Membership, map[int]error) {
+	ms, errs := make(map[int]Membership), make(map[int]error)
+	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, r := range []int{0, 2, 3} {
+	for _, r := range ranks {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			// Parked in a receive the dead rank will never serve.
-			_, err := trs[r].Recv(1, Tag{Kind: KindWeight, A: 99})
-			dead, ok := DeadPeer(err)
-			if !ok {
-				results[r].err = err
-				return
-			}
-			evidence := append(trs[r].BeginRecovery(), dead)
-			results[r].m, results[r].err = AgreeOverTransport(trs[r], evidence,
-				AgreeConfig{Epoch: 0, Attempt: 0, Deadlines: dl})
+			m, err := AgreeOverTransport(trs[r], evidence(r), AgreeConfig{Deadlines: dl})
+			mu.Lock()
+			ms[r], errs[r] = m, err
+			mu.Unlock()
 		}(r)
 	}
 	wg.Wait()
+	return ms, errs
+}
 
-	for _, r := range []int{0, 2, 3} {
-		if results[r].err != nil {
-			t.Fatalf("rank %d agreement: %v", r, results[r].err)
+// A rank killed mid-run: the survivors' receives fail with the typed
+// evidence, BeginRecovery reopens the mailboxes, and transport-level
+// agreement converges every survivor on the same dead set with quorum —
+// on both fabrics.
+func TestMembershipAgreePeerDeath(t *testing.T) {
+	for _, fab := range failureFabrics {
+		t.Run(fab.name, func(t *testing.T) {
+			dl := testDeadlines()
+			trs := fab.dial(t, 4, dl)
+
+			// Rank 1 dies abruptly.
+			go func() {
+				time.Sleep(50 * time.Millisecond)
+				trs[1].Close()
+			}()
+
+			survivors := []int{0, 2, 3}
+			ms, errs := agreeAll(trs, survivors, func(r int) []int {
+				// Parked in a receive the dead rank will never serve.
+				_, err := trs[r].Recv(1, Tag{Kind: KindWeight, A: 99})
+				dead, ok := DeadPeer(err)
+				if !ok {
+					t.Errorf("rank %d: receive from the dead rank failed with %v, want *PeerDeadError", r, err)
+				}
+				return append(BeginRecovery(trs[r]), dead)
+			}, dl)
+			for _, r := range survivors {
+				if errs[r] != nil {
+					t.Fatalf("rank %d agreement: %v", r, errs[r])
+				}
+				if want := []int{1}; !reflect.DeepEqual(ms[r].Dead, want) {
+					t.Fatalf("rank %d dead set %v, want %v", r, ms[r].Dead, want)
+				}
+			}
+		})
+	}
+}
+
+// Every survivor ends on the sorted union of all survivors' evidence, even
+// when each holds only part of it.
+func TestAgreeOverTransportUnionsAndSorts(t *testing.T) {
+	dl := testDeadlines()
+	trs := NewCluster(5).Transports()
+	trs[1].Close()
+	trs[3].Close()
+	partial := map[int][]int{0: {3, 1}, 2: {1}, 4: nil}
+	ms, errs := agreeAll(trs, []int{0, 2, 4}, func(r int) []int { return partial[r] }, dl)
+	for _, r := range []int{0, 2, 4} {
+		m := ms[r]
+		if errs[r] != nil {
+			t.Fatalf("rank %d agreement: %v", r, errs[r])
 		}
-		if want := []int{1}; !reflect.DeepEqual(results[r].m.Dead, want) {
-			t.Fatalf("rank %d dead set %v, want %v", r, results[r].m.Dead, want)
+		if m.OldSize != 5 {
+			t.Fatalf("rank %d OldSize = %d, want 5", r, m.OldSize)
 		}
+		if want := []int{1, 3}; !reflect.DeepEqual(m.Dead, want) {
+			t.Fatalf("rank %d Dead = %v, want %v", r, m.Dead, want)
+		}
+		if want := []int{0, 2, 4}; !reflect.DeepEqual(m.Survivors(), want) {
+			t.Fatalf("rank %d Survivors = %v, want %v", r, m.Survivors(), want)
+		}
+		if !m.IsDead(1) || !m.IsDead(3) || m.IsDead(0) || m.IsDead(2) {
+			t.Fatalf("rank %d: IsDead disagrees with the dead set", r)
+		}
+	}
+}
+
+// Evidence outside [0, oldSize) is dropped: it names no rank of this world.
+func TestAgreeOverTransportDiscardsOutOfRange(t *testing.T) {
+	dl := testDeadlines()
+	trs := NewCluster(3).Transports()
+	trs[0].Close()
+	ms, errs := agreeAll(trs, []int{1, 2}, func(int) []int { return []int{-1, 0, 3, 7} }, dl)
+	for _, r := range []int{1, 2} {
+		if errs[r] != nil {
+			t.Fatalf("rank %d agreement: %v", r, errs[r])
+		}
+		if want := []int{0}; !reflect.DeepEqual(ms[r].Dead, want) {
+			t.Fatalf("rank %d Dead = %v, want %v (out-of-range observations must be dropped)", r, ms[r].Dead, want)
+		}
+	}
+}
+
+// No evidence anywhere: nobody is dead and every rank survives.
+func TestAgreeOverTransportEmptyEvidence(t *testing.T) {
+	dl := testDeadlines()
+	trs := NewCluster(4).Transports()
+	all := []int{0, 1, 2, 3}
+	ms, errs := agreeAll(trs, all, func(int) []int { return nil }, dl)
+	for _, r := range all {
+		if errs[r] != nil {
+			t.Fatalf("rank %d agreement: %v", r, errs[r])
+		}
+		if len(ms[r].Dead) != 0 {
+			t.Fatalf("rank %d Dead = %v, want empty", r, ms[r].Dead)
+		}
+		if !reflect.DeepEqual(ms[r].Survivors(), all) {
+			t.Fatalf("rank %d Survivors = %v, want %v", r, ms[r].Survivors(), all)
+		}
+	}
+}
+
+func TestDeadPeerExtraction(t *testing.T) {
+	wrapped := fmt.Errorf("iteration 3: %w", &PeerDeadError{Rank: 2})
+	if r, ok := DeadPeer(wrapped); !ok || r != 2 {
+		t.Fatalf("DeadPeer(wrapped PeerDeadError) = (%d, %v), want (2, true)", r, ok)
+	}
+	if _, ok := DeadPeer(errors.New("plain")); ok {
+		t.Fatal("DeadPeer claimed a rank from an error that names none")
+	}
+	if _, ok := DeadPeer(ErrClosed); ok {
+		t.Fatal("DeadPeer claimed a rank from ErrClosed")
 	}
 }
 
@@ -414,40 +522,47 @@ func TestRecvTimeoutCloseRaceDuringReconnect(t *testing.T) {
 
 // After BeginRecovery, receives naming the dead peer fail fast with typed
 // evidence instead of burning a timeout, while queued pre-death messages
-// are still drained.
+// are still drained — on both fabrics.
 func TestBeginRecoveryDeadPeerRecvFailsFast(t *testing.T) {
-	dl := testDeadlines()
-	trs := dialMeshOpts(t, 2, dl.TCPOptions())
-	tag := Tag{Kind: KindCtl, A: 5}
-	if err := trs[1].Send(0, tag, []float32{42}); err != nil {
-		t.Fatal(err)
-	}
-	// Wait until delivered, then kill rank 1.
-	pl, err := trs[0].RecvTimeout(1, tag, 2*time.Second)
-	if err != nil || pl[0] != 42 {
-		t.Fatalf("pre-death recv: %v %v", pl, err)
-	}
-	if err := trs[1].Send(0, tag, []float32{43}); err != nil {
-		t.Fatal(err)
-	}
-	pl, err = trs[0].RecvTimeout(1, tag, 2*time.Second)
-	if err != nil || pl[0] != 43 {
-		t.Fatalf("queued recv: %v %v", pl, err)
-	}
-	trs[1].Close()
-	if _, err := trs[0].Recv(1, tag); !errors.Is(err, ErrPeerDead) {
-		t.Fatalf("blocked recv after death: %v", err)
-	}
-	dead := trs[0].BeginRecovery()
-	if !reflect.DeepEqual(dead, []int{1}) {
-		t.Fatalf("BeginRecovery dead set %v", dead)
-	}
-	start := time.Now()
-	_, err = trs[0].RecvTimeout(1, tag, 5*time.Second)
-	if !errors.Is(err, ErrPeerDead) {
-		t.Fatalf("post-recovery recv from dead peer: %v", err)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("post-recovery recv from dead peer burned %v instead of failing fast", d)
+	for _, fab := range failureFabrics {
+		t.Run(fab.name, func(t *testing.T) {
+			dl := testDeadlines()
+			trs := fab.dial(t, 2, dl)
+			tag := Tag{Kind: KindCtl, A: 5}
+			if err := trs[1].Send(0, tag, []float32{42}); err != nil {
+				t.Fatal(err)
+			}
+			// Wait until delivered, then kill rank 1.
+			pl, err := trs[0].RecvTimeout(1, tag, 2*time.Second)
+			if err != nil || pl[0] != 42 {
+				t.Fatalf("pre-death recv: %v %v", pl, err)
+			}
+			if err := trs[1].Send(0, tag, []float32{43}); err != nil {
+				t.Fatal(err)
+			}
+			pl, err = trs[0].RecvTimeout(1, tag, 2*time.Second)
+			if err != nil || pl[0] != 43 {
+				t.Fatalf("queued recv: %v %v", pl, err)
+			}
+			trs[1].Close()
+			if _, err := trs[0].Recv(1, tag); !errors.Is(err, ErrPeerDead) {
+				t.Fatalf("blocked recv after death: %v", err)
+			}
+			dead := BeginRecovery(trs[0])
+			if !reflect.DeepEqual(dead, []int{1}) {
+				t.Fatalf("BeginRecovery dead set %v", dead)
+			}
+			start := time.Now()
+			_, err = trs[0].RecvTimeout(1, tag, 5*time.Second)
+			if !errors.Is(err, ErrPeerDead) {
+				t.Fatalf("post-recovery recv from dead peer: %v", err)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("post-recovery recv from dead peer burned %v instead of failing fast", d)
+			}
+			if err := trs[0].Send(1, tag, []float32{44}); !errors.Is(err, ErrPeerDead) {
+				t.Fatalf("post-recovery send to dead peer: %v", err)
+			}
+		})
 	}
 }

@@ -3,6 +3,8 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"weipipe/internal/trace"
@@ -11,11 +13,25 @@ import (
 // Cluster is an in-process message fabric connecting n ranks that run as
 // goroutines in one address space. It is the default substrate for tests,
 // examples and the functional-equivalence suite.
+//
+// It fails the way the TCP transport does. Closing rank r's endpoint means
+// r died: every other mailbox fails its parked and future takes with
+// *PeerDeadError{Rank: r}, and from then on a Send to r or a receive from
+// r fails fast with the same error (anything r delivered before it died is
+// still handed over). BeginRecovery reopens a surviving mailbox and
+// reports the dead set, so the repair protocols run over this fabric
+// exactly as over a mesh.
 type Cluster struct {
 	boxes []*mailbox
 	stats []*Stats
 	codec CodecFunc
 	trace *trace.Set
+
+	// failed is set by the first endpoint close. Until then Send and Recv
+	// skip the dead-peer checks: the fault-free path costs one atomic load.
+	failed atomic.Bool
+	mu     sync.Mutex
+	dead   []bool // endpoint r closed
 }
 
 // Stats returns rank's communication meter.
@@ -41,7 +57,7 @@ func NewClusterCodec(n int, codec CodecFunc) *Cluster {
 	if n <= 0 {
 		panic("comm: cluster size must be positive")
 	}
-	c := &Cluster{boxes: make([]*mailbox, n), stats: make([]*Stats, n), codec: codec}
+	c := &Cluster{boxes: make([]*mailbox, n), stats: make([]*Stats, n), codec: codec, dead: make([]bool, n)}
 	for i := range c.boxes {
 		c.boxes[i] = newMailbox()
 		c.stats[i] = newStats()
@@ -77,6 +93,44 @@ func (c *Cluster) Close() {
 	}
 }
 
+// kill records rank's death: its own mailbox closes, every other one fails
+// with *PeerDeadError naming it. The boxes close under c.mu, so a
+// concurrent BeginRecovery never reopens a mailbox this death has yet to
+// fail.
+func (c *Cluster) kill(rank int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dead[rank] {
+		return
+	}
+	c.dead[rank] = true
+	c.failed.Store(true)
+	c.boxes[rank].close()
+	for r, b := range c.boxes {
+		if r != rank {
+			b.closeWithErr(&PeerDeadError{Rank: rank})
+		}
+	}
+}
+
+// peerError is the error an operation of rank self naming peer fails with
+// once an endpoint has closed: ErrClosed when self is gone, a
+// *PeerDeadError when peer is; nil otherwise (and always before any death).
+func (c *Cluster) peerError(self, peer int) error {
+	if !c.failed.Load() {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case c.dead[self]:
+		return ErrClosed
+	case c.dead[peer]:
+		return &PeerDeadError{Rank: peer}
+	}
+	return nil
+}
+
 type inprocTransport struct {
 	cluster *Cluster
 	rank    int
@@ -96,6 +150,9 @@ func (t *inprocTransport) WireCodec(tag Tag) WireCodec { return codecFor(t.clust
 func (t *inprocTransport) Send(dst int, tag Tag, data []float32) error {
 	if dst < 0 || dst >= t.Size() {
 		return fmt.Errorf("comm: send to invalid rank %d", dst)
+	}
+	if err := t.cluster.peerError(t.rank, dst); err != nil {
+		return err
 	}
 	tr := t.cluster.trace.Rank(t.rank)
 	span := tr.Begin()
@@ -124,6 +181,10 @@ func (t *inprocTransport) SendOwned(dst int, tag Tag, payload []float32) error {
 		Release(payload)
 		return fmt.Errorf("comm: send to invalid rank %d", dst)
 	}
+	if err := t.cluster.peerError(t.rank, dst); err != nil {
+		Release(payload)
+		return err
+	}
 	tr := t.cluster.trace.Rank(t.rank)
 	span := tr.Begin()
 	payload = private(payload)
@@ -143,9 +204,18 @@ func (t *inprocTransport) RecvTimeout(src int, tag Tag, timeout time.Duration) (
 	if src < 0 || src >= t.Size() {
 		return nil, fmt.Errorf("comm: recv from invalid rank %d", src)
 	}
+	box := t.cluster.boxes[t.rank]
+	// A receive naming a dead peer fails fast with the typed evidence —
+	// after handing over anything the peer delivered before it died.
+	if err := t.cluster.peerError(t.rank, src); err != nil {
+		if payload, ok := box.tryTake(msgKey{src: src, tag: tag}); ok {
+			return payload, nil
+		}
+		return nil, err
+	}
 	tr := t.cluster.trace.Rank(t.rank)
 	span := tr.Begin()
-	payload, err := t.cluster.boxes[t.rank].take(msgKey{src: src, tag: tag}, timeout)
+	payload, err := box.take(msgKey{src: src, tag: tag}, timeout)
 	tr.End(span, trace.CodeRecv, int64(tag.Kind), int64(src))
 	if err != nil && errors.Is(err, ErrTimeout) {
 		t.stats.recordTimeout(src)
@@ -153,7 +223,27 @@ func (t *inprocTransport) RecvTimeout(src int, tag Tag, timeout time.Duration) (
 	return payload, err
 }
 
+// Close implements Transport: this rank dies (see Cluster).
 func (t *inprocTransport) Close() error {
-	t.cluster.boxes[t.rank].close()
+	t.cluster.kill(t.rank)
 	return nil
+}
+
+// BeginRecovery implements Recoverer, as TCPTransport.BeginRecovery does:
+// it reopens this rank's mailbox for the repair exchanges, unless this
+// rank itself closed, and returns the dead peers in ascending order.
+func (t *inprocTransport) BeginRecovery() []int {
+	c := t.cluster
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var dead []int
+	for r, d := range c.dead {
+		if d && r != t.rank {
+			dead = append(dead, r)
+		}
+	}
+	if !c.dead[t.rank] {
+		c.boxes[t.rank].reopen()
+	}
+	return dead
 }

@@ -635,19 +635,6 @@ func (t *TCPTransport) peerDead(peer int, cause error) {
 	t.box.closeWithErr(&PeerDeadError{Rank: peer, Cause: cause})
 }
 
-// DeadPeers lists the peers this endpoint's failure detector has declared
-// dead, in ascending rank order.
-func (t *TCPTransport) DeadPeers() []int {
-	t.deadMu.Lock()
-	out := make([]int, 0, len(t.deadPeers))
-	for r := range t.deadPeers {
-		out = append(out, r)
-	}
-	t.deadMu.Unlock()
-	sort.Ints(out)
-	return out
-}
-
 // BeginRecovery transitions the endpoint from "failed" to "recovering":
 // the mailbox, wholesale-closed by the first peer death so every blocked
 // runner aborts, is reopened so the survivors can exchange membership
@@ -655,9 +642,16 @@ func (t *TCPTransport) DeadPeers() []int {
 // dead set. Sends and receives naming a dead peer keep failing fast with
 // *PeerDeadError; a further peer death during recovery closes the mailbox
 // again (call BeginRecovery again to continue). After a local Close the
-// mailbox stays closed and BeginRecovery only reports the dead set.
+// mailbox stays closed and BeginRecovery only reports the dead set, which
+// is in ascending rank order.
 func (t *TCPTransport) BeginRecovery() []int {
-	dead := t.DeadPeers()
+	t.deadMu.Lock()
+	dead := make([]int, 0, len(t.deadPeers))
+	for r := range t.deadPeers {
+		dead = append(dead, r)
+	}
+	t.deadMu.Unlock()
+	sort.Ints(dead)
 	t.box.reopen()
 	return dead
 }

@@ -28,7 +28,6 @@ func ReplayOracle(spec TrainSpec, history []EpochEvent) ([]float64, []float32, e
 	losses := make([]float64, spec.Iters)
 	var snap *checkpoint.Snapshot
 	opts := spec.options()
-	opts.Buddy = true // RunRank forces buddy replication on; mirror it
 	inproc := func(_, size int) ([]comm.Transport, error) {
 		return comm.NewCluster(size).Transports(), nil
 	}

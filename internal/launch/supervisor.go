@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"sort"
 	"strconv"
 	"syscall"
@@ -15,6 +16,7 @@ import (
 
 	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
+	"weipipe/internal/pipeline"
 	"weipipe/internal/tensor"
 )
 
@@ -359,7 +361,7 @@ func (s *supervisor) run() (*Report, error) {
 			return rep, nil
 		}
 
-		next, err := s.plan(active, world)
+		next, err := s.plan(active)
 		if err != nil {
 			return nil, err
 		}
@@ -492,9 +494,10 @@ type nextEpoch struct {
 	active           []int
 }
 
-// plan decides how the run continues after a failed incarnation: spare
-// admission while standbys last, else shrink, else checkpoint restart.
-func (s *supervisor) plan(active []int, world int) (*nextEpoch, error) {
+// plan decides how the run continues after a failed incarnation: the
+// repair pipeline.PlanRepair picks (spare admission while standbys last,
+// else shrink) or, when it finds none, checkpoint restart.
+func (s *supervisor) plan(active []int) (*nextEpoch, error) {
 	// Survivors: ranks that harvested a repair snapshot. Cross-check that
 	// they agreed on the dead set, the cut, and the snapshot bits.
 	type sv struct {
@@ -511,7 +514,7 @@ func (s *supervisor) plan(active []int, world int) (*nextEpoch, error) {
 		}
 		if len(survivors) == 0 {
 			cut, deadSet, snapHash = p.res.Cut, p.res.Dead, p.res.SnapHash
-		} else if p.res.Cut != cut || p.res.SnapHash != snapHash || !equalInts(p.res.Dead, deadSet) {
+		} else if p.res.Cut != cut || p.res.SnapHash != snapHash || !slices.Equal(p.res.Dead, deadSet) {
 			return nil, fmt.Errorf("launch: survivors diverged: worker %d cut=%d hash=%s dead=%v vs cut=%d hash=%s dead=%v",
 				id, p.res.Cut, p.res.SnapHash, p.res.Dead, cut, snapHash, deadSet)
 		}
@@ -537,33 +540,20 @@ func (s *supervisor) plan(active []int, world int) (*nextEpoch, error) {
 	}
 
 	standbys := s.standbys()
-	if len(survivors) >= 2 {
-		admit := len(deadSet)
-		if admit > len(standbys) {
-			admit = len(standbys)
+	if admit, ok := pipeline.PlanRepair(len(survivors), len(deadSet), len(standbys),
+		s.o.Spec.Layers+2, s.o.Spec.MicroBatches); ok {
+		next := &nextEpoch{world: len(survivors) + admit, startIter: cut, dead: deadSet, policy: "shrink"}
+		for _, v := range survivors {
+			next.active = append(next.active, v.id)
 		}
-		// Prefer keeping the world size; peel admissions off until the
-		// shrunken-world constraints hold.
-		for ; admit >= 0; admit-- {
-			nw := len(survivors) + admit
-			if nw < 2 || nw > s.o.Spec.Layers+2 || s.o.Spec.MicroBatches%nw != 0 {
-				continue
+		if admit > 0 {
+			next.policy = "spare"
+			for i := 0; i < admit; i++ {
+				next.seedTo = append(next.seedTo, len(survivors)+i)
+				next.active = append(next.active, standbys[i])
 			}
-			next := &nextEpoch{world: nw, startIter: cut, dead: deadSet}
-			for _, v := range survivors {
-				next.active = append(next.active, v.id)
-			}
-			if admit > 0 {
-				next.policy = "spare"
-				for i := 0; i < admit; i++ {
-					next.seedTo = append(next.seedTo, len(survivors)+i)
-					next.active = append(next.active, standbys[i])
-				}
-			} else {
-				next.policy = "shrink"
-			}
-			return next, nil
 		}
+		return next, nil
 	}
 
 	// Checkpoint restart: every usable worker re-reads the last coordinated
@@ -605,23 +595,4 @@ func (s *supervisor) standbys() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -11,27 +11,42 @@ import (
 // Elastic repair: when ranks die mid-run, the survivors already hold every
 // piece of the lost trainer state — each dead rank's owned chunk lives on
 // as its predecessor's buddy shadow (buddy.go). Repair therefore never
-// reads a checkpoint: at the failure barrier the driver agrees on the dead
-// set (comm.AgreeMembership over the typed failure evidence), picks a
-// consistent cut (the minimum committed step phase across survivors, with
-// the one-deep rollback bridging ranks that already stepped past it),
-// harvests a full-state snapshot from owners and buddies, and restarts the
-// cluster at the new world size from that snapshot. Re-sharding is free:
-// the snapshot is world-size-agnostic, so the existing RestoreSnapshot
-// machinery re-partitions it across p−1 survivors (shrink) or p ranks
-// including a freshly admitted spare (spare) exactly as it would for a
-// checkpoint — but from live, zero-iteration-loss state.
+// reads a checkpoint. There is one repair ladder, and both drivers climb
+// it: RunRank in each process of a weipipe-launch fleet, and RunResilient
+// for ranks that are goroutines over the in-process fabric or a TCP mesh.
+//
+//  1. Detect: a rank's error goes through failureOutcome (rankrun.go). A
+//     rank whose own state is suspect (an injected crash, a detected
+//     integrity violation) closes its endpoint and aborts as dead; every
+//     fabric turns a closed endpoint into a *comm.PeerDeadError at the
+//     survivors.
+//  2. Agree: the survivors run comm.AgreeOverTransport over the typed
+//     evidence, with the quorum and eviction guards.
+//  3. Harvest: wireHarvest fixes the cut (the minimum committed step phase
+//     across survivors, with the one-deep rollback bridging ranks that
+//     already stepped past it) and rebuilds the full-state snapshot on
+//     every survivor, each chunk from its owner or, when the owner died,
+//     from the owner's buddy (chunkSource).
+//  4. Plan: the driver checks the survivors' snapshots are bit-identical
+//     and PlanRepair picks the next world — spares admitted, or a shrink,
+//     or checkpoint restart when neither is valid.
+//
+// Re-sharding is free: the snapshot is world-size-agnostic, so
+// RestoreSnapshot re-partitions it across the new world exactly as it
+// would a checkpoint — but from live, zero-iteration-loss state. A
+// coordinated checkpoint in RunRank is the same harvest with nobody dead.
 
 // ElasticPolicy selects how RunResilient reacts to dead ranks.
 type ElasticPolicy int
 
 const (
-	// ElasticNone restores from the last checkpoint (PR 2 behaviour).
+	// ElasticNone restores from the last checkpoint.
 	ElasticNone ElasticPolicy = iota
 	// ElasticShrink repairs by re-sharding across the survivors (world
 	// size drops by the number of dead ranks), rebuilding lost shards from
 	// buddy replicas. Falls back to checkpoint restart when repair is
-	// impossible (a buddy died too, or the shrunken world is invalid).
+	// impossible (no quorum, a buddy died too, or the shrunken world is
+	// invalid).
 	ElasticShrink
 	// ElasticSpare repairs by admitting standby spares (world size is
 	// preserved while ResilientOptions.Spares last), seeding the
@@ -71,12 +86,29 @@ type RepairEvent struct {
 	Snapshot *checkpoint.Snapshot
 }
 
+// PlanRepair is the repair ladder's one planner, shared by RunResilient
+// and the launch supervisor: after a failure whose survivors harvested a
+// snapshot, it admits spares while standbys last, dropping admissions until
+// the ring is valid for WeiPipe — 2 ≤ world ≤ modules (cfg.Layers+2) and
+// microbatches % world == 0. Admitting none is a shrink. ok is false when
+// no world is valid (or nobody survived); the driver then falls back to
+// its checkpoint restart.
+func PlanRepair(survivors, dead, spares, modules, microbatches int) (admit int, ok bool) {
+	if survivors < 1 {
+		return 0, false
+	}
+	for admit = min(dead, spares); admit >= 0; admit-- {
+		world := survivors + admit
+		if world >= 2 && world <= modules && microbatches%world == 0 {
+			return admit, true
+		}
+	}
+	return 0, false
+}
+
 // chunkSource decides which survivor supplies chunk c's state once the
 // dead set is agreed: the chunk's owner when it survived, the owner's
 // buddy otherwise. fromBuddy tells the source which replica to export.
-// This is the single provenance mapping both the in-process harvest and
-// the cross-process wire harvest (rankrun.go) follow, so the two repair
-// paths can never disagree about which rank serves a chunk.
 func chunkSource(c int, m comm.Membership) (rank int, fromBuddy bool, err error) {
 	p := m.OldSize
 	owner := (c - 1 + p) % p
@@ -103,137 +135,4 @@ func newRepairSnapshot(mdl *model.Model, tCut int) *checkpoint.Snapshot {
 		},
 		Step: int64(tCut),
 	}
-}
-
-// placeChunkState copies one chunk's harvested state into the snapshot,
-// validating the extent against the model layout.
-func placeChunkState(snap *checkpoint.Snapshot, ref *WeiPipe, offsets []int, c int, st StateExport) error {
-	lo, hi := ref.chunkRange(c)
-	want := offsets[hi] - offsets[lo]
-	if len(st.W) != want || len(st.M) != want || len(st.V) != want {
-		return fmt.Errorf("pipeline: chunk %d harvest covers %d params, want %d", c, len(st.W), want)
-	}
-	copy(snap.Weights[offsets[lo]:offsets[hi]], st.W)
-	copy(snap.Sections["adam.m"][offsets[lo]:offsets[hi]], st.M)
-	copy(snap.Sections["adam.v"][offsets[lo]:offsets[hi]], st.V)
-	return nil
-}
-
-// harvestRepairSnapshot assembles a full-state snapshot from the
-// survivors of a failed attempt: every chunk's fp32 weights, AdamW moments
-// and step count come from the chunk's owner when it survived, or from the
-// owner's buddy shadow otherwise. All state is taken at the repair cut —
-// the minimum committed step phase across survivors — using the one-deep
-// rollback for ranks that had already stepped past it. Returns an error
-// when any lost chunk's buddy died too (checkpoint fallback territory) or
-// when the trainers do not carry buddy replicas.
-func harvestRepairSnapshot(trainers []Trainer, m comm.Membership) (*checkpoint.Snapshot, error) {
-	if len(m.Dead) == 0 {
-		return nil, fmt.Errorf("pipeline: harvest with no dead ranks")
-	}
-	p := m.OldSize
-	wps := make([]*WeiPipe, p)
-	for r, tr := range trainers {
-		wp, ok := tr.(*WeiPipe)
-		if !ok {
-			return nil, fmt.Errorf("pipeline: elastic repair needs WeiPipe trainers, got %T", tr)
-		}
-		wps[r] = wp
-	}
-	survivors := m.Survivors()
-	if len(survivors) == 0 {
-		return nil, fmt.Errorf("pipeline: no survivors to harvest from")
-	}
-	// The repair cut: the lock-step driver bounds the iteration spread to
-	// one, so every needed export is either live or one rollback away.
-	tCut := wps[survivors[0]].CompletedStepPhases()
-	for _, r := range survivors[1:] {
-		if c := wps[r].CompletedStepPhases(); c < tCut {
-			tCut = c
-		}
-	}
-
-	ref := wps[survivors[0]]
-	mdl := ref.Model()
-	offsets := moduleOffsets(mdl)
-	snap := newRepairSnapshot(mdl, tCut)
-	optStep := -1
-	for c := 0; c < p; c++ {
-		src, fromBuddy, err := chunkSource(c, m)
-		if err != nil {
-			return nil, err
-		}
-		var st StateExport
-		if fromBuddy {
-			if sc, ok := wps[src].BuddyChunk(); !ok || sc != c {
-				return nil, fmt.Errorf("pipeline: rank %d does not shadow chunk %d", src, c)
-			}
-			st, err = wps[src].ExportBuddyStateAt(tCut)
-		} else {
-			st, err = wps[src].ExportOwnedStateAt(tCut)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: harvest chunk %d: %w", c, err)
-		}
-		if err := placeChunkState(snap, ref, offsets, c, st); err != nil {
-			return nil, err
-		}
-		if optStep == -1 {
-			optStep = st.Step
-		} else if optStep != st.Step {
-			return nil, fmt.Errorf("pipeline: inconsistent optimizer steps across chunks: %d vs %d", optStep, st.Step)
-		}
-	}
-	snap.Sections["adam.step"] = []float32{float32(optStep)}
-	// Spike-detector state at the cut: the verdict history is lock-step
-	// identical across ranks, so any survivor whose phase count brackets the
-	// cut can contribute it.
-	for _, r := range survivors {
-		ss, err := wps[r].exportSpikeAt(tCut)
-		if err != nil {
-			continue
-		}
-		if ss != nil {
-			snap.Sections[spikeSection] = ss
-		}
-		break
-	}
-	return snap, nil
-}
-
-// planRepair decides how a failed attempt should continue under the
-// elastic policy: the new world size, the snapshot to restore, and the
-// event to report. ok=false means checkpoint fallback.
-func planRepair(fail *attemptFailure, world, spares, modules, nextBatches int,
-	policy ElasticPolicy, attempt int) (RepairEvent, int, bool) {
-
-	if policy == ElasticNone || fail.repair == nil || len(fail.dead) == 0 {
-		return RepairEvent{}, 0, false
-	}
-	newWorld := world - len(fail.dead)
-	applied := ElasticShrink
-	if policy == ElasticSpare {
-		replaced := len(fail.dead)
-		if replaced > spares {
-			replaced = spares
-		}
-		newWorld += replaced
-		if replaced > 0 {
-			applied = ElasticSpare
-		}
-	}
-	// WeiPipe validity at the new world size: a real ring, enough modules
-	// to partition, and a divisible microbatch count.
-	if newWorld < 2 || newWorld > modules || nextBatches%newWorld != 0 {
-		return RepairEvent{}, 0, false
-	}
-	return RepairEvent{
-		Attempt:   attempt,
-		Iteration: int(fail.repair.Step),
-		Dead:      fail.dead,
-		Policy:    applied,
-		OldSize:   world,
-		NewSize:   newWorld,
-		Snapshot:  fail.repair,
-	}, newWorld, true
 }

@@ -47,16 +47,16 @@ func buddySendsPerIteration(t *testing.T, p, iters, n int) int64 {
 
 // Buddy replication must not perturb training (bit-identical losses and
 // weights) and must not add a single message to the KindWeight/KindGrad
-// critical path — its traffic rides exclusively on KindBuddy.
+// critical path — its traffic rides exclusively on KindBuddy. The elastic
+// driver is what turns it on.
 func TestBuddyReplicationOffCriticalPath(t *testing.T) {
 	const p, iters, n = 3, 3, 6
 	off, err := RunCluster(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := eqOpts()
-	opts.Buddy = true
-	on, err := RunCluster(StrategyWZB2, p, eqCfg(), opts, iters, eqBatches(iters, n))
+	on, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
+		inprocFactory(p), ResilientOptions{Elastic: ElasticShrink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +74,30 @@ func TestBuddyReplicationOffCriticalPath(t *testing.T) {
 	}
 	if on.TotalComm().SentMsgs(comm.KindBuddy) == 0 {
 		t.Error("buddy-on run sent no KindBuddy traffic; replication was a no-op")
+	}
+}
+
+// PlanRepair admits spares while they last, drops admissions until the ring
+// is valid, and reports no repair when no world is.
+func TestElasticPlanRepair(t *testing.T) {
+	cases := []struct {
+		survivors, dead, spares, modules, mb int
+		admit                                int
+		ok                                   bool
+	}{
+		{2, 1, 1, 10, 6, 1, true},  // spare keeps the world at 3
+		{2, 1, 0, 10, 6, 0, true},  // no spare: shrink to 2
+		{3, 1, 1, 10, 6, 0, true},  // 4 does not divide 6: shrink to 3
+		{2, 2, 2, 3, 6, 1, true},   // 4 > 3 modules: admit one
+		{3, 1, 0, 10, 4, 0, false}, // 3 does not divide 4: checkpoint
+		{0, 2, 2, 10, 6, 0, false}, // nobody survived
+	}
+	for _, c := range cases {
+		admit, ok := PlanRepair(c.survivors, c.dead, c.spares, c.modules, c.mb)
+		if admit != c.admit || ok != c.ok {
+			t.Errorf("PlanRepair(%d, %d, %d, %d, %d) = %d, %v; want %d, %v",
+				c.survivors, c.dead, c.spares, c.modules, c.mb, admit, ok, c.admit, c.ok)
+		}
 	}
 }
 
@@ -147,18 +171,10 @@ func TestElasticShrinkRepairWZB2ChaosTCP(t *testing.T) {
 	var ev RepairEvent
 	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
 		chaosTCPFactory(tcpOpts), ResilientOptions{
-			MaxRestarts: 1,
-			Elastic:     ElasticShrink,
-			OnRepair:    func(e RepairEvent) { ev = e },
-			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
-				if attempt == 0 && rank == 1 {
-					crashed = comm.NewFaultTransport(tr, comm.FaultConfig{
-						CrashAtSend: perIter*3 + perIter/2,
-					})
-					return crashed
-				}
-				return tr
-			},
+			MaxRestarts:   1,
+			Elastic:       ElasticShrink,
+			OnRepair:      func(e RepairEvent) { ev = e },
+			WrapTransport: crashRankOne(&crashed, perIter*3+perIter/2),
 		})
 	if err != nil {
 		t.Fatalf("elastic chaos run failed: %v", err)
@@ -201,10 +217,22 @@ func TestElasticShrinkRepairWZB2ChaosTCP(t *testing.T) {
 	waitPipelineGoroutines(t, base)
 }
 
+// crashRankOne makes rank 1 of attempt 0 crash at its CrashAtSend-th send,
+// recording the fault transport in *crashed.
+func crashRankOne(crashed **comm.FaultTransport, atSend int64) func(attempt, rank int, tr comm.Transport) comm.Transport {
+	return func(attempt, rank int, tr comm.Transport) comm.Transport {
+		if attempt == 0 && rank == 1 {
+			*crashed = comm.NewFaultTransport(tr, comm.FaultConfig{CrashAtSend: atSend})
+			return *crashed
+		}
+		return tr
+	}
+}
+
 // Spare admission: the world size is preserved by seeding a standby rank
 // from the harvested snapshot, again without reading any checkpoint.
 func TestElasticSpareRepairInproc(t *testing.T) {
-	const p, iters, n = 2, 6, 4
+	const p, iters, n = 3, 6, 6
 	perIter := buddySendsPerIteration(t, p, iters, n)
 	base := runtime.NumGoroutine()
 
@@ -212,19 +240,11 @@ func TestElasticSpareRepairInproc(t *testing.T) {
 	var ev RepairEvent
 	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
 		inprocFactory(p), ResilientOptions{
-			MaxRestarts: 1,
-			Elastic:     ElasticSpare,
-			Spares:      1,
-			OnRepair:    func(e RepairEvent) { ev = e },
-			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
-				if attempt == 0 && rank == 1 {
-					crashed = comm.NewFaultTransport(tr, comm.FaultConfig{
-						CrashAtSend: perIter*2 + perIter/2,
-					})
-					return crashed
-				}
-				return tr
-			},
+			MaxRestarts:   1,
+			Elastic:       ElasticSpare,
+			Spares:        1,
+			OnRepair:      func(e RepairEvent) { ev = e },
+			WrapTransport: crashRankOne(&crashed, perIter*2+perIter/2),
 		})
 	if err != nil {
 		t.Fatalf("spare repair run failed: %v", err)
@@ -232,8 +252,11 @@ func TestElasticSpareRepairInproc(t *testing.T) {
 	if !crashed.Crashed() {
 		t.Fatal("scheduled rank kill never fired")
 	}
-	if len(res.Repairs) != 1 || ev.Policy != ElasticSpare || ev.OldSize != 2 || ev.NewSize != 2 {
-		t.Fatalf("repair %+v, want one 2->2 spare admission", ev)
+	if len(res.Repairs) != 1 || ev.Policy != ElasticSpare || ev.OldSize != p || ev.NewSize != p {
+		t.Fatalf("repair %+v, want one %d->%d spare admission", ev, p, p)
+	}
+	if len(ev.Dead) != 1 || ev.Dead[0] != 1 {
+		t.Fatalf("dead set %v, want [1]", ev.Dead)
 	}
 
 	ref, err := RunResilient(StrategyWZB2, ev.NewSize, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
@@ -246,6 +269,41 @@ func TestElasticSpareRepairInproc(t *testing.T) {
 	}
 	bitIdentical(t, "spare repair vs fresh cluster",
 		res.Losses[ev.Iteration:], ref.Losses[ev.Iteration:], res.Weights, ref.Weights)
+	waitPipelineGoroutines(t, base)
+}
+
+// A 2-rank ring that loses a rank keeps 1 of 2: no quorum, in process as
+// across processes, so a spare is never admitted from a lone survivor's
+// word. The run falls back to checkpoint restart and still lands on the
+// uninterrupted trajectory.
+func TestElasticTwoRankNoQuorumFallsBackToCheckpoint(t *testing.T) {
+	const p, iters, n = 2, 6, 4
+	perIter := buddySendsPerIteration(t, p, iters, n)
+	base := runtime.NumGoroutine()
+	ref, err := RunCluster(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crashed *comm.FaultTransport
+	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
+		inprocFactory(p), ResilientOptions{
+			CheckpointEvery: 2,
+			MaxRestarts:     1,
+			Elastic:         ElasticSpare,
+			Spares:          1,
+			OnRepair:        func(e RepairEvent) { t.Errorf("repair without quorum: %+v", e) },
+			WrapTransport:   crashRankOne(&crashed, perIter*2+perIter/2),
+		})
+	if err != nil {
+		t.Fatalf("checkpoint fallback failed: %v", err)
+	}
+	if !crashed.Crashed() {
+		t.Fatal("scheduled rank kill never fired")
+	}
+	if len(res.Repairs) != 0 {
+		t.Fatalf("%d repairs, want the checkpoint fallback", len(res.Repairs))
+	}
+	bitIdentical(t, "2-rank checkpoint fallback", res.Losses, ref.Losses, res.Weights, ref.Weights)
 	waitPipelineGoroutines(t, base)
 }
 

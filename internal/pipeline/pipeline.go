@@ -82,14 +82,6 @@ type Options struct {
 	// check rides the same scalar all-reduce global-norm clipping uses, so
 	// every rank makes the identical decision.
 	GuardNonFinite bool
-	// Buddy enables buddy replication on WeiPipe trainers: each rank
-	// additionally shadows its ring successor's owned chunk (fp32 weights,
-	// AdamW moments and step count) by replaying the successor's optimizer
-	// step from a dual-delivered copy of the retired gradient. The copy is
-	// sent asynchronously by the retiring worker, adding no blocking send —
-	// and no KindWeight/KindGrad message — to the training critical path.
-	// Ignored by non-WeiPipe strategies and single-rank rings.
-	Buddy bool
 	// Trace, when non-nil, receives runtime spans from every rank: F/B/W
 	// compute stages, optimizer steps, exposed-communication stalls, belt
 	// relays and checkpoint barriers. All ranks of
@@ -135,6 +127,15 @@ type Options struct {
 	// points pass. Shared by every rank of a run (and across restart
 	// attempts — events fire once). Test/chaos use only.
 	BitFlip *BitFlipInjector
+
+	// buddy enables buddy replication on WeiPipe trainers (buddy.go): each
+	// rank also shadows its ring successor's owned chunk, so the repair
+	// ladder can rebuild a dead rank's shard. It exists only for that
+	// ladder, so only the drivers set it — RunResilient under an elastic
+	// policy, RunRank on every multi-rank ring. It adds no KindWeight or
+	// KindGrad message and does not change the owned weights. Ignored by
+	// non-WeiPipe strategies and single-rank rings.
+	buddy bool
 }
 
 // needGlobalSumSq reports whether the step phase needs the global Σg²

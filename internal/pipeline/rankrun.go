@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"time"
 
 	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
@@ -13,30 +12,24 @@ import (
 	"weipipe/internal/model"
 )
 
-// RunRank is the cross-process counterpart of RunResilient's per-rank
-// goroutine: one OS process calls it with its rank assignment and drives
-// lock-step training over a real TCP mesh, with no shared memory to lean
-// on. Everything RunResilient does centrally — the iteration barrier,
-// coordinated checkpoints, failure-evidence gathering, the buddy-replica
-// harvest — happens here via explicit wire protocols:
+// RunRank drives one rank of one cluster incarnation over a real TCP mesh:
+// one OS process per rank, no shared memory to lean on. It climbs the same
+// repair ladder as RunResilient (elastic.go) — failureOutcome is the
+// per-rank failure rule of both drivers — and adds what a process needs
+// in place of shared memory, as explicit wire protocols:
 //
 //   - a per-iteration all-to-all control barrier carrying the loss, so no
 //     rank can run ahead into an iteration its peers have abandoned;
-//   - a coordinated checkpoint exchange in which every rank broadcasts its
-//     owned chunk state and all ranks assemble the identical snapshot;
-//   - on failure, transport-level membership agreement
-//     (comm.AgreeOverTransport) over the typed evidence, followed by a
-//     harvest-meta exchange (dead-set hash + committed step phases) that
-//     fixes the repair cut, and a chunk-state exchange that rebuilds the
-//     full snapshot on every survivor — bit-identical to the in-process
-//     harvestRepairSnapshot, because both follow the same chunkSource
-//     provenance mapping.
+//   - coordinated checkpoints, each a wireHarvest with nobody dead: every
+//     rank broadcasts its owned chunk and all ranks assemble the
+//     identical snapshot; rank 0 writes it to disk, after the final
+//     iteration too.
 //
 // RunRank never decides the cluster's future: it returns a RankOutcome
 // describing what happened (completed; repaired with a harvested
-// snapshot; aborted) and the supervisor (internal/launch) chooses the
-// next incarnation — shrink, spare admission, or checkpoint restart —
-// and hands every process a fresh RankAssignment at a new epoch.
+// snapshot; aborted) and the supervisor (internal/launch) plans the next
+// incarnation with PlanRepair and hands every process a fresh
+// RankAssignment at a new epoch.
 
 // RankAssignment is one process's place in one cluster incarnation.
 type RankAssignment struct {
@@ -75,7 +68,8 @@ type RankConfig struct {
 	// layer (the soak harness's knob).
 	Chaos *comm.ChaosConfig
 	// CheckpointEvery/CheckpointPath/CheckpointKeep mirror
-	// ResilientOptions; only rank 0 writes to disk.
+	// ResilientOptions: a checkpoint every CheckpointEvery iterations and
+	// after the final one; only rank 0 writes to disk.
 	CheckpointEvery int
 	CheckpointPath  string
 	CheckpointKeep  int
@@ -130,9 +124,8 @@ type RankOutcome struct {
 // and comm's agreement owns A >= 1<<30, so these cannot collide.
 const (
 	barrierTagBase = 1 << 29       // + iter: the per-iteration loss barrier
-	ckptTagBase    = 1<<29 + 1<<27 // + iter: coordinated checkpoint exchange
 	harvestTagMeta = 1<<29 + 1<<28 // harvest meta (dead hash, step phases)
-	harvestTagBase = 1<<29 + 3<<27 // + chunk: harvested chunk state
+	harvestTagBase = 1<<29 + 3<<27 // + chunk, B = cut: harvested chunk state
 	seedTagBase    = 1<<29 + 1<<26 // snapshot broadcast to spares
 )
 
@@ -174,10 +167,8 @@ func RunRank(a RankAssignment, rc RankConfig) (*RankOutcome, error) {
 	}()
 
 	opts := rc.Opts
-	if a.World >= 2 {
-		// Elastic repair needs every shard replicated (see RunResilient).
-		opts.Buddy = true
-	}
+	// The repair ladder needs every shard replicated.
+	opts.buddy = a.World >= 2
 	tr, err := New(rc.Strategy, t, rc.Cfg, opts)
 	if err != nil {
 		return nil, err
@@ -185,7 +176,7 @@ func RunRank(a RankAssignment, rc RankConfig) (*RankOutcome, error) {
 
 	snap := rc.Snapshot
 	if snap, err = seedExchange(a, rc, t, snap); err != nil {
-		return failureOutcome(a, rc, t, tr, 0, err)
+		return failureOutcome(a, rc, t, tr, 0, err), nil
 	}
 	start := a.StartIter
 	if snap != nil {
@@ -205,54 +196,68 @@ func RunRank(a RankAssignment, rc RankConfig) (*RankOutcome, error) {
 		rc.beacon("iter", iter)
 		loss, err := tr.TrainIteration(rc.BatchesFn(iter))
 		if err != nil {
-			return failureOutcome(a, rc, t, tr, iter, err)
+			return failureOutcome(a, rc, t, tr, iter, err), nil
 		}
 		if loss, err = lossBarrier(a, t, dl, iter, loss); err != nil {
-			return failureOutcome(a, rc, t, tr, iter, err)
+			return failureOutcome(a, rc, t, tr, iter, err), nil
 		}
 		losses[iter] = loss
 		if rc.OnIteration != nil {
 			rc.OnIteration(iter, loss)
 		}
 		if rc.CheckpointEvery > 0 && (iter+1)%rc.CheckpointEvery == 0 && iter+1 < rc.Iters {
-			rc.beacon("ckpt", iter+1)
-			ns, err := checkpointExchange(a, t, dl, tr, iter+1)
-			rc.beacon("", iter+1)
+			ns, err := rankCheckpoint(a, rc, t, tr, iter+1)
 			if err != nil {
-				return failureOutcome(a, rc, t, tr, iter, err)
+				return failureOutcome(a, rc, t, tr, iter, err), nil
 			}
-			if rc.CheckpointPath != "" && a.Rank == 0 {
-				if err := checkpoint.SaveRotate(rc.CheckpointPath, ns, rc.CheckpointKeep); err != nil {
-					return nil, err
-				}
+			if err := rc.save(a, ns); err != nil {
+				return nil, err
 			}
 		}
 	}
 
-	rc.beacon("ckpt", rc.Iters)
-	final, err := checkpointExchange(a, t, dl, tr, rc.Iters)
-	rc.beacon("", rc.Iters)
+	final, err := rankCheckpoint(a, rc, t, tr, rc.Iters)
 	if err != nil {
-		return failureOutcome(a, rc, t, tr, rc.Iters-1, err)
+		return failureOutcome(a, rc, t, tr, rc.Iters-1, err), nil
+	}
+	if err := rc.save(a, final); err != nil {
+		return nil, err
 	}
 	return &RankOutcome{
 		Done:        true,
 		Iter:        rc.Iters,
 		Weights:     final.Weights,
-		WeightsHash: hashWeights(final.Weights),
+		WeightsHash: HashWeights(final.Weights),
 		Losses:      losses,
 	}, nil
 }
 
-// HashWeights fingerprints a flat parameter vector for cheap cross-process
-// bit-identity comparison — the supervisor and its replay oracle compare
-// these instead of shipping full vectors over the control channel.
-func HashWeights(w []float32) uint64 { return hashWeights(w) }
+// rankCheckpoint takes the coordinated checkpoint at `completed`
+// iterations: a harvest with nobody dead, so every chunk comes from its
+// owner.
+func rankCheckpoint(a RankAssignment, rc RankConfig, t comm.Transport, tr Trainer,
+	completed int) (*checkpoint.Snapshot, error) {
 
-// hashWeights fingerprints a flat parameter vector (FNV-64a over the
-// little-endian f32 bit patterns) for cheap cross-process bit-identity
-// comparison.
-func hashWeights(w []float32) uint64 {
+	rc.beacon("ckpt", completed)
+	defer rc.beacon("", completed)
+	snap, _, err := wireHarvest(a, t, rc.Deadlines.WithDefaults(), tr,
+		comm.Membership{OldSize: a.World}, completed)
+	return snap, err
+}
+
+// save writes a coordinated checkpoint to CheckpointPath when
+// checkpointing is on; rank 0 is the one writer.
+func (rc RankConfig) save(a RankAssignment, snap *checkpoint.Snapshot) error {
+	if rc.CheckpointEvery == 0 || rc.CheckpointPath == "" || a.Rank != 0 {
+		return nil
+	}
+	return checkpoint.SaveRotate(rc.CheckpointPath, snap, rc.CheckpointKeep)
+}
+
+// HashWeights fingerprints a flat parameter vector (FNV-64a over the
+// little-endian f32 bit patterns) for cheap bit-identity comparison — the
+// drivers and the replay oracle compare these instead of full vectors.
+func HashWeights(w []float32) uint64 {
 	h := fnv.New64a()
 	var b [4]byte
 	for _, v := range w {
@@ -298,7 +303,7 @@ func seedExchange(a RankAssignment, rc RankConfig, t comm.Transport, snap *check
 		}
 		rc.beacon("seed", 0)
 		defer rc.beacon("", 0)
-		payload, err := t.RecvTimeout(a.SeedFrom, tag, dl2barrier(rc.Deadlines))
+		payload, err := t.RecvTimeout(a.SeedFrom, tag, rc.Deadlines.WithDefaults().Barrier)
 		if err != nil {
 			return nil, err
 		}
@@ -311,8 +316,6 @@ func seedExchange(a RankAssignment, rc RankConfig, t comm.Transport, snap *check
 	}
 	return snap, nil
 }
-
-func dl2barrier(d comm.Deadlines) time.Duration { return d.WithDefaults().Barrier }
 
 // lossBarrier is the per-iteration all-to-all control barrier: every rank
 // broadcasts its loss, waits for every peer's, and adopts rank 0's as the
@@ -386,114 +389,41 @@ func parseStateExport(payload []float32) (c int, st StateExport, err error) {
 	return c, st, nil
 }
 
-// checkpointExchange assembles a coordinated full-state snapshot at a
-// quiescent iteration barrier: every rank broadcasts its owned chunk's
-// live state, every rank places all World chunks into an identical
-// snapshot. Mirrors CaptureSnapshot, with the wire replacing shared
-// memory.
-func checkpointExchange(a RankAssignment, t comm.Transport, dl comm.Deadlines,
-	tr Trainer, completed int) (*checkpoint.Snapshot, error) {
-
-	wp, ok := tr.(*WeiPipe)
-	if !ok {
-		return nil, fmt.Errorf("pipeline: cross-process checkpoint needs a WeiPipe trainer, got %T", tr)
-	}
-	ownChunk := (a.Rank + 1) % a.World
-	own, err := wp.ExportOwnedStateAt(completed)
-	if err != nil {
-		return nil, err
-	}
-	tag := Tag{Kind: comm.KindCtl, A: ckptTagBase + completed}
-	payload := stateExportPayload(ownChunk, own)
-	for r := 0; r < a.World; r++ {
-		if r == a.Rank {
-			continue
-		}
-		if err := t.Send(r, tag, payload); err != nil {
-			return nil, err
-		}
-	}
-
-	mdl := wp.Model()
-	offsets := moduleOffsets(mdl)
-	snap := newRepairSnapshot(mdl, completed)
-	optStep := -1
-	place := func(c int, st StateExport) error {
-		if err := placeChunkState(snap, wp, offsets, c, st); err != nil {
-			return err
-		}
-		if optStep == -1 {
-			optStep = st.Step
-		} else if optStep != st.Step {
-			return fmt.Errorf("pipeline: inconsistent optimizer steps across chunks: %d vs %d", optStep, st.Step)
-		}
-		return nil
-	}
-	if err := place(ownChunk, own); err != nil {
-		return nil, err
-	}
-	for r := 0; r < a.World; r++ {
-		if r == a.Rank {
-			continue
-		}
-		got, err := t.RecvTimeout(r, tag, dl.Barrier)
-		if err != nil {
-			return nil, err
-		}
-		c, st, perr := parseStateExport(got)
-		comm.Release(got)
-		if perr != nil {
-			return nil, perr
-		}
-		if want := (r + 1) % a.World; c != want {
-			return nil, fmt.Errorf("pipeline: rank %d exported chunk %d, expected %d", r, c, want)
-		}
-		if err := place(c, st); err != nil {
-			return nil, err
-		}
-	}
-	snap.Sections["adam.step"] = []float32{float32(optStep)}
-	// Spike-detector state is lock-step identical on every rank, so each
-	// rank contributes its own copy locally — no extra wire traffic.
-	if ss, err := wp.exportSpikeAt(completed); err != nil {
-		return nil, err
-	} else if ss != nil {
-		snap.Sections[spikeSection] = ss
-	}
-	return snap, nil
-}
-
-// failureOutcome is the cross-process repair path: gather the typed
-// evidence, agree on membership over the transport, cross-check the
-// survivors' view and repair cut, and harvest the buddy-replicated state
-// into a snapshot every survivor holds identically. Any step that cannot
-// complete safely aborts — the supervisor then falls back to a checkpoint
-// restart, which is slower but equally bit-exact.
+// failureOutcome is the per-rank failure rule of the repair ladder
+// (elastic.go), run by RunRank and by RunResilient's rank goroutines alike:
+//
+//   - ErrClosed: the driver shut this rank down; nothing to agree about.
+//   - ErrCrashed or ErrIntegrity: this rank's own state is suspect. It
+//     closes its endpoint — every fabric then reports it dead to the
+//     survivors — and aborts as dead, so they rebuild its shard from the
+//     buddy replica instead of trusting it.
+//   - Anything else (an error naming a dead peer, a failed barrier, a
+//     peer's failure the driver reports): reopen the transport, agree on
+//     the membership over it, and harvest the snapshot every survivor
+//     then holds identically.
+//
+// Any step that cannot complete safely aborts — the driver then falls back
+// to a checkpoint restart, which is slower but equally bit-exact.
 func failureOutcome(a RankAssignment, rc RankConfig, t comm.Transport, tr Trainer,
-	iter int, cause error) (*RankOutcome, error) {
+	iter int, cause error) *RankOutcome {
 
-	abort := func(reason string) (*RankOutcome, error) {
-		return &RankOutcome{Iter: iter, Aborted: true, Reason: reason}, nil
+	abort := func(reason string) *RankOutcome {
+		return &RankOutcome{Iter: iter, Aborted: true, Reason: reason}
 	}
-	if errors.Is(cause, comm.ErrClosed) {
-		// Local close (supervisor shutdown): nothing to agree about.
+	switch {
+	case errors.Is(cause, comm.ErrClosed):
 		return abort("closed: " + cause.Error())
+	case errors.Is(cause, comm.ErrCrashed), errors.Is(cause, comm.ErrIntegrity):
+		t.Close()
+		return abort("dead: " + cause.Error())
 	}
 	dl := rc.Deadlines.WithDefaults()
 	evidence := comm.BeginRecovery(t)
 	if r, ok := comm.DeadPeer(cause); ok {
 		evidence = append(evidence, r)
 	}
-	if errors.Is(cause, comm.ErrIntegrity) {
-		// Detected silent corruption in our own resident or staged state:
-		// offer ourselves as evidence so the survivors rebuild this shard
-		// from its buddy replica instead of trusting it.
-		evidence = append(evidence, a.Rank)
-	}
 	rc.beacon("agree", iter)
-	m, err := comm.AgreeOverTransport(t, evidence, comm.AgreeConfig{
-		Epoch: a.Epoch, Attempt: 0, Deadlines: dl,
-	})
+	m, err := comm.AgreeOverTransport(t, evidence, comm.AgreeConfig{Epoch: a.Epoch, Deadlines: dl})
 	rc.beacon("", iter)
 	switch {
 	case errors.Is(err, comm.ErrEvicted):
@@ -506,81 +436,44 @@ func failureOutcome(a RankAssignment, rc RankConfig, t comm.Transport, tr Traine
 
 	rc.beacon("harvest", iter)
 	defer rc.beacon("", iter)
-	snap, tCut, err := wireHarvest(a, t, dl, tr, m)
+	snap, tCut, err := wireHarvest(a, t, dl, tr, m, -1)
 	if err != nil {
 		return &RankOutcome{
 			Iter: iter, Membership: m, Aborted: true,
 			Reason: "harvest: " + err.Error(),
-		}, nil
+		}
 	}
-	return &RankOutcome{Iter: tCut, Membership: m, Snapshot: snap}, nil
+	return &RankOutcome{Iter: tCut, Membership: m, Snapshot: snap}
 }
 
-// wireHarvest rebuilds the full trainer state across the survivors of an
-// agreed failure. Phase one exchanges harvest metadata — a hash of the
-// agreed dead set (divergent views abort rather than assemble a franken-
-// snapshot) and each survivor's committed step phases, whose minimum is
-// the repair cut. Phase two has each survivor broadcast every chunk it is
-// the chunkSource for (owned live state, or the buddy shadow of a dead
-// owner), at the cut, to all other survivors.
+// wireHarvest rebuilds the full trainer state on every survivor of an
+// agreed membership: each survivor broadcasts every chunk it is the
+// chunkSource for (its owned live state, or the buddy shadow of a dead
+// owner), at the cut, to all other survivors. A checkpoint passes its cut
+// (the completed iterations) and an empty dead set, so every chunk comes
+// from its owner. After a failure cut is −1 and a first phase fixes it:
+// the survivors exchange a hash of the agreed dead set (divergent views
+// abort rather than assemble a franken-snapshot) and their committed step
+// phases, whose minimum is the cut. Chunk tags carry the cut, so two
+// harvests on one transport never match each other's frames.
 func wireHarvest(a RankAssignment, t comm.Transport, dl comm.Deadlines,
-	tr Trainer, m comm.Membership) (*checkpoint.Snapshot, int, error) {
+	tr Trainer, m comm.Membership, cut int) (*checkpoint.Snapshot, int, error) {
 
 	wp, ok := tr.(*WeiPipe)
 	if !ok {
-		return nil, 0, fmt.Errorf("pipeline: elastic repair needs WeiPipe trainers, got %T", tr)
+		return nil, 0, fmt.Errorf("pipeline: the repair ladder needs WeiPipe trainers, got %T", tr)
 	}
 	survivors := m.Survivors()
-	deadHash := hashDeadSet(a.Epoch, m)
-	ownChunk := (a.Rank + 1) % a.World
-	buddyChunk := -1
-	if c, ok := wp.BuddyChunk(); ok {
-		buddyChunk = c
-	}
-
-	// Phase one: meta exchange.
-	metaTag := Tag{Kind: comm.KindCtl, A: harvestTagMeta, B: int(a.Epoch)}
-	meta := []float32{
-		math.Float32frombits(uint32(deadHash)),
-		float32(wp.CompletedStepPhases()),
-		float32(ownChunk),
-		float32(buddyChunk),
-	}
-	for _, r := range survivors {
-		if r == a.Rank {
-			continue
-		}
-		if err := t.Send(r, metaTag, meta); err != nil {
+	if cut < 0 {
+		var err error
+		if cut, err = agreeCut(a, t, dl, wp, m, survivors); err != nil {
 			return nil, 0, err
 		}
 	}
-	tCut := wp.CompletedStepPhases()
-	for _, r := range survivors {
-		if r == a.Rank {
-			continue
-		}
-		got, err := t.RecvTimeout(r, metaTag, dl.Barrier)
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(got) != 4 {
-			comm.Release(got)
-			return nil, 0, fmt.Errorf("pipeline: malformed harvest meta from rank %d", r)
-		}
-		if math.Float32bits(got[0]) != uint32(deadHash) {
-			comm.Release(got)
-			return nil, 0, fmt.Errorf("pipeline: rank %d agreed a different dead set", r)
-		}
-		if c := int(got[1]); c < tCut {
-			tCut = c
-		}
-		comm.Release(got)
-	}
 
-	// Phase two: chunk-state exchange at the cut.
 	mdl := wp.Model()
 	offsets := moduleOffsets(mdl)
-	snap := newRepairSnapshot(mdl, tCut)
+	snap := newRepairSnapshot(mdl, cut)
 	optStep := -1
 	sources := make([]int, a.World) // chunk -> serving survivor
 	for c := 0; c < a.World; c++ {
@@ -594,15 +487,15 @@ func wireHarvest(a RankAssignment, t comm.Transport, dl comm.Deadlines,
 		}
 		var st StateExport
 		if fromBuddy {
-			st, err = wp.ExportBuddyStateAt(tCut)
+			st, err = wp.ExportBuddyStateAt(cut)
 		} else {
-			st, err = wp.ExportOwnedStateAt(tCut)
+			st, err = wp.ExportOwnedStateAt(cut)
 		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("pipeline: harvest chunk %d: %w", c, err)
 		}
 		payload := stateExportPayload(c, st)
-		chunkTag := Tag{Kind: comm.KindCtl, A: harvestTagBase + c, B: int(a.Epoch)}
+		chunkTag := Tag{Kind: comm.KindCtl, A: harvestTagBase + c, B: cut}
 		for _, r := range survivors {
 			if r == a.Rank {
 				continue
@@ -619,7 +512,7 @@ func wireHarvest(a RankAssignment, t comm.Transport, dl comm.Deadlines,
 		if sources[c] == a.Rank {
 			continue
 		}
-		chunkTag := Tag{Kind: comm.KindCtl, A: harvestTagBase + c, B: int(a.Epoch)}
+		chunkTag := Tag{Kind: comm.KindCtl, A: harvestTagBase + c, B: cut}
 		got, err := t.RecvTimeout(sources[c], chunkTag, dl.Barrier)
 		if err != nil {
 			return nil, 0, err
@@ -637,17 +530,72 @@ func wireHarvest(a RankAssignment, t comm.Transport, dl comm.Deadlines,
 		}
 	}
 	snap.Sections["adam.step"] = []float32{float32(optStep)}
-	if ss, err := wp.exportSpikeAt(tCut); err == nil && ss != nil {
+	// Spike-detector state is lock-step identical on every rank, so each
+	// survivor contributes its own copy locally — no extra wire traffic.
+	if ss, err := wp.exportSpikeAt(cut); err == nil && ss != nil {
 		snap.Sections[spikeSection] = ss
 	}
-	return snap, tCut, nil
+	return snap, cut, nil
 }
 
+// agreeCut is a failure harvest's first phase: every survivor sends the
+// others a hash of its agreed dead set and its committed step phases, and
+// the cut is the minimum of the phases.
+func agreeCut(a RankAssignment, t comm.Transport, dl comm.Deadlines, wp *WeiPipe,
+	m comm.Membership, survivors []int) (int, error) {
+
+	deadHash := hashDeadSet(a.Epoch, m)
+	metaTag := Tag{Kind: comm.KindCtl, A: harvestTagMeta, B: int(a.Epoch)}
+	meta := []float32{
+		math.Float32frombits(uint32(deadHash)),
+		float32(wp.CompletedStepPhases()),
+	}
+	for _, r := range survivors {
+		if r == a.Rank {
+			continue
+		}
+		if err := t.Send(r, metaTag, meta); err != nil {
+			return 0, err
+		}
+	}
+	cut := wp.CompletedStepPhases()
+	for _, r := range survivors {
+		if r == a.Rank {
+			continue
+		}
+		got, err := t.RecvTimeout(r, metaTag, dl.Barrier)
+		if err != nil {
+			return 0, err
+		}
+		if len(got) != len(meta) {
+			comm.Release(got)
+			return 0, fmt.Errorf("pipeline: malformed harvest meta from rank %d", r)
+		}
+		if math.Float32bits(got[0]) != uint32(deadHash) {
+			comm.Release(got)
+			return 0, fmt.Errorf("pipeline: rank %d agreed a different dead set", r)
+		}
+		if c := int(got[1]); c < cut {
+			cut = c
+		}
+		comm.Release(got)
+	}
+	return cut, nil
+}
+
+// placeHarvested copies one chunk's harvested state into the snapshot,
+// validating its extent against the model layout and that every chunk
+// carries the same optimizer step count.
 func placeHarvested(snap *checkpoint.Snapshot, ref *WeiPipe, offsets []int,
 	c int, st StateExport, optStep *int) error {
-	if err := placeChunkState(snap, ref, offsets, c, st); err != nil {
-		return err
+	lo, hi := ref.chunkRange(c)
+	want := offsets[hi] - offsets[lo]
+	if len(st.W) != want || len(st.M) != want || len(st.V) != want {
+		return fmt.Errorf("pipeline: chunk %d harvest covers %d params, want %d", c, len(st.W), want)
 	}
+	copy(snap.Weights[offsets[lo]:offsets[hi]], st.W)
+	copy(snap.Sections["adam.m"][offsets[lo]:offsets[hi]], st.M)
+	copy(snap.Sections["adam.v"][offsets[lo]:offsets[hi]], st.V)
 	if *optStep == -1 {
 		*optStep = st.Step
 	} else if *optStep != st.Step {

@@ -1,7 +1,10 @@
 package pipeline
 
 import (
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,11 +26,11 @@ func rankDeadlines() comm.Deadlines {
 	}
 }
 
-// buddyOpts mirrors what RunRank forces on every multi-rank incarnation,
-// so in-process oracles train with the identical configuration.
+// buddyOpts turns on buddy replication, as the drivers do, for the tests
+// that build trainers by hand.
 func buddyOpts() Options {
 	o := eqOpts()
-	o.Buddy = true
+	o.buddy = true
 	return o
 }
 
@@ -204,7 +207,7 @@ func TestRunRankElasticShrinkRecoveryTCP(t *testing.T) {
 		}
 	}
 	if a, b := outcomes[0], outcomes[2]; a.Iter != b.Iter ||
-		hashWeights(a.Snapshot.Weights) != hashWeights(b.Snapshot.Weights) {
+		HashWeights(a.Snapshot.Weights) != HashWeights(b.Snapshot.Weights) {
 		t.Fatalf("survivors harvested divergent snapshots: cut %d vs %d", a.Iter, b.Iter)
 	}
 	cut := outcomes[0].Iter
@@ -313,6 +316,89 @@ func TestRunRankBarrierDetectsPeerDeath(t *testing.T) {
 		t.Fatalf("survivor aborted with %q, want no-quorum", o.Reason)
 	}
 	waitPipelineGoroutines(t, base)
+}
+
+// A detected integrity violation over TCP: the detecting rank's own state
+// is suspect, so it closes its endpoint and aborts as dead, and the
+// survivors agree on dead = [it] and harvest its shard from the buddy
+// replica. (Offering itself as evidence instead stalled the repair until
+// its own agreement timed out: AgreeOverTransport drops self-evidence.)
+func TestRunRankIntegrityFlipRepairTCP(t *testing.T) {
+	const world, iters = 3, 6
+	base := runtime.NumGoroutine()
+	inj := NewBitFlipInjector([]BitFlipEvent{
+		{Rank: 1, Iter: 3, Site: FlipMomentV, Word: 4242, Bit: 29},
+	})
+	outcomes, errs := runIncarnation(t, world, 1, iters, nil, func(r int, rc *RankConfig) {
+		rc.Opts = integrityOpts()
+		rc.Opts.BitFlip = inj
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d returned hard error: %v", r, err)
+		}
+	}
+	if inj.Fired() != 1 {
+		t.Fatal("scheduled flip never fired")
+	}
+	if o := outcomes[1]; !o.Aborted || !strings.HasPrefix(o.Reason, "dead: ") {
+		t.Fatalf("detecting rank reported %+v (reason %q), want an abort as dead", o, o.Reason)
+	}
+	for _, r := range []int{0, 2} {
+		o := outcomes[r]
+		if o.Aborted || o.Snapshot == nil {
+			t.Fatalf("survivor %d failed to harvest: %+v (reason %q)", r, o, o.Reason)
+		}
+		if len(o.Membership.Dead) != 1 || o.Membership.Dead[0] != 1 {
+			t.Fatalf("survivor %d agreed dead set %v, want [1]", r, o.Membership.Dead)
+		}
+	}
+	if a, b := outcomes[0], outcomes[2]; a.Iter != b.Iter ||
+		HashWeights(a.Snapshot.Weights) != HashWeights(b.Snapshot.Weights) {
+		t.Fatalf("survivors harvested divergent snapshots: cut %d vs %d", a.Iter, b.Iter)
+	}
+	waitPipelineGoroutines(t, base)
+}
+
+// RunRank checkpoints after the final iteration too, as RunResilient does:
+// the file rank 0 leaves is the finished run's full state, bit-identical to
+// the in-process loop's last checkpoint — not the last periodic one.
+func TestRunRankSavesFinalCheckpoint(t *testing.T) {
+	const world, iters = 2, 4
+	path := filepath.Join(t.TempDir(), "rank.wpck")
+	outcomes, errs := runIncarnation(t, world, 1, iters, nil, func(r int, rc *RankConfig) {
+		rc.CheckpointEvery = 2
+		rc.CheckpointPath = path
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+		if !outcomes[r].Done {
+			t.Fatalf("rank %d did not complete: %+v", r, outcomes[r])
+		}
+	}
+	got, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Step != iters {
+		t.Fatalf("checkpoint on disk holds step %d, want the final iteration's (%d)", got.Step, iters)
+	}
+	ref, err := RunResilient(StrategyWZB2, world, eqCfg(), eqOpts(), iters, eqBatches(iters, 12),
+		inprocFactory(world), ResilientOptions{CheckpointEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Checkpoint
+	for _, sec := range []string{"adam.m", "adam.v", "adam.step"} {
+		if !slices.Equal(got.Sections[sec], want.Sections[sec]) {
+			t.Fatalf("section %s differs from the in-process loop's final checkpoint", sec)
+		}
+	}
+	if !slices.Equal(got.Weights, want.Weights) {
+		t.Fatal("weights differ from the in-process loop's final checkpoint")
+	}
 }
 
 // A rank parked inside BeaconBarrier (checkpoint capture, agreement) must

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"weipipe/internal/checkpoint"
@@ -256,9 +257,10 @@ type ResilientOptions struct {
 	// Elastic selects how dead ranks are handled: checkpoint restart at the
 	// same world size (ElasticNone), re-sharding across the survivors
 	// (ElasticShrink), or admitting standby spares (ElasticSpare). Both
-	// elastic policies repair from buddy replicas at the failure barrier —
-	// no checkpoint is read — and fall back to checkpoint restart when
-	// repair is impossible. Elastic repair forces Options.Buddy on.
+	// elastic policies climb the repair ladder (elastic.go) at the failure
+	// barrier — no checkpoint is read — and fall back to checkpoint
+	// restart when repair is impossible. Elastic repair turns buddy
+	// replication on.
 	Elastic ElasticPolicy
 	// Spares is the standby rank budget ElasticSpare may admit.
 	Spares int
@@ -287,28 +289,29 @@ type ResilientOptions struct {
 }
 
 // attemptFailure is the evidence one failed attempt hands the restart loop:
-// the triggering error, the iteration it struck, the agreed dead set, and —
-// when the survivors' buddy replicas covered every lost shard — the
-// harvested repair snapshot.
+// the triggering error, the iteration it struck and — when the survivors
+// climbed the repair ladder to a harvested snapshot — how many survived,
+// the agreed dead set and that snapshot.
 type attemptFailure struct {
-	err    error
-	iter   int
-	dead   []int
-	repair *checkpoint.Snapshot
+	err       error
+	iter      int
+	survivors int
+	dead      []int
+	repair    *checkpoint.Snapshot
 }
 
 // RunResilient is the in-process training loop — RunCluster, weipipe-train
 // and launch.ReplayOracle all run on it. It drives `iters` lock-step
 // iterations of strategy s on p ranks and — when any rank fails
-// (peer death, transport closure, injected crash, watchdog declaration) —
-// tears the survivors down cleanly and continues. How it continues is the
-// ElasticPolicy's choice: ElasticNone rebuilds the same world from the last
-// coordinated checkpoint; ElasticShrink and ElasticSpare repair at the
-// failure barrier from the survivors' buddy replicas — re-sharding across
-// p−1 ranks or admitting a spare — losing at most the iteration in flight
-// and reading nothing from disk. Either way the continued run's loss
-// trajectory is bit-identical to an uninterrupted run of the same
-// world-size history.
+// (peer death, transport closure, injected crash, integrity violation,
+// watchdog declaration) — continues as the ElasticPolicy chooses:
+// ElasticNone closes every endpoint and rebuilds the same world from the
+// last coordinated checkpoint; ElasticShrink and ElasticSpare climb the
+// repair ladder RunRank climbs (elastic.go) — agreement and harvest over
+// the ranks' own transports — and re-shard across the survivors or admit
+// a spare, losing at most the iteration in flight and reading nothing from
+// disk. Either way the continued run's loss trajectory is bit-identical to
+// an uninterrupted run of the same world-size history.
 //
 // transports builds one endpoint per rank for each incarnation of the
 // cluster (attempt 0 is the initial bring-up); elastic repair changes the
@@ -334,7 +337,10 @@ func RunResilient(s Strategy, p int, cfg model.Config, opts Options, iters int,
 	}
 
 	world := p
-	spares := ropts.Spares
+	spares := 0
+	if ropts.Elastic == ElasticSpare {
+		spares = ropts.Spares
+	}
 	var repairs []RepairEvent
 	for attempt := 0; ; attempt++ {
 		res, fail := runAttempt(s, world, cfg, opts, iters, batchesFn, transports, ropts, attempt, losses, &snap)
@@ -348,37 +354,46 @@ func RunResilient(s Strategy, p int, cfg model.Config, opts Options, iters int,
 		if attempt >= ropts.MaxRestarts {
 			return nil, fmt.Errorf("pipeline: failed after %d restarts: %w", attempt, fail.err)
 		}
-		if fail.repair != nil {
-			bIter := int(fail.repair.Step)
-			if bIter >= iters {
-				bIter = iters - 1
-			}
-			modules := len(model.Build(cfg).Modules)
-			if ev, newWorld, ok := planRepair(fail, world, spares, modules,
-				len(batchesFn(bIter)), ropts.Elastic, attempt); ok {
-				if ev.Policy == ElasticSpare {
-					spares -= ev.NewSize - (world - len(fail.dead))
-				}
-				snap = ev.Snapshot
-				world = newWorld
-				repairs = append(repairs, ev)
-				if ropts.OnRepair != nil {
-					ropts.OnRepair(ev)
-				}
-			}
+		if fail.repair == nil {
+			// No repair: retry at the current world size from the last
+			// checkpoint (or from scratch).
+			continue
 		}
-		// No viable repair: retry at the current world size from the last
-		// checkpoint (or from scratch), exactly the pre-elastic behaviour.
+		cut := int(fail.repair.Step)
+		admit, ok := PlanRepair(fail.survivors, len(fail.dead), spares, cfg.NumModules(),
+			len(batchesFn(min(cut, iters-1))))
+		if !ok {
+			continue
+		}
+		ev := RepairEvent{
+			Attempt: attempt, Iteration: cut, Dead: fail.dead, Policy: ElasticShrink,
+			OldSize: world, NewSize: fail.survivors + admit, Snapshot: fail.repair,
+		}
+		if admit > 0 {
+			ev.Policy = ElasticSpare
+			spares -= admit
+		}
+		snap, world = ev.Snapshot, ev.NewSize
+		repairs = append(repairs, ev)
+		if ropts.OnRepair != nil {
+			ropts.OnRepair(ev)
+		}
 	}
 }
 
+// errIterationAborted is the failure a rank that finished the iteration
+// takes into the repair ladder once a peer failed it: the iteration did not
+// commit cluster-wide.
+var errIterationAborted = errors.New("pipeline: a peer failed the iteration")
+
 // runAttempt runs one incarnation of the cluster: bring-up, (optional)
 // restore, lock-step iterations with checkpointing, teardown. On a rank
-// failure it closes every transport — unblocking ranks stuck in Recv — and
-// waits for all rank goroutines before returning, so nothing leaks into
-// the next attempt; it then gathers the failure evidence (typed dead-rank
-// errors plus watchdog declarations) and, under an elastic policy,
-// harvests the repair snapshot from the quiescent survivors.
+// failure under ElasticNone it closes every transport — unblocking ranks
+// stuck in Recv — and waits for all rank goroutines, so nothing leaks into
+// the next attempt. Under an elastic policy every rank instead takes its
+// error (or, if it finished the iteration, errIterationAborted) to
+// failureOutcome, and runAttempt reports the snapshot the survivors
+// harvested.
 func runAttempt(s Strategy, p int, cfg model.Config, opts Options, iters int,
 	batchesFn func(iter int) []data.Batch,
 	transports func(attempt, size int) ([]comm.Transport, error),
@@ -413,12 +428,11 @@ func runAttempt(s Strategy, p int, cfg model.Config, opts Options, iters int,
 		}
 	}
 
+	elastic := ropts.Elastic != ElasticNone
 	optsRank := opts
-	if ropts.Elastic != ElasticNone {
-		// Repair needs every shard replicated; the buddy belt rides along
-		// off the critical path, so forcing it on costs no blocking sends.
-		optsRank.Buddy = true
-	}
+	// The repair ladder needs every shard replicated; the buddy belt rides
+	// along off the critical path, so turning it on costs no blocking sends.
+	optsRank.buddy = elastic
 	trainers := make([]Trainer, p)
 	for r := 0; r < p; r++ {
 		tr, err := New(s, ts[r], cfg, optsRank)
@@ -470,6 +484,7 @@ func runAttempt(s Strategy, p int, cfg model.Config, opts Options, iters int,
 		loss float64
 		err  error
 	}
+	var finished []int // ranks done with the iteration before it failed
 	for iter := start; iter < iters; iter++ {
 		if ropts.LR != nil {
 			lr := ropts.LR(iter)
@@ -497,53 +512,60 @@ func runAttempt(s Strategy, p int, cfg model.Config, opts Options, iters int,
 				results <- outcome{rank: r, loss: loss, err: err}
 			}(r)
 		}
+		// Under an elastic policy each rank climbs the repair ladder on its
+		// own transport, as a RunRank process would.
+		var ladder chan *RankOutcome
+		climb := func(r int, cause error) {
+			a := RankAssignment{Epoch: uint32(attempt), Rank: r, World: p}
+			go func() { ladder <- failureOutcome(a, RankConfig{}, ts[r], trainers[r], iter, cause) }()
+		}
 		var firstErr error
-		var dead []int
+		finished = finished[:0]
 		var iterLoss float64
 		for got := 0; got < p; got++ {
 			o := <-results
-			if o.err != nil {
-				if errors.Is(o.err, comm.ErrCrashed) {
-					dead = append(dead, o.rank)
-				}
-				if errors.Is(o.err, comm.ErrIntegrity) {
-					// Detected silent corruption: the detecting rank's
-					// resident state is suspect, so repair treats it exactly
-					// like a crashed rank — its shard is rebuilt from the
-					// buddy replica (or the checkpoint), never trusted.
-					dead = append(dead, o.rank)
-				}
-				if r, ok := comm.DeadPeer(o.err); ok {
-					dead = append(dead, r)
+			if o.err == nil {
+				if o.rank == 0 {
+					iterLoss = o.loss
 				}
 				if firstErr == nil {
-					firstErr = fmt.Errorf("rank %d, iteration %d: %w", o.rank, iter, o.err)
+					finished = append(finished, o.rank)
+					continue
+				}
+				o.err = errIterationAborted
+			}
+			if firstErr == nil {
+				firstErr = fmt.Errorf("rank %d, iteration %d: %w", o.rank, iter, o.err)
+				if wd != nil {
+					wd.Stop()
+				}
+				if !elastic {
 					// Surviving ranks are blocked in Recv on a protocol that
 					// can no longer complete: closing every endpoint fails
 					// their receives and brings them home.
 					closeAll()
+					continue
 				}
-				continue
+				ladder = make(chan *RankOutcome, p)
+				for _, r := range finished {
+					climb(r, errIterationAborted)
+				}
 			}
-			if o.rank == 0 {
-				iterLoss = o.loss
+			if elastic {
+				climb(o.rank, o.err)
 			}
 		}
 		if firstErr != nil {
 			fail := &attemptFailure{err: firstErr, iter: iter}
-			if wd != nil {
-				wd.Stop()
-				dead = append(dead, wd.Killed()...)
-			}
-			if ropts.Elastic != ElasticNone && len(dead) > 0 {
-				m := comm.AgreeMembership(p, dead)
-				fail.dead = m.Dead
-				if hs, err := harvestRepairSnapshot(trainers, m); err == nil {
-					fail.repair = hs
+			if elastic {
+				outs := make([]*RankOutcome, p)
+				for r := range outs {
+					outs[r] = <-ladder
 				}
-				// A failed harvest (buddy died too, non-WeiPipe strategy)
-				// leaves repair nil: the restart loop falls back to the last
-				// checkpoint.
+				closeAll()
+				if err := agreedRepair(outs, fail); err != nil {
+					fail.err = fmt.Errorf("%w (repair: %v)", firstErr, err)
+				}
 			}
 			return nil, fail
 		}
@@ -593,6 +615,33 @@ func runAttempt(s Strategy, p int, cfg model.Config, opts Options, iters int,
 	}
 	closeAll()
 	return res, nil
+}
+
+// agreedRepair fills fail from the ranks' repair outcomes: the survivors —
+// the ranks that harvested a snapshot — must agree on the cut, the dead
+// set and the snapshot's bits, as the launch supervisor checks them across
+// processes. Divergence leaves fail without a repair, so the restart loop
+// falls back to the checkpoint.
+func agreedRepair(outs []*RankOutcome, fail *attemptFailure) error {
+	var survivors []*RankOutcome
+	for _, o := range outs {
+		if o.Snapshot != nil {
+			survivors = append(survivors, o)
+		}
+	}
+	if len(survivors) == 0 {
+		return nil
+	}
+	ref := survivors[0]
+	for _, o := range survivors[1:] {
+		if o.Iter != ref.Iter || !slices.Equal(o.Membership.Dead, ref.Membership.Dead) ||
+			HashWeights(o.Snapshot.Weights) != HashWeights(ref.Snapshot.Weights) {
+			return fmt.Errorf("survivors diverged: cut %d dead %v vs cut %d dead %v",
+				o.Iter, o.Membership.Dead, ref.Iter, ref.Membership.Dead)
+		}
+	}
+	fail.survivors, fail.dead, fail.repair = len(survivors), ref.Membership.Dead, ref.Snapshot
+	return nil
 }
 
 // tracedRunner is implemented by runners that carry a runtime tracer; the

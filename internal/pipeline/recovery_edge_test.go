@@ -133,7 +133,7 @@ func TestFinalIterationCheckpointContinues(t *testing.T) {
 // buddy shadows must hold the seeded weights too: a spare rebuilt from them
 // after a crash in iteration 1 still lands on the reference.
 func TestWeightOnlySnapshotSeedsBuddies(t *testing.T) {
-	const p, iters, n = 2, 4, 4
+	const p, iters, n = 3, 4, 6
 	other := eqCfg()
 	other.Seed = 99
 	ref, err := RunCluster(StrategyWZB2, p, other, eqOpts(), iters, eqBatches(iters, n))
@@ -150,13 +150,7 @@ func TestWeightOnlySnapshotSeedsBuddies(t *testing.T) {
 			MaxRestarts:     1,
 			Elastic:         ElasticSpare,
 			Spares:          1,
-			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
-				if attempt == 0 && rank == 1 {
-					crashed = comm.NewFaultTransport(tr, comm.FaultConfig{CrashAtSend: perIter + perIter/2})
-					return crashed
-				}
-				return tr
-			},
+			WrapTransport:   crashRankOne(&crashed, perIter+perIter/2),
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -146,10 +146,11 @@ func TestOverlapBitIdenticalWithBuddyAndClip(t *testing.T) {
 	// retiring gradient buffer just before it is donated) and the
 	// global-norm clip's scalar all-reduces.
 	const iters, n = 2, 8
-	opts := eqOpts()
-	opts.Buddy = true
+	opts := buddyOpts()
 	opts.ClipNorm = 0.05
-	ref, err := RunCluster(StrategyWZB2, 4, eqCfg(), opts, iters, eqBatches(iters, n))
+	// The elastic driver turns buddy replication on in process.
+	ref, err := RunResilient(StrategyWZB2, 4, eqCfg(), opts, iters, eqBatches(iters, n),
+		inprocFactory(4), ResilientOptions{Elastic: ElasticShrink})
 	if err != nil {
 		t.Fatalf("in-process: %v", err)
 	}

@@ -243,6 +243,10 @@ func (b *beaconTransport) CommStats() *comm.Stats {
 // WireCodec forwards the inner codec report (the wrapper never re-encodes).
 func (b *beaconTransport) WireCodec(tag Tag) comm.WireCodec { return comm.CodecOf(b.Transport, tag) }
 
+// BeginRecovery forwards to the inner transport, so a watched rank climbs
+// the repair ladder like any other.
+func (b *beaconTransport) BeginRecovery() []int { return comm.BeginRecovery(b.Transport) }
+
 // watchdog samples a ProgressBoard and flags stragglers.
 type watchdog struct {
 	cfg   WatchdogConfig
@@ -256,7 +260,6 @@ type watchdog struct {
 	mu        sync.Mutex
 	durations []time.Duration
 	flagged   map[int]bool
-	killed    map[int]bool
 }
 
 // startWatchdog launches the sampling goroutine. kill is invoked (at most
@@ -270,7 +273,6 @@ func startWatchdog(cfg WatchdogConfig, board *ProgressBoard, kill func(int)) *wa
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		flagged: make(map[int]bool),
-		killed:  make(map[int]bool),
 	}
 	go wd.run()
 	return wd
@@ -302,18 +304,6 @@ func (wd *watchdog) threshold() time.Duration {
 		th = wd.cfg.MinStall
 	}
 	return th
-}
-
-// Killed returns the ranks the watchdog declared dead.
-func (wd *watchdog) Killed() []int {
-	wd.mu.Lock()
-	defer wd.mu.Unlock()
-	out := make([]int, 0, len(wd.killed))
-	for r := range wd.killed {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Stop terminates and joins the sampling goroutine (idempotent).
@@ -348,14 +338,11 @@ func (wd *watchdog) run() {
 			wd.mu.Lock()
 			already := wd.flagged[rank]
 			wd.flagged[rank] = true
-			declare := wd.cfg.DeclareDead && !wd.killed[rank]
-			if declare {
-				wd.killed[rank] = true
-			}
 			wd.mu.Unlock()
 			if already {
 				continue
 			}
+			declare := wd.cfg.DeclareDead
 			if declare {
 				wd.kill(rank)
 			}

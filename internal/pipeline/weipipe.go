@@ -238,7 +238,7 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 	if opts.SpikeWindow > 0 {
 		w.spike = optim.NewSpikeDetector(opts.SpikeWindow, opts.SpikeSkip)
 	}
-	if opts.Buddy && p >= 2 {
+	if opts.buddy && p >= 2 {
 		w.initBuddy()
 	}
 	// From here on the model's own storage is dead: the owned chunk's

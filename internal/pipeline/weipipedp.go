@@ -50,7 +50,7 @@ func NewWeiPipeDP(t Transport, cfg model.Config, opts Options, v WeiPipeVariant,
 	// Buddy replication shadows the step from the pre-all-reduce retired
 	// gradient; with a cross-replica reduce in the step path the replay
 	// would diverge, so the hybrid disables it.
-	opts.Buddy = false
+	opts.buddy = false
 	w, err := NewWeiPipe(ring, cfg, opts, v)
 	if err != nil {
 		return nil, err

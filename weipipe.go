@@ -279,12 +279,13 @@ func NewFaultTransport(inner Transport, cfg FaultConfig) *FaultTransport {
 }
 
 // RunResilient is the in-process training loop RunCluster runs on, with
-// failure recovery: clean abort of the surviving ranks when one fails, then
-// either elastic repair at the failure barrier from buddy replicas
-// (shrinking the ring or admitting a spare, per ResilientOptions.Elastic —
-// no checkpoint read) or restart from the last coordinated checkpoint, on
-// fresh transports built by the transports factory (once per attempt;
-// elastic repair changes the requested size).
+// failure recovery: when a rank fails, either elastic repair at the failure
+// barrier from buddy replicas — the survivors agree on the dead set and
+// harvest a snapshot over their own transports, then shrink the ring or
+// admit a spare, per ResilientOptions.Elastic, with no checkpoint read — or
+// restart from the last coordinated checkpoint, on fresh transports built
+// by the transports factory (once per attempt; elastic repair changes the
+// requested size).
 // The recovered loss trajectory is bit-identical to an uninterrupted run.
 func RunResilient(s Strategy, p int, cfg Config, opts Options, iters int,
 	batchesFn func(iter int) []Batch,
