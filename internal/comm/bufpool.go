@@ -123,6 +123,21 @@ func Retain(buf []float32) {
 	shared.add(buf)
 }
 
+// LossyPool reports whether this build's sync.Pool drops Puts — the race
+// detector makes it discard a quarter of them at random — so that buffers
+// given back with Release do not all come back. A test that pins an
+// allocation steady state skips when it does: there is none to pin.
+func LossyPool() bool {
+	var probe sync.Pool
+	for i := 0; i < 64; i++ {
+		probe.Put(new(int))
+		if probe.Get() == nil {
+			return true
+		}
+	}
+	return false
+}
+
 // SharedBufs reports how many buffers are shared right now (retained and
 // not yet down to their last reference). Zero once every holder has given
 // its reference back: the leak gauge of the abort and shutdown tests.

@@ -43,7 +43,7 @@ func TestBeltHotPathZeroAlloc(t *testing.T) {
 				Release(buf)
 			}
 		}
-		if tc.shared && lossyPool() {
+		if tc.shared && LossyPool() {
 			// Two buffers a cycle from a pool that discards a quarter of
 			// what it is given: more than the rounding of AllocsPerRun hides.
 			continue

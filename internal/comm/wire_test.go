@@ -166,25 +166,11 @@ func assertNoRetainedPayloads(t *testing.T, trs []*TCPTransport) {
 	}
 }
 
-// lossyPool reports whether sync.Pool drops Puts: the race detector makes it
-// discard a quarter of them at random, so no buffer pool has a steady state
-// there.
-func lossyPool() bool {
-	var probe sync.Pool
-	for i := 0; i < 64; i++ {
-		probe.Put(new(int))
-		if probe.Get() == nil {
-			return true
-		}
-	}
-	return false
-}
-
 // A loopback pair exchanging 1 MiB donated frames must, once warm, allocate
 // (far) less than 1 KiB per frame: no encode buffer, no staging buffer, no
 // decode copy — only frame bookkeeping.
 func TestTCPSteadyStateAllocs(t *testing.T) {
-	if lossyPool() {
+	if LossyPool() {
 		t.Skip("sync.Pool is lossy in this build (-race): no allocation steady state to pin")
 	}
 	const elems = 1 << 18 // 1 MiB of f32

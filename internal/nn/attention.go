@@ -112,6 +112,12 @@ func (a *Attention) BackwardInput(dy *tensor.Tensor, cache *Cache) *tensor.Tenso
 	dv := alloc(cache, tokens, width)
 	tensor.CausalAttentionBackward(dq, dk, dv, cache.Get("q"), cache.Get("k"), cache.Get("v"),
 		cache.Get("ctx"), dctx, cache.Get("lse"), a.Heads, s, s, 0)
+	// The kernel was the last reader of dctx and of the stashes only B reads.
+	free(cache, dctx)
+	cache.release("q")
+	cache.release("k")
+	cache.release("v")
+	cache.release("lse")
 
 	// Undo RoPE: grads of pre-rotation q/k are the inverse rotation.
 	if a.rope != nil {

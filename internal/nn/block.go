@@ -64,11 +64,13 @@ func (b *Block) Forward(x *tensor.Tensor, cache *Cache) *tensor.Tensor {
 	ao := b.Attn.Forward(x1, cache.Sub("attn"))
 	y := alloc(cache, x.Shape()...)
 	tensor.Add(y, x, ao)
+	free(cache, ao)
 
 	y1 := b.Norm2.Forward(y, cache.Sub("norm2"))
 	fo := b.Ffn.Forward(y1, cache.Sub("ffn"))
 	z := alloc(cache, x.Shape()...)
 	tensor.Add(z, y, fo)
+	free(cache, fo)
 
 	cache.X = x
 	return z
@@ -81,12 +83,14 @@ func (b *Block) BackwardInput(dz *tensor.Tensor, cache *Cache) *tensor.Tensor {
 	dyFfn := b.Norm2.BackwardInput(dy1, cache.Sub("norm2"))
 	dy := alloc(cache, dz.Shape()...)
 	tensor.Add(dy, dz, dyFfn)
+	free(cache, dyFfn)
 
 	// Attention residual branch: y = x + attn(norm1(x)).
 	dx1 := b.Attn.BackwardInput(dy, cache.Sub("attn"))
 	dxAttn := b.Norm1.BackwardInput(dx1, cache.Sub("norm1"))
 	dx := alloc(cache, dz.Shape()...)
 	tensor.Add(dx, dy, dxAttn)
+	free(cache, dxAttn)
 	return dx
 }
 

@@ -9,19 +9,38 @@ import (
 // Cache carries a module's forward intermediates to its backward passes. One
 // Cache instance corresponds to one (module, microbatch) pair; pipeline
 // runtimes keep a cache per in-flight microbatch and drop it after the W
-// pass, which is exactly the activation-memory lifetime the paper's memory
-// analysis accounts for.
+// pass.
+//
+// With an arena attached, every tensor a module draws lives until its last
+// reader is done with it, not until the microbatch ends. The ownership rule:
+//
+//   - A module frees only what it allocated itself and nobody downstream
+//     holds: scratch its own pass consumed (attention's dctx, the FFN's dhid,
+//     the head's logits) and, once its B pass has run, the stashes only B
+//     reads (attention's q, k, v and lse, the FFN's u and up, the head's
+//     probs and targets).
+//   - A tensor a module returns belongs to whoever stashes it. A caller that
+//     consumes a returned tensor without stashing it frees it: Block frees
+//     attention's and the FFN's outputs after their residual adds and the
+//     two norms' B outputs after theirs, and a pipeline stage frees the
+//     boundary tensors it has sent. A stashed tensor lives until the W pass
+//     has read it and goes back with the arena's Reset.
+//
+// So between its B and W passes a microbatch holds exactly what W reads,
+// which is the activation-memory lifetime the paper's memory analysis
+// accounts for.
 type Cache struct {
 	// G and S are the microbatch size and sequence length of the activations
 	// flowing through the module.
 	G, S int
 	// X is the module input, saved by Forward (the only thing kept when
-	// recomputation is enabled — see Block.ForwardCheckpointed).
+	// recomputation is enabled — see DropAllButX).
 	X *tensor.Tensor
 	// Arena, when non-nil, supplies every tensor the module allocates during
-	// its forward and backward passes. The owner (a pipeline runner) resets
-	// it once the microbatch's W pass has consumed the stash; with a nil
-	// arena modules fall back to fresh heap tensors. Sub-caches inherit it.
+	// its forward and backward passes and takes back what the module frees.
+	// The owner (a pipeline runner) resets it once the microbatch's W pass has
+	// consumed the stash; with a nil arena modules fall back to fresh heap
+	// tensors and their frees do nothing. Sub-caches inherit it.
 	Arena *tensor.Arena
 
 	stash    map[string]*tensor.Tensor
@@ -58,19 +77,43 @@ func (c *Cache) Take(key string) *tensor.Tensor {
 	return t
 }
 
+// release removes the stashed tensor for key and hands it back to the arena:
+// its last reader has run, and a later Get is a loud cache miss instead of a
+// read of a recycled buffer.
+func (c *Cache) release(key string) { free(c, c.Take(key)) }
+
 // Has reports whether key is stashed.
 func (c *Cache) Has(key string) bool {
 	_, ok := c.stash[key]
 	return ok
 }
 
-// DropAllButX clears every stashed intermediate and child cache, keeping
-// only the input X. Used by recomputation: after the forward pass only X
-// survives; backward re-runs Forward to rebuild the rest.
-func (c *Cache) DropAllButX() {
-	c.stash = make(map[string]*tensor.Tensor)
-	c.children = nil
+// DropAllButX hands every stashed intermediate of c and of its sub-caches
+// back to the arena — the sub-caches' inputs too, which c's own forward made
+// — keeping only the input X. Used by recomputation: after the forward pass
+// only X survives; Recompute rebuilds the rest before the B pass.
+func (c *Cache) DropAllButX() { c.drop(c.X) }
+
+func (c *Cache) drop(keep *tensor.Tensor) {
+	for key, t := range c.stash {
+		if t != keep {
+			free(c, t)
+		}
+		delete(c.stash, key)
+	}
+	for _, child := range c.children {
+		if child.X != nil && child.X != keep {
+			free(child, child.X)
+		}
+		child.X = nil
+		child.drop(keep)
+	}
 }
+
+// Recompute rebuilds what DropAllButX dropped by running m's forward again
+// on the cache's saved input. The output it makes again goes straight back to
+// the arena: the first forward's output is still held by whoever stashed it.
+func Recompute(m Module, c *Cache) { free(c, m.Forward(c.X, c)) }
 
 // Sub returns the child cache for a named sub-module, creating it on first
 // use. Composite modules (Block) give each sub-layer its own namespace.
@@ -99,4 +142,12 @@ func alloc(c *Cache, shape ...int) *tensor.Tensor {
 		return c.Arena.Scratch(shape...)
 	}
 	return tensor.New(shape...)
+}
+
+// free hands t back to the cache's arena (nothing to do on the heap). The
+// caller must own t under the Cache ownership rule and be its last reader.
+func free(c *Cache, t *tensor.Tensor) {
+	if c.Arena != nil {
+		c.Arena.Free(t)
+	}
 }

@@ -86,6 +86,10 @@ func (m *FFN) BackwardInput(dy *tensor.Tensor, cache *Cache) *tensor.Tensor {
 	du := alloc(cache, rows, f)
 	tensor.Mul(du, dhid, up)       // dhid ⊙ up
 	tensor.SiLUBackward(du, u, du) // du = (dhid⊙up) · silu'(u)
+	// dhid, u and up have had their last reader; W reads hid, du and dup.
+	free(cache, dhid)
+	cache.release("u")
+	cache.release("up")
 
 	dx := alloc(cache, rows, x.Cols())
 	tensor.MatMulTB(dx, du, m.W1)

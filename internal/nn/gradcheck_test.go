@@ -267,15 +267,21 @@ func TestBackwardParamsAccumulates(t *testing.T) {
 
 func TestRecomputationReproducesGrads(t *testing.T) {
 	// Forward, drop intermediates (keep only X), re-run Forward, then
-	// backward: grads must match the no-recompute run exactly.
+	// backward: grads must match the no-recompute run exactly. The second run
+	// draws from a NaN-poisoned arena, so DropAllButX poisons what it hands
+	// back and a recomputation that read any of it would show.
 	net := newTinyNet(t, 8)
 	tokens, targets := net.data(9)
 	_, want := net.lossAndGrads(tokens, targets)
 
+	tensor.SetArenaPoison(true)
+	defer tensor.SetArenaPoison(false)
+	arena := tensor.NewArena()
 	mods := net.modules()
 	caches := make([]*Cache, len(mods))
 	for i := range caches {
 		caches[i] = NewCache(net.g, net.s)
+		caches[i].Arena = arena
 	}
 	x := net.embed.ForwardTokens(tokens, caches[0])
 	inputs := make([]*tensor.Tensor, len(mods))
@@ -297,8 +303,7 @@ func TestRecomputationReproducesGrads(t *testing.T) {
 	for i := len(mods) - 1; i >= 0; i-- {
 		grads[i] = mods[i].Params().NewLike()
 		if i > 0 && i < len(mods)-1 {
-			// recompute: forward again from the saved input
-			mods[i].Forward(caches[i].X, caches[i])
+			Recompute(mods[i], caches[i])
 		}
 		dy = mods[i].BackwardInput(dy, caches[i])
 		mods[i].BackwardParams(caches[i], grads[i])

@@ -49,6 +49,7 @@ func (o *OutputHead) ForwardLoss(x *tensor.Tensor, targets [][]int, cache *Cache
 	tensor.MatMul(logits, normed, o.W)
 	probs := alloc(cache, n, v)
 	tensor.SoftmaxRows(probs, logits)
+	free(cache, logits)
 
 	g := len(targets)
 	s := len(targets[0])
@@ -110,6 +111,9 @@ func (o *OutputHead) BackwardFromLoss(cache *Cache) *tensor.Tensor {
 		dlogits.Data[i*v+int(tgt.Data[i])] -= 1
 	}
 	tensor.Scale(dlogits, dlogits, float32(1.0/float64(n)))
+	// W reads dlogits and normed; probs and targets had their last reader.
+	cache.release("probs")
+	cache.release("targets")
 
 	dnormed := alloc(cache, n, o.W.Rows())
 	tensor.MatMulTB(dnormed, dlogits, o.W)

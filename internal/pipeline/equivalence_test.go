@@ -9,6 +9,7 @@ import (
 	"weipipe/internal/data"
 	"weipipe/internal/model"
 	"weipipe/internal/optim"
+	"weipipe/internal/tensor"
 )
 
 // The central claim of the functional runtimes: every distributed strategy,
@@ -144,6 +145,44 @@ func TestRecomputeMatchesSerial(t *testing.T) {
 				t.Errorf("max weight diff vs serial = %g", d)
 			}
 		})
+	}
+}
+
+// TestRecomputeHoldsOnlyBoundaries pins what activation checkpointing is
+// for. Between a microbatch's forward and its B pass the arena holds only the
+// boundary activations — every block's input and the head's — plus the
+// embedding's and the head's stashes, and over the whole F/B/W round the
+// store grows to less than it does without recomputation.
+func TestRecomputeHoldsOnlyBoundaries(t *testing.T) {
+	cfg := eqCfg()
+	b := eqBatches(1, 1)(0)[0]
+	m := b.G() * b.S() // token rows
+	act := 4 * m * cfg.Hidden
+	round := func(recompute bool) (heldAfterF, storeBytes int) {
+		mdl := model.Build(cfg)
+		n := len(mdl.Modules)
+		arena := tensor.NewArena()
+		caches := newCaches(0, n, b.G(), b.S(), arena)
+		forwardRange(mdl, 0, n, nil, b, caches, recompute)
+		heldAfterF = arena.LiveBytes()
+		backwardRangeB(mdl, 0, n, nil, caches, recompute)
+		backwardRangeW(mdl, 0, n, caches, zeroedGrads(mdl, nil, 0, n))
+		return heldAfterF, arena.Bytes()
+	}
+	held, withBytes := round(true)
+	// The embedding's output and every block's: the inputs of blocks 2…L
+	// and the head. The embedding stashes its token ids; the head its norm's
+	// inv, the normed input, the probabilities and the targets.
+	want := (cfg.Layers+1)*act + 4*m + (4*m + act + 4*m*cfg.Vocab + 4*m)
+	if held != want {
+		t.Errorf("with recompute a microbatch holds %d bytes between F and B, want %d", held, want)
+	}
+	heldFull, withoutBytes := round(false)
+	if held >= heldFull {
+		t.Errorf("recompute holds %d bytes between F and B, no less than the %d without it", held, heldFull)
+	}
+	if withBytes >= withoutBytes {
+		t.Errorf("the arena store grew to %d bytes with recompute, no less than the %d without it", withBytes, withoutBytes)
 	}
 }
 

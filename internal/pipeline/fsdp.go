@@ -188,7 +188,7 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 			c := caches[i]
 			span := f.tr.Begin()
 			if f.o.Recompute && i != 0 && i != nMods-1 {
-				f.mdl.Modules[i].Forward(c.X, c)
+				nn.Recompute(f.mdl.Modules[i], c)
 			}
 			dy = f.mdl.Modules[i].BackwardInput(dy, c)
 			f.tr.End(span, trace.CodeB, mb, int64(i))

@@ -3,16 +3,22 @@ package pipeline
 import (
 	"os"
 	"testing"
+
+	"weipipe/internal/tensor"
 )
 
-// TestMain runs the whole package under the belt poison hook: the model's
-// own storage is NaN once a WeiPipe trainer is built, and every pool buffer
-// is NaN-filled at its last release (and panics if released again). Every
-// equivalence suite in the package — per backend, chaos, grouped,
-// integrity, elastic — therefore also proves that no stage reads a module it
-// did not bind or a chunk it already gave back: either would put NaN into
-// losses that are compared bit for bit.
+// TestMain runs the whole package under the belt and arena poison hooks: the
+// model's own storage is NaN once a WeiPipe trainer is built, every pool
+// buffer is NaN-filled at its last release (and panics if released again),
+// and every arena tensor is NaN when handed out and again when freed or reset
+// (and a Free of one that is not live panics). Every equivalence suite in the
+// package — per backend, chaos, grouped, integrity, elastic, recompute —
+// therefore also proves that no stage reads a module it did not bind or a
+// chunk it already gave back, and that no module reads a scratch tensor
+// before writing it or after freeing it: each would put NaN into losses that
+// are compared bit for bit.
 func TestMain(m *testing.M) {
 	SetBeltPoison(true)
+	tensor.SetArenaPoison(true)
 	os.Exit(m.Run())
 }

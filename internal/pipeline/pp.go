@@ -143,7 +143,10 @@ func (p *PP) forwardMB(m int, b data.Batch) error {
 		p.lossMB[m] = loss
 		return nil
 	}
-	return p.t.Send(p.t.Rank()+1, Tag{Kind: comm.KindAct, A: m}, out.Data)
+	// Send copies: nothing on this stage stashes the boundary output.
+	err := p.t.Send(p.t.Rank()+1, Tag{Kind: comm.KindAct, A: m}, out.Data)
+	arena.Free(out)
+	return err
 }
 
 // backwardMBInput runs this stage's B pass for microbatch m, receiving the
@@ -167,7 +170,9 @@ func (p *PP) backwardMBInput(m int, b data.Batch) error {
 	if p.isFirst() {
 		return nil
 	}
-	return p.t.Send(p.t.Rank()-1, Tag{Kind: comm.KindActGrad, A: m}, dx.Data)
+	err := p.t.Send(p.t.Rank()-1, Tag{Kind: comm.KindActGrad, A: m}, dx.Data)
+	p.arenas[m].Free(dx)
+	return err
 }
 
 // backwardMBParams runs this stage's W pass for microbatch m and releases

@@ -59,8 +59,8 @@ type ClusterResult struct {
 	// (nil when there is none). It is a segment's end state for the replay
 	// oracle.
 	Checkpoint *checkpoint.Snapshot
-	// ArenaHighWater is the largest scratch-arena slot count any rank
-	// reached (ArenaMeter; 0 when no trainer recycles arenas).
+	// ArenaHighWater is the most scratch buffers any rank's arena store
+	// made (ArenaMeter; 0 when no trainer recycles arenas).
 	ArenaHighWater int
 }
 

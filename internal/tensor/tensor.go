@@ -19,6 +19,9 @@ type Tensor struct {
 	Data []float32
 	// shape holds the dimension sizes. It is never mutated after creation.
 	shape []int
+	// slot is the arena slot this header belongs to (nil for tensors no
+	// Arena handed out): Arena.Free finds the buffer through it.
+	slot *arenaSlot
 }
 
 // New creates a zero-filled tensor with the given shape.
