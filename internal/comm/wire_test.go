@@ -177,9 +177,12 @@ func TestTCPSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		codec CodecFunc
+		// retained is the length of the buffer the link keeps until its ack
+		// comes back: the payload itself, or its packed bf16 image.
+		retained int
 	}{
-		{"frame", nil},
-		{"frame-bf16", BeltBF16},
+		{"frame", nil, elems},
+		{"frame-bf16", BeltBF16, elems / 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			trs := dialMeshOpts(t, 2, TCPOptions{Codec: tc.codec})
@@ -204,12 +207,24 @@ func TestTCPSteadyStateAllocs(t *testing.T) {
 			// A GC cycle empties the sync.Pools and would charge a fresh
 			// megabyte to whichever frame came next.
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			// Warm-up: stock the pool past any in-flight high-water mark (a
-			// sent payload stays out until its ack comes back), then run
-			// the cycle until the frame bookkeeping has settled.
-			var stock [16][]float32
-			for i := range stock {
-				stock[i] = GetBuf(elems >> (i & 1)) // full-width and packed-bf16 size classes
+			// Warm-up: stock the pool past any in-flight high-water mark, then
+			// run the cycle until the frame bookkeeping has settled. A sent
+			// payload stays out until its ack comes back, and the link writes
+			// at most defaultSendWindow frames ahead of its acks: on a loaded
+			// host the acks lag by that many, so the retained size class
+			// needs the window, the frame being sent and the one being
+			// received. Each P's private pool slot hides one buffer from the
+			// others, hence GOMAXPROCS more. The other class sees a frame or
+			// two at a time.
+			var stock [][]float32
+			for _, n := range []int{elems, elems / 2} {
+				depth := 4
+				if n == tc.retained {
+					depth = defaultSendWindow + 2 + runtime.GOMAXPROCS(0)
+				}
+				for range depth {
+					stock = append(stock, GetBuf(n))
+				}
 			}
 			for _, b := range stock {
 				Release(b)

@@ -59,27 +59,85 @@ type Model struct {
 	Embed   *nn.Embedding
 	Blocks  []*nn.Block
 	Head    *nn.OutputHead
+
+	rope *nn.RopeTable // shared by every block, and by InitModule's copies
 }
 
 // Build constructs a model. The same (Config, Seed) always produces
 // bit-identical initial weights, which is how every rank of a distributed
 // run starts from the same model without broadcasting it.
-func Build(cfg Config) *Model {
+func Build(cfg Config) *Model { return build(cfg, false) }
+
+// BuildShells constructs the model with every module a shell (an nn
+// constructor given a nil rng): names, shapes and wire layout — so
+// NumParams, ChunkSize, Partition and BindChunk work — and no weight
+// storage. A parallel trainer builds one, keeps the weights it owns in its
+// own flat buffers (InitChunk fills them) and binds modules to a buffer for
+// the passes that compute with them.
+func BuildShells(cfg Config) *Model { return build(cfg, true) }
+
+func build(cfg Config, shells bool) *Model {
 	cfg = cfg.WithDefaults()
 	rng := tensor.NewRNG(cfg.Seed)
-	rope := nn.NewRopeTable(cfg.MaxSeq, cfg.Hidden/cfg.Heads)
-
-	m := &Model{Cfg: cfg}
-	m.Embed = nn.NewEmbedding("embed", cfg.Vocab, cfg.Hidden, rng.Split())
-	m.Modules = append(m.Modules, m.Embed)
-	for i := 0; i < cfg.Layers; i++ {
-		b := nn.NewBlock(fmt.Sprintf("block%d", i), cfg.Hidden, cfg.Heads, cfg.FFNDim, rope, rng.Split())
-		m.Blocks = append(m.Blocks, b)
-		m.Modules = append(m.Modules, b)
+	m := &Model{Cfg: cfg, rope: nn.NewRopeTable(cfg.MaxSeq, cfg.Hidden/cfg.Heads)}
+	for i := range cfg.NumModules() {
+		var r *tensor.RNG // nil: a shell
+		if !shells {
+			r = rng.Split()
+		}
+		mod := m.newModule(i, r)
+		switch mod := mod.(type) {
+		case *nn.Embedding:
+			m.Embed = mod
+		case *nn.Block:
+			m.Blocks = append(m.Blocks, mod)
+		case *nn.OutputHead:
+			m.Head = mod
+		}
+		m.Modules = append(m.Modules, mod)
 	}
-	m.Head = nn.NewOutputHead("head", cfg.Hidden, cfg.Vocab, rng.Split())
-	m.Modules = append(m.Modules, m.Head)
 	return m
+}
+
+// newModule builds module i — the embedding, block i−1 or the head — from
+// its stream r (nil: a shell).
+func (m *Model) newModule(i int, r *tensor.RNG) nn.Module {
+	cfg := m.Cfg
+	switch {
+	case i == 0:
+		return nn.NewEmbedding("embed", cfg.Vocab, cfg.Hidden, r)
+	case i <= cfg.Layers:
+		return nn.NewBlock(fmt.Sprintf("block%d", i-1), cfg.Hidden, cfg.Heads, cfg.FFNDim, m.rope, r)
+	default:
+		return nn.NewOutputHead("head", cfg.Hidden, cfg.Vocab, r)
+	}
+}
+
+// InitModule returns a new, storage-backed copy of module i holding the
+// initial weights Build gives it, bit for bit, and leaves m as it is. Build
+// hands module i the i-th split of the seed's stream, so only module i is
+// built: each module before it costs one split.
+func (m *Model) InitModule(i int) nn.Module {
+	rng := tensor.NewRNG(m.Cfg.Seed)
+	for range i {
+		rng.Split()
+	}
+	return m.newModule(i, rng.Split())
+}
+
+// InitChunk writes the initial weights Build gives modules [lo, hi) into dst
+// in wire order, building one module at a time and keeping none: at most one
+// module is resident beside dst. dst must have length ChunkSize(lo, hi).
+func (m *Model) InitChunk(lo, hi int, dst []float32) {
+	if len(dst) != m.ChunkSize(lo, hi) {
+		panic("model: InitChunk length mismatch")
+	}
+	off := 0
+	for i := lo; i < hi; i++ {
+		n := m.ModuleParamSize(i)
+		m.InitModule(i).Params().FlattenInto(dst[off : off+n])
+		off += n
+	}
 }
 
 // NumParams returns the total scalar parameter count.
@@ -145,7 +203,8 @@ func (m *Model) BindChunk(lo, hi int, flat []float32) {
 	}
 }
 
-// UnbindChunk returns modules [lo, hi) to their own storage.
+// UnbindChunk returns modules [lo, hi) to their own storage (none, for a
+// shell).
 func (m *Model) UnbindChunk(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		m.Modules[i].Params().Unbind()

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"weipipe/internal/nn"
@@ -196,4 +198,41 @@ func TestBlockParamCountMatchesPaperFormula(t *testing.T) {
 		t.Fatalf("block params = %d, want ≈ %d", got, want)
 	}
 	_ = tensor.New(1) // keep import
+}
+
+// A shell model has Build's layout and none of its storage, and InitChunk
+// rebuilds any module range's initial weights bit for bit without building
+// the rest: the i-th module's stream is the i-th split whatever is skipped.
+func TestShellsAndInitChunkMatchBuild(t *testing.T) {
+	full := Build(tinyCfg())
+	shells := BuildShells(tinyCfg())
+	if shells.NumParams() != full.NumParams() || len(shells.Blocks) != len(full.Blocks) ||
+		shells.Embed == nil || shells.Head == nil {
+		t.Fatal("shell model's layout differs from Build's")
+	}
+	for p := 1; p <= len(full.Modules); p++ {
+		if got, want := shells.Partition(p), full.Partition(p); !slices.Equal(got, want) {
+			t.Fatalf("p=%d: shell partition %v, built %v", p, got, want)
+		}
+	}
+	for i, mod := range shells.Modules {
+		for _, name := range mod.Params().Names() {
+			if mod.Params().Get(name).Data != nil {
+				t.Fatalf("module %d %s has storage", i, name)
+			}
+		}
+	}
+	for lo := 0; lo < len(full.Modules); lo++ {
+		for hi := lo + 1; hi <= len(full.Modules); hi++ {
+			want := make([]float32, full.ChunkSize(lo, hi))
+			full.FlattenChunk(lo, hi, want)
+			got := make([]float32, len(want))
+			shells.InitChunk(lo, hi, got)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("[%d, %d): InitChunk element %d = %v, Build has %v", lo, hi, i, got[i], want[i])
+				}
+			}
+		}
+	}
 }

@@ -36,10 +36,10 @@ func NewAttentionSharded(name string, inDim, heads, headDim int, rope *RopeTable
 		name:    name,
 		Heads:   heads,
 		HeadDim: headDim,
-		Wq:      tensor.New(inDim, width),
-		Wk:      tensor.New(inDim, width),
-		Wv:      tensor.New(inDim, width),
-		Wo:      tensor.New(width, inDim),
+		Wq:      newParam(rng, inDim, width),
+		Wk:      newParam(rng, inDim, width),
+		Wv:      newParam(rng, inDim, width),
+		Wo:      newParam(rng, width, inDim),
 		rope:    rope,
 	}
 	tensor.FillXavier(a.Wq, rng)

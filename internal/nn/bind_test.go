@@ -162,3 +162,83 @@ func TestNewUnboundHoldsNoStorage(t *testing.T) {
 		t.Fatalf("buffer holds %v after filling wo through the view, want %v", sum, want)
 	}
 }
+
+// A shell — a set with no storage (NewUnbound), outside a Bind — has nothing
+// to copy in or out, so each flat copy panics instead of moving nothing: a
+// silent no-op is how a load into a shell would vanish. Once bound, the same
+// calls go through the buffer.
+func TestFlatCopiesOfAShellPanic(t *testing.T) {
+	copies := map[string]func(p *ParamSet, flat []float32){
+		"SetFlat":      (*ParamSet).SetFlat,
+		"FlattenInto":  (*ParamSet).FlattenInto,
+		"AddFlat":      (*ParamSet).AddFlat,
+		"FlattenRange": func(p *ParamSet, flat []float32) { p.FlattenRange(0, flat[:1]) },
+	}
+	for name, copyFlat := range copies {
+		t.Run(name, func(t *testing.T) {
+			g := bindTestBlock(1).Params().NewUnbound()
+			flat := make([]float32, g.Size())
+			mustPanic(t, name+" on a shell", func() { copyFlat(g, flat) })
+
+			buf := make([]float32, g.Size())
+			g.Bind(buf)
+			src, dst := flat, buf // into the set
+			if name == "FlattenInto" || name == "FlattenRange" {
+				src, dst = buf, flat
+			}
+			src[0] = 5
+			copyFlat(g, flat)
+			if dst[0] != 5 {
+				t.Fatalf("bound: %s moved %v, want 5", name, dst[0])
+			}
+		})
+	}
+}
+
+// A module built without an rng is a shell of the one built with it: the
+// same names and shapes, no storage, and bound to the built one's weights it
+// computes the same forward, bit for bit.
+func TestShellModuleMatchesBuiltLayout(t *testing.T) {
+	rope := NewRopeTable(5, 4)
+	built := NewBlock("block", 8, 2, 12, rope, tensor.NewRNG(1))
+	shell := NewBlock("block", 8, 2, 12, rope, nil)
+	bp, sp := built.Params(), shell.Params()
+	if sp.Size() != bp.Size() || len(sp.Names()) != len(bp.Names()) {
+		t.Fatalf("shell layout %d/%d, built %d/%d", sp.Size(), len(sp.Names()), bp.Size(), len(bp.Names()))
+	}
+	for i, name := range sp.Names() {
+		if name != bp.Names()[i] || !sp.Get(name).SameShape(bp.Get(name)) {
+			t.Fatalf("param %d: shell %q %v, built %q %v", i, name, sp.Get(name).Shape(), bp.Names()[i], bp.Get(bp.Names()[i]).Shape())
+		}
+		if sp.Get(name).Data != nil {
+			t.Fatalf("%s: the shell has storage", name)
+		}
+	}
+	sp.Bind(bp.Flatten())
+	x := tensor.New(2*5, 8)
+	tensor.FillNormal(x, tensor.NewRNG(4), 1)
+	want := built.Forward(x, NewCache(2, 5))
+	got := shell.Forward(x, NewCache(2, 5))
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("bound shell's forward differs at %d: %v != %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// FlattenRange is FlattenInto's window: any [off, off+n) of the set, across
+// tensor boundaries, reads what the full flattening holds there.
+func TestFlattenRangeIsAWindowOfFlatten(t *testing.T) {
+	p := bindTestBlock(1).Params()
+	full := p.Flatten()
+	for _, w := range [][2]int{{0, 0}, {0, 1}, {3, 40}, {7, p.Size()}, {p.Size() - 9, p.Size()}, {0, p.Size()}} {
+		got := make([]float32, w[1]-w[0])
+		p.FlattenRange(w[0], got)
+		for i, v := range got {
+			if v != full[w[0]+i] {
+				t.Fatalf("window %v: element %d reads %v, Flatten has %v", w, i, v, full[w[0]+i])
+			}
+		}
+	}
+	mustPanic(t, "a window past the end", func() { p.FlattenRange(1, make([]float32, p.Size())) })
+}

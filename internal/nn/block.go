@@ -27,14 +27,15 @@ type Block struct {
 }
 
 // NewBlock builds a transformer layer with hidden size h, the given head
-// count, FFN inner size f, and the shared rotary table rope (may be nil).
+// count, FFN inner size f, and the shared rotary table rope (may be nil); a
+// shell for a nil rng (see newParam).
 func NewBlock(name string, h, heads, f int, rope *RopeTable, rng *tensor.RNG) *Block {
 	b := &Block{
 		name:  name,
-		Norm1: NewRMSNorm(name+".norm1", h),
-		Attn:  NewAttention(name+".attn", h, heads, rope, rng.Split()),
-		Norm2: NewRMSNorm(name+".norm2", h),
-		Ffn:   NewFFN(name+".ffn", h, f, rng.Split()),
+		Norm1: newRMSNorm(name+".norm1", h, rng == nil),
+		Attn:  NewAttention(name+".attn", h, heads, rope, split(rng)),
+		Norm2: newRMSNorm(name+".norm2", h, rng == nil),
+		Ffn:   NewFFN(name+".ffn", h, f, split(rng)),
 	}
 	p := NewParamSet()
 	addPrefixed(p, "norm1.", b.Norm1.Params())

@@ -12,9 +12,10 @@ type Embedding struct {
 	params *ParamSet
 }
 
-// NewEmbedding builds an embedding table for vocab size v, hidden size h.
+// NewEmbedding builds an embedding table for vocab size v, hidden size h (a
+// shell for a nil rng; see newParam).
 func NewEmbedding(name string, v, h int, rng *tensor.RNG) *Embedding {
-	e := &Embedding{name: name, W: tensor.New(v, h)}
+	e := &Embedding{name: name, W: newParam(rng, v, h)}
 	tensor.FillNormal(e.W, rng, 0.02)
 	p := NewParamSet()
 	p.Add("w", e.W)

@@ -17,13 +17,14 @@ type FFN struct {
 	params *ParamSet
 }
 
-// NewFFN builds a SwiGLU FFN with hidden size h and inner size f.
+// NewFFN builds a SwiGLU FFN with hidden size h and inner size f (a shell for
+// a nil rng; see newParam).
 func NewFFN(name string, h, f int, rng *tensor.RNG) *FFN {
 	m := &FFN{
 		name: name,
-		W1:   tensor.New(h, f),
-		W3:   tensor.New(h, f),
-		W2:   tensor.New(f, h),
+		W1:   newParam(rng, h, f),
+		W3:   newParam(rng, h, f),
+		W2:   newParam(rng, f, h),
 	}
 	tensor.FillXavier(m.W1, rng)
 	tensor.FillXavier(m.W3, rng)

@@ -17,12 +17,13 @@ type OutputHead struct {
 	params *ParamSet
 }
 
-// NewOutputHead builds the final norm + LM head for hidden size h, vocab v.
+// NewOutputHead builds the final norm + LM head for hidden size h, vocab v (a
+// shell for a nil rng; see newParam).
 func NewOutputHead(name string, h, v int, rng *tensor.RNG) *OutputHead {
 	o := &OutputHead{
 		name: name,
-		Norm: NewRMSNorm(name+".norm", h),
-		W:    tensor.New(h, v),
+		Norm: newRMSNorm(name+".norm", h, rng == nil),
+		W:    newParam(rng, h, v),
 	}
 	tensor.FillXavier(o.W, rng)
 	p := NewParamSet()

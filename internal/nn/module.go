@@ -40,6 +40,27 @@ type Module interface {
 	BackwardParams(cache *Cache, grads *ParamSet)
 }
 
+// newParam returns a zero-filled parameter tensor of the given shape, or —
+// when rng is nil — a shell with the shape and no storage. Every constructor
+// that takes an rng builds a shell module from a nil one: names, shapes and
+// wire layout are all there, so its ParamSet sizes, binds and partitions like
+// a built one, but it holds weights only while bound (ParamSet.Bind) and
+// skips the initialisation a built one pays for.
+func newParam(rng *tensor.RNG, shape ...int) *tensor.Tensor {
+	if rng == nil {
+		return tensor.Shell(shape...)
+	}
+	return tensor.New(shape...)
+}
+
+// split gives a sub-layer its own stream; a shell build stays one.
+func split(rng *tensor.RNG) *tensor.RNG {
+	if rng == nil {
+		return nil
+	}
+	return rng.Split()
+}
+
 // Backward runs the B pass and W pass back to back (the fused form used by
 // schedules that do not decouple them, e.g. 1F1B and WeiPipe-Interleave).
 func Backward(m Module, dy *tensor.Tensor, cache *Cache, grads *ParamSet) *tensor.Tensor {

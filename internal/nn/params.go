@@ -136,12 +136,23 @@ func (p *ParamSet) Zero() {
 	}
 }
 
+// stored returns the storage of the tensor registered under name, panicking
+// when it is shorter than the tensor's shape: a shell (NewUnbound, or a module
+// built without an rng) outside a Bind has nothing to copy, and copying its
+// empty storage would drop the data without a word.
+func (p *ParamSet) stored(name string) []float32 {
+	t := p.tensors[name]
+	n := numel(t)
+	if len(t.Data) < n {
+		panic(fmt.Sprintf("nn: param %q holds %d of its %d elements (a shell outside Bind)", name, len(t.Data), n))
+	}
+	return t.Data[:n]
+}
+
 // Flatten appends all parameters, in wire order, into a new flat vector.
 func (p *ParamSet) Flatten() []float32 {
-	out := make([]float32, 0, p.size)
-	for _, n := range p.names {
-		out = append(out, p.tensors[n].Data...)
-	}
+	out := make([]float32, p.size)
+	p.FlattenInto(out)
 	return out
 }
 
@@ -150,11 +161,23 @@ func (p *ParamSet) FlattenInto(dst []float32) {
 	if len(dst) != p.size {
 		panic(fmt.Sprintf("nn: FlattenInto needs %d elems, got %d", p.size, len(dst)))
 	}
-	off := 0
+	p.FlattenRange(0, dst)
+}
+
+// FlattenRange copies elements [off, off+len(dst)) of the wire-order flat
+// vector into dst — a shard of the set, without flattening the rest.
+func (p *ParamSet) FlattenRange(off int, dst []float32) {
+	end := off + len(dst)
+	if off < 0 || end > p.size {
+		panic(fmt.Sprintf("nn: FlattenRange [%d, %d) outside %d elems", off, end, p.size))
+	}
+	pos := 0 // flat offset of the current tensor
 	for _, n := range p.names {
-		d := p.tensors[n].Data
-		copy(dst[off:off+len(d)], d)
-		off += len(d)
+		d := p.stored(n)
+		if lo, hi := max(pos, off), min(pos+len(d), end); lo < hi {
+			copy(dst[lo-off:hi-off], d[lo-pos:hi-pos])
+		}
+		pos += len(d)
 	}
 }
 
@@ -165,7 +188,7 @@ func (p *ParamSet) SetFlat(src []float32) {
 	}
 	off := 0
 	for _, n := range p.names {
-		d := p.tensors[n].Data
+		d := p.stored(n)
 		copy(d, src[off:off+len(d)])
 		off += len(d)
 	}
@@ -179,7 +202,7 @@ func (p *ParamSet) AddFlat(src []float32) {
 	}
 	off := 0
 	for _, n := range p.names {
-		d := p.tensors[n].Data
+		d := p.stored(n)
 		for i := range d {
 			d[i] += src[off+i]
 		}

@@ -18,9 +18,15 @@ type RMSNorm struct {
 }
 
 // NewRMSNorm returns an RMSNorm over hidden size h with unit gain.
-func NewRMSNorm(name string, h int) *RMSNorm {
-	g := tensor.New(h)
-	g.Fill(1)
+func NewRMSNorm(name string, h int) *RMSNorm { return newRMSNorm(name, h, false) }
+
+// newRMSNorm is NewRMSNorm, or with shell its storage-less shell.
+func newRMSNorm(name string, h int, shell bool) *RMSNorm {
+	g := tensor.Shell(h)
+	if !shell {
+		g.Data = make([]float32, h)
+		g.Fill(1)
+	}
 	p := NewParamSet()
 	p.Add("g", g)
 	return &RMSNorm{name: name, Gain: g, params: p}

@@ -56,9 +56,9 @@ type buddyState struct {
 }
 
 // initBuddy sets up buddy replication (and the owned chunk's rollback
-// stash). Called from NewWeiPipe before any training, while mdl still
-// holds the deterministic seed-built initial weights — which is why the
-// shadow needs no bootstrap message.
+// stash). Called from NewWeiPipe before any training: the shadow starts
+// from the successor chunk's seed-built initial weights, rebuilt here
+// (model.InitChunk) — which is why it needs no bootstrap message.
 func (w *WeiPipe) initBuddy() {
 	p := w.t.Size()
 	sc := (w.t.Rank() + 2) % p
@@ -76,7 +76,7 @@ func (w *WeiPipe) initBuddy() {
 		rbM:      make([]float32, size),
 		rbV:      make([]float32, size),
 	}
-	w.mdl.FlattenChunk(lo, hi, bs.w)
+	w.mdl.InitChunk(lo, hi, bs.w)
 	w.buddy = bs
 
 	own := len(w.masterW)

@@ -60,7 +60,7 @@ func (d *DP) TrainIteration(batches []data.Batch) (float64, error) {
 	}
 	mine := data.Split(batches, p)[d.t.Rank()]
 	nMods := len(d.mdl.Modules)
-	d.grads = zeroedGrads(d.mdl, d.grads, 0, nMods)
+	d.grads = zeroedGrads(d.mdl, d.grads)
 	grads := d.grads
 	var lossSum float64
 	for mi, b := range mine {
@@ -82,7 +82,7 @@ func (d *DP) TrainIteration(batches []data.Batch) (float64, error) {
 
 	optSpan := d.tr.Begin()
 	flatW, flatG := d.flatW, d.flatG
-	flattenGradsRange(d.mdl, grads, 0, nMods, flatG)
+	flattenGrads(grads, flatG)
 	d.seq++
 	if err := comm.RingAllReduceSum(d.t, flatG, d.seq); err != nil {
 		return 0, err

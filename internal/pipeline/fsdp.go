@@ -22,19 +22,21 @@ import (
 // data-parallel: each rank trains its round-robin share of the
 // microbatches.
 //
-// Like WeiPipe's belt, the gathers are never copied into the model: a
-// module is bound to its gathered buffer (model.BindChunk) for the one pass
-// that needs it and the buffer goes back to the pool afterwards. Only the
-// end-of-step refresh copies, into the modules' own storage, which is what
-// Model() shows between iterations.
+// A rank keeps its shards and nothing else of the weights: the model is
+// shells (model.BuildShells), and like WeiPipe's belt the gathers are never
+// copied into it — a module is bound to its gathered buffer
+// (model.BindChunk) for the one pass that needs it and the buffer goes back
+// to the pool afterwards. The assembled weights come from every rank's
+// shards (Owner), not from a gather.
 type FSDP struct {
-	t      Transport
-	mdl    *model.Model // weight buffer; authoritative state is the shards
-	shards [][]float32  // per-module owned parameter shard (fp32 master)
-	opts   []*optim.AdamW
-	o      Options
-	seq    int
-	arena  *tensor.Arena
+	t       Transport
+	mdl     *model.Model // shells, bound to a gather for one pass at a time
+	shards  [][]float32  // per-module owned parameter shard (fp32 master)
+	shardAt []int        // where each shard starts in the flat parameter vector
+	opts    []*optim.AdamW
+	o       Options
+	seq     int
+	arena   *tensor.Arena
 	// grads accumulates an iteration's full-model gradients. The sets own no
 	// storage: module i's is bound for good to gradFlat[i], the flat buffer
 	// the reduce-scatter consumes as it lies.
@@ -58,42 +60,35 @@ type FSDP struct {
 
 // NewFSDP builds an FSDP trainer for this rank.
 func NewFSDP(t Transport, cfg model.Config, o Options) (*FSDP, error) {
-	mdl := model.Build(cfg)
+	mdl := model.BuildShells(cfg)
 	p := t.Size()
 	r := t.Rank()
 	f := &FSDP{t: t, mdl: mdl, o: o, arena: tensor.NewArena(), tr: o.Trace.Rank(t.Rank())}
 	if m, ok := t.(comm.Meter); ok {
 		f.stats = m.CommStats()
 	}
+	off := 0
 	for i := range mdl.Modules {
 		size := mdl.ModuleParamSize(i)
 		rg := comm.ShardRanges(size, p)[r]
 		shard := make([]float32, rg[1]-rg[0])
+		// Build the module, cut this rank's shard out of it and drop it: at
+		// most one full module is resident at a time.
+		mdl.InitModule(i).Params().FlattenRange(rg[0], shard)
 		f.shards = append(f.shards, shard)
+		f.shardAt = append(f.shardAt, off+rg[0])
+		off += size
 		f.opts = append(f.opts, optim.NewAdamW(len(shard), o.Adam))
 		f.gradFlat = append(f.gradFlat, make([]float32, size))
 		g := mdl.Modules[i].Params().NewUnbound()
 		g.Bind(f.gradFlat[i])
 		f.grads = append(f.grads, g)
 	}
-	f.ReloadMasterFromModel()
 	return f, nil
 }
 
-// ReloadMasterFromModel cuts this rank's shards out of Model(): at
-// construction, and after a checkpoint load wrote the model's own storage —
-// FSDP trains the shards, so a load they did not see would be lost.
-func (f *FSDP) ReloadMasterFromModel() {
-	p, r := f.t.Size(), f.t.Rank()
-	for i, shard := range f.shards {
-		full := make([]float32, f.mdl.ModuleParamSize(i))
-		f.mdl.FlattenChunk(i, i+1, full)
-		rg := comm.ShardRanges(len(full), p)[r]
-		copy(shard, full[rg[0]:rg[1]])
-	}
-}
-
-// Model implements Trainer.
+// Model implements Trainer: shells, which hold a module's weights only
+// while a pass has it bound to its gather.
 func (f *FSDP) Model() *model.Model { return f.mdl }
 
 // shardLens returns every rank's shard length for module i.
@@ -249,17 +244,6 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 	}
 
 	f.tr.End(optSpan, trace.CodeOpt, int64(f.seq), 0)
-
-	// Refresh the modules' own storage so Model() exposes post-step weights:
-	// the one gather per module that is copied rather than bound.
-	for i := 0; i < nMods; i++ {
-		full, err := f.gather(i)
-		if err != nil {
-			return 0, err
-		}
-		f.mdl.SetChunk(i, i+1, full)
-		comm.Release(full)
-	}
 
 	f.seq++
 	sum, err := comm.AllReduceScalarSum(f.t, lossSum, f.seq)

@@ -189,11 +189,14 @@ type Trainer interface {
 	// receives the same slice) and performs one optimizer step. It returns
 	// the mean microbatch loss (identical on every rank).
 	TrainIteration(batches []data.Batch) (float64, error)
-	// Model returns the rank's local model replica. After TrainIteration
-	// the modules this rank owns (Owner) hold post-step weights; which
-	// modules those are depends on the strategy. Modules outside that range
-	// hold nothing a caller may read: weight-passing trainers only ever see
-	// them as views of a belt buffer, for the length of one stage.
+	// Model returns the rank's model: its module list, shapes and wire
+	// layout. Only serial and DP give it storage of its own. Every other
+	// trainer builds shells (model.BuildShells) and keeps the weights it
+	// owns in its own flat state — WeiPipe its chunk, PP its stage, FSDP its
+	// shards — so a module holds weights only while bound: to that state
+	// (WeiPipe's owned chunk, PP's stage) or to a belt or gather buffer for
+	// the length of one pass. Read and write weights through Owner
+	// (AssembleWeights, RestoreSnapshot), never off Model().
 	Model() *model.Model
 }
 
@@ -389,34 +392,31 @@ type ArenaMeter interface {
 	ArenaHighWater() int
 }
 
-// zeroedGrads returns grads — indexed by global module index — holding a
-// zeroed gradient set for every module in [lo, hi). A trainer keeps the
-// slice across iterations: the sets are allocated the first time a module is
-// asked for and zeroed in place from then on, so a steady-state step
-// allocates no gradient storage.
-func zeroedGrads(mdl *model.Model, grads []*nn.ParamSet, lo, hi int) []*nn.ParamSet {
+// zeroedGrads returns grads holding a zeroed gradient set for every module
+// of mdl. A trainer keeps the slice across iterations: the sets are
+// allocated on the first call and zeroed in place from then on, so a
+// steady-state step allocates no gradient storage.
+func zeroedGrads(mdl *model.Model, grads []*nn.ParamSet) []*nn.ParamSet {
 	if grads == nil {
-		grads = make([]*nn.ParamSet, len(mdl.Modules))
-	}
-	for i := lo; i < hi; i++ {
-		if grads[i] == nil {
-			grads[i] = mdl.Modules[i].Params().NewLike()
-		} else {
-			grads[i].Zero()
+		for _, m := range mdl.Modules {
+			grads = append(grads, m.Params().NewLike())
 		}
+		return grads
+	}
+	for _, g := range grads {
+		g.Zero()
 	}
 	return grads
 }
 
-// flattenGradsRange copies grads of modules [lo, hi) into dst in wire order.
-func flattenGradsRange(mdl *model.Model, grads []*nn.ParamSet, lo, hi int, dst []float32) {
+// flattenGrads copies every module's gradients into dst in wire order.
+func flattenGrads(grads []*nn.ParamSet, dst []float32) {
 	off := 0
-	for i := lo; i < hi; i++ {
-		n := grads[i].Size()
-		grads[i].FlattenInto(dst[off : off+n])
-		off += n
+	for _, g := range grads {
+		g.FlattenInto(dst[off : off+g.Size()])
+		off += g.Size()
 	}
 	if off != len(dst) {
-		panic("pipeline: flattenGradsRange size mismatch")
+		panic("pipeline: flattenGrads size mismatch")
 	}
 }

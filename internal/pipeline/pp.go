@@ -41,14 +41,17 @@ type PP struct {
 
 	// per-microbatch state for the current iteration
 	caches map[int][]*nn.Cache
-	grads  []*nn.ParamSet
 	lossMB map[int]float64
 	seq    int
 
 	// flatW and flatG are the stage's weights and gradients in wire order,
-	// the optimizer's operands: overwritten whole by every step, so the
-	// trainer keeps them rather than allocating a chunk twice per step.
+	// the optimizer's operands and the stage's only copy of either: the
+	// model is shells, the stage's modules are views of flatW and grads —
+	// indexed by global module index — of flatG, for good. off is where the
+	// stage starts in the model's flat parameter vector.
 	flatW, flatG []float32
+	grads        []*nn.ParamSet
+	off          int
 
 	// arenas holds each in-flight microbatch's scratch arena, acquired at
 	// forward time and released (reset + pooled) after the W pass. The pool
@@ -78,7 +81,7 @@ func NewPP(t Transport, cfg model.Config, opts Options, s Strategy) (*PP, error)
 	default:
 		return nil, fmt.Errorf("pipeline: %q is not an activation-passing pipeline strategy", s)
 	}
-	mdl := model.Build(cfg)
+	mdl := model.BuildShells(cfg)
 	p := t.Size()
 	if p > len(mdl.Modules) {
 		return nil, fmt.Errorf("pipeline: %d ranks exceed %d modules", p, len(mdl.Modules))
@@ -86,7 +89,7 @@ func NewPP(t Transport, cfg model.Config, opts Options, s Strategy) (*PP, error)
 	bounds := mdl.Partition(p)
 	lo, hi := bounds[t.Rank()][0], bounds[t.Rank()][1]
 	size := mdl.ChunkSize(lo, hi)
-	return &PP{
+	pp := &PP{
 		t:         t,
 		mdl:       mdl,
 		lo:        lo,
@@ -94,11 +97,22 @@ func NewPP(t Transport, cfg model.Config, opts Options, s Strategy) (*PP, error)
 		opt:       optim.NewAdamW(size, opts.Adam),
 		flatW:     make([]float32, size),
 		flatG:     make([]float32, size),
+		grads:     make([]*nn.ParamSet, len(mdl.Modules)),
+		off:       mdl.ChunkSize(0, lo),
 		opts:      opts,
 		strategy:  s,
 		recompute: opts.Recompute && s != StrategyZB1 && s != StrategyZB2,
 		tr:        opts.Trace.Rank(t.Rank()),
-	}, nil
+	}
+	mdl.InitChunk(lo, hi, pp.flatW)
+	mdl.BindChunk(lo, hi, pp.flatW)
+	for i, off := lo, 0; i < hi; i++ {
+		g := mdl.Modules[i].Params().NewUnbound()
+		g.Bind(pp.flatG[off : off+g.Size()])
+		off += g.Size()
+		pp.grads[i] = g
+	}
+	return pp, nil
 }
 
 func (p *PP) Model() *model.Model { return p.mdl }
@@ -109,7 +123,7 @@ func (p *PP) isLast() bool  { return p.t.Rank() == p.t.Size()-1 }
 // beginIteration resets per-iteration state.
 func (p *PP) beginIteration() {
 	p.caches = make(map[int][]*nn.Cache)
-	p.grads = zeroedGrads(p.mdl, p.grads, p.lo, p.hi)
+	clear(p.flatG)
 	p.lossMB = make(map[int]float64)
 	p.arenas = make(map[int]*tensor.Arena)
 	p.inbox = make(map[int][2][]float32)
@@ -213,8 +227,6 @@ func (p *PP) step(n int) error {
 	span := p.tr.Begin()
 	defer func() { p.tr.End(span, trace.CodeOpt, int64(p.seq), 0) }()
 	flatW, flatG := p.flatW, p.flatG
-	p.mdl.FlattenChunk(p.lo, p.hi, flatW)
-	flattenGradsRange(p.mdl, p.grads, p.lo, p.hi, flatG)
 	inv := gradFactor(n)
 	for i := range flatG {
 		flatG[i] *= inv
@@ -241,7 +253,6 @@ func (p *PP) step(n int) error {
 		}
 	}
 	p.opt.Step(flatW, flatG)
-	p.mdl.SetChunk(p.lo, p.hi, flatW)
 	return nil
 }
 

@@ -15,11 +15,14 @@ import (
 )
 
 // Recoverable is implemented by trainers that can checkpoint and restore
-// their full training state: the owned weights (via Owner + Model()), the
-// optimizer moments of the owned range, and the iteration counter. It is
-// what coordinated checkpoint/restart needs from each rank.
+// their full training state: the owned weights (Owner), the optimizer
+// moments of the owned range, and the iteration counter. It is what
+// coordinated checkpoint/restart needs from each rank.
 type Recoverable interface {
 	Owner
+	// OwnedModules reports the contiguous module range whose weights and
+	// optimizer state the rank owns.
+	OwnedModules() (lo, hi int)
 	// ExportOptimState returns the optimizer step count and copies of the
 	// first/second moment vectors covering exactly the owned module range
 	// (flat, in module order).
@@ -178,35 +181,28 @@ func fullState(snap *checkpoint.Snapshot) bool {
 }
 
 // RestoreSnapshot loads a coordinated checkpoint into a fresh cluster:
-// every rank gets the full weights, its owned slice of the optimizer
-// moments, and the snapshot's iteration counter; WeiPipe ranks running
-// buddy replication additionally seed their shadow replica from the
-// successor chunk's slice — which is how elastic repair re-arms the next
-// failure's recovery without any extra traffic. Because the snapshot is a
-// full flat state, the cluster restored into may have a different world
+// every rank loads the weights it holds (Owner.LoadWeights), its owned slice
+// of the optimizer moments, and the snapshot's iteration counter; WeiPipe
+// ranks running buddy replication additionally seed their shadow replica
+// from the successor chunk's slice — which is how elastic repair re-arms the
+// next failure's recovery without any extra traffic. Because the snapshot is
+// a full flat state, the cluster restored into may have a different world
 // size than the one that captured it (that is the elastic re-shard).
 // Training resumed from the restored state is bit-identical to a run that
-// never stopped. A weight-only snapshot loads the weights alone: the
-// optimizer stays fresh and the iteration counter at 0.
+// never stopped. A weight-only snapshot loads the weights alone (a buddy
+// shadow's included): the optimizer stays fresh and the iteration counter
+// at 0.
 func RestoreSnapshot(snap *checkpoint.Snapshot, trainers []Trainer) error {
-	offsets := moduleOffsets(trainers[0].Model())
+	mdl := trainers[0].Model()
+	if len(snap.Weights) != mdl.NumParams() {
+		return fmt.Errorf("pipeline: model has %d params, snapshot %d", mdl.NumParams(), len(snap.Weights))
+	}
+	offsets := moduleOffsets(mdl)
 	am, av := snap.Sections["adam.m"], snap.Sections["adam.v"]
 	optStep := snapshotOptStep(snap)
 	for _, tr := range trainers {
-		if err := snap.ApplyTo(tr.Model()); err != nil {
-			return err
-		}
-		if r, ok := tr.(interface{ ReloadMasterFromModel() }); ok {
-			r.ReloadMasterFromModel()
-		}
+		tr.(Owner).LoadWeights(snap.Weights)
 		if !fullState(snap) {
-			// The buddy's fresh optimizer is right as it is; its weights
-			// are the successor chunk's slice.
-			if wp, ok := tr.(*WeiPipe); ok && wp.buddy != nil {
-				c, _ := wp.BuddyChunk()
-				blo, bhi := wp.chunkRange(c)
-				copy(wp.buddy.w, snap.Weights[offsets[blo]:offsets[bhi]])
-			}
 			continue
 		}
 		rec, ok := tr.(Recoverable)

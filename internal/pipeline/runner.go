@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
@@ -9,27 +11,91 @@ import (
 	"weipipe/internal/model"
 )
 
-// Owner is implemented by every trainer; it reports which contiguous module
-// range of the local Model() holds authoritative (post-step) weights. Data-
-// parallel strategies own the whole model on every rank; pipeline
-// strategies own their stage; WeiPipe workers own their chunk.
+// Owner is implemented by every trainer. It moves the weights the rank holds
+// — the authoritative, post-step copy — between the trainer and the model's
+// flat parameter vector (wire order, Model().NumParams() long). Which
+// elements those are is the strategy's: the whole model (serial, DP), the
+// rank's stage (PP), its owned chunk (WeiPipe) or its shard of every module
+// (FSDP). Weights leave a trainer through ExportWeights (AssembleWeights)
+// and enter it through LoadWeights (RestoreSnapshot), never through Model().
 type Owner interface {
-	OwnedModules() (lo, hi int)
+	// ExportWeights copies the rank's weights into their places in full and
+	// returns the ranges [lo, hi) of full it wrote.
+	ExportWeights(full []float32) [][2]int
+	// LoadWeights replaces the rank's weights with their elements of full.
+	LoadWeights(full []float32)
 }
 
-// OwnedModules implements Owner for the serial reference (whole model).
+// exportFlat copies w, weights a rank holds as one flat range, into full at
+// offset off and returns the range it wrote.
+func exportFlat(full []float32, off int, w []float32) [2]int {
+	copy(full[off:off+len(w)], w)
+	return [2]int{off, off + len(w)}
+}
+
+// ExportWeights implements Owner for the serial reference (whole model).
+func (s *Serial) ExportWeights(full []float32) [][2]int {
+	s.mdl.FlattenChunk(0, len(s.mdl.Modules), full)
+	return [][2]int{{0, len(full)}}
+}
+
+// LoadWeights implements Owner for the serial reference.
+func (s *Serial) LoadWeights(full []float32) { s.mdl.SetChunk(0, len(s.mdl.Modules), full) }
+
+// ExportWeights implements Owner for DP (whole model on every rank).
+func (d *DP) ExportWeights(full []float32) [][2]int {
+	d.mdl.FlattenChunk(0, len(d.mdl.Modules), full)
+	return [][2]int{{0, len(full)}}
+}
+
+// LoadWeights implements Owner for DP.
+func (d *DP) LoadWeights(full []float32) { d.mdl.SetChunk(0, len(d.mdl.Modules), full) }
+
+// ExportWeights implements Owner for FSDP: this rank's shard of every module.
+func (f *FSDP) ExportWeights(full []float32) [][2]int {
+	held := make([][2]int, len(f.shards))
+	for i, shard := range f.shards {
+		held[i] = exportFlat(full, f.shardAt[i], shard)
+	}
+	return held
+}
+
+// LoadWeights implements Owner for FSDP.
+func (f *FSDP) LoadWeights(full []float32) {
+	for i, shard := range f.shards {
+		copy(shard, full[f.shardAt[i]:])
+	}
+}
+
+// ExportWeights implements Owner for the activation-passing stages.
+func (p *PP) ExportWeights(full []float32) [][2]int {
+	return [][2]int{exportFlat(full, p.off, p.flatW)}
+}
+
+// LoadWeights implements Owner for the activation-passing stages.
+func (p *PP) LoadWeights(full []float32) { copy(p.flatW, full[p.off:]) }
+
+// ExportWeights implements Owner for WeiPipe (the owned chunk).
+func (w *WeiPipe) ExportWeights(full []float32) [][2]int {
+	return [][2]int{exportFlat(full, w.chunkOffset(w.ownChunk), w.masterW)}
+}
+
+// LoadWeights implements Owner for WeiPipe: the owned chunk and, under buddy
+// replication, the shadowed successor chunk. A load is a legitimate mutation
+// of guarded resident state, so the integrity guards are re-armed over the
+// fresh values.
+func (w *WeiPipe) LoadWeights(full []float32) {
+	copy(w.masterW, full[w.chunkOffset(w.ownChunk):])
+	if w.buddy != nil {
+		copy(w.buddy.w, full[w.chunkOffset(w.buddy.chunk):])
+	}
+	w.refreshResidentGuards()
+}
+
+// OwnedModules implements Recoverable for the serial reference (whole model).
 func (s *Serial) OwnedModules() (int, int) { return 0, len(s.mdl.Modules) }
 
-// OwnedModules implements Owner for DP (whole model on every rank).
-func (d *DP) OwnedModules() (int, int) { return 0, len(d.mdl.Modules) }
-
-// OwnedModules implements Owner for FSDP (buffer refreshed post-step).
-func (f *FSDP) OwnedModules() (int, int) { return 0, len(f.mdl.Modules) }
-
-// OwnedModules implements Owner for the activation-passing stages.
-func (p *PP) OwnedModules() (int, int) { return p.lo, p.hi }
-
-// OwnedModules implements Owner for WeiPipe (the owned chunk).
+// OwnedModules implements Recoverable for WeiPipe (the owned chunk).
 func (w *WeiPipe) OwnedModules() (int, int) { return w.chunkRange(w.ownChunk) }
 
 // ClusterResult is the outcome of RunCluster and RunResilient.
@@ -136,32 +202,25 @@ func RunCluster(s Strategy, p int, cfg model.Config, opts Options, iters int,
 		}, ResilientOptions{})
 }
 
-// AssembleWeights builds the full flat parameter vector from each trainer's
-// owned module range. Every module must be owned by at least one trainer.
+// AssembleWeights builds the full flat parameter vector from the weights
+// each trainer holds (Owner.ExportWeights). Every element must be held by at
+// least one trainer.
 func AssembleWeights(trainers []Trainer) []float32 {
-	mdl := trainers[0].Model()
-	nMods := len(mdl.Modules)
-	full := make([]float32, mdl.NumParams())
-	covered := make([]bool, nMods)
-
-	// module offsets in the flat layout
-	offsets := make([]int, nMods+1)
-	for i := 0; i < nMods; i++ {
-		offsets[i+1] = offsets[i] + mdl.ModuleParamSize(i)
-	}
+	full := make([]float32, trainers[0].Model().NumParams())
+	var held [][2]int
 	for _, tr := range trainers {
-		lo, hi := tr.(Owner).OwnedModules()
-		buf := make([]float32, offsets[hi]-offsets[lo])
-		tr.Model().FlattenChunk(lo, hi, buf)
-		copy(full[offsets[lo]:offsets[hi]], buf)
-		for i := lo; i < hi; i++ {
-			covered[i] = true
-		}
+		held = append(held, tr.(Owner).ExportWeights(full)...)
 	}
-	for i, ok := range covered {
-		if !ok {
-			panic(fmt.Sprintf("pipeline: module %d owned by no rank", i))
+	slices.SortFunc(held, func(a, b [2]int) int { return cmp.Compare(a[0], b[0]) })
+	next := 0 // every element below next is held
+	for _, r := range held {
+		if r[0] > next {
+			break
 		}
+		next = max(next, r[1])
+	}
+	if next < len(full) {
+		panic(fmt.Sprintf("pipeline: weight %d held by no rank", next))
 	}
 	return full
 }
@@ -193,10 +252,3 @@ func (w *WeiPipe) SetLR(lr float64) { w.opt.SetLR(lr) }
 
 // SetLR implements LRSetter for the hybrid trainer.
 func (h *WeiPipeDP) SetLR(lr float64) { h.inner.SetLR(lr) }
-
-// ReloadMasterFromModel is called after loading checkpoint weights into
-// Model(). The owned chunk's modules are views of the master vector, so the
-// load already wrote it; what is left is that the load was a legitimate
-// mutation of guarded resident state, so the integrity guards are re-armed
-// over the fresh values.
-func (w *WeiPipe) ReloadMasterFromModel() { w.refreshResidentGuards() }

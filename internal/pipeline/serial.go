@@ -45,7 +45,7 @@ func (s *Serial) Model() *model.Model { return s.mdl }
 // TrainIteration implements Trainer.
 func (s *Serial) TrainIteration(batches []data.Batch) (float64, error) {
 	n := len(s.mdl.Modules)
-	s.grads = zeroedGrads(s.mdl, s.grads, 0, n)
+	s.grads = zeroedGrads(s.mdl, s.grads)
 	grads := s.grads
 	var lossSum float64
 	for mi, b := range batches {
@@ -78,7 +78,7 @@ func (s *Serial) step(grads []*nn.ParamSet, n int) {
 	flatW := make([]float32, total)
 	flatG := make([]float32, total)
 	s.mdl.FlattenChunk(0, len(s.mdl.Modules), flatW)
-	flattenGradsRange(s.mdl, grads, 0, len(s.mdl.Modules), flatG)
+	flattenGrads(grads, flatG)
 	inv := gradFactor(n)
 	for i := range flatG {
 		flatG[i] *= inv

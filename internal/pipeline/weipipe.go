@@ -2,8 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"math"
-	"sync/atomic"
 	"time"
 
 	"weipipe/internal/comm"
@@ -204,7 +202,7 @@ const (
 
 // NewWeiPipe builds a WeiPipe trainer for this rank.
 func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (*WeiPipe, error) {
-	mdl := model.Build(cfg)
+	mdl := model.BuildShells(cfg)
 	p := t.Size()
 	if p > len(mdl.Modules) {
 		return nil, fmt.Errorf("pipeline: %d ranks exceed %d modules", p, len(mdl.Modules))
@@ -219,7 +217,7 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 	w.ownChunk = (t.Rank() + 1) % p
 	lo, hi := w.chunkRange(w.ownChunk)
 	w.masterW = make([]float32, mdl.ChunkSize(lo, hi))
-	mdl.FlattenChunk(lo, hi, w.masterW)
+	mdl.InitChunk(lo, hi, w.masterW)
 	w.opt = optim.NewAdamW(len(w.masterW), opts.Adam)
 	for _, m := range mdl.Modules {
 		w.wGrads = append(w.wGrads, m.Params().NewUnbound())
@@ -241,35 +239,11 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 	if opts.buddy && p >= 2 {
 		w.initBuddy()
 	}
-	// From here on the model's own storage is dead: the owned chunk's
-	// modules are views of masterW for good (the step updates what Model()
-	// shows, with no copy), and every other module holds weights only while
-	// a stage has it bound to a belt buffer.
-	if beltPoison.Load() {
-		nan := float32(math.NaN())
-		for _, m := range mdl.Modules {
-			for _, name := range m.Params().Names() {
-				m.Params().Get(name).Fill(nan)
-			}
-		}
-	}
+	// The model is shells: the owned chunk's modules are views of masterW for
+	// good (the step updates them with no copy), and every other module has
+	// weights only while a stage has it bound to a belt buffer.
 	mdl.BindChunk(lo, hi, w.masterW)
 	return w, nil
-}
-
-// beltPoison is the SetBeltPoison switch.
-var beltPoison atomic.Bool
-
-// SetBeltPoison is the belt's test hook, in the spirit of
-// tensor.SetArenaPoison: trainers built while it is on fill the model's own
-// storage with NaN before taking it out of use, and the buffer pool poisons
-// every buffer at its last release (comm.SetBufPoison) — so a module read
-// outside the stage that bound it, or a chunk read after its reference went
-// back, yields NaN losses instead of silently training on last turn's
-// weights.
-func SetBeltPoison(on bool) {
-	beltPoison.Store(on)
-	comm.SetBufPoison(on)
 }
 
 // Model implements Trainer. Only the owned chunk's modules (OwnedModules)
@@ -278,6 +252,9 @@ func (w *WeiPipe) Model() *model.Model { return w.mdl }
 
 // chunkRange returns the module range of chunk c.
 func (w *WeiPipe) chunkRange(c int) (int, int) { return w.bounds[c][0], w.bounds[c][1] }
+
+// chunkOffset returns where chunk c starts in the flat parameter vector.
+func (w *WeiPipe) chunkOffset(c int) int { return w.mdl.ChunkSize(0, w.bounds[c][0]) }
 
 // owner returns the rank owning chunk c.
 func (w *WeiPipe) owner(c int) int { return (c - 1 + w.t.Size()) % w.t.Size() }

@@ -72,8 +72,14 @@ func NewWeiPipeDP(t Transport, cfg model.Config, opts Options, v WeiPipeVariant,
 // Model implements Trainer.
 func (h *WeiPipeDP) Model() *model.Model { return h.inner.Model() }
 
-// OwnedModules implements Owner (the inner ring's owned chunk; every
+// ExportWeights implements Owner (the inner ring's owned chunk; every
 // replica owns a full copy, so replica 0 alone covers the model).
+func (h *WeiPipeDP) ExportWeights(full []float32) [][2]int { return h.inner.ExportWeights(full) }
+
+// LoadWeights implements Owner.
+func (h *WeiPipeDP) LoadWeights(full []float32) { h.inner.LoadWeights(full) }
+
+// OwnedModules implements Recoverable (the inner ring's owned chunk).
 func (h *WeiPipeDP) OwnedModules() (int, int) { return h.inner.OwnedModules() }
 
 // TrainIteration implements Trainer.
@@ -110,9 +116,6 @@ func (h *WeiPipeDP) RestoreOptimState(step int64, m, v []float32) error {
 
 // SetIteration implements Recoverable.
 func (h *WeiPipeDP) SetIteration(iter int) { h.inner.SetIteration(iter) }
-
-// ReloadMasterFromModel re-arms the inner ring's guards after a weight load.
-func (h *WeiPipeDP) ReloadMasterFromModel() { h.inner.ReloadMasterFromModel() }
 
 var (
 	_ Trainer     = (*WeiPipeDP)(nil)
