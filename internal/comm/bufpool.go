@@ -69,20 +69,29 @@ func GetBuf(n int) []float32 {
 	if n == 0 {
 		return nil
 	}
-	if c := bufClassCeil(n); c < bufNumClasses {
-		if v := bufPools[c].Get(); v != nil {
-			h := v.(*[]float32)
-			buf := (*h)[:n]
-			*h = nil
-			hdrPool.Put(h)
-			if bufPoison.Load() {
-				shared.unfile(buf)
-			}
-			return buf
-		}
+	buf := getPooled(n)
+	crcs.forget(buf) // a checksum remembered for an earlier buffer at this address
+	return buf
+}
+
+// getPooled returns a length-n buffer from the pool, or a new one.
+func getPooled(n int) []float32 {
+	c := bufClassCeil(n)
+	if c >= bufNumClasses {
+		return make([]float32, n)
+	}
+	v := bufPools[c].Get()
+	if v == nil {
 		return make([]float32, n, bufMinLen<<c)
 	}
-	return make([]float32, n)
+	h := v.(*[]float32)
+	buf := (*h)[:n]
+	*h = nil
+	hdrPool.Put(h)
+	if bufPoison.Load() {
+		shared.unfile(buf)
+	}
+	return buf
 }
 
 // Release gives up the caller's reference to a payload buffer; the last
@@ -95,6 +104,7 @@ func Release(buf []float32) {
 	if shared.n.Load() != 0 && shared.drop(buf) {
 		return
 	}
+	crcs.forget(buf)
 	c := bufClassFloor(cap(buf))
 	if c < 0 {
 		return
@@ -273,4 +283,111 @@ func (t *sharedTable) unfile(buf []float32) {
 	t.mu.Lock()
 	delete(t.filed, unsafe.SliceData(buf))
 	t.mu.Unlock()
+}
+
+// crcs is the table of verified body checksums behind Forward.
+var crcs crcTable
+
+// crcTable remembers, for received f32 payloads of at least crcMinElems
+// elements, the CRC of the body the TCP reader just verified, so that
+// Forward can seal a relay of the unchanged payload without reading it
+// again. Entries are keyed by the buffer's base address as a uintptr, so the
+// table keeps no buffer alive, and an entry is forgotten at the buffer's
+// last Release, whenever GetBuf hands out a buffer at that address and when
+// a TCP self-send delivers the buffer, which no reader verified. A
+// payload that is kept and never released leaves its entry behind until the
+// table is full and evicts it; Forward never trusts an entry whose length
+// differs. When the table is empty, forget costs one atomic load.
+type crcTable struct {
+	n    atomic.Int32 // len(ents), readable without mu
+	mu   sync.Mutex
+	ents []crcEntry // oldest first
+}
+
+type crcEntry struct {
+	base uintptr
+	n    int
+	crc  uint32
+}
+
+// The two sizes are measured on a 2-core AVX-512 host. Remembering,
+// looking up and forgetting one entry costs 80–120 ns at 0–21 entries; a
+// body CRC costs that at 400–500 elements and 1 µs at 4096. On the wide TCP
+// benchmark workloads every relayed payload is either a 0- or 1-element
+// scalar all-reduce shard or at least 16 384 elements, 53–58 % of the
+// remembered entries are forwarded, and the table holds at most 21 entries
+// (WZB2, four ranks in one process) or 13 (FSDP) and never evicts.
+const (
+	// crcMinElems is the smallest payload whose checksum is remembered. At
+	// it a full CRC costs ten times the table's round trip, so an entry pays
+	// for itself even when half of them are never forwarded.
+	crcMinElems = 4096
+	// crcMaxEntries bounds the table at three times the largest occupancy
+	// measured. Every GetBuf and last Release scans it while it is not
+	// empty: 30 ns at 21 entries, 60–80 ns full.
+	crcMaxEntries = 64
+)
+
+func bufBase(buf []float32) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(buf))) }
+
+// find returns the index of base's entry, or -1. Callers hold t.mu.
+func (t *crcTable) find(base uintptr) int {
+	for i := range t.ents {
+		if t.ents[i].base == base {
+			return i
+		}
+	}
+	return -1
+}
+
+// remember records crc as the verified checksum of payload's f32 wire
+// image.
+func (t *crcTable) remember(payload []float32, crc uint32) {
+	if len(payload) < crcMinElems {
+		return
+	}
+	e := crcEntry{base: bufBase(payload), n: len(payload), crc: crc}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if i := t.find(e.base); i >= 0 {
+		t.ents[i] = e
+		return
+	}
+	if len(t.ents) == crcMaxEntries {
+		copy(t.ents, t.ents[1:])
+		t.ents = t.ents[:len(t.ents)-1]
+	}
+	t.ents = append(t.ents, e)
+	t.n.Store(int32(len(t.ents)))
+}
+
+// known returns the remembered checksum of payload, if there is one for a
+// buffer of its base and length.
+func (t *crcTable) known(payload []float32) (uint32, bool) {
+	if t.n.Load() == 0 || len(payload) == 0 {
+		return 0, false
+	}
+	base := bufBase(payload)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if i := t.find(base); i >= 0 && t.ents[i].n == len(payload) {
+		return t.ents[i].crc, true
+	}
+	return 0, false
+}
+
+// forget drops buf's entry, if any.
+func (t *crcTable) forget(buf []float32) {
+	if t.n.Load() == 0 || cap(buf) == 0 {
+		return
+	}
+	base := bufBase(buf)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if i := t.find(base); i >= 0 {
+		last := len(t.ents) - 1
+		copy(t.ents[i:], t.ents[i+1:])
+		t.ents = t.ents[:last]
+		t.n.Store(int32(last))
+	}
 }

@@ -25,6 +25,11 @@ func ShardRanges(n, p int) [][2]int {
 	return out
 }
 
+// ShardOf returns the shard of a p-way split that rank r ends a ring
+// reduce-scatter holding in full — (r+1) mod p — and so the shard it owns
+// and contributes to AllGather.
+func ShardOf(r, p int) int { return (r + 1) % p }
+
 // RingAllReduceSum sums data elementwise across all ranks, in place, using
 // the 2(p−1)-step ring algorithm. All ranks must pass equal-length slices.
 func RingAllReduceSum(t Transport, data []float32, seq int) error {
@@ -32,17 +37,22 @@ func RingAllReduceSum(t Transport, data []float32, seq int) error {
 	if p == 1 {
 		return nil
 	}
-	r := t.Rank()
-	next := (r + 1) % p
-	prev := (r - 1 + p) % p
 	shards := ShardRanges(len(data), p)
+	if err := reduceScatter(t, data, shards, seq); err != nil {
+		return err
+	}
+	return ringGather(t, data, shards, seq, p)
+}
 
-	// Phase 1: reduce-scatter. After p−1 steps rank r holds the full sum of
-	// shard (r+1) mod p.
+// reduceScatter runs the ring's p−1 reduce steps over data, tagged B = 0 …
+// p−2. After step s rank r has added its copy of shard (r−s−1) mod p into
+// the partial sum it received, so after the last step it holds the full sum
+// of shard ShardOf(r, p).
+func reduceScatter(t Transport, data []float32, shards [][2]int, seq int) error {
+	p, r := t.Size(), t.Rank()
+	next, prev := (r+1)%p, (r-1+p)%p
 	for step := 0; step < p-1; step++ {
-		sendID := (r - step + p) % p
-		recvID := (r - step - 1 + p) % p
-		s := shards[sendID]
+		s := shards[(r-step+p)%p]
 		if err := t.Send(next, Tag{Kind: KindColl, A: seq, B: step}, data[s[0]:s[1]]); err != nil {
 			return err
 		}
@@ -50,123 +60,100 @@ func RingAllReduceSum(t Transport, data []float32, seq int) error {
 		if err != nil {
 			return err
 		}
-		rg := shards[recvID]
+		rg := shards[(r-step-1+p)%p]
 		dst := data[rg[0]:rg[1]]
 		if len(buf) != len(dst) {
-			return fmt.Errorf("comm: allreduce shard size mismatch %d != %d", len(buf), len(dst))
+			Release(buf)
+			return fmt.Errorf("comm: reduce-scatter shard size mismatch %d != %d", len(buf), len(dst))
 		}
 		tensor.AddIntoF32(dst, buf)
-		Release(buf)
-	}
-	// Phase 2: all-gather the reduced shards.
-	for step := 0; step < p-1; step++ {
-		sendID := (r + 1 - step + p) % p
-		recvID := (r - step + p) % p
-		s := shards[sendID]
-		if err := t.Send(next, Tag{Kind: KindColl, A: seq, B: p + step}, data[s[0]:s[1]]); err != nil {
-			return err
-		}
-		buf, err := t.Recv(prev, Tag{Kind: KindColl, A: seq, B: p + step})
-		if err != nil {
-			return err
-		}
-		rg := shards[recvID]
-		copy(data[rg[0]:rg[1]], buf)
 		Release(buf)
 	}
 	return nil
 }
 
-// ReduceScatterSum sums data across ranks and returns this rank's shard
-// (shard boundaries per ShardRanges) in a pool buffer the caller owns and
-// may Release. data is clobbered.
-func ReduceScatterSum(t Transport, data []float32, seq int) ([]float32, error) {
-	p := t.Size()
-	r := t.Rank()
-	shards := ShardRanges(len(data), p)
-	if p == 1 {
-		out := GetBuf(len(data))
-		copy(out, data)
-		return out, nil
+// ringGather runs the ring's p−1 all-gather steps over data, tagged B =
+// base … base+p−2, from the layout reduceScatter leaves: rank r holds shard
+// ShardOf(r, p) and receives shard (r−s) mod p at step s. The shard it
+// sends at step s+1 is the one it received at step s, so from the second
+// step on it forwards the received buffer (Forward) instead of copying the
+// shard back out of data.
+func ringGather(t Transport, data []float32, shards [][2]int, seq, base int) error {
+	p, r := t.Size(), t.Rank()
+	next, prev := (r+1)%p, (r-1+p)%p
+	own := shards[ShardOf(r, p)]
+	if err := t.Send(next, Tag{Kind: KindColl, A: seq, B: base}, data[own[0]:own[1]]); err != nil {
+		return err
 	}
-	next := (r + 1) % p
-	prev := (r - 1 + p) % p
 	for step := 0; step < p-1; step++ {
-		sendID := (r - step + p) % p
-		recvID := (r - step - 1 + p) % p
-		s := shards[sendID]
-		if err := t.Send(next, Tag{Kind: KindColl, A: seq, B: step}, data[s[0]:s[1]]); err != nil {
-			return nil, err
-		}
-		buf, err := t.Recv(prev, Tag{Kind: KindColl, A: seq, B: step})
+		buf, err := t.Recv(prev, Tag{Kind: KindColl, A: seq, B: base + step})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rg := shards[recvID]
-		dst := data[rg[0]:rg[1]]
-		if len(buf) != len(dst) {
-			return nil, fmt.Errorf("comm: reduce-scatter shard size mismatch %d != %d", len(buf), len(dst))
+		rg := shards[(r-step+p)%p]
+		if len(buf) != rg[1]-rg[0] {
+			Release(buf)
+			return fmt.Errorf("comm: all-gather shard size mismatch %d != %d", len(buf), rg[1]-rg[0])
 		}
-		tensor.AddIntoF32(dst, buf)
-		Release(buf)
+		copy(data[rg[0]:rg[1]], buf)
+		if step == p-2 {
+			Release(buf)
+			break
+		}
+		if err := Forward(t, next, Tag{Kind: KindColl, A: seq, B: base + step + 1}, buf); err != nil {
+			return err
+		}
 	}
-	// After p−1 steps this rank holds the full sum of shard (r+1) mod p, and
-	// shard r sits on rank r−1 — rotate one more hop forward so rank r owns
-	// shard r, the layout FSDP expects.
-	ownedID := (r + 1) % p
-	og := shards[ownedID]
-	if err := t.Send(next, Tag{Kind: KindColl, A: seq, B: p}, data[og[0]:og[1]]); err != nil {
-		return nil, err
-	}
-	buf, err := t.Recv(prev, Tag{Kind: KindColl, A: seq, B: p})
-	if err != nil {
-		return nil, err
-	}
-	myRange := shards[r]
-	if len(buf) != myRange[1]-myRange[0] {
-		return nil, fmt.Errorf("comm: reduce-scatter final shard mismatch")
-	}
-	return buf, nil
+	return nil
 }
 
-// AllGather concatenates each rank's shard into the full vector. shardLens
-// gives every rank's shard length (all ranks pass the same slice); mine must
-// have length shardLens[rank]. The result is drawn from the payload pool —
-// callers that Release it (FSDP does, per module per pass) feed the pool
-// exactly what the next gather takes out — and every element of it is
-// written: this rank's shard here, every other shard by its ring step.
+// ReduceScatterSum sums data across ranks with the ring's p−1 reduce steps
+// and returns the shard this rank then holds in full: shard ShardOf(rank, p)
+// of ShardRanges(len(data), p), as a subslice of data (no copy). The rest of
+// data is clobbered.
+func ReduceScatterSum(t Transport, data []float32, seq int) ([]float32, error) {
+	p := t.Size()
+	shards := ShardRanges(len(data), p)
+	if p > 1 {
+		if err := reduceScatter(t, data, shards, seq); err != nil {
+			return nil, err
+		}
+	}
+	own := shards[ShardOf(t.Rank(), p)]
+	return data[own[0]:own[1]], nil
+}
+
+// AllGather concatenates the ranks' shards into the full vector. shardLens
+// gives every shard's length in vector order (all ranks pass the same
+// slice); rank r contributes shard ShardOf(r, p) — the layout
+// ReduceScatterSum leaves — so mine must have length shardLens[ShardOf(r,
+// p)]. The result is drawn from the payload pool — callers that Release it
+// (FSDP does, per module per pass) feed the pool exactly what the next
+// gather takes out — and every element of it is written: this rank's shard
+// here, every other shard by its ring step.
 func AllGather(t Transport, mine []float32, shardLens []int, seq int) ([]float32, error) {
 	p := t.Size()
-	r := t.Rank()
 	if len(shardLens) != p {
 		return nil, fmt.Errorf("comm: shardLens has %d entries for %d ranks", len(shardLens), p)
 	}
-	if len(mine) != shardLens[r] {
-		return nil, fmt.Errorf("comm: shard length %d != declared %d", len(mine), shardLens[r])
+	own := ShardOf(t.Rank(), p)
+	if len(mine) != shardLens[own] {
+		return nil, fmt.Errorf("comm: shard length %d != declared %d", len(mine), shardLens[own])
 	}
-	offsets := make([]int, p+1)
-	for i := 0; i < p; i++ {
-		offsets[i+1] = offsets[i] + shardLens[i]
+	shards := make([][2]int, p)
+	off := 0
+	for i, n := range shardLens {
+		shards[i] = [2]int{off, off + n}
+		off += n
 	}
-	out := GetBuf(offsets[p])
-	copy(out[offsets[r]:offsets[r+1]], mine)
+	out := GetBuf(off)
+	copy(out[shards[own][0]:shards[own][1]], mine)
 	if p == 1 {
 		return out, nil
 	}
-	next := (r + 1) % p
-	prev := (r - 1 + p) % p
-	for step := 0; step < p-1; step++ {
-		sendID := (r - step + p) % p
-		recvID := (r - step - 1 + p) % p
-		if err := t.Send(next, Tag{Kind: KindColl, A: seq, B: step}, out[offsets[sendID]:offsets[sendID+1]]); err != nil {
-			return nil, err
-		}
-		buf, err := t.Recv(prev, Tag{Kind: KindColl, A: seq, B: step})
-		if err != nil {
-			return nil, err
-		}
-		copy(out[offsets[recvID]:offsets[recvID+1]], buf)
-		Release(buf)
+	if err := ringGather(t, out, shards, seq, 0); err != nil {
+		Release(out)
+		return nil, err
 	}
 	return out, nil
 }

@@ -131,7 +131,7 @@ func TestReduceScatterThenGatherIsAllReduce(t *testing.T) {
 		}
 		for r := 0; r < p; r++ {
 			for i := 0; i < n; i++ {
-				if math.Abs(float64(viaRS[r][i]-viaAR[r][i])) > 1e-4*float64(p) {
+				if math.Float32bits(viaRS[r][i]) != math.Float32bits(viaAR[r][i]) {
 					return false
 				}
 			}

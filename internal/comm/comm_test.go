@@ -174,44 +174,57 @@ func TestRingAllReduceSum(t *testing.T) {
 	}
 }
 
+// ReduceScatterSum leaves rank r the full sum of shard ShardOf(r, p), in
+// place in its input: the layout of RingAllReduceSum's first phase, and its
+// bits — the shard is a subslice of the data the all-reduce would go on to
+// gather, summed in the same order.
 func TestReduceScatterSum(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 5} {
 		const n = 23
 		var mu sync.Mutex
 		results := make(map[int][]float32)
+		reduced := make(map[int][]float32)
 		runRanks(t, p, func(tr Transport) error {
 			data := make([]float32, n)
 			for i := range data {
-				data[i] = float32(tr.Rank() + i)
+				data[i] = float32(tr.Rank()) + 0.1*float32(i)
 			}
+			ref := append([]float32(nil), data...)
 			shard, err := ReduceScatterSum(tr, data, 2)
 			if err != nil {
 				return err
 			}
+			if err := RingAllReduceSum(tr, ref, 3); err != nil {
+				return err
+			}
 			mu.Lock()
-			results[tr.Rank()] = shard
+			results[tr.Rank()], reduced[tr.Rank()] = shard, ref
 			mu.Unlock()
 			return nil
 		})
 		shards := ShardRanges(n, p)
 		for r := 0; r < p; r++ {
-			rg := shards[r]
+			rg := shards[ShardOf(r, p)]
 			if len(results[r]) != rg[1]-rg[0] {
 				t.Fatalf("p=%d rank %d shard len %d want %d", p, r, len(results[r]), rg[1]-rg[0])
 			}
 			for i, v := range results[r] {
 				var want float32
 				for q := 0; q < p; q++ {
-					want += float32(q + rg[0] + i)
+					want += float32(q) + 0.1*float32(rg[0]+i)
 				}
 				if math.Abs(float64(v-want)) > 1e-3 {
 					t.Fatalf("p=%d rank %d elem %d: got %v want %v", p, r, i, v, want)
+				}
+				if math.Float32bits(v) != math.Float32bits(reduced[r][rg[0]+i]) {
+					t.Fatalf("p=%d rank %d elem %d: %v, all-reduce gives %v", p, r, i, v, reduced[r][rg[0]+i])
 				}
 			}
 		}
 	}
 }
 
+// AllGather takes rank r's shard as shard ShardOf(r, p) of the vector.
 func TestAllGather(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5} {
 		shardLens := make([]int, p)
@@ -221,7 +234,7 @@ func TestAllGather(t *testing.T) {
 		var mu sync.Mutex
 		results := make(map[int][]float32)
 		runRanks(t, p, func(tr Transport) error {
-			mine := make([]float32, shardLens[tr.Rank()])
+			mine := make([]float32, shardLens[ShardOf(tr.Rank(), p)])
 			for i := range mine {
 				mine[i] = float32(tr.Rank()*1000 + i)
 			}
@@ -237,8 +250,9 @@ func TestAllGather(t *testing.T) {
 		for r := 0; r < p; r++ {
 			idx := 0
 			for q := 0; q < p; q++ {
+				owner := (q - 1 + p) % p
 				for i := 0; i < shardLens[q]; i++ {
-					if results[r][idx] != float32(q*1000+i) {
+					if results[r][idx] != float32(owner*1000+i) {
 						t.Fatalf("p=%d rank %d: wrong value at %d", p, r, idx)
 					}
 					idx++

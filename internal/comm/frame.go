@@ -146,12 +146,19 @@ type outFrame struct {
 	sealed  bool
 	hdr     [frameHeaderLen]byte
 	body    []byte // the payload's wire image: a view of payload, not a copy
+
+	// bodyCRC, when crcKnown, is the CRC of the payload's f32 wire image as
+	// this rank's reader verified it on receipt (Forward): the seal combines
+	// it with the header's instead of reading the body again.
+	bodyCRC  uint32
+	crcKnown bool
 }
 
 // seal fixes the frame's wire image. An f32 payload is its own image
 // (tensor.F32LE); a bf16 payload is packed once into a pooled buffer half
 // the size, which replaces it. The CRC is computed here, once, and rides in
-// hdr for every later transmission.
+// hdr for every later transmission; a forwarded f32 payload's body CRC is
+// already known, and only the header is read.
 func (f *outFrame) seal(src int, epoch uint32) {
 	n := len(f.payload)
 	if f.codec == CodecBF16 {
@@ -163,8 +170,20 @@ func (f *outFrame) seal(src int, epoch uint32) {
 	} else {
 		f.body = tensor.F32LE(f.payload)
 	}
-	sealHeader(&f.hdr, src, kindField(f.tag.Kind, f.codec), epoch, int64(f.tag.A), int64(f.tag.B), f.seq, n, f.body)
+	bodyCRC := f.bodyCRC
+	if !f.crcKnown {
+		bodyCRC = crc32.ChecksumIEEE(f.body)
+	}
+	sealHeader(&f.hdr, src, kindField(f.tag.Kind, f.codec), epoch, int64(f.tag.A), int64(f.tag.B), f.seq, n, bodyCRC, len(f.body))
 	f.sealed = true
+}
+
+// checkUnwritten is Forward's guard under SetBufPoison: it panics unless
+// payload's f32 wire image still has the checksum its reader verified.
+func checkUnwritten(payload []float32, crc uint32) {
+	if got := crc32.ChecksumIEEE(tensor.F32LE(payload)); got != crc {
+		panic(fmt.Sprintf("comm: Forward of a payload written since receipt (crc %#x, received %#x)", got, crc))
+	}
 }
 
 // release returns the retained payload to the pool, exactly once.
@@ -193,13 +212,13 @@ func (f *outFrame) image() []byte {
 // payloads are always empty and carry no codec.
 func newCtlFrame(src int, kind, epoch uint32, a int64) *outFrame {
 	f := &outFrame{sealed: true}
-	sealHeader(&f.hdr, src, kind, epoch, a, 0, 0, 0, nil)
+	sealHeader(&f.hdr, src, kind, epoch, a, 0, 0, 0, 0, 0)
 	return f
 }
 
 // sealHeader writes a frame header for a payload of n elements whose wire
-// image is body, CRC included.
-func sealHeader(hdr *[frameHeaderLen]byte, src int, kind, epoch uint32, a, b int64, seq uint64, n int, body []byte) {
+// image is bodyLen bytes with CRC bodyCRC, the frame's CRC included.
+func sealHeader(hdr *[frameHeaderLen]byte, src int, kind, epoch uint32, a, b int64, seq uint64, n int, bodyCRC uint32, bodyLen int) {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(src))
 	binary.LittleEndian.PutUint32(hdr[4:8], kind)
 	binary.LittleEndian.PutUint32(hdr[8:12], epoch)
@@ -207,13 +226,69 @@ func sealHeader(hdr *[frameHeaderLen]byte, src int, kind, epoch uint32, a, b int
 	binary.LittleEndian.PutUint64(hdr[20:28], uint64(b))
 	binary.LittleEndian.PutUint64(hdr[28:36], seq)
 	binary.LittleEndian.PutUint64(hdr[36:44], uint64(n))
-	binary.LittleEndian.PutUint32(hdr[frameCRCOffset:], frameCRC(hdr[:], body))
+	binary.LittleEndian.PutUint32(hdr[frameCRCOffset:], frameCRC(hdr[:], bodyCRC, bodyLen))
 }
 
-// frameCRC computes a frame's checksum: the header bytes before the CRC
-// field, then the payload bytes.
-func frameCRC(hdr, body []byte) uint32 {
-	return crc32.Update(crc32.Update(0, crc32.IEEETable, hdr[:frameCRCOffset]), crc32.IEEETable, body)
+// frameCRC computes a frame's checksum — CRC-32 (IEEE) over the header
+// bytes before the CRC field, then the payload bytes — from the payload's
+// own CRC, which the reader and the writer each take in one pass over the
+// body (or, for a forwarded payload, the writer already has).
+func frameCRC(hdr []byte, bodyCRC uint32, bodyLen int) uint32 {
+	return crc32Combine(crc32.ChecksumIEEE(hdr[:frameCRCOffset]), bodyCRC, int64(bodyLen))
+}
+
+// crc32Combine returns the IEEE CRC-32 of the concatenation A‖B from
+// crc1 = CRC(A), crc2 = CRC(B) and len2 = len(B), in O(log len2) — zlib's
+// crc32_combine. CRC-32 is linear over GF(2): CRC(A‖B) is CRC(A) shifted
+// through len2 zero bytes (a multiplication by x^(8·len2) modulo the
+// polynomial), xored with CRC(B).
+func crc32Combine(crc1, crc2 uint32, len2 int64) uint32 {
+	return multModP(x2nModP(len2, 3), crc1) ^ crc2
+}
+
+// crcPoly is the IEEE polynomial, bit-reflected (x^32 implied).
+const crcPoly = 0xedb88320
+
+// multModP returns a·b modulo the CRC polynomial; bit 31 is x^0. a must be
+// non-zero.
+func multModP(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; ; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+			if a&(m-1) == 0 {
+				return p
+			}
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ crcPoly
+		} else {
+			b >>= 1
+		}
+	}
+}
+
+// x2nTable[k] is x^(2^k) modulo the CRC polynomial.
+var x2nTable = func() (t [32]uint32) {
+	p := uint32(1) << 30 // x^1
+	t[0] = p
+	for k := 1; k < len(t); k++ {
+		p = multModP(p, p)
+		t[k] = p
+	}
+	return t
+}()
+
+// x2nModP returns x^(n·2^k) modulo the CRC polynomial.
+func x2nModP(n int64, k uint) uint32 {
+	p := uint32(1) << 31 // x^0
+	for ; n != 0; n >>= 1 {
+		if n&1 != 0 {
+			p = multModP(x2nTable[k&31], p)
+		}
+		k++
+	}
+	return p
 }
 
 // frameReader decodes a connection's wire stream one frame at a time,
@@ -229,9 +304,12 @@ type frameReader struct {
 // payload is read from the socket directly into the buffer's own memory, the
 // CRC verified over those bytes, and the conversion done in place: f32 is
 // already the buffer's contents; bf16 is read into the upper half and
-// widened front to back. synced == true with a *CorruptionError means one
-// frame was lost but the stream remains aligned on a frame boundary, so the
-// caller may keep reading; any other error requires connection teardown.
+// widened front to back. The body's CRC is computed on its own and combined
+// with the header's — still one pass over the body — and an f32 payload's is
+// remembered for Forward (crcs.remember). synced == true with a
+// *CorruptionError means one frame was lost but the stream remains aligned
+// on a frame boundary, so the caller may keep reading; any other error
+// requires connection teardown.
 func (fr *frameReader) next() (h frameHeader, payload []float32, synced bool, err error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return frameHeader{}, nil, false, err
@@ -249,7 +327,8 @@ func (fr *frameReader) next() (h frameHeader, payload []float32, synced bool, er
 		Release(payload)
 		return frameHeader{}, nil, false, err
 	}
-	if got := frameCRC(fr.hdr[:], body); got != h.crc {
+	bodyCRC := crc32.ChecksumIEEE(body)
+	if got := frameCRC(fr.hdr[:], bodyCRC, len(body)); got != h.crc {
 		// The length field was covered by the header checks and the payload
 		// was fully consumed: the stream is still frame-aligned.
 		Release(payload)
@@ -258,6 +337,7 @@ func (fr *frameReader) next() (h frameHeader, payload []float32, synced bool, er
 	if h.codec == CodecBF16 {
 		tensor.WidenBF16LE(payload)
 	} else {
+		crcs.remember(payload, bodyCRC)
 		tensor.F32FromLE(payload)
 	}
 	return h, payload, true, nil

@@ -83,6 +83,15 @@ func (g *Group) SendOwned(dst int, tag Tag, payload []float32) error {
 	return SendOwned(g.parent, g.ranks[dst], g.saltTag(tag), payload)
 }
 
+// forward passes Forward through to the parent like SendOwned.
+func (g *Group) forward(dst int, tag Tag, payload []float32) error {
+	if dst < 0 || dst >= len(g.ranks) {
+		Release(payload)
+		return fmt.Errorf("comm: group send to invalid rank %d", dst)
+	}
+	return Forward(g.parent, g.ranks[dst], g.saltTag(tag), payload)
+}
+
 // CommStats implements Meter when the parent does; groups share the
 // parent's meter (their traffic is parent traffic). Returns nil otherwise.
 func (g *Group) CommStats() *Stats {

@@ -152,9 +152,10 @@ func TestSubRingPartitionMatchesDirectSums(t *testing.T) {
 				}
 			}
 			for i := 0; i < m; i++ {
-				if gathered[r][i] != val(g*m+i, 7) {
+				owner := g*m + (i-1+m)%m // slot ShardOf(local rank, m)
+				if gathered[r][i] != val(owner, 7) {
 					t.Fatalf("m=%d rank %d gather slot %d: got %v want %v",
-						m, r, i, gathered[r][i], val(g*m+i, 7))
+						m, r, i, gathered[r][i], val(owner, 7))
 				}
 			}
 		}

@@ -503,6 +503,17 @@ func (t *TCPTransport) Send(dst int, tag Tag, data []float32) error {
 // computes out of it. Self-sends deliver the buffer straight to the local
 // mailbox.
 func (t *TCPTransport) SendOwned(dst int, tag Tag, payload []float32) error {
+	return t.send(dst, tag, payload, false)
+}
+
+// forward implements Forward: an f32 payload whose verified body checksum
+// the reader remembered is enqueued with it, and the writer's seal reads
+// only the header.
+func (t *TCPTransport) forward(dst int, tag Tag, payload []float32) error {
+	return t.send(dst, tag, payload, true)
+}
+
+func (t *TCPTransport) send(dst int, tag Tag, payload []float32, relay bool) error {
 	tr := t.opts.Trace
 	span := tr.Begin()
 	defer tr.End(span, trace.CodeSend, int64(tag.Kind), int64(dst))
@@ -512,8 +523,11 @@ func (t *TCPTransport) SendOwned(dst int, tag Tag, payload []float32) error {
 		// Self-sends never cross the wire, but a lossy codec must round them
 		// exactly like the mesh does or ranks would observe transport-
 		// dependent values. A payload the sender still shares is copied: the
-		// mailbox hands it to a receiver who owns what it takes.
+		// mailbox hands it to a receiver who owns what it takes. No reader
+		// verified this delivery, so any checksum remembered for the buffer
+		// is forgotten: a later Forward of it gets a full seal.
 		payload = private(payload)
+		crcs.forget(payload)
 		applyCodec(codec, payload)
 		t.box.deliver(msgKey{src: t.rank, tag: tag}, payload)
 		return nil
@@ -526,7 +540,14 @@ func (t *TCPTransport) SendOwned(dst int, tag Tag, payload []float32) error {
 		Release(payload)
 		return ErrClosed
 	}
-	return t.links[dst].send(tag, codec, payload)
+	f := &outFrame{tag: tag, codec: codec, payload: payload}
+	if relay && codec == CodecF32 {
+		f.bodyCRC, f.crcKnown = crcs.known(payload)
+		if f.crcKnown && bufPoison.Load() {
+			checkUnwritten(payload, f.bodyCRC)
+		}
+	}
+	return t.links[dst].send(f)
 }
 
 // Recv implements Transport.
@@ -741,27 +762,27 @@ type tcpLink struct {
 	chaosHeld []byte
 }
 
-// send enqueues one data frame, taking ownership of payload. Sealing is
+// send enqueues one data frame, taking ownership of its payload. Sealing is
 // deferred to the writer goroutine (writeLoop), so the caller never blocks
 // on checksumming or the socket.
-func (l *tcpLink) send(tag Tag, codec WireCodec, payload []float32) error {
+func (l *tcpLink) send(f *outFrame) error {
 	l.mu.Lock()
 	if l.dead {
 		l.mu.Unlock()
-		Release(payload)
+		Release(f.payload)
 		return &PeerDeadError{Rank: l.peer}
 	}
 	if l.closed {
 		l.mu.Unlock()
-		Release(payload)
+		Release(f.payload)
 		return ErrClosed
 	}
-	seq := l.nextSeq
+	f.seq = l.nextSeq
 	l.nextSeq++
 	if len(l.sendq) == 0 {
 		l.lastAckTime = time.Now()
 	}
-	l.sendq = append(l.sendq, &outFrame{seq: seq, tag: tag, codec: codec, payload: payload})
+	l.sendq = append(l.sendq, f)
 	l.mu.Unlock()
 	l.cond.Broadcast()
 	return nil

@@ -111,6 +111,32 @@ func SendOwned(t Transport, dst int, tag Tag, payload []float32) error {
 	return err
 }
 
+// Forward is SendOwned for a payload the caller received from t (or from the
+// transport under a group view of it) and has not written since: a relay.
+// The caller's obligations are SendOwned's. What it adds is a promise — the
+// payload's bytes are the ones this rank's reader verified — that lets the
+// TCP transport seal the relay from the body checksum its reader already
+// computed instead of reading the body again. Every hop still verifies every
+// byte it receives; only the sender's re-read is skipped, so a payload
+// changed between receipt and Forward fails the next hop's check instead of
+// being resealed. Where no checksum is remembered (an in-process fabric, a
+// bf16 link, a small payload) Forward is SendOwned. Reuse is never
+// automatic: a received buffer that is written in place and sent again goes
+// through SendOwned and gets a full seal. Under SetBufPoison the TCP
+// transport recomputes the checksum and panics on a mismatch, which makes
+// "not written since receipt" a checked rule.
+func Forward(t Transport, dst int, tag Tag, payload []float32) error {
+	if f, ok := t.(forwarder); ok {
+		return f.forward(dst, tag, payload)
+	}
+	return SendOwned(t, dst, tag, payload)
+}
+
+// forwarder is implemented by transports with a Forward path of their own.
+type forwarder interface {
+	forward(dst int, tag Tag, payload []float32) error
+}
+
 // msgKey matches incoming messages to receivers.
 type msgKey struct {
 	src int

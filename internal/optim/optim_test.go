@@ -3,6 +3,8 @@ package optim
 import (
 	"math"
 	"testing"
+
+	"weipipe/internal/tensor"
 )
 
 func TestSGDStep(t *testing.T) {
@@ -170,5 +172,31 @@ func TestAdamWSetLR(t *testing.T) {
 	// first AdamW step ≈ lr·sign(g)
 	if math.Abs(float64(w[0])-(1-0.2)) > 1e-3 {
 		t.Fatalf("step did not use new LR: w=%v", w[0])
+	}
+}
+
+// BenchmarkAdamWStep times one step over 820 800 parameters — a rank's chunk
+// of the wide benchmark shape — on each registered backend; ns/param is the
+// reported ns/op divided by the size.
+func BenchmarkAdamWStep(b *testing.B) {
+	const n = 820800
+	prev := tensor.BackendName()
+	defer tensor.SetBackend(prev)
+	for _, name := range tensor.Backends() {
+		b.Run(name, func(b *testing.B) {
+			if err := tensor.SetBackend(name); err != nil {
+				b.Fatal(err)
+			}
+			w, g := make([]float32, n), make([]float32, n)
+			for i := range g {
+				w[i], g[i] = float32(i%97)*0.01, float32(i%89-44)*0.001
+			}
+			o := NewAdamW(n, DefaultAdamW(1e-3))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o.Step(w, g)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/param")
+		})
 	}
 }

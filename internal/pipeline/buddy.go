@@ -5,6 +5,7 @@ import (
 
 	"weipipe/internal/comm"
 	"weipipe/internal/optim"
+	"weipipe/internal/tensor"
 )
 
 // Buddy replication gives every WeiPipe rank a live, bit-exact replica of
@@ -165,9 +166,7 @@ func (w *WeiPipe) buddyStep() error {
 	bs.rbValid = true
 	if !w.lastSkip {
 		if c := clipScale(w.opts, w.lastSumSq); c != 1 {
-			for i := range bs.scratch {
-				bs.scratch[i] *= c
-			}
+			tensor.ScaleF32(bs.scratch, bs.scratch, c)
 		}
 		bs.opt.Step(bs.w, bs.scratch)
 	}

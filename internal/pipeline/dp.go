@@ -88,9 +88,7 @@ func (d *DP) TrainIteration(batches []data.Batch) (float64, error) {
 		return 0, err
 	}
 	inv := gradFactor(len(batches))
-	for i := range flatG {
-		flatG[i] *= inv
-	}
+	tensor.ScaleF32(flatG, flatG, inv)
 	// The all-reduced gradient is replicated, so Σg² is already a global
 	// quantity — every rank computes the same value and makes the same
 	// clip/skip decision with no extra collective.
@@ -102,9 +100,7 @@ func (d *DP) TrainIteration(batches []data.Batch) (float64, error) {
 		d.skipped++
 	} else {
 		if c := clipScale(d.opts, sumSq); c != 1 {
-			for i := range flatG {
-				flatG[i] *= c
-			}
+			tensor.ScaleF32(flatG, flatG, c)
 		}
 		d.mdl.FlattenChunk(0, nMods, flatW)
 		d.opt.Step(flatW, flatG)

@@ -31,7 +31,7 @@ import (
 type FSDP struct {
 	t       Transport
 	mdl     *model.Model // shells, bound to a gather for one pass at a time
-	shards  [][]float32  // per-module owned parameter shard (fp32 master)
+	shards  [][]float32  // per-module owned shard, comm.ShardOf(rank, P) (fp32 master)
 	shardAt []int        // where each shard starts in the flat parameter vector
 	opts    []*optim.AdamW
 	o       Options
@@ -70,7 +70,7 @@ func NewFSDP(t Transport, cfg model.Config, o Options) (*FSDP, error) {
 	off := 0
 	for i := range mdl.Modules {
 		size := mdl.ModuleParamSize(i)
-		rg := comm.ShardRanges(size, p)[r]
+		rg := comm.ShardRanges(size, p)[comm.ShardOf(r, p)]
 		shard := make([]float32, rg[1]-rg[0])
 		// Build the module, cut this rank's shard out of it and drop it: at
 		// most one full module is resident at a time.
@@ -195,7 +195,8 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 		f.arena.Reset()
 	}
 
-	// Reduce-scatter each module's gradient into the owned shards.
+	// Reduce-scatter each module's gradient: the owned shard's sum lands in
+	// place in gradFlat, and is scaled and stepped from there.
 	optSpan := f.tr.Begin()
 	invN := gradFactor(len(batches))
 	gradShards := make([][]float32, nMods)
@@ -205,9 +206,7 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		for j := range shard {
-			shard[j] *= invN
-		}
+		tensor.ScaleF32(shard, shard, invN)
 		gradShards[i] = shard
 	}
 	// Global-norm clip and non-finite guard across all shards (one scalar
@@ -218,10 +217,8 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 		for _, s := range gradShards {
 			local += sumSquares(s)
 		}
-		f.seq++
 		var err error
-		sumSq, err = comm.AllReduceScalarSum(f.t, local, f.seq)
-		if err != nil {
+		if sumSq, err = f.shardOrderSum(local); err != nil {
 			return 0, err
 		}
 	}
@@ -230,17 +227,12 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 	} else {
 		if c := clipScale(f.o, sumSq); c != 1 {
 			for _, s := range gradShards {
-				for j := range s {
-					s[j] *= c
-				}
+				tensor.ScaleF32(s, s, c)
 			}
 		}
 		for i := 0; i < nMods; i++ {
 			f.opts[i].Step(f.shards[i], gradShards[i])
 		}
-	}
-	for _, s := range gradShards {
-		comm.Release(s) // received from the pool by the reduce-scatter
 	}
 
 	f.tr.End(optSpan, trace.CodeOpt, int64(f.seq), 0)
@@ -251,6 +243,32 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 		return 0, err
 	}
 	return sum / float64(len(batches)), nil
+}
+
+// shardOrderSum sums every rank's local value — a float32 partial over the
+// shard it owns — in shard order, so the result does not depend on which
+// rank owns which shard. The order is the one comm.AllReduceScalarSum gives
+// when rank k holds shard k: its one element lies in the last shard, so the
+// ring adds shard p−1's partial first, then 0, 1, …, p−2. AllGather lays the
+// partials out by shard (rank r's at comm.ShardOf(r, p)) and every rank
+// adds them in that order, in float32, getting the same bits.
+func (f *FSDP) shardOrderSum(local float64) (float64, error) {
+	p := f.t.Size()
+	ones := make([]int, p)
+	for i := range ones {
+		ones[i] = 1
+	}
+	f.seq++
+	parts, err := comm.AllGather(f.t, []float32{float32(local)}, ones, f.seq)
+	if err != nil {
+		return 0, err
+	}
+	sum := parts[p-1]
+	for _, v := range parts[:p-1] {
+		sum += v
+	}
+	comm.Release(parts)
+	return float64(sum), nil
 }
 
 var _ Trainer = (*FSDP)(nil)

@@ -172,10 +172,14 @@ func (w *WeiPipe) cachePayload(c int, payload []float32) {
 
 // sendCached ships chunk c's cached payload to dst over t under tag without
 // copying it: the cache keeps its reference and the transport takes another.
+// It forwards (comm.Forward): a cached chunk is either one this rank received
+// and has not written since — cachePayload's rounding leaves a received
+// payload's bits as they are — or the owner's own, which has no verified
+// checksum to reuse and gets a full seal.
 func (w *WeiPipe) sendCached(t Transport, dst int, tag Tag, c int) error {
 	payload := w.grouped.cache[c]
 	comm.Retain(payload)
-	return comm.SendOwned(t, dst, tag, payload)
+	return comm.Forward(t, dst, tag, payload)
 }
 
 // groupedExchange runs the iteration-start shard exchange and the round-0

@@ -228,9 +228,7 @@ func (p *PP) step(n int) error {
 	defer func() { p.tr.End(span, trace.CodeOpt, int64(p.seq), 0) }()
 	flatW, flatG := p.flatW, p.flatG
 	inv := gradFactor(n)
-	for i := range flatG {
-		flatG[i] *= inv
-	}
+	tensor.ScaleF32(flatG, flatG, inv)
 	// The stages' partial Σg² combine in one scalar all-reduce, serving
 	// both global-norm clipping and the non-finite guard with the identical
 	// verdict on every stage.
@@ -248,9 +246,7 @@ func (p *PP) step(n int) error {
 		return nil
 	}
 	if c := clipScale(p.opts, sumSq); c != 1 {
-		for i := range flatG {
-			flatG[i] *= c
-		}
+		tensor.ScaleF32(flatG, flatG, c)
 	}
 	p.opt.Step(flatW, flatG)
 	return nil

@@ -80,9 +80,7 @@ func (s *Serial) step(grads []*nn.ParamSet, n int) {
 	s.mdl.FlattenChunk(0, len(s.mdl.Modules), flatW)
 	flattenGrads(grads, flatG)
 	inv := gradFactor(n)
-	for i := range flatG {
-		flatG[i] *= inv
-	}
+	tensor.ScaleF32(flatG, flatG, inv)
 	var sumSq float64
 	if needGlobalSumSq(s.opts) {
 		sumSq = sumSquares(flatG)
@@ -92,9 +90,7 @@ func (s *Serial) step(grads []*nn.ParamSet, n int) {
 		return
 	}
 	if c := clipScale(s.opts, sumSq); c != 1 {
-		for i := range flatG {
-			flatG[i] *= c
-		}
+		tensor.ScaleF32(flatG, flatG, c)
 	}
 	s.opt.Step(flatW, flatG)
 	s.mdl.SetChunk(0, len(s.mdl.Modules), flatW)

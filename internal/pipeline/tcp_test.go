@@ -47,6 +47,23 @@ func runOnTransports(t *testing.T, trs []comm.Transport, s Strategy, opts Option
 	return runCfgOnTransports(t, trs, s, eqCfg(), opts, iters, eqBatches(iters, n))
 }
 
+// failFast returns a func that closes every transport of trs the first
+// time it is called. A rank that fails leaves its peers blocked in Recv for
+// a message that will never come; the helpers that drive one goroutine per
+// rank call it on the first rank error, so the peers fail too and the test
+// reports the error instead of hanging (the benchmark's fleet step does the
+// same).
+func failFast(trs []comm.Transport) func() {
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			for _, tr := range trs {
+				tr.Close()
+			}
+		})
+	}
+}
+
 // runCfgOnTransports is runOnTransports for any model and batch stream.
 func runCfgOnTransports(t *testing.T, trs []comm.Transport, s Strategy, cfg model.Config, opts Options,
 	iters int, batches func(int) []data.Batch) ([]float64, []float32) {
@@ -55,11 +72,17 @@ func runCfgOnTransports(t *testing.T, trs []comm.Transport, s Strategy, cfg mode
 	trainers := make([]Trainer, p)
 	losses := make([][]float64, p)
 	errs := make([]error, p)
+	fail := failFast(trs)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			defer func() {
+				if errs[r] != nil {
+					fail()
+				}
+			}()
 			tr, err := New(s, trs[r], cfg, opts)
 			if err != nil {
 				errs[r] = err
@@ -77,9 +100,24 @@ func runCfgOnTransports(t *testing.T, trs []comm.Transport, s Strategy, cfg mode
 		}(r)
 	}
 	wg.Wait()
+	// Every rank's error is reported: after a fail-fast close most of them
+	// only say the transport closed, and the first rank to fail may not be
+	// rank 0.
 	for r, err := range errs {
 		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
+			t.Errorf("rank %d: %v", r, err)
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	// Every rank reports the iteration's mean loss, so every rank's losses
+	// must be rank 0's, bit for bit.
+	for r := 1; r < p; r++ {
+		for i := range losses[0] {
+			if math.Float64bits(losses[r][i]) != math.Float64bits(losses[0][i]) {
+				t.Fatalf("iter %d: rank %d loss %v, rank 0 loss %v", i, r, losses[r][i], losses[0][i])
+			}
 		}
 	}
 	return losses[0], AssembleWeights(trainers)
@@ -282,60 +320,18 @@ func TestBF16BeltWithOverlapStaysClose(t *testing.T) {
 
 // TestWeiPipeOverTCP runs WeiPipe-Interleave across a real TCP mesh on
 // loopback and checks it against the serial reference — the functional
-// analogue of the paper's multi-node deployment.
+// analogue of the paper's multi-node deployment. runCfgOnTransports checks
+// that every rank reports rank 0's losses, so both ranks' losses are held to
+// the serial one here.
 func TestWeiPipeOverTCP(t *testing.T) {
 	const p, iters, n = 2, 1, 4
 	wantLoss, wantW := serialReference(t, iters, n)
-
-	addrs, err := comm.LoopbackAddrs(p)
-	if err != nil {
-		t.Fatal(err)
+	trs := dialMesh(t, p, comm.TCPOptions{})
+	defer failFast(trs)()
+	losses, got := runCfgOnTransports(t, trs, StrategyWeiPipeInterleave, eqCfg(), eqOpts(), iters, eqBatches(iters, n))
+	if math.Abs(losses[0]-wantLoss[0]) > 1e-4 {
+		t.Errorf("TCP loss %v vs serial %v", losses[0], wantLoss[0])
 	}
-	trainers := make([]Trainer, p)
-	transports := make([]*comm.TCPTransport, p)
-	losses := make([]float64, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			tr, err := comm.DialTCP(r, addrs)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			transports[r] = tr
-			trainer, err := New(StrategyWeiPipeInterleave, tr, eqCfg(), eqOpts())
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			trainers[r] = trainer
-			batches := eqBatches(iters, n)
-			for i := 0; i < iters; i++ {
-				losses[r], errs[r] = trainer.TrainIteration(batches(i))
-				if errs[r] != nil {
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-	for _, tr := range transports {
-		if tr != nil {
-			tr.Close()
-		}
-	}
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	if math.Abs(losses[0]-wantLoss[0]) > 1e-4 || math.Abs(losses[1]-wantLoss[0]) > 1e-4 {
-		t.Errorf("TCP losses %v vs serial %v", losses, wantLoss[0])
-	}
-	got := AssembleWeights(trainers)
 	if d := maxAbsDiff(got, wantW); d > 5e-4 {
 		t.Errorf("TCP weights diff vs serial = %g", d)
 	}
@@ -345,51 +341,13 @@ func TestWeiPipeOverTCP(t *testing.T) {
 func TestOneFOneBOverTCP(t *testing.T) {
 	const p, iters, n = 2, 1, 4
 	wantLoss, wantW := serialReference(t, iters, n)
-
-	addrs, err := comm.LoopbackAddrs(p)
-	if err != nil {
-		t.Fatal(err)
+	trs := dialMesh(t, p, comm.TCPOptions{})
+	defer failFast(trs)()
+	batches := func(int) []data.Batch { return data.Microbatches(100, n, 2, 13, 6) }
+	losses, got := runCfgOnTransports(t, trs, Strategy1F1B, eqCfg(), eqOpts(), iters, batches)
+	if math.Abs(losses[0]-wantLoss[0]) > 1e-4 {
+		t.Errorf("TCP 1F1B loss %v vs serial %v", losses[0], wantLoss[0])
 	}
-	trainers := make([]Trainer, p)
-	transports := make([]*comm.TCPTransport, p)
-	errs := make([]error, p)
-	lossCh := make([]float64, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			tr, err := comm.DialTCP(r, addrs)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			transports[r] = tr
-			trainer, err := New(Strategy1F1B, tr, eqCfg(), eqOpts())
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			trainers[r] = trainer
-			batches := data.Microbatches(100, n, 2, 13, 6)
-			lossCh[r], errs[r] = trainer.TrainIteration(batches)
-		}(r)
-	}
-	wg.Wait()
-	for _, tr := range transports {
-		if tr != nil {
-			tr.Close()
-		}
-	}
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	if math.Abs(lossCh[0]-wantLoss[0]) > 1e-4 {
-		t.Errorf("TCP 1F1B loss %v vs serial %v", lossCh[0], wantLoss[0])
-	}
-	got := AssembleWeights(trainers)
 	if d := maxAbsDiff(got, wantW); d > 5e-4 {
 		t.Errorf("TCP 1F1B weights diff vs serial = %g", d)
 	}

@@ -374,9 +374,7 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 		denom = w.globalN
 	}
 	inv := gradFactor(denom)
-	for i := range db {
-		db[i] *= inv
-	}
+	tensor.ScaleF32(db, db, inv)
 	// One scalar all-reduce serves global-norm clipping, the non-finite
 	// guard and the spike detector: NaN/Inf propagates through the sum, and
 	// the agreed float64 is bit-identical everywhere, so every rank (and
@@ -408,9 +406,7 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 		w.skipped++
 	} else {
 		if c := clipScale(w.opts, sumSq); c != 1 {
-			for i := range db {
-				db[i] *= c
-			}
+			tensor.ScaleF32(db, db, c)
 		}
 		w.opt.Step(w.masterW, db)
 	}
@@ -544,10 +540,13 @@ func (w *WeiPipe) unbindStage() []float32 {
 // relay (to rank relayTo of t, as use+1; none when relayTo < 0) comes before
 // the bind, so the next hop's wire time runs under this stage's compute
 // instead of after it: the payload is shared (comm.Retain), one reference
-// leaves with SendOwned, and the stage computes out of the other until
+// leaves with comm.Forward, and the stage computes out of the other until
 // unbindStage. A shared payload is read-only to everyone, which is why the
 // flip and the seal's rounding happen on the way in; the TCP writer only
-// reads it, and the in-process fabric delivers a private copy.
+// reads it, and the in-process fabric delivers a private copy. The payload
+// is relayed as it arrived, so Forward lets the TCP writer seal it from the
+// checksum this rank's reader verified — unless a chaos flip is armed: the
+// flip writes the payload, and the relay then takes a full seal.
 func (w *WeiPipe) installBelt(t Transport, belt, c, use int, payload []float32, relayTo int) error {
 	if w.opts.BitFlip != nil {
 		w.opts.BitFlip.Flip(w.t.Rank(), w.iter, FlipBeltWeight, w.beltBody(payload))
@@ -557,9 +556,13 @@ func (w *WeiPipe) installBelt(t Transport, belt, c, use int, payload []float32, 
 		return verr
 	}
 	if relayTo >= 0 {
+		relay := comm.Forward
+		if w.opts.BitFlip != nil {
+			relay = comm.SendOwned
+		}
 		comm.Retain(payload)
 		span := w.tr.Begin()
-		err := comm.SendOwned(t, relayTo, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use+1)}, payload)
+		err := relay(t, relayTo, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use+1)}, payload)
 		w.tr.End(span, trace.CodeRelay, int64(belt), int64(use+1))
 		if err != nil {
 			comm.Release(payload)

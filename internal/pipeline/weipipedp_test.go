@@ -17,11 +17,17 @@ func runHybrid(t *testing.T, trs []comm.Transport, wpSize, iters, n int, opts Op
 	losses := make([]float64, world)
 	errs := make([]error, world)
 	batches := eqBatches(iters, n)
+	fail := failFast(trs)
 	var wg sync.WaitGroup
 	for r := 0; r < world; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			defer func() {
+				if errs[r] != nil {
+					fail()
+				}
+			}()
 			tr, err := NewWeiPipeDP(trs[r], eqCfg(), opts, WeiPipeInterleave, wpSize)
 			if err != nil {
 				errs[r] = err

@@ -269,7 +269,7 @@ func (b *abftBackend) MatMulTN(dst, a, bb *Tensor, acc bool) {
 func (b *abftBackend) Add(dst, a, bb *Tensor)                 { b.inner.Add(dst, a, bb) }
 func (b *abftBackend) Mul(dst, a, bb *Tensor)                 { b.inner.Mul(dst, a, bb) }
 func (b *abftBackend) Axpy(dst *Tensor, s float32, a *Tensor) { b.inner.Axpy(dst, s, a) }
-func (b *abftBackend) Scale(dst, a *Tensor, s float32)        { b.inner.Scale(dst, a, s) }
+func (b *abftBackend) Scale(dst, a []float32, s float32)      { b.inner.Scale(dst, a, s) }
 func (b *abftBackend) AddInto(dst, a []float32)               { b.inner.AddInto(dst, a) }
 func (b *abftBackend) Dot(a, bb *Tensor) float64              { return b.inner.Dot(a, bb) }
 func (b *abftBackend) DotF32(a, bb *Tensor) float32           { return b.inner.DotF32(a, bb) }
@@ -287,6 +287,9 @@ func (b *abftBackend) RMSNormGainGrad(dg, x, dy, inv *Tensor) {
 }
 func (b *abftBackend) Rope(q *Tensor, cos, sin []float32, seqLen, heads int, dir float32) {
 	b.inner.Rope(q, cos, sin, seqLen, heads, dir)
+}
+func (b *abftBackend) AdamW(w, g, m, v []float32, s AdamWStep) {
+	b.inner.AdamW(w, g, m, v, s)
 }
 
 // The fused attention kernel has no matmul-shaped output to checksum (its

@@ -57,13 +57,21 @@ type Backend interface {
 	Mul(dst, a, b *Tensor)
 	// Axpy computes dst += s*a elementwise.
 	Axpy(dst *Tensor, s float32, a *Tensor)
-	// Scale computes dst = s*a elementwise; dst may alias a.
-	Scale(dst, a *Tensor, s float32)
+	// Scale computes dst[i] = s*a[i] over equal-length slices, one multiply
+	// per element on every backend; dst may alias a. Like AddInto it takes
+	// slices: besides tensor.Scale it scales the raw gradient buffers the
+	// optimizers step from.
+	Scale(dst, a []float32, s float32)
 	// AddInto computes dst[i] += a[i] over equal-length slices, one add per
 	// element on every backend. It takes slices, not tensors: besides
 	// tensor.AddInto it sums the raw wire buffers of the gradient belt and
 	// the ring collectives.
 	AddInto(dst, a []float32)
+	// AdamW applies one AdamW update (without weight decay) to w from the
+	// gradient g, updating the moments m and v in place; see the
+	// package-level AdamW. Bit-identical to the scalar loop on every
+	// backend.
+	AdamW(w, g, m, v []float32, s AdamWStep)
 	// Dot returns the inner product accumulated in float64, ascending.
 	Dot(a, b *Tensor) float64
 	// DotF32 returns the inner product accumulated natively in float32.

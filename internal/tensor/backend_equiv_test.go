@@ -269,6 +269,59 @@ func TestBackendMatMulAccAliasedHistory(t *testing.T) {
 	}
 }
 
+// AdamW is exact on every backend: the vector kernels run the scalar
+// loop's float64 sequence lane by lane. Several steps over lengths that are
+// not multiples of either vector width, with gradients that are zero,
+// subnormal, huge or ordinary, must leave w, m and v with the scalar bits.
+func TestBackendAdamWBitIdentical(t *testing.T) {
+	others := nonScalarBackends()
+	if len(others) == 0 {
+		t.Skip("no non-scalar backend registered on this machine")
+	}
+	pinScalar(t)
+	rng := rand.New(rand.NewSource(29))
+	grad := func(n int) []float32 {
+		g := make([]float32, n)
+		for i := range g {
+			switch rng.Intn(6) {
+			case 0: // zero
+			case 1:
+				g[i] = math.Float32frombits(uint32(1 + rng.Intn(1<<23))) // subnormal
+			case 2:
+				g[i] = float32(rng.NormFloat64() * 1e37) // large
+			case 3:
+				g[i] = -math.MaxFloat32
+			default:
+				g[i] = float32(rng.NormFloat64())
+			}
+		}
+		return g
+	}
+	for _, name := range others {
+		for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 12, 15, 17, 31, 33, 100, 1027} {
+			wWant := make([]float32, n)
+			for i := range wWant {
+				wWant[i] = float32(rng.NormFloat64())
+			}
+			wGot := append([]float32(nil), wWant...)
+			mWant, vWant := make([]float32, n), make([]float32, n)
+			mGot, vGot := make([]float32, n), make([]float32, n)
+			for step := 1; step <= 4; step++ {
+				g := grad(n)
+				s := AdamWStep{B1: 0.9, B2: 0.95, LR: 3e-4, Eps: 1e-8}
+				s.C1 = 1 - math.Pow(s.B1, float64(step))
+				s.C2 = 1 - math.Pow(s.B2, float64(step))
+				current().AdamW(wWant, g, mWant, vWant, s)
+				withBackend(t, name, func() { current().AdamW(wGot, g, mGot, vGot, s) })
+				what := fmt.Sprintf("%s AdamW n=%d step %d", name, n, step)
+				requireBitwise(t, what+" w", wGot, wWant)
+				requireBitwise(t, what+" m", mGot, mWant)
+				requireBitwise(t, what+" v", vGot, vWant)
+			}
+		}
+	}
+}
+
 func TestBackendElementwiseEquivalence(t *testing.T) {
 	others := nonScalarBackends()
 	if len(others) == 0 {
@@ -298,8 +351,8 @@ func TestBackendElementwiseEquivalence(t *testing.T) {
 			// Scale, aliased dst==a: bit-identical.
 			copy(want.Data, a.Data)
 			copy(got.Data, a.Data)
-			current().Scale(want, want, s)
-			withBackend(t, name, func() { current().Scale(got, got, s) })
+			current().Scale(want.Data, want.Data, s)
+			withBackend(t, name, func() { current().Scale(got.Data, got.Data, s) })
 			for i := range want.Data {
 				if want.Data[i] != got.Data[i] {
 					t.Fatalf("%s Scale(aliased) n=%d elem %d: %g vs scalar %g", name, sz, i, got.Data[i], want.Data[i])

@@ -13,13 +13,14 @@ func (scalarBackend) MatMulNN(dst, a, b *Tensor, acc bool) { matmulNN(dst, a, b,
 func (scalarBackend) MatMulNT(dst, a, b *Tensor, acc bool) { matmulNT(dst, a, b, acc, 0) }
 func (scalarBackend) MatMulTN(dst, a, b *Tensor, acc bool) { matmulTN(dst, a, b, acc, 0) }
 
-func (scalarBackend) Add(dst, a, b *Tensor)                  { addScalar(dst.Data, a.Data, b.Data) }
-func (scalarBackend) Mul(dst, a, b *Tensor)                  { mulScalar(dst.Data, a.Data, b.Data) }
-func (scalarBackend) Axpy(dst *Tensor, s float32, a *Tensor) { axpyScalar(dst, s, a) }
-func (scalarBackend) Scale(dst, a *Tensor, s float32)        { scaleScalar(dst, a, s) }
-func (scalarBackend) AddInto(dst, a []float32)               { addIntoScalar(dst, a) }
-func (scalarBackend) Dot(a, b *Tensor) float64               { return dotScalar(a, b) }
-func (scalarBackend) DotF32(a, b *Tensor) float32            { return dotF32Scalar(a.Data, b.Data) }
+func (scalarBackend) Add(dst, a, b *Tensor)                   { addScalar(dst.Data, a.Data, b.Data) }
+func (scalarBackend) Mul(dst, a, b *Tensor)                   { mulScalar(dst.Data, a.Data, b.Data) }
+func (scalarBackend) Axpy(dst *Tensor, s float32, a *Tensor)  { axpyScalar(dst, s, a) }
+func (scalarBackend) Scale(dst, a []float32, s float32)       { scaleScalar(dst, a, s) }
+func (scalarBackend) AddInto(dst, a []float32)                { addIntoScalar(dst, a) }
+func (scalarBackend) AdamW(w, g, m, v []float32, s AdamWStep) { adamWScalar(w, g, m, v, s) }
+func (scalarBackend) Dot(a, b *Tensor) float64                { return dotScalar(a, b) }
+func (scalarBackend) DotF32(a, b *Tensor) float32             { return dotF32Scalar(a.Data, b.Data) }
 
 func (scalarBackend) SiLU(dst, a *Tensor)             { siluScalar(dst, a) }
 func (scalarBackend) SiLUBackward(dst, x, dy *Tensor) { siluBackwardScalar(dst, x, dy) }

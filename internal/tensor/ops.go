@@ -32,7 +32,42 @@ func Mul(dst, a, b *Tensor) {
 // Scale computes dst = s * a. dst may alias a.
 func Scale(dst, a *Tensor, s float32) {
 	checkSameSize2(dst, a, "Scale")
+	current().Scale(dst.Data, a.Data, s)
+}
+
+// ScaleF32 computes dst[i] = s·a[i] over two slices of equal length (dst
+// may alias a): the backend's exact vector scale for callers that hold flat
+// gradient buffers rather than tensors. Bit-identical to the scalar loop on
+// every backend.
+func ScaleF32(dst, a []float32, s float32) {
+	if len(dst) != len(a) {
+		panic(fmt.Sprintf("tensor: ScaleF32 size mismatch: %d vs %d", len(dst), len(a)))
+	}
 	current().Scale(dst, a, s)
+}
+
+// AdamWStep holds the scalars of one AdamW step: the moment decays B1 and
+// B2, the bias corrections C1 = 1−B1ᵗ and C2 = 1−B2ᵗ, the learning rate and
+// epsilon.
+type AdamWStep struct {
+	B1, B2, C1, C2, LR, Eps float64
+}
+
+// AdamW applies one AdamW update, weight decay aside, to the parameters w
+// from the gradient g, with the fp32 moments m and v updated in place; all
+// four slices have one length. Per element, in float64:
+//
+//	m' = B1·m + (1−B1)·g        v' = B2·v + ((1−B2)·g)·g
+//	w -= float32(LR·(m'/C1) / (sqrt(v'/C2) + Eps))
+//
+// with m' and v' stored rounded to float32 and the subtraction in float32.
+// Every backend rounds exactly this sequence — the vector ones run it on
+// float64 lanes, with no FMA — so the result is bit-identical everywhere.
+func AdamW(w, g, m, v []float32, s AdamWStep) {
+	if len(g) != len(w) || len(m) != len(w) || len(v) != len(w) {
+		panic(fmt.Sprintf("tensor: AdamW size mismatch: w %d, g %d, m %d, v %d", len(w), len(g), len(m), len(v)))
+	}
+	current().AdamW(w, g, m, v, s)
 }
 
 // Axpy computes dst += s * a.
@@ -166,9 +201,28 @@ func mulScalar(dst, a, b []float32) {
 	}
 }
 
-func scaleScalar(dst, a *Tensor, s float32) {
-	for i := range dst.Data {
-		dst.Data[i] = s * a.Data[i]
+func scaleScalar(dst, a []float32, s float32) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = s * a[i]
+	}
+}
+
+// adamWScalar is the reference AdamW loop (see AdamW); the vector kernels
+// run its tail.
+func adamWScalar(w, g, m, v []float32, s AdamWStep) {
+	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
+	b1, b2 := s.B1, s.B2
+	for i := range w {
+		gi := float64(g[i])
+		mi := b1*float64(m[i]) + (1-b1)*gi
+		vi := b2*float64(v[i]) + (1-b2)*gi*gi
+		m[i] = float32(mi)
+		v[i] = float32(vi)
+		mhat := mi / s.C1
+		vhat := vi / s.C2
+		upd := s.LR * mhat / (math.Sqrt(vhat) + s.Eps)
+		w[i] -= float32(upd)
 	}
 }
 

@@ -12,13 +12,15 @@ package tensor
 //
 //   - avx512 = avx2 bit for bit, on every method: it is the avx2 backend
 //     with gemm's rows in whole panels of 12 on the 16-lane micro-kernel
-//     (gemmAVX512, simd_avx512_amd64.s) and the rest on the 8-lane one.
+//     (gemmAVX512, simd_avx512_amd64.s), AdamW on 8 float64 lanes instead
+//     of 4, and the rest on the 8-lane kernels.
 //   - Add, Mul, Axpy, Scale, AddInto, RMSNorm's three passes and RoPE:
 //     vectorized across independent output elements with the scalar
 //     per-element rounding sequence (separate mul/add, no FMA) —
 //     bit-identical to scalar. RMSNorm's per-row float64 sums stay one
 //     ascending chain each, four rows' chains interleaved; Dot (float64) is
-//     scalar's loop.
+//     scalar's loop. AdamW, likewise, runs scalar's float64 sequence on
+//     float64 lanes (adamWAVX2).
 //   - NN, TN and NT matmuls: the register-tiled GEMM micro-kernel
 //     (gemmAVX2), NT through a transposed panel of b. Every dst element is
 //     one ascending FMA chain over k in its own lane, from 0 or —
@@ -54,6 +56,12 @@ func scaleAVX2(dst, a *float32, n8 int, s float32)
 
 //go:noescape
 func addIntoAVX2(dst, a *float32, n8 int)
+
+//go:noescape
+func adamWAVX2(w, grad, m, v *float32, n4 int, k *[8]float64)
+
+//go:noescape
+func adamWAVX512(w, grad, m, v *float32, n8 int, k *[8]float64)
 
 //go:noescape
 func addAVX2(dst, a, b *float32, n8 int)
@@ -198,7 +206,7 @@ func (avx2Backend) Axpy(dst *Tensor, s float32, a *Tensor) {
 	}
 }
 
-func (avx2Backend) Scale(dst, a *Tensor, s float32) { scaleSlice(dst.Data, a.Data, s) }
+func (avx2Backend) Scale(dst, a []float32, s float32) { scaleSlice(dst, a, s) }
 
 // scaleSlice computes d[i] = s·src[i] over equal-length slices.
 func scaleSlice(d, src []float32, s float32) {
@@ -219,6 +227,29 @@ func (avx2Backend) AddInto(d, src []float32) {
 	for i := n8 << 3; i < len(d); i++ {
 		d[i] += src[i]
 	}
+}
+
+// AdamW runs the update four elements to a vector of float64 lanes and the
+// last len%4 through the scalar loop.
+func (avx2Backend) AdamW(w, g, m, v []float32, s AdamWStep) { adamWSIMD(w, g, m, v, s, 4) }
+
+// adamWSIMD runs AdamW's whole vectors of the given width (4: avx2, 8:
+// avx512) through the kernel and the ragged tail through the scalar loop.
+// The update is divider-bound — two divides, a square root and a third
+// divide per element — so eight lanes buy little over four.
+func adamWSIMD(w, g, m, v []float32, s AdamWStep, width int) {
+	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
+	consts := [8]float64{s.B1, 1 - s.B1, s.B2, 1 - s.B2, s.C1, s.C2, s.LR, s.Eps}
+	nv := len(w) / width
+	if nv > 0 {
+		if width == 8 {
+			adamWAVX512(&w[0], &g[0], &m[0], &v[0], nv, &consts)
+		} else {
+			adamWAVX2(&w[0], &g[0], &m[0], &v[0], nv, &consts)
+		}
+	}
+	t := nv * width
+	adamWScalar(w[t:], g[t:], m[t:], v[t:], s)
 }
 
 func (avx2Backend) Dot(a, b *Tensor) float64 { return dotScalar(a, b) }
@@ -436,6 +467,10 @@ func (avx2Backend) CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *
 type avx512Backend struct{ avx2Backend }
 
 func (avx512Backend) Name() string { return "avx512" }
+
+// AdamW runs the update eight elements to a vector of float64 lanes; the
+// bits are avx2's and scalar's.
+func (avx512Backend) AdamW(w, g, m, v []float32, s AdamWStep) { adamWSIMD(w, g, m, v, s, 8) }
 
 func (avx512Backend) MatMulNN(dst, a, b *Tensor, acc bool) { matmulNN(dst, a, b, acc, 16) }
 func (avx512Backend) MatMulNT(dst, a, b *Tensor, acc bool) { matmulNT(dst, a, b, acc, 16) }

@@ -95,6 +95,65 @@ addinto_loop:
 	VZEROUPPER
 	RET
 
+// func adamWAVX2(w, grad, m, v *float32, n4 int, k *[8]float64)
+//
+// One AdamW step over elements [0, 4·n4), four to a vector of float64
+// lanes: adamWScalar's sequence with every operation rounded where the
+// scalar loop rounds it — separate multiplies and adds (no FMA), correctly
+// rounded divides and square root, the moments and the update narrowed to
+// float32 and the update subtracted in float32 — so the result is
+// bit-identical to it. k holds B1, 1−B1, B2, 1−B2, C1, C2, LR, Eps. n4 must
+// be >= 1.
+TEXT ·adamWAVX2(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), DX
+	MOVQ v+24(FP), BX
+	MOVQ n4+32(FP), CX
+	MOVQ k+40(FP), AX
+	VBROADCASTSD 0(AX), Y8
+	VBROADCASTSD 8(AX), Y9
+	VBROADCASTSD 16(AX), Y10
+	VBROADCASTSD 24(AX), Y11
+	VBROADCASTSD 32(AX), Y12
+	VBROADCASTSD 40(AX), Y13
+	VBROADCASTSD 48(AX), Y14
+	VBROADCASTSD 56(AX), Y7
+
+adamw_loop:
+	VCVTPS2PD  (SI), Y0       // g
+	VCVTPS2PD  (DX), Y1       // m
+	VCVTPS2PD  (BX), Y2       // v
+	VMULPD     Y8, Y1, Y1     // B1·m
+	VMULPD     Y9, Y0, Y3     // (1−B1)·g
+	VADDPD     Y3, Y1, Y1     // m'
+	VMULPD     Y10, Y2, Y2    // B2·v
+	VMULPD     Y11, Y0, Y4    // (1−B2)·g
+	VMULPD     Y0, Y4, Y4     // ((1−B2)·g)·g
+	VADDPD     Y4, Y2, Y2     // v'
+	VCVTPD2PSY Y1, X5
+	VMOVUPS    X5, (DX)
+	VCVTPD2PSY Y2, X6
+	VMOVUPS    X6, (BX)
+	VDIVPD     Y12, Y1, Y1    // m'/C1
+	VDIVPD     Y13, Y2, Y2    // v'/C2
+	VMULPD     Y14, Y1, Y1    // LR·m̂
+	VSQRTPD    Y2, Y2
+	VADDPD     Y7, Y2, Y2     // sqrt(v̂)+Eps
+	VDIVPD     Y2, Y1, Y1     // the update
+	VCVTPD2PSY Y1, X1
+	VMOVUPS    (DI), X3
+	VSUBPS     X1, X3, X3
+	VMOVUPS    X3, (DI)
+	ADDQ       $16, SI
+	ADDQ       $16, DX
+	ADDQ       $16, BX
+	ADDQ       $16, DI
+	DECQ       CX
+	JNE        adamw_loop
+	VZEROUPPER
+	RET
+
 // func addAVX2(dst, a, b *float32, n8 int)
 //
 // dst[i] = a[i] + b[i] for i in [0, n8*8); dst may be a or b. Bit-identical

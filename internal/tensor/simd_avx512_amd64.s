@@ -172,3 +172,58 @@ fmaspin512_loop:
 	JNE  fmaspin512_loop
 	VZEROUPPER
 	RET
+
+// func adamWAVX512(w, grad, m, v *float32, n8 int, k *[8]float64)
+//
+// adamWAVX2 (simd_avx2_amd64.s) on eight float64 lanes per vector, over
+// elements [0, 8·n8): the same operations in the same order, so the same
+// bits. n8 must be >= 1.
+TEXT ·adamWAVX512(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), DX
+	MOVQ v+24(FP), BX
+	MOVQ n8+32(FP), CX
+	MOVQ k+40(FP), AX
+	VBROADCASTSD 0(AX), Z8
+	VBROADCASTSD 8(AX), Z9
+	VBROADCASTSD 16(AX), Z10
+	VBROADCASTSD 24(AX), Z11
+	VBROADCASTSD 32(AX), Z12
+	VBROADCASTSD 40(AX), Z13
+	VBROADCASTSD 48(AX), Z14
+	VBROADCASTSD 56(AX), Z7
+
+adamw512_loop:
+	VCVTPS2PD (SI), Z0
+	VCVTPS2PD (DX), Z1
+	VCVTPS2PD (BX), Z2
+	VMULPD    Z8, Z1, Z1
+	VMULPD    Z9, Z0, Z3
+	VADDPD    Z3, Z1, Z1
+	VMULPD    Z10, Z2, Z2
+	VMULPD    Z11, Z0, Z4
+	VMULPD    Z0, Z4, Z4
+	VADDPD    Z4, Z2, Z2
+	VCVTPD2PS Z1, Y5
+	VMOVUPS   Y5, (DX)
+	VCVTPD2PS Z2, Y6
+	VMOVUPS   Y6, (BX)
+	VDIVPD    Z12, Z1, Z1
+	VDIVPD    Z13, Z2, Z2
+	VMULPD    Z14, Z1, Z1
+	VSQRTPD   Z2, Z2
+	VADDPD    Z7, Z2, Z2
+	VDIVPD    Z2, Z1, Z1
+	VCVTPD2PS Z1, Y1
+	VMOVUPS   (DI), Y3
+	VSUBPS    Y1, Y3, Y3
+	VMOVUPS   Y3, (DI)
+	ADDQ      $32, SI
+	ADDQ      $32, DX
+	ADDQ      $32, BX
+	ADDQ      $32, DI
+	DECQ      CX
+	JNE       adamw512_loop
+	VZEROUPPER
+	RET

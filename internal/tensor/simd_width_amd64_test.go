@@ -126,7 +126,7 @@ func TestAVX512BackendEqualsAVX2(t *testing.T) {
 		both("Add", dst, func(bk Backend, o []*Tensor) { bk.Add(o[0], x, y) })
 		both("Mul", dst, func(bk Backend, o []*Tensor) { bk.Mul(o[0], x, y) })
 		both("Axpy", dst, func(bk Backend, o []*Tensor) { bk.Axpy(o[0], 0.3, x) })
-		both("Scale", dst, func(bk Backend, o []*Tensor) { bk.Scale(o[0], x, 0.3) })
+		both("Scale", dst, func(bk Backend, o []*Tensor) { bk.Scale(o[0].Data, x.Data, 0.3) })
 		both("AddInto", dst, func(bk Backend, o []*Tensor) { bk.AddInto(o[0].Data, x.Data) })
 		both("SiLU", dst, func(bk Backend, o []*Tensor) { bk.SiLU(o[0], x) })
 		both("SiLUBackward", dst, func(bk Backend, o []*Tensor) { bk.SiLUBackward(o[0], x, g) })
