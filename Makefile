@@ -56,26 +56,28 @@ cross-be:
 
 # chaos runs the fault-injection suite under the race detector: transport
 # chaos (drop/dup/reorder/corrupt/reset), deadline and peer-death paths,
-# frame-decoder fuzz seeds, the checkpoint-recovery equivalence tests, and
-# the grouped-belt suite (flat-equivalence, sub-ring collectives, and the
-# grouped run over chaotic TCP).
+# frame-decoder fuzz seeds, the checkpoint-recovery equivalence tests, the
+# driver's checkpoint gathers and resume rule, and the grouped-belt suite
+# (flat-equivalence, sub-ring collectives, and the grouped run over chaotic
+# TCP).
 chaos:
 	$(GO) test -race -timeout 300s \
-		-run 'Fault|Chaos|Timeout|PeerDeath|Recovery|Resilient|Crash|Frame|CloseFailsPending|CloseLeaks|DialTimeout|Grouped|SubRing' \
+		-run 'Fault|Chaos|Timeout|PeerDeath|Recovery|Resilient|Crash|Frame|CloseFailsPending|CloseLeaks|DialTimeout|Grouped|SubRing|Driver' \
 		./internal/comm/ ./internal/pipeline/ ./internal/launch/
 
 # elastic runs the ring-repair suite under the race detector. There is one
-# repair ladder — detect, agree (AgreeOverTransport), harvest (wireHarvest),
-# plan (PlanRepair) — and both drivers climb it: RunResilient's goroutine
-# ranks over the in-process fabric and TCP, RunRank's processes over TCP.
-# The suite covers the failure contract on both fabrics, buddy replication
-# off the critical path, shrink/spare repair after a crash, an integrity
-# flip or a watchdog declaration (including the headline
-# kill-over-chaotic-TCP bit-identity test), the no-quorum and double-death
-# checkpoint fallbacks, RunRank's checkpoints, and restart-loop edge cases.
+# training driver, RunRank, and one repair ladder it climbs — detect, agree
+# (AgreeOverTransport), harvest (wireHarvest), plan (PlanRepair) — whether
+# RunResilient supervises the ranks as goroutines over the in-process fabric
+# or TCP, or weipipe-launch as processes over TCP. The suite covers the
+# failure contract on both fabrics, buddy replication off the critical
+# path, shrink/spare repair after a crash, an integrity flip or a watchdog
+# declaration (including the headline kill-over-chaotic-TCP bit-identity
+# test), the no-quorum and double-death checkpoint fallbacks, the driver's
+# checkpoint gathers, resume rule and tracing, and restart-loop edge cases.
 elastic:
 	$(GO) test -race -timeout 300s \
-		-run 'Elastic|Buddy|Watchdog|Repair|Membership|DeadPeer|Agree|RunRank' \
+		-run 'Elastic|Buddy|Watchdog|Repair|Membership|DeadPeer|Agree|RunRank|Driver' \
 		./internal/comm/ ./internal/pipeline/ ./internal/launch/
 
 fuzz:
@@ -169,18 +171,22 @@ experiments:
 
 # surface prints the size counters ROADMAP "Where the counters stand"
 # tallies: non-test Go lines in the root module (benchmark/ is its own
-# module), exported fields of the option structs, the in-process training
-# loops (TrainIteration call sites), flags per command, WEIPIPE_*
-# environment variables, the transport's line count and the assembly
-# kernels' line count. CI prints
-# it on every push so a PR's effect on the surface is a diff of two logs.
+# module), exported fields of the option structs, the training loops
+# (TrainIteration call sites), flags per command, WEIPIPE_* environment
+# variables, the transport's line count and the assembly kernels' line
+# count. CI prints it on every push so a PR's effect on the surface is a
+# diff of two logs. It fails when more than two non-test call sites outside
+# benchmark/ and examples/ call TrainIteration: RunRank is the one training
+# loop, and WeiPipeDP's inner ring the one composition.
 surface:
 	@echo "non-test Go lines: $$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
 		| tr ' ' '\n' | grep '\.go$$' | grep -v '_test\.go$$' | xargs cat | wc -l)"
 	@for t in pipeline.Options pipeline.ResilientOptions launch.TrainSpec comm.TCPOptions schedule.Spec sim.Task; do \
 		echo "$$t fields: $$($(GO) doc ./internal/$${t%.*} $${t#*.} | grep -c '^	[A-Z][A-Za-z0-9_, ]* [^ ]')"; done
-	@echo "non-test .TrainIteration( call sites outside benchmark/ and examples/: $$(grep -rn --include='*.go' --exclude='*_test.go' \
-		--exclude-dir=benchmark --exclude-dir=examples '\.TrainIteration(' . | wc -l)"
+	@n=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=examples \
+		'\.TrainIteration(' . | wc -l); \
+		echo "non-test .TrainIteration( call sites outside benchmark/ and examples/: $$n"; \
+		[ $$n -le 2 ] || { echo "surface: $$n TrainIteration call sites, at most 2 (RunRank, WeiPipeDP)"; exit 1; }
 	@total=0; for d in cmd/*/; do \
 		n=$$(cat $$d*.go | grep -c 'flag\.\(String\|Int\|Int64\|Uint\|Uint64\|Bool\|Float64\|Duration\)('); \
 		echo "$$d flags: $$n"; total=$$((total+n)); done; echo "flags in all: $$total"

@@ -185,9 +185,6 @@ func BenchmarkAblationRecompute(b *testing.B) {
 
 var _ = fmt.Sprintf // keep fmt for future metric labels
 
-// BenchmarkExtTP regenerates the tensor/sequence-parallel comparison.
-func BenchmarkExtTP(b *testing.B) { reportExperiment(b, bench.ExtTP) }
-
 // BenchmarkExtBubble regenerates the bubble-vs-N analysis table.
 func BenchmarkExtBubble(b *testing.B) { reportExperiment(b, bench.ExtBubble) }
 

@@ -92,7 +92,7 @@ func main() {
 		return
 	}
 	if *list {
-		fmt.Println("table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ext-tp ext-bubble ext-hybrid all")
+		fmt.Println("table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ext-bubble ext-hybrid all")
 		return
 	}
 	if err := run(*exp, *width); err != nil {
@@ -110,7 +110,7 @@ func run(exp string, width int) error {
 		"table2": bench.Table2, "table3": bench.Table3, "table4": bench.Table4,
 		"fig5": bench.Fig5, "fig6": bench.Fig6, "fig7": bench.Fig7,
 		"fig8": bench.Fig8, "fig9": bench.Fig9,
-		"ext-tp": bench.ExtTP, "ext-bubble": bench.ExtBubble, "ext-hybrid": bench.ExtHybrid,
+		"ext-bubble": bench.ExtBubble, "ext-hybrid": bench.ExtHybrid,
 	}
 
 	switch {
@@ -132,7 +132,7 @@ func run(exp string, width int) error {
 		for _, e := range exps {
 			fmt.Println(e.Format())
 		}
-		for _, id := range []string{"ext-tp", "ext-bubble", "ext-hybrid"} {
+		for _, id := range []string{"ext-bubble", "ext-hybrid"} {
 			e, err := tables[id]()
 			if err != nil {
 				return err

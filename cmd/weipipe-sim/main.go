@@ -96,7 +96,7 @@ func runCompare(w weipipe.Workload, top weipipe.Topology, mtbf time.Duration, ck
 	strategies := []weipipe.Strategy{
 		weipipe.WeiPipeInterleave, weipipe.WeiPipeNaive, weipipe.WZB1, weipipe.WZB2,
 		weipipe.OneFOneB, weipipe.GPipe, weipipe.ZB1, weipipe.ZB2,
-		weipipe.FSDP, weipipe.DP, weipipe.TP, weipipe.SP,
+		weipipe.FSDP, weipipe.DP,
 	}
 	type row struct {
 		s   weipipe.Strategy

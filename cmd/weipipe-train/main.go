@@ -5,8 +5,8 @@
 // loop a production run needs: warm-up + cosine learning-rate schedule,
 // global-norm gradient clipping, checkpoint/resume, hybrid WeiPipe×DP
 // rings, and fault-tolerant execution with periodic coordinated checkpoints
-// and restart-on-failure — all on the one in-process loop
-// (weipipe.RunResilient).
+// and restart-on-failure — all under weipipe.RunResilient, which runs the
+// one training loop per rank.
 //
 // Examples:
 //
@@ -215,8 +215,8 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// run trains on the one loop, weipipe.RunResilient: the recovery flags only
-// fill in its options, and -trace/-metrics/-stats read its result.
+// run trains under weipipe.RunResilient: the recovery flags only fill in
+// its options, and -trace/-metrics/-stats read its result.
 func run(rc runConfig) error {
 	mode := ""
 	if rc.ckptEvery > 0 || rc.maxRestarts > 0 || rc.elastic != weipipe.ElasticNone || rc.watchdog {

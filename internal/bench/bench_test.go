@@ -302,28 +302,6 @@ func TestAllExperimentsBuild(t *testing.T) {
 	}
 }
 
-func TestExtTPShape(t *testing.T) {
-	e, err := ExtTP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// On all-NVLink TP is competitive; on Ethernet fabrics it collapses
-	// while WeiPipe barely moves.
-	nvl := e.Rows[0]
-	eth := e.Rows[2]
-	tpDrop := 1 - eth.Cells["tp"].ThroughputTPS/nvl.Cells["tp"].ThroughputTPS
-	wpDrop := 1 - eth.Cells["weipipe-interleave"].ThroughputTPS/nvl.Cells["weipipe-interleave"].ThroughputTPS
-	if tpDrop < 0.6 {
-		t.Errorf("TP only dropped %.0f%% on ethernet; expected a collapse", tpDrop*100)
-	}
-	if wpDrop > tpDrop/1.5 {
-		t.Errorf("weipipe dropped %.0f%% vs TP's %.0f%%; expected relative resilience", wpDrop*100, tpDrop*100)
-	}
-	if eth.Cells["weipipe-interleave"].ThroughputTPS <= eth.Cells["tp"].ThroughputTPS {
-		t.Error("weipipe not above TP on ethernet")
-	}
-}
-
 func TestExtBubbleShape(t *testing.T) {
 	e, err := ExtBubble()
 	if err != nil {

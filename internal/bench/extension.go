@@ -7,42 +7,6 @@ import (
 	"weipipe/internal/cost"
 )
 
-// ExtTP is an extension experiment beyond the paper: it quantifies the
-// related-work comparison the paper argues qualitatively — how do tensor
-// and sequence parallelism compare to weight-passing as links get slower?
-// Both pay activation-sized collectives per layer (TP four all-reduces, SP
-// two gathers + two scatters), devastating off-NVLink, while WeiPipe's
-// fixed-size weight belts barely notice.
-func ExtTP() (*Experiment, error) {
-	w := cost.Workload{H: 2048, S: 8192, G: 4, L: 32, N: 32, P: 8, Recompute: true}.WithDefaults()
-	e := &Experiment{
-		ID:          "ext-tp",
-		Title:       "Extension: tensor parallelism vs weight passing across fabrics",
-		Description: "H=2048 S=8192 G=4 L=32 P=8; TP pays 4 activation-sized all-reduces per layer per microbatch.",
-		Strategies:  []string{"tp", "sp", "1f1b", "fsdp", "weipipe-interleave"},
-	}
-	tops := []struct {
-		label string
-		top   cluster.Topology
-	}{
-		{"NVLink (single server)", cluster.NVLinkSingle(8)},
-		{"PCIe + Ethernet", cluster.PCIeEthernet(8, 4)},
-		{"NVLink + Ethernet", cluster.NVLinkEthernet(8, 4)},
-	}
-	for _, tc := range tops {
-		row := Row{Label: tc.label, Cells: make(map[string]Cell)}
-		for _, s := range e.Strategies {
-			cell, err := RunCell(s, w, tc.top)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", tc.label, s, err)
-			}
-			row.Cells[s] = cell
-		}
-		e.Rows = append(e.Rows, row)
-	}
-	return e, nil
-}
-
 // ExtBubble is an extension experiment: asymptotic bubble ratios of every
 // pipeline schedule as the microbatch count grows, quantifying the paper's
 // §4.2.4 bubble analysis.

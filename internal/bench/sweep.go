@@ -11,9 +11,7 @@ import (
 )
 
 // The sweep is the full strategy×topology×scale grid of the cost model:
-// every schedule the simulator understands (including the tp/sp
-// model-parallel baselines that have no functional runner) on every
-// topology family the cluster package models, at three ring sizes. It
+// every schedule the simulator understands on every topology family the cluster package models, at three ring sizes. It
 // regenerates BENCH_sweep.json, the machine-readable companion to the
 // paper tables of EXPERIMENTS.md — the model is deterministic, so the
 // file is committed and CI can diff regenerated output against it.
@@ -22,7 +20,7 @@ import (
 // both accept, in report order ("serial" exists only as a functional
 // runner and has no distributed schedule, so it is not swept).
 var sweepStrategies = []string{
-	"gpipe", "1f1b", "zb1", "zb2", "dp", "fsdp", "tp", "sp",
+	"gpipe", "1f1b", "zb1", "zb2", "dp", "fsdp",
 	"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2", "wzb2g",
 }
 

@@ -39,12 +39,14 @@ type Stats struct {
 	integrityChecks map[Kind]int64
 	integrityFails  map[Kind]int64
 
-	// Link-tier accounting. When groupSize > 0 every send whose source and
-	// destination ranks are known is classified as intra-group (same block
-	// of groupSize contiguous ranks — the fast fabric) or inter-group (a
-	// boundary crossing — the slow fabric). This is the measured
-	// counterpart of the simulator's hierarchical link model: the grouped
-	// belt's dedup win shows up here as a drop in interBytes.
+	// Link-tier accounting. When groupSize > 0 every data-plane send whose
+	// source and destination ranks are known is classified as intra-group
+	// (same block of groupSize contiguous ranks — the fast fabric) or
+	// inter-group (a boundary crossing — the slow fabric). This is the
+	// measured counterpart of the simulator's hierarchical link model,
+	// which models no control plane, so KindCtl sends (loss barriers,
+	// checkpoint gathers, repair protocols) stay out of the tiers: the
+	// grouped belt's dedup win shows up here as a drop in interBytes.
 	groupSize  int
 	intraBytes int64
 	intraMsgs  int64
@@ -99,7 +101,7 @@ func (s *Stats) recordPeer(src, dst int, kind Kind, elems, bytesPerElem int) {
 	s.mu.Lock()
 	s.sentBytes[kind] += b
 	s.sentMsgs[kind]++
-	if s.groupSize > 0 && src >= 0 && dst >= 0 {
+	if s.groupSize > 0 && src >= 0 && dst >= 0 && kind != KindCtl {
 		if src/s.groupSize == dst/s.groupSize {
 			s.intraBytes += b
 			s.intraMsgs++

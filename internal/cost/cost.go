@@ -254,16 +254,6 @@ func (w Workload) MemoryBytes(strategy string) float64 {
 		return sharded + gathered + acts + workspace
 	case "dp":
 		return w.TotalParams()*bytesPerOwnedParam + float64(w.L)*ckpt*u + workspace
-	case "tp":
-		// weights sharded 1/P; activations fully replicated on every rank.
-		return w.TotalParams()*bytesPerOwnedParam/float64(w.P) +
-			float64(w.L)*ckpt*u + workspace
-	case "sp":
-		// weights fully replicated (DP-style); activations split 1/P along
-		// the sequence, except each layer's gathered K/V (2 activation
-		// units, transient).
-		return w.TotalParams()*bytesPerOwnedParam +
-			float64(w.L)*ckpt*u/float64(w.P) + 2*u + workspace/float64(w.P)
 	case "weipipe-naive":
 		chunk := (lp*w.LayerParams() + edgeParams) * fp16Bytes
 		own := (lp*w.LayerParams() + edgeParams) * bytesPerOwnedParam

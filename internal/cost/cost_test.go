@@ -183,27 +183,3 @@ func TestUnknownStrategyPanics(t *testing.T) {
 	}()
 	w.MemoryBytes("nope")
 }
-
-func TestTPAndSPMemoryEntries(t *testing.T) {
-	w := paperTable2(2048, 8192, 8)
-	tp := w.MemoryBytes("tp")
-	sp := w.MemoryBytes("sp")
-	dp := w.MemoryBytes("dp")
-	if tp <= 0 || sp <= 0 {
-		t.Fatal("non-positive memory")
-	}
-	// TP shards weights 1/P; SP replicates them — SP must carry the full
-	// DP-style weight footprint while TP sits far below it.
-	if tp >= dp {
-		t.Errorf("tp memory %v not below dp %v", tp, dp)
-	}
-	if sp < w.TotalParams()*16 {
-		t.Errorf("sp memory %v below its replicated weight floor", sp)
-	}
-	// SP's activations shrink with P; TP's do not.
-	w2 := w
-	w2.P = 32
-	if w2.MemoryBytes("sp") >= sp {
-		t.Error("sp memory did not shrink with more ranks")
-	}
-}

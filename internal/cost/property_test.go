@@ -25,7 +25,7 @@ func randWorkload(seed uint64) Workload {
 
 var allMemStrategies = []string{
 	"gpipe", "1f1b", "zb1", "zb2", "fsdp", "dp",
-	"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2", "wzb2g", "tp", "sp",
+	"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2", "wzb2g",
 }
 
 // Property: memory is positive and monotone non-decreasing in G for every
@@ -58,7 +58,7 @@ func TestRecomputeTradeoffProperty(t *testing.T) {
 		w.Recompute = true
 		off := w
 		off.Recompute = false
-		for _, s := range []string{"1f1b", "gpipe", "fsdp", "dp", "weipipe-interleave", "tp"} {
+		for _, s := range []string{"1f1b", "gpipe", "fsdp", "dp", "weipipe-interleave"} {
 			if w.MemoryBytes(s) > off.MemoryBytes(s) {
 				t.Logf("%s: recompute increased memory", s)
 				return false

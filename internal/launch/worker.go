@@ -153,7 +153,6 @@ func (w *worker) serve(m Msg) error {
 		Iters:           spec.Iters,
 		BatchesFn:       spec.batches(),
 		Deadlines:       dl,
-		Chaos:           spec.Chaos,
 		CheckpointEvery: spec.CheckpointEvery,
 		CheckpointPath:  spec.CheckpointPath,
 		Snapshot:        snap,
@@ -176,6 +175,9 @@ func (w *worker) serve(m Msg) error {
 	}
 
 	out, err := pipeline.RunRank(a, rc)
+	if w.tr != nil {
+		pipeline.CloseMesh(w.tr, dl)
+	}
 	w.setTransport(nil)
 	if err != nil {
 		w.snap = nil

@@ -5,15 +5,15 @@ import (
 
 	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
-	"weipipe/internal/model"
 )
 
 // Elastic repair: when ranks die mid-run, the survivors already hold every
 // piece of the lost trainer state — each dead rank's owned chunk lives on
 // as its predecessor's buddy shadow (buddy.go). Repair therefore never
-// reads a checkpoint. There is one repair ladder, and both drivers climb
-// it: RunRank in each process of a weipipe-launch fleet, and RunResilient
-// for ranks that are goroutines over the in-process fabric or a TCP mesh.
+// reads a checkpoint. There is one repair ladder, and RunRank, the one
+// training loop, climbs it wherever repair is on: in each process of a
+// weipipe-launch fleet, and in RunResilient's goroutine ranks under an
+// elastic policy.
 //
 //  1. Detect: a rank's error goes through failureOutcome (rankrun.go). A
 //     rank whose own state is suspect (an injected crash, a detected
@@ -27,14 +27,15 @@ import (
 //     already stepped past it) and rebuilds the full-state snapshot on
 //     every survivor, each chunk from its owner or, when the owner died,
 //     from the owner's buddy (chunkSource).
-//  4. Plan: the driver checks the survivors' snapshots are bit-identical
-//     and PlanRepair picks the next world — spares admitted, or a shrink,
-//     or checkpoint restart when neither is valid.
+//  4. Plan: the supervisor checks the survivors' snapshots are
+//     bit-identical and PlanRepair picks the next world — spares admitted,
+//     or a shrink, or checkpoint restart when neither is valid.
 //
 // Re-sharding is free: the snapshot is world-size-agnostic, so
 // RestoreSnapshot re-partitions it across the new world exactly as it
 // would a checkpoint — but from live, zero-iteration-loss state. A
-// coordinated checkpoint in RunRank is the same harvest with nobody dead.
+// coordinated checkpoint in RunRank is the same exchange of shares with
+// nobody dead.
 
 // ElasticPolicy selects how RunResilient reacts to dead ranks.
 type ElasticPolicy int
@@ -120,19 +121,4 @@ func chunkSource(c int, m comm.Membership) (rank int, fromBuddy bool, err error)
 		return 0, false, fmt.Errorf("pipeline: chunk %d unrecoverable: owner %d and buddy %d both dead", c, owner, buddy)
 	}
 	return buddy, true, nil
-}
-
-// newRepairSnapshot allocates the empty full-state snapshot a harvest
-// fills in, cut at tCut completed iterations.
-func newRepairSnapshot(mdl *model.Model, tCut int) *checkpoint.Snapshot {
-	total := mdl.NumParams()
-	return &checkpoint.Snapshot{
-		Config:  mdl.Cfg,
-		Weights: make([]float32, total),
-		Sections: map[string][]float32{
-			"adam.m": make([]float32, total),
-			"adam.v": make([]float32, total),
-		},
-		Step: int64(tCut),
-	}
 }

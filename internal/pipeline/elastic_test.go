@@ -38,11 +38,7 @@ func buddySendsPerIteration(t *testing.T, p, iters, n int) int64 {
 	if err != nil {
 		t.Fatalf("buddy probe run: %v", err)
 	}
-	_, _, _, _, sends := probe.Injected()
-	if sends == 0 || sends%int64(iters) != 0 {
-		t.Fatalf("buddy probe counted %d sends over %d iterations", sends, iters)
-	}
-	return sends / int64(iters)
+	return perIteration(t, probe, p, iters)
 }
 
 // Buddy replication must not perturb training (bit-identical losses and

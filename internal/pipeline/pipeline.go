@@ -138,8 +138,9 @@ type Options struct {
 	// buddy enables buddy replication on WeiPipe trainers (buddy.go): each
 	// rank also shadows its ring successor's owned chunk, so the repair
 	// ladder can rebuild a dead rank's shard. It exists only for that
-	// ladder, so only the drivers set it — RunResilient under an elastic
-	// policy, RunRank on every multi-rank ring. It adds no KindWeight or
+	// ladder, so only RunRank sets it, whenever repair is on (always in a
+	// weipipe-launch process, under an elastic policy in RunResilient) and
+	// the ring has two ranks or more. It adds no KindWeight or
 	// KindGrad message and does not change the owned weights. Ignored by
 	// non-WeiPipe strategies and single-rank rings.
 	buddy bool

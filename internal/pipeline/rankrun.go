@@ -1,35 +1,31 @@
 package pipeline
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
 	"weipipe/internal/data"
 	"weipipe/internal/model"
+	"weipipe/internal/trace"
 )
 
-// RunRank drives one rank of one cluster incarnation over a real TCP mesh:
-// one OS process per rank, no shared memory to lean on. It climbs the same
-// repair ladder as RunResilient (elastic.go) — failureOutcome is the
-// per-rank failure rule of both drivers — and adds what a process needs
-// in place of shared memory, as explicit wire protocols:
-//
-//   - a per-iteration all-to-all control barrier carrying the loss, so no
-//     rank can run ahead into an iteration its peers have abandoned;
-//   - coordinated checkpoints, each a wireHarvest with nobody dead: every
-//     rank broadcasts its owned chunk and all ranks assemble the
-//     identical snapshot; rank 0 writes it to disk, after the final
-//     iteration too.
-//
-// RunRank never decides the cluster's future: it returns a RankOutcome
-// describing what happened (completed; repaired with a harvested
-// snapshot; aborted) and the supervisor (internal/launch) plans the next
-// incarnation with PlanRepair and hands every process a fresh
-// RankAssignment at a new epoch.
+// RunRank is the one training loop. Every rank runs it: each process of a
+// weipipe-launch fleet, and each of RunResilient's goroutines. Per iteration
+// it sets the learning rate, trains, and agrees the loss with an all-to-all
+// control barrier, so no rank runs ahead into an iteration its peers have
+// abandoned. Checkpoints and the final weights are gathers of what every
+// trainer exports (share), so every rank assembles the identical snapshot;
+// rank 0 writes checkpoints to disk. On failure the rank climbs the repair
+// ladder (elastic.go). RunRank never decides the cluster's future: it
+// returns a RankOutcome, and the supervisor — internal/launch across
+// processes, RunResilient in one — plans the next incarnation with
+// PlanRepair and hands every rank a fresh RankAssignment at a new epoch.
 
 // RankAssignment is one process's place in one cluster incarnation.
 type RankAssignment struct {
@@ -38,10 +34,11 @@ type RankAssignment struct {
 	Epoch uint32
 	// Rank and World position this process in the incarnation.
 	Rank, World int
-	// Addrs lists every rank's listen address (len == World).
+	// Addrs lists every rank's listen address (len == World) for the
+	// default TCP dial.
 	Addrs []string
 	// StartIter is the completed-iteration count training resumes from
-	// when no snapshot says otherwise.
+	// when no full-state snapshot says otherwise.
 	StartIter int
 	// SeedFrom, when >= 0, names the rank that broadcasts its snapshot to
 	// the ranks in SeedTo before training starts — how freshly admitted
@@ -64,9 +61,6 @@ type RankConfig struct {
 	// Deadlines is the single timeout budget threaded through transport,
 	// detector and protocol layers.
 	Deadlines comm.Deadlines
-	// Chaos, when set, injects frame-level faults under the reliability
-	// layer (the soak harness's knob).
-	Chaos *comm.ChaosConfig
 	// CheckpointEvery/CheckpointPath/CheckpointKeep mirror
 	// ResilientOptions: a checkpoint every CheckpointEvery iterations and
 	// after the final one; only rank 0 writes to disk.
@@ -75,7 +69,8 @@ type RankConfig struct {
 	CheckpointKeep  int
 	// Snapshot seeds this rank's trainer (survivors carry their harvested
 	// state here between incarnations; nil on spares, which receive it via
-	// the SeedFrom broadcast).
+	// the SeedFrom broadcast). A weight-only snapshot seeds the weights
+	// alone: training starts at StartIter on a fresh optimizer.
 	Snapshot *checkpoint.Snapshot
 	// LR, when set, is applied before every iteration.
 	LR func(iter int) float64
@@ -87,8 +82,26 @@ type RankConfig struct {
 	// of declaring them dead. The empty state ends the preceding one.
 	Beacon func(state string, iter int)
 	// Transport, when set, replaces the default TCP dial — the hook tests
-	// use to interpose fault injection. It must honour a.Epoch.
+	// use to interpose fault injection, launch to hold the mesh for its
+	// partitions and RunResilient to hand each rank its endpoint. It must
+	// honour a.Epoch. The endpoint stays the caller's to close: on the
+	// in-process fabric any close is a death, so a fleet's endpoints close
+	// once every rank is home.
 	Transport func(a RankAssignment) (comm.Transport, error)
+
+	// local is set when RunResilient runs this rank as one of its
+	// goroutines.
+	local *localRank
+}
+
+// localRank is what RunResilient tells one of its ranks.
+type localRank struct {
+	// repair is the one repair switch (always on in a weipipe-launch
+	// process). On, the rank keeps a buddy replica and a failure climbs the
+	// repair ladder; off, buddy replication stays off and a failure aborts
+	// at once, and the supervisor closes every endpoint.
+	repair bool
+	board  *ProgressBoard // the straggler watchdog's, when one runs
 }
 
 // RankOutcome reports how one incarnation ended for this rank.
@@ -106,14 +119,25 @@ type RankOutcome struct {
 	// Losses holds the per-iteration losses this incarnation observed
 	// (indexed from 0; entries before StartIter are zero).
 	Losses []float64
+	// Checkpoint is the last coordinated checkpoint this rank assembled,
+	// else the snapshot it was seeded from (nil when there is neither):
+	// the restart point of an in-process supervisor.
+	Checkpoint *checkpoint.Snapshot
+	// SkippedSteps, SpikeSteps and ArenaHighWater report the trainer's
+	// counters (Done only): SkipCounter, SpikeCounter and ArenaMeter.
+	SkippedSteps, SpikeSteps, ArenaHighWater int
+	// Err is the failure that ended the incarnation, naming the rank and
+	// iteration (nil when Done).
+	Err error
 	// Membership is the agreed post-failure membership (failure only).
 	Membership comm.Membership
 	// Snapshot is the harvested repair state (failure with successful
 	// harvest only) — the seed for the next incarnation.
 	Snapshot *checkpoint.Snapshot
 	// Aborted is true when this rank cannot contribute to a repair:
-	// evicted, quorum lost, or the harvest failed. The supervisor falls
-	// back to checkpoint restart (or retires the rank to standby).
+	// evicted, quorum lost, the harvest failed, or repair is off. The
+	// supervisor falls back to checkpoint restart (or retires the rank to
+	// standby).
 	Aborted bool
 	// Reason explains the abort ("evicted", "no-quorum", ...).
 	Reason string
@@ -124,9 +148,10 @@ type RankOutcome struct {
 // and comm's agreement owns A >= 1<<30, so these cannot collide.
 const (
 	barrierTagBase = 1 << 29       // + iter: the per-iteration loss barrier
-	harvestTagMeta = 1<<29 + 1<<28 // harvest meta (dead hash, step phases)
-	harvestTagBase = 1<<29 + 3<<27 // + chunk, B = cut: harvested chunk state
 	seedTagBase    = 1<<29 + 1<<26 // snapshot broadcast to spares
+	gatherTag      = 1<<29 + 1<<27 // B = completed: checkpoint and final-weight shares
+	harvestTagMeta = 1<<29 + 1<<28 // harvest meta (dead hash, step phases)
+	harvestTag     = 1<<29 + 3<<27 // B = cut: harvested chunk state
 )
 
 func (rc RankConfig) beacon(state string, iter int) {
@@ -135,55 +160,89 @@ func (rc RankConfig) beacon(state string, iter int) {
 	}
 }
 
-// RunRank drives this process's rank through one cluster incarnation.
+func (rc RankConfig) repairs() bool { return rc.local == nil || rc.local.repair }
+
+// CloseMesh closes a rank's TCP endpoint at the end of an incarnation.
+// Close models an abrupt kill and abandons queued frames, so every exit —
+// completion, agreement verdict, harvest — first drains the send queues
+// toward live peers; otherwise the tail of an exchange protocol disappears
+// from under a slower rank and a healthy run reports a phantom death.
+func CloseMesh(t comm.Transport, dl comm.Deadlines) {
+	comm.FlushTransport(t, dl.WithDefaults().Barrier)
+	t.Close()
+}
+
+// RunRank drives this rank through one cluster incarnation.
 func RunRank(a RankAssignment, rc RankConfig) (*RankOutcome, error) {
-	if a.World < 1 || a.Rank < 0 || a.Rank >= a.World || len(a.Addrs) != a.World {
-		return nil, fmt.Errorf("pipeline: invalid assignment rank %d world %d addrs %d",
-			a.Rank, a.World, len(a.Addrs))
+	if a.World < 1 || a.Rank < 0 || a.Rank >= a.World {
+		return nil, fmt.Errorf("pipeline: invalid assignment rank %d world %d", a.Rank, a.World)
 	}
 	dl := rc.Deadlines.WithDefaults()
 
 	var t comm.Transport
 	var err error
-	if rc.Transport != nil {
+	switch {
+	case rc.Transport != nil:
 		t, err = rc.Transport(a)
-	} else {
+	case len(a.Addrs) != a.World:
+		return nil, fmt.Errorf("pipeline: rank %d of %d given %d addresses", a.Rank, a.World, len(a.Addrs))
+	default:
 		opts := dl.TCPOptions()
 		opts.Epoch = a.Epoch
-		opts.Chaos = rc.Chaos
-		t, err = comm.DialTCPOpts(a.Rank, a.Addrs, opts)
+		if t, err = comm.DialTCPOpts(a.Rank, a.Addrs, opts); err == nil {
+			defer CloseMesh(t, dl)
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: rank %d epoch %d bring-up: %w", a.Rank, a.Epoch, err)
 	}
-	// Close models an abrupt kill and abandons queued frames, so every
-	// exit — completion, agreement verdict, harvest — first drains the send
-	// queues toward live peers; otherwise the tail of an exchange protocol
-	// disappears from under a slower rank and a healthy run reports a
-	// phantom death.
-	defer func() {
-		comm.FlushTransport(t, dl.Barrier)
-		t.Close()
-	}()
+	var board *ProgressBoard
+	if rc.local != nil {
+		board = rc.local.board
+	}
 
 	opts := rc.Opts
 	// The repair ladder needs every shard replicated.
-	opts.buddy = a.World >= 2
+	opts.buddy = rc.repairs() && a.World >= 2
 	tr, err := New(rc.Strategy, t, rc.Cfg, opts)
 	if err != nil {
 		return nil, err
 	}
+	if ps, ok := tr.(progressSink); ok && board != nil {
+		ps.SetProgressBoard(board, a.Rank)
+	}
+	rt := rc.Opts.Trace.Rank(a.Rank)
 
 	snap := rc.Snapshot
+	var ckpt *checkpoint.Snapshot // the last checkpoint this incarnation assembled
+	fail := func(iter int, cause error) *RankOutcome {
+		cause = fmt.Errorf("rank %d, iteration %d: %w", a.Rank, iter, cause)
+		var o *RankOutcome
+		if rc.repairs() {
+			o = failureOutcome(a, rc, t, tr, iter, cause)
+		} else {
+			o = &RankOutcome{Iter: iter, Aborted: true, Reason: "aborted: " + cause.Error()}
+		}
+		o.Err, o.Checkpoint = cause, cmp.Or(ckpt, snap)
+		return o
+	}
+
 	if snap, err = seedExchange(a, rc, t, snap); err != nil {
-		return failureOutcome(a, rc, t, tr, 0, err), nil
+		return fail(0, err), nil
 	}
 	start := a.StartIter
 	if snap != nil {
 		if err := RestoreSnapshot(snap, []Trainer{tr}); err != nil {
 			return nil, err
 		}
-		start = int(snap.Step)
+		if fullState(snap) {
+			start = int(snap.Step)
+		}
+		if a.Epoch > 0 {
+			// Mark the recovery restore on the timeline: the incarnation
+			// and the iteration training resumes from.
+			rt.Instant(trace.CodeRepair, int64(a.Epoch), int64(start))
+		}
 	}
 
 	losses := make([]float64, rc.Iters)
@@ -194,55 +253,120 @@ func RunRank(a RankAssignment, rc RankConfig) (*RankOutcome, error) {
 			}
 		}
 		rc.beacon("iter", iter)
+		board.SetIdle(a.Rank, false)
+		span := rt.Begin()
 		loss, err := tr.TrainIteration(rc.BatchesFn(iter))
-		if err != nil {
-			return failureOutcome(a, rc, t, tr, iter, err), nil
+		rt.End(span, trace.CodeStep, int64(iter), 0)
+		board.SetIdle(a.Rank, true)
+		if err == nil {
+			loss, err = lossBarrier(a, t, dl, iter, loss)
 		}
-		if loss, err = lossBarrier(a, t, dl, iter, loss); err != nil {
-			return failureOutcome(a, rc, t, tr, iter, err), nil
+		if err != nil {
+			return fail(iter, err), nil
 		}
 		losses[iter] = loss
 		if rc.OnIteration != nil {
 			rc.OnIteration(iter, loss)
 		}
-		if rc.CheckpointEvery > 0 && (iter+1)%rc.CheckpointEvery == 0 && iter+1 < rc.Iters {
-			ns, err := rankCheckpoint(a, rc, t, tr, iter+1)
+		if rc.CheckpointEvery > 0 && ((iter+1)%rc.CheckpointEvery == 0 || iter+1 == rc.Iters) {
+			ns := newCapture(tr.Model(), iter+1, true)
+			own := exportWeights(tr, ns)
+			if err := exportState(tr, ns, &own); err != nil {
+				return nil, err // a trainer that is not Recoverable cannot checkpoint
+			}
+			span := rt.Begin()
+			err := gatherCapture(a, rc, t, tr, ns, own)
+			rt.End(span, trace.CodeCkpt, int64(iter+1), 0)
 			if err != nil {
-				return failureOutcome(a, rc, t, tr, iter, err), nil
+				return fail(iter, err), nil
 			}
 			if err := rc.save(a, ns); err != nil {
 				return nil, err
 			}
+			ckpt = ns
 		}
 	}
 
-	final, err := rankCheckpoint(a, rc, t, tr, rc.Iters)
-	if err != nil {
-		return failureOutcome(a, rc, t, tr, rc.Iters-1, err), nil
+	// The final weights: the last checkpoint's when it was taken at the
+	// end, else a weight-only gather — which every strategy can export.
+	var weights []float32
+	if ckpt != nil && int(ckpt.Step) == rc.Iters {
+		weights = slices.Clone(ckpt.Weights)
+	} else {
+		final := newCapture(tr.Model(), rc.Iters, false)
+		if err := gatherCapture(a, rc, t, tr, final, exportWeights(tr, final)); err != nil {
+			return fail(rc.Iters-1, err), nil
+		}
+		weights = final.Weights
 	}
-	if err := rc.save(a, final); err != nil {
-		return nil, err
-	}
-	return &RankOutcome{
+	out := &RankOutcome{
 		Done:        true,
 		Iter:        rc.Iters,
-		Weights:     final.Weights,
-		WeightsHash: HashWeights(final.Weights),
+		Weights:     weights,
+		WeightsHash: HashWeights(weights),
 		Losses:      losses,
-	}, nil
+		Checkpoint:  cmp.Or(ckpt, snap),
+	}
+	if sc, ok := tr.(SkipCounter); ok {
+		out.SkippedSteps = sc.SkippedSteps()
+	}
+	if sc, ok := tr.(SpikeCounter); ok {
+		out.SpikeSteps = sc.SpikeSteps()
+	}
+	if am, ok := tr.(ArenaMeter); ok {
+		out.ArenaHighWater = am.ArenaHighWater()
+	}
+	return out, nil
 }
 
-// rankCheckpoint takes the coordinated checkpoint at `completed`
-// iterations: a harvest with nobody dead, so every chunk comes from its
-// owner.
-func rankCheckpoint(a RankAssignment, rc RankConfig, t comm.Transport, tr Trainer,
-	completed int) (*checkpoint.Snapshot, error) {
+// gatherCapture completes a capture on every rank: this rank's share,
+// already exported into snap, goes to every peer, and every peer's share is
+// placed on receipt, so all ranks assemble the identical snapshot.
+func gatherCapture(a RankAssignment, rc RankConfig, t comm.Transport, tr Trainer,
+	snap *checkpoint.Snapshot, own share) error {
 
-	rc.beacon("ckpt", completed)
-	defer rc.beacon("", completed)
-	snap, _, err := wireHarvest(a, t, rc.Deadlines.WithDefaults(), tr,
-		comm.Membership{OldSize: a.World}, completed)
-	return snap, err
+	rc.beacon("ckpt", int(snap.Step))
+	defer rc.beacon("", int(snap.Step))
+	everyone := comm.Membership{OldSize: a.World}.Survivors()
+	shares, err := exchangeShares(a, t, rc.Deadlines.WithDefaults(),
+		Tag{Kind: comm.KindCtl, A: gatherTag, B: int(snap.Step)}, everyone, snap, own)
+	if err != nil {
+		return err
+	}
+	return sealCapture(snap, shares, tr)
+}
+
+// exchangeShares sends own, already placed in snap, to every other rank of
+// group and places each of theirs on receipt, returning every share.
+func exchangeShares(a RankAssignment, t comm.Transport, dl comm.Deadlines, tag Tag,
+	group []int, snap *checkpoint.Snapshot, own share) ([]share, error) {
+
+	payload := packShare(snap, own)
+	for _, r := range group {
+		if r == a.Rank {
+			continue
+		}
+		if err := t.Send(r, tag, payload); err != nil {
+			return nil, err
+		}
+	}
+	shares := []share{own}
+	for _, r := range group {
+		if r == a.Rank {
+			continue
+		}
+		got, err := t.RecvTimeout(r, tag, dl.Barrier)
+		if err != nil {
+			return nil, err
+		}
+		sh, err := placeShare(snap, got)
+		comm.Release(got)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: rank %d's share: %w", r, err)
+		}
+		shares = append(shares, sh)
+	}
+	return shares, nil
 }
 
 // save writes a coordinated checkpoint to CheckpointPath when
@@ -365,42 +489,17 @@ func lossBarrier(a RankAssignment, t comm.Transport, dl comm.Deadlines, iter int
 	return canonical, nil
 }
 
-// stateExportPayload flattens a chunk's state export for the wire:
-// [chunk, step] header words followed by W, M, V. The f32 header words
-// are exact (chunk and step are small integers).
-func stateExportPayload(c int, st StateExport) []float32 {
-	out := make([]float32, 0, 2+3*len(st.W))
-	out = append(out, float32(c), float32(st.Step))
-	out = append(out, st.W...)
-	out = append(out, st.M...)
-	return append(out, st.V...)
-}
-
-func parseStateExport(payload []float32) (c int, st StateExport, err error) {
-	if len(payload) < 2 || (len(payload)-2)%3 != 0 {
-		return 0, st, fmt.Errorf("pipeline: malformed state export payload (%d words)", len(payload))
-	}
-	n := (len(payload) - 2) / 3
-	c = int(payload[0])
-	st.Step = int(payload[1])
-	st.W = append([]float32(nil), payload[2:2+n]...)
-	st.M = append([]float32(nil), payload[2+n:2+2*n]...)
-	st.V = append([]float32(nil), payload[2+2*n:]...)
-	return c, st, nil
-}
-
 // failureOutcome is the per-rank failure rule of the repair ladder
-// (elastic.go), run by RunRank and by RunResilient's rank goroutines alike:
+// (elastic.go), which RunRank climbs whenever repair is on:
 //
 //   - ErrClosed: the driver shut this rank down; nothing to agree about.
 //   - ErrCrashed or ErrIntegrity: this rank's own state is suspect. It
 //     closes its endpoint — every fabric then reports it dead to the
 //     survivors — and aborts as dead, so they rebuild its shard from the
 //     buddy replica instead of trusting it.
-//   - Anything else (an error naming a dead peer, a failed barrier, a
-//     peer's failure the driver reports): reopen the transport, agree on
-//     the membership over it, and harvest the snapshot every survivor
-//     then holds identically.
+//   - Anything else (an error naming a dead peer, a failed barrier): reopen
+//     the transport, agree on the membership over it, and harvest the
+//     snapshot every survivor then holds identically.
 //
 // Any step that cannot complete safely aborts — the driver then falls back
 // to a checkpoint restart, which is slower but equally bit-exact.
@@ -436,52 +535,45 @@ func failureOutcome(a RankAssignment, rc RankConfig, t comm.Transport, tr Traine
 
 	rc.beacon("harvest", iter)
 	defer rc.beacon("", iter)
-	snap, tCut, err := wireHarvest(a, t, dl, tr, m, -1)
+	snap, err := wireHarvest(a, t, dl, tr, m)
 	if err != nil {
 		return &RankOutcome{
 			Iter: iter, Membership: m, Aborted: true,
 			Reason: "harvest: " + err.Error(),
 		}
 	}
-	return &RankOutcome{Iter: tCut, Membership: m, Snapshot: snap}
+	return &RankOutcome{Iter: int(snap.Step), Membership: m, Snapshot: snap}
 }
 
 // wireHarvest rebuilds the full trainer state on every survivor of an
-// agreed membership: each survivor broadcasts every chunk it is the
-// chunkSource for (its owned live state, or the buddy shadow of a dead
-// owner), at the cut, to all other survivors. A checkpoint passes its cut
-// (the completed iterations) and an empty dead set, so every chunk comes
-// from its owner. After a failure cut is −1 and a first phase fixes it:
-// the survivors exchange a hash of the agreed dead set (divergent views
-// abort rather than assemble a franken-snapshot) and their committed step
-// phases, whose minimum is the cut. Chunk tags carry the cut, so two
-// harvests on one transport never match each other's frames.
+// agreed membership: each survivor sends the others one share of every
+// chunk it is the chunkSource for (its owned live state, or the buddy
+// shadow of a dead owner) at the cut. A first phase fixes the cut: the
+// survivors exchange a hash of the agreed dead set (divergent views abort
+// rather than assemble a franken-snapshot) and their committed step phases,
+// whose minimum is the cut. The tag carries the cut, so two harvests on one
+// transport never match each other's frames.
 func wireHarvest(a RankAssignment, t comm.Transport, dl comm.Deadlines,
-	tr Trainer, m comm.Membership, cut int) (*checkpoint.Snapshot, int, error) {
+	tr Trainer, m comm.Membership) (*checkpoint.Snapshot, error) {
 
 	wp, ok := tr.(*WeiPipe)
 	if !ok {
-		return nil, 0, fmt.Errorf("pipeline: the repair ladder needs WeiPipe trainers, got %T", tr)
+		return nil, fmt.Errorf("pipeline: the repair ladder needs WeiPipe trainers, got %T", tr)
 	}
 	survivors := m.Survivors()
-	if cut < 0 {
-		var err error
-		if cut, err = agreeCut(a, t, dl, wp, m, survivors); err != nil {
-			return nil, 0, err
-		}
+	cut, err := agreeCut(a, t, dl, wp, m, survivors)
+	if err != nil {
+		return nil, err
 	}
 
-	mdl := wp.Model()
-	offsets := moduleOffsets(mdl)
-	snap := newRepairSnapshot(mdl, cut)
-	optStep := -1
-	sources := make([]int, a.World) // chunk -> serving survivor
+	offsets := moduleOffsets(wp.Model())
+	snap := newCapture(wp.Model(), cut, true)
+	var own share
 	for c := 0; c < a.World; c++ {
 		src, fromBuddy, err := chunkSource(c, m)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		sources[c] = src
 		if src != a.Rank {
 			continue
 		}
@@ -492,50 +584,23 @@ func wireHarvest(a RankAssignment, t comm.Transport, dl comm.Deadlines,
 			st, err = wp.ExportOwnedStateAt(cut)
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("pipeline: harvest chunk %d: %w", c, err)
+			return nil, fmt.Errorf("pipeline: harvest chunk %d: %w", c, err)
 		}
-		payload := stateExportPayload(c, st)
-		chunkTag := Tag{Kind: comm.KindCtl, A: harvestTagBase + c, B: cut}
-		for _, r := range survivors {
-			if r == a.Rank {
-				continue
-			}
-			if err := t.Send(r, chunkTag, payload); err != nil {
-				return nil, 0, err
-			}
+		if len(own.spans) > 0 && own.step != int64(st.Step) {
+			return nil, fmt.Errorf("pipeline: inconsistent optimizer steps across chunks: %d vs %d", own.step, st.Step)
 		}
-		if err := placeHarvested(snap, wp, offsets, c, st, &optStep); err != nil {
-			return nil, 0, err
-		}
+		lo, hi := wp.chunkRange(c)
+		own.put(snap, offsets[lo], offsets[hi], vecWeights, st.W, st.M, st.V)
+		own.step = int64(st.Step)
 	}
-	for c := 0; c < a.World; c++ {
-		if sources[c] == a.Rank {
-			continue
-		}
-		chunkTag := Tag{Kind: comm.KindCtl, A: harvestTagBase + c, B: cut}
-		got, err := t.RecvTimeout(sources[c], chunkTag, dl.Barrier)
-		if err != nil {
-			return nil, 0, err
-		}
-		gc, st, perr := parseStateExport(got)
-		comm.Release(got)
-		if perr != nil {
-			return nil, 0, perr
-		}
-		if gc != c {
-			return nil, 0, fmt.Errorf("pipeline: rank %d served chunk %d, expected %d", sources[c], gc, c)
-		}
-		if err := placeHarvested(snap, wp, offsets, c, st, &optStep); err != nil {
-			return nil, 0, err
-		}
+	shares, err := exchangeShares(a, t, dl, Tag{Kind: comm.KindCtl, A: harvestTag, B: cut}, survivors, snap, own)
+	if err != nil {
+		return nil, err
 	}
-	snap.Sections["adam.step"] = []float32{float32(optStep)}
-	// Spike-detector state is lock-step identical on every rank, so each
-	// survivor contributes its own copy locally — no extra wire traffic.
-	if ss, err := wp.exportSpikeAt(cut); err == nil && ss != nil {
-		snap.Sections[spikeSection] = ss
+	if err := sealCapture(snap, shares, wp); err != nil {
+		return nil, err
 	}
-	return snap, cut, nil
+	return snap, nil
 }
 
 // agreeCut is a failure harvest's first phase: every survivor sends the
@@ -581,27 +646,6 @@ func agreeCut(a RankAssignment, t comm.Transport, dl comm.Deadlines, wp *WeiPipe
 		comm.Release(got)
 	}
 	return cut, nil
-}
-
-// placeHarvested copies one chunk's harvested state into the snapshot,
-// validating its extent against the model layout and that every chunk
-// carries the same optimizer step count.
-func placeHarvested(snap *checkpoint.Snapshot, ref *WeiPipe, offsets []int,
-	c int, st StateExport, optStep *int) error {
-	lo, hi := ref.chunkRange(c)
-	want := offsets[hi] - offsets[lo]
-	if len(st.W) != want || len(st.M) != want || len(st.V) != want {
-		return fmt.Errorf("pipeline: chunk %d harvest covers %d params, want %d", c, len(st.W), want)
-	}
-	copy(snap.Weights[offsets[lo]:offsets[hi]], st.W)
-	copy(snap.Sections["adam.m"][offsets[lo]:offsets[hi]], st.M)
-	copy(snap.Sections["adam.v"][offsets[lo]:offsets[hi]], st.V)
-	if *optStep == -1 {
-		*optStep = st.Step
-	} else if *optStep != st.Step {
-		return fmt.Errorf("pipeline: inconsistent optimizer steps across chunks: %d vs %d", *optStep, st.Step)
-	}
-	return nil
 }
 
 // hashDeadSet fingerprints (epoch, oldSize, dead...) so survivors can

@@ -3,15 +3,16 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"slices"
+	"sync"
 	"time"
 
 	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
 	"weipipe/internal/data"
 	"weipipe/internal/model"
-	"weipipe/internal/trace"
 )
 
 // Recoverable is implemented by trainers that can checkpoint and restore
@@ -92,74 +93,202 @@ func moduleOffsets(mdl *model.Model) []int {
 	return offsets
 }
 
-// CaptureSnapshot takes a coordinated checkpoint of a cluster: the
-// assembled post-step weights plus the optimizer moments, each rank
-// contributing its owned range, and the completed-iteration count (which
-// doubles as the data cursor — iteration i always trains on batchesFn(i)).
-// The optimizer step count travels in its own "adam.step" section: with the
-// non-finite guard, skipped steps make it run behind the iteration count,
-// so the two must not be conflated. Every trainer must be quiescent
-// (between iterations) and implement Recoverable.
-func CaptureSnapshot(trainers []Trainer, completedIters int) (*checkpoint.Snapshot, error) {
-	// The capture is one coordinated barrier; span it once, on the first
-	// rank that carries a tracer, rather than once per rank.
-	var ctr *trace.Tracer
-	for _, tr := range trainers {
-		if tj, ok := tr.(tracedRunner); ok && tj.tracer() != nil {
-			ctr = tj.tracer()
-			break
-		}
+// A share is one trainer's part of a coordinated capture: spans of the
+// capture's vectors — the weights it holds (Owner.ExportWeights) and, in a
+// full-state capture, the optimizer moments it owns (Recoverable) — and its
+// optimizer step count. CaptureSnapshot places every trainer's share in one
+// process; RunRank's checkpoint gather and the repair harvest send shares
+// over the wire (packShare, placeShare).
+type share struct {
+	spans []span
+	step  int64
+}
+
+// A span is the range [lo, hi) of one of a capture's vectors.
+type span struct{ vec, lo, hi int }
+
+// The capture vectors a span names, in export order.
+const (
+	vecWeights = iota
+	vecM
+	vecV
+)
+
+// vector returns the capture vector vec (nil when snap does not carry it).
+func vector(snap *checkpoint.Snapshot, vec int) []float32 {
+	switch vec {
+	case vecWeights:
+		return snap.Weights
+	case vecM:
+		return snap.Sections["adam.m"]
+	case vecV:
+		return snap.Sections["adam.v"]
 	}
-	span := ctr.Begin()
-	defer ctr.End(span, trace.CodeCkpt, int64(completedIters), 0)
-	mdl := trainers[0].Model()
-	offsets := moduleOffsets(mdl)
+	return nil
+}
+
+// put copies xs into snap's range [lo, hi) of the vectors vec, vec+1, …
+// and records them as spans of sh.
+func (sh *share) put(snap *checkpoint.Snapshot, lo, hi, vec int, xs ...[]float32) {
+	for i, x := range xs {
+		copy(vector(snap, vec+i)[lo:hi], x)
+		sh.spans = append(sh.spans, span{vec + i, lo, hi})
+	}
+}
+
+// newCapture allocates the snapshot a capture at `completed` iterations
+// fills: the weights and, when withState, the optimizer moments.
+func newCapture(mdl *model.Model, completed int, withState bool) *checkpoint.Snapshot {
 	total := mdl.NumParams()
 	snap := &checkpoint.Snapshot{
-		Config:  mdl.Cfg,
-		Weights: AssembleWeights(trainers),
-		Sections: map[string][]float32{
-			"adam.m": make([]float32, total),
-			"adam.v": make([]float32, total),
-		},
-		Step: int64(completedIters),
+		Config:   mdl.Cfg,
+		Weights:  make([]float32, total),
+		Sections: map[string][]float32{},
+		Step:     int64(completed),
 	}
-	optStep := int64(-1)
-	for _, tr := range trainers {
-		rec, ok := tr.(Recoverable)
-		if !ok {
-			return nil, fmt.Errorf("pipeline: %T cannot checkpoint optimizer state", tr)
-		}
-		lo, hi := rec.OwnedModules()
-		step, m, v := rec.ExportOptimState()
-		want := offsets[hi] - offsets[lo]
-		if len(m) != want || len(v) != want {
-			return nil, fmt.Errorf("pipeline: %T optimizer state covers %d params, owned range holds %d",
-				tr, len(m), want)
-		}
-		copy(snap.Sections["adam.m"][offsets[lo]:offsets[hi]], m)
-		copy(snap.Sections["adam.v"][offsets[lo]:offsets[hi]], v)
-		if optStep == -1 {
-			optStep = step
-		} else if optStep != step {
-			return nil, fmt.Errorf("pipeline: inconsistent optimizer steps across ranks: %d vs %d", optStep, step)
+	if withState {
+		snap.Sections["adam.m"] = make([]float32, total)
+		snap.Sections["adam.v"] = make([]float32, total)
+	}
+	return snap
+}
+
+// exportWeights writes the weights tr holds into their places in snap.
+func exportWeights(tr Trainer, snap *checkpoint.Snapshot) share {
+	var sh share
+	for _, r := range tr.(Owner).ExportWeights(snap.Weights) {
+		sh.spans = append(sh.spans, span{vecWeights, r[0], r[1]})
+	}
+	return sh
+}
+
+// exportState adds tr's optimizer moments and step count to its share of
+// a full-state capture; a trainer that is not Recoverable cannot give them.
+func exportState(tr Trainer, snap *checkpoint.Snapshot, sh *share) error {
+	rec, ok := tr.(Recoverable)
+	if !ok {
+		return fmt.Errorf("pipeline: %T cannot checkpoint optimizer state", tr)
+	}
+	offsets := moduleOffsets(tr.Model())
+	lo, hi := rec.OwnedModules()
+	step, m, v := rec.ExportOptimState()
+	if want := offsets[hi] - offsets[lo]; len(m) != want || len(v) != want {
+		return fmt.Errorf("pipeline: %T optimizer state covers %d params, owned range holds %d",
+			tr, len(m), want)
+	}
+	sh.put(snap, offsets[lo], offsets[hi], vecM, m, v)
+	sh.step = step
+	return nil
+}
+
+// sealCapture finishes a capture once every share is placed: the shares
+// must hold every weight and, in a full-state capture, agree on the
+// optimizer step, which travels in its own "adam.step" section — with the
+// non-finite guard, skipped steps make it run behind the iteration count,
+// so the two must not be conflated. The spike-detector window evolves in
+// lock-step on every rank, so a WeiPipe trainer (tr, any rank's)
+// contributes its own copy: a resumed run's verdicts match an uninterrupted
+// run's bit for bit.
+func sealCapture(snap *checkpoint.Snapshot, shares []share, tr Trainer) error {
+	var held [][2]int
+	for _, sh := range shares {
+		for _, sp := range sh.spans {
+			if sp.vec == vecWeights {
+				held = append(held, [2]int{sp.lo, sp.hi})
+			}
 		}
 	}
-	snap.Sections["adam.step"] = []float32{float32(optStep)}
-	// The spike-detector window evolves in lock-step on every rank; the
-	// first trainer carrying one contributes the (identical) state, so a
-	// resumed run's verdicts match an uninterrupted run's bit-for-bit.
-	for _, tr := range trainers {
-		if wp, ok := tr.(*WeiPipe); ok {
-			ss, err := wp.exportSpikeAt(completedIters)
-			if err != nil {
-				return nil, err
-			}
-			if ss != nil {
-				snap.Sections[spikeSection] = ss
-			}
-			break
+	if next := firstUnheld(held, len(snap.Weights)); next < len(snap.Weights) {
+		return fmt.Errorf("pipeline: weight %d held by no rank", next)
+	}
+	if !fullState(snap) {
+		return nil
+	}
+	for _, sh := range shares[1:] {
+		if sh.step != shares[0].step {
+			return fmt.Errorf("pipeline: inconsistent optimizer steps across ranks: %d vs %d", shares[0].step, sh.step)
 		}
+	}
+	snap.Sections["adam.step"] = []float32{float32(shares[0].step)}
+	if wp, ok := tr.(*WeiPipe); ok {
+		ss, err := wp.exportSpikeAt(int(snap.Step))
+		if err != nil {
+			return err
+		}
+		if ss != nil {
+			snap.Sections[spikeSection] = ss
+		}
+	}
+	return nil
+}
+
+// packShare flattens a share for the wire: the step and the span count,
+// then each span as (vec, lo, hi) followed by its values. The ints ride as
+// bit-aliased words, since a float32 conversion would round offsets past
+// 2^24.
+func packShare(snap *checkpoint.Snapshot, sh share) []float32 {
+	n := 2
+	for _, sp := range sh.spans {
+		n += 3 + sp.hi - sp.lo
+	}
+	out := make([]float32, 0, n)
+	out = append(out, intWord(int(sh.step)), intWord(len(sh.spans)))
+	for _, sp := range sh.spans {
+		out = append(out, intWord(sp.vec), intWord(sp.lo), intWord(sp.hi))
+		out = append(out, vector(snap, sp.vec)[sp.lo:sp.hi]...)
+	}
+	return out
+}
+
+// placeShare copies a packed share into snap and returns it, validating
+// every span against the snapshot.
+func placeShare(snap *checkpoint.Snapshot, payload []float32) (share, error) {
+	malformed := fmt.Errorf("pipeline: malformed share (%d words)", len(payload))
+	if len(payload) < 2 {
+		return share{}, malformed
+	}
+	sh := share{step: int64(wordInt(payload[0]))}
+	body := payload[2:]
+	for range wordInt(payload[1]) {
+		if len(body) < 3 {
+			return share{}, malformed
+		}
+		sp := span{wordInt(body[0]), wordInt(body[1]), wordInt(body[2])}
+		dst, body3 := vector(snap, sp.vec), body[3:]
+		if sp.lo < 0 || sp.hi < sp.lo || sp.hi > len(dst) || sp.hi-sp.lo > len(body3) {
+			return share{}, malformed
+		}
+		copy(dst[sp.lo:sp.hi], body3)
+		body = body3[sp.hi-sp.lo:]
+		sh.spans = append(sh.spans, sp)
+	}
+	if len(body) != 0 {
+		return share{}, malformed
+	}
+	return sh, nil
+}
+
+func intWord(v int) float32 { return math.Float32frombits(uint32(int32(v))) }
+func wordInt(w float32) int { return int(int32(math.Float32bits(w))) }
+
+// CaptureSnapshot takes a coordinated checkpoint of a cluster whose
+// trainers share this process: the assembled post-step weights plus the
+// optimizer moments, each rank contributing its owned range, and the
+// completed-iteration count (which doubles as the data cursor — iteration i
+// always trains on batchesFn(i)). It is the in-memory twin of RunRank's
+// checkpoint gather, from the same per-trainer export. Every trainer must
+// be quiescent (between iterations) and implement Recoverable.
+func CaptureSnapshot(trainers []Trainer, completedIters int) (*checkpoint.Snapshot, error) {
+	snap := newCapture(trainers[0].Model(), completedIters, true)
+	shares := make([]share, len(trainers))
+	for i, tr := range trainers {
+		shares[i] = exportWeights(tr, snap)
+		if err := exportState(tr, snap, &shares[i]); err != nil {
+			return nil, err
+		}
+	}
+	if err := sealCapture(snap, shares, trainers[0]); err != nil {
+		return nil, err
 	}
 	return snap, nil
 }
@@ -267,8 +396,9 @@ type ResilientOptions struct {
 	OnRepair func(RepairEvent)
 	// InitialSnapshot, when set, seeds the run from an in-memory snapshot
 	// instead of CheckpointPath — the hook the repair equivalence tests use
-	// to start a fresh cluster from a harvested repair state. A weight-only
-	// snapshot seeds the weights alone (RestoreSnapshot).
+	// to start a fresh cluster from a harvested repair state. A full-state
+	// snapshot resumes at its Step; a weight-only one seeds the weights
+	// alone, and training starts at iteration 0 on a fresh optimizer.
 	InitialSnapshot *checkpoint.Snapshot
 	// WrapTransport, when set, wraps each rank's transport per attempt —
 	// the hook the chaos tests use to inject rank crashes. The straggler
@@ -284,42 +414,33 @@ type ResilientOptions struct {
 	LR func(iter int) float64
 }
 
-// attemptFailure is the evidence one failed attempt hands the restart loop:
-// the triggering error, the iteration it struck and — when the survivors
-// climbed the repair ladder to a harvested snapshot — how many survived,
-// the agreed dead set and that snapshot.
-type attemptFailure struct {
-	err       error
-	iter      int
-	survivors int
-	dead      []int
-	repair    *checkpoint.Snapshot
-}
-
-// RunResilient is the in-process training loop — RunCluster, weipipe-train
-// and launch.ReplayOracle all run on it. It drives `iters` lock-step
-// iterations of strategy s on p ranks and — when any rank fails
-// (peer death, transport closure, injected crash, integrity violation,
-// watchdog declaration) — continues as the ElasticPolicy chooses:
-// ElasticNone closes every endpoint and rebuilds the same world from the
-// last coordinated checkpoint; ElasticShrink and ElasticSpare climb the
-// repair ladder RunRank climbs (elastic.go) — agreement and harvest over
-// the ranks' own transports — and re-shard across the survivors or admit
-// a spare, losing at most the iteration in flight and reading nothing from
-// disk. Either way the continued run's loss trajectory is bit-identical to
-// an uninterrupted run of the same world-size history.
+// RunResilient is the in-process supervisor, the twin of internal/launch's
+// across processes. Per attempt it builds one endpoint per rank with
+// transports (attempt 0 is the initial bring-up; elastic repair changes the
+// requested size), runs one RunRank per rank over them in a goroutine,
+// collects the outcomes and plans the next attempt. RunCluster,
+// weipipe-train and launch.ReplayOracle all run on it.
 //
-// transports builds one endpoint per rank for each incarnation of the
-// cluster (attempt 0 is the initial bring-up); elastic repair changes the
-// requested size between attempts.
+// When a rank fails (peer death, transport closure, injected crash,
+// integrity violation, watchdog declaration), ElasticNone aborts every rank
+// and restarts the same world from the last coordinated checkpoint;
+// ElasticShrink and ElasticSpare let the ranks climb the repair ladder
+// (elastic.go) and re-shard across the survivors or admit a spare, losing
+// at most the iteration in flight and reading nothing from disk. Either way
+// the continued run's loss trajectory is bit-identical to an uninterrupted
+// run of the same world-size history.
 func RunResilient(s Strategy, p int, cfg model.Config, opts Options, iters int,
 	batchesFn func(iter int) []data.Batch,
 	transports func(attempt, size int) ([]comm.Transport, error),
 	ropts ResilientOptions) (*ClusterResult, error) {
 
-	losses := make([]float64, iters)
-	snap := ropts.InitialSnapshot
-	if snap == nil && ropts.CheckpointPath != "" {
+	base := RankConfig{
+		Strategy: s, Cfg: cfg, Opts: opts, Iters: iters, BatchesFn: batchesFn,
+		CheckpointEvery: ropts.CheckpointEvery, CheckpointPath: ropts.CheckpointPath,
+		CheckpointKeep: ropts.KeepCheckpoints, LR: ropts.LR,
+		Snapshot: ropts.InitialSnapshot,
+	}
+	if base.Snapshot == nil && ropts.CheckpointPath != "" {
 		if _, err := os.Stat(ropts.CheckpointPath); err == nil {
 			loaded, err := checkpoint.Load(ropts.CheckpointPath)
 			if err != nil {
@@ -328,10 +449,11 @@ func RunResilient(s Strategy, p int, cfg model.Config, opts Options, iters int,
 			if !fullState(loaded) {
 				return nil, fmt.Errorf("pipeline: %s is a weight-only snapshot (no optimizer state); full-state resume needs a checkpoint written by RunResilient mid-run", ropts.CheckpointPath)
 			}
-			snap = loaded
+			base.Snapshot = loaded
 		}
 	}
 
+	losses := make([]float64, iters)
 	world := p
 	spares := 0
 	if ropts.Elastic == ElasticSpare {
@@ -339,37 +461,50 @@ func RunResilient(s Strategy, p int, cfg model.Config, opts Options, iters int,
 	}
 	var repairs []RepairEvent
 	for attempt := 0; ; attempt++ {
-		res, fail := runAttempt(s, world, cfg, opts, iters, batchesFn, transports, ropts, attempt, losses, &snap)
-		if fail == nil {
+		res, outs, err := runRanks(attempt, world, base, transports, ropts, losses)
+		if err == nil {
 			res.Repairs = repairs
 			return res, nil
 		}
+		// The next restart point: the newest checkpoint a rank assembled in
+		// this attempt — every rank's share of it arrived, so it is whole.
+		seed := base.Snapshot
+		for _, o := range outs {
+			if o != nil && o.Checkpoint != nil && o.Checkpoint != seed &&
+				(base.Snapshot == seed || o.Checkpoint.Step > base.Snapshot.Step) {
+				base.Snapshot = o.Checkpoint
+			}
+		}
+		survivors, dead, repair, rerr := agreedRepair(outs)
+		if rerr != nil {
+			err = fmt.Errorf("%w (repair: %v)", err, rerr)
+		}
 		if ropts.MaxRestarts == 0 {
-			return nil, fail.err
+			return nil, err
 		}
 		if attempt >= ropts.MaxRestarts {
-			return nil, fmt.Errorf("pipeline: failed after %d restarts: %w", attempt, fail.err)
+			return nil, fmt.Errorf("pipeline: failed after %d restarts: %w", attempt, err)
 		}
-		if fail.repair == nil {
+		if repair == nil {
 			// No repair: retry at the current world size from the last
 			// checkpoint (or from scratch).
 			continue
 		}
-		cut := int(fail.repair.Step)
-		admit, ok := PlanRepair(fail.survivors, len(fail.dead), spares, cfg.NumModules(),
+		cut := int(repair.Step)
+		admit, ok := PlanRepair(survivors, len(dead), spares, cfg.NumModules(),
 			len(batchesFn(min(cut, iters-1))))
 		if !ok {
 			continue
 		}
 		ev := RepairEvent{
-			Attempt: attempt, Iteration: cut, Dead: fail.dead, Policy: ElasticShrink,
-			OldSize: world, NewSize: fail.survivors + admit, Snapshot: fail.repair,
+			Attempt: attempt, Iteration: cut, Dead: dead, Policy: ElasticShrink,
+			OldSize: world, NewSize: survivors + admit, Snapshot: repair,
 		}
 		if admit > 0 {
 			ev.Policy = ElasticSpare
 			spares -= admit
 		}
-		snap, world = ev.Snapshot, ev.NewSize
+		base.Snapshot, world = ev.Snapshot, ev.NewSize
 		repairs = append(repairs, ev)
 		if ropts.OnRepair != nil {
 			ropts.OnRepair(ev)
@@ -377,277 +512,169 @@ func RunResilient(s Strategy, p int, cfg model.Config, opts Options, iters int,
 	}
 }
 
-// errIterationAborted is the failure a rank that finished the iteration
-// takes into the repair ladder once a peer failed it: the iteration did not
-// commit cluster-wide.
-var errIterationAborted = errors.New("pipeline: a peer failed the iteration")
-
-// runAttempt runs one incarnation of the cluster: bring-up, (optional)
-// restore, lock-step iterations with checkpointing, teardown. On a rank
-// failure under ElasticNone it closes every transport — unblocking ranks
-// stuck in Recv — and waits for all rank goroutines, so nothing leaks into
-// the next attempt. Under an elastic policy every rank instead takes its
-// error (or, if it finished the iteration, errIterationAborted) to
-// failureOutcome, and runAttempt reports the snapshot the survivors
-// harvested.
-func runAttempt(s Strategy, p int, cfg model.Config, opts Options, iters int,
-	batchesFn func(iter int) []data.Batch,
+// runRanks runs one attempt: one RunRank per rank over fresh endpoints,
+// each configured from base. It returns the result when every rank
+// completed, else the ranks' outcomes (nil for a rank that returned a hard
+// error) and the failure that started it. Without repair a failing rank
+// aborts at once and runRanks closes every endpoint, which brings the peers
+// home; with repair, a rank that leaves the ladder aborted dies to its
+// peers, as a process that exits does. Every endpoint is closed before
+// runRanks returns, so nothing leaks into the next attempt.
+func runRanks(attempt, world int, base RankConfig,
 	transports func(attempt, size int) ([]comm.Transport, error),
-	ropts ResilientOptions, attempt int,
-	losses []float64, snap **checkpoint.Snapshot) (*ClusterResult, *attemptFailure) {
+	ropts ResilientOptions, losses []float64) (*ClusterResult, []*RankOutcome, error) {
 
-	ts, err := transports(attempt, p)
+	ts, err := transports(attempt, world)
 	if err != nil {
-		return nil, &attemptFailure{err: fmt.Errorf("attempt %d bring-up: %w", attempt, err)}
+		return nil, nil, fmt.Errorf("attempt %d bring-up: %w", attempt, err)
 	}
-	if len(ts) != p {
+	closeAll := sync.OnceFunc(func() {
 		for _, t := range ts {
 			t.Close()
 		}
-		return nil, &attemptFailure{err: fmt.Errorf("attempt %d: got %d transports for %d ranks", attempt, len(ts), p)}
+	})
+	defer closeAll()
+	if len(ts) != world {
+		return nil, nil, fmt.Errorf("attempt %d: got %d transports for %d ranks", attempt, len(ts), world)
 	}
-	if ropts.WrapTransport != nil {
-		for r := range ts {
+	for r := range ts {
+		if ropts.WrapTransport != nil {
 			ts[r] = ropts.WrapTransport(attempt, r, ts[r])
 		}
 	}
 	var board *ProgressBoard
+	var wd *watchdog
 	if ropts.Watchdog != nil {
-		board = NewProgressBoard(p)
+		board = NewProgressBoard(world)
 		for r := range ts {
 			ts[r] = WrapBeacon(ts[r], board, r)
 		}
-	}
-	closeAll := func() {
-		for _, t := range ts {
-			t.Close()
-		}
-	}
-
-	elastic := ropts.Elastic != ElasticNone
-	optsRank := opts
-	// The repair ladder needs every shard replicated; the buddy belt rides
-	// along off the critical path, so turning it on costs no blocking sends.
-	optsRank.buddy = elastic
-	trainers := make([]Trainer, p)
-	for r := 0; r < p; r++ {
-		tr, err := New(s, ts[r], cfg, optsRank)
-		if err != nil {
-			closeAll()
-			return nil, &attemptFailure{err: err}
-		}
-		if board != nil {
-			if ps, ok := tr.(progressSink); ok {
-				ps.SetProgressBoard(board, r)
-			}
-		}
-		trainers[r] = tr
-	}
-	start := 0
-	if *snap != nil {
-		if err := RestoreSnapshot(*snap, trainers); err != nil {
-			closeAll()
-			return nil, &attemptFailure{err: err}
-		}
-		if fullState(*snap) {
-			start = int((*snap).Step)
-		}
-		if attempt > 0 {
-			// Mark the recovery restore on the timeline: attempt index and
-			// the iteration training resumes from.
-			for _, tr := range trainers {
-				if tj, ok := tr.(tracedRunner); ok && tj.tracer() != nil {
-					tj.tracer().Instant(trace.CodeRepair, int64(attempt), int64(start))
-					break
-				}
-			}
-		}
-	}
-
-	var wd *watchdog
-	if ropts.Watchdog != nil {
-		wd = startWatchdog(*ropts.Watchdog, board, func(rank int) {
-			// Declaring a straggler dead = closing its endpoint: its next
-			// transport op fails and the failure flows through the same
-			// typed-error repair path as a crash.
-			ts[rank].Close()
-		})
+		// Declaring a straggler dead = closing its endpoint: its next
+		// transport op fails and the failure flows through the same
+		// typed-error repair path as a crash.
+		wd = startWatchdog(*ropts.Watchdog, board, func(rank int) { ts[rank].Close() })
 		defer wd.Stop()
 	}
+	// The watchdog stands down at the first failure: what follows is
+	// teardown or the repair ladder, not training.
+	standDown := func() {
+		if wd != nil {
+			wd.Stop()
+		}
+	}
 
-	type outcome struct {
+	repair := ropts.Elastic != ElasticNone
+	type result struct {
 		rank int
-		loss float64
+		out  *RankOutcome
 		err  error
 	}
-	var finished []int // ranks done with the iteration before it failed
-	for iter := start; iter < iters; iter++ {
-		if ropts.LR != nil {
-			lr := ropts.LR(iter)
-			for _, tr := range trainers {
-				if ls, ok := tr.(LRSetter); ok {
-					ls.SetLR(lr)
-				}
+	results := make(chan result, world)
+	var iterStart time.Time // rank 0's, for the watchdog's median
+	for r := range world {
+		rc := base
+		rc.Transport = func(RankAssignment) (comm.Transport, error) { return ts[r], nil }
+		rc.local = &localRank{repair: repair, board: board}
+		rc.Beacon = func(state string, _ int) {
+			switch {
+			case state == "agree":
+				standDown()
+			case state == "iter" && r == 0:
+				iterStart = time.Now()
 			}
 		}
-		batches := batchesFn(iter)
-		iterStart := time.Now()
-		results := make(chan outcome, p)
-		for r := 0; r < p; r++ {
-			if board != nil {
-				board.SetIdle(r, false)
-			}
-			go func(r int) {
-				rt := opts.Trace.Rank(r)
-				span := rt.Begin()
-				loss, err := trainers[r].TrainIteration(batches)
-				rt.End(span, trace.CodeStep, int64(iter), 0)
-				if board != nil {
-					board.SetIdle(r, true)
-				}
-				results <- outcome{rank: r, loss: loss, err: err}
-			}(r)
-		}
-		// Under an elastic policy each rank climbs the repair ladder on its
-		// own transport, as a RunRank process would.
-		var ladder chan *RankOutcome
-		climb := func(r int, cause error) {
-			a := RankAssignment{Epoch: uint32(attempt), Rank: r, World: p}
-			go func() { ladder <- failureOutcome(a, RankConfig{}, ts[r], trainers[r], iter, cause) }()
-		}
-		var firstErr error
-		finished = finished[:0]
-		var iterLoss float64
-		for got := 0; got < p; got++ {
-			o := <-results
-			if o.err == nil {
-				if o.rank == 0 {
-					iterLoss = o.loss
-				}
-				if firstErr == nil {
-					finished = append(finished, o.rank)
-					continue
-				}
-				o.err = errIterationAborted
-			}
-			if firstErr == nil {
-				firstErr = fmt.Errorf("rank %d, iteration %d: %w", o.rank, iter, o.err)
+		if r == 0 {
+			// Rank 0 reports each committed iteration, once.
+			rc.OnIteration = func(iter int, loss float64) {
 				if wd != nil {
-					wd.Stop()
+					wd.NoteIteration(time.Since(iterStart))
 				}
-				if !elastic {
-					// Surviving ranks are blocked in Recv on a protocol that
-					// can no longer complete: closing every endpoint fails
-					// their receives and brings them home.
-					closeAll()
-					continue
-				}
-				ladder = make(chan *RankOutcome, p)
-				for _, r := range finished {
-					climb(r, errIterationAborted)
+				losses[iter] = loss
+				if ropts.OnIteration != nil {
+					ropts.OnIteration(iter, loss)
 				}
 			}
-			if elastic {
-				climb(o.rank, o.err)
-			}
 		}
-		if firstErr != nil {
-			fail := &attemptFailure{err: firstErr, iter: iter}
-			if elastic {
-				outs := make([]*RankOutcome, p)
-				for r := range outs {
-					outs[r] = <-ladder
-				}
-				closeAll()
-				if err := agreedRepair(outs, fail); err != nil {
-					fail.err = fmt.Errorf("%w (repair: %v)", firstErr, err)
-				}
-			}
-			return nil, fail
-		}
-		if wd != nil {
-			wd.NoteIteration(time.Since(iterStart))
-		}
-		losses[iter] = iterLoss
-		if ropts.OnIteration != nil {
-			ropts.OnIteration(iter, iterLoss)
-		}
-		if ropts.CheckpointEvery > 0 && ((iter+1)%ropts.CheckpointEvery == 0 || iter+1 == iters) {
-			// The capture (and any disk write below) is a long off-wire
-			// barrier; beacon through it so a slow checkpoint never reads as
-			// a stalled rank.
-			var ns *checkpoint.Snapshot
-			err := BeaconBarrier(board, 0, 0, func() error {
-				var cerr error
-				ns, cerr = CaptureSnapshot(trainers, iter+1)
-				return cerr
-			})
-			if err != nil {
-				closeAll()
-				return nil, &attemptFailure{err: err, iter: iter}
-			}
-			if ropts.CheckpointPath != "" {
-				if err := checkpoint.SaveRotate(ropts.CheckpointPath, ns, ropts.KeepCheckpoints); err != nil {
-					closeAll()
-					return nil, &attemptFailure{err: err, iter: iter}
-				}
-			}
-			*snap = ns
-		}
+		go func() {
+			out, err := RunRank(RankAssignment{Epoch: uint32(attempt), Rank: r, World: world, SeedFrom: -1}, rc)
+			results <- result{r, out, err}
+		}()
 	}
 
-	res := &ClusterResult{
-		Losses:         append([]float64(nil), losses...),
-		Weights:        AssembleWeights(trainers),
-		SkippedSteps:   maxSkipped(trainers),
-		SpikeSteps:     maxSpikes(trainers),
-		Checkpoint:     *snap,
-		ArenaHighWater: maxArenaHighWater(trainers),
+	outs := make([]*RankOutcome, world)
+	var failures []error
+	for range world {
+		res := <-results
+		outs[res.rank] = res.out
+		switch {
+		case res.err != nil:
+			failures = append(failures, res.err)
+			closeAll()
+		case !res.out.Done:
+			failures = append(failures, res.out.Err)
+			if !repair {
+				closeAll()
+			} else if res.out.Aborted {
+				ts[res.rank].Close()
+			}
+		default:
+			continue
+		}
+		standDown()
 	}
-	for _, t := range ts {
-		if m, ok := t.(comm.Meter); ok {
+	if len(failures) > 0 {
+		return nil, outs, rootCause(failures)
+	}
+	res := &ClusterResult{
+		Losses:     slices.Clone(losses),
+		Weights:    outs[0].Weights,
+		Checkpoint: outs[0].Checkpoint,
+	}
+	for r, o := range outs {
+		res.SkippedSteps = max(res.SkippedSteps, o.SkippedSteps)
+		res.SpikeSteps = max(res.SpikeSteps, o.SpikeSteps)
+		res.ArenaHighWater = max(res.ArenaHighWater, o.ArenaHighWater)
+		if m, ok := ts[r].(comm.Meter); ok {
 			res.Comm = append(res.Comm, m.CommStats())
 		}
 	}
-	closeAll()
-	return res, nil
+	return res, outs, nil
 }
 
-// agreedRepair fills fail from the ranks' repair outcomes: the survivors —
+// rootCause picks the failure that started an attempt from the ranks'
+// errors in arrival order: the first that is not a consequence of another
+// rank's failure — its endpoint closed under it, or a peer found dead.
+func rootCause(errs []error) error {
+	for _, err := range errs {
+		if !errors.Is(err, comm.ErrClosed) && !errors.Is(err, comm.ErrPeerDead) {
+			return err
+		}
+	}
+	return errs[0]
+}
+
+// agreedRepair reads the repair from the ranks' outcomes: the survivors —
 // the ranks that harvested a snapshot — must agree on the cut, the dead
 // set and the snapshot's bits, as the launch supervisor checks them across
-// processes. Divergence leaves fail without a repair, so the restart loop
-// falls back to the checkpoint.
-func agreedRepair(outs []*RankOutcome, fail *attemptFailure) error {
-	var survivors []*RankOutcome
+// processes. No survivors, or divergent ones, mean no repair, and the
+// restart loop falls back to the checkpoint.
+func agreedRepair(outs []*RankOutcome) (survivors int, dead []int, repair *checkpoint.Snapshot, err error) {
+	var ref *RankOutcome
 	for _, o := range outs {
-		if o.Snapshot != nil {
-			survivors = append(survivors, o)
+		if o == nil || o.Snapshot == nil {
+			continue
 		}
-	}
-	if len(survivors) == 0 {
-		return nil
-	}
-	ref := survivors[0]
-	for _, o := range survivors[1:] {
-		if o.Iter != ref.Iter || !slices.Equal(o.Membership.Dead, ref.Membership.Dead) ||
+		if ref == nil {
+			ref = o
+		} else if o.Iter != ref.Iter || !slices.Equal(o.Membership.Dead, ref.Membership.Dead) ||
 			HashWeights(o.Snapshot.Weights) != HashWeights(ref.Snapshot.Weights) {
-			return fmt.Errorf("survivors diverged: cut %d dead %v vs cut %d dead %v",
+			return 0, nil, nil, fmt.Errorf("survivors diverged: cut %d dead %v vs cut %d dead %v",
 				o.Iter, o.Membership.Dead, ref.Iter, ref.Membership.Dead)
 		}
+		survivors++
 	}
-	fail.survivors, fail.dead, fail.repair = len(survivors), ref.Membership.Dead, ref.Snapshot
-	return nil
+	if ref == nil {
+		return 0, nil, nil, nil
+	}
+	return survivors, ref.Membership.Dead, ref.Snapshot, nil
 }
-
-// tracedRunner is implemented by runners that carry a runtime tracer; the
-// checkpoint barrier uses it to attribute its span without widening the
-// Trainer interface.
-type tracedRunner interface{ tracer() *trace.Tracer }
-
-func (s *Serial) tracer() *trace.Tracer    { return s.tr }
-func (d *DP) tracer() *trace.Tracer        { return d.tr }
-func (f *FSDP) tracer() *trace.Tracer      { return f.tr }
-func (p *PP) tracer() *trace.Tracer        { return p.tr }
-func (w *WeiPipe) tracer() *trace.Tracer   { return w.tr }
-func (h *WeiPipeDP) tracer() *trace.Tracer { return h.inner.tr }

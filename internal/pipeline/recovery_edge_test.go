@@ -63,8 +63,9 @@ func TestRepairRightAfterCheckpointBarrier(t *testing.T) {
 			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
 				if attempt == 0 && rank == 1 {
 					// First send of iteration 2, immediately after the
-					// checkpoint taken at the iteration-2 barrier.
-					crashed = comm.NewFaultTransport(tr, comm.FaultConfig{CrashAtSend: perIter*2 + 1})
+					// checkpoint taken at the iteration-2 barrier (whose
+					// gather sends one share to each peer).
+					crashed = comm.NewFaultTransport(tr, comm.FaultConfig{CrashAtSend: perIter*2 + int64(p-1) + 1})
 					return crashed
 				}
 				return tr

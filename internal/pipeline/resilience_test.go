@@ -98,8 +98,17 @@ func sendsPerIteration(t *testing.T, p, iters, n int) int64 {
 		t.Fatalf("probe run: %v", err)
 	}
 	_ = res
+	return perIteration(t, probe, p, iters)
+}
+
+// perIteration reads a probe's send count as sends per iteration: training
+// plus the loss barrier, once the final weight gather (one share to each
+// peer) is taken off.
+func perIteration(t *testing.T, probe *comm.FaultTransport, p, iters int) int64 {
+	t.Helper()
 	_, _, _, _, sends := probe.Injected()
-	if sends == 0 || sends%int64(iters) != 0 {
+	sends -= int64(p - 1)
+	if sends <= 0 || sends%int64(iters) != 0 {
 		t.Fatalf("probe counted %d sends over %d iterations", sends, iters)
 	}
 	return sends / int64(iters)

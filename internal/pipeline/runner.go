@@ -153,18 +153,6 @@ func (w *WeiPipe) SkippedSteps() int { return w.skipped }
 // SkippedSteps implements SkipCounter for the hybrid trainer.
 func (h *WeiPipeDP) SkippedSteps() int { return h.inner.skipped }
 
-// maxSkipped returns the largest per-trainer skip count (they agree on
-// every rank that implements SkipCounter; max is robust to mixtures).
-func maxSkipped(trainers []Trainer) int {
-	out := 0
-	for _, tr := range trainers {
-		if sc, ok := tr.(SkipCounter); ok && sc.SkippedSteps() > out {
-			out = sc.SkippedSteps()
-		}
-	}
-	return out
-}
-
 // TotalComm aggregates the per-rank meters.
 func (r *ClusterResult) TotalComm() *comm.Stats {
 	total := comm.NewStats()
@@ -174,22 +162,11 @@ func (r *ClusterResult) TotalComm() *comm.Stats {
 	return total
 }
 
-// maxArenaHighWater returns the largest ArenaMeter reading among trainers.
-func maxArenaHighWater(trainers []Trainer) int {
-	out := 0
-	for _, tr := range trainers {
-		if am, ok := tr.(ArenaMeter); ok && am.ArenaHighWater() > out {
-			out = am.ArenaHighWater()
-		}
-	}
-	return out
-}
-
 // RunCluster trains `iters` iterations of strategy s on p in-process ranks,
 // feeding iteration i the microbatch list batchesFn(i) (every rank receives
 // the same list). It returns the per-iteration losses and the assembled
-// final weights. It is RunResilient's loop with no recovery options over an
-// f32 in-process fabric carrying Options.Trace; a bf16 wire is a fabric
+// final weights. It is RunResilient with no recovery options over an f32
+// in-process fabric carrying Options.Trace; a bf16 wire is a fabric
 // choice, made by calling RunResilient over comm.NewClusterCodec.
 func RunCluster(s Strategy, p int, cfg model.Config, opts Options, iters int,
 	batchesFn func(iter int) []data.Batch) (*ClusterResult, error) {
@@ -211,6 +188,15 @@ func AssembleWeights(trainers []Trainer) []float32 {
 	for _, tr := range trainers {
 		held = append(held, tr.(Owner).ExportWeights(full)...)
 	}
+	if next := firstUnheld(held, len(full)); next < len(full) {
+		panic(fmt.Sprintf("pipeline: weight %d held by no rank", next))
+	}
+	return full
+}
+
+// firstUnheld returns the first index of [0, n) no range in held covers (n
+// when they cover it all), sorting held in place.
+func firstUnheld(held [][2]int, n int) int {
 	slices.SortFunc(held, func(a, b [2]int) int { return cmp.Compare(a[0], b[0]) })
 	next := 0 // every element below next is held
 	for _, r := range held {
@@ -219,10 +205,7 @@ func AssembleWeights(trainers []Trainer) []float32 {
 		}
 		next = max(next, r[1])
 	}
-	if next < len(full) {
-		panic(fmt.Sprintf("pipeline: weight %d held by no rank", next))
-	}
-	return full
+	return min(next, n)
 }
 
 // LRSetter is implemented by trainers whose optimizer learning rate can be

@@ -82,15 +82,3 @@ func (w *WeiPipe) SpikeSteps() int {
 
 // SpikeSteps implements SpikeCounter for the hybrid trainer.
 func (h *WeiPipeDP) SpikeSteps() int { return h.inner.SpikeSteps() }
-
-// maxSpikes returns the largest per-trainer spike count (the verdicts are
-// global, so every detecting rank agrees; max is robust to mixtures).
-func maxSpikes(trainers []Trainer) int {
-	out := 0
-	for _, tr := range trainers {
-		if sc, ok := tr.(SpikeCounter); ok && sc.SpikeSteps() > out {
-			out = sc.SpikeSteps()
-		}
-	}
-	return out
-}

@@ -19,9 +19,10 @@ import (
 // bit: a rank parked in Recv is the *victim* of a stall somewhere
 // upstream, not its cause, so only ranks that are stale while NOT waiting
 // (computing, or sleeping inside a Send — where an artificially delayed
-// link puts them) are flagged. Ranks that finished the iteration and are
-// parked at the driver barrier are marked idle and exempt. The threshold
-// arms only once a full iteration has completed, so bring-up cannot trip
+// link puts them) are flagged. RunRank marks a rank idle outside
+// TrainIteration — loss barrier, checkpoints, final gather — and idle ranks
+// are exempt. The threshold arms only once a full iteration has completed,
+// so bring-up cannot trip
 // it.
 
 // WatchdogConfig tunes the straggler watchdog.
@@ -115,52 +116,12 @@ func (b *ProgressBoard) setWaiting(rank int, waiting bool) {
 	b.mu.Unlock()
 }
 
-// Beat stamps a liveness beacon for rank without changing its state — the
-// hook long non-transport work (checkpoint capture, membership agreement,
-// snapshot serialisation) uses so a rank that is legitimately busy off
-// the wire is not mistaken for a straggler.
-func (b *ProgressBoard) Beat(rank int) { b.beat(rank) }
-
-// BeaconBarrier runs fn with rank marked as barrier-parked: the waiting
-// bit exempts it from straggler detection (a rank parked at a coordinated
-// barrier is a victim of whoever is slowest, never a cause), and periodic
-// beats keep its beacon fresh for monitors that key on staleness alone —
-// the cross-process supervisor's stall monitor among them. It returns
-// fn's error. A nil board degrades to a plain call.
-func BeaconBarrier(b *ProgressBoard, rank int, interval time.Duration, fn func() error) error {
-	if b == nil {
-		return fn()
-	}
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	b.setWaiting(rank, true)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				b.beat(rank)
-			}
-		}
-	}()
-	err := fn()
-	close(stop)
-	wg.Wait()
-	b.setWaiting(rank, false)
-	return err
-}
-
-// SetIdle marks a rank as parked at the driver barrier (exempt from
-// straggler detection) or active again.
+// SetIdle marks a rank as between iterations (exempt from straggler
+// detection) or training again. A nil board ignores it.
 func (b *ProgressBoard) SetIdle(rank int, idle bool) {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	b.ranks[rank].idle = idle
 	b.ranks[rank].lastBeat = time.Now()

@@ -81,10 +81,6 @@ func Build(strategy string, spec Spec) ([]sim.Task, error) {
 		return buildFSDP(spec)
 	case "dp":
 		return buildDP(spec)
-	case "tp":
-		return buildTP(spec)
-	case "sp":
-		return buildSP(spec)
 	default:
 		return nil, fmt.Errorf("schedule: unknown strategy %q", strategy)
 	}
@@ -808,95 +804,5 @@ func buildDP(spec Spec) ([]sim.Task, error) {
 		}
 		b.fabric(top.RingAllReduceTime(w.EmbedParams()*2), "ar embed", bw)
 	}
-	return b.tasks, nil
-}
-
-// ---- Tensor parallelism -----------------------------------------------------
-
-// buildTP simulates one representative rank of a Megatron-style TP group
-// (all ranks are symmetric): each layer's compute is 1/P of the full layer,
-// but every layer requires two activation-sized ring all-reduces in the
-// forward and two in the backward — all blocking, since they sit in the
-// middle of the layer. This is the bandwidth hunger the paper contrasts
-// WeiPipe's fixed-size weight traffic against.
-func buildTP(spec Spec) ([]sim.Task, error) {
-	w := spec.W
-	t := w.Times(spec.GPU)
-	top := spec.Top
-	p := float64(w.P)
-	b := newBuilder(spec)
-	actBytes := w.ActBoundaryBytes() * spec.wireScale()
-
-	coll := func(label string) {
-		deps := []int{}
-		if prev, ok := b.last[0]; ok {
-			deps = append(deps, prev)
-		}
-		g := b.fabric(top.RingAllReduceTime(actBytes), label, deps...)
-		// blocking: thread the collective into program order
-		b.compute(0, 0, "F", label+" sync", g)
-	}
-
-	for m := 0; m < w.N; m++ {
-		for l := 0; l < w.L; l++ {
-			b.compute(0, t.F/p/2, "F", fmt.Sprintf("F attn m%d l%d", m, l))
-			coll(fmt.Sprintf("ar-f1 m%d l%d", m, l))
-			b.compute(0, t.F/p/2, "F", fmt.Sprintf("F ffn m%d l%d", m, l))
-			coll(fmt.Sprintf("ar-f2 m%d l%d", m, l))
-		}
-		b.compute(0, t.HeadF, "F", fmt.Sprintf("F head m%d", m))
-		b.compute(0, t.HeadB+t.HeadW, "B", fmt.Sprintf("BW head m%d", m))
-		for l := w.L - 1; l >= 0; l-- {
-			b.compute(0, (t.B+t.W)/p/2, "B", fmt.Sprintf("BW ffn m%d l%d", m, l))
-			coll(fmt.Sprintf("ar-b1 m%d l%d", m, l))
-			b.compute(0, (t.B+t.W)/p/2, "B", fmt.Sprintf("BW attn m%d l%d", m, l))
-			coll(fmt.Sprintf("ar-b2 m%d l%d", m, l))
-		}
-	}
-	return b.tasks, nil
-}
-
-// ---- Sequence parallelism ----------------------------------------------------
-
-// buildSP simulates one representative rank of a sequence-parallel group
-// (allgather-KV variant): compute splits 1/P along the sequence, but every
-// layer all-gathers keys and values forward and reduce-scatters their
-// gradients backward — activation-sized collectives on the critical path,
-// plus a DP-style replicated-weight gradient all-reduce per iteration.
-func buildSP(spec Spec) ([]sim.Task, error) {
-	w := spec.W
-	t := w.Times(spec.GPU)
-	top := spec.Top
-	p := float64(w.P)
-	b := newBuilder(spec)
-	kvBytes := w.ActBoundaryBytes() * spec.wireScale() // one of K or V, full sequence
-
-	coll := func(label string, bytes float64) {
-		deps := []int{}
-		if prev, ok := b.last[0]; ok {
-			deps = append(deps, prev)
-		}
-		g := b.fabric(top.RingAllGatherTime(bytes), label, deps...)
-		b.compute(0, 0, "F", label+" sync", g)
-	}
-
-	for m := 0; m < w.N; m++ {
-		for l := 0; l < w.L; l++ {
-			coll(fmt.Sprintf("ag-kv m%d l%d", m, l), 2*kvBytes)
-			b.compute(0, t.F/p, "F", fmt.Sprintf("F m%d l%d", m, l))
-		}
-		b.compute(0, t.HeadF/p, "F", fmt.Sprintf("F head m%d", m))
-		b.compute(0, (t.HeadB+t.HeadW)/p, "B", fmt.Sprintf("BW head m%d", m))
-		for l := w.L - 1; l >= 0; l-- {
-			b.compute(0, (t.B+t.W)/p, "B", fmt.Sprintf("BW m%d l%d", m, l))
-			coll(fmt.Sprintf("rs-kv m%d l%d", m, l), 2*kvBytes)
-		}
-	}
-	// replicated-weight gradient all-reduce
-	deps := []int{}
-	if prev, ok := b.last[0]; ok {
-		deps = append(deps, prev)
-	}
-	b.fabric(top.RingAllReduceTime(w.TotalParams()*2*spec.wireScale()), "grad allreduce", deps...)
 	return b.tasks, nil
 }

@@ -277,32 +277,6 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-func TestTPAndSPSchedulesBuildAndRun(t *testing.T) {
-	w := cost.Workload{H: 1024, S: 4096, G: 4, L: 8, N: 8, P: 4, Recompute: true}.WithDefaults()
-	for _, topo := range []cluster.Topology{cluster.NVLinkSingle(4), cluster.NVLinkEthernet(4, 2)} {
-		tp := runStrategy(t, "tp", w, topo)
-		sp := runStrategy(t, "sp", w, topo)
-		if tp.Makespan <= 0 || sp.Makespan <= 0 {
-			t.Fatalf("%s: zero makespan", topo.Name)
-		}
-	}
-	// Both collapse on Ethernet relative to NVLink, far more than WeiPipe.
-	nvl := cluster.NVLinkSingle(4)
-	eth := cluster.NVLinkEthernet(4, 2)
-	ratio := func(s string) float64 {
-		return runStrategy(t, s, w, eth).Makespan / runStrategy(t, s, w, nvl).Makespan
-	}
-	if ratio("tp") < 3 || ratio("sp") < 3 {
-		t.Errorf("tp/sp slowdown on ethernet too small: %f %f", ratio("tp"), ratio("sp"))
-	}
-	// WeiPipe also slows at this small compute (its belts outweigh the tiny
-	// per-turn FLOPs), but far less than the activation-collective schemes.
-	wr := ratio("weipipe-interleave")
-	if wr >= ratio("tp") || wr >= ratio("sp") {
-		t.Errorf("weipipe slowdown %f not below tp %f / sp %f", wr, ratio("tp"), ratio("sp"))
-	}
-}
-
 // TestSimulatorCostsProgram is the simulator half of "one program order, two
 // readers": for every pipelined strategy, the compute tasks Build emits for a
 // worker — in the order the simulator runs them — are exactly order.Program

@@ -278,15 +278,16 @@ func NewFaultTransport(inner Transport, cfg FaultConfig) *FaultTransport {
 	return comm.NewFaultTransport(inner, cfg)
 }
 
-// RunResilient is the in-process training loop RunCluster runs on, with
-// failure recovery: when a rank fails, either elastic repair at the failure
-// barrier from buddy replicas — the survivors agree on the dead set and
-// harvest a snapshot over their own transports, then shrink the ring or
-// admit a spare, per ResilientOptions.Elastic, with no checkpoint read — or
-// restart from the last coordinated checkpoint, on fresh transports built
-// by the transports factory (once per attempt; elastic repair changes the
-// requested size).
-// The recovered loss trajectory is bit-identical to an uninterrupted run.
+// RunResilient is the in-process supervisor RunCluster runs on: per
+// attempt it builds the endpoints with the transports factory (elastic
+// repair changes the requested size), runs one training loop per rank over
+// them — the loop each weipipe-launch process runs — and recovers when a
+// rank fails: either elastic repair at the failure barrier from buddy
+// replicas — the survivors agree on the dead set and harvest a snapshot
+// over their own transports, then shrink the ring or admit a spare, per
+// ResilientOptions.Elastic, with no checkpoint read — or restart from the
+// last coordinated checkpoint. The recovered loss trajectory is
+// bit-identical to an uninterrupted run.
 func RunResilient(s Strategy, p int, cfg Config, opts Options, iters int,
 	batchesFn func(iter int) []Batch,
 	transports func(attempt, size int) ([]Transport, error),
@@ -404,10 +405,3 @@ func LoadCheckpoint(path string) (*Snapshot, error) { return checkpoint.Load(pat
 func NewHybridTrainer(t Transport, cfg Config, opts Options, wpSize int) (Trainer, error) {
 	return pipeline.NewWeiPipeDP(t, cfg, opts, pipeline.WeiPipeInterleave, wpSize)
 }
-
-// Simulator-only strategies (no functional Trainer): tensor and sequence
-// parallelism, modelled for Simulate under these names.
-const (
-	TP Strategy = "tp"
-	SP Strategy = "sp"
-)
