@@ -176,20 +176,26 @@ experiments:
 # variables, the transport's line count and the assembly kernels' line
 # count. CI prints it on every push so a PR's effect on the surface is a
 # diff of two logs. It fails when more than two non-test call sites outside
-# benchmark/ and examples/ call TrainIteration: RunRank is the one training
-# loop, and WeiPipeDP's inner ring the one composition.
+# benchmark/ and examples/ call TrainIteration (RunRank is the one training
+# loop, and WeiPipeDP's inner ring the one composition), when
+# pipeline.Options has more than 8 fields or when cmd/weipipe-train has more
+# than 36 flags: a knob added past those counts must retire another.
 surface:
 	@echo "non-test Go lines: $$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
 		| tr ' ' '\n' | grep '\.go$$' | grep -v '_test\.go$$' | xargs cat | wc -l)"
 	@for t in pipeline.Options pipeline.ResilientOptions launch.TrainSpec comm.TCPOptions schedule.Spec sim.Task; do \
-		echo "$$t fields: $$($(GO) doc ./internal/$${t%.*} $${t#*.} | grep -c '^	[A-Z][A-Za-z0-9_, ]* [^ ]')"; done
+		n=$$($(GO) doc ./internal/$${t%.*} $${t#*.} | grep -c '^	[A-Z][A-Za-z0-9_, ]* [^ ]'); \
+		echo "$$t fields: $$n"; \
+		[ $$t != pipeline.Options ] || [ $$n -le 8 ] || { echo "surface: pipeline.Options has $$n fields, at most 8"; exit 1; }; done
 	@n=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=examples \
 		'\.TrainIteration(' . | wc -l); \
 		echo "non-test .TrainIteration( call sites outside benchmark/ and examples/: $$n"; \
 		[ $$n -le 2 ] || { echo "surface: $$n TrainIteration call sites, at most 2 (RunRank, WeiPipeDP)"; exit 1; }
 	@total=0; for d in cmd/*/; do \
 		n=$$(cat $$d*.go | grep -c 'flag\.\(String\|Int\|Int64\|Uint\|Uint64\|Bool\|Float64\|Duration\)('); \
-		echo "$$d flags: $$n"; total=$$((total+n)); done; echo "flags in all: $$total"
+		echo "$$d flags: $$n"; total=$$((total+n)); \
+		[ $$d != cmd/weipipe-train/ ] || [ $$n -le 36 ] || { echo "surface: cmd/weipipe-train has $$n flags, at most 36"; exit 1; }; \
+		done; echo "flags in all: $$total"
 	@echo "WEIPIPE_* environment variables: $$(grep -rhoE --include='*.go' --include=Makefile 'WEIPIPE_[A-Z_]+' . | sort -u | wc -l)"
 	@wc -l internal/comm/tcp.go
 	@wc -l internal/tensor/*.s

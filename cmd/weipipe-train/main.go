@@ -17,8 +17,8 @@
 //	weipipe-train -tcp -ckpt-every 5 -max-restarts 3 \
 //	    -checkpoint /tmp/m.wpck                            # survive rank failures; re-run to resume
 //	weipipe-train -tcp -chaos 0.05 -stats                  # chaos-test the transport
-//	weipipe-train -p 4 -strategy wzb2 \
-//	    -trace out.json -metrics                           # runtime tracing + rollup
+//	weipipe-train -p 4 -strategy wzb2 -trace out.json      # runtime trace + per-iteration rollup
+//	weipipe-train -p 4 -strategy wzb2 -guard -stats        # skip non-finite and spiking steps
 package main
 
 import (
@@ -49,7 +49,7 @@ type runConfig struct {
 	bf16        bool
 	dialTimeout time.Duration
 	chaos       float64
-	chaosSeed   uint64
+	seed        uint64
 	ckptPath    string
 	ckptEvery   int
 	ckptKeep    int
@@ -60,7 +60,6 @@ type runConfig struct {
 	stats       bool
 	resume      *weipipe.Snapshot
 	tracePath   string
-	metrics     bool
 	traceSet    *trace.Set
 }
 
@@ -79,33 +78,28 @@ func main() {
 	lr := flag.Float64("lr", 1e-3, "peak learning rate")
 	warmup := flag.Int("warmup", 0, "LR warm-up iterations (0 disables the schedule)")
 	clip := flag.Float64("clip", 0, "global gradient-norm clip (0 disables)")
-	seed := flag.Uint64("seed", 42, "model and data seed")
+	seed := flag.Uint64("seed", 42, "model, data, chaos and bit-flip seed")
 	recompute := flag.Bool("recompute", false, "activation checkpointing")
 	bf16 := flag.Bool("bf16", false, "bf16 wire codec for weight and weight-gradient belt payloads (halves belt bytes)")
 	groupSize := flag.Int("group-size", 0, "ranks per topology group: for -strategy wzb2g, the grouped belt's groups — weight chunks cross a group boundary once per iteration and recirculate on the intra-group fabric (0 = topology-friendly default; sizes that do not divide -p fall back to the flat belt); for -strategy weipipe-dp, the WeiPipe ring size, one data-parallel replica per ring (0 or a size that does not divide -p = one ring of -p); also arms the per-link-tier byte meters shown by -stats for any strategy")
 	tcp := flag.Bool("tcp", false, "use a TCP mesh on loopback instead of in-process channels")
 	dialTimeout := flag.Duration("dial-timeout", 15*time.Second, "TCP mesh bring-up deadline (with -tcp)")
 	chaos := flag.Float64("chaos", 0, "per-frame fault probability for TCP chaos injection: drop, duplicate, reorder (and corrupt at half rate); masked by the reliability layer")
-	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for deterministic chaos injection")
 	ckptEvery := flag.Int("ckpt-every", 0, "take a coordinated full-state checkpoint every n iterations (enables failure recovery)")
 	ckptKeep := flag.Int("ckpt-keep", 1, "rotate on-disk checkpoints, retaining the last k")
 	maxRestarts := flag.Int("max-restarts", 0, "restart from the last checkpoint up to n times after a rank failure")
 	elastic := flag.String("elastic", "none", "elastic repair policy on rank failure: none (checkpoint restart), shrink (re-shard across survivors from buddy replicas), spare (admit standby spares)")
 	spares := flag.Int("spares", 0, "standby rank budget for -elastic spare")
 	watchdog := flag.Bool("watchdog", false, "run the straggler watchdog (reports ranks stalled past 8× the median iteration; with elastic repair on, declares them dead)")
-	guard := flag.Bool("guard", false, "skip optimizer steps whose global gradient is non-finite (NaN/Inf)")
+	guard := flag.Bool("guard", false, fmt.Sprintf("skip optimizer steps whose global gradient Σg² is non-finite or spikes (more than %d robust σ above the median of the last %d accepted norms); -stats reports the counts", optim.SpikeThreshold, optim.SpikeWindow))
 	integrity := flag.Bool("integrity", false, "end-to-end silent-data-corruption defense: CRC-sealed belt chunks verified at every consumption point plus resident weight/moment guards; detections become typed failures the recovery machinery repairs")
 	abft := flag.Bool("abft", false, "algorithm-based fault tolerance on the tensor kernels: every matmul verified against row/column checksums (O(n²) overhead per matmul)")
-	spikeWindow := flag.Int("spike-window", 0, "arm the windowed grad-norm spike detector over the last n accepted norms (0 disables)")
-	spikeSkip := flag.Bool("spike-skip", false, "skip optimizer steps the spike detector flags (with -spike-window)")
 	bitflipChaos := flag.Int("bitflip-chaos", 0, "inject n seeded bit flips spread across the fault sites (weights, optimizer moments, belt buffers; kernel outputs with -abft) — the SDC chaos tier; combine with -integrity and recovery flags")
-	bitflipSeed := flag.Uint64("bitflip-seed", 1, "seed for the deterministic bit-flip schedule")
 	verifyCkpt := flag.String("verify-ckpt", "", "verify checkpoint integrity (whole-file CRC + per-section digests) for this file or every *.wpck in this directory, then exit")
 	stats := flag.Bool("stats", false, "print per-rank communication and fault statistics at the end")
 	ckpt := flag.String("checkpoint", "", "checkpoint path: with -ckpt-every, the rotating full-state checkpoint (re-running the command resumes from it); else the final weights")
 	resume := flag.String("resume", "", "start from this snapshot's weights, with a fresh optimizer at iteration 0 (overrides the model flags)")
-	tracePath := flag.String("trace", "", "write a Chrome/Perfetto trace of the run to this path (per-rank F/B/W, optimizer, stall, belt-lane and transport spans; open in ui.perfetto.dev or feed to weipipe-trace -compare)")
-	metrics := flag.Bool("metrics", false, "print the per-iteration timing rollup (step/F/B/W/opt/exposed means, stall counts, the busiest rank's arena high-water mark) at the end")
+	tracePath := flag.String("trace", "", "write a Chrome/Perfetto trace of the run to this path (per-rank F/B/W, optimizer, stall, belt-lane and transport spans; open in ui.perfetto.dev or feed to weipipe-trace -compare) and print the per-iteration timing rollup (step/F/B/W/opt/exposed means, stall counts, the busiest rank's arena high-water mark)")
 	flag.Parse()
 
 	if *verifyCkpt != "" {
@@ -144,10 +138,8 @@ func main() {
 	opts.Recompute = *recompute
 	opts.GroupSize = *groupSize
 	opts.ClipNorm = *clip
-	opts.GuardNonFinite = *guard
+	opts.Guard = *guard
 	opts.Integrity = *integrity
-	opts.SpikeWindow = *spikeWindow
-	opts.SpikeSkip = *spikeSkip
 	if *abft {
 		weipipe.EnableABFT()
 		fmt.Println("ABFT armed: matmul outputs verified against row/column checksums")
@@ -160,13 +152,13 @@ func main() {
 		if *abft {
 			sites = append(sites, weipipe.FlipKernel)
 		}
-		events := weipipe.GenBitFlips(*bitflipSeed, *p, *iters, *bitflipChaos, sites)
+		events := weipipe.GenBitFlips(*seed, *p, *iters, *bitflipChaos, sites)
 		inj := weipipe.NewBitFlipInjector(events)
 		opts.BitFlip = inj
 		if *abft {
 			tensor.SetABFTFault(inj.KernelHook())
 		}
-		fmt.Printf("bit-flip chaos armed: %d scheduled flips (seed %d)\n", len(events), *bitflipSeed)
+		fmt.Printf("bit-flip chaos armed: %d scheduled flips (seed %d)\n", len(events), *seed)
 	}
 
 	var policy weipipe.ElasticPolicy
@@ -191,17 +183,17 @@ func main() {
 		cfg: cfg, opts: opts, sched: sched,
 		iters: *iters, n: *n, g: *g,
 		tcp: *tcp, bf16: *bf16, dialTimeout: *dialTimeout,
-		chaos: *chaos, chaosSeed: *chaosSeed,
+		chaos: *chaos, seed: *seed,
 		ckptPath: *ckpt, ckptEvery: *ckptEvery, ckptKeep: *ckptKeep,
 		maxRestarts: *maxRestarts, elastic: policy, spares: *spares,
 		watchdog: *watchdog,
 		stats:    *stats, resume: resumeSnap,
-		tracePath: *tracePath, metrics: *metrics,
+		tracePath: *tracePath,
 	}
 	if rc.chaos > 0 && !rc.tcp {
 		fatal(fmt.Errorf("-chaos injects faults below the TCP reliability layer; it requires -tcp"))
 	}
-	if rc.tracePath != "" || rc.metrics {
+	if rc.tracePath != "" {
 		rc.traceSet = trace.NewSet(rc.p, trace.DefaultCapacity)
 		rc.opts.Trace = rc.traceSet
 	}
@@ -216,7 +208,7 @@ func fatal(err error) {
 }
 
 // run trains under weipipe.RunResilient: the recovery flags only fill in
-// its options, and -trace/-metrics/-stats read its result.
+// its options, and -trace/-stats read its result.
 func run(rc runConfig) error {
 	mode := ""
 	if rc.ckptEvery > 0 || rc.maxRestarts > 0 || rc.elastic != weipipe.ElasticNone || rc.watchdog {
@@ -276,7 +268,7 @@ func run(rc runConfig) error {
 		fmt.Printf("elastic repairs: %d\n", len(res.Repairs))
 	}
 	if rc.traceSet != nil {
-		if err := writeTraceOutputs(rc, res); err != nil {
+		if err := writeTrace(rc, res); err != nil {
 			return err
 		}
 	}
@@ -296,40 +288,35 @@ func run(rc runConfig) error {
 	return nil
 }
 
-// writeTraceOutputs emits the tracer's two products after training: the
-// -metrics per-iteration rollup (with arena and in-flight high-water marks)
-// and the -trace Chrome JSON with the run's metadata embedded so
-// weipipe-trace -compare can rebuild the matching simulated schedule.
-func writeTraceOutputs(rc runConfig, res *weipipe.ClusterResult) error {
-	if rc.metrics {
-		sum := trace.Summarize(trace.PerIteration(rc.traceSet.Events()))
-		fmt.Print(sum)
-		if res.ArenaHighWater > 0 {
-			fmt.Printf("  arena high-water: %d slots (busiest rank)\n", res.ArenaHighWater)
-		}
-		for r, s := range res.Comm {
-			fmt.Printf("  rank %d max in-flight: %d bytes\n", r, s.MaxInFlightBytes())
-		}
-		if d := rc.traceSet.Dropped(); d > 0 {
-			fmt.Printf("  (event ring wrapped: %d oldest events dropped)\n", d)
-		}
+// writeTrace emits the tracer's two products after training: the
+// per-iteration rollup (with arena and in-flight high-water marks) and the
+// Chrome JSON with the run's metadata embedded so weipipe-trace -compare
+// can rebuild the matching simulated schedule.
+func writeTrace(rc runConfig, res *weipipe.ClusterResult) error {
+	fmt.Print(trace.Summarize(trace.PerIteration(rc.traceSet.Events())))
+	if res.ArenaHighWater > 0 {
+		fmt.Printf("  arena high-water: %d slots (busiest rank)\n", res.ArenaHighWater)
 	}
-	if rc.tracePath != "" {
-		blob, err := rc.traceSet.ChromeTrace(&trace.RunMeta{
-			Strategy: string(rc.strategy), P: rc.p, N: rc.n,
-			Hidden: rc.cfg.Hidden, Layers: rc.cfg.Layers, Seq: rc.cfg.MaxSeq,
-			Batch: rc.g, Heads: rc.cfg.Heads, Vocab: rc.cfg.Vocab,
-			Iters: rc.iters,
-		})
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(rc.tracePath, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("trace written to %s (open in ui.perfetto.dev, or: weipipe-trace -compare %s)\n",
-			rc.tracePath, rc.tracePath)
+	for r, s := range res.Comm {
+		fmt.Printf("  rank %d max in-flight: %d bytes\n", r, s.MaxInFlightBytes())
 	}
+	if d := rc.traceSet.Dropped(); d > 0 {
+		fmt.Printf("  (event ring wrapped: %d oldest events dropped)\n", d)
+	}
+	blob, err := rc.traceSet.ChromeTrace(&trace.RunMeta{
+		Strategy: string(rc.strategy), P: rc.p, N: rc.n,
+		Hidden: rc.cfg.Hidden, Layers: rc.cfg.Layers, Seq: rc.cfg.MaxSeq,
+		Batch: rc.g, Heads: rc.cfg.Heads, Vocab: rc.cfg.Vocab,
+		Iters: rc.iters,
+	})
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(rc.tracePath, blob, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("trace written to %s (open in ui.perfetto.dev, or: weipipe-trace -compare %s)\n",
+		rc.tracePath, rc.tracePath)
 	return nil
 }
 
@@ -414,7 +401,7 @@ func buildTransports(rc runConfig, size int) ([]weipipe.Transport, error) {
 	topts := weipipe.TCPOptions{DialTimeout: rc.dialTimeout, Codec: codec}
 	if rc.chaos > 0 {
 		topts.Chaos = &weipipe.ChaosConfig{
-			Seed:      rc.chaosSeed,
+			Seed:      rc.seed,
 			Drop:      rc.chaos,
 			Dup:       rc.chaos,
 			Reorder:   rc.chaos,

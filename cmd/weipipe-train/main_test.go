@@ -37,7 +37,7 @@ func TestSmokeTrainWithTrace(t *testing.T) {
 		"-p", "2", "-strategy", "wzb2",
 		"-iters", "1", "-n", "2", "-g", "1",
 		"-hidden", "16", "-layers", "2", "-heads", "2", "-seq", "8", "-vocab", "32",
-		"-trace", tracePath, "-metrics")
+		"-trace", tracePath)
 	if err != nil {
 		t.Fatalf("train failed: %v\n%s", err, out)
 	}
@@ -89,12 +89,12 @@ func TestSmokeTrainTracesInRecoveryMode(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "out.json")
 	out, err := runSelf(t, append([]string{
 		"-p", "2", "-iters", "3", "-n", "2", "-g", "1",
-		"-ckpt-every", "1", "-max-restarts", "1", "-trace", tracePath, "-metrics"}, tinyModel...)...)
+		"-ckpt-every", "1", "-max-restarts", "1", "-trace", tracePath}, tinyModel...)...)
 	if err != nil {
 		t.Fatalf("train failed: %v\n%s", err, out)
 	}
 	if !strings.Contains(out, "step time") {
-		t.Fatalf("no -metrics rollup:\n%s", out)
+		t.Fatalf("no -trace rollup:\n%s", out)
 	}
 	blob, err := os.ReadFile(tracePath)
 	if err != nil {

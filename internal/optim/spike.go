@@ -10,6 +10,10 @@ import (
 // heavy-tailed norm sequences.
 const SpikeThreshold = 6
 
+// SpikeWindow is how many accepted norms the training step guard's
+// detector remembers.
+const SpikeWindow = 8
+
 // SpikeDetector is a windowed gradient-norm anomaly detector: it keeps the
 // last Window accepted global grad norms and flags a new norm as a spike
 // when it sits more than SpikeThreshold robust standard deviations above the
@@ -27,9 +31,6 @@ const SpikeThreshold = 6
 type SpikeDetector struct {
 	// Window is the number of accepted norms the detector remembers.
 	Window int
-	// Skip, when true, makes detected spikes skip the optimizer step
-	// (like the non-finite guard); otherwise they are only counted.
-	Skip bool
 
 	norms  []float64 // ring of accepted norms, oldest first
 	spikes int
@@ -46,11 +47,11 @@ type SpikeDetector struct {
 
 // NewSpikeDetector builds a detector. window must be ≥ 3 to make the
 // median meaningful.
-func NewSpikeDetector(window int, skip bool) *SpikeDetector {
+func NewSpikeDetector(window int) *SpikeDetector {
 	if window < 3 {
 		window = 3
 	}
-	return &SpikeDetector{Window: window, Skip: skip}
+	return &SpikeDetector{Window: window}
 }
 
 // median returns the median of xs using the detector's scratch buffer.
@@ -68,24 +69,22 @@ func (d *SpikeDetector) median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// Observe feeds the globally agreed Σg² of one step and returns the
-// verdict: spike reports an anomaly, skipStep whether the caller should
-// drop the optimizer step for it. NaN sums are the existing non-finite
-// guard's territory and pass through untouched (no spike, no skip, not
-// recorded); an *infinite* sum, however, is a magnitude anomaly by
+// Observe feeds the globally agreed Σg² of one step and reports whether it
+// is a spike. NaN sums are the non-finite guard's territory and pass
+// through untouched (no spike, not recorded); an *infinite* sum, however, is a magnitude anomaly by
 // definition — the scalar all-reduce carries Σg² as float32, so gradients
 // past ~1e19 in norm arrive as +Inf — and is flagged even before the
 // window has a baseline. A flagged norm is not admitted into the window,
 // so one anomaly cannot drag the baseline toward itself.
-func (d *SpikeDetector) Observe(sumSq float64) (spike, skipStep bool) {
+func (d *SpikeDetector) Observe(sumSq float64) bool {
 	d.prevNorms = append(d.prevNorms[:0], d.norms...)
 	d.prevSpikes = d.spikes
 	if math.IsNaN(sumSq) {
-		return false, false
+		return false
 	}
 	if math.IsInf(sumSq, 0) {
 		d.spikes++
-		return true, d.Skip
+		return true
 	}
 	norm := math.Sqrt(sumSq)
 	if len(d.norms) >= 3 {
@@ -106,14 +105,14 @@ func (d *SpikeDetector) Observe(sumSq float64) (spike, skipStep bool) {
 		}
 		if sigma > 0 && norm-med > SpikeThreshold*sigma {
 			d.spikes++
-			return true, d.Skip
+			return true
 		}
 	}
 	d.norms = append(d.norms, norm)
 	if len(d.norms) > d.Window {
 		d.norms = d.norms[1:]
 	}
-	return false, false
+	return false
 }
 
 // Spikes returns the number of spikes detected so far.

@@ -6,34 +6,30 @@ import (
 )
 
 func TestSpikeDetectorFlagsOutlier(t *testing.T) {
-	d := NewSpikeDetector(8, false)
+	d := NewSpikeDetector(8)
 	// Steady gradient norms around 1.0 (sumSq ~ 1.0).
 	for i := 0; i < 8; i++ {
-		spike, skip := d.Observe(1.0 + 0.01*float64(i%3))
-		if spike || skip {
+		if d.Observe(1.0 + 0.01*float64(i%3)) {
 			t.Fatalf("steady step %d flagged", i)
 		}
 	}
-	spike, skip := d.Observe(400.0) // 20× the typical norm
-	if !spike {
+	if !d.Observe(400.0) { // 20× the typical norm
 		t.Fatal("20x norm excursion not flagged")
-	}
-	if skip {
-		t.Fatal("skip=false detector requested a skip")
 	}
 	if d.Spikes() != 1 {
 		t.Fatalf("Spikes() = %d, want 1", d.Spikes())
 	}
 }
 
-func TestSpikeDetectorSkipMode(t *testing.T) {
-	d := NewSpikeDetector(8, true)
+// TestSpikeDetectorFlagsOverConstantWindow: a window of identical norms has
+// MAD 0; the relative floor on σ must still let a real excursion through.
+func TestSpikeDetectorFlagsOverConstantWindow(t *testing.T) {
+	d := NewSpikeDetector(8)
 	for i := 0; i < 8; i++ {
 		d.Observe(1.0)
 	}
-	spike, skip := d.Observe(1e6)
-	if !spike || !skip {
-		t.Fatalf("skip-mode spike: spike=%v skip=%v, want true,true", spike, skip)
+	if !d.Observe(1e6) {
+		t.Fatal("excursion over a constant window not flagged")
 	}
 }
 
@@ -41,12 +37,12 @@ func TestSpikeDetectorSkipMode(t *testing.T) {
 // window, so a sustained corruption keeps being flagged instead of
 // normalising itself after window-many steps.
 func TestSpikeDetectorWindowNotContaminated(t *testing.T) {
-	d := NewSpikeDetector(6, false)
+	d := NewSpikeDetector(6)
 	for i := 0; i < 6; i++ {
 		d.Observe(1.0)
 	}
 	for i := 0; i < 20; i++ {
-		if spike, _ := d.Observe(500.0); !spike {
+		if !d.Observe(500.0) {
 			t.Fatalf("sustained excursion step %d absorbed into the window", i)
 		}
 	}
@@ -58,10 +54,10 @@ func TestSpikeDetectorWindowNotContaminated(t *testing.T) {
 // TestSpikeDetectorTracksDrift: a slow legitimate trend (warm-up decay)
 // must not trip the detector — the windowed median follows it.
 func TestSpikeDetectorTracksDrift(t *testing.T) {
-	d := NewSpikeDetector(8, false)
+	d := NewSpikeDetector(8)
 	norm := 10.0
 	for i := 0; i < 200; i++ {
-		if spike, _ := d.Observe(norm * norm); spike {
+		if d.Observe(norm * norm) {
 			t.Fatalf("smooth decay flagged at step %d (norm %g)", i, norm)
 		}
 		norm *= 0.98
@@ -69,49 +65,49 @@ func TestSpikeDetectorTracksDrift(t *testing.T) {
 }
 
 func TestSpikeDetectorNonFinitePassThrough(t *testing.T) {
-	d := NewSpikeDetector(4, true)
+	d := NewSpikeDetector(4)
 	for i := 0; i < 4; i++ {
 		d.Observe(1.0)
 	}
-	// NaN is the existing non-finite guard's jurisdiction: not a spike, no
-	// skip request, not admitted to the window.
-	if spike, skip := d.Observe(math.NaN()); spike || skip {
+	// NaN is the non-finite guard's jurisdiction: not a spike, not
+	// admitted to the window.
+	if d.Observe(math.NaN()) {
 		t.Fatal("NaN claimed by spike detector")
 	}
 	// Inf, by contrast, is a magnitude anomaly (the float32 scalar
-	// all-reduce overflows on huge finite gradients): flagged and skipped.
-	if spike, skip := d.Observe(math.Inf(1)); !spike || !skip {
+	// all-reduce overflows on huge finite gradients): flagged.
+	if !d.Observe(math.Inf(1)) {
 		t.Fatal("overflowed sum not flagged")
 	}
 	if d.Spikes() != 1 {
 		t.Fatalf("Spikes() = %d, want 1", d.Spikes())
 	}
-	if spike, _ := d.Observe(1.0); spike {
+	if d.Observe(1.0) {
 		t.Fatal("window contaminated by non-finite values")
 	}
 }
 
 func TestSpikeDetectorWarmup(t *testing.T) {
-	d := NewSpikeDetector(8, false)
+	d := NewSpikeDetector(8)
 	// With fewer than 3 admitted norms there is no robust scale estimate;
 	// nothing may be flagged.
-	if spike, _ := d.Observe(1e9); spike {
+	if d.Observe(1e9) {
 		t.Fatal("first observation flagged")
 	}
-	if spike, _ := d.Observe(1e-9); spike {
+	if d.Observe(1e-9) {
 		t.Fatal("second observation flagged")
 	}
 }
 
 func TestSpikeDetectorExportRestoreRoundTrip(t *testing.T) {
-	d := NewSpikeDetector(6, true)
+	d := NewSpikeDetector(6)
 	for i := 0; i < 10; i++ {
 		d.Observe(1.0 + float64(i)*0.05)
 	}
 	d.Observe(900.0) // one spike
 	st := d.ExportState(false)
 
-	fresh := NewSpikeDetector(6, true)
+	fresh := NewSpikeDetector(6)
 	fresh.RestoreState(st)
 	if fresh.Spikes() != d.Spikes() {
 		t.Fatalf("restored Spikes() = %d, want %d", fresh.Spikes(), d.Spikes())
@@ -122,10 +118,8 @@ func TestSpikeDetectorExportRestoreRoundTrip(t *testing.T) {
 		if i%7 == 0 {
 			v = 1e4
 		}
-		s1, k1 := d.Observe(v)
-		s2, k2 := fresh.Observe(v)
-		if s1 != s2 || k1 != k2 {
-			t.Fatalf("step %d: verdicts diverge after restore: (%v,%v) vs (%v,%v)", i, s1, k1, s2, k2)
+		if s1, s2 := d.Observe(v), fresh.Observe(v); s1 != s2 {
+			t.Fatalf("step %d: verdicts diverge after restore: %v vs %v", i, s1, s2)
 		}
 	}
 }
@@ -134,7 +128,7 @@ func TestSpikeDetectorExportRestoreRoundTrip(t *testing.T) {
 // the state as it was before the most recent Observe — the one-deep
 // rollback the repair cut needs.
 func TestSpikeDetectorRollbackExport(t *testing.T) {
-	d := NewSpikeDetector(5, false)
+	d := NewSpikeDetector(5)
 	for i := 0; i < 9; i++ {
 		d.Observe(2.0)
 	}
@@ -152,7 +146,7 @@ func TestSpikeDetectorRollbackExport(t *testing.T) {
 }
 
 func TestSpikeDetectorObserveAllocs(t *testing.T) {
-	d := NewSpikeDetector(16, false)
+	d := NewSpikeDetector(16)
 	for i := 0; i < 16; i++ {
 		d.Observe(1.0)
 	}

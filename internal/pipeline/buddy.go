@@ -165,8 +165,8 @@ func (w *WeiPipe) buddyStep() error {
 	bs.rbIters = bs.iters
 	bs.rbValid = true
 	if !w.lastSkip {
-		if c := clipScale(w.opts, w.lastSumSq); c != 1 {
-			tensor.ScaleF32(bs.scratch, bs.scratch, c)
+		if w.lastScale != 1 {
+			tensor.ScaleF32(bs.scratch, bs.scratch, w.lastScale)
 		}
 		bs.opt.Step(bs.w, bs.scratch)
 	}

@@ -29,8 +29,8 @@ type DP struct {
 	// flatW and flatG are the replica's weights and gradients in wire order,
 	// overwritten whole by every step and kept for the same reason as PP's.
 	flatW, flatG []float32
-	skipped      int
 	tr           *trace.Tracer
+	stepRule
 }
 
 // NewDP builds a DP trainer for this rank.
@@ -38,14 +38,15 @@ func NewDP(t Transport, cfg model.Config, opts Options) (*DP, error) {
 	mdl := model.Build(cfg)
 	total := mdl.NumParams()
 	return &DP{
-		t:     t,
-		mdl:   mdl,
-		opt:   optim.NewAdamW(total, opts.Adam),
-		flatW: make([]float32, total),
-		flatG: make([]float32, total),
-		opts:  opts,
-		arena: tensor.NewArena(),
-		tr:    opts.Trace.Rank(t.Rank()),
+		t:        t,
+		mdl:      mdl,
+		opt:      optim.NewAdamW(total, opts.Adam),
+		flatW:    make([]float32, total),
+		flatG:    make([]float32, total),
+		opts:     opts,
+		arena:    tensor.NewArena(),
+		tr:       opts.Trace.Rank(t.Rank()),
+		stepRule: newStepRule(opts, t.Rank()),
 	}, nil
 }
 
@@ -91,17 +92,12 @@ func (d *DP) TrainIteration(batches []data.Batch) (float64, error) {
 	tensor.ScaleF32(flatG, flatG, inv)
 	// The all-reduced gradient is replicated, so Σg² is already a global
 	// quantity — every rank computes the same value and makes the same
-	// clip/skip decision with no extra collective.
+	// step decision with no extra collective.
 	var sumSq float64
-	if needGlobalSumSq(d.opts) {
+	if d.needSumSq() {
 		sumSq = sumSquares(flatG)
 	}
-	if d.opts.GuardNonFinite && !finiteSum(sumSq) {
-		d.skipped++
-	} else {
-		if c := clipScale(d.opts, sumSq); c != 1 {
-			tensor.ScaleF32(flatG, flatG, c)
-		}
+	if _, skip := d.decide(sumSq, flatG); !skip {
 		d.mdl.FlattenChunk(0, nMods, flatW)
 		d.opt.Step(flatW, flatG)
 		d.mdl.SetChunk(0, nMods, flatW)

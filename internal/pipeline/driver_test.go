@@ -107,7 +107,7 @@ func TestDriverWireCheckpointMatchesCapture(t *testing.T) {
 			}
 			for _, buddy := range []bool{false, true} {
 				opts := eqOpts()
-				opts.SpikeWindow = 2
+				opts.Guard = true
 				ropts := ResilientOptions{CheckpointEvery: iters}
 				if buddy {
 					ropts.Elastic = ElasticShrink // the repair ladder turns buddy replication on

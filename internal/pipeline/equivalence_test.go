@@ -251,11 +251,11 @@ func TestClipNormMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGuardNonFiniteSkipsOnEveryRunner: the non-finite guard is the one skip
-// path for a poisoned gradient, so every runner must honour it. Each run
-// starts from weights holding one NaN in the output head — every logit
-// column it feeds, and so every gradient, turns non-finite — and with
-// GuardNonFinite must skip every step and finish on the seed's exact bits.
+// TestGuardNonFiniteSkipsOnEveryRunner: the guard is the one skip path for a
+// poisoned gradient, so every runner must honour it. Each run starts from
+// weights holding one NaN in the output head — every logit column it feeds,
+// and so every gradient, turns non-finite — and with Guard must skip every
+// step and finish on the seed's exact bits.
 // The same run without the guard must change the weights.
 func TestGuardNonFiniteSkipsOnEveryRunner(t *testing.T) {
 	const iters, n = 2, 4
@@ -278,7 +278,7 @@ func TestGuardNonFiniteSkipsOnEveryRunner(t *testing.T) {
 			train := func(guard bool) *ClusterResult {
 				opts := eqOpts()
 				opts.GroupSize = r.groupSize
-				opts.GuardNonFinite = guard
+				opts.Guard = guard
 				res, err := RunResilient(r.s, r.p, eqCfg(), opts, iters, eqBatches(iters, n),
 					inprocFactory(r.p), ResilientOptions{InitialSnapshot: seed()})
 				if err != nil {

@@ -42,7 +42,6 @@ type FSDP struct {
 	// the reduce-scatter consumes as it lies.
 	grads    []*nn.ParamSet
 	gradFlat [][]float32
-	skipped  int
 
 	// gathered is the buffer module gatheredMod is bound to for the running
 	// pass (nil between passes); see bindGathered.
@@ -56,6 +55,7 @@ type FSDP struct {
 
 	// tr is this rank's runtime tracer (nil when tracing is off).
 	tr *trace.Tracer
+	stepRule
 }
 
 // NewFSDP builds an FSDP trainer for this rank.
@@ -63,7 +63,8 @@ func NewFSDP(t Transport, cfg model.Config, o Options) (*FSDP, error) {
 	mdl := model.BuildShells(cfg)
 	p := t.Size()
 	r := t.Rank()
-	f := &FSDP{t: t, mdl: mdl, o: o, arena: tensor.NewArena(), tr: o.Trace.Rank(t.Rank())}
+	f := &FSDP{t: t, mdl: mdl, o: o, arena: tensor.NewArena(), tr: o.Trace.Rank(r),
+		stepRule: newStepRule(o, r)}
 	if m, ok := t.(comm.Meter); ok {
 		f.stats = m.CommStats()
 	}
@@ -209,10 +210,10 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 		tensor.ScaleF32(shard, shard, invN)
 		gradShards[i] = shard
 	}
-	// Global-norm clip and non-finite guard across all shards (one scalar
-	// all-reduce gives every rank the identical verdict), then step.
+	// The step rule's Σg² spans all shards (one scalar all-reduce gives
+	// every rank the identical verdict), then step.
 	var sumSq float64
-	if needGlobalSumSq(f.o) {
+	if f.needSumSq() {
 		var local float64
 		for _, s := range gradShards {
 			local += sumSquares(s)
@@ -222,14 +223,7 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 			return 0, err
 		}
 	}
-	if f.o.GuardNonFinite && !finiteSum(sumSq) {
-		f.skipped++
-	} else {
-		if c := clipScale(f.o, sumSq); c != 1 {
-			for _, s := range gradShards {
-				tensor.ScaleF32(s, s, c)
-			}
-		}
+	if _, skip := f.decide(sumSq, gradShards...); !skip {
 		for i := 0; i < nMods; i++ {
 			f.opts[i].Step(f.shards[i], gradShards[i])
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"weipipe/internal/comm"
+	"weipipe/internal/optim"
 	"weipipe/internal/tensor"
 )
 
@@ -137,7 +138,7 @@ func TestIntegrityDetectsKernelFlip(t *testing.T) {
 func TestIntegrityRepairBitIdentical(t *testing.T) {
 	const p, iters, n = 2, 6, 4
 	opts := integrityOpts()
-	opts.SpikeWindow = 4 // exercise spike snapshot/restore across the restart
+	opts.Guard = true // exercise spike snapshot/restore across the restart
 	ref, err := RunCluster(StrategyWZB2, p, eqCfg(), opts, iters, eqBatches(iters, n))
 	if err != nil {
 		t.Fatal(err)
@@ -221,40 +222,54 @@ func TestIntegrityElasticShrinkOnFlip(t *testing.T) {
 	}
 }
 
-// TestSpikeCleanEquivalence: an armed spike detector must not perturb a
-// healthy run — identical trajectory, zero flags.
+// TestSpikeCleanEquivalence: the guard must not perturb a healthy run on
+// any strategy — identical trajectory, zero flags — with enough iterations
+// to fill its spike window.
 func TestSpikeCleanEquivalence(t *testing.T) {
-	const p, iters, n = 2, 5, 4
-	ref, err := RunCluster(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n))
-	if err != nil {
-		t.Fatal(err)
+	const iters, n = optim.SpikeWindow + 2, 4
+	type run struct {
+		s            Strategy
+		p, groupSize int
 	}
-	opts := eqOpts()
-	opts.SpikeWindow = 6
-	res, err := RunCluster(StrategyWZB2, p, eqCfg(), opts, iters, eqBatches(iters, n))
-	if err != nil {
-		t.Fatal(err)
+	runs := []run{{StrategySerial, 1, 0}, {StrategyWeiPipeDP, 4, 2}}
+	for _, s := range Strategies() {
+		runs = append(runs, run{s, 2, 0})
 	}
-	bitIdentical(t, "spike detector on vs off", res.Losses, ref.Losses, res.Weights, ref.Weights)
-	if res.SpikeSteps != 0 {
-		t.Fatalf("healthy run flagged %d spike steps", res.SpikeSteps)
+	for _, r := range runs {
+		t.Run(string(r.s), func(t *testing.T) {
+			t.Parallel()
+			opts := eqOpts()
+			opts.GroupSize = r.groupSize
+			ref, err := RunCluster(r.s, r.p, eqCfg(), opts, iters, eqBatches(iters, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Guard = true
+			res, err := RunCluster(r.s, r.p, eqCfg(), opts, iters, eqBatches(iters, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bitIdentical(t, "guard on vs off", res.Losses, ref.Losses, res.Weights, ref.Weights)
+			if res.SpikeSteps != 0 || res.SkippedSteps != 0 {
+				t.Fatalf("healthy run flagged %d spike steps, skipped %d", res.SpikeSteps, res.SkippedSteps)
+			}
+		})
 	}
 }
 
 // TestSpikeFlagsCorruptedGradients: with belt integrity off, a high-bit
 // flip in a retiring gradient inflates that step's norm to a finite but
 // absurd value (the sum of squares accumulates in float64, so even ~1e34
-// gradient elements square without overflowing); the spike detector is the
-// second line of defense and must flag the step and, in skip mode, refuse
-// to feed it to the optimizer.
+// gradient elements square without overflowing); the guard's spike detector
+// is the second line of defense and must flag the step and refuse to feed
+// it to the optimizer.
 func TestSpikeFlagsCorruptedGradients(t *testing.T) {
 	const p, iters, n = 2, 8, 4
 	inj := NewBitFlipInjector([]BitFlipEvent{
 		{Rank: 0, Iter: 4, Site: FlipBeltGrad, Word: 31, Bit: 30},
 	})
 	opts := eqOpts()
-	opts.SpikeWindow = 4
-	opts.SpikeSkip = true
+	opts.Guard = true
 	opts.BitFlip = inj // integrity OFF: the flip sails into the step
 	res, err := RunCluster(StrategyWZB2, p, eqCfg(), opts, iters, eqBatches(iters, n))
 	if err != nil {
@@ -275,6 +290,96 @@ func TestSpikeFlagsCorruptedGradients(t *testing.T) {
 		if l != l {
 			t.Fatalf("loss %d is NaN; the corrupt step leaked into the weights", i)
 		}
+	}
+}
+
+// TestSpikeFlagsLRBlowUp: the belt bit-flip sites reach WeiPipe alone, so
+// the activation-passing and sharded strategies get their inflated norms
+// from a single-iteration learning-rate spike instead. The spiked step
+// itself trains on a healthy gradient; the weights it leaves behind make
+// every later Σg² spike, and since flagged norms never enter the window the
+// guard keeps flagging and skipping them. The guarded run must therefore
+// end on the exact weights of a run that stopped right after the spiked
+// step.
+func TestSpikeFlagsLRBlowUp(t *testing.T) {
+	const iters, n, spikeAt = optim.SpikeWindow + 4, 4, optim.SpikeWindow + 1
+	lr := func(iter int) float64 {
+		if iter == spikeAt {
+			return 1000 * eqOpts().Adam.LR
+		}
+		return eqOpts().Adam.LR
+	}
+	for _, s := range []Strategy{Strategy1F1B, StrategyFSDP} {
+		t.Run(string(s), func(t *testing.T) {
+			t.Parallel()
+			const p = 2
+			opts := eqOpts()
+			opts.Guard = true
+			train := func(iters int) *ClusterResult {
+				res, err := RunResilient(s, p, eqCfg(), opts, iters, eqBatches(iters, n),
+					inprocFactory(p), ResilientOptions{LR: lr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			res := train(iters)
+			if want := iters - spikeAt - 1; res.SpikeSteps != want || res.SkippedSteps != want {
+				t.Fatalf("SpikeSteps %d, SkippedSteps %d: want every one of the %d steps after the LR spike flagged and skipped",
+					res.SpikeSteps, res.SkippedSteps, want)
+			}
+			stopped := train(spikeAt + 1)
+			bitIdentical(t, "guarded run vs run stopped after the spike",
+				res.Losses[:spikeAt+1], stopped.Losses, res.Weights, stopped.Weights)
+		})
+	}
+}
+
+// TestGuardResumeBitIdentical: the guard's window rides in the checkpoint of
+// every trainer that can checkpoint, so a guarded run resumed from one
+// flags exactly the steps an uninterrupted run flags. The resume lands
+// right before an LR spike whose aftermath only a restored window can
+// judge: a fresh one has no baseline and would admit the blown-up norms.
+func TestGuardResumeBitIdentical(t *testing.T) {
+	const iters, n, cut = optim.SpikeWindow + 4, 4, optim.SpikeWindow + 1
+	lr := func(iter int) float64 {
+		if iter == cut {
+			return 1000 * eqOpts().Adam.LR
+		}
+		return eqOpts().Adam.LR
+	}
+	runs := []struct {
+		s            Strategy
+		p, groupSize int
+	}{{StrategySerial, 1, 0}, {StrategyWZB2, 2, 0}, {StrategyWeiPipeDP, 4, 2}}
+	for _, r := range runs {
+		t.Run(string(r.s), func(t *testing.T) {
+			t.Parallel()
+			opts := eqOpts()
+			opts.Guard = true
+			opts.GroupSize = r.groupSize
+			train := func(iters int, ropts ResilientOptions) *ClusterResult {
+				ropts.LR = lr
+				res, err := RunResilient(r.s, r.p, eqCfg(), opts, iters, eqBatches(iters, n),
+					inprocFactory(r.p), ropts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			whole := train(iters, ResilientOptions{})
+			if whole.SpikeSteps == 0 {
+				t.Fatal("no step spiked after the LR spike; the test proves nothing")
+			}
+			first := train(cut, ResilientOptions{CheckpointEvery: cut})
+			rest := train(iters, ResilientOptions{InitialSnapshot: first.Checkpoint})
+			bitIdentical(t, "resumed vs uninterrupted guarded run",
+				rest.Losses[cut:], whole.Losses[cut:], rest.Weights, whole.Weights)
+			if rest.SpikeSteps != whole.SpikeSteps || rest.SkippedSteps != whole.SkippedSteps-first.SkippedSteps {
+				t.Fatalf("resumed run: %d spikes, %d skips; uninterrupted: %d spikes, %d skips",
+					rest.SpikeSteps, rest.SkippedSteps, whole.SpikeSteps, whole.SkippedSteps)
+			}
+		})
 	}
 }
 

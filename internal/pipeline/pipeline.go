@@ -12,7 +12,6 @@ package pipeline
 
 import (
 	"fmt"
-	"math"
 
 	"weipipe/internal/comm"
 	"weipipe/internal/data"
@@ -70,31 +69,52 @@ type Options struct {
 	Adam optim.AdamWConfig
 	// Recompute enables activation checkpointing: interior modules keep
 	// only their input between forward and backward and re-run forward
-	// before the B pass. Ignored by the ZB strategies (the paper applies
-	// recomputation to all strategies except zero-bubble ones). Measured at
-	// H 64, S 512, L 4, one sequence per microbatch: a microbatch holds
-	// 1.3 MB of activations between its forward and its B pass instead of
-	// 9.3 MB, so 1F1B's rank 0, with four microbatches in flight, peaks at
-	// 4.4 MB of arena instead of 10.3 MB. What a microbatch holds between
-	// its B and W passes (11.6 MB: W's stash) does not change, so a rank
-	// with one microbatch in flight gains nothing: Serial peaks at 13.4 MB
-	// either way. The price is a second forward of every interior module.
+	// before the B pass. Serial, DP, FSDP, GPipe, 1F1B and every WeiPipe
+	// variant honour it, wzb1 and wzb2 included; ZB1 and ZB2 force it off
+	// (the paper recomputes for every strategy but its zero-bubble
+	// baselines). Measured at H 64, S 512, L 4, one sequence per
+	// microbatch: a microbatch holds 1.3 MB of activations between its
+	// forward and its B pass instead of 9.3 MB, so 1F1B's rank 0, with four
+	// microbatches in flight, peaks at 4.4 MB of arena instead of 10.3 MB.
+	// What a microbatch holds between its B and W passes (11.6 MB: W's
+	// stash) does not change, so a rank with one microbatch in flight gains
+	// nothing: Serial peaks at 13.4 MB either way. The price is a second
+	// forward of every interior module. Off by default; on the benchmark's
+	// long-1f1b it costs 29 % step time (step_ms_p50 37.3 → 48.1 ms) for
+	// 27 % less peak RSS (44.9 → 32.8 MB), and on long-wzb2, whose peak is
+	// the W stash, 30 % step time (35.3 → 46.0 ms) for 1 % (71.3 → 70.5 MB);
+	// 4 of 4 alternating pairs each way, EXPERIMENTS.md.
 	Recompute bool
 	// ClipNorm, when positive, clips the global (cross-rank) gradient norm
 	// to this value before the optimizer step. Distributed strategies
-	// combine their local partial norms with a scalar all-reduce.
+	// combine their local partial norms with a scalar all-reduce. Off (0)
+	// by default; at 1 it costs 8 % step time on the benchmark's
+	// wide-fsdp-tcp (step_ms_p50 74.8 → 80.6 ms) and 10 % on wide-wzb2-tcp
+	// (83.5 → 91.9 ms), 0 of 4 alternating pairs faster, and stays within
+	// noise on long-* (EXPERIMENTS.md).
 	ClipNorm float64
-	// GuardNonFinite skips the optimizer step whenever the global gradient
-	// is non-finite, so a single NaN/Inf cannot poison the weights. The
-	// check rides the same scalar all-reduce global-norm clipping uses, so
-	// every rank makes the identical decision.
-	GuardNonFinite bool
+	// Guard skips the optimizer step whenever the globally agreed gradient
+	// Σg² is non-finite or spikes: more than optim.SpikeThreshold robust σ
+	// above the median of the last optim.SpikeWindow accepted norms (see
+	// stepRule). A single NaN, an overflow or a corrupt batch then cannot
+	// poison the weights. The verdict is global, so every rank and buddy
+	// shadow agrees; skipped and flagged steps are counted (SkipCounter,
+	// SpikeCounter). Off by default. Its Σg² reduction, a sync point before
+	// every step, measured within noise on the four benchmark workloads
+	// (step_ms_p50 −4 % to +0 %, 4 alternating pairs each). But it skipped
+	// one step of a healthy run on each of them (seed 1 or 3): while its
+	// window holds few norms the MAD is small, so ordinary noise can read
+	// as a spike. EXPERIMENTS.md has the runs.
+	Guard bool
 	// Trace, when non-nil, receives runtime spans from every rank: F/B/W
 	// compute stages, optimizer steps, exposed-communication stalls, belt
 	// relays and checkpoint barriers. All ranks of
 	// a run share the one Set (each pulls its own tracer by rank), so the
 	// per-rank timelines align on a common monotonic epoch. Nil means
 	// tracing off, which costs one pointer test per instrumentation site.
+	// On, the benchmark's traced runs put it at 8–13 % of the step on
+	// long-* and within their noise (−9 to +10 %) on wide-*
+	// (trace.overhead_pct, two runs each).
 	Trace *trace.Set
 	// Integrity enables end-to-end silent-data-corruption defense on
 	// WeiPipe trainers: every belt chunk carries a CRC32 trailer sealed at
@@ -105,20 +125,13 @@ type Options struct {
 	// mismatch surfaces as a typed *comm.IntegrityError, which RunResilient
 	// treats as lost rank state — the same buddy-harvest/checkpoint repair
 	// path a crash takes. Off by default: the belt hot path then carries no
-	// trailer, runs no checks and allocates nothing extra. All ranks of a
-	// run must agree on it (payload sizes change).
+	// trailer, runs no checks and allocates nothing extra. On, it costs
+	// 19 % step time on the benchmark's wide-wzb2-tcp (step_ms_p50 85.3 →
+	// 101.6 ms, 4 of 4 alternating pairs slower) and 5 % on long-wzb2
+	// (34.4 → 36.1 ms, 3 of 4); long-1f1b and wide-fsdp-tcp run no WeiPipe
+	// trainer and stay within noise (EXPERIMENTS.md). All ranks of a run
+	// must agree on it (payload sizes change).
 	Integrity bool
-	// SpikeWindow, when positive, arms the windowed grad-norm spike
-	// detector: the globally agreed Σg² of each step is compared against
-	// the median + optim.SpikeThreshold·(1.4826·MAD) envelope of the last
-	// SpikeWindow accepted norms. Detected spikes are counted (see
-	// SpikeCounter) and, with SpikeSkip, skip the optimizer step exactly like
-	// the non-finite guard — the verdict is global, so every rank and buddy
-	// shadow agrees.
-	SpikeWindow int
-	// SpikeSkip makes detected spikes skip the optimizer step instead of
-	// only counting them.
-	SpikeSkip bool
 	// GroupSize partitions the ring into contiguous blocks of this many
 	// ranks for the grouped-belt strategy (wzb2g), the WeiPipe rings of
 	// weipipe-dp and link-tier traffic accounting. For wzb2g, 0 picks a
@@ -146,34 +159,9 @@ type Options struct {
 	buddy bool
 }
 
-// needGlobalSumSq reports whether the step phase needs the global Σg²
-// (for clipping, for the non-finite guard, or for the spike detector —
-// one all-reduce serves every consumer).
-func needGlobalSumSq(opts Options) bool {
-	return opts.ClipNorm > 0 || opts.GuardNonFinite || opts.SpikeWindow > 0
-}
-
-// finiteSum reports whether a gradient sum-of-squares is finite.
-func finiteSum(sumSq float64) bool {
-	return !math.IsNaN(sumSq) && !math.IsInf(sumSq, 0)
-}
-
 // gradFactor returns the factor that turns an accumulated gradient sum over
 // n microbatches into the mean gradient.
 func gradFactor(n int) float32 { return float32(1.0 / float64(n)) }
-
-// clipScale returns the factor to scale gradients by so the global norm
-// (whose square is sumSq) does not exceed opts.ClipNorm.
-func clipScale(opts Options, sumSq float64) float32 {
-	if opts.ClipNorm <= 0 {
-		return 1
-	}
-	norm := math.Sqrt(sumSq)
-	if norm <= opts.ClipNorm {
-		return 1
-	}
-	return float32(opts.ClipNorm / norm)
-}
 
 // sumSquares returns Σ g².
 func sumSquares(g []float32) float64 {
@@ -388,7 +376,7 @@ func (ap *arenaPool) highWater() int {
 // arenas. ArenaHighWater reports how many scratch buffers the rank's arena
 // store has made: the peak count of activation tensors its in-flight
 // microbatches held at once, each freed at its last reader. It is the memory
-// figure the -metrics snapshot surfaces next to the comm buffer gauges.
+// figure the weipipe-train -trace rollup surfaces next to the comm buffer gauges.
 type ArenaMeter interface {
 	ArenaHighWater() int
 }

@@ -63,11 +63,11 @@ type PP struct {
 	// the activation from the previous stage, the activation gradient from
 	// the next — which the caches and the W-pass stashes alias until the W
 	// pass; releaseMB hands them back to the transport pool with the arena.
-	inbox   map[int][2][]float32
-	skipped int
+	inbox map[int][2][]float32
 
 	// tr is this rank's runtime tracer (nil when tracing is off).
 	tr *trace.Tracer
+	stepRule
 }
 
 // ArenaHighWater implements ArenaMeter.
@@ -103,6 +103,7 @@ func NewPP(t Transport, cfg model.Config, opts Options, s Strategy) (*PP, error)
 		strategy:  s,
 		recompute: opts.Recompute && s != StrategyZB1 && s != StrategyZB2,
 		tr:        opts.Trace.Rank(t.Rank()),
+		stepRule:  newStepRule(opts, t.Rank()),
 	}
 	mdl.InitChunk(lo, hi, pp.flatW)
 	mdl.BindChunk(lo, hi, pp.flatW)
@@ -220,20 +221,19 @@ func (p *PP) abortIteration() {
 	}
 }
 
-// step averages this stage's accumulated gradients over n microbatches,
-// applies global-norm clipping (combining the stages' partial norms with a
-// scalar all-reduce) and takes the local optimizer update.
+// step averages this stage's accumulated gradients over n microbatches and
+// takes the local optimizer update the step rule decides on, combining the
+// stages' partial Σg² with a scalar all-reduce.
 func (p *PP) step(n int) error {
 	span := p.tr.Begin()
 	defer func() { p.tr.End(span, trace.CodeOpt, int64(p.seq), 0) }()
 	flatW, flatG := p.flatW, p.flatG
 	inv := gradFactor(n)
 	tensor.ScaleF32(flatG, flatG, inv)
-	// The stages' partial Σg² combine in one scalar all-reduce, serving
-	// both global-norm clipping and the non-finite guard with the identical
-	// verdict on every stage.
+	// The stages' partial Σg² combine in one scalar all-reduce, so every
+	// stage reaches the identical verdict.
 	var sumSq float64
-	if needGlobalSumSq(p.opts) {
+	if p.needSumSq() {
 		p.seq++
 		var err error
 		sumSq, err = comm.AllReduceScalarSum(p.t, sumSquares(flatG), p.seq)
@@ -241,12 +241,8 @@ func (p *PP) step(n int) error {
 			return err
 		}
 	}
-	if p.opts.GuardNonFinite && !finiteSum(sumSq) {
-		p.skipped++
+	if _, skip := p.decide(sumSq, flatG); skip {
 		return nil
-	}
-	if c := clipScale(p.opts, sumSq); c != 1 {
-		tensor.ScaleF32(flatG, flatG, c)
 	}
 	p.opt.Step(flatW, flatG)
 	return nil

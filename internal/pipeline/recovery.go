@@ -185,10 +185,9 @@ func exportState(tr Trainer, snap *checkpoint.Snapshot, sh *share) error {
 // must hold every weight and, in a full-state capture, agree on the
 // optimizer step, which travels in its own "adam.step" section — with the
 // non-finite guard, skipped steps make it run behind the iteration count,
-// so the two must not be conflated. The spike-detector window evolves in
-// lock-step on every rank, so a WeiPipe trainer (tr, any rank's)
-// contributes its own copy: a resumed run's verdicts match an uninterrupted
-// run's bit for bit.
+// so the two must not be conflated. The guard's spike window evolves in
+// lock-step on every rank, so tr (any rank's trainer) contributes its own
+// copy: a resumed run's verdicts match an uninterrupted run's bit for bit.
 func sealCapture(snap *checkpoint.Snapshot, shares []share, tr Trainer) error {
 	var held [][2]int
 	for _, sh := range shares {
@@ -210,8 +209,8 @@ func sealCapture(snap *checkpoint.Snapshot, shares []share, tr Trainer) error {
 		}
 	}
 	snap.Sections["adam.step"] = []float32{float32(shares[0].step)}
-	if wp, ok := tr.(*WeiPipe); ok {
-		ss, err := wp.exportSpikeAt(int(snap.Step))
+	if g, ok := tr.(guarded); ok {
+		ss, err := g.spikeStateAt(int(snap.Step))
 		if err != nil {
 			return err
 		}
@@ -343,8 +342,8 @@ func RestoreSnapshot(snap *checkpoint.Snapshot, trainers []Trainer) error {
 			return err
 		}
 		rec.SetIteration(int(snap.Step))
-		if wp, ok := tr.(*WeiPipe); ok {
-			wp.restoreSpikeState(snap.Sections[spikeSection])
+		if g, ok := tr.(guarded); ok {
+			g.restoreGuard(snap.Sections[spikeSection], int(snap.Step))
 		}
 		if wp, ok := tr.(*WeiPipe); ok && wp.buddy != nil {
 			c, _ := wp.BuddyChunk()
@@ -518,8 +517,9 @@ func RunResilient(s Strategy, p int, cfg model.Config, opts Options, iters int,
 // error) and the failure that started it. Without repair a failing rank
 // aborts at once and runRanks closes every endpoint, which brings the peers
 // home; with repair, a rank that leaves the ladder aborted dies to its
-// peers, as a process that exits does. Every endpoint is closed before
-// runRanks returns, so nothing leaks into the next attempt.
+// peers, as a process that exits does, and so does a rank that finished
+// once the attempt has failed. Every endpoint is closed before runRanks
+// returns, so nothing leaks into the next attempt.
 func runRanks(attempt, world int, base RankConfig,
 	transports func(attempt, size int) ([]comm.Transport, error),
 	ropts ResilientOptions, losses []float64) (*ClusterResult, []*RankOutcome, error) {
@@ -603,6 +603,7 @@ func runRanks(attempt, world int, base RankConfig,
 
 	outs := make([]*RankOutcome, world)
 	var failures []error
+	var finished []int // ranks home with Done whose endpoints are open
 	for range world {
 		res := <-results
 		outs[res.rank] = res.out
@@ -618,8 +619,21 @@ func runRanks(attempt, world int, base RankConfig,
 				ts[res.rank].Close()
 			}
 		default:
+			finished = append(finished, res.rank)
+		}
+		if len(failures) == 0 {
+			// A finished rank's endpoint stays open while the attempt is
+			// healthy: on the in-process fabric a close fails every
+			// pending take, its peers' final gather included.
 			continue
 		}
+		// The attempt has failed: a finished rank is as gone as a dead one,
+		// so close it and the survivors' agreement suspects it at once
+		// instead of after a full round.
+		for _, r := range finished {
+			CloseMesh(ts[r], base.Deadlines)
+		}
+		finished = finished[:0]
 		standDown()
 	}
 	if len(failures) > 0 {

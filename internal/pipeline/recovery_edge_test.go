@@ -3,7 +3,9 @@ package pipeline
 import (
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
@@ -160,4 +162,66 @@ func TestWeightOnlySnapshotSeedsBuddies(t *testing.T) {
 		t.Fatalf("crashed=%v repairs=%d: the buddy path was not exercised", crashed.Crashed(), len(res.Repairs))
 	}
 	bitIdentical(t, "weight-only seed", res.Losses, ref.Losses, res.Weights, ref.Weights)
+}
+
+// finalGatherCrash kills its rank in the middle of the final-weights
+// gather: it waits until it has received rank 0's and rank 1's shares —
+// both sent, so rank 0 can finish — and dies on sending its own to rank 1,
+// after the one to rank 0 went out.
+type finalGatherCrash struct {
+	comm.Transport
+	final Tag
+}
+
+func (f *finalGatherCrash) Send(dst int, tag Tag, data []float32) error {
+	if tag != f.final || dst != 1 {
+		return f.Transport.Send(dst, tag, data)
+	}
+	for _, src := range []int{0, 1} {
+		got, err := f.Transport.RecvTimeout(src, tag, time.Minute)
+		if err != nil {
+			return err
+		}
+		comm.Release(got)
+	}
+	f.Transport.Close()
+	return comm.ErrCrashed
+}
+
+// A rank that finished is no help to a repair, and once the attempt has
+// failed the supervisor closes its endpoint: the survivor stuck in the final
+// gather then suspects it at once instead of waiting out a full agreement
+// round. Rank 0 completes, rank 2 dies mid-gather, rank 1 cannot reach
+// quorum alone, and the run restarts from scratch onto the reference.
+func TestRepairClosesFinishedRankAfterFailure(t *testing.T) {
+	const p, iters, n = 3, 2, 6
+	ref, err := RunCluster(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crashed atomic.Bool
+	start := time.Now()
+	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
+		inprocFactory(p), ResilientOptions{
+			MaxRestarts: 1,
+			Elastic:     ElasticShrink,
+			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
+				if attempt > 0 || rank != 2 {
+					return tr
+				}
+				crashed.Store(true)
+				return &finalGatherCrash{tr, Tag{Kind: comm.KindCtl, A: gatherTag, B: iters}}
+			},
+		})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !crashed.Load() || len(res.Repairs) != 0 {
+		t.Fatalf("crashed=%v repairs=%d: want the crash and a restart from scratch", crashed.Load(), len(res.Repairs))
+	}
+	bitIdentical(t, "restart after a final-gather crash", res.Losses, ref.Losses, res.Weights, ref.Weights)
+	if round := (comm.Deadlines{}).WithDefaults().AgreeRound; elapsed > round/4 {
+		t.Fatalf("run took %v; a survivor waited out the finished rank (agreement round %v)", elapsed, round)
+	}
 }

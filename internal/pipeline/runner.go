@@ -109,12 +109,12 @@ type ClusterResult struct {
 	// measurement (bytes by message kind) the paper's analysis reasons
 	// about.
 	Comm []*comm.Stats
-	// SkippedSteps counts optimizer steps dropped by the non-finite guard
-	// or the spike detector. The skip decision is global, so the count is
-	// the same on every rank.
+	// SkippedSteps counts optimizer steps the guard (Options.Guard)
+	// dropped. The skip decision is global, so the count is the same on
+	// every rank.
 	SkippedSteps int
-	// SpikeSteps counts steps the grad-norm spike detector flagged
-	// (Options.SpikeWindow); like the skip count, it is global.
+	// SpikeSteps counts the skipped steps whose Σg² spiked; like the skip
+	// count, it is global.
 	SpikeSteps int
 	// Repairs lists the elastic repairs RunResilient performed (empty for
 	// plain runs and for checkpoint-only recovery).
@@ -129,29 +129,6 @@ type ClusterResult struct {
 	// made (ArenaMeter; 0 when no trainer recycles arenas).
 	ArenaHighWater int
 }
-
-// SkipCounter is implemented by trainers that count guard-skipped steps.
-type SkipCounter interface {
-	SkippedSteps() int
-}
-
-// SkippedSteps implements SkipCounter for the serial reference.
-func (s *Serial) SkippedSteps() int { return s.skipped }
-
-// SkippedSteps implements SkipCounter for DP.
-func (d *DP) SkippedSteps() int { return d.skipped }
-
-// SkippedSteps implements SkipCounter for FSDP.
-func (f *FSDP) SkippedSteps() int { return f.skipped }
-
-// SkippedSteps implements SkipCounter for the activation-passing stages.
-func (p *PP) SkippedSteps() int { return p.skipped }
-
-// SkippedSteps implements SkipCounter for WeiPipe.
-func (w *WeiPipe) SkippedSteps() int { return w.skipped }
-
-// SkippedSteps implements SkipCounter for the hybrid trainer.
-func (h *WeiPipeDP) SkippedSteps() int { return h.inner.skipped }
 
 // TotalComm aggregates the per-rank meters.
 func (r *ClusterResult) TotalComm() *comm.Stats {

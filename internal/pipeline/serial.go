@@ -22,20 +22,21 @@ type Serial struct {
 	arena *tensor.Arena
 	// grads accumulates an iteration's gradients; kept and re-zeroed across
 	// iterations (see zeroedGrads).
-	grads   []*nn.ParamSet
-	skipped int
-	tr      *trace.Tracer
+	grads []*nn.ParamSet
+	tr    *trace.Tracer
+	stepRule
 }
 
 // NewSerial builds the reference trainer.
 func NewSerial(cfg model.Config, opts Options) *Serial {
 	mdl := model.Build(cfg)
 	return &Serial{
-		mdl:   mdl,
-		opt:   optim.NewAdamW(mdl.NumParams(), opts.Adam),
-		opts:  opts,
-		arena: tensor.NewArena(),
-		tr:    opts.Trace.Rank(0),
+		mdl:      mdl,
+		opt:      optim.NewAdamW(mdl.NumParams(), opts.Adam),
+		opts:     opts,
+		arena:    tensor.NewArena(),
+		tr:       opts.Trace.Rank(0),
+		stepRule: newStepRule(opts, 0),
 	}
 }
 
@@ -71,8 +72,7 @@ func (s *Serial) TrainIteration(batches []data.Batch) (float64, error) {
 }
 
 // step averages the accumulated gradients over n microbatches and applies
-// one optimizer update across the whole model (or, under the non-finite
-// guard, skips it).
+// one optimizer update across the whole model, as the step rule decides.
 func (s *Serial) step(grads []*nn.ParamSet, n int) {
 	total := s.mdl.NumParams()
 	flatW := make([]float32, total)
@@ -82,15 +82,11 @@ func (s *Serial) step(grads []*nn.ParamSet, n int) {
 	inv := gradFactor(n)
 	tensor.ScaleF32(flatG, flatG, inv)
 	var sumSq float64
-	if needGlobalSumSq(s.opts) {
+	if s.needSumSq() {
 		sumSq = sumSquares(flatG)
 	}
-	if s.opts.GuardNonFinite && !finiteSum(sumSq) {
-		s.skipped++
+	if _, skip := s.decide(sumSq, flatG); skip {
 		return
-	}
-	if c := clipScale(s.opts, sumSq); c != 1 {
-		tensor.ScaleF32(flatG, flatG, c)
 	}
 	s.opt.Step(flatW, flatG)
 	s.mdl.SetChunk(0, len(s.mdl.Modules), flatW)

@@ -114,10 +114,6 @@ type WeiPipe struct {
 	// time, so one slot serves; see bindStage.
 	stage stageBuf
 
-	// skipped counts optimizer steps dropped by the non-finite guard or the
-	// spike detector; the decision is global, so every rank agrees.
-	skipped int
-
 	// Integrity layer state (Options.Integrity; see integrity.go). pad is
 	// the checksum trailer length every belt buffer grows by (0 = off);
 	// guard* cache the resident state's checksums between legitimate
@@ -127,11 +123,6 @@ type WeiPipe struct {
 	guardM     uint32
 	guardV     uint32
 	guardValid bool
-
-	// spike, when non-nil, is the windowed grad-norm anomaly detector
-	// (Options.SpikeWindow). Its verdict is driven by the globally agreed
-	// Σg², so every rank's copy evolves in lock-step.
-	spike *optim.SpikeDetector
 
 	// buddy, when non-nil, shadows the ring successor's owned chunk (see
 	// buddy.go). ownerIters counts this rank's committed step phases, and
@@ -144,13 +135,12 @@ type WeiPipe struct {
 	rbIters       int
 	rbValid       bool
 
-	// Step-phase decisions recorded for the buddy shadow replay: the
-	// gradient factor, the globally agreed Σg², and the skip verdict are
+	// The step phase's decisions, recorded for the buddy shadow replay: the
+	// gradient factor and the step rule's scale and skip verdict are
 	// bit-identical on every rank, so the shadow replays the owner's step
 	// exactly.
-	lastInv   float32
-	lastSumSq float64
-	lastSkip  bool
+	lastInv, lastScale float32
+	lastSkip           bool
 
 	// apool recycles per-microbatch scratch arenas across rounds and
 	// iterations; at most R microbatches of this worker are in flight, so the
@@ -176,6 +166,7 @@ type WeiPipe struct {
 
 	// tr is this rank's runtime tracer (nil when tracing is off).
 	tr *trace.Tracer
+	stepRule
 }
 
 // ArenaHighWater implements ArenaMeter.
@@ -231,11 +222,9 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 		w.stats.SetGroupSize(gs)
 	}
 	w.tr = opts.Trace.Rank(t.Rank())
+	w.stepRule = newStepRule(opts, t.Rank())
 	w.initIntegrity()
 	w.refreshResidentGuards()
-	if opts.SpikeWindow > 0 {
-		w.spike = optim.NewSpikeDetector(opts.SpikeWindow, opts.SpikeSkip)
-	}
 	if opts.buddy && p >= 2 {
 		w.initBuddy()
 	}
@@ -375,39 +364,21 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	}
 	inv := gradFactor(denom)
 	tensor.ScaleF32(db, db, inv)
-	// One scalar all-reduce serves global-norm clipping, the non-finite
-	// guard and the spike detector: NaN/Inf propagates through the sum, and
-	// the agreed float64 is bit-identical everywhere, so every rank (and
-	// every buddy shadow) reaches the identical verdict.
+	// One scalar all-reduce gives the step rule its Σg²: NaN/Inf propagates
+	// through the sum, and the agreed float64 is bit-identical everywhere,
+	// so every rank (and every buddy shadow) reaches the identical verdict.
 	var sumSq float64
-	if needGlobalSumSq(w.opts) {
+	if w.needSumSq() {
 		sumSq, err = comm.AllReduceScalarSum(w.t, sumSquares(db), (1<<30)+w.iter)
 		if err != nil {
 			comm.Release(d)
 			return 0, err
 		}
 	}
-	skip := w.opts.GuardNonFinite && !finiteSum(sumSq)
-	spikeSkip := false
-	if w.spike != nil {
-		var isSpike bool
-		isSpike, spikeSkip = w.spike.Observe(sumSq)
-		if isSpike {
-			flagged := int64(0)
-			if spikeSkip {
-				flagged = 1
-			}
-			w.tr.Instant(trace.CodeSpike, int64(w.iter), flagged)
-		}
-	}
-	w.lastInv, w.lastSumSq, w.lastSkip = inv, sumSq, skip || spikeSkip
+	scale, skip := w.decide(sumSq, db)
+	w.lastInv, w.lastScale, w.lastSkip = inv, scale, skip
 	w.stashOwnedRollback()
-	if skip || spikeSkip {
-		w.skipped++
-	} else {
-		if c := clipScale(w.opts, sumSq); c != 1 {
-			tensor.ScaleF32(db, db, c)
-		}
+	if !skip {
 		w.opt.Step(w.masterW, db)
 	}
 	w.ownerIters++

@@ -117,7 +117,21 @@ func (h *WeiPipeDP) RestoreOptimState(step int64, m, v []float32) error {
 // SetIteration implements Recoverable.
 func (h *WeiPipeDP) SetIteration(iter int) { h.inner.SetIteration(iter) }
 
+// SkippedSteps implements SkipCounter (the inner ring's step rule; every
+// replica decides alike).
+func (h *WeiPipeDP) SkippedSteps() int { return h.inner.SkippedSteps() }
+
+// SpikeSteps implements SpikeCounter.
+func (h *WeiPipeDP) SpikeSteps() int { return h.inner.SpikeSteps() }
+
+func (h *WeiPipeDP) spikeStateAt(atIter int) ([]float32, error) {
+	return h.inner.spikeStateAt(atIter)
+}
+
+func (h *WeiPipeDP) restoreGuard(st []float32, iter int) { h.inner.restoreGuard(st, iter) }
+
 var (
 	_ Trainer     = (*WeiPipeDP)(nil)
 	_ Recoverable = (*WeiPipeDP)(nil)
+	_ guarded     = (*WeiPipeDP)(nil)
 )

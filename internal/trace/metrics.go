@@ -159,7 +159,7 @@ func Summarize(ms []IterMetrics) Summary {
 	return s
 }
 
-// String renders the summary as the -metrics console block.
+// String renders the summary as the console block weipipe-train -trace prints.
 func (s Summary) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "iterations      %d  (ranks %d)\n", s.Iters, s.Ranks)

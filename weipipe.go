@@ -197,7 +197,7 @@ var (
 
 // Silent-data-corruption defense: checksummed weight belts and resident-state
 // guards (Options.Integrity), ABFT matmul verification (EnableABFT), the
-// windowed grad-norm spike detector (Options.SpikeWindow), per-section
+// step guard's windowed grad-norm spike detector (Options.Guard), per-section
 // checkpoint digests (VerifyCheckpoint) and the seeded bit-flip chaos tier
 // (GenBitFlips + Options.BitFlip). See DESIGN.md §15.
 type (
