@@ -178,8 +178,12 @@ experiments:
 # diff of two logs. It fails when more than two non-test call sites outside
 # benchmark/ and examples/ call TrainIteration (RunRank is the one training
 # loop, and WeiPipeDP's inner ring the one composition), when
-# pipeline.Options has more than 8 fields or when cmd/weipipe-train has more
-# than 36 flags: a knob added past those counts must retire another.
+# pipeline.Options has more than 8 fields, when cmd/weipipe-train has more
+# than 36 flags or when non-test internal/comm declares more than 2 interface
+# types (Transport, the whole endpoint contract, and the Meter it embeds: an
+# optional interface beside it would bring back a type-switch fallback that
+# a wrapper silently drops to): a knob added past those counts must retire
+# another.
 surface:
 	@echo "non-test Go lines: $$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
 		| tr ' ' '\n' | grep '\.go$$' | grep -v '_test\.go$$' | xargs cat | wc -l)"
@@ -196,6 +200,9 @@ surface:
 		echo "$$d flags: $$n"; total=$$((total+n)); \
 		[ $$d != cmd/weipipe-train/ ] || [ $$n -le 36 ] || { echo "surface: cmd/weipipe-train has $$n flags, at most 36"; exit 1; }; \
 		done; echo "flags in all: $$total"
+	@n=$$(ls internal/comm/*.go | grep -v '_test\.go$$' | xargs cat | grep -cE '^[[:space:]]*(type[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*[[:space:]]+interface[[:space:]]*\{'); \
+		echo "interface types in non-test internal/comm: $$n"; \
+		[ $$n -le 2 ] || { echo "surface: internal/comm declares $$n interface types, at most 2 (Transport, Meter)"; exit 1; }
 	@echo "WEIPIPE_* environment variables: $$(grep -rhoE --include='*.go' --include=Makefile 'WEIPIPE_[A-Z_]+' . | sort -u | wc -l)"
 	@wc -l internal/comm/tcp.go
 	@wc -l internal/tensor/*.s

@@ -11,9 +11,10 @@ import (
 // Membership agreement: when a rank dies, the survivors must converge on
 // the same picture of who is gone before the ring can be rebuilt. Failure
 // evidence is decentralised — each survivor observes the death through its
-// own links (a *PeerDeadError naming the peer, or the dead set a
-// Recoverer reports) — so AgreeOverTransport gets the observations across
-// ranks over the same lossy, retransmitting links the failure happened on.
+// own links (a *PeerDeadError naming the peer, or the dead set
+// Transport.BeginRecovery reports) — so AgreeOverTransport gets the
+// observations across ranks over the same lossy, retransmitting links the
+// failure happened on.
 // Both fabrics honour one failure contract (a closed endpoint is a dead
 // rank, BeginRecovery reopens the survivors), so the protocol below is
 // the only agreement there is, in process and across processes.
@@ -43,24 +44,6 @@ import (
 //   - Eviction: evidence naming the local rank means some survivor's
 //     detector condemned *us* and the majority may repair around us; the
 //     local rank gets ErrEvicted and must abort to standby.
-
-// Recoverer is implemented by transports that can transition from
-// "failed" (a peer death closed the endpoint, unblocking every parked
-// receive) back to "recovering" (the healthy links usable again for the
-// membership-agreement and state-harvest exchanges). BeginRecovery
-// returns the locally-observed dead set. Wrapper transports forward it.
-type Recoverer interface {
-	BeginRecovery() []int
-}
-
-// BeginRecovery reopens t for recovery traffic when it supports it,
-// returning the locally-observed dead set (nil otherwise).
-func BeginRecovery(t Transport) []int {
-	if r, ok := t.(Recoverer); ok {
-		return r.BeginRecovery()
-	}
-	return nil
-}
 
 // DeadPeer extracts the rank a failure implicates, if the error names one:
 // a PeerDeadError identifies the remote peer. Errors that do not name a
@@ -287,7 +270,7 @@ func AgreeOverTransport(t Transport, initial []int, cfg AgreeConfig) (Membership
 			if err := t.Send(peer, tag, payload); err != nil {
 				if r, ok := DeadPeer(err); ok {
 					suspect[r] = true
-					BeginRecovery(t)
+					t.BeginRecovery()
 					continue
 				}
 				return Membership{}, fmt.Errorf("comm: agreement round %d send to %d: %w", round, peer, err)
@@ -310,7 +293,7 @@ func AgreeOverTransport(t Transport, initial []int, cfg AgreeConfig) (Membership
 				}
 				if r, ok := DeadPeer(err); ok {
 					suspect[r] = true
-					BeginRecovery(t)
+					t.BeginRecovery()
 					if r == peer {
 						break
 					}

@@ -190,7 +190,7 @@ func TestMembershipAgreePeerDeath(t *testing.T) {
 				if !ok {
 					t.Errorf("rank %d: receive from the dead rank failed with %v, want *PeerDeadError", r, err)
 				}
-				return append(BeginRecovery(trs[r]), dead)
+				return append(trs[r].BeginRecovery(), dead)
 			}, dl)
 			for _, r := range survivors {
 				if errs[r] != nil {
@@ -548,7 +548,7 @@ func TestBeginRecoveryDeadPeerRecvFailsFast(t *testing.T) {
 			if _, err := trs[0].Recv(1, tag); !errors.Is(err, ErrPeerDead) {
 				t.Fatalf("blocked recv after death: %v", err)
 			}
-			dead := BeginRecovery(trs[0])
+			dead := trs[0].BeginRecovery()
 			if !reflect.DeepEqual(dead, []int{1}) {
 				t.Fatalf("BeginRecovery dead set %v", dead)
 			}

@@ -50,25 +50,6 @@ func BeltBF16(tag Tag) WireCodec {
 	return CodecF32
 }
 
-// CodecProvider is implemented by transports that can report which wire
-// codec a tag's payload travels under. The transport is the one owner of the
-// wire precision: the integrity layer and the grouped belt's cache ask it
-// (through CodecOf) so their values match what the wire delivers, and
-// wrapping transports forward the question to what they wrap.
-type CodecProvider interface {
-	// WireCodec returns the codec applied to payloads sent under tag.
-	WireCodec(tag Tag) WireCodec
-}
-
-// CodecOf returns the codec t applies to payloads sent under tag: its
-// WireCodec when t is a CodecProvider, CodecF32 otherwise.
-func CodecOf(t Transport, tag Tag) WireCodec {
-	if cp, ok := t.(CodecProvider); ok {
-		return cp.WireCodec(tag)
-	}
-	return CodecF32
-}
-
 // codecFor resolves f(tag) with the nil-policy default.
 func codecFor(f CodecFunc, tag Tag) WireCodec {
 	if f == nil {

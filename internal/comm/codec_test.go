@@ -18,7 +18,7 @@ func TestSendOwnedInprocZeroCopy(t *testing.T) {
 		payload[i] = float32(i)
 	}
 	donated := &payload[0]
-	if err := SendOwned(cl.Transport(0), 1, Tag{Kind: KindGrad, A: 1, B: 2}, payload); err != nil {
+	if err := cl.Transport(0).SendOwned(1, Tag{Kind: KindGrad, A: 1, B: 2}, payload); err != nil {
 		t.Fatal(err)
 	}
 	got, err := cl.Transport(1).Recv(0, Tag{Kind: KindGrad, A: 1, B: 2})
@@ -41,49 +41,50 @@ func TestSendOwnedInvalidRankReleases(t *testing.T) {
 	defer cl.Close()
 	// Ownership transfers even on the error path: the call must not panic
 	// and the caller must not need to Release.
-	if err := SendOwned(cl.Transport(0), 7, Tag{Kind: KindGrad}, GetBuf(64)); err == nil {
+	if err := cl.Transport(0).SendOwned(7, Tag{Kind: KindGrad}, GetBuf(64)); err == nil {
 		t.Fatal("send to invalid rank succeeded")
 	}
 }
 
-func TestSendOwnedFallbackCopies(t *testing.T) {
-	// A transport without a donation path still consumes ownership: the
-	// helper copies via plain Send and releases the original.
+// Wrappers pass donation through: a buffer donated or relayed through a
+// group view, or a fault injector with nothing scheduled, reaches the
+// receiver as the very buffer the sender gave up, as from a bare endpoint.
+func TestWrappedSendOwnedZeroCopy(t *testing.T) {
 	cl := NewCluster(2)
 	defer cl.Close()
-	base := cl.Transport(0)
-	wrapped := plainTransport{base} // hides the OwnedSender method
-	payload := GetBuf(64)
-	for i := range payload {
-		payload[i] = 3
-	}
-	donated := &payload[0]
-	if err := SendOwned(wrapped, 1, Tag{Kind: KindWeight, A: 9}, payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.Transport(1).Recv(0, Tag{Kind: KindWeight, A: 9})
+	g0, err := NewGroup(cl.Transport(0), []int{0, 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &got[0] == donated {
-		t.Error("fallback path delivered the caller's buffer without a copying transport")
+	g1, err := NewGroup(cl.Transport(1), []int{0, 1}, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	Release(got)
+	for _, w := range []struct {
+		name   string
+		tx, rx Transport
+	}{
+		{"group", g0, g1},
+		{"fault transport", NewFaultTransport(cl.Transport(0), FaultConfig{}), cl.Transport(1)},
+	} {
+		for i, send := range []func(Transport, int, Tag, []float32) error{Transport.SendOwned, Transport.Forward} {
+			tag := Tag{Kind: KindWeight, A: i}
+			payload := GetBuf(128)
+			donated := &payload[0]
+			if err := send(w.tx, 1, tag, payload); err != nil {
+				t.Fatal(err)
+			}
+			got, err := w.rx.Recv(0, tag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &got[0] != donated {
+				t.Errorf("%s: send %d delivered a copy, not the donated buffer", w.name, i)
+			}
+			Release(got)
+		}
+	}
 }
-
-// plainTransport strips the OwnedSender method from a Transport.
-type plainTransport struct{ t Transport }
-
-func (p plainTransport) Rank() int { return p.t.Rank() }
-func (p plainTransport) Size() int { return p.t.Size() }
-func (p plainTransport) Send(dst int, tag Tag, data []float32) error {
-	return p.t.Send(dst, tag, data)
-}
-func (p plainTransport) Recv(src int, tag Tag) ([]float32, error) { return p.t.Recv(src, tag) }
-func (p plainTransport) RecvTimeout(src int, tag Tag, d time.Duration) ([]float32, error) {
-	return p.t.RecvTimeout(src, tag, d)
-}
-func (p plainTransport) Close() error { return p.t.Close() }
 
 func TestBF16CodecInproc(t *testing.T) {
 	// BeltBF16 rounds belt kinds into the bf16 value domain and accounts
@@ -186,7 +187,7 @@ func TestBF16CodecTCPRoundTrip(t *testing.T) {
 	}
 	Release(w)
 	Release(c)
-	if got := trs[0].(Meter).CommStats().SentBytes(KindWeight); got != 10 {
+	if got := trs[0].CommStats().SentBytes(KindWeight); got != 10 {
 		t.Errorf("bf16 weight bytes = %d, want 10", got)
 	}
 }
@@ -225,7 +226,7 @@ func TestSendOwnedTCPRoundTrip(t *testing.T) {
 	for i := range payload {
 		payload[i] = float32(i) * 0.5
 	}
-	if err := SendOwned(trs[0], 1, Tag{Kind: KindGrad, A: 8}, payload); err != nil {
+	if err := trs[0].SendOwned(1, Tag{Kind: KindGrad, A: 8}, payload); err != nil {
 		t.Fatal(err)
 	}
 	// Self-send donation is delivered locally without a wire trip.
@@ -233,7 +234,7 @@ func TestSendOwnedTCPRoundTrip(t *testing.T) {
 	for i := range self {
 		self[i] = 7
 	}
-	if err := SendOwned(trs[0], 0, Tag{Kind: KindGrad, A: 9}, self); err != nil {
+	if err := trs[0].SendOwned(0, Tag{Kind: KindGrad, A: 9}, self); err != nil {
 		t.Fatal(err)
 	}
 	got, err := trs[1].Recv(0, Tag{Kind: KindGrad, A: 8})

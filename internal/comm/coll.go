@@ -100,7 +100,7 @@ func ringGather(t Transport, data []float32, shards [][2]int, seq, base int) err
 			Release(buf)
 			break
 		}
-		if err := Forward(t, next, Tag{Kind: KindColl, A: seq, B: base + step + 1}, buf); err != nil {
+		if err := t.Forward(next, Tag{Kind: KindColl, A: seq, B: base + step + 1}, buf); err != nil {
 			return err
 		}
 	}

@@ -174,7 +174,9 @@ func dialMeshEach(t *testing.T, n int, opts func(r int) TCPOptions) []*TCPTransp
 }
 
 // Under SetBufPoison, Forward checks its promise: a received payload written
-// since receipt panics instead of leaving with a stale checksum.
+// since receipt panics instead of leaving with a stale checksum. A relay
+// through a wrapper (a group view, a fault injector with nothing scheduled)
+// reaches the same check: wrappers hand Forward on, not a copying Send.
 func TestForwardOfWrittenPayloadPanics(t *testing.T) {
 	poisonPool(t)
 	trs := dialMeshEach(t, 3, func(int) TCPOptions { return TCPOptions{DialTimeout: 5 * time.Second} })
@@ -183,6 +185,29 @@ func TestForwardOfWrittenPayloadPanics(t *testing.T) {
 	for i := range src {
 		src[i] = float32(i) / 7
 	}
+	group, err := NewGroup(trs[1], []int{0, 1, 2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range []struct {
+		name string
+		t    Transport
+	}{{"group", group}, {"fault transport", NewFaultTransport(trs[1], FaultConfig{})}} {
+		tag := Tag{Kind: KindWeight, A: 10 + i}
+		if err := trs[0].Send(1, tag, src); err != nil {
+			t.Fatal(err)
+		}
+		got, err := trs[1].RecvTimeout(0, tag, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[n/2] += 1
+		mustPanic(t, "Forward of a written payload through a "+w.name, func() {
+			w.t.Forward(2, Tag{Kind: KindWeight, A: 20 + i}, got)
+		})
+		Release(got)
+	}
+
 	if err := trs[0].Send(1, Tag{Kind: KindWeight, A: 1}, src); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +220,7 @@ func TestForwardOfWrittenPayloadPanics(t *testing.T) {
 	}
 	got[n/2] += 1
 	mustPanic(t, "Forward of a written payload", func() {
-		Forward(trs[1], 2, Tag{Kind: KindWeight, A: 2}, got)
+		trs[1].Forward(2, Tag{Kind: KindWeight, A: 2}, got)
 	})
 
 	// The panic struck before the payload was enqueued, so it is still ours.
@@ -212,7 +237,7 @@ func TestForwardOfWrittenPayloadPanics(t *testing.T) {
 	if _, ok := crcs.known(back); ok {
 		t.Fatal("a self-sent payload kept the checksum its reader verified before it was written")
 	}
-	if err := Forward(trs[1], 2, Tag{Kind: KindWeight, A: 4}, back); err != nil {
+	if err := trs[1].Forward(2, Tag{Kind: KindWeight, A: 4}, back); err != nil {
 		t.Fatal(err)
 	}
 	fwd, err := trs[2].RecvTimeout(1, Tag{Kind: KindWeight, A: 4}, 10*time.Second)
@@ -267,7 +292,7 @@ func TestForwardRelayUnderCorruption(t *testing.T) {
 			if _, ok := crcs.known(got); !ok {
 				t.Errorf("relay %d: no remembered checksum to forward with", i)
 			}
-			if err := Forward(trs[1], 2, Tag{Kind: KindWeight, A: i}, got); err != nil {
+			if err := trs[1].Forward(2, Tag{Kind: KindWeight, A: i}, got); err != nil {
 				t.Errorf("forward %d: %v", i, err)
 				return
 			}

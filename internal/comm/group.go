@@ -71,7 +71,7 @@ func (g *Group) Send(dst int, tag Tag, data []float32) error {
 	return g.parent.Send(g.ranks[dst], g.saltTag(tag), data)
 }
 
-// SendOwned implements OwnedSender: donation passes straight through to the
+// SendOwned implements Transport: donation passes straight through to the
 // parent (with the group's rank mapping and tag salt), so a zero-copy
 // parent keeps the handoff zero-copy inside a group. Ownership transfers
 // even on the invalid-rank error path, matching the package contract.
@@ -80,30 +80,26 @@ func (g *Group) SendOwned(dst int, tag Tag, payload []float32) error {
 		Release(payload)
 		return fmt.Errorf("comm: group send to invalid rank %d", dst)
 	}
-	return SendOwned(g.parent, g.ranks[dst], g.saltTag(tag), payload)
+	return g.parent.SendOwned(g.ranks[dst], g.saltTag(tag), payload)
 }
 
-// forward passes Forward through to the parent like SendOwned.
-func (g *Group) forward(dst int, tag Tag, payload []float32) error {
+// Forward implements Transport, passing through to the parent like
+// SendOwned.
+func (g *Group) Forward(dst int, tag Tag, payload []float32) error {
 	if dst < 0 || dst >= len(g.ranks) {
 		Release(payload)
 		return fmt.Errorf("comm: group send to invalid rank %d", dst)
 	}
-	return Forward(g.parent, g.ranks[dst], g.saltTag(tag), payload)
+	return g.parent.Forward(g.ranks[dst], g.saltTag(tag), payload)
 }
 
-// CommStats implements Meter when the parent does; groups share the
-// parent's meter (their traffic is parent traffic). Returns nil otherwise.
-func (g *Group) CommStats() *Stats {
-	if m, ok := g.parent.(Meter); ok {
-		return m.CommStats()
-	}
-	return nil
-}
+// CommStats implements Transport: groups share the parent's meter (their
+// traffic is parent traffic).
+func (g *Group) CommStats() *Stats { return g.parent.CommStats() }
 
-// WireCodec implements CodecProvider: a group's payloads travel on the
-// parent's links, salted tag and all, so they get the parent's codec.
-func (g *Group) WireCodec(tag Tag) WireCodec { return CodecOf(g.parent, g.saltTag(tag)) }
+// WireCodec implements Transport: a group's payloads travel on the parent's
+// links, salted tag and all, so they get the parent's codec.
+func (g *Group) WireCodec(tag Tag) WireCodec { return g.parent.WireCodec(g.saltTag(tag)) }
 
 // Recv implements Transport.
 func (g *Group) Recv(src int, tag Tag) ([]float32, error) {
@@ -121,11 +117,13 @@ func (g *Group) RecvTimeout(src int, tag Tag, timeout time.Duration) ([]float32,
 	return g.parent.RecvTimeout(g.ranks[src], g.saltTag(tag), timeout)
 }
 
+// BeginRecovery implements Transport. Like Close it is a no-op that
+// reports nothing: the parent owns the links, and whoever owns the parent
+// runs its recovery.
+func (g *Group) BeginRecovery() []int { return nil }
+
 // Close implements Transport; closing a group is a no-op (the parent owns
 // the resources).
 func (g *Group) Close() error { return nil }
 
-var (
-	_ Transport     = (*Group)(nil)
-	_ CodecProvider = (*Group)(nil)
-)
+var _ Transport = (*Group)(nil)

@@ -137,13 +137,13 @@ type inprocTransport struct {
 	stats   *Stats
 }
 
-// CommStats implements Meter.
+// CommStats implements Transport.
 func (t *inprocTransport) CommStats() *Stats { return t.stats }
 
 func (t *inprocTransport) Rank() int { return t.rank }
 func (t *inprocTransport) Size() int { return len(t.cluster.boxes) }
 
-// WireCodec implements CodecProvider: the codec a payload sent under tag is
+// WireCodec implements Transport: the codec a payload sent under tag is
 // rounded through at the send boundary.
 func (t *inprocTransport) WireCodec(tag Tag) WireCodec { return codecFor(t.cluster.codec, tag) }
 
@@ -169,7 +169,7 @@ func (t *inprocTransport) Send(dst int, tag Tag, data []float32) error {
 	return nil
 }
 
-// SendOwned implements OwnedSender: the donated payload is delivered to the
+// SendOwned implements Transport: the donated payload is delivered to the
 // receiver without a copy — the zero-copy handoff every gradient hop rides.
 // A payload its sender still shares (Retain: a weight chunk relayed while the
 // stage computes out of it) is delivered as a private copy instead, so ranks
@@ -194,6 +194,12 @@ func (t *inprocTransport) SendOwned(dst int, tag Tag, payload []float32) error {
 	t.cluster.boxes[dst].deliver(msgKey{src: t.rank, tag: tag}, payload)
 	tr.End(span, trace.CodeSend, int64(tag.Kind), int64(dst))
 	return nil
+}
+
+// Forward implements Transport. In process there is no checksum to reuse,
+// so a relay is a donation like any other.
+func (t *inprocTransport) Forward(dst int, tag Tag, payload []float32) error {
+	return t.SendOwned(dst, tag, payload)
 }
 
 func (t *inprocTransport) Recv(src int, tag Tag) ([]float32, error) {
@@ -229,7 +235,7 @@ func (t *inprocTransport) Close() error {
 	return nil
 }
 
-// BeginRecovery implements Recoverer, as TCPTransport.BeginRecovery does:
+// BeginRecovery implements Transport, as TCPTransport.BeginRecovery does:
 // it reopens this rank's mailbox for the repair exchanges, unless this
 // rank itself closed, and returns the dead peers in ascending order.
 func (t *inprocTransport) BeginRecovery() []int {

@@ -103,100 +103,6 @@ func TestCloseFailsPendingRecvTCP(t *testing.T) {
 	}
 }
 
-// dropPattern sends n tagged messages through a FaultTransport and returns
-// which ordinals were dropped (observed via receive timeouts).
-func dropPattern(t *testing.T, seed uint64, n int) []bool {
-	t.Helper()
-	c := NewCluster(2)
-	defer c.Close()
-	ft := NewFaultTransport(c.Transport(0), FaultConfig{
-		Seed:    seed,
-		Default: LinkFaults{DropProb: 0.3},
-	})
-	for i := 0; i < n; i++ {
-		if err := ft.Send(1, Tag{Kind: KindAct, A: i}, []float32{float32(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pat := make([]bool, n)
-	rx := c.Transport(1)
-	for i := 0; i < n; i++ {
-		_, err := rx.RecvTimeout(0, Tag{Kind: KindAct, A: i}, 30*time.Millisecond)
-		pat[i] = errors.Is(err, ErrTimeout)
-	}
-	drops, _, _, _, sends := ft.Injected()
-	if sends != int64(n) {
-		t.Fatalf("sends = %d, want %d", sends, n)
-	}
-	got := 0
-	for _, d := range pat {
-		if d {
-			got++
-		}
-	}
-	if int64(got) != drops {
-		t.Fatalf("observed %d missing messages, injector reports %d drops", got, drops)
-	}
-	return pat
-}
-
-// Fault decisions must be a pure function of the seed: the same scenario
-// replays identically, and a different seed gives a different pattern.
-func TestFaultTransportDeterministic(t *testing.T) {
-	const n = 120
-	a := dropPattern(t, 42, n)
-	b := dropPattern(t, 42, n)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at message %d", i)
-		}
-	}
-	other := dropPattern(t, 43, n)
-	same := true
-	for i := range a {
-		if a[i] != other[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical drop patterns")
-	}
-}
-
-func TestFaultTransportDup(t *testing.T) {
-	c := NewCluster(2)
-	defer c.Close()
-	ft := NewFaultTransport(c.Transport(0), FaultConfig{Default: LinkFaults{DupProb: 1}})
-	ft.Send(1, Tag{A: 1}, []float32{9})
-	rx := c.Transport(1)
-	for i := 0; i < 2; i++ {
-		got, err := rx.RecvTimeout(0, Tag{A: 1}, time.Second)
-		if err != nil || got[0] != 9 {
-			t.Fatalf("copy %d: %v %v", i, got, err)
-		}
-	}
-}
-
-func TestFaultTransportReorder(t *testing.T) {
-	c := NewCluster(2)
-	defer c.Close()
-	ft := NewFaultTransport(c.Transport(0), FaultConfig{Default: LinkFaults{ReorderProb: 1}})
-	ft.Send(1, Tag{Kind: KindAct}, []float32{1}) // held
-	ft.Send(1, Tag{Kind: KindAct}, []float32{2}) // held; releases 1
-	got, err := c.Transport(1).RecvTimeout(0, Tag{Kind: KindAct}, time.Second)
-	if err != nil || got[0] != 1 {
-		t.Fatalf("after swap, first delivery = %v (%v), want 1", got, err)
-	}
-	if err := ft.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err = c.Transport(1).RecvTimeout(0, Tag{Kind: KindAct}, time.Second)
-	if err != nil || got[0] != 2 {
-		t.Fatalf("flushed delivery = %v (%v), want 2", got, err)
-	}
-}
-
 func TestFaultTransportCrashAtSend(t *testing.T) {
 	c := NewCluster(2)
 	defer c.Close()
@@ -221,6 +127,33 @@ func TestFaultTransportCrashAtSend(t *testing.T) {
 	// The crash closed the underlying endpoint: its own pending state fails.
 	if _, err := c.Transport(0).Recv(1, Tag{A: 9}); err == nil {
 		t.Fatal("underlying transport survived the crash")
+	}
+}
+
+// Every send counts toward the crash schedule, whichever of the three
+// carries it: the runtime donates and relays belt payloads, and a schedule
+// must land on the same message whichever way it is handed over.
+func TestFaultTransportCrashCountsEverySend(t *testing.T) {
+	sends := []func(Transport, int, Tag, []float32) error{
+		Transport.Send, Transport.SendOwned, Transport.Forward,
+	}
+	for crashAt := int64(1); crashAt <= 6; crashAt++ {
+		c := NewCluster(2)
+		ft := NewFaultTransport(c.Transport(0), FaultConfig{CrashAtSend: crashAt})
+		for i := int64(1); i <= crashAt; i++ {
+			send := sends[(i+crashAt)%3]
+			err := send(ft, 1, Tag{A: int(i)}, GetBuf(4))
+			if i < crashAt && err != nil {
+				t.Fatalf("crash at %d: send %d failed early: %v", crashAt, i, err)
+			}
+			if i == crashAt && !errors.Is(err, ErrCrashed) {
+				t.Fatalf("crash at %d: send %d returned %v, want ErrCrashed", crashAt, i, err)
+			}
+		}
+		if got := ft.Sends(); got != crashAt {
+			t.Fatalf("crash at %d: counted %d sends", crashAt, got)
+		}
+		c.Close()
 	}
 }
 

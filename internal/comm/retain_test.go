@@ -133,7 +133,7 @@ func TestSendOwnedSharedInprocDeliversPrivateCopy(t *testing.T) {
 		payload[i] = v
 	}
 	Retain(payload)
-	if err := SendOwned(cl.Transport(0), 1, tag, payload); err != nil {
+	if err := cl.Transport(0).SendOwned(1, tag, payload); err != nil {
 		t.Fatal(err)
 	}
 	got, err := cl.Transport(1).Recv(0, tag)

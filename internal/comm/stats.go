@@ -28,7 +28,6 @@ type Stats struct {
 	// yet consumed; maxInflight is its high-water mark.
 	recvWaitNs    int64
 	beltStallNs   int64
-	weightStallNs int64 // the KindWeight share of beltStallNs
 	inflightBytes int64
 	maxInflight   int64
 
@@ -178,23 +177,6 @@ func (s *Stats) RecordBeltStall(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// RecordBeltStallKind is RecordBeltStall with payload-kind attribution.
-// Weight-belt waits are communication exposure — every weight chunk exists
-// from iteration start, so a wait for one is the upstream hops' wire time
-// (or, on a CPU-saturated host, their turn on a core). Gradient-belt waits
-// are producer serialization: the upstream rank must accumulate first.
-func (s *Stats) RecordBeltStallKind(kind Kind, d time.Duration) {
-	if s == nil || d <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.beltStallNs += int64(d)
-	if kind == KindWeight {
-		s.weightStallNs += int64(d)
-	}
-	s.mu.Unlock()
-}
-
 // RecvWait returns the cumulative blocked-receive time.
 func (s *Stats) RecvWait() time.Duration {
 	s.mu.Lock()
@@ -208,21 +190,6 @@ func (s *Stats) BeltStall() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return time.Duration(s.beltStallNs)
-}
-
-// WeightBeltStall returns the KindWeight share of BeltStall: the
-// compute thread's exposed wait for weight-belt payloads specifically.
-func (s *Stats) WeightBeltStall() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return time.Duration(s.weightStallNs)
-}
-
-// InFlightBytes returns the bytes currently delivered but unconsumed.
-func (s *Stats) InFlightBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inflightBytes
 }
 
 // MaxInFlightBytes returns the in-flight gauge's high-water mark.
@@ -256,14 +223,6 @@ func (s *Stats) IntegrityChecks(kind Kind) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.integrityChecks[kind]
-}
-
-// IntegrityFailures returns the number of failed integrity verifications
-// for payloads of the given kind.
-func (s *Stats) IntegrityFailures(kind Kind) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.integrityFails[kind]
 }
 
 // TotalIntegrityChecks sums integrity verifications across all kinds.
@@ -414,7 +373,7 @@ func (s *Stats) Add(o *Stats) {
 	for p, f := range o.faults {
 		faultsCopy[p] = *f
 	}
-	recvWait, beltStall, weightStall, maxFly := o.recvWaitNs, o.beltStallNs, o.weightStallNs, o.maxInflight
+	recvWait, beltStall, maxFly := o.recvWaitNs, o.beltStallNs, o.maxInflight
 	gsz := o.groupSize
 	intraB, intraM, interB, interM := o.intraBytes, o.intraMsgs, o.interBytes, o.interMsgs
 	wireWrites := o.wireWrites
@@ -450,7 +409,6 @@ func (s *Stats) Add(o *Stats) {
 	}
 	s.recvWaitNs += recvWait
 	s.beltStallNs += beltStall
-	s.weightStallNs += weightStall
 	if s.groupSize == 0 {
 		s.groupSize = gsz
 	}
@@ -536,8 +494,9 @@ func (s *Stats) String() string {
 	return strings.Join(parts, " ")
 }
 
-// Meter is implemented by transports that record communication statistics.
+// Meter is the part of Transport that reports communication statistics.
 type Meter interface {
-	// CommStats returns the transport's live meter (shared, concurrency-safe).
+	// CommStats returns the transport's live meter (shared,
+	// concurrency-safe, never nil).
 	CommStats() *Stats
 }

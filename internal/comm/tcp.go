@@ -478,10 +478,10 @@ func (t *TCPTransport) Rank() int { return t.rank }
 // Size implements Transport.
 func (t *TCPTransport) Size() int { return t.size }
 
-// CommStats implements Meter.
+// CommStats implements Transport.
 func (t *TCPTransport) CommStats() *Stats { return t.stats }
 
-// WireCodec implements CodecProvider: the codec payloads sent under tag are
+// WireCodec implements Transport: the codec payloads sent under tag are
 // encoded with on the wire.
 func (t *TCPTransport) WireCodec(tag Tag) WireCodec { return codecFor(t.opts.Codec, tag) }
 
@@ -495,7 +495,7 @@ func (t *TCPTransport) Send(dst int, tag Tag, data []float32) error {
 	return t.SendOwned(dst, tag, payload)
 }
 
-// SendOwned implements OwnedSender: the donated payload is enqueued for the
+// SendOwned implements Transport: the donated payload is enqueued for the
 // link writer without a copy, its own bytes are what the socket reads, and
 // the link's reference is released when the peer acknowledges the frame (or
 // at shutdown or peer death). The writer only ever reads a payload, so one
@@ -506,10 +506,10 @@ func (t *TCPTransport) SendOwned(dst int, tag Tag, payload []float32) error {
 	return t.send(dst, tag, payload, false)
 }
 
-// forward implements Forward: an f32 payload whose verified body checksum
+// Forward implements Transport: an f32 payload whose verified body checksum
 // the reader remembered is enqueued with it, and the writer's seal reads
 // only the header.
-func (t *TCPTransport) forward(dst int, tag Tag, payload []float32) error {
+func (t *TCPTransport) Forward(dst int, tag Tag, payload []float32) error {
 	return t.send(dst, tag, payload, true)
 }
 
@@ -656,11 +656,10 @@ func (t *TCPTransport) peerDead(peer int, cause error) {
 	t.box.closeWithErr(&PeerDeadError{Rank: peer, Cause: cause})
 }
 
-// BeginRecovery transitions the endpoint from "failed" to "recovering":
-// the mailbox, wholesale-closed by the first peer death so every blocked
-// runner aborts, is reopened so the survivors can exchange membership
-// evidence over the still-healthy links. It returns the locally-observed
-// dead set. Sends and receives naming a dead peer keep failing fast with
+// BeginRecovery implements Transport. The mailbox, wholesale-closed by the
+// first peer death so every blocked runner aborts, is reopened so the
+// survivors can exchange membership evidence over the still-healthy links.
+// It returns the locally-observed dead set. Sends and receives naming a dead peer keep failing fast with
 // *PeerDeadError; a further peer death during recovery closes the mailbox
 // again (call BeginRecovery again to continue). After a local Close the
 // mailbox stays closed and BeginRecovery only reports the dead set, which

@@ -21,7 +21,7 @@ func TestInprocTraceSpans(t *testing.T) {
 	}
 	owned := GetBuf(2)
 	owned[0], owned[1] = 3, 4
-	if err := SendOwned(t0, 1, Tag{Kind: KindWeight, A: 2}, owned); err != nil {
+	if err := t0.SendOwned(1, Tag{Kind: KindWeight, A: 2}, owned); err != nil {
 		t.Fatal(err)
 	}
 	for _, tag := range []Tag{{Kind: KindAct, A: 1}, {Kind: KindWeight, A: 2}} {

@@ -62,8 +62,13 @@ func (t Tag) String() string {
 	return fmt.Sprintf("%d/%d/%d", t.Kind, t.A, t.B)
 }
 
-// Transport is one rank's endpoint of a P2P message fabric.
+// Transport is one rank's endpoint of a P2P message fabric, and the whole
+// of the contract: the fabrics (in process, TCP) implement every method,
+// and so does every wrapper (Group, FaultTransport, the watchdog's beacon),
+// so a wrapped endpoint runs the same data path as a bare one.
 type Transport interface {
+	// Meter gives the endpoint's live traffic meter; it is never nil.
+	Meter
 	// Rank returns this endpoint's rank in [0, Size).
 	Rank() int
 	// Size returns the number of ranks.
@@ -71,6 +76,35 @@ type Transport interface {
 	// Send transmits a copy of data to dst under tag. It does not block
 	// waiting for the receiver and may buffer arbitrarily.
 	Send(dst int, tag Tag, data []float32) error
+	// SendOwned donates payload, a GetBuf buffer the caller owns, for
+	// delivery to dst without a copy. The caller must not touch (or
+	// Release) the slice through that reference afterwards, whatever
+	// SendOwned returns: ownership transfers on the error paths too. A
+	// caller that called Retain first keeps reading through the reference
+	// it kept. The in-process fabric re-homes an unshared buffer in the
+	// receiver's mailbox (and copies a shared one); the TCP transport hands
+	// the buffer's own bytes to the socket and keeps its reference — a
+	// retransmission reads the buffer again — until the peer acknowledges
+	// the frame, then releases it (as it does at shutdown or peer death).
+	// Send keeps its copy-at-the-boundary contract for callers that reuse
+	// their slice.
+	SendOwned(dst int, tag Tag, payload []float32) error
+	// Forward is SendOwned for a payload the caller received from this
+	// endpoint (or from the transport under a group view of it) and has not
+	// written since: a relay. What it adds is a promise — the payload's
+	// bytes are the ones this rank's reader verified — that lets the TCP
+	// transport seal the relay from the body checksum its reader already
+	// computed instead of reading the body again. Every hop still verifies
+	// every byte it receives; only the sender's re-read is skipped, so a
+	// payload changed between receipt and Forward fails the next hop's
+	// check instead of being resealed. Where no checksum is remembered (an
+	// in-process fabric, a bf16 link, a small payload) Forward is
+	// SendOwned. Reuse is never automatic: a received buffer that is
+	// written in place and sent again goes through SendOwned and gets a
+	// full seal. Under SetBufPoison the TCP transport recomputes the
+	// checksum and panics on a mismatch, which makes "not written since
+	// receipt" a checked rule.
+	Forward(dst int, tag Tag, payload []float32) error
 	// Recv blocks until a message from src with the given tag arrives and
 	// returns its payload. The returned slice is owned by the caller.
 	Recv(src int, tag Tag) ([]float32, error)
@@ -78,63 +112,19 @@ type Transport interface {
 	// within timeout it returns a *TimeoutError (matching ErrTimeout).
 	// timeout <= 0 waits forever, identical to Recv.
 	RecvTimeout(src int, tag Tag, timeout time.Duration) ([]float32, error)
+	// WireCodec returns the codec applied to payloads sent under tag. The
+	// transport is the one owner of the wire precision: the integrity
+	// layer and the grouped belt's cache ask it, so their values match
+	// what the wire delivers.
+	WireCodec(tag Tag) WireCodec
+	// BeginRecovery moves the endpoint from "failed" (a peer death closed
+	// it, unblocking every parked receive) to "recovering" (the healthy
+	// links usable again for the membership-agreement and state-harvest
+	// exchanges), and returns the locally observed dead set in ascending
+	// rank order.
+	BeginRecovery() []int
 	// Close releases resources. Pending Recvs fail after Close.
 	Close() error
-}
-
-// OwnedSender is implemented by transports that support buffer donation:
-// SendOwned transfers the caller's reference to a pool-drawn payload to the
-// transport, which delivers it without copying. The caller must not touch
-// (or Release) the slice through that reference afterwards, whatever
-// SendOwned returns; a caller that called Retain first keeps reading through
-// the reference it kept. The in-process fabric re-homes an unshared buffer
-// in the receiver's mailbox (and copies a shared one); the TCP transport
-// hands the buffer's own bytes to the socket and keeps its reference — a
-// retransmission reads the buffer again — until the peer acknowledges the
-// frame, then releases it (as it does at shutdown or peer death). Plain Send
-// keeps its copy-at-the-boundary contract for callers that reuse their slice.
-type OwnedSender interface {
-	SendOwned(dst int, tag Tag, payload []float32) error
-}
-
-// SendOwned donates payload (a GetBuf buffer owned by the caller) to
-// transport t for delivery to dst. Transports without a donation path fall
-// back to a copying Send followed by Release, so ownership still transfers
-// and the caller's obligations are identical either way: after SendOwned the
-// payload belongs to the comm layer.
-func SendOwned(t Transport, dst int, tag Tag, payload []float32) error {
-	if os, ok := t.(OwnedSender); ok {
-		return os.SendOwned(dst, tag, payload)
-	}
-	err := t.Send(dst, tag, payload)
-	Release(payload)
-	return err
-}
-
-// Forward is SendOwned for a payload the caller received from t (or from the
-// transport under a group view of it) and has not written since: a relay.
-// The caller's obligations are SendOwned's. What it adds is a promise — the
-// payload's bytes are the ones this rank's reader verified — that lets the
-// TCP transport seal the relay from the body checksum its reader already
-// computed instead of reading the body again. Every hop still verifies every
-// byte it receives; only the sender's re-read is skipped, so a payload
-// changed between receipt and Forward fails the next hop's check instead of
-// being resealed. Where no checksum is remembered (an in-process fabric, a
-// bf16 link, a small payload) Forward is SendOwned. Reuse is never
-// automatic: a received buffer that is written in place and sent again goes
-// through SendOwned and gets a full seal. Under SetBufPoison the TCP
-// transport recomputes the checksum and panics on a mismatch, which makes
-// "not written since receipt" a checked rule.
-func Forward(t Transport, dst int, tag Tag, payload []float32) error {
-	if f, ok := t.(forwarder); ok {
-		return f.forward(dst, tag, payload)
-	}
-	return SendOwned(t, dst, tag, payload)
-}
-
-// forwarder is implemented by transports with a Forward path of their own.
-type forwarder interface {
-	forward(dst int, tag Tag, payload []float32) error
 }
 
 // msgKey matches incoming messages to receivers.

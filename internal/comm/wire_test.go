@@ -482,7 +482,7 @@ func BenchmarkBeltHop(b *testing.B) {
 				b.Fatal(err)
 			}
 			Retain(chunk)
-			if err := SendOwned(trs[at], 1-at, tag(use+1), chunk); err != nil {
+			if err := trs[at].SendOwned(1-at, tag(use+1), chunk); err != nil {
 				b.Fatal(err)
 			}
 			module.Bind(chunk)
@@ -491,7 +491,7 @@ func BenchmarkBeltHop(b *testing.B) {
 		}
 		first := GetBuf(elems)
 		clear(first)
-		if err := SendOwned(trs[0], 1, tag(0), first); err != nil {
+		if err := trs[0].SendOwned(1, tag(0), first); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()

@@ -71,11 +71,14 @@ func (d *SpikeDetector) median(xs []float64) float64 {
 
 // Observe feeds the globally agreed Σg² of one step and reports whether it
 // is a spike. NaN sums are the non-finite guard's territory and pass
-// through untouched (no spike, not recorded); an *infinite* sum, however, is a magnitude anomaly by
-// definition — the scalar all-reduce carries Σg² as float32, so gradients
-// past ~1e19 in norm arrive as +Inf — and is flagged even before the
-// window has a baseline. A flagged norm is not admitted into the window,
-// so one anomaly cannot drag the baseline toward itself.
+// through untouched (no spike, not recorded); an *infinite* sum, however,
+// is a magnitude anomaly by definition — the scalar all-reduce carries Σg²
+// as float32, so gradients past ~1e19 in norm arrive as +Inf — and is
+// flagged even before the window has a baseline. A finite norm gets a
+// verdict only once the window is full: over a few norms the MAD is
+// small, and ordinary early-training drift would read as a spike. A
+// flagged norm is not admitted into the window, so one anomaly cannot drag
+// the baseline toward itself.
 func (d *SpikeDetector) Observe(sumSq float64) bool {
 	d.prevNorms = append(d.prevNorms[:0], d.norms...)
 	d.prevSpikes = d.spikes
@@ -87,7 +90,7 @@ func (d *SpikeDetector) Observe(sumSq float64) bool {
 		return true
 	}
 	norm := math.Sqrt(sumSq)
-	if len(d.norms) >= 3 {
+	if len(d.norms) >= d.Window {
 		med := d.median(d.norms)
 		if cap(d.devs) < len(d.norms) {
 			d.devs = make([]float64, len(d.norms))

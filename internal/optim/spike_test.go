@@ -99,6 +99,31 @@ func TestSpikeDetectorWarmup(t *testing.T) {
 	}
 }
 
+// A finite norm gets a verdict only once the window is full: while it
+// fills, early drift would read as a spike against a tiny MAD. +Inf is
+// flagged at once.
+func TestSpikeDetectorWaitsForFullWindow(t *testing.T) {
+	const window = 8
+	steady := func(d *SpikeDetector, k int) {
+		for i := 0; i < k; i++ {
+			d.Observe(1 + 0.01*float64(i))
+		}
+	}
+	filling := NewSpikeDetector(window)
+	if !filling.Observe(math.Inf(1)) {
+		t.Fatal("overflowed sum not flagged on an empty window")
+	}
+	steady(filling, window-1)
+	if filling.Observe(1e12) {
+		t.Fatalf("outlier flagged over %d of %d norms", window-1, window)
+	}
+	full := NewSpikeDetector(window)
+	steady(full, window)
+	if !full.Observe(1e12) {
+		t.Fatal("outlier not flagged over a full window")
+	}
+}
+
 func TestSpikeDetectorExportRestoreRoundTrip(t *testing.T) {
 	d := NewSpikeDetector(6)
 	for i := 0; i < 10; i++ {

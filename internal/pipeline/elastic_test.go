@@ -303,10 +303,11 @@ func TestElasticTwoRankNoQuorumFallsBackToCheckpoint(t *testing.T) {
 	waitPipelineGoroutines(t, base)
 }
 
-// killSwitch fails every transport operation with ErrCrashed once armed —
-// a deterministic way to kill several ranks at the same iteration barrier,
+// killSwitch fails every send and receive with ErrCrashed once armed — a
+// deterministic way to kill several ranks at the same iteration barrier,
 // which CrashAtSend cannot guarantee (the first crash may unblock the
-// second rank into a non-crash error first).
+// second rank into a non-crash error first). All three sends are
+// intercepted, as FaultTransport counts them: belt hops donate and relay.
 type killSwitch struct {
 	comm.Transport
 	dead *atomic.Bool
@@ -317,6 +318,22 @@ func (k *killSwitch) Send(dst int, tag comm.Tag, data []float32) error {
 		return comm.ErrCrashed
 	}
 	return k.Transport.Send(dst, tag, data)
+}
+
+func (k *killSwitch) SendOwned(dst int, tag comm.Tag, payload []float32) error {
+	if k.dead.Load() {
+		comm.Release(payload)
+		return comm.ErrCrashed
+	}
+	return k.Transport.SendOwned(dst, tag, payload)
+}
+
+func (k *killSwitch) Forward(dst int, tag comm.Tag, payload []float32) error {
+	if k.dead.Load() {
+		comm.Release(payload)
+		return comm.ErrCrashed
+	}
+	return k.Transport.Forward(dst, tag, payload)
 }
 
 func (k *killSwitch) Recv(src int, tag comm.Tag) ([]float32, error) {

@@ -27,7 +27,7 @@ import (
 // copied into it — a module is bound to its gathered buffer
 // (model.BindChunk) for the one pass that needs it and the buffer goes back
 // to the pool afterwards. The assembled weights come from every rank's
-// shards (Owner), not from a gather.
+// shards (ExportWeights), not from a gather.
 type FSDP struct {
 	t       Transport
 	mdl     *model.Model // shells, bound to a gather for one pass at a time
@@ -48,9 +48,9 @@ type FSDP struct {
 	gathered    []float32
 	gatheredMod int
 
-	// stats is the transport's meter when it exposes one (nil otherwise);
-	// gather waits are recorded into it as belt stall so FSDP's exposed
-	// communication is measured the same way as WeiPipe's.
+	// stats is the transport's meter; gather waits are recorded into it as
+	// belt stall so FSDP's exposed communication is measured the same way
+	// as WeiPipe's.
 	stats *comm.Stats
 
 	// tr is this rank's runtime tracer (nil when tracing is off).
@@ -64,10 +64,7 @@ func NewFSDP(t Transport, cfg model.Config, o Options) (*FSDP, error) {
 	p := t.Size()
 	r := t.Rank()
 	f := &FSDP{t: t, mdl: mdl, o: o, arena: tensor.NewArena(), tr: o.Trace.Rank(r),
-		stepRule: newStepRule(o, r)}
-	if m, ok := t.(comm.Meter); ok {
-		f.stats = m.CommStats()
-	}
+		stepRule: newStepRule(o, r), stats: t.CommStats()}
 	off := 0
 	for i := range mdl.Modules {
 		size := mdl.ModuleParamSize(i)
@@ -111,7 +108,7 @@ func (f *FSDP) gather(i int) ([]float32, error) {
 	start := time.Now()
 	full, err := comm.AllGather(f.t, f.shards[i], f.shardLens(i), f.seq)
 	f.tr.End(span, trace.CodeStall, int64(comm.KindWeight), int64(i))
-	f.stats.RecordBeltStallKind(comm.KindWeight, time.Since(start))
+	f.stats.RecordBeltStall(time.Since(start))
 	return full, err
 }
 

@@ -166,20 +166,20 @@ func (w *WeiPipe) xchgTag(c, hop int) Tag {
 // self-held copy, which never crossed a link. It is the last write the
 // buffer sees: from here it is only ever shared.
 func (w *WeiPipe) cachePayload(c int, payload []float32) {
-	comm.RoundToWire(comm.CodecOf(w.t, w.xchgTag(c, 0)), w.beltBody(payload))
+	comm.RoundToWire(w.t.WireCodec(w.xchgTag(c, 0)), w.beltBody(payload))
 	w.grouped.cache[c] = payload
 }
 
 // sendCached ships chunk c's cached payload to dst over t under tag without
 // copying it: the cache keeps its reference and the transport takes another.
-// It forwards (comm.Forward): a cached chunk is either one this rank received
-// and has not written since — cachePayload's rounding leaves a received
-// payload's bits as they are — or the owner's own, which has no verified
-// checksum to reuse and gets a full seal.
+// It forwards (Transport.Forward): a cached chunk is either one this rank
+// received and has not written since — cachePayload's rounding leaves a
+// received payload's bits as they are — or the owner's own, which has no
+// verified checksum to reuse and gets a full seal.
 func (w *WeiPipe) sendCached(t Transport, dst int, tag Tag, c int) error {
 	payload := w.grouped.cache[c]
 	comm.Retain(payload)
-	return comm.Forward(t, dst, tag, payload)
+	return t.Forward(dst, tag, payload)
 }
 
 // groupedExchange runs the iteration-start shard exchange and the round-0
@@ -202,7 +202,7 @@ func (w *WeiPipe) groupedExchange() error {
 			}
 		}
 	} else {
-		if err := comm.SendOwned(w.t, h0, w.xchgTag(w.ownChunk, 0), payload); err != nil {
+		if err := w.t.SendOwned(h0, w.xchgTag(w.ownChunk, 0), payload); err != nil {
 			return err
 		}
 	}

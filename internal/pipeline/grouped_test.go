@@ -156,7 +156,7 @@ func TestGroupedChaosTCPEquivalence(t *testing.T) {
 	// The run must actually have exercised the reliability machinery.
 	total := comm.NewStats()
 	for _, tr := range trs {
-		total.Add(tr.(comm.Meter).CommStats())
+		total.Add(tr.CommStats())
 	}
 	f := total.TotalFaults()
 	if f.Retransmits+f.DupFrames+f.CorruptFrames == 0 {

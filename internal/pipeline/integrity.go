@@ -47,7 +47,7 @@ func (w *WeiPipe) sealBelt(tag Tag, buf []float32) {
 	if w.pad == 0 {
 		return
 	}
-	comm.RoundToWire(comm.CodecOf(w.t, tag), buf[:len(buf)-w.pad])
+	comm.RoundToWire(w.t.WireCodec(tag), buf[:len(buf)-w.pad])
 	comm.SealChunk(buf)
 }
 

@@ -98,13 +98,16 @@ type Options struct {
 	// above the median of the last optim.SpikeWindow accepted norms (see
 	// stepRule). A single NaN, an overflow or a corrupt batch then cannot
 	// poison the weights. The verdict is global, so every rank and buddy
-	// shadow agrees; skipped and flagged steps are counted (SkipCounter,
-	// SpikeCounter). Off by default. Its Σg² reduction, a sync point before
-	// every step, measured within noise on the four benchmark workloads
-	// (step_ms_p50 −4 % to +0 %, 4 alternating pairs each). But it skipped
-	// one step of a healthy run on each of them (seed 1 or 3): while its
-	// window holds few norms the MAD is small, so ordinary noise can read
-	// as a spike. EXPERIMENTS.md has the runs.
+	// shadow agrees; skipped and flagged steps are counted (SkippedSteps,
+	// SpikeSteps). A finite Σg² is judged only once the window is full,
+	// since over a few norms the MAD is small and early drift reads as a
+	// spike; +Inf is skipped at once. Off by default. Its Σg² reduction, a
+	// sync point before every step, measured within noise on the four
+	// benchmark workloads (step_ms_p50 −4 % to +0 %, 4 alternating pairs
+	// each). Healthy weipipe-train runs skip nothing (wzb2, 1f1b and fsdp,
+	// 40 steps at seeds 1, 2, 3, 7 and 42); whether the four workloads
+	// also run clean, each of which skipped one step under a 3-norm start,
+	// is not re-measured. EXPERIMENTS.md has the runs.
 	Guard bool
 	// Trace, when non-nil, receives runtime spans from every rank: F/B/W
 	// compute stages, optimizer steps, exposed-communication stalls, belt
@@ -172,7 +175,9 @@ func sumSquares(g []float32) float64 {
 	return s
 }
 
-// Trainer runs training iterations for one rank.
+// Trainer runs training iterations for one rank. Every strategy implements
+// all of it; what only some strategies can do (Recoverable, ArenaMeter) is
+// asked for separately.
 type Trainer interface {
 	// TrainIteration processes the full global microbatch list (every rank
 	// receives the same slice) and performs one optimizer step. It returns
@@ -184,9 +189,25 @@ type Trainer interface {
 	// owns in its own flat state — WeiPipe its chunk, PP its stage, FSDP its
 	// shards — so a module holds weights only while bound: to that state
 	// (WeiPipe's owned chunk, PP's stage) or to a belt or gather buffer for
-	// the length of one pass. Read and write weights through Owner
-	// (AssembleWeights, RestoreSnapshot), never off Model().
+	// the length of one pass. Read and write weights through ExportWeights
+	// and LoadWeights (AssembleWeights, RestoreSnapshot), never off Model().
 	Model() *model.Model
+	// ExportWeights copies the weights the rank holds — the authoritative,
+	// post-step copy — into their places in full, the model's flat
+	// parameter vector (wire order, Model().NumParams() long), and returns
+	// the ranges [lo, hi) of full it wrote. Which elements those are is the
+	// strategy's: the whole model (serial, DP), the rank's stage (PP), its
+	// owned chunk (WeiPipe) or its shard of every module (FSDP).
+	ExportWeights(full []float32) [][2]int
+	// LoadWeights replaces the rank's weights with their elements of full.
+	LoadWeights(full []float32)
+	// SetLR sets the optimizer learning rate for the next iterations (for
+	// warm-up/decay schedules).
+	SetLR(lr float64)
+	// SkippedSteps and SpikeSteps count the steps the guard skipped, and
+	// how many of those spiked (see Options.Guard).
+	SkipCounter
+	SpikeSteps() int
 }
 
 // New builds a trainer for the given strategy on transport t. cfg must be

@@ -124,7 +124,7 @@ type RankOutcome struct {
 	// the restart point of an in-process supervisor.
 	Checkpoint *checkpoint.Snapshot
 	// SkippedSteps, SpikeSteps and ArenaHighWater report the trainer's
-	// counters (Done only): SkipCounter, SpikeCounter and ArenaMeter.
+	// counters (Done only): SkippedSteps, SpikeSteps and ArenaMeter.
 	SkippedSteps, SpikeSteps, ArenaHighWater int
 	// Err is the failure that ended the incarnation, naming the rank and
 	// iteration (nil when Done).
@@ -248,9 +248,7 @@ func RunRank(a RankAssignment, rc RankConfig) (*RankOutcome, error) {
 	losses := make([]float64, rc.Iters)
 	for iter := start; iter < rc.Iters; iter++ {
 		if rc.LR != nil {
-			if ls, ok := tr.(LRSetter); ok {
-				ls.SetLR(rc.LR(iter))
-			}
+			tr.SetLR(rc.LR(iter))
 		}
 		rc.beacon("iter", iter)
 		board.SetIdle(a.Rank, false)
@@ -300,18 +298,14 @@ func RunRank(a RankAssignment, rc RankConfig) (*RankOutcome, error) {
 		weights = final.Weights
 	}
 	out := &RankOutcome{
-		Done:        true,
-		Iter:        rc.Iters,
-		Weights:     weights,
-		WeightsHash: HashWeights(weights),
-		Losses:      losses,
-		Checkpoint:  cmp.Or(ckpt, snap),
-	}
-	if sc, ok := tr.(SkipCounter); ok {
-		out.SkippedSteps = sc.SkippedSteps()
-	}
-	if sc, ok := tr.(SpikeCounter); ok {
-		out.SpikeSteps = sc.SpikeSteps()
+		Done:         true,
+		Iter:         rc.Iters,
+		Weights:      weights,
+		WeightsHash:  HashWeights(weights),
+		Losses:       losses,
+		Checkpoint:   cmp.Or(ckpt, snap),
+		SkippedSteps: tr.SkippedSteps(),
+		SpikeSteps:   tr.SpikeSteps(),
 	}
 	if am, ok := tr.(ArenaMeter); ok {
 		out.ArenaHighWater = am.ArenaHighWater()
@@ -517,7 +511,7 @@ func failureOutcome(a RankAssignment, rc RankConfig, t comm.Transport, tr Traine
 		return abort("dead: " + cause.Error())
 	}
 	dl := rc.Deadlines.WithDefaults()
-	evidence := comm.BeginRecovery(t)
+	evidence := t.BeginRecovery()
 	if r, ok := comm.DeadPeer(cause); ok {
 		evidence = append(evidence, r)
 	}

@@ -16,11 +16,10 @@ import (
 )
 
 // Recoverable is implemented by trainers that can checkpoint and restore
-// their full training state: the owned weights (Owner), the optimizer
-// moments of the owned range, and the iteration counter. It is what
-// coordinated checkpoint/restart needs from each rank.
+// their full training state: beyond the weights every Trainer moves, the
+// optimizer moments of the owned range and the iteration counter. It is
+// what coordinated checkpoint/restart needs from each rank.
 type Recoverable interface {
-	Owner
 	// OwnedModules reports the contiguous module range whose weights and
 	// optimizer state the rank owns.
 	OwnedModules() (lo, hi int)
@@ -94,7 +93,7 @@ func moduleOffsets(mdl *model.Model) []int {
 }
 
 // A share is one trainer's part of a coordinated capture: spans of the
-// capture's vectors — the weights it holds (Owner.ExportWeights) and, in a
+// capture's vectors — the weights it holds (Trainer.ExportWeights) and, in a
 // full-state capture, the optimizer moments it owns (Recoverable) — and its
 // optimizer step count. CaptureSnapshot places every trainer's share in one
 // process; RunRank's checkpoint gather and the repair harvest send shares
@@ -156,7 +155,7 @@ func newCapture(mdl *model.Model, completed int, withState bool) *checkpoint.Sna
 // exportWeights writes the weights tr holds into their places in snap.
 func exportWeights(tr Trainer, snap *checkpoint.Snapshot) share {
 	var sh share
-	for _, r := range tr.(Owner).ExportWeights(snap.Weights) {
+	for _, r := range tr.ExportWeights(snap.Weights) {
 		sh.spans = append(sh.spans, span{vecWeights, r[0], r[1]})
 	}
 	return sh
@@ -309,7 +308,7 @@ func fullState(snap *checkpoint.Snapshot) bool {
 }
 
 // RestoreSnapshot loads a coordinated checkpoint into a fresh cluster:
-// every rank loads the weights it holds (Owner.LoadWeights), its owned slice
+// every rank loads the weights it holds (Trainer.LoadWeights), its owned slice
 // of the optimizer moments, and the snapshot's iteration counter; WeiPipe
 // ranks running buddy replication additionally seed their shadow replica
 // from the successor chunk's slice — which is how elastic repair re-arms the
@@ -329,7 +328,7 @@ func RestoreSnapshot(snap *checkpoint.Snapshot, trainers []Trainer) error {
 	am, av := snap.Sections["adam.m"], snap.Sections["adam.v"]
 	optStep := snapshotOptStep(snap)
 	for _, tr := range trainers {
-		tr.(Owner).LoadWeights(snap.Weights)
+		tr.LoadWeights(snap.Weights)
 		if !fullState(snap) {
 			continue
 		}
@@ -407,7 +406,7 @@ type ResilientOptions struct {
 	// OnIteration is called at each completed iteration barrier.
 	OnIteration func(iter int, loss float64)
 	// LR, when set, is evaluated before every iteration and applied to each
-	// trainer implementing LRSetter. Because it is a function of the
+	// trainer (Trainer.SetLR). Because it is a function of the
 	// iteration index alone, replayed iterations after a restart see the
 	// same learning rate.
 	LR func(iter int) float64
@@ -648,9 +647,7 @@ func runRanks(attempt, world int, base RankConfig,
 		res.SkippedSteps = max(res.SkippedSteps, o.SkippedSteps)
 		res.SpikeSteps = max(res.SpikeSteps, o.SpikeSteps)
 		res.ArenaHighWater = max(res.ArenaHighWater, o.ArenaHighWater)
-		if m, ok := ts[r].(comm.Meter); ok {
-			res.Comm = append(res.Comm, m.CommStats())
-		}
+		res.Comm = append(res.Comm, ts[r].CommStats())
 	}
 	return res, outs, nil
 }

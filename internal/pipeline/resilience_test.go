@@ -106,8 +106,7 @@ func sendsPerIteration(t *testing.T, p, iters, n int) int64 {
 // peer) is taken off.
 func perIteration(t *testing.T, probe *comm.FaultTransport, p, iters int) int64 {
 	t.Helper()
-	_, _, _, _, sends := probe.Injected()
-	sends -= int64(p - 1)
+	sends := probe.Sends() - int64(p-1)
 	if sends <= 0 || sends%int64(iters) != 0 {
 		t.Fatalf("probe counted %d sends over %d iterations", sends, iters)
 	}

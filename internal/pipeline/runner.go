@@ -11,21 +11,6 @@ import (
 	"weipipe/internal/model"
 )
 
-// Owner is implemented by every trainer. It moves the weights the rank holds
-// — the authoritative, post-step copy — between the trainer and the model's
-// flat parameter vector (wire order, Model().NumParams() long). Which
-// elements those are is the strategy's: the whole model (serial, DP), the
-// rank's stage (PP), its owned chunk (WeiPipe) or its shard of every module
-// (FSDP). Weights leave a trainer through ExportWeights (AssembleWeights)
-// and enter it through LoadWeights (RestoreSnapshot), never through Model().
-type Owner interface {
-	// ExportWeights copies the rank's weights into their places in full and
-	// returns the ranges [lo, hi) of full it wrote.
-	ExportWeights(full []float32) [][2]int
-	// LoadWeights replaces the rank's weights with their elements of full.
-	LoadWeights(full []float32)
-}
-
 // exportFlat copies w, weights a rank holds as one flat range, into full at
 // offset off and returns the range it wrote.
 func exportFlat(full []float32, off int, w []float32) [2]int {
@@ -33,25 +18,25 @@ func exportFlat(full []float32, off int, w []float32) [2]int {
 	return [2]int{off, off + len(w)}
 }
 
-// ExportWeights implements Owner for the serial reference (whole model).
+// ExportWeights implements Trainer for the serial reference (whole model).
 func (s *Serial) ExportWeights(full []float32) [][2]int {
 	s.mdl.FlattenChunk(0, len(s.mdl.Modules), full)
 	return [][2]int{{0, len(full)}}
 }
 
-// LoadWeights implements Owner for the serial reference.
+// LoadWeights implements Trainer for the serial reference.
 func (s *Serial) LoadWeights(full []float32) { s.mdl.SetChunk(0, len(s.mdl.Modules), full) }
 
-// ExportWeights implements Owner for DP (whole model on every rank).
+// ExportWeights implements Trainer for DP (whole model on every rank).
 func (d *DP) ExportWeights(full []float32) [][2]int {
 	d.mdl.FlattenChunk(0, len(d.mdl.Modules), full)
 	return [][2]int{{0, len(full)}}
 }
 
-// LoadWeights implements Owner for DP.
+// LoadWeights implements Trainer for DP.
 func (d *DP) LoadWeights(full []float32) { d.mdl.SetChunk(0, len(d.mdl.Modules), full) }
 
-// ExportWeights implements Owner for FSDP: this rank's shard of every module.
+// ExportWeights implements Trainer for FSDP: this rank's shard of every module.
 func (f *FSDP) ExportWeights(full []float32) [][2]int {
 	held := make([][2]int, len(f.shards))
 	for i, shard := range f.shards {
@@ -60,27 +45,27 @@ func (f *FSDP) ExportWeights(full []float32) [][2]int {
 	return held
 }
 
-// LoadWeights implements Owner for FSDP.
+// LoadWeights implements Trainer for FSDP.
 func (f *FSDP) LoadWeights(full []float32) {
 	for i, shard := range f.shards {
 		copy(shard, full[f.shardAt[i]:])
 	}
 }
 
-// ExportWeights implements Owner for the activation-passing stages.
+// ExportWeights implements Trainer for the activation-passing stages.
 func (p *PP) ExportWeights(full []float32) [][2]int {
 	return [][2]int{exportFlat(full, p.off, p.flatW)}
 }
 
-// LoadWeights implements Owner for the activation-passing stages.
+// LoadWeights implements Trainer for the activation-passing stages.
 func (p *PP) LoadWeights(full []float32) { copy(p.flatW, full[p.off:]) }
 
-// ExportWeights implements Owner for WeiPipe (the owned chunk).
+// ExportWeights implements Trainer for WeiPipe (the owned chunk).
 func (w *WeiPipe) ExportWeights(full []float32) [][2]int {
 	return [][2]int{exportFlat(full, w.chunkOffset(w.ownChunk), w.masterW)}
 }
 
-// LoadWeights implements Owner for WeiPipe: the owned chunk and, under buddy
+// LoadWeights implements Trainer for WeiPipe: the owned chunk and, under buddy
 // replication, the shadowed successor chunk. A load is a legitimate mutation
 // of guarded resident state, so the integrity guards are re-armed over the
 // fresh values.
@@ -157,13 +142,13 @@ func RunCluster(s Strategy, p int, cfg model.Config, opts Options, iters int,
 }
 
 // AssembleWeights builds the full flat parameter vector from the weights
-// each trainer holds (Owner.ExportWeights). Every element must be held by at
+// each trainer holds (Trainer.ExportWeights). Every element must be held by at
 // least one trainer.
 func AssembleWeights(trainers []Trainer) []float32 {
 	full := make([]float32, trainers[0].Model().NumParams())
 	var held [][2]int
 	for _, tr := range trainers {
-		held = append(held, tr.(Owner).ExportWeights(full)...)
+		held = append(held, tr.ExportWeights(full)...)
 	}
 	if next := firstUnheld(held, len(full)); next < len(full) {
 		panic(fmt.Sprintf("pipeline: weight %d held by no rank", next))
@@ -185,30 +170,24 @@ func firstUnheld(held [][2]int, n int) int {
 	return min(next, n)
 }
 
-// LRSetter is implemented by trainers whose optimizer learning rate can be
-// changed between iterations (for warm-up/decay schedules).
-type LRSetter interface {
-	SetLR(lr float64)
-}
-
-// SetLR implements LRSetter for the serial reference.
+// SetLR implements Trainer for the serial reference.
 func (s *Serial) SetLR(lr float64) { s.opt.SetLR(lr) }
 
-// SetLR implements LRSetter for DP.
+// SetLR implements Trainer for DP.
 func (d *DP) SetLR(lr float64) { d.opt.SetLR(lr) }
 
-// SetLR implements LRSetter for FSDP (every module shard's optimizer).
+// SetLR implements Trainer for FSDP (every module shard's optimizer).
 func (f *FSDP) SetLR(lr float64) {
 	for _, o := range f.opts {
 		o.SetLR(lr)
 	}
 }
 
-// SetLR implements LRSetter for the activation-passing stages.
+// SetLR implements Trainer for the activation-passing stages.
 func (p *PP) SetLR(lr float64) { p.opt.SetLR(lr) }
 
-// SetLR implements LRSetter for WeiPipe.
+// SetLR implements Trainer for WeiPipe.
 func (w *WeiPipe) SetLR(lr float64) { w.opt.SetLR(lr) }
 
-// SetLR implements LRSetter for the hybrid trainer.
+// SetLR implements Trainer for the hybrid trainer.
 func (h *WeiPipeDP) SetLR(lr float64) { h.inner.SetLR(lr) }

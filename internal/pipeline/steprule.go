@@ -16,7 +16,7 @@ import (
 // only the globally agreed Σg², so every rank, and every buddy shadow
 // replaying a step, reaches the identical verdict; how Σg² is reduced is
 // the one part each trainer keeps. Every trainer embeds one, and so
-// implements SkipCounter and SpikeCounter.
+// implements SkippedSteps and SpikeSteps.
 type stepRule struct {
 	clip float64
 	// spike is the guard's grad-norm detector; nil when the guard is off.
@@ -67,18 +67,14 @@ func (r *stepRule) decide(sumSq float64, grads ...[]float32) (scale float32, ski
 	return scale, false
 }
 
-// SkipCounter and SpikeCounter report how many steps the guard skipped, and
-// how many of those spiked. The decisions are global, so every rank counts
-// the same.
-type (
-	SkipCounter  interface{ SkippedSteps() int }
-	SpikeCounter interface{ SpikeSteps() int }
-)
+// SkipCounter reports how many steps the guard skipped; every Trainer is
+// one. The decisions are global, so every rank counts the same.
+type SkipCounter interface{ SkippedSteps() int }
 
 // SkippedSteps implements SkipCounter.
 func (r *stepRule) SkippedSteps() int { return r.skipped }
 
-// SpikeSteps implements SpikeCounter.
+// SpikeSteps implements Trainer: how many of the skipped steps spiked.
 func (r *stepRule) SpikeSteps() int {
 	if r.spike == nil {
 		return 0

@@ -256,7 +256,7 @@ func TestOverlapChaosTCPWZB2(t *testing.T) {
 	// The chaos must actually have exercised the reliability machinery.
 	total := comm.NewStats()
 	for _, tr := range trs {
-		total.Add(tr.(comm.Meter).CommStats())
+		total.Add(tr.CommStats())
 	}
 	f := total.TotalFaults()
 	if f.Retransmits+f.DupFrames+f.CorruptFrames == 0 {

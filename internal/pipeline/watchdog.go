@@ -157,10 +157,11 @@ func (w *WeiPipe) SetProgressBoard(b *ProgressBoard, rank int) {
 	w.boardRank = rank
 }
 
-// beaconTransport stamps the board on every transport operation and tracks
-// the waiting-in-Recv state. It wraps OUTSIDE any fault-injection wrapper,
-// so an injected send delay registers as non-waiting time — exactly the
-// signature of a stalled-but-alive rank.
+// beaconTransport stamps the board on every send and receive and tracks the
+// waiting-in-Recv state; the rest of the contract (meter, codec, recovery,
+// close) is the wrapped transport's own. It wraps OUTSIDE any
+// fault-injection wrapper, so an injected send delay registers as
+// non-waiting time — exactly the signature of a stalled-but-alive rank.
 type beaconTransport struct {
 	comm.Transport
 	board *ProgressBoard
@@ -179,6 +180,20 @@ func (b *beaconTransport) Send(dst int, tag Tag, payload []float32) error {
 	return err
 }
 
+func (b *beaconTransport) SendOwned(dst int, tag Tag, payload []float32) error {
+	b.board.beat(b.rank)
+	err := b.Transport.SendOwned(dst, tag, payload)
+	b.board.beat(b.rank)
+	return err
+}
+
+func (b *beaconTransport) Forward(dst int, tag Tag, payload []float32) error {
+	b.board.beat(b.rank)
+	err := b.Transport.Forward(dst, tag, payload)
+	b.board.beat(b.rank)
+	return err
+}
+
 func (b *beaconTransport) Recv(src int, tag Tag) ([]float32, error) {
 	b.board.setWaiting(b.rank, true)
 	payload, err := b.Transport.Recv(src, tag)
@@ -192,21 +207,6 @@ func (b *beaconTransport) RecvTimeout(src int, tag Tag, d time.Duration) ([]floa
 	b.board.setWaiting(b.rank, false)
 	return payload, err
 }
-
-// CommStats forwards the inner meter (the wrapper adds no traffic).
-func (b *beaconTransport) CommStats() *comm.Stats {
-	if m, ok := b.Transport.(comm.Meter); ok {
-		return m.CommStats()
-	}
-	return comm.NewStats()
-}
-
-// WireCodec forwards the inner codec report (the wrapper never re-encodes).
-func (b *beaconTransport) WireCodec(tag Tag) comm.WireCodec { return comm.CodecOf(b.Transport, tag) }
-
-// BeginRecovery forwards to the inner transport, so a watched rank climbs
-// the repair ladder like any other.
-func (b *beaconTransport) BeginRecovery() []int { return comm.BeginRecovery(b.Transport) }
 
 // watchdog samples a ProgressBoard and flags stragglers.
 type watchdog struct {

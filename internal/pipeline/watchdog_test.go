@@ -15,6 +15,60 @@ import (
 // Send — alive, link up, making no progress — is flagged, and optionally
 // declared dead, funnelling into the same elastic repair path as a crash.
 
+// A watched rank runs the data path an unwatched one does: the beacon hands
+// every send on as what it is, so a donated or relayed buffer reaches the
+// peer uncopied in process, and on TCP a relay reaches the transport's
+// checksum-reuse path — whose check, under the package's buffer poison,
+// panics on a payload written since receipt.
+func TestWatchdogBeaconKeepsZeroCopyPath(t *testing.T) {
+	board := NewProgressBoard(3)
+	cl := comm.NewCluster(2)
+	defer cl.Close()
+	tx := WrapBeacon(cl.Transport(0), board, 0)
+	for i, send := range []func(comm.Transport, int, Tag, []float32) error{comm.Transport.SendOwned, comm.Transport.Forward} {
+		tag := Tag{Kind: comm.KindWeight, A: i}
+		payload := comm.GetBuf(128)
+		donated := &payload[0]
+		if err := send(tx, 1, tag, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := cl.Transport(1).Recv(0, tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &got[0] != donated {
+			t.Errorf("send %d through the beacon delivered a copy", i)
+		}
+		comm.Release(got)
+	}
+
+	trs := dialMesh(t, 3, comm.TCPOptions{DialTimeout: 5 * time.Second})
+	defer func() {
+		for _, tr := range trs {
+			tr.Close()
+		}
+	}()
+	src := make([]float32, 4*4096)
+	tag := Tag{Kind: comm.KindWeight, A: 1}
+	if err := trs[0].Send(1, tag, src); err != nil {
+		t.Fatal(err)
+	}
+	got, err := trs[1].RecvTimeout(0, tag, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got[len(got)/2] = 1
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a written payload relayed through the beacon left without the checksum check")
+			}
+		}()
+		WrapBeacon(trs[1], board, 1).Forward(2, Tag{Kind: comm.KindWeight, A: 2}, got)
+	}()
+	comm.Release(got)
+}
+
 func TestWatchdogNoFalsePositives(t *testing.T) {
 	const iters, n = 3, 4
 	for _, s := range Strategies() {

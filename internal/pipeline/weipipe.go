@@ -153,9 +153,9 @@ type WeiPipe struct {
 	// iteration via the holder-ring shard exchange. Nil runs the flat belt.
 	grouped *groupedState
 
-	// stats is the transport's meter when it exposes one (nil otherwise);
-	// the runner records its critical-path belt waits into it as the
-	// measured exposed-communication time.
+	// stats is the transport's meter; the runner records its
+	// critical-path belt waits into it as the measured
+	// exposed-communication time.
 	stats *comm.Stats
 
 	// board, when non-nil, receives this rank's schedule position before
@@ -213,9 +213,7 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 	for _, m := range mdl.Modules {
 		w.wGrads = append(w.wGrads, m.Params().NewUnbound())
 	}
-	if m, ok := t.(comm.Meter); ok {
-		w.stats = m.CommStats()
-	}
+	w.stats = t.CommStats()
 	// Arm link-tier traffic accounting whenever a group size is known, so
 	// flat and grouped runs report comparable intra/inter splits.
 	if gs := opts.GroupSize; gs > 1 && p%gs == 0 {
@@ -323,11 +321,11 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 		tagFwd := Tag{Kind: comm.KindWeight, A: w.ownChunk, B: w.enc(beltFwd, 0)}
 		payload := w.ownedPayload(tagFwd)
 		comm.Retain(payload)
-		if err := comm.SendOwned(w.t, 0, tagFwd, payload); err != nil {
+		if err := w.t.SendOwned(0, tagFwd, payload); err != nil {
 			comm.Release(payload) // the reference the second send would have taken
 			return 0, err
 		}
-		if err := comm.SendOwned(w.t, 0, Tag{Kind: comm.KindWeight, A: w.ownChunk, B: w.enc(beltBwd, 0)}, payload); err != nil {
+		if err := w.t.SendOwned(0, Tag{Kind: comm.KindWeight, A: w.ownChunk, B: w.enc(beltBwd, 0)}, payload); err != nil {
 			return 0, err
 		}
 	}
@@ -441,7 +439,7 @@ func (w *WeiPipe) beltRecvOn(t Transport, src int, tag Tag) ([]float32, error) {
 	payload, err := t.Recv(src, tag)
 	wait := time.Since(start)
 	w.tr.End(span, trace.CodeStall, int64(tag.Kind), int64(src))
-	w.stats.RecordBeltStallKind(tag.Kind, wait)
+	w.stats.RecordBeltStall(wait)
 	return payload, err
 }
 
@@ -511,8 +509,8 @@ func (w *WeiPipe) unbindStage() []float32 {
 // relay (to rank relayTo of t, as use+1; none when relayTo < 0) comes before
 // the bind, so the next hop's wire time runs under this stage's compute
 // instead of after it: the payload is shared (comm.Retain), one reference
-// leaves with comm.Forward, and the stage computes out of the other until
-// unbindStage. A shared payload is read-only to everyone, which is why the
+// leaves with Transport.Forward, and the stage computes out of the other
+// until unbindStage. A shared payload is read-only to everyone, which is why the
 // flip and the seal's rounding happen on the way in; the TCP writer only
 // reads it, and the in-process fabric delivers a private copy. The payload
 // is relayed as it arrived, so Forward lets the TCP writer seal it from the
@@ -527,13 +525,13 @@ func (w *WeiPipe) installBelt(t Transport, belt, c, use int, payload []float32, 
 		return verr
 	}
 	if relayTo >= 0 {
-		relay := comm.Forward
+		relay := t.Forward
 		if w.opts.BitFlip != nil {
-			relay = comm.SendOwned
+			relay = t.SendOwned
 		}
 		comm.Retain(payload)
 		span := w.tr.Begin()
-		err := relay(t, relayTo, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use+1)}, payload)
+		err := relay(relayTo, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use+1)}, payload)
 		w.tr.End(span, trace.CodeRelay, int64(belt), int64(use+1))
 		if err != nil {
 			comm.Release(payload)
@@ -604,7 +602,7 @@ func (w *WeiPipe) accumulateAndForwardD(c, use int, local []float32) error {
 	if use < w.totalUses()-1 {
 		tag := Tag{Kind: comm.KindGrad, A: c, B: w.enc(beltBwd, use+1)}
 		w.sealBelt(tag, local)
-		return comm.SendOwned(w.t, (w.t.Rank()+1)%w.t.Size(), tag, local)
+		return w.t.SendOwned((w.t.Rank()+1)%w.t.Size(), tag, local)
 	}
 	tag := Tag{Kind: comm.KindGrad, A: c, B: w.enc(beltRetire, 0)}
 	w.sealBelt(tag, local)
@@ -614,7 +612,7 @@ func (w *WeiPipe) accumulateAndForwardD(c, use int, local []float32) error {
 		comm.Release(local)
 		return err
 	}
-	return comm.SendOwned(w.t, w.owner(c), tag, local)
+	return w.t.SendOwned(w.owner(c), tag, local)
 }
 
 // ---- compute stages ------------------------------------------------------

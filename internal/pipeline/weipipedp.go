@@ -72,11 +72,11 @@ func NewWeiPipeDP(t Transport, cfg model.Config, opts Options, v WeiPipeVariant,
 // Model implements Trainer.
 func (h *WeiPipeDP) Model() *model.Model { return h.inner.Model() }
 
-// ExportWeights implements Owner (the inner ring's owned chunk; every
+// ExportWeights implements Trainer (the inner ring's owned chunk; every
 // replica owns a full copy, so replica 0 alone covers the model).
 func (h *WeiPipeDP) ExportWeights(full []float32) [][2]int { return h.inner.ExportWeights(full) }
 
-// LoadWeights implements Owner.
+// LoadWeights implements Trainer.
 func (h *WeiPipeDP) LoadWeights(full []float32) { h.inner.LoadWeights(full) }
 
 // OwnedModules implements Recoverable (the inner ring's owned chunk).
@@ -121,7 +121,7 @@ func (h *WeiPipeDP) SetIteration(iter int) { h.inner.SetIteration(iter) }
 // replica decides alike).
 func (h *WeiPipeDP) SkippedSteps() int { return h.inner.SkippedSteps() }
 
-// SpikeSteps implements SpikeCounter.
+// SpikeSteps implements Trainer.
 func (h *WeiPipeDP) SpikeSteps() int { return h.inner.SpikeSteps() }
 
 func (h *WeiPipeDP) spikeStateAt(atIter int) ([]float32, error) {

@@ -123,9 +123,9 @@ func LoopbackAddrs(n int) ([]string, error) { return comm.LoopbackAddrs(n) }
 
 // Fault tolerance. The TCP transport detects peer failure by heartbeat,
 // reconnects with bounded backoff, retransmits unacknowledged frames, and
-// rejects corrupted ones by CRC; FaultTransport injects deterministic
-// message-level faults for testing; RunResilient recovers a training run
-// from coordinated checkpoints after a rank dies. See DESIGN.md §9.
+// rejects corrupted ones by CRC; FaultTransport crashes or stalls a rank at
+// a chosen send, for testing; RunResilient recovers a training run from
+// coordinated checkpoints after a rank dies. See DESIGN.md §9.
 type (
 	// TCPOptions tunes the TCP transport's deadlines, heartbeats,
 	// retransmission and (for tests) frame-level chaos injection.
@@ -133,10 +133,11 @@ type (
 	// ChaosConfig describes seed-deterministic frame-level fault injection
 	// inside the TCP transport (masked by its reliability layer).
 	ChaosConfig = comm.ChaosConfig
-	// FaultConfig describes seed-deterministic message-level fault
-	// injection (visible to the application — for failure-path tests).
+	// FaultConfig schedules an endpoint crash or stall at a send ordinal
+	// (visible to the application — for failure-path tests).
 	FaultConfig = comm.FaultConfig
-	// FaultTransport wraps any Transport with FaultConfig-driven faults.
+	// FaultTransport wraps any Transport with a FaultConfig schedule; every
+	// other operation passes through to the wrapped transport.
 	FaultTransport = comm.FaultTransport
 	// CommStats is a rank's communication meter, including per-peer fault
 	// counters (retransmits, timeouts, reconnects, heartbeat misses…).
