@@ -183,7 +183,9 @@ experiments:
 # types (Transport, the whole endpoint contract, and the Meter it embeds: an
 # optional interface beside it would bring back a type-switch fallback that
 # a wrapper silently drops to): a knob added past those counts must retire
-# another.
+# another. It also prints DESIGN.md's size in bytes and the longest
+# CHANGES.md entry (one entry a line), and fails when DESIGN.md grows past
+# 118929 bytes: a doc edit replaces text instead of appending it.
 surface:
 	@echo "non-test Go lines: $$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
 		| tr ' ' '\n' | grep '\.go$$' | grep -v '_test\.go$$' | xargs cat | wc -l)"
@@ -206,6 +208,9 @@ surface:
 	@echo "WEIPIPE_* environment variables: $$(grep -rhoE --include='*.go' --include=Makefile 'WEIPIPE_[A-Z_]+' . | sort -u | wc -l)"
 	@wc -l internal/comm/tcp.go
 	@wc -l internal/tensor/*.s
+	@n=$$(wc -c < DESIGN.md); echo "DESIGN.md bytes: $$n"; \
+		[ $$n -le 118929 ] || { echo "surface: DESIGN.md has $$n bytes, at most 118929"; exit 1; }
+	@echo "longest CHANGES.md entry, bytes: $$(LC_ALL=C awk 'length($$0) > m { m = length($$0) } END { print m + 0 }' CHANGES.md)"
 
 # check is the pre-merge gate: formatting, the orphan-package check, static
 # analysis, the race detector over the packages with real concurrency

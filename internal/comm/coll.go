@@ -47,15 +47,18 @@ func RingAllReduceSum(t Transport, data []float32, seq int) error {
 // reduceScatter runs the ring's p−1 reduce steps over data, tagged B = 0 …
 // p−2. After step s rank r has added its copy of shard (r−s−1) mod p into
 // the partial sum it received, so after the last step it holds the full sum
-// of shard ShardOf(r, p).
+// of shard ShardOf(r, p). A partial sum that travels on is summed into the
+// buffer it arrived in and sent owned, with no copy; IEEE addition is
+// commutative, so every element's sum is the same whichever operand holds
+// it. Only the last step adds into data.
 func reduceScatter(t Transport, data []float32, shards [][2]int, seq int) error {
 	p, r := t.Size(), t.Rank()
 	next, prev := (r+1)%p, (r-1+p)%p
+	own := shards[r]
+	if err := t.Send(next, Tag{Kind: KindColl, A: seq, B: 0}, data[own[0]:own[1]]); err != nil {
+		return err
+	}
 	for step := 0; step < p-1; step++ {
-		s := shards[(r-step+p)%p]
-		if err := t.Send(next, Tag{Kind: KindColl, A: seq, B: step}, data[s[0]:s[1]]); err != nil {
-			return err
-		}
 		buf, err := t.Recv(prev, Tag{Kind: KindColl, A: seq, B: step})
 		if err != nil {
 			return err
@@ -66,8 +69,15 @@ func reduceScatter(t Transport, data []float32, shards [][2]int, seq int) error 
 			Release(buf)
 			return fmt.Errorf("comm: reduce-scatter shard size mismatch %d != %d", len(buf), len(dst))
 		}
-		tensor.AddIntoF32(dst, buf)
-		Release(buf)
+		if step == p-2 {
+			tensor.AddIntoF32(dst, buf)
+			Release(buf)
+			break
+		}
+		tensor.AddIntoF32(buf, dst)
+		if err := t.SendOwned(next, Tag{Kind: KindColl, A: seq, B: step + 1}, buf); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -200,7 +200,9 @@ const (
 
 	// beltBufferCopies: receive + send double buffers for the two weight
 	// belts and the gradient belt (the "larger buffers" the paper notes
-	// put WeiPipe slightly above FSDP).
+	// put WeiPipe slightly above FSDP). The turnaround chunk P−1 skips the
+	// backward belt, but the forward copy a worker holds from its F pass on
+	// it to its B pass takes the backward copy's slot, so the count stands.
 	beltBufferCopies = 6
 )
 

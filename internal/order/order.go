@@ -87,6 +87,17 @@ func Program(strategy string, rank, p, n int) ([]Op, error) {
 	return nil, fmt.Errorf("order: strategy %q has no program order", strategy)
 }
 
+// BackwardFromForward reports whether a rank runs the B pass of chunk on the
+// copy of its weights it held since that microbatch's F pass, instead of a
+// copy the backward belt delivers. It is true for the turnaround chunk p−1
+// of a ring of two or more: every weight-passing program runs a microbatch's
+// F and B on chunk p−1 on the same rank with no other F or B on that chunk
+// between them (pinned by TestTurnaroundHoldsOneCopy), so the forward belt's
+// copy serves both and the backward belt carries chunks p−2 … 0 only. On one
+// rank the only chunk is also the first, and the interleaved orders run the
+// next microbatch's F on it before the last one's B, so both belts keep it.
+func BackwardFromForward(p, chunk int) bool { return p > 1 && chunk == p-1 }
+
 // Strategies lists the strategies Program knows, one name per order.
 func Strategies() []string {
 	return []string{"gpipe", "1f1b", "zb1", "zb2", "weipipe-naive", "weipipe-interleave", "wzb1", "wzb2"}

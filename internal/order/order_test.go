@@ -341,3 +341,48 @@ func TestNoWaitCycle(t *testing.T) {
 		}
 	})
 }
+
+// TestTurnaroundHoldsOneCopy proves the premise of BackwardFromForward on
+// every weight-passing program: between a microbatch's F and its B on the
+// turnaround chunk p−1, the rank runs no other F or B on that chunk. So the
+// copy its F computed out of can be held for its B in one buffer slot, and
+// no other pass needs a second copy meanwhile. W passes compute into a
+// gradient buffer and read no weights, so they may lie between.
+func TestTurnaroundHoldsOneCopy(t *testing.T) {
+	forEachGrid(t, func(g grid) {
+		if stageFamily[g.strategy] {
+			return
+		}
+		turn := g.p - 1
+		if g.p == 1 {
+			turn = -1 // one rank has no turnaround chunk
+		}
+		for c := 0; c < g.p; c++ {
+			if BackwardFromForward(g.p, c) != (c == turn) {
+				t.Fatalf("%v: BackwardFromForward(%d, %d) = %v", g, g.p, c, c != turn)
+			}
+		}
+		if turn < 0 {
+			return
+		}
+		for r, prog := range g.progs {
+			held := -1 // microbatch whose F on chunk p−1 has run and whose B has not
+			for _, op := range prog {
+				if op.Chunk != turn || op.Phase == 'W' {
+					continue
+				}
+				switch {
+				case op.Phase == 'F' && held < 0:
+					held = op.MB
+				case op.Phase == 'B' && op.MB == held:
+					held = -1
+				default:
+					t.Fatalf("%v rank %d: %v runs while microbatch %d holds chunk %d", g, r, op, held, turn)
+				}
+			}
+			if held >= 0 {
+				t.Fatalf("%v rank %d: microbatch %d never ran its B on chunk %d", g, r, held, turn)
+			}
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 
 	"weipipe/internal/comm"
 	"weipipe/internal/model"
+	"weipipe/internal/order"
 )
 
 // Topology-aware grouped weight belts (strategy "wzb2g"; DESIGN.md §16).
@@ -28,7 +29,11 @@ import (
 //     with the *flat* belt tags, and the group's last rank never forwards —
 //     the belt never touches a boundary link. Round k+1's injection is sent
 //     by the holder right after its own round-k consumption, so belt memory
-//     stays bounded without any cross-group pacing.
+//     stays bounded without any cross-group pacing. As on the flat belt,
+//     the turnaround chunk P−1 enters the forward belt only — every rank's
+//     B pass on it runs on the copy its F pass held
+//     (order.BackwardFromForward) — so it has no backward-belt injection
+//     and, never received off that belt, no re-injection on it either.
 //   - The gradient accumulator D is untouched: it still rides the flat ring
 //     (its strict left-fold order is what makes runs bit-identical), and it
 //     already crosses each boundary only once per round.
@@ -250,6 +255,9 @@ func (w *WeiPipe) groupedExchange() error {
 			continue
 		}
 		for _, belt := range []int{beltFwd, beltBwd} {
+			if belt == beltBwd && order.BackwardFromForward(p, c) {
+				continue // the turnaround chunk rides the forward belt only
+			}
 			if err := w.sendCached(g.grp, 0, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, g.first)}, c); err != nil {
 				return err
 			}

@@ -1,11 +1,17 @@
 package pipeline
 
 import (
+	"fmt"
+	"maps"
+	"sync"
 	"testing"
 
+	"weipipe/internal/cluster"
 	"weipipe/internal/comm"
+	"weipipe/internal/cost"
 	"weipipe/internal/data"
 	"weipipe/internal/model"
+	"weipipe/internal/schedule"
 )
 
 // These tests verify the paper's central communication claim *functionally*
@@ -82,28 +88,123 @@ func TestActivationPassingScalesWithGS(t *testing.T) {
 	}
 }
 
+// TestWeiPipePerTurnVolumeMatchesAnalysis pins the belts' wire volume exactly,
+// from the chunk shapes, on every flat variant (§4.2.2: per belt use the wire
+// carries the forward and backward weight chunks and one gradient chunk).
+// Every (belt, chunk) pair takes n messages a iteration — the owner's
+// injection and n−1 relays — except that the turnaround chunk p−1 rides the
+// forward belt only: its B passes run on the copy the F pass held. The
+// gradient belt takes n per chunk, n−1 accumulator hops and the retire. The
+// meter counts self-sends, so the totals include them.
 func TestWeiPipePerTurnVolumeMatchesAnalysis(t *testing.T) {
-	// §4.2.2: per belt use the wire carries 2 weight chunks + 1 gradient
-	// chunk. Total per iteration: uses × 3 × chunk bytes (+ injections and
-	// retirements, which add ~2 chunks per owner). Verify within 15%.
 	cfg := tbwCfg()
-	const p, n = 2, 4
-	st := runMetered(t, StrategyWeiPipeInterleave, p, cfg, 2, 8, n)
-
 	mdl := model.Build(cfg)
-	bounds := mdl.Partition(p)
-	var chunkBytes int64
-	for _, b := range bounds {
-		chunkBytes += int64(mdl.ChunkSize(b[0], b[1])) * 4
+	for _, s := range []Strategy{StrategyWeiPipeNaive, StrategyWeiPipeInterleave, StrategyWZB1, StrategyWZB2} {
+		for p := 2; p <= 4; p++ {
+			var sum, last int64 // Σ|cᵢ| and |c_{p−1}|, in floats
+			for _, b := range mdl.Partition(p) {
+				last = int64(mdl.ChunkSize(b[0], b[1]))
+				sum += last
+			}
+			for _, n := range []int64{int64(p), 2 * int64(p)} {
+				st := runMetered(t, s, p, cfg, 2, 8, int(n))
+				if got, want := st.SentBytes(comm.KindWeight), (2*n*sum-n*last)*4; got != want {
+					t.Errorf("%s p=%d n=%d: weight traffic %d B, want %d", s, p, n, got, want)
+				}
+				if got, want := st.SentBytes(comm.KindGrad), n*sum*4; got != want {
+					t.Errorf("%s p=%d n=%d: gradient traffic %d B, want %d", s, p, n, got, want)
+				}
+			}
+		}
 	}
-	// belts: fwd hops (uses−1 per chunk) + bwd hops + D hops + 2 injections
-	// + 1 retirement per chunk ≈ 3·uses·avgChunk
-	uses := int64(n)                                      // per chunk: uses = N (belt use count) — hops ≈ uses−1
-	approx := 3 * uses * chunkBytes / int64(p) * int64(p) // = 3·uses·Σchunk/p·p
-	got := st3(st)
-	lo, hi := approx*85/100, approx*125/100
-	if got < lo || got > hi {
-		t.Fatalf("weight traffic %d outside [%d, %d] (analysis ≈ %d)", got, lo, hi, approx)
+}
+
+// hopKey names one belt's traffic in one chunk: "Wf", "Wb" or "D" (the
+// simulator's link-task labels) and the chunk.
+type hopKey struct {
+	belt  string
+	chunk int
+}
+
+// hopCounter meters the relay hops a rank sends, per belt and chunk: weight
+// messages past use 0 (the owner's injection is no hop) and gradient
+// accumulator hops (the retire to the owner is none). All three sends are
+// counted, as FaultTransport counts them: belt hops donate and relay.
+type hopCounter struct {
+	comm.Transport
+	mu   *sync.Mutex
+	hops map[hopKey]int
+}
+
+func (h *hopCounter) count(tag comm.Tag) {
+	belt, use := (tag.B>>beltUseBits)%beltCount, tag.B&(1<<beltUseBits-1)
+	var name string
+	switch {
+	case tag.Kind == comm.KindWeight && belt == beltFwd && use > 0:
+		name = "Wf"
+	case tag.Kind == comm.KindWeight && belt == beltBwd && use > 0:
+		name = "Wb"
+	case tag.Kind == comm.KindGrad && belt == beltBwd:
+		name = "D"
+	default:
+		return
+	}
+	h.mu.Lock()
+	h.hops[hopKey{name, tag.A}]++
+	h.mu.Unlock()
+}
+
+func (h *hopCounter) Send(dst int, tag comm.Tag, data []float32) error {
+	h.count(tag)
+	return h.Transport.Send(dst, tag, data)
+}
+
+func (h *hopCounter) SendOwned(dst int, tag comm.Tag, payload []float32) error {
+	h.count(tag)
+	return h.Transport.SendOwned(dst, tag, payload)
+}
+
+func (h *hopCounter) Forward(dst int, tag comm.Tag, payload []float32) error {
+	h.count(tag)
+	return h.Transport.Forward(dst, tag, payload)
+}
+
+// TestSimulatorRelaysMatchRuntime: the relay hops the simulator emits per
+// (belt, chunk) — its Wf, Wb and D link tasks — are the hops the runtime
+// sends, so a change to how weights travel cannot land in one reader and not
+// the other.
+func TestSimulatorRelaysMatchRuntime(t *testing.T) {
+	for _, s := range []Strategy{StrategyWeiPipeInterleave, StrategyWZB1, StrategyWZB2} {
+		for p := 2; p <= 4; p++ {
+			for _, n := range []int{p, 2 * p} {
+				var mu sync.Mutex
+				ran := make(map[hopKey]int)
+				cl := comm.NewCluster(p)
+				trs := make([]comm.Transport, p)
+				for r := range trs {
+					trs[r] = &hopCounter{Transport: cl.Transport(r), mu: &mu, hops: ran}
+				}
+				runCfgOnTransports(t, trs, s, eqCfg(), eqOpts(), 1, eqBatches(1, n))
+				cl.Close()
+
+				w := cost.Workload{H: 64, S: 64, G: 1, L: 12, N: n, P: p}
+				tasks, err := schedule.Build(string(s), schedule.Spec{W: w, GPU: cluster.A800(), Top: cluster.NVLinkSingle(p)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				simulated := make(map[hopKey]int)
+				for _, task := range tasks {
+					var k hopKey
+					var use int
+					if _, err := fmt.Sscanf(task.Label, "%s c%d u%d", &k.belt, &k.chunk, &use); err == nil && task.Kind == "comm" {
+						simulated[k]++
+					}
+				}
+				if !maps.Equal(ran, simulated) {
+					t.Errorf("%s p=%d n=%d: runtime relays\n %v\nsimulated\n %v", s, p, n, ran, simulated)
+				}
+			}
+		}
 	}
 }
 

@@ -354,9 +354,10 @@ func TestOneFOneBOverTCP(t *testing.T) {
 }
 
 // An iteration that dies mid-schedule — a peer crashes while chunks are
-// shared between link writers, caches and bound stages — must give every
-// reference back: nothing stays bound, no cache survives, and once the
-// transports are closed no buffer is still shared.
+// shared between link writers, caches, bound stages and the turnaround
+// chunk's held copy — must give every reference back: nothing stays bound or
+// held, no cache survives, and once the transports are closed no buffer is
+// still shared.
 func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 	const p, iters, n = 4, 3, 8
 	for _, s := range []Strategy{StrategyWZB2, StrategyWZB2G} {
@@ -399,12 +400,63 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 			if w.stage.buf != nil {
 				t.Errorf("%s rank %d: a stage is still bound to a belt buffer", s, r)
 			}
+			if w.held != nil {
+				t.Errorf("%s rank %d: the turnaround chunk's held copy survived the abort", s, r)
+			}
 			if w.grouped != nil && len(w.grouped.cache) != 0 {
 				t.Errorf("%s rank %d: %d cached shards survived the abort", s, r, len(w.grouped.cache))
 			}
 		}
 		if n := comm.SharedBufs(); n != 0 {
 			t.Errorf("%s: %d buffers still shared after abort and close", s, n)
+		}
+	}
+
+	// An abort while the turnaround chunk's forward copy is held for its B
+	// pass: rank 0 fails the first send it makes while holding one (the
+	// relay of the next microbatch's chunk 0).
+	for _, s := range []Strategy{StrategyWZB2, StrategyWZB2G} {
+		cl := comm.NewCluster(p)
+		trainers := make([]*WeiPipe, p)
+		errs := make([]error, p)
+		crash := &heldCrash{Transport: cl.Transport(0), w: &trainers[0]}
+		opts := eqOpts()
+		opts.GroupSize = 2
+		batches := eqBatches(iters, n)
+		var wg sync.WaitGroup
+		for r := range trainers {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				defer cl.Close() // the first rank out unblocks the others
+				tr := cl.Transport(r)
+				if r == 0 {
+					tr = crash
+				}
+				var trainer Trainer
+				if trainer, errs[r] = New(s, tr, eqCfg(), opts); errs[r] != nil {
+					return
+				}
+				trainers[r] = trainer.(*WeiPipe)
+				for i := 0; i < iters && errs[r] == nil; i++ {
+					_, errs[r] = trainer.TrainIteration(batches(i))
+				}
+			}(r)
+		}
+		wg.Wait()
+		if !crash.fired {
+			t.Fatalf("%s: rank 0 never sent while holding the turnaround chunk; the test proved nothing", s)
+		}
+		for r, w := range trainers {
+			if errs[r] == nil {
+				t.Errorf("%s rank %d: trained through a peer's death", s, r)
+			}
+			if w != nil && (w.held != nil || w.stage.buf != nil) {
+				t.Errorf("%s rank %d: a held or bound belt buffer survived the abort", s, r)
+			}
+		}
+		if n := comm.SharedBufs(); n != 0 {
+			t.Errorf("%s: %d buffers still shared after an abort with a held copy", s, n)
 		}
 	}
 
@@ -444,8 +496,50 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 		if tr.(*WeiPipe).stage.buf != nil {
 			t.Errorf("rank %d: the interrupted stage is still bound to its belt buffer", r)
 		}
+		if tr.(*WeiPipe).held != nil {
+			t.Errorf("rank %d: the turnaround chunk's held copy survived the abort", r)
+		}
 	}
 	if n := comm.SharedBufs(); n != 0 {
 		t.Errorf("%d buffers still shared after a kernel fault", n)
 	}
+}
+
+// heldCrash fails every send of its rank from the first one it makes while
+// the rank's trainer holds the turnaround chunk's forward copy. All three
+// sends are intercepted: belt hops donate and relay.
+type heldCrash struct {
+	comm.Transport
+	w     **WeiPipe // the rank's trainer, once built
+	fired bool
+}
+
+func (h *heldCrash) crashed() bool {
+	if !h.fired && *h.w != nil && (*h.w).held != nil {
+		h.fired = true
+	}
+	return h.fired
+}
+
+func (h *heldCrash) Send(dst int, tag comm.Tag, data []float32) error {
+	if h.crashed() {
+		return comm.ErrCrashed
+	}
+	return h.Transport.Send(dst, tag, data)
+}
+
+func (h *heldCrash) SendOwned(dst int, tag comm.Tag, payload []float32) error {
+	if h.crashed() {
+		comm.Release(payload)
+		return comm.ErrCrashed
+	}
+	return h.Transport.SendOwned(dst, tag, payload)
+}
+
+func (h *heldCrash) Forward(dst int, tag comm.Tag, payload []float32) error {
+	if h.crashed() {
+		comm.Release(payload)
+		return comm.ErrCrashed
+	}
+	return h.Transport.Forward(dst, tag, payload)
 }

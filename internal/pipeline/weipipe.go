@@ -9,6 +9,7 @@ import (
 	"weipipe/internal/model"
 	"weipipe/internal/nn"
 	"weipipe/internal/optim"
+	"weipipe/internal/order"
 	"weipipe/internal/tensor"
 	"weipipe/internal/trace"
 )
@@ -53,22 +54,26 @@ func (v WeiPipeVariant) String() string {
 }
 
 // WeiPipe is the weight-passing pipeline runtime. The model's modules are
-// split into P contiguous chunks. Two copies of every chunk circulate
-// around the worker ring as "belts":
+// split into P contiguous chunks, which circulate around the worker ring as
+// "belts":
 //
 //   - the forward belt, whose chunk c reaches worker w exactly when w's
 //     forward pass needs modules [chunk c];
 //   - the backward belt, which trails a full model-depth behind and feeds
-//     each worker's backward passes in reverse chunk order.
+//     each worker's backward passes in reverse chunk order. It carries
+//     chunks P−2 … 0 only: a worker's B pass on the turnaround chunk P−1
+//     runs on the forward-belt copy its F pass held
+//     (order.BackwardFromForward).
 //
 // A gradient accumulator D_c rides the backward belt: each worker adds its
 // local weight-gradient contribution before passing it on, so by the time
 // the belt completes its final circle D_c holds the sum over all N
 // microbatches — gradient aggregation without any collective (§4.2.1,
 // "update pass"). Each worker keeps its own microbatches' activations and
-// never ships an activation anywhere: per turn the wire carries two weight
-// chunks and one gradient chunk, the paper's 36H² bytes, independent of
-// both microbatch size G and sequence length S.
+// never ships an activation anywhere: per turn the wire carries at most two
+// weight chunks and one gradient chunk — the paper's 36H² bytes, less the
+// turnaround chunk's backward copy — independent of both microbatch size G
+// and sequence length S.
 //
 // Belt use indices are global: use j of a belt chunk is performed by worker
 // j mod P during its round ⌊j/P⌋, so use j happens one hop downstream of
@@ -113,6 +118,13 @@ type WeiPipe struct {
 	// gradient sets are views of the outgoing payload). One stage runs at a
 	// time, so one slot serves; see bindStage.
 	stage stageBuf
+
+	// held is the forward-belt copy of the turnaround chunk p−1
+	// (order.BackwardFromForward) between a microbatch's F pass on it and
+	// its B pass, which runs on this copy instead of a backward-belt one. It
+	// takes the slot that copy would have used: no other F or B on the chunk
+	// runs between the two, so one slot serves.
+	held []float32
 
 	// Integrity layer state (Options.Integrity; see integrity.go). pad is
 	// the checksum trailer length every belt buffer grows by (0 = off);
@@ -302,6 +314,8 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	// and every stage has given its buffer back.
 	defer func() {
 		comm.Release(w.unbindStage())
+		comm.Release(w.held)
+		w.held = nil
 		for mb, a := range st.arenas {
 			w.apool.release(a)
 			delete(st.arenas, mb)
@@ -317,16 +331,22 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 		// Inject the owned chunk into both belts; the first user of every belt
 		// chunk is worker 0 at use index 0. One sealed copy of the master
 		// weights serves both: it is shared, and each belt's send carries one
-		// reference away.
+		// reference away. The turnaround chunk rides the forward belt only.
 		tagFwd := Tag{Kind: comm.KindWeight, A: w.ownChunk, B: w.enc(beltFwd, 0)}
 		payload := w.ownedPayload(tagFwd)
-		comm.Retain(payload)
-		if err := w.t.SendOwned(0, tagFwd, payload); err != nil {
-			comm.Release(payload) // the reference the second send would have taken
-			return 0, err
-		}
-		if err := w.t.SendOwned(0, Tag{Kind: comm.KindWeight, A: w.ownChunk, B: w.enc(beltBwd, 0)}, payload); err != nil {
-			return 0, err
+		if order.BackwardFromForward(p, w.ownChunk) {
+			if err := w.t.SendOwned(0, tagFwd, payload); err != nil {
+				return 0, err
+			}
+		} else {
+			comm.Retain(payload)
+			if err := w.t.SendOwned(0, tagFwd, payload); err != nil {
+				comm.Release(payload) // the reference the second send would have taken
+				return 0, err
+			}
+			if err := w.t.SendOwned(0, Tag{Kind: comm.KindWeight, A: w.ownChunk, B: w.enc(beltBwd, 0)}, payload); err != nil {
+				return 0, err
+			}
 		}
 	}
 
@@ -567,6 +587,21 @@ func (w *WeiPipe) recvBeltChunk(belt, c, use int) error {
 	return w.installBelt(w.t, belt, c, use, payload, relayTo)
 }
 
+// bindHeld binds the turnaround chunk c's modules to the forward-belt copy
+// fStage held for this B pass. The copy stays shared read-only, as it was
+// through the F pass; under Options.Integrity its trailer is verified again,
+// so a flip while it waited cannot enter the B pass.
+func (w *WeiPipe) bindHeld(c int) error {
+	buf := w.held
+	w.held = nil
+	if verr := w.verifyBelt(comm.SiteBelt, comm.KindWeight, c, buf); verr != nil {
+		comm.Release(buf)
+		return verr
+	}
+	w.bindStage(c, buf, false)
+	return nil
+}
+
 // accumulateAndForwardD folds this worker's local gradient contribution for
 // chunk c into the belt accumulator and passes it on (or retires it to the
 // owner after the final use). It takes ownership of local: the buffer is
@@ -637,7 +672,11 @@ func (w *WeiPipe) fStage(st *wpState, mb, c int) error {
 	span := w.tr.Begin()
 	out, loss := forwardRange(w.mdl, lo, hi, st.fwdX[mb], b, caches[lo:hi], w.opts.Recompute)
 	w.tr.End(span, trace.CodeF, int64(mb), int64(c))
-	comm.Release(w.unbindStage())
+	if buf := w.unbindStage(); order.BackwardFromForward(w.t.Size(), c) {
+		w.held = buf // this microbatch's B pass on c runs on it
+	} else {
+		comm.Release(buf)
+	}
 	st.lossSum += loss
 	if out != nil {
 		st.fwdX[mb] = out
@@ -650,7 +689,11 @@ func (w *WeiPipe) fStage(st *wpState, mb, c int) error {
 // bStage runs the B pass of chunk c for this worker's microbatch mb.
 func (w *WeiPipe) bStage(st *wpState, mb, c int) error {
 	w.post(mb, 'B')
-	if err := w.recvBeltChunk(beltBwd, c, mb); err != nil {
+	if order.BackwardFromForward(w.t.Size(), c) {
+		if err := w.bindHeld(c); err != nil {
+			return err
+		}
+	} else if err := w.recvBeltChunk(beltBwd, c, mb); err != nil {
 		return err
 	}
 	caches := st.caches[mb]

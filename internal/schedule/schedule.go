@@ -330,7 +330,10 @@ func (b *builder) emitPrograms(strategy string, label func(op order.Op, worker i
 // A worker consumes the forward belt in (round, chunk) order and the backward
 // belt in (round, P−1−chunk) order; fwdEarlier and bwdEarlier return the
 // compute task that consumed the chunk `buffers` arrivals before chunk c of
-// round k at worker wk, or -1.
+// round k at worker wk, or -1. The turnaround chunk P−1
+// (order.BackwardFromForward) skips the backward belt, but the copy its F
+// pass held sits in that chunk's backward slot until the B pass consumes it,
+// so the backward belt keeps P slots per round and the pacing is unchanged.
 func (g *opGrid) fwdEarlier(wk, k, c int) int {
 	idx := k*g.p + c - g.buffers
 	if idx < 0 {
@@ -420,7 +423,11 @@ func buildPP(strategy string, spec Spec) ([]sim.Task, error) {
 // gradient flow cross every link every turn whether or not they are used,
 // which is the redundant transmission WeiPipe-Interleave eliminates. The
 // bubble the paper attributes to Naive (forward workers idling while any
-// worker is in its longer backward turn) emerges from the barriers.
+// worker is in its longer backward turn) emerges from the barriers. This is
+// the paper's barrier abstraction, not the runtime's wire: every flow hops
+// every turn, so the turnaround chunk stays on the backward flow too,
+// although the runtime's B pass on chunk P−1 runs on the copy its F pass
+// held (order.BackwardFromForward).
 //
 // A worker's turns are its program's ops, a B and the W fused to it counting
 // as one; worker i starts i turns late (the rotation reaches it then).
@@ -510,41 +517,47 @@ func buildWeiPipe(strategy string, spec Spec) ([]sim.Task, error) {
 	// Belt link tasks. Forward and backward weight belts hop j−1 → j with
 	// store-and-forward relaying: the runtime passes a chunk on before it
 	// computes with it, so a hop waits for the previous hop, never for the
-	// previous user's compute. The D belt hop j−1 → j carries the
-	// accumulator and always depends on the producer's W pass. Flow control
-	// (fwdEarlier/bwdEarlier) is what paces the ring.
+	// previous user's compute. The turnaround chunk rides the forward belt
+	// only: its B passes run on the copy the worker's F pass held, which
+	// program order already puts before them. The D belt hop j−1 → j carries
+	// the accumulator and always depends on the producer's W pass. Flow
+	// control (fwdEarlier/bwdEarlier) is what paces the ring.
 	for c := 0; c < p; c++ {
 		bytes := chunkBytes(w, c)
+		bwdBelt := !order.BackwardFromForward(p, c)
 		var prevFLink, prevBLink = -1, -1
 		for j := 1; j < uses; j++ {
 			from := (j - 1) % p
 			dst := j % p
 			k := j / p
 			fdeps := []int{}
-			bdeps := []int{}
 			if prevFLink >= 0 {
 				fdeps = append(fdeps, prevFLink)
 			}
-			if prevBLink >= 0 {
-				bdeps = append(bdeps, prevBLink)
-			}
 			if e := ops.fwdEarlier(dst, k, c); e >= 0 {
 				fdeps = append(fdeps, e)
-			}
-			if e := ops.bwdEarlier(dst, k, c); e >= 0 {
-				bdeps = append(bdeps, e)
 			}
 			dBytes := bytes
 			if spec.TerminalGradAllReduce {
 				dBytes = 0 // ablation: no D belt; gradients all-reduced at the end
 			}
 			fl := b.linkFwd(from, bytes, fmt.Sprintf("Wf c%d u%d", c, j), fdeps...)
-			bl := b.linkFwd(from, bytes, fmt.Sprintf("Wb c%d u%d", c, j), bdeps...)
+			if bwdBelt {
+				bdeps := []int{}
+				if prevBLink >= 0 {
+					bdeps = append(bdeps, prevBLink)
+				}
+				if e := ops.bwdEarlier(dst, k, c); e >= 0 {
+					bdeps = append(bdeps, e)
+				}
+				bl := b.linkFwd(from, bytes, fmt.Sprintf("Wb c%d u%d", c, j), bdeps...)
+				b.tasks[ops.b[c][j]].Deps = append(b.tasks[ops.b[c][j]].Deps, bl)
+				prevBLink = bl
+			}
 			dl := b.linkFwd(from, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
 			b.tasks[ops.f[c][j]].Deps = append(b.tasks[ops.f[c][j]].Deps, fl)
-			b.tasks[ops.b[c][j]].Deps = append(b.tasks[ops.b[c][j]].Deps, bl)
 			b.tasks[ops.w[c][j]].Deps = append(b.tasks[ops.w[c][j]].Deps, dl)
-			prevFLink, prevBLink = fl, bl
+			prevFLink = fl
 		}
 	}
 	if spec.TerminalGradAllReduce {
@@ -622,9 +635,13 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 	// exactly like the flat belt; at each group-first rank the chunk is
 	// (re-)injected from the group's holder cache over the group fabric,
 	// paced by the holder's own consumption one round earlier. The group-last
-	// rank never forwards — weight belts never touch a boundary link.
-	wireBelt := func(op [][]int, name string, earlier func(wk, k, c int) int) {
+	// rank never forwards — weight belts never touch a boundary link. As on
+	// the flat belt, the turnaround chunk rides the forward belt only.
+	wireBelt := func(op [][]int, name string, earlier func(wk, k, c int) int, bwd bool) {
 		for c := 0; c < p; c++ {
+			if bwd && order.BackwardFromForward(p, c) {
+				continue
+			}
 			bytes := chunkBytes(w, c)
 			prevLink := -1 // segment-local store-and-forward chain
 			for j := 0; j < uses; j++ {
@@ -673,8 +690,8 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 			}
 		}
 	}
-	wireBelt(ops.f, "Wf", ops.fwdEarlier)
-	wireBelt(ops.b, "Wb", ops.bwdEarlier)
+	wireBelt(ops.f, "Wf", ops.fwdEarlier, false)
+	wireBelt(ops.b, "Wb", ops.bwdEarlier, true)
 
 	// The D belt is untouched by grouping: in-transit gradient accumulation
 	// is a strict left-fold around the full ring (bit-identity requires the
