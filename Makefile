@@ -171,37 +171,52 @@ experiments:
 
 # surface prints the size counters ROADMAP "Where the counters stand"
 # tallies: non-test Go lines in the root module (benchmark/ is its own
-# module), exported fields of the option structs, the training loops
-# (TrainIteration call sites), flags per command, WEIPIPE_* environment
-# variables, the transport's line count and the assembly kernels' line
-# count. CI prints it on every push so a PR's effect on the surface is a
-# diff of two logs. It fails when more than two non-test call sites outside
-# benchmark/ and examples/ call TrainIteration (RunRank is the one training
-# loop, and WeiPipeDP's inner ring the one composition), when
-# pipeline.Options has more than 8 fields, when cmd/weipipe-train has more
-# than 36 flags or when non-test internal/comm declares more than 2 interface
-# types (Transport, the whole endpoint contract, and the Meter it embeds: an
-# optional interface beside it would bring back a type-switch fallback that
-# a wrapper silently drops to): a knob added past those counts must retire
-# another. It also prints DESIGN.md's size in bytes and the longest
-# CHANGES.md entry (one entry a line), and fails when DESIGN.md grows past
-# 118929 bytes: a doc edit replaces text instead of appending it.
+# module), exported fields of the option structs, the fields of a run
+# (pipeline.RunSpec and RunHooks, counted by name so `A, B int` is two), the
+# training loops (TrainIteration call sites), flag declarations in all
+# non-test Go (flag.X( and fs.XVar( alike, so moving a flag into
+# RunSpec.Bind keeps it counted), the flags each command's -h lists,
+# WEIPIPE_* environment variables, the transport's line count and the
+# assembly kernels' line count. CI prints it on every push so a PR's effect
+# on the surface is a diff of two logs. It fails when more than two non-test
+# call sites outside benchmark/ and examples/ call TrainIteration (RunRank is
+# the one training loop, and WeiPipeDP's inner ring the one composition),
+# when pipeline.Options has more than 8 fields, RunSpec and RunHooks more
+# than 24 together, the flag declarations number more than 70 or
+# weipipe-train lists more than 36, or when non-test internal/comm declares
+# more than 2 interface types (Transport, the whole endpoint contract, and
+# the Meter it embeds: an optional interface beside it would bring back a
+# type-switch fallback that a wrapper silently drops to): a knob added past
+# those counts must retire another. It also prints DESIGN.md's size in bytes
+# and the longest CHANGES.md entry (one entry a line), and fails when
+# DESIGN.md grows past 118928 bytes: a doc edit replaces text instead of
+# appending it.
 surface:
 	@echo "non-test Go lines: $$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
 		| tr ' ' '\n' | grep '\.go$$' | grep -v '_test\.go$$' | xargs cat | wc -l)"
-	@for t in pipeline.Options pipeline.ResilientOptions launch.TrainSpec comm.TCPOptions schedule.Spec sim.Task; do \
+	@for t in pipeline.Options comm.TCPOptions schedule.Spec sim.Task; do \
 		n=$$($(GO) doc ./internal/$${t%.*} $${t#*.} | grep -c '^	[A-Z][A-Za-z0-9_, ]* [^ ]'); \
 		echo "$$t fields: $$n"; \
 		[ $$t != pipeline.Options ] || [ $$n -le 8 ] || { echo "surface: pipeline.Options has $$n fields, at most 8"; exit 1; }; done
+	@n=$$(awk '/^type (RunSpec|RunHooks) struct/ { body = 1; next } body && /^}/ { body = 0 } \
+		body && !/^[ \t]*(\/\/|$$)/ { k = 1; for (i = 1; i <= NF && $$i ~ /,$$/; i++) k++; n += k } \
+		END { print n + 0 }' internal/pipeline/spec.go); \
+		echo "pipeline.RunSpec + RunHooks fields: $$n"; \
+		[ $$n -le 24 ] || { echo "surface: RunSpec and RunHooks have $$n fields, at most 24"; exit 1; }
 	@n=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=examples \
 		'\.TrainIteration(' . | wc -l); \
 		echo "non-test .TrainIteration( call sites outside benchmark/ and examples/: $$n"; \
 		[ $$n -le 2 ] || { echo "surface: $$n TrainIteration call sites, at most 2 (RunRank, WeiPipeDP)"; exit 1; }
-	@total=0; for d in cmd/*/; do \
-		n=$$(cat $$d*.go | grep -c 'flag\.\(String\|Int\|Int64\|Uint\|Uint64\|Bool\|Float64\|Duration\)('); \
-		echo "$$d flags: $$n"; total=$$((total+n)); \
-		[ $$d != cmd/weipipe-train/ ] || [ $$n -le 36 ] || { echo "surface: cmd/weipipe-train has $$n flags, at most 36"; exit 1; }; \
-		done; echo "flags in all: $$total"
+	@bin=$$(mktemp -d); for d in cmd/*/; do \
+		c=$$(basename $$d); $(GO) build -o $$bin/$$c ./$$d || exit 1; \
+		n=$$($$bin/$$c -h 2>&1 | grep -c '^  -'); \
+		echo "$$d flags listed by -h: $$n"; \
+		[ $$c != weipipe-train ] || [ $$n -le 36 ] || { echo "surface: weipipe-train lists $$n flags, at most 36"; exit 1; }; \
+		done; rm -rf $$bin
+	@n=$$(grep -rhE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
+		'\b(flag|fs)\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(Var)?\(' . | wc -l); \
+		echo "flag declarations in all: $$n"; \
+		[ $$n -le 70 ] || { echo "surface: $$n flag declarations, at most 70"; exit 1; }
 	@n=$$(ls internal/comm/*.go | grep -v '_test\.go$$' | xargs cat | grep -cE '^[[:space:]]*(type[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*[[:space:]]+interface[[:space:]]*\{'); \
 		echo "interface types in non-test internal/comm: $$n"; \
 		[ $$n -le 2 ] || { echo "surface: internal/comm declares $$n interface types, at most 2 (Transport, Meter)"; exit 1; }
@@ -209,7 +224,7 @@ surface:
 	@wc -l internal/comm/tcp.go
 	@wc -l internal/tensor/*.s
 	@n=$$(wc -c < DESIGN.md); echo "DESIGN.md bytes: $$n"; \
-		[ $$n -le 118929 ] || { echo "surface: DESIGN.md has $$n bytes, at most 118929"; exit 1; }
+		[ $$n -le 118928 ] || { echo "surface: DESIGN.md has $$n bytes, at most 118928"; exit 1; }
 	@echo "longest CHANGES.md entry, bytes: $$(LC_ALL=C awk 'length($$0) > m { m = length($$0) } END { print m + 0 }' CHANGES.md)"
 
 # check is the pre-merge gate: formatting, the orphan-package check, static

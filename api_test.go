@@ -51,7 +51,8 @@ func TestPublicAPIBF16Fabric(t *testing.T) {
 	bf16 := func(_, size int) ([]Transport, error) {
 		return NewInprocClusterCodec(size, BeltBF16), nil
 	}
-	res, err := RunResilient(WZB2, 2, cfg, opts, 1, fn, bf16, ResilientOptions{})
+	res, err := RunResilient(RunSpec{Strategy: WZB2, Model: cfg, Options: opts, World: 2, Iters: 1},
+		RunHooks{Batches: fn, Transports: bf16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,13 +12,16 @@
 //
 //	weipipe-train -strategy weipipe-interleave -p 4 -iters 20
 //	weipipe-train -p 4 -strategy weipipe-dp -group-size 2  # 2 replicas × 2-worker rings
-//	weipipe-train -iters 10 -checkpoint /tmp/m.wpck        # save the weights when done
-//	weipipe-train -resume /tmp/m.wpck -iters 5             # train on from those weights
+//	weipipe-train -iters 10 -checkpoint /tmp/m.wpck        # save the weights when done;
+//	                                                       # re-run to train on from them
 //	weipipe-train -tcp -ckpt-every 5 -max-restarts 3 \
 //	    -checkpoint /tmp/m.wpck                            # survive rank failures; re-run to resume
 //	weipipe-train -tcp -chaos 0.05 -stats                  # chaos-test the transport
 //	weipipe-train -p 4 -strategy wzb2 -trace out.json      # runtime trace + per-iteration rollup
 //	weipipe-train -p 4 -strategy wzb2 -guard -stats        # skip non-finite and spiking steps
+//
+// The run's flags are weipipe-launch's (RunSpec.Bind); the rest pick the
+// fabric, the fault injection and the reports.
 package main
 
 import (
@@ -27,80 +30,42 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
-	"time"
 
 	"weipipe"
 	"weipipe/internal/comm"
-	"weipipe/internal/optim"
 	"weipipe/internal/tensor"
 	"weipipe/internal/trace"
 )
 
-// runConfig carries every CLI decision into run().
+// runConfig carries every CLI decision into run(): the run itself and the
+// flags that are this binary's alone.
 type runConfig struct {
-	strategy    weipipe.Strategy
-	p           int
-	cfg         weipipe.Config
-	opts        weipipe.Options
-	sched       optim.Schedule
-	iters, n, g int
-	tcp         bool
-	bf16        bool
-	dialTimeout time.Duration
-	chaos       float64
-	seed        uint64
-	ckptPath    string
-	ckptEvery   int
-	ckptKeep    int
-	maxRestarts int
-	elastic     weipipe.ElasticPolicy
-	spares      int
-	watchdog    bool
-	stats       bool
-	resume      *weipipe.Snapshot
-	tracePath   string
-	traceSet    *trace.Set
+	spec      weipipe.RunSpec
+	bf16      bool
+	watchdog  bool
+	stats     bool
+	tracePath string
+	traceSet  *trace.Set
 }
 
 func main() {
-	strategy := flag.String("strategy", "weipipe-interleave", "training strategy")
-	backend := flag.String("backend", "", "tensor kernel backend: auto (default; the fastest this CPU supports), avx512 or avx2 (SIMD, the same bits on 16- or 8-lane GEMM panels; FMA-reassociated matmul, attention, SiLU and the head softmax), scalar (the bit-exact reference)")
-	p := flag.Int("p", 2, "workers")
-	vocab := flag.Int("vocab", 256, "vocabulary size")
-	hidden := flag.Int("hidden", 64, "hidden size")
-	layers := flag.Int("layers", 4, "transformer layers")
-	heads := flag.Int("heads", 4, "attention heads")
-	seq := flag.Int("seq", 64, "sequence length")
-	g := flag.Int("g", 2, "microbatch size")
-	n := flag.Int("n", 4, "microbatches per iteration")
-	iters := flag.Int("iters", 10, "training iterations")
-	lr := flag.Float64("lr", 1e-3, "peak learning rate")
-	warmup := flag.Int("warmup", 0, "LR warm-up iterations (0 disables the schedule)")
-	clip := flag.Float64("clip", 0, "global gradient-norm clip (0 disables)")
-	seed := flag.Uint64("seed", 42, "model, data, chaos and bit-flip seed")
-	recompute := flag.Bool("recompute", false, "activation checkpointing")
+	spec := weipipe.RunSpec{
+		Strategy: weipipe.WeiPipeInterleave,
+		Model:    weipipe.Config{Vocab: 256, Hidden: 64, Layers: 4, Heads: 4, MaxSeq: 64, Seed: 42},
+		Options:  weipipe.DefaultOptions(1e-3),
+		World:    2, Iters: 10, MicroBatches: 4, MicroBatchSize: 2, CheckpointKeep: 1,
+	}
+	spec.Bind(flag.CommandLine)
+	flag.BoolVar(&spec.TCP, "tcp", false, "use a TCP mesh on loopback instead of in-process channels")
 	bf16 := flag.Bool("bf16", false, "bf16 wire codec for weight and weight-gradient belt payloads (halves belt bytes)")
-	groupSize := flag.Int("group-size", 0, "ranks per topology group: for -strategy wzb2g, the grouped belt's groups — weight chunks cross a group boundary once per iteration and recirculate on the intra-group fabric (0 = topology-friendly default; sizes that do not divide -p fall back to the flat belt); for -strategy weipipe-dp, the WeiPipe ring size, one data-parallel replica per ring (0 or a size that does not divide -p = one ring of -p); also arms the per-link-tier byte meters shown by -stats for any strategy")
-	tcp := flag.Bool("tcp", false, "use a TCP mesh on loopback instead of in-process channels")
-	dialTimeout := flag.Duration("dial-timeout", 15*time.Second, "TCP mesh bring-up deadline (with -tcp)")
-	chaos := flag.Float64("chaos", 0, "per-frame fault probability for TCP chaos injection: drop, duplicate, reorder (and corrupt at half rate); masked by the reliability layer")
-	ckptEvery := flag.Int("ckpt-every", 0, "take a coordinated full-state checkpoint every n iterations (enables failure recovery)")
-	ckptKeep := flag.Int("ckpt-keep", 1, "rotate on-disk checkpoints, retaining the last k")
-	maxRestarts := flag.Int("max-restarts", 0, "restart from the last checkpoint up to n times after a rank failure")
-	elastic := flag.String("elastic", "none", "elastic repair policy on rank failure: none (checkpoint restart), shrink (re-shard across survivors from buddy replicas), spare (admit standby spares)")
-	spares := flag.Int("spares", 0, "standby rank budget for -elastic spare")
 	watchdog := flag.Bool("watchdog", false, "run the straggler watchdog (reports ranks stalled past 8× the median iteration; with elastic repair on, declares them dead)")
-	guard := flag.Bool("guard", false, fmt.Sprintf("skip optimizer steps whose global gradient Σg² is non-finite or spikes (more than %d robust σ above the median of the last %d accepted norms); -stats reports the counts", optim.SpikeThreshold, optim.SpikeWindow))
-	integrity := flag.Bool("integrity", false, "end-to-end silent-data-corruption defense: CRC-sealed belt chunks verified at every consumption point plus resident weight/moment guards; detections become typed failures the recovery machinery repairs")
 	abft := flag.Bool("abft", false, "algorithm-based fault tolerance on the tensor kernels: every matmul verified against row/column checksums (O(n²) overhead per matmul)")
 	bitflipChaos := flag.Int("bitflip-chaos", 0, "inject n seeded bit flips spread across the fault sites (weights, optimizer moments, belt buffers; kernel outputs with -abft) — the SDC chaos tier; combine with -integrity and recovery flags")
 	verifyCkpt := flag.String("verify-ckpt", "", "verify checkpoint integrity (whole-file CRC + per-section digests) for this file or every *.wpck in this directory, then exit")
 	stats := flag.Bool("stats", false, "print per-rank communication and fault statistics at the end")
-	ckpt := flag.String("checkpoint", "", "checkpoint path: with -ckpt-every, the rotating full-state checkpoint (re-running the command resumes from it); else the final weights")
-	resume := flag.String("resume", "", "start from this snapshot's weights, with a fresh optimizer at iteration 0 (overrides the model flags)")
 	tracePath := flag.String("trace", "", "write a Chrome/Perfetto trace of the run to this path (per-rank F/B/W, optimizer, stall, belt-lane and transport spans; open in ui.perfetto.dev or feed to weipipe-trace -compare) and print the per-iteration timing rollup (step/F/B/W/opt/exposed means, stall counts, the busiest rank's arena high-water mark)")
 	flag.Parse()
+	spec.BatchSeed = spec.Model.Seed
 
 	if *verifyCkpt != "" {
 		if err := runVerifyCkpt(*verifyCkpt); err != nil {
@@ -108,38 +73,16 @@ func main() {
 		}
 		return
 	}
-
-	if *backend != "" {
-		if err := tensor.SetBackend(*backend); err != nil {
-			fatal(err)
-		}
+	if err := spec.Validate(); err != nil {
+		fatal(err)
 	}
+
 	mode := "bit-exact reference"
 	if !tensor.BackendExact() {
 		mode = "tolerance mode: matmuls, DotF32, attention, SiLU and the head softmax reassociated; -backend scalar pins the bit-exact reference"
 	}
 	fmt.Printf("kernel backend: %s (%s; deterministic, strategies stay mutually bit-identical)\n", tensor.BackendName(), mode)
 
-	cfg := weipipe.Config{
-		Vocab: *vocab, Hidden: *hidden, Layers: *layers, Heads: *heads,
-		MaxSeq: *seq, Seed: *seed,
-	}
-	var resumeSnap *weipipe.Snapshot
-	if *resume != "" {
-		snap, err := weipipe.LoadCheckpoint(*resume)
-		if err != nil {
-			fatal(err)
-		}
-		cfg = snap.Config
-		resumeSnap = &weipipe.Snapshot{Config: snap.Config, Weights: snap.Weights}
-		fmt.Printf("resumed config from %s (step %d)\n", *resume, snap.Step)
-	}
-	opts := weipipe.DefaultOptions(*lr)
-	opts.Recompute = *recompute
-	opts.GroupSize = *groupSize
-	opts.ClipNorm = *clip
-	opts.Guard = *guard
-	opts.Integrity = *integrity
 	if *abft {
 		weipipe.EnableABFT()
 		fmt.Println("ABFT armed: matmul outputs verified against row/column checksums")
@@ -152,50 +95,22 @@ func main() {
 		if *abft {
 			sites = append(sites, weipipe.FlipKernel)
 		}
-		events := weipipe.GenBitFlips(*seed, *p, *iters, *bitflipChaos, sites)
+		events := weipipe.GenBitFlips(spec.Model.Seed, spec.World, spec.Iters, *bitflipChaos, sites)
 		inj := weipipe.NewBitFlipInjector(events)
-		opts.BitFlip = inj
+		spec.Options.BitFlip = inj
 		if *abft {
 			tensor.SetABFTFault(inj.KernelHook())
 		}
-		fmt.Printf("bit-flip chaos armed: %d scheduled flips (seed %d)\n", len(events), *seed)
-	}
-
-	var policy weipipe.ElasticPolicy
-	switch *elastic {
-	case "none":
-		policy = weipipe.ElasticNone
-	case "shrink":
-		policy = weipipe.ElasticShrink
-	case "spare":
-		policy = weipipe.ElasticSpare
-	default:
-		fatal(fmt.Errorf("unknown -elastic policy %q (none, shrink, spare)", *elastic))
-	}
-
-	var sched optim.Schedule = optim.ConstantLR(*lr)
-	if *warmup > 0 {
-		sched = optim.WarmupCosine{Base: *lr, Floor: *lr / 10, Warmup: *warmup, Total: *iters}
+		fmt.Printf("bit-flip chaos armed: %d scheduled flips (seed %d)\n", len(events), spec.Model.Seed)
 	}
 
 	rc := runConfig{
-		strategy: weipipe.Strategy(*strategy), p: *p,
-		cfg: cfg, opts: opts, sched: sched,
-		iters: *iters, n: *n, g: *g,
-		tcp: *tcp, bf16: *bf16, dialTimeout: *dialTimeout,
-		chaos: *chaos, seed: *seed,
-		ckptPath: *ckpt, ckptEvery: *ckptEvery, ckptKeep: *ckptKeep,
-		maxRestarts: *maxRestarts, elastic: policy, spares: *spares,
-		watchdog: *watchdog,
-		stats:    *stats, resume: resumeSnap,
+		spec: spec, bf16: *bf16, watchdog: *watchdog, stats: *stats,
 		tracePath: *tracePath,
 	}
-	if rc.chaos > 0 && !rc.tcp {
-		fatal(fmt.Errorf("-chaos injects faults below the TCP reliability layer; it requires -tcp"))
-	}
 	if rc.tracePath != "" {
-		rc.traceSet = trace.NewSet(rc.p, trace.DefaultCapacity)
-		rc.opts.Trace = rc.traceSet
+		rc.traceSet = trace.NewSet(spec.World, trace.DefaultCapacity)
+		rc.spec.Options.Trace = rc.traceSet
 	}
 	if err := run(rc); err != nil {
 		fatal(err)
@@ -208,56 +123,45 @@ func fatal(err error) {
 }
 
 // run trains under weipipe.RunResilient: the recovery flags only fill in
-// its options, and -trace/-stats read its result.
+// its spec, and -trace/-stats read its result.
 func run(rc runConfig) error {
+	spec := rc.spec
 	mode := ""
-	if rc.ckptEvery > 0 || rc.maxRestarts > 0 || rc.elastic != weipipe.ElasticNone || rc.watchdog {
+	if spec.CheckpointEvery > 0 || spec.MaxRestarts > 0 || spec.Elastic != weipipe.ElasticNone || rc.watchdog {
 		mode = fmt.Sprintf(" (fault-tolerant: checkpoint every %d, up to %d restarts, elastic %s)",
-			rc.ckptEvery, rc.maxRestarts, rc.elastic)
+			spec.CheckpointEvery, spec.MaxRestarts, spec.Elastic)
 	}
 	fmt.Printf("training %s on %d workers%s: %d iterations × %d microbatches of %d×%d tokens\n",
-		rc.strategy, rc.p, mode, rc.iters, rc.n, rc.g, rc.cfg.MaxSeq)
-	ropts := weipipe.ResilientOptions{
-		CheckpointEvery: rc.ckptEvery,
-		KeepCheckpoints: rc.ckptKeep,
-		MaxRestarts:     rc.maxRestarts,
-		Elastic:         rc.elastic,
-		Spares:          rc.spares,
-		InitialSnapshot: rc.resume,
-		LR:              rc.sched.LR,
+		spec.Strategy, spec.World, mode, spec.Iters, spec.MicroBatches, spec.MicroBatchSize, spec.Model.MaxSeq)
+	if _, err := os.Stat(spec.CheckpointPath); spec.CheckpointPath != "" && err == nil {
+		fmt.Printf("starting from the checkpoint at %s\n", spec.CheckpointPath)
+	}
+	build := buildTransports(rc)
+	hooks := weipipe.RunHooks{
 		OnIteration: func(iter int, loss float64) {
-			fmt.Printf("iter %3d  lr %.2e  loss %.4f\n", iter, rc.sched.LR(iter), loss)
+			fmt.Printf("iter %3d  lr %.2e  loss %.4f\n", iter, spec.LR(iter), loss)
 		},
 		OnRepair: func(ev weipipe.RepairEvent) {
 			fmt.Printf("elastic repair (%s): ranks %v died, world %d → %d, resuming at iteration %d from buddy replicas\n",
 				ev.Policy, ev.Dead, ev.OldSize, ev.NewSize, ev.Iteration)
 		},
-	}
-	if rc.ckptEvery > 0 {
-		// -checkpoint then holds the rotating full-state checkpoint, and
-		// one left there by an earlier run resumes it.
-		ropts.CheckpointPath = rc.ckptPath
+		Transports: func(attempt, size int) ([]weipipe.Transport, error) {
+			if attempt > 0 {
+				fmt.Printf("rank failure: rebuilding cluster (attempt %d, %d ranks)\n", attempt, size)
+			}
+			return build(attempt, size)
+		},
 	}
 	if rc.watchdog {
-		ropts.Watchdog = &weipipe.WatchdogConfig{
-			DeclareDead: rc.elastic != weipipe.ElasticNone,
+		hooks.Watchdog = &weipipe.WatchdogConfig{
+			DeclareDead: spec.Elastic != weipipe.ElasticNone,
 			OnStraggler: func(r weipipe.StragglerReport) {
 				fmt.Printf("straggler: rank %d stalled %v at iteration %d microbatch %d phase %c (declared dead: %v)\n",
 					r.Rank, r.Stall, r.Iteration, r.Microbatch, r.Phase, r.Declared)
 			},
 		}
 	}
-	res, err := weipipe.RunResilient(rc.strategy, rc.p, rc.cfg, rc.opts, rc.iters,
-		func(iter int) []weipipe.Batch {
-			return weipipe.Microbatches(rc.cfg.Seed+uint64(iter), rc.n, rc.g, rc.cfg.Vocab, rc.cfg.MaxSeq)
-		},
-		func(attempt, size int) ([]weipipe.Transport, error) {
-			if attempt > 0 {
-				fmt.Printf("rank failure: rebuilding cluster (attempt %d, %d ranks)\n", attempt, size)
-			}
-			return buildTransports(rc, size)
-		},
-		ropts)
+	res, err := weipipe.RunResilient(spec, hooks)
 	if err != nil {
 		return err
 	}
@@ -275,15 +179,15 @@ func run(rc runConfig) error {
 	// With -ckpt-every the loop's last checkpoint — the final iteration's,
 	// optimizer state included — is already at -checkpoint; only a run
 	// that took none writes the weights.
-	if rc.ckptPath != "" && rc.ckptEvery == 0 {
-		final := weipipe.BuildModel(rc.cfg)
+	if spec.CheckpointPath != "" && spec.CheckpointEvery == 0 {
+		final := weipipe.BuildModel(spec.Model)
 		weipipe.LoadWeights(final, res.Weights)
 		snap := weipipe.SnapshotModel(final)
-		snap.Step = int64(rc.iters)
-		if err := weipipe.SaveCheckpoint(rc.ckptPath, snap); err != nil {
+		snap.Step = int64(spec.Iters)
+		if err := weipipe.SaveCheckpoint(spec.CheckpointPath, snap); err != nil {
 			return err
 		}
-		fmt.Printf("checkpoint written to %s\n", rc.ckptPath)
+		fmt.Printf("checkpoint written to %s\n", spec.CheckpointPath)
 	}
 	return nil
 }
@@ -303,11 +207,12 @@ func writeTrace(rc runConfig, res *weipipe.ClusterResult) error {
 	if d := rc.traceSet.Dropped(); d > 0 {
 		fmt.Printf("  (event ring wrapped: %d oldest events dropped)\n", d)
 	}
+	spec := rc.spec
 	blob, err := rc.traceSet.ChromeTrace(&trace.RunMeta{
-		Strategy: string(rc.strategy), P: rc.p, N: rc.n,
-		Hidden: rc.cfg.Hidden, Layers: rc.cfg.Layers, Seq: rc.cfg.MaxSeq,
-		Batch: rc.g, Heads: rc.cfg.Heads, Vocab: rc.cfg.Vocab,
-		Iters: rc.iters,
+		Strategy: string(spec.Strategy), P: spec.World, N: spec.MicroBatches,
+		Hidden: spec.Model.Hidden, Layers: spec.Model.Layers, Seq: spec.Model.MaxSeq,
+		Batch: spec.MicroBatchSize, Heads: spec.Model.Heads, Vocab: spec.Model.Vocab,
+		Iters: spec.Iters,
 	})
 	if err != nil {
 		return err
@@ -384,55 +289,19 @@ func runVerifyCkpt(target string) error {
 	return nil
 }
 
-func buildTransports(rc runConfig, size int) ([]weipipe.Transport, error) {
+// buildTransports is the run's fabric: a loopback TCP mesh under -tcp, else
+// the in-process one, each sending under the -bf16 codec.
+func buildTransports(rc runConfig) func(attempt, size int) ([]weipipe.Transport, error) {
 	var codec weipipe.CodecFunc
 	if rc.bf16 {
 		codec = weipipe.BeltBF16
 	}
-	if !rc.tcp {
+	if rc.spec.TCP {
+		return rc.spec.LoopbackTCP(codec)
+	}
+	return func(_, size int) ([]weipipe.Transport, error) {
 		cl := comm.NewClusterCodec(size, codec)
 		cl.AttachTrace(rc.traceSet)
 		return cl.Transports(), nil
 	}
-	addrs, err := weipipe.LoopbackAddrs(size)
-	if err != nil {
-		return nil, err
-	}
-	topts := weipipe.TCPOptions{DialTimeout: rc.dialTimeout, Codec: codec}
-	if rc.chaos > 0 {
-		topts.Chaos = &weipipe.ChaosConfig{
-			Seed:      rc.seed,
-			Drop:      rc.chaos,
-			Dup:       rc.chaos,
-			Reorder:   rc.chaos,
-			Corrupt:   rc.chaos / 2,
-			DelayProb: rc.chaos,
-			MaxDelay:  time.Millisecond,
-		}
-	}
-	transports := make([]weipipe.Transport, size)
-	var wg sync.WaitGroup
-	errs := make([]error, size)
-	for r := 0; r < size; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			to := topts
-			to.Trace = rc.traceSet.Rank(r)
-			transports[r], errs[r] = weipipe.DialTCPOpts(r, addrs, to)
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, t := range transports {
-				if t != nil {
-					t.Close()
-				}
-			}
-			return nil, err
-		}
-	}
-	fmt.Printf("TCP mesh up on %v\n", addrs)
-	return transports, nil
 }

@@ -10,63 +10,29 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
-	"sync"
 
 	"weipipe"
 )
 
 func main() {
-	const (
-		p     = 3
-		iters = 5
-		n     = 6 // microbatches per iteration
-	)
-	cfg := weipipe.Config{Vocab: 64, Hidden: 24, Layers: 3, Heads: 2, MaxSeq: 24, Seed: 3}
-	opts := weipipe.DefaultOptions(2e-3)
-
-	mesh := func(_, size int) ([]weipipe.Transport, error) {
-		addrs, err := weipipe.LoopbackAddrs(size)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("bringing up a %d-rank TCP mesh: %v\n", size, addrs)
+	// One run is one RunSpec: 3 ranks train 5 iterations of 6 microbatches
+	// of 2 sequences, iteration i drawing its batch from seed 100+i.
+	spec := weipipe.RunSpec{
+		Strategy: weipipe.WeiPipeInterleave,
+		Model:    weipipe.Config{Vocab: 64, Hidden: 24, Layers: 3, Heads: 2, MaxSeq: 24, Seed: 3},
+		Options:  weipipe.DefaultOptions(2e-3),
+		World:    3, Iters: 5, MicroBatches: 6, MicroBatchSize: 2, BatchSeed: 100,
+	}
+	res, err := weipipe.RunResilient(spec, weipipe.RunHooks{
 		// The wire precision belongs to the transport: weight and gradient
 		// chunks cross the sockets as bf16, like the paper's working copies.
-		topts := weipipe.TCPOptions{Codec: weipipe.BeltBF16}
-		transports := make([]weipipe.Transport, size)
-		errs := make([]error, size)
-		var wg sync.WaitGroup
-		for r := range transports {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				transports[r], errs[r] = weipipe.DialTCPOpts(r, addrs, topts)
-			}()
-		}
-		wg.Wait()
-		if err := errors.Join(errs...); err != nil {
-			for _, tr := range transports {
-				if tr != nil {
-					tr.Close()
-				}
-			}
-			return nil, err
-		}
-		return transports, nil
-	}
-
-	res, err := weipipe.RunResilient(weipipe.WeiPipeInterleave, p, cfg, opts, iters,
-		func(it int) []weipipe.Batch {
-			return weipipe.Microbatches(uint64(100+it), n, 2, cfg.Vocab, cfg.MaxSeq)
+		Transports: spec.LoopbackTCP(weipipe.BeltBF16),
+		OnIteration: func(it int, loss float64) {
+			fmt.Printf("iter %d  loss %.4f (agreed by every rank at the loss barrier)\n", it, loss)
 		},
-		mesh, weipipe.ResilientOptions{
-			OnIteration: func(it int, loss float64) {
-				fmt.Printf("iter %d  loss %.4f (agreed by every rank at the loss barrier)\n", it, loss)
-			},
-		})
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

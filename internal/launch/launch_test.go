@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"weipipe/internal/comm"
+	"weipipe/internal/model"
+	"weipipe/internal/optim"
 	"weipipe/internal/pipeline"
 	"weipipe/internal/tensor"
 )
@@ -28,16 +30,23 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// testSpec mirrors the in-process equivalence fixtures (eqCfg/eqOpts/
-// eqBatches in the pipeline package) so oracle trajectories line up with
-// the rest of the test suite's expectations.
-func testSpec(dir string, iters int) TrainSpec {
-	return TrainSpec{
-		Vocab: 13, Hidden: 8, Layers: 4, Heads: 2, MaxSeq: 6,
-		ModelSeed: 42, LR: 0.01, Eps: 1e-5,
-		Iters: iters, MicroBatches: 12, MicroBatchSize: 2, BatchSeed: 100,
+// testSpec mirrors the in-process equivalence fixtures (eqSpec in the
+// pipeline package) so oracle trajectories line up with the rest of the
+// test suite's expectations: a WZB2 run of world ranks that repairs (spares
+// admitted while they last) and checkpoints every iteration.
+func testSpec(dir string, world, iters int) pipeline.RunSpec {
+	adam := optim.DefaultAdamW(0.01)
+	adam.Eps = 1e-5
+	return pipeline.RunSpec{
+		Strategy: pipeline.StrategyWZB2,
+		Model:    model.Config{Vocab: 13, Hidden: 8, Layers: 4, Heads: 2, MaxSeq: 6, Seed: 42},
+		Options:  pipeline.Options{Adam: adam},
+		World:    world, Iters: iters, MicroBatches: 12, MicroBatchSize: 2, BatchSeed: 100,
 		CheckpointEvery: 1,
 		CheckpointPath:  filepath.Join(dir, "ckpt.bin"),
+		MaxRestarts:     10,
+		Elastic:         pipeline.ElasticSpare,
+		TCP:             true,
 		Deadlines: comm.Deadlines{
 			Dial:       10 * time.Second,
 			Heartbeat:  25 * time.Millisecond,
@@ -67,7 +76,7 @@ func runSupervised(t *testing.T, o Options) *Report {
 
 // verifyOracle replays rep.History in-process and requires bit-identical
 // final weights and identical final-segment losses.
-func verifyOracle(t *testing.T, spec TrainSpec, rep *Report) {
+func verifyOracle(t *testing.T, spec pipeline.RunSpec, rep *Report) {
 	t.Helper()
 	losses, weights, err := ReplayOracle(spec, rep.History)
 	if err != nil {
@@ -116,8 +125,7 @@ func countFDs(t *testing.T) int {
 
 func TestCrossProcessPlain(t *testing.T) {
 	rep := runSupervised(t, Options{
-		Ranks: 3,
-		Spec:  testSpec(t.TempDir(), 4),
+		Spec: testSpec(t.TempDir(), 3, 4),
 	})
 	if len(rep.History) != 1 || rep.History[0].Policy != "initial" || rep.History[0].World != 3 {
 		t.Fatalf("unexpected history %+v", rep.History)
@@ -146,8 +154,7 @@ func pinBackend(t *testing.T, name string) {
 func TestCrossProcessPinnedBackend(t *testing.T) {
 	pinBackend(t, "scalar")
 	runSupervised(t, Options{
-		Ranks: 3,
-		Spec:  testSpec(t.TempDir(), 3),
+		Spec: testSpec(t.TempDir(), 3, 3),
 	})
 }
 
@@ -193,8 +200,7 @@ func TestMixedBackendFleetRejected(t *testing.T) {
 
 func TestCrossProcessSIGKILLShrinkRecovery(t *testing.T) {
 	rep := runSupervised(t, Options{
-		Ranks: 4,
-		Spec:  testSpec(t.TempDir(), 6),
+		Spec: testSpec(t.TempDir(), 4, 6),
 		Schedule: []FaultEvent{
 			{AtIter: 2, Action: "kill", Target: 1},
 		},
@@ -212,10 +218,10 @@ func TestCrossProcessSIGKILLShrinkRecovery(t *testing.T) {
 }
 
 func TestCrossProcessSIGKILLSpareRecovery(t *testing.T) {
+	spec := testSpec(t.TempDir(), 4, 6)
+	spec.Spares = 1
 	rep := runSupervised(t, Options{
-		Ranks:  4,
-		Spares: 1,
-		Spec:   testSpec(t.TempDir(), 6),
+		Spec: spec,
 		Schedule: []FaultEvent{
 			{AtIter: 2, Action: "kill", Target: 1},
 		},
@@ -226,6 +232,31 @@ func TestCrossProcessSIGKILLSpareRecovery(t *testing.T) {
 	ev := rep.History[1]
 	if ev.Policy != "spare" || ev.World != 4 {
 		t.Fatalf("expected spare re-admission keeping world 4, got %+v", ev)
+	}
+}
+
+// Every strategy runs under the supervisor. One without buddy replicas
+// (activation-passing 1F1B, sharded FSDP) aborts its harvest when a rank is
+// killed, so the run restarts from the last checkpoint on the 3 workers
+// left, and still ends bit-identical to the replay of that history.
+func TestCrossProcessSIGKILLCheckpointRestart(t *testing.T) {
+	for _, s := range []pipeline.Strategy{pipeline.Strategy1F1B, pipeline.StrategyFSDP} {
+		t.Run(string(s), func(t *testing.T) {
+			spec := testSpec(t.TempDir(), 4, 6)
+			spec.Strategy = s
+			rep := runSupervised(t, Options{
+				Spec:     spec,
+				Schedule: []FaultEvent{{AtIter: 2, Action: "kill", Target: 1}},
+			})
+			if len(rep.History) != 2 {
+				t.Fatalf("expected 2 incarnations, got %+v", rep.History)
+			}
+			// Rank 0 writes a checkpoint after every iteration, so one is on
+			// disk before the kill.
+			if ev := rep.History[1]; ev.Policy != "checkpoint" || ev.World != 3 || ev.StartIter < 1 {
+				t.Fatalf("expected a checkpoint restart on 3 workers, got %+v", ev)
+			}
+		})
 	}
 }
 
@@ -247,16 +278,12 @@ func TestCrossProcessPartitionMembershipFence(t *testing.T) {
 	}
 	var steps []step
 	rep := runSupervised(t, Options{
-		Ranks: 4,
-		Spec:  testSpec(t.TempDir(), 6),
+		Spec: testSpec(t.TempDir(), 4, 6),
 		Schedule: []FaultEvent{
 			{AtIter: 2, Action: "partition", Target: victim,
 				Dur: 3 * time.Second, Peers: []int{0, 1, 3}},
 		},
 		OnProgress: func(id int, m Msg) {
-			if m.State != "" {
-				return // barrier beacons are liveness, not progress
-			}
 			mu.Lock()
 			steps = append(steps, step{id: id, epoch: m.Epoch})
 			mu.Unlock()
@@ -316,14 +343,13 @@ func TestSoakChaosSchedules(t *testing.T) {
 	for i := 0; i < n; i++ {
 		seed := uint64(0xdecaf + 7919*i)
 		t.Run(fmt.Sprintf("seed_%#x", seed), func(t *testing.T) {
-			spec := testSpec(t.TempDir(), 8)
+			spec := testSpec(t.TempDir(), 4, 8)
+			spec.Spares = 1
 			spec.Chaos = &comm.ChaosConfig{
 				Seed: seed, Drop: 0.01, Dup: 0.01, Reorder: 0.01, Corrupt: 0.005,
 			}
 			var trace bytes.Buffer
 			o := Options{
-				Ranks:    4,
-				Spares:   1,
 				Spec:     spec,
 				Schedule: GenSchedule(seed, 4, 8, 3),
 				Log:      &trace,

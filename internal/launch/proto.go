@@ -4,9 +4,10 @@
 // against them (SIGKILL, SIGSTOP stalls, timed partitions), and drives the
 // cluster through repair incarnations — spare admission, shrink to p−1, or
 // checkpoint restart — with every incarnation fenced by a fresh epoch and
-// a fresh TCP mesh. The worker side (RunWorker) is a thin loop around
-// pipeline.RunRank: it holds the harvested repair snapshot between
-// incarnations and reports outcomes back.
+// a fresh TCP mesh. Every run is one pipeline.RunSpec, of any strategy. The
+// worker side (RunWorker) is a thin loop around pipeline.RunRank: it holds
+// the harvested repair snapshot between incarnations and reports outcomes
+// back.
 //
 // The control protocol is deliberately boring: newline-delimited JSON over
 // one TCP connection per worker. The supervisor never carries training
@@ -23,7 +24,7 @@ import (
 	"sync"
 	"time"
 
-	"weipipe/internal/comm"
+	"weipipe/internal/pipeline"
 )
 
 // envWorker marks a spawned process as a launch worker; the re-exec'ed
@@ -38,30 +39,6 @@ const (
 	envBackend = "WEIPIPE_LAUNCH_BACKEND"
 )
 
-// TrainSpec is the full training configuration a worker needs — identical
-// across every incarnation of one run, so the supervisor resends it with
-// each assignment and workers stay stateless between runs.
-type TrainSpec struct {
-	Vocab, Hidden, Layers, Heads, MaxSeq int
-	ModelSeed                            uint64
-	LR, Eps                              float64
-	// Iters is the total training length; MicroBatches per iteration (must
-	// divide every world size the run can shrink to), each of
-	// MicroBatchSize sequences, drawn from BatchSeed+iter.
-	Iters, MicroBatches, MicroBatchSize int
-	BatchSeed                           uint64
-	// CheckpointEvery/CheckpointPath enable the disk fallback; rank 0
-	// writes, every worker can read (same machine).
-	CheckpointEvery int
-	CheckpointPath  string
-	// Deadlines is the single timeout budget threaded through transport,
-	// detector and protocol layers on every rank.
-	Deadlines comm.Deadlines
-	// Chaos, when set, injects frame-level faults under the reliability
-	// layer on every rank — the soak harness's knob.
-	Chaos *comm.ChaosConfig
-}
-
 // Msg is the single wire envelope; Type selects which fields matter.
 type Msg struct {
 	Type string `json:"type"`
@@ -71,9 +48,8 @@ type Msg struct {
 	PID     int    `json:"pid,omitempty"`
 	Backend string `json:"backend,omitempty"`
 
-	// progress (worker → supervisor): one per completed iteration, plus
-	// barrier beacons (State nonempty) during long off-wire phases so the
-	// supervisor's stall view can exempt barrier-parked workers.
+	// progress (worker → supervisor): one per completed iteration. State
+	// names an epoch's policy and a fault's action in the supervisor's log.
 	Epoch uint32 `json:"epoch,omitempty"`
 	Iter  int    `json:"iter,omitempty"`
 	State string `json:"state,omitempty"`
@@ -89,14 +65,17 @@ type Msg struct {
 	Losses   []float64 `json:"losses,omitempty"`
 
 	// assign (supervisor → worker)
-	Rank      int        `json:"rank,omitempty"`
-	World     int        `json:"world,omitempty"`
-	Addrs     []string   `json:"addrs,omitempty"`
-	StartIter int        `json:"startIter,omitempty"`
-	SeedFrom  *int       `json:"seedFrom,omitempty"`
-	SeedTo    []int      `json:"seedTo,omitempty"`
-	FromCkpt  bool       `json:"fromCkpt,omitempty"`
-	Spec      *TrainSpec `json:"spec,omitempty"`
+	Rank      int      `json:"rank,omitempty"`
+	World     int      `json:"world,omitempty"`
+	Addrs     []string `json:"addrs,omitempty"`
+	StartIter int      `json:"startIter,omitempty"`
+	SeedFrom  *int     `json:"seedFrom,omitempty"`
+	SeedTo    []int    `json:"seedTo,omitempty"`
+	FromCkpt  bool     `json:"fromCkpt,omitempty"`
+	// Spec is the run, identical across every incarnation: the supervisor
+	// resends it with each assignment, so workers stay stateless between
+	// runs.
+	Spec *pipeline.RunSpec `json:"spec,omitempty"`
 
 	// partition (supervisor → worker): blackhole the worker's live links
 	// toward Peers for Dur — nothing leaves those links, modelling a

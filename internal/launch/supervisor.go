@@ -29,12 +29,12 @@ var ErrMixedBackends = errors.New("launch: workers disagree on the tensor backen
 
 // Options configures RunSupervisor.
 type Options struct {
-	// Ranks is the initial world size; Spares is how many extra standby
-	// worker processes to spawn (admitted after failures to keep the world
-	// size, then re-filled by fenced-out zombies that retire to standby).
-	Ranks, Spares int
-	// Spec is the training configuration handed to every worker.
-	Spec TrainSpec
+	// Spec is the run handed to every worker. Spec.World worker processes
+	// form the initial world and Spec.Spares more stand by, admitted after
+	// failures under ElasticSpare to keep the world size (fenced-out
+	// zombies that retire to standby re-fill the pool). Spec.MaxRestarts
+	// bounds the incarnations after the first.
+	Spec pipeline.RunSpec
 	// Schedule is the fault schedule to execute (see GenSchedule).
 	Schedule []FaultEvent
 	// WorkerArgv is the command re-exec'ed for each worker process
@@ -74,7 +74,8 @@ type EpochEvent struct {
 	World     int    `json:"world"`
 	StartIter int    `json:"startIter"`
 	// Policy is how this incarnation came to be: "initial", "spare",
-	// "shrink", or "checkpoint".
+	// "shrink", or "checkpoint" (from the last checkpoint on disk, or from
+	// scratch without one).
 	Policy string `json:"policy"`
 	// Dead lists the previous incarnation's ranks whose loss caused this
 	// one (empty for "initial").
@@ -118,7 +119,7 @@ type supEvent struct {
 	died bool   // process exited
 }
 
-// RunSupervisor spawns Ranks+Spares worker processes, drives them through
+// RunSupervisor spawns World+Spares worker processes, drives them through
 // training incarnations under the fault schedule, and returns the final
 // report. The run succeeds when every rank of some incarnation completes
 // all iterations; it fails when no repair policy can continue.
@@ -128,8 +129,8 @@ type supEvent struct {
 // ReplayOracle replays on; a worker that reports one of another bit class
 // fails the run with ErrMixedBackends before any rank is assigned.
 func RunSupervisor(o Options) (*Report, error) {
-	if o.Ranks < 2 {
-		return nil, fmt.Errorf("launch: need at least 2 ranks, got %d", o.Ranks)
+	if err := o.Spec.Validate(); err != nil {
+		return nil, err
 	}
 	if o.EpochTimeout <= 0 {
 		o.EpochTimeout = 120 * time.Second
@@ -167,7 +168,7 @@ func RunSupervisor(o Options) (*Report, error) {
 		}
 	}()
 
-	total := o.Ranks + o.Spares
+	total := o.Spec.World + o.Spec.Spares
 	for i := 0; i < total; i++ {
 		cmd := exec.Command(argv[0], argv[1:]...)
 		cmd.Env = append(os.Environ(),
@@ -310,13 +311,13 @@ func (s *supervisor) teardown(ln net.Listener) {
 func (s *supervisor) run() (*Report, error) {
 	s.fired = make([]bool, len(s.o.Schedule))
 	epoch := uint32(1)
-	world := s.o.Ranks
+	world := s.o.Spec.World
 	startIter := 0
 	policy := "initial"
 	var dead []int // previous incarnation's dead ranks
 	var seedTo []int
 
-	// Initial assignment: workers 0..Ranks-1 in order; the rest standby.
+	// Initial assignment: workers 0..World-1 in order; the rest standby.
 	ids := make([]int, 0, len(s.procs))
 	for id := range s.procs {
 		ids = append(ids, id)
@@ -359,6 +360,9 @@ func (s *supervisor) run() (*Report, error) {
 
 		if rep, done := s.completed(active); done {
 			return rep, nil
+		}
+		if int(epoch) > s.o.Spec.MaxRestarts {
+			return nil, fmt.Errorf("launch: epoch %d failed after %d restarts", epoch, epoch-1)
 		}
 
 		next, err := s.plan(active)
@@ -414,14 +418,14 @@ func (s *supervisor) handleEvent(ev supEvent, active []int, epoch uint32) {
 	case ev.err != nil:
 		// Control channel gone; the process-exit event follows.
 	case ev.msg.Type == "progress":
-		s.log(Msg{Type: "progress", ID: ev.id, Epoch: ev.msg.Epoch, Iter: ev.msg.Iter, State: ev.msg.State})
+		s.log(Msg{Type: "progress", ID: ev.id, Epoch: ev.msg.Epoch, Iter: ev.msg.Iter})
 		if s.o.OnProgress != nil {
 			s.o.OnProgress(ev.id, ev.msg)
 		}
 		// Stale-epoch progress (a zombie that woke up mid-repair) never
 		// triggers faults: the rank numbering it reports is from a fenced
 		// incarnation.
-		if ev.msg.Epoch == epoch && ev.msg.State == "" {
+		if ev.msg.Epoch == epoch {
 			s.fire(p, ev.msg.Iter)
 		}
 	case ev.msg.Type == "result":
@@ -495,8 +499,9 @@ type nextEpoch struct {
 }
 
 // plan decides how the run continues after a failed incarnation: the
-// repair pipeline.PlanRepair picks (spare admission while standbys last,
-// else shrink) or, when it finds none, checkpoint restart.
+// repair pipeline.PlanRepair picks (spare admission while standbys last
+// under ElasticSpare, else shrink) or, when it finds none, checkpoint
+// restart. Under ElasticNone no rank harvests, so every failure restarts.
 func (s *supervisor) plan(active []int) (*nextEpoch, error) {
 	// Survivors: ranks that harvested a repair snapshot. Cross-check that
 	// they agreed on the dead set, the cut, and the snapshot bits.
@@ -540,8 +545,12 @@ func (s *supervisor) plan(active []int) (*nextEpoch, error) {
 	}
 
 	standbys := s.standbys()
-	if admit, ok := pipeline.PlanRepair(len(survivors), len(deadSet), len(standbys),
-		s.o.Spec.Layers+2, s.o.Spec.MicroBatches); ok {
+	spares := 0
+	if s.o.Spec.Elastic == pipeline.ElasticSpare {
+		spares = len(standbys)
+	}
+	modules, n := s.o.Spec.Model.NumModules(), s.o.Spec.MicroBatches
+	if admit, ok := pipeline.PlanRepair(len(survivors), len(deadSet), spares, modules, n); ok {
 		next := &nextEpoch{world: len(survivors) + admit, startIter: cut, dead: deadSet, policy: "shrink"}
 		for _, v := range survivors {
 			next.active = append(next.active, v.id)
@@ -556,27 +565,29 @@ func (s *supervisor) plan(active []int) (*nextEpoch, error) {
 		return next, nil
 	}
 
-	// Checkpoint restart: every usable worker re-reads the last coordinated
-	// checkpoint from disk.
-	if s.o.Spec.CheckpointPath == "" {
-		return nil, fmt.Errorf("launch: no repair possible (survivors=%d, standbys=%d) and no checkpoint configured",
-			len(survivors), len(standbys))
-	}
-	snap, err := checkpoint.Load(s.o.Spec.CheckpointPath)
-	if err != nil {
-		return nil, fmt.Errorf("launch: checkpoint restart: %w", err)
+	// Checkpoint restart: every usable worker starts again from the last
+	// coordinated checkpoint on disk, or from scratch when there is none.
+	startIter := 0
+	if path := s.o.Spec.CheckpointPath; path != "" {
+		if _, err := os.Stat(path); err == nil {
+			snap, err := checkpoint.Load(path)
+			if err != nil {
+				return nil, fmt.Errorf("launch: checkpoint restart: %w", err)
+			}
+			startIter = int(snap.Step)
+		}
 	}
 	pool := append([]int(nil), standbys...)
 	for _, v := range survivors {
 		pool = append(pool, v.id)
 	}
 	sort.Ints(pool)
-	for nw := min(s.o.Ranks, len(pool)); nw >= 2; nw-- {
-		if nw > s.o.Spec.Layers+2 || s.o.Spec.MicroBatches%nw != 0 {
+	for nw := min(s.o.Spec.World, len(pool)); nw >= 2; nw-- {
+		if !pipeline.ValidWorld(nw, modules, n) {
 			continue
 		}
 		return &nextEpoch{
-			world: nw, startIter: int(snap.Step), policy: "checkpoint",
+			world: nw, startIter: startIter, policy: "checkpoint",
 			dead: deadSet, active: pool[:nw],
 		}, nil
 	}

@@ -10,9 +10,6 @@ import (
 
 	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
-	"weipipe/internal/data"
-	"weipipe/internal/model"
-	"weipipe/internal/optim"
 	"weipipe/internal/pipeline"
 	"weipipe/internal/tensor"
 )
@@ -129,12 +126,16 @@ func (w *worker) serve(m Msg) error {
 	}
 	snap := w.snap
 	if m.FromCkpt {
-		loaded, err := checkpoint.Load(spec.CheckpointPath)
-		if err != nil {
-			return w.c.send(Msg{Type: "result", Epoch: m.Epoch, Aborted: true,
-				Reason: "checkpoint: " + err.Error()})
+		// A restart at iteration 0 is one from scratch.
+		snap = nil
+		if m.StartIter > 0 {
+			loaded, err := checkpoint.Load(spec.CheckpointPath)
+			if err != nil {
+				return w.c.send(Msg{Type: "result", Epoch: m.Epoch, Aborted: true,
+					Reason: "checkpoint: " + err.Error()})
+			}
+			snap = loaded
 		}
-		snap = loaded
 	}
 
 	seedFrom := -1
@@ -142,43 +143,25 @@ func (w *worker) serve(m Msg) error {
 		seedFrom = *m.SeedFrom
 	}
 	a := pipeline.RankAssignment{
-		Epoch: m.Epoch, Rank: m.Rank, World: m.World, Addrs: m.Addrs,
+		Epoch: m.Epoch, Rank: m.Rank, World: m.World,
 		StartIter: m.StartIter, SeedFrom: seedFrom, SeedTo: m.SeedTo,
 	}
-	dl := spec.Deadlines.WithDefaults()
-	rc := pipeline.RankConfig{
-		Strategy:        pipeline.StrategyWZB2,
-		Cfg:             spec.config(),
-		Opts:            spec.options(),
-		Iters:           spec.Iters,
-		BatchesFn:       spec.batches(),
-		Deadlines:       dl,
-		CheckpointEvery: spec.CheckpointEvery,
-		CheckpointPath:  spec.CheckpointPath,
-		Snapshot:        snap,
+	hooks := pipeline.RunHooks{
+		Snapshot: snap,
 		OnIteration: func(iter int, loss float64) {
 			w.c.send(Msg{Type: "progress", Epoch: m.Epoch, Iter: iter})
 		},
-		Beacon: func(state string, iter int) {
-			w.c.send(Msg{Type: "progress", Epoch: m.Epoch, Iter: iter, State: state})
-		},
-		Transport: func(a pipeline.RankAssignment) (comm.Transport, error) {
-			opts := dl.TCPOptions()
-			opts.Epoch = a.Epoch
-			opts.Chaos = spec.Chaos
-			tr, err := comm.DialTCPOpts(a.Rank, a.Addrs, opts)
-			if err == nil {
-				w.setTransport(tr)
-			}
-			return tr, err
-		},
 	}
-
-	out, err := pipeline.RunRank(a, rc)
-	if w.tr != nil {
-		pipeline.CloseMesh(w.tr, dl)
+	tr, err := comm.DialTCPOpts(m.Rank, m.Addrs, spec.TCPOptions(m.Epoch))
+	if err != nil {
+		w.snap = nil
+		return w.c.send(Msg{Type: "result", Epoch: m.Epoch, Aborted: true,
+			Reason: fmt.Sprintf("rank %d epoch %d bring-up: %v", m.Rank, m.Epoch, err)})
 	}
+	w.setTransport(tr)
+	out, err := pipeline.RunRank(a, tr, *spec, hooks)
 	w.setTransport(nil)
+	pipeline.CloseMesh(tr, spec.Deadlines)
 	if err != nil {
 		w.snap = nil
 		return w.c.send(Msg{Type: "result", Epoch: m.Epoch, Aborted: true,
@@ -205,29 +188,4 @@ func (w *worker) serve(m Msg) error {
 		w.snap = nil
 	}
 	return w.c.send(res)
-}
-
-// batches is the per-iteration microbatch source every rank and the
-// replay oracle share: iteration i draws from BatchSeed+i, so data is a
-// pure function of the spec and the global iteration number — no rank or
-// incarnation leaks into it.
-func (s *TrainSpec) batches() func(int) []data.Batch {
-	return func(i int) []data.Batch {
-		return data.Microbatches(s.BatchSeed+uint64(i), s.MicroBatches, s.MicroBatchSize, s.Vocab, s.MaxSeq)
-	}
-}
-
-// config materialises the model configuration (shared with the oracle).
-func (s *TrainSpec) config() model.Config {
-	return model.Config{
-		Vocab: s.Vocab, Hidden: s.Hidden, Layers: s.Layers,
-		Heads: s.Heads, MaxSeq: s.MaxSeq, Seed: s.ModelSeed,
-	}
-}
-
-// options materialises the trainer options (shared with the oracle).
-func (s *TrainSpec) options() pipeline.Options {
-	adam := optim.DefaultAdamW(s.LR)
-	adam.Eps = s.Eps
-	return pipeline.Options{Adam: adam}
 }

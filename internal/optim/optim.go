@@ -197,18 +197,6 @@ func ClipByGlobalNorm(g []float32, maxNorm float64) float64 {
 	return n
 }
 
-// Schedule maps a step index to a learning rate.
-type Schedule interface {
-	// LR returns the learning rate for 0-indexed optimizer step `step`.
-	LR(step int) float64
-}
-
-// ConstantLR is a fixed learning rate.
-type ConstantLR float64
-
-// LR implements Schedule.
-func (c ConstantLR) LR(int) float64 { return float64(c) }
-
 // WarmupCosine is the LLM-standard schedule: linear warm-up from 0 to Base
 // over Warmup steps, then cosine decay to Floor at Total steps (and Floor
 // afterwards).
@@ -219,7 +207,7 @@ type WarmupCosine struct {
 	Total  int
 }
 
-// LR implements Schedule.
+// LR returns the learning rate for 0-indexed optimizer step `step`.
 func (w WarmupCosine) LR(step int) float64 {
 	if w.Warmup > 0 && step < w.Warmup {
 		return w.Base * float64(step+1) / float64(w.Warmup)

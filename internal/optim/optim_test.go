@@ -124,12 +124,6 @@ func TestClipByGlobalNorm(t *testing.T) {
 	}
 }
 
-func TestConstantLR(t *testing.T) {
-	if ConstantLR(0.1).LR(12345) != 0.1 {
-		t.Fatal("constant LR not constant")
-	}
-}
-
 func TestWarmupCosineShape(t *testing.T) {
 	sch := WarmupCosine{Base: 1.0, Floor: 0.1, Warmup: 10, Total: 110}
 	// warm-up is linear and increasing

@@ -17,8 +17,7 @@ import (
 // The one driver: RunResilient supervises one RunRank per rank, and RunRank
 // is the loop every rank runs. These tests pin what the wire gathers must
 // reproduce from the in-memory capture and assembly, for every strategy;
-// the error a periodic checkpoint of a trainer without optimizer export
-// gives; the resume rule; and per-rank tracing.
+// the resume rule; and per-rank tracing.
 
 // handTrained builds s on a p-rank in-process cluster and trains iters
 // iterations on it directly — the in-memory reference the driver's gathers
@@ -45,8 +44,9 @@ func handTrained(t *testing.T, s Strategy, p int, opts Options, iters int,
 // runFleet runs one bare RunRank per rank over an in-process cluster — the
 // driver without its supervisor — and returns the outcomes. The endpoints
 // are the test's: it closes them once every rank is home.
-func runFleet(t *testing.T, p int, rc RankConfig) []*RankOutcome {
+func runFleet(t *testing.T, spec RunSpec, hooks RunHooks) []*RankOutcome {
 	t.Helper()
+	p := spec.World
 	cl := comm.NewCluster(p)
 	defer cl.Close()
 	outs := make([]*RankOutcome, p)
@@ -55,9 +55,7 @@ func runFleet(t *testing.T, p int, rc RankConfig) []*RankOutcome {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rc := rc
-			rc.Transport = func(RankAssignment) (comm.Transport, error) { return cl.Transport(r), nil }
-			out, err := RunRank(RankAssignment{Rank: r, World: p, SeedFrom: -1}, rc)
+			out, err := RunRank(RankAssignment{Rank: r, World: p, SeedFrom: -1}, cl.Transport(r), spec, hooks)
 			if err != nil {
 				t.Errorf("rank %d: %v", r, err)
 			}
@@ -94,28 +92,27 @@ func sameSnapshot(got, want *checkpoint.Snapshot) error {
 }
 
 // The checkpoint RunRank's ranks gather over the wire is CaptureSnapshot's
-// bit for bit — weights, moments, optimizer step and spike window — for the
-// strategies that can checkpoint, with the buddy replica on and off.
+// bit for bit — weights, moments, optimizer step and spike window — for
+// every strategy, with the buddy replica on and off.
 func TestDriverWireCheckpointMatchesCapture(t *testing.T) {
 	const iters, n = 3, 6
-	strategies := []Strategy{StrategySerial, StrategyWeiPipeNaive, StrategyWeiPipeInterleave,
-		StrategyWZB1, StrategyWZB2, StrategyWZB2G, StrategyWeiPipeDP}
-	for _, s := range strategies {
+	for _, s := range append(Strategies(), StrategySerial, StrategyWeiPipeDP) {
 		for _, p := range []int{1, 2, 3} {
 			if s == StrategySerial && p > 1 {
 				continue
 			}
 			for _, buddy := range []bool{false, true} {
-				opts := eqOpts()
-				opts.Guard = true
-				ropts := ResilientOptions{CheckpointEvery: iters}
+				spec := eqSpec(s, p, iters, n)
+				spec.Options.Guard = true
+				spec.CheckpointEvery = iters
 				if buddy {
-					ropts.Elastic = ElasticShrink // the repair ladder turns buddy replication on
+					spec.Elastic = ElasticShrink // the repair ladder turns buddy replication on
 				}
-				res, err := RunResilient(s, p, eqCfg(), opts, iters, eqBatches(iters, n), inprocFactory(p), ropts)
+				res, err := RunResilient(spec, RunHooks{})
 				if err != nil {
 					t.Fatalf("%s p=%d buddy=%v: %v", s, p, buddy, err)
 				}
+				opts := spec.Options
 				opts.buddy = buddy
 				want, err := CaptureSnapshot(handTrained(t, s, p, opts, iters, eqBatches(iters, n)), iters)
 				if err != nil {
@@ -155,20 +152,6 @@ func TestDriverFinalWeightsMatchAssemble(t *testing.T) {
 	}
 }
 
-// A periodic checkpoint of a trainer that keeps no exportable optimizer
-// state fails the run with the capture's error.
-func TestDriverCheckpointNeedsRecoverable(t *testing.T) {
-	for s, typ := range map[Strategy]string{
-		Strategy1F1B: "*pipeline.PP", StrategyFSDP: "*pipeline.FSDP", StrategyDP: "*pipeline.DP",
-	} {
-		_, err := RunResilient(s, 2, eqCfg(), eqOpts(), 2, eqBatches(2, 4), inprocFactory(2),
-			ResilientOptions{CheckpointEvery: 1})
-		if want := "pipeline: " + typ + " cannot checkpoint optimizer state"; err == nil || err.Error() != want {
-			t.Errorf("%s: got %v, want %q", s, err, want)
-		}
-	}
-}
-
 // A weight-only snapshot seeds the weights alone — iteration 0 on a fresh
 // optimizer, whatever its Step says — while a full-state snapshot resumes at
 // its Step, through RunResilient and through a bare RunRank fleet alike.
@@ -180,25 +163,23 @@ func TestDriverResumeRule(t *testing.T) {
 	}
 	weightOnly := checkpoint.FromModel(model.Build(eqCfg()))
 	weightOnly.Step = 5
-	first, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), cut, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{CheckpointEvery: cut})
+	spec := eqSpec(StrategyWZB2, p, cut, n)
+	spec.CheckpointEvery = cut
+	first, err := RunResilient(spec, RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec = eqSpec(StrategyWZB2, p, iters, n)
 	drivers := map[string]func(seed *checkpoint.Snapshot) ([]float64, []float32){
 		"RunResilient": func(seed *checkpoint.Snapshot) ([]float64, []float32) {
-			res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-				inprocFactory(p), ResilientOptions{InitialSnapshot: seed})
+			res, err := RunResilient(spec, RunHooks{Snapshot: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Losses, res.Weights
 		},
 		"RunRank": func(seed *checkpoint.Snapshot) ([]float64, []float32) {
-			out := runFleet(t, p, RankConfig{
-				Strategy: StrategyWZB2, Cfg: eqCfg(), Opts: eqOpts(), Iters: iters,
-				BatchesFn: eqBatches(iters, n), Snapshot: seed,
-			})[0]
+			out := runFleet(t, spec, RunHooks{Snapshot: seed})[0]
 			return out.Losses, out.Weights
 		},
 	}
@@ -213,6 +194,35 @@ func TestDriverResumeRule(t *testing.T) {
 	}
 }
 
+// Every strategy resumes from its own mid-run checkpoint on the exact
+// trajectory of the uninterrupted run.
+func TestDriverResumeEveryStrategy(t *testing.T) {
+	const iters, cut, n = 4, 2, 4
+	for _, s := range append(Strategies(), StrategySerial, StrategyWeiPipeDP) {
+		p := 2
+		if s == StrategySerial {
+			p = 1
+		}
+		spec := eqSpec(s, p, iters, n)
+		whole, err := RunResilient(spec, RunHooks{})
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		first := spec
+		first.Iters, first.CheckpointEvery = cut, cut
+		part, err := RunResilient(first, RunHooks{})
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		rest, err := RunResilient(spec, RunHooks{Snapshot: part.Checkpoint})
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		bitIdentical(t, string(s)+" resumed vs uninterrupted",
+			rest.Losses[cut:], whole.Losses[cut:], rest.Weights, whole.Weights)
+	}
+}
+
 // A RunRank fleet traces per rank: one trace.PerIteration row per rank per
 // iteration, as many as RunCluster's.
 func TestDriverRunRankFleetTraces(t *testing.T) {
@@ -223,11 +233,9 @@ func TestDriverRunRankFleetTraces(t *testing.T) {
 		return len(trace.PerIteration(set.Events()))
 	}
 	fleet := rows(func(set *trace.Set) {
-		opts := eqOpts()
-		opts.Trace = set
-		runFleet(t, p, RankConfig{
-			Strategy: StrategyWZB2, Cfg: eqCfg(), Opts: opts, Iters: iters, BatchesFn: eqBatches(iters, n),
-		})
+		spec := eqSpec(StrategyWZB2, p, iters, n)
+		spec.Options.Trace = set
+		runFleet(t, spec, RunHooks{})
 	})
 	cluster := rows(func(set *trace.Set) {
 		opts := eqOpts()

@@ -50,7 +50,7 @@ const (
 	// invalid).
 	ElasticShrink
 	// ElasticSpare repairs by admitting standby spares (world size is
-	// preserved while ResilientOptions.Spares last), seeding the
+	// preserved while RunSpec.Spares last), seeding the
 	// replacement ranks from the harvested snapshot; once spares run out
 	// it shrinks, and as a last resort falls back to checkpoint restart.
 	ElasticSpare
@@ -65,6 +65,21 @@ func (e ElasticPolicy) String() string {
 		return "spare"
 	}
 	return "none"
+}
+
+// MarshalText implements encoding.TextMarshaler: a RunSpec carries the
+// policy by name, in JSON and on the command line.
+func (e ElasticPolicy) MarshalText() ([]byte, error) { return []byte(e.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (e *ElasticPolicy) UnmarshalText(b []byte) error {
+	for _, p := range []ElasticPolicy{ElasticNone, ElasticShrink, ElasticSpare} {
+		if string(b) == p.String() {
+			*e = p
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown elastic policy %q (none, shrink, spare)", b)
 }
 
 // RepairEvent describes one elastic repair RunResilient performed.
@@ -87,20 +102,25 @@ type RepairEvent struct {
 	Snapshot *checkpoint.Snapshot
 }
 
+// ValidWorld is the one rule for the world a repair or a checkpoint
+// restart may form: 2 ≤ world ≤ modules (cfg.Layers+2), so every rank owns
+// a WeiPipe chunk or a stage, and microbatches % world == 0.
+func ValidWorld(world, modules, microbatches int) bool {
+	return world >= 2 && world <= modules && microbatches%world == 0
+}
+
 // PlanRepair is the repair ladder's one planner, shared by RunResilient
 // and the launch supervisor: after a failure whose survivors harvested a
 // snapshot, it admits spares while standbys last, dropping admissions until
-// the ring is valid for WeiPipe — 2 ≤ world ≤ modules (cfg.Layers+2) and
-// microbatches % world == 0. Admitting none is a shrink. ok is false when
-// no world is valid (or nobody survived); the driver then falls back to
-// its checkpoint restart.
+// the world is valid (ValidWorld). Admitting none is a shrink. ok is false
+// when no world is valid (or nobody survived); the driver then falls back
+// to its checkpoint restart.
 func PlanRepair(survivors, dead, spares, modules, microbatches int) (admit int, ok bool) {
 	if survivors < 1 {
 		return 0, false
 	}
 	for admit = min(dead, spares); admit >= 0; admit-- {
-		world := survivors + admit
-		if world >= 2 && world <= modules && microbatches%world == 0 {
+		if ValidWorld(survivors+admit, modules, microbatches) {
 			return admit, true
 		}
 	}

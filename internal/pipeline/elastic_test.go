@@ -24,17 +24,17 @@ import (
 func buddySendsPerIteration(t *testing.T, p, iters, n int) int64 {
 	t.Helper()
 	var probe *comm.FaultTransport
-	_, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			Elastic: ElasticShrink,
-			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
-				if rank == 1 {
-					probe = comm.NewFaultTransport(tr, comm.FaultConfig{})
-					return probe
-				}
-				return tr
-			},
-		})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.Elastic = ElasticShrink
+	_, err := RunResilient(spec, RunHooks{
+		Transports: wrapped(inproc, func(attempt, rank int, tr comm.Transport) comm.Transport {
+			if rank == 1 {
+				probe = comm.NewFaultTransport(tr, comm.FaultConfig{})
+				return probe
+			}
+			return tr
+		}),
+	})
 	if err != nil {
 		t.Fatalf("buddy probe run: %v", err)
 	}
@@ -51,8 +51,9 @@ func TestBuddyReplicationOffCriticalPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{Elastic: ElasticShrink})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.Elastic = ElasticShrink
+	on, err := RunResilient(spec, RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +166,13 @@ func TestElasticShrinkRepairWZB2ChaosTCP(t *testing.T) {
 
 	var crashed *comm.FaultTransport
 	var ev RepairEvent
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		chaosTCPFactory(tcpOpts), ResilientOptions{
-			MaxRestarts:   1,
-			Elastic:       ElasticShrink,
-			OnRepair:      func(e RepairEvent) { ev = e },
-			WrapTransport: crashRankOne(&crashed, perIter*3+perIter/2),
-		})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.MaxRestarts = 1
+	spec.Elastic = ElasticShrink
+	res, err := RunResilient(spec, RunHooks{
+		Transports: wrapped(chaosTCPFactory(tcpOpts), crashRankOne(&crashed, perIter*3+perIter/2)),
+		OnRepair:   func(e RepairEvent) { ev = e },
+	})
 	if err != nil {
 		t.Fatalf("elastic chaos run failed: %v", err)
 	}
@@ -194,11 +195,9 @@ func TestElasticShrinkRepairWZB2ChaosTCP(t *testing.T) {
 	}
 
 	// Reference: a fresh 2-rank cluster started from the harvested snapshot.
-	ref, err := RunResilient(StrategyWZB2, ev.NewSize, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(ev.NewSize), ResilientOptions{
-			Elastic:         ElasticShrink,
-			InitialSnapshot: ev.Snapshot,
-		})
+	spec = eqSpec(StrategyWZB2, ev.NewSize, iters, n)
+	spec.Elastic = ElasticShrink
+	ref, err := RunResilient(spec, RunHooks{Snapshot: ev.Snapshot})
 	if err != nil {
 		t.Fatalf("reference run from repair snapshot: %v", err)
 	}
@@ -234,14 +233,14 @@ func TestElasticSpareRepairInproc(t *testing.T) {
 
 	var crashed *comm.FaultTransport
 	var ev RepairEvent
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			MaxRestarts:   1,
-			Elastic:       ElasticSpare,
-			Spares:        1,
-			OnRepair:      func(e RepairEvent) { ev = e },
-			WrapTransport: crashRankOne(&crashed, perIter*2+perIter/2),
-		})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.MaxRestarts = 1
+	spec.Elastic = ElasticSpare
+	spec.Spares = 1
+	res, err := RunResilient(spec, RunHooks{
+		Transports: wrapped(inproc, crashRankOne(&crashed, perIter*2+perIter/2)),
+		OnRepair:   func(e RepairEvent) { ev = e },
+	})
 	if err != nil {
 		t.Fatalf("spare repair run failed: %v", err)
 	}
@@ -255,11 +254,9 @@ func TestElasticSpareRepairInproc(t *testing.T) {
 		t.Fatalf("dead set %v, want [1]", ev.Dead)
 	}
 
-	ref, err := RunResilient(StrategyWZB2, ev.NewSize, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(ev.NewSize), ResilientOptions{
-			Elastic:         ElasticSpare,
-			InitialSnapshot: ev.Snapshot,
-		})
+	spec = eqSpec(StrategyWZB2, ev.NewSize, iters, n)
+	spec.Elastic = ElasticSpare
+	ref, err := RunResilient(spec, RunHooks{Snapshot: ev.Snapshot})
 	if err != nil {
 		t.Fatalf("reference run from repair snapshot: %v", err)
 	}
@@ -281,15 +278,15 @@ func TestElasticTwoRankNoQuorumFallsBackToCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var crashed *comm.FaultTransport
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			CheckpointEvery: 2,
-			MaxRestarts:     1,
-			Elastic:         ElasticSpare,
-			Spares:          1,
-			OnRepair:        func(e RepairEvent) { t.Errorf("repair without quorum: %+v", e) },
-			WrapTransport:   crashRankOne(&crashed, perIter*2+perIter/2),
-		})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.CheckpointEvery = 2
+	spec.MaxRestarts = 1
+	spec.Elastic = ElasticSpare
+	spec.Spares = 1
+	res, err := RunResilient(spec, RunHooks{
+		Transports: wrapped(inproc, crashRankOne(&crashed, perIter*2+perIter/2)),
+		OnRepair:   func(e RepairEvent) { t.Errorf("repair without quorum: %+v", e) },
+	})
 	if err != nil {
 		t.Fatalf("checkpoint fallback failed: %v", err)
 	}
@@ -364,23 +361,23 @@ func TestElasticDoubleDeathFallsBackToCheckpoint(t *testing.T) {
 	// Chunk 0 is owned by rank 2 and shadowed by rank 1: killing both at
 	// the iteration-3 barrier makes chunk 0 unrecoverable from replicas.
 	var dead atomic.Bool
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			CheckpointEvery: 2,
-			MaxRestarts:     1,
-			Elastic:         ElasticShrink,
-			OnIteration: func(iter int, loss float64) {
-				if iter == 2 {
-					dead.Store(true)
-				}
-			},
-			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
-				if attempt == 0 && (rank == 1 || rank == 2) {
-					return &killSwitch{Transport: tr, dead: &dead}
-				}
-				return tr
-			},
-		})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.CheckpointEvery = 2
+	spec.MaxRestarts = 1
+	spec.Elastic = ElasticShrink
+	res, err := RunResilient(spec, RunHooks{
+		Transports: wrapped(inproc, func(attempt, rank int, tr comm.Transport) comm.Transport {
+			if attempt == 0 && (rank == 1 || rank == 2) {
+				return &killSwitch{Transport: tr, dead: &dead}
+			}
+			return tr
+		}),
+		OnIteration: func(iter int, loss float64) {
+			if iter == 2 {
+				dead.Store(true)
+			}
+		},
+	})
 	if err != nil {
 		t.Fatalf("double-death run failed to recover: %v", err)
 	}

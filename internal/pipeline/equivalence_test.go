@@ -28,6 +28,13 @@ func eqOpts() Options {
 	return Options{Adam: adam}
 }
 
+// eqSpec is the equivalence fixture as a run: eqCfg, eqOpts and, from
+// RunSpec.Batches, eqBatches' data.
+func eqSpec(s Strategy, p, iters, n int) RunSpec {
+	return RunSpec{Strategy: s, Model: eqCfg(), Options: eqOpts(), World: p,
+		Iters: iters, MicroBatches: n, MicroBatchSize: 2, BatchSeed: 100}
+}
+
 func eqBatches(iters, n int) func(int) []data.Batch {
 	all := make([][]data.Batch, iters)
 	for i := range all {
@@ -276,11 +283,10 @@ func TestGuardNonFiniteSkipsOnEveryRunner(t *testing.T) {
 		t.Run(string(r.s), func(t *testing.T) {
 			t.Parallel()
 			train := func(guard bool) *ClusterResult {
-				opts := eqOpts()
-				opts.GroupSize = r.groupSize
-				opts.Guard = guard
-				res, err := RunResilient(r.s, r.p, eqCfg(), opts, iters, eqBatches(iters, n),
-					inprocFactory(r.p), ResilientOptions{InitialSnapshot: seed()})
+				spec := eqSpec(r.s, r.p, iters, n)
+				spec.Options.GroupSize = r.groupSize
+				spec.Options.Guard = guard
+				res, err := RunResilient(spec, RunHooks{Snapshot: seed()})
 				if err != nil {
 					t.Fatal(err)
 				}

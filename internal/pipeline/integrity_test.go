@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
+	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
 	"weipipe/internal/data"
 	"weipipe/internal/model"
@@ -82,8 +84,9 @@ func TestIntegrityDetectsEverySite(t *testing.T) {
 			opts.BitFlip = inj
 			// RunResilient with a zero restart budget: the typed error must
 			// fail the run cleanly (RunCluster has no failure propagation).
-			_, err := RunResilient(StrategyWZB2, p, eqCfg(), opts, iters, eqBatches(iters, n),
-				inprocFactory(p), ResilientOptions{})
+			spec := eqSpec(StrategyWZB2, p, iters, n)
+			spec.Options = opts
+			_, err := RunResilient(spec, RunHooks{})
 			if err == nil {
 				t.Fatal("injected flip was silently absorbed")
 			}
@@ -119,8 +122,9 @@ func TestIntegrityDetectsKernelFlip(t *testing.T) {
 	}()
 	opts := integrityOpts()
 	opts.BitFlip = inj
-	_, err := RunResilient(StrategyWZB2, p, eqCfg(), opts, iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.Options = opts
+	_, err := RunResilient(spec, RunHooks{})
 	if err == nil {
 		t.Fatal("kernel flip was silently absorbed")
 	}
@@ -151,11 +155,11 @@ func TestIntegrityRepairBitIdentical(t *testing.T) {
 	})
 	faulted := opts
 	faulted.BitFlip = inj
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), faulted, iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			CheckpointEvery: 2,
-			MaxRestarts:     1,
-		})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.Options = faulted
+	spec.CheckpointEvery = 2
+	spec.MaxRestarts = 1
+	res, err := RunResilient(spec, RunHooks{})
 	if err != nil {
 		t.Fatalf("repair failed: %v", err)
 	}
@@ -186,12 +190,13 @@ func TestIntegrityElasticShrinkOnFlip(t *testing.T) {
 	faulted := opts
 	faulted.BitFlip = inj
 	var repaired []RepairEvent
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), faulted, iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			Elastic:     ElasticShrink,
-			MaxRestarts: 1,
-			OnRepair:    func(ev RepairEvent) { repaired = append(repaired, ev) },
-		})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.Options = faulted
+	spec.Elastic = ElasticShrink
+	spec.MaxRestarts = 1
+	res, err := RunResilient(spec, RunHooks{
+		OnRepair: func(ev RepairEvent) { repaired = append(repaired, ev) },
+	})
 	if err != nil {
 		t.Fatalf("elastic repair failed: %v", err)
 	}
@@ -330,36 +335,64 @@ func TestSpikeFlagsCorruptedGradients(t *testing.T) {
 // step.
 func TestSpikeFlagsLRBlowUp(t *testing.T) {
 	const iters, n, spikeAt = optim.SpikeWindow + 4, 4, optim.SpikeWindow + 1
-	lr := func(iter int) float64 {
-		if iter == spikeAt {
-			return 1000 * eqOpts().Adam.LR
-		}
-		return eqOpts().Adam.LR
-	}
 	for _, s := range []Strategy{Strategy1F1B, StrategyFSDP} {
 		t.Run(string(s), func(t *testing.T) {
 			t.Parallel()
 			const p = 2
 			opts := eqOpts()
 			opts.Guard = true
-			train := func(iters int) *ClusterResult {
-				res, err := RunResilient(s, p, eqCfg(), opts, iters, eqBatches(iters, n),
-					inprocFactory(p), ResilientOptions{LR: lr})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			res := train(iters)
-			if want := iters - spikeAt - 1; res.SpikeSteps != want || res.SkippedSteps != want {
+			losses, trainers := spikeTrained(t, s, p, opts, nil, iters, n, spikeAt)
+			if want := iters - spikeAt - 1; trainers[0].SpikeSteps() != want || trainers[0].SkippedSteps() != want {
 				t.Fatalf("SpikeSteps %d, SkippedSteps %d: want every one of the %d steps after the LR spike flagged and skipped",
-					res.SpikeSteps, res.SkippedSteps, want)
+					trainers[0].SpikeSteps(), trainers[0].SkippedSteps(), want)
 			}
-			stopped := train(spikeAt + 1)
+			stoppedLosses, stopped := spikeTrained(t, s, p, opts, nil, spikeAt+1, n, spikeAt)
 			bitIdentical(t, "guarded run vs run stopped after the spike",
-				res.Losses[:spikeAt+1], stopped.Losses, res.Weights, stopped.Weights)
+				losses[:spikeAt+1], stoppedLosses, AssembleWeights(trainers), AssembleWeights(stopped))
 		})
 	}
+}
+
+// spikeTrained trains s by hand on p in-process ranks, from snap (nil:
+// fresh) up to iteration iters, with the learning rate spiked a thousandfold
+// at iteration spikeAt — a schedule no RunSpec expresses. It returns rank
+// 0's losses (zero before snap's step) and the trainers.
+func spikeTrained(t *testing.T, s Strategy, p int, opts Options, snap *checkpoint.Snapshot,
+	iters, n, spikeAt int) ([]float64, []Trainer) {
+	t.Helper()
+	trainers := handTrained(t, s, p, opts, 0, nil)
+	start := 0
+	if snap != nil {
+		if err := RestoreSnapshot(snap, trainers); err != nil {
+			t.Fatal(err)
+		}
+		start = int(snap.Step)
+	}
+	batches := eqBatches(iters, n)
+	losses := make([]float64, iters)
+	for i := start; i < iters; i++ {
+		lr := opts.Adam.LR
+		if i == spikeAt {
+			lr *= 1000
+		}
+		var wg sync.WaitGroup
+		for r, tr := range trainers {
+			tr.SetLR(lr)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				loss, err := tr.TrainIteration(batches(i))
+				if err != nil {
+					t.Error(err)
+				}
+				if r == 0 {
+					losses[i] = loss
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	return losses, trainers
 }
 
 // TestGuardResumeBitIdentical: the guard's window rides in the checkpoint of
@@ -369,12 +402,6 @@ func TestSpikeFlagsLRBlowUp(t *testing.T) {
 // judge: a fresh one has no baseline and would admit the blown-up norms.
 func TestGuardResumeBitIdentical(t *testing.T) {
 	const iters, n, cut = optim.SpikeWindow + 4, 4, optim.SpikeWindow + 1
-	lr := func(iter int) float64 {
-		if iter == cut {
-			return 1000 * eqOpts().Adam.LR
-		}
-		return eqOpts().Adam.LR
-	}
 	runs := []struct {
 		s            Strategy
 		p, groupSize int
@@ -385,26 +412,22 @@ func TestGuardResumeBitIdentical(t *testing.T) {
 			opts := eqOpts()
 			opts.Guard = true
 			opts.GroupSize = r.groupSize
-			train := func(iters int, ropts ResilientOptions) *ClusterResult {
-				ropts.LR = lr
-				res, err := RunResilient(r.s, r.p, eqCfg(), opts, iters, eqBatches(iters, n),
-					inprocFactory(r.p), ropts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			whole := train(iters, ResilientOptions{})
-			if whole.SpikeSteps == 0 {
+			wholeLosses, whole := spikeTrained(t, r.s, r.p, opts, nil, iters, n, cut)
+			if whole[0].SpikeSteps() == 0 {
 				t.Fatal("no step spiked after the LR spike; the test proves nothing")
 			}
-			first := train(cut, ResilientOptions{CheckpointEvery: cut})
-			rest := train(iters, ResilientOptions{InitialSnapshot: first.Checkpoint})
+			_, first := spikeTrained(t, r.s, r.p, opts, nil, cut, n, cut)
+			snap, err := CaptureSnapshot(first, cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restLosses, rest := spikeTrained(t, r.s, r.p, opts, snap, iters, n, cut)
 			bitIdentical(t, "resumed vs uninterrupted guarded run",
-				rest.Losses[cut:], whole.Losses[cut:], rest.Weights, whole.Weights)
-			if rest.SpikeSteps != whole.SpikeSteps || rest.SkippedSteps != whole.SkippedSteps-first.SkippedSteps {
+				restLosses[cut:], wholeLosses[cut:], AssembleWeights(rest), AssembleWeights(whole))
+			if rest[0].SpikeSteps() != whole[0].SpikeSteps() ||
+				rest[0].SkippedSteps() != whole[0].SkippedSteps()-first[0].SkippedSteps() {
 				t.Fatalf("resumed run: %d spikes, %d skips; uninterrupted: %d spikes, %d skips",
-					rest.SpikeSteps, rest.SkippedSteps, whole.SpikeSteps, whole.SkippedSteps)
+					rest[0].SpikeSteps(), rest[0].SkippedSteps(), whole[0].SpikeSteps(), whole[0].SkippedSteps())
 			}
 		})
 	}

@@ -118,7 +118,7 @@ type Options struct {
 	// On, the benchmark's traced runs put it at 8–13 % of the step on
 	// long-* and within their noise (−9 to +10 %) on wide-*
 	// (trace.overhead_pct, two runs each).
-	Trace *trace.Set
+	Trace *trace.Set `json:"-"`
 	// Integrity enables end-to-end silent-data-corruption defense on
 	// WeiPipe trainers: every belt chunk carries a CRC32 trailer sealed at
 	// its origin over the canonical wire-value domain and verified at
@@ -149,7 +149,7 @@ type Options struct {
 	// moments and staged belt payloads as the schedule's (rank, iteration)
 	// points pass. Shared by every rank of a run (and across restart
 	// attempts — events fire once). Test/chaos use only.
-	BitFlip *BitFlipInjector
+	BitFlip *BitFlipInjector `json:"-"`
 
 	// buddy enables buddy replication on WeiPipe trainers (buddy.go): each
 	// rank also shadows its ring successor's owned chunk, so the repair
@@ -176,8 +176,8 @@ func sumSquares(g []float32) float64 {
 }
 
 // Trainer runs training iterations for one rank. Every strategy implements
-// all of it; what only some strategies can do (Recoverable, ArenaMeter) is
-// asked for separately.
+// all of it; what only some strategies can do (ArenaMeter) is asked for
+// separately.
 type Trainer interface {
 	// TrainIteration processes the full global microbatch list (every rank
 	// receives the same slice) and performs one optimizer step. It returns
@@ -208,6 +208,9 @@ type Trainer interface {
 	// how many of those spiked (see Options.Guard).
 	SkipCounter
 	SpikeSteps() int
+	// Recoverable exports and restores the optimizer state for
+	// coordinated checkpoints.
+	Recoverable
 }
 
 // New builds a trainer for the given strategy on transport t. cfg must be

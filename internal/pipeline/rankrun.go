@@ -11,7 +11,6 @@ import (
 	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
 	"weipipe/internal/data"
-	"weipipe/internal/model"
 	"weipipe/internal/trace"
 )
 
@@ -34,9 +33,6 @@ type RankAssignment struct {
 	Epoch uint32
 	// Rank and World position this process in the incarnation.
 	Rank, World int
-	// Addrs lists every rank's listen address (len == World) for the
-	// default TCP dial.
-	Addrs []string
 	// StartIter is the completed-iteration count training resumes from
 	// when no full-state snapshot says otherwise.
 	StartIter int
@@ -47,61 +43,6 @@ type RankAssignment struct {
 	SeedFrom int
 	// SeedTo lists the ranks waiting for the snapshot broadcast.
 	SeedTo []int
-}
-
-// RankConfig is the per-process training configuration (identical on
-// every rank of an incarnation, except Snapshot which only survivors and
-// the seeding rank hold).
-type RankConfig struct {
-	Strategy  Strategy
-	Cfg       model.Config
-	Opts      Options
-	Iters     int
-	BatchesFn func(iter int) []data.Batch
-	// Deadlines is the single timeout budget threaded through transport,
-	// detector and protocol layers.
-	Deadlines comm.Deadlines
-	// CheckpointEvery/CheckpointPath/CheckpointKeep mirror
-	// ResilientOptions: a checkpoint every CheckpointEvery iterations and
-	// after the final one; only rank 0 writes to disk.
-	CheckpointEvery int
-	CheckpointPath  string
-	CheckpointKeep  int
-	// Snapshot seeds this rank's trainer (survivors carry their harvested
-	// state here between incarnations; nil on spares, which receive it via
-	// the SeedFrom broadcast). A weight-only snapshot seeds the weights
-	// alone: training starts at StartIter on a fresh optimizer.
-	Snapshot *checkpoint.Snapshot
-	// LR, when set, is applied before every iteration.
-	LR func(iter int) float64
-	// OnIteration is called at each completed iteration barrier.
-	OnIteration func(iter int, loss float64)
-	// Beacon, when set, is called around long off-wire barriers ("ckpt",
-	// "agree", "harvest", "seed") and each iteration ("iter"), so an
-	// external stall monitor can exempt barrier-parked processes instead
-	// of declaring them dead. The empty state ends the preceding one.
-	Beacon func(state string, iter int)
-	// Transport, when set, replaces the default TCP dial — the hook tests
-	// use to interpose fault injection, launch to hold the mesh for its
-	// partitions and RunResilient to hand each rank its endpoint. It must
-	// honour a.Epoch. The endpoint stays the caller's to close: on the
-	// in-process fabric any close is a death, so a fleet's endpoints close
-	// once every rank is home.
-	Transport func(a RankAssignment) (comm.Transport, error)
-
-	// local is set when RunResilient runs this rank as one of its
-	// goroutines.
-	local *localRank
-}
-
-// localRank is what RunResilient tells one of its ranks.
-type localRank struct {
-	// repair is the one repair switch (always on in a weipipe-launch
-	// process). On, the rank keeps a buddy replica and a failure climbs the
-	// repair ladder; off, buddy replication stays off and a failure aborts
-	// at once, and the supervisor closes every endpoint.
-	repair bool
-	board  *ProgressBoard // the straggler watchdog's, when one runs
 }
 
 // RankOutcome reports how one incarnation ended for this rank.
@@ -154,13 +95,13 @@ const (
 	harvestTag     = 1<<29 + 3<<27 // B = cut: harvested chunk state
 )
 
-func (rc RankConfig) beacon(state string, iter int) {
-	if rc.Beacon != nil {
-		rc.Beacon(state, iter)
+// batches is the run's data source: the Batches override, else the spec's.
+func (h RunHooks) batches(spec RunSpec) func(int) []data.Batch {
+	if h.Batches != nil {
+		return h.Batches
 	}
+	return spec.Batches()
 }
-
-func (rc RankConfig) repairs() bool { return rc.local == nil || rc.local.repair }
 
 // CloseMesh closes a rank's TCP endpoint at the end of an incarnation.
 // Close models an abrupt kill and abandons queued frames, so every exit —
@@ -172,54 +113,42 @@ func CloseMesh(t comm.Transport, dl comm.Deadlines) {
 	t.Close()
 }
 
-// RunRank drives this rank through one cluster incarnation.
-func RunRank(a RankAssignment, rc RankConfig) (*RankOutcome, error) {
-	if a.World < 1 || a.Rank < 0 || a.Rank >= a.World {
-		return nil, fmt.Errorf("pipeline: invalid assignment rank %d world %d", a.Rank, a.World)
+// RunRank drives this rank through one cluster incarnation over t, its
+// endpoint of the incarnation's mesh, which must honour a.Epoch. The
+// endpoint stays the caller's to close: on the in-process fabric any close
+// is a death, so a fleet's endpoints close once every rank is home. The
+// repair ladder is on whenever spec.Elastic is; off, a failure aborts at
+// once and the supervisor closes every endpoint.
+func RunRank(a RankAssignment, t comm.Transport, spec RunSpec, hooks RunHooks) (*RankOutcome, error) {
+	if a.World < 1 || a.Rank < 0 || a.Rank >= a.World || t.Size() != a.World {
+		return nil, fmt.Errorf("pipeline: invalid assignment rank %d world %d on a %d-rank mesh", a.Rank, a.World, t.Size())
 	}
-	dl := rc.Deadlines.WithDefaults()
-
-	var t comm.Transport
-	var err error
-	switch {
-	case rc.Transport != nil:
-		t, err = rc.Transport(a)
-	case len(a.Addrs) != a.World:
-		return nil, fmt.Errorf("pipeline: rank %d of %d given %d addresses", a.Rank, a.World, len(a.Addrs))
-	default:
-		opts := dl.TCPOptions()
-		opts.Epoch = a.Epoch
-		if t, err = comm.DialTCPOpts(a.Rank, a.Addrs, opts); err == nil {
-			defer CloseMesh(t, dl)
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: rank %d epoch %d bring-up: %w", a.Rank, a.Epoch, err)
-	}
-	var board *ProgressBoard
-	if rc.local != nil {
-		board = rc.local.board
+	repair := spec.Elastic != ElasticNone
+	var board *ProgressBoard // the straggler watchdog's, when one runs
+	if bt, ok := t.(*beaconTransport); ok {
+		board = bt.board
 	}
 
-	opts := rc.Opts
+	opts := spec.Options
 	// The repair ladder needs every shard replicated.
-	opts.buddy = rc.repairs() && a.World >= 2
-	tr, err := New(rc.Strategy, t, rc.Cfg, opts)
+	opts.buddy = repair && a.World >= 2
+	tr, err := New(spec.Strategy, t, spec.Model, opts)
 	if err != nil {
 		return nil, err
 	}
 	if ps, ok := tr.(progressSink); ok && board != nil {
 		ps.SetProgressBoard(board, a.Rank)
 	}
-	rt := rc.Opts.Trace.Rank(a.Rank)
+	rt := spec.Options.Trace.Rank(a.Rank)
 
-	snap := rc.Snapshot
+	snap := hooks.Snapshot
 	var ckpt *checkpoint.Snapshot // the last checkpoint this incarnation assembled
 	fail := func(iter int, cause error) *RankOutcome {
+		board.Fail()
 		cause = fmt.Errorf("rank %d, iteration %d: %w", a.Rank, iter, cause)
 		var o *RankOutcome
-		if rc.repairs() {
-			o = failureOutcome(a, rc, t, tr, iter, cause)
+		if repair {
+			o = failureOutcome(a, spec, t, tr, iter, cause)
 		} else {
 			o = &RankOutcome{Iter: iter, Aborted: true, Reason: "aborted: " + cause.Error()}
 		}
@@ -227,7 +156,7 @@ func RunRank(a RankAssignment, rc RankConfig) (*RankOutcome, error) {
 		return o
 	}
 
-	if snap, err = seedExchange(a, rc, t, snap); err != nil {
+	if snap, err = seedExchange(a, spec, t, snap); err != nil {
 		return fail(0, err), nil
 	}
 	start := a.StartIter
@@ -245,15 +174,16 @@ func RunRank(a RankAssignment, rc RankConfig) (*RankOutcome, error) {
 		}
 	}
 
-	losses := make([]float64, rc.Iters)
-	for iter := start; iter < rc.Iters; iter++ {
-		if rc.LR != nil {
-			tr.SetLR(rc.LR(iter))
+	dl := spec.Deadlines.WithDefaults()
+	batches := hooks.batches(spec)
+	losses := make([]float64, spec.Iters)
+	for iter := start; iter < spec.Iters; iter++ {
+		if spec.Warmup > 0 {
+			tr.SetLR(spec.LR(iter))
 		}
-		rc.beacon("iter", iter)
 		board.SetIdle(a.Rank, false)
 		span := rt.Begin()
-		loss, err := tr.TrainIteration(rc.BatchesFn(iter))
+		loss, err := tr.TrainIteration(batches(iter))
 		rt.End(span, trace.CodeStep, int64(iter), 0)
 		board.SetIdle(a.Rank, true)
 		if err == nil {
@@ -263,22 +193,22 @@ func RunRank(a RankAssignment, rc RankConfig) (*RankOutcome, error) {
 			return fail(iter, err), nil
 		}
 		losses[iter] = loss
-		if rc.OnIteration != nil {
-			rc.OnIteration(iter, loss)
+		if hooks.OnIteration != nil {
+			hooks.OnIteration(iter, loss)
 		}
-		if rc.CheckpointEvery > 0 && ((iter+1)%rc.CheckpointEvery == 0 || iter+1 == rc.Iters) {
+		if spec.CheckpointEvery > 0 && ((iter+1)%spec.CheckpointEvery == 0 || iter+1 == spec.Iters) {
 			ns := newCapture(tr.Model(), iter+1, true)
 			own := exportWeights(tr, ns)
 			if err := exportState(tr, ns, &own); err != nil {
-				return nil, err // a trainer that is not Recoverable cannot checkpoint
+				return nil, err
 			}
 			span := rt.Begin()
-			err := gatherCapture(a, rc, t, tr, ns, own)
+			err := gatherCapture(a, dl, t, tr, ns, own)
 			rt.End(span, trace.CodeCkpt, int64(iter+1), 0)
 			if err != nil {
 				return fail(iter, err), nil
 			}
-			if err := rc.save(a, ns); err != nil {
+			if err := spec.save(a, ns); err != nil {
 				return nil, err
 			}
 			ckpt = ns
@@ -288,18 +218,18 @@ func RunRank(a RankAssignment, rc RankConfig) (*RankOutcome, error) {
 	// The final weights: the last checkpoint's when it was taken at the
 	// end, else a weight-only gather — which every strategy can export.
 	var weights []float32
-	if ckpt != nil && int(ckpt.Step) == rc.Iters {
+	if ckpt != nil && int(ckpt.Step) == spec.Iters {
 		weights = slices.Clone(ckpt.Weights)
 	} else {
-		final := newCapture(tr.Model(), rc.Iters, false)
-		if err := gatherCapture(a, rc, t, tr, final, exportWeights(tr, final)); err != nil {
-			return fail(rc.Iters-1, err), nil
+		final := newCapture(tr.Model(), spec.Iters, false)
+		if err := gatherCapture(a, dl, t, tr, final, exportWeights(tr, final)); err != nil {
+			return fail(spec.Iters-1, err), nil
 		}
 		weights = final.Weights
 	}
 	out := &RankOutcome{
 		Done:         true,
-		Iter:         rc.Iters,
+		Iter:         spec.Iters,
 		Weights:      weights,
 		WeightsHash:  HashWeights(weights),
 		Losses:       losses,
@@ -316,13 +246,11 @@ func RunRank(a RankAssignment, rc RankConfig) (*RankOutcome, error) {
 // gatherCapture completes a capture on every rank: this rank's share,
 // already exported into snap, goes to every peer, and every peer's share is
 // placed on receipt, so all ranks assemble the identical snapshot.
-func gatherCapture(a RankAssignment, rc RankConfig, t comm.Transport, tr Trainer,
+func gatherCapture(a RankAssignment, dl comm.Deadlines, t comm.Transport, tr Trainer,
 	snap *checkpoint.Snapshot, own share) error {
 
-	rc.beacon("ckpt", int(snap.Step))
-	defer rc.beacon("", int(snap.Step))
 	everyone := comm.Membership{OldSize: a.World}.Survivors()
-	shares, err := exchangeShares(a, t, rc.Deadlines.WithDefaults(),
+	shares, err := exchangeShares(a, t, dl,
 		Tag{Kind: comm.KindCtl, A: gatherTag, B: int(snap.Step)}, everyone, snap, own)
 	if err != nil {
 		return err
@@ -365,11 +293,11 @@ func exchangeShares(a RankAssignment, t comm.Transport, dl comm.Deadlines, tag T
 
 // save writes a coordinated checkpoint to CheckpointPath when
 // checkpointing is on; rank 0 is the one writer.
-func (rc RankConfig) save(a RankAssignment, snap *checkpoint.Snapshot) error {
-	if rc.CheckpointEvery == 0 || rc.CheckpointPath == "" || a.Rank != 0 {
+func (s RunSpec) save(a RankAssignment, snap *checkpoint.Snapshot) error {
+	if s.CheckpointEvery == 0 || s.CheckpointPath == "" || a.Rank != 0 {
 		return nil
 	}
-	return checkpoint.SaveRotate(rc.CheckpointPath, snap, rc.CheckpointKeep)
+	return checkpoint.SaveRotate(s.CheckpointPath, snap, s.CheckpointKeep)
 }
 
 // HashWeights fingerprints a flat parameter vector (FNV-64a over the
@@ -389,7 +317,7 @@ func HashWeights(w []float32) uint64 {
 // seedExchange runs the pre-training snapshot broadcast: the SeedFrom
 // rank marshals its snapshot to every SeedTo rank over the new mesh.
 // Spares (ranks listed in SeedTo) block until it arrives.
-func seedExchange(a RankAssignment, rc RankConfig, t comm.Transport, snap *checkpoint.Snapshot) (*checkpoint.Snapshot, error) {
+func seedExchange(a RankAssignment, spec RunSpec, t comm.Transport, snap *checkpoint.Snapshot) (*checkpoint.Snapshot, error) {
 	if a.SeedFrom < 0 || len(a.SeedTo) == 0 {
 		return snap, nil
 	}
@@ -398,8 +326,6 @@ func seedExchange(a RankAssignment, rc RankConfig, t comm.Transport, snap *check
 		if snap == nil {
 			return nil, fmt.Errorf("pipeline: rank %d must seed %v but holds no snapshot", a.Rank, a.SeedTo)
 		}
-		rc.beacon("seed", int(snap.Step))
-		defer rc.beacon("", int(snap.Step))
 		raw, err := checkpoint.Marshal(snap)
 		if err != nil {
 			return nil, err
@@ -419,9 +345,7 @@ func seedExchange(a RankAssignment, rc RankConfig, t comm.Transport, snap *check
 		if dst != a.Rank {
 			continue
 		}
-		rc.beacon("seed", 0)
-		defer rc.beacon("", 0)
-		payload, err := t.RecvTimeout(a.SeedFrom, tag, rc.Deadlines.WithDefaults().Barrier)
+		payload, err := t.RecvTimeout(a.SeedFrom, tag, spec.Deadlines.WithDefaults().Barrier)
 		if err != nil {
 			return nil, err
 		}
@@ -497,7 +421,7 @@ func lossBarrier(a RankAssignment, t comm.Transport, dl comm.Deadlines, iter int
 //
 // Any step that cannot complete safely aborts — the driver then falls back
 // to a checkpoint restart, which is slower but equally bit-exact.
-func failureOutcome(a RankAssignment, rc RankConfig, t comm.Transport, tr Trainer,
+func failureOutcome(a RankAssignment, spec RunSpec, t comm.Transport, tr Trainer,
 	iter int, cause error) *RankOutcome {
 
 	abort := func(reason string) *RankOutcome {
@@ -510,14 +434,12 @@ func failureOutcome(a RankAssignment, rc RankConfig, t comm.Transport, tr Traine
 		t.Close()
 		return abort("dead: " + cause.Error())
 	}
-	dl := rc.Deadlines.WithDefaults()
+	dl := spec.Deadlines.WithDefaults()
 	evidence := t.BeginRecovery()
 	if r, ok := comm.DeadPeer(cause); ok {
 		evidence = append(evidence, r)
 	}
-	rc.beacon("agree", iter)
 	m, err := comm.AgreeOverTransport(t, evidence, comm.AgreeConfig{Epoch: a.Epoch, Deadlines: dl})
-	rc.beacon("", iter)
 	switch {
 	case errors.Is(err, comm.ErrEvicted):
 		return abort("evicted")
@@ -527,8 +449,6 @@ func failureOutcome(a RankAssignment, rc RankConfig, t comm.Transport, tr Traine
 		return abort("agreement: " + err.Error())
 	}
 
-	rc.beacon("harvest", iter)
-	defer rc.beacon("", iter)
 	snap, err := wireHarvest(a, t, dl, tr, m)
 	if err != nil {
 		return &RankOutcome{

@@ -35,14 +35,21 @@ func buddyOpts() Options {
 }
 
 // runIncarnation drives one cluster incarnation with every rank in its own
-// goroutine over a real TCP mesh — processes minus the fork. assignFn and
-// cfgFn, when set, customise each rank's assignment and config.
-func runIncarnation(t *testing.T, world int, epoch uint32, iters int,
-	assignFn func(rank int, a *RankAssignment), cfgFn func(rank int, rc *RankConfig)) ([]*RankOutcome, []error) {
+// goroutine over a real TCP mesh — processes minus the fork — with repair
+// on, as in a weipipe-launch fleet. assignFn and hooksFn, when set,
+// customise each rank's assignment and hooks; hooksFn also sees the rank's
+// endpoint, for the tests that sever it mid-run the way a SIGKILL would.
+func runIncarnation(t *testing.T, world int, epoch uint32, iters int, spec RunSpec,
+	assignFn func(rank int, a *RankAssignment), hooksFn func(rank int, tr comm.Transport, h *RunHooks)) ([]*RankOutcome, []error) {
 	t.Helper()
 	addrs, err := comm.LoopbackAddrs(world)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if spec.Strategy == "" {
+		spec = eqSpec(StrategyWZB2, world, iters, 12)
+		spec.Elastic = ElasticShrink
+		spec.Deadlines = rankDeadlines()
 	}
 	outcomes := make([]*RankOutcome, world)
 	errs := make([]error, world)
@@ -51,24 +58,21 @@ func runIncarnation(t *testing.T, world int, epoch uint32, iters int,
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			a := RankAssignment{
-				Epoch: epoch, Rank: r, World: world, Addrs: addrs, SeedFrom: -1,
-			}
+			a := RankAssignment{Epoch: epoch, Rank: r, World: world, SeedFrom: -1}
 			if assignFn != nil {
 				assignFn(r, &a)
 			}
-			rc := RankConfig{
-				Strategy:  StrategyWZB2,
-				Cfg:       eqCfg(),
-				Opts:      eqOpts(),
-				Iters:     iters,
-				BatchesFn: eqBatches(iters, 12),
-				Deadlines: rankDeadlines(),
+			tr, err := comm.DialTCPOpts(r, addrs, spec.TCPOptions(epoch))
+			if err != nil {
+				errs[r] = err
+				return
 			}
-			if cfgFn != nil {
-				cfgFn(r, &rc)
+			defer CloseMesh(tr, spec.Deadlines)
+			var hooks RunHooks
+			if hooksFn != nil {
+				hooksFn(r, tr, &hooks)
 			}
-			outcomes[r], errs[r] = RunRank(a, rc)
+			outcomes[r], errs[r] = RunRank(a, tr, spec, hooks)
 		}(r)
 	}
 	wg.Wait()
@@ -117,28 +121,13 @@ func inprocSnapshotAt(t *testing.T, world, cut, iters int) *checkpoint.Snapshot 
 	return snap
 }
 
-// severableTransport installs the real TCP dial for one rank but captures
-// the handle so a test can sever it mid-run the way a SIGKILL would —
-// connections drop, no goodbye.
-func severableTransport(dl comm.Deadlines, capture func(comm.Transport)) func(RankAssignment) (comm.Transport, error) {
-	return func(a RankAssignment) (comm.Transport, error) {
-		opts := dl.TCPOptions()
-		opts.Epoch = a.Epoch
-		tr, err := comm.DialTCPOpts(a.Rank, a.Addrs, opts)
-		if err == nil {
-			capture(tr)
-		}
-		return tr, err
-	}
-}
-
 // A fault-free cross-process run: every rank completes, all agree on the
 // final weights bit-for-bit, and the trajectory matches the in-process
 // cluster of the same world size exactly.
 func TestRunRankPlainTCPMatchesInproc(t *testing.T) {
 	const world, iters = 3, 4
 	base := runtime.NumGoroutine()
-	outcomes, errs := runIncarnation(t, world, 1, iters, nil, nil)
+	outcomes, errs := runIncarnation(t, world, 1, iters, RunSpec{}, nil, nil)
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
@@ -168,20 +157,11 @@ func TestRunRankElasticShrinkRecoveryTCP(t *testing.T) {
 	const world, iters = 3, 6
 	base := runtime.NumGoroutine()
 
-	var mu sync.Mutex
-	var victim comm.Transport
-	outcomes, errs := runIncarnation(t, world, 1, iters, nil, func(r int, rc *RankConfig) {
+	outcomes, errs := runIncarnation(t, world, 1, iters, RunSpec{}, nil, func(r int, tr comm.Transport, h *RunHooks) {
 		if r == 1 {
-			rc.Transport = severableTransport(rc.Deadlines, func(tr comm.Transport) {
-				mu.Lock()
-				victim = tr
-				mu.Unlock()
-			})
-			rc.OnIteration = func(iter int, loss float64) {
+			h.OnIteration = func(iter int, loss float64) {
 				if iter == 2 {
-					mu.Lock()
-					victim.Close()
-					mu.Unlock()
+					tr.Close()
 				}
 			}
 		}
@@ -215,18 +195,19 @@ func TestRunRankElasticShrinkRecoveryTCP(t *testing.T) {
 
 	// Next incarnation: shrink to 2 survivors at a new epoch on a fresh
 	// mesh, both seeded from the snapshot they already hold.
-	out2, errs2 := runIncarnation(t, 2, 2, iters, func(r int, a *RankAssignment) {
+	out2, errs2 := runIncarnation(t, 2, 2, iters, RunSpec{}, func(r int, a *RankAssignment) {
 		a.StartIter = cut
-	}, func(r int, rc *RankConfig) {
-		rc.Snapshot = snap
+	}, func(r int, tr comm.Transport, h *RunHooks) {
+		h.Snapshot = snap
 	})
 	for r, err := range errs2 {
 		if err != nil {
 			t.Fatalf("shrunken rank %d: %v", r, err)
 		}
 	}
-	ref, err := RunResilient(StrategyWZB2, 2, eqCfg(), eqOpts(), iters, eqBatches(iters, 12),
-		inprocFactory(2), ResilientOptions{Elastic: ElasticShrink, InitialSnapshot: snap})
+	spec := eqSpec(StrategyWZB2, 2, iters, 12)
+	spec.Elastic = ElasticShrink
+	ref, err := RunResilient(spec, RunHooks{Snapshot: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +233,13 @@ func TestRunRankSpareSeedMembershipTCP(t *testing.T) {
 
 	// Ranks 0 and 1 are survivors holding the snapshot; rank 2 plays the
 	// admitted spare: no snapshot, seeded over the new mesh by rank 0.
-	outcomes, errs := runIncarnation(t, world, 2, iters, func(r int, a *RankAssignment) {
+	outcomes, errs := runIncarnation(t, world, 2, iters, RunSpec{}, func(r int, a *RankAssignment) {
 		a.StartIter = cut
 		a.SeedFrom = 0
 		a.SeedTo = []int{2}
-	}, func(r int, rc *RankConfig) {
+	}, func(r int, tr comm.Transport, h *RunHooks) {
 		if r != 2 {
-			rc.Snapshot = snap
+			h.Snapshot = snap
 		}
 	})
 	for r, err := range errs {
@@ -287,20 +268,11 @@ func TestRunRankSpareSeedMembershipTCP(t *testing.T) {
 func TestRunRankBarrierDetectsPeerDeath(t *testing.T) {
 	const world, iters = 2, 8
 	base := runtime.NumGoroutine()
-	var mu sync.Mutex
-	var victim comm.Transport
-	outcomes, errs := runIncarnation(t, world, 1, iters, nil, func(r int, rc *RankConfig) {
+	outcomes, errs := runIncarnation(t, world, 1, iters, RunSpec{}, nil, func(r int, tr comm.Transport, h *RunHooks) {
 		if r == 1 {
-			rc.Transport = severableTransport(rc.Deadlines, func(tr comm.Transport) {
-				mu.Lock()
-				victim = tr
-				mu.Unlock()
-			})
-			rc.OnIteration = func(iter int, loss float64) {
+			h.OnIteration = func(iter int, loss float64) {
 				if iter == 3 {
-					mu.Lock()
-					victim.Close()
-					mu.Unlock()
+					tr.Close()
 				}
 			}
 		}
@@ -329,10 +301,12 @@ func TestRunRankIntegrityFlipRepairTCP(t *testing.T) {
 	inj := NewBitFlipInjector([]BitFlipEvent{
 		{Rank: 1, Iter: 3, Site: FlipMomentV, Word: 4242, Bit: 29},
 	})
-	outcomes, errs := runIncarnation(t, world, 1, iters, nil, func(r int, rc *RankConfig) {
-		rc.Opts = integrityOpts()
-		rc.Opts.BitFlip = inj
-	})
+	spec := eqSpec(StrategyWZB2, world, iters, 12)
+	spec.Elastic = ElasticShrink
+	spec.Deadlines = rankDeadlines()
+	spec.Options = integrityOpts()
+	spec.Options.BitFlip = inj
+	outcomes, errs := runIncarnation(t, world, 1, iters, spec, nil, nil)
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d returned hard error: %v", r, err)
@@ -366,10 +340,12 @@ func TestRunRankIntegrityFlipRepairTCP(t *testing.T) {
 func TestRunRankSavesFinalCheckpoint(t *testing.T) {
 	const world, iters = 2, 4
 	path := filepath.Join(t.TempDir(), "rank.wpck")
-	outcomes, errs := runIncarnation(t, world, 1, iters, nil, func(r int, rc *RankConfig) {
-		rc.CheckpointEvery = 2
-		rc.CheckpointPath = path
-	})
+	spec := eqSpec(StrategyWZB2, world, iters, 12)
+	spec.Elastic = ElasticShrink
+	spec.Deadlines = rankDeadlines()
+	spec.CheckpointEvery = 2
+	spec.CheckpointPath = path
+	outcomes, errs := runIncarnation(t, world, 1, iters, spec, nil, nil)
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
@@ -385,8 +361,9 @@ func TestRunRankSavesFinalCheckpoint(t *testing.T) {
 	if got.Step != iters {
 		t.Fatalf("checkpoint on disk holds step %d, want the final iteration's (%d)", got.Step, iters)
 	}
-	ref, err := RunResilient(StrategyWZB2, world, eqCfg(), eqOpts(), iters, eqBatches(iters, 12),
-		inprocFactory(world), ResilientOptions{CheckpointEvery: 2})
+	spec = eqSpec(StrategyWZB2, world, iters, 12)
+	spec.CheckpointEvery = 2
+	ref, err := RunResilient(spec, RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,21 +11,18 @@ import (
 
 	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
-	"weipipe/internal/data"
 	"weipipe/internal/model"
+	"weipipe/internal/optim"
 )
 
-// Recoverable is implemented by trainers that can checkpoint and restore
-// their full training state: beyond the weights every Trainer moves, the
-// optimizer moments of the owned range and the iteration counter. It is
-// what coordinated checkpoint/restart needs from each rank.
+// Recoverable is the part of Trainer that checkpoints and restores the
+// full training state: beyond the weights every trainer exports, their
+// optimizer moments and the iteration counter. It is what coordinated
+// checkpoint/restart needs from each rank.
 type Recoverable interface {
-	// OwnedModules reports the contiguous module range whose weights and
-	// optimizer state the rank owns.
-	OwnedModules() (lo, hi int)
 	// ExportOptimState returns the optimizer step count and copies of the
-	// first/second moment vectors covering exactly the owned module range
-	// (flat, in module order).
+	// first/second moments of the weights the rank exports, laid out as
+	// ExportWeights lays out its ranges: in order, back to back.
 	ExportOptimState() (step int64, m, v []float32)
 	// RestoreOptimState loads a previously exported state (copied in).
 	RestoreOptimState(step int64, m, v []float32) error
@@ -35,10 +32,7 @@ type Recoverable interface {
 }
 
 // ExportOptimState implements Recoverable for WeiPipe (the owned chunk).
-func (w *WeiPipe) ExportOptimState() (int64, []float32, []float32) {
-	step, m, v := w.opt.ExportState()
-	return int64(step), m, v
-}
+func (w *WeiPipe) ExportOptimState() (int64, []float32, []float32) { return exportAdam(w.opt) }
 
 // RestoreOptimState implements Recoverable for WeiPipe. Loading moments is
 // a legitimate mutation of guarded resident state, so the integrity guards
@@ -69,19 +63,67 @@ func (w *WeiPipe) SetIteration(iter int) {
 }
 
 // ExportOptimState implements Recoverable for the serial reference.
-func (s *Serial) ExportOptimState() (int64, []float32, []float32) {
-	step, m, v := s.opt.ExportState()
-	return int64(step), m, v
-}
+func (s *Serial) ExportOptimState() (int64, []float32, []float32) { return exportAdam(s.opt) }
 
 // RestoreOptimState implements Recoverable for the serial reference.
 func (s *Serial) RestoreOptimState(step int64, m, v []float32) error {
 	return s.opt.LoadState(int(step), m, v)
 }
 
-// SetIteration implements Recoverable for the serial reference (stateless:
-// the AdamW step count is the only counter).
+// ExportOptimState implements Recoverable for DP (the whole model).
+func (d *DP) ExportOptimState() (int64, []float32, []float32) { return exportAdam(d.opt) }
+
+// RestoreOptimState implements Recoverable for DP.
+func (d *DP) RestoreOptimState(step int64, m, v []float32) error {
+	return d.opt.LoadState(int(step), m, v)
+}
+
+// ExportOptimState implements Recoverable for the activation-passing stages.
+func (p *PP) ExportOptimState() (int64, []float32, []float32) { return exportAdam(p.opt) }
+
+// RestoreOptimState implements Recoverable for the activation-passing stages.
+func (p *PP) RestoreOptimState(step int64, m, v []float32) error {
+	return p.opt.LoadState(int(step), m, v)
+}
+
+// ExportOptimState implements Recoverable for FSDP: every module shard's
+// optimizer, in module order.
+func (f *FSDP) ExportOptimState() (int64, []float32, []float32) {
+	var m, v []float32
+	var step int64
+	for _, o := range f.opts {
+		s, om, ov := exportAdam(o)
+		step, m, v = s, append(m, om...), append(v, ov...)
+	}
+	return step, m, v
+}
+
+// RestoreOptimState implements Recoverable for FSDP.
+func (f *FSDP) RestoreOptimState(step int64, m, v []float32) error {
+	for i, o := range f.opts {
+		n := min(len(f.shards[i]), len(m), len(v))
+		if err := o.LoadState(int(step), m[:n], v[:n]); err != nil {
+			return err
+		}
+		m, v = m[n:], v[n:]
+	}
+	if len(m)+len(v) != 0 {
+		return fmt.Errorf("pipeline: FSDP optimizer state outruns its shards by %d params", len(m))
+	}
+	return nil
+}
+
+// SetIteration implements Recoverable for the trainers whose counters only
+// salt tags, which every rank of a fresh incarnation starts alike.
 func (s *Serial) SetIteration(int) {}
+func (d *DP) SetIteration(int)     {}
+func (p *PP) SetIteration(int)     {}
+func (f *FSDP) SetIteration(int)   {}
+
+func exportAdam(o *optim.AdamW) (int64, []float32, []float32) {
+	step, m, v := o.ExportState()
+	return int64(step), m, v
+}
 
 // moduleOffsets returns the flat-vector offset of every module boundary.
 func moduleOffsets(mdl *model.Model) []int {
@@ -94,7 +136,7 @@ func moduleOffsets(mdl *model.Model) []int {
 
 // A share is one trainer's part of a coordinated capture: spans of the
 // capture's vectors — the weights it holds (Trainer.ExportWeights) and, in a
-// full-state capture, the optimizer moments it owns (Recoverable) — and its
+// full-state capture, those weights' optimizer moments (Recoverable) — and its
 // optimizer step count. CaptureSnapshot places every trainer's share in one
 // process; RunRank's checkpoint gather and the repair harvest send shares
 // over the wire (packShare, placeShare).
@@ -162,20 +204,21 @@ func exportWeights(tr Trainer, snap *checkpoint.Snapshot) share {
 }
 
 // exportState adds tr's optimizer moments and step count to its share of
-// a full-state capture; a trainer that is not Recoverable cannot give them.
+// a full-state capture, at the places of the weights it exported.
 func exportState(tr Trainer, snap *checkpoint.Snapshot, sh *share) error {
-	rec, ok := tr.(Recoverable)
-	if !ok {
-		return fmt.Errorf("pipeline: %T cannot checkpoint optimizer state", tr)
+	step, m, v := tr.ExportOptimState()
+	off := 0
+	for _, sp := range slices.Clone(sh.spans) {
+		n := sp.hi - sp.lo
+		if sp.vec != vecWeights || off+n > len(m) {
+			break
+		}
+		sh.put(snap, sp.lo, sp.hi, vecM, m[off:off+n], v[off:off+n])
+		off += n
 	}
-	offsets := moduleOffsets(tr.Model())
-	lo, hi := rec.OwnedModules()
-	step, m, v := rec.ExportOptimState()
-	if want := offsets[hi] - offsets[lo]; len(m) != want || len(v) != want {
-		return fmt.Errorf("pipeline: %T optimizer state covers %d params, owned range holds %d",
-			tr, len(m), want)
+	if off != len(m) || len(v) != len(m) {
+		return fmt.Errorf("pipeline: %T optimizer state covers %d params, its weights %d", tr, len(m), off)
 	}
-	sh.put(snap, offsets[lo], offsets[hi], vecM, m, v)
 	sh.step = step
 	return nil
 }
@@ -271,11 +314,11 @@ func wordInt(w float32) int { return int(int32(math.Float32bits(w))) }
 
 // CaptureSnapshot takes a coordinated checkpoint of a cluster whose
 // trainers share this process: the assembled post-step weights plus the
-// optimizer moments, each rank contributing its owned range, and the
+// optimizer moments, each rank contributing what it holds, and the
 // completed-iteration count (which doubles as the data cursor — iteration i
 // always trains on batchesFn(i)). It is the in-memory twin of RunRank's
 // checkpoint gather, from the same per-trainer export. Every trainer must
-// be quiescent (between iterations) and implement Recoverable.
+// be quiescent (between iterations).
 func CaptureSnapshot(trainers []Trainer, completedIters int) (*checkpoint.Snapshot, error) {
 	snap := newCapture(trainers[0].Model(), completedIters, true)
 	shares := make([]share, len(trainers))
@@ -332,15 +375,15 @@ func RestoreSnapshot(snap *checkpoint.Snapshot, trainers []Trainer) error {
 		if !fullState(snap) {
 			continue
 		}
-		rec, ok := tr.(Recoverable)
-		if !ok {
-			return fmt.Errorf("pipeline: %T cannot restore optimizer state", tr)
+		// The moments of the weights tr holds, laid out as it exports them.
+		var m, v []float32
+		for _, r := range tr.ExportWeights(make([]float32, len(snap.Weights))) {
+			m, v = append(m, am[r[0]:r[1]]...), append(v, av[r[0]:r[1]]...)
 		}
-		lo, hi := rec.OwnedModules()
-		if err := rec.RestoreOptimState(optStep, am[offsets[lo]:offsets[hi]], av[offsets[lo]:offsets[hi]]); err != nil {
+		if err := tr.RestoreOptimState(optStep, m, v); err != nil {
 			return err
 		}
-		rec.SetIteration(int(snap.Step))
+		tr.SetIteration(int(snap.Step))
 		if g, ok := tr.(guarded); ok {
 			g.restoreGuard(snap.Sections[spikeSection], int(snap.Step))
 		}
@@ -361,63 +404,13 @@ func RestoreSnapshot(snap *checkpoint.Snapshot, trainers []Trainer) error {
 	return nil
 }
 
-// ResilientOptions configures RunResilient.
-type ResilientOptions struct {
-	// CheckpointEvery takes a coordinated checkpoint after every n-th
-	// completed iteration and after the final one (0 = never; elastic
-	// repair still works, since it recovers from buddy replicas, not
-	// checkpoints).
-	CheckpointEvery int
-	// CheckpointPath, when set, persists each checkpoint to disk (and an
-	// existing file there seeds the run, resuming a previous process).
-	CheckpointPath string
-	// KeepCheckpoints rotates the on-disk checkpoint, retaining the last k
-	// files (path, path.1, …, path.k−1). 0 or 1 keeps only the latest.
-	KeepCheckpoints int
-	// MaxRestarts bounds the recovery attempts; 0 means fail on the first
-	// rank failure like a plain run.
-	MaxRestarts int
-	// Elastic selects how dead ranks are handled: checkpoint restart at the
-	// same world size (ElasticNone), re-sharding across the survivors
-	// (ElasticShrink), or admitting standby spares (ElasticSpare). Both
-	// elastic policies climb the repair ladder (elastic.go) at the failure
-	// barrier — no checkpoint is read — and fall back to checkpoint
-	// restart when repair is impossible. Elastic repair turns buddy
-	// replication on.
-	Elastic ElasticPolicy
-	// Spares is the standby rank budget ElasticSpare may admit.
-	Spares int
-	// Watchdog, when set, runs a straggler watchdog over per-rank progress
-	// beacons; see WatchdogConfig.
-	Watchdog *WatchdogConfig
-	// OnRepair is called after each successful elastic repair.
-	OnRepair func(RepairEvent)
-	// InitialSnapshot, when set, seeds the run from an in-memory snapshot
-	// instead of CheckpointPath — the hook the repair equivalence tests use
-	// to start a fresh cluster from a harvested repair state. A full-state
-	// snapshot resumes at its Step; a weight-only one seeds the weights
-	// alone, and training starts at iteration 0 on a fresh optimizer.
-	InitialSnapshot *checkpoint.Snapshot
-	// WrapTransport, when set, wraps each rank's transport per attempt —
-	// the hook the chaos tests use to inject rank crashes. The straggler
-	// watchdog's beacons wrap outside this, so injected delays register as
-	// stalls.
-	WrapTransport func(attempt, rank int, t comm.Transport) comm.Transport
-	// OnIteration is called at each completed iteration barrier.
-	OnIteration func(iter int, loss float64)
-	// LR, when set, is evaluated before every iteration and applied to each
-	// trainer (Trainer.SetLR). Because it is a function of the
-	// iteration index alone, replayed iterations after a restart see the
-	// same learning rate.
-	LR func(iter int) float64
-}
-
 // RunResilient is the in-process supervisor, the twin of internal/launch's
 // across processes. Per attempt it builds one endpoint per rank with
-// transports (attempt 0 is the initial bring-up; elastic repair changes the
-// requested size), runs one RunRank per rank over them in a goroutine,
-// collects the outcomes and plans the next attempt. RunCluster,
-// weipipe-train and launch.ReplayOracle all run on it.
+// hooks.Transports (attempt 0 is the initial bring-up; elastic repair
+// changes the requested size), runs one RunRank per rank over them in a
+// goroutine, collects the outcomes and plans the next attempt. RunCluster,
+// weipipe-train and launch.ReplayOracle all run on it. The run starts from
+// hooks.Snapshot, else from a file already at spec.CheckpointPath.
 //
 // When a rank fails (peer death, transport closure, injected crash,
 // integrity violation, watchdog declaration), ElasticNone aborts every rank
@@ -427,60 +420,61 @@ type ResilientOptions struct {
 // at most the iteration in flight and reading nothing from disk. Either way
 // the continued run's loss trajectory is bit-identical to an uninterrupted
 // run of the same world-size history.
-func RunResilient(s Strategy, p int, cfg model.Config, opts Options, iters int,
-	batchesFn func(iter int) []data.Batch,
-	transports func(attempt, size int) ([]comm.Transport, error),
-	ropts ResilientOptions) (*ClusterResult, error) {
-
-	base := RankConfig{
-		Strategy: s, Cfg: cfg, Opts: opts, Iters: iters, BatchesFn: batchesFn,
-		CheckpointEvery: ropts.CheckpointEvery, CheckpointPath: ropts.CheckpointPath,
-		CheckpointKeep: ropts.KeepCheckpoints, LR: ropts.LR,
-		Snapshot: ropts.InitialSnapshot,
+func RunResilient(spec RunSpec, hooks RunHooks) (*ClusterResult, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
-	if base.Snapshot == nil && ropts.CheckpointPath != "" {
-		if _, err := os.Stat(ropts.CheckpointPath); err == nil {
-			loaded, err := checkpoint.Load(ropts.CheckpointPath)
+	switch {
+	case hooks.Transports != nil:
+	case spec.TCP:
+		hooks.Transports = spec.LoopbackTCP(nil)
+	default:
+		hooks.Transports = func(_, size int) ([]comm.Transport, error) {
+			cluster := comm.NewCluster(size)
+			cluster.AttachTrace(spec.Options.Trace)
+			return cluster.Transports(), nil
+		}
+	}
+	if hooks.Snapshot == nil && spec.CheckpointPath != "" {
+		if _, err := os.Stat(spec.CheckpointPath); err == nil {
+			loaded, err := checkpoint.Load(spec.CheckpointPath)
 			if err != nil {
 				return nil, fmt.Errorf("pipeline: resume checkpoint: %w", err)
 			}
-			if !fullState(loaded) {
-				return nil, fmt.Errorf("pipeline: %s is a weight-only snapshot (no optimizer state); full-state resume needs a checkpoint written by RunResilient mid-run", ropts.CheckpointPath)
-			}
-			base.Snapshot = loaded
+			hooks.Snapshot = loaded
 		}
 	}
 
-	losses := make([]float64, iters)
-	world := p
+	losses := make([]float64, spec.Iters)
+	world := spec.World
 	spares := 0
-	if ropts.Elastic == ElasticSpare {
-		spares = ropts.Spares
+	if spec.Elastic == ElasticSpare {
+		spares = spec.Spares
 	}
 	var repairs []RepairEvent
 	for attempt := 0; ; attempt++ {
-		res, outs, err := runRanks(attempt, world, base, transports, ropts, losses)
+		res, outs, err := runRanks(attempt, world, spec, hooks, losses)
 		if err == nil {
 			res.Repairs = repairs
 			return res, nil
 		}
 		// The next restart point: the newest checkpoint a rank assembled in
 		// this attempt — every rank's share of it arrived, so it is whole.
-		seed := base.Snapshot
+		seed := hooks.Snapshot
 		for _, o := range outs {
 			if o != nil && o.Checkpoint != nil && o.Checkpoint != seed &&
-				(base.Snapshot == seed || o.Checkpoint.Step > base.Snapshot.Step) {
-				base.Snapshot = o.Checkpoint
+				(hooks.Snapshot == seed || o.Checkpoint.Step > hooks.Snapshot.Step) {
+				hooks.Snapshot = o.Checkpoint
 			}
 		}
 		survivors, dead, repair, rerr := agreedRepair(outs)
 		if rerr != nil {
 			err = fmt.Errorf("%w (repair: %v)", err, rerr)
 		}
-		if ropts.MaxRestarts == 0 {
+		if spec.MaxRestarts == 0 {
 			return nil, err
 		}
-		if attempt >= ropts.MaxRestarts {
+		if attempt >= spec.MaxRestarts {
 			return nil, fmt.Errorf("pipeline: failed after %d restarts: %w", attempt, err)
 		}
 		if repair == nil {
@@ -489,8 +483,7 @@ func RunResilient(s Strategy, p int, cfg model.Config, opts Options, iters int,
 			continue
 		}
 		cut := int(repair.Step)
-		admit, ok := PlanRepair(survivors, len(dead), spares, cfg.NumModules(),
-			len(batchesFn(min(cut, iters-1))))
+		admit, ok := PlanRepair(survivors, len(dead), spares, spec.Model.NumModules(), spec.MicroBatches)
 		if !ok {
 			continue
 		}
@@ -502,28 +495,25 @@ func RunResilient(s Strategy, p int, cfg model.Config, opts Options, iters int,
 			ev.Policy = ElasticSpare
 			spares -= admit
 		}
-		base.Snapshot, world = ev.Snapshot, ev.NewSize
+		hooks.Snapshot, world = ev.Snapshot, ev.NewSize
 		repairs = append(repairs, ev)
-		if ropts.OnRepair != nil {
-			ropts.OnRepair(ev)
+		if hooks.OnRepair != nil {
+			hooks.OnRepair(ev)
 		}
 	}
 }
 
-// runRanks runs one attempt: one RunRank per rank over fresh endpoints,
-// each configured from base. It returns the result when every rank
-// completed, else the ranks' outcomes (nil for a rank that returned a hard
-// error) and the failure that started it. Without repair a failing rank
-// aborts at once and runRanks closes every endpoint, which brings the peers
-// home; with repair, a rank that leaves the ladder aborted dies to its
-// peers, as a process that exits does, and so does a rank that finished
-// once the attempt has failed. Every endpoint is closed before runRanks
-// returns, so nothing leaks into the next attempt.
-func runRanks(attempt, world int, base RankConfig,
-	transports func(attempt, size int) ([]comm.Transport, error),
-	ropts ResilientOptions, losses []float64) (*ClusterResult, []*RankOutcome, error) {
-
-	ts, err := transports(attempt, world)
+// runRanks runs one attempt: one RunRank per rank over fresh endpoints. It
+// returns the result when every rank completed, else the ranks' outcomes
+// (nil for a rank that returned a hard error) and the failure that started
+// it. Without repair a failing rank aborts at once and runRanks closes
+// every endpoint, which brings the peers home; with repair, a rank that
+// leaves the ladder aborted dies to its peers, as a process that exits
+// does, and so does a rank that finished once the attempt has failed. Every
+// endpoint is closed before runRanks returns, so nothing leaks into the
+// next attempt.
+func runRanks(attempt, world int, spec RunSpec, hooks RunHooks, losses []float64) (*ClusterResult, []*RankOutcome, error) {
+	ts, err := hooks.Transports(attempt, world)
 	if err != nil {
 		return nil, nil, fmt.Errorf("attempt %d bring-up: %w", attempt, err)
 	}
@@ -536,14 +526,9 @@ func runRanks(attempt, world int, base RankConfig,
 	if len(ts) != world {
 		return nil, nil, fmt.Errorf("attempt %d: got %d transports for %d ranks", attempt, len(ts), world)
 	}
-	for r := range ts {
-		if ropts.WrapTransport != nil {
-			ts[r] = ropts.WrapTransport(attempt, r, ts[r])
-		}
-	}
-	var board *ProgressBoard
 	var wd *watchdog
-	if ropts.Watchdog != nil {
+	var board *ProgressBoard
+	if hooks.Watchdog != nil {
 		board = NewProgressBoard(world)
 		for r := range ts {
 			ts[r] = WrapBeacon(ts[r], board, r)
@@ -551,51 +536,35 @@ func runRanks(attempt, world int, base RankConfig,
 		// Declaring a straggler dead = closing its endpoint: its next
 		// transport op fails and the failure flows through the same
 		// typed-error repair path as a crash.
-		wd = startWatchdog(*ropts.Watchdog, board, func(rank int) { ts[rank].Close() })
+		wd = startWatchdog(*hooks.Watchdog, board, func(rank int) { ts[rank].Close() })
 		defer wd.Stop()
 	}
-	// The watchdog stands down at the first failure: what follows is
-	// teardown or the repair ladder, not training.
-	standDown := func() {
-		if wd != nil {
-			wd.Stop()
-		}
-	}
 
-	repair := ropts.Elastic != ElasticNone
+	repair := spec.Elastic != ElasticNone
 	type result struct {
 		rank int
 		out  *RankOutcome
 		err  error
 	}
 	results := make(chan result, world)
-	var iterStart time.Time // rank 0's, for the watchdog's median
+	iterStart := time.Now() // rank 0's, for the watchdog's median
 	for r := range world {
-		rc := base
-		rc.Transport = func(RankAssignment) (comm.Transport, error) { return ts[r], nil }
-		rc.local = &localRank{repair: repair, board: board}
-		rc.Beacon = func(state string, _ int) {
-			switch {
-			case state == "agree":
-				standDown()
-			case state == "iter" && r == 0:
-				iterStart = time.Now()
-			}
-		}
+		rh := RunHooks{Batches: hooks.Batches, Snapshot: hooks.Snapshot}
 		if r == 0 {
 			// Rank 0 reports each committed iteration, once.
-			rc.OnIteration = func(iter int, loss float64) {
+			rh.OnIteration = func(iter int, loss float64) {
 				if wd != nil {
 					wd.NoteIteration(time.Since(iterStart))
+					iterStart = time.Now()
 				}
 				losses[iter] = loss
-				if ropts.OnIteration != nil {
-					ropts.OnIteration(iter, loss)
+				if hooks.OnIteration != nil {
+					hooks.OnIteration(iter, loss)
 				}
 			}
 		}
 		go func() {
-			out, err := RunRank(RankAssignment{Epoch: uint32(attempt), Rank: r, World: world, SeedFrom: -1}, rc)
+			out, err := RunRank(RankAssignment{Epoch: uint32(attempt), Rank: r, World: world, SeedFrom: -1}, ts[r], spec, rh)
 			results <- result{r, out, err}
 		}()
 	}
@@ -630,10 +599,10 @@ func runRanks(attempt, world int, base RankConfig,
 		// so close it and the survivors' agreement suspects it at once
 		// instead of after a full round.
 		for _, r := range finished {
-			CloseMesh(ts[r], base.Deadlines)
+			CloseMesh(ts[r], spec.Deadlines)
 		}
 		finished = finished[:0]
-		standDown()
+		board.Fail()
 	}
 	if len(failures) > 0 {
 		return nil, outs, rootCause(failures)

@@ -27,17 +27,17 @@ func TestRepairAtIterationZeroRestartsFromScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var crashed *comm.FaultTransport
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			MaxRestarts: 1,
-			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
-				if attempt == 0 && rank == 1 {
-					crashed = comm.NewFaultTransport(tr, comm.FaultConfig{CrashAtSend: 1})
-					return crashed
-				}
-				return tr
-			},
-		})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.MaxRestarts = 1
+	res, err := RunResilient(spec, RunHooks{
+		Transports: wrapped(inproc, func(attempt, rank int, tr comm.Transport) comm.Transport {
+			if attempt == 0 && rank == 1 {
+				crashed = comm.NewFaultTransport(tr, comm.FaultConfig{CrashAtSend: 1})
+				return crashed
+			}
+			return tr
+		}),
+	})
 	if err != nil {
 		t.Fatalf("iteration-0 recovery failed: %v", err)
 	}
@@ -58,21 +58,21 @@ func TestRepairRightAfterCheckpointBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	var crashed *comm.FaultTransport
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			CheckpointEvery: 2,
-			MaxRestarts:     1,
-			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
-				if attempt == 0 && rank == 1 {
-					// First send of iteration 2, immediately after the
-					// checkpoint taken at the iteration-2 barrier (whose
-					// gather sends one share to each peer).
-					crashed = comm.NewFaultTransport(tr, comm.FaultConfig{CrashAtSend: perIter*2 + int64(p-1) + 1})
-					return crashed
-				}
-				return tr
-			},
-		})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.CheckpointEvery = 2
+	spec.MaxRestarts = 1
+	res, err := RunResilient(spec, RunHooks{
+		Transports: wrapped(inproc, func(attempt, rank int, tr comm.Transport) comm.Transport {
+			if attempt == 0 && rank == 1 {
+				// First send of iteration 2, immediately after the
+				// checkpoint taken at the iteration-2 barrier (whose
+				// gather sends one share to each peer).
+				crashed = comm.NewFaultTransport(tr, comm.FaultConfig{CrashAtSend: perIter*2 + int64(p-1) + 1})
+				return crashed
+			}
+			return tr
+		}),
+	})
 	if err != nil {
 		t.Fatalf("post-barrier recovery failed: %v", err)
 	}
@@ -87,16 +87,16 @@ func TestRepairRightAfterCheckpointBarrier(t *testing.T) {
 func TestRepairBudgetExhaustion(t *testing.T) {
 	const p, iters, n = 2, 4, 4
 	base := runtime.NumGoroutine()
-	_, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			MaxRestarts: 2,
-			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
-				if rank == 0 {
-					return comm.NewFaultTransport(tr, comm.FaultConfig{CrashAtSend: 5})
-				}
-				return tr
-			},
-		})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.MaxRestarts = 2
+	_, err := RunResilient(spec, RunHooks{
+		Transports: wrapped(inproc, func(attempt, rank int, tr comm.Transport) comm.Transport {
+			if rank == 0 {
+				return comm.NewFaultTransport(tr, comm.FaultConfig{CrashAtSend: 5})
+			}
+			return tr
+		}),
+	})
 	if err == nil {
 		t.Fatal("run with a crash on every attempt reported success")
 	}
@@ -114,16 +114,16 @@ func TestFinalIterationCheckpointContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), cut, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{CheckpointEvery: 2})
+	spec := eqSpec(StrategyWZB2, p, cut, n)
+	spec.CheckpointEvery = 2
+	first, err := RunResilient(spec, RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Checkpoint == nil || first.Checkpoint.Step != cut {
 		t.Fatalf("last checkpoint %+v, want the final iteration's (%d)", first.Checkpoint, cut)
 	}
-	rest, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{InitialSnapshot: first.Checkpoint})
+	rest, err := RunResilient(eqSpec(StrategyWZB2, p, iters, n), RunHooks{Snapshot: first.Checkpoint})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,14 +147,14 @@ func TestWeightOnlySnapshotSeedsBuddies(t *testing.T) {
 	seed.Step = 7 // a weight-only snapshot's counter is not a resume point
 	perIter := buddySendsPerIteration(t, p, iters, n)
 	var crashed *comm.FaultTransport
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			InitialSnapshot: seed,
-			MaxRestarts:     1,
-			Elastic:         ElasticSpare,
-			Spares:          1,
-			WrapTransport:   crashRankOne(&crashed, perIter+perIter/2),
-		})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.MaxRestarts = 1
+	spec.Elastic = ElasticSpare
+	spec.Spares = 1
+	res, err := RunResilient(spec, RunHooks{
+		Transports: wrapped(inproc, crashRankOne(&crashed, perIter+perIter/2)),
+		Snapshot:   seed,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,18 +201,18 @@ func TestRepairClosesFinishedRankAfterFailure(t *testing.T) {
 	}
 	var crashed atomic.Bool
 	start := time.Now()
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			MaxRestarts: 1,
-			Elastic:     ElasticShrink,
-			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
-				if attempt > 0 || rank != 2 {
-					return tr
-				}
-				crashed.Store(true)
-				return &finalGatherCrash{tr, Tag{Kind: comm.KindCtl, A: gatherTag, B: iters}}
-			},
-		})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.MaxRestarts = 1
+	spec.Elastic = ElasticShrink
+	res, err := RunResilient(spec, RunHooks{
+		Transports: wrapped(inproc, func(attempt, rank int, tr comm.Transport) comm.Transport {
+			if attempt > 0 || rank != 2 {
+				return tr
+			}
+			crashed.Store(true)
+			return &finalGatherCrash{tr, Tag{Kind: comm.KindCtl, A: gatherTag, B: iters}}
+		}),
+	})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

@@ -192,8 +192,8 @@ func trainAll(t *testing.T, trainers []Trainer, batches []data.Batch) {
 // p = 3 — FSDP's shards of uneven length, PP stages and WeiPipe chunks of
 // unequal size — and reads it back: AssembleWeights returns the snapshot's
 // weights bit for bit, from a weight-only snapshot (the path a -resume
-// takes) and from a full-state one, whose optimizer moments the trainers
-// that keep them (Recoverable) must hand back unchanged too.
+// takes) and from a full-state one, whose optimizer moments every trainer
+// must hand back unchanged too.
 func TestRestoreThenAssembleRoundTrips(t *testing.T) {
 	cfg := eqCfg()
 	total := model.BuildShells(cfg).NumParams()
@@ -230,29 +230,19 @@ func TestRestoreThenAssembleRoundTrips(t *testing.T) {
 			for _, snap := range []*checkpoint.Snapshot{weightOnly, full} {
 				cl := comm.NewCluster(rn.p)
 				trainers := make([]Trainer, rn.p)
-				recoverable := true
 				for r := range trainers {
 					tr, err := New(rn.s, cl.Transport(r), cfg, eqOpts())
 					if err != nil {
 						t.Fatal(err)
 					}
 					trainers[r] = tr
-					_, ok := tr.(Recoverable)
-					recoverable = recoverable && ok
 				}
 				cl.Close()
 				kind := "weight-only"
 				if fullState(snap) {
 					kind = "full-state"
 				}
-				err := RestoreSnapshot(snap, trainers)
-				if fullState(snap) && !recoverable {
-					if err == nil {
-						t.Errorf("%s: restored optimizer state into trainers that keep none", kind)
-					}
-					continue
-				}
-				if err != nil {
+				if err := RestoreSnapshot(snap, trainers); err != nil {
 					t.Fatalf("%s: %v", kind, err)
 				}
 				if !sameBits(AssembleWeights(trainers), snap.Weights) {

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"path/filepath"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -55,11 +54,22 @@ func bitIdentical(t *testing.T, name string, gotLoss, wantLoss []float64, gotW, 
 	}
 }
 
-// inprocFactory builds a fresh in-process cluster per recovery attempt,
-// honouring the size the elastic runner asks for.
-func inprocFactory(int) func(int, int) ([]comm.Transport, error) {
-	return func(_, size int) ([]comm.Transport, error) {
-		return comm.NewCluster(size).Transports(), nil
+// inproc builds a fresh in-process cluster per recovery attempt, honouring
+// the size the elastic runner asks for.
+func inproc(_, size int) ([]comm.Transport, error) {
+	return comm.NewCluster(size).Transports(), nil
+}
+
+// wrapped is build's fabric with every endpoint passed through wrap: how the
+// tests inject crashes and probes.
+func wrapped(build func(attempt, size int) ([]comm.Transport, error),
+	wrap func(attempt, rank int, t comm.Transport) comm.Transport) func(attempt, size int) ([]comm.Transport, error) {
+	return func(attempt, size int) ([]comm.Transport, error) {
+		ts, err := build(attempt, size)
+		for r := range ts {
+			ts[r] = wrap(attempt, r, ts[r])
+		}
+		return ts, err
 	}
 }
 
@@ -69,10 +79,10 @@ func inprocFactory(int) func(int, int) ([]comm.Transport, error) {
 func runCodec(t *testing.T, s Strategy, p int, cfg model.Config, opts Options, iters int,
 	batches func(int) []data.Batch, codec comm.CodecFunc) *ClusterResult {
 	t.Helper()
-	res, err := RunResilient(s, p, cfg, opts, iters, batches,
-		func(_, size int) ([]comm.Transport, error) {
+	res, err := RunResilient(RunSpec{Strategy: s, Model: cfg, Options: opts, World: p, Iters: iters},
+		RunHooks{Batches: batches, Transports: func(_, size int) ([]comm.Transport, error) {
 			return comm.NewClusterCodec(size, codec).Transports(), nil
-		}, ResilientOptions{})
+		}})
 	if err != nil {
 		t.Fatalf("%s p=%d: %v", s, p, err)
 	}
@@ -84,16 +94,15 @@ func runCodec(t *testing.T, s Strategy, p int, cfg model.Config, opts Options, i
 func sendsPerIteration(t *testing.T, p, iters, n int) int64 {
 	t.Helper()
 	var probe *comm.FaultTransport
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
-				if rank == 1 {
-					probe = comm.NewFaultTransport(tr, comm.FaultConfig{})
-					return probe
-				}
-				return tr
-			},
-		})
+	res, err := RunResilient(eqSpec(StrategyWZB2, p, iters, n), RunHooks{
+		Transports: wrapped(inproc, func(attempt, rank int, tr comm.Transport) comm.Transport {
+			if rank == 1 {
+				probe = comm.NewFaultTransport(tr, comm.FaultConfig{})
+				return probe
+			}
+			return tr
+		}),
+	})
 	if err != nil {
 		t.Fatalf("probe run: %v", err)
 	}
@@ -122,8 +131,9 @@ func TestResilientRunnerMatchesCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{CheckpointEvery: 2})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.CheckpointEvery = 2
+	res, err := RunResilient(spec, RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,20 +152,20 @@ func TestCrashRecoveryInproc(t *testing.T) {
 	// Crash rank 1 in the middle of iteration 4 (0-based iteration 3): a
 	// checkpoint exists at iteration-2, so recovery replays iterations 2-5.
 	var crashed *comm.FaultTransport
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			CheckpointEvery: 2,
-			MaxRestarts:     1,
-			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
-				if attempt == 0 && rank == 1 {
-					crashed = comm.NewFaultTransport(tr, comm.FaultConfig{
-						CrashAtSend: perIter*3 + perIter/2,
-					})
-					return crashed
-				}
-				return tr
-			},
-		})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.CheckpointEvery = 2
+	spec.MaxRestarts = 1
+	res, err := RunResilient(spec, RunHooks{
+		Transports: wrapped(inproc, func(attempt, rank int, tr comm.Transport) comm.Transport {
+			if attempt == 0 && rank == 1 {
+				crashed = comm.NewFaultTransport(tr, comm.FaultConfig{
+					CrashAtSend: perIter*3 + perIter/2,
+				})
+				return crashed
+			}
+			return tr
+		}),
+	})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -170,15 +180,14 @@ func TestCrashRecoveryInproc(t *testing.T) {
 func TestCrashWithoutRestartsFailsCleanly(t *testing.T) {
 	const p, iters, n = 2, 4, 4
 	base := runtime.NumGoroutine()
-	_, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
-				if rank == 0 {
-					return comm.NewFaultTransport(tr, comm.FaultConfig{CrashAtSend: 10})
-				}
-				return tr
-			},
-		})
+	_, err := RunResilient(eqSpec(StrategyWZB2, p, iters, n), RunHooks{
+		Transports: wrapped(inproc, func(attempt, rank int, tr comm.Transport) comm.Transport {
+			if rank == 0 {
+				return comm.NewFaultTransport(tr, comm.FaultConfig{CrashAtSend: 10})
+			}
+			return tr
+		}),
+	})
 	if err == nil {
 		t.Fatal("crash with MaxRestarts=0 did not fail the run")
 	}
@@ -215,57 +224,24 @@ func TestChaosEquivalenceWZB2TCP(t *testing.T) {
 			MaxDelay:  2 * time.Millisecond,
 		},
 	}
-	tcpFactory := func(attempt, size int) ([]comm.Transport, error) {
-		addrs, err := comm.LoopbackAddrs(size)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]comm.Transport, size)
-		errs := make([]error, size)
-		var wg sync.WaitGroup
-		for r := 0; r < size; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				tr, err := comm.DialTCPOpts(r, addrs, tcpOpts)
-				if err != nil {
-					errs[r] = err
-					return
-				}
-				out[r] = tr
-			}(r)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				for _, tr := range out {
-					if tr != nil {
-						tr.Close()
-					}
-				}
-				return nil, err
-			}
-		}
-		return out, nil
-	}
 
 	ckpt := filepath.Join(t.TempDir(), "chaos.wpck")
 	var crashed *comm.FaultTransport
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		tcpFactory, ResilientOptions{
-			CheckpointEvery: 2,
-			CheckpointPath:  ckpt,
-			MaxRestarts:     1,
-			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
-				if attempt == 0 && rank == 1 {
-					crashed = comm.NewFaultTransport(tr, comm.FaultConfig{
-						CrashAtSend: perIter*3 + perIter/2,
-					})
-					return crashed
-				}
-				return tr
-			},
-		})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.CheckpointEvery = 2
+	spec.CheckpointPath = ckpt
+	spec.MaxRestarts = 1
+	res, err := RunResilient(spec, RunHooks{
+		Transports: wrapped(chaosTCPFactory(tcpOpts), func(attempt, rank int, tr comm.Transport) comm.Transport {
+			if attempt == 0 && rank == 1 {
+				crashed = comm.NewFaultTransport(tr, comm.FaultConfig{
+					CrashAtSend: perIter*3 + perIter/2,
+				})
+				return crashed
+			}
+			return tr
+		}),
+	})
 	if err != nil {
 		t.Fatalf("chaos run failed: %v", err)
 	}

@@ -77,12 +77,6 @@ func (w *WeiPipe) LoadWeights(full []float32) {
 	w.refreshResidentGuards()
 }
 
-// OwnedModules implements Recoverable for the serial reference (whole model).
-func (s *Serial) OwnedModules() (int, int) { return 0, len(s.mdl.Modules) }
-
-// OwnedModules implements Recoverable for WeiPipe (the owned chunk).
-func (w *WeiPipe) OwnedModules() (int, int) { return w.chunkRange(w.ownChunk) }
-
 // ClusterResult is the outcome of RunCluster and RunResilient.
 type ClusterResult struct {
 	// Losses holds the per-iteration mean loss (identical across ranks).
@@ -127,18 +121,14 @@ func (r *ClusterResult) TotalComm() *comm.Stats {
 // RunCluster trains `iters` iterations of strategy s on p in-process ranks,
 // feeding iteration i the microbatch list batchesFn(i) (every rank receives
 // the same list). It returns the per-iteration losses and the assembled
-// final weights. It is RunResilient with no recovery options over an f32
+// final weights. It is RunResilient with no recovery over an f32
 // in-process fabric carrying Options.Trace; a bf16 wire is a fabric
-// choice, made by calling RunResilient over comm.NewClusterCodec.
+// choice, made by giving RunResilient a comm.NewClusterCodec factory.
 func RunCluster(s Strategy, p int, cfg model.Config, opts Options, iters int,
 	batchesFn func(iter int) []data.Batch) (*ClusterResult, error) {
 
-	return RunResilient(s, p, cfg, opts, iters, batchesFn,
-		func(_, size int) ([]comm.Transport, error) {
-			cluster := comm.NewCluster(size)
-			cluster.AttachTrace(opts.Trace)
-			return cluster.Transports(), nil
-		}, ResilientOptions{})
+	return RunResilient(RunSpec{Strategy: s, Model: cfg, Options: opts, World: p, Iters: iters},
+		RunHooks{Batches: batchesFn})
 }
 
 // AssembleWeights builds the full flat parameter vector from the weights

@@ -95,12 +95,12 @@ func TestSoakBitFlipSchedules(t *testing.T) {
 				}
 				return factory(attempt, size)
 			}
-			res, err := RunResilient(StrategyWZB2, p, eqCfg(), faulted, iters, eqBatches(iters, nb),
-				counting, ResilientOptions{
-					CheckpointEvery: 2,
-					CheckpointPath:  filepath.Join(t.TempDir(), "sdc.wpck"),
-					MaxRestarts:     len(events) + 3,
-				})
+			spec := eqSpec(StrategyWZB2, p, iters, nb)
+			spec.Options = faulted
+			spec.CheckpointEvery = 2
+			spec.CheckpointPath = filepath.Join(t.TempDir(), "sdc.wpck")
+			spec.MaxRestarts = len(events) + 3
+			res, err := RunResilient(spec, RunHooks{Transports: counting})
 
 			if outDir != "" {
 				writeSDCReport(t, outDir, seed, inj, events, attempts.Load(), set, err)

@@ -187,8 +187,10 @@ func TestOverlapBitIdenticalWithBuddyAndClip(t *testing.T) {
 	opts := buddyOpts()
 	opts.ClipNorm = 0.05
 	// The elastic driver turns buddy replication on in process.
-	ref, err := RunResilient(StrategyWZB2, 4, eqCfg(), opts, iters, eqBatches(iters, n),
-		inprocFactory(4), ResilientOptions{Elastic: ElasticShrink})
+	spec := eqSpec(StrategyWZB2, 4, iters, n)
+	spec.Options = opts
+	spec.Elastic = ElasticShrink
+	ref, err := RunResilient(spec, RunHooks{})
 	if err != nil {
 		t.Fatalf("in-process: %v", err)
 	}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -80,8 +81,9 @@ type StragglerReport struct {
 // from rank goroutines on every transport operation; the watchdog samples
 // the board on its own goroutine.
 type ProgressBoard struct {
-	mu    sync.Mutex
-	ranks []rankProgress
+	mu     sync.Mutex
+	ranks  []rankProgress
+	failed bool // a rank failed: what follows is teardown or repair
 }
 
 type rankProgress struct {
@@ -137,12 +139,27 @@ func (b *ProgressBoard) Post(rank, iter, mb int, phase byte) {
 	b.mu.Unlock()
 }
 
+// Fail marks the attempt failed, which stands the watchdog down: what
+// follows is teardown or the repair ladder, not training. A nil board
+// ignores it.
+func (b *ProgressBoard) Fail() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	b.failed = true
+	b.mu.Unlock()
+}
+
+// snapshot returns every rank's progress, or nothing once the attempt
+// failed.
 func (b *ProgressBoard) snapshot() []rankProgress {
 	b.mu.Lock()
-	out := make([]rankProgress, len(b.ranks))
-	copy(out, b.ranks)
-	b.mu.Unlock()
-	return out
+	defer b.mu.Unlock()
+	if b.failed {
+		return nil
+	}
+	return slices.Clone(b.ranks)
 }
 
 // progressSink is implemented by trainers that can post schedule-position

@@ -75,14 +75,13 @@ func TestWatchdogNoFalsePositives(t *testing.T) {
 		s := s
 		t.Run(string(s), func(t *testing.T) {
 			t.Parallel()
-			_, err := RunResilient(s, 2, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-				inprocFactory(2), ResilientOptions{
-					Watchdog: &WatchdogConfig{
-						Interval: 2 * time.Millisecond,
-						Multiple: 4,
-					},
-					OnRepair: func(ev RepairEvent) { t.Errorf("repair on a clean run: %+v", ev) },
-				})
+			_, err := RunResilient(eqSpec(s, 2, iters, n), RunHooks{
+				Watchdog: &WatchdogConfig{
+					Interval: 2 * time.Millisecond,
+					Multiple: 4,
+				},
+				OnRepair: func(ev RepairEvent) { t.Errorf("repair on a clean run: %+v", ev) },
+			})
 			if err != nil {
 				t.Fatalf("clean run failed: %v", err)
 			}
@@ -92,18 +91,17 @@ func TestWatchdogNoFalsePositives(t *testing.T) {
 	// absence above cannot hide a flag.
 	var mu sync.Mutex
 	var flagged []StragglerReport
-	_, err := RunResilient(StrategyWZB2, 2, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(2), ResilientOptions{
-			Watchdog: &WatchdogConfig{
-				Interval: 2 * time.Millisecond,
-				Multiple: 4,
-				OnStraggler: func(r StragglerReport) {
-					mu.Lock()
-					flagged = append(flagged, r)
-					mu.Unlock()
-				},
+	_, err := RunResilient(eqSpec(StrategyWZB2, 2, iters, n), RunHooks{
+		Watchdog: &WatchdogConfig{
+			Interval: 2 * time.Millisecond,
+			Multiple: 4,
+			OnStraggler: func(r StragglerReport) {
+				mu.Lock()
+				flagged = append(flagged, r)
+				mu.Unlock()
 			},
-		})
+		},
+	})
 	if err != nil {
 		t.Fatalf("clean run failed: %v", err)
 	}
@@ -125,30 +123,29 @@ func TestWatchdogFlagsStalledRank(t *testing.T) {
 
 	var mu sync.Mutex
 	var flagged []StragglerReport
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			Watchdog: &WatchdogConfig{
-				Interval: 5 * time.Millisecond,
-				Multiple: 2,
-				MinStall: 150 * time.Millisecond,
-				OnStraggler: func(r StragglerReport) {
-					mu.Lock()
-					flagged = append(flagged, r)
-					mu.Unlock()
-				},
+	res, err := RunResilient(eqSpec(StrategyWZB2, p, iters, n), RunHooks{
+		Transports: wrapped(inproc, func(attempt, rank int, tr comm.Transport) comm.Transport {
+			if rank == 1 {
+				// Stall in iteration 1, after the first completed
+				// iteration has armed the threshold.
+				return comm.NewFaultTransport(tr, comm.FaultConfig{
+					StallAtSend: perIter + 2,
+					StallFor:    2 * time.Second,
+				})
+			}
+			return tr
+		}),
+		Watchdog: &WatchdogConfig{
+			Interval: 5 * time.Millisecond,
+			Multiple: 2,
+			MinStall: 150 * time.Millisecond,
+			OnStraggler: func(r StragglerReport) {
+				mu.Lock()
+				flagged = append(flagged, r)
+				mu.Unlock()
 			},
-			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
-				if rank == 1 {
-					// Stall in iteration 1, after the first completed
-					// iteration has armed the threshold.
-					return comm.NewFaultTransport(tr, comm.FaultConfig{
-						StallAtSend: perIter + 2,
-						StallFor:    2 * time.Second,
-					})
-				}
-				return tr
-			},
-		})
+		},
+	})
 	if err != nil {
 		t.Fatalf("stalled run failed: %v", err)
 	}
@@ -172,29 +169,29 @@ func TestWatchdogDeclareDeadTriggersRepair(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	var ev RepairEvent
-	res, err := RunResilient(StrategyWZB2, p, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(p), ResilientOptions{
-			MaxRestarts: 1,
-			Elastic:     ElasticShrink,
-			OnRepair:    func(e RepairEvent) { ev = e },
-			Watchdog: &WatchdogConfig{
-				Interval:    5 * time.Millisecond,
-				Multiple:    2,
-				MinStall:    150 * time.Millisecond,
-				DeclareDead: true,
-			},
-			WrapTransport: func(attempt, rank int, tr comm.Transport) comm.Transport {
-				if attempt == 0 && rank == 1 {
-					// A stall far past any threshold: the watchdog must
-					// declare rank 1 dead long before it wakes.
-					return comm.NewFaultTransport(tr, comm.FaultConfig{
-						StallAtSend: perIter + 2,
-						StallFor:    4 * time.Second,
-					})
-				}
-				return tr
-			},
-		})
+	spec := eqSpec(StrategyWZB2, p, iters, n)
+	spec.MaxRestarts = 1
+	spec.Elastic = ElasticShrink
+	res, err := RunResilient(spec, RunHooks{
+		Transports: wrapped(inproc, func(attempt, rank int, tr comm.Transport) comm.Transport {
+			if attempt == 0 && rank == 1 {
+				// A stall far past any threshold: the watchdog must
+				// declare rank 1 dead long before it wakes.
+				return comm.NewFaultTransport(tr, comm.FaultConfig{
+					StallAtSend: perIter + 2,
+					StallFor:    4 * time.Second,
+				})
+			}
+			return tr
+		}),
+		OnRepair: func(e RepairEvent) { ev = e },
+		Watchdog: &WatchdogConfig{
+			Interval:    5 * time.Millisecond,
+			Multiple:    2,
+			MinStall:    150 * time.Millisecond,
+			DeclareDead: true,
+		},
+	})
 	if err != nil {
 		t.Fatalf("declare-dead run failed: %v", err)
 	}
@@ -205,11 +202,9 @@ func TestWatchdogDeclareDeadTriggersRepair(t *testing.T) {
 		t.Fatalf("repair %+v, want rank 1 declared dead and a 3->2 shrink", ev)
 	}
 
-	ref, err := RunResilient(StrategyWZB2, ev.NewSize, eqCfg(), eqOpts(), iters, eqBatches(iters, n),
-		inprocFactory(ev.NewSize), ResilientOptions{
-			Elastic:         ElasticShrink,
-			InitialSnapshot: ev.Snapshot,
-		})
+	spec = eqSpec(StrategyWZB2, ev.NewSize, iters, n)
+	spec.Elastic = ElasticShrink
+	ref, err := RunResilient(spec, RunHooks{Snapshot: ev.Snapshot})
 	if err != nil {
 		t.Fatalf("reference run from repair snapshot: %v", err)
 	}

@@ -245,8 +245,8 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 	return w, nil
 }
 
-// Model implements Trainer. Only the owned chunk's modules (OwnedModules)
-// hold weights between stages.
+// Model implements Trainer. Only the owned chunk's modules hold weights
+// between stages.
 func (w *WeiPipe) Model() *model.Model { return w.mdl }
 
 // chunkRange returns the module range of chunk c.

@@ -79,9 +79,6 @@ func (h *WeiPipeDP) ExportWeights(full []float32) [][2]int { return h.inner.Expo
 // LoadWeights implements Trainer.
 func (h *WeiPipeDP) LoadWeights(full []float32) { h.inner.LoadWeights(full) }
 
-// OwnedModules implements Recoverable (the inner ring's owned chunk).
-func (h *WeiPipeDP) OwnedModules() (int, int) { return h.inner.OwnedModules() }
-
 // TrainIteration implements Trainer.
 func (h *WeiPipeDP) TrainIteration(batches []data.Batch) (float64, error) {
 	n := len(batches)
@@ -131,7 +128,6 @@ func (h *WeiPipeDP) spikeStateAt(atIter int) ([]float32, error) {
 func (h *WeiPipeDP) restoreGuard(st []float32, iter int) { h.inner.restoreGuard(st, iter) }
 
 var (
-	_ Trainer     = (*WeiPipeDP)(nil)
-	_ Recoverable = (*WeiPipeDP)(nil)
-	_ guarded     = (*WeiPipeDP)(nil)
+	_ Trainer = (*WeiPipeDP)(nil)
+	_ guarded = (*WeiPipeDP)(nil)
 )

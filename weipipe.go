@@ -152,10 +152,14 @@ type (
 	// CorruptionError reports a frame that failed validation (matches
 	// ErrCorrupt).
 	CorruptionError = comm.CorruptionError
-	// ResilientOptions configures RunResilient (checkpoint cadence, restart
-	// budget, elastic repair policy, straggler watchdog, transport wrapping,
-	// LR schedule).
-	ResilientOptions = pipeline.ResilientOptions
+	// RunSpec is one training run's whole configuration, data only
+	// (strategy, model, options, world, batches, checkpoints, LR warm-up,
+	// restart budget, elastic policy, deadlines, chaos); Bind declares its
+	// flags and Validate rejects a bad one.
+	RunSpec = pipeline.RunSpec
+	// RunHooks holds a run's callbacks, its transport factory and the
+	// snapshot it starts from.
+	RunHooks = pipeline.RunHooks
 	// ElasticPolicy selects how RunResilient reacts to dead ranks
 	// (ElasticNone / ElasticShrink / ElasticSpare).
 	ElasticPolicy = pipeline.ElasticPolicy
@@ -280,20 +284,16 @@ func NewFaultTransport(inner Transport, cfg FaultConfig) *FaultTransport {
 }
 
 // RunResilient is the in-process supervisor RunCluster runs on: per
-// attempt it builds the endpoints with the transports factory (elastic
-// repair changes the requested size), runs one training loop per rank over
-// them — the loop each weipipe-launch process runs — and recovers when a
-// rank fails: either elastic repair at the failure barrier from buddy
-// replicas — the survivors agree on the dead set and harvest a snapshot
-// over their own transports, then shrink the ring or admit a spare, per
-// ResilientOptions.Elastic, with no checkpoint read — or restart from the
-// last coordinated checkpoint. The recovered loss trajectory is
-// bit-identical to an uninterrupted run.
-func RunResilient(s Strategy, p int, cfg Config, opts Options, iters int,
-	batchesFn func(iter int) []Batch,
-	transports func(attempt, size int) ([]Transport, error),
-	ropts ResilientOptions) (*ClusterResult, error) {
-	return pipeline.RunResilient(s, p, cfg, opts, iters, batchesFn, transports, ropts)
+// attempt it builds the endpoints with hooks.Transports (elastic repair
+// changes the requested size), runs one training loop per rank over them —
+// the loop each weipipe-launch process runs — and recovers when a rank
+// fails: either elastic repair at the failure barrier from buddy replicas —
+// the survivors agree on the dead set and harvest a snapshot over their own
+// transports, then shrink the ring or admit a spare, per spec.Elastic, with
+// no checkpoint read — or restart from the last coordinated checkpoint. The
+// recovered loss trajectory is bit-identical to an uninterrupted run.
+func RunResilient(spec RunSpec, hooks RunHooks) (*ClusterResult, error) {
+	return pipeline.RunResilient(spec, hooks)
 }
 
 // CaptureSnapshot takes a coordinated full-state checkpoint (weights,
