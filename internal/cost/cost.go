@@ -250,7 +250,8 @@ func (w Workload) MemoryBytes(strategy string) float64 {
 		return ownStage + 2*acts*(1+zb2StashFrac)
 	case "fsdp":
 		sharded := w.TotalParams() * bytesPerOwnedParam / float64(w.P)
-		// prefetch double buffer of the largest gathered module
+		// at most two gathered modules: the running pass's and one kept
+		// for its next use (order.FSDP)
 		gathered := 2 * maxf(w.LayerParams(), edgeParams) * fp16Bytes
 		acts := float64(w.L) * ckpt * u
 		return sharded + gathered + acts + workspace

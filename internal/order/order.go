@@ -210,3 +210,60 @@ func beltProgram(strategy string, rank, p, n int) []Op {
 	ops = append(ops, pending...)
 	return ops
 }
+
+// Use is one pass of an FSDP rank and what it does with the gathered weights
+// of the module it runs.
+type Use struct {
+	// Op is the pass: Phase 'F' (forward) or 'B' (backward: the B pass and
+	// the W pass, fused), MB the rank's local microbatch, Chunk the module.
+	Op
+	// Gather: the module is not bound when the pass starts; the rank
+	// all-gathers it first.
+	Gather bool
+	// Keep: the module stays bound to its gather after the pass, for its
+	// next use.
+	Keep bool
+}
+
+// FSDP returns the passes an FSDP rank runs in one iteration over nLocal
+// microbatches of a model of modules modules: per microbatch, F over the
+// modules ascending, then B+W descending. A module's gather is kept from one
+// use to its next when the passes in between use at most one other module,
+// and dropped otherwise; nothing is kept past the iteration, whose step
+// changes the weights.
+//
+// So a rank never holds more than two gathered modules: if two modules were
+// kept over the same pass, the one gathered later would have a use inside
+// the other's gap besides that pass's module. The rule keeps the last two
+// modules across each forward→backward turnaround and the first two across
+// each microbatch boundary, which for modules ≥ 3 is 2·modules·nLocal −
+// 4·nLocal + 2 gathers an iteration instead of 2·modules·nLocal.
+func FSDP(modules, nLocal int) []Use {
+	uses := make([]Use, 0, 2*modules*nLocal)
+	for m := 0; m < nLocal; m++ {
+		for i := 0; i < modules; i++ {
+			uses = append(uses, Use{Op: Op{Phase: 'F', MB: m, Chunk: i}})
+		}
+		for i := modules - 1; i >= 0; i-- {
+			uses = append(uses, Use{Op: Op{Phase: 'B', MB: m, Chunk: i}})
+		}
+	}
+	kept := make([]bool, modules) // kept bound from the module's previous use
+	for k := range uses {
+		u := &uses[k]
+		u.Gather = !kept[u.Chunk]
+		other := -1 // the one other module used since this pass
+		for _, v := range uses[k+1:] {
+			if v.Chunk == u.Chunk {
+				u.Keep = true
+				break
+			}
+			if other >= 0 && v.Chunk != other {
+				break
+			}
+			other = v.Chunk
+		}
+		kept[u.Chunk] = u.Keep
+	}
+	return uses
+}

@@ -386,3 +386,88 @@ func TestTurnaroundHoldsOneCopy(t *testing.T) {
 		}
 	})
 }
+
+// spellFSDP renders an FSDP plan: "+" before a pass that gathers its module,
+// "*" after one that keeps it.
+func spellFSDP(uses []Use) string {
+	var parts []string
+	for _, u := range uses {
+		s := u.Op.String()
+		if u.Gather {
+			s = "+" + s
+		}
+		if u.Keep {
+			s += "*"
+		}
+		parts = append(parts, s)
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestFSDPPlanTable pins the keep rule by hand on the smallest model it
+// moves: the last two modules kept across each forward→backward turnaround,
+// the first two across the microbatch boundary, nothing past the iteration.
+func TestFSDPPlanTable(t *testing.T) {
+	for _, tc := range []struct {
+		modules, nLocal int
+		want            string
+	}{
+		{3, 1, "+F0/0 +F0/1* +F0/2* B0/2 B0/1 +B0/0"},
+		{3, 2, "+F0/0 +F0/1* +F0/2* B0/2 B0/1* +B0/0* F1/0 F1/1* +F1/2* B1/2 B1/1 +B1/0"},
+		{4, 2, "+F0/0 +F0/1 +F0/2* +F0/3* B0/3 B0/2 +B0/1* +B0/0* F1/0 F1/1 +F1/2* +F1/3* B1/3 B1/2 +B1/1 +B1/0"},
+		{2, 2, "+F0/0* +F0/1* B0/1* B0/0* F1/0* F1/1* B1/1 B1/0"},
+	} {
+		if got := spellFSDP(FSDP(tc.modules, tc.nLocal)); got != tc.want {
+			t.Errorf("FSDP(%d, %d):\n got %s\nwant %s", tc.modules, tc.nLocal, got, tc.want)
+		}
+	}
+}
+
+// TestFSDPHoldsAtMostTwo walks every plan for modules ∈ 3…8 and nLocal ∈ 1…4
+// and checks the buffers it implies: each microbatch runs F over the modules
+// ascending, then B+W descending; a pass gathers exactly when its module is
+// not already held; no pass holds more than two gathered modules; nothing is
+// held after the last pass; and the gathers number 2·modules·nLocal −
+// 4·nLocal + 2.
+func TestFSDPHoldsAtMostTwo(t *testing.T) {
+	for modules := 3; modules <= 8; modules++ {
+		for nLocal := 1; nLocal <= 4; nLocal++ {
+			uses := FSDP(modules, nLocal)
+			if len(uses) != 2*modules*nLocal {
+				t.Fatalf("modules=%d nLocal=%d: %d passes", modules, nLocal, len(uses))
+			}
+			held := make(map[int]bool)
+			gathers := 0
+			for k, u := range uses {
+				m, j := k/(2*modules), k%(2*modules)
+				want := Op{Phase: 'F', MB: m, Chunk: j}
+				if j >= modules {
+					want = Op{Phase: 'B', MB: m, Chunk: 2*modules - 1 - j}
+				}
+				if u.Op != want {
+					t.Fatalf("modules=%d nLocal=%d: pass %d is %v, want %v", modules, nLocal, k, u.Op, want)
+				}
+				if u.Gather == held[u.Chunk] {
+					t.Fatalf("modules=%d nLocal=%d: %v gathers=%v with the module held=%v",
+						modules, nLocal, u.Op, u.Gather, held[u.Chunk])
+				}
+				if u.Gather {
+					gathers++
+				}
+				held[u.Chunk] = true
+				if len(held) > 2 {
+					t.Fatalf("modules=%d nLocal=%d: %v runs with %d gathered modules", modules, nLocal, u.Op, len(held))
+				}
+				if !u.Keep {
+					delete(held, u.Chunk)
+				}
+			}
+			if len(held) != 0 {
+				t.Fatalf("modules=%d nLocal=%d: %v still held after the iteration", modules, nLocal, held)
+			}
+			if want := 2*modules*nLocal - 4*nLocal + 2; gathers != want {
+				t.Errorf("modules=%d nLocal=%d: %d gathers, want %d", modules, nLocal, gathers, want)
+			}
+		}
+	}
+}

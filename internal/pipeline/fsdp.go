@@ -9,6 +9,7 @@ import (
 	"weipipe/internal/model"
 	"weipipe/internal/nn"
 	"weipipe/internal/optim"
+	"weipipe/internal/order"
 	"weipipe/internal/tensor"
 	"weipipe/internal/trace"
 )
@@ -17,20 +18,22 @@ import (
 // benchmarks through DeepSpeed: every rank owns a 1/P shard of each
 // module's parameters, gradients and optimizer state. Parameters are
 // materialised module-by-module with a ring all-gather immediately before
-// each forward and each backward use and dropped afterwards; gradients are
-// ring reduce-scattered so each rank keeps only its shard. Data flow is
-// data-parallel: each rank trains its round-robin share of the
-// microbatches.
+// a forward or backward use and dropped after it, unless order.FSDP keeps
+// them for a use close behind (across the forward→backward turnaround and
+// a microbatch boundary), as DeepSpeed keeps a parameter whose reuse
+// distance is short; gradients are ring reduce-scattered so each rank keeps
+// only its shard. Data flow is data-parallel: each rank trains its
+// round-robin share of the microbatches.
 //
 // A rank keeps its shards and nothing else of the weights: the model is
 // shells (model.BuildShells), and like WeiPipe's belt the gathers are never
 // copied into it — a module is bound to its gathered buffer
-// (model.BindChunk) for the one pass that needs it and the buffer goes back
-// to the pool afterwards. The assembled weights come from every rank's
-// shards (ExportWeights), not from a gather.
+// (model.BindChunk) for the passes that use it and the buffer goes back to
+// the pool afterwards. The assembled weights come from every rank's shards
+// (ExportWeights), not from a gather.
 type FSDP struct {
 	t       Transport
-	mdl     *model.Model // shells, bound to a gather for one pass at a time
+	mdl     *model.Model // shells, at most two bound to a gather at a time
 	shards  [][]float32  // per-module owned shard, comm.ShardOf(rank, P) (fp32 master)
 	shardAt []int        // where each shard starts in the flat parameter vector
 	opts    []*optim.AdamW
@@ -43,10 +46,13 @@ type FSDP struct {
 	grads    []*nn.ParamSet
 	gradFlat [][]float32
 
-	// gathered is the buffer module gatheredMod is bound to for the running
-	// pass (nil between passes); see bindGathered.
-	gathered    []float32
-	gatheredMod int
+	// held are the gathers modules are bound to: the running pass's module
+	// and at most one kept for its next use (order.FSDP). A free slot has a
+	// nil buf.
+	held [2]struct {
+		buf []float32
+		mod int
+	}
 
 	// stats is the transport's meter; gather waits are recorded into it as
 	// belt stall so FSDP's exposed communication is measured the same way
@@ -86,7 +92,7 @@ func NewFSDP(t Transport, cfg model.Config, o Options) (*FSDP, error) {
 }
 
 // Model implements Trainer: shells, which hold a module's weights only
-// while a pass has it bound to its gather.
+// while it is bound to its gather.
 func (f *FSDP) Model() *model.Model { return f.mdl }
 
 // shardLens returns every rank's shard length for module i.
@@ -112,26 +118,39 @@ func (f *FSDP) gather(i int) ([]float32, error) {
 	return full, err
 }
 
-// bindGathered gathers module i and makes it a view of the result for one
-// pass; releaseGathered ends the pass (and an aborted iteration) by
-// unbinding the module and returning the buffer to the pool.
+// bindGathered gathers module i into a free held slot and makes the module
+// a view of it; release(i) unbinds the module and returns the buffer to the
+// pool, and releaseHeld does so for every slot (the end of an aborted
+// iteration).
 func (f *FSDP) bindGathered(i int) error {
 	full, err := f.gather(i)
 	if err != nil {
 		return err
 	}
-	f.mdl.BindChunk(i, i+1, full)
-	f.gathered, f.gatheredMod = full, i
-	return nil
+	for k := range f.held {
+		if h := &f.held[k]; h.buf == nil {
+			f.mdl.BindChunk(i, i+1, full)
+			h.buf, h.mod = full, i
+			return nil
+		}
+	}
+	panic("pipeline: FSDP holds a third gathered module")
 }
 
-func (f *FSDP) releaseGathered() {
-	if f.gathered == nil {
-		return
+func (f *FSDP) release(i int) {
+	for k := range f.held {
+		if h := &f.held[k]; h.buf != nil && h.mod == i {
+			f.mdl.UnbindChunk(i, i+1)
+			comm.Release(h.buf)
+			h.buf = nil
+		}
 	}
-	f.mdl.UnbindChunk(f.gatheredMod, f.gatheredMod+1)
-	comm.Release(f.gathered)
-	f.gathered = nil
+}
+
+func (f *FSDP) releaseHeld() {
+	for _, h := range f.held {
+		f.release(h.mod)
+	}
 }
 
 // TrainIteration implements Trainer.
@@ -148,39 +167,37 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 	var lossSum float64
 
 	// An iteration that ends early leaves no module bound to a pool buffer.
-	defer f.releaseGathered()
+	defer f.releaseHeld()
 
-	for mi, b := range mine {
-		mb := int64(mi)
-		caches := newCaches(0, nMods, b.G(), b.S(), f.arena)
-
-		// Forward: bind each module to its gather just in time; giving the
-		// buffer back right after the pass is FSDP's "free".
-		var x *tensor.Tensor
-		for i := 0; i < nMods; i++ {
+	var (
+		caches []*nn.Cache
+		x, dy  *tensor.Tensor
+	)
+	for _, u := range order.FSDP(nMods, len(mine)) {
+		i, b, mb := u.Chunk, mine[u.MB], int64(u.MB)
+		if u.Gather {
 			if err := f.bindGathered(i); err != nil {
 				return 0, err
+			}
+		}
+		interior := i != 0 && i != nMods-1
+		if u.Phase == 'F' {
+			if i == 0 {
+				caches = newCaches(0, nMods, b.G(), b.S(), f.arena)
+				x, dy = nil, nil
 			}
 			span := f.tr.Begin()
 			var l float64
 			x, l = forwardModule(f.mdl, i, x, b, caches[i])
 			f.tr.End(span, trace.CodeF, mb, int64(i))
-			f.releaseGathered()
 			lossSum += l
-			if f.o.Recompute && i != 0 && i != nMods-1 {
+			if f.o.Recompute && interior {
 				caches[i].DropAllButX()
 			}
-		}
-
-		// Backward: gather again before each module's B+W pass.
-		var dy *tensor.Tensor
-		for i := nMods - 1; i >= 0; i-- {
-			if err := f.bindGathered(i); err != nil {
-				return 0, err
-			}
+		} else {
 			c := caches[i]
 			span := f.tr.Begin()
-			if f.o.Recompute && i != 0 && i != nMods-1 {
+			if f.o.Recompute && interior {
 				nn.Recompute(f.mdl.Modules[i], c)
 			}
 			dy = f.mdl.Modules[i].BackwardInput(dy, c)
@@ -188,9 +205,14 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 			span = f.tr.Begin()
 			f.mdl.Modules[i].BackwardParams(c, f.grads[i])
 			f.tr.End(span, trace.CodeW, mb, int64(i))
-			f.releaseGathered()
 		}
-		f.arena.Reset()
+		// Dropping a gather the plan does not keep is FSDP's "free".
+		if !u.Keep {
+			f.release(i)
+		}
+		if u.Phase == 'B' && i == 0 {
+			f.arena.Reset()
+		}
 	}
 
 	// Reduce-scatter each module's gradient: the owned shard's sum lands in

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"weipipe/internal/model"
 	"weipipe/internal/nn"
 	"weipipe/internal/optim"
+	"weipipe/internal/order"
 	"weipipe/internal/tensor"
 )
 
@@ -99,7 +101,10 @@ func weightSideBytes(tr Trainer) int {
 //     replay scratch and the self-delivery stash.
 //   - PP: its stage × 4 — weights, gradients, m, v.
 //   - FSDP: its shards × 3 — weights, m, v — and the full-size gradient
-//     buffers the reduce-scatter consumes.
+//     buffers the reduce-scatter consumes. Between passes it also holds
+//     gathered modules: checked at the first send of every collective in
+//     the step, the modules bound are exactly those order.FSDP keeps over
+//     it, and the pass a gather feeds binds one more, so at most two.
 //
 // Every module a rank does not own is a shell, and the modules it computes
 // with are views of the state above: a trainer that still built the whole
@@ -124,12 +129,20 @@ func TestRankHoldsOnlyItsWeights(t *testing.T) {
 				cl := comm.NewCluster(p)
 				defer cl.Close()
 				trainers := make([]Trainer, p)
+				batches := eqBatches(1, 2*p)(0)
+				heldOver := fsdpHeldOverGathers(cfg.NumModules(), len(batches)/p)
+				probes := make([]*collProbe, p)
 				for r := range trainers {
-					tr, err := New(rn.s, cl.Transport(r), cfg, opts)
-					if err != nil {
+					var tr Trainer
+					probe := &collProbe{Transport: cl.Transport(r), check: func(seq int) {
+						checkFSDPHeld(t, tr.(*FSDP), r, seq, heldOver)
+					}}
+					var err error
+					if tr, err = New(rn.s, probe, cfg, opts); err != nil {
 						t.Fatal(err)
 					}
-					trainers[r] = tr
+					probe.armed = rn.s == StrategyFSDP
+					trainers[r], probes[r] = tr, probe
 				}
 				want := func(r int) int {
 					switch tr := trainers[r].(type) {
@@ -165,10 +178,89 @@ func TestRankHoldsOnlyItsWeights(t *testing.T) {
 					}
 				}
 				check("built")
-				trainAll(t, trainers, eqBatches(1, 2*p)(0))
+				trainAll(t, trainers, batches)
 				check("after a step")
+				// Every gather, every module's reduce-scatter and the loss's
+				// all-reduce were checked.
+				for r, probe := range probes {
+					if want := len(heldOver) + cfg.NumModules() + 1; probe.armed && probe.calls != want {
+						t.Errorf("rank %d: %d collectives checked, want %d", r, probe.calls, want)
+					}
+				}
 			})
 		}
+	}
+}
+
+// collProbe calls check, on the sending rank's goroutine, at the first send
+// of every collective its rank starts, with the collective's seq. It only
+// observes, so the other two sends pass straight through.
+type collProbe struct {
+	comm.Transport
+	armed bool
+	calls int
+	check func(seq int)
+}
+
+func (c *collProbe) Send(dst int, tag comm.Tag, data []float32) error {
+	if c.armed && tag.Kind == comm.KindColl && tag.B == 0 {
+		c.calls++
+		c.check(tag.A)
+	}
+	return c.Transport.Send(dst, tag, data)
+}
+
+// fsdpHeldOverGathers returns, for each gather of order.FSDP's plan in turn,
+// the modules kept bound over it.
+func fsdpHeldOverGathers(modules, nLocal int) [][]int {
+	var over [][]int
+	held := make(map[int]bool)
+	for _, u := range order.FSDP(modules, nLocal) {
+		if u.Gather {
+			over = append(over, slices.Sorted(maps.Keys(held)))
+		}
+		held[u.Chunk] = true
+		if !u.Keep {
+			delete(held, u.Chunk)
+		}
+	}
+	return over
+}
+
+// boundModules lists the modules of mdl that are views of some buffer.
+func boundModules(mdl *model.Model) []int {
+	var out []int
+	for i, m := range mdl.Modules {
+		ps := m.Params()
+		if len(ps.Get(ps.Names()[0]).Data) > 0 {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// checkFSDPHeld pins an FSDP rank's weight side at the start of collective
+// seq of its first iteration: seqs 1 … len(heldOver) are the plan's gathers,
+// over which the modules heldOver names stay bound; the reduce-scatters and
+// scalar reduces after them run with no module bound. The bytes are the
+// shards × 3, the full-size gradients and those modules, nothing else.
+func checkFSDPHeld(t *testing.T, f *FSDP, r, seq int, heldOver [][]int) {
+	var want []int
+	if seq <= len(heldOver) {
+		want = heldOver[seq-1]
+	}
+	if got := boundModules(f.mdl); !slices.Equal(got, want) {
+		t.Errorf("rank %d, collective %d: modules %v bound, the plan keeps %v", r, seq, got, want)
+	}
+	n := f.mdl.NumParams()
+	for _, s := range f.shards {
+		n += 3 * len(s)
+	}
+	for _, i := range want {
+		n += f.mdl.ModuleParamSize(i)
+	}
+	if got := weightSideBytes(f); got != 4*n {
+		t.Errorf("rank %d, collective %d: %d weight-side bytes, want %d", r, seq, got, 4*n)
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 	"weipipe/internal/cost"
 	"weipipe/internal/data"
 	"weipipe/internal/model"
+	"weipipe/internal/order"
 	"weipipe/internal/schedule"
+	"weipipe/internal/trace"
 )
 
 // These tests verify the paper's central communication claim *functionally*
@@ -21,8 +23,8 @@ import (
 //     volume is independent of microbatch size G and sequence length S;
 //   - activation-passing pipelines ship activations whose volume scales
 //     linearly with G·S;
-//   - FSDP's traffic is collective and scales with parameters × microbatch
-//     count.
+//   - FSDP's traffic is collective, one ring all-gather per gather its
+//     plan (order.FSDP) makes and one reduce-scatter per module.
 
 // runMetered trains one iteration and returns the aggregated meter.
 func runMetered(t *testing.T, s Strategy, p int, cfg model.Config, g, seq, n int) *comm.Stats {
@@ -208,18 +210,125 @@ func TestSimulatorRelaysMatchRuntime(t *testing.T) {
 	}
 }
 
+// fsdpCollective is one FSDP iteration's collective traffic, summed over the
+// ranks, from the module shapes and order.FSDP's plan: every ring all-gather
+// and reduce-scatter of a module moves each of its elements p−1 times in
+// p(p−1) messages, and the loss's scalar all-reduce is both ring phases over
+// one element.
+func fsdpCollective(mdl *model.Model, p, n int) (bytes, msgs int64) {
+	ring, hops := int64(p*(p-1)), int64(p-1)
+	for _, u := range order.FSDP(len(mdl.Modules), n/p) {
+		if u.Gather {
+			bytes += 4 * hops * int64(mdl.ModuleParamSize(u.Chunk))
+			msgs += ring
+		}
+	}
+	for i := range mdl.Modules {
+		bytes += 4 * hops * int64(mdl.ModuleParamSize(i))
+		msgs += ring
+	}
+	return bytes + 2*4*hops, msgs + 2*ring
+}
+
+// TestFSDPTrafficIsCollective pins FSDP's wire traffic exactly: collectives
+// only, the bytes and messages of the gathers order.FSDP plans, one
+// reduce-scatter per module and the loss's all-reduce.
 func TestFSDPTrafficIsCollective(t *testing.T) {
-	st := runMetered(t, StrategyFSDP, 2, tbwCfg(), 2, 8, 4)
-	if st.SentBytes(comm.KindColl) == 0 {
-		t.Fatalf("fsdp sent no collective traffic: %s", st)
+	mdl := model.BuildShells(tbwCfg())
+	for p := 2; p <= 4; p++ {
+		for _, n := range []int{p, 2 * p} {
+			st := runMetered(t, StrategyFSDP, p, tbwCfg(), 2, 8, n)
+			if st.SentBytes(comm.KindAct) != 0 || st.SentBytes(comm.KindWeight) != 0 || st.SentBytes(comm.KindGrad) != 0 {
+				t.Fatalf("fsdp sent P2P tensor traffic: %s", st)
+			}
+			bytes, msgs := fsdpCollective(mdl, p, n)
+			if got := st.SentBytes(comm.KindColl); got != bytes {
+				t.Errorf("p=%d n=%d: collective traffic %d B, want %d", p, n, got, bytes)
+			}
+			if got := st.SentMsgs(comm.KindColl); got != msgs {
+				t.Errorf("p=%d n=%d: %d collective messages, want %d", p, n, got, msgs)
+			}
+		}
 	}
-	if st.SentBytes(comm.KindAct) != 0 || st.SentBytes(comm.KindWeight) != 0 {
-		t.Fatalf("fsdp sent P2P tensor traffic: %s", st)
-	}
-	// Collective traffic grows with local microbatch count (per-mb gathers).
-	more := runMetered(t, StrategyFSDP, 2, tbwCfg(), 2, 8, 8)
-	if more.SentBytes(comm.KindColl) <= st.SentBytes(comm.KindColl) {
-		t.Fatal("fsdp collective traffic did not grow with microbatches")
+}
+
+// gatherKey names one FSDP all-gather: the rank's local microbatch, the
+// module, and the pass it feeds ('F', or 'B' for B+W).
+type gatherKey struct {
+	mb, mod int
+	phase   byte
+}
+
+// TestSimulatorGathersMatchRuntime: the all-gathers the simulator's FSDP
+// emits — its "ag" and "ag-b" fabric tasks — are, by (microbatch, module,
+// pass), the ones every runtime rank makes — each traced stall span paired
+// with the F or B span after it — so the keep rule cannot land in one reader
+// and not the other. Each rank's stall spans per iteration are the plan's
+// gather count.
+func TestSimulatorGathersMatchRuntime(t *testing.T) {
+	const iters = 2
+	cfg := tbwCfg()
+	cfg.Layers = 12 // the simulator splits the layers evenly over p ∈ {2, 3, 4}
+	for p := 2; p <= 4; p++ {
+		for _, n := range []int{p, 2 * p} {
+			planned := 0
+			for _, u := range order.FSDP(cfg.NumModules(), n/p) {
+				if u.Gather {
+					planned++
+				}
+			}
+			w := cost.Workload{H: 64, S: 64, G: 1, L: cfg.Layers, N: n, P: p}
+			tasks, err := schedule.Build(string(StrategyFSDP), schedule.Spec{W: w, GPU: cluster.A800(), Top: cluster.NVLinkSingle(p)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			simulated := make(map[gatherKey]int)
+			for _, task := range tasks {
+				var k gatherKey
+				if _, err := fmt.Sscanf(task.Label, "ag m%d mod%d", &k.mb, &k.mod); err == nil {
+					k.phase = 'F'
+				} else if _, err := fmt.Sscanf(task.Label, "ag-b m%d mod%d", &k.mb, &k.mod); err == nil {
+					k.phase = 'B'
+				} else {
+					continue
+				}
+				simulated[k] += iters
+			}
+
+			set := trace.NewSet(p, 1<<14)
+			batches := data.Microbatches(5, n, 2, cfg.Vocab, 8)
+			if _, err := RunCluster(StrategyFSDP, p, cfg, Options{Trace: set}, iters,
+				func(int) []data.Batch { return batches }); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < p; r++ {
+				ran := make(map[gatherKey]int)
+				stalls, gathered := 0, false
+				for _, e := range set.Rank(r).Events() {
+					switch e.Code {
+					case trace.CodeStall:
+						stalls++
+						gathered = true
+					case trace.CodeF, trace.CodeB:
+						if gathered {
+							phase := byte('F')
+							if e.Code == trace.CodeB {
+								phase = 'B'
+							}
+							ran[gatherKey{int(e.A), int(e.B), phase}]++
+							gathered = false
+						}
+					}
+				}
+				if stalls != iters*planned {
+					t.Errorf("p=%d n=%d rank %d: %d stall spans in %d iterations, want %d a iteration",
+						p, n, r, stalls, iters, planned)
+				}
+				if !maps.Equal(ran, simulated) {
+					t.Errorf("p=%d n=%d rank %d: runtime gathers\n %v\nsimulated\n %v", p, n, r, ran, simulated)
+				}
+			}
+		}
 	}
 }
 

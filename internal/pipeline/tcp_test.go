@@ -421,7 +421,9 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 		cl := comm.NewCluster(p)
 		trainers := make([]*WeiPipe, p)
 		errs := make([]error, p)
-		crash := &heldCrash{Transport: cl.Transport(0), w: &trainers[0]}
+		crash := &heldCrash{Transport: cl.Transport(0), holding: func() bool {
+			return trainers[0] != nil && trainers[0].held != nil
+		}}
 		opts := eqOpts()
 		opts.GroupSize = 2
 		batches := eqBatches(iters, n)
@@ -459,6 +461,73 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 		}
 		if n := comm.SharedBufs(); n != 0 {
 			t.Errorf("%s: %d buffers still shared after an abort with a held copy", s, n)
+		}
+	}
+
+	// An abort while an FSDP rank keeps a module gathered across its
+	// forward→backward turnaround, in process and over TCP: rank 0 fails the
+	// first send it makes while a module is bound — the gather of the head,
+	// with the last block kept for its B pass.
+	for _, overTCP := range []bool{false, true} {
+		var trs []comm.Transport
+		if overTCP {
+			tcpOpts := chaosTCPOpts()
+			tcpOpts.Chaos = nil
+			tcpOpts.PeerDeadTimeout = 300 * time.Millisecond
+			trs = dialMesh(t, p, tcpOpts)
+		} else {
+			cl := comm.NewCluster(p)
+			defer cl.Close()
+			for r := 0; r < p; r++ {
+				trs = append(trs, cl.Transport(r))
+			}
+		}
+		trainers := make([]*FSDP, p)
+		errs := make([]error, p)
+		crash := &heldCrash{Transport: trs[0], holding: func() bool {
+			return trainers[0] != nil && len(boundModules(trainers[0].mdl)) > 0
+		}}
+		trs[0] = crash
+		closeAll := failFast(trs) // the first rank out unblocks the others
+		batches := eqBatches(iters, n)
+		var wg sync.WaitGroup
+		for r := range trainers {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				defer closeAll()
+				var trainer Trainer
+				if trainer, errs[r] = New(StrategyFSDP, trs[r], eqCfg(), eqOpts()); errs[r] != nil {
+					return
+				}
+				trainers[r] = trainer.(*FSDP)
+				for i := 0; i < iters && errs[r] == nil; i++ {
+					_, errs[r] = trainer.TrainIteration(batches(i))
+				}
+			}(r)
+		}
+		wg.Wait()
+		if !crash.fired {
+			t.Fatalf("fsdp tcp=%v: rank 0 never sent while holding a gathered module; the test proved nothing", overTCP)
+		}
+		for r, f := range trainers {
+			if errs[r] == nil {
+				t.Errorf("fsdp tcp=%v rank %d: trained through a peer's death", overTCP, r)
+			}
+			if f == nil {
+				continue
+			}
+			if mods := boundModules(f.mdl); len(mods) != 0 {
+				t.Errorf("fsdp tcp=%v rank %d: modules %v still bound after the abort", overTCP, r, mods)
+			}
+			for _, h := range f.held {
+				if h.buf != nil {
+					t.Errorf("fsdp tcp=%v rank %d: the gather of module %d survived the abort", overTCP, r, h.mod)
+				}
+			}
+		}
+		if n := comm.SharedBufs(); n != 0 {
+			t.Errorf("fsdp tcp=%v: %d buffers still shared after an abort with a kept gather", overTCP, n)
 		}
 	}
 
@@ -508,16 +577,17 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 }
 
 // heldCrash fails every send of its rank from the first one it makes while
-// the rank's trainer holds the turnaround chunk's forward copy. All three
-// sends are intercepted: belt hops donate and relay.
+// holding reports that the rank's trainer holds weights across passes: the
+// turnaround chunk's forward copy, or a kept FSDP gather. All three sends
+// are intercepted: belt hops donate and relay.
 type heldCrash struct {
 	comm.Transport
-	w     **WeiPipe // the rank's trainer, once built
-	fired bool
+	holding func() bool // called on the rank's goroutine, at each send
+	fired   bool
 }
 
 func (h *heldCrash) crashed() bool {
-	if !h.fired && *h.w != nil && (*h.w).held != nil {
+	if !h.fired && h.holding() {
 		h.fired = true
 	}
 	return h.fired

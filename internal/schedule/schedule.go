@@ -762,31 +762,32 @@ func buildFSDP(spec Spec) ([]sim.Task, error) {
 	// cannot hide the gathers behind compute, so each module's all-gather
 	// blocks the compute that needs it and is itself gated on the previous
 	// compute — the collective-communication dependence the paper contrasts
-	// with WeiPipe's fully-prefetchable P2P belts.
-	for m := 0; m < nLocal; m++ {
-		fwdCompute := make([]int, nMods)
-		for i := 0; i < nMods; i++ {
-			deps := []int{}
+	// with WeiPipe's fully-prefetchable P2P belts. A pass whose module is
+	// still gathered (order.FSDP's keep rule, the runtime's) waits for none.
+	lastBW := make([]int, nMods)
+	for _, u := range order.FSDP(nMods, nLocal) {
+		i, m := u.Chunk, u.MB
+		var deps []int
+		if u.Gather {
 			if prev, ok := b.last[0]; ok {
 				deps = append(deps, prev)
 			}
-			g := b.fabric(top.RingAllGatherTime(modBytes(i)), fmt.Sprintf("ag m%d mod%d", m, i), deps...)
-			fwdCompute[i] = b.compute(0, modF(i), "F", fmt.Sprintf("F m%d mod%d", m, i), g)
-		}
-		bwdCompute := make([]int, nMods)
-		for i := nMods - 1; i >= 0; i-- {
-			deps := []int{}
-			if prev, ok := b.last[0]; ok {
-				deps = append(deps, prev)
+			label := fmt.Sprintf("ag m%d mod%d", m, i)
+			if u.Phase == 'B' {
+				label = fmt.Sprintf("ag-b m%d mod%d", m, i)
 			}
-			g := b.fabric(top.RingAllGatherTime(modBytes(i)), fmt.Sprintf("ag-b m%d mod%d", m, i), deps...)
-			bwdCompute[i] = b.compute(0, modBW(i), "B", fmt.Sprintf("BW m%d mod%d", m, i), g)
+			deps = []int{b.fabric(top.RingAllGatherTime(modBytes(i)), label, deps...)}
 		}
-		if m == nLocal-1 {
+		if u.Phase == 'F' {
+			b.compute(0, modF(i), "F", fmt.Sprintf("F m%d mod%d", m, i), deps...)
+			continue
+		}
+		lastBW[i] = b.compute(0, modBW(i), "B", fmt.Sprintf("BW m%d mod%d", m, i), deps...)
+		if m == nLocal-1 && i == 0 {
 			// reduce-scatter each module's gradient, overlapped with the
 			// remaining backward via the fabric.
 			for i := nMods - 1; i >= 0; i-- {
-				b.fabric(top.RingAllGatherTime(modBytes(i)), fmt.Sprintf("rs mod%d", i), bwdCompute[i])
+				b.fabric(top.RingAllGatherTime(modBytes(i)), fmt.Sprintf("rs mod%d", i), lastBW[i])
 			}
 		}
 	}
