@@ -200,9 +200,11 @@ const (
 
 	// beltBufferCopies: receive + send double buffers for the two weight
 	// belts and the gradient belt (the "larger buffers" the paper notes
-	// put WeiPipe slightly above FSDP). The turnaround chunk P−1 skips the
-	// backward belt, but the forward copy a worker holds from its F pass on
-	// it to its B pass takes the backward copy's slot, so the count stands.
+	// put WeiPipe slightly above FSDP). A pass that keeps its copy for the
+	// chunk's next use (order.BeltPlan — the turnaround chunk P−1 from F to
+	// B, and from two rounds up chunk pairs whose F and B interleave) holds
+	// it in the slot of the use it serves, whose belt copy never comes, and
+	// the plan keeps at most two at a time, so the count stands.
 	beltBufferCopies = 6
 )
 

@@ -7,11 +7,12 @@
 // before W, bounded activations in flight, no wait cycle between ranks — are
 // proved once, on the list, for all of them.
 //
-// The list is compute only. How a pass gets its inputs (which belt hop, which
-// activation message) is still the reader's business: the belts of the
-// weight-passing family and the stage-boundary sends of the activation-
-// passing family are wired by the runtime and modelled by the simulator from
-// the (MB, Chunk) each op names.
+// The list is compute only. Which passes fetch weights and which run on a
+// copy kept from the chunk's previous pass is the keep rule's, written here
+// once for the weight-passing family's belts (BeltPlan) and FSDP's gathers
+// (FSDP). The wiring itself — belt hops and tags, stage-boundary sends — is
+// the runtime's, and the simulator's to model, from the (MB, Chunk) each op
+// names.
 package order
 
 import "fmt"
@@ -86,17 +87,6 @@ func Program(strategy string, rank, p, n int) ([]Op, error) {
 	}
 	return nil, fmt.Errorf("order: strategy %q has no program order", strategy)
 }
-
-// BackwardFromForward reports whether a rank runs the B pass of chunk on the
-// copy of its weights it held since that microbatch's F pass, instead of a
-// copy the backward belt delivers. It is true for the turnaround chunk p−1
-// of a ring of two or more: every weight-passing program runs a microbatch's
-// F and B on chunk p−1 on the same rank with no other F or B on that chunk
-// between them (pinned by TestTurnaroundHoldsOneCopy), so the forward belt's
-// copy serves both and the backward belt carries chunks p−2 … 0 only. On one
-// rank the only chunk is also the first, and the interleaved orders run the
-// next microbatch's F on it before the last one's B, so both belts keep it.
-func BackwardFromForward(p, chunk int) bool { return p > 1 && chunk == p-1 }
 
 // Strategies lists the strategies Program knows, one name per order.
 func Strategies() []string {
@@ -211,49 +201,43 @@ func beltProgram(strategy string, rank, p, n int) []Op {
 	return ops
 }
 
-// Use is one pass of an FSDP rank and what it does with the gathered weights
-// of the module it runs.
+// Use is one pass of a rank's weight plan (BeltPlan, FSDP) and what it does
+// with the weights of the chunk it runs.
 type Use struct {
-	// Op is the pass: Phase 'F' (forward) or 'B' (backward: the B pass and
-	// the W pass, fused), MB the rank's local microbatch, Chunk the module.
+	// Op is the pass. In an FSDP plan Phase 'B' is the B pass and the W
+	// pass fused, MB the rank's local microbatch and Chunk the module.
 	Op
-	// Gather: the module is not bound when the pass starts; the rank
-	// all-gathers it first.
+	// Gather: the chunk's weights are not held when the pass starts; the
+	// rank fetches a copy first — off a belt, or by an all-gather.
 	Gather bool
-	// Keep: the module stays bound to its gather after the pass, for its
-	// next use.
+	// Keep: the pass keeps its copy of the weights for the chunk's next
+	// use instead of dropping it.
 	Keep bool
 }
 
-// FSDP returns the passes an FSDP rank runs in one iteration over nLocal
-// microbatches of a model of modules modules: per microbatch, F over the
-// modules ascending, then B+W descending. A module's gather is kept from one
-// use to its next when the passes in between use at most one other module,
-// and dropped otherwise; nothing is kept past the iteration, whose step
-// changes the weights.
+// keep applies the keep rule to uses, a rank's passes in program order: a
+// pass keeps its copy of the weights until the chunk's next use when the
+// passes in between use at most one other chunk, and a pass gathers exactly
+// when no copy was kept for it. W passes are transparent: they bind
+// gradient buffers, not weights, so they neither gather nor keep nor count
+// as a use. Nothing is kept past the list, whose step changes the weights.
 //
-// So a rank never holds more than two gathered modules: if two modules were
-// kept over the same pass, the one gathered later would have a use inside
-// the other's gap besides that pass's module. The rule keeps the last two
-// modules across each forward→backward turnaround and the first two across
-// each microbatch boundary, which for modules ≥ 3 is 2·modules·nLocal −
-// 4·nLocal + 2 gathers an iteration instead of 2·modules·nLocal.
-func FSDP(modules, nLocal int) []Use {
-	uses := make([]Use, 0, 2*modules*nLocal)
-	for m := 0; m < nLocal; m++ {
-		for i := 0; i < modules; i++ {
-			uses = append(uses, Use{Op: Op{Phase: 'F', MB: m, Chunk: i}})
-		}
-		for i := modules - 1; i >= 0; i-- {
-			uses = append(uses, Use{Op: Op{Phase: 'B', MB: m, Chunk: i}})
-		}
-	}
-	kept := make([]bool, modules) // kept bound from the module's previous use
+// So a rank never holds more than two copies: if two chunks were kept over
+// the same pass, the one kept later would have a use inside the other's gap
+// besides that pass's chunk.
+func keep(uses []Use) {
+	kept := make(map[int]bool)
 	for k := range uses {
 		u := &uses[k]
+		if u.Phase == 'W' {
+			continue
+		}
 		u.Gather = !kept[u.Chunk]
-		other := -1 // the one other module used since this pass
+		other := -1 // the one other chunk used since this pass
 		for _, v := range uses[k+1:] {
+			if v.Phase == 'W' {
+				continue
+			}
 			if v.Chunk == u.Chunk {
 				u.Keep = true
 				break
@@ -265,5 +249,80 @@ func FSDP(modules, nLocal int) []Use {
 		}
 		kept[u.Chunk] = u.Keep
 	}
+}
+
+// BeltPlan returns the weight plan of rank under a weight-passing strategy:
+// its Program with the keep rule applied. A pass that gathers takes its
+// chunk off the belt of its phase (forward for F, backward for B); one that
+// does not runs on the copy the chunk's previous pass kept. Every rank's
+// program is the same list of (phase, round, chunk) with its own
+// microbatches, so the plan is too: each round of a chunk on a belt is
+// served off the belt on every rank or on none. The rule keeps chunk p−1
+// from each F to the B of the same microbatch — the forward→backward
+// turnaround — and, from two rounds up, a pair of chunks whose F and B
+// passes interleave in the steady state.
+func BeltPlan(strategy string, rank, p, n int) ([]Use, error) {
+	switch strategy {
+	case "gpipe", "1f1b", "zb1", "zb2":
+		return nil, fmt.Errorf("order: %s passes activations, not weights", strategy)
+	}
+	prog, err := Program(strategy, rank, p, n)
+	if err != nil {
+		return nil, err
+	}
+	uses := make([]Use, len(prog))
+	for i, op := range prog {
+		uses[i].Op = op
+	}
+	keep(uses)
+	return uses, nil
+}
+
+// Shipped tabulates a weight plan by segment: Shipped(plan, p)[b][c][k]
+// reports whether round k of chunk c travels on belt b — 0 the forward belt
+// F passes take their chunk off, 1 the backward belt of the B passes — or is
+// served from kept copies. Any rank's plan gives the table, since BeltPlan
+// is the same on every rank.
+func Shipped(plan []Use, p int) [2][][]bool {
+	rounds := 0
+	for _, u := range plan {
+		rounds = max(rounds, u.MB/p+1)
+	}
+	var ships [2][][]bool
+	for b := range ships {
+		ships[b] = make([][]bool, p)
+		for c := range ships[b] {
+			ships[b][c] = make([]bool, rounds)
+		}
+	}
+	for _, u := range plan {
+		switch u.Phase {
+		case 'F':
+			ships[0][u.Chunk][u.MB/p] = u.Gather
+		case 'B':
+			ships[1][u.Chunk][u.MB/p] = u.Gather
+		}
+	}
+	return ships
+}
+
+// FSDP returns the passes an FSDP rank runs in one iteration over nLocal
+// microbatches of a model of modules modules: per microbatch, F over the
+// modules ascending, then B+W descending, with the keep rule applied to the
+// gathers. It keeps the last two modules across each forward→backward
+// turnaround and the first two across each microbatch boundary, which for
+// modules ≥ 3 is 2·modules·nLocal − 4·nLocal + 2 gathers an iteration
+// instead of 2·modules·nLocal.
+func FSDP(modules, nLocal int) []Use {
+	uses := make([]Use, 0, 2*modules*nLocal)
+	for m := 0; m < nLocal; m++ {
+		for i := 0; i < modules; i++ {
+			uses = append(uses, Use{Op: Op{Phase: 'F', MB: m, Chunk: i}})
+		}
+		for i := modules - 1; i >= 0; i-- {
+			uses = append(uses, Use{Op: Op{Phase: 'B', MB: m, Chunk: i}})
+		}
+	}
+	keep(uses)
 	return uses
 }

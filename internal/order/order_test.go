@@ -342,56 +342,15 @@ func TestNoWaitCycle(t *testing.T) {
 	})
 }
 
-// TestTurnaroundHoldsOneCopy proves the premise of BackwardFromForward on
-// every weight-passing program: between a microbatch's F and its B on the
-// turnaround chunk p−1, the rank runs no other F or B on that chunk. So the
-// copy its F computed out of can be held for its B in one buffer slot, and
-// no other pass needs a second copy meanwhile. W passes compute into a
-// gradient buffer and read no weights, so they may lie between.
-func TestTurnaroundHoldsOneCopy(t *testing.T) {
-	forEachGrid(t, func(g grid) {
-		if stageFamily[g.strategy] {
-			return
-		}
-		turn := g.p - 1
-		if g.p == 1 {
-			turn = -1 // one rank has no turnaround chunk
-		}
-		for c := 0; c < g.p; c++ {
-			if BackwardFromForward(g.p, c) != (c == turn) {
-				t.Fatalf("%v: BackwardFromForward(%d, %d) = %v", g, g.p, c, c != turn)
-			}
-		}
-		if turn < 0 {
-			return
-		}
-		for r, prog := range g.progs {
-			held := -1 // microbatch whose F on chunk p−1 has run and whose B has not
-			for _, op := range prog {
-				if op.Chunk != turn || op.Phase == 'W' {
-					continue
-				}
-				switch {
-				case op.Phase == 'F' && held < 0:
-					held = op.MB
-				case op.Phase == 'B' && op.MB == held:
-					held = -1
-				default:
-					t.Fatalf("%v rank %d: %v runs while microbatch %d holds chunk %d", g, r, op, held, turn)
-				}
-			}
-			if held >= 0 {
-				t.Fatalf("%v rank %d: microbatch %d never ran its B on chunk %d", g, r, held, turn)
-			}
-		}
-	})
-}
-
-// spellFSDP renders an FSDP plan: "+" before a pass that gathers its module,
-// "*" after one that keeps it.
-func spellFSDP(uses []Use) string {
+// spellPlan renders a weight plan: "+" before a pass that gathers its
+// chunk, "*" after one that keeps it; W passes, which do neither, are left
+// out.
+func spellPlan(uses []Use) string {
 	var parts []string
 	for _, u := range uses {
+		if u.Phase == 'W' {
+			continue
+		}
 		s := u.Op.String()
 		if u.Gather {
 			s = "+" + s
@@ -402,6 +361,102 @@ func spellFSDP(uses []Use) string {
 		parts = append(parts, s)
 	}
 	return strings.Join(parts, " ")
+}
+
+// TestBeltPlanProperties checks every weight-passing plan at p ∈ 1…8 and
+// n ∈ {p, 2p, 3p}: it is its rank's program, the same on every rank up to
+// the microbatch offset; each (belt, chunk, round) segment is served off the
+// belt on every rank or on none; a pass gathers exactly when its chunk is
+// not held; no pass binds or keeps more than two copies, W passes bind none,
+// and nothing is held after the iteration; and for p > 1 the turnaround
+// chunk p−1's B passes all run on a kept copy.
+func TestBeltPlanProperties(t *testing.T) {
+	type segment struct {
+		phase        byte
+		chunk, round int
+	}
+	forEachGrid(t, func(g grid) {
+		if stageFamily[g.strategy] {
+			return
+		}
+		plans := make([][]Use, g.p)
+		for r := range plans {
+			var err error
+			if plans[r], err = BeltPlan(g.strategy, r, g.p, g.n); err != nil {
+				t.Fatalf("%v rank %d: %v", g, r, err)
+			}
+		}
+		served := make(map[segment]bool)
+		for r, plan := range plans {
+			if len(plan) != len(g.progs[r]) {
+				t.Fatalf("%v rank %d: %d uses for %d ops", g, r, len(plan), len(g.progs[r]))
+			}
+			held := make(map[int]bool)
+			for i, u := range plan {
+				if u.Op != g.progs[r][i] {
+					t.Fatalf("%v rank %d: use %d is %v, the program runs %v", g, r, i, u.Op, g.progs[r][i])
+				}
+				r0 := plans[0][i]
+				if r0.MB+r != u.MB || r0.Phase != u.Phase || r0.Chunk != u.Chunk || r0.Gather != u.Gather || r0.Keep != u.Keep {
+					t.Fatalf("%v: rank %d's use %d %+v is not rank 0's %+v shifted", g, r, i, u, r0)
+				}
+				if u.Phase == 'W' {
+					if u.Gather || u.Keep {
+						t.Fatalf("%v rank %d: %v gathers or keeps weights", g, r, u.Op)
+					}
+					continue
+				}
+				seg := segment{u.Phase, u.Chunk, u.MB / g.p}
+				if was, seen := served[seg]; seen && was != u.Gather {
+					t.Fatalf("%v: segment %+v is belt-served on one rank and not on another", g, seg)
+				}
+				served[seg] = u.Gather
+				if u.Gather == held[u.Chunk] {
+					t.Fatalf("%v rank %d: %v gathers=%v with its chunk held=%v", g, r, u.Op, u.Gather, held[u.Chunk])
+				}
+				held[u.Chunk] = true
+				if len(held) > 2 {
+					t.Fatalf("%v rank %d: %v runs with %d copies bound or kept", g, r, u.Op, len(held))
+				}
+				if !u.Keep {
+					delete(held, u.Chunk)
+				}
+				if g.p > 1 && u.Phase == 'B' && u.Chunk == g.p-1 && u.Gather {
+					t.Fatalf("%v rank %d: %v takes the turnaround chunk off the backward belt", g, r, u.Op)
+				}
+			}
+			if len(held) != 0 {
+				t.Fatalf("%v rank %d: chunks %v still held after the iteration", g, r, held)
+			}
+		}
+	})
+	if _, err := BeltPlan("1f1b", 0, 2, 4); err == nil {
+		t.Error("BeltPlan accepted an activation-passing strategy")
+	}
+}
+
+// TestBeltPlanTable pins wzb2 at p=4 by hand. At n=4 the turnaround chunk 3
+// is kept from F to B, and B0/2 runs on F0/2's copy (only chunk 3 is used in
+// between). At n=8 the steady state interleaves F of round 1 with B of
+// round 0: F1/2 runs on B0/2's copy, B0/1 on F1/1's, and both turnarounds
+// are kept — so forward-belt round 1 of chunk 2 and backward-belt round 0 of
+// chunks 1 and 3 travel no belt.
+func TestBeltPlanTable(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		want string
+	}{
+		{4, "+F0/0 +F0/1 +F0/2* +F0/3* B0/3 B0/2 +B0/1 +B0/0"},
+		{8, "+F0/0 +F0/1 +F0/2 +F0/3* +F4/0 B0/3 +F4/1* +B0/2* F4/2 B0/1 +F4/3* +B0/0 B4/3 +B4/2 +B4/1 +B4/0"},
+	} {
+		plan, err := BeltPlan("wzb2", 0, 4, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := spellPlan(plan); got != tc.want {
+			t.Errorf("wzb2 p=4 n=%d:\n got %s\nwant %s", tc.n, got, tc.want)
+		}
+	}
 }
 
 // TestFSDPPlanTable pins the keep rule by hand on the smallest model it
@@ -417,7 +472,7 @@ func TestFSDPPlanTable(t *testing.T) {
 		{4, 2, "+F0/0 +F0/1 +F0/2* +F0/3* B0/3 B0/2 +B0/1* +B0/0* F1/0 F1/1 +F1/2* +F1/3* B1/3 B1/2 +B1/1 +B1/0"},
 		{2, 2, "+F0/0* +F0/1* B0/1* B0/0* F1/0* F1/1* B1/1 B1/0"},
 	} {
-		if got := spellFSDP(FSDP(tc.modules, tc.nLocal)); got != tc.want {
+		if got := spellPlan(FSDP(tc.modules, tc.nLocal)); got != tc.want {
 			t.Errorf("FSDP(%d, %d):\n got %s\nwant %s", tc.modules, tc.nLocal, got, tc.want)
 		}
 	}

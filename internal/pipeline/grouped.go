@@ -5,7 +5,6 @@ import (
 
 	"weipipe/internal/comm"
 	"weipipe/internal/model"
-	"weipipe/internal/order"
 )
 
 // Topology-aware grouped weight belts (strategy "wzb2g"; DESIGN.md §16).
@@ -29,11 +28,10 @@ import (
 //     with the *flat* belt tags, and the group's last rank never forwards —
 //     the belt never touches a boundary link. Round k+1's injection is sent
 //     by the holder right after its own round-k consumption, so belt memory
-//     stays bounded without any cross-group pacing. As on the flat belt,
-//     the turnaround chunk P−1 enters the forward belt only — every rank's
-//     B pass on it runs on the copy its F pass held
-//     (order.BackwardFromForward) — so it has no backward-belt injection
-//     and, never received off that belt, no re-injection on it either.
+//     stays bounded without any cross-group pacing. As on the flat belt, a
+//     round the plan serves from kept copies (order.BeltPlan) travels
+//     nowhere: the holder skips its injection, and paces the next shipped
+//     round's off its own pass on that belt, kept-served or not.
 //   - The gradient accumulator D is untouched: it still rides the flat ring
 //     (its strict left-fold order is what makes runs bit-identical), and it
 //     already crosses each boundary only once per round.
@@ -255,8 +253,8 @@ func (w *WeiPipe) groupedExchange() error {
 			continue
 		}
 		for _, belt := range []int{beltFwd, beltBwd} {
-			if belt == beltBwd && order.BackwardFromForward(p, c) {
-				continue // the turnaround chunk rides the forward belt only
+			if !w.plan.ships(belt, c, 0) {
+				continue // round 0 runs on kept copies
 			}
 			if err := w.sendCached(g.grp, 0, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, g.first)}, c); err != nil {
 				return err
@@ -266,53 +264,45 @@ func (w *WeiPipe) groupedExchange() error {
 	return nil
 }
 
-// recvBeltChunkGrouped is the grouped-belt analogue of recvBeltChunk: the
-// weight belt lives on the group sub-transport, the group's first rank is
-// fed by the chunk's holder (or its own cache), the last rank never
-// relays, and the holder paces round k+1's injection off its own round-k
-// consumption.
-func (w *WeiPipe) recvBeltChunkGrouped(belt, c, use int) error {
+// recvBeltGrouped is the grouped-belt analogue of the flat receive in
+// recvBelt: the weight belt lives on the group sub-transport, and the
+// group's first rank is fed by the chunk's holder (or its own cache).
+func (w *WeiPipe) recvBeltGrouped(belt, c, use int) ([]float32, error) {
 	g := w.grouped
 	i := w.t.Rank() - g.first
-	var payload []float32
 	if i == 0 && g.holderLocal(c) == 0 {
 		// First rank holds the chunk itself: compute out of the cache, no
 		// message. Only the chaos injector, which writes what it is handed,
 		// gets a copy of its own.
-		payload = g.cache[c]
-		if w.opts.BitFlip == nil {
-			comm.Retain(payload)
-		} else {
-			payload = append(comm.GetBuf(len(payload))[:0], payload...)
+		payload := g.cache[c]
+		if w.opts.BitFlip != nil {
+			return append(comm.GetBuf(len(payload))[:0], payload...), nil
 		}
-	} else {
-		src := i - 1
-		if i == 0 {
-			src = g.holderLocal(c)
-		}
-		var err error
-		payload, err = w.beltRecvOn(g.grp, src, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use)})
-		if err != nil {
-			comm.Release(payload)
-			return err
-		}
+		comm.Retain(payload)
+		return payload, nil
 	}
-	relayTo := -1
-	if i < g.m-1 {
-		relayTo = i + 1
+	src := i - 1
+	if i == 0 {
+		src = g.holderLocal(c)
 	}
-	if err := w.installBelt(g.grp, belt, c, use, payload, relayTo); err != nil {
-		return err
+	return w.beltRecvOn(g.grp, src, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use)})
+}
+
+// reinjectGrouped is the holder's pacing: its own round-k pass on belt —
+// off the belt or on a kept copy — frees the belt slot round k+1's
+// injection will fill, so sending here bounds the group's in-flight belt
+// copies exactly as the flat ring's hop-by-hop pacing does. A round the plan
+// serves from kept copies gets no injection, and self-held chunks (holder
+// == first) re-enter from the cache without a message.
+func (w *WeiPipe) reinjectGrouped(belt, c, use int) error {
+	g := w.grouped
+	p := w.t.Size()
+	i := w.t.Rank() - g.first
+	if g.holderLocal(c) != i || i == 0 {
+		return nil
 	}
-	// Holder re-injection: our own consumption of round k frees the belt
-	// slot round k+1's injection will fill, so sending here bounds the
-	// group's in-flight belt copies exactly as the flat ring's hop-by-hop
-	// pacing does. Self-held chunks (holder == first) re-enter from the
-	// cache without a message.
-	if g.holderLocal(c) == i && i != 0 {
-		if k := use / w.t.Size(); k+1 < w.curR {
-			return w.sendCached(g.grp, 0, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, (k+1)*w.t.Size()+g.first)}, c)
-		}
+	if k := use / p; k+1 < w.curR && w.plan.ships(belt, c, k+1) {
+		return w.sendCached(g.grp, 0, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, (k+1)*p+g.first)}, c)
 	}
 	return nil
 }

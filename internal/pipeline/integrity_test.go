@@ -10,6 +10,7 @@ import (
 	"weipipe/internal/data"
 	"weipipe/internal/model"
 	"weipipe/internal/optim"
+	"weipipe/internal/order"
 	"weipipe/internal/tensor"
 )
 
@@ -448,5 +449,63 @@ func TestIntegrityWeiPipeDPOverBF16Fabric(t *testing.T) {
 	bitIdentical(t, "weipipe-dp integrity on vs off over bf16", res.Losses, ref.Losses, res.Weights, ref.Weights)
 	if checks, _ := res.TotalComm().TotalIntegrityChecks(); checks == 0 {
 		t.Fatal("integrity run recorded no checks; defense was a no-op")
+	}
+}
+
+// TestIntegrityChecksEveryKeptUse: under Options.Integrity a weight chunk is
+// verified at every consumption point the plan names — once per F or B
+// pass, whether its copy came off a belt or was kept by the pass before —
+// and, on the grouped belt, once per shard the exchange delivers. A gradient
+// accumulator is verified at every hop it arrives by and at its retire:
+// p·n a iteration.
+func TestIntegrityChecksEveryKeptUse(t *testing.T) {
+	const iters = 2
+	for _, s := range []Strategy{StrategyWeiPipeNaive, StrategyWeiPipeInterleave, StrategyWZB1, StrategyWZB2, StrategyWZB2G} {
+		for _, pn := range [][2]int{{2, 4}, {4, 4}, {4, 8}, {4, 12}} {
+			p, n := pn[0], pn[1]
+			opts := integrityOpts()
+			opts.GroupSize = 2
+			res := runCodec(t, s, p, eqCfg(), opts, iters, eqBatches(iters, n), nil)
+			weights := 0
+			for r := 0; r < p; r++ {
+				plan, err := order.BeltPlan(string(s), r, p, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept := 0
+				for _, u := range plan {
+					if u.Phase != 'W' {
+						weights++
+						if !u.Gather {
+							kept++
+						}
+					}
+				}
+				if p == 4 && n >= 8 && kept == 0 {
+					t.Fatalf("%s p=%d n=%d rank %d: the plan keeps no copy; the test proved nothing", s, p, n, r)
+				}
+			}
+			if s == StrategyWZB2G {
+				// Every group caches every chunk, by message unless the
+				// chunk's owner is its own group's holder.
+				m := 2
+				for c := 0; c < p; c++ {
+					weights += p / m
+					if owner := (c - 1 + p) % p; owner%m == c%m {
+						weights--
+					}
+				}
+			}
+			total := res.TotalComm()
+			if got, want := total.IntegrityChecks(comm.KindWeight), int64(iters*weights); got != want {
+				t.Errorf("%s p=%d n=%d: %d weight checks, want %d", s, p, n, got, want)
+			}
+			if got, want := total.IntegrityChecks(comm.KindGrad), int64(iters*p*n); got != want {
+				t.Errorf("%s p=%d n=%d: %d gradient checks, want %d", s, p, n, got, want)
+			}
+			if _, fails := total.TotalIntegrityChecks(); fails != 0 {
+				t.Errorf("%s p=%d n=%d: %d checks failed on a clean run", s, p, n, fails)
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"weipipe/internal/checkpoint"
@@ -71,6 +72,7 @@ func weightSideBytes(tr Trainer) int {
 	switch tr := tr.(type) {
 	case *WeiPipe:
 		r.add(tr.masterW, tr.rbW, tr.rbM, tr.rbV)
+		r.add(tr.kept...)
 		r.opt(tr.opt)
 		r.sets(tr.wGrads...)
 		if b := tr.buddy; b != nil {
@@ -98,7 +100,11 @@ func weightSideBytes(tr Trainer) int {
 //   - WeiPipe (flat and grouped): its owned chunk × 3 — master, m, v. Buddy
 //     replication adds the owned chunk's one-deep rollback (× 3) and the
 //     successor chunk's shadow × 8: weights, m, v, their rollback, the
-//     replay scratch and the self-delivery stash.
+//     replay scratch and the self-delivery stash. Between passes it also
+//     keeps belt copies: checked at every belt receive, no chunk but the
+//     owned one is bound, the chunks kept are exactly those order.BeltPlan
+//     keeps over the pass, and with the one the receive brings they are at
+//     most two.
 //   - PP: its stage × 4 — weights, gradients, m, v.
 //   - FSDP: its shards × 3 — weights, m, v — and the full-size gradient
 //     buffers the reduce-scatter consumes. Between passes it also holds
@@ -132,17 +138,25 @@ func TestRankHoldsOnlyItsWeights(t *testing.T) {
 				batches := eqBatches(1, 2*p)(0)
 				heldOver := fsdpHeldOverGathers(cfg.NumModules(), len(batches)/p)
 				probes := make([]*collProbe, p)
+				belts := make([]*beltProbe, p)
 				for r := range trainers {
 					var tr Trainer
 					probe := &collProbe{Transport: cl.Transport(r), check: func(seq int) {
 						checkFSDPHeld(t, tr.(*FSDP), r, seq, heldOver)
 					}}
+					belt := &beltProbe{Transport: probe}
 					var err error
-					if tr, err = New(rn.s, probe, cfg, opts); err != nil {
+					if tr, err = New(rn.s, belt, cfg, opts); err != nil {
 						t.Fatal(err)
 					}
 					probe.armed = rn.s == StrategyFSDP
-					trainers[r], probes[r] = tr, probe
+					if w, ok := tr.(*WeiPipe); ok {
+						keptOver := beltKeptOverPasses(t, rn.s, r, p, len(batches))
+						belt.check = func(op order.Op) {
+							checkBeltKept(t, w, r, op, keptOver)
+						}
+					}
+					trainers[r], probes[r], belts[r] = tr, probe, belt
 				}
 				want := func(r int) int {
 					switch tr := trainers[r].(type) {
@@ -187,6 +201,23 @@ func TestRankHoldsOnlyItsWeights(t *testing.T) {
 						t.Errorf("rank %d: %d collectives checked, want %d", r, probe.calls, want)
 					}
 				}
+				// Every belt receive was checked: one per pass the plan
+				// gathers, less the grouped first ranks' own-cache uses.
+				for r, tr := range trainers {
+					w, ok := tr.(*WeiPipe)
+					if !ok {
+						continue
+					}
+					want := 0
+					for _, u := range w.plan.uses {
+						if u.Gather && (w.grouped == nil || r%w.grouped.m != 0 || u.Chunk%w.grouped.m != 0) {
+							want++
+						}
+					}
+					if belts[r].calls != want {
+						t.Errorf("rank %d: %d belt receives checked, want %d", r, belts[r].calls, want)
+					}
+				}
 			})
 		}
 	}
@@ -208,6 +239,106 @@ func (c *collProbe) Send(dst int, tag comm.Tag, data []float32) error {
 		c.check(tag.A)
 	}
 	return c.Transport.Send(dst, tag, data)
+}
+
+// beltProbe calls check, on the receiving rank's goroutine, at every receive
+// of a weight-belt use — forward or backward, flat or grouped — with the pass
+// it feeds. It only observes.
+type beltProbe struct {
+	comm.Transport
+	calls int
+	check func(op order.Op)
+}
+
+func (b *beltProbe) observe(tag comm.Tag) {
+	belt, use := (tag.B>>beltUseBits)%beltCount, tag.B&(1<<beltUseBits-1)
+	if b.check == nil || tag.Kind != comm.KindWeight || (belt != beltFwd && belt != beltBwd) {
+		return
+	}
+	phase := byte('F')
+	if belt == beltBwd {
+		phase = 'B'
+	}
+	b.calls++
+	b.check(order.Op{Phase: phase, MB: int(use), Chunk: tag.A})
+}
+
+func (b *beltProbe) Recv(src int, tag comm.Tag) ([]float32, error) {
+	b.observe(tag)
+	return b.Transport.Recv(src, tag)
+}
+
+func (b *beltProbe) RecvTimeout(src int, tag comm.Tag, timeout time.Duration) ([]float32, error) {
+	b.observe(tag)
+	return b.Transport.RecvTimeout(src, tag, timeout)
+}
+
+// beltKeptOverPasses returns, for each pass of rank's order.BeltPlan that
+// gathers its chunk, the chunks kept over it.
+func beltKeptOverPasses(t *testing.T, s Strategy, rank, p, n int) map[order.Op][]int {
+	plan, err := order.BeltPlan(string(s), rank, p, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := make(map[order.Op][]int)
+	kept := make(map[int]bool)
+	for _, u := range plan {
+		if u.Phase == 'W' {
+			continue
+		}
+		if u.Gather {
+			over[u.Op] = slices.Sorted(maps.Keys(kept))
+		}
+		kept[u.Chunk] = u.Keep
+		if !u.Keep {
+			delete(kept, u.Chunk)
+		}
+	}
+	return over
+}
+
+// checkBeltKept pins a WeiPipe rank's weight side as the receive for pass op
+// starts: op is a pass the plan gathers; no stage is bound, and no module but
+// the owned chunk's; the chunks kept are keptOver's for op, at most one, so
+// the pass binds at most two copies; and the bytes are the resident state
+// (the owned chunk × 3) and those copies, nothing else.
+func checkBeltKept(t *testing.T, w *WeiPipe, r int, op order.Op, keptOver map[order.Op][]int) {
+	want, ok := keptOver[op]
+	if !ok {
+		t.Errorf("rank %d: received %v, a pass the plan does not gather", r, op)
+		return
+	}
+	lo, hi := w.chunkRange(w.ownChunk)
+	if got := boundModules(w.mdl); w.stage.buf != nil || !slices.Equal(got, rangeOf(lo, hi)) {
+		t.Errorf("rank %d, receive for %v: modules %v bound (stage bound %v), want only the owned %v",
+			r, op, got, w.stage.buf != nil, rangeOf(lo, hi))
+	}
+	got := keptChunks(w)
+	if !slices.Equal(got, want) {
+		t.Errorf("rank %d, receive for %v: chunks %v kept, the plan keeps %v", r, op, got, want)
+	}
+	if len(got)+1 > 2 {
+		t.Errorf("rank %d, receive for %v: %d copies kept besides the one arriving", r, op, len(got))
+	}
+	n := 3 * w.mdl.ChunkSize(lo, hi)
+	for _, c := range got {
+		clo, chi := w.chunkRange(c)
+		n += w.mdl.ChunkSize(clo, chi) + w.pad
+	}
+	if w.buddy == nil {
+		if bytes := weightSideBytes(w); bytes != 4*n {
+			t.Errorf("rank %d, receive for %v: %d weight-side bytes, want %d", r, op, bytes, 4*n)
+		}
+	}
+}
+
+// rangeOf lists lo … hi−1.
+func rangeOf(lo, hi int) []int {
+	var out []int
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
+	}
+	return out
 }
 
 // fsdpHeldOverGathers returns, for each gather of order.FSDP's plan in turn,

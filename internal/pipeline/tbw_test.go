@@ -90,33 +90,84 @@ func TestActivationPassingScalesWithGS(t *testing.T) {
 	}
 }
 
+// beltCopies counts, per chunk, the weight-belt messages one flat iteration
+// of strategy s sends, from the plan: p for every round order.BeltPlan ships
+// on either belt — the owner's injection of use 0 and one relay per use
+// after it — and the rounds among them that start an iteration, each of
+// which is an injection and not a relay.
+func beltCopies(t *testing.T, s Strategy, p, n int) (copies []int64, injections int64) {
+	t.Helper()
+	plan, err := order.BeltPlan(string(s), 0, p, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copies = make([]int64, p)
+	for _, belt := range order.Shipped(plan, p) {
+		for c, rounds := range belt {
+			for k, ship := range rounds {
+				if ship {
+					copies[c] += int64(p)
+					if k == 0 {
+						injections++
+					}
+				}
+			}
+		}
+	}
+	return copies, injections
+}
+
 // TestWeiPipePerTurnVolumeMatchesAnalysis pins the belts' wire volume exactly,
-// from the chunk shapes, on every flat variant (§4.2.2: per belt use the wire
-// carries the forward and backward weight chunks and one gradient chunk).
-// Every (belt, chunk) pair takes n messages a iteration — the owner's
-// injection and n−1 relays — except that the turnaround chunk p−1 rides the
-// forward belt only: its B passes run on the copy the F pass held. The
-// gradient belt takes n per chunk, n−1 accumulator hops and the retire. The
-// meter counts self-sends, so the totals include them.
+// from the chunk shapes and the plan, on every flat variant (§4.2.2: per
+// belt use the wire carries at most the forward and backward weight chunks
+// and one gradient chunk). A chunk's weights travel only in the rounds the
+// plan ships (beltCopies); the rest run on kept copies. The gradient belt
+// takes n messages per chunk, n−1 accumulator hops and the retire. The meter
+// counts self-sends, so the totals include them.
 func TestWeiPipePerTurnVolumeMatchesAnalysis(t *testing.T) {
 	cfg := tbwCfg()
 	mdl := model.Build(cfg)
 	for _, s := range []Strategy{StrategyWeiPipeNaive, StrategyWeiPipeInterleave, StrategyWZB1, StrategyWZB2} {
-		for p := 2; p <= 4; p++ {
-			var sum, last int64 // Σ|cᵢ| and |c_{p−1}|, in floats
-			for _, b := range mdl.Partition(p) {
-				last = int64(mdl.ChunkSize(b[0], b[1]))
-				sum += last
-			}
-			for _, n := range []int64{int64(p), 2 * int64(p)} {
-				st := runMetered(t, s, p, cfg, 2, 8, int(n))
-				if got, want := st.SentBytes(comm.KindWeight), (2*n*sum-n*last)*4; got != want {
+		for p := 1; p <= 4; p++ {
+			for _, n := range []int{p, 2 * p} {
+				copies, _ := beltCopies(t, s, p, n)
+				var weights, grads int64 // in floats
+				for c, b := range mdl.Partition(p) {
+					size := int64(mdl.ChunkSize(b[0], b[1]))
+					weights += copies[c] * size
+					grads += int64(n) * size
+				}
+				st := runMetered(t, s, p, cfg, 2, 8, n)
+				if got, want := st.SentBytes(comm.KindWeight), 4*weights; got != want {
 					t.Errorf("%s p=%d n=%d: weight traffic %d B, want %d", s, p, n, got, want)
 				}
-				if got, want := st.SentBytes(comm.KindGrad), n*sum*4; got != want {
+				if got, want := st.SentBytes(comm.KindGrad), 4*grads; got != want {
 					t.Errorf("%s p=%d n=%d: gradient traffic %d B, want %d", s, p, n, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestWZB2BeltBytesAtBenchmarkShapes pins one wzb2 iteration's weight and
+// gradient bytes, loss scalars left out, at the two benchmark shapes (p=4,
+// vocabulary 256, 4 heads, 4 layers, G=1): the wide one, H=256 S=8 n=8, and
+// the long one, H=64 S=512 n=4. Under the keep rule forward-belt round 1 of
+// chunk 2 and backward-belt round 0 of chunk 1 stay off the wide shape's
+// wire, and backward-belt round 0 of chunk 2 off the long one's; before it
+// the counts were 287 866 880 and 10 031 104 B.
+func TestWZB2BeltBytesAtBenchmarkShapes(t *testing.T) {
+	for _, tc := range []struct {
+		h, seq, n int
+		want      int64
+	}{
+		{256, 8, 8, 262_651_904},
+		{64, 512, 4, 9_238_528},
+	} {
+		cfg := model.Config{Vocab: 256, Hidden: tc.h, Layers: 4, Heads: 4, MaxSeq: tc.seq, Seed: 1}
+		st := runMetered(t, StrategyWZB2, 4, cfg, 1, tc.seq, tc.n)
+		if got := st3(st); got != tc.want {
+			t.Errorf("H=%d S=%d n=%d: %d weight and gradient bytes an iteration, want %d", tc.h, tc.seq, tc.n, got, tc.want)
 		}
 	}
 }
@@ -174,38 +225,57 @@ func (h *hopCounter) Forward(dst int, tag comm.Tag, payload []float32) error {
 // TestSimulatorRelaysMatchRuntime: the relay hops the simulator emits per
 // (belt, chunk) — its Wf, Wb and D link tasks — are the hops the runtime
 // sends, so a change to how weights travel cannot land in one reader and not
-// the other.
+// the other. Use 0 is no hop on either side: the flat belt's owner
+// injection, which the simulator treats as free, or the grouped belt's
+// first injection into group 0. The grouped belt runs at p=4 in groups of 2.
 func TestSimulatorRelaysMatchRuntime(t *testing.T) {
+	type point struct {
+		s    Strategy
+		p, n int
+	}
+	var points []point
 	for _, s := range []Strategy{StrategyWeiPipeInterleave, StrategyWZB1, StrategyWZB2} {
 		for p := 2; p <= 4; p++ {
-			for _, n := range []int{p, 2 * p} {
-				var mu sync.Mutex
-				ran := make(map[hopKey]int)
-				cl := comm.NewCluster(p)
-				trs := make([]comm.Transport, p)
-				for r := range trs {
-					trs[r] = &hopCounter{Transport: cl.Transport(r), mu: &mu, hops: ran}
-				}
-				runCfgOnTransports(t, trs, s, eqCfg(), eqOpts(), 1, eqBatches(1, n))
-				cl.Close()
-
-				w := cost.Workload{H: 64, S: 64, G: 1, L: 12, N: n, P: p}
-				tasks, err := schedule.Build(string(s), schedule.Spec{W: w, GPU: cluster.A800(), Top: cluster.NVLinkSingle(p)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				simulated := make(map[hopKey]int)
-				for _, task := range tasks {
-					var k hopKey
-					var use int
-					if _, err := fmt.Sscanf(task.Label, "%s c%d u%d", &k.belt, &k.chunk, &use); err == nil && task.Kind == "comm" {
-						simulated[k]++
-					}
-				}
-				if !maps.Equal(ran, simulated) {
-					t.Errorf("%s p=%d n=%d: runtime relays\n %v\nsimulated\n %v", s, p, n, ran, simulated)
-				}
+			for _, n := range []int{p, 2 * p, 3 * p} {
+				points = append(points, point{s, p, n})
 			}
+		}
+	}
+	for _, n := range []int{4, 8, 12} {
+		points = append(points, point{StrategyWZB2G, 4, n})
+	}
+	for _, pt := range points {
+		s, p, n := pt.s, pt.p, pt.n
+		var mu sync.Mutex
+		ran := make(map[hopKey]int)
+		cl := comm.NewCluster(p)
+		trs := make([]comm.Transport, p)
+		for r := range trs {
+			trs[r] = &hopCounter{Transport: cl.Transport(r), mu: &mu, hops: ran}
+		}
+		opts := eqOpts()
+		top := cluster.NVLinkSingle(p)
+		if s == StrategyWZB2G {
+			opts.GroupSize, top = 2, cluster.NVLinkEthernet(p, 2)
+		}
+		runCfgOnTransports(t, trs, s, eqCfg(), opts, 1, eqBatches(1, n))
+		cl.Close()
+
+		w := cost.Workload{H: 64, S: 64, G: 1, L: 12, N: n, P: p}
+		tasks, err := schedule.Build(string(s), schedule.Spec{W: w, GPU: cluster.A800(), Top: top})
+		if err != nil {
+			t.Fatal(err)
+		}
+		simulated := make(map[hopKey]int)
+		for _, task := range tasks {
+			var k hopKey
+			var use int
+			if _, err := fmt.Sscanf(task.Label, "%s c%d u%d", &k.belt, &k.chunk, &use); err == nil && task.Kind == "comm" && use > 0 {
+				simulated[k]++
+			}
+		}
+		if !maps.Equal(ran, simulated) {
+			t.Errorf("%s p=%d n=%d: runtime relays\n %v\nsimulated\n %v", s, p, n, ran, simulated)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -356,10 +357,9 @@ func TestOneFOneBOverTCP(t *testing.T) {
 }
 
 // An iteration that dies mid-schedule — a peer crashes while chunks are
-// shared between link writers, caches, bound stages and the turnaround
-// chunk's held copy — must give every reference back: nothing stays bound or
-// held, no cache survives, and once the transports are closed no buffer is
-// still shared.
+// shared between link writers, caches, bound stages and kept copies — must
+// give every reference back: nothing stays bound or kept, no cache survives,
+// and once the transports are closed no buffer is still shared.
 func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 	const p, iters, n = 4, 3, 8
 	for _, s := range []Strategy{StrategyWZB2, StrategyWZB2G} {
@@ -402,8 +402,8 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 			if w.stage.buf != nil {
 				t.Errorf("%s rank %d: a stage is still bound to a belt buffer", s, r)
 			}
-			if w.held != nil {
-				t.Errorf("%s rank %d: the turnaround chunk's held copy survived the abort", s, r)
+			if kept := keptChunks(w); len(kept) != 0 {
+				t.Errorf("%s rank %d: kept copies of chunks %v survived the abort", s, r, kept)
 			}
 			if w.grouped != nil && len(w.grouped.cache) != 0 {
 				t.Errorf("%s rank %d: %d cached shards survived the abort", s, r, len(w.grouped.cache))
@@ -414,15 +414,20 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 		}
 	}
 
-	// An abort while the turnaround chunk's forward copy is held for its B
-	// pass: rank 0 fails the first send it makes while holding one (the
-	// relay of the next microbatch's chunk 0).
-	for _, s := range []Strategy{StrategyWZB2, StrategyWZB2G} {
+	// An abort while a copy is kept for its chunk's next use: rank 0 fails
+	// the first send it makes while keeping one — the turnaround chunk's
+	// forward copy, kept for its B pass, or (wzb2 at p=4, n=8) chunk 1's,
+	// kept from F4/1 to B0/1 while B0/2 fetches and relays chunk 2.
+	for _, kc := range []struct {
+		s     Strategy
+		chunk int
+	}{{StrategyWZB2, p - 1}, {StrategyWZB2G, p - 1}, {StrategyWZB2, 1}, {StrategyWZB2G, 1}} {
+		s := kc.s
 		cl := comm.NewCluster(p)
 		trainers := make([]*WeiPipe, p)
 		errs := make([]error, p)
 		crash := &heldCrash{Transport: cl.Transport(0), holding: func() bool {
-			return trainers[0] != nil && trainers[0].held != nil
+			return trainers[0] != nil && slices.Contains(keptChunks(trainers[0]), kc.chunk)
 		}}
 		opts := eqOpts()
 		opts.GroupSize = 2
@@ -449,18 +454,18 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 		}
 		wg.Wait()
 		if !crash.fired {
-			t.Fatalf("%s: rank 0 never sent while holding the turnaround chunk; the test proved nothing", s)
+			t.Fatalf("%s: rank 0 never sent while keeping chunk %d; the test proved nothing", s, kc.chunk)
 		}
 		for r, w := range trainers {
 			if errs[r] == nil {
 				t.Errorf("%s rank %d: trained through a peer's death", s, r)
 			}
-			if w != nil && (w.held != nil || w.stage.buf != nil) {
-				t.Errorf("%s rank %d: a held or bound belt buffer survived the abort", s, r)
+			if w != nil && (len(keptChunks(w)) != 0 || w.stage.buf != nil) {
+				t.Errorf("%s rank %d: a kept or bound belt buffer survived the abort", s, r)
 			}
 		}
 		if n := comm.SharedBufs(); n != 0 {
-			t.Errorf("%s: %d buffers still shared after an abort with a held copy", s, n)
+			t.Errorf("%s: %d buffers still shared after an abort with chunk %d kept", s, n, kc.chunk)
 		}
 	}
 
@@ -567,8 +572,8 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 		if tr.(*WeiPipe).stage.buf != nil {
 			t.Errorf("rank %d: the interrupted stage is still bound to its belt buffer", r)
 		}
-		if tr.(*WeiPipe).held != nil {
-			t.Errorf("rank %d: the turnaround chunk's held copy survived the abort", r)
+		if kept := keptChunks(tr.(*WeiPipe)); len(kept) != 0 {
+			t.Errorf("rank %d: kept copies of chunks %v survived the abort", r, kept)
 		}
 	}
 	if n := comm.SharedBufs(); n != 0 {
@@ -576,9 +581,20 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 	}
 }
 
+// keptChunks lists the chunks w keeps a belt copy of, ascending.
+func keptChunks(w *WeiPipe) []int {
+	var out []int
+	for c, buf := range w.kept {
+		if buf != nil {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // heldCrash fails every send of its rank from the first one it makes while
-// holding reports that the rank's trainer holds weights across passes: the
-// turnaround chunk's forward copy, or a kept FSDP gather. All three sends
+// holding reports that the rank's trainer holds weights across passes: a
+// kept belt copy, or a kept FSDP gather. All three sends
 // are intercepted: belt hops donate and relay.
 type heldCrash struct {
 	comm.Transport

@@ -90,11 +90,15 @@ func TestWeiPipeTraceOverlap(t *testing.T) {
 		}
 		totalRelays += codes[trace.CodeRelay]
 	}
-	// Every use of a weight chunk but its last is relayed, n uses each: p
-	// chunks on the forward belt and p−1 on the backward one, which the
-	// turnaround chunk does not ride (TestWeiPipePerTurnVolumeMatchesAnalysis
-	// pins the same count in bytes).
-	if want := iters * (2*p - 1) * (n - 1); totalRelays != want {
+	// Every use the plan ships is relayed but an iteration's first, which
+	// the owner injects (TestWeiPipePerTurnVolumeMatchesAnalysis pins the
+	// same count in bytes).
+	copies, injections := beltCopies(t, StrategyWZB2, p, n)
+	want := -int(injections)
+	for _, c := range copies {
+		want += int(c)
+	}
+	if want *= iters; totalRelays != want {
 		t.Errorf("relay spans = %d, want %d", totalRelays, want)
 	}
 

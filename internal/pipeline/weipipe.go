@@ -60,10 +60,14 @@ func (v WeiPipeVariant) String() string {
 //   - the forward belt, whose chunk c reaches worker w exactly when w's
 //     forward pass needs modules [chunk c];
 //   - the backward belt, which trails a full model-depth behind and feeds
-//     each worker's backward passes in reverse chunk order. It carries
-//     chunks P−2 … 0 only: a worker's B pass on the turnaround chunk P−1
-//     runs on the forward-belt copy its F pass held
-//     (order.BackwardFromForward).
+//     each worker's backward passes in reverse chunk order.
+//
+// A pass does not always take its chunk off a belt: under the keep rule
+// (order.BeltPlan) a pass keeps its copy for the chunk's next use when the
+// passes in between use at most one other chunk, and that use runs on it.
+// The plan is the same on every rank, so a whole round of a chunk on a belt
+// is either shipped or served from kept copies — the turnaround chunk P−1's
+// backward rounds always are.
 //
 // A gradient accumulator D_c rides the backward belt: each worker adds its
 // local weight-gradient contribution before passing it on, so by the time
@@ -71,8 +75,8 @@ func (v WeiPipeVariant) String() string {
 // microbatches — gradient aggregation without any collective (§4.2.1,
 // "update pass"). Each worker keeps its own microbatches' activations and
 // never ships an activation anywhere: per turn the wire carries at most two
-// weight chunks and one gradient chunk — the paper's 36H² bytes, less the
-// turnaround chunk's backward copy — independent of both microbatch size G
+// weight chunks and one gradient chunk — at most the paper's 36H² bytes,
+// less the rounds kept copies serve — independent of both microbatch size G
 // and sequence length S.
 //
 // Belt use indices are global: use j of a belt chunk is performed by worker
@@ -104,8 +108,8 @@ type WeiPipe struct {
 	iter int
 	curR int // rounds in the current iteration (N/P)
 
-	// prog is this rank's program order (order.Program of the variant).
-	prog program
+	// plan is this rank's weight plan (order.BeltPlan of the variant).
+	plan beltPlan
 
 	// wGrads is the W pass's per-module gradient sets. They own no storage
 	// (nn.ParamSet.NewUnbound): a W pass binds them to the zeroed belt
@@ -119,12 +123,10 @@ type WeiPipe struct {
 	// time, so one slot serves; see bindStage.
 	stage stageBuf
 
-	// held is the forward-belt copy of the turnaround chunk p−1
-	// (order.BackwardFromForward) between a microbatch's F pass on it and
-	// its B pass, which runs on this copy instead of a backward-belt one. It
-	// takes the slot that copy would have used: no other F or B on the chunk
-	// runs between the two, so one slot serves.
-	held []float32
+	// kept holds, per chunk, the belt copy a pass kept for the chunk's next
+	// use (order.BeltPlan keeps at most two at a time). A kept copy takes
+	// the buffer slot of the use it serves, whose belt copy never comes.
+	kept [][]float32
 
 	// Integrity layer state (Options.Integrity; see integrity.go). pad is
 	// the checksum trailer length every belt buffer grows by (0 = off);
@@ -216,6 +218,7 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 		bounds:  mdl.Partition(p),
 		variant: v,
 		opts:    opts,
+		kept:    make([][]float32, p),
 	}
 	w.ownChunk = (t.Rank() + 1) % p
 	lo, hi := w.chunkRange(w.ownChunk)
@@ -288,7 +291,7 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	p := w.t.Size()
 	n := len(batches)
 	// Compiling also rejects a microbatch count the ring does not divide.
-	if err := w.prog.compile(w.variant.String(), w.t, n); err != nil {
+	if err := w.plan.compile(w.variant.String(), w.t, n); err != nil {
 		return 0, err
 	}
 	// Chaos-tier resident-state flips land before the guard check, so a
@@ -314,8 +317,10 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	// and every stage has given its buffer back.
 	defer func() {
 		comm.Release(w.unbindStage())
-		comm.Release(w.held)
-		w.held = nil
+		for c, buf := range w.kept {
+			comm.Release(buf)
+			w.kept[c] = nil
+		}
 		for mb, a := range st.arenas {
 			w.apool.release(a)
 			delete(st.arenas, mb)
@@ -331,10 +336,12 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 		// Inject the owned chunk into both belts; the first user of every belt
 		// chunk is worker 0 at use index 0. One sealed copy of the master
 		// weights serves both: it is shared, and each belt's send carries one
-		// reference away. The turnaround chunk rides the forward belt only.
+		// reference away. A belt whose use 0 runs on a kept copy gets none:
+		// round 0 of the forward belt always travels, the backward belt's
+		// only when the plan ships it.
 		tagFwd := Tag{Kind: comm.KindWeight, A: w.ownChunk, B: w.enc(beltFwd, 0)}
 		payload := w.ownedPayload(tagFwd)
-		if order.BackwardFromForward(p, w.ownChunk) {
+		if !w.plan.ships(beltBwd, w.ownChunk, 0) {
 			if err := w.t.SendOwned(0, tagFwd, payload); err != nil {
 				return 0, err
 			}
@@ -422,18 +429,44 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 
 // ---- the program order and its interpreter --------------------------------
 
-// runSchedule interprets the program: every op is one compute stage, and the
-// stage fetches what it needs off the belts.
+// beltPlan is a rank's compiled weight plan: its passes (order.BeltPlan)
+// and which rounds of which chunks travel on each belt (order.Shipped). The
+// belt ids beltFwd and beltBwd index the table.
+type beltPlan struct {
+	uses    []order.Use
+	n       int // the microbatch count uses was compiled for
+	shipped [2][][]bool
+}
+
+// compile makes pl the plan of t's rank under strategy for n microbatches.
+// The plan changes only with n, so a training run compiles it once.
+func (pl *beltPlan) compile(strategy string, t Transport, n int) error {
+	if pl.uses != nil && pl.n == n {
+		return nil
+	}
+	uses, err := order.BeltPlan(strategy, t.Rank(), t.Size(), n)
+	if err != nil {
+		return fmt.Errorf("pipeline: %w", err)
+	}
+	pl.uses, pl.n, pl.shipped = uses, n, order.Shipped(uses, t.Size())
+	return nil
+}
+
+// ships reports whether round k of chunk c travels on belt.
+func (pl *beltPlan) ships(belt, c, k int) bool { return pl.shipped[belt][c][k] }
+
+// runSchedule interprets the plan: every pass is one compute stage, and the
+// stage fetches what it needs off the belts or from a kept copy.
 func (w *WeiPipe) runSchedule(st *wpState) error {
-	for _, op := range w.prog.ops {
+	for _, u := range w.plan.uses {
 		var err error
-		switch op.Phase {
+		switch u.Phase {
 		case 'F':
-			err = w.fStage(st, op.MB, op.Chunk)
+			err = w.fStage(st, u)
 		case 'B':
-			err = w.bStage(st, op.MB, op.Chunk)
+			err = w.bStage(st, u)
 		default:
-			err = w.wStage(st, op.MB, op.Chunk)
+			err = w.wStage(st, u.MB, u.Chunk)
 		}
 		if err != nil {
 			return err
@@ -522,36 +555,49 @@ func (w *WeiPipe) unbindStage() []float32 {
 	return b.buf
 }
 
-// installBelt is the one way a received weight chunk — use `use` of belt-copy
-// `belt` of chunk c — enters a stage, on the flat belt and the grouped one:
-// chaos flip, verify, relay, bind, in that order. Verification comes first,
-// so a corrupt chunk neither enters this rank's compute nor travels on. The
-// relay (to rank relayTo of t, as use+1; none when relayTo < 0) comes before
+// bindWeights is the one way a copy of chunk c's weights enters pass u —
+// use u.MB of belt-copy `belt` — on the flat belt and the grouped one:
+// receive (when the plan gathers; else the copy the chunk's previous pass
+// kept), chaos flip, verify, relay, bind, in that order. Verification comes
+// first, so a corrupt chunk neither enters this rank's compute nor travels
+// on, and a kept copy is verified again, so a flip while it waited cannot
+// enter the pass. The relay — use+1, when the plan ships it — comes before
 // the bind, so the next hop's wire time runs under this stage's compute
 // instead of after it: the payload is shared (comm.Retain), one reference
 // leaves with Transport.Forward, and the stage computes out of the other
-// until unbindStage. A shared payload is read-only to everyone, which is why the
-// flip and the seal's rounding happen on the way in; the TCP writer only
-// reads it, and the in-process fabric delivers a private copy. The payload
-// is relayed as it arrived, so Forward lets the TCP writer seal it from the
-// checksum this rank's reader verified — unless a chaos flip is armed: the
-// flip writes the payload, and the relay then takes a full seal.
-func (w *WeiPipe) installBelt(t Transport, belt, c, use int, payload []float32, relayTo int) error {
-	if w.opts.BitFlip != nil {
-		w.opts.BitFlip.Flip(w.t.Rank(), w.iter, FlipBeltWeight, w.beltBody(payload))
+// until unbindStage. A shared payload is read-only to everyone, which is
+// why the flip and the seal's rounding happen on the way in; the TCP writer
+// only reads it, and the in-process fabric delivers a private copy. The
+// payload is relayed as it arrived, so Forward lets the TCP writer seal it
+// from the checksum this rank's reader verified — unless a chaos flip is
+// armed: the flip writes the payload, and the relay then takes a full seal.
+func (w *WeiPipe) bindWeights(belt int, u order.Use) error {
+	c, use := u.Chunk, u.MB
+	var payload []float32
+	if u.Gather {
+		var err error
+		if payload, err = w.recvBelt(belt, c, use); err != nil {
+			comm.Release(payload)
+			return err
+		}
+		if w.opts.BitFlip != nil {
+			w.opts.BitFlip.Flip(w.t.Rank(), w.iter, FlipBeltWeight, w.beltBody(payload))
+		}
+	} else {
+		payload, w.kept[c] = w.kept[c], nil
 	}
 	if verr := w.verifyBelt(comm.SiteBelt, comm.KindWeight, c, payload); verr != nil {
 		comm.Release(payload)
 		return verr
 	}
-	if relayTo >= 0 {
+	if t, dst := w.relayTarget(belt, c, use); dst >= 0 {
 		relay := t.Forward
 		if w.opts.BitFlip != nil {
 			relay = t.SendOwned
 		}
 		comm.Retain(payload)
 		span := w.tr.Begin()
-		err := relay(relayTo, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use+1)}, payload)
+		err := relay(dst, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use+1)}, payload)
 		w.tr.End(span, trace.CodeRelay, int64(belt), int64(use+1))
 		if err != nil {
 			comm.Release(payload)
@@ -559,47 +605,52 @@ func (w *WeiPipe) installBelt(t Transport, belt, c, use int, payload []float32, 
 		}
 	}
 	w.bindStage(c, payload, false)
+	if w.grouped != nil {
+		return w.reinjectGrouped(belt, c, use)
+	}
 	return nil
 }
 
-// recvBeltChunk receives belt-copy `belt` of chunk c for use index `use`,
-// relays it to the ring successor and binds chunk c's modules to it
-// (installBelt). The stage that called it computes and then gives the
-// buffer back with unbindStage.
-func (w *WeiPipe) recvBeltChunk(belt, c, use int) error {
+// recvBelt receives belt-copy `belt` of chunk c for use index `use`; the
+// caller owns the payload.
+func (w *WeiPipe) recvBelt(belt, c, use int) ([]float32, error) {
 	if w.grouped != nil {
-		return w.recvBeltChunkGrouped(belt, c, use)
+		return w.recvBeltGrouped(belt, c, use)
 	}
 	p := w.t.Size()
 	src := (w.t.Rank() - 1 + p) % p
 	if use == 0 {
 		src = w.owner(c)
 	}
-	payload, err := w.beltRecv(src, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use)})
-	if err != nil {
-		comm.Release(payload)
-		return err
-	}
-	relayTo := -1
-	if use < w.totalUses()-1 {
-		relayTo = (w.t.Rank() + 1) % p
-	}
-	return w.installBelt(w.t, belt, c, use, payload, relayTo)
+	return w.beltRecv(src, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use)})
 }
 
-// bindHeld binds the turnaround chunk c's modules to the forward-belt copy
-// fStage held for this B pass. The copy stays shared read-only, as it was
-// through the F pass; under Options.Integrity its trailer is verified again,
-// so a flip while it waited cannot enter the B pass.
-func (w *WeiPipe) bindHeld(c int) error {
-	buf := w.held
-	w.held = nil
-	if verr := w.verifyBelt(comm.SiteBelt, comm.KindWeight, c, buf); verr != nil {
-		comm.Release(buf)
-		return verr
+// relayTarget returns where the pass on use `use` of chunk c's belt-copy
+// `belt` relays use+1 — the ring successor, or on the grouped belt the next
+// group member — or dst < 0 when there is no next use or the plan serves
+// it from kept copies.
+func (w *WeiPipe) relayTarget(belt, c, use int) (t Transport, dst int) {
+	p := w.t.Size()
+	if g := w.grouped; g != nil {
+		if i := w.t.Rank() - g.first; i < g.m-1 && w.plan.ships(belt, c, use/p) {
+			return g.grp, i + 1
+		}
+		return nil, -1
 	}
-	w.bindStage(c, buf, false)
-	return nil
+	if next := use + 1; next < w.totalUses() && w.plan.ships(belt, c, next/p) {
+		return w.t, (w.t.Rank() + 1) % p
+	}
+	return nil, -1
+}
+
+// dropWeights ends pass u's binding and keeps its copy for the chunk's next
+// use, or releases it.
+func (w *WeiPipe) dropWeights(u order.Use) {
+	if buf := w.unbindStage(); u.Keep {
+		w.kept[u.Chunk] = buf
+	} else {
+		comm.Release(buf)
+	}
 }
 
 // accumulateAndForwardD folds this worker's local gradient contribution for
@@ -652,11 +703,12 @@ func (w *WeiPipe) accumulateAndForwardD(c, use int, local []float32) error {
 
 // ---- compute stages ------------------------------------------------------
 
-// fStage runs the forward of chunk c for this worker's microbatch mb, which
-// is also the belt use index.
-func (w *WeiPipe) fStage(st *wpState, mb, c int) error {
+// fStage runs forward pass u: chunk u.Chunk for this worker's microbatch
+// u.MB, which is also the belt use index.
+func (w *WeiPipe) fStage(st *wpState, u order.Use) error {
+	mb, c := u.MB, u.Chunk
 	w.post(mb, 'F')
-	if err := w.recvBeltChunk(beltFwd, c, mb); err != nil {
+	if err := w.bindWeights(beltFwd, u); err != nil {
 		return err
 	}
 	b := st.batches[mb]
@@ -672,11 +724,7 @@ func (w *WeiPipe) fStage(st *wpState, mb, c int) error {
 	span := w.tr.Begin()
 	out, loss := forwardRange(w.mdl, lo, hi, st.fwdX[mb], b, caches[lo:hi], w.opts.Recompute)
 	w.tr.End(span, trace.CodeF, int64(mb), int64(c))
-	if buf := w.unbindStage(); order.BackwardFromForward(w.t.Size(), c) {
-		w.held = buf // this microbatch's B pass on c runs on it
-	} else {
-		comm.Release(buf)
-	}
+	w.dropWeights(u)
 	st.lossSum += loss
 	if out != nil {
 		st.fwdX[mb] = out
@@ -686,14 +734,11 @@ func (w *WeiPipe) fStage(st *wpState, mb, c int) error {
 	return nil
 }
 
-// bStage runs the B pass of chunk c for this worker's microbatch mb.
-func (w *WeiPipe) bStage(st *wpState, mb, c int) error {
+// bStage runs B pass u: chunk u.Chunk for this worker's microbatch u.MB.
+func (w *WeiPipe) bStage(st *wpState, u order.Use) error {
+	mb, c := u.MB, u.Chunk
 	w.post(mb, 'B')
-	if order.BackwardFromForward(w.t.Size(), c) {
-		if err := w.bindHeld(c); err != nil {
-			return err
-		}
-	} else if err := w.recvBeltChunk(beltBwd, c, mb); err != nil {
+	if err := w.bindWeights(beltBwd, u); err != nil {
 		return err
 	}
 	caches := st.caches[mb]
@@ -701,7 +746,7 @@ func (w *WeiPipe) bStage(st *wpState, mb, c int) error {
 	span := w.tr.Begin()
 	dx := backwardRangeB(w.mdl, lo, hi, st.bwdDy[mb], caches[lo:hi], w.opts.Recompute)
 	w.tr.End(span, trace.CodeB, int64(mb), int64(c))
-	comm.Release(w.unbindStage())
+	w.dropWeights(u)
 	if lo > 0 && dx != nil {
 		st.bwdDy[mb] = dx
 	} else {

@@ -188,6 +188,18 @@ func (b *builder) successorOf(w, id int) int {
 	return -1
 }
 
+// predecessorOf returns the compute task before id in worker w's program
+// order, or -1 if id is the worker's first op.
+func (b *builder) predecessorOf(w, id int) int {
+	prog := b.prog[w]
+	for i, t := range prog {
+		if t == id && i > 0 {
+			return prog[i-1]
+		}
+	}
+	return -1
+}
+
 // linkFwd appends a transfer on ring link from→from+1.
 func (b *builder) linkFwd(from int, bytes float64, label string, deps ...int) int {
 	dur := (bytes*b.spec.wireScale()/b.spec.Top.SendBW[from] + b.spec.Top.Latency[from]) * b.spec.linkScale()
@@ -330,10 +342,10 @@ func (b *builder) emitPrograms(strategy string, label func(op order.Op, worker i
 // A worker consumes the forward belt in (round, chunk) order and the backward
 // belt in (round, P−1−chunk) order; fwdEarlier and bwdEarlier return the
 // compute task that consumed the chunk `buffers` arrivals before chunk c of
-// round k at worker wk, or -1. The turnaround chunk P−1
-// (order.BackwardFromForward) skips the backward belt, but the copy its F
-// pass held sits in that chunk's backward slot until the B pass consumes it,
-// so the backward belt keeps P slots per round and the pacing is unchanged.
+// round k at worker wk, or -1. A round the weight plan serves from kept
+// copies (order.BeltPlan) travels no belt, but each kept copy sits in the
+// slot of the use it serves until that pass consumes it, so every belt keeps
+// P slots per round and the pacing is unchanged.
 func (g *opGrid) fwdEarlier(wk, k, c int) int {
 	idx := k*g.p + c - g.buffers
 	if idx < 0 {
@@ -348,6 +360,38 @@ func (g *opGrid) bwdEarlier(wk, k, c int) int {
 		return -1
 	}
 	return g.b[g.p-1-idx%g.p][(idx/g.p)*g.p+wk]
+}
+
+// beltShips returns which rounds of which chunks travel on each weight belt
+// (order.Shipped of worker 0's plan, which every worker shares).
+func beltShips(strategy string, w cost.Workload) ([2][][]bool, error) {
+	plan, err := order.BeltPlan(strategy, 0, w.P, w.N)
+	if err != nil {
+		return [2][][]bool{}, err
+	}
+	return order.Shipped(plan, w.P), nil
+}
+
+// beltHopDeps returns what belt hop j of a chunk waits for, given the chunk's
+// passes on that belt by use (uses), which rounds the plan ships, the hop
+// that delivered use j−1 (prevLink, -1 for none) and the flow control's
+// earlier consumer (-1 for none). Store and forward: the hop leaves when use
+// j−1's copy arrived — use 0's injection is free — or, when use j−1 runs on
+// a kept copy, when that pass starts: after the compute before it.
+func (b *builder) beltHopDeps(uses []int, ships []bool, prevLink, j, earlier int) []int {
+	p := b.spec.W.P
+	deps := []int{}
+	if ships[(j-1)/p] {
+		if prevLink >= 0 {
+			deps = append(deps, prevLink)
+		}
+	} else if pred := b.predecessorOf((j-1)%p, uses[j-1]); pred >= 0 {
+		deps = append(deps, pred)
+	}
+	if earlier >= 0 {
+		deps = append(deps, earlier)
+	}
+	return deps
 }
 
 // beltLabel names a weight-passing compute task: phase, chunk, round, worker.
@@ -425,9 +469,8 @@ func buildPP(strategy string, spec Spec) ([]sim.Task, error) {
 // bubble the paper attributes to Naive (forward workers idling while any
 // worker is in its longer backward turn) emerges from the barriers. This is
 // the paper's barrier abstraction, not the runtime's wire: every flow hops
-// every turn, so the turnaround chunk stays on the backward flow too,
-// although the runtime's B pass on chunk P−1 runs on the copy its F pass
-// held (order.BackwardFromForward).
+// every turn, although the runtime serves some passes from kept copies
+// (order.BeltPlan) — the B pass on chunk P−1 always.
 //
 // A worker's turns are its program's ops, a B and the W fused to it counting
 // as one; worker i starts i turns late (the rotation reaches it then).
@@ -514,50 +557,42 @@ func buildWeiPipe(strategy string, spec Spec) ([]sim.Task, error) {
 		return nil, err
 	}
 
+	ships, err := beltShips(strategy, w)
+	if err != nil {
+		return nil, err
+	}
+
 	// Belt link tasks. Forward and backward weight belts hop j−1 → j with
-	// store-and-forward relaying: the runtime passes a chunk on before it
-	// computes with it, so a hop waits for the previous hop, never for the
-	// previous user's compute. The turnaround chunk rides the forward belt
-	// only: its B passes run on the copy the worker's F pass held, which
-	// program order already puts before them. The D belt hop j−1 → j carries
-	// the accumulator and always depends on the producer's W pass. Flow
-	// control (fwdEarlier/bwdEarlier) is what paces the ring.
+	// store-and-forward relaying (beltHopDeps), for the rounds the weight
+	// plan ships: a kept-served pass's copy is in place since an earlier
+	// pass, which program order already puts before it. The D belt hop
+	// j−1 → j carries the accumulator and always depends on the producer's
+	// W pass. Flow control (fwdEarlier/bwdEarlier) is what paces the ring.
 	for c := 0; c < p; c++ {
 		bytes := chunkBytes(w, c)
-		bwdBelt := !order.BackwardFromForward(p, c)
 		var prevFLink, prevBLink = -1, -1
 		for j := 1; j < uses; j++ {
 			from := (j - 1) % p
 			dst := j % p
 			k := j / p
-			fdeps := []int{}
-			if prevFLink >= 0 {
-				fdeps = append(fdeps, prevFLink)
-			}
-			if e := ops.fwdEarlier(dst, k, c); e >= 0 {
-				fdeps = append(fdeps, e)
-			}
 			dBytes := bytes
 			if spec.TerminalGradAllReduce {
 				dBytes = 0 // ablation: no D belt; gradients all-reduced at the end
 			}
-			fl := b.linkFwd(from, bytes, fmt.Sprintf("Wf c%d u%d", c, j), fdeps...)
-			if bwdBelt {
-				bdeps := []int{}
-				if prevBLink >= 0 {
-					bdeps = append(bdeps, prevBLink)
-				}
-				if e := ops.bwdEarlier(dst, k, c); e >= 0 {
-					bdeps = append(bdeps, e)
-				}
+			if ships[0][c][k] {
+				fdeps := b.beltHopDeps(ops.f[c], ships[0][c], prevFLink, j, ops.fwdEarlier(dst, k, c))
+				fl := b.linkFwd(from, bytes, fmt.Sprintf("Wf c%d u%d", c, j), fdeps...)
+				b.tasks[ops.f[c][j]].Deps = append(b.tasks[ops.f[c][j]].Deps, fl)
+				prevFLink = fl
+			}
+			if ships[1][c][k] {
+				bdeps := b.beltHopDeps(ops.b[c], ships[1][c], prevBLink, j, ops.bwdEarlier(dst, k, c))
 				bl := b.linkFwd(from, bytes, fmt.Sprintf("Wb c%d u%d", c, j), bdeps...)
 				b.tasks[ops.b[c][j]].Deps = append(b.tasks[ops.b[c][j]].Deps, bl)
 				prevBLink = bl
 			}
 			dl := b.linkFwd(from, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
-			b.tasks[ops.f[c][j]].Deps = append(b.tasks[ops.f[c][j]].Deps, fl)
 			b.tasks[ops.w[c][j]].Deps = append(b.tasks[ops.w[c][j]].Deps, dl)
-			prevFLink = fl
 		}
 	}
 	if spec.TerminalGradAllReduce {
@@ -634,19 +669,24 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 	// Weight-belt wiring. Within a group the chunk hops rank-adjacent links
 	// exactly like the flat belt; at each group-first rank the chunk is
 	// (re-)injected from the group's holder cache over the group fabric,
-	// paced by the holder's own consumption one round earlier. The group-last
-	// rank never forwards — weight belts never touch a boundary link. As on
-	// the flat belt, the turnaround chunk rides the forward belt only.
-	wireBelt := func(op [][]int, name string, earlier func(wk, k, c int) int, bwd bool) {
+	// paced by the holder's own pass one round earlier, kept-served or not.
+	// The group-last rank never forwards — weight belts never touch a
+	// boundary link. As on the flat belt, a round the plan serves from kept
+	// copies travels nowhere.
+	ships, err := beltShips("wzb2g", w)
+	if err != nil {
+		return nil, err
+	}
+	wireBelt := func(op [][]int, name string, earlier func(wk, k, c int) int, ship [][]bool) {
 		for c := 0; c < p; c++ {
-			if bwd && order.BackwardFromForward(p, c) {
-				continue
-			}
 			bytes := chunkBytes(w, c)
 			prevLink := -1 // segment-local store-and-forward chain
 			for j := 0; j < uses; j++ {
 				dst := j % p
 				k := j / p
+				if !ship[c][k] {
+					continue
+				}
 				if dst%m == 0 {
 					g := dst / m
 					hold := holderIn(g, c)
@@ -690,8 +730,8 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 			}
 		}
 	}
-	wireBelt(ops.f, "Wf", ops.fwdEarlier, false)
-	wireBelt(ops.b, "Wb", ops.bwdEarlier, true)
+	wireBelt(ops.f, "Wf", ops.fwdEarlier, ships[0])
+	wireBelt(ops.b, "Wb", ops.bwdEarlier, ships[1])
 
 	// The D belt is untouched by grouping: in-transit gradient accumulation
 	// is a strict left-fold around the full ring (bit-identity requires the
