@@ -204,7 +204,8 @@ const (
 	// chunk's next use (order.BeltPlan — the turnaround chunk P−1 from F to
 	// B, and from two rounds up chunk pairs whose F and B interleave) holds
 	// it in the slot of the use it serves, whose belt copy never comes, and
-	// the plan keeps at most two at a time, so the count stands.
+	// the plan keeps at most two at a time; an owner's copy of its own chunk
+	// (order.Holds) takes that slot too. So the count stands.
 	beltBufferCopies = 6
 )
 

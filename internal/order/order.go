@@ -306,6 +306,20 @@ func Shipped(plan []Use, p int) [2][][]bool {
 	return ships
 }
 
+// Holds reports whether rank holds chunk c's weights for the whole
+// iteration on a weight-passing ring of p ranks: on the flat belt (m ≤ 1) the
+// owner, rank (c−1) mod p, whose master copy does not change until the step;
+// on the grouped belt of m-rank groups the member c mod m of every group,
+// which caches the chunk from the iteration's shard exchange. A holder never
+// takes c off a belt: it serves its own uses of c and relays from its copy,
+// and its belt predecessor sends it nothing.
+func Holds(rank, c, p, m int) bool {
+	if m <= 1 {
+		return rank == (c-1+p)%p
+	}
+	return rank%m == c%m
+}
+
 // FSDP returns the passes an FSDP rank runs in one iteration over nLocal
 // microbatches of a model of modules modules: per microbatch, F over the
 // modules ascending, then B+W descending, with the keep rule applied to the

@@ -526,3 +526,48 @@ func TestFSDPHoldsAtMostTwo(t *testing.T) {
 		}
 	}
 }
+
+// TestHoldsOnePerGroup: on the flat belt (m = 1) every chunk has exactly
+// one holder, its owner, so every rank holds one chunk; on the grouped belt
+// (m ≥ 2) every group holds every chunk exactly once, so every rank holds
+// p/m.
+func TestHoldsOnePerGroup(t *testing.T) {
+	for p := 1; p <= 8; p++ {
+		for m := 1; m <= p; m++ {
+			if p%m != 0 {
+				continue
+			}
+			groupOf, perRank := func(r int) int { return r / m }, p/m
+			if m == 1 {
+				groupOf, perRank = func(int) int { return 0 }, 1
+			}
+			held := make([]int, p)
+			for c := 0; c < p; c++ {
+				holders := make(map[int]int)
+				for r := 0; r < p; r++ {
+					if Holds(r, c, p, m) {
+						holders[groupOf(r)]++
+						held[r]++
+					}
+				}
+				for g := 0; g <= groupOf(p-1); g++ {
+					if holders[g] != 1 {
+						t.Errorf("p=%d m=%d: group %d holds chunk %d %d times", p, m, g, c, holders[g])
+					}
+				}
+			}
+			for r, n := range held {
+				if n != perRank {
+					t.Errorf("p=%d m=%d: rank %d holds %d chunks, want %d", p, m, r, n, perRank)
+				}
+			}
+			if m == 1 {
+				for c := 0; c < p; c++ {
+					if !Holds((c-1+p)%p, c, p, m) {
+						t.Errorf("p=%d: chunk %d's owner does not hold it", p, c)
+					}
+				}
+			}
+		}
+	}
+}

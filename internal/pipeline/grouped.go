@@ -26,20 +26,23 @@ import (
 //     chunk to the group's first rank over the group sub-transport
 //     (comm.Group), the chunk relays member-to-member on fast intra links
 //     with the *flat* belt tags, and the group's last rank never forwards —
-//     the belt never touches a boundary link. Round k+1's injection is sent
-//     by the holder right after its own round-k consumption, so belt memory
-//     stays bounded without any cross-group pacing. As on the flat belt, a
-//     round the plan serves from kept copies (order.BeltPlan) travels
-//     nowhere: the holder skips its injection, and paces the next shipped
-//     round's off its own pass on that belt, kept-served or not.
+//     the belt never touches a boundary link. As on the flat belt, a rank
+//     never receives a chunk it holds (order.Holds): the holder serves its
+//     own use from the cache and relays from it, and a holder that is the
+//     group's first rank injects nothing. Round k+1's injection is sent by
+//     the holder right after its own round-k consumption, so belt memory
+//     stays bounded without any cross-group pacing. A round the plan serves
+//     from kept copies (order.BeltPlan) travels nowhere: the holder skips
+//     its injection, and paces the next shipped round's off its own pass on
+//     that belt, kept-served or not.
 //   - The gradient accumulator D is untouched: it still rides the flat ring
 //     (its strict left-fold order is what makes runs bit-identical), and it
 //     already crosses each boundary only once per round.
 //
 // The values every rank consumes are bit-identical to flat WZB2: the owner
-// builds the payload the same way, the cache is rounded through the wire
-// codec exactly once (idempotently re-applied on every later hop), and the
-// CRC seal covers only the body, so a cached trailer survives re-sends.
+// builds the payload the same way, rounded to the wire codec's values
+// (idempotently re-applied on every later hop), and the CRC seal covers
+// only the body, so a cached trailer survives re-sends.
 
 // beltXchg is the spare belt id (< beltCount) tagging shard-exchange hops;
 // its use field is the holder-ring hop index.
@@ -58,8 +61,8 @@ type groupedState struct {
 	grp   *comm.Group
 	// cache maps chunk id -> this group's sealed, wire-rounded belt payload
 	// for the current iteration. Filled by the exchange and immutable until
-	// releaseCache: every injection and every self-held use shares the
-	// cached buffer (comm.Retain) instead of copying it.
+	// releaseCache: every injection and every use the holder serves itself
+	// shares the cached buffer (comm.Retain) instead of copying it.
 	cache map[int][]float32
 }
 
@@ -162,22 +165,10 @@ func (w *WeiPipe) xchgTag(c, hop int) Tag {
 	return Tag{Kind: comm.KindWeight, A: c, B: w.enc(beltXchg, hop)}
 }
 
-// cachePayload rounds payload's body into the wire-value domain — the codec
-// the transport sends chunk c under, with or without Options.Integrity — and
-// caches it, taking ownership. Transport-received payloads are already
-// rounded (RoundToWire is idempotent); the rounding matters for the owner's
-// self-held copy, which never crossed a link. It is the last write the
-// buffer sees: from here it is only ever shared.
-func (w *WeiPipe) cachePayload(c int, payload []float32) {
-	comm.RoundToWire(w.t.WireCodec(w.xchgTag(c, 0)), w.beltBody(payload))
-	w.grouped.cache[c] = payload
-}
-
 // sendCached ships chunk c's cached payload to dst over t under tag without
 // copying it: the cache keeps its reference and the transport takes another.
 // It forwards (Transport.Forward): a cached chunk is either one this rank
-// received and has not written since — cachePayload's rounding leaves a
-// received payload's bits as they are — or the owner's own, which has no
+// received and has not written since, or the owner's own, which has no
 // verified checksum to reuse and gets a full seal.
 func (w *WeiPipe) sendCached(t Transport, dst int, tag Tag, c int) error {
 	payload := w.grouped.cache[c]
@@ -193,12 +184,12 @@ func (w *WeiPipe) groupedExchange() error {
 	p, rank := w.t.Size(), w.t.Rank()
 
 	// 1. Build the owned chunk's belt payload exactly as the flat injection
-	// would (copy, seal), then hand it to its local holder: cache it here,
-	// or send it as holder-ring hop 0.
+	// would (copy, round to the wire's values, seal), then hand it to its
+	// local holder: cache it here, or send it as holder-ring hop 0.
 	payload := w.ownedPayload(w.xchgTag(w.ownChunk, 0))
 	if h0 := g.holderIn(g.g, w.ownChunk); h0 == rank {
 		// Owner is the holder: the chain's first hop is ours to send.
-		w.cachePayload(w.ownChunk, payload)
+		g.cache[w.ownChunk] = payload
 		if g.nG > 1 {
 			if err := w.sendCached(w.t, g.holderIn((g.g+1)%g.nG, w.ownChunk), w.xchgTag(w.ownChunk, 1), w.ownChunk); err != nil {
 				return err
@@ -236,7 +227,7 @@ func (w *WeiPipe) groupedExchange() error {
 			comm.Release(payload)
 			return verr
 		}
-		w.cachePayload(c, payload)
+		g.cache[c] = payload
 		if hop < g.nG-1 {
 			if err := w.sendCached(w.t, g.holderIn((g.g+1)%g.nG, c), w.xchgTag(c, hop+1), c); err != nil {
 				return err
@@ -246,10 +237,10 @@ func (w *WeiPipe) groupedExchange() error {
 
 	// 3. Round-0 injections: each held chunk enters both weight belts at
 	// the group's first rank under the flat belt tags (use index = first's
-	// microbatch index). Chunks held *by* the first rank are consumed
-	// straight from the cache — no message at all.
+	// microbatch index) — unless the first rank is the holder, which serves
+	// itself.
 	for _, c := range g.heldChunks(p, rank) {
-		if g.holderLocal(c) == 0 {
+		if w.holds(g.first, c) {
 			continue
 		}
 		for _, belt := range []int{beltFwd, beltBwd} {
@@ -266,39 +257,26 @@ func (w *WeiPipe) groupedExchange() error {
 
 // recvBeltGrouped is the grouped-belt analogue of the flat receive in
 // recvBelt: the weight belt lives on the group sub-transport, and the
-// group's first rank is fed by the chunk's holder (or its own cache).
+// group's first rank is fed by the chunk's holder.
 func (w *WeiPipe) recvBeltGrouped(belt, c, use int) ([]float32, error) {
 	g := w.grouped
-	i := w.t.Rank() - g.first
-	if i == 0 && g.holderLocal(c) == 0 {
-		// First rank holds the chunk itself: compute out of the cache, no
-		// message. Only the chaos injector, which writes what it is handed,
-		// gets a copy of its own.
-		payload := g.cache[c]
-		if w.opts.BitFlip != nil {
-			return append(comm.GetBuf(len(payload))[:0], payload...), nil
-		}
-		comm.Retain(payload)
-		return payload, nil
-	}
-	src := i - 1
-	if i == 0 {
+	src := w.t.Rank() - g.first - 1
+	if src < 0 {
 		src = g.holderLocal(c)
 	}
 	return w.beltRecvOn(g.grp, src, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use)})
 }
 
 // reinjectGrouped is the holder's pacing: its own round-k pass on belt —
-// off the belt or on a kept copy — frees the belt slot round k+1's
-// injection will fill, so sending here bounds the group's in-flight belt
-// copies exactly as the flat ring's hop-by-hop pacing does. A round the plan
-// serves from kept copies gets no injection, and self-held chunks (holder
-// == first) re-enter from the cache without a message.
+// served from its cache or from a kept copy — frees the belt slot round
+// k+1's injection will fill, so sending here bounds the group's in-flight
+// belt copies exactly as the flat ring's hop-by-hop pacing does. A round the
+// plan serves from kept copies gets no injection, and neither does a group
+// whose first rank is the holder.
 func (w *WeiPipe) reinjectGrouped(belt, c, use int) error {
 	g := w.grouped
 	p := w.t.Size()
-	i := w.t.Rank() - g.first
-	if g.holderLocal(c) != i || i == 0 {
+	if !w.holds(w.t.Rank(), c) || w.holds(g.first, c) {
 		return nil
 	}
 	if k := use / p; k+1 < w.curR && w.plan.ships(belt, c, k+1) {

@@ -108,6 +108,48 @@ func TestIntegrityDetectsEverySite(t *testing.T) {
 	}
 }
 
+// TestIntegrityDetectsFlipOnSelfServedUse: a belt-weight flip on a use the
+// rank serves from its own copy — the owner's on the flat belt, the
+// holder's on the grouped one — is caught at the belt site, by the rank and
+// on the chunk it struck, exactly as on a copy that came off the belt. The
+// flip takes the rank's first gather of the iteration, its F on chunk 0.
+func TestIntegrityDetectsFlipOnSelfServedUse(t *testing.T) {
+	const iters = 4
+	for _, tc := range []struct {
+		s          Strategy
+		p, n, rank int
+	}{
+		{StrategyWZB2, 2, 4, 1},  // rank 1 owns chunk 0
+		{StrategyWZB2G, 4, 8, 2}, // in groups of 2, rank 2 holds chunk 0
+	} {
+		plan, err := order.BeltPlan(string(tc.s), tc.rank, tc.p, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[Strategy]int{StrategyWZB2: 1, StrategyWZB2G: 2}[tc.s]
+		if first := plan[0]; !first.Gather || first.Chunk != 0 || !order.Holds(tc.rank, 0, tc.p, m) {
+			t.Fatalf("%s: rank %d's first gather %v is not of a chunk it holds", tc.s, tc.rank, first)
+		}
+		inj := NewBitFlipInjector([]BitFlipEvent{{Rank: tc.rank, Iter: 2, Site: FlipBeltWeight, Word: 12345, Bit: 23}})
+		opts := integrityOpts()
+		opts.BitFlip, opts.GroupSize = inj, 2
+		spec := eqSpec(tc.s, tc.p, iters, tc.n)
+		spec.Options = opts
+		_, err = RunResilient(spec, RunHooks{})
+		var ie *comm.IntegrityError
+		if !errors.As(err, &ie) {
+			t.Fatalf("%s: flip surfaced as %v, want an integrity error", tc.s, err)
+		}
+		if ie.Site != comm.SiteBelt || ie.Kind != comm.KindWeight || ie.Rank != tc.rank || ie.Chunk != 0 {
+			t.Errorf("%s: detected %v on rank %d chunk %d, want the belt site on rank %d chunk 0",
+				tc.s, ie.Site, ie.Rank, ie.Chunk, tc.rank)
+		}
+		if inj.Fired() != 1 {
+			t.Errorf("%s: injector fired %d events, want 1", tc.s, inj.Fired())
+		}
+	}
+}
+
 // TestIntegrityDetectsKernelFlip: a bit flip planted in a matmul output
 // via the ABFT fault hook must surface as a SiteKernel integrity error.
 func TestIntegrityDetectsKernelFlip(t *testing.T) {
@@ -454,10 +496,10 @@ func TestIntegrityWeiPipeDPOverBF16Fabric(t *testing.T) {
 
 // TestIntegrityChecksEveryKeptUse: under Options.Integrity a weight chunk is
 // verified at every consumption point the plan names — once per F or B
-// pass, whether its copy came off a belt or was kept by the pass before —
-// and, on the grouped belt, once per shard the exchange delivers. A gradient
-// accumulator is verified at every hop it arrives by and at its retire:
-// p·n a iteration.
+// pass, whether its copy came off a belt, was kept by the pass before or is
+// the rank's own (order.Holds) — and, on the grouped belt, once per shard
+// the exchange delivers. A gradient accumulator is verified at every hop it
+// arrives by and at its retire: p·n a iteration.
 func TestIntegrityChecksEveryKeptUse(t *testing.T) {
 	const iters = 2
 	for _, s := range []Strategy{StrategyWeiPipeNaive, StrategyWeiPipeInterleave, StrategyWZB1, StrategyWZB2, StrategyWZB2G} {
@@ -466,29 +508,37 @@ func TestIntegrityChecksEveryKeptUse(t *testing.T) {
 			opts := integrityOpts()
 			opts.GroupSize = 2
 			res := runCodec(t, s, p, eqCfg(), opts, iters, eqBatches(iters, n), nil)
+			m := 1
+			if s == StrategyWZB2G {
+				m = 2
+			}
 			weights := 0
 			for r := 0; r < p; r++ {
 				plan, err := order.BeltPlan(string(s), r, p, n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				kept := 0
+				kept, own := 0, 0
 				for _, u := range plan {
 					if u.Phase != 'W' {
 						weights++
 						if !u.Gather {
 							kept++
+						} else if order.Holds(r, u.Chunk, p, m) {
+							own++
 						}
 					}
 				}
 				if p == 4 && n >= 8 && kept == 0 {
 					t.Fatalf("%s p=%d n=%d rank %d: the plan keeps no copy; the test proved nothing", s, p, n, r)
 				}
+				if own == 0 {
+					t.Fatalf("%s p=%d n=%d rank %d: the rank serves no use itself; the test proved nothing", s, p, n, r)
+				}
 			}
 			if s == StrategyWZB2G {
 				// Every group caches every chunk, by message unless the
 				// chunk's owner is its own group's holder.
-				m := 2
 				for c := 0; c < p; c++ {
 					weights += p / m
 					if owner := (c - 1 + p) % p; owner%m == c%m {

@@ -202,7 +202,8 @@ func TestRankHoldsOnlyItsWeights(t *testing.T) {
 					}
 				}
 				// Every belt receive was checked: one per pass the plan
-				// gathers, less the grouped first ranks' own-cache uses.
+				// gathers, less the uses of the chunks the rank holds, which
+				// it serves itself.
 				for r, tr := range trainers {
 					w, ok := tr.(*WeiPipe)
 					if !ok {
@@ -210,7 +211,7 @@ func TestRankHoldsOnlyItsWeights(t *testing.T) {
 					}
 					want := 0
 					for _, u := range w.plan.uses {
-						if u.Gather && (w.grouped == nil || r%w.grouped.m != 0 || u.Chunk%w.grouped.m != 0) {
+						if u.Gather && !w.holds(r, u.Chunk) {
 							want++
 						}
 					}

@@ -91,10 +91,11 @@ func TestActivationPassingScalesWithGS(t *testing.T) {
 }
 
 // beltCopies counts, per chunk, the weight-belt messages one flat iteration
-// of strategy s sends, from the plan: p for every round order.BeltPlan ships
-// on either belt — the owner's injection of use 0 and one relay per use
-// after it — and the rounds among them that start an iteration, each of
-// which is an injection and not a relay.
+// of strategy s sends, from the plan: p−1 for every round order.BeltPlan
+// ships on either belt — one into every rank but the chunk's owner, which
+// serves itself — and the rounds among them that start an iteration with
+// the owner's injection into rank 0, which is not a relay: every round 0 but
+// chunk 1's, whose owner is rank 0.
 func beltCopies(t *testing.T, s Strategy, p, n int) (copies []int64, injections int64) {
 	t.Helper()
 	plan, err := order.BeltPlan(string(s), 0, p, n)
@@ -106,8 +107,8 @@ func beltCopies(t *testing.T, s Strategy, p, n int) (copies []int64, injections 
 		for c, rounds := range belt {
 			for k, ship := range rounds {
 				if ship {
-					copies[c] += int64(p)
-					if k == 0 {
+					copies[c] += int64(p - 1)
+					if k == 0 && !order.Holds(0, c, p, 1) {
 						injections++
 					}
 				}
@@ -121,9 +122,11 @@ func beltCopies(t *testing.T, s Strategy, p, n int) (copies []int64, injections 
 // from the chunk shapes and the plan, on every flat variant (§4.2.2: per
 // belt use the wire carries at most the forward and backward weight chunks
 // and one gradient chunk). A chunk's weights travel only in the rounds the
-// plan ships (beltCopies); the rest run on kept copies. The gradient belt
-// takes n messages per chunk, n−1 accumulator hops and the retire. The meter
-// counts self-sends, so the totals include them.
+// plan ships, and then to every rank but its owner (beltCopies), so p=1
+// ships none; the rest run on kept copies. The gradient belt takes n
+// messages per chunk, n−1 accumulator hops and the retire. The meter counts
+// self-sends, so that total includes the retire of chunk 0, whose owner is
+// the belt's last rank, and at p=1 every hop.
 func TestWeiPipePerTurnVolumeMatchesAnalysis(t *testing.T) {
 	cfg := tbwCfg()
 	mdl := model.Build(cfg)
@@ -154,15 +157,15 @@ func TestWeiPipePerTurnVolumeMatchesAnalysis(t *testing.T) {
 // vocabulary 256, 4 heads, 4 layers, G=1): the wide one, H=256 S=8 n=8, and
 // the long one, H=64 S=512 n=4. Under the keep rule forward-belt round 1 of
 // chunk 2 and backward-belt round 0 of chunk 1 stay off the wide shape's
-// wire, and backward-belt round 0 of chunk 2 off the long one's; before it
-// the counts were 287 866 880 and 10 031 104 B.
+// wire, and backward-belt round 0 of chunk 2 off the long one's; and no
+// shipped round goes to its chunk's owner.
 func TestWZB2BeltBytesAtBenchmarkShapes(t *testing.T) {
 	for _, tc := range []struct {
 		h, seq, n int
 		want      int64
 	}{
-		{256, 8, 8, 262_651_904},
-		{64, 512, 4, 9_238_528},
+		{256, 8, 8, 223_254_528},
+		{64, 512, 4, 7_852_800},
 	} {
 		cfg := model.Config{Vocab: 256, Hidden: tc.h, Layers: 4, Heads: 4, MaxSeq: tc.seq, Seed: 1}
 		st := runMetered(t, StrategyWZB2, 4, cfg, 1, tc.seq, tc.n)
@@ -227,7 +230,8 @@ func (h *hopCounter) Forward(dst int, tag comm.Tag, payload []float32) error {
 // sends, so a change to how weights travel cannot land in one reader and not
 // the other. Use 0 is no hop on either side: the flat belt's owner
 // injection, which the simulator treats as free, or the grouped belt's
-// first injection into group 0. The grouped belt runs at p=4 in groups of 2.
+// first injection into group 0. Neither side has a hop into a chunk's
+// holder (order.Holds). The grouped belt runs at p=4 in groups of 2.
 func TestSimulatorRelaysMatchRuntime(t *testing.T) {
 	type point struct {
 		s    Strategy
@@ -276,6 +280,101 @@ func TestSimulatorRelaysMatchRuntime(t *testing.T) {
 		}
 		if !maps.Equal(ran, simulated) {
 			t.Errorf("%s p=%d n=%d: runtime relays\n %v\nsimulated\n %v", s, p, n, ran, simulated)
+		}
+	}
+}
+
+// weightSend is one weight message a rank sent: its source, destination and
+// tag.
+type weightSend struct {
+	src, dst int
+	tag      comm.Tag
+}
+
+// weightRecorder records every weight message its rank sends, by any of the
+// three sends, with global ranks: a grouped belt's sub-transport sends
+// through it.
+type weightRecorder struct {
+	comm.Transport
+	mu    *sync.Mutex
+	sends *[]weightSend
+}
+
+func (w *weightRecorder) record(dst int, tag comm.Tag) {
+	if tag.Kind == comm.KindWeight {
+		w.mu.Lock()
+		*w.sends = append(*w.sends, weightSend{w.Rank(), dst, tag})
+		w.mu.Unlock()
+	}
+}
+
+func (w *weightRecorder) Send(dst int, tag comm.Tag, data []float32) error {
+	w.record(dst, tag)
+	return w.Transport.Send(dst, tag, data)
+}
+
+func (w *weightRecorder) SendOwned(dst int, tag comm.Tag, payload []float32) error {
+	w.record(dst, tag)
+	return w.Transport.SendOwned(dst, tag, payload)
+}
+
+func (w *weightRecorder) Forward(dst int, tag comm.Tag, payload []float32) error {
+	w.record(dst, tag)
+	return w.Transport.Forward(dst, tag, payload)
+}
+
+// TestHolderNeverReceivesItsChunk: no belt message for chunk c goes to a
+// rank that holds c (order.Holds) — the owner on the flat belt, the group's
+// holder on the grouped one — and no weight message at all is a self-send,
+// on every flat variant and on wzb2g, in process and over TCP, at p 1…4 and
+// n ∈ {p, 2p, 3p}. The grouped belt runs in groups of 2, or of 3 at p=3;
+// below that it falls back to the flat belt. Holders do receive their
+// chunks once an iteration, off the shard exchange, which is no belt.
+func TestHolderNeverReceivesItsChunk(t *testing.T) {
+	for _, overTCP := range []bool{false, true} {
+		for _, s := range []Strategy{StrategyWeiPipeNaive, StrategyWeiPipeInterleave, StrategyWZB1, StrategyWZB2, StrategyWZB2G} {
+			for p := 1; p <= 4; p++ {
+				gs := 2
+				if p == 3 {
+					gs = 3
+				}
+				m := 1
+				if s == StrategyWZB2G {
+					m = normalizeGroupSize(gs, p)
+				}
+				for _, n := range []int{p, 2 * p, 3 * p} {
+					var trs []comm.Transport
+					if overTCP {
+						trs = dialMesh(t, p, comm.TCPOptions{})
+					} else {
+						trs = comm.NewCluster(p).Transports()
+					}
+					var mu sync.Mutex
+					var sends []weightSend
+					for r := range trs {
+						trs[r] = &weightRecorder{Transport: trs[r], mu: &mu, sends: &sends}
+					}
+					opts := eqOpts()
+					opts.GroupSize = gs
+					runCfgOnTransports(t, trs, s, eqCfg(), opts, 2, eqBatches(2, n))
+					for _, tr := range trs {
+						tr.Close()
+					}
+					if p > 1 && len(sends) == 0 {
+						t.Fatalf("%s p=%d n=%d: no weight message sent; the test proved nothing", s, p, n)
+					}
+					for _, ws := range sends {
+						belt := (ws.tag.B >> beltUseBits) % beltCount
+						if ws.src == ws.dst {
+							t.Errorf("%s p=%d n=%d tcp=%v: rank %d sent chunk %d to itself", s, p, n, overTCP, ws.src, ws.tag.A)
+						}
+						if (belt == beltFwd || belt == beltBwd) && order.Holds(ws.dst, ws.tag.A, p, m) {
+							t.Errorf("%s p=%d n=%d tcp=%v: rank %d sent chunk %d on belt %d to its holder, rank %d",
+								s, p, n, overTCP, ws.src, ws.tag.A, belt, ws.dst)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -414,36 +414,67 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 		}
 	}
 
-	// An abort while a copy is kept for its chunk's next use: rank 0 fails
-	// the first send it makes while keeping one — the turnaround chunk's
-	// forward copy, kept for its B pass, or (wzb2 at p=4, n=8) chunk 1's,
-	// kept from F4/1 to B0/1 while B0/2 fetches and relays chunk 2.
+	// An abort while a rank keeps a copy for its chunk's next use, or
+	// computes on a copy it holds: the crash rank fails the first send it
+	// makes in that state.
+	//   - Rank 0 keeps the turnaround chunk's forward copy for its B pass.
+	//   - At p=4, n=8 a rank keeps chunk 1 from its F on it in round 1 to
+	//     its B on it in round 0, while its B on chunk 2 runs and relays.
+	//     On the flat belt that is rank 1, which owns chunk 2, serves the B
+	//     from its own copy and relays it to rank 2; on the grouped belt
+	//     rank 0, which holds chunk 2. The relay fails.
+	//   - On the grouped belt in one group of four, rank 1 holds chunk 1. It
+	//     relays its own cached copy to rank 2 over TCP, binds it and then,
+	//     pacing the belt, re-injects the next round to rank 0: that send
+	//     fails with the copy bound and its relay in a link writer's hands.
+	keeps := func(c int) func(w *WeiPipe) bool {
+		return func(w *WeiPipe) bool { return slices.Contains(keptChunks(w), c) }
+	}
 	for _, kc := range []struct {
-		s     Strategy
-		chunk int
-	}{{StrategyWZB2, p - 1}, {StrategyWZB2G, p - 1}, {StrategyWZB2, 1}, {StrategyWZB2G, 1}} {
+		s         Strategy
+		groupSize int
+		rank      int
+		overTCP   bool
+		what      string
+		holding   func(w *WeiPipe) bool
+	}{
+		{StrategyWZB2, 2, 0, false, "keeping chunk 3", keeps(p - 1)},
+		{StrategyWZB2G, 2, 0, false, "keeping chunk 3", keeps(p - 1)},
+		{StrategyWZB2, 2, 1, false, "keeping chunk 1", keeps(1)},
+		{StrategyWZB2G, 2, 0, false, "keeping chunk 1", keeps(1)},
+		{StrategyWZB2G, 4, 1, true, "computing on its own chunk 1", func(w *WeiPipe) bool {
+			lo, _ := w.chunkRange(1)
+			return w.stage.buf != nil && !w.stage.grads && w.stage.lo == lo
+		}},
+	} {
 		s := kc.s
-		cl := comm.NewCluster(p)
+		var trs []comm.Transport
+		if kc.overTCP {
+			tcpOpts := chaosTCPOpts()
+			tcpOpts.Chaos = nil
+			tcpOpts.PeerDeadTimeout = 300 * time.Millisecond
+			trs = dialMesh(t, p, tcpOpts)
+		} else {
+			trs = comm.NewCluster(p).Transports()
+		}
 		trainers := make([]*WeiPipe, p)
 		errs := make([]error, p)
-		crash := &heldCrash{Transport: cl.Transport(0), holding: func() bool {
-			return trainers[0] != nil && slices.Contains(keptChunks(trainers[0]), kc.chunk)
+		crash := &heldCrash{Transport: trs[kc.rank], holding: func() bool {
+			return trainers[kc.rank] != nil && kc.holding(trainers[kc.rank])
 		}}
+		trs[kc.rank] = crash
+		closeAll := failFast(trs) // the first rank out unblocks the others
 		opts := eqOpts()
-		opts.GroupSize = 2
+		opts.GroupSize = kc.groupSize
 		batches := eqBatches(iters, n)
 		var wg sync.WaitGroup
 		for r := range trainers {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				defer cl.Close() // the first rank out unblocks the others
-				tr := cl.Transport(r)
-				if r == 0 {
-					tr = crash
-				}
+				defer closeAll()
 				var trainer Trainer
-				if trainer, errs[r] = New(s, tr, eqCfg(), opts); errs[r] != nil {
+				if trainer, errs[r] = New(s, trs[r], eqCfg(), opts); errs[r] != nil {
 					return
 				}
 				trainers[r] = trainer.(*WeiPipe)
@@ -454,7 +485,7 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 		}
 		wg.Wait()
 		if !crash.fired {
-			t.Fatalf("%s: rank 0 never sent while keeping chunk %d; the test proved nothing", s, kc.chunk)
+			t.Fatalf("%s: rank %d never sent while %s; the test proved nothing", s, kc.rank, kc.what)
 		}
 		for r, w := range trainers {
 			if errs[r] == nil {
@@ -463,9 +494,12 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 			if w != nil && (len(keptChunks(w)) != 0 || w.stage.buf != nil) {
 				t.Errorf("%s rank %d: a kept or bound belt buffer survived the abort", s, r)
 			}
+			if w != nil && w.grouped != nil && len(w.grouped.cache) != 0 {
+				t.Errorf("%s rank %d: %d cached shards survived the abort", s, r, len(w.grouped.cache))
+			}
 		}
 		if n := comm.SharedBufs(); n != 0 {
-			t.Errorf("%s: %d buffers still shared after an abort with chunk %d kept", s, n, kc.chunk)
+			t.Errorf("%s: %d buffers still shared after an abort with rank %d %s", s, n, kc.rank, kc.what)
 		}
 	}
 

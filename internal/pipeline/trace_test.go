@@ -90,9 +90,9 @@ func TestWeiPipeTraceOverlap(t *testing.T) {
 		}
 		totalRelays += codes[trace.CodeRelay]
 	}
-	// Every use the plan ships is relayed but an iteration's first, which
-	// the owner injects (TestWeiPipePerTurnVolumeMatchesAnalysis pins the
-	// same count in bytes).
+	// Every use the plan ships to a rank that does not own the chunk is
+	// relayed but an iteration's first, which the owner injects
+	// (TestWeiPipePerTurnVolumeMatchesAnalysis pins the same count in bytes).
 	copies, injections := beltCopies(t, StrategyWZB2, p, n)
 	want := -int(injections)
 	for _, c := range copies {

@@ -62,12 +62,14 @@ func (v WeiPipeVariant) String() string {
 //   - the backward belt, which trails a full model-depth behind and feeds
 //     each worker's backward passes in reverse chunk order.
 //
-// A pass does not always take its chunk off a belt: under the keep rule
+// A pass does not always take its chunk off a belt. Under the keep rule
 // (order.BeltPlan) a pass keeps its copy for the chunk's next use when the
 // passes in between use at most one other chunk, and that use runs on it.
 // The plan is the same on every rank, so a whole round of a chunk on a belt
 // is either shipped or served from kept copies — the turnaround chunk P−1's
-// backward rounds always are.
+// backward rounds always are. And a rank never receives a chunk it holds
+// (order.Holds): the owner serves its own uses from the master weights and
+// relays from that copy, so a shipped round takes P−1 hops.
 //
 // A gradient accumulator D_c rides the backward belt: each worker adds its
 // local weight-gradient contribution before passing it on, so by the time
@@ -76,8 +78,8 @@ func (v WeiPipeVariant) String() string {
 // "update pass"). Each worker keeps its own microbatches' activations and
 // never ships an activation anywhere: per turn the wire carries at most two
 // weight chunks and one gradient chunk — at most the paper's 36H² bytes,
-// less the rounds kept copies serve — independent of both microbatch size G
-// and sequence length S.
+// less the rounds kept copies serve and the hops into owners — independent
+// of both microbatch size G and sequence length S.
 //
 // Belt use indices are global: use j of a belt chunk is performed by worker
 // j mod P during its round ⌊j/P⌋, so use j happens one hop downstream of
@@ -332,13 +334,13 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 		if err := w.groupedExchange(); err != nil {
 			return 0, err
 		}
-	} else {
+	} else if !w.holds(0, w.ownChunk) {
 		// Inject the owned chunk into both belts; the first user of every belt
-		// chunk is worker 0 at use index 0. One sealed copy of the master
-		// weights serves both: it is shared, and each belt's send carries one
-		// reference away. A belt whose use 0 runs on a kept copy gets none:
-		// round 0 of the forward belt always travels, the backward belt's
-		// only when the plan ships it.
+		// chunk is worker 0 at use index 0, unless worker 0 is the owner and
+		// serves itself. One sealed copy of the master weights serves both: it
+		// is shared, and each belt's send carries one reference away. A belt
+		// whose use 0 runs on a kept copy gets none: round 0 of the forward
+		// belt always travels, the backward belt's only when the plan ships it.
 		tagFwd := Tag{Kind: comm.KindWeight, A: w.ownChunk, B: w.enc(beltFwd, 0)}
 		payload := w.ownedPayload(tagFwd)
 		if !w.plan.ships(beltBwd, w.ownChunk, 0) {
@@ -497,11 +499,44 @@ func (w *WeiPipe) beltRecvOn(t Transport, src int, tag Tag) ([]float32, error) {
 }
 
 // ownedPayload builds the owned chunk's belt payload for an iteration: one
-// copy of the master weights, sealed under tag. The caller owns it.
+// copy of the master weights, rounded to the values the wire under tag
+// delivers (comm.RoundToWire) and sealed. Every rank therefore computes on
+// the same bits, the owner serving its own uses included. The caller owns
+// it.
 func (w *WeiPipe) ownedPayload(tag Tag) []float32 {
 	payload := comm.GetBuf(len(w.masterW) + w.pad)
 	copy(payload, w.masterW)
+	comm.RoundToWire(w.t.WireCodec(tag), w.beltBody(payload))
 	w.sealBelt(tag, payload)
+	return payload
+}
+
+// holds reports whether rank r holds chunk c's weights for the iteration
+// (order.Holds): the owner on the flat belt, the group's holder on the
+// grouped one. A holder serves its own uses of c (heldPayload), and nobody
+// relays c to it.
+func (w *WeiPipe) holds(r, c int) bool {
+	m := 1
+	if w.grouped != nil {
+		m = w.grouped.m
+	}
+	return order.Holds(r, c, w.t.Size(), m)
+}
+
+// heldPayload is a holder's copy of chunk c for its pass on use `use` of
+// belt-copy `belt`, in place of the belt's: on the flat belt a fresh copy of
+// the master weights (ownedPayload), on the grouped belt the cached payload,
+// shared — or, for the chaos injector, which writes what it is handed, a
+// private copy of it. The caller owns it.
+func (w *WeiPipe) heldPayload(belt, c, use int) []float32 {
+	if w.grouped == nil {
+		return w.ownedPayload(Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use)})
+	}
+	payload := w.grouped.cache[c]
+	if w.opts.BitFlip != nil {
+		return append(comm.GetBuf(len(payload))[:0], payload...)
+	}
+	comm.Retain(payload)
 	return payload
 }
 
@@ -556,35 +591,39 @@ func (w *WeiPipe) unbindStage() []float32 {
 }
 
 // bindWeights is the one way a copy of chunk c's weights enters pass u —
-// use u.MB of belt-copy `belt` — on the flat belt and the grouped one:
-// receive (when the plan gathers; else the copy the chunk's previous pass
-// kept), chaos flip, verify, relay, bind, in that order. Verification comes
-// first, so a corrupt chunk neither enters this rank's compute nor travels
-// on, and a kept copy is verified again, so a flip while it waited cannot
-// enter the pass. The relay — use+1, when the plan ships it — comes before
-// the bind, so the next hop's wire time runs under this stage's compute
-// instead of after it: the payload is shared (comm.Retain), one reference
-// leaves with Transport.Forward, and the stage computes out of the other
-// until unbindStage. A shared payload is read-only to everyone, which is
-// why the flip and the seal's rounding happen on the way in; the TCP writer
-// only reads it, and the in-process fabric delivers a private copy. The
-// payload is relayed as it arrived, so Forward lets the TCP writer seal it
-// from the checksum this rank's reader verified — unless a chaos flip is
-// armed: the flip writes the payload, and the relay then takes a full seal.
+// use u.MB of belt-copy `belt` — on the flat belt and the grouped one: fetch
+// (when the plan gathers: off the belt, or the holder's own copy; else the
+// copy the chunk's previous pass kept), chaos flip, verify, relay, bind, in
+// that order. Verification comes first, so a corrupt chunk neither enters
+// this rank's compute nor travels on, and a kept copy is verified again, so a
+// flip while it waited cannot enter the pass. The relay — use+1, when the
+// plan ships it and the next rank does not hold the chunk — comes before the
+// bind, so the next hop's wire time runs under this stage's compute instead
+// of after it: the payload is shared (comm.Retain), one reference leaves
+// with Transport.Forward, and the stage computes out of the other until
+// unbindStage. A shared payload is read-only to everyone, which is why the
+// flip and the seal's rounding happen on the way in; the TCP writer only
+// reads it, and the in-process fabric delivers a private copy. The payload
+// is relayed as it arrived, so Forward lets the TCP writer seal it from the
+// checksum this rank's reader verified — unless a chaos flip is armed: the
+// flip writes the payload, and the relay then takes a full seal.
 func (w *WeiPipe) bindWeights(belt int, u order.Use) error {
 	c, use := u.Chunk, u.MB
 	var payload []float32
-	if u.Gather {
+	switch {
+	case !u.Gather:
+		payload, w.kept[c] = w.kept[c], nil
+	case w.holds(w.t.Rank(), c):
+		payload = w.heldPayload(belt, c, use)
+	default:
 		var err error
 		if payload, err = w.recvBelt(belt, c, use); err != nil {
 			comm.Release(payload)
 			return err
 		}
-		if w.opts.BitFlip != nil {
-			w.opts.BitFlip.Flip(w.t.Rank(), w.iter, FlipBeltWeight, w.beltBody(payload))
-		}
-	} else {
-		payload, w.kept[c] = w.kept[c], nil
+	}
+	if u.Gather && w.opts.BitFlip != nil {
+		w.opts.BitFlip.Flip(w.t.Rank(), w.iter, FlipBeltWeight, w.beltBody(payload))
 	}
 	if verr := w.verifyBelt(comm.SiteBelt, comm.KindWeight, c, payload); verr != nil {
 		comm.Release(payload)
@@ -627,18 +666,22 @@ func (w *WeiPipe) recvBelt(belt, c, use int) ([]float32, error) {
 
 // relayTarget returns where the pass on use `use` of chunk c's belt-copy
 // `belt` relays use+1 — the ring successor, or on the grouped belt the next
-// group member — or dst < 0 when there is no next use or the plan serves
-// it from kept copies.
+// group member — or dst < 0 when there is no next use, the plan serves it
+// from kept copies or the next rank holds the chunk.
 func (w *WeiPipe) relayTarget(belt, c, use int) (t Transport, dst int) {
 	p := w.t.Size()
+	next := (w.t.Rank() + 1) % p
+	if w.holds(next, c) {
+		return nil, -1
+	}
 	if g := w.grouped; g != nil {
 		if i := w.t.Rank() - g.first; i < g.m-1 && w.plan.ships(belt, c, use/p) {
 			return g.grp, i + 1
 		}
 		return nil, -1
 	}
-	if next := use + 1; next < w.totalUses() && w.plan.ships(belt, c, next/p) {
-		return w.t, (w.t.Rank() + 1) % p
+	if use+1 < w.totalUses() && w.plan.ships(belt, c, (use+1)/p) {
+		return w.t, next
 	}
 	return nil, -1
 }

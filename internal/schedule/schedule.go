@@ -343,9 +343,10 @@ func (b *builder) emitPrograms(strategy string, label func(op order.Op, worker i
 // belt in (round, P−1−chunk) order; fwdEarlier and bwdEarlier return the
 // compute task that consumed the chunk `buffers` arrivals before chunk c of
 // round k at worker wk, or -1. A round the weight plan serves from kept
-// copies (order.BeltPlan) travels no belt, but each kept copy sits in the
-// slot of the use it serves until that pass consumes it, so every belt keeps
-// P slots per round and the pacing is unchanged.
+// copies (order.BeltPlan) travels no belt, and neither does a holder's use
+// of its own chunk (order.Holds), but each such copy sits in the slot of the
+// use it serves until that pass consumes it, so every belt keeps P slots per
+// round and the pacing is unchanged.
 func (g *opGrid) fwdEarlier(wk, k, c int) int {
 	idx := k*g.p + c - g.buffers
 	if idx < 0 {
@@ -373,15 +374,17 @@ func beltShips(strategy string, w cost.Workload) ([2][][]bool, error) {
 }
 
 // beltHopDeps returns what belt hop j of a chunk waits for, given the chunk's
-// passes on that belt by use (uses), which rounds the plan ships, the hop
-// that delivered use j−1 (prevLink, -1 for none) and the flow control's
-// earlier consumer (-1 for none). Store and forward: the hop leaves when use
-// j−1's copy arrived — use 0's injection is free — or, when use j−1 runs on
-// a kept copy, when that pass starts: after the compute before it.
-func (b *builder) beltHopDeps(uses []int, ships []bool, prevLink, j, earlier int) []int {
+// passes on that belt by use (uses), whether use j−1 ran on a local copy —
+// one kept since the chunk's previous pass, or its holder's own
+// (order.Holds) — the hop that delivered use j−1 (prevLink, -1 for none)
+// and the flow control's earlier consumer (-1 for none). Store and forward:
+// the hop leaves when use j−1's copy arrived — use 0's injection is free —
+// or, when use j−1 runs on a local copy, when that pass starts: after the
+// compute before it.
+func (b *builder) beltHopDeps(uses []int, local bool, prevLink, j, earlier int) []int {
 	p := b.spec.W.P
 	deps := []int{}
-	if ships[(j-1)/p] {
+	if !local {
 		if prevLink >= 0 {
 			deps = append(deps, prevLink)
 		}
@@ -470,7 +473,8 @@ func buildPP(strategy string, spec Spec) ([]sim.Task, error) {
 // worker is in its longer backward turn) emerges from the barriers. This is
 // the paper's barrier abstraction, not the runtime's wire: every flow hops
 // every turn, although the runtime serves some passes from kept copies
-// (order.BeltPlan) — the B pass on chunk P−1 always.
+// (order.BeltPlan) — the B pass on chunk P−1 always — and every owner's
+// passes on its own chunk from its master weights (order.Holds).
 //
 // A worker's turns are its program's ops, a B and the W fused to it counting
 // as one; worker i starts i turns late (the rotation reaches it then).
@@ -564,10 +568,12 @@ func buildWeiPipe(strategy string, spec Spec) ([]sim.Task, error) {
 
 	// Belt link tasks. Forward and backward weight belts hop j−1 → j with
 	// store-and-forward relaying (beltHopDeps), for the rounds the weight
-	// plan ships: a kept-served pass's copy is in place since an earlier
-	// pass, which program order already puts before it. The D belt hop
-	// j−1 → j carries the accumulator and always depends on the producer's
-	// W pass. Flow control (fwdEarlier/bwdEarlier) is what paces the ring.
+	// plan ships, into every rank but the chunk's owner (order.Holds): a
+	// kept-served pass's copy is in place since an earlier pass, which
+	// program order already puts before it, and the owner's since the
+	// step. The D belt hop j−1 → j carries the accumulator and always
+	// depends on the producer's W pass. Flow control
+	// (fwdEarlier/bwdEarlier) is what paces the ring.
 	for c := 0; c < p; c++ {
 		bytes := chunkBytes(w, c)
 		var prevFLink, prevBLink = -1, -1
@@ -579,14 +585,16 @@ func buildWeiPipe(strategy string, spec Spec) ([]sim.Task, error) {
 			if spec.TerminalGradAllReduce {
 				dBytes = 0 // ablation: no D belt; gradients all-reduced at the end
 			}
-			if ships[0][c][k] {
-				fdeps := b.beltHopDeps(ops.f[c], ships[0][c], prevFLink, j, ops.fwdEarlier(dst, k, c))
+			local := func(ship []bool) bool { return !ship[(j-1)/p] || order.Holds(from, c, p, 1) }
+			travels := !order.Holds(dst, c, p, 1)
+			if travels && ships[0][c][k] {
+				fdeps := b.beltHopDeps(ops.f[c], local(ships[0][c]), prevFLink, j, ops.fwdEarlier(dst, k, c))
 				fl := b.linkFwd(from, bytes, fmt.Sprintf("Wf c%d u%d", c, j), fdeps...)
 				b.tasks[ops.f[c][j]].Deps = append(b.tasks[ops.f[c][j]].Deps, fl)
 				prevFLink = fl
 			}
-			if ships[1][c][k] {
-				bdeps := b.beltHopDeps(ops.b[c], ships[1][c], prevBLink, j, ops.bwdEarlier(dst, k, c))
+			if travels && ships[1][c][k] {
+				bdeps := b.beltHopDeps(ops.b[c], local(ships[1][c]), prevBLink, j, ops.bwdEarlier(dst, k, c))
 				bl := b.linkFwd(from, bytes, fmt.Sprintf("Wb c%d u%d", c, j), bdeps...)
 				b.tasks[ops.b[c][j]].Deps = append(b.tasks[ops.b[c][j]].Deps, bl)
 				prevBLink = bl
@@ -670,9 +678,11 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 	// exactly like the flat belt; at each group-first rank the chunk is
 	// (re-)injected from the group's holder cache over the group fabric,
 	// paced by the holder's own pass one round earlier, kept-served or not.
-	// The group-last rank never forwards — weight belts never touch a
-	// boundary link. As on the flat belt, a round the plan serves from kept
-	// copies travels nowhere.
+	// The holder itself (order.Holds) takes nothing off the belt: it serves
+	// its own use from the cache and relays from it, as the flat belt's
+	// owner does. The group-last rank never forwards — weight belts never
+	// touch a boundary link. As on the flat belt, a round the plan serves
+	// from kept copies travels nowhere.
 	ships, err := beltShips("wzb2g", w)
 	if err != nil {
 		return nil, err
@@ -684,21 +694,20 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 			for j := 0; j < uses; j++ {
 				dst := j % p
 				k := j / p
+				g := dst / m
 				if !ship[c][k] {
 					continue
 				}
-				if dst%m == 0 {
-					g := dst / m
-					hold := holderIn(g, c)
-					if hold == dst {
-						// Self-held chunk: a local cache copy, no wire task.
-						if a := arrive[g][c]; a >= 0 {
-							b.tasks[op[c][j]].Deps = append(b.tasks[op[c][j]].Deps, a)
-						}
-						prevLink = -1
-						continue
+				deps := []int{}
+				if order.Holds(dst, c, p, m) {
+					// The holder's use: a local cache copy, no wire task.
+					if a := arrive[g][c]; a >= 0 {
+						b.tasks[op[c][j]].Deps = append(b.tasks[op[c][j]].Deps, a)
 					}
-					deps := []int{}
+					continue
+				}
+				if dst%m == 0 {
+					hold := holderIn(g, c)
 					if a := arrive[g][c]; a >= 0 {
 						deps = append(deps, a)
 					}
@@ -713,17 +722,12 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 					prevLink = inj
 					continue
 				}
-				deps := []int{}
-				if prevLink >= 0 {
-					deps = append(deps, prevLink)
-				} else if a := arrive[dst/m][c]; a >= 0 {
-					// The segment started at a self-held group-first rank:
-					// its first forward still needs the shard to be cached.
+				held := order.Holds(dst-1, c, p, m)
+				if a := arrive[g][c]; held && a >= 0 {
+					// The relay out of the holder still needs the shard cached.
 					deps = append(deps, a)
 				}
-				if e := earlier(dst, k, c); e >= 0 {
-					deps = append(deps, e)
-				}
+				deps = append(deps, b.beltHopDeps(op[c], held, prevLink, j, earlier(dst, k, c))...)
 				lt := b.linkFwd(dst-1, bytes, fmt.Sprintf("%s c%d u%d", name, c, j), deps...)
 				b.tasks[op[c][j]].Deps = append(b.tasks[op[c][j]].Deps, lt)
 				prevLink = lt
