@@ -60,10 +60,10 @@ cross-be:
 # driver's checkpoint gathers and resume rule, and the grouped-belt suite
 # (flat-equivalence, sub-ring collectives, and the grouped run over chaotic
 # TCP). Aborts and integrity checks with kept and self-served belt copies,
-# the holder rule's traffic check and the belt goldens ride along.
+# the holder and owner rules' traffic checks and the belt goldens ride along.
 chaos:
 	$(GO) test -race -timeout 300s \
-		-run 'Fault|Chaos|Timeout|PeerDeath|Recovery|Resilient|Crash|Frame|CloseFailsPending|CloseLeaks|DialTimeout|Grouped|SubRing|Driver|AbortedIteration|Kept|HolderNever|SelfServed|BeltRunsMatchGoldens' \
+		-run 'Fault|Chaos|Timeout|PeerDeath|Recovery|Resilient|Crash|Frame|CloseFailsPending|CloseLeaks|DialTimeout|Grouped|SubRing|Driver|AbortedIteration|Kept|HolderNever|OwnerNever|SelfServed|BeltRunsMatchGoldens' \
 		./internal/comm/ ./internal/pipeline/ ./internal/launch/
 
 # elastic runs the ring-repair suite under the race detector. There is one
@@ -72,7 +72,8 @@ chaos:
 # RunResilient supervises the ranks as goroutines over the in-process fabric
 # or TCP, or weipipe-launch as processes over TCP. The suite covers the
 # failure contract on both fabrics, buddy replication off the critical
-# path, shrink/spare repair after a crash, an integrity flip or a watchdog
+# path and its shadows bit-identical to their owners ('Buddy' covers both),
+# shrink/spare repair after a crash, an integrity flip or a watchdog
 # declaration (including the headline kill-over-chaotic-TCP bit-identity
 # test), the no-quorum and double-death checkpoint fallbacks, the driver's
 # checkpoint gathers, resume rule and tracing, and restart-loop edge cases.
@@ -162,9 +163,10 @@ bench-kernel:
 bench-grouped:
 	$(GO) run ./cmd/weipipe-bench -grouped -grouped-out BENCH_grouped.json
 
-# experiments regenerates the full paper-table output that EXPERIMENTS.md
-# is curated from (pure cost-model output: the same bytes on any host). CI
-# uploads the file as an artifact on every run.
+# experiments regenerates the full paper-table output whose experiments
+# EXPERIMENTS.md holds in generated blocks (pure cost-model output: the same
+# bytes on any host; TestExperimentsDocIsGenerated keeps the blocks equal
+# to it). CI uploads the file as an artifact on every run.
 EXPERIMENTS_OUT ?= /tmp/weipipe_experiments.txt
 experiments:
 	$(GO) run ./cmd/weipipe-bench -exp all > $(EXPERIMENTS_OUT)
@@ -190,7 +192,7 @@ experiments:
 # type-switch fallback that a wrapper silently drops to): a knob added past
 # those counts must retire another. It also prints DESIGN.md's size in bytes
 # and the longest CHANGES.md entry (one entry a line), and fails when
-# DESIGN.md grows past 118632 bytes: a doc edit replaces text instead of
+# DESIGN.md grows past 118601 bytes: a doc edit replaces text instead of
 # appending it.
 surface:
 	@echo "non-test Go lines: $$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
@@ -225,7 +227,7 @@ surface:
 	@wc -l internal/comm/tcp.go
 	@wc -l internal/tensor/*.s
 	@n=$$(wc -c < DESIGN.md); echo "DESIGN.md bytes: $$n"; \
-		[ $$n -le 118632 ] || { echo "surface: DESIGN.md has $$n bytes, at most 118632"; exit 1; }
+		[ $$n -le 118601 ] || { echo "surface: DESIGN.md has $$n bytes, at most 118601"; exit 1; }
 	@echo "longest CHANGES.md entry, bytes: $$(LC_ALL=C awk 'length($$0) > m { m = length($$0) } END { print m + 0 }' CHANGES.md)"
 
 # check is the pre-merge gate: formatting, the orphan-package check, static

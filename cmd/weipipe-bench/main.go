@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"weipipe/internal/bench"
@@ -95,13 +96,14 @@ func main() {
 		fmt.Println("table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ext-bubble ext-hybrid all")
 		return
 	}
-	if err := run(*exp, *width); err != nil {
+	if err := run(os.Stdout, *exp, *width); err != nil {
 		fmt.Fprintln(os.Stderr, "weipipe-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, width int) error {
+// run writes experiment exp — one id, or "all" — to w.
+func run(w io.Writer, exp string, width int) error {
 	timelines := map[string]func(int) (string, error){
 		"fig1": bench.Figure1, "fig2": bench.Figure2,
 		"fig3": bench.Figure3, "fig4": bench.Figure4,
@@ -117,27 +119,27 @@ func run(exp string, width int) error {
 	case exp == "all":
 		// The cost model does no tensor math: nothing about the host
 		// enters the output, so regenerations diff clean across machines.
-		fmt.Printf("regenerated by weipipe-bench\n\n")
+		fmt.Fprintf(w, "regenerated by weipipe-bench\n\n")
 		for _, id := range []string{"fig1", "fig2", "fig3", "fig4"} {
 			s, err := timelines[id](width)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("== %s ==\n%s\n", id, s)
+			fmt.Fprintf(w, "== %s ==\n%s\n", id, s)
 		}
 		exps, err := bench.All()
 		if err != nil {
 			return err
 		}
 		for _, e := range exps {
-			fmt.Println(e.Format())
+			fmt.Fprintln(w, e.Format())
 		}
 		for _, id := range []string{"ext-bubble", "ext-hybrid"} {
 			e, err := tables[id]()
 			if err != nil {
 				return err
 			}
-			fmt.Println(e.Format())
+			fmt.Fprintln(w, e.Format())
 		}
 		return nil
 	case timelines[exp] != nil:
@@ -145,14 +147,14 @@ func run(exp string, width int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(s)
+		fmt.Fprint(w, s)
 		return nil
 	case tables[exp] != nil:
 		e, err := tables[exp]()
 		if err != nil {
 			return err
 		}
-		fmt.Print(e.Format())
+		fmt.Fprint(w, e.Format())
 		return nil
 	default:
 		return fmt.Errorf("unknown experiment %q (use -list)", exp)

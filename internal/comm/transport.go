@@ -37,8 +37,8 @@ const (
 	KindColl
 	// KindCtl carries small control payloads (loss values, barriers).
 	KindCtl
-	// KindBuddy carries buddy-replication state (the dual-delivered retired
-	// gradient a rank uses to shadow its successor's optimizer shard). It is
+	// KindBuddy carries buddy-replication state (the summed gradient an
+	// owner sends the rank that shadows its optimizer shard). It is
 	// deliberately distinct from KindWeight/KindGrad so tests can assert the
 	// training critical path's message counts are unchanged by replication.
 	KindBuddy

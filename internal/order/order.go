@@ -320,6 +320,25 @@ func Holds(rank, c, p, m int) bool {
 	return rank%m == c%m
 }
 
+// GradChain returns the belt uses whose W passes feed chunk c's gradient
+// accumulator D_c on a weight-passing ring of p ranks over n microbatches,
+// in use order: every use but the owner's (Holds with m = 1). Use j runs on
+// rank j mod p. The owner accumulates its own W passes for c in place and
+// never ships them. D_c visits the listed uses in order — one hop from each
+// use's rank to the next one's, which bridges the owner (o−1 → o+1), or
+// none when both run on one rank, as every use does at p=2 — and the last
+// use's rank retires the sum to the owner. So a chunk's gradient travels
+// n − n/p messages an iteration for p ≥ 3, one at p=2 and none at p=1.
+func GradChain(c, p, n int) []int {
+	chain := make([]int, 0, n-n/p)
+	for j := 0; j < n; j++ {
+		if !Holds(j%p, c, p, 1) {
+			chain = append(chain, j)
+		}
+	}
+	return chain
+}
+
 // FSDP returns the passes an FSDP rank runs in one iteration over nLocal
 // microbatches of a model of modules modules: per microbatch, F over the
 // modules ascending, then B+W descending, with the keep rule applied to the

@@ -571,3 +571,58 @@ func TestHoldsOnePerGroup(t *testing.T) {
 		}
 	}
 }
+
+// TestGradChain: chunk c's gradient chain lists every use but its owner's,
+// in use order, so no use on the owner and n − n/p uses in all. Two chain
+// uses in a row sit one or two ranks apart — two where the chain bridges
+// the owner — except at p=2, where they all run on the one other rank; and
+// the messages it takes (hops between ranks plus the retire) are n − n/p
+// for p ≥ 3, 1 at p=2 and 0 at p=1.
+func TestGradChain(t *testing.T) {
+	for p := 1; p <= 8; p++ {
+		for _, n := range []int{p, 2 * p, 3 * p} {
+			for c := 0; c < p; c++ {
+				owner := (c - 1 + p) % p
+				chain := GradChain(c, p, n)
+				if len(chain) != n-n/p {
+					t.Errorf("p=%d n=%d c=%d: %d uses, want %d", p, n, c, len(chain), n-n/p)
+				}
+				msgs := 0
+				for i, j := range chain {
+					if j%p == owner {
+						t.Errorf("p=%d n=%d c=%d: use %d runs on the owner", p, n, c, j)
+					}
+					if i == 0 {
+						msgs++ // the retire
+						continue
+					}
+					prev := chain[i-1]
+					if j <= prev {
+						t.Errorf("p=%d n=%d c=%d: use %d after use %d", p, n, c, j, prev)
+					}
+					if d := (j%p - prev%p + p) % p; d != 0 {
+						msgs++
+						if d > 2 || d == 2 && (prev+1)%p != owner {
+							t.Errorf("p=%d n=%d c=%d: hop %d → %d is %d ranks", p, n, c, prev, j, d)
+						}
+					} else if p != 2 {
+						t.Errorf("p=%d n=%d c=%d: uses %d and %d run on one rank", p, n, c, prev, j)
+					}
+				}
+				want := n - n/p
+				switch p {
+				case 1:
+					want = 0
+				case 2:
+					want = 1
+				}
+				if msgs != want {
+					t.Errorf("p=%d n=%d c=%d: %d gradient messages, want %d", p, n, c, msgs, want)
+				}
+			}
+		}
+	}
+	if got, want := fmt.Sprint(GradChain(2, 4, 8)), "[0 2 3 4 6 7]"; got != want {
+		t.Errorf("GradChain(2, 4, 8) = %s, want %s", got, want)
+	}
+}

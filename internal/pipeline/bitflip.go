@@ -34,8 +34,8 @@ const (
 	// FlipBeltWeight corrupts a staged weight-belt payload between
 	// receive and verification (detected by the chunk checksum).
 	FlipBeltWeight
-	// FlipBeltGrad corrupts a staged gradient-belt payload (detected by
-	// the chunk checksum at the accumulate or retire hop).
+	// FlipBeltGrad corrupts the retired gradient an owner receives
+	// (detected by the chunk checksum before the owner folds it in).
 	FlipBeltGrad
 	// FlipKernel corrupts a matmul output between the kernel and its
 	// ABFT verification (detected by the row-checksum envelope). Fired

@@ -13,11 +13,11 @@ import (
 // and step count — so a dead rank's shard can be rebuilt by its
 // predecessor without touching a checkpoint.
 //
-// The trick is that the wire already carries everything the replica needs.
-// Chunk c's fully-accumulated gradient retires at worker P−1, which
-// delivers it to the owner. With replication on, the retiring worker sends
-// one extra copy of the very same payload to the owner's predecessor (the
-// "buddy"); both sends are asynchronous (Send never blocks on this
+// The replica needs one message an iteration. Chunk c's owner sums its
+// gradient — its own W passes, accumulated in place, and the chain's retire
+// — and rounds the sum to the wire's values. With replication on, it seals
+// the sum and sends one copy to its predecessor (the "buddy") before it
+// steps on it. The send is asynchronous (Send never blocks on this
 // transport family), and the belt messages (KindWeight/KindGrad) are
 // untouched, so the critical path's message count per iteration is
 // identical with replication on or off.
@@ -32,9 +32,9 @@ import (
 // state is bit-identical to the owner's forever.
 //
 // Rank r owns chunk (r+1) mod P, so r's successor owns chunk (r+2) mod P:
-// that is the chunk rank r shadows. The buddy of chunk c's owner is rank
-// (owner(c)−1+P) mod P. On rank P−1 one of the dual deliveries is to
-// itself; it short-circuits through a local stash instead of the wire.
+// that is the chunk rank r shadows, and its successor sends it the
+// gradient. The buddy of chunk c's owner is rank (owner(c)−1+P) mod P,
+// never the owner itself, so the copy always travels.
 
 // buddyState is the shadow replica of the successor's owned chunk.
 type buddyState struct {
@@ -42,9 +42,7 @@ type buddyState struct {
 	w     []float32
 	opt   *optim.AdamW
 
-	scratch      []float32 // per-iteration gradient replay buffer
-	pendingD     []float32 // local stash for the rank P−1 self-delivery
-	pendingLocal bool
+	scratch []float32 // per-iteration gradient replay buffer
 
 	iters int // completed shadow step phases
 
@@ -70,12 +68,9 @@ func (w *WeiPipe) initBuddy() {
 		w:       make([]float32, size),
 		opt:     optim.NewAdamW(size, w.opts.Adam),
 		scratch: make([]float32, size),
-		// The self-stash holds the exact sealed payload the wire path would
-		// deliver, trailer included, so both delivery paths verify alike.
-		pendingD: make([]float32, size+w.pad),
-		rbW:      make([]float32, size),
-		rbM:      make([]float32, size),
-		rbV:      make([]float32, size),
+		rbW:     make([]float32, size),
+		rbM:     make([]float32, size),
+		rbV:     make([]float32, size),
 	}
 	w.mdl.InitChunk(lo, hi, bs.w)
 	w.buddy = bs
@@ -86,32 +81,19 @@ func (w *WeiPipe) initBuddy() {
 	w.rbV = make([]float32, own)
 }
 
-// buddyRank returns the rank shadowing chunk c: the owner's predecessor.
-func (w *WeiPipe) buddyRank(c int) int {
-	p := w.t.Size()
-	return (w.owner(c) - 1 + p) % p
-}
-
-// buddyRetire dual-delivers chunk c's freshly retired gradient to its
-// buddy. Called by the retiring worker (rank P−1) right after the retire
-// send; the payload is the exact bytes the owner receives. The send is
-// asynchronous and uses KindBuddy, leaving the critical path's
-// KindWeight/KindGrad message counts untouched.
-func (w *WeiPipe) buddyRetire(c int, local []float32) error {
+// buddySend sends the owned chunk's summed, wire-rounded gradient d to the
+// owner's buddy, sealed, before the step consumes it: the exact bits the
+// owner steps on. The send copies d and is asynchronous, and it uses
+// KindBuddy, leaving the critical path's KindWeight/KindGrad message counts
+// untouched.
+func (w *WeiPipe) buddySend(d []float32) error {
 	if w.buddy == nil {
 		return nil
 	}
-	b := w.buddyRank(c)
-	if b == w.t.Rank() {
-		if len(local) != len(w.buddy.pendingD) {
-			return fmt.Errorf("pipeline: buddy self-stash size mismatch %d != %d",
-				len(local), len(w.buddy.pendingD))
-		}
-		copy(w.buddy.pendingD, local)
-		w.buddy.pendingLocal = true
-		return nil
-	}
-	return w.t.Send(b, Tag{Kind: comm.KindBuddy, A: c, B: w.enc(beltRetire, 0)}, local)
+	p := w.t.Size()
+	tag := Tag{Kind: comm.KindBuddy, A: w.ownChunk, B: w.enc(beltRetire, 0)}
+	w.sealBelt(tag, d)
+	return w.t.Send((w.t.Rank()-1+p)%p, tag, d)
 }
 
 // stashOwnedRollback snapshots the owned chunk's pre-step state, so a
@@ -128,27 +110,20 @@ func (w *WeiPipe) stashOwnedRollback() {
 }
 
 // buddyStep replays the successor's optimizer step on the shadow replica,
-// consuming the dual-delivered retired gradient and the step-phase
-// decisions (gradient factor, global Σg², skip verdict) the owner's phase
-// just recorded — all of which are bit-identical on every rank.
+// consuming the gradient the successor sent (buddySend) and the step-phase
+// decisions (gradient factor, global Σg², skip verdict) this rank's own
+// phase just recorded — all of which are bit-identical on every rank.
 func (w *WeiPipe) buddyStep() error {
 	bs := w.buddy
-	var d []float32
-	if bs.pendingLocal {
-		d = bs.pendingD
-		bs.pendingLocal = false
-	} else {
-		var err error
-		d, err = w.t.Recv(w.t.Size()-1,
-			Tag{Kind: comm.KindBuddy, A: bs.chunk, B: w.enc(beltRetire, 0)})
-		if err != nil {
-			return err
-		}
-		defer comm.Release(d)
+	d, err := w.t.Recv((w.t.Rank()+1)%w.t.Size(),
+		Tag{Kind: comm.KindBuddy, A: bs.chunk, B: w.enc(beltRetire, 0)})
+	if err != nil {
+		return err
 	}
-	// The dual-delivered payload carries the retiring worker's seal; verify
-	// it before replaying — a flip in the buddy copy would otherwise fork
-	// the shadow from the owner silently.
+	defer comm.Release(d)
+	// The payload carries the owner's seal; verify it before replaying — a
+	// flip in the buddy copy would otherwise fork the shadow from the owner
+	// silently.
 	if verr := w.verifyBelt(comm.SiteBuddy, comm.KindBuddy, bs.chunk, d); verr != nil {
 		return verr
 	}
@@ -263,6 +238,5 @@ func (w *WeiPipe) SeedBuddyFromState(st StateExport, iters int) error {
 	}
 	bs.iters = iters
 	bs.rbValid = false
-	bs.pendingLocal = false
 	return nil
 }

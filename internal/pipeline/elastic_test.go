@@ -1,7 +1,10 @@
 package pipeline
 
 import (
+	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,6 +75,67 @@ func TestBuddyReplicationOffCriticalPath(t *testing.T) {
 	if on.TotalComm().SentMsgs(comm.KindBuddy) == 0 {
 		t.Error("buddy-on run sent no KindBuddy traffic; replication was a no-op")
 	}
+}
+
+// TestBuddyShadowMatchesOwner: after every iteration each rank's buddy
+// shadow — weights, both moments and step count — equals its successor's
+// owned chunk state bit for bit, on every WeiPipe strategy at p 2…4, in
+// process and over TCP, on f32 and bf16 belts. The owner sends its buddy the
+// gradient it steps on, so the replayed step cannot drift from the real one.
+func TestBuddyShadowMatchesOwner(t *testing.T) {
+	const iters = 3
+	for _, overTCP := range []bool{false, true} {
+		for _, codec := range []comm.CodecFunc{nil, comm.BeltBF16} {
+			for _, s := range beltStrategies {
+				for p := 2; p <= 4; p++ {
+					name := fmt.Sprintf("%s p=%d tcp=%v bf16=%v", s, p, overTCP, codec != nil)
+					var trs []comm.Transport
+					if overTCP {
+						trs = dialMesh(t, p, comm.TCPOptions{Codec: codec})
+					} else {
+						trs = comm.NewClusterCodec(p, codec).Transports()
+					}
+					opts := eqOpts()
+					opts.buddy = true
+					opts.GroupSize = ringGroupSize(p)
+					trainers := make([]Trainer, p)
+					for r := range trainers {
+						var err error
+						if trainers[r], err = New(s, trs[r], eqCfg(), opts); err != nil {
+							t.Fatal(err)
+						}
+					}
+					batches := eqBatches(iters, 2*p)
+					for it := 0; it < iters; it++ {
+						trainAll(t, trainers, batches(it))
+						for r, tr := range trainers {
+							owner := trainers[(r+1)%p].(*WeiPipe)
+							want, err := owner.ExportOwnedStateAt(it + 1)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got, err := tr.(*WeiPipe).ExportBuddyStateAt(it + 1)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if got.Step != want.Step || !bitsEqual(got.W, want.W) || !bitsEqual(got.M, want.M) || !bitsEqual(got.V, want.V) {
+								t.Errorf("%s iteration %d: rank %d's shadow (step %d) differs from rank %d's owned state (step %d)",
+									name, it, r, got.Step, (r+1)%p, want.Step)
+							}
+						}
+					}
+					for _, tr := range trs {
+						tr.Close()
+					}
+				}
+			}
+		}
+	}
+}
+
+// bitsEqual reports whether a and b hold the same float32 bits.
+func bitsEqual(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
 
 // PlanRepair admits spares while they last, drops admissions until the ring

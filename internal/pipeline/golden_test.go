@@ -3,51 +3,39 @@ package pipeline
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"weipipe/internal/comm"
 	"weipipe/internal/tensor"
 )
 
-// beltGolden pins one belt run: its per-iteration loss bits and the checksum
-// of its final weights (comm.ChecksumSlice of AssembleWeights).
+// beltGolden pins the belt runs at n microbatches on one wire precision
+// (f32, or comm.BeltBF16): their per-iteration loss bits and the checksum of
+// their final weights (comm.ChecksumSlice of AssembleWeights).
 type beltGolden struct {
-	s       Strategy
 	n       int
-	setup   string // "plain", "bf16" (comm.BeltBF16, Integrity off), "integrity"
+	bf16    bool
 	losses  []uint64
 	weights uint32
 }
 
-// beltGoldens were captured on the scalar backend before owners and grouped
-// holders served their own uses of a chunk. How weights travel never changes
-// what a rank computes on, so these stay fixed; a local copy that skipped the
-// wire codec's rounding moves the bf16 rows.
+// beltGoldens were captured on the scalar backend once owners accumulated
+// their own W passes in place (order.GradChain). How weights travel never
+// changes what a rank computes on, and the gradient's fold order is the
+// chain's on every belt, so these stay fixed across strategies and setups.
 var beltGoldens = []beltGolden{
-	{"wzb2", 4, "plain", []uint64{0x40065d0340000000, 0x40078c9680000000}, 0x89c91eda},
-	{"wzb2", 4, "bf16", []uint64{0x40065be560000000, 0x4007892d20000000}, 0x15dbb137},
-	{"wzb2", 4, "integrity", []uint64{0x40065d0340000000, 0x40078c9680000000}, 0x89c91eda},
-	{"wzb2", 8, "plain", []uint64{0x4007fbdb40000000, 0x40069833c0000000}, 0x8ed6053},
-	{"wzb2", 8, "bf16", []uint64{0x4007fbe620000000, 0x40066a94c0000000}, 0xbf069ba5},
-	{"wzb2", 8, "integrity", []uint64{0x4007fbdb40000000, 0x40069833c0000000}, 0x8ed6053},
-	{"weipipe-interleave", 4, "plain", []uint64{0x40065d0340000000, 0x40078c9680000000}, 0x89c91eda},
-	{"weipipe-interleave", 4, "bf16", []uint64{0x40065be560000000, 0x4007892d20000000}, 0x15dbb137},
-	{"weipipe-interleave", 4, "integrity", []uint64{0x40065d0340000000, 0x40078c9680000000}, 0x89c91eda},
-	{"weipipe-interleave", 8, "plain", []uint64{0x4007fbdb40000000, 0x40069833c0000000}, 0x8ed6053},
-	{"weipipe-interleave", 8, "bf16", []uint64{0x4007fbe620000000, 0x40066a94c0000000}, 0xbf069ba5},
-	{"weipipe-interleave", 8, "integrity", []uint64{0x4007fbdb40000000, 0x40069833c0000000}, 0x8ed6053},
-	{"wzb2g", 4, "plain", []uint64{0x40065d0340000000, 0x40078c9680000000}, 0x89c91eda},
-	{"wzb2g", 4, "bf16", []uint64{0x40065be560000000, 0x4007892d20000000}, 0x15dbb137},
-	{"wzb2g", 4, "integrity", []uint64{0x40065d0340000000, 0x40078c9680000000}, 0x89c91eda},
-	{"wzb2g", 8, "plain", []uint64{0x4007fbdb40000000, 0x40069833c0000000}, 0x8ed6053},
-	{"wzb2g", 8, "bf16", []uint64{0x4007fbe620000000, 0x40066a94c0000000}, 0xbf069ba5},
-	{"wzb2g", 8, "integrity", []uint64{0x4007fbdb40000000, 0x40069833c0000000}, 0x8ed6053},
+	{4, false, []uint64{0x40065d0340000000, 0x40078c9680000000}, 0xeb4cf95c},
+	{4, true, []uint64{0x40065be560000000, 0x40078921c0000000}, 0x7666c97},
+	{8, false, []uint64{0x4007fbdb40000000, 0x40069833c0000000}, 0x86a3d2e4},
+	{8, true, []uint64{0x4007fbe620000000, 0x40066927a0000000}, 0xa343d355},
 }
 
-// TestBeltRunsMatchGoldens trains every golden's run — wzb2,
-// weipipe-interleave and wzb2g at p=4, n ∈ {4, 8}, plain, over a bf16 belt
-// and under Options.Integrity — for two iterations on the scalar backend, and
-// compares loss bits and the final weights' checksum to the pinned values.
+// TestBeltRunsMatchGoldens trains wzb2, weipipe-interleave and wzb2g at p=4,
+// n ∈ {4, 8}, on f32 and bf16 belts, in process, in process under
+// Options.Integrity and over TCP, for two iterations on the scalar backend.
+// Every run of one n and precision must be bit-identical to the others —
+// flat = grouped = interleave = Integrity = TCP — and to the pinned values.
 func TestBeltRunsMatchGoldens(t *testing.T) {
 	const p, iters = 4, 2
 	prev := tensor.BackendName()
@@ -60,24 +48,46 @@ func TestBeltRunsMatchGoldens(t *testing.T) {
 		}
 	}()
 	for _, want := range beltGoldens {
-		opts := eqOpts()
-		opts.GroupSize = 2
 		var codec comm.CodecFunc
-		switch want.setup {
-		case "bf16":
+		if want.bf16 {
 			codec = comm.BeltBF16
-		case "integrity":
-			opts.Integrity = true
 		}
-		res := runCodec(t, want.s, p, eqCfg(), opts, iters, eqBatches(iters, want.n), codec)
-		name := fmt.Sprintf("%s n=%d %s", want.s, want.n, want.setup)
-		for k, l := range res.Losses {
-			if got := math.Float64bits(l); got != want.losses[k] {
-				t.Errorf("%s: iteration %d loss %v, golden %v", name, k, l, math.Float64frombits(want.losses[k]))
+		first := ""
+		var firstLosses []uint64
+		var firstWeights uint32
+		for _, s := range []Strategy{StrategyWZB2, StrategyWeiPipeInterleave, StrategyWZB2G} {
+			for _, setup := range []string{"plain", "integrity", "tcp"} {
+				opts := eqOpts()
+				opts.GroupSize = 2
+				var losses []float64
+				var weights []float32
+				switch setup {
+				case "tcp":
+					losses, weights = runTCP(t, s, p, eqCfg(), opts, iters, eqBatches(iters, want.n), codec)
+				default:
+					opts.Integrity = setup == "integrity"
+					res := runCodec(t, s, p, eqCfg(), opts, iters, eqBatches(iters, want.n), codec)
+					losses, weights = res.Losses, res.Weights
+				}
+				bits := make([]uint64, len(losses))
+				for k, l := range losses {
+					bits[k] = math.Float64bits(l)
+				}
+				sum := comm.ChecksumSlice(weights)
+				name := fmt.Sprintf("%s n=%d bf16=%v %s", s, want.n, want.bf16, setup)
+				if first == "" {
+					first, firstLosses, firstWeights = name, bits, sum
+				} else if !slices.Equal(bits, firstLosses) || sum != firstWeights {
+					t.Errorf("%s: losses %#x, weights %#x; %s: losses %#x, weights %#x",
+						name, bits, sum, first, firstLosses, firstWeights)
+				}
+				if !slices.Equal(bits, want.losses) {
+					t.Errorf("%s: losses %#x, golden %#x", name, bits, want.losses)
+				}
+				if sum != want.weights {
+					t.Errorf("%s: weights checksum %#x, golden %#x", name, sum, want.weights)
+				}
 			}
-		}
-		if got := comm.ChecksumSlice(res.Weights); got != want.weights {
-			t.Errorf("%s: weights checksum %#x, golden %#x", name, got, want.weights)
 		}
 	}
 }

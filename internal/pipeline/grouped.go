@@ -35,9 +35,10 @@ import (
 //     from kept copies (order.BeltPlan) travels nowhere: the holder skips
 //     its injection, and paces the next shipped round's off its own pass on
 //     that belt, kept-served or not.
-//   - The gradient accumulator D is untouched: it still rides the flat ring
-//     (its strict left-fold order is what makes runs bit-identical), and it
-//     already crosses each boundary only once per round.
+//   - The gradient accumulator D is untouched: it follows the flat ring's
+//     gradient chain (order.GradChain), whose fold order every belt shares,
+//     which is what makes runs bit-identical, and it already crosses each
+//     boundary only once per round.
 //
 // The values every rank consumes are bit-identical to flat WZB2: the owner
 // builds the payload the same way, rounded to the wire codec's values

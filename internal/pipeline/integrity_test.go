@@ -499,7 +499,8 @@ func TestIntegrityWeiPipeDPOverBF16Fabric(t *testing.T) {
 // pass, whether its copy came off a belt, was kept by the pass before or is
 // the rank's own (order.Holds) — and, on the grouped belt, once per shard
 // the exchange delivers. A gradient accumulator is verified at every hop it
-// arrives by and at its retire: p·n a iteration.
+// arrives by and at its retire, once per message of its chain
+// (gradMessages).
 func TestIntegrityChecksEveryKeptUse(t *testing.T) {
 	const iters = 2
 	for _, s := range []Strategy{StrategyWeiPipeNaive, StrategyWeiPipeInterleave, StrategyWZB1, StrategyWZB2, StrategyWZB2G} {
@@ -546,11 +547,15 @@ func TestIntegrityChecksEveryKeptUse(t *testing.T) {
 					}
 				}
 			}
+			var grads int64
+			for c := 0; c < p; c++ {
+				grads += gradMessages(c, p, n)
+			}
 			total := res.TotalComm()
 			if got, want := total.IntegrityChecks(comm.KindWeight), int64(iters*weights); got != want {
 				t.Errorf("%s p=%d n=%d: %d weight checks, want %d", s, p, n, got, want)
 			}
-			if got, want := total.IntegrityChecks(comm.KindGrad), int64(iters*p*n); got != want {
+			if got, want := total.IntegrityChecks(comm.KindGrad), iters*grads; got != want {
 				t.Errorf("%s p=%d n=%d: %d gradient checks, want %d", s, p, n, got, want)
 			}
 			if _, fails := total.TotalIntegrityChecks(); fails != 0 {

@@ -49,8 +49,8 @@ func (w *WeiPipe) RestoreOptimState(step int64, m, v []float32) error {
 // SetIteration implements Recoverable for WeiPipe. Beyond the wire-tag
 // counter it realigns the step-phase bookkeeping the elastic machinery
 // keeps: a trainer restored to iteration i has, by definition, committed i
-// step phases, holds no rollback, and its buddy shadow (if any) starts the
-// same cut with no stashed retire gradient.
+// step phases and holds no rollback, and its buddy shadow (if any) starts
+// the same cut.
 func (w *WeiPipe) SetIteration(iter int) {
 	w.iter = iter
 	w.ownerIters = iter
@@ -58,7 +58,6 @@ func (w *WeiPipe) SetIteration(iter int) {
 	if w.buddy != nil {
 		w.buddy.iters = iter
 		w.buddy.rbValid = false
-		w.buddy.pendingLocal = false
 	}
 }
 

@@ -76,7 +76,7 @@ func weightSideBytes(tr Trainer) int {
 		r.opt(tr.opt)
 		r.sets(tr.wGrads...)
 		if b := tr.buddy; b != nil {
-			r.add(b.w, b.scratch, b.pendingD, b.rbW, b.rbM, b.rbV)
+			r.add(b.w, b.scratch, b.rbW, b.rbM, b.rbV)
 			r.opt(b.opt)
 		}
 	case *PP:
@@ -99,8 +99,8 @@ func weightSideBytes(tr Trainer) int {
 //
 //   - WeiPipe (flat and grouped): its owned chunk × 3 — master, m, v. Buddy
 //     replication adds the owned chunk's one-deep rollback (× 3) and the
-//     successor chunk's shadow × 8: weights, m, v, their rollback, the
-//     replay scratch and the self-delivery stash. Between passes it also
+//     successor chunk's shadow × 7: weights, m, v, their rollback and the
+//     replay scratch. Between passes it also
 //     keeps belt copies: checked at every belt receive, no chunk but the
 //     owned one is bound, the chunks kept are exactly those order.BeltPlan
 //     keeps over the pass, and with the one the receive brings they are at
@@ -168,7 +168,7 @@ func TestRankHoldsOnlyItsWeights(t *testing.T) {
 						n := 3 * tr.mdl.ChunkSize(lo, hi)
 						if c, ok := tr.BuddyChunk(); ok {
 							blo, bhi := tr.chunkRange(c)
-							n = 2*n + 8*tr.mdl.ChunkSize(blo, bhi)
+							n = 2*n + 7*tr.mdl.ChunkSize(blo, bhi)
 						}
 						return 4 * n
 					case *PP:

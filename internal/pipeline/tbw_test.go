@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"testing"
 
@@ -118,15 +119,29 @@ func beltCopies(t *testing.T, s Strategy, p, n int) (copies []int64, injections 
 	return copies, injections
 }
 
+// gradMessages counts the gradient messages chunk c takes in one iteration,
+// from its chain (order.GradChain): a hop wherever two consecutive uses run
+// on different ranks, and the retire to the owner when the chain is not
+// empty.
+func gradMessages(c, p, n int) int64 {
+	chain := order.GradChain(c, p, n)
+	var msgs int64
+	for i, j := range chain {
+		if i == 0 || chain[i-1]%p != j%p {
+			msgs++
+		}
+	}
+	return msgs
+}
+
 // TestWeiPipePerTurnVolumeMatchesAnalysis pins the belts' wire volume exactly,
 // from the chunk shapes and the plan, on every flat variant (§4.2.2: per
 // belt use the wire carries at most the forward and backward weight chunks
 // and one gradient chunk). A chunk's weights travel only in the rounds the
 // plan ships, and then to every rank but its owner (beltCopies), so p=1
-// ships none; the rest run on kept copies. The gradient belt takes n
-// messages per chunk, n−1 accumulator hops and the retire. The meter counts
-// self-sends, so that total includes the retire of chunk 0, whose owner is
-// the belt's last rank, and at p=1 every hop.
+// ships none; the rest run on kept copies. A chunk's gradient takes the
+// messages of its chain (gradMessages): n − n/p for p ≥ 3, the retire alone
+// at p=2 and none at p=1, since the owner never ships its own W passes.
 func TestWeiPipePerTurnVolumeMatchesAnalysis(t *testing.T) {
 	cfg := tbwCfg()
 	mdl := model.Build(cfg)
@@ -138,7 +153,7 @@ func TestWeiPipePerTurnVolumeMatchesAnalysis(t *testing.T) {
 				for c, b := range mdl.Partition(p) {
 					size := int64(mdl.ChunkSize(b[0], b[1]))
 					weights += copies[c] * size
-					grads += int64(n) * size
+					grads += gradMessages(c, p, n) * size
 				}
 				st := runMetered(t, s, p, cfg, 2, 8, n)
 				if got, want := st.SentBytes(comm.KindWeight), 4*weights; got != want {
@@ -157,15 +172,17 @@ func TestWeiPipePerTurnVolumeMatchesAnalysis(t *testing.T) {
 // vocabulary 256, 4 heads, 4 layers, G=1): the wide one, H=256 S=8 n=8, and
 // the long one, H=64 S=512 n=4. Under the keep rule forward-belt round 1 of
 // chunk 2 and backward-belt round 0 of chunk 1 stay off the wide shape's
-// wire, and backward-belt round 0 of chunk 2 off the long one's; and no
-// shipped round goes to its chunk's owner.
+// wire, and backward-belt round 0 of chunk 2 off the long one's; no shipped
+// round goes to its chunk's owner; and a chunk's gradient takes n − n/4
+// messages, not n (gradMessages): 78 796 800 of the wide shape's bytes, not
+// 105 062 400, and 2 771 712 of the long one's, not 3 695 616.
 func TestWZB2BeltBytesAtBenchmarkShapes(t *testing.T) {
 	for _, tc := range []struct {
 		h, seq, n int
 		want      int64
 	}{
-		{256, 8, 8, 223_254_528},
-		{64, 512, 4, 7_852_800},
+		{256, 8, 8, 196_988_928},
+		{64, 512, 4, 6_928_896},
 	} {
 		cfg := model.Config{Vocab: 256, Hidden: tc.h, Layers: 4, Heads: 4, MaxSeq: tc.seq, Seed: 1}
 		st := runMetered(t, StrategyWZB2, 4, cfg, 1, tc.seq, tc.n)
@@ -231,7 +248,9 @@ func (h *hopCounter) Forward(dst int, tag comm.Tag, payload []float32) error {
 // the other. Use 0 is no hop on either side: the flat belt's owner
 // injection, which the simulator treats as free, or the grouped belt's
 // first injection into group 0. Neither side has a hop into a chunk's
-// holder (order.Holds). The grouped belt runs at p=4 in groups of 2.
+// holder (order.Holds). Both sides send D along the chunk's gradient chain
+// (order.GradChain): no hop into the owner, and none at p=2, where the chain
+// runs on one rank. The grouped belt runs at p=4 in groups of 2.
 func TestSimulatorRelaysMatchRuntime(t *testing.T) {
 	type point struct {
 		s    Strategy
@@ -284,43 +303,79 @@ func TestSimulatorRelaysMatchRuntime(t *testing.T) {
 	}
 }
 
-// weightSend is one weight message a rank sent: its source, destination and
-// tag.
-type weightSend struct {
+// beltSend is one belt message a rank sent: its source, destination and tag.
+type beltSend struct {
 	src, dst int
 	tag      comm.Tag
 }
 
-// weightRecorder records every weight message its rank sends, by any of the
-// three sends, with global ranks: a grouped belt's sub-transport sends
-// through it.
-type weightRecorder struct {
+// beltRecorder records every weight and gradient message its rank sends, by
+// any of the three sends, with global ranks: a grouped belt's sub-transport
+// sends through it.
+type beltRecorder struct {
 	comm.Transport
 	mu    *sync.Mutex
-	sends *[]weightSend
+	sends *[]beltSend
 }
 
-func (w *weightRecorder) record(dst int, tag comm.Tag) {
-	if tag.Kind == comm.KindWeight {
+func (w *beltRecorder) record(dst int, tag comm.Tag) {
+	if tag.Kind == comm.KindWeight || tag.Kind == comm.KindGrad {
 		w.mu.Lock()
-		*w.sends = append(*w.sends, weightSend{w.Rank(), dst, tag})
+		*w.sends = append(*w.sends, beltSend{w.Rank(), dst, tag})
 		w.mu.Unlock()
 	}
 }
 
-func (w *weightRecorder) Send(dst int, tag comm.Tag, data []float32) error {
+func (w *beltRecorder) Send(dst int, tag comm.Tag, data []float32) error {
 	w.record(dst, tag)
 	return w.Transport.Send(dst, tag, data)
 }
 
-func (w *weightRecorder) SendOwned(dst int, tag comm.Tag, payload []float32) error {
+func (w *beltRecorder) SendOwned(dst int, tag comm.Tag, payload []float32) error {
 	w.record(dst, tag)
 	return w.Transport.SendOwned(dst, tag, payload)
 }
 
-func (w *weightRecorder) Forward(dst int, tag comm.Tag, payload []float32) error {
+func (w *beltRecorder) Forward(dst int, tag comm.Tag, payload []float32) error {
 	w.record(dst, tag)
 	return w.Transport.Forward(dst, tag, payload)
+}
+
+// beltTraffic runs strategy s for two iterations at p ranks over n
+// microbatches with group size gs, in process or over TCP, and returns
+// every weight and gradient message the ranks sent.
+func beltTraffic(t *testing.T, overTCP bool, s Strategy, p, n, gs int) []beltSend {
+	t.Helper()
+	var trs []comm.Transport
+	if overTCP {
+		trs = dialMesh(t, p, comm.TCPOptions{})
+	} else {
+		trs = comm.NewCluster(p).Transports()
+	}
+	var mu sync.Mutex
+	var sends []beltSend
+	for r := range trs {
+		trs[r] = &beltRecorder{Transport: trs[r], mu: &mu, sends: &sends}
+	}
+	opts := eqOpts()
+	opts.GroupSize = gs
+	runCfgOnTransports(t, trs, s, eqCfg(), opts, 2, eqBatches(2, n))
+	for _, tr := range trs {
+		tr.Close()
+	}
+	return sends
+}
+
+// beltStrategies is every WeiPipe strategy.
+var beltStrategies = []Strategy{StrategyWeiPipeNaive, StrategyWeiPipeInterleave, StrategyWZB1, StrategyWZB2, StrategyWZB2G}
+
+// ringGroupSize is the group size the traffic tests give wzb2g at p ranks:
+// 2, or 3 at p=3. Below that the grouped belt falls back to the flat one.
+func ringGroupSize(p int) int {
+	if p == 3 {
+		return 3
+	}
+	return 2
 }
 
 // TestHolderNeverReceivesItsChunk: no belt message for chunk c goes to a
@@ -332,34 +387,17 @@ func (w *weightRecorder) Forward(dst int, tag comm.Tag, payload []float32) error
 // chunks once an iteration, off the shard exchange, which is no belt.
 func TestHolderNeverReceivesItsChunk(t *testing.T) {
 	for _, overTCP := range []bool{false, true} {
-		for _, s := range []Strategy{StrategyWeiPipeNaive, StrategyWeiPipeInterleave, StrategyWZB1, StrategyWZB2, StrategyWZB2G} {
+		for _, s := range beltStrategies {
 			for p := 1; p <= 4; p++ {
-				gs := 2
-				if p == 3 {
-					gs = 3
-				}
+				gs := ringGroupSize(p)
 				m := 1
 				if s == StrategyWZB2G {
 					m = normalizeGroupSize(gs, p)
 				}
 				for _, n := range []int{p, 2 * p, 3 * p} {
-					var trs []comm.Transport
-					if overTCP {
-						trs = dialMesh(t, p, comm.TCPOptions{})
-					} else {
-						trs = comm.NewCluster(p).Transports()
-					}
-					var mu sync.Mutex
-					var sends []weightSend
-					for r := range trs {
-						trs[r] = &weightRecorder{Transport: trs[r], mu: &mu, sends: &sends}
-					}
-					opts := eqOpts()
-					opts.GroupSize = gs
-					runCfgOnTransports(t, trs, s, eqCfg(), opts, 2, eqBatches(2, n))
-					for _, tr := range trs {
-						tr.Close()
-					}
+					sends := slices.DeleteFunc(beltTraffic(t, overTCP, s, p, n, gs), func(bs beltSend) bool {
+						return bs.tag.Kind != comm.KindWeight
+					})
 					if p > 1 && len(sends) == 0 {
 						t.Fatalf("%s p=%d n=%d: no weight message sent; the test proved nothing", s, p, n)
 					}
@@ -371,6 +409,66 @@ func TestHolderNeverReceivesItsChunk(t *testing.T) {
 						if (belt == beltFwd || belt == beltBwd) && order.Holds(ws.dst, ws.tag.A, p, m) {
 							t.Errorf("%s p=%d n=%d tcp=%v: rank %d sent chunk %d on belt %d to its holder, rank %d",
 								s, p, n, overTCP, ws.src, ws.tag.A, belt, ws.dst)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOwnerNeverShipsItsGradient: chunk c's owner accumulates its own W
+// passes on c in place, so on every WeiPipe strategy — flat, and wzb2g in
+// groups of 2 (3 at p=3) — in process and over TCP, at p 1…4 and
+// n ∈ {p, 2p, 3p}, in every iteration:
+//   - no gradient message is a self-send;
+//   - the owner sends no gradient message for its own chunk, and receives
+//     exactly one, the retire, when p ≥ 2;
+//   - a chunk's gradient takes n − n/p messages for p ≥ 3, one at p=2 and
+//     none at p=1.
+func TestOwnerNeverShipsItsGradient(t *testing.T) {
+	type key struct{ iter, c int }
+	for _, overTCP := range []bool{false, true} {
+		for _, s := range beltStrategies {
+			for p := 1; p <= 4; p++ {
+				for _, n := range []int{p, 2 * p, 3 * p} {
+					msgs := make(map[key]int)
+					ownerIn := make(map[key]int)
+					for _, bs := range beltTraffic(t, overTCP, s, p, n, ringGroupSize(p)) {
+						if bs.tag.Kind != comm.KindGrad {
+							continue
+						}
+						k := key{int(bs.tag.B>>beltUseBits) / beltCount, bs.tag.A}
+						owner := (k.c - 1 + p) % p
+						msgs[k]++
+						if bs.src == bs.dst {
+							t.Errorf("%s p=%d n=%d tcp=%v: rank %d sent chunk %d's gradient to itself", s, p, n, overTCP, bs.src, k.c)
+						}
+						if bs.src == owner {
+							t.Errorf("%s p=%d n=%d tcp=%v: owner %d shipped its chunk %d's gradient", s, p, n, overTCP, owner, k.c)
+						}
+						if bs.dst == owner {
+							ownerIn[k]++
+						}
+					}
+					want := n - n/p
+					switch p {
+					case 1:
+						want = 0
+					case 2:
+						want = 1
+					}
+					for iter := 0; iter < 2; iter++ {
+						for c := 0; c < p; c++ {
+							k := key{iter, c}
+							if msgs[k] != want {
+								t.Errorf("%s p=%d n=%d tcp=%v iter %d: chunk %d's gradient took %d messages, want %d",
+									s, p, n, overTCP, iter, c, msgs[k], want)
+							}
+							if got := ownerIn[k]; p >= 2 && got != 1 {
+								t.Errorf("%s p=%d n=%d tcp=%v iter %d: chunk %d's owner received %d gradient messages, want 1",
+									s, p, n, overTCP, iter, c, got)
+							}
 						}
 					}
 				}

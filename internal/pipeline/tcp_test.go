@@ -357,18 +357,26 @@ func TestOneFOneBOverTCP(t *testing.T) {
 }
 
 // An iteration that dies mid-schedule — a peer crashes while chunks are
-// shared between link writers, caches, bound stages and kept copies — must
-// give every reference back: nothing stays bound or kept, no cache survives,
-// and once the transports are closed no buffer is still shared.
+// shared between link writers, caches, bound stages and kept copies, and
+// owners hold their gradient accumulators — must give every reference back:
+// nothing stays bound, kept or accumulated, no cache survives, and once the
+// transports are closed no buffer is still shared.
 func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 	const p, iters, n = 4, 3, 8
-	for _, s := range []Strategy{StrategyWZB2, StrategyWZB2G} {
+	// Rank 1 dies in the second iteration at a send it makes between its
+	// first W pass on its own chunk 2 and its step, with its owner
+	// accumulator held: its 38th send on wzb2, a weight relay, and its 30th
+	// on wzb2g, a gradient hop.
+	for _, tc := range []struct {
+		s     Strategy
+		crash int64
+	}{{StrategyWZB2, 38}, {StrategyWZB2G, 30}} {
+		s := tc.s
 		tcpOpts := chaosTCPOpts()
 		tcpOpts.Chaos = nil
 		tcpOpts.PeerDeadTimeout = 300 * time.Millisecond
 		trs := dialMesh(t, p, tcpOpts)
-		// Rank 1 dies a little into the second iteration.
-		crashed := comm.NewFaultTransport(trs[1], comm.FaultConfig{CrashAtSend: 60})
+		crashed := comm.NewFaultTransport(trs[1], comm.FaultConfig{CrashAtSend: tc.crash})
 		trs[1] = crashed
 		opts := eqOpts()
 		opts.GroupSize = 2
@@ -404,6 +412,9 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 			}
 			if kept := keptChunks(w); len(kept) != 0 {
 				t.Errorf("%s rank %d: kept copies of chunks %v survived the abort", s, r, kept)
+			}
+			if acc := heldChunks(w.dAcc); len(acc) != 0 {
+				t.Errorf("%s rank %d: gradient accumulators of chunks %v survived the abort", s, r, acc)
 			}
 			if w.grouped != nil && len(w.grouped.cache) != 0 {
 				t.Errorf("%s rank %d: %d cached shards survived the abort", s, r, len(w.grouped.cache))
@@ -491,8 +502,8 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 			if errs[r] == nil {
 				t.Errorf("%s rank %d: trained through a peer's death", s, r)
 			}
-			if w != nil && (len(keptChunks(w)) != 0 || w.stage.buf != nil) {
-				t.Errorf("%s rank %d: a kept or bound belt buffer survived the abort", s, r)
+			if w != nil && (len(keptChunks(w)) != 0 || w.stage.buf != nil || len(heldChunks(w.dAcc)) != 0) {
+				t.Errorf("%s rank %d: a kept, bound or accumulating belt buffer survived the abort", s, r)
 			}
 			if w != nil && w.grouped != nil && len(w.grouped.cache) != 0 {
 				t.Errorf("%s rank %d: %d cached shards survived the abort", s, r, len(w.grouped.cache))
@@ -616,9 +627,12 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 }
 
 // keptChunks lists the chunks w keeps a belt copy of, ascending.
-func keptChunks(w *WeiPipe) []int {
+func keptChunks(w *WeiPipe) []int { return heldChunks(w.kept) }
+
+// heldChunks lists the chunks whose per-chunk buffer is held.
+func heldChunks(bufs [][]float32) []int {
 	var out []int
-	for c, buf := range w.kept {
+	for c, buf := range bufs {
 		if buf != nil {
 			out = append(out, c)
 		}

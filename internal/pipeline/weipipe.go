@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"weipipe/internal/comm"
@@ -71,11 +72,14 @@ func (v WeiPipeVariant) String() string {
 // (order.Holds): the owner serves its own uses from the master weights and
 // relays from that copy, so a shipped round takes P−1 hops.
 //
-// A gradient accumulator D_c rides the backward belt: each worker adds its
-// local weight-gradient contribution before passing it on, so by the time
-// the belt completes its final circle D_c holds the sum over all N
-// microbatches — gradient aggregation without any collective (§4.2.1,
-// "update pass"). Each worker keeps its own microbatches' activations and
+// A gradient accumulator D_c follows the backward belt (§4.2.1, "update
+// pass"), with one change: the owner never ships its own chunk's gradient.
+// Its W passes on c accumulate in place into one owner accumulator, and D_c
+// visits the other uses in use order (order.GradChain): each adds its W
+// pass and passes D_c on — past the owner in one hop, o−1 → o+1 — and the
+// last retires the sum to the owner, which adds it to its accumulator and
+// steps. Gradient aggregation needs no collective, and no gradient message
+// is a self-send. Each worker keeps its own microbatches' activations and
 // never ships an activation anywhere: per turn the wire carries at most two
 // weight chunks and one gradient chunk — at most the paper's 36H² bytes,
 // less the rounds kept copies serve and the hops into owners — independent
@@ -83,11 +87,10 @@ func (v WeiPipeVariant) String() string {
 //
 // Belt use indices are global: use j of a belt chunk is performed by worker
 // j mod P during its round ⌊j/P⌋, so use j happens one hop downstream of
-// use j−1 and message matching is exact. Chunk c's fully-accumulated
-// gradient retires at worker P−1 and is delivered to chunk c's owner,
-// worker (c−1) mod P — the resting position of the backward belt at the
-// iteration boundary — which keeps the chunk's fp32 master weights and
-// optimizer state and re-injects the updated chunk next iteration.
+// use j−1 and message matching is exact. Chunk c's owner, worker
+// (c−1) mod P — the resting position of the backward belt at the iteration
+// boundary — keeps the chunk's fp32 master weights and optimizer state and
+// re-injects the updated chunk next iteration.
 type WeiPipe struct {
 	t       Transport
 	mdl     *model.Model
@@ -114,14 +117,19 @@ type WeiPipe struct {
 	plan beltPlan
 
 	// wGrads is the W pass's per-module gradient sets. They own no storage
-	// (nn.ParamSet.NewUnbound): a W pass binds them to the zeroed belt
-	// buffer it is about to ship, so BackwardParams accumulates straight
-	// into the payload.
+	// (nn.ParamSet.NewUnbound): a W pass binds them to the chunk's gradient
+	// buffer (gradBuf), so BackwardParams accumulates straight into the
+	// accumulator or the payload it ships.
 	wGrads []*nn.ParamSet
+
+	// dAcc holds, per chunk, the gradient buffer this rank's W passes on it
+	// accumulate into between passes: the owned chunk's until the step, and
+	// another chunk's while its next chain use runs on this rank too (p=2).
+	dAcc [][]float32
 
 	// stage is the belt buffer the running stage computes out of (F, B: the
 	// chunk's modules are views of a weight payload) or into (W: the
-	// gradient sets are views of the outgoing payload). One stage runs at a
+	// gradient sets are views of the gradient buffer). One stage runs at a
 	// time, so one slot serves; see bindStage.
 	stage stageBuf
 
@@ -221,6 +229,7 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 		variant: v,
 		opts:    opts,
 		kept:    make([][]float32, p),
+		dAcc:    make([][]float32, p),
 	}
 	w.ownChunk = (t.Rank() + 1) % p
 	lo, hi := w.chunkRange(w.ownChunk)
@@ -323,6 +332,10 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 			comm.Release(buf)
 			w.kept[c] = nil
 		}
+		for c, buf := range w.dAcc {
+			comm.Release(buf)
+			w.dAcc[c] = nil
+		}
 		for mb, a := range st.arenas {
 			w.apool.release(a)
 			delete(st.arenas, mb)
@@ -363,22 +376,38 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 		return 0, serr
 	}
 
-	// Collect the fully-accumulated gradient for the owned chunk and step.
-	// The opt span opens with the gradient in hand: the wait for it is the
-	// receive's own stall span, and a span counts towards one phase only.
-	d, err := w.beltRecv(p-1, Tag{Kind: comm.KindGrad, A: w.ownChunk, B: w.enc(beltRetire, 0)})
-	if err != nil {
-		return 0, err
+	// Sum the owned chunk's gradient — the owner's own W passes and the
+	// chain's retire — and step. The opt span opens with the gradient in
+	// hand: the wait for it is the receive's own stall span, and a span
+	// counts towards one phase only.
+	d := w.gradBuf(w.ownChunk)
+	retire := Tag{Kind: comm.KindGrad, A: w.ownChunk, B: w.enc(beltRetire, 0)}
+	var r []float32 // the retire; none at p=1, where every use is the owner's
+	if chain := w.plan.chains[w.ownChunk]; len(chain) > 0 {
+		if r, err = w.beltRecv(chain[len(chain)-1]%p, retire); err != nil {
+			comm.Release(r)
+			comm.Release(d)
+			return 0, err
+		}
 	}
 	optSpan := w.tr.Begin()
-	if w.opts.BitFlip != nil {
-		w.opts.BitFlip.Flip(w.t.Rank(), w.iter, FlipBeltGrad, w.beltBody(d))
+	if r != nil {
+		if w.opts.BitFlip != nil {
+			w.opts.BitFlip.Flip(w.t.Rank(), w.iter, FlipBeltGrad, w.beltBody(r))
+		}
+		if err := w.foldD(comm.SiteRetire, w.ownChunk, d, r); err != nil {
+			comm.Release(d)
+			return 0, err
+		}
 	}
-	if verr := w.verifyBelt(comm.SiteRetire, comm.KindGrad, w.ownChunk, d); verr != nil {
-		comm.Release(d)
-		return 0, verr
-	}
+	// The owner steps on the values the wire would have delivered, and its
+	// buddy replays the step on exactly these bits.
 	db := w.beltBody(d)
+	comm.RoundToWire(w.t.WireCodec(retire), db)
+	if err := w.buddySend(d); err != nil {
+		comm.Release(d)
+		return 0, err
+	}
 	if w.dpGroup != nil {
 		if err := comm.RingAllReduceSum(w.dpGroup, db, w.iter+1); err != nil {
 			comm.Release(d)
@@ -431,13 +460,15 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 
 // ---- the program order and its interpreter --------------------------------
 
-// beltPlan is a rank's compiled weight plan: its passes (order.BeltPlan)
-// and which rounds of which chunks travel on each belt (order.Shipped). The
-// belt ids beltFwd and beltBwd index the table.
+// beltPlan is a rank's compiled weight plan: its passes (order.BeltPlan),
+// which rounds of which chunks travel on each belt (order.Shipped) and each
+// chunk's gradient chain (order.GradChain). The belt ids beltFwd and beltBwd
+// index the table.
 type beltPlan struct {
 	uses    []order.Use
 	n       int // the microbatch count uses was compiled for
 	shipped [2][][]bool
+	chains  [][]int
 }
 
 // compile makes pl the plan of t's rank under strategy for n microbatches.
@@ -450,8 +481,28 @@ func (pl *beltPlan) compile(strategy string, t Transport, n int) error {
 	if err != nil {
 		return fmt.Errorf("pipeline: %w", err)
 	}
-	pl.uses, pl.n, pl.shipped = uses, n, order.Shipped(uses, t.Size())
+	p := t.Size()
+	pl.uses, pl.n, pl.shipped = uses, n, order.Shipped(uses, p)
+	pl.chains = make([][]int, p)
+	for c := range pl.chains {
+		pl.chains[c] = order.GradChain(c, p, n)
+	}
 	return nil
+}
+
+// chainNeighbours returns the uses before and after use `use` in chunk c's
+// gradient chain, or -1 at the chain's head and tail.
+func (pl *beltPlan) chainNeighbours(c, use int) (prev, next int) {
+	chain := pl.chains[c]
+	i := slices.Index(chain, use)
+	prev, next = -1, -1
+	if i > 0 {
+		prev = chain[i-1]
+	}
+	if i+1 < len(chain) {
+		next = chain[i+1]
+	}
+	return prev, next
 }
 
 // ships reports whether round k of chunk c travels on belt.
@@ -696,52 +747,74 @@ func (w *WeiPipe) dropWeights(u order.Use) {
 	}
 }
 
-// accumulateAndForwardD folds this worker's local gradient contribution for
-// chunk c into the belt accumulator and passes it on (or retires it to the
-// owner after the final use). It takes ownership of local: the buffer is
-// donated downstream (or released on error) — callers must not touch it
-// after the call.
-func (w *WeiPipe) accumulateAndForwardD(c, use int, local []float32) error {
-	body := w.beltBody(local)
-	if use > 0 {
-		prev := (w.t.Rank() - 1 + w.t.Size()) % w.t.Size()
-		d, err := w.beltRecv(prev, Tag{Kind: comm.KindGrad, A: c, B: w.enc(beltBwd, use)})
+// gradBuf hands out the buffer chunk c's next W pass on this rank
+// accumulates into: the one held since its previous pass (dAcc), or a
+// zeroed one. The caller owns it.
+func (w *WeiPipe) gradBuf(c int) []float32 {
+	buf := w.dAcc[c]
+	w.dAcc[c] = nil
+	if buf == nil {
+		lo, hi := w.chunkRange(c)
+		size := w.mdl.ChunkSize(lo, hi)
+		buf = comm.GetBuf(size + w.pad)
+		clear(buf[:size])
+	}
+	return buf
+}
+
+// foldD verifies a received accumulator d of chunk c and adds it into acc,
+// releasing d. It is verified before the fold: summing over a corrupt
+// partial would launder the flip into a freshly sealed chunk.
+func (w *WeiPipe) foldD(site comm.IntegritySite, c int, acc, d []float32) error {
+	defer comm.Release(d)
+	if verr := w.verifyBelt(site, comm.KindGrad, c, d); verr != nil {
+		return verr
+	}
+	body, db := w.beltBody(acc), w.beltBody(d)
+	if len(db) != len(body) {
+		return fmt.Errorf("pipeline: D chunk size mismatch %d != %d", len(db), len(body))
+	}
+	tensor.AddIntoF32(body, db)
+	return nil
+}
+
+// passD moves chunk c's gradient on after this rank's W pass on use `use`
+// accumulated into buf, along the chain (order.GradChain). The owner keeps
+// buf: its passes accumulate in place until the step. A chain use first
+// folds in the accumulator its predecessor sent, unless that use ran here
+// and buf already holds it; then it keeps buf for its next use when that
+// runs here too, or sends it on — to the next use's rank, or, from the
+// chain's last use, to the owner as the retire. passD owns buf: it is held,
+// donated or released, and the caller must not touch it after the call.
+func (w *WeiPipe) passD(c, use int, buf []float32) error {
+	if c == w.ownChunk {
+		w.dAcc[c] = buf
+		return nil
+	}
+	p, me := w.t.Size(), w.t.Rank()
+	prev, next := w.plan.chainNeighbours(c, use)
+	if prev >= 0 && prev%p != me {
+		d, err := w.beltRecv(prev%p, Tag{Kind: comm.KindGrad, A: c, B: w.enc(beltBwd, use)})
 		if err != nil {
 			comm.Release(d)
-			comm.Release(local)
+			comm.Release(buf)
 			return err
 		}
-		// Verify the incoming accumulator before folding our contribution in
-		// — summing over a corrupt partial would launder the flip into a
-		// freshly sealed chunk.
-		if verr := w.verifyBelt(comm.SiteBelt, comm.KindGrad, c, d); verr != nil {
-			comm.Release(d)
-			comm.Release(local)
-			return verr
+		if err := w.foldD(comm.SiteBelt, c, buf, d); err != nil {
+			comm.Release(buf)
+			return err
 		}
-		db := w.beltBody(d)
-		if len(db) != len(body) {
-			comm.Release(d)
-			comm.Release(local)
-			return fmt.Errorf("pipeline: D chunk size mismatch %d != %d", len(db), len(body))
-		}
-		tensor.AddIntoF32(body, db)
-		comm.Release(d)
 	}
-	if use < w.totalUses()-1 {
-		tag := Tag{Kind: comm.KindGrad, A: c, B: w.enc(beltBwd, use+1)}
-		w.sealBelt(tag, local)
-		return w.t.SendOwned((w.t.Rank()+1)%w.t.Size(), tag, local)
+	if next >= 0 && next%p == me {
+		w.dAcc[c] = buf
+		return nil
 	}
-	tag := Tag{Kind: comm.KindGrad, A: c, B: w.enc(beltRetire, 0)}
-	w.sealBelt(tag, local)
-	// The buddy copy must go out before the retire send: the retire donates
-	// the buffer, after which local is no longer ours.
-	if err := w.buddyRetire(c, local); err != nil {
-		comm.Release(local)
-		return err
+	dst, tag := w.owner(c), Tag{Kind: comm.KindGrad, A: c, B: w.enc(beltRetire, 0)}
+	if next >= 0 {
+		dst, tag = next%p, Tag{Kind: comm.KindGrad, A: c, B: w.enc(beltBwd, next)}
 	}
-	return w.t.SendOwned(w.owner(c), tag, local)
+	w.sealBelt(tag, buf)
+	return w.t.SendOwned(dst, tag, buf)
 }
 
 // ---- compute stages ------------------------------------------------------
@@ -799,23 +872,21 @@ func (w *WeiPipe) bStage(st *wpState, u order.Use) error {
 }
 
 // wStage runs the W pass of chunk c for this worker's microbatch mb straight
-// into the zeroed belt buffer that carries the result away, folds
-// the incoming accumulator in and forwards it. When the microbatch's last W
-// pass completes, its activations are released.
+// into the chunk's gradient buffer (gradBuf) and moves the gradient on along
+// its chain (passD). When the microbatch's last W pass completes, its
+// activations are released.
 func (w *WeiPipe) wStage(st *wpState, mb, c int) error {
 	w.post(mb, 'W')
 	caches := st.caches[mb]
 	lo, hi := w.chunkRange(c)
 	span := w.tr.Begin()
-	size := w.mdl.ChunkSize(lo, hi)
-	local := comm.GetBuf(size + w.pad)
-	clear(local[:size])
-	w.bindStage(c, local, true)
+	buf := w.gradBuf(c)
+	w.bindStage(c, buf, true)
 	backwardRangeW(w.mdl, lo, hi, caches[lo:hi], w.wGrads)
 	w.unbindStage()
 	w.tr.End(span, trace.CodeW, int64(mb), int64(c))
-	// accumulateAndForwardD owns local from here (donated or released inside).
-	if err := w.accumulateAndForwardD(c, mb, local); err != nil {
+	// passD owns buf from here (held, donated or released inside).
+	if err := w.passD(c, mb, buf); err != nil {
 		return err
 	}
 	st.wRemaining[mb]--

@@ -121,7 +121,9 @@ func BuildTraffic(strategy string, spec Spec) ([]sim.Task, Traffic, error) {
 			if _, err := fmt.Sscanf(t.Resource[1:], "%d", &link); err != nil {
 				continue
 			}
-			inter = spec.Top.BoundaryLink(link)
+			for i := 0; i < max(t.Span, 1); i++ {
+				inter = inter || spec.Top.BoundaryLink((link+i)%spec.Top.P)
+			}
 		case 'x':
 			// group-fabric transfers are intra by construction
 		default:
@@ -202,9 +204,22 @@ func (b *builder) predecessorOf(w, id int) int {
 
 // linkFwd appends a transfer on ring link from→from+1.
 func (b *builder) linkFwd(from int, bytes float64, label string, deps ...int) int {
-	dur := (bytes*b.spec.wireScale()/b.spec.Top.SendBW[from] + b.spec.Top.Latency[from]) * b.spec.linkScale()
-	id := b.raw(fmt.Sprintf("l%d", from), -1, dur, "comm", label, deps)
+	return b.linkSpan(from, 1, bytes, label, deps...)
+}
+
+// linkSpan appends a transfer from worker `from` to worker from+span: one
+// transfer on the sender's link engine, priced at the slowest of the span
+// ring links it bridges.
+func (b *builder) linkSpan(from, span int, bytes float64, label string, deps ...int) int {
+	top := b.spec.Top
+	dur := 0.0
+	for i := 0; i < span; i++ {
+		l := (from + i) % top.P
+		dur = max(dur, bytes*b.spec.wireScale()/top.SendBW[l]+top.Latency[l])
+	}
+	id := b.raw(fmt.Sprintf("l%d", from), -1, dur*b.spec.linkScale(), "comm", label, deps)
 	b.tasks[id].Bytes = bytes * b.spec.wireScale()
+	b.tasks[id].Span = span
 	return id
 }
 
@@ -571,9 +586,7 @@ func buildWeiPipe(strategy string, spec Spec) ([]sim.Task, error) {
 	// plan ships, into every rank but the chunk's owner (order.Holds): a
 	// kept-served pass's copy is in place since an earlier pass, which
 	// program order already puts before it, and the owner's since the
-	// step. The D belt hop j−1 → j carries the accumulator and always
-	// depends on the producer's W pass. Flow control
-	// (fwdEarlier/bwdEarlier) is what paces the ring.
+	// step. Flow control (fwdEarlier/bwdEarlier) is what paces the ring.
 	for c := 0; c < p; c++ {
 		bytes := chunkBytes(w, c)
 		var prevFLink, prevBLink = -1, -1
@@ -581,10 +594,6 @@ func buildWeiPipe(strategy string, spec Spec) ([]sim.Task, error) {
 			from := (j - 1) % p
 			dst := j % p
 			k := j / p
-			dBytes := bytes
-			if spec.TerminalGradAllReduce {
-				dBytes = 0 // ablation: no D belt; gradients all-reduced at the end
-			}
 			local := func(ship []bool) bool { return !ship[(j-1)/p] || order.Holds(from, c, p, 1) }
 			travels := !order.Holds(dst, c, p, 1)
 			if travels && ships[0][c][k] {
@@ -599,14 +608,43 @@ func buildWeiPipe(strategy string, spec Spec) ([]sim.Task, error) {
 				b.tasks[ops.b[c][j]].Deps = append(b.tasks[ops.b[c][j]].Deps, bl)
 				prevBLink = bl
 			}
-			dl := b.linkFwd(from, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
+		}
+	}
+	b.gradChains(ops)
+	return b.tasks, nil
+}
+
+// gradChains appends the D belt, the same on the flat and the grouped belt:
+// chunk c's accumulator hops along order.GradChain, each hop from one chain
+// use's rank to the next one's — one ring link, or two where it bridges the
+// owner, whose W passes accumulate in place and wait for no hop — and the
+// next use's W pass waits for it. Consecutive uses on one rank (p=2) take no
+// hop: program order already chains them. The retire into the owner is
+// free, as the owner's injection is. Under the TerminalGradAllReduce
+// ablation the hops carry nothing and the gradient is all-reduced at the
+// end instead.
+func (b *builder) gradChains(ops *opGrid) {
+	w := b.spec.W
+	p := w.P
+	for c := 0; c < p; c++ {
+		dBytes := chunkBytes(w, c)
+		if b.spec.TerminalGradAllReduce {
+			dBytes = 0
+		}
+		chain := order.GradChain(c, p, w.N)
+		for i := 1; i < len(chain); i++ {
+			prev, j := chain[i-1], chain[i]
+			span := (j%p - prev%p + p) % p
+			if span == 0 {
+				continue
+			}
+			dl := b.linkSpan(prev%p, span, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][prev])
 			b.tasks[ops.w[c][j]].Deps = append(b.tasks[ops.w[c][j]].Deps, dl)
 		}
 	}
-	if spec.TerminalGradAllReduce {
+	if b.spec.TerminalGradAllReduce {
 		b.terminalGradAllReduce()
 	}
-	return b.tasks, nil
 }
 
 // ---- WeiPipe grouped belt (wzb2g) ------------------------------------------
@@ -737,22 +775,10 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 	wireBelt(ops.f, "Wf", ops.fwdEarlier, ships[0])
 	wireBelt(ops.b, "Wb", ops.bwdEarlier, ships[1])
 
-	// The D belt is untouched by grouping: in-transit gradient accumulation
-	// is a strict left-fold around the full ring (bit-identity requires the
-	// flat order), so it hops every link exactly as in wzb2.
-	for c := 0; c < p; c++ {
-		dBytes := chunkBytes(w, c)
-		if spec.TerminalGradAllReduce {
-			dBytes = 0
-		}
-		for j := 1; j < uses; j++ {
-			dl := b.linkFwd((j-1)%p, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][j-1])
-			b.tasks[ops.w[c][j]].Deps = append(b.tasks[ops.w[c][j]].Deps, dl)
-		}
-	}
-	if spec.TerminalGradAllReduce {
-		b.terminalGradAllReduce()
-	}
+	// The D belt is untouched by grouping: it follows the flat ring's
+	// gradient chain (order.GradChain), the fold order every belt shares,
+	// which is what keeps flat and grouped runs bit-identical.
+	b.gradChains(ops)
 	return b.tasks, nil
 }
 

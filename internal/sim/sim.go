@@ -41,6 +41,10 @@ type Task struct {
 	// compute and collective tasks). The simulator ignores it; the
 	// schedule package's traffic accounting classifies it by link tier.
 	Bytes float64
+	// Span is how many consecutive ring links, from the resource's own, a
+	// point-to-point transfer bridges (0 means 1): a gradient hop past a
+	// chunk's owner spans two, and crosses a group boundary when either does.
+	Span int
 }
 
 // ScheduledTask is a task with its simulated start and end times.
