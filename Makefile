@@ -60,10 +60,11 @@ cross-be:
 # driver's checkpoint gathers and resume rule, and the grouped-belt suite
 # (flat-equivalence, sub-ring collectives, and the grouped run over chaotic
 # TCP). Aborts and integrity checks with kept and self-served belt copies,
-# the holder and owner rules' traffic checks and the belt goldens ride along.
+# the holder, owner and deferral rules' traffic checks and the belt goldens
+# ride along.
 chaos:
 	$(GO) test -race -timeout 300s \
-		-run 'Fault|Chaos|Timeout|PeerDeath|Recovery|Resilient|Crash|Frame|CloseFailsPending|CloseLeaks|DialTimeout|Grouped|SubRing|Driver|AbortedIteration|Kept|HolderNever|OwnerNever|SelfServed|BeltRunsMatchGoldens' \
+		-run 'Fault|Chaos|Timeout|PeerDeath|Recovery|Resilient|Crash|Frame|CloseFailsPending|CloseLeaks|DialTimeout|Grouped|SubRing|Driver|AbortedIteration|Kept|HolderNever|OwnerNever|Deferred|SelfServed|BeltRunsMatchGoldens' \
 		./internal/comm/ ./internal/pipeline/ ./internal/launch/
 
 # elastic runs the ring-repair suite under the race detector. There is one
@@ -192,7 +193,7 @@ experiments:
 # type-switch fallback that a wrapper silently drops to): a knob added past
 # those counts must retire another. It also prints DESIGN.md's size in bytes
 # and the longest CHANGES.md entry (one entry a line), and fails when
-# DESIGN.md grows past 118601 bytes: a doc edit replaces text instead of
+# DESIGN.md grows past 118463 bytes: a doc edit replaces text instead of
 # appending it.
 surface:
 	@echo "non-test Go lines: $$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
@@ -227,7 +228,7 @@ surface:
 	@wc -l internal/comm/tcp.go
 	@wc -l internal/tensor/*.s
 	@n=$$(wc -c < DESIGN.md); echo "DESIGN.md bytes: $$n"; \
-		[ $$n -le 118601 ] || { echo "surface: DESIGN.md has $$n bytes, at most 118601"; exit 1; }
+		[ $$n -le 118463 ] || { echo "surface: DESIGN.md has $$n bytes, at most 118463"; exit 1; }
 	@echo "longest CHANGES.md entry, bytes: $$(LC_ALL=C awk 'length($$0) > m { m = length($$0) } END { print m + 0 }' CHANGES.md)"
 
 # check is the pre-merge gate: formatting, the orphan-package check, static

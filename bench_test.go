@@ -15,13 +15,9 @@ package weipipe
 //	speedup_x         ablation on/off ratio
 
 import (
-	"fmt"
 	"testing"
 
 	"weipipe/internal/bench"
-	"weipipe/internal/cluster"
-	"weipipe/internal/schedule"
-	"weipipe/internal/sim"
 )
 
 // reportExperiment re-generates a table/figure b.N times and reports the
@@ -99,91 +95,22 @@ func BenchmarkFigure4Timeline(b *testing.B) { benchTimeline(b, bench.Figure4) }
 
 // ---- ablations -------------------------------------------------------------
 
-// ablationWorkload is a communication-sensitive configuration where the
-// ablated mechanisms matter.
-func ablationSpec() schedule.Spec {
-	w := Workload{H: 2048, S: 16384, G: 4, L: 32, N: 32, P: 8, Recompute: true}.WithDefaults()
-	return schedule.Spec{W: w, GPU: cluster.A800(), Top: cluster.NVLinkEthernet(8, 4)}
-}
-
-func runSpec(b *testing.B, spec schedule.Spec) float64 {
-	b.Helper()
-	tasks, err := schedule.Build("weipipe-interleave", spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := sim.Run(tasks)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res.Makespan
-}
-
-// BenchmarkAblationWireFormat compares the paper's fp16 wire format against
-// fp32 transfers (2× bytes).
-func BenchmarkAblationWireFormat(b *testing.B) {
-	var fp16, fp32 float64
-	for i := 0; i < b.N; i++ {
-		spec := ablationSpec()
-		fp16 = runSpec(b, spec)
-		spec.WireFP32 = true
-		fp32 = runSpec(b, spec)
-	}
-	b.ReportMetric(fp32/fp16, "speedup_x")
-}
-
-// BenchmarkAblationBeltBuffers compares single- vs double-buffered belts
-// (chunk-granularity flow-control slack).
-func BenchmarkAblationBeltBuffers(b *testing.B) {
-	var single, double float64
-	for i := 0; i < b.N; i++ {
-		spec := ablationSpec()
-		spec.BeltBuffers = 1
-		single = runSpec(b, spec)
-		spec.BeltBuffers = 2
-		double = runSpec(b, spec)
-	}
-	b.ReportMetric(single/double, "speedup_x")
-}
-
-// BenchmarkAblationGradRing compares in-transit gradient accumulation (the
-// D belt) against a terminal full-gradient ring all-reduce.
-func BenchmarkAblationGradRing(b *testing.B) {
-	var belt, terminal float64
-	for i := 0; i < b.N; i++ {
-		spec := ablationSpec()
-		belt = runSpec(b, spec)
-		spec.TerminalGradAllReduce = true
-		terminal = runSpec(b, spec)
-	}
-	b.ReportMetric(terminal/belt, "speedup_x")
-}
-
-// BenchmarkAblationRecompute compares WeiPipe with and without activation
-// checkpointing: time cost of the extra forward vs the memory saved.
-func BenchmarkAblationRecompute(b *testing.B) {
-	var withR, withoutR SimResult
+// BenchmarkAblations runs the weight belts' design-choice ablations
+// (bench.Ablations, EXPERIMENTS.md's "ablations" block) and reports each
+// under its key: wire_speedup_x, buffers_speedup_x, gradring_speedup_x and
+// recompute_mem_ratio.
+func BenchmarkAblations(b *testing.B) {
+	var abs []bench.Ablation
 	var err error
 	for i := 0; i < b.N; i++ {
-		w := Workload{H: 2048, S: 16384, G: 4, L: 32, N: 32, P: 8, Recompute: true}
-		top := NVLinkEthernet(8, 4)
-		withR, err = Simulate(WeiPipeInterleave, w, top)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w.Recompute = false
-		withoutR, err = Simulate(WeiPipeInterleave, w, top)
-		if err != nil {
+		if abs, err = bench.Ablations(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if withoutR.TokensPerSecPerGPU > 0 {
-		b.ReportMetric(withoutR.TokensPerSecPerGPU/withR.TokensPerSecPerGPU, "speedup_x")
+	for _, a := range abs {
+		b.ReportMetric(a.Value, a.Key+"_"+a.Metric)
 	}
-	b.ReportMetric(withoutR.MemoryGB/withR.MemoryGB, "mem_ratio")
 }
-
-var _ = fmt.Sprintf // keep fmt for future metric labels
 
 // BenchmarkExtBubble regenerates the bubble-vs-N analysis table.
 func BenchmarkExtBubble(b *testing.B) { reportExperiment(b, bench.ExtBubble) }

@@ -28,7 +28,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: all, table2, table3, table4, fig1..fig9")
+	exp := flag.String("exp", "all", "experiment id: all, table2, table3, table4, fig1..fig9, ext-bubble, ext-hybrid, ablations")
 	width := flag.Int("width", 96, "timeline width for fig1..fig4")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	backend := flag.String("backend", "", "tensor kernel backend: scalar, avx2, avx512 (avx2's bits on 16-lane GEMM panels), auto (default: auto, the fastest this CPU supports)")
@@ -93,7 +93,7 @@ func main() {
 		return
 	}
 	if *list {
-		fmt.Println("table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ext-bubble ext-hybrid all")
+		fmt.Println("table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ext-bubble ext-hybrid ablations all")
 		return
 	}
 	if err := run(os.Stdout, *exp, *width); err != nil {
@@ -141,6 +141,18 @@ func run(w io.Writer, exp string, width int) error {
 			}
 			fmt.Fprintln(w, e.Format())
 		}
+		abs, err := bench.Ablations()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, bench.FormatAblations(abs))
+		return nil
+	case exp == "ablations":
+		abs, err := bench.Ablations()
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, bench.FormatAblations(abs))
 		return nil
 	case timelines[exp] != nil:
 		s, err := timelines[exp](width)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"weipipe/internal/cluster"
+	"weipipe/internal/order"
 )
 
 // Workload describes one training configuration (the paper's H/S/G/L/N
@@ -205,9 +206,25 @@ const (
 	// B, and from two rounds up chunk pairs whose F and B interleave) holds
 	// it in the slot of the use it serves, whose belt copy never comes, and
 	// the plan keeps at most two at a time; an owner's copy of its own chunk
-	// (order.Holds) takes that slot too. So the count stands.
+	// (order.Holds) takes that slot too. So the count stands. The gradient
+	// partials a rank holds across deferred rounds are charged on top
+	// (GradSlots).
 	beltBufferCopies = 6
 )
+
+// GradSlots returns the gradient buffers of chunks it does not own that the
+// worst rank of a weight-passing strategy holds at once between W passes
+// (order.GradSlots): a deferred round's partial, which waits for the rank's
+// next W pass on its chunk, and at P=2 the other chunk's accumulator between
+// its chain uses. The plan holds at most two. The memory model charges them
+// as fp16 chunks, the unit of beltBufferCopies.
+func (w Workload) GradSlots(strategy string) int {
+	slots, err := order.GradSlots(strategy, w.P, w.N)
+	if err != nil {
+		panic("cost: " + err.Error())
+	}
+	return slots
+}
 
 // unitBytes returns G·S·H fp16 bytes — the memory model's activation unit.
 func (w Workload) unitBytes() float64 {
@@ -240,6 +257,13 @@ func (w Workload) MemoryBytes(strategy string) float64 {
 		megatronCkpt = actFullUnits
 	}
 
+	// A weight-passing rank's chunk-sized state: the owned chunk's, copies
+	// fp16 belt buffers and the gradient slots it holds (GradSlots).
+	chunk := (lp*w.LayerParams() + edgeParams) * fp16Bytes
+	belts := func(copies int) float64 {
+		return ownStage + float64(copies+w.GradSlots(strategy))*chunk
+	}
+
 	switch strategy {
 	case "gpipe":
 		return ownStage + float64(w.N)*lp*megatronCkpt*u + workspace
@@ -261,37 +285,26 @@ func (w Workload) MemoryBytes(strategy string) float64 {
 	case "dp":
 		return w.TotalParams()*bytesPerOwnedParam + float64(w.L)*ckpt*u + workspace
 	case "weipipe-naive":
-		chunk := (lp*w.LayerParams() + edgeParams) * fp16Bytes
-		own := (lp*w.LayerParams() + edgeParams) * bytesPerOwnedParam
-		return own + beltBufferCopies*chunk + float64(w.L)*ckpt*u + workspace
+		return belts(beltBufferCopies) + float64(w.L)*ckpt*u + workspace
 	case "weipipe-interleave":
-		chunk := (lp*w.LayerParams() + edgeParams) * fp16Bytes
-		own := (lp*w.LayerParams() + edgeParams) * bytesPerOwnedParam
-		return own + beltBufferCopies*chunk +
-			weipipeInflight*float64(w.L)*ckpt*u + 2*workspace
+		return belts(beltBufferCopies) + weipipeInflight*float64(w.L)*ckpt*u + 2*workspace
 	case "wzb1":
-		chunk := (lp*w.LayerParams() + edgeParams) * fp16Bytes
-		own := (lp*w.LayerParams() + edgeParams) * bytesPerOwnedParam
 		// paper §4.2.4: WZB1 peaks near 1.5·G·M_A
-		return own + beltBufferCopies*chunk + 1.5*float64(w.L)*ckpt*u +
+		return belts(beltBufferCopies) + 1.5*float64(w.L)*ckpt*u +
 			2*workspace + lp*actFullUnits*u*zbStashFrac
 	case "wzb2":
-		chunk := (lp*w.LayerParams() + edgeParams) * fp16Bytes
-		own := (lp*w.LayerParams() + edgeParams) * bytesPerOwnedParam
 		// one chunk operation per two chunks on the wire: double belts and
 		// a model's worth of pending W stashes.
-		return own + 2*beltBufferCopies*chunk + 2*float64(w.L)*ckpt*u +
+		return belts(2*beltBufferCopies) + 2*float64(w.L)*ckpt*u +
 			2*workspace + float64(w.L)*actFullUnits*u*zbStashFrac
 	case "wzb2g":
-		chunk := (lp*w.LayerParams() + edgeParams) * fp16Bytes
-		own := (lp*w.LayerParams() + edgeParams) * bytesPerOwnedParam
 		// wzb2's footprint plus the holder shard cache: each rank caches the
 		// P/m chunks it re-injects into its group's belt each round, held as
 		// full-precision buffers (2× the fp16 wire chunk). Uses the runtime's
 		// topology-friendly default group size (pipeline.normalizeGroupSize).
 		m := defaultGroupSize(w.P)
 		cache := float64(w.P/m) * 2 * chunk
-		return own + 2*beltBufferCopies*chunk + cache + 2*float64(w.L)*ckpt*u +
+		return belts(2*beltBufferCopies) + cache + 2*float64(w.L)*ckpt*u +
 			2*workspace + float64(w.L)*actFullUnits*u*zbStashFrac
 	default:
 		panic("cost: unknown strategy " + strategy)

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"testing"
 
 	"weipipe/internal/cluster"
@@ -151,6 +152,35 @@ func TestMemoryModelMatchesTable2Shape(t *testing.T) {
 			if !w.FitsMemory(s, gpu) {
 				t.Errorf("H=%d S=%d: %s unexpectedly OOM (%.1f GB)", r.h, r.s, s, gb(w.MemoryBytes(s)))
 			}
+		}
+	}
+}
+
+// TestWeiPipeChargesHeldGradients pins the memory model's charge for the
+// gradient partials a WeiPipe rank holds between W passes (GradSlots): at
+// Table 2's shape, P=16 over N=64 microbatches, every belt strategy defers
+// rounds and its worst rank holds two; at N=P the one round is the last and
+// nothing is held; at P=2 the other chunk's accumulator is the one held. Each
+// costs one fp16 chunk, so the charge moves Table 2's WeiPipe cells by two
+// chunks and nothing else.
+func TestWeiPipeChargesHeldGradients(t *testing.T) {
+	for _, s := range []string{"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2", "wzb2g"} {
+		w := paperTable2(2048, 8192, 8)
+		one := w
+		one.N = w.P
+		pair := w
+		pair.P, pair.N = 2, 8
+		for _, tc := range []struct {
+			w    Workload
+			want int
+		}{{w, 2}, {one, 0}, {pair, 1}} {
+			if got := tc.w.GradSlots(s); got != tc.want {
+				t.Errorf("%s P=%d N=%d: %d held gradients, want %d", s, tc.w.P, tc.w.N, got, tc.want)
+			}
+		}
+		got := w.MemoryBytes(s) - one.MemoryBytes(s)
+		if want := 2 * w.ChunkWeightBytes(); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%s: N=64 costs %.0f B more than N=16, want two chunks, %.0f B", s, got, want)
 		}
 	}
 }

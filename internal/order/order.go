@@ -15,7 +15,10 @@
 // names.
 package order
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Op is one compute pass of a rank's program.
 type Op struct {
@@ -320,23 +323,74 @@ func Holds(rank, c, p, m int) bool {
 	return rank%m == c%m
 }
 
+// Deferred reports whether round k of chunk c's gradient stays where it was
+// made under a plan's belt table ships (Shipped): a round the backward belt
+// does not ship, because every rank runs it on a kept copy, unless it is the
+// last round. In a deferred round each rank holds its W pass's partial of
+// D_c and its next W pass on c, one round later, accumulates into it; the
+// round sends no gradient message.
+func Deferred(ships [2][][]bool, c, k int) bool {
+	rounds := ships[1][c]
+	return k < len(rounds)-1 && !rounds[k]
+}
+
 // GradChain returns the belt uses whose W passes feed chunk c's gradient
 // accumulator D_c on a weight-passing ring of p ranks over n microbatches,
-// in use order: every use but the owner's (Holds with m = 1). Use j runs on
-// rank j mod p. The owner accumulates its own W passes for c in place and
-// never ships them. D_c visits the listed uses in order — one hop from each
-// use's rank to the next one's, which bridges the owner (o−1 → o+1), or
-// none when both run on one rank, as every use does at p=2 — and the last
-// use's rank retires the sum to the owner. So a chunk's gradient travels
-// n − n/p messages an iteration for p ≥ 3, one at p=2 and none at p=1.
-func GradChain(c, p, n int) []int {
+// in use order, under the plan's belt table ships (Shipped): every use but
+// the owner's (Holds with m = 1) and those of deferred rounds (Deferred).
+// Use j runs on rank j mod p. The owner accumulates its own W passes for c
+// in place and never ships them, and a deferred use's partial waits on its
+// rank for that rank's next use. D_c visits the listed uses in order — one
+// hop from each use's rank to the next one's, which bridges the owner
+// (o−1 → o+1), or none when both run on one rank, as every use does at
+// p=2 — and the last use's rank retires the sum to the owner. The last round
+// is never deferred, so a chunk's gradient travels (p−1)·(n/p − d) messages
+// an iteration for p ≥ 3, where d counts its deferred rounds, one at p=2 and
+// none at p=1.
+func GradChain(c, p, n int, ships [2][][]bool) []int {
 	chain := make([]int, 0, n-n/p)
 	for j := 0; j < n; j++ {
-		if !Holds(j%p, c, p, 1) {
+		if !Holds(j%p, c, p, 1) && !Deferred(ships, c, j/p) {
 			chain = append(chain, j)
 		}
 	}
 	return chain
+}
+
+// GradSlots returns the most gradient buffers of chunks it does not own
+// that a rank holds at once between its W passes under a weight-passing
+// strategy on p ranks over n microbatches, over every rank: a W pass holds
+// its partial of D_c for the rank's next W pass on c when its use is off
+// c's gradient chain (GradChain: a deferred round) or the chain's next use
+// runs on the rank too (p=2). The owner's accumulator is its own chunk's
+// and not counted.
+func GradSlots(strategy string, p, n int) (int, error) {
+	most := 0
+	for rank := 0; rank < p; rank++ {
+		plan, err := BeltPlan(strategy, rank, p, n)
+		if err != nil {
+			return 0, err
+		}
+		ships := Shipped(plan, p)
+		chains := make([][]int, p)
+		for c := range chains {
+			chains[c] = GradChain(c, p, n, ships)
+		}
+		held := make(map[int]bool) // the chunks whose partial the rank holds
+		for _, u := range plan {
+			if u.Phase != 'W' {
+				continue
+			}
+			c, chain := u.Chunk, chains[u.Chunk]
+			if i := slices.Index(chain, u.MB); !Holds(rank, c, p, 1) && (i < 0 || i+1 < len(chain) && chain[i+1]%p == rank) {
+				held[c] = true
+			} else {
+				delete(held, c)
+			}
+			most = max(most, len(held))
+		}
+	}
+	return most, nil
 }
 
 // FSDP returns the passes an FSDP rank runs in one iteration over nLocal

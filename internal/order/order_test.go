@@ -572,57 +572,113 @@ func TestHoldsOnePerGroup(t *testing.T) {
 	}
 }
 
-// TestGradChain: chunk c's gradient chain lists every use but its owner's,
-// in use order, so no use on the owner and n − n/p uses in all. Two chain
-// uses in a row sit one or two ranks apart — two where the chain bridges
-// the owner — except at p=2, where they all run on the one other rank; and
-// the messages it takes (hops between ranks plus the retire) are n − n/p
-// for p ≥ 3, 1 at p=2 and 0 at p=1.
+// TestGradChain: on every belt strategy's plan, chunk c's gradient chain
+// lists, in use order, every use but its owner's and those of its deferred
+// rounds — the rounds the backward belt does not ship, but never the last
+// one. Two chain uses in a row sit one or two ranks apart — two where the
+// chain bridges the owner — except at p=2, where they all run on the one
+// other rank; and the messages it takes (hops between ranks plus the
+// retire) are (p−1)·(n/p − d) for p ≥ 3, where d counts the deferred
+// rounds, 1 at p=2 and 0 at p=1.
 func TestGradChain(t *testing.T) {
-	for p := 1; p <= 8; p++ {
-		for _, n := range []int{p, 2 * p, 3 * p} {
-			for c := 0; c < p; c++ {
-				owner := (c - 1 + p) % p
-				chain := GradChain(c, p, n)
-				if len(chain) != n-n/p {
-					t.Errorf("p=%d n=%d c=%d: %d uses, want %d", p, n, c, len(chain), n-n/p)
+	for _, s := range []string{"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2"} {
+		for p := 1; p <= 8; p++ {
+			for _, n := range []int{p, 2 * p, 3 * p} {
+				plan, err := BeltPlan(s, 0, p, n)
+				if err != nil {
+					t.Fatal(err)
 				}
-				msgs := 0
-				for i, j := range chain {
-					if j%p == owner {
-						t.Errorf("p=%d n=%d c=%d: use %d runs on the owner", p, n, c, j)
-					}
-					if i == 0 {
-						msgs++ // the retire
-						continue
-					}
-					prev := chain[i-1]
-					if j <= prev {
-						t.Errorf("p=%d n=%d c=%d: use %d after use %d", p, n, c, j, prev)
-					}
-					if d := (j%p - prev%p + p) % p; d != 0 {
-						msgs++
-						if d > 2 || d == 2 && (prev+1)%p != owner {
-							t.Errorf("p=%d n=%d c=%d: hop %d → %d is %d ranks", p, n, c, prev, j, d)
+				ships := Shipped(plan, p)
+				for c := 0; c < p; c++ {
+					owner := (c - 1 + p) % p
+					chain := GradChain(c, p, n, ships)
+					deferred := 0
+					for k := 0; k < n/p; k++ {
+						if Deferred(ships, c, k) {
+							deferred++
+							if ships[1][c][k] || k == n/p-1 {
+								t.Errorf("%s p=%d n=%d c=%d: round %d deferred", s, p, n, c, k)
+							}
 						}
-					} else if p != 2 {
-						t.Errorf("p=%d n=%d c=%d: uses %d and %d run on one rank", p, n, c, prev, j)
 					}
-				}
-				want := n - n/p
-				switch p {
-				case 1:
-					want = 0
-				case 2:
-					want = 1
-				}
-				if msgs != want {
-					t.Errorf("p=%d n=%d c=%d: %d gradient messages, want %d", p, n, c, msgs, want)
+					if want := (p - 1) * (n/p - deferred); len(chain) != want {
+						t.Errorf("%s p=%d n=%d c=%d: %d uses, want %d", s, p, n, c, len(chain), want)
+					}
+					msgs := 0
+					for i, j := range chain {
+						if j%p == owner {
+							t.Errorf("%s p=%d n=%d c=%d: use %d runs on the owner", s, p, n, c, j)
+						}
+						if Deferred(ships, c, j/p) {
+							t.Errorf("%s p=%d n=%d c=%d: use %d is in a deferred round", s, p, n, c, j)
+						}
+						if i == 0 {
+							msgs++ // the retire
+							continue
+						}
+						prev := chain[i-1]
+						if j <= prev {
+							t.Errorf("%s p=%d n=%d c=%d: use %d after use %d", s, p, n, c, j, prev)
+						}
+						if d := (j%p - prev%p + p) % p; d != 0 {
+							msgs++
+							if d > 2 || d == 2 && (prev+1)%p != owner {
+								t.Errorf("%s p=%d n=%d c=%d: hop %d → %d is %d ranks", s, p, n, c, prev, j, d)
+							}
+						} else if p != 2 {
+							t.Errorf("%s p=%d n=%d c=%d: uses %d and %d run on one rank", s, p, n, c, prev, j)
+						}
+					}
+					want := (p - 1) * (n/p - deferred)
+					switch p {
+					case 1:
+						want = 0
+					case 2:
+						want = 1
+					}
+					if msgs != want {
+						t.Errorf("%s p=%d n=%d c=%d: %d gradient messages, want %d", s, p, n, c, msgs, want)
+					}
 				}
 			}
 		}
 	}
-	if got, want := fmt.Sprint(GradChain(2, 4, 8)), "[0 2 3 4 6 7]"; got != want {
-		t.Errorf("GradChain(2, 4, 8) = %s, want %s", got, want)
+	// wzb2 at the wide benchmark shape: the backward belt serves round 0 of
+	// chunks 1 and 3 from kept copies, so their first round stays local.
+	plan, err := BeltPlan("wzb2", 0, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ships := Shipped(plan, 4)
+	for c, want := range []string{"[0 1 2 4 5 6]", "[5 6 7]", "[0 2 3 4 6 7]", "[4 5 7]"} {
+		if got := fmt.Sprint(GradChain(c, 4, 8, ships)); got != want {
+			t.Errorf("wzb2 GradChain(%d, 4, 8) = %s, want %s", c, got, want)
+		}
+	}
+}
+
+// TestGradSlots: on every belt strategy at p 1…8 and n ∈ {p, 2p, 3p, 4p}, a
+// rank holds at most two gradient partials of chunks it does not own: none
+// at n=p, where the one round is the last and the chain never stays on a
+// rank; from two rounds up one at p=2, the other chunk's accumulator, and
+// two from p=3, the two chunks whose rounds the backward belt serves from
+// kept copies.
+func TestGradSlots(t *testing.T) {
+	for _, s := range []string{"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2"} {
+		for p := 1; p <= 8; p++ {
+			for r := 1; r <= 4; r++ {
+				got, err := GradSlots(s, p, r*p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := min(p-1, 2)
+				if r == 1 {
+					want = 0
+				}
+				if got != want {
+					t.Errorf("%s p=%d n=%d: %d held gradient partials, want %d", s, p, r*p, got, want)
+				}
+			}
+		}
 	}
 }

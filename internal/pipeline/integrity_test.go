@@ -500,7 +500,9 @@ func TestIntegrityWeiPipeDPOverBF16Fabric(t *testing.T) {
 // the rank's own (order.Holds) — and, on the grouped belt, once per shard
 // the exchange delivers. A gradient accumulator is verified at every hop it
 // arrives by and at its retire, once per message of its chain
-// (gradMessages).
+// (gradMessages): none for a deferred round's partial, which never leaves
+// its rank, so at p=4 two iterations take 36 gradient checks at n=8 and 48
+// at n=12.
 func TestIntegrityChecksEveryKeptUse(t *testing.T) {
 	const iters = 2
 	for _, s := range []Strategy{StrategyWeiPipeNaive, StrategyWeiPipeInterleave, StrategyWZB1, StrategyWZB2, StrategyWZB2G} {
@@ -549,7 +551,7 @@ func TestIntegrityChecksEveryKeptUse(t *testing.T) {
 			}
 			var grads int64
 			for c := 0; c < p; c++ {
-				grads += gradMessages(c, p, n)
+				grads += gradMessages(t, s, c, p, n)
 			}
 			total := res.TotalComm()
 			if got, want := total.IntegrityChecks(comm.KindWeight), int64(iters*weights); got != want {

@@ -13,6 +13,7 @@ import (
 
 	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
+	"weipipe/internal/cost"
 	"weipipe/internal/data"
 	"weipipe/internal/model"
 	"weipipe/internal/nn"
@@ -486,5 +487,125 @@ func TestRestoreThenAssembleRoundTrips(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// gradProbe calls check, on its rank's goroutine, at every message the rank
+// sends or receives, by any of the three sends. It only observes.
+type gradProbe struct {
+	comm.Transport
+	check func()
+}
+
+func (g *gradProbe) Send(dst int, tag comm.Tag, data []float32) error {
+	g.check()
+	return g.Transport.Send(dst, tag, data)
+}
+
+func (g *gradProbe) SendOwned(dst int, tag comm.Tag, payload []float32) error {
+	g.check()
+	return g.Transport.SendOwned(dst, tag, payload)
+}
+
+func (g *gradProbe) Forward(dst int, tag comm.Tag, payload []float32) error {
+	g.check()
+	return g.Transport.Forward(dst, tag, payload)
+}
+
+func (g *gradProbe) Recv(src int, tag comm.Tag) ([]float32, error) {
+	g.check()
+	return g.Transport.Recv(src, tag)
+}
+
+func (g *gradProbe) RecvTimeout(src int, tag comm.Tag, timeout time.Duration) ([]float32, error) {
+	g.check()
+	return g.Transport.RecvTimeout(src, tag, timeout)
+}
+
+// TestHeldGradientsWithinCharge: the gradient buffers of chunks it does not
+// own that a rank holds between W passes — a deferred round's partial
+// (order.Deferred), and at p=2 the other chunk's accumulator between its
+// chain uses — number at most what the memory model charges
+// (cost.Workload.GradSlots), and the charge is at most two, on every WeiPipe
+// strategy at p 1…8 and n ∈ {p, 2p, 3p}, in process and over TCP. A rank's
+// holdings change only at its W passes, and it is checked at every message
+// it sends or receives. From p=3 the worst rank meets the charge there, so
+// the charge is no looser than the runtime; at p=2 a rank holding the other
+// chunk's accumulator sends and receives nothing until it retires it.
+func TestHeldGradientsWithinCharge(t *testing.T) {
+	const iters = 2
+	cfg := eqCfg()
+	cfg.Layers = 8 // a chunk for each of up to 8 ranks
+	for _, overTCP := range []bool{false, true} {
+		for _, s := range beltStrategies {
+			for p := 1; p <= 8; p++ {
+				for _, n := range []int{p, 2 * p, 3 * p} {
+					charge := cost.Workload{H: cfg.Hidden, S: cfg.MaxSeq, G: 2, L: cfg.Layers, N: n, P: p}.GradSlots(string(s))
+					if charge > 2 {
+						t.Errorf("%s p=%d n=%d: the memory model charges %d held gradients, at most 2", s, p, n, charge)
+					}
+					var trs []comm.Transport
+					if overTCP {
+						trs = dialMesh(t, p, comm.TCPOptions{})
+					} else {
+						trs = comm.NewCluster(p).Transports()
+					}
+					trainers := make([]*WeiPipe, p)
+					peak := make([]int, p)
+					for r := range trs {
+						trs[r] = &gradProbe{Transport: trs[r], check: func() {
+							w := trainers[r]
+							if w == nil {
+								return
+							}
+							held := slices.DeleteFunc(heldChunks(w.dAcc), func(c int) bool { return c == w.ownChunk })
+							if len(held) > charge {
+								t.Errorf("%s p=%d n=%d tcp=%v rank %d: holds the gradients of chunks %v, the memory model charges %d",
+									s, p, n, overTCP, r, held, charge)
+							}
+							peak[r] = max(peak[r], len(held))
+						}}
+					}
+					errs := make([]error, p)
+					closeAll := failFast(trs)
+					opts := eqOpts()
+					opts.GroupSize = ringGroupSize(p)
+					batches := data.Microbatches(7, n, 2, cfg.Vocab, cfg.MaxSeq)
+					var wg sync.WaitGroup
+					for r := range trs {
+						wg.Add(1)
+						go func(r int) {
+							defer wg.Done()
+							defer func() {
+								if errs[r] != nil {
+									closeAll()
+								}
+							}()
+							tr, err := New(s, trs[r], cfg, opts)
+							if errs[r] = err; err != nil {
+								return
+							}
+							trainers[r] = tr.(*WeiPipe)
+							for i := 0; i < iters && errs[r] == nil; i++ {
+								_, errs[r] = tr.TrainIteration(batches)
+							}
+						}(r)
+					}
+					wg.Wait()
+					for _, tr := range trs {
+						tr.Close()
+					}
+					for r, err := range errs {
+						if err != nil {
+							t.Fatalf("%s p=%d n=%d tcp=%v rank %d: %v", s, p, n, overTCP, r, err)
+						}
+					}
+					if got := slices.Max(peak); p >= 3 && got != charge {
+						t.Errorf("%s p=%d n=%d tcp=%v: ranks held at most %d gradients, the memory model charges %d",
+							s, p, n, overTCP, got, charge)
+					}
+				}
+			}
+		}
 	}
 }

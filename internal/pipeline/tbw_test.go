@@ -119,12 +119,17 @@ func beltCopies(t *testing.T, s Strategy, p, n int) (copies []int64, injections 
 	return copies, injections
 }
 
-// gradMessages counts the gradient messages chunk c takes in one iteration,
-// from its chain (order.GradChain): a hop wherever two consecutive uses run
-// on different ranks, and the retire to the owner when the chain is not
-// empty.
-func gradMessages(c, p, n int) int64 {
-	chain := order.GradChain(c, p, n)
+// gradMessages counts the gradient messages chunk c takes in one iteration
+// of strategy s, from its chain (order.GradChain of the plan's belt table):
+// a hop wherever two consecutive uses run on different ranks, and the
+// retire to the owner when the chain is not empty.
+func gradMessages(t *testing.T, s Strategy, c, p, n int) int64 {
+	t.Helper()
+	plan, err := order.BeltPlan(string(s), 0, p, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := order.GradChain(c, p, n, order.Shipped(plan, p))
 	var msgs int64
 	for i, j := range chain {
 		if i == 0 || chain[i-1]%p != j%p {
@@ -140,11 +145,19 @@ func gradMessages(c, p, n int) int64 {
 // and one gradient chunk). A chunk's weights travel only in the rounds the
 // plan ships, and then to every rank but its owner (beltCopies), so p=1
 // ships none; the rest run on kept copies. A chunk's gradient takes the
-// messages of its chain (gradMessages): n − n/p for p ≥ 3, the retire alone
-// at p=2 and none at p=1, since the owner never ships its own W passes.
+// messages of its chain (gradMessages): (p−1)·(n/p − d) for p ≥ 3, where d
+// counts its deferred rounds, the retire alone at p=2 and none at p=1, since
+// the owner never ships its own W passes. Every variant defers round 0 of
+// two chunks at n=2p: at p=3, chunks of 952, 1696 and 960 floats, the second
+// and third take 2 messages, not 4, so the gradient is
+// (952·4 + 1696·2 + 960·2)·4 = 36 480 B, not 57 728; at p=4, chunks of 952,
+// 848, 848 and 960 floats, two chunks of 848 and 960 (naive: both last
+// chunks, the others: chunks 1 and 3) take 3, not 6, so it is
+// (952·6 + 848·9 + 960·3)·4 = 64 896 B, not 86 592.
 func TestWeiPipePerTurnVolumeMatchesAnalysis(t *testing.T) {
 	cfg := tbwCfg()
 	mdl := model.Build(cfg)
+	pinned := map[[2]int]int64{{3, 6}: 36_480, {4, 8}: 64_896}
 	for _, s := range []Strategy{StrategyWeiPipeNaive, StrategyWeiPipeInterleave, StrategyWZB1, StrategyWZB2} {
 		for p := 1; p <= 4; p++ {
 			for _, n := range []int{p, 2 * p} {
@@ -153,7 +166,7 @@ func TestWeiPipePerTurnVolumeMatchesAnalysis(t *testing.T) {
 				for c, b := range mdl.Partition(p) {
 					size := int64(mdl.ChunkSize(b[0], b[1]))
 					weights += copies[c] * size
-					grads += gradMessages(c, p, n) * size
+					grads += gradMessages(t, s, c, p, n) * size
 				}
 				st := runMetered(t, s, p, cfg, 2, 8, n)
 				if got, want := st.SentBytes(comm.KindWeight), 4*weights; got != want {
@@ -161,6 +174,9 @@ func TestWeiPipePerTurnVolumeMatchesAnalysis(t *testing.T) {
 				}
 				if got, want := st.SentBytes(comm.KindGrad), 4*grads; got != want {
 					t.Errorf("%s p=%d n=%d: gradient traffic %d B, want %d", s, p, n, got, want)
+				}
+				if want, ok := pinned[[2]int{p, n}]; ok && 4*grads != want {
+					t.Errorf("%s p=%d n=%d: the plan's gradient traffic is %d B, pinned %d", s, p, n, 4*grads, want)
 				}
 			}
 		}
@@ -173,15 +189,20 @@ func TestWeiPipePerTurnVolumeMatchesAnalysis(t *testing.T) {
 // the long one, H=64 S=512 n=4. Under the keep rule forward-belt round 1 of
 // chunk 2 and backward-belt round 0 of chunk 1 stay off the wide shape's
 // wire, and backward-belt round 0 of chunk 2 off the long one's; no shipped
-// round goes to its chunk's owner; and a chunk's gradient takes n − n/4
-// messages, not n (gradMessages): 78 796 800 of the wide shape's bytes, not
-// 105 062 400, and 2 771 712 of the long one's, not 3 695 616.
+// round goes to its chunk's owner; and a chunk's gradient takes
+// (4−1)·(n/4 − d) messages, not n (gradMessages), where d counts its
+// deferred rounds: the wide shape defers round 0 of chunks 1 and 3, whose
+// backward rounds its kept copies serve, which saves 3 messages of each,
+// (787 968 + 853 760) floats · 3 · 4 = 19 700 736 B. So the gradient is
+// 59 096 064 of the wide shape's bytes, not 105 062 400, and 2 771 712 of
+// the long one's, not 3 695 616: at n=4 the one round is the last and
+// defers nothing.
 func TestWZB2BeltBytesAtBenchmarkShapes(t *testing.T) {
 	for _, tc := range []struct {
 		h, seq, n int
 		want      int64
 	}{
-		{256, 8, 8, 196_988_928},
+		{256, 8, 8, 177_288_192},
 		{64, 512, 4, 6_928_896},
 	} {
 		cfg := model.Config{Vocab: 256, Hidden: tc.h, Layers: 4, Heads: 4, MaxSeq: tc.seq, Seed: 1}
@@ -249,8 +270,9 @@ func (h *hopCounter) Forward(dst int, tag comm.Tag, payload []float32) error {
 // injection, which the simulator treats as free, or the grouped belt's
 // first injection into group 0. Neither side has a hop into a chunk's
 // holder (order.Holds). Both sides send D along the chunk's gradient chain
-// (order.GradChain): no hop into the owner, and none at p=2, where the chain
-// runs on one rank. The grouped belt runs at p=4 in groups of 2.
+// (order.GradChain): no hop into the owner or out of a deferred round's use
+// (order.Deferred), and none at p=2, where the chain runs on one rank. The
+// grouped belt runs at p=4 in groups of 2.
 func TestSimulatorRelaysMatchRuntime(t *testing.T) {
 	type point struct {
 		s    Strategy
@@ -424,8 +446,7 @@ func TestHolderNeverReceivesItsChunk(t *testing.T) {
 //   - no gradient message is a self-send;
 //   - the owner sends no gradient message for its own chunk, and receives
 //     exactly one, the retire, when p ≥ 2;
-//   - a chunk's gradient takes n − n/p messages for p ≥ 3, one at p=2 and
-//     none at p=1.
+//   - a chunk's gradient takes the messages of its chain (gradMessages).
 func TestOwnerNeverShipsItsGradient(t *testing.T) {
 	type key struct{ iter, c int }
 	for _, overTCP := range []bool{false, true} {
@@ -451,17 +472,10 @@ func TestOwnerNeverShipsItsGradient(t *testing.T) {
 							ownerIn[k]++
 						}
 					}
-					want := n - n/p
-					switch p {
-					case 1:
-						want = 0
-					case 2:
-						want = 1
-					}
 					for iter := 0; iter < 2; iter++ {
 						for c := 0; c < p; c++ {
 							k := key{iter, c}
-							if msgs[k] != want {
+							if want := int(gradMessages(t, s, c, p, n)); msgs[k] != want {
 								t.Errorf("%s p=%d n=%d tcp=%v iter %d: chunk %d's gradient took %d messages, want %d",
 									s, p, n, overTCP, iter, c, msgs[k], want)
 							}
@@ -474,6 +488,84 @@ func TestOwnerNeverShipsItsGradient(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDeferredRoundsShipNoGradient: a round the backward belt serves from
+// kept copies, the last round aside (order.Deferred), circulates no
+// gradient — each rank holds its partial for its next W pass on the chunk —
+// on every WeiPipe strategy, flat and wzb2g in groups of 2 (3 at p=3), in
+// process and over TCP, at p 1…4 and n ∈ {p, 2p, 3p}, in every iteration:
+//   - no gradient message carries a use of a deferred round;
+//   - a chunk's gradient takes (p−1)·(n/p − d) messages for p ≥ 3, where d
+//     counts its deferred rounds, one at p=2 and none at p=1;
+//   - the owner receives exactly one retire when p ≥ 2.
+func TestDeferredRoundsShipNoGradient(t *testing.T) {
+	type key struct{ iter, c int }
+	deferring := false // some point defers a round: the test proved something
+	for _, overTCP := range []bool{false, true} {
+		for _, s := range beltStrategies {
+			for p := 1; p <= 4; p++ {
+				for _, n := range []int{p, 2 * p, 3 * p} {
+					plan, err := order.BeltPlan(string(s), 0, p, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ships := order.Shipped(plan, p)
+					msgs := make(map[key]int)
+					retires := make(map[key]int)
+					for _, bs := range beltTraffic(t, overTCP, s, p, n, ringGroupSize(p)) {
+						if bs.tag.Kind != comm.KindGrad {
+							continue
+						}
+						hi := int(bs.tag.B >> beltUseBits)
+						k, use := key{hi / beltCount, bs.tag.A}, int(bs.tag.B&(1<<beltUseBits-1))
+						msgs[k]++
+						switch hi % beltCount {
+						case beltRetire:
+							if bs.dst == (k.c-1+p)%p {
+								retires[k]++
+							}
+						case beltBwd:
+							if order.Deferred(ships, k.c, use/p) {
+								t.Errorf("%s p=%d n=%d tcp=%v: chunk %d's gradient travelled to use %d, of deferred round %d",
+									s, p, n, overTCP, k.c, use, use/p)
+							}
+						}
+					}
+					for c := 0; c < p; c++ {
+						d := 0
+						for k := 0; k < n/p; k++ {
+							if order.Deferred(ships, c, k) {
+								d++
+							}
+						}
+						deferring = deferring || p >= 3 && d > 0
+						want := (p - 1) * (n/p - d)
+						switch p {
+						case 1:
+							want = 0
+						case 2:
+							want = 1
+						}
+						for iter := 0; iter < 2; iter++ {
+							k := key{iter, c}
+							if msgs[k] != want {
+								t.Errorf("%s p=%d n=%d tcp=%v iter %d: chunk %d's gradient took %d messages with %d rounds deferred, want %d",
+									s, p, n, overTCP, iter, c, msgs[k], d, want)
+							}
+							if got := retires[k]; p >= 2 && got != 1 {
+								t.Errorf("%s p=%d n=%d tcp=%v iter %d: chunk %d's owner received %d retires, want 1",
+									s, p, n, overTCP, iter, c, got)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if !deferring {
+		t.Fatal("no point defers a round at p ≥ 3; the test proved nothing")
 	}
 }
 

@@ -103,13 +103,16 @@ func runCfgOnTransports(t *testing.T, trs []comm.Transport, s Strategy, cfg mode
 	wg.Wait()
 	// Every rank's error is reported: after a fail-fast close most of them
 	// only say the transport closed, and the first rank to fail may not be
-	// rank 0.
+	// rank 0. Only these errors stop the test: a failure the caller recorded
+	// earlier must not hide the setups it goes on to check.
+	failed := false
 	for r, err := range errs {
 		if err != nil {
 			t.Errorf("rank %d: %v", r, err)
+			failed = true
 		}
 	}
-	if t.Failed() {
+	if failed {
 		t.FailNow()
 	}
 	// Every rank reports the iteration's mean loss, so every rank's losses

@@ -20,10 +20,12 @@ import (
 type WeiPipeVariant int
 
 // The four schedules of the paper (§4.2). All share the same dataflow —
-// and therefore produce identical gradients — but differ in the local
+// and therefore produce the same gradients — but differ in the local
 // interleaving of forward, B and W work, which is what the performance
 // simulator distinguishes them by. The orders themselves are written in
-// internal/order (Program, under the variant's String name).
+// internal/order (Program, under the variant's String name). From two
+// rounds up Naive keeps other chunks than the rest, so it defers other
+// gradient rounds (order.Deferred) and sums in another order.
 const (
 	// WeiPipeNaive alternates whole-microbatch forward and backward phases;
 	// both weight belts circulate but only one is used at a time (§4.2.1).
@@ -73,17 +75,21 @@ func (v WeiPipeVariant) String() string {
 // relays from that copy, so a shipped round takes P−1 hops.
 //
 // A gradient accumulator D_c follows the backward belt (§4.2.1, "update
-// pass"), with one change: the owner never ships its own chunk's gradient.
-// Its W passes on c accumulate in place into one owner accumulator, and D_c
-// visits the other uses in use order (order.GradChain): each adds its W
-// pass and passes D_c on — past the owner in one hop, o−1 → o+1 — and the
-// last retires the sum to the owner, which adds it to its accumulator and
-// steps. Gradient aggregation needs no collective, and no gradient message
-// is a self-send. Each worker keeps its own microbatches' activations and
-// never ships an activation anywhere: per turn the wire carries at most two
-// weight chunks and one gradient chunk — at most the paper's 36H² bytes,
-// less the rounds kept copies serve and the hops into owners — independent
-// of both microbatch size G and sequence length S.
+// pass"), with two changes. The owner never ships its own chunk's gradient:
+// its W passes on c accumulate in place into one owner accumulator. And a
+// round the backward belt serves from kept copies, unless it is the last,
+// circulates no gradient (order.Deferred): each rank holds its partial and
+// its W pass on c one round later accumulates into it, so a rank holds at
+// most two such partials. D_c visits the other uses in use order
+// (order.GradChain): each adds its W pass and passes D_c on — past the
+// owner in one hop, o−1 → o+1 — and the last retires the sum to the owner,
+// which adds it to its accumulator and steps. Gradient aggregation needs no
+// collective, and no gradient message is a self-send. Each worker keeps its
+// own microbatches' activations and never ships an activation anywhere: per
+// turn the wire carries at most two weight chunks and one gradient chunk —
+// at most the paper's 36H² bytes, less the rounds kept copies serve, the
+// hops into owners and the deferred rounds — independent of both
+// microbatch size G and sequence length S.
 //
 // Belt use indices are global: use j of a belt chunk is performed by worker
 // j mod P during its round ⌊j/P⌋, so use j happens one hop downstream of
@@ -124,7 +130,8 @@ type WeiPipe struct {
 
 	// dAcc holds, per chunk, the gradient buffer this rank's W passes on it
 	// accumulate into between passes: the owned chunk's until the step, and
-	// another chunk's while its next chain use runs on this rank too (p=2).
+	// another chunk's across a deferred round (order.Deferred) or while its
+	// next chain use runs on this rank too (p=2).
 	dAcc [][]float32
 
 	// stage is the belt buffer the running stage computes out of (F, B: the
@@ -485,24 +492,25 @@ func (pl *beltPlan) compile(strategy string, t Transport, n int) error {
 	pl.uses, pl.n, pl.shipped = uses, n, order.Shipped(uses, p)
 	pl.chains = make([][]int, p)
 	for c := range pl.chains {
-		pl.chains[c] = order.GradChain(c, p, n)
+		pl.chains[c] = order.GradChain(c, p, n, pl.shipped)
 	}
 	return nil
 }
 
-// chainNeighbours returns the uses before and after use `use` in chunk c's
-// gradient chain, or -1 at the chain's head and tail.
-func (pl *beltPlan) chainNeighbours(c, use int) (prev, next int) {
+// chainNeighbours reports whether use `use` is in chunk c's gradient chain
+// and returns the uses before and after it there, or -1 at the chain's head
+// and tail.
+func (pl *beltPlan) chainNeighbours(c, use int) (in bool, prev, next int) {
 	chain := pl.chains[c]
 	i := slices.Index(chain, use)
 	prev, next = -1, -1
 	if i > 0 {
 		prev = chain[i-1]
 	}
-	if i+1 < len(chain) {
+	if i >= 0 && i+1 < len(chain) {
 		next = chain[i+1]
 	}
-	return prev, next
+	return i >= 0, prev, next
 }
 
 // ships reports whether round k of chunk c travels on belt.
@@ -779,20 +787,23 @@ func (w *WeiPipe) foldD(site comm.IntegritySite, c int, acc, d []float32) error 
 }
 
 // passD moves chunk c's gradient on after this rank's W pass on use `use`
-// accumulated into buf, along the chain (order.GradChain). The owner keeps
-// buf: its passes accumulate in place until the step. A chain use first
-// folds in the accumulator its predecessor sent, unless that use ran here
-// and buf already holds it; then it keeps buf for its next use when that
-// runs here too, or sends it on — to the next use's rank, or, from the
-// chain's last use, to the owner as the retire. passD owns buf: it is held,
-// donated or released, and the caller must not touch it after the call.
+// accumulated into buf, along the chain (order.GradChain). A use off the
+// chain keeps buf: the owner's, whose passes accumulate in place until the
+// step, and one in a deferred round (order.Deferred), whose partial waits
+// for this rank's W pass on c one round later to accumulate into it. A
+// chain use first folds in the accumulator its predecessor sent, unless
+// that use ran here and buf already holds it; then it keeps buf for its
+// next use when that runs here too, or sends it on — to the next use's
+// rank, or, from the chain's last use, to the owner as the retire. passD
+// owns buf: it is held, donated or released, and the caller must not touch
+// it after the call.
 func (w *WeiPipe) passD(c, use int, buf []float32) error {
-	if c == w.ownChunk {
+	in, prev, next := w.plan.chainNeighbours(c, use)
+	if !in {
 		w.dAcc[c] = buf
 		return nil
 	}
 	p, me := w.t.Size(), w.t.Rank()
-	prev, next := w.plan.chainNeighbours(c, use)
 	if prev >= 0 && prev%p != me {
 		d, err := w.beltRecv(prev%p, Tag{Kind: comm.KindGrad, A: c, B: w.enc(beltBwd, use)})
 		if err != nil {

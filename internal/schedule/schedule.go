@@ -610,20 +610,21 @@ func buildWeiPipe(strategy string, spec Spec) ([]sim.Task, error) {
 			}
 		}
 	}
-	b.gradChains(ops)
+	b.gradChains(ops, ships)
 	return b.tasks, nil
 }
 
 // gradChains appends the D belt, the same on the flat and the grouped belt:
-// chunk c's accumulator hops along order.GradChain, each hop from one chain
-// use's rank to the next one's — one ring link, or two where it bridges the
-// owner, whose W passes accumulate in place and wait for no hop — and the
-// next use's W pass waits for it. Consecutive uses on one rank (p=2) take no
-// hop: program order already chains them. The retire into the owner is
-// free, as the owner's injection is. Under the TerminalGradAllReduce
-// ablation the hops carry nothing and the gradient is all-reduced at the
-// end instead.
-func (b *builder) gradChains(ops *opGrid) {
+// chunk c's accumulator hops along order.GradChain of the plan's belt table
+// ships, each hop from one chain use's rank to the next one's — one ring
+// link, or two where it bridges the owner, whose W passes accumulate in
+// place and wait for no hop — and the next use's W pass waits for it.
+// Consecutive uses on one rank (p=2) take no hop, and neither does a use of
+// a deferred round (order.Deferred): program order already chains each to
+// the rank's next use. The retire into the owner is free, as the owner's
+// injection is. Under the TerminalGradAllReduce ablation the hops carry
+// nothing and the gradient is all-reduced at the end instead.
+func (b *builder) gradChains(ops *opGrid, ships [2][][]bool) {
 	w := b.spec.W
 	p := w.P
 	for c := 0; c < p; c++ {
@@ -631,7 +632,7 @@ func (b *builder) gradChains(ops *opGrid) {
 		if b.spec.TerminalGradAllReduce {
 			dBytes = 0
 		}
-		chain := order.GradChain(c, p, w.N)
+		chain := order.GradChain(c, p, w.N, ships)
 		for i := 1; i < len(chain); i++ {
 			prev, j := chain[i-1], chain[i]
 			span := (j%p - prev%p + p) % p
@@ -778,7 +779,7 @@ func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
 	// The D belt is untouched by grouping: it follows the flat ring's
 	// gradient chain (order.GradChain), the fold order every belt shares,
 	// which is what keeps flat and grouped runs bit-identical.
-	b.gradChains(ops)
+	b.gradChains(ops, ships)
 	return b.tasks, nil
 }
 
