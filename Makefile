@@ -60,12 +60,13 @@ cross-be:
 # driver's checkpoint gathers and resume rule, and the grouped-belt suite
 # (flat-equivalence, sub-ring collectives, and the grouped run over chaotic
 # TCP). Aborts and integrity checks with kept and self-served belt copies,
-# the holder, owner and deferral rules' traffic checks and the belt goldens
-# ride along.
+# the holder, owner and deferral rules' traffic checks, the belt goldens, the
+# wiring table's properties and the check that the runtime sends and the
+# simulator prices exactly its rows ride along.
 chaos:
 	$(GO) test -race -timeout 300s \
-		-run 'Fault|Chaos|Timeout|PeerDeath|Recovery|Resilient|Crash|Frame|CloseFailsPending|CloseLeaks|DialTimeout|Grouped|SubRing|Driver|AbortedIteration|Kept|HolderNever|OwnerNever|Deferred|SelfServed|BeltRunsMatchGoldens' \
-		./internal/comm/ ./internal/pipeline/ ./internal/launch/
+		-run 'Fault|Chaos|Timeout|PeerDeath|Recovery|Resilient|Crash|Frame|CloseFailsPending|CloseLeaks|DialTimeout|Grouped|SubRing|Driver|AbortedIteration|Kept|HolderNever|OwnerNever|Deferred|SelfServed|BeltRunsMatchGoldens|Wiring|SimulatorRelays|NormalizeGroupSize' \
+		./internal/comm/ ./internal/pipeline/ ./internal/launch/ ./internal/order/
 
 # elastic runs the ring-repair suite under the race detector. There is one
 # training driver, RunRank, and one repair ladder it climbs — detect, agree
@@ -192,9 +193,9 @@ experiments:
 # the Meter it embeds: an optional interface beside it would bring back a
 # type-switch fallback that a wrapper silently drops to): a knob added past
 # those counts must retire another. It also prints DESIGN.md's size in bytes
-# and the longest CHANGES.md entry (one entry a line), and fails when
-# DESIGN.md grows past 118463 bytes: a doc edit replaces text instead of
-# appending it.
+# and the longest and the newest CHANGES.md entry (one entry a line), and
+# fails when DESIGN.md grows past 118433 bytes — a doc edit replaces text
+# instead of appending it — or when the newest entry is over 4096 bytes.
 surface:
 	@echo "non-test Go lines: $$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
 		| tr ' ' '\n' | grep '\.go$$' | grep -v '_test\.go$$' | xargs cat | wc -l)"
@@ -228,8 +229,10 @@ surface:
 	@wc -l internal/comm/tcp.go
 	@wc -l internal/tensor/*.s
 	@n=$$(wc -c < DESIGN.md); echo "DESIGN.md bytes: $$n"; \
-		[ $$n -le 118463 ] || { echo "surface: DESIGN.md has $$n bytes, at most 118463"; exit 1; }
+		[ $$n -le 118433 ] || { echo "surface: DESIGN.md has $$n bytes, at most 118433"; exit 1; }
 	@echo "longest CHANGES.md entry, bytes: $$(LC_ALL=C awk 'length($$0) > m { m = length($$0) } END { print m + 0 }' CHANGES.md)"
+	@n=$$(LC_ALL=C awk 'END { print length($$0) }' CHANGES.md); echo "newest CHANGES.md entry, bytes: $$n"; \
+		[ $$n -le 4096 ] || { echo "surface: the newest CHANGES.md entry has $$n bytes, at most 4096"; exit 1; }
 
 # check is the pre-merge gate: formatting, the orphan-package check, static
 # analysis, the race detector over the packages with real concurrency

@@ -176,6 +176,3 @@ func SortedStrategies(r Row) []string {
 	sort.Strings(out)
 	return out
 }
-
-// fmtSscanf is a test seam over fmt.Sscanf.
-var fmtSscanf = fmt.Sscanf

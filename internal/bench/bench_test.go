@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -203,7 +204,7 @@ func TestStrongScalingShape(t *testing.T) {
 			cell := r.Cells["weipipe-interleave"]
 			// Row labels are "P=<n>"; total = per-GPU × P.
 			var pVal int
-			if _, err := fmtSscanf(r.Label, "P=%d", &pVal); err != nil {
+			if _, err := fmt.Sscanf(r.Label, "P=%d", &pVal); err != nil {
 				t.Fatalf("bad label %q", r.Label)
 			}
 			total := cell.ThroughputTPS * float64(pVal)
@@ -259,7 +260,7 @@ func extractBubble(t *testing.T, timeline string) float64 {
 	if idx < 0 {
 		t.Fatalf("no bubble in %q", timeline)
 	}
-	if _, err := fmtSscanf(timeline[idx:], "bubble=%f%%", &v); err != nil {
+	if _, err := fmt.Sscanf(timeline[idx:], "bubble=%f%%", &v); err != nil {
 		t.Fatalf("parse bubble: %v", err)
 	}
 	return v

@@ -10,9 +10,13 @@
 // The list is compute only. Which passes fetch weights and which run on a
 // copy kept from the chunk's previous pass is the keep rule's, written here
 // once for the weight-passing family's belts (BeltPlan) and FSDP's gathers
-// (FSDP). The wiring itself — belt hops and tags, stage-boundary sends — is
-// the runtime's, and the simulator's to model, from the (MB, Chunk) each op
-// names.
+// (FSDP). The weight-passing family's messages are written here too: Wiring
+// lists every weight, shard-exchange, gradient and retire message of one
+// iteration, with its sender, receiver and the sender's pass that sends it,
+// for the flat ring and the grouped belt alike. The runtime sends and
+// receives the rows, and the simulator prices and paces them. The
+// activation-passing family's stage-boundary sends stay the runtime's, and
+// the simulator's to model, from the (MB, Chunk) each op names.
 package order
 
 import (
@@ -412,4 +416,129 @@ func FSDP(modules, nLocal int) []Use {
 	}
 	keep(uses)
 	return uses
+}
+
+// Msg is one point-to-point message of a weight-passing iteration: a row of
+// Wiring.
+type Msg struct {
+	// Kind is what travels: 'F' or 'B' a copy of the chunk's weights on the
+	// forward or backward belt, 'X' a hop of the grouped belt's shard
+	// exchange, 'D' the chunk's gradient accumulator D_c, 'R' D_c's retire to
+	// the chunk's owner.
+	Kind  byte
+	Chunk int
+	// Use is the belt use the message serves — 'F', 'B': the pass that runs
+	// on the copy; 'D': the gradient chain's use that folds D_c in — or, for
+	// 'X', the hop: 0 from the owner into its own group's holder, s from the
+	// holder s−1 groups on into the next one. 'R' carries 0.
+	Use int
+	// Src and Dst are the sending and the receiving rank, on the ring.
+	Src, Dst int
+	// Group: the message travels on the sender's group sub-transport (the
+	// grouped belt's circulation inside a group).
+	Group bool
+	// Pass is the index, in Src's BeltPlan, of the pass that sends the
+	// message, or −1 for the start of the iteration. An F or B pass sends at
+	// its start, with its own copy in hand; a W pass sends after it.
+	Pass int
+}
+
+// Injects reports whether a weight row enters its belt from the sender's
+// resident copy, on belts of m-rank groups: the flat owner's injection at
+// use 0 (m = 1), or a grouped holder's into its group's first rank. Every
+// other 'F' or 'B' row relays the copy its sender's pass runs on.
+func (msg Msg) Injects(m int) bool {
+	return (msg.Kind == 'F' || msg.Kind == 'B') && (msg.Pass < 0 || m > 1 && msg.Dst%m == 0)
+}
+
+// Wiring returns every message of one iteration of a weight-passing strategy
+// on p ranks over n microbatches, with the weight belts circulating in groups
+// of m ranks (m = 1: the flat ring). It is built from BeltPlan, Shipped,
+// Holds, Deferred and GradChain alone:
+//
+//   - 'X', grouped only: chunk c's owner hands the chunk to its own group's
+//     holder, unless it holds it, and the holders store-and-forward it
+//     around the holder ring, one hop per group boundary, at iteration
+//     start.
+//   - 'F' and 'B': every use a belt ships (Shipped) into a rank that does
+//     not hold the chunk (Holds) takes one copy. On the flat ring use 0
+//     comes from the owner at iteration start and use j from the pass on
+//     use j−1. On the grouped belt a group's first rank takes round 0 from
+//     the group's holder at iteration start and round k from the holder's
+//     pass on round k−1; the other members take it from the member before.
+//   - 'D': D_c hops along GradChain from each use's W pass to the next use's
+//     rank, where the two differ.
+//   - 'R': the chain's last use retires D_c to the owner.
+//
+// Rows come per chunk and per use, forward before backward, with the
+// exchange first and the gradient last. The order is not neutral: the
+// simulator dispatches the lowest-numbered ready task.
+func Wiring(strategy string, p, n, m int) ([]Msg, error) {
+	if m < 1 || p%m != 0 {
+		return nil, fmt.Errorf("order: groups of %d ranks do not tile a ring of %d", m, p)
+	}
+	pass := make(map[Op]int, 3*n) // every pass's index in its rank's plan
+	var ships [2][][]bool         // the same for every rank's plan
+	for r := 0; r < p; r++ {
+		plan, err := BeltPlan(strategy, r, p, n)
+		if err != nil {
+			return nil, err
+		}
+		for i, u := range plan {
+			pass[u.Op] = i
+		}
+		if r == 0 {
+			ships = Shipped(plan, p)
+		}
+	}
+	owner := func(c int) int { return (c - 1 + p) % p }
+	holder := func(g, c int) int { return g*m + c%m }
+	var msgs []Msg
+	if groups := p / m; m > 1 {
+		for c := 0; c < p; c++ {
+			src, og := owner(c), owner(c)/m
+			for s := 0; s < groups; s++ {
+				if dst := holder((og+s)%groups, c); dst != src {
+					msgs = append(msgs, Msg{Kind: 'X', Chunk: c, Use: s, Src: src, Dst: dst, Pass: -1})
+					src = dst
+				}
+			}
+		}
+	}
+	for c := 0; c < p; c++ {
+		for j := 0; j < n; j++ {
+			for b, phase := range [2]byte{'F', 'B'} {
+				dst, k := j%p, j/p
+				if !ships[b][c][k] || Holds(dst, c, p, m) {
+					continue
+				}
+				msg := Msg{Kind: phase, Chunk: c, Use: j, Src: (dst - 1 + p) % p, Dst: dst, Group: m > 1, Pass: -1}
+				switch {
+				case m == 1 && j == 0:
+					msg.Src = owner(c)
+				case m == 1 || dst%m != 0:
+					msg.Pass = pass[Op{Phase: phase, MB: j - 1, Chunk: c}]
+				default:
+					msg.Src = holder(dst/m, c)
+					if k > 0 {
+						msg.Pass = pass[Op{Phase: phase, MB: (k-1)*p + msg.Src, Chunk: c}]
+					}
+				}
+				msgs = append(msgs, msg)
+			}
+		}
+	}
+	for c := 0; c < p; c++ {
+		chain := GradChain(c, p, n, ships)
+		for i, j := range chain {
+			msg := Msg{Kind: 'R', Chunk: c, Src: j % p, Dst: owner(c), Pass: pass[Op{Phase: 'W', MB: j, Chunk: c}]}
+			if i+1 < len(chain) {
+				msg.Kind, msg.Use, msg.Dst = 'D', chain[i+1], chain[i+1]%p
+			}
+			if msg.Dst != msg.Src {
+				msgs = append(msgs, msg)
+			}
+		}
+	}
+	return msgs, nil
 }

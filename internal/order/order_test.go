@@ -682,3 +682,176 @@ func TestGradSlots(t *testing.T) {
 		}
 	}
 }
+
+// TestWiringProperties: on every belt strategy at p 1…8, n ∈ {p, 2p, 3p},
+// and every group size m that divides p (m = 1: the flat ring), Wiring's
+// rows
+//   - deliver every use a rank gathers off a belt, of a chunk it does not
+//     hold, exactly once, and nothing else;
+//   - never carry a chunk's weights into its holder (Holds), nor its
+//     gradient into or out of its owner but for the retire;
+//   - never send to the sender itself;
+//   - name a sending pass of the right phase and chunk: the previous use's
+//     for a relay, a holder's previous-round pass for a grouped injection,
+//     the use's W pass for a gradient row;
+//   - take (p−1)·(n/p − d) gradient messages per chunk, retire included,
+//     where d counts its deferred rounds, 1 at p=2 and 0 at p=1, with one
+//     retire for p ≥ 2;
+//   - carry each chunk across each group boundary once, but into its
+//     owner's group, and cache it at every group's holder;
+//   - come exchange first, then by chunk, use and belt, gradient last.
+func TestWiringProperties(t *testing.T) {
+	for _, s := range []string{"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2"} {
+		for p := 1; p <= 8; p++ {
+			for _, n := range []int{p, 2 * p, 3 * p} {
+				plans := make([][]Use, p)
+				for r := range plans {
+					var err error
+					if plans[r], err = BeltPlan(s, r, p, n); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ships := Shipped(plans[0], p)
+				for m := 1; m <= p; m++ {
+					if p%m == 0 {
+						checkWiring(t, s, p, n, m, plans, ships)
+					}
+				}
+			}
+		}
+	}
+	if _, err := Wiring("wzb2", 6, 6, 4); err == nil {
+		t.Error("groups of 4 tile a ring of 6")
+	}
+	if _, err := Wiring("1f1b", 2, 2, 1); err == nil {
+		t.Error("1f1b has a wiring")
+	}
+}
+
+func checkWiring(t *testing.T, s string, p, n, m int, plans [][]Use, ships [2][][]bool) {
+	t.Helper()
+	at := fmt.Sprintf("%s p=%d n=%d m=%d", s, p, n, m)
+	rows, err := Wiring(s, p, n, m)
+	if err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	groups, owner := p/m, func(c int) int { return (c - 1 + p) % p }
+	delivered := make(map[Op]int)
+	grads, retires := make([]int, p), make([]int, p)
+	crossed := make(map[[2]int]int) // (chunk, group entered) → exchange hops
+	cached := make(map[[2]int]bool) // (chunk, holder) → the exchange reached it
+	stage, last := 0, [3]int{-1, -1, -1}
+	for _, r := range rows {
+		if r.Src == r.Dst || r.Src < 0 || r.Src >= p || r.Dst < 0 || r.Dst >= p {
+			t.Fatalf("%s: row %+v sends from %d to %d", at, r, r.Src, r.Dst)
+		}
+		var sender Use
+		if r.Pass >= 0 {
+			sender = plans[r.Src][r.Pass]
+		}
+		// Exchange (stage 0), then weights by (chunk, use, belt) (stage 1),
+		// then gradients by chunk (stage 2).
+		rank := map[byte]int{'X': 0, 'F': 1, 'B': 1, 'D': 2, 'R': 2}[r.Kind]
+		key := [3]int{r.Chunk, r.Use, int(r.Kind)}
+		switch {
+		case rank < stage:
+			t.Fatalf("%s: row %+v after a later stage's", at, r)
+		case rank == 1 && rank == stage && (key[0] < last[0] || key[0] == last[0] && (key[1] < last[1] || key[1] == last[1] && r.Kind == 'F')):
+			t.Fatalf("%s: weight row %+v out of (chunk, use, belt) order", at, r)
+		case rank == 2 && rank == stage && key[0] < last[0]:
+			t.Fatalf("%s: gradient row %+v out of chunk order", at, r)
+		}
+		stage, last = rank, key
+		switch r.Kind {
+		case 'X':
+			if m == 1 || r.Pass != -1 || r.Group || !Holds(r.Dst, r.Chunk, p, m) {
+				t.Errorf("%s: exchange row %+v", at, r)
+			}
+			if r.Src/m != r.Dst/m {
+				crossed[[2]int{r.Chunk, r.Dst / m}]++
+			}
+			cached[[2]int{r.Chunk, r.Dst}] = true
+		case 'F', 'B':
+			if r.Group != (m > 1) || Holds(r.Dst, r.Chunk, p, m) {
+				t.Errorf("%s: weight row %+v into a holder or off its transport", at, r)
+			}
+			op := Op{Phase: r.Kind, MB: r.Use, Chunk: r.Chunk}
+			delivered[op]++
+			switch {
+			case r.Injects(m) && r.Pass < 0:
+				if r.Use/p != 0 || m == 1 && r.Src != owner(r.Chunk) || m > 1 && (r.Dst%m != 0 || !Holds(r.Src, r.Chunk, p, m)) {
+					t.Errorf("%s: iteration-start injection %+v", at, r)
+				}
+			case r.Injects(m):
+				if want := (Op{Phase: r.Kind, MB: r.Use - p + r.Src - r.Dst, Chunk: r.Chunk}); sender.Op != want || !Holds(r.Src, r.Chunk, p, m) {
+					t.Errorf("%s: injection %+v sent by %v, want the holder's %v", at, r, sender.Op, want)
+				}
+			case sender.Op != Op{Phase: r.Kind, MB: r.Use - 1, Chunk: r.Chunk}:
+				t.Errorf("%s: relay %+v sent by %v", at, r, sender.Op)
+			}
+		case 'D', 'R':
+			grads[r.Chunk]++
+			if r.Pass < 0 || sender.Phase != 'W' || sender.Chunk != r.Chunk || Holds(r.Src, r.Chunk, p, 1) {
+				t.Errorf("%s: gradient row %+v sent by %v", at, r, sender.Op)
+			}
+			if r.Kind == 'R' {
+				retires[r.Chunk]++
+				if r.Dst != owner(r.Chunk) {
+					t.Errorf("%s: retire %+v not into the owner", at, r)
+				}
+			} else if Holds(r.Dst, r.Chunk, p, 1) || Deferred(ships, r.Chunk, r.Use/p) {
+				t.Errorf("%s: gradient row %+v into the owner or a deferred round", at, r)
+			}
+		default:
+			t.Errorf("%s: row of kind %q", at, r.Kind)
+		}
+	}
+	for rank, plan := range plans {
+		for _, u := range plan {
+			want := 0
+			if u.Phase != 'W' && u.Gather && !Holds(rank, u.Chunk, p, m) {
+				want = 1
+			}
+			if got := delivered[u.Op]; got != want {
+				t.Errorf("%s: rank %d's %v delivered %d times, want %d", at, rank, u.Op, got, want)
+			}
+			delete(delivered, u.Op)
+		}
+	}
+	if len(delivered) != 0 {
+		t.Errorf("%s: rows deliver uses no plan runs: %v", at, delivered)
+	}
+	for c := 0; c < p; c++ {
+		d := 0
+		for k := 0; k < n/p; k++ {
+			if Deferred(ships, c, k) {
+				d++
+			}
+		}
+		want, wantRetires := (p-1)*(n/p-d), 1
+		switch p {
+		case 1:
+			want, wantRetires = 0, 0
+		case 2:
+			want = 1
+		}
+		if grads[c] != want || retires[c] != wantRetires {
+			t.Errorf("%s: chunk %d takes %d gradient messages and %d retires, want %d and %d", at, c, grads[c], retires[c], want, wantRetires)
+		}
+		if m == 1 {
+			continue
+		}
+		for g := 0; g < groups; g++ {
+			want := 1
+			if g == owner(c)/m {
+				want = 0
+			}
+			if crossed[[2]int{c, g}] != want {
+				t.Errorf("%s: chunk %d enters group %d %d times off the exchange, want %d", at, c, g, crossed[[2]int{c, g}], want)
+			}
+			if h := g*m + c%m; h != owner(c) && !cached[[2]int{c, h}] {
+				t.Errorf("%s: the exchange never reaches chunk %d's holder %d", at, c, h)
+			}
+		}
+	}
+}

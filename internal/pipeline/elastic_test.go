@@ -26,9 +26,16 @@ import (
 // schedules in elastic tests land in the intended iteration.
 func buddySendsPerIteration(t *testing.T, p, iters, n int) int64 {
 	t.Helper()
-	var probe *comm.FaultTransport
 	spec := eqSpec(StrategyWZB2, p, iters, n)
 	spec.Elastic = ElasticShrink
+	return rankOneSends(t, spec)
+}
+
+// rankOneSends measures rank 1's per-iteration send count in a
+// fault-free run of spec.
+func rankOneSends(t *testing.T, spec RunSpec) int64 {
+	t.Helper()
+	var probe *comm.FaultTransport
 	_, err := RunResilient(spec, RunHooks{
 		Transports: wrapped(inproc, func(attempt, rank int, tr comm.Transport) comm.Transport {
 			if rank == 1 {
@@ -41,7 +48,7 @@ func buddySendsPerIteration(t *testing.T, p, iters, n int) int64 {
 	if err != nil {
 		t.Fatalf("buddy probe run: %v", err)
 	}
-	return perIteration(t, probe, p, iters)
+	return perIteration(t, probe, spec.World, spec.Iters)
 }
 
 // Buddy replication must not perturb training (bit-identical losses and
@@ -273,6 +280,53 @@ func TestElasticShrinkRepairWZB2ChaosTCP(t *testing.T) {
 	if f.Retransmits+f.DupFrames+f.CorruptFrames == 0 {
 		t.Error("chaos run recorded no transport faults; injection was a no-op")
 	}
+	waitPipelineGoroutines(t, base)
+}
+
+// TestElasticShrinkGroupedFallsBackFlat: wzb2g at p=4 in groups of 2 loses
+// rank 1 and shrinks to 3 ranks, which groups of 2 do not tile, so the
+// rebuilt ring runs the flat belt's rows (order.Wiring at m = 1). From the
+// repair cut on, losses and final weights are bit-identical to a fresh
+// 3-rank wzb2 run started from the harvested snapshot.
+func TestElasticShrinkGroupedFallsBackFlat(t *testing.T) {
+	const p, iters, n = 4, 6, 12
+	spec := eqSpec(StrategyWZB2G, p, iters, n)
+	spec.Options.GroupSize = 2
+	spec.Elastic = ElasticShrink
+	perIter := rankOneSends(t, spec)
+	base := runtime.NumGoroutine()
+
+	var crashed *comm.FaultTransport
+	var ev RepairEvent
+	spec.MaxRestarts = 1
+	res, err := RunResilient(spec, RunHooks{
+		Transports: wrapped(inproc, crashRankOne(&crashed, perIter*3+perIter/2)),
+		OnRepair:   func(e RepairEvent) { ev = e },
+	})
+	if err != nil {
+		t.Fatalf("elastic grouped run failed: %v", err)
+	}
+	if !crashed.Crashed() {
+		t.Fatal("scheduled rank kill never fired; the test proved nothing")
+	}
+	if len(res.Repairs) != 1 || ev.Policy != ElasticShrink || ev.OldSize != p || ev.NewSize != p-1 {
+		t.Fatalf("repair %+v, want one %d->%d shrink", ev, p, p-1)
+	}
+	if len(ev.Dead) != 1 || ev.Dead[0] != 1 {
+		t.Fatalf("dead set %v, want [1]", ev.Dead)
+	}
+	if ev.Iteration < 3 || ev.Iteration >= iters {
+		t.Fatalf("repair cut at iteration %d; survivors had completed at least 3", ev.Iteration)
+	}
+
+	ref := eqSpec(StrategyWZB2, ev.NewSize, iters, n)
+	ref.Elastic = ElasticShrink
+	want, err := RunResilient(ref, RunHooks{Snapshot: ev.Snapshot})
+	if err != nil {
+		t.Fatalf("reference run from repair snapshot: %v", err)
+	}
+	bitIdentical(t, "grouped shrink repair vs fresh flat cluster",
+		res.Losses[ev.Iteration:], want.Losses[ev.Iteration:], res.Weights, want.Weights)
 	waitPipelineGoroutines(t, base)
 }
 

@@ -99,6 +99,29 @@ func TestGroupedIndivisibleFallsBackFlat(t *testing.T) {
 	bitIdentical(t, "wzb2g gs=3 fallback", got.Losses, ref.Losses, got.Weights, ref.Weights)
 }
 
+// TestNormalizeGroupSize: a group size is kept when it tiles the ring and
+// every group's salt, groupedSaltBase+g for g < p/gs, fits the tag's salt
+// field (≤ 255); otherwise the ring runs the flat belt (1). Size 0 picks
+// 4-rank groups from 8 ranks up, else pairs, else flat.
+func TestNormalizeGroupSize(t *testing.T) {
+	for _, tc := range []struct{ gs, p, want int }{
+		{2, 112, 2}, // 56 groups: the last salt is 255
+		{2, 114, 1}, // 57 groups: the last salt would be 256
+		{4, 224, 4},
+		{3, 4, 1},
+		{1, 4, 1},
+		{2, 1, 1},
+		{0, 8, 4},
+		{0, 6, 2},
+		{0, 4, 2},
+		{0, 3, 1},
+	} {
+		if got := normalizeGroupSize(tc.gs, tc.p); got != tc.want {
+			t.Errorf("normalizeGroupSize(%d, %d) = %d, want %d", tc.gs, tc.p, got, tc.want)
+		}
+	}
+}
+
 // TestGroupedCutsInterGroupBytes is the measured half of the tentpole
 // claim at test scale: on an 8-rank ring in groups of 2, the grouped belt
 // must move strictly fewer bytes (and messages) between groups than flat

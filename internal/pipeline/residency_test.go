@@ -212,7 +212,7 @@ func TestRankHoldsOnlyItsWeights(t *testing.T) {
 					}
 					want := 0
 					for _, u := range w.plan.uses {
-						if u.Gather && !w.holds(r, u.Chunk) {
+						if u.Gather && !order.Holds(r, u.Chunk, len(trainers), w.groupSize()) {
 							want++
 						}
 					}

@@ -213,114 +213,92 @@ func TestWZB2BeltBytesAtBenchmarkShapes(t *testing.T) {
 	}
 }
 
-// hopKey names one belt's traffic in one chunk: "Wf", "Wb" or "D" (the
-// simulator's link-task labels) and the chunk.
-type hopKey struct {
-	belt  string
-	chunk int
-}
-
-// hopCounter meters the relay hops a rank sends, per belt and chunk: weight
-// messages past use 0 (the owner's injection is no hop) and gradient
-// accumulator hops (the retire to the owner is none). All three sends are
-// counted, as FaultTransport counts them: belt hops donate and relay.
-type hopCounter struct {
-	comm.Transport
-	mu   *sync.Mutex
-	hops map[hopKey]int
-}
-
-func (h *hopCounter) count(tag comm.Tag) {
-	belt, use := (tag.B>>beltUseBits)%beltCount, tag.B&(1<<beltUseBits-1)
-	var name string
-	switch {
-	case tag.Kind == comm.KindWeight && belt == beltFwd && use > 0:
-		name = "Wf"
-	case tag.Kind == comm.KindWeight && belt == beltBwd && use > 0:
-		name = "Wb"
-	case tag.Kind == comm.KindGrad && belt == beltBwd:
-		name = "D"
-	default:
-		return
-	}
-	h.mu.Lock()
-	h.hops[hopKey{name, tag.A}]++
-	h.mu.Unlock()
-}
-
-func (h *hopCounter) Send(dst int, tag comm.Tag, data []float32) error {
-	h.count(tag)
-	return h.Transport.Send(dst, tag, data)
-}
-
-func (h *hopCounter) SendOwned(dst int, tag comm.Tag, payload []float32) error {
-	h.count(tag)
-	return h.Transport.SendOwned(dst, tag, payload)
-}
-
-func (h *hopCounter) Forward(dst int, tag comm.Tag, payload []float32) error {
-	h.count(tag)
-	return h.Transport.Forward(dst, tag, payload)
-}
-
-// TestSimulatorRelaysMatchRuntime: the relay hops the simulator emits per
-// (belt, chunk) — its Wf, Wb and D link tasks — are the hops the runtime
-// sends, so a change to how weights travel cannot land in one reader and not
-// the other. Use 0 is no hop on either side: the flat belt's owner
-// injection, which the simulator treats as free, or the grouped belt's
-// first injection into group 0. Neither side has a hop into a chunk's
-// holder (order.Holds). Both sides send D along the chunk's gradient chain
-// (order.GradChain): no hop into the owner or out of a deferred round's use
-// (order.Deferred), and none at p=2, where the chain runs on one rank. The
-// grouped belt runs at p=4 in groups of 2.
+// TestSimulatorRelaysMatchRuntime: the runtime sends, and the simulator
+// prices, exactly order.Wiring's rows, so a change to how weights travel
+// cannot land in one reader and not the other. On every WeiPipe strategy —
+// flat, and wzb2g in groups of 2 (3 at p=3) — at p 1…4 and n ∈ {p, 2p, 3p}:
+//   - in process and over TCP, the weight and gradient messages the ranks
+//     send in each iteration are the rows, as a multiset of source,
+//     destination and tag;
+//   - each row the simulator prices is one link task, on the resource its
+//     kind names — the group fabric for an exchange hop into the owner's
+//     group and a grouped injection, the boundary link out of the sending
+//     group for an exchange hop between groups, the sender's ring link, two
+//     links wide past the owner, for a relay or a gradient hop — and the
+//     flat owner's injection and the retire are free. Naive's barrier model
+//     prices no rows.
 func TestSimulatorRelaysMatchRuntime(t *testing.T) {
-	type point struct {
-		s    Strategy
-		p, n int
+	const iters = 2
+	type link struct {
+		res  string
+		span int
 	}
-	var points []point
-	for _, s := range []Strategy{StrategyWeiPipeInterleave, StrategyWZB1, StrategyWZB2} {
-		for p := 2; p <= 4; p++ {
+	for _, s := range beltStrategies {
+		for p := 1; p <= 4; p++ {
+			gs, m := ringGroupSize(p), 1
+			if s == StrategyWZB2G {
+				m = normalizeGroupSize(gs, p)
+			}
 			for _, n := range []int{p, 2 * p, 3 * p} {
-				points = append(points, point{s, p, n})
-			}
-		}
-	}
-	for _, n := range []int{4, 8, 12} {
-		points = append(points, point{StrategyWZB2G, 4, n})
-	}
-	for _, pt := range points {
-		s, p, n := pt.s, pt.p, pt.n
-		var mu sync.Mutex
-		ran := make(map[hopKey]int)
-		cl := comm.NewCluster(p)
-		trs := make([]comm.Transport, p)
-		for r := range trs {
-			trs[r] = &hopCounter{Transport: cl.Transport(r), mu: &mu, hops: ran}
-		}
-		opts := eqOpts()
-		top := cluster.NVLinkSingle(p)
-		if s == StrategyWZB2G {
-			opts.GroupSize, top = 2, cluster.NVLinkEthernet(p, 2)
-		}
-		runCfgOnTransports(t, trs, s, eqCfg(), opts, 1, eqBatches(1, n))
-		cl.Close()
+				rows, err := order.Wiring(string(s), p, n, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make(map[beltSend]int)
+				for iter := 0; iter < iters; iter++ {
+					w := &WeiPipe{iter: iter}
+					for _, r := range rows {
+						tag := w.rowTag(r)
+						if r.Group { // as the group sub-transport salts it (comm.Group)
+							tag.B ^= (groupedSaltBase + r.Src/m) << 55
+						}
+						want[beltSend{r.Src, r.Dst, tag}]++
+					}
+				}
+				for _, overTCP := range []bool{false, true} {
+					ran := make(map[beltSend]int)
+					for _, bs := range beltTraffic(t, overTCP, s, p, n, gs) {
+						ran[bs]++
+					}
+					if !maps.Equal(ran, want) {
+						t.Errorf("%s p=%d n=%d tcp=%v: the runtime sent\n %v\nthe rows are\n %v", s, p, n, overTCP, ran, want)
+					}
+				}
 
-		w := cost.Workload{H: 64, S: 64, G: 1, L: 12, N: n, P: p}
-		tasks, err := schedule.Build(string(s), schedule.Spec{W: w, GPU: cluster.A800(), Top: top})
-		if err != nil {
-			t.Fatal(err)
-		}
-		simulated := make(map[hopKey]int)
-		for _, task := range tasks {
-			var k hopKey
-			var use int
-			if _, err := fmt.Sscanf(task.Label, "%s c%d u%d", &k.belt, &k.chunk, &use); err == nil && task.Kind == "comm" && use > 0 {
-				simulated[k]++
+				if s == StrategyWeiPipeNaive {
+					continue
+				}
+				top := cluster.NVLinkSingle(p)
+				if m > 1 {
+					top = cluster.NVLinkEthernet(p, m)
+				}
+				w := cost.Workload{H: 64, S: 64, G: 1, L: 12, N: n, P: p}
+				tasks, err := schedule.Build(string(s), schedule.Spec{W: w, GPU: cluster.A800(), Top: top})
+				if err != nil {
+					t.Fatal(err)
+				}
+				simulated := make(map[link]int)
+				for _, task := range tasks {
+					if task.Kind == "comm" {
+						simulated[link{task.Resource, max(task.Span, 1)}]++
+					}
+				}
+				priced := make(map[link]int)
+				for _, r := range rows {
+					switch {
+					case r.Kind == 'R' || r.Injects(m) && !r.Group:
+					case r.Kind == 'X' && r.Use == 0, r.Injects(m):
+						priced[link{fmt.Sprintf("x%d", r.Src/m), 1}]++
+					case r.Kind == 'X':
+						priced[link{fmt.Sprintf("l%d", (r.Src/m+1)*m-1), 1}]++
+					default:
+						priced[link{fmt.Sprintf("l%d", r.Src), (r.Dst - r.Src + p) % p}]++
+					}
+				}
+				if !maps.Equal(simulated, priced) {
+					t.Errorf("%s p=%d n=%d: simulated link tasks\n %v\npriced rows\n %v", s, p, n, simulated, priced)
+				}
 			}
-		}
-		if !maps.Equal(ran, simulated) {
-			t.Errorf("%s p=%d n=%d: runtime relays\n %v\nsimulated\n %v", s, p, n, ran, simulated)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"weipipe/internal/comm"
@@ -97,6 +96,13 @@ func (v WeiPipeVariant) String() string {
 // (c−1) mod P — the resting position of the backward belt at the iteration
 // boundary — keeps the chunk's fp32 master weights and optimizer state and
 // re-injects the updated chunk next iteration.
+//
+// Every message of an iteration — the owner's injection, each relay, each
+// D hop and the retire, and on the grouped belt (grouped.go) the shard
+// exchange and the holders' injections — is a row of order.Wiring. The plan
+// files a rank's rows by the pass that sends or takes them (beltPlan), and
+// the runtime sends and receives exactly those rows, on the flat ring and
+// the grouped belt alike; it chooses only which copy each row carries.
 type WeiPipe struct {
 	t       Transport
 	mdl     *model.Model
@@ -117,7 +123,6 @@ type WeiPipe struct {
 	globalN int
 
 	iter int
-	curR int // rounds in the current iteration (N/P)
 
 	// plan is this rank's weight plan (order.BeltPlan of the variant).
 	plan beltPlan
@@ -276,17 +281,10 @@ func (w *WeiPipe) chunkRange(c int) (int, int) { return w.bounds[c][0], w.bounds
 // chunkOffset returns where chunk c starts in the flat parameter vector.
 func (w *WeiPipe) chunkOffset(c int) int { return w.mdl.ChunkSize(0, w.bounds[c][0]) }
 
-// owner returns the rank owning chunk c.
-func (w *WeiPipe) owner(c int) int { return (c - 1 + w.t.Size()) % w.t.Size() }
-
 // enc builds a tag B field from (iteration, belt, belt use index).
 func (w *WeiPipe) enc(belt, use int) int {
 	return (w.iter*beltCount+belt)<<beltUseBits | use
 }
-
-// totalUses returns the per-iteration use count of each belt: one use per
-// (round, worker) pair.
-func (w *WeiPipe) totalUses() int { return w.curR * w.t.Size() }
 
 // wpState is the per-iteration working state.
 type wpState struct {
@@ -306,10 +304,9 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	// stage-buffer cleanups below: an ABFT kernel panic leaves no leaked
 	// state and surfaces as a typed integrity error.
 	defer w.recoverIntegrity(&err)
-	p := w.t.Size()
 	n := len(batches)
 	// Compiling also rejects a microbatch count the ring does not divide.
-	if err := w.plan.compile(w.variant.String(), w.t, n); err != nil {
+	if err := w.plan.compile(w.variant.String(), w.t, n, w.groupSize()); err != nil {
 		return 0, err
 	}
 	// Chaos-tier resident-state flips land before the guard check, so a
@@ -318,7 +315,6 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	if gerr := w.checkResidentGuards(); gerr != nil {
 		return 0, gerr
 	}
-	w.curR = n / p
 	st := &wpState{
 		batches:    batches,
 		caches:     make(map[int][]*nn.Cache),
@@ -351,32 +347,9 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 
 	if w.grouped != nil {
 		defer w.grouped.releaseCache()
-		if err := w.groupedExchange(); err != nil {
-			return 0, err
-		}
-	} else if !w.holds(0, w.ownChunk) {
-		// Inject the owned chunk into both belts; the first user of every belt
-		// chunk is worker 0 at use index 0, unless worker 0 is the owner and
-		// serves itself. One sealed copy of the master weights serves both: it
-		// is shared, and each belt's send carries one reference away. A belt
-		// whose use 0 runs on a kept copy gets none: round 0 of the forward
-		// belt always travels, the backward belt's only when the plan ships it.
-		tagFwd := Tag{Kind: comm.KindWeight, A: w.ownChunk, B: w.enc(beltFwd, 0)}
-		payload := w.ownedPayload(tagFwd)
-		if !w.plan.ships(beltBwd, w.ownChunk, 0) {
-			if err := w.t.SendOwned(0, tagFwd, payload); err != nil {
-				return 0, err
-			}
-		} else {
-			comm.Retain(payload)
-			if err := w.t.SendOwned(0, tagFwd, payload); err != nil {
-				comm.Release(payload) // the reference the second send would have taken
-				return 0, err
-			}
-			if err := w.t.SendOwned(0, Tag{Kind: comm.KindWeight, A: w.ownChunk, B: w.enc(beltBwd, 0)}, payload); err != nil {
-				return 0, err
-			}
-		}
+	}
+	if err := w.startRows(); err != nil {
+		return 0, err
 	}
 
 	if serr := w.runSchedule(st); serr != nil {
@@ -390,8 +363,8 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	d := w.gradBuf(w.ownChunk)
 	retire := Tag{Kind: comm.KindGrad, A: w.ownChunk, B: w.enc(beltRetire, 0)}
 	var r []float32 // the retire; none at p=1, where every use is the owner's
-	if chain := w.plan.chains[w.ownChunk]; len(chain) > 0 {
-		if r, err = w.beltRecv(chain[len(chain)-1]%p, retire); err != nil {
+	if row := w.plan.retire; row.Kind != 0 {
+		if r, err = w.recvRow(row); err != nil {
 			comm.Release(r)
 			comm.Release(d)
 			return 0, err
@@ -467,67 +440,78 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 
 // ---- the program order and its interpreter --------------------------------
 
-// beltPlan is a rank's compiled weight plan: its passes (order.BeltPlan),
-// which rounds of which chunks travel on each belt (order.Shipped) and each
-// chunk's gradient chain (order.GradChain). The belt ids beltFwd and beltBwd
-// index the table.
+// beltPlan is a rank's compiled weight plan: its passes (order.BeltPlan)
+// and its rows of the iteration's wiring (order.Wiring), filed by the pass
+// that sends or takes them, so a pass finds its rows by index.
 type beltPlan struct {
-	uses    []order.Use
-	n       int // the microbatch count uses was compiled for
-	shipped [2][][]bool
-	chains  [][]int
+	uses []order.Use
+	n    int // the microbatch count uses was compiled for
+	// start holds the rows the rank sends or receives at iteration start, in
+	// table order: the flat owner's injection, the shard exchange and the
+	// grouped round-0 injections.
+	start []order.Msg
+	// in[i] is the row pass i takes: the weights an F or B pass runs on, the
+	// accumulator a W pass folds in. Kind 0: none.
+	in []order.Msg
+	// out[i] holds the rows pass i sends.
+	out [][]order.Msg
+	// retire is the row that retires the owned chunk's gradient here (Kind
+	// 0: none, at p=1).
+	retire order.Msg
 }
 
-// compile makes pl the plan of t's rank under strategy for n microbatches.
-// The plan changes only with n, so a training run compiles it once.
-func (pl *beltPlan) compile(strategy string, t Transport, n int) error {
+// compile makes pl the plan of t's rank under strategy for n microbatches,
+// on belts of m-rank groups. The plan changes only with n, so a training run
+// compiles it once.
+func (pl *beltPlan) compile(strategy string, t Transport, n, m int) error {
 	if pl.uses != nil && pl.n == n {
 		return nil
 	}
-	uses, err := order.BeltPlan(strategy, t.Rank(), t.Size(), n)
+	rank := t.Rank()
+	uses, err := order.BeltPlan(strategy, rank, t.Size(), n)
 	if err != nil {
 		return fmt.Errorf("pipeline: %w", err)
 	}
-	p := t.Size()
-	pl.uses, pl.n, pl.shipped = uses, n, order.Shipped(uses, p)
-	pl.chains = make([][]int, p)
-	for c := range pl.chains {
-		pl.chains[c] = order.GradChain(c, p, n, pl.shipped)
+	rows, err := order.Wiring(strategy, t.Size(), n, m)
+	if err != nil {
+		return fmt.Errorf("pipeline: %w", err)
+	}
+	pass := make(map[order.Op]int, len(uses))
+	for i, u := range uses {
+		pass[u.Op] = i
+	}
+	*pl = beltPlan{uses: uses, n: n, in: make([]order.Msg, len(uses)), out: make([][]order.Msg, len(uses))}
+	for _, r := range rows {
+		switch {
+		case r.Src == rank && r.Pass < 0, r.Dst == rank && r.Kind == 'X':
+			pl.start = append(pl.start, r)
+		case r.Src == rank:
+			pl.out[r.Pass] = append(pl.out[r.Pass], r)
+		case r.Dst == rank && r.Kind == 'R':
+			pl.retire = r
+		case r.Dst == rank:
+			phase := r.Kind
+			if phase == 'D' {
+				phase = 'W'
+			}
+			pl.in[pass[order.Op{Phase: phase, MB: r.Use, Chunk: r.Chunk}]] = r
+		}
 	}
 	return nil
 }
 
-// chainNeighbours reports whether use `use` is in chunk c's gradient chain
-// and returns the uses before and after it there, or -1 at the chain's head
-// and tail.
-func (pl *beltPlan) chainNeighbours(c, use int) (in bool, prev, next int) {
-	chain := pl.chains[c]
-	i := slices.Index(chain, use)
-	prev, next = -1, -1
-	if i > 0 {
-		prev = chain[i-1]
-	}
-	if i >= 0 && i+1 < len(chain) {
-		next = chain[i+1]
-	}
-	return i >= 0, prev, next
-}
-
-// ships reports whether round k of chunk c travels on belt.
-func (pl *beltPlan) ships(belt, c, k int) bool { return pl.shipped[belt][c][k] }
-
 // runSchedule interprets the plan: every pass is one compute stage, and the
 // stage fetches what it needs off the belts or from a kept copy.
 func (w *WeiPipe) runSchedule(st *wpState) error {
-	for _, u := range w.plan.uses {
+	for i, u := range w.plan.uses {
 		var err error
 		switch u.Phase {
 		case 'F':
-			err = w.fStage(st, u)
+			err = w.fStage(st, i)
 		case 'B':
-			err = w.bStage(st, u)
+			err = w.bStage(st, i)
 		default:
-			err = w.wStage(st, u.MB, u.Chunk)
+			err = w.wStage(st, i)
 		}
 		if err != nil {
 			return err
@@ -538,16 +522,12 @@ func (w *WeiPipe) runSchedule(st *wpState) error {
 
 // ---- belt plumbing -------------------------------------------------------
 
-// beltRecv blocks for the next belt payload the schedule consumes, recording
-// the compute thread's wait as belt stall — the measured exposed-
-// communication time.
-func (w *WeiPipe) beltRecv(src int, tag Tag) ([]float32, error) {
-	return w.beltRecvOn(w.t, src, tag)
-}
-
-// beltRecvOn is beltRecv against an explicit transport (the ring, or a
-// grouped belt's sub-ring).
-func (w *WeiPipe) beltRecvOn(t Transport, src int, tag Tag) ([]float32, error) {
+// recvRow blocks for row r, the next belt payload the schedule consumes,
+// recording the compute thread's wait as belt stall — the measured exposed-
+// communication time. The caller owns the payload.
+func (w *WeiPipe) recvRow(r order.Msg) ([]float32, error) {
+	t, src := w.rowPeer(r, r.Src)
+	tag := w.rowTag(r)
 	span := w.tr.Begin()
 	start := time.Now()
 	payload, err := t.Recv(src, tag)
@@ -570,28 +550,130 @@ func (w *WeiPipe) ownedPayload(tag Tag) []float32 {
 	return payload
 }
 
-// holds reports whether rank r holds chunk c's weights for the iteration
-// (order.Holds): the owner on the flat belt, the group's holder on the
-// grouped one. A holder serves its own uses of c (heldPayload), and nobody
-// relays c to it.
-func (w *WeiPipe) holds(r, c int) bool {
-	m := 1
-	if w.grouped != nil {
-		m = w.grouped.m
+// groupSize returns the rank count of the belts' groups: 1 on the flat ring.
+func (w *WeiPipe) groupSize() int {
+	if w.grouped == nil {
+		return 1
 	}
-	return order.Holds(r, c, w.t.Size(), m)
+	return w.grouped.m
 }
 
-// heldPayload is a holder's copy of chunk c for its pass on use `use` of
-// belt-copy `belt`, in place of the belt's: on the flat belt a fresh copy of
-// the master weights (ownedPayload), on the grouped belt the cached payload,
-// shared — or, for the chaos injector, which writes what it is handed, a
-// private copy of it. The caller owns it.
-func (w *WeiPipe) heldPayload(belt, c, use int) []float32 {
-	if w.grouped == nil {
-		return w.ownedPayload(Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use)})
+// rowTag returns the wire tag of row r in the current iteration.
+func (w *WeiPipe) rowTag(r order.Msg) Tag {
+	kind, belt := comm.KindWeight, beltFwd
+	switch r.Kind {
+	case 'B':
+		belt = beltBwd
+	case 'X':
+		belt = beltXchg
+	case 'D':
+		kind, belt = comm.KindGrad, beltBwd
+	case 'R':
+		kind, belt = comm.KindGrad, beltRetire
 	}
-	payload := w.grouped.cache[c]
+	return Tag{Kind: kind, A: r.Chunk, B: w.enc(belt, r.Use)}
+}
+
+// rowPeer returns the transport row r travels on and the index there of
+// ring rank `rank`, its sender's or its receiver's: the ring itself, or the
+// group sub-transport, which numbers the members of a group of contiguous
+// ranks from 0.
+func (w *WeiPipe) rowPeer(r order.Msg, rank int) (Transport, int) {
+	if r.Group {
+		return w.grouped.grp, rank % w.grouped.m
+	}
+	return w.t, rank
+}
+
+// cached returns this rank's cached payload of chunk c on the grouped belt,
+// or nil.
+func (w *WeiPipe) cached(c int) []float32 {
+	if w.grouped == nil {
+		return nil
+	}
+	return w.grouped.cache[c]
+}
+
+// sendCached sends row r from this rank's cached shard of its chunk without
+// copying it: the cache keeps its reference and the transport takes another.
+// It forwards (Transport.Forward): a cached chunk is either one this rank
+// received and has not written since, or the owner's own, which has no
+// verified checksum to reuse and gets a full seal.
+func (w *WeiPipe) sendCached(r order.Msg) error {
+	t, dst := w.rowPeer(r, r.Dst)
+	payload := w.grouped.cache[r.Chunk]
+	comm.Retain(payload)
+	return t.Forward(dst, w.rowTag(r), payload)
+}
+
+// startRows runs the rank's iteration-start rows in table order: the flat
+// owner's injection, the grouped belt's shard exchange and its round-0
+// injections. Rows of distinct chunks are independent and come chunk by
+// chunk, so the fixed order cannot deadlock. A grouped holder that owns its
+// chunk caches the owned payload first, and every row of a cached chunk
+// forwards the cache. The owned chunk's other rows share one sealed copy of
+// the master weights: each holds a reference, which its send carries away.
+// An exchange hop into this rank is verified before it is cached or
+// forwarded: a corrupt shard must neither seed R rounds of local consumption
+// nor travel on.
+func (w *WeiPipe) startRows() error {
+	rank, own := w.t.Rank(), w.ownChunk
+	if w.grouped != nil && order.Holds(rank, own, w.t.Size(), w.grouped.m) {
+		w.grouped.cache[own] = w.ownedPayload(w.rowTag(order.Msg{Kind: 'X', Chunk: own}))
+	}
+	var owned []float32
+	left := 0 // the references the owned payload's unsent rows hold
+	for _, r := range w.plan.start {
+		if r.Src == rank && r.Chunk == own && w.cached(own) == nil {
+			if left++; left == 1 {
+				owned = w.ownedPayload(w.rowTag(r))
+			} else {
+				comm.Retain(owned)
+			}
+		}
+	}
+	defer func() {
+		for ; left > 0; left-- {
+			comm.Release(owned)
+		}
+	}()
+	for _, r := range w.plan.start {
+		var err error
+		switch {
+		case r.Dst == rank:
+			var buf []float32
+			if buf, err = w.recvRow(r); err == nil {
+				err = w.verifyBelt(comm.SiteBelt, comm.KindWeight, r.Chunk, buf)
+			}
+			if err != nil {
+				comm.Release(buf)
+				break
+			}
+			w.grouped.cache[r.Chunk] = buf
+		case w.cached(r.Chunk) != nil:
+			err = w.sendCached(r)
+		default:
+			t, dst := w.rowPeer(r, r.Dst)
+			left--
+			err = t.SendOwned(dst, w.rowTag(r), owned)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// heldPayload is a holder's copy of chunk c for pass u, in place of the
+// belt's: on the flat belt a fresh copy of the master weights
+// (ownedPayload), on the grouped belt the cached payload, shared — or, for
+// the chaos injector, which writes what it is handed, a private copy of it.
+// The caller owns it.
+func (w *WeiPipe) heldPayload(u order.Use) []float32 {
+	payload := w.cached(u.Chunk)
+	if payload == nil {
+		return w.ownedPayload(w.rowTag(order.Msg{Kind: u.Phase, Chunk: u.Chunk, Use: u.MB}))
+	}
 	if w.opts.BitFlip != nil {
 		return append(comm.GetBuf(len(payload))[:0], payload...)
 	}
@@ -649,34 +731,39 @@ func (w *WeiPipe) unbindStage() []float32 {
 	return b.buf
 }
 
-// bindWeights is the one way a copy of chunk c's weights enters pass u —
-// use u.MB of belt-copy `belt` — on the flat belt and the grouped one: fetch
-// (when the plan gathers: off the belt, or the holder's own copy; else the
-// copy the chunk's previous pass kept), chaos flip, verify, relay, bind, in
-// that order. Verification comes first, so a corrupt chunk neither enters
-// this rank's compute nor travels on, and a kept copy is verified again, so a
-// flip while it waited cannot enter the pass. The relay — use+1, when the
-// plan ships it and the next rank does not hold the chunk — comes before the
+// bindWeights is the one way a copy of chunk c's weights enters pass i, on
+// the flat belt and the grouped one: fetch (when the plan gathers: the
+// pass's row off the belt, or, with no row, the holder's own copy; else the
+// copy the chunk's previous pass kept), chaos flip, verify, relay, bind,
+// inject, in that order. The relay and the injection are the pass's rows:
+// the next use's copy, and a grouped holder's next round into the group's
+// first rank. Verification comes first, so a corrupt chunk neither enters
+// this rank's compute nor travels on, and a kept copy is verified again, so
+// a flip while it waited cannot enter the pass. The relay comes before the
 // bind, so the next hop's wire time runs under this stage's compute instead
-// of after it: the payload is shared (comm.Retain), one reference leaves
-// with Transport.Forward, and the stage computes out of the other until
-// unbindStage. A shared payload is read-only to everyone, which is why the
-// flip and the seal's rounding happen on the way in; the TCP writer only
-// reads it, and the in-process fabric delivers a private copy. The payload
-// is relayed as it arrived, so Forward lets the TCP writer seal it from the
-// checksum this rank's reader verified — unless a chaos flip is armed: the
-// flip writes the payload, and the relay then takes a full seal.
-func (w *WeiPipe) bindWeights(belt int, u order.Use) error {
-	c, use := u.Chunk, u.MB
+// of after it, and carries the pass's own copy: the payload is shared
+// (comm.Retain), one reference leaves with Transport.Forward, and the stage
+// computes out of the other until unbindStage. A shared payload is
+// read-only to everyone, which is why the flip and the seal's rounding
+// happen on the way in; the TCP writer only reads it, and the in-process
+// fabric delivers a private copy. The payload is relayed as it arrived, so
+// Forward lets the TCP writer seal it from the checksum this rank's reader
+// verified — unless a chaos flip is armed: the flip writes the payload, and
+// the relay then takes a full seal. The injection goes after the bind and
+// carries the cached shard: the holder's own consumption paces it, so the
+// group's in-flight copies stay bounded as on the flat ring.
+func (w *WeiPipe) bindWeights(i int) error {
+	u := w.plan.uses[i]
+	c := u.Chunk
 	var payload []float32
-	switch {
+	switch r := w.plan.in[i]; {
 	case !u.Gather:
 		payload, w.kept[c] = w.kept[c], nil
-	case w.holds(w.t.Rank(), c):
-		payload = w.heldPayload(belt, c, use)
+	case r.Kind == 0:
+		payload = w.heldPayload(u)
 	default:
 		var err error
-		if payload, err = w.recvBelt(belt, c, use); err != nil {
+		if payload, err = w.recvRow(r); err != nil {
 			comm.Release(payload)
 			return err
 		}
@@ -688,61 +775,43 @@ func (w *WeiPipe) bindWeights(belt int, u order.Use) error {
 		comm.Release(payload)
 		return verr
 	}
-	if t, dst := w.relayTarget(belt, c, use); dst >= 0 {
-		relay := t.Forward
-		if w.opts.BitFlip != nil {
-			relay = t.SendOwned
+	m := w.groupSize()
+	for _, r := range w.plan.out[i] {
+		if r.Injects(m) {
+			continue
 		}
-		comm.Retain(payload)
-		span := w.tr.Begin()
-		err := relay(dst, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use+1)}, payload)
-		w.tr.End(span, trace.CodeRelay, int64(belt), int64(use+1))
-		if err != nil {
+		if err := w.relay(r, payload); err != nil {
 			comm.Release(payload)
 			return err
 		}
 	}
 	w.bindStage(c, payload, false)
-	if w.grouped != nil {
-		return w.reinjectGrouped(belt, c, use)
+	for _, r := range w.plan.out[i] {
+		if r.Injects(m) {
+			if err := w.sendCached(r); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-// recvBelt receives belt-copy `belt` of chunk c for use index `use`; the
-// caller owns the payload.
-func (w *WeiPipe) recvBelt(belt, c, use int) ([]float32, error) {
-	if w.grouped != nil {
-		return w.recvBeltGrouped(belt, c, use)
+// relay sends row r, the next use of the pass whose copy is payload.
+func (w *WeiPipe) relay(r order.Msg, payload []float32) error {
+	t, dst := w.rowPeer(r, r.Dst)
+	relay := t.Forward
+	if w.opts.BitFlip != nil {
+		relay = t.SendOwned
 	}
-	p := w.t.Size()
-	src := (w.t.Rank() - 1 + p) % p
-	if use == 0 {
-		src = w.owner(c)
+	belt := beltFwd
+	if r.Kind == 'B' {
+		belt = beltBwd
 	}
-	return w.beltRecv(src, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use)})
-}
-
-// relayTarget returns where the pass on use `use` of chunk c's belt-copy
-// `belt` relays use+1 — the ring successor, or on the grouped belt the next
-// group member — or dst < 0 when there is no next use, the plan serves it
-// from kept copies or the next rank holds the chunk.
-func (w *WeiPipe) relayTarget(belt, c, use int) (t Transport, dst int) {
-	p := w.t.Size()
-	next := (w.t.Rank() + 1) % p
-	if w.holds(next, c) {
-		return nil, -1
-	}
-	if g := w.grouped; g != nil {
-		if i := w.t.Rank() - g.first; i < g.m-1 && w.plan.ships(belt, c, use/p) {
-			return g.grp, i + 1
-		}
-		return nil, -1
-	}
-	if use+1 < w.totalUses() && w.plan.ships(belt, c, (use+1)/p) {
-		return w.t, next
-	}
-	return nil, -1
+	comm.Retain(payload)
+	span := w.tr.Begin()
+	err := relay(dst, w.rowTag(r), payload)
+	w.tr.End(span, trace.CodeRelay, int64(belt), int64(r.Use))
+	return err
 }
 
 // dropWeights ends pass u's binding and keeps its copy for the chunk's next
@@ -786,26 +855,20 @@ func (w *WeiPipe) foldD(site comm.IntegritySite, c int, acc, d []float32) error 
 	return nil
 }
 
-// passD moves chunk c's gradient on after this rank's W pass on use `use`
-// accumulated into buf, along the chain (order.GradChain). A use off the
-// chain keeps buf: the owner's, whose passes accumulate in place until the
-// step, and one in a deferred round (order.Deferred), whose partial waits
-// for this rank's W pass on c one round later to accumulate into it. A
-// chain use first folds in the accumulator its predecessor sent, unless
-// that use ran here and buf already holds it; then it keeps buf for its
-// next use when that runs here too, or sends it on — to the next use's
-// rank, or, from the chain's last use, to the owner as the retire. passD
-// owns buf: it is held, donated or released, and the caller must not touch
-// it after the call.
-func (w *WeiPipe) passD(c, use int, buf []float32) error {
-	in, prev, next := w.plan.chainNeighbours(c, use)
-	if !in {
-		w.dAcc[c] = buf
-		return nil
-	}
-	p, me := w.t.Size(), w.t.Rank()
-	if prev >= 0 && prev%p != me {
-		d, err := w.beltRecv(prev%p, Tag{Kind: comm.KindGrad, A: c, B: w.enc(beltBwd, use)})
+// passD moves chunk c's gradient on after this rank's W pass i accumulated
+// into buf, along the chain (order.GradChain) as the pass's rows say. It
+// first folds in the accumulator the pass's row brings from the chain's
+// previous use. Then it sends buf on its outgoing row — to the next use's
+// rank, or, from the chain's last use, to the owner as the retire — or, with
+// none, keeps it: the owner's, whose passes accumulate in place until the
+// step; one in a deferred round (order.Deferred), whose partial waits for
+// this rank's W pass on c one round later; and one whose next chain use runs
+// here too (p=2). passD owns buf: it is held, donated or released, and the
+// caller must not touch it after the call.
+func (w *WeiPipe) passD(i int, buf []float32) error {
+	c := w.plan.uses[i].Chunk
+	if r := w.plan.in[i]; r.Kind != 0 {
+		d, err := w.recvRow(r)
 		if err != nil {
 			comm.Release(d)
 			comm.Release(buf)
@@ -816,26 +879,26 @@ func (w *WeiPipe) passD(c, use int, buf []float32) error {
 			return err
 		}
 	}
-	if next >= 0 && next%p == me {
+	out := w.plan.out[i]
+	if len(out) == 0 {
 		w.dAcc[c] = buf
 		return nil
 	}
-	dst, tag := w.owner(c), Tag{Kind: comm.KindGrad, A: c, B: w.enc(beltRetire, 0)}
-	if next >= 0 {
-		dst, tag = next%p, Tag{Kind: comm.KindGrad, A: c, B: w.enc(beltBwd, next)}
-	}
+	t, dst := w.rowPeer(out[0], out[0].Dst)
+	tag := w.rowTag(out[0])
 	w.sealBelt(tag, buf)
-	return w.t.SendOwned(dst, tag, buf)
+	return t.SendOwned(dst, tag, buf)
 }
 
 // ---- compute stages ------------------------------------------------------
 
-// fStage runs forward pass u: chunk u.Chunk for this worker's microbatch
+// fStage runs forward pass i: chunk u.Chunk for this worker's microbatch
 // u.MB, which is also the belt use index.
-func (w *WeiPipe) fStage(st *wpState, u order.Use) error {
+func (w *WeiPipe) fStage(st *wpState, i int) error {
+	u := w.plan.uses[i]
 	mb, c := u.MB, u.Chunk
 	w.post(mb, 'F')
-	if err := w.bindWeights(beltFwd, u); err != nil {
+	if err := w.bindWeights(i); err != nil {
 		return err
 	}
 	b := st.batches[mb]
@@ -861,11 +924,12 @@ func (w *WeiPipe) fStage(st *wpState, u order.Use) error {
 	return nil
 }
 
-// bStage runs B pass u: chunk u.Chunk for this worker's microbatch u.MB.
-func (w *WeiPipe) bStage(st *wpState, u order.Use) error {
+// bStage runs B pass i: chunk u.Chunk for this worker's microbatch u.MB.
+func (w *WeiPipe) bStage(st *wpState, i int) error {
+	u := w.plan.uses[i]
 	mb, c := u.MB, u.Chunk
 	w.post(mb, 'B')
-	if err := w.bindWeights(beltBwd, u); err != nil {
+	if err := w.bindWeights(i); err != nil {
 		return err
 	}
 	caches := st.caches[mb]
@@ -882,11 +946,12 @@ func (w *WeiPipe) bStage(st *wpState, u order.Use) error {
 	return nil
 }
 
-// wStage runs the W pass of chunk c for this worker's microbatch mb straight
+// wStage runs W pass i — chunk c for this worker's microbatch mb — straight
 // into the chunk's gradient buffer (gradBuf) and moves the gradient on along
 // its chain (passD). When the microbatch's last W pass completes, its
 // activations are released.
-func (w *WeiPipe) wStage(st *wpState, mb, c int) error {
+func (w *WeiPipe) wStage(st *wpState, i int) error {
+	mb, c := w.plan.uses[i].MB, w.plan.uses[i].Chunk
 	w.post(mb, 'W')
 	caches := st.caches[mb]
 	lo, hi := w.chunkRange(c)
@@ -897,7 +962,7 @@ func (w *WeiPipe) wStage(st *wpState, mb, c int) error {
 	w.unbindStage()
 	w.tr.End(span, trace.CodeW, int64(mb), int64(c))
 	// passD owns buf from here (held, donated or released inside).
-	if err := w.passD(c, mb, buf); err != nil {
+	if err := w.passD(i, buf); err != nil {
 		return err
 	}
 	st.wRemaining[mb]--

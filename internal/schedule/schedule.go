@@ -74,9 +74,15 @@ func Build(strategy string, spec Spec) ([]sim.Task, error) {
 	case "weipipe-naive":
 		return buildWeiPipeNaive(spec)
 	case "weipipe-interleave", "wzb1", "wzb2":
-		return buildWeiPipe(strategy, spec)
+		return buildWeiPipe(strategy, spec, 1)
 	case "wzb2g":
-		return buildWeiPipeGrouped(spec)
+		// An indivisible partition runs the flat belt's rows, as the runtime
+		// falls back to them (pipeline.normalizeGroupSize).
+		m := spec.Top.GroupSize()
+		if m <= 1 || spec.W.P%m != 0 {
+			m = 1
+		}
+		return buildWeiPipe(strategy, spec, m)
 	case "fsdp":
 		return buildFSDP(spec)
 	case "dp":
@@ -185,18 +191,6 @@ func (b *builder) successorOf(w, id int) int {
 				return prog[i+1]
 			}
 			return -1
-		}
-	}
-	return -1
-}
-
-// predecessorOf returns the compute task before id in worker w's program
-// order, or -1 if id is the worker's first op.
-func (b *builder) predecessorOf(w, id int) int {
-	prog := b.prog[w]
-	for i, t := range prog {
-		if t == id && i > 0 {
-			return prog[i-1]
 		}
 	}
 	return -1
@@ -378,40 +372,6 @@ func (g *opGrid) bwdEarlier(wk, k, c int) int {
 	return g.b[g.p-1-idx%g.p][(idx/g.p)*g.p+wk]
 }
 
-// beltShips returns which rounds of which chunks travel on each weight belt
-// (order.Shipped of worker 0's plan, which every worker shares).
-func beltShips(strategy string, w cost.Workload) ([2][][]bool, error) {
-	plan, err := order.BeltPlan(strategy, 0, w.P, w.N)
-	if err != nil {
-		return [2][][]bool{}, err
-	}
-	return order.Shipped(plan, w.P), nil
-}
-
-// beltHopDeps returns what belt hop j of a chunk waits for, given the chunk's
-// passes on that belt by use (uses), whether use j−1 ran on a local copy —
-// one kept since the chunk's previous pass, or its holder's own
-// (order.Holds) — the hop that delivered use j−1 (prevLink, -1 for none)
-// and the flow control's earlier consumer (-1 for none). Store and forward:
-// the hop leaves when use j−1's copy arrived — use 0's injection is free —
-// or, when use j−1 runs on a local copy, when that pass starts: after the
-// compute before it.
-func (b *builder) beltHopDeps(uses []int, local bool, prevLink, j, earlier int) []int {
-	p := b.spec.W.P
-	deps := []int{}
-	if !local {
-		if prevLink >= 0 {
-			deps = append(deps, prevLink)
-		}
-	} else if pred := b.predecessorOf((j-1)%p, uses[j-1]); pred >= 0 {
-		deps = append(deps, pred)
-	}
-	if earlier >= 0 {
-		deps = append(deps, earlier)
-	}
-	return deps
-}
-
 // beltLabel names a weight-passing compute task: phase, chunk, round, worker.
 func beltLabel(p int) func(op order.Op, worker int) string {
 	return func(op order.Op, worker int) string {
@@ -566,220 +526,123 @@ func buildWeiPipeNaive(spec Spec) ([]sim.Task, error) {
 
 // ---- WeiPipe (weight-passing) -------------------------------------------------
 
-func buildWeiPipe(strategy string, spec Spec) ([]sim.Task, error) {
+// buildWeiPipe models the interleaved weight-passing schedules (interleave,
+// wzb1, wzb2, and wzb2g on groups of m ranks; m = 1 is the flat ring): every
+// worker's program, and one link task per message of order.Wiring, in the
+// table's order, which the sender's pass or the message it relays gates and
+// whose receiving pass waits for it. Pricing and pacing are the
+// simulator's:
+//
+//   - an exchange hop ('X') from the owner into its own group's holder runs
+//     on the group fabric, and a hop between groups on the boundary link out
+//     of the sending group; each waits for the hop before it, and every pass
+//     of the receiving holder on the chunk waits for it;
+//   - the flat owner's injection is free, as the retire is. A grouped
+//     holder's injection into its group's first rank runs on the group
+//     fabric after the shard is cached and, past round 0, the holder's own
+//     pass one round earlier, kept-served or not;
+//   - a relay runs on the ring link out of its sender. Store and forward: it
+//     leaves when the copy of the sender's use arrived or, when that use ran
+//     on a local copy — kept since the chunk's previous pass, or its
+//     holder's own (order.Holds) — when the sender's pass starts, after the
+//     compute before it; a holder's relay also waits for the shard;
+//   - a weight message also waits for the flow control's earlier consumer
+//     (fwdEarlier/bwdEarlier), which is what paces the ring;
+//   - a gradient hop ('D') leaves after its sender's W pass, on one ring
+//     link or, past the owner, a two-link span, and carries nothing under
+//     TerminalGradAllReduce, whose all-reduce closes the iteration instead.
+func buildWeiPipe(strategy string, spec Spec, m int) ([]sim.Task, error) {
 	w := spec.W
 	p := w.P
-	uses := w.N
 	b := newBuilder(spec)
 	ops, err := b.emitPrograms(strategy, beltLabel(p))
 	if err != nil {
 		return nil, err
 	}
-
-	ships, err := beltShips(strategy, w)
+	rows, err := order.Wiring(strategy, p, w.N, m)
 	if err != nil {
 		return nil, err
 	}
-
-	// Belt link tasks. Forward and backward weight belts hop j−1 → j with
-	// store-and-forward relaying (beltHopDeps), for the rounds the weight
-	// plan ships, into every rank but the chunk's owner (order.Holds): a
-	// kept-served pass's copy is in place since an earlier pass, which
-	// program order already puts before it, and the owner's since the
-	// step. Flow control (fwdEarlier/bwdEarlier) is what paces the ring.
-	for c := 0; c < p; c++ {
-		bytes := chunkBytes(w, c)
-		var prevFLink, prevBLink = -1, -1
-		for j := 1; j < uses; j++ {
-			from := (j - 1) % p
-			dst := j % p
-			k := j / p
-			local := func(ship []bool) bool { return !ship[(j-1)/p] || order.Holds(from, c, p, 1) }
-			travels := !order.Holds(dst, c, p, 1)
-			if travels && ships[0][c][k] {
-				fdeps := b.beltHopDeps(ops.f[c], local(ships[0][c]), prevFLink, j, ops.fwdEarlier(dst, k, c))
-				fl := b.linkFwd(from, bytes, fmt.Sprintf("Wf c%d u%d", c, j), fdeps...)
-				b.tasks[ops.f[c][j]].Deps = append(b.tasks[ops.f[c][j]].Deps, fl)
-				prevFLink = fl
-			}
-			if travels && ships[1][c][k] {
-				bdeps := b.beltHopDeps(ops.b[c], local(ships[1][c]), prevBLink, j, ops.bwdEarlier(dst, k, c))
-				bl := b.linkFwd(from, bytes, fmt.Sprintf("Wb c%d u%d", c, j), bdeps...)
-				b.tasks[ops.b[c][j]].Deps = append(b.tasks[ops.b[c][j]].Deps, bl)
-				prevBLink = bl
-			}
-		}
+	type use struct {
+		kind     byte
+		chunk, j int
 	}
-	b.gradChains(ops, ships)
-	return b.tasks, nil
-}
-
-// gradChains appends the D belt, the same on the flat and the grouped belt:
-// chunk c's accumulator hops along order.GradChain of the plan's belt table
-// ships, each hop from one chain use's rank to the next one's — one ring
-// link, or two where it bridges the owner, whose W passes accumulate in
-// place and wait for no hop — and the next use's W pass waits for it.
-// Consecutive uses on one rank (p=2) take no hop, and neither does a use of
-// a deferred round (order.Deferred): program order already chains each to
-// the rank's next use. The retire into the owner is free, as the owner's
-// injection is. Under the TerminalGradAllReduce ablation the hops carry
-// nothing and the gradient is all-reduced at the end instead.
-func (b *builder) gradChains(ops *opGrid, ships [2][][]bool) {
-	w := b.spec.W
-	p := w.P
-	for c := 0; c < p; c++ {
-		dBytes := chunkBytes(w, c)
-		if b.spec.TerminalGradAllReduce {
-			dBytes = 0
-		}
-		chain := order.GradChain(c, p, w.N, ships)
-		for i := 1; i < len(chain); i++ {
-			prev, j := chain[i-1], chain[i]
-			span := (j%p - prev%p + p) % p
-			if span == 0 {
-				continue
-			}
-			dl := b.linkSpan(prev%p, span, dBytes, fmt.Sprintf("D c%d u%d", c, j), ops.w[c][prev])
-			b.tasks[ops.w[c][j]].Deps = append(b.tasks[ops.w[c][j]].Deps, dl)
-		}
-	}
-	if b.spec.TerminalGradAllReduce {
-		b.terminalGradAllReduce()
-	}
-}
-
-// ---- WeiPipe grouped belt (wzb2g) ------------------------------------------
-
-// buildWeiPipeGrouped models the topology-aware grouped belt: the wzb2
-// compute schedule, with weight-belt circulation confined to each topology
-// group and a once-per-iteration deduplicated shard exchange between the
-// groups' holders. Only the exchange crosses group boundaries — one copy of
-// each chunk per boundary link per iteration, serving both weight belts and
-// every round — while the flat belt would drag both belts across every
-// boundary link every round. Intra-group injections (holder → group-first)
-// are modelled honestly on the group fabric, including the round-0 injection
-// the flat model treats as free.
-func buildWeiPipeGrouped(spec Spec) ([]sim.Task, error) {
-	w := spec.W
-	p := w.P
-	m := spec.Top.GroupSize()
-	if m <= 1 || p%m != 0 {
-		// Degenerate partition: the runtime falls back to the flat belt
-		// (pipeline.normalizeGroupSize), so the model does too.
-		return buildWeiPipe("wzb2", spec)
-	}
-	nG := p / m
-	uses := w.N
-	b := newBuilder(spec)
-	// Compute grid: wzb2g shares wzb2's program — the grouped belt changes
-	// how weights travel, never what each worker computes (bit-identity).
-	ops, err := b.emitPrograms("wzb2g", beltLabel(p))
-	if err != nil {
-		return nil, err
-	}
-
-	owner := func(c int) int { return (c - 1 + p) % p }
-	holderIn := func(g, c int) int { return g*m + c%m }
-
-	// Shard exchange: the owner's fresh copy of chunk c reaches its own
-	// group's holder (group-fabric hop, unless the owner holds it itself),
-	// then store-and-forwards around the holder ring, one boundary-link hop
-	// per group. arrive[g][c] is the task after which chunk c is cached in
-	// group g (-1: cached with no wire hop).
-	arrive := make([][]int, nG)
+	delivered := make(map[use]int) // the task delivering each weight use, -1 when free
+	arrive := make([][]int, p/m)   // [group][chunk]: the exchange hop that cached the chunk
 	for g := range arrive {
 		arrive[g] = make([]int, p)
 		for c := range arrive[g] {
 			arrive[g][c] = -1
 		}
 	}
-	for c := 0; c < p; c++ {
+	dep := func(deps []int, id int) []int {
+		if id >= 0 {
+			deps = append(deps, id)
+		}
+		return deps
+	}
+	for _, r := range rows {
+		c := r.Chunk
 		bytes := chunkBytes(w, c)
-		og := owner(c) / m
-		prev := -1
-		if holderIn(og, c) != owner(c) {
-			prev = b.groupFabric(og, bytes, fmt.Sprintf("xchg c%d hop0", c))
-			arrive[og][c] = prev
-		}
-		for s := 1; s < nG; s++ {
-			fromG := (og + s - 1) % nG
-			toG := (og + s) % nG
-			deps := []int{}
-			if prev >= 0 {
-				deps = append(deps, prev)
+		switch r.Kind {
+		case 'X':
+			deps := dep(nil, arrive[r.Src/m][c])
+			var x int
+			if r.Use == 0 {
+				x = b.groupFabric(r.Src/m, bytes, fmt.Sprintf("xchg c%d hop0", c), deps...)
+			} else {
+				x = b.linkFwd((r.Src/m+1)*m-1, bytes, fmt.Sprintf("xchg c%d g%d", c, r.Dst/m), deps...)
 			}
-			prev = b.linkFwd((fromG+1)*m-1, bytes, fmt.Sprintf("xchg c%d g%d", c, toG), deps...)
-			arrive[toG][c] = prev
-		}
-	}
-
-	// Weight-belt wiring. Within a group the chunk hops rank-adjacent links
-	// exactly like the flat belt; at each group-first rank the chunk is
-	// (re-)injected from the group's holder cache over the group fabric,
-	// paced by the holder's own pass one round earlier, kept-served or not.
-	// The holder itself (order.Holds) takes nothing off the belt: it serves
-	// its own use from the cache and relays from it, as the flat belt's
-	// owner does. The group-last rank never forwards — weight belts never
-	// touch a boundary link. As on the flat belt, a round the plan serves
-	// from kept copies travels nowhere.
-	ships, err := beltShips("wzb2g", w)
-	if err != nil {
-		return nil, err
-	}
-	wireBelt := func(op [][]int, name string, earlier func(wk, k, c int) int, ship [][]bool) {
-		for c := 0; c < p; c++ {
-			bytes := chunkBytes(w, c)
-			prevLink := -1 // segment-local store-and-forward chain
-			for j := 0; j < uses; j++ {
-				dst := j % p
-				k := j / p
-				g := dst / m
-				if !ship[c][k] {
-					continue
-				}
-				deps := []int{}
-				if order.Holds(dst, c, p, m) {
-					// The holder's use: a local cache copy, no wire task.
-					if a := arrive[g][c]; a >= 0 {
-						b.tasks[op[c][j]].Deps = append(b.tasks[op[c][j]].Deps, a)
-					}
-					continue
-				}
-				if dst%m == 0 {
-					hold := holderIn(g, c)
-					if a := arrive[g][c]; a >= 0 {
-						deps = append(deps, a)
-					}
-					if k >= 1 {
-						deps = append(deps, op[c][(k-1)*p+hold])
-					}
-					if e := earlier(dst, k, c); e >= 0 {
-						deps = append(deps, e)
-					}
-					inj := b.groupFabric(g, bytes, fmt.Sprintf("%s c%d u%d inj", name, c, j), deps...)
-					b.tasks[op[c][j]].Deps = append(b.tasks[op[c][j]].Deps, inj)
-					prevLink = inj
-					continue
-				}
-				held := order.Holds(dst-1, c, p, m)
-				if a := arrive[g][c]; held && a >= 0 {
-					// The relay out of the holder still needs the shard cached.
-					deps = append(deps, a)
-				}
-				deps = append(deps, b.beltHopDeps(op[c], held, prevLink, j, earlier(dst, k, c))...)
-				lt := b.linkFwd(dst-1, bytes, fmt.Sprintf("%s c%d u%d", name, c, j), deps...)
-				b.tasks[op[c][j]].Deps = append(b.tasks[op[c][j]].Deps, lt)
-				prevLink = lt
+			arrive[r.Dst/m][c] = x
+			for j := r.Dst; j < w.N; j += p {
+				b.tasks[ops.f[c][j]].Deps = append(b.tasks[ops.f[c][j]].Deps, x)
+				b.tasks[ops.b[c][j]].Deps = append(b.tasks[ops.b[c][j]].Deps, x)
 			}
+		case 'F', 'B':
+			op, earlier, name := ops.f, ops.fwdEarlier, "Wf"
+			if r.Kind == 'B' {
+				op, earlier, name = ops.b, ops.bwdEarlier, "Wb"
+			}
+			inject := r.Injects(m)
+			if inject && !r.Group {
+				delivered[use{r.Kind, c, r.Use}] = -1
+				continue
+			}
+			var deps []int
+			if m > 1 && (inject || order.Holds(r.Src, c, p, m)) {
+				deps = dep(deps, arrive[r.Src/m][c])
+			}
+			prev, ok := delivered[use{r.Kind, c, r.Use - 1}]
+			switch {
+			case inject:
+				if r.Pass >= 0 {
+					deps = append(deps, b.prog[r.Src][r.Pass])
+				}
+			case ok:
+				deps = dep(deps, prev)
+			case r.Pass > 0:
+				deps = append(deps, b.prog[r.Src][r.Pass-1])
+			}
+			deps = dep(deps, earlier(r.Dst, r.Use/p, c))
+			var x int
+			if inject {
+				x = b.groupFabric(r.Dst/m, bytes, fmt.Sprintf("%s c%d u%d inj", name, c, r.Use), deps...)
+			} else {
+				x = b.linkFwd(r.Src, bytes, fmt.Sprintf("%s c%d u%d", name, c, r.Use), deps...)
+			}
+			delivered[use{r.Kind, c, r.Use}] = x
+			b.tasks[op[c][r.Use]].Deps = append(b.tasks[op[c][r.Use]].Deps, x)
+		case 'D':
+			if spec.TerminalGradAllReduce {
+				bytes = 0
+			}
+			x := b.linkSpan(r.Src, (r.Dst-r.Src+p)%p, bytes, fmt.Sprintf("D c%d u%d", c, r.Use), b.prog[r.Src][r.Pass])
+			b.tasks[ops.w[c][r.Use]].Deps = append(b.tasks[ops.w[c][r.Use]].Deps, x)
 		}
 	}
-	wireBelt(ops.f, "Wf", ops.fwdEarlier, ships[0])
-	wireBelt(ops.b, "Wb", ops.bwdEarlier, ships[1])
-
-	// The D belt is untouched by grouping: it follows the flat ring's
-	// gradient chain (order.GradChain), the fold order every belt shares,
-	// which is what keeps flat and grouped runs bit-identical.
-	b.gradChains(ops, ships)
+	if spec.TerminalGradAllReduce {
+		b.terminalGradAllReduce()
+	}
 	return b.tasks, nil
 }
 

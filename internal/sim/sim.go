@@ -61,7 +61,6 @@ type Result struct {
 	// BusyTime[w] is the total compute occupancy of worker w (tasks with
 	// Worker == w and a non-communication kind).
 	BusyTime map[int]float64
-	// LinkBytesSeconds is reserved for diagnostics.
 	// Tasks holds every task with its schedule, in start-time order.
 	Tasks []ScheduledTask
 }
