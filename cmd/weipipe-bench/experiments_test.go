@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"weipipe/internal/bench"
 )
 
-var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated blocks from the cost model")
+var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated blocks and the committed JSON reports")
 
 // experimentsDoc is the curated results file, relative to this package.
 const experimentsDoc = "../../EXPERIMENTS.md"
@@ -19,10 +23,6 @@ const experimentsDoc = "../../EXPERIMENTS.md"
 // the experiments it holds, their output in a fenced block, and an end
 // marker.
 var generatedBlock = regexp.MustCompile("(?s)<!-- weipipe-bench -exp ([a-z0-9 -]+) -->\n```\n(.*?)```\n<!-- end -->")
-
-// experimentHeader matches the line that opens each experiment in the
-// output of -exp all.
-var experimentHeader = regexp.MustCompile(`(?m)^== ([a-z0-9-]+)[: ]`)
 
 // generated is what a block naming ids holds: each experiment's -exp output
 // with trailing spaces trimmed, one blank line between experiments.
@@ -46,7 +46,7 @@ func generated(ids []string) (string, error) {
 // figures are the cost model's output, not copies of it. Each generated
 // block holds exactly what `weipipe-bench -exp <id>` prints for the
 // experiments its marker names, and the blocks hold every experiment of
-// `-exp all` once. After a change that moves the model,
+// bench.Experiments once. After a change that moves the model,
 //
 //	go test ./cmd/weipipe-bench -run ExperimentsDoc -update
 //
@@ -78,13 +78,9 @@ func TestExperimentsDocIsGenerated(t *testing.T) {
 	if genErr != nil {
 		t.Fatal(genErr)
 	}
-	var all bytes.Buffer
-	if err := run(&all, "all", 96); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range experimentHeader.FindAllStringSubmatch(all.String(), -1) {
-		if id := m[1]; seen[id] != 1 {
-			t.Errorf("EXPERIMENTS.md holds experiment %s in %d generated blocks, want 1", id, seen[id])
+	for _, e := range bench.Experiments {
+		if seen[e.ID] != 1 {
+			t.Errorf("EXPERIMENTS.md holds experiment %s in %d generated blocks, want 1", e.ID, seen[e.ID])
 		}
 	}
 	if *update {
@@ -95,5 +91,37 @@ func TestExperimentsDocIsGenerated(t *testing.T) {
 	}
 	if len(stale) > 0 {
 		t.Errorf("EXPERIMENTS.md's generated blocks %q differ from the model; rerun with -update", stale)
+	}
+}
+
+// TestCommittedReportsAreGenerated: BENCH_sweep.json and BENCH_grouped.json
+// are what `weipipe-bench -report sweep|grouped` writes, byte for byte. Both
+// are deterministic (cost model, byte meters, no wall clocks). After a change
+// that moves them,
+//
+//	go test ./cmd/weipipe-bench -run CommittedReports -update
+//
+// rewrites them.
+func TestCommittedReportsAreGenerated(t *testing.T) {
+	for _, name := range []string{"sweep", "grouped"} {
+		committed := "../../BENCH_" + name + ".json"
+		path := committed
+		if !*update {
+			path = filepath.Join(t.TempDir(), name+".json")
+		}
+		if err := bench.RunReport(io.Discard, name, path, false); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(committed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from `weipipe-bench -report %s`; rerun with -update", committed, name)
+		}
 	}
 }

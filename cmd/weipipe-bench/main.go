@@ -1,20 +1,23 @@
 // weipipe-bench regenerates the paper's tables and figures from the
 // performance model and prints them with the paper's published numbers side
-// by side (model|paper).
+// by side (model|paper), and writes the JSON reports.
 //
 // Usage:
 //
-//	weipipe-bench                 # everything
-//	weipipe-bench -exp table2     # one experiment
-//	weipipe-bench -exp fig1       # a schedule-diagram figure (ASCII)
-//	weipipe-bench -list           # list experiment ids
-//	weipipe-bench -sweep          # strategy×topology×scale cost-model grid,
-//	                              # written to BENCH_sweep.json
-//	weipipe-bench -kernel         # functional scalar-vs-SIMD kernel A/B
-//	                              # (MatMulNT 256³; NN, TN, the B pass's
-//	                              # two NT and attention at the long-*
-//	                              # benchmark shapes), written
-//	                              # to BENCH_kernel.json
+//	weipipe-bench                       # every experiment
+//	weipipe-bench -exp table2           # one experiment
+//	weipipe-bench -exp fig1 -width 60   # a schedule-diagram figure (ASCII)
+//	weipipe-bench -list                 # list experiment ids
+//	weipipe-bench -report sweep         # strategy×topology×scale cost-model
+//	                                    # grid, written to BENCH_sweep.json
+//	weipipe-bench -report grouped       # flat vs grouped belt traffic,
+//	                                    # simulated and measured at p=16
+//	weipipe-bench -report kernel -check # scalar-vs-SIMD kernel A/B, gated
+//	                                    # at 2× on every row
+//
+// -out overrides a report's path (default BENCH_<report>.json). -check
+// applies the report's gate to the file it wrote: bit-identity and fewer
+// inter-group bytes for grouped, the SIMD speedup for kernel.
 package main
 
 import (
@@ -22,81 +25,44 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"weipipe/internal/bench"
 	"weipipe/internal/tensor"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: all, table2, table3, table4, fig1..fig9, ext-bubble, ext-hybrid, ablations")
-	width := flag.Int("width", 96, "timeline width for fig1..fig4")
+	var ids []string
+	for _, e := range bench.Experiments {
+		ids = append(ids, e.ID)
+	}
+	exp := flag.String("exp", "all", "experiment id: all, "+strings.Join(ids, ", "))
+	width := flag.Int("width", 96, "timeline width of the schedule diagrams")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	backend := flag.String("backend", "", "tensor kernel backend: scalar, avx2, avx512 (avx2's bits on 16-lane GEMM panels), auto (default: auto, the fastest this CPU supports)")
-	sweep := flag.Bool("sweep", false, "run the strategy×topology×scale cost-model sweep")
-	sweepOut := flag.String("sweep-out", "BENCH_sweep.json", "output path for -sweep")
-	grouped := flag.Bool("grouped", false, "run the grouped-belt traffic benchmark (simulated grid + functional p=16 A/B)")
-	groupedOut := flag.String("grouped-out", "BENCH_grouped.json", "output path for -grouped")
-	requireGroupedWin := flag.Bool("require-grouped-win", false, "exit nonzero unless the -grouped-out report shows bit-identity and an inter-group byte reduction, measured and simulated (the CI grouped guard); checks an existing report when -grouped is absent")
-	kernel := flag.Bool("kernel", false, "run the functional kernel A/B (scalar vs best backend): MatMulNT 256³, and MatMulNN, MatMulTN, the B pass's two MatMulNT, attention and the head's SoftmaxRows at the long-* benchmark shapes")
-	kernelOut := flag.String("kernel-out", "BENCH_kernel.json", "output path for -kernel")
-	kernelReps := flag.Int("kernel-reps", 20, "repetitions (min taken) for -kernel")
-	requireSpeedup := flag.Float64("require-kernel-speedup", 0, "exit nonzero unless every row of the -kernel-out report reaches this SIMD speedup (the CI kernel guard); 0 disables")
+	report := flag.String("report", "", "write a JSON report instead of experiments: sweep, grouped or kernel")
+	out := flag.String("out", "", "output path for -report (default BENCH_<report>.json)")
+	check := flag.Bool("check", false, "after -report, exit nonzero unless the report passes its gate")
 	flag.Parse()
 
-	if *backend != "" {
-		if err := tensor.SetBackend(*backend); err != nil {
-			fmt.Fprintln(os.Stderr, "weipipe-bench:", err)
-			os.Exit(1)
+	if err := func() error {
+		if *backend != "" {
+			if err := tensor.SetBackend(*backend); err != nil {
+				return err
+			}
 		}
-	}
-	if *sweep {
-		if err := bench.WriteSweep(*sweepOut); err != nil {
-			fmt.Fprintln(os.Stderr, "weipipe-bench:", err)
-			os.Exit(1)
+		switch {
+		case *report != "":
+			if *out == "" {
+				*out = "BENCH_" + *report + ".json"
+			}
+			return bench.RunReport(os.Stdout, *report, *out, *check)
+		case *list:
+			fmt.Println(strings.Join(ids, " ") + " all")
+			return nil
 		}
-		return
-	}
-	if *grouped {
-		if err := bench.WriteGroupedBench(*groupedOut); err != nil {
-			fmt.Fprintln(os.Stderr, "weipipe-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *requireGroupedWin {
-		rep, err := bench.ReadGroupedReport(*groupedOut)
-		if err == nil {
-			err = bench.CheckGroupedWin(rep)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "weipipe-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("grouped guard: %s ok\n", *groupedOut)
-	}
-	if *grouped || *requireGroupedWin {
-		return
-	}
-	if *kernel {
-		if err := bench.WriteKernelBench(*kernelOut, *kernelReps); err != nil {
-			fmt.Fprintln(os.Stderr, "weipipe-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *requireSpeedup > 0 {
-		if err := bench.RequireKernelSpeedup(*kernelOut, *requireSpeedup); err != nil {
-			fmt.Fprintln(os.Stderr, "weipipe-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("kernel guard: %s ok\n", *kernelOut)
-	}
-	if *kernel || *requireSpeedup > 0 {
-		return
-	}
-	if *list {
-		fmt.Println("table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ext-bubble ext-hybrid ablations all")
-		return
-	}
-	if err := run(os.Stdout, *exp, *width); err != nil {
+		return run(os.Stdout, *exp, *width)
+	}(); err != nil {
 		fmt.Fprintln(os.Stderr, "weipipe-bench:", err)
 		os.Exit(1)
 	}
@@ -104,71 +70,30 @@ func main() {
 
 // run writes experiment exp — one id, or "all" — to w.
 func run(w io.Writer, exp string, width int) error {
-	timelines := map[string]func(int) (string, error){
-		"fig1": bench.Figure1, "fig2": bench.Figure2,
-		"fig3": bench.Figure3, "fig4": bench.Figure4,
-	}
-	tables := map[string]func() (*bench.Experiment, error){
-		"table2": bench.Table2, "table3": bench.Table3, "table4": bench.Table4,
-		"fig5": bench.Fig5, "fig6": bench.Fig6, "fig7": bench.Fig7,
-		"fig8": bench.Fig8, "fig9": bench.Fig9,
-		"ext-bubble": bench.ExtBubble, "ext-hybrid": bench.ExtHybrid,
-	}
-
-	switch {
-	case exp == "all":
-		// The cost model does no tensor math: nothing about the host
-		// enters the output, so regenerations diff clean across machines.
-		fmt.Fprintf(w, "regenerated by weipipe-bench\n\n")
-		for _, id := range []string{"fig1", "fig2", "fig3", "fig4"} {
-			s, err := timelines[id](width)
-			if err != nil {
+	if exp != "all" {
+		for _, e := range bench.Experiments {
+			if e.ID == exp {
+				s, err := e.Render(width)
+				if err == nil {
+					_, err = fmt.Fprint(w, s)
+				}
 				return err
 			}
-			fmt.Fprintf(w, "== %s ==\n%s\n", id, s)
 		}
-		exps, err := bench.All()
-		if err != nil {
-			return err
-		}
-		for _, e := range exps {
-			fmt.Fprintln(w, e.Format())
-		}
-		for _, id := range []string{"ext-bubble", "ext-hybrid"} {
-			e, err := tables[id]()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, e.Format())
-		}
-		abs, err := bench.Ablations()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, bench.FormatAblations(abs))
-		return nil
-	case exp == "ablations":
-		abs, err := bench.Ablations()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, bench.FormatAblations(abs))
-		return nil
-	case timelines[exp] != nil:
-		s, err := timelines[exp](width)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, s)
-		return nil
-	case tables[exp] != nil:
-		e, err := tables[exp]()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, e.Format())
-		return nil
-	default:
 		return fmt.Errorf("unknown experiment %q (use -list)", exp)
 	}
+	// The cost model does no tensor math: nothing about the host enters the
+	// output, so regenerations diff clean across machines.
+	fmt.Fprintf(w, "regenerated by weipipe-bench\n\n")
+	for _, e := range bench.Experiments {
+		s, err := e.Render(width)
+		if err != nil {
+			return err
+		}
+		if e.Diagram {
+			fmt.Fprintf(w, "== %s ==\n", e.ID)
+		}
+		fmt.Fprintln(w, s)
+	}
+	return nil
 }

@@ -12,14 +12,16 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"weipipe"
 	"weipipe/internal/cost"
+	"weipipe/internal/schedule"
 )
 
 func main() {
-	strategy := flag.String("strategy", "weipipe-interleave", "strategy: weipipe-interleave, weipipe-naive, wzb1, wzb2, 1f1b, gpipe, zb1, zb2, fsdp, dp")
+	strategy := flag.String("strategy", "weipipe-interleave", "strategy: "+strings.Join(schedule.Strategies(), ", "))
 	h := flag.Int("H", 2048, "hidden size")
 	s := flag.Int("S", 16384, "sequence length")
 	g := flag.Int("G", 4, "microbatch size")
@@ -89,21 +91,18 @@ func ckptPlan(w weipipe.Workload, iterSec float64, mtbf time.Duration, bwGB floa
 	return ckptSec, cost.OptimalCheckpointIters(iterSec, ckptSec, mtbf.Seconds())
 }
 
-// runCompare simulates every strategy on the workload and prints them
-// ranked by throughput (OOMs last). With mtbf set, a Young/Daly
+// runCompare simulates every strategy the schedule builder compiles on the
+// workload and prints them ranked by throughput (OOMs last, ties in
+// schedule.Strategies order). With mtbf set, a Young/Daly
 // recommended -ckpt-every column is added per strategy.
 func runCompare(w weipipe.Workload, top weipipe.Topology, mtbf time.Duration, ckptBW float64) {
-	strategies := []weipipe.Strategy{
-		weipipe.WeiPipeInterleave, weipipe.WeiPipeNaive, weipipe.WZB1, weipipe.WZB2,
-		weipipe.OneFOneB, weipipe.GPipe, weipipe.ZB1, weipipe.ZB2,
-		weipipe.FSDP, weipipe.DP,
-	}
 	type row struct {
 		s   weipipe.Strategy
 		res weipipe.SimResult
 	}
 	var rows []row
-	for _, s := range strategies {
+	for _, name := range schedule.Strategies() {
+		s := weipipe.Strategy(name)
 		wl := w
 		if s == weipipe.ZB1 || s == weipipe.ZB2 {
 			wl.Recompute = false
@@ -115,7 +114,7 @@ func runCompare(w weipipe.Workload, top weipipe.Topology, mtbf time.Duration, ck
 		}
 		rows = append(rows, row{s, res})
 	}
-	sort.Slice(rows, func(i, j int) bool {
+	sort.SliceStable(rows, func(i, j int) bool {
 		if rows[i].res.OOM != rows[j].res.OOM {
 			return !rows[i].res.OOM
 		}

@@ -5,6 +5,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"weipipe/internal/schedule"
 )
 
 // TestMain re-execs the test binary as the real CLI when the marker
@@ -46,8 +48,18 @@ func TestSmokeCompareTable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compare failed: %v\n%s", err, out)
 	}
-	if !strings.Contains(out, "tokens/s/GPU") || !strings.Contains(out, "wzb2") {
+	if !strings.Contains(out, "tokens/s/GPU") {
 		t.Fatalf("unexpected compare output:\n%s", out)
+	}
+	// One row per strategy the schedule builder compiles, the grouped
+	// belt included.
+	for _, s := range schedule.Strategies() {
+		if !strings.Contains(out, "\n"+s+" ") {
+			t.Errorf("compare table has no %s row:\n%s", s, out)
+		}
+	}
+	if !strings.Contains(out, "\nwzb2g ") {
+		t.Errorf("compare table has no wzb2g row:\n%s", out)
 	}
 }
 

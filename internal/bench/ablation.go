@@ -7,7 +7,6 @@ import (
 	"weipipe/internal/cluster"
 	"weipipe/internal/cost"
 	"weipipe/internal/schedule"
-	"weipipe/internal/sim"
 )
 
 // Ablation is one design choice of the weight belts switched off on the
@@ -33,53 +32,42 @@ func ablationSpec() schedule.Spec {
 // gradient belt's in-transit accumulation against a terminal all-reduce,
 // and recomputation against keeping every activation.
 func Ablations() ([]Ablation, error) {
-	makespan := func(ablate func(*schedule.Spec)) (float64, error) {
+	run := func(ablate func(*schedule.Spec)) (Cell, error) {
 		spec := ablationSpec()
-		if ablate != nil {
-			ablate(&spec)
-		}
-		tasks, err := schedule.Build("weipipe-interleave", spec)
-		if err != nil {
-			return 0, err
-		}
-		res, err := sim.Run(tasks)
-		if err != nil {
-			return 0, err
-		}
-		return res.Makespan, nil
+		ablate(&spec)
+		return RunCell("weipipe-interleave", spec)
 	}
-	base, err := makespan(nil)
+	base, err := run(func(*schedule.Spec) {})
 	if err != nil {
 		return nil, err
 	}
 	out := []Ablation{
-		{Key: "wire", Name: "fp16 vs fp32 wire format"},
-		{Key: "buffers", Name: "belt buffers 2 vs 1"},
-		{Key: "gradring", Name: "D-belt in-transit accumulation vs terminal all-reduce"},
+		{Key: "wire", Name: "fp16 vs fp32 wire format", Metric: "speedup_x"},
+		{Key: "buffers", Name: "belt buffers 2 vs 1", Metric: "speedup_x"},
+		{Key: "gradring", Name: "D-belt in-transit accumulation vs terminal all-reduce", Metric: "speedup_x"},
+		{Key: "recompute", Name: "recomputation on vs off", Metric: "mem_ratio"},
 	}
 	for i, ablate := range []func(*schedule.Spec){
 		func(s *schedule.Spec) { s.WireFP32 = true },
 		func(s *schedule.Spec) { s.BeltBuffers = 1 },
 		func(s *schedule.Spec) { s.TerminalGradAllReduce = true },
+		func(s *schedule.Spec) { s.W.Recompute = false },
 	} {
-		t, err := makespan(ablate)
+		c, err := run(ablate)
 		if err != nil {
 			return nil, err
 		}
-		out[i].Metric, out[i].Value = "speedup_x", t/base
+		if out[i].Metric == "speedup_x" {
+			out[i].Value = c.IterSec / base.IterSec
+		} else {
+			out[i].Value, out[i].OOM = c.MemoryGB/base.MemoryGB, c.OOM
+		}
 	}
-	w := ablationSpec().W
-	off := w
-	off.Recompute = false
-	return append(out, Ablation{
-		Key: "recompute", Name: "recomputation on vs off", Metric: "mem_ratio",
-		Value: off.MemoryBytes("weipipe-interleave") / w.MemoryBytes("weipipe-interleave"),
-		OOM:   !off.FitsMemory("weipipe-interleave", cluster.A800()),
-	}), nil
+	return out, nil
 }
 
-// FormatAblations renders the ablations as the experiment "ablations".
-func FormatAblations(abs []Ablation) string {
+// formatAblations renders the ablations as the experiment "ablations".
+func formatAblations(abs []Ablation) string {
 	var b strings.Builder
 	b.WriteString("== ablations: Ablations of the weight belts' design choices ==\n")
 	b.WriteString("weipipe-interleave, H=2048 S=16384 G=4 L=32 N=32 P=8 with recomputation, two NVLink servers of 4 joined by Ethernet.\n")

@@ -8,7 +8,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"weipipe/internal/cluster"
@@ -21,6 +20,8 @@ import (
 type Cell struct {
 	// ThroughputTPS is tokens/second/GPU (0 when OOM).
 	ThroughputTPS float64
+	// IterSec is the simulated iteration time in seconds (0 when OOM).
+	IterSec float64
 	// MemoryGB is the modelled peak per-worker memory.
 	MemoryGB float64
 	// OOM marks configurations that exceed the device budget.
@@ -52,22 +53,37 @@ type Experiment struct {
 	ShowMemory bool
 }
 
-// RunCell simulates one (workload, topology, strategy) cell.
-func RunCell(strategy string, w cost.Workload, top cluster.Topology) (Cell, error) {
-	gpu := cluster.A800()
+// a800 is the spec of a workload on the paper's A800 GPUs over top.
+func a800(w cost.Workload, top cluster.Topology) schedule.Spec {
+	return schedule.Spec{W: w, GPU: cluster.A800(), Top: top}
+}
+
+// simulate compiles strategy's schedule for spec and runs it.
+func simulate(strategy string, spec schedule.Spec) (*sim.Result, error) {
+	tasks, err := schedule.Build(strategy, spec)
+	if err != nil {
+		return nil, err
+	}
+	return sim.Run(tasks)
+}
+
+// RunCell evaluates one (strategy, spec) cell: the modelled memory, the OOM
+// verdict against spec.GPU, and unless it is OOM the simulated iteration,
+// its throughput and its bubble. spec.LinkScale carries a calibration
+// through (weipipe-sim -link-scale).
+func RunCell(strategy string, spec schedule.Spec) (Cell, error) {
+	w := spec.W.WithDefaults()
+	spec.W = w
 	cell := Cell{MemoryGB: w.MemoryBytes(strategy) / (1 << 30)}
-	if !w.FitsMemory(strategy, gpu) {
+	if !w.FitsMemory(strategy, spec.GPU) {
 		cell.OOM = true
 		return cell, nil
 	}
-	tasks, err := schedule.Build(strategy, schedule.Spec{W: w, GPU: gpu, Top: top})
+	res, err := simulate(strategy, spec)
 	if err != nil {
 		return cell, err
 	}
-	res, err := sim.Run(tasks)
-	if err != nil {
-		return cell, err
-	}
+	cell.IterSec = res.Makespan
 	cell.ThroughputTPS = w.Tokens() / (res.Makespan * float64(w.P))
 	cell.BubbleRatio = res.BubbleRatio()
 	return cell, nil
@@ -75,15 +91,7 @@ func RunCell(strategy string, w cost.Workload, top cluster.Topology) (Cell, erro
 
 // Best returns the strategy with the highest throughput in the row
 // (ignoring OOM cells) and that throughput.
-func (r Row) Best() (string, float64) {
-	best, bestTPS := "", 0.0
-	for s, c := range r.Cells {
-		if !c.OOM && c.ThroughputTPS > bestTPS {
-			best, bestTPS = s, c.ThroughputTPS
-		}
-	}
-	return best, bestTPS
-}
+func (r Row) Best() (string, float64) { return r.BestExcluding("") }
 
 // BestExcluding returns the best strategy in the row other than `skip`.
 func (r Row) BestExcluding(skip string) (string, float64) {
@@ -165,14 +173,4 @@ func formatBlock(e *Experiment, caption string, cell func(Cell) string) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// SortedStrategies returns the cell keys of a row in deterministic order.
-func SortedStrategies(r Row) []string {
-	out := make([]string, 0, len(r.Cells))
-	for s := range r.Cells {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

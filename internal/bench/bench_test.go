@@ -283,23 +283,26 @@ func TestFormatIncludesPaperNumbers(t *testing.T) {
 	}
 }
 
+// TestAllExperimentsBuild renders every experiment of the table once: ids
+// are unique, and each one but a schedule diagram opens with its own
+// "== id:" title (-exp all titles the diagrams).
 func TestAllExperimentsBuild(t *testing.T) {
-	exps, err := All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exps) != 8 {
-		t.Fatalf("got %d experiments", len(exps))
-	}
 	seen := map[string]bool{}
-	for _, e := range exps {
+	for _, e := range Experiments {
 		if seen[e.ID] {
 			t.Errorf("duplicate experiment %s", e.ID)
 		}
 		seen[e.ID] = true
-		if len(e.Rows) == 0 || len(e.Strategies) == 0 {
-			t.Errorf("experiment %s empty", e.ID)
+		s, err := e.Render(96)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
 		}
+		if titled := strings.HasPrefix(s, "== "+e.ID+": "); titled == e.Diagram {
+			t.Errorf("%s: diagram %v, but its output opens %q", e.ID, e.Diagram, strings.SplitN(s, "\n", 2)[0])
+		}
+	}
+	if len(seen) != 15 {
+		t.Errorf("%d experiments, want 15", len(seen))
 	}
 }
 

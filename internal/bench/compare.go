@@ -6,7 +6,6 @@ import (
 
 	"weipipe/internal/cluster"
 	"weipipe/internal/cost"
-	"weipipe/internal/schedule"
 	"weipipe/internal/sim"
 	"weipipe/internal/trace"
 )
@@ -40,10 +39,10 @@ func workloadFromMeta(meta *trace.RunMeta) cost.Workload {
 	return w.WithDefaults()
 }
 
-// MeasuredTotals reduces a measured Chrome trace to per-phase totals: mean
+// measuredTotals reduces a measured Chrome trace to per-phase totals: mean
 // per-iteration step time (max across ranks, since the iteration completes
 // with its slowest rank) and mean per rank-iteration F/B/W/opt/stall sums.
-func MeasuredTotals(events []trace.ChromeEvent) cost.PhaseTotals {
+func measuredTotals(events []trace.ChromeEvent) cost.PhaseTotals {
 	var t cost.PhaseTotals
 	ranks := map[int]bool{}
 	stepByIter := map[string]float64{}
@@ -131,12 +130,8 @@ func CompareTrace(blob []byte) (*CompareReport, error) {
 	}
 
 	w := workloadFromMeta(meta)
-	spec := schedule.Spec{W: w, GPU: cluster.A800(), Top: cluster.NVLinkSingle(meta.P)}
-	tasks, err := schedule.Build(meta.Strategy, spec)
-	if err != nil {
-		return nil, fmt.Errorf("bench: build predicted schedule: %w", err)
-	}
-	res, err := sim.Run(tasks)
+	spec := a800(w, cluster.NVLinkSingle(meta.P))
+	res, err := simulate(meta.Strategy, spec)
 	if err != nil {
 		return nil, fmt.Errorf("bench: simulate predicted schedule: %w", err)
 	}
@@ -144,7 +139,7 @@ func CompareTrace(blob []byte) (*CompareReport, error) {
 	r := &CompareReport{
 		Meta:      *meta,
 		Workload:  w,
-		Measured:  MeasuredTotals(events),
+		Measured:  measuredTotals(events),
 		Simulated: simulatedTotals(res, meta.P),
 		Bubble:    res.BubbleRatio(),
 	}

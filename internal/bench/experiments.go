@@ -41,7 +41,7 @@ func buildRow(label string, w cost.Workload, top cluster.Topology,
 		if s == "zb1" || s == "zb2" {
 			wl = zbWorkload(w)
 		}
-		cell, err := RunCell(s, wl, top)
+		cell, err := RunCell(s, a800(wl, top))
 		if err != nil {
 			return row, fmt.Errorf("%s %s: %w", label, s, err)
 		}
@@ -58,6 +58,26 @@ func buildRow(label string, w cost.Workload, top cluster.Topology,
 	return row, nil
 }
 
+// paperRow is one configuration of a paper table and the paper's cells.
+type paperRow struct {
+	h, s, g int
+	paper   map[string]paperCell
+}
+
+// paperTable fills e with one row of every table strategy per
+// configuration, on top, each at the workload wl builds.
+func paperTable(e *Experiment, top cluster.Topology, wl func(h, s, g int) cost.Workload, rows []paperRow) (*Experiment, error) {
+	e.Strategies = tableStrategies
+	for _, rs := range rows {
+		row, err := buildRow(fmt.Sprintf("H=%d S=%d G=%d", rs.h, rs.s, rs.g), wl(rs.h, rs.s, rs.g), top, rs.paper)
+		if err != nil {
+			return nil, err
+		}
+		e.Rows = append(e.Rows, row)
+	}
+	return e, nil
+}
+
 // table2Workload is one row of Table 2: 16 GPUs, 32 layers, 64 microbatches.
 func table2Workload(h, s, g int) cost.Workload {
 	return cost.Workload{H: h, S: s, G: g, L: 32, N: 64, P: 16, Recompute: true}.WithDefaults()
@@ -67,11 +87,7 @@ func table2Workload(h, s, g int) cost.Workload {
 // Llama-style models on 16 GPUs in two NVLink clusters.
 func Table2() (*Experiment, error) {
 	top := cluster.NVLinkTwoClusters(16)
-	type rowSpec struct {
-		h, s, g int
-		paper   map[string]paperCell
-	}
-	rows := []rowSpec{
+	rows := []paperRow{
 		{1024, 4096, 16, map[string]paperCell{
 			"1f1b": {8581.7, 13.0}, "zb1": {7547.0, 20.4}, "zb2": {7638.5, 39.3},
 			"fsdp": {11525.9, 8.6}, "weipipe-interleave": {15138.8, 9.4}}},
@@ -104,29 +120,16 @@ func Table2() (*Experiment, error) {
 		ID:          "table2",
 		Title:       "Throughput and memory, 16 GPUs, NVLink clusters (paper Table 2)",
 		Description: "Llama-style, L=32, heads=32, N=64 microbatches; ZB strategies use G=4 (S=4096) or G=1.",
-		Strategies:  tableStrategies,
 		ShowMemory:  true,
 	}
-	for _, rs := range rows {
-		row, err := buildRow(fmt.Sprintf("H=%d S=%d G=%d", rs.h, rs.s, rs.g),
-			table2Workload(rs.h, rs.s, rs.g), top, rs.paper)
-		if err != nil {
-			return nil, err
-		}
-		e.Rows = append(e.Rows, row)
-	}
-	return e, nil
+	return paperTable(e, top, table2Workload, rows)
 }
 
 // Table3 regenerates the paper's Table 3: throughput on 16 GPUs with PCIe
 // inside clusters and 10 Gb Ethernet between clusters.
 func Table3() (*Experiment, error) {
 	top := cluster.PCIeEthernet(16, 4)
-	type rowSpec struct {
-		h, s, g int
-		paper   map[string]paperCell
-	}
-	rows := []rowSpec{
+	rows := []paperRow{
 		{1024, 4096, 16, map[string]paperCell{
 			"1f1b": {8193, 0}, "zb1": {7708, 0}, "zb2": {7952, 0},
 			"fsdp": {11545, 0}, "weipipe-interleave": {13847, 0}}},
@@ -150,17 +153,8 @@ func Table3() (*Experiment, error) {
 		ID:          "table3",
 		Title:       "Throughput, 16 GPUs, PCIe + 10Gb Ethernet (paper Table 3)",
 		Description: "Same models as Table 2 in the communication-constrained environment.",
-		Strategies:  tableStrategies,
 	}
-	for _, rs := range rows {
-		row, err := buildRow(fmt.Sprintf("H=%d S=%d G=%d", rs.h, rs.s, rs.g),
-			table2Workload(rs.h, rs.s, rs.g), top, rs.paper)
-		if err != nil {
-			return nil, err
-		}
-		e.Rows = append(e.Rows, row)
-	}
-	return e, nil
+	return paperTable(e, top, table2Workload, rows)
 }
 
 // Table4 regenerates the paper's Table 4: 8 GPUs, all-NVLink, 16 layers —
@@ -169,11 +163,7 @@ func Table3() (*Experiment, error) {
 // the unambiguous ones, in kilo-tokens/s/GPU converted to tokens/s.)
 func Table4() (*Experiment, error) {
 	top := cluster.NVLinkSingle(8)
-	type rowSpec struct {
-		h, s, g int
-		paper   map[string]paperCell
-	}
-	rows := []rowSpec{
+	rows := []paperRow{
 		{1024, 4096, 16, map[string]paperCell{
 			"1f1b": {32000, 0}, "zb1": {45800, 0}, "zb2": {46500, 0},
 			"fsdp": {37900, 0}, "weipipe-interleave": {31300, 0}}},
@@ -191,17 +181,10 @@ func Table4() (*Experiment, error) {
 		ID:          "table4",
 		Title:       "Throughput, 8 GPUs, NVLink only, L=16 (paper Table 4)",
 		Description: "High-bandwidth small-scale regime; WeiPipe's advantage shrinks or inverts.",
-		Strategies:  tableStrategies,
 	}
-	for _, rs := range rows {
-		w := cost.Workload{H: rs.h, S: rs.s, G: rs.g, L: 16, N: 32, P: 8, Recompute: true}.WithDefaults()
-		row, err := buildRow(fmt.Sprintf("H=%d S=%d G=%d", rs.h, rs.s, rs.g), w, top, rs.paper)
-		if err != nil {
-			return nil, err
-		}
-		e.Rows = append(e.Rows, row)
-	}
-	return e, nil
+	return paperTable(e, top, func(h, s, g int) cost.Workload {
+		return cost.Workload{H: h, S: s, G: g, L: 16, N: 32, P: 8, Recompute: true}.WithDefaults()
+	}, rows)
 }
 
 // Fig5 regenerates the paper's theoretical-analysis figure: throughput and
@@ -223,7 +206,7 @@ func Fig5() (*Experiment, error) {
 			Cells: make(map[string]Cell),
 		}
 		for _, st := range e.Strategies {
-			cell, err := RunCell(st, w, top)
+			cell, err := RunCell(st, a800(w, top))
 			if err != nil {
 				return nil, err
 			}
@@ -251,7 +234,7 @@ func scalingExperiment(id, title string, strategies []string, gpus []int, perSer
 			if st == "zb1" || st == "zb2" {
 				w.Recompute = false
 			}
-			cell, err := RunCell(st, w, top)
+			cell, err := RunCell(st, a800(w, top))
 			if err != nil {
 				return nil, err
 			}
@@ -296,16 +279,45 @@ func Fig9() (*Experiment, error) {
 		func(int) int { return 64 }, 1024, 8192, 4)
 }
 
-// All returns every table/figure experiment in paper order.
-func All() ([]*Experiment, error) {
-	builders := []func() (*Experiment, error){Fig5, Table2, Table3, Table4, Fig6, Fig7, Fig8, Fig9}
-	var out []*Experiment
-	for _, b := range builders {
-		e, err := b()
+// Experiments is every experiment weipipe-bench regenerates, in the order
+// `-exp all` prints them. Render returns what `-exp ID` prints; width is a
+// schedule diagram's width. A Diagram carries no title of its own, so
+// `-exp all` prints "== ID ==" above it.
+var Experiments = []struct {
+	ID      string
+	Diagram bool
+	Render  func(width int) (string, error)
+}{
+	{"fig1", true, Figure1},
+	{"fig2", true, Figure2},
+	{"fig3", true, Figure3},
+	{"fig4", true, Figure4},
+	{"fig5", false, table(Fig5)},
+	{"table2", false, table(Table2)},
+	{"table3", false, table(Table3)},
+	{"table4", false, table(Table4)},
+	{"fig6", false, table(Fig6)},
+	{"fig7", false, table(Fig7)},
+	{"fig8", false, table(Fig8)},
+	{"fig9", false, table(Fig9)},
+	{"ext-bubble", false, table(ExtBubble)},
+	{"ext-hybrid", false, table(ExtHybrid)},
+	{"ablations", false, func(int) (string, error) {
+		abs, err := Ablations()
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		out = append(out, e)
+		return formatAblations(abs), nil
+	}},
+}
+
+// table renders a regenerated table or figure.
+func table(build func() (*Experiment, error)) func(int) (string, error) {
+	return func(int) (string, error) {
+		e, err := build()
+		if err != nil {
+			return "", err
+		}
+		return e.Format(), nil
 	}
-	return out, nil
 }

@@ -22,7 +22,7 @@ func ExtBubble() (*Experiment, error) {
 		row := Row{Label: fmt.Sprintf("N=%d", n), Cells: make(map[string]Cell)}
 		for _, s := range e.Strategies {
 			w := cost.Workload{H: 1024, S: 4096, G: 4, L: 8, N: n, P: 4, Recompute: s != "zb1" && s != "zb2"}.WithDefaults()
-			cell, err := RunCell(s, w, top)
+			cell, err := RunCell(s, a800(w, top))
 			if err != nil {
 				return nil, err
 			}
@@ -58,7 +58,7 @@ func ExtHybrid() (*Experiment, error) {
 		row := Row{Label: fmt.Sprintf("P=%d", p), Cells: make(map[string]Cell)}
 		flat := cost.Workload{H: h, S: s, G: g, L: l, N: nTotal, P: p, Recompute: true}.WithDefaults()
 		for _, st := range []string{"1f1b", "weipipe-interleave"} {
-			cell, err := RunCell(st, flat, worldTop)
+			cell, err := RunCell(st, a800(flat, worldTop))
 			if err != nil {
 				return nil, err
 			}
@@ -68,7 +68,7 @@ func ExtHybrid() (*Experiment, error) {
 		// hybrid: rings of 8 on NVLink, one cross-replica owner all-reduce.
 		groups := p / ringSize
 		ringW := cost.Workload{H: h, S: s, G: g, L: l, N: nTotal / groups, P: ringSize, Recompute: true}.WithDefaults()
-		cell, err := RunCell("weipipe-interleave", ringW, cluster.NVLinkSingle(ringSize))
+		cell, err := RunCell("weipipe-interleave", a800(ringW, cluster.NVLinkSingle(ringSize)))
 		if err != nil {
 			return nil, err
 		}

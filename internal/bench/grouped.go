@@ -1,11 +1,11 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
+	"math"
+	"slices"
 
-	"weipipe/internal/cluster"
 	"weipipe/internal/data"
 	"weipipe/internal/model"
 	"weipipe/internal/optim"
@@ -28,11 +28,11 @@ import (
 //     final weights.
 //
 // Both halves are deterministic (byte counts and modelled times, no wall
-// clocks), so BENCH_grouped.json is committed and CI diffs a regenerated
-// copy against it, and `-require-grouped-win` can gate on the reduction.
+// clocks), so BENCH_grouped.json is committed and a test holds it to a
+// regeneration, and `-report grouped -check` gates on the reduction.
 
-// GroupedSimCell is one simulated grid point.
-type GroupedSimCell struct {
+// groupedSimCell is one simulated grid point.
+type groupedSimCell struct {
 	Strategy      string  `json:"strategy"`
 	Topology      string  `json:"topology"`
 	Workers       int     `json:"workers"`
@@ -44,9 +44,9 @@ type GroupedSimCell struct {
 	ThroughputTPS float64 `json:"throughput_tps"`
 }
 
-// GroupedMeasured is the functional half: both strategies trained on the
+// groupedMeasured is the functional half: both strategies trained on the
 // in-process fabric with identical data, group size, and iteration count.
-type GroupedMeasured struct {
+type groupedMeasured struct {
 	Workers   int `json:"workers"`
 	GroupSize int `json:"group_size"`
 	Iters     int `json:"iters"`
@@ -65,21 +65,15 @@ type GroupedMeasured struct {
 	BitIdentical bool `json:"bit_identical"`
 }
 
-// GroupedReport is the serialised benchmark (BENCH_grouped.json).
-type GroupedReport struct {
-	Simulated []GroupedSimCell `json:"simulated"`
-	Measured  GroupedMeasured  `json:"measured"`
+// groupedReport is the serialised benchmark (BENCH_grouped.json).
+type groupedReport struct {
+	Simulated []groupedSimCell `json:"simulated"`
+	Measured  groupedMeasured  `json:"measured"`
 }
 
-// groupedSimGrid is the simulated strategy×topology×scale grid: the two
-// hierarchical topology families of the paper's scaling studies.
-var groupedSimGrid = []struct {
-	Name  string
-	Build func(p int) cluster.Topology
-}{
-	{"nvlink-ethernet", func(p int) cluster.Topology { return cluster.NVLinkEthernet(p, 4) }},
-	{"pcie-ethernet", func(p int) cluster.Topology { return cluster.PCIeEthernet(p, 4) }},
-}
+// groupedTopologies names the sweep's two hierarchical topology families,
+// those of the paper's scaling studies, in report order.
+var groupedTopologies = []string{"nvlink-ethernet", "pcie-ethernet"}
 
 var groupedSimScales = []int{16, 32, 64}
 
@@ -93,25 +87,24 @@ func groupedFunctionalConfig() (model.Config, pipeline.Options, int, int, int) {
 	return cfg, opts, 16, 16, 2 // p, microbatches, iters
 }
 
-// RunGroupedBench produces the full report.
-func RunGroupedBench() (*GroupedReport, error) {
-	rep := &GroupedReport{}
+// runGrouped produces the full report.
+func runGrouped() (*groupedReport, error) {
+	rep := &groupedReport{}
 
 	for _, p := range groupedSimScales {
 		w := sweepWorkload(p)
-		for _, topo := range groupedSimGrid {
-			top := topo.Build(p)
+		for _, name := range groupedTopologies {
+			top := sweepTopology(name, p)
 			for _, s := range []string{"wzb2", "wzb2g"} {
-				spec := schedule.Spec{W: w, GPU: cluster.A800(), Top: top}
-				tasks, tr, err := schedule.BuildTraffic(s, spec)
-				if err != nil {
-					return nil, fmt.Errorf("grouped sim %s/%s/p=%d: %w", s, topo.Name, p, err)
+				tasks, tr, err := schedule.BuildTraffic(s, a800(w, top))
+				var res *sim.Result
+				if err == nil {
+					res, err = sim.Run(tasks)
 				}
-				res, err := sim.Run(tasks)
 				if err != nil {
-					return nil, fmt.Errorf("grouped sim %s/%s/p=%d: %w", s, topo.Name, p, err)
+					return nil, fmt.Errorf("grouped sim %s/%s/p=%d: %w", s, name, p, err)
 				}
-				rep.Simulated = append(rep.Simulated, GroupedSimCell{
+				rep.Simulated = append(rep.Simulated, groupedSimCell{
 					Strategy: s, Topology: top.Name, Workers: p, GroupSize: top.GroupSize(),
 					InterBytes: tr.InterBytes, InterSends: tr.InterSends,
 					IntraBytes: tr.IntraBytes, IntraSends: tr.IntraSends,
@@ -130,7 +123,7 @@ func RunGroupedBench() (*GroupedReport, error) {
 }
 
 // measureGroupedTraffic runs the functional A/B on the in-process fabric.
-func measureGroupedTraffic() (*GroupedMeasured, error) {
+func measureGroupedTraffic() (*groupedMeasured, error) {
 	cfg, opts, p, n, iters := groupedFunctionalConfig()
 	batches := func(i int) []data.Batch {
 		return data.Microbatches(uint64(700+i), n, 1, cfg.Vocab, cfg.MaxSeq)
@@ -147,7 +140,7 @@ func measureGroupedTraffic() (*GroupedMeasured, error) {
 		return nil, fmt.Errorf("grouped bench grouped run: %w", err)
 	}
 
-	m := &GroupedMeasured{Workers: p, GroupSize: opts.GroupSize, Iters: iters}
+	m := &groupedMeasured{Workers: p, GroupSize: opts.GroupSize, Iters: iters}
 	m.FlatInterBytes, m.FlatInterMsgs = flat.TotalComm().InterGroupTraffic()
 	m.FlatIntraBytes, _ = flat.TotalComm().IntraGroupTraffic()
 	m.GroupedInterBytes, m.GroupedInterMsgs = grouped.TotalComm().InterGroupTraffic()
@@ -159,29 +152,21 @@ func measureGroupedTraffic() (*GroupedMeasured, error) {
 	return m, nil
 }
 
-// bitIdenticalRuns compares losses and assembled final weights exactly.
+// bitIdenticalRuns compares losses and assembled final weights bit for bit:
+// −0 differs from +0, and a NaN equals itself.
 func bitIdenticalRuns(a, b *pipeline.ClusterResult) bool {
-	if len(a.Losses) != len(b.Losses) || len(a.Weights) != len(b.Weights) {
-		return false
-	}
-	for i := range a.Losses {
-		if a.Losses[i] != b.Losses[i] {
-			return false
-		}
-	}
-	for i := range a.Weights {
-		if a.Weights[i] != b.Weights[i] {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a.Losses, b.Losses, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	}) && slices.EqualFunc(a.Weights, b.Weights, func(x, y float32) bool {
+		return math.Float32bits(x) == math.Float32bits(y)
+	})
 }
 
-// CheckGroupedWin validates the report's gating claims: the grouped belt
+// checkGrouped is the grouped report's gate: the grouped belt
 // must be bit-identical to the flat one and must move strictly fewer bytes
 // across group boundaries, both as measured on the wire at p=16 and as
 // simulated on nvlink-ethernet at every scale.
-func CheckGroupedWin(rep *GroupedReport) error {
+func checkGrouped(rep *groupedReport) error {
 	if !rep.Measured.BitIdentical {
 		return fmt.Errorf("grouped belt is not bit-identical to flat wzb2")
 	}
@@ -189,13 +174,13 @@ func CheckGroupedWin(rep *GroupedReport) error {
 		return fmt.Errorf("measured inter-group bytes not reduced: grouped %d ≥ flat %d",
 			rep.Measured.GroupedInterBytes, rep.Measured.FlatInterBytes)
 	}
-	sim := map[string]map[int]map[string]GroupedSimCell{}
+	sim := map[string]map[int]map[string]groupedSimCell{}
 	for _, c := range rep.Simulated {
 		if sim[c.Topology] == nil {
-			sim[c.Topology] = map[int]map[string]GroupedSimCell{}
+			sim[c.Topology] = map[int]map[string]groupedSimCell{}
 		}
 		if sim[c.Topology][c.Workers] == nil {
-			sim[c.Topology][c.Workers] = map[string]GroupedSimCell{}
+			sim[c.Topology][c.Workers] = map[string]groupedSimCell{}
 		}
 		sim[c.Topology][c.Workers][c.Strategy] = c
 	}
@@ -220,41 +205,14 @@ func CheckGroupedWin(rep *GroupedReport) error {
 	return nil
 }
 
-// WriteGroupedBench runs the benchmark and writes the JSON report to path,
-// echoing a human-readable summary.
-func WriteGroupedBench(path string) error {
-	rep, err := RunGroupedBench()
-	if err != nil {
-		return err
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
+// printGrouped echoes every simulated cell and the measured A/B.
+func printGrouped(w io.Writer, rep *groupedReport) {
 	for _, c := range rep.Simulated {
-		fmt.Printf("  sim %-16s p=%-3d %-6s inter %10.0f B (%4d sends)  intra %11.0f B  %7.0f tok/s/gpu\n",
+		fmt.Fprintf(w, "  sim %-16s p=%-3d %-6s inter %10.0f B (%4d sends)  intra %11.0f B  %7.0f tok/s/gpu\n",
 			c.Topology, c.Workers, c.Strategy, c.InterBytes, c.InterSends, c.IntraBytes, c.ThroughputTPS)
 	}
 	meas := rep.Measured
-	fmt.Printf("  measured p=%d m=%d ×%d iters: inter %d B → %d B (−%.1f%%), bit-identical %v\n",
+	fmt.Fprintf(w, "  measured p=%d m=%d ×%d iters: inter %d B → %d B (−%.1f%%), bit-identical %v\n",
 		meas.Workers, meas.GroupSize, meas.Iters,
 		meas.FlatInterBytes, meas.GroupedInterBytes, meas.InterReductionPct, meas.BitIdentical)
-	fmt.Printf("  written to %s\n", path)
-	return nil
-}
-
-// ReadGroupedReport loads an existing BENCH_grouped.json.
-func ReadGroupedReport(path string) (*GroupedReport, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rep := &GroupedReport{}
-	if err := json.Unmarshal(raw, rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
 }

@@ -1,10 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -18,10 +18,10 @@ import (
 // long-context benchmark's FFN (forward, W pass, B pass), one
 // fused-attention forward+backward at that benchmark's attention shape and
 // the LM head's row softmax over its [S, V] logits, on the scalar oracle and
-// on the best
-// registered SIMD backend, and records the speedups, so CI can guard the
-// kernel work without go-test bench plumbing. On machines with no SIMD
-// backend the A/B degenerates to scalar-vs-scalar and reports speedups of 1.
+// on the best registered SIMD backend, and records the speedups, so CI can
+// guard the kernel work without go-test bench plumbing. On machines with no
+// SIMD backend the A/B degenerates to scalar-vs-scalar and reports speedups
+// of 1.
 //
 // Beside the A/B sits what it is a share of: the host's FMA peak, probed per
 // vector width on one goroutine and on GOMAXPROCS of them (vCPUs that share a
@@ -29,9 +29,19 @@ import (
 // backend is avx512 — the avx2 reading of every row, so 16 lanes are stated
 // against 8 on the same run. Neither is gated.
 
-// KernelReport is the serialised measurement, written by
-// `weipipe-bench -kernel`.
-type KernelReport struct {
+const (
+	// kernelReps is how many timed repetitions each side of a row runs; a
+	// row keeps its fastest.
+	kernelReps = 20
+	// minKernelSpeedup is the SIMD speedup over scalar the kernel gate
+	// requires of every row. The local target is 4×+; the margin absorbs
+	// shared-runner noise.
+	minKernelSpeedup = 2
+)
+
+// kernelReport is the serialised measurement, written by
+// `weipipe-bench -report kernel`.
+type kernelReport struct {
 	GoArch   string   `json:"goarch"`
 	Backends []string `json:"backends"`
 	// SIMDCompiled reports whether the build carries the assembly kernels
@@ -42,63 +52,36 @@ type KernelReport struct {
 	Reps          int    `json:"reps"`
 	ToleranceMode bool   `json:"tolerance_mode"`
 	// FMAPeak holds one row per vector width this CPU runs.
-	FMAPeak []FMAPeak `json:"fma_peak"`
-	// Matmuls holds one row per matmul form.
-	Matmuls []MatmulAB `json:"matmuls"`
-	// Attention is the fused causal attention forward+backward A/B.
-	Attention AttentionAB `json:"attention"`
-	// Softmax is the LM head's SoftmaxRows A/B.
-	Softmax SoftmaxAB `json:"softmax"`
+	FMAPeak []fmaPeakRow `json:"fma_peak"`
+	// Rows holds one row per kernel, in the order they run.
+	Rows []kernelRow `json:"rows"`
 }
 
-// FMAPeak is the measured FMA ceiling at one vector width: 12 independent
+// fmaPeakRow is the measured FMA ceiling at one vector width: 12 independent
 // FMA chains on registers, on one goroutine and summed over Procs goroutines
 // spinning at once.
-type FMAPeak struct {
+type fmaPeakRow struct {
 	Lanes     int     `json:"lanes"`
 	Procs     int     `json:"procs"`
 	OneGFlops float64 `json:"one_gflops"`
 	AllGFlops float64 `json:"all_gflops"`
 }
 
-// MatmulAB is one matmul row of the kernel A/B: dst[M,N] from a K-long
-// reduction in the given form (NN a·b, NT a·bᵀ, TN aᵀ·b).
-type MatmulAB struct {
-	Form       string  `json:"form"`
-	M          int     `json:"m"`
-	N          int     `json:"n"`
-	K          int     `json:"k"`
-	ScalarMs   float64 `json:"scalar_ms"`
-	BestMs     float64 `json:"best_ms"`
-	Speedup    float64 `json:"speedup"`
-	BestGFlops float64 `json:"best_gflops"`
+// kernelRow is one kernel timed on the scalar and the best backend: a
+// matmul (MatMulNN a·b, MatMulNT a·bᵀ, MatMulTN aᵀ·b, shape M×K×N), the
+// attention forward+backward or the head's SoftmaxRows.
+type kernelRow struct {
+	Name     string  `json:"name"`
+	Shape    string  `json:"shape"`
+	ScalarMs float64 `json:"scalar_ms"`
+	BestMs   float64 `json:"best_ms"`
+	Speedup  float64 `json:"speedup"`
+	// BestGFlops is the best backend's rate, for the matmuls.
+	BestGFlops float64 `json:"best_gflops,omitempty"`
 	// AVX2Ms is the avx2 backend's time when the best backend is avx512.
-	AVX2Ms     float64 `json:"avx2_ms,omitempty"`
-	MaxAbsDiff float64 `json:"max_abs_diff"`
-}
-
-// AttentionAB is the attention row of the kernel A/B: one
-// CausalAttention + CausalAttentionBackward over [Seq, Hidden] operands.
-type AttentionAB struct {
-	Hidden     int     `json:"hidden"`
-	Heads      int     `json:"heads"`
-	Seq        int     `json:"seq"`
-	ScalarMs   float64 `json:"scalar_ms"`
-	BestMs     float64 `json:"best_ms"`
-	Speedup    float64 `json:"speedup"`
-	AVX2Ms     float64 `json:"avx2_ms,omitempty"`
-	MaxAbsDiff float64 `json:"max_abs_diff"`
-}
-
-// SoftmaxAB is the softmax row of the kernel A/B: one SoftmaxRows over
-// [Rows, Cols] logits.
-type SoftmaxAB struct {
-	Rows       int     `json:"rows"`
-	Cols       int     `json:"cols"`
-	ScalarMs   float64 `json:"scalar_ms"`
-	BestMs     float64 `json:"best_ms"`
-	Speedup    float64 `json:"speedup"`
-	AVX2Ms     float64 `json:"avx2_ms,omitempty"`
+	AVX2Ms float64 `json:"avx2_ms,omitempty"`
+	// MaxAbsDiff compares the best backend's output (attention: dq) with
+	// scalar's.
 	MaxAbsDiff float64 `json:"max_abs_diff"`
 }
 
@@ -112,61 +95,80 @@ func maxAbsDiff(a, b *tensor.Tensor) float64 {
 	return worst
 }
 
-// kernelMatmul is one matmul row under measurement: its operands, the
-// product call, and each side's output and fastest time.
-type kernelMatmul struct {
-	row  MatmulAB
-	a, b *tensor.Tensor
-	run  func(dst, a, b *tensor.Tensor)
-	dst  [3]*tensor.Tensor
+// kernelCase is one row under measurement: run(side) writes out[side] on
+// side's backend (scalar, best, then avx2 beside an avx512 best), ms keeps
+// each side's fastest time, and flop is the work GFLOP/s divides (0 where it
+// does not apply).
+type kernelCase struct {
+	row  kernelRow
+	flop float64
+	run  func(side int)
+	out  [3]*tensor.Tensor
 	ms   [3]float64
 }
 
-func newKernelMatmul(rng *tensor.RNG, form string, m, n, k int) *kernelMatmul {
-	km := &kernelMatmul{row: MatmulAB{Form: form, M: m, N: n, K: k}}
+func matmulCase(rng *tensor.RNG, form string, m, n, k int) *kernelCase {
+	var a, b *tensor.Tensor
+	var mul func(dst, a, b *tensor.Tensor)
 	switch form {
 	case "NN":
-		km.a, km.b, km.run = tensor.New(m, k), tensor.New(k, n), tensor.MatMul
+		a, b, mul = tensor.New(m, k), tensor.New(k, n), tensor.MatMul
 	case "NT":
-		km.a, km.b, km.run = tensor.New(m, k), tensor.New(n, k), tensor.MatMulTB
+		a, b, mul = tensor.New(m, k), tensor.New(n, k), tensor.MatMulTB
 	case "TN":
-		km.a, km.b, km.run = tensor.New(k, m), tensor.New(k, n), tensor.MatMulTA
+		a, b, mul = tensor.New(k, m), tensor.New(k, n), tensor.MatMulTA
 	}
-	tensor.FillUniform(km.a, rng, -1, 1)
-	tensor.FillUniform(km.b, rng, -1, 1)
-	km.dst = [3]*tensor.Tensor{tensor.New(m, n), tensor.New(m, n), tensor.New(m, n)}
-	return km
+	tensor.FillUniform(a, rng, -1, 1)
+	tensor.FillUniform(b, rng, -1, 1)
+	c := &kernelCase{
+		row:  kernelRow{Name: "MatMul" + form, Shape: fmt.Sprintf("%dx%dx%d", m, k, n)},
+		flop: 2 * float64(m) * float64(n) * float64(k),
+		out:  [3]*tensor.Tensor{tensor.New(m, n), tensor.New(m, n), tensor.New(m, n)},
+	}
+	c.run = func(side int) { mul(c.out[side], a, b) }
+	return c
 }
 
-// RunKernelBench measures the scalar-vs-best-backend A/B: MatMulNT at
+// runKernel measures the scalar-vs-best-backend A/B: MatMulNT at
 // 256×256×256, and at the long-* benchmark workloads' shapes (H 64, F 172,
 // 4 heads, S 512, V 256) the FFN's NN product x·W₁, its TN product
 // dW₁ = xᵀ·dy, its two NT products dy·W₂ᵀ and du·W₁ᵀ (the B pass),
 // attention forward+backward and the head's softmax.
-func RunKernelBench(reps int) (*KernelReport, error) {
+func runKernel() (*kernelReport, error) {
 	const hidden, ffn, heads, seq, vocab = 64, 172, 4, 512, 256
-	if reps <= 0 {
-		reps = 20
-	}
 	rng := tensor.NewRNG(1)
-	matmuls := []*kernelMatmul{
-		newKernelMatmul(rng, "NT", 256, 256, 256),
-		newKernelMatmul(rng, "NN", seq, ffn, hidden),
-		newKernelMatmul(rng, "TN", hidden, ffn, seq),
-		newKernelMatmul(rng, "NT", seq, ffn, hidden),
-		newKernelMatmul(rng, "NT", seq, hidden, ffn),
+	cases := []*kernelCase{
+		matmulCase(rng, "NT", 256, 256, 256),
+		matmulCase(rng, "NN", seq, ffn, hidden),
+		matmulCase(rng, "TN", hidden, ffn, seq),
+		matmulCase(rng, "NT", seq, ffn, hidden),
+		matmulCase(rng, "NT", seq, hidden, ffn),
 	}
 	q, k, v, dout := tensor.New(seq, hidden), tensor.New(seq, hidden), tensor.New(seq, hidden), tensor.New(seq, hidden)
 	logits := tensor.New(seq, vocab)
 	for _, t := range []*tensor.Tensor{q, k, v, dout, logits} {
 		tensor.FillNormal(t, rng, 1)
 	}
+	out, lse := tensor.New(seq, hidden), tensor.New(heads*seq)
+	dk, dv := tensor.New(seq, hidden), tensor.New(seq, hidden)
+	attn := &kernelCase{
+		row: kernelRow{Name: "attention fwd+bwd", Shape: fmt.Sprintf("H%d h%d S%d", hidden, heads, seq)},
+		out: [3]*tensor.Tensor{tensor.New(seq, hidden), tensor.New(seq, hidden), tensor.New(seq, hidden)},
+	}
+	attn.run = func(side int) {
+		tensor.CausalAttention(out, lse, q, k, v, heads, seq, seq, 0)
+		tensor.CausalAttentionBackward(attn.out[side], dk, dv, q, k, v, out, dout, lse, heads, seq, seq, 0)
+	}
+	softmax := &kernelCase{
+		row: kernelRow{Name: "SoftmaxRows", Shape: fmt.Sprintf("%dx%d", seq, vocab)},
+		out: [3]*tensor.Tensor{tensor.New(seq, vocab), tensor.New(seq, vocab), tensor.New(seq, vocab)},
+	}
+	softmax.run = func(side int) { tensor.SoftmaxRows(softmax.out[side], logits) }
+	cases = append(cases, attn, softmax)
 
-	rep := &KernelReport{
+	rep := &kernelReport{
 		GoArch: runtime.GOARCH, Backends: tensor.Backends(), SIMDCompiled: tensor.SIMDCompiled,
-		Reps:      reps,
-		Attention: AttentionAB{Hidden: hidden, Heads: heads, Seq: seq},
-		Softmax:   SoftmaxAB{Rows: seq, Cols: vocab},
+		Reps: kernelReps,
 	}
 	prev := tensor.BackendName()
 	defer func() { _ = tensor.SetBackend(prev) }() // the name that was active cannot be unknown
@@ -183,53 +185,32 @@ func RunKernelBench(reps int) (*KernelReport, error) {
 	if rep.BestBackend == "avx512" {
 		backends = append(backends, "avx2")
 	}
-	var attnMs, softmaxMs [3]float64
-	dq := [3]*tensor.Tensor{tensor.New(seq, hidden), tensor.New(seq, hidden), tensor.New(seq, hidden)}
-	probs := [3]*tensor.Tensor{tensor.New(seq, vocab), tensor.New(seq, vocab), tensor.New(seq, vocab)}
-	out, lse := tensor.New(seq, hidden), tensor.New(heads*seq)
-	dk, dv := tensor.New(seq, hidden), tensor.New(seq, hidden)
-	timed := func(best *float64, warm bool, run func()) {
-		start := time.Now()
-		run()
-		if ms := time.Since(start).Seconds() * 1e3; !warm && (*best == 0 || ms < *best) {
-			*best = ms
-		}
-	}
-	for r := 0; r <= reps; r++ { // rep 0 warms caches and the worker pool
-		for i, backend := range backends {
+	for r := 0; r <= kernelReps; r++ { // rep 0 warms caches and the worker pool
+		for side, backend := range backends {
 			if err := tensor.SetBackend(backend); err != nil {
 				return nil, err
 			}
-			for _, km := range matmuls {
-				timed(&km.ms[i], r == 0, func() { km.run(km.dst[i], km.a, km.b) })
+			for _, c := range cases {
+				start := time.Now()
+				c.run(side)
+				if ms := time.Since(start).Seconds() * 1e3; r > 0 && (c.ms[side] == 0 || ms < c.ms[side]) {
+					c.ms[side] = ms
+				}
 			}
-			timed(&attnMs[i], r == 0, func() {
-				tensor.CausalAttention(out, lse, q, k, v, heads, seq, seq, 0)
-				tensor.CausalAttentionBackward(dq[i], dk, dv, q, k, v, out, dout, lse, heads, seq, seq, 0)
-			})
-			timed(&softmaxMs[i], r == 0, func() { tensor.SoftmaxRows(probs[i], logits) })
 		}
 	}
-	for _, km := range matmuls {
-		row := km.row
-		row.ScalarMs, row.BestMs, row.AVX2Ms = km.ms[0], km.ms[1], km.ms[2]
+	for _, c := range cases {
+		row := c.row
+		row.ScalarMs, row.BestMs, row.AVX2Ms = c.ms[0], c.ms[1], c.ms[2]
 		if row.BestMs > 0 {
 			row.Speedup = row.ScalarMs / row.BestMs
-			row.BestGFlops = 2 * float64(row.M) * float64(row.N) * float64(row.K) / (row.BestMs * 1e6)
+			if c.flop > 0 {
+				row.BestGFlops = c.flop / (row.BestMs * 1e6)
+			}
 		}
-		row.MaxAbsDiff = maxAbsDiff(km.dst[0], km.dst[1])
-		rep.Matmuls = append(rep.Matmuls, row)
+		row.MaxAbsDiff = maxAbsDiff(c.out[0], c.out[1])
+		rep.Rows = append(rep.Rows, row)
 	}
-	rep.Attention.ScalarMs, rep.Attention.BestMs, rep.Attention.AVX2Ms = attnMs[0], attnMs[1], attnMs[2]
-	if rep.Attention.BestMs > 0 {
-		rep.Attention.Speedup = rep.Attention.ScalarMs / rep.Attention.BestMs
-	}
-	rep.Attention.MaxAbsDiff = maxAbsDiff(dq[0], dq[1])
-	rep.Softmax.ScalarMs, rep.Softmax.BestMs, rep.Softmax.AVX2Ms = softmaxMs[0], softmaxMs[1], softmaxMs[2]
-	if rep.Softmax.BestMs > 0 {
-		rep.Softmax.Speedup = rep.Softmax.ScalarMs / rep.Softmax.BestMs
-	}
-	rep.Softmax.MaxAbsDiff = maxAbsDiff(probs[0], probs[1])
 	rep.FMAPeak = fmaPeak()
 	return rep, nil
 }
@@ -237,12 +218,12 @@ func RunKernelBench(reps int) (*KernelReport, error) {
 // fmaPeak probes the FMA ceiling at 8 and 16 lanes: the fastest of a few
 // ~20 ms spins on this goroutine, then the same with GOMAXPROCS goroutines
 // spinning at once, their rates summed. Widths the CPU lacks yield no row.
-func fmaPeak() []FMAPeak {
+func fmaPeak() []fmaPeakRow {
 	const rounds, tries = 5 << 20, 5
 	procs := runtime.GOMAXPROCS(0)
-	var rows []FMAPeak
+	var rows []fmaPeakRow
 	for _, lanes := range []int{8, 16} {
-		row := FMAPeak{Lanes: lanes, Procs: procs}
+		row := fmaPeakRow{Lanes: lanes, Procs: procs}
 		for try := 0; try < tries; try++ {
 			start := time.Now()
 			flop := tensor.FMASpin(lanes, rounds)
@@ -267,83 +248,46 @@ func fmaPeak() []FMAPeak {
 	return rows
 }
 
-// WriteKernelBench runs the A/B and writes the JSON report.
-func WriteKernelBench(path string, reps int) error {
-	rep, err := RunKernelBench(reps)
-	if err != nil {
-		return err
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	at := rep.Attention
+// printKernel echoes the FMA peak and one line per row.
+func printKernel(w io.Writer, rep *kernelReport) {
 	for _, pk := range rep.FMAPeak {
-		fmt.Printf("FMA peak, %2d lanes: %6.1f GFLOP/s on one goroutine, %6.1f summed over %d\n",
+		fmt.Fprintf(w, "FMA peak, %2d lanes: %6.1f GFLOP/s on one goroutine, %6.1f summed over %d\n",
 			pk.Lanes, pk.OneGFlops, pk.AllGFlops, pk.Procs)
 	}
-	fmt.Printf("kernel A/B (best of %d, scalar vs %s, tolerance mode %v):\n", rep.Reps, rep.BestBackend, rep.ToleranceMode)
-	// avx2 is the 8-lane reading beside an avx512 best, empty otherwise.
-	avx2 := func(ms float64) string {
-		if ms == 0 {
-			return ""
+	fmt.Fprintf(w, "kernel A/B (best of %d, scalar vs %s, tolerance mode %v):\n", rep.Reps, rep.BestBackend, rep.ToleranceMode)
+	for _, row := range rep.Rows {
+		var rate, avx2 string
+		if row.BestGFlops > 0 {
+			rate = fmt.Sprintf(", %.1f GFLOP/s", row.BestGFlops)
 		}
-		return fmt.Sprintf("; avx2 %.3f ms", ms)
+		if row.AVX2Ms > 0 { // the 8-lane reading beside an avx512 best
+			avx2 = fmt.Sprintf("; avx2 %.3f ms", row.AVX2Ms)
+		}
+		fmt.Fprintf(w, "  %s %s\t%8.3f ms -> %8.3f ms (%.2fx%s, max |diff| %.2e%s)\n",
+			row.Name, row.Shape, row.ScalarMs, row.BestMs, row.Speedup, rate, row.MaxAbsDiff, avx2)
 	}
-	for _, row := range rep.Matmuls {
-		fmt.Printf("  MatMul%s %dx%dx%d\t%8.3f ms -> %8.3f ms (%.2fx, %.1f GFLOP/s, max |diff| %.2e%s)\n",
-			row.Form, row.M, row.K, row.N, row.ScalarMs, row.BestMs, row.Speedup, row.BestGFlops, row.MaxAbsDiff, avx2(row.AVX2Ms))
-	}
-	fmt.Printf("  attention fwd+bwd H%d h%d S%d\t%8.3f ms -> %8.3f ms (%.2fx, max |dq diff| %.2e%s)\n",
-		at.Hidden, at.Heads, at.Seq, at.ScalarMs, at.BestMs, at.Speedup, at.MaxAbsDiff, avx2(at.AVX2Ms))
-	sm := rep.Softmax
-	fmt.Printf("  SoftmaxRows %dx%d\t%8.3f ms -> %8.3f ms (%.2fx, max |diff| %.2e%s)\n",
-		sm.Rows, sm.Cols, sm.ScalarMs, sm.BestMs, sm.Speedup, sm.MaxAbsDiff, avx2(sm.AVX2Ms))
-	fmt.Printf("  written to %s\n", path)
-	return nil
 }
 
-// RequireKernelSpeedup reads a kernel A/B report and fails unless the best
-// backend reached the given speedup over scalar on every row. A build
-// without the assembly kernels (noasm, non-amd64) has nothing to guard and
-// passes; a build with them whose best backend is still scalar fails — the
-// CPU registered no SIMD backend, and passing would make the guard vacuous.
-func RequireKernelSpeedup(path string, min float64) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep KernelReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return fmt.Errorf("bench: parse %s: %w", path, err)
-	}
+// checkKernel is the kernel report's gate: the best backend must reach
+// minKernelSpeedup over scalar on every row. A build without the assembly
+// kernels (noasm, non-amd64) has nothing to guard and passes; a build with
+// them whose best backend is still scalar fails — the CPU registered no SIMD
+// backend, and passing would make the gate vacuous.
+func checkKernel(rep *kernelReport) error {
 	if rep.BestBackend == "scalar" {
 		if rep.SIMDCompiled {
-			return fmt.Errorf("bench: %s: the build carries SIMD kernels but this CPU registered no SIMD backend (have %v): nothing was measured",
-				path, rep.Backends)
+			return fmt.Errorf("the build carries SIMD kernels but this CPU registered no SIMD backend (have %v): nothing was measured", rep.Backends)
 		}
-		fmt.Printf("kernel guard: scalar-only build, skipping speedup check\n")
 		return nil
 	}
-	if len(rep.Matmuls) == 0 {
-		return fmt.Errorf("bench: %s: no matmul rows: nothing was measured", path)
+	if len(rep.Rows) == 0 {
+		return errors.New("no rows: nothing was measured")
 	}
-	for _, row := range rep.Matmuls {
-		if row.Speedup < min {
-			return fmt.Errorf("bench: %s: %s MatMul%s %dx%dx%d speedup %.2fx below required %.2fx",
-				path, rep.BestBackend, row.Form, row.M, row.K, row.N, row.Speedup, min)
+	for _, row := range rep.Rows {
+		if row.Speedup < minKernelSpeedup {
+			return fmt.Errorf("%s %s %s speedup %.2fx below required %.2fx",
+				rep.BestBackend, row.Name, row.Shape, row.Speedup, float64(minKernelSpeedup))
 		}
-	}
-	if rep.Attention.Speedup < min {
-		return fmt.Errorf("bench: %s: %s attention fwd+bwd speedup %.2fx below required %.2fx",
-			path, rep.BestBackend, rep.Attention.Speedup, min)
-	}
-	if rep.Softmax.Speedup < min {
-		return fmt.Errorf("bench: %s: %s SoftmaxRows %dx%d speedup %.2fx below required %.2fx",
-			path, rep.BestBackend, rep.Softmax.Rows, rep.Softmax.Cols, rep.Softmax.Speedup, min)
 	}
 	return nil
 }

@@ -1,28 +1,21 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"sort"
 
 	"weipipe/internal/cluster"
 	"weipipe/internal/cost"
+	"weipipe/internal/schedule"
 )
 
 // The sweep is the full strategy×topology×scale grid of the cost model:
-// every schedule the simulator understands on every topology family the cluster package models, at three ring sizes. It
-// regenerates BENCH_sweep.json, the machine-readable companion to the
-// paper tables of EXPERIMENTS.md — the model is deterministic, so the
-// file is committed and CI can diff regenerated output against it.
-
-// sweepStrategies is every strategy the cost model and schedule builder
-// both accept, in report order ("serial" exists only as a functional
-// runner and has no distributed schedule, so it is not swept).
-var sweepStrategies = []string{
-	"gpipe", "1f1b", "zb1", "zb2", "dp", "fsdp",
-	"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2", "wzb2g",
-}
+// every strategy the schedule builder compiles (schedule.Strategies) on every
+// topology family the cluster package models, at four ring sizes. It
+// regenerates BENCH_sweep.json, the machine-readable companion to the paper
+// tables of EXPERIMENTS.md. The model is deterministic, so the file is
+// committed and a test holds it to a regeneration.
 
 // sweepScales are the ring sizes of the grid; divisibility (L%P, N%P)
 // holds for all of them under sweepWorkload. The 64-rank row set is the
@@ -42,6 +35,16 @@ var sweepTopologies = []struct {
 	{"nvlink-ethernet", func(p int) cluster.Topology { return cluster.NVLinkEthernet(p, 4) }},
 }
 
+// sweepTopology builds the sweep's topology family name at p ranks.
+func sweepTopology(name string, p int) cluster.Topology {
+	for _, t := range sweepTopologies {
+		if t.Name == name {
+			return t.Build(p)
+		}
+	}
+	panic("bench: no sweep topology " + name)
+}
+
 // sweepWorkload is the paper's base configuration (Table 2's first
 // column): 7B-ish shape at 4k context, scaled to p workers. Beyond 32
 // workers the base shape no longer divides (L%P, N%P), so layers and
@@ -59,8 +62,8 @@ func sweepWorkload(p int) cost.Workload {
 	return cost.Workload{H: 4096, S: 4096, G: 1, L: l, N: n, P: p, Recompute: true}.WithDefaults()
 }
 
-// SweepCell is one grid point of the sweep report.
-type SweepCell struct {
+// sweepCell is one grid point of the sweep report.
+type sweepCell struct {
 	Strategy      string  `json:"strategy"`
 	Topology      string  `json:"topology"`
 	Workers       int     `json:"workers"`
@@ -70,22 +73,23 @@ type SweepCell struct {
 	OOM           bool    `json:"oom"`
 }
 
-// SweepReport is the serialised sweep. The cost model does no tensor math,
+// sweepReport is the serialised sweep. The cost model does no tensor math,
 // so nothing about the host enters the report: regenerating it anywhere
 // yields the same bytes.
-type SweepReport struct {
+type sweepReport struct {
 	Hidden         int         `json:"hidden"`
 	SeqLen         int         `json:"seq_len"`
 	Layers         int         `json:"layers"`
 	LayersAt       map[int]int `json:"layers_at_p,omitempty"`
 	MicrobatchesAt map[int]int `json:"microbatches_at_p,omitempty"`
-	Cells          []SweepCell `json:"cells"`
+	Cells          []sweepCell `json:"cells"`
 }
 
-// RunSweep evaluates the full grid.
-func RunSweep() (*SweepReport, error) {
+// runSweep evaluates the full grid: every strategy the schedule builder
+// compiles, on every topology family, at every scale.
+func runSweep() (*sweepReport, error) {
 	base := sweepWorkload(sweepScales[0])
-	rep := &SweepReport{
+	rep := &sweepReport{
 		Hidden:         base.H,
 		SeqLen:         base.S,
 		Layers:         base.L,
@@ -100,12 +104,12 @@ func RunSweep() (*SweepReport, error) {
 		w := sweepWorkload(p)
 		for _, top := range sweepTopologies {
 			t := top.Build(p)
-			for _, s := range sweepStrategies {
-				cell, err := RunCell(s, w, t)
+			for _, s := range schedule.Strategies() {
+				cell, err := RunCell(s, a800(w, t))
 				if err != nil {
 					return nil, fmt.Errorf("sweep %s/%s/p=%d: %w", s, top.Name, p, err)
 				}
-				rep.Cells = append(rep.Cells, SweepCell{
+				rep.Cells = append(rep.Cells, sweepCell{
 					Strategy: s, Topology: top.Name, Workers: p,
 					ThroughputTPS: cell.ThroughputTPS, MemoryGB: cell.MemoryGB,
 					BubbleRatio: cell.BubbleRatio, OOM: cell.OOM,
@@ -116,27 +120,15 @@ func RunSweep() (*SweepReport, error) {
 	return rep, nil
 }
 
-// WriteSweep runs the grid and writes BENCH_sweep.json (or path), echoing
-// a per-topology winner summary to stdout.
-func WriteSweep(path string) error {
-	rep, err := RunSweep()
-	if err != nil {
-		return err
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("sweep: %d cells (%d strategies × %d topologies × %d scales)\n",
-		len(rep.Cells), len(sweepStrategies), len(sweepTopologies), len(sweepScales))
+// printSweep echoes the grid's size and each (topology, scale)'s winner.
+func printSweep(w io.Writer, rep *sweepReport) {
+	fmt.Fprintf(w, "sweep: %d cells (%d strategies × %d topologies × %d scales)\n",
+		len(rep.Cells), len(schedule.Strategies()), len(sweepTopologies), len(sweepScales))
 	type key struct {
 		top string
 		p   int
 	}
-	best := make(map[key]SweepCell)
+	best := make(map[key]sweepCell)
 	for _, c := range rep.Cells {
 		k := key{c.Topology, c.Workers}
 		if !c.OOM && c.ThroughputTPS > best[k].ThroughputTPS {
@@ -155,9 +147,7 @@ func WriteSweep(path string) error {
 	})
 	for _, k := range keys {
 		c := best[k]
-		fmt.Printf("  %-16s p=%-3d best %-18s %8.0f tok/s/gpu (bubble %4.1f%%)\n",
+		fmt.Fprintf(w, "  %-16s p=%-3d best %-18s %8.0f tok/s/gpu (bubble %4.1f%%)\n",
 			k.top, k.p, c.Strategy, c.ThroughputTPS, c.BubbleRatio*100)
 	}
-	fmt.Printf("  written to %s\n", path)
-	return nil
 }

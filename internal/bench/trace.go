@@ -6,7 +6,6 @@ import (
 
 	"weipipe/internal/cluster"
 	"weipipe/internal/cost"
-	"weipipe/internal/schedule"
 	"weipipe/internal/sim"
 )
 
@@ -24,22 +23,17 @@ func Timeline(strategy string, p, n int, width int) (string, error) {
 		H: 1024, S: 4096, G: 4, L: p, N: n, P: p,
 		Heads: 16, Recompute: false,
 	}.WithDefaults()
-	spec := schedule.Spec{W: w, GPU: cluster.A800(), Top: cluster.NVLinkSingle(p)}
-	tasks, err := schedule.Build(strategy, spec)
+	res, err := simulate(strategy, a800(w, cluster.NVLinkSingle(p)))
 	if err != nil {
 		return "", err
 	}
-	res, err := sim.Run(tasks)
-	if err != nil {
-		return "", err
-	}
-	return RenderTimeline(res, p, width,
+	return renderTimeline(res, p, width,
 		fmt.Sprintf("%s: P=%d workers, N=%d microbatches, bubble=%.1f%%",
 			strategy, p, n, res.BubbleRatio()*100)), nil
 }
 
-// RenderTimeline draws per-worker occupancy of a simulated schedule.
-func RenderTimeline(res *sim.Result, p, width int, header string) string {
+// renderTimeline draws per-worker occupancy of a simulated schedule.
+func renderTimeline(res *sim.Result, p, width int, header string) string {
 	var b strings.Builder
 	b.WriteString(header)
 	b.WriteString("\n")

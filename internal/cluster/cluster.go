@@ -163,20 +163,6 @@ func (t Topology) GroupSize() int {
 	return t.PerGroup
 }
 
-// Groups returns the contiguous [lo, hi) worker ranges sharing a fast
-// fabric. A uniform ring is a single group covering every worker.
-func (t Topology) Groups() [][2]int {
-	m := t.GroupSize()
-	gs := make([][2]int, 0, t.P/m)
-	for lo := 0; lo < t.P; lo += m {
-		gs = append(gs, [2]int{lo, lo + m})
-	}
-	return gs
-}
-
-// GroupOf returns the group index of a worker.
-func (t Topology) GroupOf(rank int) int { return rank / t.GroupSize() }
-
 // BoundaryLink reports whether ring link i (worker i → i+1 mod P) crosses
 // a group boundary. Uniform rings have no boundary links.
 func (t Topology) BoundaryLink(i int) bool {

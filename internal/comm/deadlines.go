@@ -40,12 +40,6 @@ type Deadlines struct {
 	Barrier time.Duration
 }
 
-// DefaultDeadlines returns the production budget (matching the TCP
-// transport's historical defaults, with the protocol deadlines derived).
-func DefaultDeadlines() Deadlines {
-	return Deadlines{}.WithDefaults()
-}
-
 // WithDefaults fills every zero field, deriving the protocol deadlines
 // from the transport ones so the ordering contract above holds for any
 // partially-specified budget.
@@ -81,26 +75,6 @@ func (d Deadlines) WithDefaults() Deadlines {
 		d.Barrier = 2 * d.AgreeRound
 	}
 	return d
-}
-
-// Scaled multiplies every deadline by f (tests shrink the whole budget
-// uniformly so the layer ordering is preserved).
-func (d Deadlines) Scaled(f float64) Deadlines {
-	scale := func(t time.Duration) time.Duration {
-		s := time.Duration(float64(t) * f)
-		if t > 0 && s < time.Millisecond {
-			s = time.Millisecond
-		}
-		return s
-	}
-	return Deadlines{
-		Dial:       scale(d.Dial),
-		Heartbeat:  scale(d.Heartbeat),
-		PeerDead:   scale(d.PeerDead),
-		Retransmit: scale(d.Retransmit),
-		AgreeRound: scale(d.AgreeRound),
-		Barrier:    scale(d.Barrier),
-	}
 }
 
 // TCPOptions maps the transport share of the budget into dial options.

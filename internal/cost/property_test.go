@@ -1,15 +1,17 @@
-package cost
+package cost_test
 
 import (
 	"testing"
 	"testing/quick"
 
 	"weipipe/internal/cluster"
+	"weipipe/internal/cost"
+	"weipipe/internal/schedule"
 	"weipipe/internal/tensor"
 )
 
 // randWorkload draws a small-but-valid workload from fuzz bytes.
-func randWorkload(seed uint64) Workload {
+func randWorkload(seed uint64) cost.Workload {
 	rng := tensor.NewRNG(seed)
 	p := 1 << rng.Intn(4)      // 1..8
 	l := p * (1 + rng.Intn(4)) // divisible by p
@@ -17,15 +19,10 @@ func randWorkload(seed uint64) Workload {
 	h := 256 << rng.Intn(4)    // 256..2048
 	s := 1024 << rng.Intn(4)   // 1k..8k
 	g := 1 << rng.Intn(4)      // 1..8
-	return Workload{
+	return cost.Workload{
 		H: h, S: s, G: g, L: l, N: n, P: p,
 		Recompute: rng.Intn(2) == 0,
 	}.WithDefaults()
-}
-
-var allMemStrategies = []string{
-	"gpipe", "1f1b", "zb1", "zb2", "fsdp", "dp",
-	"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2", "wzb2g",
 }
 
 // Property: memory is positive and monotone non-decreasing in G for every
@@ -35,7 +32,7 @@ func TestMemoryMonotoneInMicrobatch(t *testing.T) {
 		w := randWorkload(seed)
 		big := w
 		big.G = w.G * 2
-		for _, s := range allMemStrategies {
+		for _, s := range schedule.Strategies() {
 			a := w.MemoryBytes(s)
 			b := big.MemoryBytes(s)
 			if a <= 0 || b < a {

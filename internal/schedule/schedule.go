@@ -55,8 +55,17 @@ func (s Spec) linkScale() float64 {
 	return 1
 }
 
-// Build compiles the named strategy. Strategy names match the pipeline
-// package's Strategy constants.
+// Strategies lists every strategy Build compiles, in the order reports list
+// them. "serial" runs only as a functional runner and has no schedule.
+func Strategies() []string {
+	return []string{
+		"gpipe", "1f1b", "zb1", "zb2", "dp", "fsdp",
+		"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2", "wzb2g",
+	}
+}
+
+// Build compiles the named strategy, one of Strategies. Strategy names match
+// the pipeline package's Strategy constants.
 func Build(strategy string, spec Spec) ([]sim.Task, error) {
 	spec.W = spec.W.WithDefaults()
 	if spec.W.P != spec.Top.P {

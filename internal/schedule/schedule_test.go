@@ -11,12 +11,6 @@ import (
 	"weipipe/internal/sim"
 )
 
-var allStrategies = []string{
-	"gpipe", "1f1b", "zb1", "zb2",
-	"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2", "wzb2g",
-	"fsdp", "dp",
-}
-
 func runStrategy(t *testing.T, strategy string, w cost.Workload, top cluster.Topology) *sim.Result {
 	t.Helper()
 	spec := Spec{W: w, GPU: cluster.A800(), Top: top}
@@ -44,7 +38,7 @@ func TestAllStrategiesBuildAndRun(t *testing.T) {
 	for _, p := range []int{2, 4} {
 		w := smallWorkload(p)
 		top := cluster.NVLinkSingle(p)
-		for _, s := range allStrategies {
+		for _, s := range Strategies() {
 			wl := w
 			if s == "zb1" || s == "zb2" {
 				wl.Recompute = false

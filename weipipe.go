@@ -21,6 +21,7 @@
 package weipipe
 
 import (
+	"weipipe/internal/bench"
 	"weipipe/internal/checkpoint"
 	"weipipe/internal/cluster"
 	"weipipe/internal/comm"
@@ -30,7 +31,6 @@ import (
 	"weipipe/internal/optim"
 	"weipipe/internal/pipeline"
 	"weipipe/internal/schedule"
-	"weipipe/internal/sim"
 	"weipipe/internal/tensor"
 )
 
@@ -357,25 +357,11 @@ func Simulate(s Strategy, w Workload, top Topology) (SimResult, error) {
 // transport actually exposes to compute (cost.Calibration carries one fitted
 // from a traced run). linkScale <= 0 or 1 reproduces Simulate.
 func SimulateScaled(s Strategy, w Workload, top Topology, linkScale float64) (SimResult, error) {
-	w = w.WithDefaults()
-	gpu := cluster.A800()
-	out := SimResult{MemoryGB: w.MemoryBytes(string(s)) / (1 << 30)}
-	if !w.FitsMemory(string(s), gpu) {
-		out.OOM = true
-		return out, nil
-	}
-	tasks, err := schedule.Build(string(s), schedule.Spec{W: w, GPU: gpu, Top: top, LinkScale: linkScale})
-	if err != nil {
-		return out, err
-	}
-	res, err := sim.Run(tasks)
-	if err != nil {
-		return out, err
-	}
-	out.IterationSeconds = res.Makespan
-	out.TokensPerSecPerGPU = w.Tokens() / (res.Makespan * float64(w.P))
-	out.BubbleRatio = res.BubbleRatio()
-	return out, nil
+	c, err := bench.RunCell(string(s), schedule.Spec{W: w, GPU: cluster.A800(), Top: top, LinkScale: linkScale})
+	return SimResult{
+		TokensPerSecPerGPU: c.ThroughputTPS, IterationSeconds: c.IterSec,
+		BubbleRatio: c.BubbleRatio, MemoryGB: c.MemoryGB, OOM: c.OOM,
+	}, err
 }
 
 // BuildModel constructs a model from cfg (deterministic in cfg.Seed).
