@@ -184,7 +184,8 @@ experiments:
 # on the surface is a diff of two logs. It fails when more than two non-test
 # call sites outside benchmark/ and examples/ call TrainIteration (RunRank is
 # the one training loop, and WeiPipeDP's inner ring the one composition),
-# when pipeline.Options has more than 8 fields, RunSpec and RunHooks more
+# when pipeline.Options has more than 8 fields, comm.TCPOptions more than 5
+# (its deadlines are one comm.Deadlines), RunSpec and RunHooks more
 # than 24 together, the flag declarations number more than 63 or
 # weipipe-train lists more than 36, or when non-test internal/comm declares
 # more than 2 interface types (Transport, the whole endpoint contract, and
@@ -192,7 +193,7 @@ experiments:
 # type-switch fallback that a wrapper silently drops to): a knob added past
 # those counts must retire another. It also prints DESIGN.md's size in bytes
 # and the longest and the newest CHANGES.md entry (one entry a line), and
-# fails when DESIGN.md grows past 118211 bytes — a doc edit replaces text
+# fails when DESIGN.md grows past 118194 bytes — a doc edit replaces text
 # instead of appending it — or when the newest entry is over 4096 bytes.
 surface:
 	@echo "non-test Go lines: $$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
@@ -200,7 +201,8 @@ surface:
 	@for t in pipeline.Options comm.TCPOptions schedule.Spec sim.Task; do \
 		n=$$($(GO) doc ./internal/$${t%.*} $${t#*.} | grep -c '^	[A-Z][A-Za-z0-9_, ]* [^ ]'); \
 		echo "$$t fields: $$n"; \
-		[ $$t != pipeline.Options ] || [ $$n -le 8 ] || { echo "surface: pipeline.Options has $$n fields, at most 8"; exit 1; }; done
+		[ $$t != pipeline.Options ] || [ $$n -le 8 ] || { echo "surface: pipeline.Options has $$n fields, at most 8"; exit 1; }; \
+		[ $$t != comm.TCPOptions ] || [ $$n -le 5 ] || { echo "surface: comm.TCPOptions has $$n fields, at most 5"; exit 1; }; done
 	@n=$$(awk '/^type (RunSpec|RunHooks) struct/ { body = 1; next } body && /^}/ { body = 0 } \
 		body && !/^[ \t]*(\/\/|$$)/ { k = 1; for (i = 1; i <= NF && $$i ~ /,$$/; i++) k++; n += k } \
 		END { print n + 0 }' internal/pipeline/spec.go); \
@@ -227,7 +229,7 @@ surface:
 	@wc -l internal/comm/tcp.go
 	@wc -l internal/tensor/*.s
 	@n=$$(wc -c < DESIGN.md); echo "DESIGN.md bytes: $$n"; \
-		[ $$n -le 118211 ] || { echo "surface: DESIGN.md has $$n bytes, at most 118211"; exit 1; }
+		[ $$n -le 118194 ] || { echo "surface: DESIGN.md has $$n bytes, at most 118194"; exit 1; }
 	@echo "longest CHANGES.md entry, bytes: $$(LC_ALL=C awk 'length($$0) > m { m = length($$0) } END { print m + 0 }' CHANGES.md)"
 	@n=$$(LC_ALL=C awk 'END { print length($$0) }' CHANGES.md); echo "newest CHANGES.md entry, bytes: $$n"; \
 		[ $$n -le 4096 ] || { echo "surface: the newest CHANGES.md entry has $$n bytes, at most 4096"; exit 1; }

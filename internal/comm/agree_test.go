@@ -98,7 +98,7 @@ func TestMembershipEvidenceRoundTrip(t *testing.T) {
 // bit pattern — including ones that alias NaNs — must survive a real TCP
 // hop exactly.
 func TestMembershipEvidencePackBytesTCP(t *testing.T) {
-	trs := dialMeshOpts(t, 2, testDeadlines().TCPOptions())
+	trs := dialMeshOpts(t, 2, TCPOptions{Deadlines: testDeadlines()})
 	msg := make([]byte, 0, 300)
 	for i := 0; i < 256; i++ {
 		msg = append(msg, byte(i))
@@ -139,7 +139,7 @@ var failureFabrics = []struct {
 	}},
 	{"tcp", func(t *testing.T, n int, dl Deadlines) []Transport {
 		var out []Transport
-		for _, tr := range dialMeshOpts(t, n, dl.TCPOptions()) {
+		for _, tr := range dialMeshOpts(t, n, TCPOptions{Deadlines: dl}) {
 			out = append(out, tr)
 		}
 		return out
@@ -288,7 +288,7 @@ func TestDeadPeerExtraction(t *testing.T) {
 // {2} ends with ErrNoQuorum — never two progressing segments.
 func TestMembershipAgreeAsymmetricPartition(t *testing.T) {
 	dl := testDeadlines()
-	trs := dialMeshOpts(t, 3, dl.TCPOptions())
+	trs := dialMeshOpts(t, 3, TCPOptions{Deadlines: dl})
 
 	// One-directional partition: everything rank 2 sends toward rank 0 is
 	// dropped, including heartbeats and reconnect handshakes.
@@ -349,8 +349,8 @@ func TestEpochFenceRejectsStaleHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := testDeadlines().TCPOptions()
-	opts.DialTimeout = 700 * time.Millisecond
+	opts := TCPOptions{Deadlines: testDeadlines()}
+	opts.Deadlines.Dial = 700 * time.Millisecond
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for r := 0; r < 2; r++ {
@@ -384,7 +384,7 @@ func TestEpochFenceRejectsStaleFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	dl := testDeadlines()
-	opts := dl.TCPOptions()
+	opts := TCPOptions{Deadlines: dl}
 	opts.Epoch = 7
 
 	var tr *TCPTransport
@@ -470,7 +470,7 @@ func TestRecvTimeoutCloseRaceDuringReconnect(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for iter := 0; iter < 8; iter++ {
 		dl := testDeadlines()
-		opts := dl.TCPOptions()
+		opts := TCPOptions{Deadlines: dl}
 		opts.Chaos = &ChaosConfig{Seed: uint64(1000 + iter), ResetEvery: 4} // constant reconnect churn
 		trs := dialMeshOpts(t, 2, opts)
 

@@ -136,7 +136,7 @@ func TestBF16CodecTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := TCPOptions{DialTimeout: 10 * time.Second, Codec: BeltBF16}
+	opts := TCPOptions{Deadlines: Deadlines{Dial: 10 * time.Second}, Codec: BeltBF16}
 	trs := make([]Transport, 2)
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
@@ -199,7 +199,7 @@ func TestSendOwnedTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := TCPOptions{DialTimeout: 10 * time.Second}
+	opts := TCPOptions{Deadlines: Deadlines{Dial: 10 * time.Second}}
 	trs := make([]Transport, 2)
 	errs := make([]error, 2)
 	var wg sync.WaitGroup

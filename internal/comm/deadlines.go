@@ -76,15 +76,3 @@ func (d Deadlines) WithDefaults() Deadlines {
 	}
 	return d
 }
-
-// TCPOptions maps the transport share of the budget into dial options.
-// The caller fills Epoch, Codec, Chaos and Trace.
-func (d Deadlines) TCPOptions() TCPOptions {
-	d = d.WithDefaults()
-	return TCPOptions{
-		DialTimeout:       d.Dial,
-		HeartbeatInterval: d.Heartbeat,
-		PeerDeadTimeout:   d.PeerDead,
-		RetransmitTimeout: d.Retransmit,
-	}
-}

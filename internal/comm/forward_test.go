@@ -179,7 +179,7 @@ func dialMeshEach(t *testing.T, n int, opts func(r int) TCPOptions) []*TCPTransp
 // reaches the same check: wrappers hand Forward on, not a copying Send.
 func TestForwardOfWrittenPayloadPanics(t *testing.T) {
 	poisonPool(t)
-	trs := dialMeshEach(t, 3, func(int) TCPOptions { return TCPOptions{DialTimeout: 5 * time.Second} })
+	trs := dialMeshEach(t, 3, func(int) TCPOptions { return TCPOptions{Deadlines: Deadlines{Dial: 5 * time.Second}} })
 	const n = 4 * crcMinElems
 	src := make([]float32, n)
 	for i := range src {
@@ -258,10 +258,7 @@ func TestForwardRelayUnderCorruption(t *testing.T) {
 	poisonPool(t)
 	trs := dialMeshEach(t, 3, func(r int) TCPOptions {
 		o := TCPOptions{
-			DialTimeout:       5 * time.Second,
-			HeartbeatInterval: 25 * time.Millisecond,
-			RetransmitTimeout: 40 * time.Millisecond,
-			ReconnectBackoff:  5 * time.Millisecond,
+			Deadlines: Deadlines{Dial: 5 * time.Second, Heartbeat: 25 * time.Millisecond, Retransmit: 40 * time.Millisecond},
 		}
 		if r == 1 { // only the relay's outgoing links misbehave
 			o.Chaos = &ChaosConfig{Seed: 3, Corrupt: 0.3}

@@ -56,7 +56,8 @@ const (
 	codecShift = 8
 
 	// defaultMaxFrameElems bounds the payload element count a decoder will
-	// allocate for (1 GiB of float32s); DialTCPOpts can lower it.
+	// allocate for (1 GiB of float32s). Every TCP link reads under it; the
+	// fuzz targets pass a lower bound.
 	defaultMaxFrameElems = 1 << 28
 )
 

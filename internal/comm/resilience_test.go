@@ -166,12 +166,8 @@ func chaosMesh(t *testing.T, chaos *ChaosConfig, peerDead time.Duration) []*TCPT
 		t.Fatal(err)
 	}
 	opts := TCPOptions{
-		DialTimeout:       5 * time.Second,
-		HeartbeatInterval: 25 * time.Millisecond,
-		PeerDeadTimeout:   peerDead,
-		RetransmitTimeout: 40 * time.Millisecond,
-		ReconnectBackoff:  5 * time.Millisecond,
-		Chaos:             chaos,
+		Deadlines: Deadlines{Dial: 5 * time.Second, Heartbeat: 25 * time.Millisecond, PeerDead: peerDead, Retransmit: 40 * time.Millisecond},
+		Chaos:     chaos,
 	}
 	trs := make([]*TCPTransport, 2)
 	errs := make([]error, 2)
@@ -298,7 +294,7 @@ func TestTCPDialTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err = DialTCPOpts(0, addrs, TCPOptions{DialTimeout: 250 * time.Millisecond})
+	_, err = DialTCPOpts(0, addrs, TCPOptions{Deadlines: Deadlines{Dial: 250 * time.Millisecond}})
 	if err == nil {
 		t.Fatal("dial with absent peer succeeded")
 	}

@@ -197,12 +197,9 @@ func TestTCPChaosRetransmitsSharedPayload(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			poisonPool(t)
 			trs := dialMeshOpts(t, 2, TCPOptions{
-				DialTimeout:       5 * time.Second,
-				HeartbeatInterval: 25 * time.Millisecond,
-				RetransmitTimeout: 40 * time.Millisecond,
-				ReconnectBackoff:  5 * time.Millisecond,
-				Codec:             tc.codec,
-				Chaos:             &ChaosConfig{Seed: 11, Drop: 0.15, Dup: 0.1, Reorder: 0.1, Corrupt: 0.1, ResetEvery: 13},
+				Deadlines: Deadlines{Dial: 5 * time.Second, Heartbeat: 25 * time.Millisecond, Retransmit: 40 * time.Millisecond},
+				Codec:     tc.codec,
+				Chaos:     &ChaosConfig{Seed: 11, Drop: 0.15, Dup: 0.1, Reorder: 0.1, Corrupt: 0.1, ResetEvery: 13},
 			})
 			const n, elems = 120, 777
 			value := func(i, j int) float32 { return float32(i) + float32(j)/1024 }
@@ -272,8 +269,7 @@ func TestTCPShutdownReleasesSharedPayloadsOnce(t *testing.T) {
 		t.Run(how, func(t *testing.T) {
 			poisonPool(t)
 			trs := dialMeshOpts(t, 2, TCPOptions{
-				HeartbeatInterval: 20 * time.Millisecond,
-				PeerDeadTimeout:   200 * time.Millisecond,
+				Deadlines: Deadlines{Heartbeat: 20 * time.Millisecond, PeerDead: 200 * time.Millisecond},
 			})
 			// A partition keeps the frames unacknowledged in the send queue.
 			trs[0].Blackhole([]int{1}, time.Minute)

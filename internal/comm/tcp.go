@@ -27,7 +27,7 @@ import (
 //     deterministic ChaosConfig injector used by the chaos test suite —
 //     never reach the training protocol;
 //   - heartbeats flow on idle links; a broken connection is re-dialed with
-//     bounded exponential backoff, and a peer silent past PeerDeadTimeout
+//     bounded exponential backoff, and a peer silent past Deadlines.PeerDead
 //     is declared dead, failing every pending receive with *PeerDeadError
 //     so blocked runners abort cleanly instead of hanging.
 //
@@ -61,24 +61,16 @@ type TCPOptions struct {
 	// the mesh, so a stale segment of a partitioned ring can neither
 	// rejoin nor refresh anyone's liveness. Default 0.
 	Epoch uint32
-	// DialTimeout bounds the whole initial mesh bring-up: a peer that never
-	// comes up yields a per-peer error instead of hanging forever.
-	// Default 15s.
-	DialTimeout time.Duration
-	// HeartbeatInterval is the idle-link heartbeat period. Default 500ms.
-	HeartbeatInterval time.Duration
-	// PeerDeadTimeout is how long a peer may stay silent (no frames, no
-	// successful reconnection) before it is declared dead. Default 10s.
-	PeerDeadTimeout time.Duration
-	// RetransmitTimeout is how long the sender waits for acknowledgement
-	// progress before re-sending unacknowledged frames. Default 250ms.
-	RetransmitTimeout time.Duration
-	// ReconnectBackoff is the initial re-dial backoff; it doubles per
-	// attempt, capped at 500ms. Default 20ms.
-	ReconnectBackoff time.Duration
-	// MaxPayloadElems bounds the per-frame payload the decoder will accept.
-	// Default 1<<28 elements (1 GiB).
-	MaxPayloadElems int
+	// Deadlines is the transport's share of the run's one timeout budget:
+	// Dial bounds the whole initial mesh bring-up (a peer that never comes
+	// up yields a per-peer error instead of hanging forever), Heartbeat is
+	// the idle-link heartbeat period, PeerDead how long a peer may stay
+	// silent (no frames, no successful reconnection) before it is declared
+	// dead, and Retransmit how long the sender waits for acknowledgement
+	// progress before re-sending unacknowledged frames. A broken connection
+	// is re-dialed after min(20ms, Retransmit/8), doubling per attempt up to
+	// 500ms. Zero fields take Deadlines.WithDefaults.
+	Deadlines Deadlines
 	// Codec selects the per-Tag wire codec (nil means f32 everywhere). With
 	// BeltBF16 the weight/grad belt frames travel at half width; the codec
 	// rides in the frame header, so the receiver needs no configuration.
@@ -98,28 +90,6 @@ type TCPOptions struct {
 // small frame window costs no throughput while keeping the retransmit
 // buffer — and the data an abrupt disconnect can lose — bounded.
 const defaultSendWindow = 32
-
-func (o TCPOptions) withDefaults() TCPOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 15 * time.Second
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if o.PeerDeadTimeout <= 0 {
-		o.PeerDeadTimeout = 10 * time.Second
-	}
-	if o.RetransmitTimeout <= 0 {
-		o.RetransmitTimeout = 250 * time.Millisecond
-	}
-	if o.ReconnectBackoff <= 0 {
-		o.ReconnectBackoff = 20 * time.Millisecond
-	}
-	if o.MaxPayloadElems <= 0 {
-		o.MaxPayloadElems = defaultMaxFrameElems
-	}
-	return o
-}
 
 // ChaosConfig injects deterministic faults into a link's outgoing data
 // frames, below the sequence/retransmission layer: the transport must mask
@@ -160,7 +130,7 @@ func DialTCPOpts(rank int, addrs []string, opts TCPOptions) (*TCPTransport, erro
 	if rank < 0 || rank >= size {
 		return nil, fmt.Errorf("comm: rank %d out of range of %d addrs", rank, size)
 	}
-	opts = opts.withDefaults()
+	opts.Deadlines = opts.Deadlines.WithDefaults()
 	t := &TCPTransport{
 		rank:      rank,
 		size:      size,
@@ -179,7 +149,7 @@ func DialTCPOpts(rank int, addrs []string, opts TCPOptions) (*TCPTransport, erro
 	t.ln = ln.(*net.TCPListener)
 
 	now := time.Now()
-	deadline := now.Add(opts.DialTimeout)
+	deadline := now.Add(opts.Deadlines.Dial)
 	for peer := 0; peer < size; peer++ {
 		if peer == rank {
 			continue
@@ -243,7 +213,7 @@ func DialTCPOpts(rank int, addrs []string, opts TCPOptions) (*TCPTransport, erro
 				if time.Now().After(deadline) {
 					t.Close()
 					return nil, fmt.Errorf("comm: rank %d: peer %d (%s) not connected after %v",
-						rank, peer, addrs[peer], opts.DialTimeout)
+						rank, peer, addrs[peer], opts.Deadlines.Dial)
 				}
 			}
 		}
@@ -277,7 +247,7 @@ func (t *TCPTransport) dialPeer(peer int, deadline time.Time) error {
 				lastErr = errors.New("no attempt completed")
 			}
 			return fmt.Errorf("comm: dial rank %d (%s): gave up after %v: %w",
-				peer, l.addr, t.opts.DialTimeout, lastErr)
+				peer, l.addr, t.opts.Deadlines.Dial, lastErr)
 		}
 		conn, err := net.DialTimeout("tcp", l.addr, 250*time.Millisecond)
 		if err != nil {
@@ -429,8 +399,8 @@ func (t *TCPTransport) isClosed() bool {
 // accounting and peer-death detection for every link.
 func (t *TCPTransport) monitorLoop() {
 	defer t.wg.Done()
-	period := t.opts.HeartbeatInterval / 2
-	if rto := t.opts.RetransmitTimeout / 2; rto < period {
+	period := t.opts.Deadlines.Heartbeat / 2
+	if rto := t.opts.Deadlines.Retransmit / 2; rto < period {
 		period = rto
 	}
 	if period < time.Millisecond {
@@ -681,7 +651,7 @@ func (t *TCPTransport) BeginRecovery() []int {
 // deterministic network-partition injector. Incoming traffic still
 // flows, so an asymmetric partition is one-sided Blackhole and a full
 // partition is Blackhole on both sides. Frames queued during the window
-// stay in the retransmit queue: a blackout shorter than PeerDeadTimeout
+// stay in the retransmit queue: a blackout shorter than Deadlines.PeerDead
 // heals by retransmission, a longer one fires the failure detector.
 func (t *TCPTransport) Blackhole(peers []int, d time.Duration) {
 	until := time.Now().Add(d)
@@ -822,7 +792,7 @@ func (l *tcpLink) install(conn net.Conn) {
 		// connections by write count can starve the reverse-direction ack
 		// forever: each incarnation dies before the peer's writer wakes,
 		// and the same backlog is re-sent for eternity.
-		l.quietUntil = now.Add(l.t.opts.RetransmitTimeout / 16)
+		l.quietUntil = now.Add(l.t.opts.Deadlines.Retransmit / 16)
 	}
 	l.lastContact = now
 	l.lastAckTime = now
@@ -860,7 +830,7 @@ func (l *tcpLink) markDown(gen int) {
 }
 
 // redialLoop re-establishes a broken connection with exponential backoff,
-// bounded by PeerDeadTimeout (the monitor declares the peer dead then).
+// bounded by Deadlines.PeerDead (the monitor declares the peer dead then).
 func (l *tcpLink) redialLoop() {
 	defer l.t.wg.Done()
 	defer func() {
@@ -868,7 +838,7 @@ func (l *tcpLink) redialLoop() {
 		l.redialing = false
 		l.mu.Unlock()
 	}()
-	backoff := l.t.opts.ReconnectBackoff
+	backoff := min(20*time.Millisecond, l.t.opts.Deadlines.Retransmit/8)
 	const maxBackoff = 500 * time.Millisecond
 	for {
 		l.mu.Lock()
@@ -927,7 +897,7 @@ func (l *tcpLink) shutdown() {
 // tick runs the link's periodic duties: heartbeat emission, retransmission
 // on ack stall, heartbeat-miss accounting and peer-death declaration.
 func (l *tcpLink) tick(now time.Time) {
-	opts := &l.t.opts
+	dl := &l.t.opts.Deadlines
 	var signal bool
 	var deadCause error
 	l.mu.Lock()
@@ -936,19 +906,19 @@ func (l *tcpLink) tick(now time.Time) {
 		return
 	}
 	// Heartbeat: keep idle links demonstrably alive.
-	if l.conn != nil && now.Sub(l.lastBeat) >= opts.HeartbeatInterval {
+	if l.conn != nil && now.Sub(l.lastBeat) >= dl.Heartbeat {
 		l.hbDue = true
 		l.lastBeat = now
 		signal = true
 	}
 	// Heartbeat misses: count silence in heartbeat units (observability).
-	if l.conn != nil && now.Sub(l.lastContact) > 2*opts.HeartbeatInterval &&
-		now.Sub(l.lastMiss) > 2*opts.HeartbeatInterval {
+	if l.conn != nil && now.Sub(l.lastContact) > 2*dl.Heartbeat &&
+		now.Sub(l.lastMiss) > 2*dl.Heartbeat {
 		l.lastMiss = now
 		l.t.stats.recordHeartbeatMiss(l.peer)
 	}
 	// Retransmission: acks stalled with frames outstanding.
-	if l.conn != nil && l.sent > 0 && now.Sub(l.lastAckTime) > opts.RetransmitTimeout {
+	if l.conn != nil && l.sent > 0 && now.Sub(l.lastAckTime) > dl.Retransmit {
 		l.t.stats.recordRetransmit(l.peer, int64(l.sent))
 		l.t.opts.Trace.Instant(trace.CodeRetransmit, int64(l.peer), int64(l.sent))
 		l.sent = 0
@@ -957,14 +927,14 @@ func (l *tcpLink) tick(now time.Time) {
 	}
 	// Death: silent past the grace window (connected-but-mute or
 	// disconnected with every reconnection attempt failed).
-	if now.Sub(l.lastContact) > opts.PeerDeadTimeout {
+	if now.Sub(l.lastContact) > dl.PeerDead {
 		l.dead = true
 		if l.conn != nil {
 			l.conn.Close()
 			l.conn = nil
 		}
 		if l.downSince.IsZero() {
-			deadCause = fmt.Errorf("no traffic for %v", opts.PeerDeadTimeout)
+			deadCause = fmt.Errorf("no traffic for %v", dl.PeerDead)
 		} else {
 			deadCause = fmt.Errorf("disconnected %v, reconnection failed", now.Sub(l.downSince).Round(time.Millisecond))
 		}
@@ -1172,7 +1142,7 @@ func (l *tcpLink) writeData(conn net.Conn, wire []byte) error {
 // readLoop dispatches the connection's incoming frames until it breaks.
 func (l *tcpLink) readLoop(conn net.Conn, gen int) {
 	defer l.t.wg.Done()
-	fr := &frameReader{r: conn, size: l.t.size, maxElems: l.t.opts.MaxPayloadElems}
+	fr := &frameReader{r: conn, size: l.t.size, maxElems: defaultMaxFrameElems}
 	for {
 		h, payload, synced, err := fr.next()
 		if err != nil {

@@ -89,8 +89,8 @@ func TestTCPTraceSpans(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			ts[r], errs[r] = DialTCPOpts(r, addrs, TCPOptions{
-				DialTimeout: 5 * time.Second,
-				Trace:       set.Rank(r),
+				Deadlines: Deadlines{Dial: 5 * time.Second},
+				Trace:     set.Rank(r),
 			})
 		}(r)
 	}

@@ -267,12 +267,9 @@ func TestTCPChaosRetransmitsRetainedPayload(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			trs := dialMeshOpts(t, 2, TCPOptions{
-				DialTimeout:       5 * time.Second,
-				HeartbeatInterval: 25 * time.Millisecond,
-				RetransmitTimeout: 40 * time.Millisecond,
-				ReconnectBackoff:  5 * time.Millisecond,
-				Codec:             tc.codec,
-				Chaos:             &tc.chaos,
+				Deadlines: Deadlines{Dial: 5 * time.Second, Heartbeat: 25 * time.Millisecond, Retransmit: 40 * time.Millisecond},
+				Codec:     tc.codec,
+				Chaos:     &tc.chaos,
 			})
 			const n, elems = 120, 777
 			value := func(i, j int) float32 { return float32(i) + float32(j)/1024 }

@@ -26,9 +26,6 @@ type PhaseTotals struct {
 	Ranks      int
 }
 
-// ComputeSec returns the per rank-iteration compute total.
-func (p PhaseTotals) ComputeSec() float64 { return p.FSec + p.BSec + p.WSec + p.OptSec }
-
 // PerRankFwdFLOPs returns the forward FLOPs one rank executes per
 // iteration: its N/P microbatches through all L layers plus the LM head.
 // (In weight-passing schedules the weights travel to the data, so every

@@ -247,27 +247,3 @@ func (m *Model) Partition(p int) [][2]int {
 	}
 	return bounds
 }
-
-// PartitionLayersEven ignores parameter sizes and splits the Layers blocks
-// evenly across p ranges, attaching the embedding to the first range and the
-// head to the last — the paper's "distribute layers evenly" layout. Layers
-// must be divisible by p.
-func (m *Model) PartitionLayersEven(p int) [][2]int {
-	if m.Cfg.Layers%p != 0 {
-		panic(fmt.Sprintf("model: %d layers not divisible by %d workers", m.Cfg.Layers, p))
-	}
-	per := m.Cfg.Layers / p
-	bounds := make([][2]int, p)
-	for r := 0; r < p; r++ {
-		lo := 1 + r*per
-		hi := 1 + (r+1)*per
-		if r == 0 {
-			lo = 0
-		}
-		if r == p-1 {
-			hi = len(m.Modules)
-		}
-		bounds[r] = [2]int{lo, hi}
-	}
-	return bounds
-}

@@ -165,27 +165,6 @@ func TestPartitionCoversAllModules(t *testing.T) {
 	}
 }
 
-func TestPartitionLayersEven(t *testing.T) {
-	m := Build(tinyCfg()) // 4 layers, 6 modules
-	b := m.PartitionLayersEven(2)
-	if b[0] != [2]int{0, 3} || b[1] != [2]int{3, 6} {
-		t.Fatalf("bounds = %v", b)
-	}
-	b4 := m.PartitionLayersEven(4)
-	want := [][2]int{{0, 2}, {2, 3}, {3, 4}, {4, 6}}
-	for i := range want {
-		if b4[i] != want[i] {
-			t.Fatalf("bounds4 = %v", b4)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("indivisible layer split did not panic")
-		}
-	}()
-	m.PartitionLayersEven(3)
-}
-
 func TestBlockParamCountMatchesPaperFormula(t *testing.T) {
 	// A block should carry ≈12H² params when FFNDim = 8H/3.
 	cfg := Config{Vocab: 100, Hidden: 96, Layers: 1, Heads: 4, MaxSeq: 8, Seed: 1}

@@ -12,16 +12,6 @@ import (
 	"weipipe/internal/tensor"
 )
 
-// Optimizer updates a flat parameter vector from a same-length gradient.
-type Optimizer interface {
-	// Step applies one update of w given gradient g. len(w) must equal the
-	// size the optimizer was built with; g is not modified.
-	Step(w, g []float32)
-	// StateBytes reports the optimizer-state footprint in bytes (used by
-	// the memory model and tests).
-	StateBytes() int
-}
-
 // AdamWConfig holds AdamW hyperparameters. Zero values select the usual
 // defaults via NewAdamW.
 type AdamWConfig struct {
@@ -59,7 +49,8 @@ func NewAdamW(size int, cfg AdamWConfig) *AdamW {
 	return &AdamW{cfg: cfg, m: make([]float32, size), v: make([]float32, size)}
 }
 
-// Step implements Optimizer. The update runs in tensor.AdamW: float64
+// Step applies one update of w given gradient g, which must both have the
+// optimizer's size; g is not modified. The update runs in tensor.AdamW: float64
 // arithmetic per element, on 4 (avx2) or 8 (avx512) float64 lanes under a
 // SIMD backend, bit-identical to the scalar loop everywhere. It is
 // divider-bound — two divides, a square root and a third divide per
@@ -87,9 +78,6 @@ func (o *AdamW) Step(w, g []float32) {
 		}
 	}
 }
-
-// StateBytes implements Optimizer: two fp32 moments per parameter.
-func (o *AdamW) StateBytes() int { return 8 * len(o.m) }
 
 // ExportState returns the optimizer's step count and copies of its moment
 // vectors, for checkpointing.
@@ -132,69 +120,6 @@ func (o *AdamW) LoadState(step int, m, v []float32) error {
 	copy(o.m, m)
 	copy(o.v, v)
 	return nil
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      []float32
-}
-
-// NewSGD builds an SGD optimizer for a vector of the given size.
-func NewSGD(size int, lr, momentum float64) *SGD {
-	s := &SGD{LR: lr, Momentum: momentum}
-	if momentum != 0 {
-		s.vel = make([]float32, size)
-	} else {
-		s.vel = make([]float32, 0)
-	}
-	return s
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(w, g []float32) {
-	if s.Momentum == 0 {
-		lr := float32(s.LR)
-		for i := range w {
-			w[i] -= lr * g[i]
-		}
-		return
-	}
-	if len(s.vel) != len(w) {
-		panic("optim: SGD size mismatch")
-	}
-	mu := float32(s.Momentum)
-	lr := float32(s.LR)
-	for i := range w {
-		s.vel[i] = mu*s.vel[i] + g[i]
-		w[i] -= lr * s.vel[i]
-	}
-}
-
-// StateBytes implements Optimizer.
-func (s *SGD) StateBytes() int { return 4 * len(s.vel) }
-
-// GlobalNorm returns the L2 norm of g.
-func GlobalNorm(g []float32) float64 {
-	var ss float64
-	for _, v := range g {
-		ss += float64(v) * float64(v)
-	}
-	return math.Sqrt(ss)
-}
-
-// ClipByGlobalNorm scales g in place so its L2 norm is at most maxNorm and
-// returns the norm before clipping.
-func ClipByGlobalNorm(g []float32, maxNorm float64) float64 {
-	n := GlobalNorm(g)
-	if n > maxNorm && n > 0 {
-		s := float32(maxNorm / n)
-		for i := range g {
-			g[i] *= s
-		}
-	}
-	return n
 }
 
 // WarmupCosine is the LLM-standard schedule: linear warm-up from 0 to Base

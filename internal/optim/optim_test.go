@@ -7,32 +7,6 @@ import (
 	"weipipe/internal/tensor"
 )
 
-func TestSGDStep(t *testing.T) {
-	w := []float32{1, 2}
-	g := []float32{0.5, -0.5}
-	s := NewSGD(2, 0.1, 0)
-	s.Step(w, g)
-	if math.Abs(float64(w[0])-0.95) > 1e-6 || math.Abs(float64(w[1])-2.05) > 1e-6 {
-		t.Fatalf("w = %v", w)
-	}
-	if s.StateBytes() != 0 {
-		t.Fatalf("momentum-free SGD state = %d", s.StateBytes())
-	}
-}
-
-func TestSGDMomentumAccumulates(t *testing.T) {
-	w := []float32{0}
-	s := NewSGD(1, 1.0, 0.5)
-	s.Step(w, []float32{1}) // vel=1, w=-1
-	s.Step(w, []float32{1}) // vel=1.5, w=-2.5
-	if math.Abs(float64(w[0])+2.5) > 1e-6 {
-		t.Fatalf("w = %v", w)
-	}
-	if s.StateBytes() != 4 {
-		t.Fatalf("StateBytes = %d", s.StateBytes())
-	}
-}
-
 func TestAdamWFirstStepIsLR(t *testing.T) {
 	// With bias correction, the first AdamW step is ≈ lr·sign(g).
 	w := []float32{1, 1}
@@ -98,30 +72,6 @@ func TestAdamWSizeMismatchPanics(t *testing.T) {
 		}
 	}()
 	o.Step([]float32{1}, []float32{1})
-}
-
-func TestAdamWStateBytes(t *testing.T) {
-	o := NewAdamW(100, DefaultAdamW(0.1))
-	if o.StateBytes() != 800 {
-		t.Fatalf("StateBytes = %d, want 800", o.StateBytes())
-	}
-}
-
-func TestClipByGlobalNorm(t *testing.T) {
-	g := []float32{3, 4} // norm 5
-	n := ClipByGlobalNorm(g, 1)
-	if math.Abs(n-5) > 1e-6 {
-		t.Fatalf("returned norm %v", n)
-	}
-	if math.Abs(GlobalNorm(g)-1) > 1e-6 {
-		t.Fatalf("clipped norm = %v", GlobalNorm(g))
-	}
-	// below the cap: untouched
-	g2 := []float32{0.3, 0.4}
-	ClipByGlobalNorm(g2, 1)
-	if g2[0] != 0.3 || g2[1] != 0.4 {
-		t.Fatal("clip modified small gradient")
-	}
 }
 
 func TestWarmupCosineShape(t *testing.T) {

@@ -75,7 +75,7 @@ func (w *WeiPipe) initBuddy() {
 	w.mdl.InitChunk(lo, hi, bs.w)
 	w.buddy = bs
 
-	own := len(w.masterW)
+	own := len(w.master().w)
 	w.rbW = make([]float32, own)
 	w.rbM = make([]float32, own)
 	w.rbV = make([]float32, own)
@@ -103,8 +103,8 @@ func (w *WeiPipe) stashOwnedRollback() {
 	if w.buddy == nil {
 		return
 	}
-	copy(w.rbW, w.masterW)
-	w.rbStep = w.opt.CopyStateInto(w.rbM, w.rbV)
+	copy(w.rbW, w.master().w)
+	w.rbStep = w.master().opt.CopyStateInto(w.rbM, w.rbV)
 	w.rbIters = w.ownerIters
 	w.rbValid = true
 }
@@ -185,8 +185,8 @@ func exportAt(atIter, iters int, curW, curM, curV []float32, curStep int,
 // iteration atIter — the live state, or the one-deep rollback when this
 // rank already stepped past the repair cut. The trainer must be quiescent.
 func (w *WeiPipe) ExportOwnedStateAt(atIter int) (StateExport, error) {
-	step, m, v := w.opt.ExportState()
-	return exportAt(atIter, w.ownerIters, w.masterW, m, v, step,
+	step, m, v := w.master().opt.ExportState()
+	return exportAt(atIter, w.ownerIters, w.master().w, m, v, step,
 		w.rbValid, w.rbIters, w.rbW, w.rbM, w.rbV, w.rbStep)
 }
 

@@ -173,7 +173,8 @@ func TestRecomputeHoldsOnlyBoundaries(t *testing.T) {
 		forwardRange(mdl, 0, n, nil, b, caches, recompute)
 		heldAfterF = arena.LiveBytes()
 		backwardRangeB(mdl, 0, n, nil, caches, recompute)
-		backwardRangeW(mdl, 0, n, caches, zeroedGrads(mdl, nil))
+		_, grads := bindGrads(mdl, 0, n)
+		backwardRangeW(mdl, 0, n, caches, grads)
 		return heldAfterF, arena.Bytes()
 	}
 	held, withBytes := round(true)

@@ -32,14 +32,14 @@ import (
 // the pool afterwards. The assembled weights come from every rank's shards
 // (ExportWeights), not from a gather.
 type FSDP struct {
-	t       Transport
-	mdl     *model.Model // shells, at most two bound to a gather at a time
-	shards  [][]float32  // per-module owned shard, comm.ShardOf(rank, P) (fp32 master)
-	shardAt []int        // where each shard starts in the flat parameter vector
-	opts    []*optim.AdamW
-	o       Options
-	seq     int
-	arena   *tensor.Arena
+	// owned's pieces are the rank's shard of every module, in module order:
+	// shard comm.ShardOf(rank, P). Its model is shells, at most two bound to
+	// a gather at a time.
+	owned
+	t     Transport
+	o     Options
+	seq   int
+	arena *tensor.Arena
 	// grads accumulates an iteration's full-model gradients. The sets own no
 	// storage: module i's is bound for good to gradFlat[i], the flat buffer
 	// the reduce-scatter consumes as it lies.
@@ -61,7 +61,6 @@ type FSDP struct {
 
 	// tr is this rank's runtime tracer (nil when tracing is off).
 	tr *trace.Tracer
-	stepRule
 }
 
 // NewFSDP builds an FSDP trainer for this rank.
@@ -69,8 +68,8 @@ func NewFSDP(t Transport, cfg model.Config, o Options) (*FSDP, error) {
 	mdl := model.BuildShells(cfg)
 	p := t.Size()
 	r := t.Rank()
-	f := &FSDP{t: t, mdl: mdl, o: o, arena: tensor.NewArena(), tr: o.Trace.Rank(r),
-		stepRule: newStepRule(o, r), stats: t.CommStats()}
+	f := &FSDP{owned: owned{mdl: mdl, stepRule: newStepRule(o, r)}, t: t, o: o,
+		arena: tensor.NewArena(), tr: o.Trace.Rank(r), stats: t.CommStats()}
 	off := 0
 	for i := range mdl.Modules {
 		size := mdl.ModuleParamSize(i)
@@ -79,10 +78,8 @@ func NewFSDP(t Transport, cfg model.Config, o Options) (*FSDP, error) {
 		// Build the module, cut this rank's shard out of it and drop it: at
 		// most one full module is resident at a time.
 		mdl.InitModule(i).Params().FlattenRange(rg[0], shard)
-		f.shards = append(f.shards, shard)
-		f.shardAt = append(f.shardAt, off+rg[0])
+		f.pieces = append(f.pieces, piece{off: off + rg[0], w: shard, opt: optim.NewAdamW(len(shard), o.Adam)})
 		off += size
-		f.opts = append(f.opts, optim.NewAdamW(len(shard), o.Adam))
 		f.gradFlat = append(f.gradFlat, make([]float32, size))
 		g := mdl.Modules[i].Params().NewUnbound()
 		g.Bind(f.gradFlat[i])
@@ -90,10 +87,6 @@ func NewFSDP(t Transport, cfg model.Config, o Options) (*FSDP, error) {
 	}
 	return f, nil
 }
-
-// Model implements Trainer: shells, which hold a module's weights only
-// while it is bound to its gather.
-func (f *FSDP) Model() *model.Model { return f.mdl }
 
 // shardLens returns every rank's shard length for module i.
 func (f *FSDP) shardLens(i int) []int {
@@ -112,7 +105,7 @@ func (f *FSDP) gather(i int) ([]float32, error) {
 	f.seq++
 	span := f.tr.Begin()
 	start := time.Now()
-	full, err := comm.AllGather(f.t, f.shards[i], f.shardLens(i), f.seq)
+	full, err := comm.AllGather(f.t, f.pieces[i].w, f.shardLens(i), f.seq)
 	f.tr.End(span, trace.CodeStall, int64(comm.KindWeight), int64(i))
 	f.stats.RecordBeltStall(time.Since(start))
 	return full, err
@@ -216,9 +209,9 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 	}
 
 	// Reduce-scatter each module's gradient: the owned shard's sum lands in
-	// place in gradFlat, and is scaled and stepped from there.
+	// place in gradFlat, and is scaled and stepped from there. The step
+	// rule's Σg² spans all shards, summed in shard order.
 	optSpan := f.tr.Begin()
-	invN := gradFactor(len(batches))
 	gradShards := make([][]float32, nMods)
 	for i := 0; i < nMods; i++ {
 		f.seq++
@@ -226,28 +219,11 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		tensor.ScaleF32(shard, shard, invN)
 		gradShards[i] = shard
 	}
-	// The step rule's Σg² spans all shards (one scalar all-reduce gives
-	// every rank the identical verdict), then step.
-	var sumSq float64
-	if f.needSumSq() {
-		var local float64
-		for _, s := range gradShards {
-			local += sumSquares(s)
-		}
-		var err error
-		if sumSq, err = f.shardOrderSum(local); err != nil {
-			return 0, err
-		}
+	if err := f.step(len(batches), f.shardOrderSum, gradShards...); err != nil {
+		return 0, err
 	}
-	if _, skip := f.decide(sumSq, gradShards...); !skip {
-		for i := 0; i < nMods; i++ {
-			f.opts[i].Step(f.shards[i], gradShards[i])
-		}
-	}
-
 	f.tr.End(optSpan, trace.CodeOpt, int64(f.seq), 0)
 
 	f.seq++

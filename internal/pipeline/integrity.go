@@ -77,8 +77,8 @@ func (w *WeiPipe) refreshResidentGuards() {
 	if w.pad == 0 {
 		return
 	}
-	w.guardW = comm.ChecksumSlice(w.masterW)
-	w.opt.VisitState(func(m, v []float32) {
+	w.guardW = comm.ChecksumSlice(w.master().w)
+	w.master().opt.VisitState(func(m, v []float32) {
 		w.guardM = comm.ChecksumSlice(m)
 		w.guardV = comm.ChecksumSlice(v)
 	})
@@ -92,9 +92,9 @@ func (w *WeiPipe) checkResidentGuards() error {
 	if w.pad == 0 || !w.guardValid {
 		return nil
 	}
-	gotW := comm.ChecksumSlice(w.masterW)
+	gotW := comm.ChecksumSlice(w.master().w)
 	var gotM, gotV uint32
-	w.opt.VisitState(func(m, v []float32) {
+	w.master().opt.VisitState(func(m, v []float32) {
 		gotM = comm.ChecksumSlice(m)
 		gotV = comm.ChecksumSlice(v)
 	})
@@ -148,8 +148,8 @@ func (w *WeiPipe) injectStateFlips() {
 		return
 	}
 	r := w.t.Rank()
-	in.Flip(r, w.iter, FlipWeights, w.masterW)
-	w.opt.VisitState(func(m, v []float32) {
+	in.Flip(r, w.iter, FlipWeights, w.master().w)
+	w.master().opt.VisitState(func(m, v []float32) {
 		in.Flip(r, w.iter, FlipMomentM, m)
 		in.Flip(r, w.iter, FlipMomentV, v)
 	})

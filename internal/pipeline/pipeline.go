@@ -184,13 +184,13 @@ type Trainer interface {
 	// the mean microbatch loss (identical on every rank).
 	TrainIteration(batches []data.Batch) (float64, error)
 	// Model returns the rank's model: its module list, shapes and wire
-	// layout. Only serial and DP give it storage of its own. Every other
-	// trainer builds shells (model.BuildShells) and keeps the weights it
-	// owns in its own flat state — WeiPipe its chunk, PP its stage, FSDP its
-	// shards — so a module holds weights only while bound: to that state
-	// (WeiPipe's owned chunk, PP's stage) or to a belt or gather buffer for
-	// the length of one pass. Read and write weights through ExportWeights
-	// and LoadWeights (AssembleWeights, RestoreSnapshot), never off Model().
+	// layout. Every trainer builds shells (model.BuildShells) and keeps the
+	// weights it owns in its own flat state (owned) — serial and DP the whole
+	// model, PP its stage, WeiPipe its chunk, FSDP its shards — so a module
+	// holds weights only while bound: to that state or to a belt or gather
+	// buffer for the length of one pass. Read and write weights through
+	// ExportWeights and LoadWeights (AssembleWeights, RestoreSnapshot), never
+	// off Model().
 	Model() *model.Model
 	// ExportWeights copies the weights the rank holds — the authoritative,
 	// post-step copy — into their places in full, the model's flat
@@ -403,33 +403,4 @@ func (ap *arenaPool) highWater() int {
 // figure the weipipe-train -trace rollup surfaces next to the comm buffer gauges.
 type ArenaMeter interface {
 	ArenaHighWater() int
-}
-
-// zeroedGrads returns grads holding a zeroed gradient set for every module
-// of mdl. A trainer keeps the slice across iterations: the sets are
-// allocated on the first call and zeroed in place from then on, so a
-// steady-state step allocates no gradient storage.
-func zeroedGrads(mdl *model.Model, grads []*nn.ParamSet) []*nn.ParamSet {
-	if grads == nil {
-		for _, m := range mdl.Modules {
-			grads = append(grads, m.Params().NewLike())
-		}
-		return grads
-	}
-	for _, g := range grads {
-		g.Zero()
-	}
-	return grads
-}
-
-// flattenGrads copies every module's gradients into dst in wire order.
-func flattenGrads(grads []*nn.ParamSet, dst []float32) {
-	off := 0
-	for _, g := range grads {
-		g.FlattenInto(dst[off : off+g.Size()])
-		off += g.Size()
-	}
-	if off != len(dst) {
-		panic("pipeline: flattenGrads size mismatch")
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"weipipe/internal/data"
 	"weipipe/internal/model"
 	"weipipe/internal/nn"
-	"weipipe/internal/optim"
 	"weipipe/internal/tensor"
 	"weipipe/internal/trace"
 )
@@ -26,10 +25,9 @@ import (
 // combined with them (it would save nothing: the B pass needs the activations
 // checkpointing would have dropped), so they ignore Options.Recompute.
 type PP struct {
+	owned
 	t        Transport
-	mdl      *model.Model
 	lo, hi   int
-	opt      *optim.AdamW
 	opts     Options
 	strategy Strategy
 
@@ -44,14 +42,11 @@ type PP struct {
 	lossMB map[int]float64
 	seq    int
 
-	// flatW and flatG are the stage's weights and gradients in wire order,
-	// the optimizer's operands and the stage's only copy of either: the
-	// model is shells, the stage's modules are views of flatW and grads —
-	// indexed by global module index — of flatG, for good. off is where the
-	// stage starts in the model's flat parameter vector.
-	flatW, flatG []float32
-	grads        []*nn.ParamSet
-	off          int
+	// flatG is the stage's gradient in wire order, the step's operand and
+	// its only copy: grads, indexed by global module index, are views of it
+	// for good, as the stage's modules are of its owned weights.
+	flatG []float32
+	grads []*nn.ParamSet
 
 	// arenas holds each in-flight microbatch's scratch arena, acquired at
 	// forward time and released (reset + pooled) after the W pass. The pool
@@ -67,7 +62,6 @@ type PP struct {
 
 	// tr is this rank's runtime tracer (nil when tracing is off).
 	tr *trace.Tracer
-	stepRule
 }
 
 // ArenaHighWater implements ArenaMeter.
@@ -88,35 +82,20 @@ func NewPP(t Transport, cfg model.Config, opts Options, s Strategy) (*PP, error)
 	}
 	bounds := mdl.Partition(p)
 	lo, hi := bounds[t.Rank()][0], bounds[t.Rank()][1]
-	size := mdl.ChunkSize(lo, hi)
 	pp := &PP{
+		owned:     owned{mdl: mdl, stepRule: newStepRule(opts, t.Rank())},
 		t:         t,
-		mdl:       mdl,
 		lo:        lo,
 		hi:        hi,
-		opt:       optim.NewAdamW(size, opts.Adam),
-		flatW:     make([]float32, size),
-		flatG:     make([]float32, size),
-		grads:     make([]*nn.ParamSet, len(mdl.Modules)),
-		off:       mdl.ChunkSize(0, lo),
 		opts:      opts,
 		strategy:  s,
 		recompute: opts.Recompute && s != StrategyZB1 && s != StrategyZB2,
 		tr:        opts.Trace.Rank(t.Rank()),
-		stepRule:  newStepRule(opts, t.Rank()),
 	}
-	mdl.InitChunk(lo, hi, pp.flatW)
-	mdl.BindChunk(lo, hi, pp.flatW)
-	for i, off := lo, 0; i < hi; i++ {
-		g := mdl.Modules[i].Params().NewUnbound()
-		g.Bind(pp.flatG[off : off+g.Size()])
-		off += g.Size()
-		pp.grads[i] = g
-	}
+	pp.ownRange(lo, hi, opts.Adam)
+	pp.flatG, pp.grads = bindGrads(mdl, lo, hi)
 	return pp, nil
 }
-
-func (p *PP) Model() *model.Model { return p.mdl }
 
 func (p *PP) isFirst() bool { return p.t.Rank() == 0 }
 func (p *PP) isLast() bool  { return p.t.Rank() == p.t.Size()-1 }
@@ -221,33 +200,6 @@ func (p *PP) abortIteration() {
 	}
 }
 
-// step averages this stage's accumulated gradients over n microbatches and
-// takes the local optimizer update the step rule decides on, combining the
-// stages' partial Σg² with a scalar all-reduce.
-func (p *PP) step(n int) error {
-	span := p.tr.Begin()
-	defer func() { p.tr.End(span, trace.CodeOpt, int64(p.seq), 0) }()
-	flatW, flatG := p.flatW, p.flatG
-	inv := gradFactor(n)
-	tensor.ScaleF32(flatG, flatG, inv)
-	// The stages' partial Σg² combine in one scalar all-reduce, so every
-	// stage reaches the identical verdict.
-	var sumSq float64
-	if p.needSumSq() {
-		p.seq++
-		var err error
-		sumSq, err = comm.AllReduceScalarSum(p.t, sumSquares(flatG), p.seq)
-		if err != nil {
-			return err
-		}
-	}
-	if _, skip := p.decide(sumSq, flatG); skip {
-		return nil
-	}
-	p.opt.Step(flatW, flatG)
-	return nil
-}
-
 // finishLoss broadcasts the last stage's mean loss to every rank.
 func (p *PP) finishLoss(n int) (float64, error) {
 	var sum float64
@@ -289,7 +241,15 @@ func (p *PP) TrainIteration(batches []data.Batch) (float64, error) {
 			return 0, err
 		}
 	}
-	if err := p.step(n); err != nil {
+	// The stages' partial Σg² combine in one scalar all-reduce, so every
+	// stage reaches the identical verdict.
+	span := p.tr.Begin()
+	err := p.step(n, func(local float64) (float64, error) {
+		p.seq++
+		return comm.AllReduceScalarSum(p.t, local, p.seq)
+	}, p.flatG)
+	p.tr.End(span, trace.CodeOpt, int64(p.seq), 0)
+	if err != nil {
 		return 0, err
 	}
 	return p.finishLoss(n)

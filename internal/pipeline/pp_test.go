@@ -109,6 +109,18 @@ func TestDPWarmStepAllocatesLessThanAChunk(t *testing.T) {
 	}
 }
 
+// TestSerialWarmStepAllocatesLessThanAChunk is the same pin for the serial
+// reference: it owns the whole model as one piece and steps it in place, so
+// a warm step allocates less than the model's flat weights.
+func TestSerialWarmStepAllocatesLessThanAChunk(t *testing.T) {
+	cfg := model.Config{Vocab: 64, Hidden: 64, Layers: 4, Heads: 2, MaxSeq: 8, Seed: 7}
+	s := NewSerial(cfg, Options{})
+	modelBytes := 4 * uint64(s.mdl.NumParams())
+	if got := warmStepAlloc(t, []Trainer{s}, traceTestBatches(4)); got >= modelBytes {
+		t.Fatalf("a warm serial step allocated %d bytes, the model's flat weights are %d", got, modelBytes)
+	}
+}
+
 // TestPPAbortReleasesInFlightMicrobatches kills the last stage of a 1F1B
 // ring at its second send — microbatches forwarded, their activation
 // payloads received, one B pass done — and requires both stages to come out

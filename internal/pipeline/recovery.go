@@ -12,7 +12,6 @@ import (
 	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
 	"weipipe/internal/model"
-	"weipipe/internal/optim"
 )
 
 // Recoverable is the part of Trainer that checkpoints and restores the
@@ -31,15 +30,24 @@ type Recoverable interface {
 	SetIteration(iter int)
 }
 
-// ExportOptimState implements Recoverable for WeiPipe (the owned chunk).
-func (w *WeiPipe) ExportOptimState() (int64, []float32, []float32) { return exportAdam(w.opt) }
+// LoadWeights implements Trainer for WeiPipe: the owned chunk and, under buddy
+// replication, the shadowed successor chunk. A load is a legitimate mutation
+// of guarded resident state, so the integrity guards are re-armed over the
+// fresh values.
+func (w *WeiPipe) LoadWeights(full []float32) {
+	w.owned.LoadWeights(full)
+	if w.buddy != nil {
+		copy(w.buddy.w, full[w.mdl.ChunkSize(0, w.bounds[w.buddy.chunk][0]):])
+	}
+	w.refreshResidentGuards()
+}
 
 // RestoreOptimState implements Recoverable for WeiPipe. Loading moments is
 // a legitimate mutation of guarded resident state, so the integrity guards
 // are re-armed eagerly — deferring the refresh to the next iteration entry
 // would let a flip that lands in the window go unseen.
 func (w *WeiPipe) RestoreOptimState(step int64, m, v []float32) error {
-	if err := w.opt.LoadState(int(step), m, v); err != nil {
+	if err := w.owned.RestoreOptimState(step, m, v); err != nil {
 		return err
 	}
 	w.refreshResidentGuards()
@@ -59,69 +67,6 @@ func (w *WeiPipe) SetIteration(iter int) {
 		w.buddy.iters = iter
 		w.buddy.rbValid = false
 	}
-}
-
-// ExportOptimState implements Recoverable for the serial reference.
-func (s *Serial) ExportOptimState() (int64, []float32, []float32) { return exportAdam(s.opt) }
-
-// RestoreOptimState implements Recoverable for the serial reference.
-func (s *Serial) RestoreOptimState(step int64, m, v []float32) error {
-	return s.opt.LoadState(int(step), m, v)
-}
-
-// ExportOptimState implements Recoverable for DP (the whole model).
-func (d *DP) ExportOptimState() (int64, []float32, []float32) { return exportAdam(d.opt) }
-
-// RestoreOptimState implements Recoverable for DP.
-func (d *DP) RestoreOptimState(step int64, m, v []float32) error {
-	return d.opt.LoadState(int(step), m, v)
-}
-
-// ExportOptimState implements Recoverable for the activation-passing stages.
-func (p *PP) ExportOptimState() (int64, []float32, []float32) { return exportAdam(p.opt) }
-
-// RestoreOptimState implements Recoverable for the activation-passing stages.
-func (p *PP) RestoreOptimState(step int64, m, v []float32) error {
-	return p.opt.LoadState(int(step), m, v)
-}
-
-// ExportOptimState implements Recoverable for FSDP: every module shard's
-// optimizer, in module order.
-func (f *FSDP) ExportOptimState() (int64, []float32, []float32) {
-	var m, v []float32
-	var step int64
-	for _, o := range f.opts {
-		s, om, ov := exportAdam(o)
-		step, m, v = s, append(m, om...), append(v, ov...)
-	}
-	return step, m, v
-}
-
-// RestoreOptimState implements Recoverable for FSDP.
-func (f *FSDP) RestoreOptimState(step int64, m, v []float32) error {
-	for i, o := range f.opts {
-		n := min(len(f.shards[i]), len(m), len(v))
-		if err := o.LoadState(int(step), m[:n], v[:n]); err != nil {
-			return err
-		}
-		m, v = m[n:], v[n:]
-	}
-	if len(m)+len(v) != 0 {
-		return fmt.Errorf("pipeline: FSDP optimizer state outruns its shards by %d params", len(m))
-	}
-	return nil
-}
-
-// SetIteration implements Recoverable for the trainers whose counters only
-// salt tags, which every rank of a fresh incarnation starts alike.
-func (s *Serial) SetIteration(int) {}
-func (d *DP) SetIteration(int)     {}
-func (p *PP) SetIteration(int)     {}
-func (f *FSDP) SetIteration(int)   {}
-
-func exportAdam(o *optim.AdamW) (int64, []float32, []float32) {
-	step, m, v := o.ExportState()
-	return int64(step), m, v
 }
 
 // moduleOffsets returns the flat-vector offset of every module boundary.

@@ -63,34 +63,42 @@ func (r *residency) bytes() int {
 }
 
 // weightSideBytes is every parameter-side buffer reachable from a trainer —
-// its model's storage, master weights, optimizer moments, gradient sets and
-// buffers, and buddy state — counted once each.
+// its model's storage, owned weights and optimizer moments, gradient sets
+// and buffers, and buddy state — counted once each.
 func weightSideBytes(tr Trainer) int {
 	var r residency
 	for _, m := range tr.Model().Modules {
 		r.sets(m.Params())
 	}
+	var own *owned
 	switch tr := tr.(type) {
 	case *WeiPipe:
-		r.add(tr.masterW, tr.rbW, tr.rbM, tr.rbV)
+		own = &tr.owned
+		r.add(tr.rbW, tr.rbM, tr.rbV)
 		r.add(tr.kept...)
-		r.opt(tr.opt)
 		r.sets(tr.wGrads...)
 		if b := tr.buddy; b != nil {
 			r.add(b.w, b.scratch, b.rbW, b.rbM, b.rbV)
 			r.opt(b.opt)
 		}
 	case *PP:
-		r.add(tr.flatW, tr.flatG)
-		r.opt(tr.opt)
+		own = &tr.owned
+		r.add(tr.flatG)
 		r.sets(tr.grads...)
+	case *Serial:
+		own = &tr.owned
+		r.add(tr.flatG)
+		r.sets(tr.grads...)
+	case *DP:
+		return weightSideBytes(tr.Serial)
 	case *FSDP:
-		r.add(tr.shards...)
+		own = &tr.owned
 		r.add(tr.gradFlat...)
 		r.sets(tr.grads...)
-		for _, o := range tr.opts {
-			r.opt(o)
-		}
+	}
+	for _, p := range own.pieces {
+		r.add(p.w)
+		r.opt(p.opt)
 	}
 	return r.bytes()
 }
@@ -107,6 +115,7 @@ func weightSideBytes(tr Trainer) int {
 //     keeps over the pass, and with the one the receive brings they are at
 //     most two.
 //   - PP: its stage × 4 — weights, gradients, m, v.
+//   - Serial and DP: the whole model × 4, as a stage of one.
 //   - FSDP: its shards × 3 — weights, m, v — and the full-size gradient
 //     buffers the reduce-scatter consumes. Between passes it also holds
 //     gathered modules: checked at the first send of every collective in
@@ -124,9 +133,14 @@ func TestRankHoldsOnlyItsWeights(t *testing.T) {
 		buddy bool
 	}
 	runs := []run{{"wzb2", StrategyWZB2, false}, {"wzb2_buddy", StrategyWZB2, true},
-		{"wzb2g", StrategyWZB2G, false}, {"1f1b", Strategy1F1B, false}, {"fsdp", StrategyFSDP, false}}
+		{"wzb2g", StrategyWZB2G, false}, {"1f1b", Strategy1F1B, false}, {"fsdp", StrategyFSDP, false},
+		{"dp", StrategyDP, false}, {"serial", StrategySerial, false}}
 	for _, rn := range runs {
-		for p := 2; p <= 4; p++ {
+		ps := []int{2, 3, 4}
+		if rn.s == StrategySerial {
+			ps = []int{1}
+		}
+		for _, p := range ps {
 			t.Run(fmt.Sprintf("%s_p%d", rn.name, p), func(t *testing.T) {
 				opts := eqOpts()
 				opts.buddy = rn.buddy
@@ -174,10 +188,12 @@ func TestRankHoldsOnlyItsWeights(t *testing.T) {
 						return 4 * n
 					case *PP:
 						return 4 * 4 * tr.mdl.ChunkSize(tr.lo, tr.hi)
+					case *Serial, *DP:
+						return 4 * 4 * tr.Model().NumParams()
 					case *FSDP:
 						n := tr.mdl.NumParams()
-						for _, s := range tr.shards {
-							n += 3 * len(s)
+						for _, p := range tr.pieces {
+							n += 3 * len(p.w)
 						}
 						return 4 * n
 					}
@@ -386,8 +402,8 @@ func checkFSDPHeld(t *testing.T, f *FSDP, r, seq int, heldOver [][]int) {
 		t.Errorf("rank %d, collective %d: modules %v bound, the plan keeps %v", r, seq, got, want)
 	}
 	n := f.mdl.NumParams()
-	for _, s := range f.shards {
-		n += 3 * len(s)
+	for _, p := range f.pieces {
+		n += 3 * len(p.w)
 	}
 	for _, i := range want {
 		n += f.mdl.ModuleParamSize(i)

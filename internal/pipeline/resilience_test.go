@@ -209,11 +209,7 @@ func TestChaosEquivalenceWZB2TCP(t *testing.T) {
 
 	base := runtime.NumGoroutine()
 	tcpOpts := comm.TCPOptions{
-		DialTimeout:       10 * time.Second,
-		HeartbeatInterval: 20 * time.Millisecond,
-		PeerDeadTimeout:   2 * time.Second,
-		RetransmitTimeout: 40 * time.Millisecond,
-		ReconnectBackoff:  5 * time.Millisecond,
+		Deadlines: comm.Deadlines{Dial: 10 * time.Second, Heartbeat: 20 * time.Millisecond, PeerDead: 2 * time.Second, Retransmit: 40 * time.Millisecond},
 		Chaos: &comm.ChaosConfig{
 			Seed:      2025,
 			Drop:      0.06,

@@ -11,72 +11,6 @@ import (
 	"weipipe/internal/model"
 )
 
-// exportFlat copies w, weights a rank holds as one flat range, into full at
-// offset off and returns the range it wrote.
-func exportFlat(full []float32, off int, w []float32) [2]int {
-	copy(full[off:off+len(w)], w)
-	return [2]int{off, off + len(w)}
-}
-
-// ExportWeights implements Trainer for the serial reference (whole model).
-func (s *Serial) ExportWeights(full []float32) [][2]int {
-	s.mdl.FlattenChunk(0, len(s.mdl.Modules), full)
-	return [][2]int{{0, len(full)}}
-}
-
-// LoadWeights implements Trainer for the serial reference.
-func (s *Serial) LoadWeights(full []float32) { s.mdl.SetChunk(0, len(s.mdl.Modules), full) }
-
-// ExportWeights implements Trainer for DP (whole model on every rank).
-func (d *DP) ExportWeights(full []float32) [][2]int {
-	d.mdl.FlattenChunk(0, len(d.mdl.Modules), full)
-	return [][2]int{{0, len(full)}}
-}
-
-// LoadWeights implements Trainer for DP.
-func (d *DP) LoadWeights(full []float32) { d.mdl.SetChunk(0, len(d.mdl.Modules), full) }
-
-// ExportWeights implements Trainer for FSDP: this rank's shard of every module.
-func (f *FSDP) ExportWeights(full []float32) [][2]int {
-	held := make([][2]int, len(f.shards))
-	for i, shard := range f.shards {
-		held[i] = exportFlat(full, f.shardAt[i], shard)
-	}
-	return held
-}
-
-// LoadWeights implements Trainer for FSDP.
-func (f *FSDP) LoadWeights(full []float32) {
-	for i, shard := range f.shards {
-		copy(shard, full[f.shardAt[i]:])
-	}
-}
-
-// ExportWeights implements Trainer for the activation-passing stages.
-func (p *PP) ExportWeights(full []float32) [][2]int {
-	return [][2]int{exportFlat(full, p.off, p.flatW)}
-}
-
-// LoadWeights implements Trainer for the activation-passing stages.
-func (p *PP) LoadWeights(full []float32) { copy(p.flatW, full[p.off:]) }
-
-// ExportWeights implements Trainer for WeiPipe (the owned chunk).
-func (w *WeiPipe) ExportWeights(full []float32) [][2]int {
-	return [][2]int{exportFlat(full, w.chunkOffset(w.ownChunk), w.masterW)}
-}
-
-// LoadWeights implements Trainer for WeiPipe: the owned chunk and, under buddy
-// replication, the shadowed successor chunk. A load is a legitimate mutation
-// of guarded resident state, so the integrity guards are re-armed over the
-// fresh values.
-func (w *WeiPipe) LoadWeights(full []float32) {
-	copy(w.masterW, full[w.chunkOffset(w.ownChunk):])
-	if w.buddy != nil {
-		copy(w.buddy.w, full[w.chunkOffset(w.buddy.chunk):])
-	}
-	w.refreshResidentGuards()
-}
-
 // ClusterResult is the outcome of RunCluster and RunResilient.
 type ClusterResult struct {
 	// Losses holds the per-iteration mean loss (identical across ranks).
@@ -159,25 +93,3 @@ func firstUnheld(held [][2]int, n int) int {
 	}
 	return min(next, n)
 }
-
-// SetLR implements Trainer for the serial reference.
-func (s *Serial) SetLR(lr float64) { s.opt.SetLR(lr) }
-
-// SetLR implements Trainer for DP.
-func (d *DP) SetLR(lr float64) { d.opt.SetLR(lr) }
-
-// SetLR implements Trainer for FSDP (every module shard's optimizer).
-func (f *FSDP) SetLR(lr float64) {
-	for _, o := range f.opts {
-		o.SetLR(lr)
-	}
-}
-
-// SetLR implements Trainer for the activation-passing stages.
-func (p *PP) SetLR(lr float64) { p.opt.SetLR(lr) }
-
-// SetLR implements Trainer for WeiPipe.
-func (w *WeiPipe) SetLR(lr float64) { w.opt.SetLR(lr) }
-
-// SetLR implements Trainer for the hybrid trainer.
-func (h *WeiPipeDP) SetLR(lr float64) { h.inner.SetLR(lr) }

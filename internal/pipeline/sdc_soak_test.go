@@ -74,14 +74,10 @@ func TestSoakBitFlipSchedules(t *testing.T) {
 			faulted.Trace = set
 
 			tcpOpts := comm.TCPOptions{
+				Deadlines: comm.Deadlines{Dial: 10 * time.Second, Heartbeat: 20 * time.Millisecond, PeerDead: 2 * time.Second, Retransmit: 40 * time.Millisecond},
 				// Match the oracle fabric's belt width so trajectories are
 				// comparable.
-				Codec:             codec,
-				DialTimeout:       10 * time.Second,
-				HeartbeatInterval: 20 * time.Millisecond,
-				PeerDeadTimeout:   2 * time.Second,
-				RetransmitTimeout: 40 * time.Millisecond,
-				ReconnectBackoff:  5 * time.Millisecond,
+				Codec: codec,
 				Chaos: &comm.ChaosConfig{
 					Seed: seed, Drop: 0.02, Dup: 0.02, Reorder: 0.02, Corrupt: 0.01,
 					DelayProb: 0.02, MaxDelay: 1 * time.Millisecond,

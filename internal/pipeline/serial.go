@@ -4,7 +4,6 @@ import (
 	"weipipe/internal/data"
 	"weipipe/internal/model"
 	"weipipe/internal/nn"
-	"weipipe/internal/optim"
 	"weipipe/internal/tensor"
 	"weipipe/internal/trace"
 )
@@ -12,42 +11,56 @@ import (
 // Serial is the single-process reference trainer every distributed strategy
 // is validated against: it processes the microbatches one by one, sums
 // their gradients, divides by the microbatch count and takes one AdamW
-// step over the full flat parameter vector.
+// step over the full flat parameter vector. It owns the whole model as one
+// piece, as a PP stage owns its range: the modules are views of the flat
+// weights and the gradient sets of the flat gradient, so the step runs in
+// place.
 type Serial struct {
-	mdl  *model.Model
-	opt  *optim.AdamW
+	owned
 	opts Options
 	// arena supplies every per-microbatch intermediate; with one microbatch
 	// in flight at a time it is reset as soon as the W pass has run.
 	arena *tensor.Arena
-	// grads accumulates an iteration's gradients; kept and re-zeroed across
-	// iterations (see zeroedGrads).
+	// flatG is the model's gradient in wire order, which grads, indexed by
+	// module, are views of; zeroed at every iteration's start.
+	flatG []float32
 	grads []*nn.ParamSet
 	tr    *trace.Tracer
-	stepRule
 }
 
 // NewSerial builds the reference trainer.
-func NewSerial(cfg model.Config, opts Options) *Serial {
-	mdl := model.Build(cfg)
-	return &Serial{
-		mdl:      mdl,
-		opt:      optim.NewAdamW(mdl.NumParams(), opts.Adam),
-		opts:     opts,
-		arena:    tensor.NewArena(),
-		tr:       opts.Trace.Rank(0),
-		stepRule: newStepRule(opts, 0),
-	}
-}
+func NewSerial(cfg model.Config, opts Options) *Serial { return newSerial(cfg, opts, 0) }
 
-// Model implements Trainer.
-func (s *Serial) Model() *model.Model { return s.mdl }
+// newSerial builds the whole-model trainer of rank: the reference, or a DP
+// replica.
+func newSerial(cfg model.Config, opts Options, rank int) *Serial {
+	s := &Serial{
+		owned: owned{mdl: model.BuildShells(cfg), stepRule: newStepRule(opts, rank)},
+		opts:  opts,
+		arena: tensor.NewArena(),
+		tr:    opts.Trace.Rank(rank),
+	}
+	n := len(s.mdl.Modules)
+	s.ownRange(0, n, opts.Adam)
+	s.flatG, s.grads = bindGrads(s.mdl, 0, n)
+	return s
+}
 
 // TrainIteration implements Trainer.
 func (s *Serial) TrainIteration(batches []data.Batch) (float64, error) {
+	lossSum := s.passes(batches)
+	span := s.tr.Begin()
+	err := s.step(len(batches), nil, s.flatG)
+	s.tr.End(span, trace.CodeOpt, 0, 0)
+	return lossSum / float64(len(batches)), err
+}
+
+// passes zeroes the gradient and runs every batch's F, B and W passes over
+// the whole model, one microbatch at a time, summing the gradients into
+// flatG. It returns the batches' summed loss.
+func (s *Serial) passes(batches []data.Batch) float64 {
 	n := len(s.mdl.Modules)
-	s.grads = zeroedGrads(s.mdl, s.grads)
-	grads := s.grads
+	clear(s.flatG)
 	var lossSum float64
 	for mi, b := range batches {
 		mb := int64(mi)
@@ -61,35 +74,11 @@ func (s *Serial) TrainIteration(batches []data.Batch) (float64, error) {
 		backwardRangeB(s.mdl, 0, n, dy, caches, s.opts.Recompute)
 		s.tr.End(span, trace.CodeB, mb, 0)
 		span = s.tr.Begin()
-		backwardRangeW(s.mdl, 0, n, caches, grads)
+		backwardRangeW(s.mdl, 0, n, caches, s.grads)
 		s.tr.End(span, trace.CodeW, mb, 0)
-		s.arena.Reset() // grads live on the heap; all scratch is now dead
+		s.arena.Reset() // grads live in flatG; all scratch is now dead
 	}
-	span := s.tr.Begin()
-	s.step(grads, len(batches))
-	s.tr.End(span, trace.CodeOpt, 0, 0)
-	return lossSum / float64(len(batches)), nil
-}
-
-// step averages the accumulated gradients over n microbatches and applies
-// one optimizer update across the whole model, as the step rule decides.
-func (s *Serial) step(grads []*nn.ParamSet, n int) {
-	total := s.mdl.NumParams()
-	flatW := make([]float32, total)
-	flatG := make([]float32, total)
-	s.mdl.FlattenChunk(0, len(s.mdl.Modules), flatW)
-	flattenGrads(grads, flatG)
-	inv := gradFactor(n)
-	tensor.ScaleF32(flatG, flatG, inv)
-	var sumSq float64
-	if s.needSumSq() {
-		sumSq = sumSquares(flatG)
-	}
-	if _, skip := s.decide(sumSq, flatG); skip {
-		return
-	}
-	s.opt.Step(flatW, flatG)
-	s.mdl.SetChunk(0, len(s.mdl.Modules), flatW)
+	return lossSum
 }
 
 // Loss runs a forward-only pass over the batches (no update) and returns

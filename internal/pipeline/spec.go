@@ -118,8 +118,7 @@ func (s RunSpec) LR(iter int) float64 {
 // TCPOptions is a TCP endpoint's dial options for incarnation epoch: the
 // spec's deadlines and chaos. The caller adds a codec and a tracer.
 func (s RunSpec) TCPOptions(epoch uint32) comm.TCPOptions {
-	opts := s.Deadlines.TCPOptions()
-	opts.Epoch = epoch
+	opts := comm.TCPOptions{Epoch: epoch, Deadlines: s.Deadlines}
 	if s.Chaos != nil {
 		c := *s.Chaos
 		if c.Seed == 0 {

@@ -15,8 +15,8 @@ import (
 // Options.Guard, skips a step whose Σg² is non-finite or spikes. It reads
 // only the globally agreed Σg², so every rank, and every buddy shadow
 // replaying a step, reaches the identical verdict; how Σg² is reduced is
-// the one part each trainer keeps. Every trainer embeds one, and so
-// implements SkippedSteps and SpikeSteps.
+// the one part each trainer keeps. Every trainer's owned state embeds one,
+// and so implements SkippedSteps and SpikeSteps.
 type stepRule struct {
 	clip float64
 	// spike is the guard's grad-norm detector; nil when the guard is off.
@@ -82,8 +82,8 @@ func (r *stepRule) SpikeSteps() int {
 	return r.spike.Spikes()
 }
 
-// guarded is implemented by every trainer through its step rule (WeiPipeDP
-// through its ring's): the guard's window rides in every full-state
+// guarded is implemented by every trainer through its step rule: the
+// guard's window rides in every full-state
 // snapshot, so a resumed guarded run stays bit-identical to an
 // uninterrupted one.
 type guarded interface {

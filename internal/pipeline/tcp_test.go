@@ -134,7 +134,7 @@ func runCfgOnTransports(t *testing.T, trs []comm.Transport, s Strategy, cfg mode
 func runTCP(t *testing.T, s Strategy, p int, cfg model.Config, opts Options,
 	iters int, batches func(int) []data.Batch, codec comm.CodecFunc) ([]float64, []float32) {
 	t.Helper()
-	trs := dialMesh(t, p, comm.TCPOptions{DialTimeout: 10 * time.Second, Codec: codec})
+	trs := dialMesh(t, p, comm.TCPOptions{Deadlines: comm.Deadlines{Dial: 10 * time.Second}, Codec: codec})
 	defer func() {
 		for _, tr := range trs {
 			tr.Close()
@@ -207,7 +207,7 @@ func TestOverlapBitIdenticalWeiPipeDP(t *testing.T) {
 	// donation must pass through the rank mapping and tag salt unchanged.
 	const iters, n = 2, 8
 	_, refTr := runHybrid(t, comm.NewCluster(4).Transports(), 2, iters, n, eqOpts())
-	trs := dialMesh(t, 4, comm.TCPOptions{DialTimeout: 10 * time.Second})
+	trs := dialMesh(t, 4, comm.TCPOptions{Deadlines: comm.Deadlines{Dial: 10 * time.Second}})
 	defer func() {
 		for _, tr := range trs {
 			tr.Close()
@@ -227,11 +227,7 @@ func TestOverlapBitIdenticalWeiPipeDP(t *testing.T) {
 // tests.
 func chaosTCPOpts() comm.TCPOptions {
 	return comm.TCPOptions{
-		DialTimeout:       10 * time.Second,
-		HeartbeatInterval: 20 * time.Millisecond,
-		PeerDeadTimeout:   2 * time.Second,
-		RetransmitTimeout: 40 * time.Millisecond,
-		ReconnectBackoff:  5 * time.Millisecond,
+		Deadlines: comm.Deadlines{Dial: 10 * time.Second, Heartbeat: 20 * time.Millisecond, PeerDead: 2 * time.Second, Retransmit: 40 * time.Millisecond},
 		Chaos: &comm.ChaosConfig{
 			Seed:      4242,
 			Drop:      0.05,
@@ -377,7 +373,7 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 		s := tc.s
 		tcpOpts := chaosTCPOpts()
 		tcpOpts.Chaos = nil
-		tcpOpts.PeerDeadTimeout = 300 * time.Millisecond
+		tcpOpts.Deadlines.PeerDead = 300 * time.Millisecond
 		trs := dialMesh(t, p, tcpOpts)
 		crashed := comm.NewFaultTransport(trs[1], comm.FaultConfig{CrashAtSend: tc.crash})
 		trs[1] = crashed
@@ -466,7 +462,7 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 		if kc.overTCP {
 			tcpOpts := chaosTCPOpts()
 			tcpOpts.Chaos = nil
-			tcpOpts.PeerDeadTimeout = 300 * time.Millisecond
+			tcpOpts.Deadlines.PeerDead = 300 * time.Millisecond
 			trs = dialMesh(t, p, tcpOpts)
 		} else {
 			trs = comm.NewCluster(p).Transports()
@@ -526,7 +522,7 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 		if overTCP {
 			tcpOpts := chaosTCPOpts()
 			tcpOpts.Chaos = nil
-			tcpOpts.PeerDeadTimeout = 300 * time.Millisecond
+			tcpOpts.Deadlines.PeerDead = 300 * time.Millisecond
 			trs = dialMesh(t, p, tcpOpts)
 		} else {
 			cl := comm.NewCluster(p)

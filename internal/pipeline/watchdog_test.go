@@ -42,7 +42,7 @@ func TestWatchdogBeaconKeepsZeroCopyPath(t *testing.T) {
 		comm.Release(got)
 	}
 
-	trs := dialMesh(t, 3, comm.TCPOptions{DialTimeout: 5 * time.Second})
+	trs := dialMesh(t, 3, comm.TCPOptions{Deadlines: comm.Deadlines{Dial: 5 * time.Second}})
 	defer func() {
 		for _, tr := range trs {
 			tr.Close()

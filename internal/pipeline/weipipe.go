@@ -8,7 +8,6 @@ import (
 	"weipipe/internal/data"
 	"weipipe/internal/model"
 	"weipipe/internal/nn"
-	"weipipe/internal/optim"
 	"weipipe/internal/order"
 	"weipipe/internal/tensor"
 	"weipipe/internal/trace"
@@ -104,15 +103,16 @@ func (v WeiPipeVariant) String() string {
 // the runtime sends and receives exactly those rows, on the flat ring and
 // the grouped belt alike; it chooses only which copy each row carries.
 type WeiPipe struct {
+	// owned's one piece is the owned chunk's master weights and optimizer
+	// (master); its modules are views of them for good, and every other
+	// module has weights only while a stage has it bound to a belt buffer.
+	owned
 	t       Transport
-	mdl     *model.Model
 	bounds  [][2]int
 	variant WeiPipeVariant
 	opts    Options
 
 	ownChunk int // the chunk this worker owns: (rank+1) mod P
-	masterW  []float32
-	opt      *optim.AdamW
 
 	// dpGroup, when non-nil, is the cross-replica communicator of this
 	// chunk's owners in a hybrid WeiPipe×DP run: the fully-accumulated D is
@@ -202,8 +202,11 @@ type WeiPipe struct {
 
 	// tr is this rank's runtime tracer (nil when tracing is off).
 	tr *trace.Tracer
-	stepRule
 }
+
+// master returns the owned chunk's piece: its fp32 master weights and their
+// optimizer.
+func (w *WeiPipe) master() *piece { return &w.pieces[0] }
 
 // ArenaHighWater implements ArenaMeter.
 func (w *WeiPipe) ArenaHighWater() int { return w.apool.highWater() }
@@ -235,8 +238,8 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 		return nil, fmt.Errorf("pipeline: %d ranks exceed %d modules", p, len(mdl.Modules))
 	}
 	w := &WeiPipe{
+		owned:   owned{mdl: mdl, stepRule: newStepRule(opts, t.Rank())},
 		t:       t,
-		mdl:     mdl,
 		bounds:  mdl.Partition(p),
 		variant: v,
 		opts:    opts,
@@ -245,9 +248,7 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 	}
 	w.ownChunk = (t.Rank() + 1) % p
 	lo, hi := w.chunkRange(w.ownChunk)
-	w.masterW = make([]float32, mdl.ChunkSize(lo, hi))
-	mdl.InitChunk(lo, hi, w.masterW)
-	w.opt = optim.NewAdamW(len(w.masterW), opts.Adam)
+	w.ownRange(lo, hi, opts.Adam)
 	for _, m := range mdl.Modules {
 		w.wGrads = append(w.wGrads, m.Params().NewUnbound())
 	}
@@ -258,28 +259,16 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 		w.stats.SetGroupSize(gs)
 	}
 	w.tr = opts.Trace.Rank(t.Rank())
-	w.stepRule = newStepRule(opts, t.Rank())
 	w.initIntegrity()
 	w.refreshResidentGuards()
 	if opts.buddy && p >= 2 {
 		w.initBuddy()
 	}
-	// The model is shells: the owned chunk's modules are views of masterW for
-	// good (the step updates them with no copy), and every other module has
-	// weights only while a stage has it bound to a belt buffer.
-	mdl.BindChunk(lo, hi, w.masterW)
 	return w, nil
 }
 
-// Model implements Trainer. Only the owned chunk's modules hold weights
-// between stages.
-func (w *WeiPipe) Model() *model.Model { return w.mdl }
-
 // chunkRange returns the module range of chunk c.
 func (w *WeiPipe) chunkRange(c int) (int, int) { return w.bounds[c][0], w.bounds[c][1] }
-
-// chunkOffset returns where chunk c starts in the flat parameter vector.
-func (w *WeiPipe) chunkOffset(c int) int { return w.mdl.ChunkSize(0, w.bounds[c][0]) }
 
 // enc builds a tag B field from (iteration, belt, belt use index).
 func (w *WeiPipe) enc(belt, use int) int {
@@ -398,24 +387,20 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	if w.globalN > 0 {
 		denom = w.globalN
 	}
-	inv := gradFactor(denom)
-	tensor.ScaleF32(db, db, inv)
 	// One scalar all-reduce gives the step rule its Σg²: NaN/Inf propagates
 	// through the sum, and the agreed float64 is bit-identical everywhere,
 	// so every rank (and every buddy shadow) reaches the identical verdict.
-	var sumSq float64
-	if w.needSumSq() {
-		sumSq, err = comm.AllReduceScalarSum(w.t, sumSquares(db), (1<<30)+w.iter)
-		if err != nil {
-			comm.Release(d)
-			return 0, err
-		}
+	scale, skip, err := w.decideStep(denom, func(local float64) (float64, error) {
+		return comm.AllReduceScalarSum(w.t, local, (1<<30)+w.iter)
+	}, db)
+	if err != nil {
+		comm.Release(d)
+		return 0, err
 	}
-	scale, skip := w.decide(sumSq, db)
-	w.lastInv, w.lastScale, w.lastSkip = inv, scale, skip
+	w.lastInv, w.lastScale, w.lastSkip = gradFactor(denom), scale, skip
 	w.stashOwnedRollback()
 	if !skip {
-		w.opt.Step(w.masterW, db)
+		w.applyStep(db)
 	}
 	w.ownerIters++
 	comm.Release(d)
@@ -543,8 +528,8 @@ func (w *WeiPipe) recvRow(r order.Msg) ([]float32, error) {
 // the same bits, the owner serving its own uses included. The caller owns
 // it.
 func (w *WeiPipe) ownedPayload(tag Tag) []float32 {
-	payload := comm.GetBuf(len(w.masterW) + w.pad)
-	copy(payload, w.masterW)
+	payload := comm.GetBuf(len(w.master().w) + w.pad)
+	copy(payload, w.master().w)
 	comm.RoundToWire(w.t.WireCodec(tag), w.beltBody(payload))
 	w.sealBelt(tag, payload)
 	return payload
@@ -725,7 +710,7 @@ func (w *WeiPipe) unbindStage() []float32 {
 	default:
 		w.mdl.UnbindChunk(b.lo, b.hi)
 		if lo, hi := w.chunkRange(w.ownChunk); b.lo == lo {
-			w.mdl.BindChunk(lo, hi, w.masterW)
+			w.mdl.BindChunk(lo, hi, w.master().w)
 		}
 	}
 	return b.buf

@@ -20,9 +20,13 @@ import (
 // the WeiPipe rings keep their fixed-size weight traffic on the
 // intra-replica links, and only the (equally weight-sized) owner gradients
 // cross replicas once per iteration.
+//
+// The rank is its ring's WeiPipe trainer, whose owned chunk every replica
+// holds a full copy of (so replica 0 alone covers the model), with one more
+// reduction in the step; only TrainIteration is its own.
 type WeiPipeDP struct {
+	*WeiPipe
 	world   Transport
-	inner   *WeiPipe
 	groups  int
 	wpSize  int
 	groupID int
@@ -66,18 +70,8 @@ func NewWeiPipeDP(t Transport, cfg model.Config, opts Options, v WeiPipeVariant,
 		}
 		w.dpGroup = cross
 	}
-	return &WeiPipeDP{world: t, inner: w, groups: groups, wpSize: wpSize, groupID: gid}, nil
+	return &WeiPipeDP{WeiPipe: w, world: t, groups: groups, wpSize: wpSize, groupID: gid}, nil
 }
-
-// Model implements Trainer.
-func (h *WeiPipeDP) Model() *model.Model { return h.inner.Model() }
-
-// ExportWeights implements Trainer (the inner ring's owned chunk; every
-// replica owns a full copy, so replica 0 alone covers the model).
-func (h *WeiPipeDP) ExportWeights(full []float32) [][2]int { return h.inner.ExportWeights(full) }
-
-// LoadWeights implements Trainer.
-func (h *WeiPipeDP) LoadWeights(full []float32) { h.inner.LoadWeights(full) }
 
 // TrainIteration implements Trainer.
 func (h *WeiPipeDP) TrainIteration(batches []data.Batch) (float64, error) {
@@ -87,45 +81,18 @@ func (h *WeiPipeDP) TrainIteration(batches []data.Batch) (float64, error) {
 			n, h.groups, h.wpSize)
 	}
 	mine := data.Split(batches, h.groups)[h.groupID]
-	h.inner.globalN = n
-	loss, err := h.inner.TrainIteration(mine)
+	h.globalN = n
+	loss, err := h.WeiPipe.TrainIteration(mine)
 	if err != nil {
 		return 0, err
 	}
-	// inner loss is the replica's mean microbatch loss; average replicas.
-	total, err := comm.AllReduceScalarSum(h.world, loss, (h.inner.iter<<8)+7)
+	// The ring's loss is the replica's mean microbatch loss; average replicas.
+	total, err := comm.AllReduceScalarSum(h.world, loss, (h.iter<<8)+7)
 	if err != nil {
 		return 0, err
 	}
 	return total / float64(h.world.Size()), nil
 }
-
-// ExportOptimState implements Recoverable (the inner ring's owned chunk;
-// every replica holds the same state).
-func (h *WeiPipeDP) ExportOptimState() (int64, []float32, []float32) {
-	return h.inner.ExportOptimState()
-}
-
-// RestoreOptimState implements Recoverable.
-func (h *WeiPipeDP) RestoreOptimState(step int64, m, v []float32) error {
-	return h.inner.RestoreOptimState(step, m, v)
-}
-
-// SetIteration implements Recoverable.
-func (h *WeiPipeDP) SetIteration(iter int) { h.inner.SetIteration(iter) }
-
-// SkippedSteps implements SkipCounter (the inner ring's step rule; every
-// replica decides alike).
-func (h *WeiPipeDP) SkippedSteps() int { return h.inner.SkippedSteps() }
-
-// SpikeSteps implements Trainer.
-func (h *WeiPipeDP) SpikeSteps() int { return h.inner.SpikeSteps() }
-
-func (h *WeiPipeDP) spikeStateAt(atIter int) ([]float32, error) {
-	return h.inner.spikeStateAt(atIter)
-}
-
-func (h *WeiPipeDP) restoreGuard(st []float32, iter int) { h.inner.restoreGuard(st, iter) }
 
 var (
 	_ Trainer = (*WeiPipeDP)(nil)

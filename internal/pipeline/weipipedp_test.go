@@ -167,3 +167,43 @@ func TestGroupValidation(t *testing.T) {
 		t.Fatal("out-of-range rank accepted")
 	}
 }
+
+// TestWeiPipeDPReportsArenaAndProgress pins that the hybrid is its ring's
+// WeiPipe trainer in everything but TrainIteration: a run reports its arena
+// high-water (ArenaMeter), and every rank posts its schedule position to the
+// straggler watchdog's board (progressSink).
+func TestWeiPipeDPReportsArenaAndProgress(t *testing.T) {
+	const p, n = 4, 8
+	opts := eqOpts()
+	opts.GroupSize = 2
+	res, err := RunCluster(StrategyWeiPipeDP, p, eqCfg(), opts, 1, eqBatches(1, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ArenaHighWater == 0 {
+		t.Error("a weipipe-dp run reports no arena high-water")
+	}
+
+	cl := comm.NewCluster(p)
+	defer cl.Close()
+	board := NewProgressBoard(p)
+	trainers := make([]Trainer, p)
+	for r := range trainers {
+		tr, err := New(StrategyWeiPipeDP, cl.Transport(r), eqCfg(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, ok := tr.(progressSink)
+		if !ok {
+			t.Fatalf("%T posts no progress", tr)
+		}
+		ps.SetProgressBoard(board, r)
+		trainers[r] = tr
+	}
+	trainAll(t, trainers, eqBatches(1, n)(0))
+	for r, pr := range board.snapshot() {
+		if pr.phase == 0 {
+			t.Errorf("rank %d posted no schedule position", r)
+		}
+	}
+}

@@ -40,40 +40,6 @@ func (r *Result) ChromeTrace() ([]byte, error) {
 	return trace.MarshalChrome(events, nil)
 }
 
-// ResourceBusy returns each resource's total occupied time, a utilisation
-// view of links and compute engines.
-func (r *Result) ResourceBusy() map[string]float64 {
-	out := make(map[string]float64)
-	for _, t := range r.Tasks {
-		out[t.Resource] += t.End - t.Start
-	}
-	return out
-}
-
-// LinkUtilisation returns every link resource's busy fraction of the
-// makespan, sorted by resource name — the simulator's view of the paper's
-// bandwidth-pressure argument.
-func (r *Result) LinkUtilisation() []struct {
-	Resource string
-	Fraction float64
-} {
-	busy := r.ResourceBusy()
-	var out []struct {
-		Resource string
-		Fraction float64
-	}
-	for res, b := range busy {
-		if len(res) > 0 && (res[0] == 'l' || res[0] == 'r') || res == "fabric" {
-			out = append(out, struct {
-				Resource string
-				Fraction float64
-			}{res, b / r.Makespan})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Resource < out[j].Resource })
-	return out
-}
-
 // String summarises the result.
 func (r *Result) String() string {
 	return fmt.Sprintf("makespan=%.3fs bubble=%.1f%% tasks=%d",

@@ -61,22 +61,6 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	if !found {
 		t.Fatal("B0 missing from trace")
 	}
-}
-
-func TestResourceBusyAndLinkUtilisation(t *testing.T) {
-	r := traceFixture(t)
-	busy := r.ResourceBusy()
-	if busy["w0"] != 1 || busy["l0"] != 0.5 || busy["w1"] != 2 {
-		t.Fatalf("busy = %v", busy)
-	}
-	util := r.LinkUtilisation()
-	if len(util) != 1 || util[0].Resource != "l0" {
-		t.Fatalf("util = %v", util)
-	}
-	want := 0.5 / r.Makespan
-	if diff := util[0].Fraction - want; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("l0 utilisation %v, want %v", util[0].Fraction, want)
-	}
 	if !strings.Contains(r.String(), "makespan") {
 		t.Fatal("String() malformed")
 	}
