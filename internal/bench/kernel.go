@@ -15,9 +15,10 @@ import (
 // The kernel A/B is the functional counterpart of the Go benchmarks
 // BenchmarkMatMul{NT,NN,TN} and BenchmarkCausalAttention: it times the
 // headline 256³ NT matmul, the NN, TN and both NT matmuls of the
-// long-context benchmark's FFN (forward, W pass, B pass), one
-// fused-attention forward+backward at that benchmark's attention shape and
-// the LM head's row softmax over its [S, V] logits, on the scalar oracle and
+// long-context benchmark's FFN (forward, W pass, B pass), the attention
+// walk's score-tile product, one fused-attention forward+backward at that
+// benchmark's attention shape and the LM head's row softmax over its
+// [S, V] logits, on the scalar oracle and
 // on the best registered SIMD backend, and records the speedups, so CI can
 // guard the kernel work without go-test bench plumbing. On machines with no
 // SIMD backend the A/B degenerates to scalar-vs-scalar and reports speedups
@@ -129,11 +130,31 @@ func matmulCase(rng *tensor.RNG, form string, m, n, k int) *kernelCase {
 	return c
 }
 
+// scoreTileCase is the attention walk's score product at head width d: a
+// 32-row query tile against a 64-key tile, q[32×d]·kᵀ[d×64], an NN
+// matmul. At 16 lanes it is two whole 12-row panels and an 8-row remainder
+// panel. One call takes about a microsecond, so a rep times 100 of them and
+// the row reports their total.
+func scoreTileCase(rng *tensor.RNG, d int) *kernelCase {
+	const calls = 100
+	c := matmulCase(rng, "NN", 32, 64, d)
+	one := c.run
+	c.run = func(side int) {
+		for i := 0; i < calls; i++ {
+			one(side)
+		}
+	}
+	c.row.Name, c.row.Shape = "score tile", fmt.Sprintf("%s x%d", c.row.Shape, calls)
+	c.flop *= calls
+	return c
+}
+
 // runKernel measures the scalar-vs-best-backend A/B: MatMulNT at
 // 256×256×256, and at the long-* benchmark workloads' shapes (H 64, F 172,
 // 4 heads, S 512, V 256) the FFN's NN product x·W₁, its TN product
-// dW₁ = xᵀ·dy, its two NT products dy·W₂ᵀ and du·W₁ᵀ (the B pass),
-// attention forward+backward and the head's softmax.
+// dW₁ = xᵀ·dy, its two NT products dy·W₂ᵀ and du·W₁ᵀ (the B pass), the
+// attention walk's score-tile product, attention forward+backward and the
+// head's softmax.
 func runKernel() (*kernelReport, error) {
 	const hidden, ffn, heads, seq, vocab = 64, 172, 4, 512, 256
 	rng := tensor.NewRNG(1)
@@ -143,6 +164,7 @@ func runKernel() (*kernelReport, error) {
 		matmulCase(rng, "TN", hidden, ffn, seq),
 		matmulCase(rng, "NT", seq, ffn, hidden),
 		matmulCase(rng, "NT", seq, hidden, ffn),
+		scoreTileCase(rng, hidden/heads),
 	}
 	q, k, v, dout := tensor.New(seq, hidden), tensor.New(seq, hidden), tensor.New(seq, hidden), tensor.New(seq, hidden)
 	logits := tensor.New(seq, vocab)

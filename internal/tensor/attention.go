@@ -21,11 +21,12 @@ import (
 // (g, head, query tile), backward over (g, head), which owns that head's
 // dq, dk and dv columns outright.
 //
-// Per (query tile, key tile) the walk is five steps — score the tile, run
-// each row's softmax leaves over the keys it sees, then fold the tile into
-// the outputs — and the three tile products (scoreTile, addTile, addTileT)
-// are the only steps a backend replaces wholesale: row by row on the Go
-// leaves for scalar, as GEMM calls for the simd backends.
+// Per (query tile, key tile) the walk is three steps — score the tile, run
+// the softmax over the keys each row sees, then fold the tile into the
+// outputs — and a backend replaces each step wholesale: the tile products
+// (scoreTile, addTile, addTileT) and the softmax (softmaxTile, and
+// softmaxGradTile in backward) run row by row on the Go leaves for scalar,
+// as GEMM calls and whole-tile softmax kernels for the simd backends.
 
 const (
 	// attnTileQ is the query-row tile: how many rows reuse a key tile while
@@ -99,7 +100,7 @@ func checkAttnShapes(op string, heads, sq, sk, qOffset int, lse *Tensor, qLike, 
 }
 
 // attnArgs carries one attention call by value through the worker pool.
-// simd selects the leaf primitives the shared tile walk runs on, the way
+// simd selects the kernels the shared tile walk's steps run on, the way
 // mmArgs.simd selects a matmul range kernel.
 type attnArgs struct {
 	bwd              bool
@@ -198,25 +199,7 @@ func attnForwardTile(a *attnArgs, w *attnScratch, gi, hi, i0, i1 int) {
 		t := a.tile(i0, i1, j0, jmax)
 		ktile, vtile := a.k[kBase+j0*ld:], a.v[kBase+j0*ld:]
 		a.scoreTile(s, scratch, a.q[qBase:], ktile, t, a.scale)
-		for r := t.rlo; r < i1; r++ {
-			row := s[(r-i0)*attnTileK:][:t.j1-j0]
-			sc := row[:a.visible(t, r)]
-			mNew := m[r-i0]
-			if x := a.rowMax(sc); x > mNew {
-				mNew = x
-			}
-			sum, alpha := a.expSubRow(sc, mNew, m[r-i0])
-			l[r-i0] = l[r-i0]*alpha + sum
-			m[r-i0] = mNew
-			if alpha != 1 {
-				orow := a.out[qBase+r*ld : qBase+r*ld+d]
-				for c := range orow {
-					orow[c] *= alpha
-				}
-			}
-			// A masked key carries no weight.
-			clear(row[len(sc):])
-		}
+		a.softmaxTile(s, &m, &l, a.out[qBase:], t)
 		a.addTile(a.out[qBase:], s, vtile, t)
 	}
 	for r := i0; r < i1; r++ {
@@ -263,14 +246,7 @@ func attnBackwardHead(a *attnArgs, w *attnScratch, gi, hi int) {
 			ktile, vtile := a.k[kBase+j0*ld:], a.v[kBase+j0*ld:]
 			a.scoreTile(p, scratch, a.q[qBase:], ktile, t, a.scale)
 			a.scoreTile(ds, scratch, a.dout[qBase:], vtile, t, 1)
-			for r := t.rlo; r < i1; r++ {
-				at, n := (r-i0)*attnTileK, a.visible(t, r)
-				a.expSubRow(p[at:at+n], lse[r], lse[r])
-				a.dsRow(ds[at:at+n], p[at:at+n], a.scale, delta[r-i0])
-				// A masked key has no probability and passes no gradient.
-				clear(p[at+n : at+t.j1-j0])
-				clear(ds[at+n : at+t.j1-j0])
-			}
+			a.softmaxGradTile(p, ds, lse[i0:], &delta, t)
 			a.addTile(a.dq[qBase:], ds, ktile, t)
 			a.addTileT(a.dv[kBase+j0*ld:], p, a.dout[qBase:], t)
 			a.addTileT(a.dk[kBase+j0*ld:], ds, a.q[qBase:], t)
@@ -278,10 +254,10 @@ func attnBackwardHead(a *attnArgs, w *attnScratch, gi, hi int) {
 	}
 }
 
-// The leaves of the tile walk. The simd versions are linked statically
-// (build-tagged stubs fall back to the Go loops), like the matmul range
-// kernels. Either way an element's result is a pure function of the operand
-// rows it is defined over — never of the tile or work item that computed it.
+// The steps of the tile walk. The simd versions are linked statically
+// (build-tagged stubs stand in for them), like the matmul range kernels.
+// Either way an element's result is a pure function of the operand rows it
+// is defined over — never of the tile or work item that computed it.
 
 // scoreTile writes dst[(r−i0)·attnTileK + u] = scale · x_r·rows_u for every
 // row r of the tile and every key u it sees; x_r is the d elements at
@@ -329,26 +305,55 @@ func (a *attnArgs) addTileT(dst, coef, rows []float32, t attnTile) {
 	}
 }
 
-func (a *attnArgs) expSubRow(s []float32, shift, prev float32) (sum, alpha float32) {
+// softmaxTile is the online softmax over one scored tile. For every row r it
+// raises the running maximum m[r−i0] to the largest score r sees, overwrites
+// those scores with exp(s − m_new) and the row's masked keys with zeros,
+// and with alpha = exp(m_old − m_new) rescales the running sum,
+// l ← l·alpha + Σ exp, and the out row, the d elements at out[r·ld:].
+func (a *attnArgs) softmaxTile(s []float32, m, l *[attnTileQ]float32, out []float32, t attnTile) {
 	if a.simd > 0 {
-		return simdExpSubRow(s, shift, prev)
-	}
-	return expSubRow(s, shift, prev)
-}
-
-func (a *attnArgs) rowMax(s []float32) float32 {
-	if a.simd > 0 {
-		return simdRowMax(s)
-	}
-	return rowMax(s)
-}
-
-func (a *attnArgs) dsRow(ds, p []float32, scale, delta float32) {
-	if a.simd > 0 {
-		simdAttnDsRow(ds, p, scale, delta)
+		simdAttnSoftmaxTile(a, s, m, l, out, t)
 		return
 	}
-	attnDsRow(ds, p, scale, delta)
+	d, ld := a.d, a.heads*a.d
+	for r := t.rlo; r < t.i1; r++ {
+		row := s[(r-t.i0)*attnTileK:][:t.j1-t.j0]
+		sc := row[:a.visible(t, r)]
+		mNew := m[r-t.i0]
+		if x := rowMax(sc); x > mNew {
+			mNew = x
+		}
+		sum, alpha := expSubRow(sc, mNew, m[r-t.i0])
+		l[r-t.i0] = l[r-t.i0]*alpha + sum
+		m[r-t.i0] = mNew
+		if alpha != 1 {
+			orow := out[r*ld : r*ld+d]
+			for c := range orow {
+				orow[c] *= alpha
+			}
+		}
+		// A masked key carries no weight.
+		clear(row[len(sc):])
+	}
+}
+
+// softmaxGradTile rebuilds one tile of backward: for every row r, the
+// probabilities p = exp(s − lse[r−i0]) over the keys r sees and
+// ds = scale·p⊙(dp − delta[r−i0]) over the dp scores in ds, with zeros in
+// both for the row's masked keys.
+func (a *attnArgs) softmaxGradTile(p, ds, lse []float32, delta *[attnTileQ]float32, t attnTile) {
+	if a.simd > 0 {
+		simdAttnSoftmaxGradTile(a, p, ds, lse, delta, t)
+		return
+	}
+	for r := t.rlo; r < t.i1; r++ {
+		at, n := (r-t.i0)*attnTileK, a.visible(t, r)
+		expSubRow(p[at:at+n], lse[r-t.i0], lse[r-t.i0])
+		attnDsRow(ds[at:at+n], p[at:at+n], a.scale, delta[r-t.i0])
+		// A masked key has no probability and passes no gradient.
+		clear(p[at+n : at+t.j1-t.j0])
+		clear(ds[at+n : at+t.j1-t.j0])
+	}
 }
 
 // attnDotRows computes dst[t] = scale · x·rows_t for t < len(dst), where

@@ -545,20 +545,53 @@ func BenchmarkCausalAttention(b *testing.B) {
 	}
 }
 
-func BenchmarkExpSubRow(b *testing.B) {
-	src := New(4096)
-	FillUniform(src, NewRNG(1), -20, 0)
-	dst := New(4096)
-	var sink float32
-	for _, simd := range []lanes{0, 8} {
-		a := attnArgs{simd: simd}
-		b.Run(fmt.Sprintf("simd=%v", simd > 0), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				copy(dst.Data, src.Data)
-				sum, _ := a.expSubRow(dst.Data, 0, 0)
-				sink += sum
+// BenchmarkAttnSoftmaxTile times the walk's softmax step on one tile at
+// the long-* shape's geometry (d 16): a full 32×64 tile whose rows see all
+// 64 keys and a diagonal one whose rows see 33…64, forward (softmaxTile,
+// with running maxima half a unit below the rows' own so that every row
+// rescales) and backward (softmaxGradTile), on every backend. Each
+// iteration first restores the tile's inputs, a copy of about 10 KB.
+func BenchmarkAttnSoftmaxTile(b *testing.B) {
+	const d = 16
+	rng := NewRNG(1)
+	src, dp, out0 := New(attnTileQ*attnTileK), New(attnTileQ*attnTileK), New(3*attnTileQ*d)
+	FillNormal(src, rng, 2)
+	FillNormal(dp, rng, 1)
+	FillNormal(out0, rng, 1)
+	s, ds, out := New(attnTileQ*attnTileK), New(attnTileQ*attnTileK), New(3*attnTileQ*d)
+	for _, bk := range Backends() {
+		w := map[string]lanes{"avx2": 8, "avx512": 16}[bk]
+		a := &attnArgs{simd: w, heads: 1, d: d, sq: 3 * attnTileQ, sk: 3 * attnTileQ, scale: 0.25}
+		for _, tc := range []struct {
+			name string
+			t    attnTile
+		}{
+			{"full", a.tile(2*attnTileQ, 3*attnTileQ, 0, attnTileK)},
+			{"diagonal", a.tile(attnTileQ, 2*attnTileQ, 0, attnTileK)},
+		} {
+			var m0, l0, lse, delta [attnTileQ]float32
+			for r := tc.t.rlo; r < tc.t.i1; r++ {
+				top := rowMax(src.Data[(r-tc.t.i0)*attnTileK:][:a.visible(tc.t, r)])
+				m0[r-tc.t.i0], l0[r-tc.t.i0], lse[r-tc.t.i0] = top-0.5, 3, top+2
+				delta[r-tc.t.i0] = 0.1
 			}
-		})
+			b.Run("fwd/"+tc.name+"/"+bk, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					copy(s.Data, src.Data)
+					copy(out.Data, out0.Data)
+					m, l := m0, l0
+					a.softmaxTile(s.Data, &m, &l, out.Data, tc.t)
+				}
+			})
+			b.Run("bwd/"+tc.name+"/"+bk, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					copy(s.Data, src.Data)
+					copy(ds.Data, dp.Data)
+					a.softmaxGradTile(s.Data, ds.Data, lse[:], &delta, tc.t)
+				}
+			})
+		}
 	}
-	_ = sink
 }

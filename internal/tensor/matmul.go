@@ -18,18 +18,20 @@ import "fmt"
 //	simd matmul     35–60 multiply-adds/ns  1<<23   (5.6 M NN: 90 → 92, NT 108 → 121; 11 M: 216 → 205, NT 242 → 258; 16.8 M: 349 → 248)
 //	  at 16 lanes   60–100 multiply-adds/ns 1<<24   (8.4 M NN: 100 → 121; 16.8 M: 201 → 224, TN 209 → 229; 22.5 M: 323 → 308; 33.6 M: 426 → 354)
 //	scalar attn     1–2 units/ns            1<<19   (S 64: 144 → 156 fwd; S 96: 317 → 266)
-//	simd attn       9–16 units/ns           1<<22   (S 192: 165 → 168 fwd; S 256: 276 → 227 fwd, 471 → 335 bwd)
+//	simd attn       13–23 units/ns          1<<22   (16 lanes, S 192: 114 → 115 fwd; S 256: 186 → 185 fwd, 318 → 324 bwd; S 320: 279 → 241, 481 → 457)
 //
 // (an attention unit is one g·heads·sq·sk·d step: a causal forward spends
 // about one multiply-add plus its share of the exponential on it, a backward
-// about 2.5; attention gains nothing from the wider GEMM panels — its row
-// leaves bound it — so its threshold does not know the width). The PR-1
-// value, 1<<17 for everything, predates all of these kernels.
+// about 2.5). Attention's threshold does not know the width: it sits at the
+// 16-lane break-even, and at 8 lanes, about 1.3× slower, a split at S 256
+// already wins (245 → 215 µs fwd, 445 → 357 bwd). The PR-1 value, 1<<17
+// for everything, predates all of these kernels.
 const parallelThreshold = 1 << 20
 
 // lanes is the vector width a kernel invocation runs on, in float32 lanes:
 // none selects the pure-Go kernels, 8 the AVX2 set, 16 the AVX2 set with the
-// GEMM micro-kernel's whole panels of rows on AVX-512 (gemm, simd_amd64.go).
+// GEMM micro-kernel and attention's softmax tiles on AVX-512 (gemm,
+// simd_amd64.go).
 type lanes uint8
 
 // splitThreshold is the work count from which a dispatch of the given

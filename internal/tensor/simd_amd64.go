@@ -11,9 +11,10 @@ package tensor
 // Exactness partition (see DESIGN.md §13):
 //
 //   - avx512 = avx2 bit for bit, on every method: it is the avx2 backend
-//     with gemm's rows in whole panels of 12 on the 16-lane micro-kernel
-//     (gemmAVX512, simd_avx512_amd64.s), AdamW on 8 float64 lanes instead
-//     of 4, and the rest on the 8-lane kernels.
+//     with every gemm row on the 16-lane micro-kernel (gemmAVX512,
+//     simd_avx512_amd64.s: whole panels of 12, then the m%12 rows),
+//     attention's softmax tiles on 16 lanes, AdamW on 8 float64 lanes
+//     instead of 4, and the rest on the 8-lane kernels.
 //   - Add, Mul, Axpy, Scale, AddInto, RMSNorm's three passes and RoPE:
 //     vectorized across independent output elements with the scalar
 //     per-element rounding sequence (separate mul/add, no FMA) —
@@ -37,14 +38,16 @@ package tensor
 //     attention.go with its three tile products on the GEMM kernel — the
 //     scores against a key tile transposed (and scaled) into scratch, the
 //     out/dq updates as NN calls, dk/dv as TN calls, every element one FMA
-//     chain continued from tile to tile — and, per row, the 8-wide expNeg
-//     with its lane-split row sum, plus the row maximum and the Jacobian
-//     row, which are exact. Tolerance mode, bounded against the float64
-//     reference; every element's order is a pure function of the shapes.
+//     chain continued from tile to tile — and its softmax as one kernel
+//     call per tile (attnSoftmax*, attnSoftmaxGrad*): the vector expNeg,
+//     each row's sum in 8 lane chains, the tree and an ascending tail at
+//     either width, and the row maximum and the Jacobian row, which are
+//     exact. Tolerance mode, bounded against the float64 reference; every
+//     element's order is a pure function of the shapes.
 //   - SiLU and its backward: sigmoid from the same vector expNeg of −|v|
 //     in float32, where scalar rounds a float64 math.Exp — tolerance mode.
-//   - SoftmaxRows (the LM head's): attention's row leaves over whole rows —
-//     the vector exp with its lane-split float32 row sum, where scalar
+//   - SoftmaxRows (the LM head's): the row leaves over whole rows — the
+//     vector exp with the same lane-split float32 row sum, where scalar
 //     rounds a float64 math.Exp and sums in float64 — tolerance mode; the
 //     sum's order is a pure function of the row length.
 
@@ -88,7 +91,19 @@ func expSubAVX2(s *float32, n8 int, shift, prev float32) (sum, alpha float32)
 func rowMaxAVX2(s *float32, n8 int) float32
 
 //go:noescape
-func attnDsAVX2(ds, p *float32, n8 int, scale, delta float32)
+func attnRowMaxAVX2(s, m, old *float32, r0, r1, diag, w int)
+
+//go:noescape
+func attnSoftmaxAVX2(s, m, l, alpha *float32, r0, r1, diag, w int, out *float32, ldo uintptr, d int)
+
+//go:noescape
+func attnSoftmaxAVX512(s, m, l, alpha *float32, r0, r1, diag, w int, out *float32, ldo uintptr, d int)
+
+//go:noescape
+func attnSoftmaxGradAVX2(p, ds, lse, delta *float32, r0, r1, diag, w int, scale float32)
+
+//go:noescape
+func attnSoftmaxGradAVX512(p, ds, lse, delta *float32, r0, r1, diag, w int, scale float32)
 
 //go:noescape
 func siluAVX2(dst, a *float32, n8 int)
@@ -295,10 +310,10 @@ func (avx2Backend) SiLUBackward(dst, x, dy *Tensor) {
 	}
 }
 
-// SoftmaxRows is attention's softmax leaf run over whole rows: the row
-// maximum, the vector exp of each element less it with the lane-split row
-// sum (simdExpSubRow: a pure function of the row length), then one exact
-// scale by 1/sum.
+// SoftmaxRows runs the row leaves over whole rows: the row maximum, the
+// vector exp of each element less it with the lane-split row sum
+// (simdExpSubRow: a pure function of the row length, and the order
+// attention's softmax tiles keep), then one exact scale by 1/sum.
 func (avx2Backend) SoftmaxRows(dst, a *Tensor) {
 	c := a.Cols()
 	for i := 0; i < a.Rows(); i++ {
@@ -461,9 +476,9 @@ func (avx2Backend) CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *
 	causalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset, 8)
 }
 
-// avx512Backend is the avx2 backend with the width of gemm raised to 16
-// lanes on the five methods that reach it; everything else — and every
-// result bit — is avx2's.
+// avx512Backend is the avx2 backend with 16 lanes on the five methods that
+// reach gemm, attention's softmax tiles included; everything else — and
+// every result bit — is avx2's.
 type avx512Backend struct{ avx2Backend }
 
 func (avx512Backend) Name() string { return "avx512" }
@@ -542,6 +557,37 @@ func simdAttnAddTileT(a *attnArgs, dst, coef, rows []float32, t attnTile) {
 		dst, ld, t.j1-t.j0, a.d, t.i1-t.rlo, true)
 }
 
+// simdAttnSoftmaxTile is softmaxTile as two kernel calls: the row maxima,
+// whose 8-lane order is the contract at either width, then the rest at the
+// backend's width. Row r of the tile sees min(w, diag + r − i0) keys, diag
+// being what row i0 would see were the tile wide enough.
+func simdAttnSoftmaxTile(a *attnArgs, s []float32, m, l *[attnTileQ]float32, out []float32, t attnTile) {
+	var alpha [attnTileQ]float32
+	ld := a.heads * a.d
+	rows := t.i1 - t.i0
+	_, _ = s[rows*attnTileK-1], out[(t.i1-1)*ld+a.d-1]
+	r0, diag, w := t.rlo-t.i0, a.qOff+t.i0+1-t.j0, t.j1-t.j0
+	attnRowMaxAVX2(&s[0], &m[0], &alpha[0], r0, rows, diag, w)
+	if a.simd == 16 {
+		attnSoftmaxAVX512(&s[0], &m[0], &l[0], &alpha[0], r0, rows, diag, w, &out[t.i0*ld], uintptr(ld)*4, a.d)
+		return
+	}
+	attnSoftmaxAVX2(&s[0], &m[0], &l[0], &alpha[0], r0, rows, diag, w, &out[t.i0*ld], uintptr(ld)*4, a.d)
+}
+
+// simdAttnSoftmaxGradTile is softmaxGradTile as one kernel call at the
+// backend's width.
+func simdAttnSoftmaxGradTile(a *attnArgs, p, ds, lse []float32, delta *[attnTileQ]float32, t attnTile) {
+	rows := t.i1 - t.i0
+	_, _, _ = p[rows*attnTileK-1], ds[rows*attnTileK-1], lse[rows-1]
+	r0, diag, w := t.rlo-t.i0, a.qOff+t.i0+1-t.j0, t.j1-t.j0
+	if a.simd == 16 {
+		attnSoftmaxGradAVX512(&p[0], &ds[0], &lse[0], &delta[0], r0, rows, diag, w, a.scale)
+		return
+	}
+	attnSoftmaxGradAVX2(&p[0], &ds[0], &lse[0], &delta[0], r0, rows, diag, w, a.scale)
+}
+
 // simdExpSubRow is expSubRow on the vector exp: the full 8-blocks sum in 8
 // lane chains combined by the balanced tree, then the len%8 tail — run
 // through the same kernel on a padded copy — adds on ascending.
@@ -576,23 +622,13 @@ func simdRowMax(s []float32) float32 {
 	return m
 }
 
-// simdAttnDsRow is attnDsRow, vectorized with the scalar rounding sequence:
-// bit-identical to it.
-func simdAttnDsRow(ds, p []float32, scale, delta float32) {
-	p = p[:len(ds)]
-	n8 := len(ds) >> 3
-	if n8 > 0 {
-		attnDsAVX2(&ds[0], &p[0], n8, scale, delta)
-	}
-	attnDsRow(ds[n8<<3:], p[n8<<3:], scale, delta)
-}
+// laneIndex numbers the lanes of a 16-lane vector: the avx512 attention
+// kernels compare it with a row's visible length to mask a block.
+var laneIndex = [16]int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 
 // gemmMask is the lane-mask table of gemmAVX2's 8-wide column tail: the
 // eight int32 starting at index 8−w select the first w lanes.
 var gemmMask = [16]int32{-1, -1, -1, -1, -1, -1, -1, -1}
-
-// gemmPanel512 is the one panel height of gemmAVX512.
-const gemmPanel512 = 12
 
 // gemm computes the m×n block c = a·b (c += a·b when acc) on the register-
 // tiled micro-kernel. Strides are in elements: a[i,p] sits at
@@ -601,8 +637,9 @@ const gemmPanel512 = 12
 // value when acc — in its own vector lane, so it is a pure function of its
 // a row, its b column and k: independent of m, n, the tile it fell into and
 // how callers split the rows or columns between calls — and of the kernel:
-// at 16 lanes the rows go in whole panels of 12 to gemmAVX512 and the last
-// m%12 to gemmAVX2, which runs the same chain 8 lanes at a time.
+// at 16 lanes gemmAVX512 takes every row, in whole panels of 12 and then
+// the m%12 rows in panels of 8, 4, 2 and 1; at 8, gemmAVX2 runs the same
+// chains.
 func gemm(w lanes, a []float32, ars, aks int, b []float32, ldb int, c []float32, ldc, m, n, k int, acc bool) {
 	if m == 0 || n == 0 {
 		return
@@ -616,13 +653,9 @@ func gemm(w lanes, a []float32, ars, aks int, b []float32, ldb int, c []float32,
 		return
 	}
 	_, _ = a[(m-1)*ars+(k-1)*aks], b[(k-1)*ldb+n-1]
-	if w == 16 && m >= gemmPanel512 {
-		wide := m - m%gemmPanel512
-		gemmAVX512(&a[0], uintptr(ars)*4, uintptr(aks)*4, &b[0], uintptr(ldb)*4, &c[0], uintptr(ldc)*4, wide, n, k, acc)
-		if wide == m {
-			return
-		}
-		a, c, m = a[wide*ars:], c[wide*ldc:], m-wide
+	if w == 16 {
+		gemmAVX512(&a[0], uintptr(ars)*4, uintptr(aks)*4, &b[0], uintptr(ldb)*4, &c[0], uintptr(ldc)*4, m, n, k, acc)
+		return
 	}
 	gemmAVX2(&a[0], uintptr(ars)*4, uintptr(aks)*4, &b[0], uintptr(ldb)*4, &c[0], uintptr(ldc)*4, m, n, k, acc)
 }

@@ -3,6 +3,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -121,7 +122,7 @@ func TestTransposeScale(t *testing.T) {
 	}
 }
 
-// The two exact leaves reproduce their scalar loops bit for bit.
+// rowMax's vector form reproduces the scalar loop bit for bit.
 func TestSIMDExactLeavesMatchScalar(t *testing.T) {
 	if !cpuHasAVX2FMA() {
 		t.Skip("no AVX2+FMA on this machine")
@@ -132,13 +133,161 @@ func TestSIMDExactLeavesMatchScalar(t *testing.T) {
 		if got, want := simdRowMax(s), rowMax(s); got != want {
 			t.Fatalf("n=%d: rowMax %g, scalar %g", n, got, want)
 		}
-		p := randTensor(rng, n).Data
-		want := append([]float32(nil), s...)
-		attnDsRow(want, p, 0.25, 0.7)
-		simdAttnDsRow(s, p, 0.25, 0.7)
-		for j := range s {
-			if math.Float32bits(s[j]) != math.Float32bits(want[j]) {
-				t.Fatalf("n=%d: ds[%d] = %g, scalar %g", n, j, s[j], want[j])
+	}
+}
+
+// refSoftmaxTile and refSoftmaxGradTile are the walk's softmax steps as they
+// stood before the tile kernels: one call of each simd row leaf per row —
+// simdRowMax, simdExpSubRow and the Jacobian row, whose vector form was
+// attnDsRow bit for bit. The tile kernels are held to them bit for bit.
+func refSoftmaxTile(a *attnArgs, s []float32, m, l *[attnTileQ]float32, out []float32, t attnTile) {
+	d, ld := a.d, a.heads*a.d
+	for r := t.rlo; r < t.i1; r++ {
+		row := s[(r-t.i0)*attnTileK:][:t.j1-t.j0]
+		sc := row[:a.visible(t, r)]
+		mNew := m[r-t.i0]
+		if x := simdRowMax(sc); x > mNew {
+			mNew = x
+		}
+		sum, alpha := simdExpSubRow(sc, mNew, m[r-t.i0])
+		l[r-t.i0] = l[r-t.i0]*alpha + sum
+		m[r-t.i0] = mNew
+		if alpha != 1 {
+			orow := out[r*ld : r*ld+d]
+			for c := range orow {
+				orow[c] *= alpha
+			}
+		}
+		clear(row[len(sc):])
+	}
+}
+
+func refSoftmaxGradTile(a *attnArgs, p, ds, lse []float32, delta *[attnTileQ]float32, t attnTile) {
+	for r := t.rlo; r < t.i1; r++ {
+		at, n := (r-t.i0)*attnTileK, a.visible(t, r)
+		simdExpSubRow(p[at:at+n], lse[r-t.i0], lse[r-t.i0])
+		attnDsRow(ds[at:at+n], p[at:at+n], a.scale, delta[r-t.i0])
+		clear(p[at+n : at+t.j1-t.j0])
+		clear(ds[at+n : at+t.j1-t.j0])
+	}
+}
+
+// walkTiles lists every (query tile, key tile) pair the walk visits.
+func walkTiles(a *attnArgs) []attnTile {
+	var tiles []attnTile
+	for i0 := 0; i0 < a.sq; i0 += attnTileQ {
+		i1 := min(i0+attnTileQ, a.sq)
+		jmax := min(a.sk, a.qOff+i1)
+		for j0 := 0; j0 < jmax; j0 += attnTileK {
+			tiles = append(tiles, a.tile(i0, i1, j0, jmax))
+		}
+	}
+	return tiles
+}
+
+// TestAttnSoftmaxTileEqualsRowLeaves holds both tile kernels, at 8 lanes
+// and (where the CPU has them) 16, to the per-row leaves they replaced, bit
+// for bit in every value they write and in what they leave alone. The
+// tiles are every one the walk visits at self-attention S = 64 (rows that
+// see each length 1…64), at ragged query and key tiles with sk ≠ sq and
+// qOffset > 0, and at diagonal tiles whose first rows see none of the keys
+// (rlo > i0). Running maxima are −Inf (a first tile), equal to or above
+// the row's own maximum (the alpha == 1 shortcut) or below it; scores are
+// spread wide enough to flush exponentials to zero; NaNs are planted in
+// scores, running maxima, lse and D.
+func TestAttnSoftmaxTileEqualsRowLeaves(t *testing.T) {
+	if !cpuHasAVX2FMA() {
+		t.Skip("no AVX2+FMA on this machine")
+	}
+	widths := []lanes{8}
+	if cpuHasAVX512F() {
+		widths = append(widths, 16)
+	}
+	rng := rand.New(rand.NewSource(46))
+	nan := float32(math.NaN())
+	maybeNaN := func(x float32, odds int) float32 {
+		if rng.Intn(odds) == 0 {
+			return nan
+		}
+		return x
+	}
+	for _, g := range []struct{ sq, sk, qOff, heads, d int }{
+		{64, 64, 0, 1, 16},
+		{100, 100, 0, 2, 40},
+		{45, 70, 13, 2, 24},
+		{64, 200, 10, 1, 5},
+		{50, 131, 81, 3, 16},
+		{70, 29, 0, 1, 8},
+	} {
+		ld := g.heads * g.d
+		a := &attnArgs{heads: g.heads, d: g.d, sq: g.sq, sk: g.sk, qOff: g.qOff,
+			scale: float32(1 / math.Sqrt(float64(g.d)))}
+		for _, tl := range walkTiles(a) {
+			for _, spread := range []float64{1, 8, 60} {
+				// The forward tile.
+				s := make([]float32, attnTileQ*attnTileK)
+				for i := range s {
+					s[i] = float32(rng.NormFloat64() * spread)
+				}
+				var m, l [attnTileQ]float32
+				for r := tl.rlo; r < tl.i1; r++ {
+					row := s[(r-tl.i0)*attnTileK:][:a.visible(tl, r)]
+					row[rng.Intn(len(row))] = maybeNaN(row[0], 16)
+					top := rowMax(row)
+					switch rng.Intn(5) {
+					case 0:
+						m[r-tl.i0] = float32(math.Inf(-1))
+					case 1:
+						m[r-tl.i0] = top
+					case 2:
+						m[r-tl.i0] = top + 1
+					default:
+						m[r-tl.i0] = top - float32(rng.Float64()*4*spread)
+					}
+					m[r-tl.i0] = maybeNaN(m[r-tl.i0], 32)
+					l[r-tl.i0] = float32(rng.Float64() * 30)
+				}
+				out := randTensor(rng, g.sq*ld).Data
+				hi := g.heads - 1
+				for _, w := range widths {
+					a.simd = w
+					what := fmt.Sprintf("%d lanes, sq=%d sk=%d qOff=%d tile %+v spread %g", w, g.sq, g.sk, g.qOff, tl, spread)
+					gs, ws := append([]float32(nil), s...), append([]float32(nil), s...)
+					gm, wm, gl, wl := m, m, l, l
+					gout, wout := append([]float32(nil), out...), append([]float32(nil), out...)
+					a.softmaxTile(gs, &gm, &gl, gout[hi*g.d:], tl)
+					refSoftmaxTile(a, ws, &wm, &wl, wout[hi*g.d:], tl)
+					requireBitwise(t, what+": forward scores", gs, ws)
+					requireBitwise(t, what+": running max", gm[:], wm[:])
+					requireBitwise(t, what+": running sum", gl[:], wl[:])
+					requireBitwise(t, what+": out", gout, wout)
+				}
+
+				// The backward tile.
+				p := make([]float32, attnTileQ*attnTileK)
+				ds := make([]float32, attnTileQ*attnTileK)
+				for i := range p {
+					p[i] = float32(rng.NormFloat64() * spread)
+					ds[i] = float32(rng.NormFloat64())
+				}
+				lse := make([]float32, tl.i1-tl.i0)
+				var delta [attnTileQ]float32
+				for r := tl.rlo; r < tl.i1; r++ {
+					row := p[(r-tl.i0)*attnTileK:][:a.visible(tl, r)]
+					row[rng.Intn(len(row))] = maybeNaN(row[0], 16)
+					lse[r-tl.i0] = maybeNaN(rowMax(row)+float32(rng.Float64()*3), 32)
+					delta[r-tl.i0] = maybeNaN(float32(rng.NormFloat64()), 32)
+				}
+				for _, w := range widths {
+					a.simd = w
+					what := fmt.Sprintf("%d lanes, sq=%d sk=%d qOff=%d tile %+v spread %g", w, g.sq, g.sk, g.qOff, tl, spread)
+					gp, wp := append([]float32(nil), p...), append([]float32(nil), p...)
+					gds, wds := append([]float32(nil), ds...), append([]float32(nil), ds...)
+					a.softmaxGradTile(gp, gds, lse, &delta, tl)
+					refSoftmaxGradTile(a, wp, wds, lse, &delta, tl)
+					requireBitwise(t, what+": p", gp, wp)
+					requireBitwise(t, what+": ds", gds, wds)
+				}
 			}
 		}
 	}

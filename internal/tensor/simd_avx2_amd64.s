@@ -831,28 +831,344 @@ rowmax_next:
 	VZEROUPPER
 	RET
 
-// func attnDsAVX2(ds, p *float32, n8 int, scale, delta float32)
-//
-// ds[j] = (scale·p[j])·(ds[j] − delta) for j in [0, n8*8): the softmax
-// Jacobian row of the attention backward, with the scalar loop's rounding
-// sequence (no FMA) — bit-identical to it. n8 must be >= 1.
-TEXT ·attnDsAVX2(SB), NOSPLIT, $0-32
-	MOVQ ds+0(FP), DI
-	MOVQ p+8(FP), SI
-	MOVQ n8+16(FP), CX
-	VBROADCASTSS scale+24(FP), Y2
-	VBROADCASTSS delta+28(FP), Y3
+// The softmax of attention's tile walk, one call per (query tile, key
+// tile), 8 lanes wide here and 16 in simd_avx512_amd64.s. Tile row r —
+// relative to the tile's first row — holds its scores at s + r·256 (a row
+// is attnTileK = 64 floats) and sees the first n_r = min(w, diag + r) of
+// the tile's w keys; rows [r0, r1) are computed. Every value keeps the bits
+// of the row leaves run row by row (simdRowMax, simdExpSubRow, attnDsRow):
+// each exponential is EXPNEG's lane sequence, a row maximum takes
+// rowMaxAVX2's order, a row sum adds the row's whole 8-blocks in 8 lane
+// chains, combines them by the dotAVX2 tree and then adds the n_r%8 tail
+// ascending, and the Jacobian rounds (scale·p)·(dp − D) step by step. A
+// kernel reads whole vectors inside a row's 64 floats and writes only the
+// row's first w.
 
-attnds_loop:
-	VMULPS  (SI), Y2, Y0
+// ATTN_N sets AX = n_r = min(w, diag + row), with R8 = diag and R9 = w,
+// and DX = the row's first score, for the row index in reg.
+#define ATTN_N(reg, base) \
+	LEAQ    (R8)(reg*1), AX \
+	CMPQ    AX, R9          \
+	CMOVQGT R9, AX          \
+	MOVQ    reg, DX         \
+	SHLQ    $8, DX          \
+	ADDQ    base, DX
+
+// ATTN_MASK loads into y the lane mask selecting the first cnt lanes
+// (1 <= cnt <= 8), with R13 = &·gemmMask[8]; it clobbers cnt.
+#define ATTN_MASK(cnt, y) \
+	NEGQ    cnt              \
+	VMOVUPS (R13)(cnt*4), y
+
+// ATTN_LEFT sets R12 = the row's columns from DI's block on below w, for
+// DI inside the row at DX; it clobbers R10.
+#define ATTN_LEFT \
+	MOVQ DI, R10  \
+	SUBQ DX, R10  \
+	SHRQ $2, R10  \
+	MOVQ R9, R12  \
+	SUBQ R10, R12
+
+// func attnRowMaxAVX2(s, m, old *float32, r0, r1, diag, w int)
+//
+// The forward tile's row maxima, for both widths: per row, old gets the
+// running maximum m and m becomes m_new = max(m, the row's maximum) — the
+// row maximum as simdRowMax takes it (the n%8 tail ascending from −Inf,
+// then the whole blocks in rowMaxAVX2's order, joined by "x > m"), and the
+// running one joined the same way. m and old hold attnTileQ entries.
+TEXT ·attnRowMaxAVX2(SB), NOSPLIT, $0-56
+	MOVQ s+0(FP), R11
+	MOVQ m+8(FP), SI
+	MOVQ old+16(FP), R15
+	MOVQ diag+40(FP), R8
+	MOVQ w+48(FP), R9
+	VPCMPEQD X13, X13, X13
+	VPSLLD   $23, X13, X13 // −Inf
+	MOVQ r0+24(FP), CX
+
+max_row:
+	ATTN_N(CX, R11)
+	VMOVAPS X13, X0
+	MOVQ    AX, BX
+	ANDQ    $-8, BX
+	MOVQ    BX, R10
+
+max_tail:
+	CMPQ    R10, AX
+	JGE     max_blocks
+	VMOVSS  (DX)(R10*4), X1
+	VMAXSS  X0, X1, X0
+	INCQ    R10
+	JMP     max_tail
+
+max_blocks:
+	TESTQ   BX, BX
+	JZ      max_fold
+	VMOVUPS (DX), Y1
+	LEAQ    32(DX), R10
+	LEAQ    (DX)(BX*4), R12
+
+max_block:
+	CMPQ    R10, R12
+	JGE     max_reduce
+	VMAXPS  (R10), Y1, Y1
+	ADDQ    $32, R10
+	JMP     max_block
+
+max_reduce:
+	VEXTRACTF128 $1, Y1, X2
+	VMAXPS       X2, X1, X1
+	VPERMILPS    $0x4e, X1, X2
+	VMAXPS       X2, X1, X1
+	VPERMILPS    $0xb1, X1, X2
+	VMAXSS       X2, X1, X1
+	VMAXSS       X0, X1, X0
+
+max_fold:
+	VMOVSS (SI)(CX*4), X1
+	VMOVSS X1, (R15)(CX*4)
+	VMAXSS X1, X0, X0
+	VMOVSS X0, (SI)(CX*4)
+	INCQ   CX
+	CMPQ   CX, r1+32(FP)
+	JLT    max_row
+	VZEROUPPER
+	RET
+
+// func attnSoftmaxAVX2(s, m, l, alpha *float32, r0, r1, diag, w int, out *float32, ldo uintptr, d int)
+//
+// The forward tile after attnRowMaxAVX2, with alpha holding the old running
+// maxima: per row, alpha = exp(m_old − m_new) (exactly 1 when the two are
+// equal), the visible scores become exp(s − m_new) and the rest of the
+// row's w zeros, l ← l·alpha + Σ exp (a multiply, then an add), and the d
+// elements of the row's out, at out + r·ldo, are multiplied by alpha —
+// exact when it is 1. m, l and alpha hold attnTileQ = 32 entries, one per
+// tile row; alpha is computed for every entry.
+TEXT ·attnSoftmaxAVX2(SB), NOSPLIT, $0-88
+	MOVQ s+0(FP), R11
+	MOVQ m+8(FP), SI
+	MOVQ alpha+24(FP), R15
+	MOVQ diag+48(FP), R8
+	MOVQ w+56(FP), R9
+
+	// Alpha for all 32 entries, 8 at a time.
+	XORQ CX, CX
+
+fwd_alpha:
+	VMOVUPS   (R15)(CX*4), Y1
+	VMOVUPS   (SI)(CX*4), Y12
+	VCMPPS    $0, Y12, Y1, Y9 // m_old == m_new, ordered
+	VSUBPS    Y12, Y1, Y1
+	EXPNEG
+	VBLENDVPS Y9, ·expTab+320(SB), Y1, Y1
+	VMOVUPS   Y1, (R15)(CX*4)
+	ADDQ      $8, CX
+	CMPQ      CX, $32
+	JLT       fwd_alpha
+
+	// Per row, the exponentials and their sum, l and out.
+	MOVQ r0+32(FP), CX
+	LEAQ ·gemmMask+32(SB), R13
+
+fwd_row:
+	ATTN_N(CX, R11)
+	VBROADCASTSS (SI)(CX*4), Y12
+	VXORPS Y0, Y0, Y0
+	MOVQ   DX, DI
+	MOVQ   AX, BX
+	SHRQ   $3, BX
+	JZ     fwd_part
+
+fwd_block:
 	VMOVUPS (DI), Y1
-	VSUBPS  Y3, Y1, Y1
-	VMULPS  Y1, Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, SI
+	VSUBPS  Y12, Y1, Y1
+	EXPNEG
+	VMOVUPS Y1, (DI)
+	VADDPS  Y1, Y0, Y0
 	ADDQ    $32, DI
-	DECQ    CX
-	JNE     attnds_loop
+	DECQ    BX
+	JNE     fwd_block
+
+fwd_part:
+	// The block holding the n%8 tail: its visible lanes, then zeros up to w.
+	MOVQ AX, R10
+	ANDQ $7, R10
+	JZ   fwd_zeros
+	VMOVUPS (DI), Y1
+	VSUBPS  Y12, Y1, Y1
+	EXPNEG
+	ATTN_MASK(R10, Y9)
+	VANDPS  Y9, Y1, Y1
+	JMP     fwd_store
+
+fwd_zeros:
+	VXORPS Y1, Y1, Y1
+
+fwd_zero:
+	ATTN_LEFT
+	JLE  fwd_sum
+
+fwd_store:
+	ATTN_LEFT
+	CMPQ R12, $8
+	JGE  fwd_store_full
+	ATTN_MASK(R12, Y10)
+	VMASKMOVPS Y1, Y10, (DI)
+	JMP  fwd_stored
+
+fwd_store_full:
+	VMOVUPS Y1, (DI)
+
+fwd_stored:
+	ADDQ   $32, DI
+	VXORPS Y1, Y1, Y1
+	JMP    fwd_zero
+
+fwd_sum:
+	VHADDPS      Y0, Y0, Y0
+	VHADDPS      Y0, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDSS       X1, X0, X0
+	MOVQ         AX, R10
+	ANDQ         $-8, R10
+
+fwd_tail:
+	CMPQ   R10, AX
+	JGE    fwd_l
+	VADDSS (DX)(R10*4), X0, X0
+	INCQ   R10
+	JMP    fwd_tail
+
+fwd_l:
+	MOVQ         l+16(FP), R12
+	VMOVSS       (R12)(CX*4), X1
+	VMULSS       (R15)(CX*4), X1, X1
+	VADDSS       X0, X1, X1
+	VMOVSS       X1, (R12)(CX*4)
+	VBROADCASTSS (R15)(CX*4), Y1
+	MOVQ         CX, DI
+	IMULQ        ldo+72(FP), DI
+	ADDQ         out+64(FP), DI
+	MOVQ         d+80(FP), BX
+
+fwd_out8:
+	CMPQ    BX, $8
+	JLT     fwd_out1
+	VMOVUPS (DI), Y2
+	VMULPS  Y1, Y2, Y2
+	VMOVUPS Y2, (DI)
+	ADDQ    $32, DI
+	SUBQ    $8, BX
+	JMP     fwd_out8
+
+fwd_out1:
+	TESTQ  BX, BX
+	JZ     fwd_next
+	VMOVSS (DI), X2
+	VMULSS X1, X2, X2
+	VMOVSS X2, (DI)
+	ADDQ   $4, DI
+	DECQ   BX
+	JMP    fwd_out1
+
+fwd_next:
+	INCQ CX
+	CMPQ CX, r1+40(FP)
+	JLT  fwd_row
+	VZEROUPPER
+	RET
+
+// func attnSoftmaxGradAVX2(p, ds, lse, delta *float32, r0, r1, diag, w int, scale float32)
+//
+// The backward tile: per row r, the visible scores of p become
+// exp(s − lse[r]) and those of ds (the dp scores) (scale·p)·(dp − delta[r]),
+// separate roundings as in attnDsRow, and the rest of both rows' w zeros.
+// ds rows sit at ds + r·256 like p's.
+TEXT ·attnSoftmaxGradAVX2(SB), NOSPLIT, $0-68
+	MOVQ p+0(FP), R11
+	MOVQ ds+8(FP), R15
+	SUBQ R11, R15 // ds − p: a ds element sits R15 bytes past its p
+	MOVQ lse+16(FP), SI
+	MOVQ diag+48(FP), R8
+	MOVQ w+56(FP), R9
+	LEAQ ·gemmMask+32(SB), R13
+	VBROADCASTSS scale+64(FP), Y11
+	MOVQ r0+32(FP), CX
+
+bwd_row:
+	ATTN_N(CX, R11)
+	VBROADCASTSS (SI)(CX*4), Y12
+	MOVQ         delta+24(FP), BX
+	VBROADCASTSS (BX)(CX*4), Y14
+	MOVQ         DX, DI
+	MOVQ         AX, BX
+	SHRQ         $3, BX
+	JZ           bwd_part
+
+bwd_block:
+	VMOVUPS (DI), Y1
+	VSUBPS  Y12, Y1, Y1
+	EXPNEG
+	VMOVUPS Y1, (DI)
+	VMULPS  Y1, Y11, Y2
+	VMOVUPS (DI)(R15*1), Y3
+	VSUBPS  Y14, Y3, Y3
+	VMULPS  Y3, Y2, Y2
+	VMOVUPS Y2, (DI)(R15*1)
+	ADDQ    $32, DI
+	DECQ    BX
+	JNE     bwd_block
+
+bwd_part:
+	// The block holding the n%8 tail, then zeros up to w, in both tiles.
+	MOVQ AX, R10
+	ANDQ $7, R10
+	JZ   bwd_zeros
+	VMOVUPS (DI), Y1
+	VSUBPS  Y12, Y1, Y1
+	EXPNEG
+	VMULPS  Y1, Y11, Y2
+	VMOVUPS (DI)(R15*1), Y3
+	VSUBPS  Y14, Y3, Y3
+	VMULPS  Y3, Y2, Y2
+	ATTN_MASK(R10, Y9)
+	VANDPS  Y9, Y1, Y1
+	VANDPS  Y9, Y2, Y2
+	JMP     bwd_store
+
+bwd_zeros:
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+
+bwd_zero:
+	ATTN_LEFT
+	JLE  bwd_next
+
+bwd_store:
+	ATTN_LEFT
+	CMPQ R12, $8
+	JGE  bwd_store_full
+	ATTN_MASK(R12, Y10)
+	VMASKMOVPS Y1, Y10, (DI)
+	ADDQ       R15, DI
+	VMASKMOVPS Y2, Y10, (DI)
+	SUBQ       R15, DI
+	JMP        bwd_stored
+
+bwd_store_full:
+	VMOVUPS Y1, (DI)
+	VMOVUPS Y2, (DI)(R15*1)
+
+bwd_stored:
+	ADDQ   $32, DI
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	JMP    bwd_zero
+
+bwd_next:
+	INCQ CX
+	CMPQ CX, r1+40(FP)
+	JLT  bwd_row
 	VZEROUPPER
 	RET
 

@@ -5,7 +5,7 @@ package tensor
 // Scalar-only builds (non-amd64, or the noasm tag): no SIMD backend ever
 // registers, so mmArgs.simd and attnArgs.simd stay 0 lanes; these stubs
 // keep the static call sites linking. Where the scalar kernel is a function
-// of the same signature they fall back to it; attention's tile products,
+// of the same signature they fall back to it; attention's tile steps,
 // whose scalar form is the body of the dispatching method, cannot be
 // reached and say so.
 
@@ -34,10 +34,10 @@ func simdAttnAddTileT(a *attnArgs, dst, coef, rows []float32, t attnTile) {
 	panic("tensor: simd attention leaf in a scalar-only build")
 }
 
-func simdExpSubRow(s []float32, shift, prev float32) (sum, alpha float32) {
-	return expSubRow(s, shift, prev)
+func simdAttnSoftmaxTile(a *attnArgs, s []float32, m, l *[attnTileQ]float32, out []float32, t attnTile) {
+	panic("tensor: simd attention leaf in a scalar-only build")
 }
 
-func simdRowMax(s []float32) float32 { return rowMax(s) }
-
-func simdAttnDsRow(ds, p []float32, scale, delta float32) { attnDsRow(ds, p, scale, delta) }
+func simdAttnSoftmaxGradTile(a *attnArgs, p, ds, lse []float32, delta *[attnTileQ]float32, t attnTile) {
+	panic("tensor: simd attention leaf in a scalar-only build")
+}

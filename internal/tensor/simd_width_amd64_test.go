@@ -20,20 +20,26 @@ func requireAVX512(t *testing.T) {
 	}
 }
 
-// TestGEMMWideEqualsNarrow runs gemm at 16 and at 8 lanes over row counts
-// below, on and past whole panels of 12, column counts on every side of the
-// 16- and 32-column tile edges, NN and TN strides, store and accumulate, into
-// a c whose rows are wider than n: the products agree bitwise and neither
-// touches the columns beyond n.
+// TestGEMMWideEqualsNarrow runs gemm at 16 and at 8 lanes over every row
+// count from 1 to 25 — each height of the wide kernel's remainder panels
+// after zero, one and two whole panels of 12 — and at 32 and 512, column
+// counts on every side of the 16- and 32-column tile edges, NN and TN
+// strides, store and accumulate, into a c whose rows are wider than n and
+// that has rows past m: the products agree bitwise and neither touches the
+// columns beyond n or the rows beyond m.
 func TestGEMMWideEqualsNarrow(t *testing.T) {
 	requireAVX512(t)
 	rng := rand.New(rand.NewSource(24))
-	const pad = 5
-	for _, m := range []int{1, 5, 11, 12, 13, 24, 25, 32, 512} {
+	const pad, guard = 5, 2
+	ms := []int{32, 512}
+	for m := 1; m <= 25; m++ {
+		ms = append(ms, m)
+	}
+	for _, m := range ms {
 		for _, n := range []int{1, 15, 16, 17, 31, 32, 33, 64, 65, 172} {
 			for _, k := range []int{0, 1, 16, 64, 65, 172} {
 				a, b := randTensor(rng, max(m*k, 1)).Data, randTensor(rng, max(k*n, 1)).Data
-				seed := randTensor(rng, m*(n+pad)).Data
+				seed := randTensor(rng, (m+guard)*(n+pad)).Data
 				for _, tn := range []bool{false, true} {
 					ars, aks := k, 1
 					if tn {
@@ -50,6 +56,7 @@ func TestGEMMWideEqualsNarrow(t *testing.T) {
 							row := i * (n + pad)
 							requireBitwise(t, what+": columns beyond n", wide[row+n:row+n+pad], seed[row+n:row+n+pad])
 						}
+						requireBitwise(t, what+": rows beyond m", wide[m*(n+pad):], seed[m*(n+pad):])
 					}
 				}
 			}
