@@ -191,9 +191,13 @@ experiments:
 # more than 2 interface types (Transport, the whole endpoint contract, and
 # the Meter it embeds: an optional interface beside it would bring back a
 # type-switch fallback that a wrapper silently drops to): a knob added past
-# those counts must retire another. It also prints DESIGN.md's size in bytes
+# those counts must retire another. It counts pipeline.Trainer's methods,
+# embedded interfaces expanded, and fails above 8: a checkpoint copies
+# straight between a trainer's pieces and the snapshot (one unexported
+# method reaches them), so a copy-returning export added beside it shows up
+# here. It also prints DESIGN.md's size in bytes
 # and the longest and the newest CHANGES.md entry (one entry a line), and
-# fails when DESIGN.md grows past 118194 bytes — a doc edit replaces text
+# fails when DESIGN.md grows past 118064 bytes — a doc edit replaces text
 # instead of appending it — or when the newest entry is over 4096 bytes.
 surface:
 	@echo "non-test Go lines: $$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
@@ -225,11 +229,19 @@ surface:
 	@n=$$(ls internal/comm/*.go | grep -v '_test\.go$$' | xargs cat | grep -cE '^[[:space:]]*(type[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*[[:space:]]+interface[[:space:]]*\{'); \
 		echo "interface types in non-test internal/comm: $$n"; \
 		[ $$n -le 2 ] || { echo "surface: internal/comm declares $$n interface types, at most 2 (Transport, Meter)"; exit 1; }
+	@n=$$(awk '/^type [A-Za-z]+ interface ?\{.*\}/ { s = $$0; sub(/^[^{]*\{/, "", s); sub(/\}[^}]*$$/, "", s); \
+		k = split(s, a, ";"); for (i = 1; i <= k; i++) if (a[i] ~ /\(/) m[$$2]++; else if (a[i] ~ /[A-Za-z]/) e[$$2] = e[$$2] " " a[i]; next } \
+		/^type [A-Za-z]+ interface ?\{/ { t = $$2; body = 1; next } body && /^}/ { body = 0 } \
+		body && /^\t[A-Za-z_][A-Za-z0-9_]*\(/ { m[t]++ } body && /^\t[A-Z][A-Za-z0-9_]*$$/ { e[t] = e[t] " " $$1 } \
+		function count(n, a, i, k, c) { c = m[n]; k = split(e[n], a, " "); for (i = 1; i <= k; i++) c += count(a[i]); return c } \
+		END { print count("Trainer") }' $$(ls internal/pipeline/*.go | grep -v '_test\.go$$')); \
+		echo "pipeline.Trainer methods, embedded interfaces expanded: $$n"; \
+		[ $$n -le 8 ] || { echo "surface: pipeline.Trainer has $$n methods, at most 8"; exit 1; }
 	@echo "WEIPIPE_* environment variables: $$(grep -rhoE --include='*.go' --include=Makefile 'WEIPIPE_[A-Z_]+' . | sort -u | wc -l)"
 	@wc -l internal/comm/tcp.go
 	@wc -l internal/tensor/*.s
 	@n=$$(wc -c < DESIGN.md); echo "DESIGN.md bytes: $$n"; \
-		[ $$n -le 118194 ] || { echo "surface: DESIGN.md has $$n bytes, at most 118194"; exit 1; }
+		[ $$n -le 118064 ] || { echo "surface: DESIGN.md has $$n bytes, at most 118064"; exit 1; }
 	@echo "longest CHANGES.md entry, bytes: $$(LC_ALL=C awk 'length($$0) > m { m = length($$0) } END { print m + 0 }' CHANGES.md)"
 	@n=$$(LC_ALL=C awk 'END { print length($$0) }' CHANGES.md); echo "newest CHANGES.md entry, bytes: $$n"; \
 		[ $$n -le 4096 ] || { echo "surface: the newest CHANGES.md entry has $$n bytes, at most 4096"; exit 1; }

@@ -79,20 +79,9 @@ func (o *AdamW) Step(w, g []float32) {
 	}
 }
 
-// ExportState returns the optimizer's step count and copies of its moment
-// vectors, for checkpointing.
-func (o *AdamW) ExportState() (step int, m, v []float32) {
-	m = make([]float32, len(o.m))
-	v = make([]float32, len(o.v))
-	copy(m, o.m)
-	copy(v, o.v)
-	return o.step, m, v
-}
-
 // CopyStateInto copies the moment vectors into caller-provided buffers
-// (which must match the optimizer's size) and returns the step count. It is
-// the allocation-free sibling of ExportState, used by the per-iteration
-// rollback stash of the elastic recovery layer.
+// (which must match the optimizer's size) and returns the step count: how
+// a checkpoint capture takes them, straight into the snapshot.
 func (o *AdamW) CopyStateInto(m, v []float32) int {
 	if len(m) != len(o.m) || len(v) != len(o.v) {
 		panic(fmt.Sprintf("optim: CopyStateInto size mismatch: state %d, m %d, v %d",
@@ -101,6 +90,18 @@ func (o *AdamW) CopyStateInto(m, v []float32) int {
 	copy(m, o.m)
 	copy(v, o.v)
 	return o.step
+}
+
+// CopyFrom sets the step count and moments to src's, which must match the
+// optimizer's size: the one-deep rollback stash of the elastic recovery
+// layer.
+func (o *AdamW) CopyFrom(src *AdamW) {
+	if len(src.m) != len(o.m) {
+		panic(fmt.Sprintf("optim: CopyFrom size mismatch: state %d, src %d", len(o.m), len(src.m)))
+	}
+	o.step = src.step
+	copy(o.m, src.m)
+	copy(o.v, src.v)
 }
 
 // VisitState hands the optimizer's live moment vectors to f without

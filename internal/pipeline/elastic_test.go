@@ -116,12 +116,12 @@ func TestBuddyShadowMatchesOwner(t *testing.T) {
 					for it := 0; it < iters; it++ {
 						trainAll(t, trainers, batches(it))
 						for r, tr := range trainers {
-							owner := trainers[(r+1)%p].(*WeiPipe)
-							want, err := owner.ExportOwnedStateAt(it + 1)
+							owner, buddy := trainers[(r+1)%p].(*WeiPipe), tr.(*WeiPipe)
+							want, err := stateAt(owner.master(), it+1, owner.ownerIters)
 							if err != nil {
 								t.Fatal(err)
 							}
-							got, err := tr.(*WeiPipe).ExportBuddyStateAt(it + 1)
+							got, err := stateAt(buddy.shadow, it+1, buddy.shadowIters)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -138,6 +138,23 @@ func TestBuddyShadowMatchesOwner(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pieceState is a copy of a piece's trainer state.
+type pieceState struct {
+	W, M, V []float32
+	Step    int
+}
+
+// stateAt copies out piece p as of completed iteration atIter (piece.at).
+func stateAt(p *piece, atIter, iters int) (pieceState, error) {
+	q, err := p.at(atIter, iters)
+	if err != nil {
+		return pieceState{}, err
+	}
+	st := pieceState{W: slices.Clone(q.w), M: make([]float32, len(q.w)), V: make([]float32, len(q.w))}
+	st.Step = q.opt.CopyStateInto(st.M, st.V)
+	return st, nil
 }
 
 // bitsEqual reports whether a and b hold the same float32 bits.

@@ -25,10 +25,13 @@ import (
 // as lost rank state — the evidence → agreement → buddy-harvest/checkpoint
 // repair path — so a detected flip is repaired or rejected, never trained on.
 
-// initIntegrity resolves the trailer pad every belt buffer grows by.
+// initIntegrity resolves the trailer pad every belt buffer grows by and
+// arms the owned piece's resident guard.
 func (w *WeiPipe) initIntegrity() {
 	if w.opts.Integrity {
 		w.pad = comm.ChecksumTrailerLen
+		w.master().sums = new([3]uint32)
+		w.master().reseal()
 	}
 }
 
@@ -69,53 +72,47 @@ func (w *WeiPipe) verifyBelt(site comm.IntegritySite, kind comm.Kind, chunk int,
 	}
 }
 
-// refreshResidentGuards recomputes the cached checksums of the owned chunk's
-// resident state. Called after every legitimate mutation (construction, the
-// optimizer step, checkpoint restore) — and never between an injected fault
-// and its check, which is what makes the guard sound.
-func (w *WeiPipe) refreshResidentGuards() {
-	if w.pad == 0 {
-		return
-	}
-	w.guardW = comm.ChecksumSlice(w.master().w)
-	w.master().opt.VisitState(func(m, v []float32) {
-		w.guardM = comm.ChecksumSlice(m)
-		w.guardV = comm.ChecksumSlice(v)
+// checksums returns the checksums of the piece's w, m and v: what the
+// resident guard of WeiPipe's owned piece caches.
+func (p *piece) checksums() (s [3]uint32) {
+	s[0] = comm.ChecksumSlice(p.w)
+	p.opt.VisitState(func(m, v []float32) {
+		s[1], s[2] = comm.ChecksumSlice(m), comm.ChecksumSlice(v)
 	})
-	w.guardValid = true
+	return s
 }
 
-// checkResidentGuards verifies the resident state against the cached
-// checksums (iteration entry). Resident checks record under KindCtl: they
-// never crossed a transport.
+// reseal re-arms the piece's resident guard (if armed) over its values.
+// Called after every legitimate mutation (construction, the optimizer step,
+// a load) — and never between an injected fault and its check, which is
+// what makes the guard sound.
+func (p *piece) reseal() {
+	if p.sums != nil {
+		*p.sums = p.checksums()
+	}
+}
+
+// checkResidentGuards verifies the owned piece against its cached checksums
+// (iteration entry). Resident checks record under KindCtl: they never
+// crossed a transport.
 func (w *WeiPipe) checkResidentGuards() error {
-	if w.pad == 0 || !w.guardValid {
+	p := w.master()
+	if p.sums == nil {
 		return nil
 	}
-	gotW := comm.ChecksumSlice(w.master().w)
-	var gotM, gotV uint32
-	w.master().opt.VisitState(func(m, v []float32) {
-		gotM = comm.ChecksumSlice(m)
-		gotV = comm.ChecksumSlice(v)
-	})
-	check := func(site comm.IntegritySite, want, got uint32) error {
-		ok := want == got
+	got := p.checksums()
+	for i, site := range [3]comm.IntegritySite{comm.SiteWeights, comm.SiteMoments, comm.SiteMoments} {
+		ok := p.sums[i] == got[i]
 		w.stats.RecordIntegrityCheck(comm.KindCtl, ok)
 		if ok {
-			return nil
+			continue
 		}
 		w.tr.Instant(trace.CodeIntegrity, int64(comm.KindCtl), int64(w.ownChunk))
 		return &comm.IntegrityError{
-			Rank: w.t.Rank(), Site: site, Kind: comm.KindCtl, Chunk: w.ownChunk, Want: want, Got: got,
+			Rank: w.t.Rank(), Site: site, Kind: comm.KindCtl, Chunk: w.ownChunk, Want: p.sums[i], Got: got[i],
 		}
 	}
-	if err := check(comm.SiteWeights, w.guardW, gotW); err != nil {
-		return err
-	}
-	if err := check(comm.SiteMoments, w.guardM, gotM); err != nil {
-		return err
-	}
-	return check(comm.SiteMoments, w.guardV, gotV)
+	return nil
 }
 
 // recoverIntegrity converts a tensor-layer ABFT panic into the typed

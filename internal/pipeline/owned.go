@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 
+	"weipipe/internal/checkpoint"
 	"weipipe/internal/model"
 	"weipipe/internal/nn"
 	"weipipe/internal/optim"
@@ -22,25 +23,101 @@ import (
 type owned struct {
 	mdl    *model.Model
 	pieces []piece
+	// shadow, under buddy replication (buddy.go), is the successor chunk's
+	// replica: one more piece, at that chunk's offset. It is not among the
+	// pieces, so it is never exported as held; a restore loads it with them.
+	shadow *piece
 	stepRule
 }
 
-// A piece is one contiguous range of the flat parameter vector a rank owns:
-// its fp32 master weights w, which start at off, and their optimizer.
+// A piece is one contiguous range of the flat parameter vector a rank
+// holds: its fp32 master weights w, which start at off, and their
+// optimizer. Every copy of trainer state is a piece. Armed, it also keeps
+// rb, a one-deep pre-step rollback (buddy replication), and sums, the
+// checksums of w, m and v that the resident integrity guard compares
+// against (Options.Integrity).
 type piece struct {
-	off int
-	w   []float32
-	opt *optim.AdamW
+	off  int
+	w    []float32
+	opt  *optim.AdamW
+	rb   *rollback
+	sums *[3]uint32
 }
 
-// ownRange makes modules [lo, hi) one piece: their initial weights
-// (model.InitChunk) in one flat vector the modules are views of for good, so
-// a step updates them in place.
-func (o *owned) ownRange(lo, hi int, adam optim.AdamWConfig) {
+// A rollback is a piece as it stood before its latest step, which it
+// records as iters completed step phases; valid is false until the first
+// stash and after a load.
+type rollback struct {
+	piece
+	iters int
+	valid bool
+}
+
+// newPiece builds modules [lo, hi) as a piece: their initial weights
+// (model.InitChunk) and a fresh optimizer.
+func (o *owned) newPiece(lo, hi int, adam optim.AdamWConfig) *piece {
 	w := make([]float32, o.mdl.ChunkSize(lo, hi))
 	o.mdl.InitChunk(lo, hi, w)
-	o.mdl.BindChunk(lo, hi, w)
-	o.pieces = append(o.pieces, piece{off: o.mdl.ChunkSize(0, lo), w: w, opt: optim.NewAdamW(len(w), adam)})
+	return &piece{off: o.mdl.ChunkSize(0, lo), w: w, opt: optim.NewAdamW(len(w), adam)}
+}
+
+// ownRange makes modules [lo, hi) one owned piece, which the modules are
+// views of for good, so a step updates them in place.
+func (o *owned) ownRange(lo, hi int, adam optim.AdamWConfig) {
+	p := o.newPiece(lo, hi, adam)
+	o.mdl.BindChunk(lo, hi, p.w)
+	o.pieces = append(o.pieces, *p)
+}
+
+// arm gives the piece a rollback.
+func (p *piece) arm() {
+	p.rb = &rollback{piece: piece{off: p.off, w: make([]float32, len(p.w)),
+		opt: optim.NewAdamW(len(p.w), optim.AdamWConfig{})}}
+}
+
+// stash copies the piece into its rollback (if armed) before the step that
+// follows iters completed step phases.
+func (p *piece) stash(iters int) {
+	if p.rb == nil {
+		return
+	}
+	copy(p.rb.w, p.w)
+	p.rb.opt.CopyFrom(p.opt)
+	p.rb.iters, p.rb.valid = iters, true
+}
+
+// at resolves the piece as of completed step phase atIter, iters being
+// complete: the live piece, or its rollback when the piece has stepped once
+// past atIter. Either is a view, not a copy.
+func (p *piece) at(atIter, iters int) (*piece, error) {
+	rb := p.rb != nil && p.rb.valid
+	switch {
+	case iters == atIter:
+		return p, nil
+	case iters == atIter+1 && rb && p.rb.iters == atIter:
+		return &p.rb.piece, nil
+	}
+	return nil, fmt.Errorf("pipeline: state at iteration %d unavailable (completed %d, rollback valid=%v)",
+		atIter, iters, rb)
+}
+
+// load copies the piece's range of snap back into it: the weights and, in
+// a full-state snapshot, the moments at the snapshot's optimizer step. The
+// live state is replaced, so the rollback no longer describes it.
+func (p *piece) load(snap *checkpoint.Snapshot) error {
+	lo, hi := p.off, p.off+len(p.w)
+	copy(p.w, snap.Weights[lo:hi])
+	if fullState(snap) {
+		step := int(snapshotOptStep(snap))
+		if err := p.opt.LoadState(step, snap.Sections["adam.m"][lo:hi], snap.Sections["adam.v"][lo:hi]); err != nil {
+			return err
+		}
+	}
+	if p.rb != nil {
+		p.rb.valid = false
+	}
+	p.reseal()
+	return nil
 }
 
 // bindGrads returns gradient sets for modules [lo, hi) of mdl, indexed by
@@ -58,6 +135,10 @@ func bindGrads(mdl *model.Model, lo, hi int) (flat []float32, grads []*nn.ParamS
 	return flat, grads
 }
 
+// ownedState is how the capture and restore helpers reach a trainer's
+// pieces: every trainer embeds one owned.
+func (o *owned) ownedState() *owned { return o }
+
 // Model implements Trainer.
 func (o *owned) Model() *model.Model { return o.mdl }
 
@@ -71,50 +152,11 @@ func (o *owned) ExportWeights(full []float32) [][2]int {
 	return held
 }
 
-// LoadWeights implements Trainer.
-func (o *owned) LoadWeights(full []float32) {
-	for _, p := range o.pieces {
-		copy(p.w, full[p.off:])
-	}
-}
-
 // SetLR implements Trainer.
 func (o *owned) SetLR(lr float64) {
 	for _, p := range o.pieces {
 		p.opt.SetLR(lr)
 	}
-}
-
-// ExportOptimState implements Recoverable: the pieces' moments back to back.
-// Every piece steps together, so they share one step count.
-func (o *owned) ExportOptimState() (int64, []float32, []float32) {
-	n := 0
-	for _, p := range o.pieces {
-		n += len(p.w)
-	}
-	m, v := make([]float32, n), make([]float32, n)
-	var step int
-	off := 0
-	for _, p := range o.pieces {
-		step = p.opt.CopyStateInto(m[off:off+len(p.w)], v[off:off+len(p.w)])
-		off += len(p.w)
-	}
-	return int64(step), m, v
-}
-
-// RestoreOptimState implements Recoverable.
-func (o *owned) RestoreOptimState(step int64, m, v []float32) error {
-	for _, p := range o.pieces {
-		n := min(len(p.w), len(m), len(v))
-		if err := p.opt.LoadState(int(step), m[:n], v[:n]); err != nil {
-			return err
-		}
-		m, v = m[n:], v[n:]
-	}
-	if len(m)+len(v) != 0 {
-		return fmt.Errorf("pipeline: optimizer state outruns the owned weights by %d params", len(m))
-	}
-	return nil
 }
 
 // SetIteration implements Recoverable. The trainers whose counters only

@@ -189,8 +189,8 @@ type Trainer interface {
 	// model, PP its stage, WeiPipe its chunk, FSDP its shards — so a module
 	// holds weights only while bound: to that state or to a belt or gather
 	// buffer for the length of one pass. Read and write weights through
-	// ExportWeights and LoadWeights (AssembleWeights, RestoreSnapshot), never
-	// off Model().
+	// ExportWeights (AssembleWeights) and RestoreSnapshot, never off
+	// Model().
 	Model() *model.Model
 	// ExportWeights copies the weights the rank holds — the authoritative,
 	// post-step copy — into their places in full, the model's flat
@@ -199,8 +199,6 @@ type Trainer interface {
 	// strategy's: the whole model (serial, DP), the rank's stage (PP), its
 	// owned chunk (WeiPipe) or its shard of every module (FSDP).
 	ExportWeights(full []float32) [][2]int
-	// LoadWeights replaces the rank's weights with their elements of full.
-	LoadWeights(full []float32)
 	// SetLR sets the optimizer learning rate for the next iterations (for
 	// warm-up/decay schedules).
 	SetLR(lr float64)
@@ -208,9 +206,12 @@ type Trainer interface {
 	// how many of those spiked (see Options.Guard).
 	SkipCounter
 	SpikeSteps() int
-	// Recoverable exports and restores the optimizer state for
-	// coordinated checkpoints.
+	// Recoverable realigns the iteration counter on a restore.
 	Recoverable
+	// ownedState is the rank's owned state: the pieces a checkpoint
+	// captures (CaptureSnapshot, RunRank's gather) and a restore
+	// (RestoreSnapshot) copies straight into and out of.
+	ownedState() *owned
 }
 
 // New builds a trainer for the given strategy on transport t. cfg must be

@@ -198,10 +198,7 @@ func RunRank(a RankAssignment, t comm.Transport, spec RunSpec, hooks RunHooks) (
 		}
 		if spec.CheckpointEvery > 0 && ((iter+1)%spec.CheckpointEvery == 0 || iter+1 == spec.Iters) {
 			ns := newCapture(tr.Model(), iter+1, true)
-			own := exportWeights(tr, ns)
-			if err := exportState(tr, ns, &own); err != nil {
-				return nil, err
-			}
+			own := export(tr, ns)
 			span := rt.Begin()
 			err := gatherCapture(a, dl, t, tr, ns, own)
 			rt.End(span, trace.CodeCkpt, int64(iter+1), 0)
@@ -222,7 +219,7 @@ func RunRank(a RankAssignment, t comm.Transport, spec RunSpec, hooks RunHooks) (
 		weights = slices.Clone(ckpt.Weights)
 	} else {
 		final := newCapture(tr.Model(), spec.Iters, false)
-		if err := gatherCapture(a, dl, t, tr, final, exportWeights(tr, final)); err != nil {
+		if err := gatherCapture(a, dl, t, tr, final, export(tr, final)); err != nil {
 			return fail(spec.Iters-1, err), nil
 		}
 		weights = final.Weights
@@ -480,7 +477,6 @@ func wireHarvest(a RankAssignment, t comm.Transport, dl comm.Deadlines,
 		return nil, err
 	}
 
-	offsets := moduleOffsets(wp.Model())
 	snap := newCapture(wp.Model(), cut, true)
 	var own share
 	for c := 0; c < a.World; c++ {
@@ -491,21 +487,21 @@ func wireHarvest(a RankAssignment, t comm.Transport, dl comm.Deadlines,
 		if src != a.Rank {
 			continue
 		}
-		var st StateExport
+		p, iters := wp.master(), wp.ownerIters
 		if fromBuddy {
-			st, err = wp.ExportBuddyStateAt(cut)
-		} else {
-			st, err = wp.ExportOwnedStateAt(cut)
+			if p, iters = wp.shadow, wp.shadowIters; p == nil {
+				return nil, fmt.Errorf("pipeline: buddy replication disabled on rank %d", a.Rank)
+			}
 		}
-		if err != nil {
+		if p, err = p.at(cut, iters); err != nil {
 			return nil, fmt.Errorf("pipeline: harvest chunk %d: %w", c, err)
 		}
-		if len(own.spans) > 0 && own.step != int64(st.Step) {
-			return nil, fmt.Errorf("pipeline: inconsistent optimizer steps across chunks: %d vs %d", own.step, st.Step)
+		held := len(own.spans) > 0
+		step := own.put(snap, p)
+		if held && step != own.step {
+			return nil, fmt.Errorf("pipeline: inconsistent optimizer steps across chunks: %d vs %d", own.step, step)
 		}
-		lo, hi := wp.chunkRange(c)
-		own.put(snap, offsets[lo], offsets[hi], vecWeights, st.W, st.M, st.V)
-		own.step = int64(st.Step)
+		own.step = step
 	}
 	shares, err := exchangeShares(a, t, dl, Tag{Kind: comm.KindCtl, A: harvestTag, B: cut}, survivors, snap, own)
 	if err != nil {

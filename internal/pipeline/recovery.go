@@ -14,76 +14,28 @@ import (
 	"weipipe/internal/model"
 )
 
-// Recoverable is the part of Trainer that checkpoints and restores the
-// full training state: beyond the weights every trainer exports, their
-// optimizer moments and the iteration counter. It is what coordinated
-// checkpoint/restart needs from each rank.
+// Recoverable is the part of Trainer a restore needs beyond the pieces it
+// copies the snapshot into (RestoreSnapshot): the iteration counter.
 type Recoverable interface {
-	// ExportOptimState returns the optimizer step count and copies of the
-	// first/second moments of the weights the rank exports, laid out as
-	// ExportWeights lays out its ranges: in order, back to back.
-	ExportOptimState() (step int64, m, v []float32)
-	// RestoreOptimState loads a previously exported state (copied in).
-	RestoreOptimState(step int64, m, v []float32) error
 	// SetIteration resets the trainer's iteration counter, so wire tags and
 	// collective salts agree across ranks after a restart.
 	SetIteration(iter int)
 }
 
-// LoadWeights implements Trainer for WeiPipe: the owned chunk and, under buddy
-// replication, the shadowed successor chunk. A load is a legitimate mutation
-// of guarded resident state, so the integrity guards are re-armed over the
-// fresh values.
-func (w *WeiPipe) LoadWeights(full []float32) {
-	w.owned.LoadWeights(full)
-	if w.buddy != nil {
-		copy(w.buddy.w, full[w.mdl.ChunkSize(0, w.bounds[w.buddy.chunk][0]):])
-	}
-	w.refreshResidentGuards()
-}
-
-// RestoreOptimState implements Recoverable for WeiPipe. Loading moments is
-// a legitimate mutation of guarded resident state, so the integrity guards
-// are re-armed eagerly — deferring the refresh to the next iteration entry
-// would let a flip that lands in the window go unseen.
-func (w *WeiPipe) RestoreOptimState(step int64, m, v []float32) error {
-	if err := w.owned.RestoreOptimState(step, m, v); err != nil {
-		return err
-	}
-	w.refreshResidentGuards()
-	return nil
-}
-
 // SetIteration implements Recoverable for WeiPipe. Beyond the wire-tag
-// counter it realigns the step-phase bookkeeping the elastic machinery
-// keeps: a trainer restored to iteration i has, by definition, committed i
-// step phases and holds no rollback, and its buddy shadow (if any) starts
-// the same cut.
+// counter it realigns the step-phase counters the rollbacks are resolved
+// against: a trainer restored to iteration i has, by definition, committed
+// i step phases, on its owned piece and its shadow alike.
 func (w *WeiPipe) SetIteration(iter int) {
-	w.iter = iter
-	w.ownerIters = iter
-	w.rbValid = false
-	if w.buddy != nil {
-		w.buddy.iters = iter
-		w.buddy.rbValid = false
-	}
-}
-
-// moduleOffsets returns the flat-vector offset of every module boundary.
-func moduleOffsets(mdl *model.Model) []int {
-	offsets := make([]int, len(mdl.Modules)+1)
-	for i := 0; i < len(mdl.Modules); i++ {
-		offsets[i+1] = offsets[i] + mdl.ModuleParamSize(i)
-	}
-	return offsets
+	w.iter, w.ownerIters, w.shadowIters = iter, iter, iter
 }
 
 // A share is one trainer's part of a coordinated capture: spans of the
-// capture's vectors — the weights it holds (Trainer.ExportWeights) and, in a
-// full-state capture, those weights' optimizer moments (Recoverable) — and its
-// optimizer step count. CaptureSnapshot places every trainer's share in one
-// process; RunRank's checkpoint gather and the repair harvest send shares
-// over the wire (packShare, placeShare).
+// capture's vectors — the weights of the pieces it holds and, in a
+// full-state capture, their optimizer moments — and its optimizer step
+// count. CaptureSnapshot places every trainer's share in one process;
+// RunRank's checkpoint gather and the repair harvest send shares over the
+// wire (packShare, placeShare).
 type share struct {
 	spans []span
 	step  int64
@@ -112,13 +64,18 @@ func vector(snap *checkpoint.Snapshot, vec int) []float32 {
 	return nil
 }
 
-// put copies xs into snap's range [lo, hi) of the vectors vec, vec+1, …
-// and records them as spans of sh.
-func (sh *share) put(snap *checkpoint.Snapshot, lo, hi, vec int, xs ...[]float32) {
-	for i, x := range xs {
-		copy(vector(snap, vec+i)[lo:hi], x)
-		sh.spans = append(sh.spans, span{vec + i, lo, hi})
+// put copies piece p into snap at p.off — its weights and, in a full-state
+// capture, its moments — records the spans in sh and returns p's optimizer
+// step count.
+func (sh *share) put(snap *checkpoint.Snapshot, p *piece) int64 {
+	lo, hi := p.off, p.off+len(p.w)
+	copy(snap.Weights[lo:hi], p.w)
+	sh.spans = append(sh.spans, span{vecWeights, lo, hi})
+	if !fullState(snap) {
+		return 0
 	}
+	sh.spans = append(sh.spans, span{vecM, lo, hi}, span{vecV, lo, hi})
+	return int64(p.opt.CopyStateInto(snap.Sections["adam.m"][lo:hi], snap.Sections["adam.v"][lo:hi]))
 }
 
 // newCapture allocates the snapshot a capture at `completed` iterations
@@ -138,33 +95,15 @@ func newCapture(mdl *model.Model, completed int, withState bool) *checkpoint.Sna
 	return snap
 }
 
-// exportWeights writes the weights tr holds into their places in snap.
-func exportWeights(tr Trainer, snap *checkpoint.Snapshot) share {
+// export copies the pieces tr owns into snap: tr's share of a capture. The
+// pieces step together, so they share one step count.
+func export(tr Trainer, snap *checkpoint.Snapshot) share {
 	var sh share
-	for _, r := range tr.ExportWeights(snap.Weights) {
-		sh.spans = append(sh.spans, span{vecWeights, r[0], r[1]})
+	o := tr.ownedState()
+	for i := range o.pieces {
+		sh.step = sh.put(snap, &o.pieces[i])
 	}
 	return sh
-}
-
-// exportState adds tr's optimizer moments and step count to its share of
-// a full-state capture, at the places of the weights it exported.
-func exportState(tr Trainer, snap *checkpoint.Snapshot, sh *share) error {
-	step, m, v := tr.ExportOptimState()
-	off := 0
-	for _, sp := range slices.Clone(sh.spans) {
-		n := sp.hi - sp.lo
-		if sp.vec != vecWeights || off+n > len(m) {
-			break
-		}
-		sh.put(snap, sp.lo, sp.hi, vecM, m[off:off+n], v[off:off+n])
-		off += n
-	}
-	if off != len(m) || len(v) != len(m) {
-		return fmt.Errorf("pipeline: %T optimizer state covers %d params, its weights %d", tr, len(m), off)
-	}
-	sh.step = step
-	return nil
 }
 
 // sealCapture finishes a capture once every share is placed: the shares
@@ -195,16 +134,11 @@ func sealCapture(snap *checkpoint.Snapshot, shares []share, tr Trainer) error {
 		}
 	}
 	snap.Sections["adam.step"] = []float32{float32(shares[0].step)}
-	if g, ok := tr.(guarded); ok {
-		ss, err := g.spikeStateAt(int(snap.Step))
-		if err != nil {
-			return err
-		}
-		if ss != nil {
-			snap.Sections[spikeSection] = ss
-		}
+	ss, err := tr.ownedState().spikeStateAt(int(snap.Step))
+	if ss != nil {
+		snap.Sections[spikeSection] = ss
 	}
-	return nil
+	return err
 }
 
 // packShare flattens a share for the wire: the step and the span count,
@@ -267,10 +201,7 @@ func CaptureSnapshot(trainers []Trainer, completedIters int) (*checkpoint.Snapsh
 	snap := newCapture(trainers[0].Model(), completedIters, true)
 	shares := make([]share, len(trainers))
 	for i, tr := range trainers {
-		shares[i] = exportWeights(tr, snap)
-		if err := exportState(tr, snap, &shares[i]); err != nil {
-			return nil, err
-		}
+		shares[i] = export(tr, snap)
 	}
 	if err := sealCapture(snap, shares, trainers[0]); err != nil {
 		return nil, err
@@ -295,54 +226,37 @@ func fullState(snap *checkpoint.Snapshot) bool {
 }
 
 // RestoreSnapshot loads a coordinated checkpoint into a fresh cluster:
-// every rank loads the weights it holds (Trainer.LoadWeights), its owned slice
-// of the optimizer moments, and the snapshot's iteration counter; WeiPipe
-// ranks running buddy replication additionally seed their shadow replica
-// from the successor chunk's slice — which is how elastic repair re-arms the
-// next failure's recovery without any extra traffic. Because the snapshot is
-// a full flat state, the cluster restored into may have a different world
+// every rank copies its range of the snapshot back into each piece it
+// holds — the weights and, from a full-state snapshot, the optimizer
+// moments — and takes the snapshot's iteration counter. A WeiPipe rank
+// running buddy replication loads its shadow the same way, from the
+// successor chunk's range, which is how elastic repair re-arms the next
+// failure's recovery without any extra traffic. Because the snapshot is a
+// full flat state, the cluster restored into may have a different world
 // size than the one that captured it (that is the elastic re-shard).
 // Training resumed from the restored state is bit-identical to a run that
-// never stopped. A weight-only snapshot loads the weights alone (a buddy
-// shadow's included): the optimizer stays fresh and the iteration counter
-// at 0.
+// never stopped. A weight-only snapshot loads the weights alone: the
+// optimizer stays fresh and the iteration counter at 0.
 func RestoreSnapshot(snap *checkpoint.Snapshot, trainers []Trainer) error {
 	mdl := trainers[0].Model()
 	if len(snap.Weights) != mdl.NumParams() {
 		return fmt.Errorf("pipeline: model has %d params, snapshot %d", mdl.NumParams(), len(snap.Weights))
 	}
-	offsets := moduleOffsets(mdl)
-	am, av := snap.Sections["adam.m"], snap.Sections["adam.v"]
-	optStep := snapshotOptStep(snap)
 	for _, tr := range trainers {
-		tr.LoadWeights(snap.Weights)
-		if !fullState(snap) {
-			continue
-		}
-		// The moments of the weights tr holds, laid out as it exports them.
-		var m, v []float32
-		for _, r := range tr.ExportWeights(make([]float32, len(snap.Weights))) {
-			m, v = append(m, am[r[0]:r[1]]...), append(v, av[r[0]:r[1]]...)
-		}
-		if err := tr.RestoreOptimState(optStep, m, v); err != nil {
-			return err
-		}
-		tr.SetIteration(int(snap.Step))
-		if g, ok := tr.(guarded); ok {
-			g.restoreGuard(snap.Sections[spikeSection], int(snap.Step))
-		}
-		if wp, ok := tr.(*WeiPipe); ok && wp.buddy != nil {
-			c, _ := wp.BuddyChunk()
-			blo, bhi := wp.chunkRange(c)
-			st := StateExport{
-				W:    snap.Weights[offsets[blo]:offsets[bhi]],
-				M:    am[offsets[blo]:offsets[bhi]],
-				V:    av[offsets[blo]:offsets[bhi]],
-				Step: int(optStep),
-			}
-			if err := wp.SeedBuddyFromState(st, int(snap.Step)); err != nil {
+		o := tr.ownedState()
+		for i := range o.pieces {
+			if err := o.pieces[i].load(snap); err != nil {
 				return err
 			}
+		}
+		if o.shadow != nil {
+			if err := o.shadow.load(snap); err != nil {
+				return err
+			}
+		}
+		if fullState(snap) {
+			tr.SetIteration(int(snap.Step))
+			o.restoreGuard(snap.Sections[spikeSection], int(snap.Step))
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -64,7 +65,7 @@ func (r *residency) bytes() int {
 
 // weightSideBytes is every parameter-side buffer reachable from a trainer —
 // its model's storage, owned weights and optimizer moments, gradient sets
-// and buffers, and buddy state — counted once each.
+// and buffers, and its pieces' rollbacks and buddy shadow — counted once each.
 func weightSideBytes(tr Trainer) int {
 	var r residency
 	for _, m := range tr.Model().Modules {
@@ -74,13 +75,8 @@ func weightSideBytes(tr Trainer) int {
 	switch tr := tr.(type) {
 	case *WeiPipe:
 		own = &tr.owned
-		r.add(tr.rbW, tr.rbM, tr.rbV)
 		r.add(tr.kept...)
 		r.sets(tr.wGrads...)
-		if b := tr.buddy; b != nil {
-			r.add(b.w, b.scratch, b.rbW, b.rbM, b.rbV)
-			r.opt(b.opt)
-		}
 	case *PP:
 		own = &tr.owned
 		r.add(tr.flatG)
@@ -96,9 +92,17 @@ func weightSideBytes(tr Trainer) int {
 		r.add(tr.gradFlat...)
 		r.sets(tr.grads...)
 	}
-	for _, p := range own.pieces {
+	pieces := own.pieces
+	if own.shadow != nil {
+		pieces = append(slices.Clone(pieces), *own.shadow)
+	}
+	for _, p := range pieces {
 		r.add(p.w)
 		r.opt(p.opt)
+		if p.rb != nil {
+			r.add(p.rb.w)
+			r.opt(p.rb.opt)
+		}
 	}
 	return r.bytes()
 }
@@ -108,8 +112,8 @@ func weightSideBytes(tr Trainer) int {
 //
 //   - WeiPipe (flat and grouped): its owned chunk × 3 — master, m, v. Buddy
 //     replication adds the owned chunk's one-deep rollback (× 3) and the
-//     successor chunk's shadow × 7: weights, m, v, their rollback and the
-//     replay scratch. Between passes it also
+//     successor chunk's shadow × 6: weights, m, v and their rollback; the
+//     replay scales the received gradient in place. Between passes it also
 //     keeps belt copies: checked at every belt receive, no chunk but the
 //     owned one is bound, the chunks kept are exactly those order.BeltPlan
 //     keeps over the pass, and with the one the receive brings they are at
@@ -183,7 +187,7 @@ func TestRankHoldsOnlyItsWeights(t *testing.T) {
 						n := 3 * tr.mdl.ChunkSize(lo, hi)
 						if c, ok := tr.BuddyChunk(); ok {
 							blo, bhi := tr.chunkRange(c)
-							n = 2*n + 7*tr.mdl.ChunkSize(blo, bhi)
+							n = 2*n + 6*tr.mdl.ChunkSize(blo, bhi)
 						}
 						return 4 * n
 					case *PP:
@@ -343,7 +347,7 @@ func checkBeltKept(t *testing.T, w *WeiPipe, r int, op order.Op, keptOver map[or
 		clo, chi := w.chunkRange(c)
 		n += w.mdl.ChunkSize(clo, chi) + w.pad
 	}
-	if w.buddy == nil {
+	if w.shadow == nil {
 		if bytes := weightSideBytes(w); bytes != 4*n {
 			t.Errorf("rank %d, receive for %v: %d weight-side bytes, want %d", r, op, bytes, 4*n)
 		}
@@ -427,6 +431,76 @@ func trainAll(t *testing.T, trainers []Trainer, batches []data.Batch) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSnapshotCopiesNoTemporaries pins that a checkpoint copies straight
+// between the trainers' pieces and the snapshot's vectors. At p = 4, for
+// every strategy and for wzb2 under buddy replication, CaptureSnapshot
+// allocates the snapshot — weights, m and v — and a little bookkeeping, and
+// RestoreSnapshot nothing that grows with the model. The model is large
+// enough (about 200 K parameters, 0.8 MB a vector) that a full-model or
+// full-piece temporary would exceed the slack many times over.
+func TestSnapshotCopiesNoTemporaries(t *testing.T) {
+	cfg := model.Config{Vocab: 64, Hidden: 64, Layers: 4, Heads: 4, MaxSeq: 8, Seed: 42}
+	total := model.BuildShells(cfg).NumParams()
+	const slack = 64 << 10
+	type run struct {
+		name  string
+		s     Strategy
+		p     int
+		buddy bool
+	}
+	runs := []run{{"serial", StrategySerial, 1, false}, {"weipipe-dp", StrategyWeiPipeDP, 4, false},
+		{"wzb2_buddy", StrategyWZB2, 4, true}}
+	for _, s := range Strategies() {
+		runs = append(runs, run{string(s), s, 4, false})
+	}
+	leastAlloc := func(f func()) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	for _, rn := range runs {
+		t.Run(rn.name, func(t *testing.T) {
+			opts := eqOpts()
+			opts.buddy, opts.GroupSize = rn.buddy, 2
+			cl := comm.NewCluster(rn.p)
+			trainers := make([]Trainer, rn.p)
+			for r := range trainers {
+				tr, err := New(rn.s, cl.Transport(r), cfg, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				trainers[r] = tr
+			}
+			cl.Close()
+			var snap *checkpoint.Snapshot
+			capture := leastAlloc(func() {
+				var err error
+				if snap, err = CaptureSnapshot(trainers, 0); err != nil {
+					t.Fatal(err)
+				}
+			})
+			restore := leastAlloc(func() {
+				if err := RestoreSnapshot(snap, trainers); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("capture %d B, restore %d B; the snapshot is %d B", capture, restore, 3*4*total)
+			if limit := uint64(3*4*total + slack); capture > limit {
+				t.Errorf("CaptureSnapshot allocated %d B, limit %d", capture, limit)
+			}
+			if restore > slack {
+				t.Errorf("RestoreSnapshot allocated %d B, limit %d", restore, slack)
+			}
+		})
+	}
 }
 
 // TestRestoreThenAssembleRoundTrips loads a snapshot into every strategy at

@@ -82,24 +82,16 @@ func (r *stepRule) SpikeSteps() int {
 	return r.spike.Spikes()
 }
 
-// guarded is implemented by every trainer through its step rule: the
-// guard's window rides in every full-state
-// snapshot, so a resumed guarded run stays bit-identical to an
-// uninterrupted one.
-type guarded interface {
-	spikeStateAt(atIter int) ([]float32, error)
-	restoreGuard(st []float32, iter int)
-}
-
-// spikeSection names the snapshot section carrying the detector state. The
-// window is float64 and sections carry float32, so it rides as float64 bit
+// spikeSection names the snapshot section carrying the detector state: the
+// guard's window rides in every full-state snapshot, so a resumed guarded
+// run stays bit-identical to an uninterrupted one. The window is float64 and sections carry float32, so it rides as float64 bit
 // patterns split across float32 word pairs; every copy along the snapshot
 // paths is a bitwise move, so a restored detector is exactly the saved one.
 const spikeSection = "spike.state"
 
 // spikeStateAt returns the packed detector state as of completed iteration
 // atIter: the live window, or, for a rank one step past a repair cut, the
-// detector's one-deep rollback — the resolution exportAt applies to the
+// detector's one-deep rollback — the resolution piece.at applies to the
 // trainer state. nil when the guard is off.
 func (r *stepRule) spikeStateAt(atIter int) ([]float32, error) {
 	if r.spike == nil {

@@ -150,26 +150,14 @@ type WeiPipe struct {
 	// the buffer slot of the use it serves, whose belt copy never comes.
 	kept [][]float32
 
-	// Integrity layer state (Options.Integrity; see integrity.go). pad is
-	// the checksum trailer length every belt buffer grows by (0 = off);
-	// guard* cache the resident state's checksums between legitimate
-	// mutations.
-	pad        int
-	guardW     uint32
-	guardM     uint32
-	guardV     uint32
-	guardValid bool
+	// pad is the checksum trailer length every belt buffer grows by
+	// (Options.Integrity; see integrity.go), 0 when off.
+	pad int
 
-	// buddy, when non-nil, shadows the ring successor's owned chunk (see
-	// buddy.go). ownerIters counts this rank's committed step phases, and
-	// rb* hold the one-deep pre-step rollback of the owned chunk that lets
-	// elastic repair export a consistent cut.
-	buddy         *buddyState
-	ownerIters    int
-	rbW, rbM, rbV []float32
-	rbStep        int
-	rbIters       int
-	rbValid       bool
+	// ownerIters and shadowIters count the step phases the owned piece and,
+	// under buddy replication (buddy.go), owned.shadow have committed: what
+	// their rollbacks are resolved against (piece.at).
+	ownerIters, shadowIters int
 
 	// The step phase's decisions, recorded for the buddy shadow replay: the
 	// gradient factor and the step rule's scale and skip verdict are
@@ -260,7 +248,6 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 	}
 	w.tr = opts.Trace.Rank(t.Rank())
 	w.initIntegrity()
-	w.refreshResidentGuards()
 	if opts.buddy && p >= 2 {
 		w.initBuddy()
 	}
@@ -398,21 +385,21 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 		return 0, err
 	}
 	w.lastInv, w.lastScale, w.lastSkip = gradFactor(denom), scale, skip
-	w.stashOwnedRollback()
+	w.master().stash(w.ownerIters)
 	if !skip {
 		w.applyStep(db)
 	}
 	w.ownerIters++
 	comm.Release(d)
 
-	if w.buddy != nil {
+	if w.shadow != nil {
 		if err := w.buddyStep(); err != nil {
 			return 0, err
 		}
 	}
 	// The step (or the skip decision) was the last legitimate mutation of
-	// the resident state this iteration; re-arm the guards over it.
-	w.refreshResidentGuards()
+	// the resident state this iteration; re-arm the guard over it.
+	w.master().reseal()
 	w.tr.End(optSpan, trace.CodeOpt, int64(w.iter), 0)
 
 	w.iter++

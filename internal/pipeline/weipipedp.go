@@ -94,7 +94,4 @@ func (h *WeiPipeDP) TrainIteration(batches []data.Batch) (float64, error) {
 	return total / float64(h.world.Size()), nil
 }
 
-var (
-	_ Trainer = (*WeiPipeDP)(nil)
-	_ guarded = (*WeiPipeDP)(nil)
-)
+var _ Trainer = (*WeiPipeDP)(nil)

@@ -510,14 +510,16 @@ func transposeScale(dst, src []float32, ld, n, cols int, scale float32) {
 	if n8 > 0 && c8 > 0 {
 		transposeScaleAVX2(&dst[0], attnTileK*4, &src[0], uintptr(ld)*4, n8>>3, c8>>3, scale)
 	}
-	for u := 0; u < n; u++ {
-		row := src[u*ld : u*ld+cols]
-		c := c8
-		if u >= n8 {
-			c = 0
+	if c8 < cols {
+		for u := 0; u < n8; u++ {
+			for c := c8; c < cols; c++ {
+				dst[c*attnTileK+u] = scale * src[u*ld+c]
+			}
 		}
-		for ; c < cols; c++ {
-			dst[c*attnTileK+u] = scale * row[c]
+	}
+	for u := n8; u < n; u++ {
+		for c := 0; c < cols; c++ {
+			dst[c*attnTileK+u] = scale * src[u*ld+c]
 		}
 	}
 }
