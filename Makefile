@@ -16,10 +16,11 @@ test:
 test-noasm:
 	$(GO) test -tags noasm ./...
 
-# backends logs which kernel backends this machine registered and which one
-# "auto" resolves to (GOFLAGS=-tags=noasm for the scalar-only build): CI runs
-# it beside the tests, so a runner whose CPU lacks AVX-512 — where the width
-# tests skip — is visible in the log rather than silently green.
+# backends logs which kernel backends this machine registered, which one
+# "auto" resolves to and whether the wire CRC runs the 512-bit kernel
+# (GOFLAGS=-tags=noasm for the scalar-only build): CI runs it beside the
+# tests, so a runner whose CPU lacks AVX-512 — where the width tests skip —
+# or VPCLMULQDQ is visible in the log rather than silently green.
 backends:
 	@$(GO) test -count=1 -v -run 'TestBackendRegistry$$' ./internal/tensor/ | grep -E 'registered backends|^(ok|FAIL)'
 
@@ -92,6 +93,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzCausalAttentionEquivalence -fuzztime $(FUZZTIME) ./internal/tensor/
 	$(GO) test -run NONE -fuzz FuzzBackendNTEquivalence -fuzztime $(FUZZTIME) ./internal/tensor/
 	$(GO) test -run NONE -fuzz FuzzBF16RoundTrip -fuzztime $(FUZZTIME) ./internal/tensor/
+	$(GO) test -run NONE -fuzz FuzzWireCRC -fuzztime $(FUZZTIME) ./internal/tensor/
 
 # soak replays SOAK_SCHEDULES seeded randomized fault schedules — process
 # SIGKILLs, SIGSTOP stalls, timed one-sided partitions, frame-level chaos —
@@ -132,7 +134,8 @@ sdc-quick:
 # scalar-only build passes, an amd64 build whose CPU registered no SIMD
 # backend fails: it measured nothing), print, ungated, the TCP wire
 # path's 3.2 MB-chunk loopback throughput and allocations per chunk
-# (BenchmarkTCPChunk) and per belt hop (BenchmarkBeltHop), then
+# (BenchmarkTCPChunk) and per belt hop (BenchmarkBeltHop) and the wire
+# CRC's throughput beside hash/crc32's (BenchmarkWireCRC), then
 # regenerate the grouped-belt traffic report and fail unless wzb2g stays
 # bit-identical to wzb2 while cutting inter-group bytes both on the wire
 # (p=16) and in the simulated grid. Report paths are overridable so CI can
@@ -141,7 +144,7 @@ KERNEL_GUARD_OUT ?= /tmp/weipipe_kernel_guard.json
 GROUPED_GUARD_OUT ?= /tmp/weipipe_grouped_guard.json
 bench-guard:
 	$(GO) run ./cmd/weipipe-bench -report kernel -out $(KERNEL_GUARD_OUT) -check
-	$(GO) test -run NONE -bench 'BenchmarkTCPChunk|BenchmarkBeltHop' -benchmem -benchtime 100x ./internal/comm/
+	$(GO) test -run NONE -bench 'BenchmarkTCPChunk|BenchmarkBeltHop|BenchmarkWireCRC' -benchmem -benchtime 100x ./internal/comm/
 	$(GO) run ./cmd/weipipe-bench -report grouped -out $(GROUPED_GUARD_OUT) -check
 
 # bench-sweep regenerates BENCH_sweep.json, the committed machine-readable
@@ -260,6 +263,6 @@ check-noasm-kernels:
 	$(GO) test -tags noasm ./internal/tensor/ ./internal/nn/
 
 bench:
-	$(GO) test -bench 'BenchmarkTCPChunk|BenchmarkBeltHop' -benchmem -run NONE ./internal/comm/
+	$(GO) test -bench 'BenchmarkTCPChunk|BenchmarkBeltHop|BenchmarkWireCRC' -benchmem -run NONE ./internal/comm/
 	$(GO) test -bench 'BenchmarkMatMul|BenchmarkTranspose|BenchmarkCausalAttention' -benchmem -run NONE ./internal/tensor/
 	$(GO) test -bench 'BenchmarkBlock|BenchmarkAttention' -benchmem -run NONE ./internal/nn/

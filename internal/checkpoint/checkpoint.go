@@ -14,7 +14,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+	"hash"
 	"io"
 	"os"
 	"path/filepath"
@@ -77,9 +77,26 @@ func (s *Snapshot) Restore() (*model.Model, error) {
 	return m, nil
 }
 
+// fileCRC is crc32.NewIEEE over tensor.UpdateCRC32: the running checksum
+// of a file's bytes as Write writes them and readVerify reads them.
+type fileCRC uint32
+
+var _ hash.Hash32 = new(fileCRC)
+
+func (c *fileCRC) Write(p []byte) (int, error) {
+	*c = fileCRC(tensor.UpdateCRC32(uint32(*c), p))
+	return len(p), nil
+}
+
+func (c *fileCRC) Sum32() uint32       { return uint32(*c) }
+func (c *fileCRC) Sum(b []byte) []byte { return binary.BigEndian.AppendUint32(b, uint32(*c)) }
+func (c *fileCRC) Reset()              { *c = 0 }
+func (c *fileCRC) Size() int           { return 4 }
+func (c *fileCRC) BlockSize() int      { return 1 }
+
 // Write serialises the snapshot.
 func Write(w io.Writer, s *Snapshot) error {
-	crc := crc32.NewIEEE()
+	crc := new(fileCRC)
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
 
 	if _, err := bw.WriteString(magic); err != nil {
@@ -122,7 +139,7 @@ func Write(w io.Writer, s *Snapshot) error {
 // patterns — the same bytes writeSection puts on disk, which are the
 // section's own memory (tensor.F32LE), so nothing is materialised.
 func sectionCRC(data []float32) uint32 {
-	return crc32.ChecksumIEEE(tensor.F32LE(data))
+	return tensor.UpdateCRC32(0, tensor.F32LE(data))
 }
 
 // digestVector encodes one CRC32 per data section (weights first, then the
@@ -212,7 +229,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 // readVerify is Read plus a report of whether the file carried a
 // per-section digest vector (pre-digest files verify by global CRC only).
 func readVerify(r io.Reader) (*Snapshot, bool, error) {
-	crc := crc32.NewIEEE()
+	crc := new(fileCRC)
 	br := io.TeeReader(r, crc)
 
 	head := make([]byte, 4)

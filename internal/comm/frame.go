@@ -3,7 +3,6 @@ package comm
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 
@@ -157,9 +156,9 @@ type outFrame struct {
 
 // seal fixes the frame's wire image. An f32 payload is its own image
 // (tensor.F32LE); a bf16 payload is packed once into a pooled buffer half
-// the size, which replaces it. The CRC is computed here, once, and rides in
-// hdr for every later transmission; a forwarded f32 payload's body CRC is
-// already known, and only the header is read.
+// the size, which replaces it. The CRC (tensor.UpdateCRC32) is computed
+// here, once, and rides in hdr for every later transmission; a forwarded f32
+// payload's body CRC is already known, and only the header is read.
 func (f *outFrame) seal(src int, epoch uint32) {
 	n := len(f.payload)
 	if f.codec == CodecBF16 {
@@ -173,7 +172,7 @@ func (f *outFrame) seal(src int, epoch uint32) {
 	}
 	bodyCRC := f.bodyCRC
 	if !f.crcKnown {
-		bodyCRC = crc32.ChecksumIEEE(f.body)
+		bodyCRC = tensor.UpdateCRC32(0, f.body)
 	}
 	sealHeader(&f.hdr, src, kindField(f.tag.Kind, f.codec), epoch, int64(f.tag.A), int64(f.tag.B), f.seq, n, bodyCRC, len(f.body))
 	f.sealed = true
@@ -182,7 +181,7 @@ func (f *outFrame) seal(src int, epoch uint32) {
 // checkUnwritten is Forward's guard under SetBufPoison: it panics unless
 // payload's f32 wire image still has the checksum its reader verified.
 func checkUnwritten(payload []float32, crc uint32) {
-	if got := crc32.ChecksumIEEE(tensor.F32LE(payload)); got != crc {
+	if got := ChecksumSlice(payload); got != crc {
 		panic(fmt.Sprintf("comm: Forward of a payload written since receipt (crc %#x, received %#x)", got, crc))
 	}
 }
@@ -232,10 +231,11 @@ func sealHeader(hdr *[frameHeaderLen]byte, src int, kind, epoch uint32, a, b int
 
 // frameCRC computes a frame's checksum — CRC-32 (IEEE) over the header
 // bytes before the CRC field, then the payload bytes — from the payload's
-// own CRC, which the reader and the writer each take in one pass over the
-// body (or, for a forwarded payload, the writer already has).
+// own CRC, which the writer takes in one pass over the body (or, for a
+// forwarded payload, already has) and the reader folds up as the body
+// arrives.
 func frameCRC(hdr []byte, bodyCRC uint32, bodyLen int) uint32 {
-	return crc32Combine(crc32.ChecksumIEEE(hdr[:frameCRCOffset]), bodyCRC, int64(bodyLen))
+	return crc32Combine(tensor.UpdateCRC32(0, hdr[:frameCRCOffset]), bodyCRC, int64(bodyLen))
 }
 
 // crc32Combine returns the IEEE CRC-32 of the concatenation A‖B from
@@ -301,12 +301,17 @@ type frameReader struct {
 	hdr      [frameHeaderLen]byte // the header being decoded
 }
 
+// frameReadMax bounds one body read, so each piece is checksummed while the
+// copy that landed it has left it in the core's L1/L2.
+const frameReadMax = 256 << 10
+
 // next returns the next frame; the caller owns the pooled payload. The
 // payload is read from the socket directly into the buffer's own memory, the
 // CRC verified over those bytes, and the conversion done in place: f32 is
 // already the buffer's contents; bf16 is read into the upper half and
-// widened front to back. The body's CRC is computed on its own and combined
-// with the header's — still one pass over the body — and an f32 payload's is
+// widened front to back. The body is read at most frameReadMax bytes at a
+// time, and each piece is folded into the body's CRC as soon as it lands;
+// the body's CRC is then combined with the header's, and an f32 payload's is
 // remembered for Forward (crcs.remember). synced == true with a
 // *CorruptionError means one frame was lost but the stream remains aligned
 // on a frame boundary, so the caller may keep reading; any other error
@@ -324,11 +329,11 @@ func (fr *frameReader) next() (h frameHeader, payload []float32, synced bool, er
 	if h.codec == CodecBF16 {
 		body = body[2*h.n:]
 	}
-	if _, err := io.ReadFull(fr.r, body); err != nil {
+	bodyCRC, err := fr.readBody(body)
+	if err != nil {
 		Release(payload)
 		return frameHeader{}, nil, false, err
 	}
-	bodyCRC := crc32.ChecksumIEEE(body)
 	if got := frameCRC(fr.hdr[:], bodyCRC, len(body)); got != h.crc {
 		// The length field was covered by the header checks and the payload
 		// was fully consumed: the stream is still frame-aligned.
@@ -342,4 +347,24 @@ func (fr *frameReader) next() (h frameHeader, payload []float32, synced bool, er
 		tensor.F32FromLE(payload)
 	}
 	return h, payload, true, nil
+}
+
+// readBody fills body from the stream as io.ReadFull does, errors included
+// (EOF before the first byte is io.EOF, after it io.ErrUnexpectedEOF), and
+// returns the body's CRC, folded up one read at a time.
+func (fr *frameReader) readBody(body []byte) (uint32, error) {
+	var crc uint32
+	for n := 0; n < len(body); {
+		k, err := fr.r.Read(body[n:min(len(body), n+frameReadMax)])
+		crc = tensor.UpdateCRC32(crc, body[n:n+k])
+		n += k
+		switch {
+		case n == len(body):
+		case err == io.EOF && n > 0:
+			return 0, io.ErrUnexpectedEOF
+		case err != nil:
+			return 0, err
+		}
+	}
+	return crc, nil
 }

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"hash/crc32"
 
 	"weipipe/internal/tensor"
 )
@@ -31,12 +30,12 @@ import (
 const ChecksumTrailerLen = 4
 
 // ChecksumSlice returns the CRC32 (IEEE) over the little-endian bit
-// patterns of payload — crc32.ChecksumIEEE of the bytes the wire and the
-// checkpoint file carry for it. The payload's own memory is those bytes
-// (tensor.F32LE), so this is the standard library's hardware CRC over a
-// view: no staging buffer, no allocation.
+// patterns of payload — the checksum of the bytes the wire and the
+// checkpoint file carry for it, equal to crc32.ChecksumIEEE of them. The
+// payload's own memory is those bytes (tensor.F32LE), so this is the wire's
+// CRC, tensor.UpdateCRC32, over a view: no staging buffer, no allocation.
 func ChecksumSlice(payload []float32) uint32 {
-	return crc32.ChecksumIEEE(tensor.F32LE(payload))
+	return tensor.UpdateCRC32(0, tensor.F32LE(payload))
 }
 
 // RoundToWire projects payload into the codec's value domain in place —

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -449,6 +450,49 @@ func BenchmarkTCPChunk(b *testing.B) {
 		})
 		for _, tr := range trs {
 			tr.Close()
+		}
+	}
+}
+
+// BenchmarkWireCRC times the frame CRC — tensor.UpdateCRC32, what seal and
+// the frame reader run — beside hash/crc32 at a header-sized 4 KB, a 64 KB
+// piece and the wide-* workloads' 3.2 MB chunk. hot checksums the same bytes
+// every time, as the reader does a piece a socket read just landed; cold
+// walks a 64 MB region, so each call reads bytes no longer in the core's
+// caches, as a seal does a payload computed a while ago.
+func BenchmarkWireCRC(b *testing.B) {
+	region := make([]byte, 64<<20)
+	for i := range region {
+		region[i] = byte(i * 131)
+	}
+	for _, impl := range []struct {
+		name string
+		crc  func(uint32, []byte) uint32
+	}{
+		{"wire", tensor.UpdateCRC32},
+		{"hash-crc32", func(c uint32, p []byte) uint32 { return crc32.Update(c, crc32.IEEETable, p) }},
+	} {
+		for _, size := range []struct {
+			name string
+			n    int
+		}{{"4KB", 4 << 10}, {"64KB", 64 << 10}, {"3.2MB", 4 * 800_000}} {
+			for _, temp := range []string{"hot", "cold"} {
+				b.Run(impl.name+"/"+size.name+"/"+temp, func(b *testing.B) {
+					b.SetBytes(int64(size.n))
+					windows := 1
+					if temp == "cold" {
+						windows = len(region) / size.n
+					}
+					var sink uint32
+					for i := 0; i < b.N; i++ {
+						off := i % windows * size.n
+						sink += impl.crc(0, region[off:off+size.n])
+					}
+					if sink == 1 {
+						b.Log(sink)
+					}
+				})
+			}
 		}
 	}
 }

@@ -256,24 +256,28 @@ func gatherCapture(a RankAssignment, dl comm.Deadlines, t comm.Transport, tr Tra
 }
 
 // exchangeShares sends own, already placed in snap, to every other rank of
-// group and places each of theirs on receipt, returning every share.
+// group and places each of theirs on receipt, returning every share. own is
+// packed once, and every peer is handed a reference to that one buffer.
 func exchangeShares(a RankAssignment, t comm.Transport, dl comm.Deadlines, tag Tag,
 	group []int, snap *checkpoint.Snapshot, own share) ([]share, error) {
 
-	payload := packShare(snap, own)
-	for _, r := range group {
-		if r == a.Rank {
-			continue
+	peers := slices.DeleteFunc(slices.Clone(group), func(r int) bool { return r == a.Rank })
+	if len(peers) > 0 {
+		payload := packShare(snap, own)
+		for range peers[1:] {
+			comm.Retain(payload)
 		}
-		if err := t.Send(r, tag, payload); err != nil {
-			return nil, err
+		for i, r := range peers {
+			if err := t.SendOwned(r, tag, payload); err != nil {
+				for range peers[i+1:] {
+					comm.Release(payload) // the references never sent
+				}
+				return nil, err
+			}
 		}
 	}
 	shares := []share{own}
-	for _, r := range group {
-		if r == a.Rank {
-			continue
-		}
+	for _, r := range peers {
 		got, err := t.RecvTimeout(r, tag, dl.Barrier)
 		if err != nil {
 			return nil, err

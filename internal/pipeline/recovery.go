@@ -141,16 +141,16 @@ func sealCapture(snap *checkpoint.Snapshot, shares []share, tr Trainer) error {
 	return err
 }
 
-// packShare flattens a share for the wire: the step and the span count,
-// then each span as (vec, lo, hi) followed by its values. The ints ride as
-// bit-aliased words, since a float32 conversion would round offsets past
-// 2^24.
+// packShare flattens a share for the wire into a comm.GetBuf buffer the
+// caller owns: the step and the span count, then each span as (vec, lo, hi)
+// followed by its values. The ints ride as bit-aliased words, since a
+// float32 conversion would round offsets past 2^24.
 func packShare(snap *checkpoint.Snapshot, sh share) []float32 {
 	n := 2
 	for _, sp := range sh.spans {
 		n += 3 + sp.hi - sp.lo
 	}
-	out := make([]float32, 0, n)
+	out := comm.GetBuf(n)[:0]
 	out = append(out, intWord(int(sh.step)), intWord(len(sh.spans)))
 	for _, sp := range sh.spans {
 		out = append(out, intWord(sp.vec), intWord(sp.lo), intWord(sp.hi))

@@ -503,6 +503,59 @@ func TestSnapshotCopiesNoTemporaries(t *testing.T) {
 	}
 }
 
+// TestShareGatherCopiesNoTemporaries pins that a checkpoint gather packs a
+// rank's share once, into a pooled buffer every peer is handed a reference
+// to: at p = 4, with the pool warm, the four ranks exchanging their
+// full-state shares (about 0.6 MB each) allocate nothing that grows with
+// the model, where packing a fresh copy per gather allocates all four.
+func TestShareGatherCopiesNoTemporaries(t *testing.T) {
+	if comm.LossyPool() {
+		t.Skip("sync.Pool drops Puts in this build: released payloads do not all come back")
+	}
+	cfg := model.Config{Vocab: 64, Hidden: 64, Layers: 4, Heads: 4, MaxSeq: 8, Seed: 42}
+	const p, slack = 4, 64 << 10
+	cl := comm.NewCluster(p)
+	defer cl.Close()
+	snaps, owns := make([]*checkpoint.Snapshot, p), make([]share, p)
+	for r := range p {
+		tr, err := New(StrategyWZB2, cl.Transport(r), cfg, eqOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[r] = newCapture(tr.Model(), 0, true)
+		owns[r] = export(tr, snaps[r])
+	}
+	everyone := comm.Membership{OldSize: p}.Survivors()
+	gather := func() {
+		var wg sync.WaitGroup
+		for r := range p {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				a := RankAssignment{Rank: r, World: p}
+				tag := Tag{Kind: comm.KindCtl, A: gatherTag}
+				if _, err := exchangeShares(a, cl.Transport(r), comm.Deadlines{Barrier: 10 * time.Second}, tag, everyone, snaps[r], owns[r]); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	gather()
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		gather()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("gather %d B; the shares are %d B", least, 3*4*len(snaps[0].Weights))
+	if least > slack {
+		t.Errorf("a warm gather allocated %d B, limit %d", least, slack)
+	}
+}
+
 // TestRestoreThenAssembleRoundTrips loads a snapshot into every strategy at
 // p = 3 — FSDP's shards of uneven length, PP stages and WeiPipe chunks of
 // unequal size — and reads it back: AssembleWeights returns the snapshot's

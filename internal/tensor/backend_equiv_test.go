@@ -455,8 +455,13 @@ func TestBackendRegistry(t *testing.T) {
 		t.Fatalf("default backend = %q, want %q", BackendName(), def)
 	}
 	// `make backends` greps this line into the CI log: a runner without
-	// AVX-512, where the width tests skip, shows there.
-	t.Logf("registered backends %v, auto resolves to %s", Backends(), def)
+	// AVX-512, where the width tests skip, or without VPCLMULQDQ, where
+	// UpdateCRC32 is hash/crc32's loop, shows there.
+	crc := "hash/crc32"
+	if crcWide {
+		crc = "512-bit VPCLMULQDQ"
+	}
+	t.Logf("registered backends %v, auto resolves to %s, wire CRC %s", Backends(), def, crc)
 	if b, _ := BackendByName("scalar"); !b.Exact() {
 		t.Fatal("scalar backend must report Exact")
 	}

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"unsafe"
 )
 
@@ -45,6 +46,29 @@ func F32FromLE(x []float32) {
 		swap32(F32Bytes(x))
 	}
 }
+
+// UpdateCRC32 returns crc updated with the bytes of p: hash/crc32's
+// Update(crc, crc32.IEEETable, p), bit for bit, so UpdateCRC32(0, p) is
+// crc32.ChecksumIEEE(p) and chained calls checksum the concatenation. It is
+// the one CRC of the wire frames, the belt Integrity trailer and the
+// checkpoint files. On a CPU with AVX-512 and VPCLMULQDQ the multiple of 16
+// bytes at the front of a long p runs the 512-bit kernel crc32AVX512
+// (simd_avx512_amd64.s), which folds 256 bytes an iteration where
+// hash/crc32's 128-bit loop folds 64; everywhere else, and for the few
+// bytes left, it is hash/crc32 itself.
+func UpdateCRC32(crc uint32, p []byte) uint32 {
+	if crcWide && len(p) >= crcWideMin {
+		n := len(p) &^ 15
+		crc = ^crc32AVX512(^crc, p[:n])
+		p = p[n:]
+	}
+	return crc32.Update(crc, crc32.IEEETable, p)
+}
+
+// crcWideMin is the shortest p UpdateCRC32 hands the 512-bit kernel. The
+// kernel takes 256 bytes and more, but below 512 it runs no faster than
+// hash/crc32's 64-byte loop.
+const crcWideMin = 512
 
 // swap32 reverses the bytes of every 4-byte word of b in place.
 func swap32(b []byte) {

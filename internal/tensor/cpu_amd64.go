@@ -5,8 +5,8 @@ package tensor
 // CPU feature detection for the SIMD backends. The container-baked module
 // has no external dependencies, so instead of golang.org/x/sys/cpu this is
 // the same three-probe sequence that package uses: CPUID leaf 1 for
-// AVX/FMA/OSXSAVE, XGETBV for OS-enabled XMM+YMM (and opmask+ZMM) state,
-// CPUID leaf 7 for AVX2 and AVX-512F.
+// AVX/FMA/OSXSAVE (and PCLMULQDQ/SSE4.1), XGETBV for OS-enabled XMM+YMM (and
+// opmask+ZMM) state, CPUID leaf 7 for AVX2 and AVX-512F (and VPCLMULQDQ).
 
 // cpuidAsm executes CPUID with the given leaf and subleaf.
 //
@@ -58,4 +58,18 @@ func cpuHasAVX512F() bool {
 	const avx512f = 1 << 16 // CPUID.7.0:EBX.AVX512F
 	_, ebx7, _, _ := cpuidAsm(7, 0)
 	return ebx7&avx512f != 0
+}
+
+// cpuHasCLMUL512 reports whether a CPU that passed cpuHasAVX512F also runs
+// the 512-bit CRC kernel: VPCLMULQDQ for its ZMM folds, and PCLMULQDQ and
+// SSE4.1 for the 128-bit tail it shares with hash/crc32.
+func cpuHasCLMUL512() bool {
+	const (
+		pclmulqdq = 1 << 1  // CPUID.1:ECX.PCLMULQDQ
+		sse41     = 1 << 19 // CPUID.1:ECX.SSE4_1
+		vpclmul   = 1 << 10 // CPUID.7.0:ECX.VPCLMULQDQ
+	)
+	_, _, ecx1, _ := cpuidAsm(1, 0)
+	_, _, ecx7, _ := cpuidAsm(7, 0)
+	return ecx1&pclmulqdq != 0 && ecx1&sse41 != 0 && ecx7&vpclmul != 0
 }

@@ -129,6 +129,26 @@ func fmaSpinAVX2(iters int)
 //go:noescape
 func fmaSpinAVX512(iters int)
 
+//go:noescape
+func crc32AVX512(crc uint32, p []byte) uint32
+
+// crcWide reports whether UpdateCRC32 runs crc32AVX512: the CPU has
+// VPCLMULQDQ beside AVX-512F, and the OS saves ZMM state.
+var crcWide = cpuHasAVX2FMA() && cpuHasAVX512F() && cpuHasCLMUL512()
+
+// crcFold holds crc32AVX512's constants, at the byte offsets it reads them
+// from. The pair that folds d bytes forward is x^(8d+32) and x^(8d−32)
+// modulo the IEEE polynomial P, bit-reflected and shifted left by one, the
+// low qword's factor first. All but the 256-byte pair are hash/crc32's own
+// (r2r1, r4r3, rupoly, r5).
+var crcFold = [...]uint64{
+	0x11542778a, 0x1322d1430, // +0: 256 B, x^2080 and x^2016
+	0x154442bd4, 0x1c6e41596, // +16: 64 B (r2r1), x^544 and x^480
+	0x1751997d0, 0x0ccaa009e, // +32: 16 B (r4r3), x^160 and x^96
+	0x1db710641, 0x1f7011641, // +48: P and its Barrett quotient μ (rupoly)
+	0x163cd6124, // +64: x^64 (r5)
+}
+
 // SIMDCompiled reports whether this build carries the assembly kernels:
 // true on amd64 without the noasm tag, whatever the CPU turns out to support.
 const SIMDCompiled = true

@@ -668,3 +668,159 @@ adamw512_loop:
 	JNE       adamw512_loop
 	VZEROUPPER
 	RET
+
+// func crc32AVX512(crc uint32, p []byte) uint32
+//
+// The IEEE CRC-32 of p from crc, both bit-inverted as in hash/crc32's
+// ieeeCLMUL (crc32_amd64.s), which this is with a 512-bit front end. Four
+// ZMM accumulators hold the 256 bytes at the cursor, each 128-bit lane a
+// running remainder; one iteration folds every lane 256 bytes forward — its
+// low qword times x^2080, its high one times x^2016, modulo P — onto the
+// next 256 bytes with VPCLMULQDQ and a three-way xor (VPTERNLOGD $0x96).
+// After the loop Z1 folds into Z2, Z2 into Z3 and Z3 into Z4, 64 bytes
+// forward each (r2r1), and Z4's four lanes become X1–X4: the state
+// ieeeCLMUL's loopback64 keeps, from which its 64-byte loop, 16-byte
+// remainder and Barrett reduction run unchanged on the bytes left. The
+// constants are ·crcFold. len(p) must be at least 256 and a multiple of 16.
+TEXT ·crc32AVX512(SB), NOSPLIT, $0-36
+	MOVL      crc+0(FP), AX
+	VMOVD     AX, X0
+	MOVQ      p_base+8(FP), SI
+	MOVQ      p_len+16(FP), CX
+
+	VMOVDQU64 (SI), Z1
+	VMOVDQU64 64(SI), Z2
+	VMOVDQU64 128(SI), Z3
+	VMOVDQU64 192(SI), Z4
+	VPXORQ    Z0, Z1, Z1
+	ADDQ      $256, SI
+	SUBQ      $256, CX
+	CMPQ      CX, $256
+	JB        crc512_fold
+
+	VBROADCASTI32X4 ·crcFold+0(SB), Z0
+
+crc512_loop:
+	VPCLMULQDQ $0x00, Z0, Z1, Z5
+	VPCLMULQDQ $0x11, Z0, Z1, Z1
+	VPCLMULQDQ $0x00, Z0, Z2, Z6
+	VPCLMULQDQ $0x11, Z0, Z2, Z2
+	VPCLMULQDQ $0x00, Z0, Z3, Z7
+	VPCLMULQDQ $0x11, Z0, Z3, Z3
+	VPCLMULQDQ $0x00, Z0, Z4, Z8
+	VPCLMULQDQ $0x11, Z0, Z4, Z4
+	VPTERNLOGD $0x96, (SI), Z5, Z1
+	VPTERNLOGD $0x96, 64(SI), Z6, Z2
+	VPTERNLOGD $0x96, 128(SI), Z7, Z3
+	VPTERNLOGD $0x96, 192(SI), Z8, Z4
+	ADDQ       $256, SI
+	SUBQ       $256, CX
+	CMPQ       CX, $256
+	JAE        crc512_loop
+
+crc512_fold:
+	VBROADCASTI32X4 ·crcFold+16(SB), Z0
+	VPCLMULQDQ      $0x00, Z0, Z1, Z5
+	VPCLMULQDQ      $0x11, Z0, Z1, Z1
+	VPTERNLOGD      $0x96, Z5, Z1, Z2
+	VPCLMULQDQ      $0x00, Z0, Z2, Z5
+	VPCLMULQDQ      $0x11, Z0, Z2, Z2
+	VPTERNLOGD      $0x96, Z5, Z2, Z3
+	VPCLMULQDQ      $0x00, Z0, Z3, Z5
+	VPCLMULQDQ      $0x11, Z0, Z3, Z3
+	VPTERNLOGD      $0x96, Z5, Z3, Z4
+	VEXTRACTI32X4   $1, Z4, X2
+	VEXTRACTI32X4   $2, Z4, X3
+	VMOVDQU         X4, X1
+	VEXTRACTI32X4   $3, Z4, X4
+	VZEROUPPER
+
+	// From here on ieeeCLMUL's tail, on the constants' unaligned copies.
+	MOVOU ·crcFold+16(SB), X0
+	CMPQ  CX, $64
+	JB    crc512_remain64
+
+crc512_loopback64:
+	MOVOA     X1, X5
+	MOVOA     X2, X6
+	MOVOA     X3, X7
+	MOVOA     X4, X8
+	PCLMULQDQ $0, X0, X1
+	PCLMULQDQ $0, X0, X2
+	PCLMULQDQ $0, X0, X3
+	PCLMULQDQ $0, X0, X4
+	MOVOU     (SI), X11
+	MOVOU     16(SI), X12
+	MOVOU     32(SI), X13
+	MOVOU     48(SI), X14
+	PCLMULQDQ $0x11, X0, X5
+	PCLMULQDQ $0x11, X0, X6
+	PCLMULQDQ $0x11, X0, X7
+	PCLMULQDQ $0x11, X0, X8
+	PXOR      X5, X1
+	PXOR      X6, X2
+	PXOR      X7, X3
+	PXOR      X8, X4
+	PXOR      X11, X1
+	PXOR      X12, X2
+	PXOR      X13, X3
+	PXOR      X14, X4
+	ADDQ      $64, SI
+	SUBQ      $64, CX
+	CMPQ      CX, $64
+	JGE       crc512_loopback64
+
+crc512_remain64:
+	MOVOU     ·crcFold+32(SB), X0
+	MOVOA     X1, X5
+	PCLMULQDQ $0, X0, X1
+	PCLMULQDQ $0x11, X0, X5
+	PXOR      X5, X1
+	PXOR      X2, X1
+	MOVOA     X1, X5
+	PCLMULQDQ $0, X0, X1
+	PCLMULQDQ $0x11, X0, X5
+	PXOR      X5, X1
+	PXOR      X3, X1
+	MOVOA     X1, X5
+	PCLMULQDQ $0, X0, X1
+	PCLMULQDQ $0x11, X0, X5
+	PXOR      X5, X1
+	PXOR      X4, X1
+	CMPQ      CX, $16
+	JB        crc512_finish
+
+crc512_remain16:
+	MOVOU     (SI), X10
+	MOVOA     X1, X5
+	PCLMULQDQ $0, X0, X1
+	PCLMULQDQ $0x11, X0, X5
+	PXOR      X5, X1
+	PXOR      X10, X1
+	SUBQ      $16, CX
+	ADDQ      $16, SI
+	CMPQ      CX, $16
+	JGE       crc512_remain16
+
+crc512_finish:
+	PCMPEQB   X3, X3
+	PCLMULQDQ $1, X1, X0
+	PSRLDQ    $8, X1
+	PXOR      X0, X1
+	MOVOA     X1, X2
+	MOVQ      ·crcFold+64(SB), X0
+	PSRLQ     $32, X3
+	PSRLDQ    $4, X2
+	PAND      X3, X1
+	PCLMULQDQ $0, X0, X1
+	PXOR      X2, X1
+	MOVOU     ·crcFold+48(SB), X0
+	MOVOA     X1, X2
+	PAND      X3, X1
+	PCLMULQDQ $0x10, X0, X1
+	PAND      X3, X1
+	PCLMULQDQ $0, X0, X1
+	PXOR      X2, X1
+	PEXTRD    $1, X1, AX
+	MOVL      AX, ret+32(FP)
+	RET

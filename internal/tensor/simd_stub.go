@@ -18,6 +18,13 @@ func registerSIMDBackends() {}
 // vector width to probe and reports that nothing ran.
 func FMASpin(width, rounds int) (flop float64) { return 0 }
 
+// crcWide is false: UpdateCRC32 is hash/crc32's Update on every input.
+const crcWide = false
+
+func crc32AVX512(crc uint32, p []byte) uint32 {
+	panic("tensor: simd CRC kernel in a scalar-only build")
+}
+
 func simdNNRange(g *mmArgs, lo, hi int) { mmNNRange(g, lo, hi) }
 func simdNTRange(g *mmArgs, lo, hi int) { mmNTRange(g, lo, hi) }
 func simdTNRange(g *mmArgs, lo, hi int) { mmTNRange(g, lo, hi) }

@@ -155,3 +155,52 @@ func TestAVX512BackendEqualsAVX2(t *testing.T) {
 		}
 	}
 }
+
+// xnModP returns x^n modulo the IEEE CRC polynomial, bit-reflected and
+// shifted left by one: the form crc32AVX512's fold constants take.
+func xnModP(n int) uint64 {
+	const poly = 0xedb88320 // P bit-reflected, x^32 implied
+	p := uint32(1) << 31    // x^0
+	for range n {
+		if p&1 != 0 {
+			p = p>>1 ^ poly
+		} else {
+			p >>= 1
+		}
+	}
+	return uint64(p) << 1
+}
+
+// The kernel's fold constants are the powers of x they are documented as,
+// and hash/crc32's r2r1 and r4r3 come out of the same rule.
+func TestCRCFoldConstants(t *testing.T) {
+	for i, n := range []int{2080, 2016, 544, 480, 160, 96} {
+		if got, want := crcFold[i], xnModP(n); got != want {
+			t.Errorf("crcFold[%d] = %#x, x^%d is %#x", i, got, n, want)
+		}
+	}
+	if got, want := crcFold[8], xnModP(64); got != want {
+		t.Errorf("crcFold[8] = %#x, x^64 is %#x", got, want)
+	}
+}
+
+// The kernel on its own, on every length it accepts up to 8 KB and a few
+// far past it, against hash/crc32's CLMUL loop through Update.
+func TestCRC32AVX512Lengths(t *testing.T) {
+	if !crcWide {
+		t.Skip("no VPCLMULQDQ with AVX-512F on this machine")
+	}
+	buf := randomBytes(8, 1<<20+256)
+	lengths := []int{1 << 20, 1<<20 + 240, 3 << 18}
+	for n := 256; n <= 8192; n += 16 {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for _, crc := range []uint32{0, 0x9e3779b9} {
+			p := buf[3 : 3+n]
+			if got, want := ^crc32AVX512(^crc, p), stdCRC(crc, p); got != want {
+				t.Fatalf("length %d, crc %#x: %#x, hash/crc32 %#x", n, crc, got, want)
+			}
+		}
+	}
+}
