@@ -17,8 +17,9 @@ import (
 // headline 256³ NT matmul, the NN, TN and both NT matmuls of the
 // long-context benchmark's FFN (forward, W pass, B pass), the attention
 // walk's score-tile product, one fused-attention forward+backward at that
-// benchmark's attention shape and the LM head's row softmax over its
-// [S, V] logits, on the scalar oracle and
+// benchmark's attention shape, the LM head's row softmax over its [S, V]
+// logits and one AdamW step over a wide-* rank's chunk, on the scalar
+// oracle and
 // on the best registered SIMD backend, and records the speedups, so CI can
 // guard the kernel work without go-test bench plumbing. On machines with no
 // SIMD backend the A/B degenerates to scalar-vs-scalar and reports speedups
@@ -70,7 +71,7 @@ type fmaPeakRow struct {
 
 // kernelRow is one kernel timed on the scalar and the best backend: a
 // matmul (MatMulNN a·b, MatMulNT a·bᵀ, MatMulTN aᵀ·b, shape M×K×N), the
-// attention forward+backward or the head's SoftmaxRows.
+// attention forward+backward, the head's SoftmaxRows or an AdamW step.
 type kernelRow struct {
 	Name     string  `json:"name"`
 	Shape    string  `json:"shape"`
@@ -81,8 +82,8 @@ type kernelRow struct {
 	BestGFlops float64 `json:"best_gflops,omitempty"`
 	// AVX2Ms is the avx2 backend's time when the best backend is avx512.
 	AVX2Ms float64 `json:"avx2_ms,omitempty"`
-	// MaxAbsDiff compares the best backend's output (attention: dq) with
-	// scalar's.
+	// MaxAbsDiff compares the best backend's output (attention: dq; AdamW:
+	// the weights) with scalar's.
 	MaxAbsDiff float64 `json:"max_abs_diff"`
 }
 
@@ -149,12 +150,34 @@ func scoreTileCase(rng *tensor.RNG, d int) *kernelCase {
 	return c
 }
 
+// adamWCase is one AdamW step over n parameters, each side stepping its
+// own copy of one state with one gradient, so after the reps every side has
+// taken the same steps and the weights compare bit for bit. The step is the
+// first one's (C1 = 1 − B1, C2 = 1 − B2) every time; the kernels' cost does
+// not depend on it.
+func adamWCase(rng *tensor.RNG, n int) *kernelCase {
+	c := &kernelCase{row: kernelRow{Name: "AdamW", Shape: fmt.Sprintf("%d params", n)}}
+	g := tensor.New(n)
+	tensor.FillNormal(g, rng, 1e-3)
+	w0 := tensor.New(n)
+	tensor.FillNormal(w0, rng, 0.02)
+	var m, v [3][]float32
+	for side := range c.out {
+		c.out[side] = w0.Clone()
+		m[side], v[side] = make([]float32, n), make([]float32, n)
+	}
+	s := tensor.AdamWStep{B1: 0.9, B2: 0.95, C1: 1 - 0.9, C2: 1 - 0.95, LR: 1e-3, Eps: 1e-8}
+	c.run = func(side int) { tensor.AdamW(c.out[side].Data, g.Data, m[side], v[side], s) }
+	return c
+}
+
 // runKernel measures the scalar-vs-best-backend A/B: MatMulNT at
 // 256×256×256, and at the long-* benchmark workloads' shapes (H 64, F 172,
 // 4 heads, S 512, V 256) the FFN's NN product x·W₁, its TN product
 // dW₁ = xᵀ·dy, its two NT products dy·W₂ᵀ and du·W₁ᵀ (the B pass), the
 // attention walk's score-tile product, attention forward+backward and the
-// head's softmax.
+// head's softmax; and an AdamW step over 820 800 parameters, a wide-* rank's
+// chunk.
 func runKernel() (*kernelReport, error) {
 	const hidden, ffn, heads, seq, vocab = 64, 172, 4, 512, 256
 	rng := tensor.NewRNG(1)
@@ -186,7 +209,7 @@ func runKernel() (*kernelReport, error) {
 		out: [3]*tensor.Tensor{tensor.New(seq, vocab), tensor.New(seq, vocab), tensor.New(seq, vocab)},
 	}
 	softmax.run = func(side int) { tensor.SoftmaxRows(softmax.out[side], logits) }
-	cases = append(cases, attn, softmax)
+	cases = append(cases, attn, softmax, adamWCase(rng, 820800))
 
 	rep := &kernelReport{
 		GoArch: runtime.GOARCH, Backends: tensor.Backends(), SIMDCompiled: tensor.SIMDCompiled,

@@ -146,8 +146,9 @@ func (a *Attention) BackwardParams(cache *Cache, grads *ParamSet) {
 	dk := cache.Get("dk")
 	dv := cache.Get("dv")
 	dy := cache.Get("dy")
-	tensor.MatMulTAAcc(grads.Get("wq"), x, dq)
-	tensor.MatMulTAAcc(grads.Get("wk"), x, dk)
-	tensor.MatMulTAAcc(grads.Get("wv"), x, dv)
-	tensor.MatMulTAAcc(grads.Get("wo"), ctx, dy)
+	mm := matmulTA(grads.storing())
+	mm(grads.Get("wq"), x, dq)
+	mm(grads.Get("wk"), x, dk)
+	mm(grads.Get("wv"), x, dv)
+	mm(grads.Get("wo"), ctx, dy)
 }

@@ -98,6 +98,10 @@ func (b *Block) BackwardInput(dz *tensor.Tensor, cache *Cache) *tensor.Tensor {
 // BackwardParams implements Module (W pass).
 func (b *Block) BackwardParams(cache *Cache, grads *ParamSet) {
 	v := b.views(grads)
+	store := grads.storing()
+	for _, sub := range v {
+		sub.fresh = store
+	}
 	b.Norm1.BackwardParams(cache.Sub("norm1"), v[0])
 	b.Attn.BackwardParams(cache.Sub("attn"), v[1])
 	b.Norm2.BackwardParams(cache.Sub("norm2"), v[2])

@@ -81,6 +81,9 @@ func (e *Embedding) BackwardParams(cache *Cache, grads *ParamSet) {
 	toks := cache.Get("tokens")
 	dy := cache.Get("dy")
 	dw := grads.Get("w")
+	if grads.storing() {
+		clear(dw.Data) // rows no token selects get no scatter to store them
+	}
 	h := e.W.Cols()
 	for i := 0; i < toks.Size(); i++ {
 		tok := int(toks.Data[i])

@@ -109,7 +109,8 @@ func (m *FFN) BackwardParams(cache *Cache, grads *ParamSet) {
 	du := cache.Get("du")
 	dup := cache.Get("dup")
 	dy := cache.Get("dy")
-	tensor.MatMulTAAcc(grads.Get("w1"), x, du)
-	tensor.MatMulTAAcc(grads.Get("w3"), x, dup)
-	tensor.MatMulTAAcc(grads.Get("w2"), hid, dy)
+	mm := matmulTA(grads.storing())
+	mm(grads.Get("w1"), x, du)
+	mm(grads.Get("w3"), x, dup)
+	mm(grads.Get("w2"), hid, dy)
 }

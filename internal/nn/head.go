@@ -134,6 +134,9 @@ func (o *OutputHead) BackwardInput(dy *tensor.Tensor, cache *Cache) *tensor.Tens
 func (o *OutputHead) BackwardParams(cache *Cache, grads *ParamSet) {
 	normed := cache.Get("normed")
 	dlogits := cache.Get("dlogits")
-	tensor.MatMulTAAcc(grads.Get("w"), normed, dlogits)
-	o.Norm.BackwardParams(cache.Sub("norm"), subGrads(grads, "norm."))
+	store := grads.storing()
+	matmulTA(store)(grads.Get("w"), normed, dlogits)
+	norm := subGrads(grads, "norm.")
+	norm.fresh = store
+	o.Norm.BackwardParams(cache.Sub("norm"), norm)
 }

@@ -34,9 +34,10 @@ type Module interface {
 	// W pass needs into cache. It must be called after Forward on the same
 	// cache.
 	BackwardInput(dy *tensor.Tensor, cache *Cache) *tensor.Tensor
-	// BackwardParams accumulates dL/dW into grads (W pass). grads must have
-	// the same layout as Params(). It must be called after BackwardInput on
-	// the same cache.
+	// BackwardParams accumulates dL/dW into grads (W pass), or stores it
+	// there when grads is fresh (ParamSet.BindFresh). grads must have the
+	// same layout as Params(). It must be called after BackwardInput on the
+	// same cache.
 	BackwardParams(cache *Cache, grads *ParamSet)
 }
 
@@ -59,6 +60,17 @@ func split(rng *tensor.RNG) *tensor.RNG {
 		return nil
 	}
 	return rng.Split()
+}
+
+// matmulTA is the W pass's weight-gradient product into a set: dst = aᵀ·b
+// when the pass stores (ParamSet.storing), dst += aᵀ·b when it accumulates.
+// The store runs the GEMM from zeroed accumulators, so it is bit for bit the
+// accumulation into a cleared dst.
+func matmulTA(store bool) func(dst, a, b *tensor.Tensor) {
+	if store {
+		return tensor.MatMulTA
+	}
+	return tensor.MatMulTAAcc
 }
 
 // Backward runs the B pass and W pass back to back (the fused form used by

@@ -18,6 +18,10 @@ type ParamSet struct {
 	// bound to a flat buffer (Bind); bound says whether it is.
 	home  [][]float32
 	bound bool
+
+	// fresh says the set was bound by BindFresh and no W pass has written
+	// it since: it holds garbage, which the next BackwardParams overwrites.
+	fresh bool
 }
 
 // NewParamSet returns an empty set.
@@ -106,6 +110,28 @@ func (p *ParamSet) Bind(flat []float32) {
 		off = end
 	}
 	p.bound = true
+	p.fresh = false
+}
+
+// BindFresh binds the set to flat (Bind) as a fresh gradient set: flat holds
+// garbage, and the first BackwardParams into the set stores its gradient
+// there instead of adding it — the bits accumulating into a zeroed flat
+// gives, without the pass over flat a clear costs. Every later W pass
+// accumulates, until the next BindFresh. This is the one rule that lets a
+// gradient buffer start an iteration uncleared; a set no W pass reaches
+// keeps the garbage.
+func (p *ParamSet) BindFresh(flat []float32) {
+	p.Bind(flat)
+	p.fresh = true
+}
+
+// storing is the W pass's side of BindFresh: it reports whether the pass
+// stores into the set (it is fresh) rather than accumulating, and marks the
+// set written. Every BackwardParams asks it once, before writing.
+func (p *ParamSet) storing() bool {
+	s := p.fresh
+	p.fresh = false
+	return s
 }
 
 // Unbind points every tensor back at its own storage, untouched since Bind

@@ -65,5 +65,9 @@ func (m *RMSNorm) BackwardInput(dy *tensor.Tensor, cache *Cache) *tensor.Tensor 
 
 // BackwardParams implements Module (W pass): dg_j = Σ_rows dy_j·x_j·r.
 func (m *RMSNorm) BackwardParams(cache *Cache, grads *ParamSet) {
-	tensor.RMSNormGainGrad(grads.Get("g"), cache.X, cache.Get("dy"), cache.Get("inv"))
+	dg := grads.Get("g")
+	if grads.storing() {
+		clear(dg.Data) // one gain vector; the kernel accumulates into it
+	}
+	tensor.RMSNormGainGrad(dg, cache.X, cache.Get("dy"), cache.Get("inv"))
 }

@@ -52,11 +52,13 @@ func NewAdamW(size int, cfg AdamWConfig) *AdamW {
 // Step applies one update of w given gradient g, which must both have the
 // optimizer's size; g is not modified. The update runs in tensor.AdamW: float64
 // arithmetic per element, on 4 (avx2) or 8 (avx512) float64 lanes under a
-// SIMD backend, bit-identical to the scalar loop everywhere. It is
-// divider-bound — two divides, a square root and a third divide per
-// element — so the lanes buy about 2×, not their count: over 820 800
-// parameters on a 2-core AVX-512 host, 8.9 ns/param scalar, 4.0 avx2 and
-// 3.9 avx512 (BenchmarkAdamWStep). Decoupled weight
+// SIMD backend, bit-identical to the scalar loop everywhere. The vector
+// kernels take the two bias corrections as a reciprocal multiply with two
+// FMA corrections, exact by Markstein's theorem, so only the square root
+// and the final divide use the divider, which still bounds the loop: over
+// 820 800 parameters on a 2-core AVX-512 host, scalar 7.5, avx2 2.5 and
+// avx512 2.2 ns/param, where three divides and the square root read 3.5
+// on both in the same window (BenchmarkAdamWStep). Decoupled weight
 // decay, when configured, is a second float32 pass over w; it reads each
 // element after that element's update, as the fused loop did, so the bits
 // are the same.

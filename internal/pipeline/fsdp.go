@@ -41,8 +41,8 @@ type FSDP struct {
 	seq   int
 	arena *tensor.Arena
 	// grads accumulates an iteration's full-model gradients. The sets own no
-	// storage: module i's is bound for good to gradFlat[i], the flat buffer
-	// the reduce-scatter consumes as it lies.
+	// storage: module i's is bound to gradFlat[i], the flat buffer the
+	// reduce-scatter consumes as it lies, fresh at every iteration's start.
 	grads    []*nn.ParamSet
 	gradFlat [][]float32
 
@@ -81,9 +81,7 @@ func NewFSDP(t Transport, cfg model.Config, o Options) (*FSDP, error) {
 		f.pieces = append(f.pieces, piece{off: off + rg[0], w: shard, opt: optim.NewAdamW(len(shard), o.Adam)})
 		off += size
 		f.gradFlat = append(f.gradFlat, make([]float32, size))
-		g := mdl.Modules[i].Params().NewUnbound()
-		g.Bind(f.gradFlat[i])
-		f.grads = append(f.grads, g)
+		f.grads = append(f.grads, mdl.Modules[i].Params().NewUnbound())
 	}
 	return f, nil
 }
@@ -154,8 +152,8 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 	}
 	mine := data.Split(batches, p)[f.t.Rank()]
 	nMods := len(f.mdl.Modules)
-	for _, g := range f.gradFlat {
-		clear(g)
+	for i, g := range f.grads {
+		g.BindFresh(f.gradFlat[i])
 	}
 	var lossSum float64
 

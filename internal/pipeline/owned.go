@@ -123,16 +123,33 @@ func (p *piece) load(snap *checkpoint.Snapshot) error {
 // bindGrads returns gradient sets for modules [lo, hi) of mdl, indexed by
 // global module index, and the one flat vector, in wire order, they are
 // views of for good: W passes accumulate straight into the step's operand.
+// Each iteration starts by binding them fresh again (bindSets), so its
+// first W pass into each overwrites the last iteration's sum in place of a
+// clear.
 func bindGrads(mdl *model.Model, lo, hi int) (flat []float32, grads []*nn.ParamSet) {
 	flat = make([]float32, mdl.ChunkSize(lo, hi))
 	grads = make([]*nn.ParamSet, len(mdl.Modules))
-	for i, off := lo, 0; i < hi; i++ {
-		g := mdl.Modules[i].Params().NewUnbound()
-		g.Bind(flat[off : off+g.Size()])
-		off += g.Size()
-		grads[i] = g
+	for i := lo; i < hi; i++ {
+		grads[i] = mdl.Modules[i].Params().NewUnbound()
 	}
+	bindSets(flat, grads[lo:hi], true)
 	return flat, grads
+}
+
+// bindSets binds sets, in order, to consecutive slices of flat: fresh
+// (nn.ParamSet.BindFresh), so each set's first W pass stores into flat
+// instead of adding to what it holds, or plain, so every pass accumulates.
+func bindSets(flat []float32, sets []*nn.ParamSet, fresh bool) {
+	off := 0
+	for _, g := range sets {
+		n := g.Size()
+		if fresh {
+			g.BindFresh(flat[off : off+n])
+		} else {
+			g.Bind(flat[off : off+n])
+		}
+		off += n
+	}
 }
 
 // ownedState is how the capture and restore helpers reach a trainer's

@@ -103,7 +103,7 @@ func (p *PP) isLast() bool  { return p.t.Rank() == p.t.Size()-1 }
 // beginIteration resets per-iteration state.
 func (p *PP) beginIteration() {
 	p.caches = make(map[int][]*nn.Cache)
-	clear(p.flatG)
+	bindSets(p.flatG, p.grads[p.lo:p.hi], true)
 	p.lossMB = make(map[int]float64)
 	p.arenas = make(map[int]*tensor.Arena)
 	p.inbox = make(map[int][2][]float32)

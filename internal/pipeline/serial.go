@@ -22,7 +22,7 @@ type Serial struct {
 	// in flight at a time it is reset as soon as the W pass has run.
 	arena *tensor.Arena
 	// flatG is the model's gradient in wire order, which grads, indexed by
-	// module, are views of; zeroed at every iteration's start.
+	// module, are views of; every iteration's first W pass overwrites it.
 	flatG []float32
 	grads []*nn.ParamSet
 	tr    *trace.Tracer
@@ -55,12 +55,12 @@ func (s *Serial) TrainIteration(batches []data.Batch) (float64, error) {
 	return lossSum / float64(len(batches)), err
 }
 
-// passes zeroes the gradient and runs every batch's F, B and W passes over
-// the whole model, one microbatch at a time, summing the gradients into
-// flatG. It returns the batches' summed loss.
+// passes runs every batch's F, B and W passes over the whole model, one
+// microbatch at a time, summing the gradients into flatG, which the first
+// batch's W passes overwrite. It returns the batches' summed loss.
 func (s *Serial) passes(batches []data.Batch) float64 {
 	n := len(s.mdl.Modules)
-	clear(s.flatG)
+	bindSets(s.flatG, s.grads, true)
 	var lossSum float64
 	for mi, b := range batches {
 		mb := int64(mi)

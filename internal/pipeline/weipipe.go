@@ -130,7 +130,8 @@ type WeiPipe struct {
 	// wGrads is the W pass's per-module gradient sets. They own no storage
 	// (nn.ParamSet.NewUnbound): a W pass binds them to the chunk's gradient
 	// buffer (gradBuf), so BackwardParams accumulates straight into the
-	// accumulator or the payload it ships.
+	// accumulator or the payload it ships — or, into a buffer gradBuf hands
+	// out fresh, stores (nn.ParamSet.BindFresh), so no buffer is cleared.
 	wGrads []*nn.ParamSet
 
 	// dAcc holds, per chunk, the gradient buffer this rank's W passes on it
@@ -336,7 +337,10 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	// chain's retire — and step. The opt span opens with the gradient in
 	// hand: the wait for it is the receive's own stall span, and a span
 	// counts towards one phase only.
-	d := w.gradBuf(w.ownChunk)
+	d, fresh := w.gradBuf(w.ownChunk)
+	if fresh { // no W pass on this rank reached the chunk
+		clear(w.beltBody(d))
+	}
 	retire := Tag{Kind: comm.KindGrad, A: w.ownChunk, B: w.enc(beltRetire, 0)}
 	var r []float32 // the retire; none at p=1, where every use is the owner's
 	if row := w.plan.retire; row.Kind != 0 {
@@ -662,19 +666,15 @@ type stageBuf struct {
 }
 
 // bindStage makes chunk c's modules (or, with grads, their gradient sets)
-// views of buf's body for the coming stage. The stage ends with unbindStage;
-// so does an aborted iteration, which is why the binding is recorded here
-// and not on the stage's stack.
-func (w *WeiPipe) bindStage(c int, buf []float32, grads bool) {
+// views of buf's body for the coming stage; gradient sets bind fresh when
+// buf holds no gradient yet (gradBuf). The stage ends with unbindStage; so
+// does an aborted iteration, which is why the binding is recorded here and
+// not on the stage's stack.
+func (w *WeiPipe) bindStage(c int, buf []float32, grads, fresh bool) {
 	lo, hi := w.chunkRange(c)
 	body := w.beltBody(buf)
 	if grads {
-		off := 0
-		for i := lo; i < hi; i++ {
-			n := w.wGrads[i].Size()
-			w.wGrads[i].Bind(body[off : off+n])
-			off += n
-		}
+		bindSets(body, w.wGrads[lo:hi], fresh)
 	} else {
 		w.mdl.BindChunk(lo, hi, body)
 	}
@@ -757,7 +757,7 @@ func (w *WeiPipe) bindWeights(i int) error {
 			return err
 		}
 	}
-	w.bindStage(c, payload, false)
+	w.bindStage(c, payload, false, false)
 	for _, r := range w.plan.out[i] {
 		if r.Injects(m) {
 			if err := w.sendCached(r); err != nil {
@@ -797,18 +797,17 @@ func (w *WeiPipe) dropWeights(u order.Use) {
 }
 
 // gradBuf hands out the buffer chunk c's next W pass on this rank
-// accumulates into: the one held since its previous pass (dAcc), or a
-// zeroed one. The caller owns it.
-func (w *WeiPipe) gradBuf(c int) []float32 {
-	buf := w.dAcc[c]
+// accumulates into: the one held since its previous pass (dAcc), or, fresh,
+// a new one whose contents are garbage, which the pass overwrites
+// (bindStage). The caller owns it.
+func (w *WeiPipe) gradBuf(c int) (buf []float32, fresh bool) {
+	buf = w.dAcc[c]
 	w.dAcc[c] = nil
 	if buf == nil {
 		lo, hi := w.chunkRange(c)
-		size := w.mdl.ChunkSize(lo, hi)
-		buf = comm.GetBuf(size + w.pad)
-		clear(buf[:size])
+		return comm.GetBuf(w.mdl.ChunkSize(lo, hi) + w.pad), true
 	}
-	return buf
+	return buf, false
 }
 
 // foldD verifies a received accumulator d of chunk c and adds it into acc,
@@ -928,8 +927,8 @@ func (w *WeiPipe) wStage(st *wpState, i int) error {
 	caches := st.caches[mb]
 	lo, hi := w.chunkRange(c)
 	span := w.tr.Begin()
-	buf := w.gradBuf(c)
-	w.bindStage(c, buf, true)
+	buf, fresh := w.gradBuf(c)
+	w.bindStage(c, buf, true, fresh)
 	backwardRangeW(w.mdl, lo, hi, caches[lo:hi], w.wGrads)
 	w.unbindStage()
 	w.tr.End(span, trace.CodeW, int64(mb), int64(c))

@@ -270,9 +270,14 @@ func TestBackendMatMulAccAliasedHistory(t *testing.T) {
 }
 
 // AdamW is exact on every backend: the vector kernels run the scalar
-// loop's float64 sequence lane by lane. Several steps over lengths that are
-// not multiples of either vector width, with gradients that are zero,
-// subnormal, huge or ordinary, must leave w, m and v with the scalar bits.
+// loop's float64 sequence lane by lane, with the bias corrections taken as
+// a corrected reciprocal multiply that lands on the divide's bits. Several
+// steps over lengths that are not multiples of either vector width, with
+// gradients that are zero, subnormal, huge or ordinary, must leave w, m and
+// v with the scalar bits; then a long run over 65 541 lanes, 173 steps (11
+// million lanes a backend) that reach past where C1 and C2 round to 1, with
+// NaN gradients and, injected into the state each step, −0 and NaN moments,
+// v = +Inf, negative and subnormal v.
 func TestBackendAdamWBitIdentical(t *testing.T) {
 	others := nonScalarBackends()
 	if len(others) == 0 {
@@ -280,22 +285,29 @@ func TestBackendAdamWBitIdentical(t *testing.T) {
 	}
 	pinScalar(t)
 	rng := rand.New(rand.NewSource(29))
-	grad := func(n int) []float32 {
-		g := make([]float32, n)
+	gradMix := func(g []float32, nanEvery int) {
 		for i := range g {
-			switch rng.Intn(6) {
-			case 0: // zero
-			case 1:
+			switch k := rng.Intn(8 * nanEvery); {
+			case k == 0:
+				g[i] = math.Float32frombits(0x7fc00000 | uint32(rng.Intn(1<<22)) | uint32(rng.Intn(2))<<31) // NaN
+			case k%8 == 1:
 				g[i] = math.Float32frombits(uint32(1 + rng.Intn(1<<23))) // subnormal
-			case 2:
-				g[i] = float32(rng.NormFloat64() * 1e37) // large
-			case 3:
+			case k%8 == 2:
+				g[i] = float32(math.Copysign(0, float64(rng.Intn(2)*2-1))) // ±0
+			case k%512 == 3:
 				g[i] = -math.MaxFloat32
+			case k%64 == 4:
+				g[i] = float32(rng.NormFloat64() * 1e37) // large
 			default:
 				g[i] = float32(rng.NormFloat64())
 			}
 		}
-		return g
+	}
+	stepAt := func(step int) AdamWStep {
+		s := AdamWStep{B1: 0.9, B2: 0.95, LR: 3e-4, Eps: 1e-8}
+		s.C1 = 1 - math.Pow(s.B1, float64(step))
+		s.C2 = 1 - math.Pow(s.B2, float64(step))
+		return s
 	}
 	for _, name := range others {
 		for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 12, 15, 17, 31, 33, 100, 1027} {
@@ -307,10 +319,9 @@ func TestBackendAdamWBitIdentical(t *testing.T) {
 			mWant, vWant := make([]float32, n), make([]float32, n)
 			mGot, vGot := make([]float32, n), make([]float32, n)
 			for step := 1; step <= 4; step++ {
-				g := grad(n)
-				s := AdamWStep{B1: 0.9, B2: 0.95, LR: 3e-4, Eps: 1e-8}
-				s.C1 = 1 - math.Pow(s.B1, float64(step))
-				s.C2 = 1 - math.Pow(s.B2, float64(step))
+				g := make([]float32, n)
+				gradMix(g, 1)
+				s := stepAt(step)
 				current().AdamW(wWant, g, mWant, vWant, s)
 				withBackend(t, name, func() { current().AdamW(wGot, g, mGot, vGot, s) })
 				what := fmt.Sprintf("%s AdamW n=%d step %d", name, n, step)
@@ -319,6 +330,81 @@ func TestBackendAdamWBitIdentical(t *testing.T) {
 				requireBitwise(t, what+" v", vGot, vWant)
 			}
 		}
+	}
+
+	// The long run: every backend steps its own copy of one state beside
+	// the scalar loop's. The gradients are windows of one pool, one NaN in
+	// about 4 000, so most lanes stay finite to the end.
+	const n = 1<<16 + 5
+	pool := make([]float32, 4*n)
+	gradMix(pool, 512)
+	type state struct{ w, m, v []float32 }
+	newState := func() state { return state{make([]float32, n), make([]float32, n), make([]float32, n)} }
+	want, got := newState(), make([]state, len(others))
+	for i := range want.w {
+		want.w[i] = float32(rng.NormFloat64())
+	}
+	for k := range got {
+		got[k] = newState()
+		copy(got[k].w, want.w)
+	}
+	var steps []int
+	for _, r := range [][2]int{{1, 60}, {330, 380}, {700, 750}, {99990, 100000}} {
+		for step := r[0]; step <= r[1]; step++ {
+			steps = append(steps, step)
+		}
+	}
+	if c1, c2 := stepAt(steps[len(steps)-1]), stepAt(330); c1.C1 != 1 || c1.C2 != 1 || c2.C1 == 1 {
+		t.Fatalf("the long run's steps do not cross C1 = 1 and C2 = 1: %+v %+v", c1, c2)
+	}
+	var lanes int
+	for _, step := range steps {
+		for j := 0; j < n/512; j++ {
+			i := rng.Intn(n)
+			var m, v float32
+			switch rng.Intn(6) {
+			case 0:
+				m, v = float32(math.Copysign(0, -1)), float32(math.Copysign(0, -1))
+			case 1:
+				m, v = float32(rng.NormFloat64()), float32(math.Inf(1))
+			case 2:
+				m, v = float32(math.NaN()), 1
+			case 3:
+				m, v = 1e-3, -float32(rng.ExpFloat64()) // a flipped sign bit
+			case 4:
+				m, v = math.Float32frombits(0x80000001), math.Float32frombits(1)
+			default:
+				m, v = float32(math.Copysign(0, -1)), float32(rng.ExpFloat64())
+			}
+			want.m[i], want.v[i] = m, v
+			for k := range got {
+				got[k].m[i], got[k].v[i] = m, v
+			}
+		}
+		off := rng.Intn(len(pool) - n)
+		g, s := pool[off:off+n], stepAt(step)
+		current().AdamW(want.w, g, want.m, want.v, s)
+		for k, name := range others {
+			st := got[k]
+			withBackend(t, name, func() { current().AdamW(st.w, g, st.m, st.v, s) })
+			what := fmt.Sprintf("%s AdamW n=%d step %d", name, n, step)
+			requireBitwise(t, what+" w", st.w, want.w)
+			requireBitwise(t, what+" m", st.m, want.m)
+			requireBitwise(t, what+" v", st.v, want.v)
+		}
+		lanes += n
+	}
+	if lanes < 10_000_000 {
+		t.Fatalf("the long run stepped %d lanes a backend, want at least 10⁷", lanes)
+	}
+	var finite int
+	for _, x := range want.w {
+		if !math.IsNaN(float64(x)) && !math.IsInf(float64(x), 0) {
+			finite++
+		}
+	}
+	if finite < n/2 {
+		t.Fatalf("only %d of %d weights are finite after the long run: NaN took over the state", finite, n)
 	}
 }
 

@@ -62,7 +62,13 @@ type AdamWStep struct {
 //
 // with m' and v' stored rounded to float32 and the subtraction in float32.
 // Every backend rounds exactly this sequence — the vector ones run it on
-// float64 lanes, with no FMA — so the result is bit-identical everywhere.
+// float64 lanes, its multiplies and adds unfused — so the result is
+// bit-identical everywhere. The vector kernels take m'/C1 and v'/C2 off
+// the divider: with y = RN(1/C), q = a·y, then twice r = C·q − a and
+// q −= r·y as FMAs, which by Markstein's theorem (Handbook of
+// Floating-Point Arithmetic §5.3) is RN(a/C), the divide's bits — zero
+// signs and NaN payloads too — for every operand AdamW can present
+// (RECIPDIV in simd_avx2_amd64.s).
 func AdamW(w, g, m, v []float32, s AdamWStep) {
 	if len(g) != len(w) || len(m) != len(w) || len(v) != len(w) {
 		panic(fmt.Sprintf("tensor: AdamW size mismatch: w %d, g %d, m %d, v %d", len(w), len(g), len(m), len(v)))

@@ -21,7 +21,9 @@ package tensor
 //     bit-identical to scalar. RMSNorm's per-row float64 sums stay one
 //     ascending chain each, four rows' chains interleaved; Dot (float64) is
 //     scalar's loop. AdamW, likewise, runs scalar's float64 sequence on
-//     float64 lanes (adamWAVX2).
+//     float64 lanes (adamWAVX2), its two bias-correction divides as an
+//     exactly corrected reciprocal multiply (RECIPDIV) with the divide's
+//     bits.
 //   - NN, TN and NT matmuls: the register-tiled GEMM micro-kernel
 //     (gemmAVX2), NT through a transposed panel of b. Every dst element is
 //     one ascending FMA chain over k in its own lane, from 0 or —
@@ -61,10 +63,16 @@ func scaleAVX2(dst, a *float32, n8 int, s float32)
 func addIntoAVX2(dst, a *float32, n8 int)
 
 //go:noescape
-func adamWAVX2(w, grad, m, v *float32, n4 int, k *[8]float64)
+func adamWAVX2(w, grad, m, v *float32, n4 int, k *[10]float64)
 
 //go:noescape
-func adamWAVX512(w, grad, m, v *float32, n8 int, k *[8]float64)
+func adamWAVX512(w, grad, m, v *float32, n8 int, k *[10]float64)
+
+//go:noescape
+func recipDivAVX2(dst, a *float64, n4 int, k *[2]float64)
+
+//go:noescape
+func recipDivAVX512(dst, a *float64, n8 int, k *[2]float64)
 
 //go:noescape
 func addAVX2(dst, a, b *float32, n8 int)
@@ -270,11 +278,15 @@ func (avx2Backend) AdamW(w, g, m, v []float32, s AdamWStep) { adamWSIMD(w, g, m,
 
 // adamWSIMD runs AdamW's whole vectors of the given width (4: avx2, 8:
 // avx512) through the kernel and the ragged tail through the scalar loop.
-// The update is divider-bound — two divides, a square root and a third
-// divide per element — so eight lanes buy little over four.
+// The kernel takes the bias corrections m'/C1 and v'/C2 off the divider:
+// each is a multiply by RN(1/C), computed here once per step, and two FMA
+// corrections that make it the divide's bits (Markstein's theorem; see
+// RECIPDIV in simd_avx2_amd64.s). The square root and the final divide
+// stay on the divider, which bounds the loop, so eight lanes buy little
+// over four.
 func adamWSIMD(w, g, m, v []float32, s AdamWStep, width int) {
 	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
-	consts := [8]float64{s.B1, 1 - s.B1, s.B2, 1 - s.B2, s.C1, s.C2, s.LR, s.Eps}
+	consts := [10]float64{s.B1, 1 - s.B1, s.B2, 1 - s.B2, s.C1, s.C2, s.LR, s.Eps, 1 / s.C1, 1 / s.C2}
 	nv := len(w) / width
 	if nv > 0 {
 		if width == 8 {

@@ -95,14 +95,41 @@ addinto_loop:
 	VZEROUPPER
 	RET
 
-// func adamWAVX2(w, grad, m, v *float32, n4 int, k *[8]float64)
+// RECIPDIV(a, c, y, q, r, q0) sets q = a/c, correctly rounded, without a
+// divide, from y = RN(1/c): q0 = a·y, then twice r = c·q − a (one FMA) and
+// q −= r·y (another). q0 is within 1.5 ulp of a/c, the first correction
+// brings q within 1 ulp, and the second makes it RN(a/c) by Markstein's
+// theorem (Handbook of Floating-Point Arithmetic §5.3): r is exact once q
+// is faithful, provided c·q's bits stay above the subnormal range, which
+// holds for every |a| ≥ 2^-969: a moment AdamW divides, built from
+// float32 state with betas of 0 or in [2^-53, 1), is 0 or above 2^-420.
+// Taking the residual as c·q − a and subtracting r·y keeps the sign of a
+// zero a. Where the corrected q is NaN — a = ±Inf or NaN, or a·y overflowed
+// — the lane takes q0, which is then a/c's own bits. Clobbers r and q0.
+#define RECIPDIV(a, c, y, q, r, q0) \
+	VMULPD       y, a, q0   \
+	VMOVAPD      a, r       \
+	VFMSUB231PD  c, q0, r   \
+	VMOVAPD      q0, q      \
+	VFNMADD231PD y, r, q    \
+	VMOVAPD      a, r       \
+	VFMSUB231PD  c, q, r    \
+	VFNMADD231PD y, r, q    \
+	VCMPPD       $3, q, q, r \
+	VBLENDVPD    r, q0, q, q
+
+// func adamWAVX2(w, grad, m, v *float32, n4 int, k *[10]float64)
 //
 // One AdamW step over elements [0, 4·n4), four to a vector of float64
 // lanes: adamWScalar's sequence with every operation rounded where the
-// scalar loop rounds it — separate multiplies and adds (no FMA), correctly
-// rounded divides and square root, the moments and the update narrowed to
-// float32 and the update subtracted in float32 — so the result is
-// bit-identical to it. k holds B1, 1−B1, B2, 1−B2, C1, C2, LR, Eps. n4 must
+// scalar loop rounds it — separate multiplies and adds (no FMA), the two
+// bias corrections correctly rounded (RECIPDIV), a correctly rounded square
+// root and final divide, the moments and the update narrowed to float32 and
+// the update subtracted in float32 — so the result is bit-identical to it,
+// NaN payloads included: where an operation meets two NaNs it keeps its
+// first operand's, so each operand order is the one the Go compiler gives
+// the scalar loop (the gradient's term first in m' and v').
+// k holds B1, 1−B1, B2, 1−B2, C1, C2, LR, Eps, RN(1/C1), RN(1/C2). n4 must
 // be >= 1.
 TEXT ·adamWAVX2(SB), NOSPLIT, $0-48
 	MOVQ w+0(FP), DI
@@ -111,46 +138,72 @@ TEXT ·adamWAVX2(SB), NOSPLIT, $0-48
 	MOVQ v+24(FP), BX
 	MOVQ n4+32(FP), CX
 	MOVQ k+40(FP), AX
-	VBROADCASTSD 0(AX), Y8
-	VBROADCASTSD 8(AX), Y9
-	VBROADCASTSD 16(AX), Y10
-	VBROADCASTSD 24(AX), Y11
-	VBROADCASTSD 32(AX), Y12
-	VBROADCASTSD 40(AX), Y13
-	VBROADCASTSD 48(AX), Y14
-	VBROADCASTSD 56(AX), Y7
+	VBROADCASTSD 0(AX), Y5
+	VBROADCASTSD 8(AX), Y6
+	VBROADCASTSD 16(AX), Y7
+	VBROADCASTSD 24(AX), Y8
+	VBROADCASTSD 32(AX), Y9
+	VBROADCASTSD 40(AX), Y10
+	VBROADCASTSD 48(AX), Y11
+	VBROADCASTSD 56(AX), Y12
+	VBROADCASTSD 64(AX), Y13
+	VBROADCASTSD 72(AX), Y14
 
 adamw_loop:
 	VCVTPS2PD  (SI), Y0       // g
 	VCVTPS2PD  (DX), Y1       // m
 	VCVTPS2PD  (BX), Y2       // v
-	VMULPD     Y8, Y1, Y1     // B1·m
-	VMULPD     Y9, Y0, Y3     // (1−B1)·g
-	VADDPD     Y3, Y1, Y1     // m'
-	VMULPD     Y10, Y2, Y2    // B2·v
-	VMULPD     Y11, Y0, Y4    // (1−B2)·g
-	VMULPD     Y0, Y4, Y4     // ((1−B2)·g)·g
-	VADDPD     Y4, Y2, Y2     // v'
-	VCVTPD2PSY Y1, X5
-	VMOVUPS    X5, (DX)
-	VCVTPD2PSY Y2, X6
-	VMOVUPS    X6, (BX)
-	VDIVPD     Y12, Y1, Y1    // m'/C1
-	VDIVPD     Y13, Y2, Y2    // v'/C2
-	VMULPD     Y14, Y1, Y1    // LR·m̂
-	VSQRTPD    Y2, Y2
-	VADDPD     Y7, Y2, Y2     // sqrt(v̂)+Eps
-	VDIVPD     Y2, Y1, Y1     // the update
-	VCVTPD2PSY Y1, X1
-	VMOVUPS    (DI), X3
-	VSUBPS     X1, X3, X3
-	VMOVUPS    X3, (DI)
+	VMULPD     Y5, Y1, Y1     // B1·m
+	VMULPD     Y6, Y0, Y3     // (1−B1)·g
+	VADDPD     Y1, Y3, Y1     // m', the g term first as the scalar loop adds
+	VMULPD     Y7, Y2, Y2     // B2·v
+	VMULPD     Y8, Y0, Y3     // (1−B2)·g
+	VMULPD     Y0, Y3, Y3     // ((1−B2)·g)·g
+	VADDPD     Y2, Y3, Y2     // v', likewise
+	VCVTPD2PSY Y1, X3
+	VMOVUPS    X3, (DX)
+	VCVTPD2PSY Y2, X3
+	VMOVUPS    X3, (BX)
+	RECIPDIV(Y1, Y9, Y13, Y3, Y0, Y4)  // m̂ = m'/C1
+	VMULPD     Y11, Y3, Y3    // LR·m̂
+	RECIPDIV(Y2, Y10, Y14, Y1, Y0, Y4) // v̂ = v'/C2
+	VSQRTPD    Y1, Y1
+	VADDPD     Y12, Y1, Y1    // sqrt(v̂)+Eps
+	VDIVPD     Y1, Y3, Y3     // the update
+	VCVTPD2PSY Y3, X3
+	VMOVUPS    (DI), X0
+	VSUBPS     X3, X0, X0
+	VMOVUPS    X0, (DI)
 	ADDQ       $16, SI
 	ADDQ       $16, DX
 	ADDQ       $16, BX
 	ADDQ       $16, DI
 	DECQ       CX
 	JNE        adamw_loop
+	VZEROUPPER
+	RET
+
+// func recipDivAVX2(dst, a *float64, n4 int, k *[2]float64)
+//
+// dst[i] = a[i]/C for i in [0, 4·n4) through RECIPDIV, with k = C, RN(1/C):
+// the AdamW kernel's bias-correction division on its own, so a test can
+// hold it to the divide over every float64 binade. n4 must be >= 1.
+TEXT ·recipDivAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ n4+16(FP), CX
+	MOVQ k+24(FP), AX
+	VBROADCASTSD 0(AX), Y5
+	VBROADCASTSD 8(AX), Y6
+
+recipdiv_loop:
+	VMOVUPD (SI), Y1
+	RECIPDIV(Y1, Y5, Y6, Y3, Y0, Y4)
+	VMOVUPD Y3, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNE     recipdiv_loop
 	VZEROUPPER
 	RET
 

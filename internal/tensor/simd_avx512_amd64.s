@@ -614,7 +614,22 @@ fmaspin512_loop:
 	VZEROUPPER
 	RET
 
-// func adamWAVX512(w, grad, m, v *float32, n8 int, k *[8]float64)
+// RECIPDIV512 is simd_avx2_amd64.s's RECIPDIV on eight float64 lanes — the
+// same operations in the same order, so the same bits — with the NaN lanes
+// in K1.
+#define RECIPDIV512(a, c, y, q, r, q0) \
+	VMULPD       y, a, q0   \
+	VMOVAPD      a, r       \
+	VFMSUB231PD  c, q0, r   \
+	VMOVAPD      q0, q      \
+	VFNMADD231PD y, r, q    \
+	VMOVAPD      a, r       \
+	VFMSUB231PD  c, q, r    \
+	VFNMADD231PD y, r, q    \
+	VCMPPD       $3, q, q, K1 \
+	VMOVAPD      q0, K1, q
+
+// func adamWAVX512(w, grad, m, v *float32, n8 int, k *[10]float64)
 //
 // adamWAVX2 (simd_avx2_amd64.s) on eight float64 lanes per vector, over
 // elements [0, 8·n8): the same operations in the same order, so the same
@@ -626,46 +641,71 @@ TEXT ·adamWAVX512(SB), NOSPLIT, $0-48
 	MOVQ v+24(FP), BX
 	MOVQ n8+32(FP), CX
 	MOVQ k+40(FP), AX
-	VBROADCASTSD 0(AX), Z8
-	VBROADCASTSD 8(AX), Z9
-	VBROADCASTSD 16(AX), Z10
-	VBROADCASTSD 24(AX), Z11
-	VBROADCASTSD 32(AX), Z12
-	VBROADCASTSD 40(AX), Z13
-	VBROADCASTSD 48(AX), Z14
-	VBROADCASTSD 56(AX), Z7
+	VBROADCASTSD 0(AX), Z16
+	VBROADCASTSD 8(AX), Z17
+	VBROADCASTSD 16(AX), Z18
+	VBROADCASTSD 24(AX), Z19
+	VBROADCASTSD 32(AX), Z20
+	VBROADCASTSD 40(AX), Z21
+	VBROADCASTSD 48(AX), Z22
+	VBROADCASTSD 56(AX), Z23
+	VBROADCASTSD 64(AX), Z24
+	VBROADCASTSD 72(AX), Z25
 
 adamw512_loop:
-	VCVTPS2PD (SI), Z0
-	VCVTPS2PD (DX), Z1
-	VCVTPS2PD (BX), Z2
-	VMULPD    Z8, Z1, Z1
-	VMULPD    Z9, Z0, Z3
-	VADDPD    Z3, Z1, Z1
-	VMULPD    Z10, Z2, Z2
-	VMULPD    Z11, Z0, Z4
-	VMULPD    Z0, Z4, Z4
-	VADDPD    Z4, Z2, Z2
-	VCVTPD2PS Z1, Y5
-	VMOVUPS   Y5, (DX)
-	VCVTPD2PS Z2, Y6
-	VMOVUPS   Y6, (BX)
-	VDIVPD    Z12, Z1, Z1
-	VDIVPD    Z13, Z2, Z2
-	VMULPD    Z14, Z1, Z1
-	VSQRTPD   Z2, Z2
-	VADDPD    Z7, Z2, Z2
-	VDIVPD    Z2, Z1, Z1
-	VCVTPD2PS Z1, Y1
-	VMOVUPS   (DI), Y3
-	VSUBPS    Y1, Y3, Y3
-	VMOVUPS   Y3, (DI)
-	ADDQ      $32, SI
-	ADDQ      $32, DX
-	ADDQ      $32, BX
-	ADDQ      $32, DI
-	DECQ      CX
-	JNE       adamw512_loop
+	VCVTPS2PD   (SI), Z0
+	VCVTPS2PD   (DX), Z1
+	VCVTPS2PD   (BX), Z2
+	VMULPD      Z16, Z1, Z1
+	VMULPD      Z17, Z0, Z3
+	VADDPD      Z1, Z3, Z1
+	VMULPD      Z18, Z2, Z2
+	VMULPD      Z19, Z0, Z3
+	VMULPD      Z0, Z3, Z3
+	VADDPD      Z2, Z3, Z2
+	VCVTPD2PS   Z1, Y3
+	VMOVUPS     Y3, (DX)
+	VCVTPD2PS   Z2, Y3
+	VMOVUPS     Y3, (BX)
+	RECIPDIV512(Z1, Z20, Z24, Z3, Z0, Z4)
+	VMULPD      Z22, Z3, Z3
+	RECIPDIV512(Z2, Z21, Z25, Z1, Z0, Z4)
+	VSQRTPD     Z1, Z1
+	VADDPD      Z23, Z1, Z1
+	VDIVPD      Z1, Z3, Z3
+	VCVTPD2PS   Z3, Y3
+	VMOVUPS     (DI), Y0
+	VSUBPS      Y3, Y0, Y0
+	VMOVUPS     Y0, (DI)
+	ADDQ        $32, SI
+	ADDQ        $32, DX
+	ADDQ        $32, BX
+	ADDQ        $32, DI
+	DECQ        CX
+	JNE         adamw512_loop
+	VZEROUPPER
+	RET
+
+// func recipDivAVX512(dst, a *float64, n8 int, k *[2]float64)
+//
+// recipDivAVX2 on eight lanes: dst[i] = a[i]/C for i in [0, 8·n8) through
+// RECIPDIV512. n8 must be >= 1.
+TEXT ·recipDivAVX512(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ n8+16(FP), CX
+	MOVQ k+24(FP), AX
+	VBROADCASTSD 0(AX), Z16
+	VBROADCASTSD 8(AX), Z17
+
+recipdiv512_loop:
+	VMOVUPD (SI), Z1
+	RECIPDIV512(Z1, Z16, Z17, Z3, Z0, Z4)
+	VMOVUPD Z3, (DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	DECQ    CX
+	JNE     recipdiv512_loop
 	VZEROUPPER
 	RET
 
