@@ -136,8 +136,10 @@ sdc-quick:
 # scalar-only build passes, an amd64 build whose CPU registered no SIMD
 # backend fails: it measured nothing), print, ungated, the TCP wire
 # path's 3.2 MB-chunk loopback throughput and allocations per chunk
-# (BenchmarkTCPChunk) and per belt hop (BenchmarkBeltHop) and the wire
-# CRC's throughput beside hash/crc32's (BenchmarkWireCRC), then
+# (BenchmarkTCPChunk) and per belt hop (BenchmarkBeltHop), the wire
+# CRC's throughput beside hash/crc32's (BenchmarkWireCRC) and a belt
+# payload's copy and fold with the CRC folded in against a write then a
+# cold CRC (BenchmarkSealedCopy), then
 # regenerate the grouped-belt traffic report and fail unless wzb2g stays
 # bit-identical to wzb2 while cutting inter-group bytes both on the wire
 # (p=16) and in the simulated grid. Report paths are overridable so CI can
@@ -146,7 +148,7 @@ KERNEL_GUARD_OUT ?= /tmp/weipipe_kernel_guard.json
 GROUPED_GUARD_OUT ?= /tmp/weipipe_grouped_guard.json
 bench-guard:
 	$(GO) run ./cmd/weipipe-bench -report kernel -out $(KERNEL_GUARD_OUT) -check
-	$(GO) test -run NONE -bench 'BenchmarkTCPChunk|BenchmarkBeltHop|BenchmarkWireCRC' -benchmem -benchtime 100x ./internal/comm/
+	$(GO) test -run NONE -bench 'BenchmarkTCPChunk|BenchmarkBeltHop|BenchmarkWireCRC|BenchmarkSealedCopy' -benchmem -benchtime 100x ./internal/comm/
 	$(GO) run ./cmd/weipipe-bench -report grouped -out $(GROUPED_GUARD_OUT) -check
 
 # bench-sweep regenerates BENCH_sweep.json, the committed machine-readable
@@ -265,6 +267,6 @@ check-noasm-kernels:
 	$(GO) test -tags noasm ./internal/tensor/ ./internal/nn/
 
 bench:
-	$(GO) test -bench 'BenchmarkTCPChunk|BenchmarkBeltHop|BenchmarkWireCRC' -benchmem -run NONE ./internal/comm/
+	$(GO) test -bench 'BenchmarkTCPChunk|BenchmarkBeltHop|BenchmarkWireCRC|BenchmarkSealedCopy' -benchmem -run NONE ./internal/comm/
 	$(GO) test -bench 'BenchmarkMatMul|BenchmarkTranspose|BenchmarkCausalAttention' -benchmem -run NONE ./internal/tensor/
 	$(GO) test -bench 'BenchmarkBlock|BenchmarkAttention' -benchmem -run NONE ./internal/nn/

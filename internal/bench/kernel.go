@@ -166,7 +166,7 @@ func adamWCase(rng *tensor.RNG, n int) *kernelCase {
 		c.out[side] = w0.Clone()
 		m[side], v[side] = make([]float32, n), make([]float32, n)
 	}
-	s := tensor.AdamWStep{B1: 0.9, B2: 0.95, C1: 1 - 0.9, C2: 1 - 0.95, LR: 1e-3, Eps: 1e-8}
+	s := tensor.AdamWStep{B1: 0.9, B2: 0.95, C1: 1 - 0.9, C2: 1 - 0.95, LR: 1e-3, Eps: 1e-8, G: 1}
 	c.run = func(side int) { tensor.AdamW(c.out[side].Data, g.Data, m[side], v[side], s) }
 	return c
 }

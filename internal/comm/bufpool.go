@@ -285,23 +285,49 @@ func (t *sharedTable) unfile(buf []float32) {
 	t.mu.Unlock()
 }
 
-// crcs is the table of verified body checksums behind Forward.
+// crcs is the table of body checksums behind Forward.
 var crcs crcTable
 
-// crcTable remembers, for received f32 payloads of at least crcMinElems
-// elements, the CRC of the body the TCP reader just verified, so that
-// Forward can seal a relay of the unchanged payload without reading it
-// again. Entries are keyed by the buffer's base address as a uintptr, so the
-// table keeps no buffer alive, and an entry is forgotten at the buffer's
-// last Release, whenever GetBuf hands out a buffer at that address and when
-// a TCP self-send delivers the buffer, which no reader verified. A
-// payload that is kept and never released leaves its entry behind until the
-// table is full and evicts it; Forward never trusts an entry whose length
-// differs. When the table is empty, forget costs one atomic load.
+// Seal records crc as the IEEE CRC-32 of payload's f32 wire image,
+// computed by the payload's producer as it wrote every element
+// (tensor.CopyCRC32, tensor.AddIntoCRC32), so that Forward of payload seals
+// its frame without reading the body. The caller owns payload, a GetBuf
+// buffer, and must not write it again before it is sent; the record lasts
+// until the buffer's last Release. A producer seals only where the
+// transport reads the checksum (Transport.SealsF32). Payloads under
+// crcMinElems elements are not recorded.
+func Seal(payload []float32, crc uint32) {
+	crcs.sealed.Add(1)
+	crcs.remember(payload, crc)
+}
+
+// CRCTableStats reports, since the process started, how many payloads
+// their producers sealed (Seal), the checksum table's largest occupancy and
+// how many entries it evicted to stay within its bound.
+func CRCTableStats() (sealed, peak, evicted int) {
+	crcs.mu.Lock()
+	defer crcs.mu.Unlock()
+	return int(crcs.sealed.Load()), crcs.peak, crcs.evicted
+}
+
+// crcTable remembers, for f32 payloads of at least crcMinElems elements,
+// the CRC of the body the TCP reader just verified or the payload's
+// producer computed as it wrote it (Seal), so that Forward can seal the
+// unchanged payload without reading it again. Entries are keyed by the
+// buffer's base address as a uintptr, so the table keeps no buffer alive,
+// and an entry is forgotten at the buffer's last Release, whenever GetBuf
+// hands out a buffer at that address and when a TCP self-send delivers the
+// buffer, which no reader verified. A payload that is kept and never
+// released leaves its entry behind until the table is full and evicts it;
+// Forward never trusts an entry whose length differs. When the table is
+// empty, forget costs one atomic load.
 type crcTable struct {
 	n    atomic.Int32 // len(ents), readable without mu
 	mu   sync.Mutex
 	ents []crcEntry // oldest first
+	// sealed, peak and evicted are CRCTableStats.
+	sealed        atomic.Int64
+	peak, evicted int
 }
 
 type crcEntry struct {
@@ -314,15 +340,17 @@ type crcEntry struct {
 // looking up and forgetting one entry costs 80–120 ns at 0–21 entries; a
 // body CRC costs that at 400–500 elements and 1 µs at 4096. On the wide TCP
 // benchmark workloads every relayed payload is either a 0- or 1-element
-// scalar all-reduce shard or at least 16 384 elements, 53–58 % of the
-// remembered entries are forwarded, and the table holds at most 21 entries
-// (WZB2, four ranks in one process) or 13 (FSDP) and never evicts.
+// scalar all-reduce shard or at least 16 384 elements. With the belt's
+// producers sealing the owner's weight copy and every folded gradient hop,
+// the table holds at most 13 entries for WZB2's four ranks in one process
+// over three steps (TestWideBeltCRCTableNeverEvicts) and 16 over a 16 s
+// wide-wzb2-tcp benchmark run, and never evicts.
 const (
 	// crcMinElems is the smallest payload whose checksum is remembered. At
 	// it a full CRC costs ten times the table's round trip, so an entry pays
 	// for itself even when half of them are never forwarded.
 	crcMinElems = 4096
-	// crcMaxEntries bounds the table at three times the largest occupancy
+	// crcMaxEntries bounds the table at four times the largest occupancy
 	// measured. Every GetBuf and last Release scans it while it is not
 	// empty: 30 ns at 21 entries, 60–80 ns full.
 	crcMaxEntries = 64
@@ -340,8 +368,7 @@ func (t *crcTable) find(base uintptr) int {
 	return -1
 }
 
-// remember records crc as the verified checksum of payload's f32 wire
-// image.
+// remember records crc as the checksum of payload's f32 wire image.
 func (t *crcTable) remember(payload []float32, crc uint32) {
 	if len(payload) < crcMinElems {
 		return
@@ -356,9 +383,11 @@ func (t *crcTable) remember(payload []float32, crc uint32) {
 	if len(t.ents) == crcMaxEntries {
 		copy(t.ents, t.ents[1:])
 		t.ents = t.ents[:len(t.ents)-1]
+		t.evicted++
 	}
 	t.ents = append(t.ents, e)
 	t.n.Store(int32(len(t.ents)))
+	t.peak = max(t.peak, len(t.ents))
 }
 
 // known returns the remembered checksum of payload, if there is one for a

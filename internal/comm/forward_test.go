@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"hash/crc32"
@@ -314,4 +315,121 @@ func TestForwardRelayUnderCorruption(t *testing.T) {
 		t.Error("the relay never retransmitted a corrupted frame")
 	}
 	assertNoRetainedPayloads(t, trs)
+}
+
+// A payload its producer sealed as it wrote it — a copy (tensor.CopyCRC32)
+// or a gradient fold (tensor.AddIntoCRC32) — leaves through Forward as the
+// frame SendOwned gives the same values: the same bytes, header CRC
+// included, with only the header read at the seal.
+func TestProducerSealedFrameMatchesSendOwned(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	random := func(n int) []float32 {
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = float32(rng.NormFloat64())
+		}
+		return x
+	}
+	for _, n := range []int{crcMinElems, crcMinElems + 1, 3*8192 + 5, 820800} {
+		src, acc := random(n), random(n)
+		sum := append([]float32(nil), acc...)
+		tensor.AddIntoF32(sum, src)
+		for _, w := range []struct {
+			name  string
+			write func(p []float32) uint32
+			want  []float32
+		}{
+			{"copy", func(p []float32) uint32 { return tensor.CopyCRC32(p, src) }, src},
+			{"fold", func(p []float32) uint32 { copy(p, acc); return tensor.AddIntoCRC32(p, src) }, sum},
+		} {
+			tag := Tag{Kind: KindGrad, A: rng.Intn(8), B: rng.Int()}
+			p := GetBuf(n)
+			Seal(p, w.write(p))
+			fwd := newOutFrame(tag, CodecF32, p, true)
+			if !fwd.crcKnown {
+				t.Fatalf("%s n=%d: Forward found no checksum for a sealed payload", w.name, n)
+			}
+			fwd.seq = 9
+			fwd.seal(1, 3)
+			full := newOutFrame(tag, CodecF32, append(GetBuf(n)[:0], w.want...), false)
+			full.seq = 9
+			full.seal(1, 3)
+			if !bytes.Equal(fwd.image(), full.image()) {
+				t.Fatalf("%s n=%d: the sealed frame differs from SendOwned's (headers %x vs %x)", w.name, n, fwd.hdr, full.hdr)
+			}
+			fwd.release()
+			full.release()
+		}
+	}
+}
+
+// Under SetBufPoison, Forward holds a producer to its seal: a payload
+// written after Seal panics, through the bare transport and through the
+// wrappers; an unwritten one arrives intact.
+func TestForwardOfWrittenSealedPayloadPanics(t *testing.T) {
+	poisonPool(t)
+	trs := dialMeshEach(t, 2, func(int) TCPOptions { return TCPOptions{Deadlines: Deadlines{Dial: 5 * time.Second}} })
+	const n = 4 * crcMinElems
+	src := make([]float32, n)
+	for i := range src {
+		src[i] = float32(i) / 7
+	}
+	group, err := NewGroup(trs[0], []int{0, 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range []struct {
+		name string
+		t    Transport
+	}{{"transport", trs[0]}, {"group", group}, {"fault transport", NewFaultTransport(trs[0], FaultConfig{})}} {
+		tag := Tag{Kind: KindWeight, A: i}
+		if !w.t.SealsF32(tag) {
+			t.Fatalf("%s: an f32 TCP tag is not sealed", w.name)
+		}
+		p := GetBuf(n)
+		Seal(p, tensor.CopyCRC32(p, src))
+		p[n/3] += 1
+		mustPanic(t, "Forward of a payload written after its seal through a "+w.name, func() {
+			w.t.Forward(1, tag, p)
+		})
+		Release(p)
+	}
+	p := GetBuf(n)
+	Seal(p, tensor.CopyCRC32(p, src))
+	if err := trs[0].Forward(1, Tag{Kind: KindWeight, A: 9}, p); err != nil {
+		t.Fatal(err)
+	}
+	got, err := trs[1].RecvTimeout(0, Tag{Kind: KindWeight, A: 9}, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != src[i] {
+			t.Fatalf("sealed payload arrived with [%d] = %v, want %v", i, got[i], src[i])
+		}
+	}
+	Release(got)
+}
+
+// Only a fabric that checksums an f32 image asks for one: the in-process
+// cluster never does, and neither does a bf16 tag on TCP.
+func TestSealsF32OnlyOnTheF32Wire(t *testing.T) {
+	tags := []Tag{{Kind: KindWeight}, {Kind: KindGrad}, {Kind: KindColl}, {Kind: KindCtl}}
+	for _, codec := range []CodecFunc{nil, BeltBF16} {
+		for _, tr := range NewClusterCodec(2, codec).Transports() {
+			for _, tag := range tags {
+				if tr.SealsF32(tag) {
+					t.Errorf("the in-process fabric asks for a checksum under %v", tag)
+				}
+			}
+		}
+	}
+	trs := dialMeshEach(t, 2, func(int) TCPOptions {
+		return TCPOptions{Deadlines: Deadlines{Dial: 5 * time.Second}, Codec: BeltBF16}
+	})
+	for _, tag := range tags {
+		if got, want := trs[0].SealsF32(tag), BeltBF16(tag) == CodecF32; got != want {
+			t.Errorf("TCP under BeltBF16: SealsF32(%v) = %v, want %v", tag, got, want)
+		}
+	}
 }

@@ -148,17 +148,33 @@ type outFrame struct {
 	body    []byte // the payload's wire image: a view of payload, not a copy
 
 	// bodyCRC, when crcKnown, is the CRC of the payload's f32 wire image as
-	// this rank's reader verified it on receipt (Forward): the seal combines
-	// it with the header's instead of reading the body again.
+	// this rank's reader verified it on receipt or its producer computed it
+	// (Forward): the seal combines it with the header's instead of reading
+	// the body again.
 	bodyCRC  uint32
 	crcKnown bool
+}
+
+// newOutFrame is the frame a send enqueues for payload. A relay (Forward)
+// of an f32 payload whose checksum the table holds carries it, so the seal
+// reads only the header; under SetBufPoison it is checked first.
+func newOutFrame(tag Tag, codec WireCodec, payload []float32, relay bool) *outFrame {
+	f := &outFrame{tag: tag, codec: codec, payload: payload}
+	if relay && codec == CodecF32 {
+		f.bodyCRC, f.crcKnown = crcs.known(payload)
+		if f.crcKnown && bufPoison.Load() {
+			checkUnwritten(payload, f.bodyCRC)
+		}
+	}
+	return f
 }
 
 // seal fixes the frame's wire image. An f32 payload is its own image
 // (tensor.F32LE); a bf16 payload is packed once into a pooled buffer half
 // the size, which replaces it. The CRC (tensor.UpdateCRC32) is computed
 // here, once, and rides in hdr for every later transmission; a forwarded f32
-// payload's body CRC is already known, and only the header is read.
+// payload's body CRC is already known (received or sealed), and only the
+// header is read.
 func (f *outFrame) seal(src int, epoch uint32) {
 	n := len(f.payload)
 	if f.codec == CodecBF16 {
@@ -179,10 +195,11 @@ func (f *outFrame) seal(src int, epoch uint32) {
 }
 
 // checkUnwritten is Forward's guard under SetBufPoison: it panics unless
-// payload's f32 wire image still has the checksum its reader verified.
+// payload's f32 wire image still has the checksum its reader verified or
+// its producer sealed.
 func checkUnwritten(payload []float32, crc uint32) {
 	if got := ChecksumSlice(payload); got != crc {
-		panic(fmt.Sprintf("comm: Forward of a payload written since receipt (crc %#x, received %#x)", got, crc))
+		panic(fmt.Sprintf("comm: Forward of a payload written since its checksum (crc %#x, recorded %#x)", got, crc))
 	}
 }
 

@@ -93,6 +93,9 @@ func (g *Group) Forward(dst int, tag Tag, payload []float32) error {
 	return g.parent.Forward(g.ranks[dst], g.saltTag(tag), payload)
 }
 
+// SealsF32 implements Transport: the parent's answer for the salted tag.
+func (g *Group) SealsF32(tag Tag) bool { return g.parent.SealsF32(g.saltTag(tag)) }
+
 // CommStats implements Transport: groups share the parent's meter (their
 // traffic is parent traffic).
 func (g *Group) CommStats() *Stats { return g.parent.CommStats() }

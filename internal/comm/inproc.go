@@ -202,6 +202,9 @@ func (t *inprocTransport) Forward(dst int, tag Tag, payload []float32) error {
 	return t.SendOwned(dst, tag, payload)
 }
 
+// SealsF32 implements Transport: nothing in process is checksummed.
+func (t *inprocTransport) SealsF32(Tag) bool { return false }
+
 func (t *inprocTransport) Recv(src int, tag Tag) ([]float32, error) {
 	return t.RecvTimeout(src, tag, 0)
 }

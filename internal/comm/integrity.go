@@ -48,8 +48,12 @@ func RoundToWire(c WireCodec, payload []float32) { applyCodec(c, payload) }
 // already projected the body into the wire-value domain (RoundToWire);
 // SealChunk itself is codec-agnostic.
 func SealChunk(buf []float32) {
-	body := buf[:len(buf)-ChecksumTrailerLen]
-	crc := ChecksumSlice(body)
+	SealChunkCRC(buf, ChecksumSlice(buf[:len(buf)-ChecksumTrailerLen]))
+}
+
+// SealChunkCRC is SealChunk for a caller that already holds crc, the
+// checksum (ChecksumSlice) of everything before the trailer.
+func SealChunkCRC(buf []float32, crc uint32) {
 	t := buf[len(buf)-ChecksumTrailerLen:]
 	t[0] = float32(crc & 0xff)
 	t[1] = float32((crc >> 8) & 0xff)

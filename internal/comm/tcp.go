@@ -476,11 +476,17 @@ func (t *TCPTransport) SendOwned(dst int, tag Tag, payload []float32) error {
 	return t.send(dst, tag, payload, false)
 }
 
-// Forward implements Transport: an f32 payload whose verified body checksum
-// the reader remembered is enqueued with it, and the writer's seal reads
-// only the header.
+// Forward implements Transport: an f32 payload whose body checksum the
+// reader or its producer (Seal) recorded is enqueued with it, and the
+// writer's seal reads only the header.
 func (t *TCPTransport) Forward(dst int, tag Tag, payload []float32) error {
 	return t.send(dst, tag, payload, true)
+}
+
+// SealsF32 implements Transport: every f32 frame to a peer is sealed over
+// the payload's own bytes.
+func (t *TCPTransport) SealsF32(tag Tag) bool {
+	return t.size > 1 && codecFor(t.opts.Codec, tag) == CodecF32
 }
 
 func (t *TCPTransport) send(dst int, tag Tag, payload []float32, relay bool) error {
@@ -510,14 +516,7 @@ func (t *TCPTransport) send(dst int, tag Tag, payload []float32, relay bool) err
 		Release(payload)
 		return ErrClosed
 	}
-	f := &outFrame{tag: tag, codec: codec, payload: payload}
-	if relay && codec == CodecF32 {
-		f.bodyCRC, f.crcKnown = crcs.known(payload)
-		if f.crcKnown && bufPoison.Load() {
-			checkUnwritten(payload, f.bodyCRC)
-		}
-	}
-	return t.links[dst].send(f)
+	return t.links[dst].send(newOutFrame(tag, codec, payload, relay))
 }
 
 // Recv implements Transport.

@@ -89,22 +89,30 @@ type Transport interface {
 	// Send keeps its copy-at-the-boundary contract for callers that reuse
 	// their slice.
 	SendOwned(dst int, tag Tag, payload []float32) error
-	// Forward is SendOwned for a payload the caller received from this
-	// endpoint (or from the transport under a group view of it) and has not
-	// written since: a relay. What it adds is a promise — the payload's
-	// bytes are the ones this rank's reader verified — that lets the TCP
-	// transport seal the relay from the body checksum its reader already
-	// computed instead of reading the body again. Every hop still verifies
+	// Forward is SendOwned for a payload whose f32 wire checksum this rank
+	// already holds and which has not been written since: one the caller
+	// received from this endpoint (or from the transport under a group view
+	// of it), whose body this rank's reader verified, or one the caller
+	// wrote in full and sealed with Seal, folding the checksum into that
+	// write. The promise lets the TCP transport seal the frame from that
+	// checksum instead of reading the body again. Every hop still verifies
 	// every byte it receives; only the sender's re-read is skipped, so a
-	// payload changed between receipt and Forward fails the next hop's
-	// check instead of being resealed. Where no checksum is remembered (an
-	// in-process fabric, a bf16 link, a small payload) Forward is
-	// SendOwned. Reuse is never automatic: a received buffer that is
-	// written in place and sent again goes through SendOwned and gets a
-	// full seal. Under SetBufPoison the TCP transport recomputes the
-	// checksum and panics on a mismatch, which makes "not written since
-	// receipt" a checked rule.
+	// payload changed between the checksum and Forward fails the next hop's
+	// check instead of being resealed. Where no checksum is held (an
+	// in-process fabric, a bf16 link, a small payload, a buffer nobody
+	// sealed) Forward is SendOwned. Reuse is never automatic: a buffer
+	// written in place after its checksum is sealed again by its writer or
+	// goes through SendOwned, which gives it a full seal. Under
+	// SetBufPoison the TCP transport recomputes the checksum and panics on
+	// a mismatch, which makes "not written since" a checked rule.
 	Forward(dst int, tag Tag, payload []float32) error
+	// SealsF32 reports whether a payload sent to a peer under tag is
+	// checksummed as its f32 wire image, the checksum Seal records: true
+	// on a TCP mesh whose codec for tag is f32, false in process, where
+	// nothing is checksummed, and on a bf16 tag, whose image the writer
+	// packs. A producer asks before it folds a checksum into its write, so
+	// a fabric that never reads one never has one computed.
+	SealsF32(tag Tag) bool
 	// Recv blocks until a message from src with the given tag arrives and
 	// returns its payload. The returned slice is owned by the caller.
 	Recv(src int, tag Tag) ([]float32, error)

@@ -581,3 +581,53 @@ func BenchmarkBeltHop(b *testing.B) {
 		run(b, trs)
 	})
 }
+
+// BenchmarkSealedCopy times the two writes a belt payload is born from, a
+// copy of the owner's weights and a gradient fold (AddInto), at the wide-*
+// workloads' 3.2 MB chunk: fused, with the wire CRC taken a block at a time
+// as the write leaves it in cache (tensor.CopyCRC32, tensor.AddIntoCRC32),
+// against separate, the write and then UpdateCRC32 over the whole payload,
+// as a cold seal would read it. hot reuses one source; cold walks sources
+// across a 64 MB region, so each call reads memory no longer in the caches.
+func BenchmarkSealedCopy(b *testing.B) {
+	const n = 800_000
+	region := make([]float32, 16<<20)
+	for i := range region {
+		region[i] = float32(i%977) / 31
+	}
+	dst := make([]float32, n)
+	for _, op := range []struct {
+		name  string
+		fused func(dst, src []float32) uint32
+		write func(dst, src []float32)
+	}{
+		{name: "copy", fused: tensor.CopyCRC32, write: func(d, s []float32) { copy(d, s) }},
+		{name: "addinto", fused: tensor.AddIntoCRC32, write: tensor.AddIntoF32},
+	} {
+		for _, mode := range []string{"fused", "separate"} {
+			for _, temp := range []string{"hot", "cold"} {
+				b.Run(op.name+"/"+mode+"/"+temp, func(b *testing.B) {
+					b.SetBytes(4 * n)
+					windows := 1
+					if temp == "cold" {
+						windows = len(region) / n
+					}
+					var sink uint32
+					for i := 0; i < b.N; i++ {
+						off := i % windows * n
+						src := region[off : off+n]
+						if mode == "fused" {
+							sink += op.fused(dst, src)
+						} else {
+							op.write(dst, src)
+							sink += tensor.UpdateCRC32(0, tensor.F32LE(dst))
+						}
+					}
+					if sink == 1 {
+						b.Log(sink)
+					}
+				})
+			}
+		}
+	}
+}

@@ -92,3 +92,38 @@ func testBlockTrainStepZeroAlloc(t *testing.T, s int) {
 		t.Fatalf("steady-state train step allocates %v times per run, want 0", allocs)
 	}
 }
+
+// The W pass of every module type — the embedding, a block, its RMSNorm,
+// attention and FFN on their own, and the output head — allocates nothing
+// once it has seen its gradient set: neither into a set bound fresh, as a
+// trainer binds each iteration's first pass, nor into one that
+// accumulates.
+func TestWPassZeroAllocEveryModule(t *testing.T) {
+	net := newTinyNet(t, 17)
+	blk := net.blocks[1]
+	tok, tgt := net.data(23)
+	c := []*Cache{net.cache(), net.cache(), net.cache(), net.cache()}
+	x := net.embed.ForwardTokens(tok, c[0])
+	x = net.blocks[0].Forward(x, c[1])
+	x = blk.Forward(x, c[2])
+	net.head.ForwardLoss(x, tgt, c[3])
+	dy := net.head.BackwardInput(nil, c[3])
+	dy = blk.BackwardInput(dy, c[2])
+	dy = net.blocks[0].BackwardInput(dy, c[1])
+	net.embed.BackwardInput(dy, c[0])
+	mods := []Module{net.embed, net.blocks[0], blk.Norm1, blk.Attn, blk.Norm2, blk.Ffn, net.head}
+	caches := []*Cache{c[0], c[1], c[2].Sub("norm1"), c[2].Sub("attn"), c[2].Sub("norm2"), c[2].Sub("ffn"), c[3]}
+	for i, m := range mods {
+		grads := m.Params().NewUnbound()
+		buf := make([]float32, grads.Size())
+		pass := func() {
+			grads.BindFresh(buf)
+			m.BackwardParams(caches[i], grads)
+			m.BackwardParams(caches[i], grads)
+		}
+		pass()
+		if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+			t.Errorf("%s (%T): the W pass allocates %v times per run, want 0", m.Name(), m, allocs)
+		}
+	}
+}

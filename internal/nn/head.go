@@ -15,6 +15,10 @@ type OutputHead struct {
 	Norm   *RMSNorm
 	W      *tensor.Tensor // [H, V]
 	params *ParamSet
+
+	// One-entry memo of the final norm's view of the last gradient set seen
+	// by BackwardParams, as Block keeps its sub-layers' (Block.views).
+	lastGrads, normGrads *ParamSet
 }
 
 // NewOutputHead builds the final norm + LM head for hidden size h, vocab v (a
@@ -136,7 +140,9 @@ func (o *OutputHead) BackwardParams(cache *Cache, grads *ParamSet) {
 	dlogits := cache.Get("dlogits")
 	store := grads.storing()
 	matmulTA(store)(grads.Get("w"), normed, dlogits)
-	norm := subGrads(grads, "norm.")
-	norm.fresh = store
-	o.Norm.BackwardParams(cache.Sub("norm"), norm)
+	if o.lastGrads != grads {
+		o.lastGrads, o.normGrads = grads, subGrads(grads, "norm.")
+	}
+	o.normGrads.fresh = store
+	o.Norm.BackwardParams(cache.Sub("norm"), o.normGrads)
 }

@@ -62,7 +62,13 @@ func NewAdamW(size int, cfg AdamWConfig) *AdamW {
 // decay, when configured, is a second float32 pass over w; it reads each
 // element after that element's update, as the fused loop did, so the bits
 // are the same.
-func (o *AdamW) Step(w, g []float32) {
+func (o *AdamW) Step(w, g []float32) { o.StepScaled(w, g, 1) }
+
+// StepScaled is Step on the gradient float32(g·s), which the kernel forms
+// as it loads g and never writes: bit for bit tensor.ScaleF32(g, g, s)
+// followed by Step, less the pass over g. A trainer averages its summed
+// gradient through s.
+func (o *AdamW) StepScaled(w, g []float32, s float32) {
 	if len(w) != len(o.m) || len(g) != len(o.m) {
 		panic(fmt.Sprintf("optim: AdamW size mismatch: state %d, w %d, g %d", len(o.m), len(w), len(g)))
 	}
@@ -72,7 +78,7 @@ func (o *AdamW) Step(w, g []float32) {
 		B1: b1, B2: b2,
 		C1: 1 - math.Pow(b1, float64(o.step)),
 		C2: 1 - math.Pow(b2, float64(o.step)),
-		LR: o.cfg.LR, Eps: o.cfg.Eps,
+		LR: o.cfg.LR, Eps: o.cfg.Eps, G: s,
 	})
 	if wd := float32(o.cfg.WeightDecay * o.cfg.LR); wd != 0 {
 		for i := range w {

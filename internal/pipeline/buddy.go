@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"weipipe/internal/comm"
-	"weipipe/internal/tensor"
 )
 
 // Buddy replication gives every WeiPipe rank a live, bit-exact replica of
@@ -84,13 +83,9 @@ func (w *WeiPipe) buddyStep() error {
 	if len(g) != len(sh.w) {
 		return fmt.Errorf("pipeline: buddy gradient size mismatch %d != %d", len(g), len(sh.w))
 	}
-	tensor.ScaleF32(g, g, w.lastInv)
 	sh.stash(w.shadowIters)
 	if !w.lastSkip {
-		if w.lastScale != 1 {
-			tensor.ScaleF32(g, g, w.lastScale)
-		}
-		sh.opt.Step(sh.w, g)
+		sh.opt.StepScaled(sh.w, g, stepFactor(w.lastInv, w.lastScale, g))
 	}
 	w.shadowIters++
 	return nil

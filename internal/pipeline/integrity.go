@@ -54,6 +54,20 @@ func (w *WeiPipe) sealBelt(tag Tag, buf []float32) {
 	comm.SealChunk(buf)
 }
 
+// sealWire finishes a belt payload whose body's f32 checksum its producer
+// folded into the write that made it (the transport checksums its f32
+// image, so no rounding is due): it seals the trailer from that checksum,
+// which is the trailer's own, and records the whole payload's for Forward
+// (comm.Seal).
+func (w *WeiPipe) sealWire(buf []float32, bodyCRC uint32) {
+	crc := bodyCRC
+	if w.pad > 0 {
+		comm.SealChunkCRC(buf, bodyCRC)
+		crc = tensor.UpdateCRC32(crc, tensor.F32LE(buf[len(buf)-w.pad:]))
+	}
+	comm.Seal(buf, crc)
+}
+
 // verifyBelt checks a sealed belt payload at a consumption point, recording
 // the check in the transport meter and, on mismatch, emitting a trace
 // instant and returning the typed integrity error.

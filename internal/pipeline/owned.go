@@ -180,43 +180,60 @@ func (o *owned) SetLR(lr float64) {
 // salt tags start every rank of a fresh incarnation alike.
 func (o *owned) SetIteration(int) {}
 
-// decideStep is the first half of a step: it averages grads, the summed
-// gradient of every piece in piece order, over n microbatches and lets the
-// step rule decide on their Σg². reduce turns this rank's partial Σg² into
-// the global one (nil: the gradient is replicated, so the local Σg² is
-// global); it runs only when the rule reads Σg².
-func (o *owned) decideStep(n int, reduce func(local float64) (float64, error), grads ...[]float32) (scale float32, skip bool, err error) {
+// decideStep is the first half of a step: the step rule decides on the
+// Σg² of grads, the summed gradient of every piece in piece order averaged
+// over n microbatches. reduce turns this rank's partial Σg² into the global
+// one (nil: the gradient is replicated, so the local Σg² is global); it
+// runs only when the rule reads Σg², which is taken from the averaged values
+// without writing them. It returns the rule's clip scale (1: none) and gs,
+// the factor applyStep loads every gradient with (stepFactor).
+func (o *owned) decideStep(n int, reduce func(local float64) (float64, error), grads ...[]float32) (scale, gs float32, skip bool, err error) {
 	inv := gradFactor(n)
 	var sumSq float64
-	for _, g := range grads {
-		tensor.ScaleF32(g, g, inv)
-	}
 	if o.needSumSq() {
 		for _, g := range grads {
-			sumSq += sumSquares(g)
+			sumSq += sumSquaresScaled(g, inv)
 		}
 		if reduce != nil {
 			if sumSq, err = reduce(sumSq); err != nil {
-				return 0, false, err
+				return 0, 0, false, err
 			}
 		}
 	}
-	scale, skip = o.decide(sumSq, grads...)
-	return scale, skip, nil
+	scale, skip = o.decide(sumSq)
+	if skip {
+		return scale, inv, true, nil
+	}
+	return scale, stepFactor(inv, scale, grads...), false, nil
 }
 
-// applyStep is the second half: every piece steps on its gradient.
-func (o *owned) applyStep(grads ...[]float32) {
+// stepFactor returns the factor a step loads grads with so that it reads
+// the bits of averaging by inv and clipping by scale, each a ScaleF32 pass:
+// inv alone, or, when the rule clipped, scale, with grads averaged in place
+// first.
+func stepFactor(inv, scale float32, grads ...[]float32) float32 {
+	if scale == 1 {
+		return inv
+	}
+	for _, g := range grads {
+		tensor.ScaleF32(g, g, inv)
+	}
+	return scale
+}
+
+// applyStep is the second half: every piece steps on its gradient, loaded
+// times gs.
+func (o *owned) applyStep(gs float32, grads ...[]float32) {
 	for i, p := range o.pieces {
-		p.opt.Step(p.w, grads[i])
+		p.opt.StepScaled(p.w, grads[i], gs)
 	}
 }
 
 // step averages, decides and, unless the rule skips, steps every piece.
 func (o *owned) step(n int, reduce func(local float64) (float64, error), grads ...[]float32) error {
-	_, skip, err := o.decideStep(n, reduce, grads...)
+	_, gs, skip, err := o.decideStep(n, reduce, grads...)
 	if err == nil && !skip {
-		o.applyStep(grads...)
+		o.applyStep(gs, grads...)
 	}
 	return err
 }

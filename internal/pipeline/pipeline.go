@@ -166,13 +166,15 @@ type Options struct {
 // n microbatches into the mean gradient.
 func gradFactor(n int) float32 { return float32(1.0 / float64(n)) }
 
-// sumSquares returns Σ g².
-func sumSquares(g []float32) float64 {
-	var s float64
+// sumSquaresScaled returns Σ (g·s)², each g·s rounded to float32 as
+// tensor.ScaleF32 would store it.
+func sumSquaresScaled(g []float32, s float32) float64 {
+	var sum float64
 	for _, v := range g {
-		s += float64(v) * float64(v)
+		v = float32(v * s)
+		sum += float64(v) * float64(v)
 	}
-	return s
+	return sum
 }
 
 // Trainer runs training iterations for one rank. Every strategy implements

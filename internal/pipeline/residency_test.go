@@ -76,6 +76,7 @@ func weightSideBytes(tr Trainer) int {
 	case *WeiPipe:
 		own = &tr.owned
 		r.add(tr.kept...)
+		r.add(tr.own)
 		r.sets(tr.wGrads...)
 	case *PP:
 		own = &tr.owned
@@ -116,8 +117,8 @@ func weightSideBytes(tr Trainer) int {
 //     replay scales the received gradient in place. Between passes it also
 //     keeps belt copies: checked at every belt receive, no chunk but the
 //     owned one is bound, the chunks kept are exactly those order.BeltPlan
-//     keeps over the pass, and with the one the receive brings they are at
-//     most two.
+//     keeps over the pass, and with the owner's shared copy of its chunk
+//     (ownedCopy) and the one the receive brings they are at most two.
 //   - PP: its stage × 4 — weights, gradients, m, v.
 //   - Serial and DP: the whole model × 4, as a stage of one.
 //   - FSDP: its shards × 3 — weights, m, v — and the full-size gradient
@@ -339,10 +340,15 @@ func checkBeltKept(t *testing.T, w *WeiPipe, r int, op order.Op, keptOver map[or
 	if !slices.Equal(got, want) {
 		t.Errorf("rank %d, receive for %v: chunks %v kept, the plan keeps %v", r, op, got, want)
 	}
-	if len(got)+1 > 2 {
-		t.Errorf("rank %d, receive for %v: %d copies kept besides the one arriving", r, op, len(got))
-	}
+	copies := len(got)
 	n := 3 * w.mdl.ChunkSize(lo, hi)
+	if w.own != nil && (w.kept[w.ownChunk] == nil || &w.kept[w.ownChunk][0] != &w.own[0]) {
+		copies++
+		n += w.mdl.ChunkSize(lo, hi) + w.pad
+	}
+	if copies+1 > 2 {
+		t.Errorf("rank %d, receive for %v: %d copies held besides the one arriving", r, op, copies)
+	}
 	for _, c := range got {
 		clo, chi := w.chunkRange(c)
 		n += w.mdl.ChunkSize(clo, chi) + w.pad

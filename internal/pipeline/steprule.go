@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"weipipe/internal/optim"
-	"weipipe/internal/tensor"
 	"weipipe/internal/trace"
 )
 
@@ -39,10 +38,11 @@ func newStepRule(opts Options, rank int) stepRule {
 // skips the reduction, which is a sync point before every step.
 func (r *stepRule) needSumSq() bool { return r.clip > 0 || r.spike != nil }
 
-// decide takes the globally agreed Σg² of the averaged gradient, whose
-// pieces are grads, and reports whether to skip the step. Otherwise it
-// scales grads in place to the clip norm and returns the scale it applied.
-func (r *stepRule) decide(sumSq float64, grads ...[]float32) (scale float32, skip bool) {
+// decide takes the globally agreed Σg² of the averaged gradient and
+// reports whether to skip the step. Otherwise it returns the scale that
+// clips the gradient to the clip norm, 1 when it is within it; the caller
+// applies it (stepFactor).
+func (r *stepRule) decide(sumSq float64) (scale float32, skip bool) {
 	iter := r.steps
 	r.steps++
 	if r.spike != nil {
@@ -60,11 +60,7 @@ func (r *stepRule) decide(sumSq float64, grads ...[]float32) (scale float32, ski
 	if r.clip <= 0 || norm <= r.clip {
 		return 1, false
 	}
-	scale = float32(r.clip / norm)
-	for _, g := range grads {
-		tensor.ScaleF32(g, g, scale)
-	}
-	return scale, false
+	return float32(r.clip / norm), false
 }
 
 // SkipCounter reports how many steps the guard skipped; every Trainer is

@@ -151,6 +151,13 @@ type WeiPipe struct {
 	// the buffer slot of the use it serves, whose belt copy never comes.
 	kept [][]float32
 
+	// own is the copy of the owned chunk's weights that the flat belt's
+	// owner injects and serves its held uses from (ownedCopy), ownLeft the
+	// takers of it still to come, and ownRun the next run's index in
+	// plan.ownRuns.
+	own             []float32
+	ownLeft, ownRun int
+
 	// pad is the checksum trailer length every belt buffer grows by
 	// (Options.Integrity; see integrity.go), 0 when off.
 	pad int
@@ -316,6 +323,8 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 			comm.Release(buf)
 			w.dAcc[c] = nil
 		}
+		comm.Release(w.own)
+		w.own = nil
 		for mb, a := range st.arenas {
 			w.apool.release(a)
 			delete(st.arenas, mb)
@@ -325,6 +334,7 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	if w.grouped != nil {
 		defer w.grouped.releaseCache()
 	}
+	w.ownRun = 0
 	if err := w.startRows(); err != nil {
 		return 0, err
 	}
@@ -355,7 +365,7 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 		if w.opts.BitFlip != nil {
 			w.opts.BitFlip.Flip(w.t.Rank(), w.iter, FlipBeltGrad, w.beltBody(r))
 		}
-		if err := w.foldD(comm.SiteRetire, w.ownChunk, d, r); err != nil {
+		if _, err := w.foldD(comm.SiteRetire, w.ownChunk, d, r, false); err != nil {
 			comm.Release(d)
 			return 0, err
 		}
@@ -381,7 +391,7 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	// One scalar all-reduce gives the step rule its Σg²: NaN/Inf propagates
 	// through the sum, and the agreed float64 is bit-identical everywhere,
 	// so every rank (and every buddy shadow) reaches the identical verdict.
-	scale, skip, err := w.decideStep(denom, func(local float64) (float64, error) {
+	scale, gs, skip, err := w.decideStep(denom, func(local float64) (float64, error) {
 		return comm.AllReduceScalarSum(w.t, local, (1<<30)+w.iter)
 	}, db)
 	if err != nil {
@@ -391,7 +401,7 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	w.lastInv, w.lastScale, w.lastSkip = gradFactor(denom), scale, skip
 	w.master().stash(w.ownerIters)
 	if !skip {
-		w.applyStep(db)
+		w.applyStep(gs, db)
 	}
 	w.ownerIters++
 	comm.Release(d)
@@ -434,6 +444,9 @@ type beltPlan struct {
 	// retire is the row that retires the owned chunk's gradient here (Kind
 	// 0: none, at p=1).
 	retire order.Msg
+	// ownRuns holds, run by run, how many takers share one owner's copy
+	// of its chunk (ownedCopy): its injection rows, then its held uses.
+	ownRuns []int
 }
 
 // compile makes pl the plan of t's rank under strategy for n microbatches,
@@ -473,7 +486,50 @@ func (pl *beltPlan) compile(strategy string, t Transport, n, m int) error {
 			pl.in[pass[order.Op{Phase: phase, MB: r.Use, Chunk: r.Chunk}]] = r
 		}
 	}
+	pl.ownRuns = ownRuns(rank, (rank+1)%t.Size(), pl.start, uses, pl.in)
 	return nil
+}
+
+// ownRuns groups the takers of the owner's copy of chunk own: its injection
+// rows, at iteration start, then the passes that gather the chunk with no
+// row in (held uses). A taker shares the copy of the taker before it when
+// the passes between them run at most one other chunk — the gap the keep
+// rule bridges (order.BeltPlan) — so a shared copy is never held across
+// more than a kept one would be, and a rank still holds at most two weight
+// copies besides those in flight. It returns each run's taker count.
+func ownRuns(rank, own int, start []order.Msg, uses []order.Use, in []order.Msg) []int {
+	var runs []int
+	take := func(gap []order.Use) {
+		other, near := -1, len(runs) > 0
+		for _, u := range gap {
+			if u.Phase == 'W' || u.Chunk == own || u.Chunk == other {
+				continue
+			}
+			if other >= 0 {
+				near = false
+				break
+			}
+			other = u.Chunk
+		}
+		if near {
+			runs[len(runs)-1]++
+		} else {
+			runs = append(runs, 1)
+		}
+	}
+	for _, r := range start {
+		if r.Src == rank && r.Chunk == own {
+			take(nil)
+		}
+	}
+	from := 0 // the first pass after the previous taker
+	for i, u := range uses {
+		if u.Gather && in[i].Kind == 0 && u.Chunk == own {
+			take(uses[from:i])
+			from = i + 1
+		}
+	}
+	return runs
 }
 
 // runSchedule interprets the plan: every pass is one compute stage, and the
@@ -516,13 +572,41 @@ func (w *WeiPipe) recvRow(r order.Msg) ([]float32, error) {
 // ownedPayload builds the owned chunk's belt payload for an iteration: one
 // copy of the master weights, rounded to the values the wire under tag
 // delivers (comm.RoundToWire) and sealed. Every rank therefore computes on
-// the same bits, the owner serving its own uses included. The caller owns
-// it.
+// the same bits, the owner serving its own uses included. Where the
+// transport checksums the payload's f32 image, the copy folds that
+// checksum in as it goes (sealWire), so Forward sends it without the
+// writer reading it again. The caller owns it.
 func (w *WeiPipe) ownedPayload(tag Tag) []float32 {
-	payload := comm.GetBuf(len(w.master().w) + w.pad)
-	copy(payload, w.master().w)
-	comm.RoundToWire(w.t.WireCodec(tag), w.beltBody(payload))
+	master := w.master().w
+	payload := comm.GetBuf(len(master) + w.pad)
+	body := w.beltBody(payload)
+	if w.t.SealsF32(tag) {
+		w.sealWire(payload, tensor.CopyCRC32(body, master))
+		return payload
+	}
+	copy(body, master)
+	comm.RoundToWire(w.t.WireCodec(tag), body)
 	w.sealBelt(tag, payload)
+	return payload
+}
+
+// ownedCopy hands out a reference to the flat belt's owned payload: built
+// (ownedPayload) for the first taker of a run under tag and shared by
+// Retain with the run's other takers (beltPlan.ownRuns) — the owner's
+// injection rows and its held uses, every one a weight row under one codec.
+// The run's last taker gets the reference the copy was built with, so the
+// copy returns to the pool after that taker's use.
+func (w *WeiPipe) ownedCopy(tag Tag) []float32 {
+	if w.own == nil {
+		w.own, w.ownLeft = w.ownedPayload(tag), w.plan.ownRuns[w.ownRun]
+		w.ownRun++
+	}
+	payload := w.own
+	if w.ownLeft--; w.ownLeft > 0 {
+		comm.Retain(payload)
+	} else {
+		w.own = nil
+	}
 	return payload
 }
 
@@ -573,8 +657,8 @@ func (w *WeiPipe) cached(c int) []float32 {
 // sendCached sends row r from this rank's cached shard of its chunk without
 // copying it: the cache keeps its reference and the transport takes another.
 // It forwards (Transport.Forward): a cached chunk is either one this rank
-// received and has not written since, or the owner's own, which has no
-// verified checksum to reuse and gets a full seal.
+// received and has not written since, or the owner's own, sealed as it was
+// copied (ownedPayload).
 func (w *WeiPipe) sendCached(r order.Msg) error {
 	t, dst := w.rowPeer(r, r.Dst)
 	payload := w.grouped.cache[r.Chunk]
@@ -587,32 +671,15 @@ func (w *WeiPipe) sendCached(r order.Msg) error {
 // injections. Rows of distinct chunks are independent and come chunk by
 // chunk, so the fixed order cannot deadlock. A grouped holder that owns its
 // chunk caches the owned payload first, and every row of a cached chunk
-// forwards the cache. The owned chunk's other rows share one sealed copy of
-// the master weights: each holds a reference, which its send carries away.
-// An exchange hop into this rank is verified before it is cached or
-// forwarded: a corrupt shard must neither seed R rounds of local consumption
-// nor travel on.
+// forwards the cache. The owned chunk's other rows forward the owner's
+// shared copy (ownedCopy). An exchange hop into this rank is verified
+// before it is cached or forwarded: a corrupt shard must neither seed R
+// rounds of local consumption nor travel on.
 func (w *WeiPipe) startRows() error {
 	rank, own := w.t.Rank(), w.ownChunk
 	if w.grouped != nil && order.Holds(rank, own, w.t.Size(), w.grouped.m) {
 		w.grouped.cache[own] = w.ownedPayload(w.rowTag(order.Msg{Kind: 'X', Chunk: own}))
 	}
-	var owned []float32
-	left := 0 // the references the owned payload's unsent rows hold
-	for _, r := range w.plan.start {
-		if r.Src == rank && r.Chunk == own && w.cached(own) == nil {
-			if left++; left == 1 {
-				owned = w.ownedPayload(w.rowTag(r))
-			} else {
-				comm.Retain(owned)
-			}
-		}
-	}
-	defer func() {
-		for ; left > 0; left-- {
-			comm.Release(owned)
-		}
-	}()
 	for _, r := range w.plan.start {
 		var err error
 		switch {
@@ -630,8 +697,8 @@ func (w *WeiPipe) startRows() error {
 			err = w.sendCached(r)
 		default:
 			t, dst := w.rowPeer(r, r.Dst)
-			left--
-			err = t.SendOwned(dst, w.rowTag(r), owned)
+			tag := w.rowTag(r)
+			err = t.Forward(dst, tag, w.ownedCopy(tag))
 		}
 		if err != nil {
 			return err
@@ -641,19 +708,21 @@ func (w *WeiPipe) startRows() error {
 }
 
 // heldPayload is a holder's copy of chunk c for pass u, in place of the
-// belt's: on the flat belt a fresh copy of the master weights
-// (ownedPayload), on the grouped belt the cached payload, shared — or, for
-// the chaos injector, which writes what it is handed, a private copy of it.
-// The caller owns it.
+// belt's, shared: on the flat belt the owner's copy (ownedCopy), on the
+// grouped belt the cached payload — or, for the chaos injector, which
+// writes what it is handed, a private copy of either. The caller owns it.
 func (w *WeiPipe) heldPayload(u order.Use) []float32 {
 	payload := w.cached(u.Chunk)
 	if payload == nil {
-		return w.ownedPayload(w.rowTag(order.Msg{Kind: u.Phase, Chunk: u.Chunk, Use: u.MB}))
+		payload = w.ownedCopy(w.rowTag(order.Msg{Kind: u.Phase, Chunk: u.Chunk, Use: u.MB}))
+	} else {
+		comm.Retain(payload)
 	}
 	if w.opts.BitFlip != nil {
-		return append(comm.GetBuf(len(payload))[:0], payload...)
+		private := append(comm.GetBuf(len(payload))[:0], payload...)
+		comm.Release(payload)
+		return private
 	}
-	comm.Retain(payload)
 	return payload
 }
 
@@ -812,18 +881,22 @@ func (w *WeiPipe) gradBuf(c int) (buf []float32, fresh bool) {
 
 // foldD verifies a received accumulator d of chunk c and adds it into acc,
 // releasing d. It is verified before the fold: summing over a corrupt
-// partial would launder the flip into a freshly sealed chunk.
-func (w *WeiPipe) foldD(site comm.IntegritySite, c int, acc, d []float32) error {
+// partial would launder the flip into a freshly sealed chunk. With crc it
+// returns the checksum of acc's body, folded in as it is summed.
+func (w *WeiPipe) foldD(site comm.IntegritySite, c int, acc, d []float32, crc bool) (uint32, error) {
 	defer comm.Release(d)
 	if verr := w.verifyBelt(site, comm.KindGrad, c, d); verr != nil {
-		return verr
+		return 0, verr
 	}
 	body, db := w.beltBody(acc), w.beltBody(d)
 	if len(db) != len(body) {
-		return fmt.Errorf("pipeline: D chunk size mismatch %d != %d", len(db), len(body))
+		return 0, fmt.Errorf("pipeline: D chunk size mismatch %d != %d", len(db), len(body))
+	}
+	if crc {
+		return tensor.AddIntoCRC32(body, db), nil
 	}
 	tensor.AddIntoF32(body, db)
-	return nil
+	return 0, nil
 }
 
 // passD moves chunk c's gradient on after this rank's W pass i accumulated
@@ -834,10 +907,19 @@ func (w *WeiPipe) foldD(site comm.IntegritySite, c int, acc, d []float32) error 
 // none, keeps it: the owner's, whose passes accumulate in place until the
 // step; one in a deferred round (order.Deferred), whose partial waits for
 // this rank's W pass on c one round later; and one whose next chain use runs
-// here too (p=2). passD owns buf: it is held, donated or released, and the
-// caller must not touch it after the call.
+// here too (p=2). A fold that is followed by a send where the transport
+// checksums the payload's f32 image takes that checksum as it sums
+// (sealWire), and the send forwards. passD owns buf: it is held, donated or
+// released, and the caller must not touch it after the call.
 func (w *WeiPipe) passD(i int, buf []float32) error {
-	c := w.plan.uses[i].Chunk
+	c, out := w.plan.uses[i].Chunk, w.plan.out[i]
+	var t Transport
+	var dst int
+	var tag Tag
+	if len(out) > 0 {
+		t, dst = w.rowPeer(out[0], out[0].Dst)
+		tag = w.rowTag(out[0])
+	}
 	if r := w.plan.in[i]; r.Kind != 0 {
 		d, err := w.recvRow(r)
 		if err != nil {
@@ -845,18 +927,21 @@ func (w *WeiPipe) passD(i int, buf []float32) error {
 			comm.Release(buf)
 			return err
 		}
-		if err := w.foldD(comm.SiteBelt, c, buf, d); err != nil {
+		seal := t != nil && t.SealsF32(tag)
+		crc, err := w.foldD(comm.SiteBelt, c, buf, d, seal)
+		if err != nil {
 			comm.Release(buf)
 			return err
 		}
+		if seal {
+			w.sealWire(buf, crc)
+			return t.Forward(dst, tag, buf)
+		}
 	}
-	out := w.plan.out[i]
 	if len(out) == 0 {
 		w.dAcc[c] = buf
 		return nil
 	}
-	t, dst := w.rowPeer(out[0], out[0].Dst)
-	tag := w.rowTag(out[0])
 	w.sealBelt(tag, buf)
 	return t.SendOwned(dst, tag, buf)
 }

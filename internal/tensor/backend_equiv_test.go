@@ -277,7 +277,11 @@ func TestBackendMatMulAccAliasedHistory(t *testing.T) {
 // v with the scalar bits; then a long run over 65 541 lanes, 173 steps (11
 // million lanes a backend) that reach past where C1 and C2 round to 1, with
 // NaN gradients and, injected into the state each step, −0 and NaN moments,
-// v = +Inf, negative and subnormal v.
+// v = +Inf, negative and subnormal v. The gradient factor G runs through
+// 1, a trainer's 1/n and clip scales, a subnormal factor, one that takes
+// products subnormal, one that overflows them to ±Inf, ±Inf and NaN; every
+// backend must leave the bits of ScaleF32(g, g, G) then a step at G = 1, on
+// the scalar loop, and must not write g.
 func TestBackendAdamWBitIdentical(t *testing.T) {
 	others := nonScalarBackends()
 	if len(others) == 0 {
@@ -304,30 +308,38 @@ func TestBackendAdamWBitIdentical(t *testing.T) {
 		}
 	}
 	stepAt := func(step int) AdamWStep {
-		s := AdamWStep{B1: 0.9, B2: 0.95, LR: 3e-4, Eps: 1e-8}
+		s := AdamWStep{B1: 0.9, B2: 0.95, LR: 3e-4, Eps: 1e-8, G: 1}
 		s.C1 = 1 - math.Pow(s.B1, float64(step))
 		s.C2 = 1 - math.Pow(s.B2, float64(step))
 		return s
 	}
-	for _, name := range others {
+	inf := float32(math.Inf(1))
+	factors := []float32{1, 0.125, 1.0 / 3, 0.70710677, 1e-39, 1e-30, 3e38, inf, -inf, float32(math.NaN())}
+	for _, name := range append([]string{"scalar"}, others...) {
 		for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 12, 15, 17, 31, 33, 100, 1027} {
-			wWant := make([]float32, n)
-			for i := range wWant {
-				wWant[i] = float32(rng.NormFloat64())
-			}
-			wGot := append([]float32(nil), wWant...)
-			mWant, vWant := make([]float32, n), make([]float32, n)
-			mGot, vGot := make([]float32, n), make([]float32, n)
-			for step := 1; step <= 4; step++ {
-				g := make([]float32, n)
-				gradMix(g, 1)
-				s := stepAt(step)
-				current().AdamW(wWant, g, mWant, vWant, s)
-				withBackend(t, name, func() { current().AdamW(wGot, g, mGot, vGot, s) })
-				what := fmt.Sprintf("%s AdamW n=%d step %d", name, n, step)
-				requireBitwise(t, what+" w", wGot, wWant)
-				requireBitwise(t, what+" m", mGot, mWant)
-				requireBitwise(t, what+" v", vGot, vWant)
+			for _, gs := range factors {
+				wWant := make([]float32, n)
+				for i := range wWant {
+					wWant[i] = float32(rng.NormFloat64())
+				}
+				wGot := append([]float32(nil), wWant...)
+				mWant, vWant := make([]float32, n), make([]float32, n)
+				mGot, vGot := make([]float32, n), make([]float32, n)
+				for step := 1; step <= 4; step++ {
+					g := make([]float32, n)
+					gradMix(g, 1)
+					g0, scaled := append([]float32(nil), g...), make([]float32, n)
+					s := stepAt(step)
+					current().Scale(scaled, g, gs)
+					current().AdamW(wWant, scaled, mWant, vWant, s)
+					s.G = gs
+					withBackend(t, name, func() { current().AdamW(wGot, g, mGot, vGot, s) })
+					what := fmt.Sprintf("%s AdamW n=%d G=%g step %d", name, n, gs, step)
+					requireBitwise(t, what+" w", wGot, wWant)
+					requireBitwise(t, what+" m", mGot, mWant)
+					requireBitwise(t, what+" v", vGot, vWant)
+					requireBitwise(t, what+" g (read only)", g, g0)
+				}
 			}
 		}
 	}
@@ -383,6 +395,7 @@ func TestBackendAdamWBitIdentical(t *testing.T) {
 		}
 		off := rng.Intn(len(pool) - n)
 		g, s := pool[off:off+n], stepAt(step)
+		s.G = factors[step%5] // the finite factors
 		current().AdamW(want.w, g, want.m, want.v, s)
 		for k, name := range others {
 			st := got[k]

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -87,4 +88,49 @@ func FuzzWireCRC(f *testing.F) {
 			t.Fatalf("length %d split at %d, crc %#x: %#x, hash/crc32 %#x", len(data), k, crc, got, want)
 		}
 	})
+}
+
+// CopyCRC32 and AddIntoCRC32 write the bits copy and AddIntoF32 write and
+// return the checksum UpdateCRC32 takes of the result, at every length
+// around the block boundary and on every backend.
+func TestSealedCopyAndAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	prev := BackendName()
+	t.Cleanup(func() {
+		if err := SetBackend(prev); err != nil {
+			t.Fatal(err)
+		}
+	})
+	lengths := []int{0, 1, 7, 8, 9, 127, crcBlock - 1, crcBlock, crcBlock + 1, 3*crcBlock + 5, 820800}
+	for _, name := range Backends() {
+		if err := SetBackend(name); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range lengths {
+			src, acc := make([]float32, n), make([]float32, n)
+			for i := range src {
+				src[i], acc[i] = float32(rng.NormFloat64()), float32(rng.NormFloat64())
+			}
+			got := make([]float32, n)
+			if crc, want := CopyCRC32(got, src), UpdateCRC32(0, F32LE(src)); crc != want {
+				t.Fatalf("%s n=%d: CopyCRC32 = %#x, UpdateCRC32 of the copy %#x", name, n, crc, want)
+			}
+			for i := range got {
+				if got[i] != src[i] {
+					t.Fatalf("%s n=%d: CopyCRC32 copied [%d] = %v, want %v", name, n, i, got[i], src[i])
+				}
+			}
+			want := append([]float32(nil), acc...)
+			AddIntoF32(want, src)
+			crc := AddIntoCRC32(acc, src)
+			for i := range acc {
+				if math.Float32bits(acc[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s n=%d: AddIntoCRC32 [%d] = %v, AddIntoF32 %v", name, n, i, acc[i], want[i])
+				}
+			}
+			if want := UpdateCRC32(0, F32LE(want)); crc != want {
+				t.Fatalf("%s n=%d: AddIntoCRC32 = %#x, UpdateCRC32 of the sum %#x", name, n, crc, want)
+			}
+		}
+	}
 }

@@ -48,14 +48,17 @@ func ScaleF32(dst, a []float32, s float32) {
 
 // AdamWStep holds the scalars of one AdamW step: the moment decays B1 and
 // B2, the bias corrections C1 = 1−B1ᵗ and C2 = 1−B2ᵗ, the learning rate and
-// epsilon.
+// epsilon, and G, the factor the gradient is scaled by as it is loaded.
 type AdamWStep struct {
 	B1, B2, C1, C2, LR, Eps float64
+	G                       float32
 }
 
 // AdamW applies one AdamW update, weight decay aside, to the parameters w
 // from the gradient g, with the fp32 moments m and v updated in place; all
-// four slices have one length. Per element, in float64:
+// four slices have one length. Each gradient element is first scaled in
+// float32, g = float32(g·G) — ScaleF32(g, g, G)'s bits, left unwritten;
+// G = 1 reads g as it is — and then, per element, in float64:
 //
 //	m' = B1·m + (1−B1)·g        v' = B2·v + ((1−B2)·g)·g
 //	w -= float32(LR·(m'/C1) / (sqrt(v'/C2) + Eps))
@@ -220,7 +223,7 @@ func adamWScalar(w, g, m, v []float32, s AdamWStep) {
 	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
 	b1, b2 := s.B1, s.B2
 	for i := range w {
-		gi := float64(g[i])
+		gi := float64(float32(g[i] * s.G))
 		mi := b1*float64(m[i]) + (1-b1)*gi
 		vi := b2*float64(v[i]) + (1-b2)*gi*gi
 		m[i] = float32(mi)

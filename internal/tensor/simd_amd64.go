@@ -63,10 +63,10 @@ func scaleAVX2(dst, a *float32, n8 int, s float32)
 func addIntoAVX2(dst, a *float32, n8 int)
 
 //go:noescape
-func adamWAVX2(w, grad, m, v *float32, n4 int, k *[10]float64)
+func adamWAVX2(w, grad, m, v *float32, n4 int, k *[11]float64)
 
 //go:noescape
-func adamWAVX512(w, grad, m, v *float32, n8 int, k *[10]float64)
+func adamWAVX512(w, grad, m, v *float32, n8 int, k *[11]float64)
 
 //go:noescape
 func recipDivAVX2(dst, a *float64, n4 int, k *[2]float64)
@@ -286,7 +286,7 @@ func (avx2Backend) AdamW(w, g, m, v []float32, s AdamWStep) { adamWSIMD(w, g, m,
 // over four.
 func adamWSIMD(w, g, m, v []float32, s AdamWStep, width int) {
 	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
-	consts := [10]float64{s.B1, 1 - s.B1, s.B2, 1 - s.B2, s.C1, s.C2, s.LR, s.Eps, 1 / s.C1, 1 / s.C2}
+	consts := [11]float64{s.B1, 1 - s.B1, s.B2, 1 - s.B2, s.C1, s.C2, s.LR, s.Eps, 1 / s.C1, 1 / s.C2, float64(s.G)}
 	nv := len(w) / width
 	if nv > 0 {
 		if width == 8 {

@@ -118,7 +118,7 @@ addinto_loop:
 	VCMPPD       $3, q, q, r \
 	VBLENDVPD    r, q0, q, q
 
-// func adamWAVX2(w, grad, m, v *float32, n4 int, k *[10]float64)
+// func adamWAVX2(w, grad, m, v *float32, n4 int, k *[11]float64)
 //
 // One AdamW step over elements [0, 4·n4), four to a vector of float64
 // lanes: adamWScalar's sequence with every operation rounded where the
@@ -128,9 +128,11 @@ addinto_loop:
 // the update subtracted in float32 — so the result is bit-identical to it,
 // NaN payloads included: where an operation meets two NaNs it keeps its
 // first operand's, so each operand order is the one the Go compiler gives
-// the scalar loop (the gradient's term first in m' and v').
-// k holds B1, 1−B1, B2, 1−B2, C1, C2, LR, Eps, RN(1/C1), RN(1/C2). n4 must
-// be >= 1.
+// the scalar loop (the gradient's term first in m' and v'). The gradient
+// is loaded as float32(g·G) — scaleAVX2's multiply, g the first operand —
+// before it is widened.
+// k holds B1, 1−B1, B2, 1−B2, C1, C2, LR, Eps, RN(1/C1), RN(1/C2), G. n4
+// must be >= 1.
 TEXT ·adamWAVX2(SB), NOSPLIT, $0-48
 	MOVQ w+0(FP), DI
 	MOVQ grad+8(FP), SI
@@ -148,9 +150,13 @@ TEXT ·adamWAVX2(SB), NOSPLIT, $0-48
 	VBROADCASTSD 56(AX), Y12
 	VBROADCASTSD 64(AX), Y13
 	VBROADCASTSD 72(AX), Y14
+	VCVTSD2SS    80(AX), X15, X15
+	VBROADCASTSS X15, X15
 
 adamw_loop:
-	VCVTPS2PD  (SI), Y0       // g
+	VMOVUPS    (SI), X0
+	VMULPS     X15, X0, X0    // float32(g·G)
+	VCVTPS2PD  X0, Y0         // g
 	VCVTPS2PD  (DX), Y1       // m
 	VCVTPS2PD  (BX), Y2       // v
 	VMULPD     Y5, Y1, Y1     // B1·m

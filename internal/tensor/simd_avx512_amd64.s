@@ -629,7 +629,7 @@ fmaspin512_loop:
 	VCMPPD       $3, q, q, K1 \
 	VMOVAPD      q0, K1, q
 
-// func adamWAVX512(w, grad, m, v *float32, n8 int, k *[10]float64)
+// func adamWAVX512(w, grad, m, v *float32, n8 int, k *[11]float64)
 //
 // adamWAVX2 (simd_avx2_amd64.s) on eight float64 lanes per vector, over
 // elements [0, 8·n8): the same operations in the same order, so the same
@@ -651,9 +651,13 @@ TEXT ·adamWAVX512(SB), NOSPLIT, $0-48
 	VBROADCASTSD 56(AX), Z23
 	VBROADCASTSD 64(AX), Z24
 	VBROADCASTSD 72(AX), Z25
+	VCVTSD2SS    80(AX), X5, X5
+	VBROADCASTSS X5, Y26
 
 adamw512_loop:
-	VCVTPS2PD   (SI), Z0
+	VMOVUPS     (SI), Y0
+	VMULPS      Y26, Y0, Y0
+	VCVTPS2PD   Y0, Z0
 	VCVTPS2PD   (DX), Z1
 	VCVTPS2PD   (BX), Z2
 	VMULPD      Z16, Z1, Z1
