@@ -301,8 +301,8 @@ func TestAllExperimentsBuild(t *testing.T) {
 			t.Errorf("%s: diagram %v, but its output opens %q", e.ID, e.Diagram, strings.SplitN(s, "\n", 2)[0])
 		}
 	}
-	if len(seen) != 15 {
-		t.Errorf("%d experiments, want 15", len(seen))
+	if len(seen) != 16 {
+		t.Errorf("%d experiments, want 16", len(seen))
 	}
 }
 

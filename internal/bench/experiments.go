@@ -302,6 +302,7 @@ var Experiments = []struct {
 	{"fig9", false, table(Fig9)},
 	{"ext-bubble", false, table(ExtBubble)},
 	{"ext-hybrid", false, table(ExtHybrid)},
+	{"wiring", false, func(int) (string, error) { return Wiring() }},
 	{"ablations", false, func(int) (string, error) {
 		abs, err := Ablations()
 		if err != nil {

@@ -133,6 +133,21 @@ func Retain(buf []float32) {
 	shared.add(buf)
 }
 
+// AwaitSole blocks until the caller holds the only reference to buf: every
+// reference it shared with Retain has been given back. It is how the owner
+// of a buffer it keeps for good and shares in place — a rank's master
+// weights, which its belt forwards without a copy — waits before it writes
+// the buffer again. A transport gives its reference back when the peer
+// acknowledges the frame, and a dead or closed link gives back every frame
+// it still queues, so only a holder that never releases makes it wait for
+// ever. An unshared buffer costs one atomic load.
+func AwaitSole(buf []float32) {
+	if cap(buf) == 0 || shared.n.Load() == 0 {
+		return
+	}
+	shared.await(unsafe.SliceData(buf))
+}
+
 // LossyPool reports whether this build's sync.Pool drops Puts — the race
 // detector makes it discard a quarter of them at random — so that buffers
 // given back with Release do not all come back. A test that pins an
@@ -166,6 +181,10 @@ type sharedTable struct {
 	// filed, under SetBufPoison only, is the set of buffers sitting in the
 	// pool: releasing or retaining one of them is a use after release.
 	filed map[*float32]struct{}
+	// unshared, on mu, wakes the AwaitSole callers, waiters of them, when
+	// a buffer drops back to its last reference.
+	unshared sync.Cond
+	waiters  int
 }
 
 type sharedBuf struct {
@@ -174,6 +193,8 @@ type sharedBuf struct {
 }
 
 var shared sharedTable
+
+func init() { shared.unshared.L = &shared.mu }
 
 // find returns the index of buf's entry, or -1. Callers hold t.mu.
 func (t *sharedTable) find(base *float32) int {
@@ -216,8 +237,22 @@ func (t *sharedTable) drop(buf []float32) bool {
 		t.refs[last] = sharedBuf{}
 		t.refs = t.refs[:last]
 		t.n.Store(int32(last))
+		if t.waiters > 0 {
+			t.unshared.Broadcast()
+		}
 	}
 	return true
+}
+
+// await blocks until base has no entry: nobody but the caller holds it.
+func (t *sharedTable) await(base *float32) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for t.find(base) >= 0 {
+		t.waiters++
+		t.unshared.Wait()
+		t.waiters--
+	}
 }
 
 // isShared reports whether anyone besides the caller holds a reference.
@@ -290,11 +325,13 @@ var crcs crcTable
 
 // Seal records crc as the IEEE CRC-32 of payload's f32 wire image,
 // computed by the payload's producer as it wrote every element
-// (tensor.CopyCRC32, tensor.AddIntoCRC32), so that Forward of payload seals
-// its frame without reading the body. The caller owns payload, a GetBuf
-// buffer, and must not write it again before it is sent; the record lasts
-// until the buffer's last Release. A producer seals only where the
-// transport reads the checksum (Transport.SealsF32). Payloads under
+// (tensor.AddIntoCRC32), or by the owner of a buffer it keeps and forwards
+// in place (a rank's master weights, an FSDP shard) once after its last
+// write, so that Forward of payload seals its frame without reading the
+// body. The caller owns payload, a GetBuf buffer, and must not write it
+// again before it is sent, or, a kept buffer, before it seals it again; the
+// record lasts until the buffer's last Release. A producer seals only where
+// the transport reads the checksum (Transport.SealsF32). Payloads under
 // crcMinElems elements are not recorded.
 func Seal(payload []float32, crc uint32) {
 	crcs.sealed.Add(1)
@@ -341,10 +378,10 @@ type crcEntry struct {
 // body CRC costs that at 400–500 elements and 1 µs at 4096. On the wide TCP
 // benchmark workloads every relayed payload is either a 0- or 1-element
 // scalar all-reduce shard or at least 16 384 elements. With the belt's
-// producers sealing the owner's weight copy and every folded gradient hop,
-// the table holds at most 13 entries for WZB2's four ranks in one process
-// over three steps (TestWideBeltCRCTableNeverEvicts) and 16 over a 16 s
-// wide-wzb2-tcp benchmark run, and never evicts.
+// producers sealing each owner's master once an iteration and every folded
+// gradient hop, the table holds at most 14 entries for WZB2's four ranks in
+// one process over three steps (TestWideBeltCRCTableNeverEvicts), four of
+// them the masters', which no Release ever drops, and never evicts.
 const (
 	// crcMinElems is the smallest payload whose checksum is remembered. At
 	// it a full CRC costs ten times the table's round trip, so an entry pays

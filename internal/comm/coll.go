@@ -41,6 +41,10 @@ func RingAllReduceSum(t Transport, data []float32, seq int) error {
 	if err := reduceScatter(t, data, shards, seq); err != nil {
 		return err
 	}
+	own := shards[ShardOf(t.Rank(), p)]
+	if err := t.Send((t.Rank()+1)%p, Tag{Kind: KindColl, A: seq, B: p}, data[own[0]:own[1]]); err != nil {
+		return err
+	}
 	return ringGather(t, data, shards, seq, p)
 }
 
@@ -84,17 +88,14 @@ func reduceScatter(t Transport, data []float32, shards [][2]int, seq int) error 
 
 // ringGather runs the ring's p−1 all-gather steps over data, tagged B =
 // base … base+p−2, from the layout reduceScatter leaves: rank r holds shard
-// ShardOf(r, p) and receives shard (r−s) mod p at step s. The shard it
-// sends at step s+1 is the one it received at step s, so from the second
-// step on it forwards the received buffer (Forward) instead of copying the
-// shard back out of data.
+// ShardOf(r, p) and receives shard (r−s) mod p at step s. The caller has
+// sent its own shard, tagged base, to the next rank. The shard it sends at
+// step s+1 is the one it received at step s, so from the second step on it
+// forwards the received buffer (Forward) instead of copying the shard back
+// out of data.
 func ringGather(t Transport, data []float32, shards [][2]int, seq, base int) error {
 	p, r := t.Size(), t.Rank()
 	next, prev := (r+1)%p, (r-1+p)%p
-	own := shards[ShardOf(r, p)]
-	if err := t.Send(next, Tag{Kind: KindColl, A: seq, B: base}, data[own[0]:own[1]]); err != nil {
-		return err
-	}
 	for step := 0; step < p-1; step++ {
 		buf, err := t.Recv(prev, Tag{Kind: KindColl, A: seq, B: base + step})
 		if err != nil {
@@ -141,6 +142,12 @@ func ReduceScatterSum(t Transport, data []float32, seq int) ([]float32, error) {
 // (FSDP does, per module per pass) feed the pool exactly what the next
 // gather takes out — and every element of it is written: this rank's shard
 // here, every other shard by its ring step.
+//
+// mine leaves for the next rank in place (Retain, then Forward), not as a
+// copy: it must be a buffer nobody writes while it is shared, and its owner
+// waits with AwaitSole before it writes it again, since the transport may
+// still hold it after AllGather returns. Sealed (Seal) since its last
+// write, it is sent without being read again.
 func AllGather(t Transport, mine []float32, shardLens []int, seq int) ([]float32, error) {
 	p := t.Size()
 	if len(shardLens) != p {
@@ -160,6 +167,11 @@ func AllGather(t Transport, mine []float32, shardLens []int, seq int) ([]float32
 	copy(out[shards[own][0]:shards[own][1]], mine)
 	if p == 1 {
 		return out, nil
+	}
+	Retain(mine)
+	if err := t.Forward((t.Rank()+1)%p, Tag{Kind: KindColl, A: seq, B: 0}, mine); err != nil {
+		Release(out)
+		return nil, err
 	}
 	if err := ringGather(t, out, shards, seq, 0); err != nil {
 		Release(out)

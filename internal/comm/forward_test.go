@@ -317,10 +317,11 @@ func TestForwardRelayUnderCorruption(t *testing.T) {
 	assertNoRetainedPayloads(t, trs)
 }
 
-// A payload its producer sealed as it wrote it — a copy (tensor.CopyCRC32)
-// or a gradient fold (tensor.AddIntoCRC32) — leaves through Forward as the
-// frame SendOwned gives the same values: the same bytes, header CRC
-// included, with only the header read at the seal.
+// A sealed payload — a kept buffer its owner sealed after writing it (a
+// rank's master) or a gradient fold sealed as it was summed
+// (tensor.AddIntoCRC32) — leaves through Forward as the frame SendOwned
+// gives the same values: the same bytes, header CRC included, with only the
+// header read at the seal.
 func TestProducerSealedFrameMatchesSendOwned(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	random := func(n int) []float32 {
@@ -339,7 +340,7 @@ func TestProducerSealedFrameMatchesSendOwned(t *testing.T) {
 			write func(p []float32) uint32
 			want  []float32
 		}{
-			{"copy", func(p []float32) uint32 { return tensor.CopyCRC32(p, src) }, src},
+			{"kept", func(p []float32) uint32 { copy(p, src); return ChecksumSlice(p) }, src},
 			{"fold", func(p []float32) uint32 { copy(p, acc); return tensor.AddIntoCRC32(p, src) }, sum},
 		} {
 			tag := Tag{Kind: KindGrad, A: rng.Intn(8), B: rng.Int()}
@@ -387,7 +388,8 @@ func TestForwardOfWrittenSealedPayloadPanics(t *testing.T) {
 			t.Fatalf("%s: an f32 TCP tag is not sealed", w.name)
 		}
 		p := GetBuf(n)
-		Seal(p, tensor.CopyCRC32(p, src))
+		copy(p, src)
+		Seal(p, ChecksumSlice(p))
 		p[n/3] += 1
 		mustPanic(t, "Forward of a payload written after its seal through a "+w.name, func() {
 			w.t.Forward(1, tag, p)
@@ -395,7 +397,8 @@ func TestForwardOfWrittenSealedPayloadPanics(t *testing.T) {
 		Release(p)
 	}
 	p := GetBuf(n)
-	Seal(p, tensor.CopyCRC32(p, src))
+	copy(p, src)
+	Seal(p, ChecksumSlice(p))
 	if err := trs[0].Forward(1, Tag{Kind: KindWeight, A: 9}, p); err != nil {
 		t.Fatal(err)
 	}

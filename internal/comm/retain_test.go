@@ -316,3 +316,51 @@ func TestTCPShutdownReleasesSharedPayloadsOnce(t *testing.T) {
 		})
 	}
 }
+
+// AwaitSole returns once the caller holds the only reference: after every
+// other holder's Release, after the peer acknowledges a frame the buffer
+// went out in, and after a link whose peer died gives back the frames it
+// still queued. An unshared buffer does not wait.
+func TestAwaitSoleWaitsForEveryHolder(t *testing.T) {
+	poisonPool(t)
+	buf := GetBuf(4096)
+	AwaitSole(buf)
+	Retain(buf)
+	Retain(buf)
+	for i := 0; i < 2; i++ {
+		go func() {
+			time.Sleep(time.Duration(10*(i+1)) * time.Millisecond)
+			Release(buf)
+		}()
+	}
+	AwaitSole(buf)
+	if shared.isShared(buf) {
+		t.Fatal("AwaitSole returned while another holder still had the buffer")
+	}
+	for _, how := range []string{"acknowledged", "peer-death"} {
+		trs := dialMeshOpts(t, 2, TCPOptions{
+			Deadlines: Deadlines{Heartbeat: 20 * time.Millisecond, PeerDead: 200 * time.Millisecond},
+		})
+		if how == "peer-death" {
+			trs[0].Blackhole([]int{1}, time.Minute)
+		}
+		Retain(buf)
+		if err := trs[0].Forward(1, Tag{Kind: KindWeight, A: 1}, buf); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan bool)
+		go func() { AwaitSole(buf); done <- shared.isShared(buf) }()
+		select {
+		case still := <-done:
+			if still {
+				t.Fatalf("%s: AwaitSole returned while the link held the buffer", how)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: AwaitSole still waits on the link's reference", how)
+		}
+		for _, tr := range trs {
+			tr.Close()
+		}
+	}
+	Release(buf)
+}

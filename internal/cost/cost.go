@@ -205,10 +205,13 @@ const (
 	// chunk's next use (order.BeltPlan — the turnaround chunk P−1 from F to
 	// B, and from two rounds up chunk pairs whose F and B interleave) holds
 	// it in the slot of the use it serves, whose belt copy never comes, and
-	// the plan keeps at most two at a time; an owner's copy of its own chunk
-	// (order.Holds) takes that slot too. So the count stands. The gradient
-	// partials a rank holds across deferred rounds are charged on top
-	// (GradSlots).
+	// the keep rule keeps at most two at a time. Where a rank keeps more, in
+	// place of an early row it no longer takes, the copy is held no longer
+	// than that row would have waited in its mailbox, so it takes the row's
+	// slot. An owner serves its own chunk (order.Holds) from its master
+	// weights, which are the belt payload, and takes no slot. So the count
+	// stands. The gradient partials a rank holds across deferred rounds are
+	// charged on top (GradSlots).
 	beltBufferCopies = 6
 )
 

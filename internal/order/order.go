@@ -258,17 +258,17 @@ func keep(uses []Use) {
 	}
 }
 
-// BeltPlan returns the weight plan of rank under a weight-passing strategy:
-// its Program with the keep rule applied. A pass that gathers takes its
-// chunk off the belt of its phase (forward for F, backward for B); one that
-// does not runs on the copy the chunk's previous pass kept. Every rank's
-// program is the same list of (phase, round, chunk) with its own
-// microbatches, so the plan is too: each round of a chunk on a belt is
+// keepPlan returns the keep rule's plan of rank under a weight-passing
+// strategy: its Program with the keep rule applied. A pass that gathers
+// takes its chunk off the belt of its phase (forward for F, backward for B);
+// one that does not runs on the copy the chunk's previous pass kept. Every
+// rank's program is the same list of (phase, round, chunk) with its own
+// microbatches, so this plan is too: each round of a chunk on a belt is
 // served off the belt on every rank or on none. The rule keeps chunk p−1
 // from each F to the B of the same microbatch — the forward→backward
 // turnaround — and, from two rounds up, a pair of chunks whose F and B
 // passes interleave in the steady state.
-func BeltPlan(strategy string, rank, p, n int) ([]Use, error) {
+func keepPlan(strategy string, rank, p, n int) ([]Use, error) {
 	switch strategy {
 	case "gpipe", "1f1b", "zb1", "zb2":
 		return nil, fmt.Errorf("order: %s passes activations, not weights", strategy)
@@ -285,12 +285,54 @@ func BeltPlan(strategy string, rank, p, n int) ([]Use, error) {
 	return uses, nil
 }
 
-// Shipped tabulates a weight plan by segment: Shipped(plan, p)[b][c][k]
-// reports whether round k of chunk c travels on belt b — 0 the forward belt
-// F passes take their chunk off, 1 the backward belt of the B passes — or is
-// served from kept copies. Any rank's plan gives the table, since BeltPlan
-// is the same on every rank.
-func Shipped(plan []Use, p int) [2][][]bool {
+// BeltPlan returns the weight plan of rank under a weight-passing strategy
+// on belts of m-rank groups (m = 1: the flat ring): the keep rule's plan
+// (keepPlan), less the early rows Wiring drops. An early row is one its
+// sender sends before it takes any row — an iteration-start injection, or
+// the relay of a pass the sender serves from its own copy with no wait
+// before it — so it waits in its receiver's mailbox from the start of the
+// iteration. When the receiver has already run a use of the row's chunk,
+// the latest such use keeps its copy for the row's use instead, which is
+// therefore held no longer than the row would have waited. Only the ranks
+// early rows reach (the flat ring's rank 0, a grouped ring's group heads)
+// differ from the keep rule's plan.
+func BeltPlan(strategy string, rank, p, n, m int) ([]Use, error) {
+	b, err := wire(strategy, p, n, m)
+	if err != nil {
+		return nil, err
+	}
+	if rank < 0 || rank >= p {
+		return nil, fmt.Errorf("order: rank %d of %d ranks has no plan", rank, p)
+	}
+	uses := b.plans[rank]
+	for _, r := range b.dropped {
+		if r.Dst == rank {
+			i := b.pass[Op{Phase: r.Kind, MB: r.Use, Chunk: r.Chunk}]
+			uses[b.before(rank, i)].Keep = true
+			uses[i].Gather = false
+		}
+	}
+	return uses, nil
+}
+
+// Shipped tabulates the keep rule's belt segments of a weight-passing
+// strategy on p ranks over n microbatches: Shipped(…)[b][c][k] reports
+// whether round k of chunk c travels on belt b — 0 the forward belt F passes
+// take their chunk off, 1 the backward belt of the B passes — or is served
+// from kept copies on every rank. It is the keep rule's table, so a segment
+// whose early row BeltPlan drops for one rank still counts as shipped:
+// Deferred, GradChain and every gradient row read it, unchanged by the drop.
+func Shipped(strategy string, p, n int) ([2][][]bool, error) {
+	plan, err := keepPlan(strategy, 0, p, n)
+	if err != nil {
+		return [2][][]bool{}, err
+	}
+	return shipped(plan, p), nil
+}
+
+// shipped tabulates a keep-rule plan by segment (Shipped); any rank's plan
+// gives the table.
+func shipped(plan []Use, p int) [2][][]bool {
 	rounds := 0
 	for _, u := range plan {
 		rounds = max(rounds, u.MB/p+1)
@@ -371,11 +413,11 @@ func GradChain(c, p, n int, ships [2][][]bool) []int {
 func GradSlots(strategy string, p, n int) (int, error) {
 	most := 0
 	for rank := 0; rank < p; rank++ {
-		plan, err := BeltPlan(strategy, rank, p, n)
+		plan, err := keepPlan(strategy, rank, p, n)
 		if err != nil {
 			return 0, err
 		}
-		ships := Shipped(plan, p)
+		ships := shipped(plan, p)
 		chains := make([][]int, p)
 		for c := range chains {
 			chains[c] = GradChain(c, p, n, ships)
@@ -453,8 +495,8 @@ func (msg Msg) Injects(m int) bool {
 
 // Wiring returns every message of one iteration of a weight-passing strategy
 // on p ranks over n microbatches, with the weight belts circulating in groups
-// of m ranks (m = 1: the flat ring). It is built from BeltPlan, Shipped,
-// Holds, Deferred and GradChain alone:
+// of m ranks (m = 1: the flat ring). It is built from the keep rule's plans
+// (keepPlan), Shipped, Holds, Deferred and GradChain alone:
 //
 //   - 'X', grouped only: chunk c's owner hands the chunk to its own group's
 //     holder, unless it holds it, and the holders store-and-forward it
@@ -466,6 +508,8 @@ func (msg Msg) Injects(m int) bool {
 //     use j−1. On the grouped belt a group's first rank takes round 0 from
 //     the group's holder at iteration start and round k from the holder's
 //     pass on round k−1; the other members take it from the member before.
+//     An early weight row (BeltPlan) into a rank that has already run a use
+//     of its chunk is dropped: that use's copy serves the row's use.
 //   - 'D': D_c hops along GradChain from each use's W pass to the next use's
 //     rank, where the two differ.
 //   - 'R': the chain's last use retires D_c to the owner.
@@ -474,23 +518,51 @@ func (msg Msg) Injects(m int) bool {
 // exchange first and the gradient last. The order is not neutral: the
 // simulator dispatches the lowest-numbered ready task.
 func Wiring(strategy string, p, n, m int) ([]Msg, error) {
+	b, err := wire(strategy, p, n, m)
+	if err != nil {
+		return nil, err
+	}
+	return b.rows, nil
+}
+
+// wiring is one iteration's messages worked out: the rows Wiring returns,
+// the early weight rows it dropped, and the keep rule's plans, belt table
+// and pass indices they were built from.
+type wiring struct {
+	plans         [][]Use    // per rank, the keep rule's plan (keepPlan)
+	pass          map[Op]int // every pass's index in its rank's plan
+	rows, dropped []Msg
+}
+
+// before returns the index of the last F or B pass on pass i's chunk that
+// rank runs before pass i, or −1.
+func (b *wiring) before(rank, i int) int {
+	plan := b.plans[rank]
+	for k := i - 1; k >= 0; k-- {
+		if plan[k].Phase != 'W' && plan[k].Chunk == plan[i].Chunk {
+			return k
+		}
+	}
+	return -1
+}
+
+// wire builds the iteration's wiring (Wiring).
+func wire(strategy string, p, n, m int) (*wiring, error) {
 	if m < 1 || p%m != 0 {
 		return nil, fmt.Errorf("order: groups of %d ranks do not tile a ring of %d", m, p)
 	}
-	pass := make(map[Op]int, 3*n) // every pass's index in its rank's plan
-	var ships [2][][]bool         // the same for every rank's plan
+	b := &wiring{plans: make([][]Use, p), pass: make(map[Op]int, 3*n)}
 	for r := 0; r < p; r++ {
-		plan, err := BeltPlan(strategy, r, p, n)
+		plan, err := keepPlan(strategy, r, p, n)
 		if err != nil {
 			return nil, err
 		}
 		for i, u := range plan {
-			pass[u.Op] = i
+			b.pass[u.Op] = i
 		}
-		if r == 0 {
-			ships = Shipped(plan, p)
-		}
+		b.plans[r] = plan
 	}
+	ships := shipped(b.plans[0], p) // the same for every rank's plan
 	owner := func(c int) int { return (c - 1 + p) % p }
 	holder := func(g, c int) int { return g*m + c%m }
 	var msgs []Msg
@@ -505,11 +577,12 @@ func Wiring(strategy string, p, n, m int) ([]Msg, error) {
 			}
 		}
 	}
+	weights := len(msgs)
 	for c := 0; c < p; c++ {
 		for j := 0; j < n; j++ {
-			for b, phase := range [2]byte{'F', 'B'} {
-				dst, k := j%p, j/p
-				if !ships[b][c][k] || Holds(dst, c, p, m) {
+			for k, phase := range [2]byte{'F', 'B'} {
+				dst, round := j%p, j/p
+				if !ships[k][c][round] || Holds(dst, c, p, m) {
 					continue
 				}
 				msg := Msg{Kind: phase, Chunk: c, Use: j, Src: (dst - 1 + p) % p, Dst: dst, Group: m > 1, Pass: -1}
@@ -517,21 +590,22 @@ func Wiring(strategy string, p, n, m int) ([]Msg, error) {
 				case m == 1 && j == 0:
 					msg.Src = owner(c)
 				case m == 1 || dst%m != 0:
-					msg.Pass = pass[Op{Phase: phase, MB: j - 1, Chunk: c}]
+					msg.Pass = b.pass[Op{Phase: phase, MB: j - 1, Chunk: c}]
 				default:
 					msg.Src = holder(dst/m, c)
-					if k > 0 {
-						msg.Pass = pass[Op{Phase: phase, MB: (k-1)*p + msg.Src, Chunk: c}]
+					if round > 0 {
+						msg.Pass = b.pass[Op{Phase: phase, MB: (round-1)*p + msg.Src, Chunk: c}]
 					}
 				}
 				msgs = append(msgs, msg)
 			}
 		}
 	}
+	grads := len(msgs)
 	for c := 0; c < p; c++ {
 		chain := GradChain(c, p, n, ships)
 		for i, j := range chain {
-			msg := Msg{Kind: 'R', Chunk: c, Src: j % p, Dst: owner(c), Pass: pass[Op{Phase: 'W', MB: j, Chunk: c}]}
+			msg := Msg{Kind: 'R', Chunk: c, Src: j % p, Dst: owner(c), Pass: b.pass[Op{Phase: 'W', MB: j, Chunk: c}]}
 			if i+1 < len(chain) {
 				msg.Kind, msg.Use, msg.Dst = 'D', chain[i+1], chain[i+1]%p
 			}
@@ -540,5 +614,27 @@ func Wiring(strategy string, p, n, m int) ([]Msg, error) {
 			}
 		}
 	}
-	return msgs, nil
+	// A rank's first wait is its first pass that takes a weight or
+	// gradient row; a row its sender sends before then is early.
+	wait := make([]int, p)
+	for r := range wait {
+		wait[r] = len(b.plans[r])
+	}
+	for _, r := range msgs[weights:] {
+		if r.Kind != 'R' {
+			phase := r.Kind
+			if phase == 'D' {
+				phase = 'W'
+			}
+			wait[r.Dst] = min(wait[r.Dst], b.pass[Op{Phase: phase, MB: r.Use, Chunk: r.Chunk}])
+		}
+	}
+	for i, r := range msgs {
+		if i >= weights && i < grads && r.Pass < wait[r.Src] && b.before(r.Dst, b.pass[Op{Phase: r.Kind, MB: r.Use, Chunk: r.Chunk}]) >= 0 {
+			b.dropped = append(b.dropped, r)
+			continue
+		}
+		b.rows = append(b.rows, r)
+	}
+	return b, nil
 }

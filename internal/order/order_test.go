@@ -2,6 +2,7 @@ package order
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -363,13 +364,15 @@ func spellPlan(uses []Use) string {
 	return strings.Join(parts, " ")
 }
 
-// TestBeltPlanProperties checks every weight-passing plan at p ∈ 1…8 and
-// n ∈ {p, 2p, 3p}: it is its rank's program, the same on every rank up to
-// the microbatch offset; each (belt, chunk, round) segment is served off the
-// belt on every rank or on none; a pass gathers exactly when its chunk is
-// not held; no pass binds or keeps more than two copies, W passes bind none,
-// and nothing is held after the iteration; and for p > 1 the turnaround
-// chunk p−1's B passes all run on a kept copy.
+// TestBeltPlanProperties checks the keep rule's plan (keepPlan) of every
+// weight-passing strategy at p ∈ 1…8 and n ∈ {p, 2p, 3p}: it is its rank's
+// program, the same on every rank up to the microbatch offset; each (belt,
+// chunk, round) segment is served off the belt on every rank or on none; a
+// pass gathers exactly when its chunk is not held; no pass binds or keeps
+// more than two copies, W passes bind none, and nothing is held after the
+// iteration; and for p > 1 the turnaround chunk p−1's B passes all run on a
+// kept copy. BeltPlan differs from it only on the ranks early rows reach,
+// which TestEarlyRowsDropped checks.
 func TestBeltPlanProperties(t *testing.T) {
 	type segment struct {
 		phase        byte
@@ -382,7 +385,7 @@ func TestBeltPlanProperties(t *testing.T) {
 		plans := make([][]Use, g.p)
 		for r := range plans {
 			var err error
-			if plans[r], err = BeltPlan(g.strategy, r, g.p, g.n); err != nil {
+			if plans[r], err = keepPlan(g.strategy, r, g.p, g.n); err != nil {
 				t.Fatalf("%v rank %d: %v", g, r, err)
 			}
 		}
@@ -430,38 +433,47 @@ func TestBeltPlanProperties(t *testing.T) {
 			}
 		}
 	})
-	if _, err := BeltPlan("1f1b", 0, 2, 4); err == nil {
+	if _, err := BeltPlan("1f1b", 0, 2, 4, 1); err == nil {
 		t.Error("BeltPlan accepted an activation-passing strategy")
 	}
 }
 
-// TestBeltPlanTable pins wzb2 at p=4 by hand. At n=4 the turnaround chunk 3
-// is kept from F to B, and B0/2 runs on F0/2's copy (only chunk 3 is used in
-// between). At n=8 the steady state interleaves F of round 1 with B of
-// round 0: F1/2 runs on B0/2's copy, B0/1 on F1/1's, and both turnarounds
-// are kept — so forward-belt round 1 of chunk 2 and backward-belt round 0 of
-// chunks 1 and 3 travel no belt.
+// TestBeltPlanTable pins wzb2 at p=4 by hand. Under the keep rule, at n=4
+// the turnaround chunk 3 is kept from F to B, and B0/2 runs on F0/2's copy
+// (only chunk 3 is used in between). At n=8 the steady state interleaves F
+// of round 1 with B of round 0: F1/2 runs on B0/2's copy, B0/1 on F1/1's,
+// and both turnarounds are kept — so forward-belt round 1 of chunk 2 and
+// backward-belt round 0 of chunks 1 and 3 travel no belt. Rank 0's plan
+// (BeltPlan) also keeps what the early rows into it would have brought: at
+// n=4 F0/0's copy serves B0/0, the owner's injection; at n=8 it serves F4/0,
+// rank 3's relay of its own use 3, and on to B0/0, and F0/2's serves B0/2.
 func TestBeltPlanTable(t *testing.T) {
 	for _, tc := range []struct {
-		n    int
-		want string
+		n          int
+		rule, rank string
 	}{
-		{4, "+F0/0 +F0/1 +F0/2* +F0/3* B0/3 B0/2 +B0/1 +B0/0"},
-		{8, "+F0/0 +F0/1 +F0/2 +F0/3* +F4/0 B0/3 +F4/1* +B0/2* F4/2 B0/1 +F4/3* +B0/0 B4/3 +B4/2 +B4/1 +B4/0"},
+		{4, "+F0/0 +F0/1 +F0/2* +F0/3* B0/3 B0/2 +B0/1 +B0/0",
+			"+F0/0* +F0/1 +F0/2* +F0/3* B0/3 B0/2 +B0/1 B0/0"},
+		{8, "+F0/0 +F0/1 +F0/2 +F0/3* +F4/0 B0/3 +F4/1* +B0/2* F4/2 B0/1 +F4/3* +B0/0 B4/3 +B4/2 +B4/1 +B4/0",
+			"+F0/0* +F0/1 +F0/2* +F0/3* F4/0* B0/3 +F4/1* B0/2* F4/2 B0/1 +F4/3* B0/0 B4/3 +B4/2 +B4/1 +B4/0"},
 	} {
-		plan, err := BeltPlan("wzb2", 0, 4, tc.n)
+		rule, err := keepPlan("wzb2", 0, 4, tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := spellPlan(plan); got != tc.want {
-			t.Errorf("wzb2 p=4 n=%d:\n got %s\nwant %s", tc.n, got, tc.want)
+		plan, err := BeltPlan("wzb2", 0, 4, tc.n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := spellPlan(rule); got != tc.rule {
+			t.Errorf("wzb2 p=4 n=%d keep rule:\n got %s\nwant %s", tc.n, got, tc.rule)
+		}
+		if got := spellPlan(plan); got != tc.rank {
+			t.Errorf("wzb2 p=4 n=%d rank 0:\n got %s\nwant %s", tc.n, got, tc.rank)
 		}
 	}
 }
 
-// TestFSDPPlanTable pins the keep rule by hand on the smallest model it
-// moves: the last two modules kept across each forward→backward turnaround,
-// the first two across the microbatch boundary, nothing past the iteration.
 func TestFSDPPlanTable(t *testing.T) {
 	for _, tc := range []struct {
 		modules, nLocal int
@@ -584,11 +596,10 @@ func TestGradChain(t *testing.T) {
 	for _, s := range []string{"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2"} {
 		for p := 1; p <= 8; p++ {
 			for _, n := range []int{p, 2 * p, 3 * p} {
-				plan, err := BeltPlan(s, 0, p, n)
+				ships, err := Shipped(s, p, n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ships := Shipped(plan, p)
 				for c := 0; c < p; c++ {
 					owner := (c - 1 + p) % p
 					chain := GradChain(c, p, n, ships)
@@ -645,11 +656,10 @@ func TestGradChain(t *testing.T) {
 	}
 	// wzb2 at the wide benchmark shape: the backward belt serves round 0 of
 	// chunks 1 and 3 from kept copies, so their first round stays local.
-	plan, err := BeltPlan("wzb2", 0, 4, 8)
+	ships, err := Shipped("wzb2", 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ships := Shipped(plan, 4)
 	for c, want := range []string{"[0 1 2 4 5 6]", "[5 6 7]", "[0 2 3 4 6 7]", "[4 5 7]"} {
 		if got := fmt.Sprint(GradChain(c, 4, 8, ships)); got != want {
 			t.Errorf("wzb2 GradChain(%d, 4, 8) = %s, want %s", c, got, want)
@@ -704,18 +714,21 @@ func TestWiringProperties(t *testing.T) {
 	for _, s := range []string{"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2"} {
 		for p := 1; p <= 8; p++ {
 			for _, n := range []int{p, 2 * p, 3 * p} {
-				plans := make([][]Use, p)
-				for r := range plans {
-					var err error
-					if plans[r], err = BeltPlan(s, r, p, n); err != nil {
-						t.Fatal(err)
-					}
+				ships, err := Shipped(s, p, n)
+				if err != nil {
+					t.Fatal(err)
 				}
-				ships := Shipped(plans[0], p)
 				for m := 1; m <= p; m++ {
-					if p%m == 0 {
-						checkWiring(t, s, p, n, m, plans, ships)
+					if p%m != 0 {
+						continue
 					}
+					plans := make([][]Use, p)
+					for r := range plans {
+						if plans[r], err = BeltPlan(s, r, p, n, m); err != nil {
+							t.Fatal(err)
+						}
+					}
+					checkWiring(t, s, p, n, m, plans, ships)
 				}
 			}
 		}
@@ -854,4 +867,223 @@ func checkWiring(t *testing.T, s string, p, n, m int, plans [][]Use, ships [2][]
 			}
 		}
 	}
+}
+
+// earlyRows returns the weight rows of rows that their senders send before
+// they take any row (BeltPlan), read off the rows alone.
+func earlyRows(rows []Msg, plans [][]Use) []Msg {
+	pass := make([]map[Op]int, len(plans))
+	wait := make([]int, len(plans))
+	for r, plan := range plans {
+		pass[r] = make(map[Op]int, len(plan))
+		for i, u := range plan {
+			pass[r][u.Op] = i
+		}
+		wait[r] = len(plan)
+	}
+	for _, r := range rows {
+		phase := r.Kind
+		switch phase {
+		case 'X', 'R':
+			continue
+		case 'D':
+			phase = 'W'
+		}
+		wait[r.Dst] = min(wait[r.Dst], pass[r.Dst][Op{Phase: phase, MB: r.Use, Chunk: r.Chunk}])
+	}
+	var early []Msg
+	for _, r := range rows {
+		if (r.Kind == 'F' || r.Kind == 'B') && r.Pass < wait[r.Src] {
+			early = append(early, r)
+		}
+	}
+	return early
+}
+
+// residencyCounts returns, per pass of rank's plan, the weight copies the
+// rank has in hand while the pass runs: the one it binds (F, B), those kept
+// over it, and the early rows into it (earlyRows), which wait in its mailbox
+// from the start of the iteration until their pass takes them.
+func residencyCounts(plan []Use, rank int, early []Msg) []int {
+	takenAt := make(map[Op]int)
+	for i, u := range plan {
+		takenAt[u.Op] = i
+	}
+	var pending []int
+	for _, r := range early {
+		if r.Dst == rank {
+			pending = append(pending, takenAt[Op{Phase: r.Kind, MB: r.Use, Chunk: r.Chunk}])
+		}
+	}
+	counts := make([]int, len(plan))
+	kept := make(map[int]bool)
+	for i, u := range plan {
+		bound := 0
+		if u.Phase != 'W' {
+			bound = 1
+			delete(kept, u.Chunk)
+		}
+		counts[i] = bound + len(kept)
+		for _, at := range pending {
+			if at > i {
+				counts[i]++
+			}
+		}
+		if u.Phase != 'W' && u.Keep {
+			kept[u.Chunk] = true
+		}
+	}
+	return counts
+}
+
+// TestEarlyRowsDropped checks BeltPlan and Wiring against the keep rule they
+// refine, on every weight-passing strategy at p 1…8, n ∈ {p, 2p, 3p} and
+// every group size m that divides p (m = 1: the flat ring):
+//   - every F and B use of every rank is served exactly once: by a row into
+//     it, by a copy the chunk's previous use on the rank kept, or, with no
+//     row, by the rank's own copy of a chunk it holds;
+//   - no early row reaches a rank that has already run a use of its chunk,
+//     and every weight row the keep rule's wiring has beyond Wiring's is
+//     such a row;
+//   - the gradient rows (D, R) are the keep rule's, row for row;
+//   - at every pass, every rank has at most as many weight copies in hand —
+//     bound, kept, and early rows waiting in its mailbox — as under the keep
+//     rule. This is what replaces "the same plan on every rank" and "keeps at
+//     most two" (TestBeltPlanProperties) on the ranks early rows reach: a
+//     kept copy there stands in for a row that would have waited at least as
+//     long, so no rank holds more at any pass than it did.
+func TestEarlyRowsDropped(t *testing.T) {
+	for _, s := range []string{"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2"} {
+		for p := 1; p <= 8; p++ {
+			for _, n := range []int{p, 2 * p, 3 * p} {
+				rule := make([][]Use, p)
+				for r := range rule {
+					var err error
+					if rule[r], err = keepPlan(s, r, p, n); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for m := 1; m <= p; m++ {
+					if p%m == 0 {
+						checkEarlyRows(t, s, p, n, m, rule)
+					}
+				}
+			}
+		}
+	}
+	// At p=4 rank 0 no longer takes B c0 use 0 or B c2 use 0 (injections)
+	// nor F c0 use 4 (rank 3's relay of its own use 3): F0/0 and F0/2 keep.
+	for _, tc := range []struct {
+		s       string
+		n, rows int
+	}{{"wzb2", 8, 51}, {"wzb1", 8, 51}, {"weipipe-interleave", 8, 51}, {"wzb2", 4, 29}, {"weipipe-naive", 8, 47}} {
+		if rows, err := Wiring(tc.s, 4, tc.n, 1); err != nil || len(rows) != tc.rows {
+			t.Errorf("%s p=4 n=%d: %d rows (%v), want %d", tc.s, tc.n, len(rows), err, tc.rows)
+		}
+	}
+}
+
+func checkEarlyRows(t *testing.T, s string, p, n, m int, rule [][]Use) {
+	t.Helper()
+	at := fmt.Sprintf("%s p=%d n=%d m=%d", s, p, n, m)
+	rows, err := Wiring(s, p, n, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := wire(s, p, n, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The keep rule's wiring, in table order: Wiring's rows and the dropped.
+	ruleRows := append(slices.Clone(b.rows), b.dropped...)
+	slices.SortStableFunc(ruleRows, func(x, y Msg) int { return tableRank(x) - tableRank(y) })
+	var grads, ruleGrads []Msg
+	for _, r := range rows {
+		if r.Kind == 'D' || r.Kind == 'R' {
+			grads = append(grads, r)
+		}
+	}
+	for _, r := range ruleRows {
+		if r.Kind == 'D' || r.Kind == 'R' {
+			ruleGrads = append(ruleGrads, r)
+		}
+	}
+	if !slices.Equal(grads, ruleGrads) {
+		t.Errorf("%s: gradient rows %v, the keep rule's %v", at, grads, ruleGrads)
+	}
+	plans := make([][]Use, p)
+	into := make([]map[Op]bool, p)
+	for r := range plans {
+		if plans[r], err = BeltPlan(s, r, p, n, m); err != nil {
+			t.Fatal(err)
+		}
+		into[r] = make(map[Op]bool)
+	}
+	for _, r := range rows {
+		if r.Kind == 'F' || r.Kind == 'B' {
+			into[r.Dst][Op{Phase: r.Kind, MB: r.Use, Chunk: r.Chunk}] = true
+		}
+	}
+	for _, r := range earlyRows(rows, plans) {
+		for _, u := range plans[r.Dst] {
+			if u.Op == (Op{Phase: r.Kind, MB: r.Use, Chunk: r.Chunk}) {
+				break
+			}
+			if u.Phase != 'W' && u.Chunk == r.Chunk {
+				t.Errorf("%s: early row %+v reaches rank %d after its %v", at, r, r.Dst, u.Op)
+				break
+			}
+		}
+	}
+	ruleEarly := earlyRows(ruleRows, rule)
+	for _, r := range b.dropped {
+		if !slices.Contains(ruleEarly, r) {
+			t.Errorf("%s: dropped row %+v is not early", at, r)
+		}
+	}
+	for rank, plan := range plans {
+		copyKept := make(map[int]bool)
+		for i, u := range plan {
+			if u.Phase == 'W' {
+				continue
+			}
+			served := 0
+			if into[rank][u.Op] {
+				served++
+			}
+			if copyKept[u.Chunk] {
+				served++
+			}
+			if !into[rank][u.Op] && u.Gather && Holds(rank, u.Chunk, p, m) {
+				served++
+			}
+			if served != 1 || u.Gather == copyKept[u.Chunk] {
+				t.Errorf("%s: rank %d's %v (pass %d) served %d times, gathers=%v", at, rank, u.Op, i, served, u.Gather)
+			}
+			copyKept[u.Chunk] = u.Keep
+		}
+		got := residencyCounts(plan, rank, earlyRows(rows, plans))
+		want := residencyCounts(rule[rank], rank, ruleEarly)
+		for i := range got {
+			if got[i] > want[i] {
+				t.Errorf("%s: rank %d has %d copies in hand at %v, %d under the keep rule", at, rank, got[i], plan[i].Op, want[i])
+			}
+		}
+	}
+}
+
+// tableRank orders rows as Wiring lists them: exchange, then weights by
+// chunk, use and belt, then gradients by chunk, each in its build order.
+func tableRank(r Msg) int {
+	switch r.Kind {
+	case 'X':
+		return 0
+	case 'F', 'B':
+		kind := 0
+		if r.Kind == 'B' {
+			kind = 1
+		}
+		return 1 + (r.Chunk<<40 | r.Use<<1 | kind)
+	}
+	return 1 << 62
 }

@@ -74,7 +74,7 @@ func NewFSDP(t Transport, cfg model.Config, o Options) (*FSDP, error) {
 	for i := range mdl.Modules {
 		size := mdl.ModuleParamSize(i)
 		rg := comm.ShardRanges(size, p)[comm.ShardOf(r, p)]
-		shard := make([]float32, rg[1]-rg[0])
+		shard := comm.GetBuf(rg[1] - rg[0]) // forwarded in place by every gather (comm.AllGather)
 		// Build the module, cut this rank's shard out of it and drop it: at
 		// most one full module is resident at a time.
 		mdl.InitModule(i).Params().FlattenRange(rg[0], shard)
@@ -159,6 +159,7 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 
 	// An iteration that ends early leaves no module bound to a pool buffer.
 	defer f.releaseHeld()
+	f.sealShards()
 
 	var (
 		caches []*nn.Cache
@@ -232,6 +233,19 @@ func (f *FSDP) TrainIteration(batches []data.Batch) (float64, error) {
 	return sum / float64(len(batches)), nil
 }
 
+// sealShards records each shard's wire checksum once an iteration, before
+// its first gather forwards it (comm.AllGather), where the transport reads
+// one: every gather of the iteration then sends the shard unread. The step
+// and a restore write the shards between iterations only.
+func (f *FSDP) sealShards() {
+	if !f.t.SealsF32(comm.Tag{Kind: comm.KindColl}) {
+		return
+	}
+	for _, p := range f.pieces {
+		comm.Seal(p.w, comm.ChecksumSlice(p.w))
+	}
+}
+
 // shardOrderSum sums every rank's local value — a float32 partial over the
 // shard it owns — in shard order, so the result does not depend on which
 // rank owns which shard. The order is the one comm.AllReduceScalarSum gives
@@ -246,7 +260,10 @@ func (f *FSDP) shardOrderSum(local float64) (float64, error) {
 		ones[i] = 1
 	}
 	f.seq++
-	parts, err := comm.AllGather(f.t, []float32{float32(local)}, ones, f.seq)
+	one := comm.GetBuf(1)
+	one[0] = float32(local)
+	parts, err := comm.AllGather(f.t, one, ones, f.seq)
+	comm.Release(one)
 	if err != nil {
 		return 0, err
 	}

@@ -25,11 +25,10 @@ import (
 // as lost rank state — the evidence → agreement → buddy-harvest/checkpoint
 // repair path — so a detected flip is repaired or rejected, never trained on.
 
-// initIntegrity resolves the trailer pad every belt buffer grows by and
-// arms the owned piece's resident guard.
+// initIntegrity arms the owned piece's resident guard; NewWeiPipe has
+// already grown every belt buffer, the master's included, by the trailer.
 func (w *WeiPipe) initIntegrity() {
 	if w.opts.Integrity {
-		w.pad = comm.ChecksumTrailerLen
 		w.master().sums = new([3]uint32)
 		w.master().reseal()
 	}
@@ -159,6 +158,7 @@ func (w *WeiPipe) injectStateFlips() {
 		return
 	}
 	r := w.t.Rank()
+	w.master().writable()
 	in.Flip(r, w.iter, FlipWeights, w.master().w)
 	w.master().opt.VisitState(func(m, v []float32) {
 		in.Flip(r, w.iter, FlipMomentM, m)

@@ -122,11 +122,11 @@ func TestIntegrityDetectsFlipOnSelfServedUse(t *testing.T) {
 		{StrategyWZB2, 2, 4, 1},  // rank 1 owns chunk 0
 		{StrategyWZB2G, 4, 8, 2}, // in groups of 2, rank 2 holds chunk 0
 	} {
-		plan, err := order.BeltPlan(string(tc.s), tc.rank, tc.p, tc.n)
+		m := map[Strategy]int{StrategyWZB2: 1, StrategyWZB2G: 2}[tc.s]
+		plan, err := order.BeltPlan(string(tc.s), tc.rank, tc.p, tc.n, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := map[Strategy]int{StrategyWZB2: 1, StrategyWZB2G: 2}[tc.s]
 		if first := plan[0]; !first.Gather || first.Chunk != 0 || !order.Holds(tc.rank, 0, tc.p, m) {
 			t.Fatalf("%s: rank %d's first gather %v is not of a chunk it holds", tc.s, tc.rank, first)
 		}
@@ -517,7 +517,7 @@ func TestIntegrityChecksEveryKeptUse(t *testing.T) {
 			}
 			weights := 0
 			for r := 0; r < p; r++ {
-				plan, err := order.BeltPlan(string(s), r, p, n)
+				plan, err := order.BeltPlan(string(s), r, p, n, m)
 				if err != nil {
 					t.Fatal(err)
 				}

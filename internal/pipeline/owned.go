@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"weipipe/internal/checkpoint"
+	"weipipe/internal/comm"
 	"weipipe/internal/model"
 	"weipipe/internal/nn"
 	"weipipe/internal/optim"
@@ -54,17 +55,19 @@ type rollback struct {
 }
 
 // newPiece builds modules [lo, hi) as a piece: their initial weights
-// (model.InitChunk) and a fresh optimizer.
-func (o *owned) newPiece(lo, hi int, adam optim.AdamWConfig) *piece {
-	w := make([]float32, o.mdl.ChunkSize(lo, hi))
+// (model.InitChunk), in w when it is not nil, and a fresh optimizer.
+func (o *owned) newPiece(lo, hi int, adam optim.AdamWConfig, w []float32) *piece {
+	if w == nil {
+		w = make([]float32, o.mdl.ChunkSize(lo, hi))
+	}
 	o.mdl.InitChunk(lo, hi, w)
 	return &piece{off: o.mdl.ChunkSize(0, lo), w: w, opt: optim.NewAdamW(len(w), adam)}
 }
 
-// ownRange makes modules [lo, hi) one owned piece, which the modules are
-// views of for good, so a step updates them in place.
-func (o *owned) ownRange(lo, hi int, adam optim.AdamWConfig) {
-	p := o.newPiece(lo, hi, adam)
+// ownRange makes modules [lo, hi) one owned piece, in w when it is not nil,
+// which the modules are views of for good, so a step updates them in place.
+func (o *owned) ownRange(lo, hi int, adam optim.AdamWConfig, w []float32) {
+	p := o.newPiece(lo, hi, adam, w)
 	o.mdl.BindChunk(lo, hi, p.w)
 	o.pieces = append(o.pieces, *p)
 }
@@ -101,11 +104,17 @@ func (p *piece) at(atIter, iters int) (*piece, error) {
 		atIter, iters, rb)
 }
 
+// writable waits until no transport holds a reference to the piece's
+// weights: a rank forwards its master weights in place (WeiPipe's belt
+// payload, FSDP's gather shard), so every writer of a piece calls it first.
+func (p *piece) writable() { comm.AwaitSole(p.w) }
+
 // load copies the piece's range of snap back into it: the weights and, in
 // a full-state snapshot, the moments at the snapshot's optimizer step. The
 // live state is replaced, so the rollback no longer describes it.
 func (p *piece) load(snap *checkpoint.Snapshot) error {
 	lo, hi := p.off, p.off+len(p.w)
+	p.writable()
 	copy(p.w, snap.Weights[lo:hi])
 	if fullState(snap) {
 		step := int(snapshotOptStep(snap))
@@ -225,6 +234,7 @@ func stepFactor(inv, scale float32, grads ...[]float32) float32 {
 // times gs.
 func (o *owned) applyStep(gs float32, grads ...[]float32) {
 	for i, p := range o.pieces {
+		p.writable()
 		p.opt.StepScaled(p.w, grads[i], gs)
 	}
 }

@@ -76,7 +76,7 @@ func weightSideBytes(tr Trainer) int {
 	case *WeiPipe:
 		own = &tr.owned
 		r.add(tr.kept...)
-		r.add(tr.own)
+		r.add(tr.ownBelt)
 		r.sets(tr.wGrads...)
 	case *PP:
 		own = &tr.owned
@@ -117,8 +117,11 @@ func weightSideBytes(tr Trainer) int {
 //     replay scales the received gradient in place. Between passes it also
 //     keeps belt copies: checked at every belt receive, no chunk but the
 //     owned one is bound, the chunks kept are exactly those order.BeltPlan
-//     keeps over the pass, and with the owner's shared copy of its chunk
-//     (ownedCopy) and the one the receive brings they are at most two.
+//     keeps over the pass, the owner's payload of its chunk is its master
+//     weights themselves, not a copy, and with the one the receive brings
+//     the copies are at most two — but on the ranks early rows reach (the
+//     group heads), whose kept copies stand in for rows that would have
+//     waited in their mailboxes (order's TestEarlyRowsDropped bounds those).
 //   - PP: its stage × 4 — weights, gradients, m, v.
 //   - Serial and DP: the whole model × 4, as a stage of one.
 //   - FSDP: its shards × 3 — weights, m, v — and the full-size gradient
@@ -171,7 +174,7 @@ func TestRankHoldsOnlyItsWeights(t *testing.T) {
 					}
 					probe.armed = rn.s == StrategyFSDP
 					if w, ok := tr.(*WeiPipe); ok {
-						keptOver := beltKeptOverPasses(t, rn.s, r, p, len(batches))
+						keptOver := beltKeptOverPasses(t, rn.s, r, p, len(batches), w.groupSize())
 						belt.check = func(op order.Op) {
 							checkBeltKept(t, w, r, op, keptOver)
 						}
@@ -247,8 +250,8 @@ func TestRankHoldsOnlyItsWeights(t *testing.T) {
 }
 
 // collProbe calls check, on the sending rank's goroutine, at the first send
-// of every collective its rank starts, with the collective's seq. It only
-// observes, so the other two sends pass straight through.
+// of every collective its rank starts — a Send, or a gather's Forward of
+// the rank's shard — with the collective's seq. It only observes.
 type collProbe struct {
 	comm.Transport
 	armed bool
@@ -256,12 +259,22 @@ type collProbe struct {
 	check func(seq int)
 }
 
-func (c *collProbe) Send(dst int, tag comm.Tag, data []float32) error {
+func (c *collProbe) observe(tag comm.Tag) {
 	if c.armed && tag.Kind == comm.KindColl && tag.B == 0 {
 		c.calls++
 		c.check(tag.A)
 	}
+}
+
+func (c *collProbe) Send(dst int, tag comm.Tag, data []float32) error {
+	c.observe(tag)
 	return c.Transport.Send(dst, tag, data)
+}
+
+// Forward is how a gather's first hop leaves: the shard in place.
+func (c *collProbe) Forward(dst int, tag comm.Tag, payload []float32) error {
+	c.observe(tag)
+	return c.Transport.Forward(dst, tag, payload)
 }
 
 // beltProbe calls check, on the receiving rank's goroutine, at every receive
@@ -298,8 +311,8 @@ func (b *beltProbe) RecvTimeout(src int, tag comm.Tag, timeout time.Duration) ([
 
 // beltKeptOverPasses returns, for each pass of rank's order.BeltPlan that
 // gathers its chunk, the chunks kept over it.
-func beltKeptOverPasses(t *testing.T, s Strategy, rank, p, n int) map[order.Op][]int {
-	plan, err := order.BeltPlan(string(s), rank, p, n)
+func beltKeptOverPasses(t *testing.T, s Strategy, rank, p, n, m int) map[order.Op][]int {
+	plan, err := order.BeltPlan(string(s), rank, p, n, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,9 +335,12 @@ func beltKeptOverPasses(t *testing.T, s Strategy, rank, p, n int) map[order.Op][
 
 // checkBeltKept pins a WeiPipe rank's weight side as the receive for pass op
 // starts: op is a pass the plan gathers; no stage is bound, and no module but
-// the owned chunk's; the chunks kept are keptOver's for op, at most one, so
-// the pass binds at most two copies; and the bytes are the resident state
-// (the owned chunk × 3) and those copies, nothing else.
+// the owned chunk's; the chunks kept are keptOver's for op — off a group
+// head, at most one, so the pass binds at most two copies; the owned chunk's
+// payload, and any copy of it a holder keeps, is the master's own buffer;
+// and the
+// bytes are the resident state (the owned chunk × 3) and the copies of other
+// chunks, nothing else.
 func checkBeltKept(t *testing.T, w *WeiPipe, r int, op order.Op, keptOver map[order.Op][]int) {
 	want, ok := keptOver[op]
 	if !ok {
@@ -340,16 +356,22 @@ func checkBeltKept(t *testing.T, w *WeiPipe, r int, op order.Op, keptOver map[or
 	if !slices.Equal(got, want) {
 		t.Errorf("rank %d, receive for %v: chunks %v kept, the plan keeps %v", r, op, got, want)
 	}
-	copies := len(got)
+	if w.ownBelt == nil || &w.ownBelt[0] != &w.masterBuf[0] {
+		t.Errorf("rank %d, receive for %v: the owned payload is not the master's buffer", r, op)
+	}
+	own := w.kept[w.ownChunk]
+	master := own != nil && &own[0] == &w.masterBuf[0]
+	if own != nil && !master && order.Holds(r, w.ownChunk, w.t.Size(), w.groupSize()) {
+		t.Errorf("rank %d, receive for %v: a copy of the owned chunk is kept", r, op)
+	}
+	if len(got)+1 > 2 && r%w.groupSize() != 0 {
+		t.Errorf("rank %d, receive for %v: %d copies held besides the one arriving", r, op, len(got))
+	}
 	n := 3 * w.mdl.ChunkSize(lo, hi)
-	if w.own != nil && (w.kept[w.ownChunk] == nil || &w.kept[w.ownChunk][0] != &w.own[0]) {
-		copies++
-		n += w.mdl.ChunkSize(lo, hi) + w.pad
-	}
-	if copies+1 > 2 {
-		t.Errorf("rank %d, receive for %v: %d copies held besides the one arriving", r, op, copies)
-	}
 	for _, c := range got {
+		if c == w.ownChunk && master {
+			continue
+		}
 		clo, chi := w.chunkRange(c)
 		n += w.mdl.ChunkSize(clo, chi) + w.pad
 	}

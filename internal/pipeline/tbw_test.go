@@ -92,27 +92,23 @@ func TestActivationPassingScalesWithGS(t *testing.T) {
 }
 
 // beltCopies counts, per chunk, the weight-belt messages one flat iteration
-// of strategy s sends, from the plan: p−1 for every round order.BeltPlan
-// ships on either belt — one into every rank but the chunk's owner, which
-// serves itself — and the rounds among them that start an iteration with
-// the owner's injection into rank 0, which is not a relay: every round 0 but
-// chunk 1's, whose owner is rank 0.
+// of strategy s sends, from its rows (order.Wiring): p−1 for every round the
+// keep rule ships on either belt — one into every rank but the chunk's
+// owner, which serves itself — less the early rows the wiring drops, and the
+// rows among them that the owner injects at iteration start, which are not
+// relays.
 func beltCopies(t *testing.T, s Strategy, p, n int) (copies []int64, injections int64) {
 	t.Helper()
-	plan, err := order.BeltPlan(string(s), 0, p, n)
+	rows, err := order.Wiring(string(s), p, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	copies = make([]int64, p)
-	for _, belt := range order.Shipped(plan, p) {
-		for c, rounds := range belt {
-			for k, ship := range rounds {
-				if ship {
-					copies[c] += int64(p - 1)
-					if k == 0 && !order.Holds(0, c, p, 1) {
-						injections++
-					}
-				}
+	for _, r := range rows {
+		if r.Kind == 'F' || r.Kind == 'B' {
+			copies[r.Chunk]++
+			if r.Pass < 0 {
+				injections++
 			}
 		}
 	}
@@ -125,11 +121,11 @@ func beltCopies(t *testing.T, s Strategy, p, n int) (copies []int64, injections 
 // retire to the owner when the chain is not empty.
 func gradMessages(t *testing.T, s Strategy, c, p, n int) int64 {
 	t.Helper()
-	plan, err := order.BeltPlan(string(s), 0, p, n)
+	ships, err := order.Shipped(string(s), p, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := order.GradChain(c, p, n, order.Shipped(plan, p))
+	chain := order.GradChain(c, p, n, ships)
 	var msgs int64
 	for i, j := range chain {
 		if i == 0 || chain[i-1]%p != j%p {
@@ -189,7 +185,11 @@ func TestWeiPipePerTurnVolumeMatchesAnalysis(t *testing.T) {
 // the long one, H=64 S=512 n=4. Under the keep rule forward-belt round 1 of
 // chunk 2 and backward-belt round 0 of chunk 1 stay off the wide shape's
 // wire, and backward-belt round 0 of chunk 2 off the long one's; no shipped
-// round goes to its chunk's owner; and a chunk's gradient takes
+// round goes to its chunk's owner; rank 0 takes none of the early rows of a
+// chunk it has already run (order.BeltPlan): B c0 use 0, F c0 use 4 and
+// B c2 use 0 at the wide shape, (2 · 853 504 + 787 968) floats · 4 =
+// 9 979 904 B, and B c0 use 0 at the long one, 65 920 floats · 4 =
+// 263 680 B; and a chunk's gradient takes
 // (4−1)·(n/4 − d) messages, not n (gradMessages), where d counts its
 // deferred rounds: the wide shape defers round 0 of chunks 1 and 3, whose
 // backward rounds its kept copies serve, which saves 3 messages of each,
@@ -202,8 +202,8 @@ func TestWZB2BeltBytesAtBenchmarkShapes(t *testing.T) {
 		h, seq, n int
 		want      int64
 	}{
-		{256, 8, 8, 177_288_192},
-		{64, 512, 4, 6_928_896},
+		{256, 8, 8, 167_308_288},
+		{64, 512, 4, 6_665_216},
 	} {
 		cfg := model.Config{Vocab: 256, Hidden: tc.h, Layers: 4, Heads: 4, MaxSeq: tc.seq, Seed: 1}
 		st := runMetered(t, StrategyWZB2, 4, cfg, 1, tc.seq, tc.n)
@@ -485,11 +485,10 @@ func TestDeferredRoundsShipNoGradient(t *testing.T) {
 		for _, s := range beltStrategies {
 			for p := 1; p <= 4; p++ {
 				for _, n := range []int{p, 2 * p, 3 * p} {
-					plan, err := order.BeltPlan(string(s), 0, p, n)
+					ships, err := order.Shipped(string(s), p, n)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ships := order.Shipped(plan, p)
 					msgs := make(map[key]int)
 					retires := make(map[key]int)
 					for _, bs := range beltTraffic(t, overTCP, s, p, n, ringGroupSize(p)) {

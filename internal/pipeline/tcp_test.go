@@ -681,10 +681,10 @@ func (h *heldCrash) Forward(dst int, tag comm.Tag, payload []float32) error {
 
 // The belt's producers checksum a payload as they write it only where the
 // wire reads that checksum. On the wide benchmark shape (3.3M parameters,
-// four ranks, eight microbatches of 8 tokens) WZB2 over f32 TCP seals the
-// owner's weight copy and every folded gradient hop, with and without the
-// Integrity trailer, and the checksum table that holds them never evicts;
-// in process, and over a bf16 belt, nothing is sealed. Every run lands on
+// four ranks, eight microbatches of 8 tokens) WZB2 over f32 TCP seals each
+// owner's master once an iteration and every folded gradient hop, with and
+// without the Integrity trailer, and the checksum table that holds them
+// never evicts; in process, and over a bf16 belt, nothing is sealed. Every run lands on
 // the same bits. The whole package runs under SetBufPoison, so every
 // Forward of a sealed payload also checks that nothing wrote it after its
 // seal, its trailer included.

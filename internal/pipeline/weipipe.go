@@ -66,11 +66,18 @@ func (v WeiPipeVariant) String() string {
 // A pass does not always take its chunk off a belt. Under the keep rule
 // (order.BeltPlan) a pass keeps its copy for the chunk's next use when the
 // passes in between use at most one other chunk, and that use runs on it.
-// The plan is the same on every rank, so a whole round of a chunk on a belt
+// The rule is the same on every rank, so a whole round of a chunk on a belt
 // is either shipped or served from kept copies — the turnaround chunk P−1's
-// backward rounds always are. And a rank never receives a chunk it holds
-// (order.Holds): the owner serves its own uses from the master weights and
-// relays from that copy, so a shipped round takes P−1 hops.
+// backward rounds always are — but for the early rows: a copy its sender
+// sends before its first wait (the owner's injections, rank P−1's relay of
+// its own use) never goes to a rank that has already run a use of the
+// chunk, whose earlier use keeps its copy instead. And a rank never
+// receives a chunk it holds (order.Holds): the owner's master weights live
+// in a belt-shaped buffer, which is the chunk's payload — its held uses
+// bind it and its injections and relays forward it, sealed once an
+// iteration (sealOwned), uncopied on a lossless wire — and every writer of
+// the master waits until no transport holds it (piece.writable). A shipped
+// round takes at most P−1 hops.
 //
 // A gradient accumulator D_c follows the backward belt (§4.2.1, "update
 // pass"), with two changes. The owner never ships its own chunk's gradient:
@@ -151,12 +158,15 @@ type WeiPipe struct {
 	// the buffer slot of the use it serves, whose belt copy never comes.
 	kept [][]float32
 
-	// own is the copy of the owned chunk's weights that the flat belt's
-	// owner injects and serves its held uses from (ownedCopy), ownLeft the
-	// takers of it still to come, and ownRun the next run's index in
-	// plan.ownRuns.
-	own             []float32
-	ownLeft, ownRun int
+	// masterBuf is the pooled, belt-shaped buffer the owned chunk's master
+	// weights live in: master().w is its body, and the Integrity trailer
+	// (pad) follows it.
+	masterBuf []float32
+	// ownBelt is the owned chunk's belt payload for the running iteration
+	// (sealOwned), which its injections and held-use relays forward and its
+	// held uses bind: masterBuf itself on a lossless wire, one rounded copy
+	// of it on a lossy one. Nil between iterations.
+	ownBelt []float32
 
 	// pad is the checksum trailer length every belt buffer grows by
 	// (Options.Integrity; see integrity.go), 0 when off.
@@ -243,8 +253,13 @@ func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (
 		dAcc:    make([][]float32, p),
 	}
 	w.ownChunk = (t.Rank() + 1) % p
+	if opts.Integrity {
+		w.pad = comm.ChecksumTrailerLen
+	}
 	lo, hi := w.chunkRange(w.ownChunk)
-	w.ownRange(lo, hi, opts.Adam)
+	size := mdl.ChunkSize(lo, hi)
+	w.masterBuf = comm.GetBuf(size + w.pad)
+	w.ownRange(lo, hi, opts.Adam, w.masterBuf[:size])
 	for _, m := range mdl.Modules {
 		w.wGrads = append(w.wGrads, m.Params().NewUnbound())
 	}
@@ -323,8 +338,7 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 			comm.Release(buf)
 			w.dAcc[c] = nil
 		}
-		comm.Release(w.own)
-		w.own = nil
+		w.dropOwned()
 		for mb, a := range st.arenas {
 			w.apool.release(a)
 			delete(st.arenas, mb)
@@ -334,7 +348,6 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	if w.grouped != nil {
 		defer w.grouped.releaseCache()
 	}
-	w.ownRun = 0
 	if err := w.startRows(); err != nil {
 		return 0, err
 	}
@@ -342,6 +355,12 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	if serr := w.runSchedule(st); serr != nil {
 		return 0, serr
 	}
+	// Every use of the iteration has run: the owned chunk's payload has no
+	// taker left here, so the step waits only on the transports' references.
+	if w.grouped != nil {
+		w.grouped.releaseCache()
+	}
+	w.dropOwned()
 
 	// Sum the owned chunk's gradient — the owner's own W passes and the
 	// chain's retire — and step. The opt span opens with the gradient in
@@ -444,9 +463,6 @@ type beltPlan struct {
 	// retire is the row that retires the owned chunk's gradient here (Kind
 	// 0: none, at p=1).
 	retire order.Msg
-	// ownRuns holds, run by run, how many takers share one owner's copy
-	// of its chunk (ownedCopy): its injection rows, then its held uses.
-	ownRuns []int
 }
 
 // compile makes pl the plan of t's rank under strategy for n microbatches,
@@ -457,7 +473,7 @@ func (pl *beltPlan) compile(strategy string, t Transport, n, m int) error {
 		return nil
 	}
 	rank := t.Rank()
-	uses, err := order.BeltPlan(strategy, rank, t.Size(), n)
+	uses, err := order.BeltPlan(strategy, rank, t.Size(), n, m)
 	if err != nil {
 		return fmt.Errorf("pipeline: %w", err)
 	}
@@ -486,50 +502,7 @@ func (pl *beltPlan) compile(strategy string, t Transport, n, m int) error {
 			pl.in[pass[order.Op{Phase: phase, MB: r.Use, Chunk: r.Chunk}]] = r
 		}
 	}
-	pl.ownRuns = ownRuns(rank, (rank+1)%t.Size(), pl.start, uses, pl.in)
 	return nil
-}
-
-// ownRuns groups the takers of the owner's copy of chunk own: its injection
-// rows, at iteration start, then the passes that gather the chunk with no
-// row in (held uses). A taker shares the copy of the taker before it when
-// the passes between them run at most one other chunk — the gap the keep
-// rule bridges (order.BeltPlan) — so a shared copy is never held across
-// more than a kept one would be, and a rank still holds at most two weight
-// copies besides those in flight. It returns each run's taker count.
-func ownRuns(rank, own int, start []order.Msg, uses []order.Use, in []order.Msg) []int {
-	var runs []int
-	take := func(gap []order.Use) {
-		other, near := -1, len(runs) > 0
-		for _, u := range gap {
-			if u.Phase == 'W' || u.Chunk == own || u.Chunk == other {
-				continue
-			}
-			if other >= 0 {
-				near = false
-				break
-			}
-			other = u.Chunk
-		}
-		if near {
-			runs[len(runs)-1]++
-		} else {
-			runs = append(runs, 1)
-		}
-	}
-	for _, r := range start {
-		if r.Src == rank && r.Chunk == own {
-			take(nil)
-		}
-	}
-	from := 0 // the first pass after the previous taker
-	for i, u := range uses {
-		if u.Gather && in[i].Kind == 0 && u.Chunk == own {
-			take(uses[from:i])
-			from = i + 1
-		}
-	}
-	return runs
 }
 
 // runSchedule interprets the plan: every pass is one compute stage, and the
@@ -569,45 +542,54 @@ func (w *WeiPipe) recvRow(r order.Msg) ([]float32, error) {
 	return payload, err
 }
 
-// ownedPayload builds the owned chunk's belt payload for an iteration: one
-// copy of the master weights, rounded to the values the wire under tag
-// delivers (comm.RoundToWire) and sealed. Every rank therefore computes on
-// the same bits, the owner serving its own uses included. Where the
-// transport checksums the payload's f32 image, the copy folds that
-// checksum in as it goes (sealWire), so Forward sends it without the
-// writer reading it again. The caller owns it.
-func (w *WeiPipe) ownedPayload(tag Tag) []float32 {
-	master := w.master().w
-	payload := comm.GetBuf(len(master) + w.pad)
-	body := w.beltBody(payload)
-	if w.t.SealsF32(tag) {
-		w.sealWire(payload, tensor.CopyCRC32(body, master))
-		return payload
+// sealOwned makes the owned chunk's belt payload for the iteration
+// (ownBelt), before its first injection. On a lossless wire that is the
+// master's own buffer: nothing is copied, and its wire checksum and
+// Integrity trailer are taken once, in place — under Integrity from the
+// resident guard's checksum of the master, which the iteration's entry check
+// has just verified. Forward then seals every frame of it without reading
+// it. A lossy wire delivers rounded values, which every rank, the owner's
+// held uses included, must compute on, so there the payload is one copy of
+// the master rounded to the wire's values (comm.RoundToWire) and sealed.
+func (w *WeiPipe) sealOwned() {
+	tag := w.rowTag(order.Msg{Kind: 'F', Chunk: w.ownChunk})
+	master := w.master()
+	if codec := w.t.WireCodec(tag); codec != comm.CodecF32 {
+		w.ownBelt = comm.GetBuf(len(w.masterBuf))
+		body := w.beltBody(w.ownBelt)
+		copy(body, master.w)
+		comm.RoundToWire(codec, body)
+		w.sealBelt(tag, w.ownBelt)
+		return
 	}
-	copy(body, master)
-	comm.RoundToWire(w.t.WireCodec(tag), body)
-	w.sealBelt(tag, payload)
-	return payload
+	w.ownBelt = w.masterBuf
+	seals := w.t.SealsF32(tag)
+	if w.pad == 0 && !seals {
+		return
+	}
+	var crc uint32
+	if master.sums != nil {
+		crc = master.sums[0]
+	} else {
+		crc = comm.ChecksumSlice(master.w)
+	}
+	if w.pad > 0 {
+		master.writable() // the trailer is written in place
+	}
+	if seals {
+		w.sealWire(w.masterBuf, crc)
+	} else {
+		comm.SealChunkCRC(w.masterBuf, crc)
+	}
 }
 
-// ownedCopy hands out a reference to the flat belt's owned payload: built
-// (ownedPayload) for the first taker of a run under tag and shared by
-// Retain with the run's other takers (beltPlan.ownRuns) — the owner's
-// injection rows and its held uses, every one a weight row under one codec.
-// The run's last taker gets the reference the copy was built with, so the
-// copy returns to the pool after that taker's use.
-func (w *WeiPipe) ownedCopy(tag Tag) []float32 {
-	if w.own == nil {
-		w.own, w.ownLeft = w.ownedPayload(tag), w.plan.ownRuns[w.ownRun]
-		w.ownRun++
+// dropOwned ends the iteration's use of the owned chunk's payload: a lossy
+// wire's rounded copy goes back to the pool; the master's buffer stays.
+func (w *WeiPipe) dropOwned() {
+	if len(w.ownBelt) > 0 && &w.ownBelt[0] != &w.masterBuf[0] {
+		comm.Release(w.ownBelt)
 	}
-	payload := w.own
-	if w.ownLeft--; w.ownLeft > 0 {
-		comm.Retain(payload)
-	} else {
-		w.own = nil
-	}
-	return payload
+	w.ownBelt = nil
 }
 
 // groupSize returns the rank count of the belts' groups: 1 on the flat ring.
@@ -657,8 +639,8 @@ func (w *WeiPipe) cached(c int) []float32 {
 // sendCached sends row r from this rank's cached shard of its chunk without
 // copying it: the cache keeps its reference and the transport takes another.
 // It forwards (Transport.Forward): a cached chunk is either one this rank
-// received and has not written since, or the owner's own, sealed as it was
-// copied (ownedPayload).
+// received and has not written since, or the owner's own payload, sealed
+// for the iteration (sealOwned).
 func (w *WeiPipe) sendCached(r order.Msg) error {
 	t, dst := w.rowPeer(r, r.Dst)
 	payload := w.grouped.cache[r.Chunk]
@@ -666,19 +648,21 @@ func (w *WeiPipe) sendCached(r order.Msg) error {
 	return t.Forward(dst, w.rowTag(r), payload)
 }
 
-// startRows runs the rank's iteration-start rows in table order: the flat
-// owner's injection, the grouped belt's shard exchange and its round-0
-// injections. Rows of distinct chunks are independent and come chunk by
-// chunk, so the fixed order cannot deadlock. A grouped holder that owns its
-// chunk caches the owned payload first, and every row of a cached chunk
-// forwards the cache. The owned chunk's other rows forward the owner's
-// shared copy (ownedCopy). An exchange hop into this rank is verified
-// before it is cached or forwarded: a corrupt shard must neither seed R
-// rounds of local consumption nor travel on.
+// startRows seals the owned chunk's payload (sealOwned) and runs the rank's
+// iteration-start rows in table order: the flat owner's injections, the
+// grouped belt's shard exchange and its round-0 injections. Rows of
+// distinct chunks are independent and come chunk by chunk, so the fixed
+// order cannot deadlock. A grouped holder that owns its chunk caches the
+// owned payload first, and every row of a cached chunk forwards the cache.
+// The owned chunk's other rows forward the payload itself. An exchange hop
+// into this rank is verified before it is cached or forwarded: a corrupt
+// shard must neither seed R rounds of local consumption nor travel on.
 func (w *WeiPipe) startRows() error {
 	rank, own := w.t.Rank(), w.ownChunk
+	w.sealOwned()
 	if w.grouped != nil && order.Holds(rank, own, w.t.Size(), w.grouped.m) {
-		w.grouped.cache[own] = w.ownedPayload(w.rowTag(order.Msg{Kind: 'X', Chunk: own}))
+		comm.Retain(w.ownBelt)
+		w.grouped.cache[own] = w.ownBelt
 	}
 	for _, r := range w.plan.start {
 		var err error
@@ -697,8 +681,8 @@ func (w *WeiPipe) startRows() error {
 			err = w.sendCached(r)
 		default:
 			t, dst := w.rowPeer(r, r.Dst)
-			tag := w.rowTag(r)
-			err = t.Forward(dst, tag, w.ownedCopy(tag))
+			comm.Retain(w.ownBelt)
+			err = t.Forward(dst, w.rowTag(r), w.ownBelt)
 		}
 		if err != nil {
 			return err
@@ -708,16 +692,15 @@ func (w *WeiPipe) startRows() error {
 }
 
 // heldPayload is a holder's copy of chunk c for pass u, in place of the
-// belt's, shared: on the flat belt the owner's copy (ownedCopy), on the
-// grouped belt the cached payload — or, for the chaos injector, which
+// belt's, shared: on the flat belt the owned chunk's payload (ownBelt), on
+// the grouped belt the cached payload — or, for the chaos injector, which
 // writes what it is handed, a private copy of either. The caller owns it.
 func (w *WeiPipe) heldPayload(u order.Use) []float32 {
 	payload := w.cached(u.Chunk)
 	if payload == nil {
-		payload = w.ownedCopy(w.rowTag(order.Msg{Kind: u.Phase, Chunk: u.Chunk, Use: u.MB}))
-	} else {
-		comm.Retain(payload)
+		payload = w.ownBelt
 	}
+	comm.Retain(payload)
 	if w.opts.BitFlip != nil {
 		private := append(comm.GetBuf(len(payload))[:0], payload...)
 		comm.Release(payload)

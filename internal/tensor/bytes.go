@@ -78,29 +78,12 @@ func swap32(b []byte) {
 	}
 }
 
-// crcBlock is how many elements CopyCRC32 and AddIntoCRC32 write before
-// they checksum them: 32 KB, which the CRC reads back out of the L1/L2 the
-// write left it in instead of from memory. On one core of a 2-core AVX-512
-// host, over 820 800 floats, a copy then a CRC takes 642 µs and the blocked
-// pair 376 µs, under the copy's own 408 µs; an AddInto then a CRC 553 µs,
-// blocked 419 µs (BenchmarkSealedCopy).
+// crcBlock is how many elements AddIntoCRC32 adds before it checksums
+// them: 32 KB, which the CRC reads back out of the L1/L2 the add left it in
+// instead of from memory. On one core of a 2-core AVX-512 host, over
+// 820 800 floats, an AddInto then a CRC takes 553 µs and the blocked pair
+// 419 µs (BenchmarkSealedAdd).
 const crcBlock = 8192
-
-// CopyCRC32 copies src into dst, which must be as long, and returns the
-// IEEE CRC-32 of dst's little-endian image — UpdateCRC32(0, F32LE(dst)) —
-// checksumming each block as soon as it is copied.
-func CopyCRC32(dst, src []float32) uint32 {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("tensor: CopyCRC32 size mismatch: %d vs %d", len(dst), len(src)))
-	}
-	var crc uint32
-	for i := 0; i < len(dst); i += crcBlock {
-		j := min(i+crcBlock, len(dst))
-		copy(dst[i:j], src[i:j])
-		crc = UpdateCRC32(crc, F32LE(dst[i:j]))
-	}
-	return crc
-}
 
 // AddIntoCRC32 is AddIntoF32(dst, a) — the same bits in dst — that also
 // returns the IEEE CRC-32 of dst's little-endian image after the add,
