@@ -474,6 +474,9 @@ func TestBeltPlanTable(t *testing.T) {
 	}
 }
 
+// TestFSDPPlanTable pins the keep rule by hand on the smallest model it
+// moves: the last two modules kept across each forward→backward turnaround,
+// the first two across the microbatch boundary, nothing past the iteration.
 func TestFSDPPlanTable(t *testing.T) {
 	for _, tc := range []struct {
 		modules, nLocal int

@@ -41,7 +41,7 @@ import (
 func (w *WeiPipe) initBuddy() {
 	sc, _ := w.BuddyChunk()
 	lo, hi := w.chunkRange(sc)
-	w.shadow = w.newPiece(lo, hi, w.opts.Adam, nil)
+	w.shadow = w.newPiece(lo, hi, w.opts.Adam, make([]float32, w.mdl.ChunkSize(lo, hi)))
 	w.shadow.arm()
 	w.master().arm()
 }

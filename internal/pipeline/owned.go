@@ -54,18 +54,16 @@ type rollback struct {
 	valid bool
 }
 
-// newPiece builds modules [lo, hi) as a piece: their initial weights
-// (model.InitChunk), in w when it is not nil, and a fresh optimizer.
+// newPiece builds modules [lo, hi) as a piece in w, which is
+// o.mdl.ChunkSize(lo, hi) long: their initial weights (model.InitChunk) and
+// a fresh optimizer.
 func (o *owned) newPiece(lo, hi int, adam optim.AdamWConfig, w []float32) *piece {
-	if w == nil {
-		w = make([]float32, o.mdl.ChunkSize(lo, hi))
-	}
 	o.mdl.InitChunk(lo, hi, w)
 	return &piece{off: o.mdl.ChunkSize(0, lo), w: w, opt: optim.NewAdamW(len(w), adam)}
 }
 
-// ownRange makes modules [lo, hi) one owned piece, in w when it is not nil,
-// which the modules are views of for good, so a step updates them in place.
+// ownRange makes modules [lo, hi) one owned piece in w (newPiece), which
+// the modules are views of for good, so a step updates them in place.
 func (o *owned) ownRange(lo, hi int, adam optim.AdamWConfig, w []float32) {
 	p := o.newPiece(lo, hi, adam, w)
 	o.mdl.BindChunk(lo, hi, p.w)

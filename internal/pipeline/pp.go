@@ -92,7 +92,7 @@ func NewPP(t Transport, cfg model.Config, opts Options, s Strategy) (*PP, error)
 		recompute: opts.Recompute && s != StrategyZB1 && s != StrategyZB2,
 		tr:        opts.Trace.Rank(t.Rank()),
 	}
-	pp.ownRange(lo, hi, opts.Adam, nil)
+	pp.ownRange(lo, hi, opts.Adam, make([]float32, pp.mdl.ChunkSize(lo, hi)))
 	pp.flatG, pp.grads = bindGrads(mdl, lo, hi)
 	return pp, nil
 }

@@ -41,7 +41,7 @@ func newSerial(cfg model.Config, opts Options, rank int) *Serial {
 		tr:    opts.Trace.Rank(rank),
 	}
 	n := len(s.mdl.Modules)
-	s.ownRange(0, n, opts.Adam, nil)
+	s.ownRange(0, n, opts.Adam, make([]float32, s.mdl.ChunkSize(0, n)))
 	s.flatG, s.grads = bindGrads(s.mdl, 0, n)
 	return s
 }

@@ -550,11 +550,11 @@ func buildWeiPipeNaive(spec Spec) ([]sim.Task, error) {
 //     holder's injection into its group's first rank runs on the group
 //     fabric after the shard is cached and, past round 0, the holder's own
 //     pass one round earlier, kept-served or not;
-//   - a relay runs on the ring link out of its sender. Store and forward: it
-//     leaves when the copy of the sender's use arrived or, when that use ran
-//     on a local copy — kept since the chunk's previous pass, or its
-//     holder's own (order.Holds) — when the sender's pass starts, after the
-//     compute before it; a holder's relay also waits for the shard;
+//   - a relay runs on the ring link out of its sender once the sender's pass
+//     starts, after the compute before it, as the runtime relays
+//     (bindWeights), and, when the sender's use took a row rather than a
+//     local copy (kept, or its holder's own: order.Holds), once that row
+//     arrived: store and forward; a holder's relay also waits for the shard;
 //   - a weight message also waits for the flow control's earlier consumer
 //     (fwdEarlier/bwdEarlier), which is what paces the ring;
 //   - a gradient hop ('D') leaves after its sender's W pass, on one ring
@@ -621,16 +621,17 @@ func buildWeiPipe(strategy string, spec Spec, m int) ([]sim.Task, error) {
 			if m > 1 && (inject || order.Holds(r.Src, c, p, m)) {
 				deps = dep(deps, arrive[r.Src/m][c])
 			}
-			prev, ok := delivered[use{r.Kind, c, r.Use - 1}]
-			switch {
-			case inject:
+			if inject {
 				if r.Pass >= 0 {
 					deps = append(deps, b.prog[r.Src][r.Pass])
 				}
-			case ok:
-				deps = dep(deps, prev)
-			case r.Pass > 0:
-				deps = append(deps, b.prog[r.Src][r.Pass-1])
+			} else {
+				if prev, ok := delivered[use{r.Kind, c, r.Use - 1}]; ok {
+					deps = dep(deps, prev)
+				}
+				if r.Pass > 0 {
+					deps = append(deps, b.prog[r.Src][r.Pass-1])
+				}
 			}
 			deps = dep(deps, earlier(r.Dst, r.Use/p, c))
 			var x int

@@ -321,3 +321,66 @@ func TestSimulatorCostsProgram(t *testing.T) {
 		}
 	}
 }
+
+// TestRelayLeavesAtSenderPassStart: a relay waits for the compute before its
+// sender's pass, as the runtime relays at the top of the pass, whether the
+// sender's copy came off the belt or was kept; and, when it came off the
+// belt, for the row that brought it (store and forward).
+func TestRelayLeavesAtSenderPassStart(t *testing.T) {
+	for _, s := range []string{"weipipe-interleave", "wzb1", "wzb2", "wzb2g"} {
+		for _, p := range []int{2, 4} {
+			m := 1
+			if s == "wzb2g" {
+				m = 2
+			}
+			for _, n := range []int{p, 2 * p, 3 * p} {
+				w := smallWorkload(p)
+				w.N = n
+				tasks, err := Build(s, Spec{W: w, GPU: cluster.A800(), Top: cluster.NVLinkEthernet(p, 2)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, err := order.Wiring(s, p, n, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prog := make([][]int, p) // each worker's passes, in program order
+				links := make(map[string]sim.Task)
+				for _, task := range tasks {
+					switch task.Kind {
+					case "F", "B", "W":
+						prog[task.Worker] = append(prog[task.Worker], task.ID)
+					case "comm":
+						links[task.Label] = task
+					}
+				}
+				label := func(kind byte, c, use int) string {
+					if kind == 'B' {
+						return fmt.Sprintf("Wb c%d u%d", c, use)
+					}
+					return fmt.Sprintf("Wf c%d u%d", c, use)
+				}
+				relays := 0
+				for _, r := range rows {
+					if (r.Kind != 'F' && r.Kind != 'B') || r.Injects(m) {
+						continue
+					}
+					task, ok := links[label(r.Kind, r.Chunk, r.Use)]
+					if !ok {
+						t.Fatalf("%s p=%d n=%d: no link task for %+v", s, p, n, r)
+					}
+					if r.Pass > 0 && !slices.Contains(task.Deps, prog[r.Src][r.Pass-1]) {
+						t.Errorf("%s p=%d n=%d: %q leaves before its sender's pass starts", s, p, n, task.Label)
+					}
+					if in, ok := links[label(r.Kind, r.Chunk, r.Use-1)]; ok && !slices.Contains(task.Deps, in.ID) {
+						t.Errorf("%s p=%d n=%d: %q leaves before %q brings its copy", s, p, n, task.Label, in.Label)
+					}
+					relays++
+				}
+				if relays == 0 {
+					t.Errorf("%s p=%d n=%d: no relay checked", s, p, n)
+				}
+			}
+		}
+	}
+}
