@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"weipipe/internal/tensor"
 )
@@ -203,10 +204,10 @@ func TestForwardOfWrittenPayloadPanics(t *testing.T) {
 			t.Fatal(err)
 		}
 		got[n/2] += 1
+		// The panicking Forward releases got, the reference it was handed.
 		mustPanic(t, "Forward of a written payload through a "+w.name, func() {
 			w.t.Forward(2, Tag{Kind: KindWeight, A: 20 + i}, got)
 		})
-		Release(got)
 	}
 
 	if err := trs[0].Send(1, Tag{Kind: KindWeight, A: 1}, src); err != nil {
@@ -220,11 +221,19 @@ func TestForwardOfWrittenPayloadPanics(t *testing.T) {
 		t.Fatal("the reader remembered no checksum for a received f32 payload")
 	}
 	got[n/2] += 1
+	Retain(got) // a second reference, for the Forward
 	mustPanic(t, "Forward of a written payload", func() {
 		trs[1].Forward(2, Tag{Kind: KindWeight, A: 2}, got)
 	})
 
-	// The panic struck before the payload was enqueued, so it is still ours.
+	// The panic released the Forward's reference and never enqueued the
+	// payload, so the first is still ours and the buffer is unshared again.
+	shared.mu.Lock()
+	leaked := shared.find(unsafe.SliceData(got)) >= 0
+	shared.mu.Unlock()
+	if leaked {
+		t.Fatal("the panicking Forward kept the reference it was handed")
+	}
 	// Sent round through a self-send, which no reader verifies, it comes back
 	// with no remembered checksum, and forwarding it takes a full seal.
 	want := got[n/2]
@@ -391,10 +400,10 @@ func TestForwardOfWrittenSealedPayloadPanics(t *testing.T) {
 		copy(p, src)
 		Seal(p, ChecksumSlice(p))
 		p[n/3] += 1
+		// The panicking Forward releases p, the reference it was handed.
 		mustPanic(t, "Forward of a payload written after its seal through a "+w.name, func() {
 			w.t.Forward(1, tag, p)
 		})
-		Release(p)
 	}
 	p := GetBuf(n)
 	copy(p, src)

@@ -196,9 +196,12 @@ func (f *outFrame) seal(src int, epoch uint32) {
 
 // checkUnwritten is Forward's guard under SetBufPoison: it panics unless
 // payload's f32 wire image still has the checksum its reader verified or
-// its producer sealed.
+// its producer sealed. Before it panics it releases payload, the reference
+// Forward's caller handed over, so a writer waiting for the buffer to be
+// unshared (AwaitSole) is not left waiting for ever.
 func checkUnwritten(payload []float32, crc uint32) {
 	if got := ChecksumSlice(payload); got != crc {
+		Release(payload)
 		panic(fmt.Sprintf("comm: Forward of a payload written since its checksum (crc %#x, recorded %#x)", got, crc))
 	}
 }

@@ -203,9 +203,10 @@ const (
 	// belts and the gradient belt (the "larger buffers" the paper notes
 	// put WeiPipe slightly above FSDP). A pass that keeps its copy for the
 	// chunk's next use (order.BeltPlan — the turnaround chunk P−1 from F to
-	// B, and from two rounds up chunk pairs whose F and B interleave) holds
-	// it in the slot of the use it serves, whose belt copy never comes, and
-	// the keep rule keeps at most two at a time. Where a rank keeps more, in
+	// B, and every further copy the budget has room for) holds it in the
+	// slot of the use it serves, whose belt copy never comes, and the plan
+	// has at most two copies of chunks the rank does not hold bound or kept
+	// at a time: the two slots. Where a rank keeps more, in
 	// place of an early row it no longer takes, the copy is held no longer
 	// than that row would have waited in its mailbox, so it takes the row's
 	// slot. An owner serves its own chunk (order.Holds) from its master

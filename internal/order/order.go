@@ -8,9 +8,10 @@
 // proved once, on the list, for all of them.
 //
 // The list is compute only. Which passes fetch weights and which run on a
-// copy kept from the chunk's previous pass is the keep rule's, written here
-// once for the weight-passing family's belts (BeltPlan) and FSDP's gathers
-// (FSDP). The weight-passing family's messages are written here too: Wiring
+// copy kept from the chunk's previous pass is written here once: the keep
+// rule for FSDP's gathers (FSDP), and for the weight-passing family's belts
+// the keep rule widened to each rank's two-copy budget (BeltPlan). The
+// weight-passing family's messages are written here too: Wiring
 // lists every weight, shard-exchange, gradient and retire message of one
 // iteration, with its sender, receiver and the sender's pass that sends it,
 // for the flat ring and the grouped belt alike. The runtime sends and
@@ -286,42 +287,90 @@ func keepPlan(strategy string, rank, p, n int) ([]Use, error) {
 }
 
 // BeltPlan returns the weight plan of rank under a weight-passing strategy
-// on belts of m-rank groups (m = 1: the flat ring): the keep rule's plan
-// (keepPlan), less the early rows Wiring drops. An early row is one its
-// sender sends before it takes any row — an iteration-start injection, or
-// the relay of a pass the sender serves from its own copy with no wait
-// before it — so it waits in its receiver's mailbox from the start of the
-// iteration. When the receiver has already run a use of the row's chunk,
-// the latest such use keeps its copy for the row's use instead, which is
-// therefore held no longer than the row would have waited. Only the ranks
-// early rows reach (the flat ring's rank 0, a grouped ring's group heads)
-// differ from the keep rule's plan.
+// on belts of m-rank groups (m = 1: the flat ring). It starts from the keep
+// rule's plan (keepPlan) and keeps every keep of it. It then widens it
+// (widen): walking the rank's program, each further F or B copy of a chunk
+// the rank does not hold is kept until the chunk's next use whenever no F or
+// B pass in between would then have more than two copies of such chunks
+// bound or kept. A held chunk (Holds) costs no slot. Last come the early rows
+// Wiring drops. An early row is one its sender sends before it takes any row
+// — an iteration-start injection, or the relay of a pass the sender serves
+// from its own copy with no wait before it — so it waits in its receiver's
+// mailbox from the start of the iteration. When the receiver has already run
+// a use of the row's chunk, the latest such use keeps its copy for the row's
+// use instead, which is therefore held no longer than the row would have
+// waited. Ranks hold different chunks, so their plans differ.
 func BeltPlan(strategy string, rank, p, n, m int) ([]Use, error) {
-	b, err := wire(strategy, p, n, m)
+	b, err := wire(strategy, p, n, m, false)
 	if err != nil {
 		return nil, err
 	}
 	if rank < 0 || rank >= p {
 		return nil, fmt.Errorf("order: rank %d of %d ranks has no plan", rank, p)
 	}
-	uses := b.plans[rank]
-	for _, r := range b.dropped {
-		if r.Dst == rank {
-			i := b.pass[Op{Phase: r.Kind, MB: r.Use, Chunk: r.Chunk}]
-			uses[b.before(rank, i)].Keep = true
-			uses[i].Gather = false
+	return b.plans[rank], nil
+}
+
+// widen keeps, on top of a rank's keep-rule plan uses, every further copy
+// that fits the two-copy budget (BeltPlan): in program order, an F or B pass
+// on a chunk the rank does not hold (held) that drops its copy keeps it for
+// the chunk's next use when every F or B pass in between has at most one
+// such copy bound or kept; nothing is kept past a chunk's last F or B pass.
+// The walk is greedy and one pass: a keep it refuses would still overfill a
+// pass once the later keeps are in, so no single further keep fits.
+func widen(uses []Use, held func(c int) bool) {
+	next := make([]int, len(uses)) // each F or B pass's chunk's next F or B pass, or −1
+	last := make(map[int]int)
+	for i := len(uses) - 1; i >= 0; i-- {
+		next[i] = -1
+		if u := uses[i]; u.Phase != 'W' {
+			if k, ok := last[u.Chunk]; ok {
+				next[i] = k
+			}
+			last[u.Chunk] = i
 		}
 	}
-	return uses, nil
+	load := make([]int, len(uses)) // per F or B pass, the unheld copies bound or kept over it
+	hold := func(i int) {
+		for k := i + 1; k < next[i]; k++ {
+			load[k]++
+		}
+	}
+	for i, u := range uses {
+		if u.Phase == 'W' || held(u.Chunk) {
+			continue
+		}
+		load[i]++
+		if u.Keep {
+			hold(i)
+		}
+	}
+	for i := range uses {
+		u := &uses[i]
+		if u.Phase == 'W' || u.Keep || next[i] < 0 || held(u.Chunk) {
+			continue
+		}
+		fits := true
+		for k := i + 1; k < next[i]; k++ {
+			fits = fits && (uses[k].Phase == 'W' || load[k] < 2)
+		}
+		if fits {
+			u.Keep, uses[next[i]].Gather = true, false
+			hold(i)
+		}
+	}
 }
 
 // Shipped tabulates the keep rule's belt segments of a weight-passing
 // strategy on p ranks over n microbatches: Shipped(…)[b][c][k] reports
 // whether round k of chunk c travels on belt b — 0 the forward belt F passes
 // take their chunk off, 1 the backward belt of the B passes — or is served
-// from kept copies on every rank. It is the keep rule's table, so a segment
-// whose early row BeltPlan drops for one rank still counts as shipped:
-// Deferred, GradChain and every gradient row read it, unchanged by the drop.
+// from kept copies on every rank. It is the keep rule's table, the same for
+// every rank. The weight plans (BeltPlan) keep more than the rule on some
+// ranks and not on others, so a segment may ship to one rank and not
+// another, but it still counts as shipped here: Deferred, GradChain and
+// every gradient row read this table, so the gradient side is the keep
+// rule's whatever copies the weight plans keep.
 func Shipped(strategy string, p, n int) ([2][][]bool, error) {
 	plan, err := keepPlan(strategy, 0, p, n)
 	if err != nil {
@@ -495,15 +544,15 @@ func (msg Msg) Injects(m int) bool {
 
 // Wiring returns every message of one iteration of a weight-passing strategy
 // on p ranks over n microbatches, with the weight belts circulating in groups
-// of m ranks (m = 1: the flat ring). It is built from the keep rule's plans
-// (keepPlan), Shipped, Holds, Deferred and GradChain alone:
+// of m ranks (m = 1: the flat ring). It is built from the ranks' weight plans
+// (BeltPlan), Shipped, Holds, Deferred and GradChain alone:
 //
 //   - 'X', grouped only: chunk c's owner hands the chunk to its own group's
 //     holder, unless it holds it, and the holders store-and-forward it
 //     around the holder ring, one hop per group boundary, at iteration
 //     start.
-//   - 'F' and 'B': every use a belt ships (Shipped) into a rank that does
-//     not hold the chunk (Holds) takes one copy. On the flat ring use 0
+//   - 'F' and 'B': every use that its rank's plan gathers, of a chunk the
+//     rank does not hold (Holds), takes one copy. On the flat ring use 0
 //     comes from the owner at iteration start and use j from the pass on
 //     use j−1. On the grouped belt a group's first rank takes round 0 from
 //     the group's holder at iteration start and round k from the holder's
@@ -511,27 +560,81 @@ func (msg Msg) Injects(m int) bool {
 //     An early weight row (BeltPlan) into a rank that has already run a use
 //     of its chunk is dropped: that use's copy serves the row's use.
 //   - 'D': D_c hops along GradChain from each use's W pass to the next use's
-//     rank, where the two differ.
+//     rank, where the two differ. The gradient side is the keep rule's
+//     (Shipped), whatever copies the weight plans keep.
 //   - 'R': the chain's last use retires D_c to the owner.
 //
 // Rows come per chunk and per use, forward before backward, with the
 // exchange first and the gradient last. The order is not neutral: the
 // simulator dispatches the lowest-numbered ready task.
 func Wiring(strategy string, p, n, m int) ([]Msg, error) {
-	b, err := wire(strategy, p, n, m)
+	b, err := wire(strategy, p, n, m, false)
 	if err != nil {
 		return nil, err
 	}
 	return b.rows, nil
 }
 
+// InHand returns, per rank and per pass of its weight plan (BeltPlan), the
+// copies of chunks the rank does not hold (Holds) that it has in hand while
+// the pass runs, under a weight-passing strategy on belts of m-rank groups:
+// the one an F or B pass binds, those kept over the pass, and the early rows
+// (BeltPlan) into the rank that wait in its mailbox for a later pass.
+func InHand(strategy string, p, n, m int) ([][]int, error) {
+	b, err := wire(strategy, p, n, m, false)
+	if err != nil {
+		return nil, err
+	}
+	return inHand(b.plans, b.early, p, m), nil
+}
+
+// inHand is InHand's walk over the ranks' plans and the early rows, which
+// wait in their receivers' mailboxes from the start of the iteration until
+// the pass that takes them.
+func inHand(plans [][]Use, early []Msg, p, m int) [][]int {
+	counts := make([][]int, len(plans))
+	for rank, plan := range plans {
+		takenAt := make(map[Op]int, len(plan))
+		for i, u := range plan {
+			takenAt[u.Op] = i
+		}
+		var pending []int
+		for _, r := range early {
+			if r.Dst == rank {
+				pending = append(pending, takenAt[Op{Phase: r.Kind, MB: r.Use, Chunk: r.Chunk}])
+			}
+		}
+		counts[rank] = make([]int, len(plan))
+		kept := make(map[int]bool)
+		for i, u := range plan {
+			held := Holds(rank, u.Chunk, p, m)
+			if u.Phase != 'W' {
+				delete(kept, u.Chunk)
+				if !held {
+					counts[rank][i]++
+				}
+			}
+			counts[rank][i] += len(kept)
+			for _, at := range pending {
+				if at > i {
+					counts[rank][i]++
+				}
+			}
+			if u.Phase != 'W' && u.Keep && !held {
+				kept[u.Chunk] = true
+			}
+		}
+	}
+	return counts
+}
+
 // wiring is one iteration's messages worked out: the rows Wiring returns,
-// the early weight rows it dropped, and the keep rule's plans, belt table
-// and pass indices they were built from.
+// the early weight rows among them and those it dropped, and the plans and
+// pass indices they were built from.
 type wiring struct {
-	plans         [][]Use    // per rank, the keep rule's plan (keepPlan)
-	pass          map[Op]int // every pass's index in its rank's plan
-	rows, dropped []Msg
+	plans                [][]Use    // per rank, the weight plan (BeltPlan)
+	pass                 map[Op]int // every pass's index in its rank's plan
+	rows, early, dropped []Msg
 }
 
 // before returns the index of the last F or B pass on pass i's chunk that
@@ -546,8 +649,10 @@ func (b *wiring) before(rank, i int) int {
 	return -1
 }
 
-// wire builds the iteration's wiring (Wiring).
-func wire(strategy string, p, n, m int) (*wiring, error) {
+// wire builds the iteration's wiring (Wiring) — or, with rule, the keep
+// rule's: every rank runs its keep-rule plan (keepPlan), unwidened, and no
+// early row is dropped.
+func wire(strategy string, p, n, m int, rule bool) (*wiring, error) {
 	if m < 1 || p%m != 0 {
 		return nil, fmt.Errorf("order: groups of %d ranks do not tile a ring of %d", m, p)
 	}
@@ -560,9 +665,15 @@ func wire(strategy string, p, n, m int) (*wiring, error) {
 		for i, u := range plan {
 			b.pass[u.Op] = i
 		}
+		if !rule {
+			widen(plan, func(c int) bool { return Holds(r, c, p, m) })
+		}
 		b.plans[r] = plan
 	}
-	ships := shipped(b.plans[0], p) // the same for every rank's plan
+	ships, err := Shipped(strategy, p, n)
+	if err != nil {
+		return nil, err
+	}
 	owner := func(c int) int { return (c - 1 + p) % p }
 	holder := func(g, c int) int { return g*m + c%m }
 	var msgs []Msg
@@ -580,9 +691,9 @@ func wire(strategy string, p, n, m int) (*wiring, error) {
 	weights := len(msgs)
 	for c := 0; c < p; c++ {
 		for j := 0; j < n; j++ {
-			for k, phase := range [2]byte{'F', 'B'} {
+			for _, phase := range [2]byte{'F', 'B'} {
 				dst, round := j%p, j/p
-				if !ships[k][c][round] || Holds(dst, c, p, m) {
+				if !b.plans[dst][b.pass[Op{Phase: phase, MB: j, Chunk: c}]].Gather || Holds(dst, c, p, m) {
 					continue
 				}
 				msg := Msg{Kind: phase, Chunk: c, Use: j, Src: (dst - 1 + p) % p, Dst: dst, Group: m > 1, Pass: -1}
@@ -630,9 +741,14 @@ func wire(strategy string, p, n, m int) (*wiring, error) {
 		}
 	}
 	for i, r := range msgs {
-		if i >= weights && i < grads && r.Pass < wait[r.Src] && b.before(r.Dst, b.pass[Op{Phase: r.Kind, MB: r.Use, Chunk: r.Chunk}]) >= 0 {
-			b.dropped = append(b.dropped, r)
-			continue
+		if i >= weights && i < grads && r.Pass < wait[r.Src] {
+			at := b.pass[Op{Phase: r.Kind, MB: r.Use, Chunk: r.Chunk}]
+			if k := b.before(r.Dst, at); k >= 0 && !rule {
+				b.plans[r.Dst][k].Keep, b.plans[r.Dst][at].Gather = true, false
+				b.dropped = append(b.dropped, r)
+				continue
+			}
+			b.early = append(b.early, r)
 		}
 		b.rows = append(b.rows, r)
 	}

@@ -371,8 +371,8 @@ func spellPlan(uses []Use) string {
 // pass gathers exactly when its chunk is not held; no pass binds or keeps
 // more than two copies, W passes bind none, and nothing is held after the
 // iteration; and for p > 1 the turnaround chunk p−1's B passes all run on a
-// kept copy. BeltPlan differs from it only on the ranks early rows reach,
-// which TestEarlyRowsDropped checks.
+// kept copy. BeltPlan widens it per rank and drops early rows, which
+// TestBeltPlanMaximal and TestEarlyRowsDropped check.
 func TestBeltPlanProperties(t *testing.T) {
 	type segment struct {
 		phase        byte
@@ -443,33 +443,41 @@ func TestBeltPlanProperties(t *testing.T) {
 // (only chunk 3 is used in between). At n=8 the steady state interleaves F
 // of round 1 with B of round 0: F1/2 runs on B0/2's copy, B0/1 on F1/1's,
 // and both turnarounds are kept — so forward-belt round 1 of chunk 2 and
-// backward-belt round 0 of chunks 1 and 3 travel no belt. Rank 0's plan
-// (BeltPlan) also keeps what the early rows into it would have brought: at
-// n=4 F0/0's copy serves B0/0, the owner's injection; at n=8 it serves F4/0,
-// rank 3's relay of its own use 3, and on to B0/0, and F0/2's serves B0/2.
+// backward-belt round 0 of chunks 1 and 3 travel no belt. BeltPlan widens
+// the rule where the two-copy budget has room, counting no slot for the
+// chunk the rank holds (rank 0 chunk 1, rank 1 chunk 2): at n=8 rank 1
+// keeps chunk 0 from F1/0 through F5/0 and B1/0 to B5/0, and rank 0's B0/0
+// keeps its copy for B4/0. Rank 0 also keeps what the early rows into it would
+// have brought: at n=4 F0/0's copy serves B0/0, the owner's injection; at
+// n=8 it serves F4/0, rank 3's relay of its own use 3, and on to B0/0, and
+// F0/2's serves B0/2.
 func TestBeltPlanTable(t *testing.T) {
 	for _, tc := range []struct {
-		n          int
-		rule, rank string
+		n       int
+		rule    string
+		rank    int
+		widened string
 	}{
 		{4, "+F0/0 +F0/1 +F0/2* +F0/3* B0/3 B0/2 +B0/1 +B0/0",
-			"+F0/0* +F0/1 +F0/2* +F0/3* B0/3 B0/2 +B0/1 B0/0"},
+			0, "+F0/0* +F0/1 +F0/2* +F0/3* B0/3 B0/2 +B0/1 B0/0"},
 		{8, "+F0/0 +F0/1 +F0/2 +F0/3* +F4/0 B0/3 +F4/1* +B0/2* F4/2 B0/1 +F4/3* +B0/0 B4/3 +B4/2 +B4/1 +B4/0",
-			"+F0/0* +F0/1 +F0/2* +F0/3* F4/0* B0/3 +F4/1* B0/2* F4/2 B0/1 +F4/3* B0/0 B4/3 +B4/2 +B4/1 +B4/0"},
+			0, "+F0/0* +F0/1 +F0/2* +F0/3* F4/0* B0/3 +F4/1* B0/2* F4/2 B0/1 +F4/3* B0/0* B4/3 +B4/2 +B4/1 B4/0"},
+		{8, "+F1/0 +F1/1 +F1/2 +F1/3* +F5/0 B1/3 +F5/1* +B1/2* F5/2 B1/1 +F5/3* +B1/0 B5/3 +B5/2 +B5/1 +B5/0",
+			1, "+F1/0* +F1/1 +F1/2 +F1/3* F5/0* B1/3 +F5/1* +B1/2* F5/2 B1/1 +F5/3* B1/0* B5/3 +B5/2 +B5/1 B5/0"},
 	} {
-		rule, err := keepPlan("wzb2", 0, 4, tc.n)
+		rule, err := keepPlan("wzb2", tc.rank, 4, tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := BeltPlan("wzb2", 0, 4, tc.n, 1)
+		plan, err := BeltPlan("wzb2", tc.rank, 4, tc.n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := spellPlan(rule); got != tc.rule {
-			t.Errorf("wzb2 p=4 n=%d keep rule:\n got %s\nwant %s", tc.n, got, tc.rule)
+			t.Errorf("wzb2 p=4 n=%d rank %d keep rule:\n got %s\nwant %s", tc.n, tc.rank, got, tc.rule)
 		}
-		if got := spellPlan(plan); got != tc.rank {
-			t.Errorf("wzb2 p=4 n=%d rank 0:\n got %s\nwant %s", tc.n, got, tc.rank)
+		if got := spellPlan(plan); got != tc.widened {
+			t.Errorf("wzb2 p=4 n=%d rank %d:\n got %s\nwant %s", tc.n, tc.rank, got, tc.widened)
 		}
 	}
 }
@@ -903,40 +911,13 @@ func earlyRows(rows []Msg, plans [][]Use) []Msg {
 	return early
 }
 
-// residencyCounts returns, per pass of rank's plan, the weight copies the
-// rank has in hand while the pass runs: the one it binds (F, B), those kept
-// over it, and the early rows into it (earlyRows), which wait in its mailbox
-// from the start of the iteration until their pass takes them.
-func residencyCounts(plan []Use, rank int, early []Msg) []int {
-	takenAt := make(map[Op]int)
-	for i, u := range plan {
-		takenAt[u.Op] = i
+// peak returns the largest of counts, or 0.
+func peak(counts []int) int {
+	most := 0
+	for _, c := range counts {
+		most = max(most, c)
 	}
-	var pending []int
-	for _, r := range early {
-		if r.Dst == rank {
-			pending = append(pending, takenAt[Op{Phase: r.Kind, MB: r.Use, Chunk: r.Chunk}])
-		}
-	}
-	counts := make([]int, len(plan))
-	kept := make(map[int]bool)
-	for i, u := range plan {
-		bound := 0
-		if u.Phase != 'W' {
-			bound = 1
-			delete(kept, u.Chunk)
-		}
-		counts[i] = bound + len(kept)
-		for _, at := range pending {
-			if at > i {
-				counts[i]++
-			}
-		}
-		if u.Phase != 'W' && u.Keep {
-			kept[u.Chunk] = true
-		}
-	}
-	return counts
+	return most
 }
 
 // TestEarlyRowsDropped checks BeltPlan and Wiring against the keep rule they
@@ -946,72 +927,66 @@ func residencyCounts(plan []Use, rank int, early []Msg) []int {
 //     it, by a copy the chunk's previous use on the rank kept, or, with no
 //     row, by the rank's own copy of a chunk it holds;
 //   - no early row reaches a rank that has already run a use of its chunk,
-//     and every weight row the keep rule's wiring has beyond Wiring's is
-//     such a row;
+//     and every row Wiring drops is early;
 //   - the gradient rows (D, R) are the keep rule's, row for row;
-//   - at every pass, every rank has at most as many weight copies in hand —
-//     bound, kept, and early rows waiting in its mailbox — as under the keep
-//     rule. This is what replaces "the same plan on every rank" and "keeps at
-//     most two" (TestBeltPlanProperties) on the ranks early rows reach: a
-//     kept copy there stands in for a row that would have waited at least as
-//     long, so no rank holds more at any pass than it did.
+//   - a rank no dropped row reaches has at most two copies of chunks it
+//     does not hold in hand at every pass — bound, kept, and early rows
+//     waiting in its mailbox (inHand, InHand's walk);
+//   - a rank a dropped row reaches has at most as many in hand at its peak
+//     as under the keep rule, whose wiring ships every early row: a kept
+//     copy there stands in for a row that would have waited at least as
+//     long.
 func TestEarlyRowsDropped(t *testing.T) {
 	for _, s := range []string{"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2"} {
 		for p := 1; p <= 8; p++ {
 			for _, n := range []int{p, 2 * p, 3 * p} {
-				rule := make([][]Use, p)
-				for r := range rule {
-					var err error
-					if rule[r], err = keepPlan(s, r, p, n); err != nil {
-						t.Fatal(err)
-					}
-				}
 				for m := 1; m <= p; m++ {
 					if p%m == 0 {
-						checkEarlyRows(t, s, p, n, m, rule)
+						checkEarlyRows(t, s, p, n, m)
 					}
 				}
 			}
 		}
 	}
-	// At p=4 rank 0 no longer takes B c0 use 0 or B c2 use 0 (injections)
-	// nor F c0 use 4 (rank 3's relay of its own use 3): F0/0 and F0/2 keep.
+	// At p=4 the widened plans take 10 weight rows fewer at n=8 (6 under
+	// naive), 2 at n=4 and 16 on the grouped belt; rank 0 no longer takes B
+	// c0 use 0 or B c2 use 0 (injections) nor F c0 use 4 (rank 3's relay of
+	// its own use 3): F0/0 and F0/2 keep.
 	for _, tc := range []struct {
-		s       string
-		n, rows int
-	}{{"wzb2", 8, 51}, {"wzb1", 8, 51}, {"weipipe-interleave", 8, 51}, {"wzb2", 4, 29}, {"weipipe-naive", 8, 47}} {
-		if rows, err := Wiring(tc.s, 4, tc.n, 1); err != nil || len(rows) != tc.rows {
-			t.Errorf("%s p=4 n=%d: %d rows (%v), want %d", tc.s, tc.n, len(rows), err, tc.rows)
+		s          string
+		n, m, rows int
+	}{{"wzb2", 8, 1, 41}, {"wzb1", 8, 1, 41}, {"weipipe-interleave", 8, 1, 41}, {"wzb2", 4, 1, 27}, {"weipipe-naive", 8, 1, 41}, {"wzb2", 8, 2, 34}} {
+		if rows, err := Wiring(tc.s, 4, tc.n, tc.m); err != nil || len(rows) != tc.rows {
+			t.Errorf("%s p=4 n=%d m=%d: %d rows (%v), want %d", tc.s, tc.n, tc.m, len(rows), err, tc.rows)
 		}
 	}
 }
 
-func checkEarlyRows(t *testing.T, s string, p, n, m int, rule [][]Use) {
+func checkEarlyRows(t *testing.T, s string, p, n, m int) {
 	t.Helper()
 	at := fmt.Sprintf("%s p=%d n=%d m=%d", s, p, n, m)
 	rows, err := Wiring(s, p, n, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := wire(s, p, n, m)
+	b, err := wire(s, p, n, m, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The keep rule's wiring, in table order: Wiring's rows and the dropped.
-	ruleRows := append(slices.Clone(b.rows), b.dropped...)
-	slices.SortStableFunc(ruleRows, func(x, y Msg) int { return tableRank(x) - tableRank(y) })
-	var grads, ruleGrads []Msg
-	for _, r := range rows {
-		if r.Kind == 'D' || r.Kind == 'R' {
-			grads = append(grads, r)
-		}
+	rule, err := wire(s, p, n, m, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range ruleRows {
-		if r.Kind == 'D' || r.Kind == 'R' {
-			ruleGrads = append(ruleGrads, r)
+	gradients := func(rows []Msg) []Msg {
+		var grads []Msg
+		for _, r := range rows {
+			if r.Kind == 'D' || r.Kind == 'R' {
+				grads = append(grads, r)
+			}
 		}
+		return grads
 	}
-	if !slices.Equal(grads, ruleGrads) {
+	if grads, ruleGrads := gradients(rows), gradients(rule.rows); !slices.Equal(grads, ruleGrads) {
 		t.Errorf("%s: gradient rows %v, the keep rule's %v", at, grads, ruleGrads)
 	}
 	plans := make([][]Use, p)
@@ -1027,7 +1002,8 @@ func checkEarlyRows(t *testing.T, s string, p, n, m int, rule [][]Use) {
 			into[r.Dst][Op{Phase: r.Kind, MB: r.Use, Chunk: r.Chunk}] = true
 		}
 	}
-	for _, r := range earlyRows(rows, plans) {
+	early := earlyRows(rows, plans)
+	for _, r := range early {
 		for _, u := range plans[r.Dst] {
 			if u.Op == (Op{Phase: r.Kind, MB: r.Use, Chunk: r.Chunk}) {
 				break
@@ -1038,9 +1014,13 @@ func checkEarlyRows(t *testing.T, s string, p, n, m int, rule [][]Use) {
 			}
 		}
 	}
-	ruleEarly := earlyRows(ruleRows, rule)
+	// The wiring before the drop: Wiring's rows and the dropped, in table order.
+	undropped := append(slices.Clone(rows), b.dropped...)
+	slices.SortStableFunc(undropped, func(x, y Msg) int { return tableRank(x) - tableRank(y) })
+	reached := make(map[int]bool)
 	for _, r := range b.dropped {
-		if !slices.Contains(ruleEarly, r) {
+		reached[r.Dst] = true
+		if !slices.Contains(earlyRows(undropped, plans), r) {
 			t.Errorf("%s: dropped row %+v is not early", at, r)
 		}
 	}
@@ -1065,12 +1045,93 @@ func checkEarlyRows(t *testing.T, s string, p, n, m int, rule [][]Use) {
 			}
 			copyKept[u.Chunk] = u.Keep
 		}
-		got := residencyCounts(plan, rank, earlyRows(rows, plans))
-		want := residencyCounts(rule[rank], rank, ruleEarly)
-		for i := range got {
-			if got[i] > want[i] {
-				t.Errorf("%s: rank %d has %d copies in hand at %v, %d under the keep rule", at, rank, got[i], plan[i].Op, want[i])
+	}
+	got, want := inHand(plans, early, p, m), inHand(rule.plans, earlyRows(rule.rows, rule.plans), p, m)
+	for rank, counts := range got {
+		switch most := peak(counts); {
+		case reached[rank] && most > peak(want[rank]):
+			t.Errorf("%s: rank %d, which a dropped row reaches, has %d copies in hand at most, %d under the keep rule", at, rank, most, peak(want[rank]))
+		case !reached[rank] && most > 2:
+			t.Errorf("%s: rank %d has %d copies in hand at %v", at, rank, most, plans[rank][slices.Index(counts, most)].Op)
+		}
+	}
+	if exported, err := InHand(s, p, n, m); err != nil || !slices.EqualFunc(exported, got, slices.Equal) {
+		t.Errorf("%s: InHand %v (%v), the walk over Wiring's early rows %v", at, exported, err, got)
+	}
+}
+
+// TestBeltPlanMaximal: on every weight-passing strategy at p 1…8, n ∈ {p,
+// 2p, 3p} and every group size m that divides p, every rank's BeltPlan
+// keeps every keep of the keep rule, and no single further keep fits the
+// two-copy budget: keeping any other F or B copy of a chunk the rank does
+// not hold until the chunk's next use would leave some F or B pass in
+// between with more than two such copies bound or kept.
+func TestBeltPlanMaximal(t *testing.T) {
+	for _, s := range []string{"weipipe-naive", "weipipe-interleave", "wzb1", "wzb2"} {
+		for p := 1; p <= 8; p++ {
+			for _, n := range []int{p, 2 * p, 3 * p} {
+				for m := 1; m <= p; m++ {
+					if p%m != 0 {
+						continue
+					}
+					for rank := 0; rank < p; rank++ {
+						checkMaximal(t, s, p, n, m, rank)
+					}
+				}
 			}
+		}
+	}
+}
+
+func checkMaximal(t *testing.T, s string, p, n, m, rank int) {
+	t.Helper()
+	at := fmt.Sprintf("%s p=%d n=%d m=%d rank %d", s, p, n, m, rank)
+	rule, err := keepPlan(s, rank, p, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := BeltPlan(s, rank, p, n, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := func(c int) bool { return Holds(rank, c, p, m) }
+	// copies returns, per pass, the unheld chunks bound or kept over it.
+	copies := func() []int {
+		counts := make([]int, len(plan))
+		kept := make(map[int]bool)
+		for i, u := range plan {
+			if u.Phase == 'W' {
+				continue
+			}
+			delete(kept, u.Chunk)
+			counts[i] = len(kept)
+			if !held(u.Chunk) {
+				counts[i]++
+				if u.Keep {
+					kept[u.Chunk] = true
+				}
+			}
+		}
+		return counts
+	}
+	counts := copies()
+	for i, u := range plan {
+		if rule[i].Keep && !u.Keep {
+			t.Errorf("%s: %v drops the copy the keep rule keeps", at, u.Op)
+		}
+		if u.Phase == 'W' || u.Keep || held(u.Chunk) {
+			continue
+		}
+		next := slices.IndexFunc(plan[i+1:], func(v Use) bool { return v.Phase != 'W' && v.Chunk == u.Chunk })
+		if next < 0 {
+			continue
+		}
+		fits := true
+		for _, c := range counts[i+1 : i+1+next] {
+			fits = fits && c < 2
+		}
+		if fits {
+			t.Errorf("%s: %v could keep its copy for %v within the budget", at, u.Op, plan[i+1+next].Op)
 		}
 	}
 }

@@ -67,10 +67,10 @@ func (r *rowRecorder) Forward(dst int, tag comm.Tag, payload []float32) error {
 // three iterations, in process and over TCP, with and without Integrity:
 //   - every rank receives exactly order.Wiring's rows into it, each once an
 //     iteration, by source and tag;
-//   - rank 0 takes chunk 0's weights off the wire twice an iteration: once
-//     in the iteration-start burst, for F0/0, whose copy serves F4/0 and
-//     B0/0 in place of rank 3's early relay and the owner's injection, and
-//     once for B4/0, which the owner relays from its own round-1 use;
+//   - rank 0 takes chunk 0's weights off the wire once an iteration, in the
+//     iteration-start burst, for F0/0: its copy serves F4/0 and B0/0 in
+//     place of rank 3's early relay and the owner's injection, and, kept
+//     within the two-copy budget (order.BeltPlan), B4/0 too;
 //   - every weight message a rank sends of the chunk it owns — its
 //     injections and the relays of its held uses — carries the buffer its
 //     master weights live in, sealed for the iteration: the owner copies
@@ -148,8 +148,8 @@ func TestOwnerForwardsItsMasterAndRowsMatchWiring(t *testing.T) {
 					}
 				}
 				slices.Sort(chunk0)
-				if want := slices.Repeat([]string{fmt.Sprintf("%d/0", beltFwd), fmt.Sprintf("%d/4", beltBwd)}, iters); !slices.Equal(chunk0, slices.Sorted(slices.Values(want))) {
-					t.Errorf("rank 0 took chunk 0 off the wire as (belt/use) %v in %d iterations, want F use 0 and B use 4 in each", chunk0, iters)
+				if want := slices.Repeat([]string{fmt.Sprintf("%d/0", beltFwd)}, iters); !slices.Equal(chunk0, want) {
+					t.Errorf("rank 0 took chunk 0 off the wire as (belt/use) %v in %d iterations, want F use 0 alone in each", chunk0, iters)
 				}
 			})
 		}
@@ -160,9 +160,10 @@ func TestOwnerForwardsItsMasterAndRowsMatchWiring(t *testing.T) {
 // owned chunk's belt payload, sealed once an iteration (sealOwned) and
 // written only between iterations. Under SetBufPoison, which the package's
 // tests run under, Forward checks that promise over TCP: the master written
-// after its seal panics at the forward; sealed again after the write — the
-// next iteration's sealOwned — it arrives intact, with and without the
-// Integrity trailer.
+// after its seal panics at the forward, and releases the reference it was
+// handed first, so no buffer stays shared (comm.SharedBufs) and AwaitSole on
+// the master returns; sealed again after the write — the next iteration's
+// sealOwned — it arrives intact, with and without the Integrity trailer.
 func TestForwardOfMasterWrittenSinceItsSealPanics(t *testing.T) {
 	for _, integrity := range []bool{false, true} {
 		trs := dialMesh(t, 2, comm.TCPOptions{})
@@ -179,17 +180,19 @@ func TestForwardOfMasterWrittenSinceItsSealPanics(t *testing.T) {
 		w.sealOwned()
 		w.master().w[7]++ // a step's write, after the seal
 		w.master().reseal()
+		base := comm.SharedBufs()
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("integrity=%v: Forward of the master written after its seal did not panic", integrity)
-					return
 				}
-				comm.Release(w.masterBuf) // the reference the panicking Forward never took
 			}()
 			comm.Retain(w.masterBuf)
 			w.t.Forward(1, tag, w.masterBuf)
 		}()
+		if got := comm.SharedBufs(); got != base {
+			t.Fatalf("integrity=%v: %d buffers shared after the panicking Forward, %d before it: the handed-over reference leaked", integrity, got, base)
+		}
 		comm.AwaitSole(w.masterBuf)
 		w.sealOwned()
 		comm.Retain(w.masterBuf)

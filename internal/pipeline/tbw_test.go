@@ -92,11 +92,10 @@ func TestActivationPassingScalesWithGS(t *testing.T) {
 }
 
 // beltCopies counts, per chunk, the weight-belt messages one flat iteration
-// of strategy s sends, from its rows (order.Wiring): p−1 for every round the
-// keep rule ships on either belt — one into every rank but the chunk's
-// owner, which serves itself — less the early rows the wiring drops, and the
-// rows among them that the owner injects at iteration start, which are not
-// relays.
+// of strategy s sends, from its rows (order.Wiring): one for every use that
+// its rank's plan (order.BeltPlan) gathers, but the chunk's owner's, which
+// serves itself, less the early rows the wiring drops, and the rows among
+// them that the owner injects at iteration start, which are not relays.
 func beltCopies(t *testing.T, s Strategy, p, n int) (copies []int64, injections int64) {
 	t.Helper()
 	rows, err := order.Wiring(string(s), p, n, 1)
@@ -189,7 +188,12 @@ func TestWeiPipePerTurnVolumeMatchesAnalysis(t *testing.T) {
 // chunk it has already run (order.BeltPlan): B c0 use 0, F c0 use 4 and
 // B c2 use 0 at the wide shape, (2 · 853 504 + 787 968) floats · 4 =
 // 9 979 904 B, and B c0 use 0 at the long one, 65 920 floats · 4 =
-// 263 680 B; and a chunk's gradient takes
+// 263 680 B; each rank keeps every further copy its two-copy budget has
+// room for, a chunk it holds costing no slot (order.BeltPlan), which keeps
+// ten more weight rows off the wide shape's wire — six of chunk 0, one of
+// chunk 1, three of chunk 2: (6 · 853 504 + 4 · 787 968) floats · 4 =
+// 33 091 584 B — and two of chunk 0 off the long one's, 2 · 65 920 floats ·
+// 4 = 527 360 B; and a chunk's gradient takes
 // (4−1)·(n/4 − d) messages, not n (gradMessages), where d counts its
 // deferred rounds: the wide shape defers round 0 of chunks 1 and 3, whose
 // backward rounds its kept copies serve, which saves 3 messages of each,
@@ -202,8 +206,8 @@ func TestWZB2BeltBytesAtBenchmarkShapes(t *testing.T) {
 		h, seq, n int
 		want      int64
 	}{
-		{256, 8, 8, 167_308_288},
-		{64, 512, 4, 6_665_216},
+		{256, 8, 8, 134_216_704},
+		{64, 512, 4, 6_137_856},
 	} {
 		cfg := model.Config{Vocab: 256, Hidden: tc.h, Layers: 4, Heads: 4, MaxSeq: tc.seq, Seed: 1}
 		st := runMetered(t, StrategyWZB2, 4, cfg, 1, tc.seq, tc.n)

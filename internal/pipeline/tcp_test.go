@@ -364,12 +364,12 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 	const p, iters, n = 4, 3, 8
 	// Rank 1 dies in the second iteration at a send it makes between its
 	// first W pass on its own chunk 2 and its step, with its owner
-	// accumulator held: its 38th send on wzb2, a weight relay, and its 30th
+	// accumulator held: its 25th send on wzb2, a weight relay, and its 20th
 	// on wzb2g, a gradient hop.
 	for _, tc := range []struct {
 		s     Strategy
 		crash int64
-	}{{StrategyWZB2, 38}, {StrategyWZB2G, 30}} {
+	}{{StrategyWZB2, 25}, {StrategyWZB2G, 20}} {
 		s := tc.s
 		tcpOpts := chaosTCPOpts()
 		tcpOpts.Chaos = nil
@@ -428,11 +428,12 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 	// computes on a copy it holds: the crash rank fails the first send it
 	// makes in that state.
 	//   - Rank 0 keeps the turnaround chunk's forward copy for its B pass.
-	//   - At p=4, n=8 a rank keeps chunk 1 from its F on it in round 1 to
-	//     its B on it in round 0, while its B on chunk 2 runs and relays.
-	//     On the flat belt that is rank 1, which owns chunk 2, serves the B
-	//     from its own copy and relays it to rank 2; on the grouped belt
-	//     rank 0, which holds chunk 2. The relay fails.
+	//   - At p=4, n=8 a rank keeps chunk 1 while a pass on chunk 2 relays.
+	//     On the flat belt that is rank 2, which keeps chunk 1 from F6/1 to
+	//     B2/1 and relays the copy of chunk 2 its B2/2 runs on, itself kept
+	//     since F2/2, to rank 3; on the grouped belt rank 0, which keeps
+	//     chunk 1 from F0/1 to F4/1 and, at F0/2, relays the chunk 2 it
+	//     holds to rank 1. The relay fails.
 	//   - On the grouped belt in one group of four, rank 1 holds chunk 1. It
 	//     relays its own cached copy to rank 2 over TCP, binds it and then,
 	//     pacing the belt, re-injects the next round to rank 0: that send
@@ -450,7 +451,7 @@ func TestAbortedIterationReturnsBeltBuffers(t *testing.T) {
 	}{
 		{StrategyWZB2, 2, 0, false, "keeping chunk 3", keeps(p - 1)},
 		{StrategyWZB2G, 2, 0, false, "keeping chunk 3", keeps(p - 1)},
-		{StrategyWZB2, 2, 1, false, "keeping chunk 1", keeps(1)},
+		{StrategyWZB2, 2, 2, false, "keeping chunk 1", keeps(1)},
 		{StrategyWZB2G, 2, 0, false, "keeping chunk 1", keeps(1)},
 		{StrategyWZB2G, 4, 1, true, "computing on its own chunk 1", func(w *WeiPipe) bool {
 			lo, _ := w.chunkRange(1)

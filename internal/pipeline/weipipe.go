@@ -63,31 +63,34 @@ func (v WeiPipeVariant) String() string {
 //   - the backward belt, which trails a full model-depth behind and feeds
 //     each worker's backward passes in reverse chunk order.
 //
-// A pass does not always take its chunk off a belt. Under the keep rule
-// (order.BeltPlan) a pass keeps its copy for the chunk's next use when the
-// passes in between use at most one other chunk, and that use runs on it.
-// The rule is the same on every rank, so a whole round of a chunk on a belt
-// is either shipped or served from kept copies — the turnaround chunk P−1's
-// backward rounds always are — but for the early rows: a copy its sender
-// sends before its first wait (the owner's injections, rank P−1's relay of
-// its own use) never goes to a rank that has already run a use of the
-// chunk, whose earlier use keeps its copy instead. And a rank never
-// receives a chunk it holds (order.Holds): the owner's master weights live
-// in a belt-shaped buffer, which is the chunk's payload — its held uses
-// bind it and its injections and relays forward it, sealed once an
-// iteration (sealOwned), uncopied on a lossless wire — and every writer of
-// the master waits until no transport holds it (piece.writable). A shipped
-// round takes at most P−1 hops.
+// A pass does not always take its chunk off a belt. Each rank's weight plan
+// (order.BeltPlan) keeps a pass's copy for the chunk's next use, which then
+// runs on it, wherever the rank's two-copy budget has room: the keep rule's
+// keeps (the passes in between use at most one other chunk; the turnaround
+// chunk P−1's backward rounds always run on kept copies), then every
+// further copy that leaves no pass with more than two copies of chunks the
+// rank does not hold, bound or kept. Ranks hold different chunks, so a
+// round of a chunk on a belt may ship to some ranks and not others. A copy
+// its sender sends before its first wait (the owner's injections, rank
+// P−1's relay of its own use) never goes to a rank that has already run a
+// use of the chunk, whose earlier use keeps its copy instead. The gradient
+// side stays the keep rule's (order.Shipped) on every rank. And a rank
+// never receives a chunk it holds (order.Holds): the owner's master
+// weights live in a belt-shaped buffer, which is the chunk's payload — its
+// held uses bind it and its injections and relays forward it, sealed once
+// an iteration (sealOwned), uncopied on a lossless wire — and every writer
+// of the master waits until no transport holds it (piece.writable). A
+// shipped round takes at most P−1 hops.
 //
 // A gradient accumulator D_c follows the backward belt (§4.2.1, "update
 // pass"), with two changes. The owner never ships its own chunk's gradient:
 // its W passes on c accumulate in place into one owner accumulator. And a
-// round the backward belt serves from kept copies, unless it is the last,
-// circulates no gradient (order.Deferred): each rank holds its partial and
-// its W pass on c one round later accumulates into it, so a rank holds at
-// most two such partials. D_c visits the other uses in use order
-// (order.GradChain): each adds its W pass and passes D_c on — past the
-// owner in one hop, o−1 → o+1 — and the last retires the sum to the owner,
+// round the keep rule's backward belt serves from kept copies, unless it is
+// the last, circulates no gradient (order.Deferred): each rank holds its
+// partial and its W pass on c one round later accumulates into it, so a
+// rank holds at most two such partials. D_c visits the other uses in use
+// order (order.GradChain): each adds its W pass and passes D_c on — past
+// the owner in one hop, o−1 → o+1 — and the last retires the sum to the owner,
 // which adds it to its accumulator and steps. Gradient aggregation needs no
 // collective, and no gradient message is a self-send. Each worker keeps its
 // own microbatches' activations and never ships an activation anywhere: per
@@ -154,7 +157,9 @@ type WeiPipe struct {
 	stage stageBuf
 
 	// kept holds, per chunk, the belt copy a pass kept for the chunk's next
-	// use (order.BeltPlan keeps at most two at a time). A kept copy takes
+	// use (order.BeltPlan: at most two of chunks the rank does not hold at a
+	// time, with the one bound, but where an early row's drop adds one; a
+	// held chunk's copy is its holder's own payload). A kept copy takes
 	// the buffer slot of the use it serves, whose belt copy never comes.
 	kept [][]float32
 
@@ -205,6 +210,10 @@ type WeiPipe struct {
 	// stalled rank got stuck.
 	board     *ProgressBoard
 	boardRank int
+
+	// afterW, when non-nil, runs after every W pass, on the rank's
+	// goroutine: tests observe the gradient buffers the rank holds there.
+	afterW func()
 
 	// tr is this rank's runtime tracer (nil when tracing is off).
 	tr *trace.Tracer
@@ -516,7 +525,9 @@ func (w *WeiPipe) runSchedule(st *wpState) error {
 		case 'B':
 			err = w.bStage(st, i)
 		default:
-			err = w.wStage(st, i)
+			if err = w.wStage(st, i); err == nil && w.afterW != nil {
+				w.afterW()
+			}
 		}
 		if err != nil {
 			return err
