@@ -63,7 +63,7 @@ func main() {
 	bitflipChaos := flag.Int("bitflip-chaos", 0, "inject n seeded bit flips spread across the fault sites (weights, optimizer moments, belt buffers; kernel outputs with -abft) — the SDC chaos tier; combine with -integrity and recovery flags")
 	verifyCkpt := flag.String("verify-ckpt", "", "verify checkpoint integrity (whole-file CRC + per-section digests) for this file or every *.wpck in this directory, then exit")
 	stats := flag.Bool("stats", false, "print per-rank communication and fault statistics at the end")
-	tracePath := flag.String("trace", "", "write a Chrome/Perfetto trace of the run to this path (per-rank F/B/W, optimizer, stall, belt-lane and transport spans; open in ui.perfetto.dev or feed to weipipe-trace -compare) and print the per-iteration timing rollup (step/F/B/W/opt/exposed means, stall counts, the busiest rank's arena high-water mark)")
+	tracePath := flag.String("trace", "", "write a Chrome/Perfetto trace of the run to this path (per-rank F/B/W, optimizer, stall, belt-lane and transport spans; open in ui.perfetto.dev or feed to weipipe-trace -compare) and print the per-iteration timing rollup (step/F/B/W/opt/exposed means, stall counts, the busiest rank's arena high-water mark in slots and MB)")
 	flag.Parse()
 	spec.BatchSeed = spec.Model.Seed
 
@@ -199,7 +199,7 @@ func run(rc runConfig) error {
 func writeTrace(rc runConfig, res *weipipe.ClusterResult) error {
 	fmt.Print(trace.Summarize(trace.PerIteration(rc.traceSet.Events())))
 	if res.ArenaHighWater > 0 {
-		fmt.Printf("  arena high-water: %d slots (busiest rank)\n", res.ArenaHighWater)
+		fmt.Printf("  arena high-water: %d slots, %.2f MB (the most of any rank)\n", res.ArenaHighWater, float64(res.ArenaBytes)/1e6)
 	}
 	for r, s := range res.Comm {
 		fmt.Printf("  rank %d max in-flight: %d bytes\n", r, s.MaxInFlightBytes())

@@ -79,9 +79,12 @@ func (b *Block) Forward(x *tensor.Tensor, cache *Cache) *tensor.Tensor {
 
 // BackwardInput implements Module (B pass).
 func (b *Block) BackwardInput(dz *tensor.Tensor, cache *Cache) *tensor.Tensor {
-	// FFN residual branch: z = y + ffn(norm2(y)).
+	// FFN residual branch: z = y + ffn(norm2(y)). Each norm's input has had
+	// its last reader once the norm's B pass has run: y is the block's own,
+	// x the previous module's output or a received payload (giveBack).
 	dy1 := b.Ffn.BackwardInput(dz, cache.Sub("ffn"))
 	dyFfn := b.Norm2.BackwardInput(dy1, cache.Sub("norm2"))
+	cache.Sub("norm2").giveBackX()
 	dy := alloc(cache, dz.Shape()...)
 	tensor.Add(dy, dz, dyFfn)
 	free(cache, dyFfn)
@@ -89,6 +92,8 @@ func (b *Block) BackwardInput(dz *tensor.Tensor, cache *Cache) *tensor.Tensor {
 	// Attention residual branch: y = x + attn(norm1(x)).
 	dx1 := b.Attn.BackwardInput(dy, cache.Sub("attn"))
 	dxAttn := b.Norm1.BackwardInput(dx1, cache.Sub("norm1"))
+	cache.Sub("norm1").giveBackX()
+	cache.X = nil
 	dx := alloc(cache, dz.Shape()...)
 	tensor.Add(dx, dy, dxAttn)
 	free(cache, dxAttn)

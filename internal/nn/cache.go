@@ -15,16 +15,23 @@ import (
 // reader is done with it, not until the microbatch ends. The ownership rule:
 //
 //   - A module frees only what it allocated itself and nobody downstream
-//     holds: scratch its own pass consumed (attention's dctx, the FFN's dhid,
-//     the head's logits) and, once its B pass has run, the stashes only B
-//     reads (attention's q, k, v and lse, the FFN's u and up, the head's
-//     probs and targets).
+//     holds: scratch its own pass consumed (attention's dctx, the FFN's dhid
+//     and, in F, its hid, which B rebuilds for W; the head's logits) and,
+//     once its B pass has run, the stashes only B reads (attention's q, k, v
+//     and lse, the FFN's u and up, an RMSNorm's inv, the head's probs and
+//     targets).
 //   - A tensor a module returns belongs to whoever stashes it. A caller that
 //     consumes a returned tensor without stashing it frees it: Block frees
 //     attention's and the FFN's outputs after their residual adds and the
-//     two norms' B outputs after theirs, and a pipeline stage frees the
-//     boundary tensors it has sent. A stashed tensor lives until the W pass
-//     has read it and goes back with the arena's Reset.
+//     two norms' B outputs after theirs, an RMSNorm gives back the gradient
+//     its B pass is handed (W reads the gain terms B forms from it), and a
+//     pipeline stage frees the boundary tensors it has sent. A stashed
+//     tensor lives until the W pass has read it and goes back with the
+//     arena's Reset.
+//   - A norm's input has no reader after the norm's B pass, so Block gives
+//     back its own y and its input x, and the head its input, at B
+//     (giveBackX) when the arena owns them; a pipeline stage's received
+//     payload stays the stage's.
 //
 // So between its B and W passes a microbatch holds exactly what W reads,
 // which is the activation-memory lifetime the paper's memory analysis
@@ -81,6 +88,14 @@ func (c *Cache) Take(key string) *tensor.Tensor {
 // its last reader has run, and a later Get is a loud cache miss instead of a
 // read of a recycled buffer.
 func (c *Cache) release(key string) { free(c, c.Take(key)) }
+
+// giveBackX hands the cache's input X back to the arena (giveBack) and
+// forgets it. A composite module calls it on a sub-layer whose B pass was
+// the input's last reader.
+func (c *Cache) giveBackX() {
+	giveBack(c, c.X)
+	c.X = nil
+}
 
 // Has reports whether key is stashed.
 func (c *Cache) Has(key string) bool {
@@ -148,6 +163,15 @@ func alloc(c *Cache, shape ...int) *tensor.Tensor {
 // caller must own t under the Cache ownership rule and be its last reader.
 func free(c *Cache, t *tensor.Tensor) {
 	if c.Arena != nil {
+		c.Arena.Free(t)
+	}
+}
+
+// giveBack is free for a tensor that may have come from elsewhere: it hands
+// t back only if the cache's arena owns it. A pipeline stage's received
+// payload (tensor.FromSlice) or a heap tensor stays its owner's.
+func giveBack(c *Cache, t *tensor.Tensor) {
+	if c.Arena != nil && t != nil && c.Arena.Owns(t) {
 		c.Arena.Free(t)
 	}
 }

@@ -60,15 +60,19 @@ func (m *FFN) Forward(x *tensor.Tensor, cache *Cache) *tensor.Tensor {
 
 	y := alloc(cache, rows, h)
 	tensor.MatMul(y, hid, m.W2)
+	free(cache, hid) // B rebuilds it for W from the u and up it keeps
 
 	cache.X = x
 	cache.Put("u", u)
 	cache.Put("up", up)
-	cache.Put("hid", hid)
 	return y
 }
 
-// BackwardInput implements Module (B pass).
+// BackwardInput implements Module (B pass). Besides dx it leaves W exactly
+// what W reads: du and dup, the incoming dy, and hid, which the forward gave
+// back after its down-projection and B rebuilds from u and up bit for bit
+// (one elementwise multiply on the silu(u) dup needs anyway), so hid is
+// held from B to W only, not from F.
 func (m *FFN) BackwardInput(dy *tensor.Tensor, cache *Cache) *tensor.Tensor {
 	x := cache.X
 	u := cache.Get("u")
@@ -79,10 +83,13 @@ func (m *FFN) BackwardInput(dy *tensor.Tensor, cache *Cache) *tensor.Tensor {
 	dhid := alloc(cache, rows, f)
 	tensor.MatMulTB(dhid, dy, m.W2) // dhid = dy·W2ᵀ
 
-	// hid = silu(u) ⊙ up
+	// hid = silu(u) ⊙ up, rebuilt for W by the forward's two kernels in
+	// its order, silu(u) serving dup on the way.
+	hid := alloc(cache, rows, f)
+	tensor.SiLU(hid, u)
 	dup := alloc(cache, rows, f)
-	tensor.SiLU(dup, u)        // reuse: silu(u)
-	tensor.Mul(dup, dup, dhid) // dup = dhid ⊙ silu(u)
+	tensor.Mul(dup, hid, dhid) // dup = silu(u) ⊙ dhid
+	tensor.Mul(hid, hid, up)
 
 	du := alloc(cache, rows, f)
 	tensor.Mul(du, dhid, up)       // dhid ⊙ up
@@ -96,6 +103,7 @@ func (m *FFN) BackwardInput(dy *tensor.Tensor, cache *Cache) *tensor.Tensor {
 	tensor.MatMulTB(dx, du, m.W1)
 	tensor.MatMulTBAcc(dx, dup, m.W3)
 
+	cache.Put("hid", hid)
 	cache.Put("du", du)
 	cache.Put("dup", dup)
 	cache.Put("dy", dy)

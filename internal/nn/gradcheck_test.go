@@ -314,3 +314,57 @@ func TestRecomputationReproducesGrads(t *testing.T) {
 		}
 	}
 }
+
+// TestAllBBeforeAnyWMatchesInterleaved runs every module's B pass, head to
+// embedding, before any W pass — the order wzb2 defers W into — on a
+// NaN-poisoned arena, with and without recomputation. The gradients must
+// equal those of B and W interleaved per module on heap tensors bit for
+// bit: a W pass that read anything a B pass gave back would read NaN or a
+// later tenant's data.
+func TestAllBBeforeAnyWMatchesInterleaved(t *testing.T) {
+	net := newTinyNet(t, 21)
+	tokens, targets := net.data(22)
+	_, want := net.lossAndGrads(tokens, targets)
+
+	tensor.SetArenaPoison(true)
+	defer tensor.SetArenaPoison(false)
+	for _, recompute := range []bool{false, true} {
+		mods := net.modules()
+		last := len(mods) - 1
+		arena := tensor.NewArena() // one per microbatch, as a runner keeps
+		caches := make([]*Cache, len(mods))
+		for i := range caches {
+			caches[i] = NewCache(net.g, net.s)
+			caches[i].Arena = arena
+		}
+		x := net.embed.ForwardTokens(tokens, caches[0])
+		for i, b := range net.blocks {
+			x = b.Forward(x, caches[i+1])
+			if recompute {
+				caches[i+1].DropAllButX()
+			}
+		}
+		net.head.ForwardLoss(x, targets, caches[last])
+
+		var dy *tensor.Tensor
+		for i := last; i >= 0; i-- {
+			if recompute && i > 0 && i < last {
+				Recompute(mods[i], caches[i])
+			}
+			dy = mods[i].BackwardInput(dy, caches[i])
+		}
+		for i, m := range mods {
+			got := m.Params().NewLike()
+			m.BackwardParams(caches[i], got)
+			for _, name := range got.Names() {
+				g, w := got.Get(name).Data, want[i].Get(name).Data
+				for j := range g {
+					if math.Float32bits(g[j]) != math.Float32bits(w[j]) {
+						t.Fatalf("recompute=%v %s/%s[%d]: all-B-first %g, interleaved %g",
+							recompute, m.Name(), name, j, g[j], w[j])
+					}
+				}
+			}
+		}
+	}
+}

@@ -123,6 +123,9 @@ func (o *OutputHead) BackwardFromLoss(cache *Cache) *tensor.Tensor {
 	dnormed := alloc(cache, n, o.W.Rows())
 	tensor.MatMulTB(dnormed, dlogits, o.W)
 	dx := o.Norm.BackwardInput(dnormed, cache.Sub("norm"))
+	// The head's input had its last reader in the norm's B pass.
+	cache.Sub("norm").giveBackX()
+	cache.X = nil
 
 	cache.Put("dlogits", dlogits)
 	return dx

@@ -38,9 +38,9 @@ func (m *RMSNorm) Name() string { return m.name }
 // Params implements Module.
 func (m *RMSNorm) Params() *ParamSet { return m.params }
 
-// Forward implements Module. x is [rows, H]. All three passes run through
-// the tensor.Backend seam; the forward (tensor.RMSNormRows) also stores
-// 1/rms per row for the backward passes.
+// Forward implements Module. x is [rows, H]. Every pass runs through the
+// tensor.Backend seam; the forward (tensor.RMSNormRows) also stores 1/rms
+// per row for the B pass.
 func (m *RMSNorm) Forward(x *tensor.Tensor, cache *Cache) *tensor.Tensor {
 	h := m.Gain.Size()
 	rows := x.Size() / h
@@ -55,19 +55,28 @@ func (m *RMSNorm) Forward(x *tensor.Tensor, cache *Cache) *tensor.Tensor {
 // BackwardInput implements Module (B pass).
 //
 // With r = 1/rms(x):  dx_j = r·g_j·dy_j − x_j · r³/H · Σ_k dy_k·g_k·x_k.
+// It also forms the gain gradient's terms q_j = (dy_j·x_j)·r, the one thing
+// W reads, and gives inv and (when the arena owns it) dy back. x stays the
+// caller's to give back.
 func (m *RMSNorm) BackwardInput(dy *tensor.Tensor, cache *Cache) *tensor.Tensor {
-	x := cache.X
-	dx := alloc(cache, x.Size()/m.Gain.Size(), m.Gain.Size())
-	tensor.RMSNormBackward(dx, x, dy, m.Gain, cache.Get("inv"))
-	cache.Put("dy", dy)
+	x, inv := cache.X, cache.Get("inv")
+	h := m.Gain.Size()
+	dx := alloc(cache, x.Size()/h, h)
+	tensor.RMSNormBackward(dx, x, dy, m.Gain, inv)
+	q := alloc(cache, x.Size()/h, h)
+	tensor.RMSNormGainTerms(q, x, dy, inv)
+	giveBack(cache, dy)
+	cache.release("inv")
+	cache.Put("q", q)
 	return dx
 }
 
-// BackwardParams implements Module (W pass): dg_j = Σ_rows dy_j·x_j·r.
+// BackwardParams implements Module (W pass): dg_j = Σ_rows q_j, rows
+// ascending.
 func (m *RMSNorm) BackwardParams(cache *Cache, grads *ParamSet) {
 	dg := grads.Get("g")
 	if grads.storing() {
 		clear(dg.Data) // one gain vector; the kernel accumulates into it
 	}
-	tensor.RMSNormGainGrad(dg, cache.X, cache.Get("dy"), cache.Get("inv"))
+	tensor.AddRowsInto(dg, cache.Get("q"))
 }

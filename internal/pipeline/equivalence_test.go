@@ -194,6 +194,29 @@ func TestRecomputeHoldsOnlyBoundaries(t *testing.T) {
 	}
 }
 
+// TestArenaBytesFollowRecompute pins the byte side of ArenaMeter: a run
+// reports the heap its busiest rank's arena store holds, at least a float
+// per buffer counted in ArenaHighWater, and under recomputation 1F1B's
+// busiest rank, with microbatches in flight between F and B, holds less of
+// it.
+func TestArenaBytesFollowRecompute(t *testing.T) {
+	bytes := func(recompute bool) int {
+		opts := eqOpts()
+		opts.Recompute = recompute
+		res, err := RunCluster(Strategy1F1B, 2, eqCfg(), opts, 1, eqBatches(1, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ArenaBytes < 4*res.ArenaHighWater || res.ArenaHighWater == 0 {
+			t.Fatalf("recompute=%v: %d arena bytes for %d buffers", recompute, res.ArenaBytes, res.ArenaHighWater)
+		}
+		return res.ArenaBytes
+	}
+	if with, without := bytes(true), bytes(false); with >= without {
+		t.Errorf("1F1B's arena holds %d bytes with recompute, no less than the %d without it", with, without)
+	}
+}
+
 func TestWeiPipeManyRounds(t *testing.T) {
 	// R = N/P > 2 rounds: belts must keep circulating across rounds.
 	const iters, n = 1, 12

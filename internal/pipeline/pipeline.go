@@ -74,11 +74,11 @@ type Options struct {
 	// (the paper recomputes for every strategy but its zero-bubble
 	// baselines). Measured at H 64, S 512, L 4, one sequence per
 	// microbatch: a microbatch holds 1.3 MB of activations between its
-	// forward and its B pass instead of 9.3 MB, so 1F1B's rank 0, with four
-	// microbatches in flight, peaks at 4.4 MB of arena instead of 10.3 MB.
-	// What a microbatch holds between its B and W passes (11.6 MB: W's
-	// stash) does not change, so a rank with one microbatch in flight gains
-	// nothing: Serial peaks at 13.4 MB either way. The price is a second
+	// forward and its B pass instead of 7.9 MB, so 1F1B on four ranks and
+	// four microbatches peaks at 5.1 MB of arena on its busiest rank instead
+	// of 9.1 MB. What a microbatch holds between its B and W passes (10.4 MB:
+	// W's stash) does not change, so a rank with one microbatch in flight
+	// gains nothing: Serial peaks at 12.4 MB either way. The price is a second
 	// forward of every interior module. Off by default; on the benchmark's
 	// long-1f1b it costs 29 % step time (step_ms_p50 37.3 → 48.1 ms) for
 	// 27 % less peak RSS (44.9 → 32.8 MB), and on long-wzb2, whose peak is
@@ -399,11 +399,21 @@ func (ap *arenaPool) highWater() int {
 	return ap.store.Slots()
 }
 
+// bytes returns the heap those buffers hold.
+func (ap *arenaPool) bytes() int {
+	if ap.store == nil {
+		return 0
+	}
+	return ap.store.Bytes()
+}
+
 // ArenaMeter is implemented by runners that recycle per-microbatch scratch
 // arenas. ArenaHighWater reports how many scratch buffers the rank's arena
 // store has made: the peak count of activation tensors its in-flight
-// microbatches held at once, each freed at its last reader. It is the memory
-// figure the weipipe-train -trace rollup surfaces next to the comm buffer gauges.
+// microbatches held at once, each freed at its last reader. ArenaBytes
+// reports the heap those buffers hold. They are the memory figures the
+// weipipe-train -trace rollup surfaces next to the comm buffer gauges.
 type ArenaMeter interface {
 	ArenaHighWater() int
+	ArenaBytes() int
 }

@@ -67,6 +67,9 @@ type PP struct {
 // ArenaHighWater implements ArenaMeter.
 func (p *PP) ArenaHighWater() int { return p.apool.highWater() }
 
+// ArenaBytes implements ArenaMeter.
+func (p *PP) ArenaBytes() int { return p.apool.bytes() }
+
 // NewPP builds this rank's stage for strategy s: StrategyGPipe, Strategy1F1B,
 // StrategyZB1 or StrategyZB2.
 func NewPP(t Transport, cfg model.Config, opts Options, s Strategy) (*PP, error) {

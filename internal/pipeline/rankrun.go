@@ -64,9 +64,10 @@ type RankOutcome struct {
 	// else the snapshot it was seeded from (nil when there is neither):
 	// the restart point of an in-process supervisor.
 	Checkpoint *checkpoint.Snapshot
-	// SkippedSteps, SpikeSteps and ArenaHighWater report the trainer's
-	// counters (Done only): SkippedSteps, SpikeSteps and ArenaMeter.
-	SkippedSteps, SpikeSteps, ArenaHighWater int
+	// SkippedSteps, SpikeSteps, ArenaHighWater and ArenaBytes report the
+	// trainer's counters (Done only): SkippedSteps, SpikeSteps and
+	// ArenaMeter.
+	SkippedSteps, SpikeSteps, ArenaHighWater, ArenaBytes int
 	// Err is the failure that ended the incarnation, naming the rank and
 	// iteration (nil when Done).
 	Err error
@@ -235,7 +236,7 @@ func RunRank(a RankAssignment, t comm.Transport, spec RunSpec, hooks RunHooks) (
 		SpikeSteps:   tr.SpikeSteps(),
 	}
 	if am, ok := tr.(ArenaMeter); ok {
-		out.ArenaHighWater = am.ArenaHighWater()
+		out.ArenaHighWater, out.ArenaBytes = am.ArenaHighWater(), am.ArenaBytes()
 	}
 	return out, nil
 }

@@ -474,6 +474,7 @@ func runRanks(attempt, world int, spec RunSpec, hooks RunHooks, losses []float64
 		res.SkippedSteps = max(res.SkippedSteps, o.SkippedSteps)
 		res.SpikeSteps = max(res.SpikeSteps, o.SpikeSteps)
 		res.ArenaHighWater = max(res.ArenaHighWater, o.ArenaHighWater)
+		res.ArenaBytes = max(res.ArenaBytes, o.ArenaBytes)
 		res.Comm = append(res.Comm, ts[r].CommStats())
 	}
 	return res, outs, nil

@@ -39,8 +39,9 @@ type ClusterResult struct {
 	// oracle.
 	Checkpoint *checkpoint.Snapshot
 	// ArenaHighWater is the most scratch buffers any rank's arena store
-	// made (ArenaMeter; 0 when no trainer recycles arenas).
-	ArenaHighWater int
+	// made, and ArenaBytes the most heap any held (ArenaMeter; 0 when no
+	// trainer recycles arenas).
+	ArenaHighWater, ArenaBytes int
 }
 
 // TotalComm aggregates the per-rank meters.

@@ -226,6 +226,9 @@ func (w *WeiPipe) master() *piece { return &w.pieces[0] }
 // ArenaHighWater implements ArenaMeter.
 func (w *WeiPipe) ArenaHighWater() int { return w.apool.highWater() }
 
+// ArenaBytes implements ArenaMeter.
+func (w *WeiPipe) ArenaBytes() int { return w.apool.bytes() }
+
 // post publishes the rank's schedule position to the progress board.
 func (w *WeiPipe) post(mb int, phase byte) {
 	if w.board != nil {

@@ -282,9 +282,10 @@ func (b *abftBackend) RMSNormRows(y, inv, x, gain *Tensor, eps float64) {
 func (b *abftBackend) RMSNormBackward(dx, x, dy, gain, inv *Tensor) {
 	b.inner.RMSNormBackward(dx, x, dy, gain, inv)
 }
-func (b *abftBackend) RMSNormGainGrad(dg, x, dy, inv *Tensor) {
-	b.inner.RMSNormGainGrad(dg, x, dy, inv)
+func (b *abftBackend) RMSNormGainTerms(q, x, dy, inv *Tensor) {
+	b.inner.RMSNormGainTerms(q, x, dy, inv)
 }
+func (b *abftBackend) AddRowsInto(dst, a *Tensor) { b.inner.AddRowsInto(dst, a) }
 func (b *abftBackend) Rope(q *Tensor, cos, sin []float32, seqLen, heads int, dir float32) {
 	b.inner.Rope(q, cos, sin, seqLen, heads, dir)
 }

@@ -128,11 +128,11 @@ func (a *Arena) Scratch(shape ...int) *Tensor {
 func (a *Arena) Free(t *Tensor) {
 	st := a.st
 	st.mu.Lock()
-	s := t.slot
-	if s == nil || s.owner != a || s.t != t {
+	if !a.holds(t) {
 		st.mu.Unlock()
 		panic("tensor: Arena.Free of a tensor not live in this arena")
 	}
+	s := t.slot
 	last := a.live[len(a.live)-1]
 	a.live[s.at], last.at = last, s.at
 	a.live[len(a.live)-1] = nil
@@ -140,6 +140,21 @@ func (a *Arena) Free(t *Tensor) {
 	a.liveBytes -= 4 * len(s.buf)
 	st.park(s)
 	st.mu.Unlock()
+}
+
+// Owns reports whether t is live in this arena: handed out by it and not
+// yet given back, so Free would take it. A tensor wrapping storage from
+// elsewhere (FromSlice, New) is never owned.
+func (a *Arena) Owns(t *Tensor) bool {
+	a.st.mu.Lock()
+	defer a.st.mu.Unlock()
+	return a.holds(t)
+}
+
+// holds is Owns for a caller holding the store's mutex.
+func (a *Arena) holds(t *Tensor) bool {
+	s := t.slot
+	return s != nil && s.owner == a && s.t == t
 }
 
 // Reset gives back every tensor the arena still holds. All of them become
@@ -192,11 +207,7 @@ func (a *Arena) Slots() int { return a.st.Slots() }
 
 // Bytes reports the heap the arena's store holds, live or idle: what the
 // largest set of simultaneously live buffers has cost so far.
-func (a *Arena) Bytes() int {
-	a.st.mu.Lock()
-	defer a.st.mu.Unlock()
-	return a.st.bytes
-}
+func (a *Arena) Bytes() int { return a.st.Bytes() }
 
 // LiveBytes reports the bytes of the tensors live in this arena: what its
 // microbatch holds right now.
@@ -211,6 +222,13 @@ func (s *Store) Slots() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.slots
+}
+
+// Bytes reports the heap the store's buffers hold, live or idle.
+func (s *Store) Bytes() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bytes
 }
 
 // setShape copies shape into dst, reusing dst's backing array when possible

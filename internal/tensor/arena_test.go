@@ -194,6 +194,28 @@ func TestArenaFreeReusesExactLength(t *testing.T) {
 	}
 }
 
+// An arena owns exactly the tensors live in it: not a heap tensor, not a
+// wrapped slice, not a sibling arena's, not one it has given back; and its
+// store's Bytes counts every buffer made, live or idle.
+func TestArenaOwnsOnlyItsLiveTensors(t *testing.T) {
+	st := NewStore()
+	a, b := st.NewArena(), st.NewArena()
+	x, y := a.Scratch(4), b.Scratch(6)
+	if !a.Owns(x) || a.Owns(y) || !b.Owns(y) {
+		t.Fatal("an arena must own its own live tensors and no sibling's")
+	}
+	if a.Owns(New(4)) || a.Owns(FromSlice(make([]float32, 4), 4)) {
+		t.Fatal("an arena must not own a tensor whose storage came from elsewhere")
+	}
+	a.Free(x)
+	if a.Owns(x) {
+		t.Fatal("an arena must not own a tensor it gave back")
+	}
+	if got := st.Bytes(); got != 4*(4+6) || a.Bytes() != got {
+		t.Fatalf("store Bytes = %d, arena Bytes = %d, want %d", got, a.Bytes(), 4*(4+6))
+	}
+}
+
 // Arenas of one store share its free lists: what one gives back the other
 // takes, and one arena's Reset leaves the other's tensors live.
 func TestArenaStoreSharedAcrossArenas(t *testing.T) {

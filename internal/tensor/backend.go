@@ -9,7 +9,7 @@ import (
 
 // Backend is the pluggable compute seam: every hot primitive the training
 // and inference runtimes execute — the matmul variants, the BLAS-1 update
-// ops, the activation and softmax kernels, RMSNorm's three passes, RoPE and
+// ops, the activation and softmax kernels, RMSNorm's passes, RoPE and
 // the fused attention kernel — goes
 // through the process-wide current Backend. SIMD backends register at init
 // when the build and the CPU support them, and the best registered backend
@@ -94,9 +94,14 @@ type Backend interface {
 	// dx_ij = r_i·g_j·dy_ij − x_ij · r_i³/h · Σ_j dy_ij·g_j·x_ij, the sum
 	// ascending in float64 in every backend.
 	RMSNormBackward(dx, x, dy, gain, inv *Tensor)
-	// RMSNormGainGrad is its W pass: dg_j += Σ_i dy_ij·x_ij·inv_i, rows
-	// ascending.
-	RMSNormGainGrad(dg, x, dy, inv *Tensor)
+	// RMSNormGainTerms forms the terms of its gain gradient, which the B
+	// pass stashes for the W pass: q_ij = (dy_ij·x_ij)·inv_i, two rounded
+	// multiplies per element on every backend. q may alias x or dy.
+	RMSNormGainTerms(q, x, dy, inv *Tensor)
+	// AddRowsInto adds the rows of a ([rows, h], h = dst.Size()) into dst
+	// in ascending row order, one add per element and row on every backend:
+	// the W pass's sum of the gain terms.
+	AddRowsInto(dst, a *Tensor)
 	// Rope rotates the pairs (2i, 2i+1) of every head of q in place; see
 	// the package-level Rope.
 	Rope(q *Tensor, cos, sin []float32, seqLen, heads int, dir float32)

@@ -712,7 +712,7 @@ func TestBackendSiLUEquivalence(t *testing.T) {
 	}
 }
 
-// TestBackendRMSNormBitwise pins RMSNorm's three passes as exact on every
+// TestBackendRMSNormBitwise pins RMSNorm's kernels as exact on every
 // backend: its float64 chains stay ascending per row however many rows are
 // interleaved, and its elementwise parts keep scalar's roundings. Hidden
 // sizes below, on and past the 8-lane step, row counts on and off the
@@ -746,15 +746,72 @@ func TestBackendRMSNormBitwise(t *testing.T) {
 				dx := [2]*Tensor{dy.Clone(), dy.Clone()}
 				seed := randTensor(rng, h)
 				dg := [2]*Tensor{seed.Clone(), seed.Clone()}
+				q := [2]*Tensor{New(rows, h), New(rows, h)}
 				for i, bk := range []Backend{scalar, simd} {
 					bk.RMSNormRows(y[i], inv[i], y[i], gain, 1e-5)
 					bk.RMSNormBackward(dx[i], x, dx[i], gain, inv[i])
-					bk.RMSNormGainGrad(dg[i], x, dy, inv[i])
+					bk.RMSNormGainTerms(q[i], x, dy, inv[i])
+					bk.AddRowsInto(dg[i], q[i])
 				}
 				requireBitwise(t, what+" RMSNormRows (y aliasing x)", y[1].Data, y[0].Data)
 				requireBitwise(t, what+" RMSNormRows inv", inv[1].Data, inv[0].Data)
 				requireBitwise(t, what+" RMSNormBackward (dx aliasing dy)", dx[1].Data, dx[0].Data)
-				requireBitwise(t, what+" RMSNormGainGrad", dg[1].Data, dg[0].Data)
+				requireBitwise(t, what+" RMSNormGainTerms", q[1].Data, q[0].Data)
+				requireBitwise(t, what+" AddRowsInto", dg[1].Data, dg[0].Data)
+			}
+		}
+	}
+}
+
+// gainGradLoop is RMSNorm's gain gradient as one W-pass loop computed it
+// before the B pass formed its terms: dg_j += (dy_ij·x_ij)·inv_i, rows
+// ascending. The conversion keeps the product rounded apart from the add
+// on every architecture.
+func gainGradLoop(dg, x, dy, inv []float32) {
+	h := len(dg)
+	for i, r := range inv {
+		for j := range dg {
+			dg[j] += float32(dy[i*h+j] * x[i*h+j] * r)
+		}
+	}
+}
+
+// TestRMSNormGainSplitMatchesGainGradLoop pins the split gain gradient on
+// every registered backend (the scalar one alone under -tags noasm):
+// RMSNormGainTerms, then AddRowsInto, give gainGradLoop's dg bit for bit,
+// storing (into a cleared dg, as a fresh gradient set does) and
+// accumulating (into a seeded one). The hidden sizes leave 8- and 16-lane
+// tails empty, partial and a whole 8 lanes; q is its own tensor or aliases
+// dy or x.
+func TestRMSNormGainSplitMatchesGainGradLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, name := range Backends() {
+		bk, _ := BackendByName(name)
+		for _, h := range []int{1, 5, 8, 12, 16, 20, 24, 64, 72} {
+			for _, rows := range []int{1, 3, 9, 64} {
+				x, dy, inv := randTensor(rng, rows, h), randTensor(rng, rows, h), randTensor(rng, rows)
+				for _, store := range []bool{true, false} {
+					seed := randTensor(rng, h)
+					if store {
+						clear(seed.Data)
+					}
+					want := seed.Clone()
+					gainGradLoop(want.Data, x.Data, dy.Data, inv.Data)
+					for _, alias := range []string{"none", "dy", "x"} {
+						xa, dya, q := x.Clone(), dy.Clone(), New(rows, h)
+						switch alias {
+						case "dy":
+							q = dya
+						case "x":
+							q = xa
+						}
+						got := seed.Clone()
+						bk.RMSNormGainTerms(q, xa, dya, inv)
+						bk.AddRowsInto(got, q)
+						requireBitwise(t, fmt.Sprintf("%s h=%d rows=%d store=%v q aliasing %s",
+							name, h, rows, store, alias), got.Data, want.Data)
+					}
+				}
 			}
 		}
 	}

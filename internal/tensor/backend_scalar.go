@@ -34,7 +34,9 @@ func (scalarBackend) RMSNormBackward(dx, x, dy, gain, inv *Tensor) {
 	rmsNormBackwardScalar(dx, x, dy, gain, inv)
 }
 
-func (scalarBackend) RMSNormGainGrad(dg, x, dy, inv *Tensor) { rmsNormGainGradScalar(dg, x, dy, inv) }
+func (scalarBackend) RMSNormGainTerms(q, x, dy, inv *Tensor) { rmsNormGainTermsScalar(q, x, dy, inv) }
+
+func (scalarBackend) AddRowsInto(dst, a *Tensor) { addRowsIntoScalar(dst.Data, a.Data) }
 
 func (scalarBackend) Rope(q *Tensor, cos, sin []float32, seqLen, heads int, dir float32) {
 	ropeScalar(q, cos, sin, seqLen, heads, dir, 0)

@@ -161,11 +161,26 @@ func RMSNormBackward(dx, x, dy, gain, inv *Tensor) {
 	current().RMSNormBackward(dx, x, dy, gain, inv)
 }
 
-// RMSNormGainGrad accumulates the gain gradient of RMSNormRows into dg:
-// dg_j += Σ_i dy_ij·x_ij·inv_i, rows ascending.
-func RMSNormGainGrad(dg, x, dy, inv *Tensor) {
-	checkRMSNorm("RMSNormGainGrad", dy, x, dg, inv)
-	current().RMSNormGainGrad(dg, x, dy, inv)
+// RMSNormGainTerms computes the terms of RMSNormRows' gain gradient,
+// q_ij = (dy_ij·x_ij)·inv_i: summed over the rows (AddRowsInto) they give
+// dg_j. x, dy and q are [rows, h] with rows = inv.Size(); q may alias x or
+// dy.
+func RMSNormGainTerms(q, x, dy, inv *Tensor) {
+	if n := inv.Size(); n == 0 || x.Size()%n != 0 || q.Size() != x.Size() || dy.Size() != x.Size() {
+		panic(fmt.Sprintf("tensor: RMSNormGainTerms shapes %v, x %v, dy %v, inv %v",
+			q.shape, x.shape, dy.shape, inv.shape))
+	}
+	current().RMSNormGainTerms(q, x, dy, inv)
+}
+
+// AddRowsInto adds every row of a, [rows, h] with h = dst.Size(), into dst
+// in ascending row order: each element of dst is one chain of adds,
+// dst_j + a_0j + a_1j + ….
+func AddRowsInto(dst, a *Tensor) {
+	if h := dst.Size(); h == 0 || a.Size()%h != 0 {
+		panic(fmt.Sprintf("tensor: AddRowsInto dst %v, a %v", dst.shape, a.shape))
+	}
+	current().AddRowsInto(dst, a)
 }
 
 // checkRMSNorm panics unless y and x hold [rows, h] with h = gain.Size()
@@ -360,16 +375,19 @@ func rmsNormBackwardScalar(dx, x, dy, gain, inv *Tensor) {
 	}
 }
 
-func rmsNormGainGradScalar(dg, x, dy, inv *Tensor) {
-	h := dg.Size()
-	rows := x.Size() / h
-	for i := 0; i < rows; i++ {
-		xr := x.Data[i*h : (i+1)*h]
-		dyr := dy.Data[i*h : (i+1)*h]
-		r := inv.Data[i]
-		for j := range xr {
-			dg.Data[j] += dyr[j] * xr[j] * r
+func rmsNormGainTermsScalar(q, x, dy, inv *Tensor) {
+	h := x.Size() / inv.Size()
+	for i, r := range inv.Data {
+		qr, xr, dyr := q.Data[i*h:(i+1)*h], x.Data[i*h:(i+1)*h], dy.Data[i*h:(i+1)*h]
+		for j := range qr {
+			qr[j] = dyr[j] * xr[j] * r
 		}
+	}
+}
+
+func addRowsIntoScalar(dst, a []float32) {
+	for i := 0; i < len(a); i += len(dst) {
+		addIntoScalar(dst, a[i:i+len(dst)])
 	}
 }
 

@@ -15,7 +15,7 @@ package tensor
 //     simd_avx512_amd64.s: whole panels of 12, then the m%12 rows),
 //     attention's softmax tiles on 16 lanes, AdamW on 8 float64 lanes
 //     instead of 4, and the rest on the 8-lane kernels.
-//   - Add, Mul, Axpy, Scale, AddInto, RMSNorm's three passes and RoPE:
+//   - Add, Mul, Axpy, Scale, AddInto, AddRowsInto, RMSNorm's passes and RoPE:
 //     vectorized across independent output elements with the scalar
 //     per-element rounding sequence (separate mul/add, no FMA) —
 //     bit-identical to scalar. RMSNorm's per-row float64 sums stay one
@@ -126,7 +126,10 @@ func rmsScaleAVX2(y, x, gain, inv *float32, ld uintptr, rows, n8 int)
 func rmsBackAVX2(dx, x, dy, gain, inv, c *float32, ld uintptr, rows, n8 int)
 
 //go:noescape
-func rmsGainGradAVX2(dg, x, dy, inv *float32, ld uintptr, rows, n8 int)
+func rmsTermsAVX2(q, x, dy, inv *float32, ld uintptr, rows, n8 int)
+
+//go:noescape
+func addRowsAVX2(dst, a *float32, ld uintptr, rows, n8 int)
 
 //go:noescape
 func ropeAVX2(q *float32, ldq uintptr, cos, sin *float32, ldt uintptr, signs *float32, rows, heads, d8 int, d uintptr)
@@ -409,15 +412,29 @@ func (avx2Backend) RMSNormBackward(dx, x, dy, gain, inv *Tensor) {
 	}
 }
 
-func (avx2Backend) RMSNormGainGrad(dg, x, dy, inv *Tensor) {
-	h, rows := dg.Size(), len(inv.Data)
+func (avx2Backend) RMSNormGainTerms(q, x, dy, inv *Tensor) {
+	rows := len(inv.Data)
+	h := x.Size() / rows
 	n8 := h >> 3
-	if n8 > 0 && rows > 0 {
-		rmsGainGradAVX2(&dg.Data[0], &x.Data[0], &dy.Data[0], &inv.Data[0], uintptr(h)*4, rows, n8)
+	if n8 > 0 {
+		rmsTermsAVX2(&q.Data[0], &x.Data[0], &dy.Data[0], &inv.Data[0], uintptr(h)*4, rows, n8)
 	}
 	for i, r := range inv.Data {
-		for j := n8 << 3; j < h; j++ {
-			dg.Data[j] += dy.Data[i*h+j] * x.Data[i*h+j] * r
+		for j := i*h + n8<<3; j < (i+1)*h; j++ {
+			q.Data[j] = dy.Data[j] * x.Data[j] * r
+		}
+	}
+}
+
+func (avx2Backend) AddRowsInto(dst, a *Tensor) {
+	h := dst.Size()
+	rows, n8 := a.Size()/h, h>>3
+	if n8 > 0 && rows > 0 {
+		addRowsAVX2(&dst.Data[0], &a.Data[0], uintptr(h)*4, rows, n8)
+	}
+	if tail := n8 << 3; tail < h {
+		for i := 0; i < rows; i++ {
+			addIntoScalar(dst.Data[tail:], a.Data[i*h+tail:(i+1)*h])
 		}
 	}
 }

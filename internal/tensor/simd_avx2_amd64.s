@@ -1371,37 +1371,64 @@ rmsback_loop:
 	VZEROUPPER
 	RET
 
-// func rmsGainGradAVX2(dg, x, dy, inv *float32, ld uintptr, rows, n8 int)
+// func rmsTermsAVX2(q, x, dy, inv *float32, ld uintptr, rows, n8 int)
 //
-// dg[j] += (dy[i,j]·x[i,j])·inv[i] for i = 0, 1, … rows−1 in turn: RMSNorm's
-// W pass, each dg element one add chain over the rows in ascending order.
-TEXT ·rmsGainGradAVX2(SB), NOSPLIT, $0-56
+// q[i,j] = (dy[i,j]·x[i,j])·inv[i]: the terms of RMSNorm's gain gradient,
+// which the B pass forms and the W pass sums (addRowsAVX2).
+TEXT ·rmsTermsAVX2(SB), NOSPLIT, $0-56
+	MOVQ q+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ dy+16(FP), R10
 	MOVQ inv+24(FP), R8
 	MOVQ ld+32(FP), R9
 	MOVQ rows+40(FP), BX
 
-rmsgrad_row:
+rmsterms_row:
 	VBROADCASTSS (R8), Y0
-	MOVQ dg+0(FP), DI
 	MOVQ n8+48(FP), CX
 	XORQ AX, AX
 
-rmsgrad_loop:
+rmsterms_loop:
 	VMOVUPS (R10)(AX*1), Y1
 	VMULPS  (SI)(AX*1), Y1, Y1
 	VMULPS  Y0, Y1, Y1
-	VADDPS  (DI)(AX*1), Y1, Y1
 	VMOVUPS Y1, (DI)(AX*1)
 	ADDQ    $32, AX
 	DECQ    CX
-	JNE     rmsgrad_loop
+	JNE     rmsterms_loop
+	ADDQ    R9, DI
 	ADDQ    R9, SI
 	ADDQ    R9, R10
 	ADDQ    $4, R8
 	DECQ    BX
-	JNE     rmsgrad_row
+	JNE     rmsterms_row
+	VZEROUPPER
+	RET
+
+// func addRowsAVX2(dst, a *float32, ld uintptr, rows, n8 int)
+//
+// dst[j] += a[i,j] for i = 0, 1, … rows−1 in turn, over the first 8·n8
+// columns: each dst element one add chain over the rows in ascending order.
+TEXT ·addRowsAVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ ld+16(FP), R9
+	MOVQ rows+24(FP), BX
+
+addrows_row:
+	MOVQ n8+32(FP), CX
+	XORQ AX, AX
+
+addrows_loop:
+	VMOVUPS (SI)(AX*1), Y1
+	VADDPS  (DI)(AX*1), Y1, Y1
+	VMOVUPS Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNE     addrows_loop
+	ADDQ    R9, SI
+	DECQ    BX
+	JNE     addrows_row
 	VZEROUPPER
 	RET
 

@@ -149,7 +149,8 @@ func TestAVX512BackendEqualsAVX2(t *testing.T) {
 		both("SoftmaxRows", []*Tensor{New(rows, h)}, func(bk Backend, o []*Tensor) { bk.SoftmaxRows(o[0], x) })
 		both("RMSNormRows", []*Tensor{New(rows, h), New(rows)}, func(bk Backend, o []*Tensor) { bk.RMSNormRows(o[0], o[1], x, gain, 1e-6) })
 		both("RMSNormBackward", []*Tensor{New(rows, h)}, func(bk Backend, o []*Tensor) { bk.RMSNormBackward(o[0], x, dy, gain, inv) })
-		both("RMSNormGainGrad", []*Tensor{randTensor(rng, h)}, func(bk Backend, o []*Tensor) { bk.RMSNormGainGrad(o[0], x, dy, inv) })
+		both("RMSNormGainTerms", []*Tensor{New(rows, h)}, func(bk Backend, o []*Tensor) { bk.RMSNormGainTerms(o[0], x, dy, inv) })
+		both("AddRowsInto", []*Tensor{randTensor(rng, h)}, func(bk Backend, o []*Tensor) { bk.AddRowsInto(o[0], x) })
 		if h%(2*heads) == 0 {
 			both("Rope", []*Tensor{x}, func(bk Backend, o []*Tensor) { bk.Rope(o[0], cos.Data, sin.Data, rows, heads, -1) })
 		}
