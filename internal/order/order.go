@@ -564,9 +564,13 @@ func (msg Msg) Injects(m int) bool {
 //     (Shipped), whatever copies the weight plans keep.
 //   - 'R': the chain's last use retires D_c to the owner.
 //
-// Rows come per chunk and per use, forward before backward, with the
-// exchange first and the gradient last. The order is not neutral: the
-// simulator dispatches the lowest-numbered ready task.
+// The exchange comes first, hop by hop and, within a hop, chunk by chunk:
+// each rank runs its iteration-start rows in table order, and a hop waits
+// only for hops before it, so the order cannot deadlock. The weight rows
+// follow, per chunk and per use, forward before backward, and the gradient
+// comes last. Past the exchange the order is neutral: a rank sends its other
+// rows in its program order, and the simulator runs each link's rows in
+// their sender's issue order whatever order the table lists them in.
 func Wiring(strategy string, p, n, m int) ([]Msg, error) {
 	b, err := wire(strategy, p, n, m, false)
 	if err != nil {
@@ -678,12 +682,15 @@ func wire(strategy string, p, n, m int, rule bool) (*wiring, error) {
 	holder := func(g, c int) int { return g*m + c%m }
 	var msgs []Msg
 	if groups := p / m; m > 1 {
-		for c := 0; c < p; c++ {
-			src, og := owner(c), owner(c)/m
-			for s := 0; s < groups; s++ {
-				if dst := holder((og+s)%groups, c); dst != src {
-					msgs = append(msgs, Msg{Kind: 'X', Chunk: c, Use: s, Src: src, Dst: dst, Pass: -1})
-					src = dst
+		src := make([]int, p) // the rank that last cached each chunk
+		for c := range src {
+			src[c] = owner(c)
+		}
+		for s := 0; s < groups; s++ {
+			for c := 0; c < p; c++ {
+				if dst := holder((owner(c)/m+s)%groups, c); dst != src[c] {
+					msgs = append(msgs, Msg{Kind: 'X', Chunk: c, Use: s, Src: src[c], Dst: dst, Pass: -1})
+					src[c] = dst
 				}
 			}
 		}

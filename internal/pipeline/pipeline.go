@@ -79,11 +79,12 @@ type Options struct {
 	// of 9.1 MB. What a microbatch holds between its B and W passes (10.4 MB:
 	// W's stash) does not change, so a rank with one microbatch in flight
 	// gains nothing: Serial peaks at 12.4 MB either way. The price is a second
-	// forward of every interior module. Off by default; on the benchmark's
-	// long-1f1b it costs 29 % step time (step_ms_p50 37.3 → 48.1 ms) for
-	// 27 % less peak RSS (44.9 → 32.8 MB), and on long-wzb2, whose peak is
-	// the W stash, 30 % step time (35.3 → 46.0 ms) for 1 % (71.3 → 70.5 MB);
-	// 4 of 4 alternating pairs each way, EXPERIMENTS.md.
+	// forward of every interior module. Off by default; at the benchmark's
+	// long shape (weipipe-train -p 4 -n 4 -g 1 -seq 512, 4 alternating
+	// pairs on a 2-core AVX-512 VM, EXPERIMENTS.md) 1F1B takes 25 % longer
+	// a step (50.3 → 63.1 ms) for 19 % less peak RSS (46.5 → 37.5 MB), and
+	// wzb2, whose peak is the W stash, 28 % longer (54.0 → 69.1 ms) for
+	// under 1 % (67.6 → 67.2 MB).
 	Recompute bool
 	// ClipNorm, when positive, clips the global (cross-rank) gradient norm
 	// to this value before the optimizer step. Distributed strategies

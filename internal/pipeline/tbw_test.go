@@ -218,9 +218,11 @@ func TestWZB2BeltBytesAtBenchmarkShapes(t *testing.T) {
 }
 
 // TestSimulatorRelaysMatchRuntime: the runtime sends, and the simulator
-// prices, exactly order.Wiring's rows, so a change to how weights travel
-// cannot land in one reader and not the other. On every WeiPipe strategy —
-// flat, and wzb2g in groups of 2 (3 at p=3) — at p 1…4 and n ∈ {p, 2p, 3p}:
+// prices, exactly order.Wiring's rows, in the same order, so a change to how
+// weights travel cannot land in one reader and not the other. On every
+// WeiPipe strategy — flat, and wzb2g in groups of 2 (3 at p=3) — at p 1…4,
+// and on wzb2g at p=6 too, where a holder forwards chunks at different hops
+// of the exchange, and n ∈ {p, 2p, 3p}:
 //   - in process and over TCP, the weight and gradient messages the ranks
 //     send in each iteration are the rows, as a multiset of source,
 //     destination and tag;
@@ -230,15 +232,25 @@ func TestWZB2BeltBytesAtBenchmarkShapes(t *testing.T) {
 //     group for an exchange hop between groups, the sender's ring link, two
 //     links wide past the owner, for a relay or a gradient hop — and the
 //     flat owner's injection and the retire are free. Naive's barrier model
-//     prices no rows.
+//     prices no rows;
+//   - in process and over TCP, every rank sends the rows each resource
+//     carries in the order the simulator runs them (sim.Run: ID order).
 func TestSimulatorRelaysMatchRuntime(t *testing.T) {
 	const iters = 2
 	type link struct {
 		res  string
 		span int
 	}
+	type sent struct {
+		src int
+		res string
+	}
 	for _, s := range beltStrategies {
-		for p := 1; p <= 4; p++ {
+		ps := []int{1, 2, 3, 4}
+		if s == StrategyWZB2G {
+			ps = append(ps, 6)
+		}
+		for _, p := range ps {
 			gs, m := ringGroupSize(p), 1
 			if s == StrategyWZB2G {
 				m = normalizeGroupSize(gs, p)
@@ -248,7 +260,20 @@ func TestSimulatorRelaysMatchRuntime(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// priced is the link a row's task runs on, or false.
+				priced := func(r order.Msg) (link, bool) {
+					switch {
+					case r.Kind == 'R' || r.Injects(m) && !r.Group:
+						return link{}, false
+					case r.Kind == 'X' && r.Use == 0, r.Injects(m):
+						return link{fmt.Sprintf("x%d", r.Src/m), 1}, true
+					case r.Kind == 'X':
+						return link{fmt.Sprintf("l%d", (r.Src/m+1)*m-1), 1}, true
+					}
+					return link{fmt.Sprintf("l%d", r.Src), (r.Dst - r.Src + p) % p}, true
+				}
 				want := make(map[beltSend]int)
+				row := make(map[beltSend]order.Msg) // the row each send is, iteration by iteration
 				for iter := 0; iter < iters; iter++ {
 					w := &WeiPipe{iter: iter}
 					for _, r := range rows {
@@ -257,12 +282,19 @@ func TestSimulatorRelaysMatchRuntime(t *testing.T) {
 							tag.B ^= (groupedSaltBase + r.Src/m) << 55
 						}
 						want[beltSend{r.Src, r.Dst, tag}]++
+						row[beltSend{r.Src, r.Dst, tag}] = r
 					}
 				}
+				runtimeOrder := make(map[bool]map[sent][]order.Msg)
 				for _, overTCP := range []bool{false, true} {
 					ran := make(map[beltSend]int)
+					runtimeOrder[overTCP] = make(map[sent][]order.Msg)
 					for _, bs := range beltTraffic(t, overTCP, s, p, n, gs) {
 						ran[bs]++
+						if l, ok := priced(row[bs]); ok {
+							k := sent{bs.src, l.res}
+							runtimeOrder[overTCP][k] = append(runtimeOrder[overTCP][k], row[bs])
+						}
 					}
 					if !maps.Equal(ran, want) {
 						t.Errorf("%s p=%d n=%d tcp=%v: the runtime sent\n %v\nthe rows are\n %v", s, p, n, overTCP, ran, want)
@@ -281,30 +313,62 @@ func TestSimulatorRelaysMatchRuntime(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				byLabel := make(map[string]order.Msg)
+				pricedRows := make(map[link]int)
+				for _, r := range rows {
+					if l, ok := priced(r); ok {
+						pricedRows[l]++
+						byLabel[simLabel(r, m)] = r
+					}
+				}
 				simulated := make(map[link]int)
+				simOrder := make(map[sent][]order.Msg) // per sender and resource, in ID order
 				for _, task := range tasks {
 					if task.Kind == "comm" {
 						simulated[link{task.Resource, max(task.Span, 1)}]++
+						r := byLabel[task.Label]
+						simOrder[sent{r.Src, task.Resource}] = append(simOrder[sent{r.Src, task.Resource}], r)
 					}
 				}
-				priced := make(map[link]int)
-				for _, r := range rows {
-					switch {
-					case r.Kind == 'R' || r.Injects(m) && !r.Group:
-					case r.Kind == 'X' && r.Use == 0, r.Injects(m):
-						priced[link{fmt.Sprintf("x%d", r.Src/m), 1}]++
-					case r.Kind == 'X':
-						priced[link{fmt.Sprintf("l%d", (r.Src/m+1)*m-1), 1}]++
-					default:
-						priced[link{fmt.Sprintf("l%d", r.Src), (r.Dst - r.Src + p) % p}]++
-					}
+				if !maps.Equal(simulated, pricedRows) {
+					t.Errorf("%s p=%d n=%d: simulated link tasks\n %v\npriced rows\n %v", s, p, n, simulated, pricedRows)
 				}
-				if !maps.Equal(simulated, priced) {
-					t.Errorf("%s p=%d n=%d: simulated link tasks\n %v\npriced rows\n %v", s, p, n, simulated, priced)
+				for overTCP, got := range runtimeOrder {
+					for k, seq := range simOrder {
+						var each []order.Msg // the iterations, one after the other
+						for iter := 0; iter < iters; iter++ {
+							each = append(each, seq...)
+						}
+						if !slices.Equal(got[k], each) {
+							t.Errorf("%s p=%d n=%d tcp=%v: rank %d sends on %s\n %v\nthe simulator runs\n %v", s, p, n, overTCP, k.src, k.res, got[k], seq)
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+// simLabel is the label of the link task the simulator prices row r with,
+// on belts of m-rank groups (schedule.Build).
+func simLabel(r order.Msg, m int) string {
+	switch r.Kind {
+	case 'X':
+		if r.Use == 0 {
+			return fmt.Sprintf("xchg c%d hop0", r.Chunk)
+		}
+		return fmt.Sprintf("xchg c%d g%d", r.Chunk, r.Dst/m)
+	case 'D':
+		return fmt.Sprintf("D c%d u%d", r.Chunk, r.Use)
+	}
+	name, inj := "Wf", ""
+	if r.Kind == 'B' {
+		name = "Wb"
+	}
+	if r.Injects(m) {
+		inj = " inj"
+	}
+	return fmt.Sprintf("%s c%d u%d%s", name, r.Chunk, r.Use, inj)
 }
 
 // beltSend is one belt message a rank sent: its source, destination and tag.

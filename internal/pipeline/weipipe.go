@@ -664,9 +664,9 @@ func (w *WeiPipe) sendCached(r order.Msg) error {
 
 // startRows seals the owned chunk's payload (sealOwned) and runs the rank's
 // iteration-start rows in table order: the flat owner's injections, the
-// grouped belt's shard exchange and its round-0 injections. Rows of
-// distinct chunks are independent and come chunk by chunk, so the fixed
-// order cannot deadlock. A grouped holder that owns its chunk caches the
+// grouped belt's shard exchange and its round-0 injections. The exchange
+// comes hop by hop (order.Wiring), and a hop waits only for hops before it,
+// so the fixed order cannot deadlock. A grouped holder that owns its chunk caches the
 // owned payload first, and every row of a cached chunk forwards the cache.
 // The owned chunk's other rows forward the payload itself. An exchange hop
 // into this rank is verified before it is cached or forwarded: a corrupt

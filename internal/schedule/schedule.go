@@ -1,14 +1,17 @@
-// Package schedule compiles each parallel-training strategy into a
-// discrete-event task graph for internal/sim: per-worker compute ops in the
-// strategy's program order, link tasks for every point-to-point transfer on
-// the ring, and fabric tasks for ring collectives. Task durations come from
-// the analytic cost model and the cluster topology. The pipelined
+// Package schedule compiles each parallel-training strategy into a task
+// graph for internal/sim: per-worker compute ops in the strategy's program
+// order, link tasks for every point-to-point transfer on the ring, and fabric
+// tasks for ring collectives, each resource's tasks appended in the order its
+// sender issues them, which is the order the simulator runs them in. Task
+// durations come from the analytic cost model and the cluster topology. The pipelined
 // strategies' program orders are not written here: the builders cost the
 // per-rank op lists of internal/order, the same lists the runtime interprets.
 package schedule
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"weipipe/internal/cluster"
 	"weipipe/internal/cost"
@@ -190,21 +193,6 @@ func (b *builder) compute(w int, dur float64, kind, label string, deps ...int) i
 	return id
 }
 
-// successorOf returns the compute task following id in worker w's program
-// order, or -1 if id is the worker's last op.
-func (b *builder) successorOf(w, id int) int {
-	prog := b.prog[w]
-	for i, t := range prog {
-		if t == id {
-			if i+1 < len(prog) {
-				return prog[i+1]
-			}
-			return -1
-		}
-	}
-	return -1
-}
-
 // linkFwd appends a transfer on ring link from→from+1.
 func (b *builder) linkFwd(from int, bytes float64, label string, deps ...int) int {
 	return b.linkSpan(from, 1, bytes, label, deps...)
@@ -307,7 +295,9 @@ func programs(strategy string, w cost.Workload) ([][]order.Op, error) {
 // also the chunk's use index, and the worker of use m is m mod P.
 type opGrid struct {
 	f, b, w [][]int
-	p       int
+	// progs is every worker's program; b.prog[worker][i] runs progs[worker][i].
+	progs [][]order.Op
+	p     int
 	// buffers is the per-worker, per-belt chunk buffer depth of the
 	// weight-passing builders' flow control.
 	buffers int
@@ -333,7 +323,7 @@ func (b *builder) emitPrograms(strategy string, label func(op order.Op, worker i
 		}
 		return g
 	}
-	g := &opGrid{f: mk(), b: mk(), w: mk(), p: w.P, buffers: b.spec.BeltBuffers}
+	g := &opGrid{f: mk(), b: mk(), w: mk(), progs: progs, p: w.P, buffers: b.spec.BeltBuffers}
 	if g.buffers <= 0 {
 		g.buffers = 2
 	}
@@ -407,7 +397,6 @@ func (b *builder) terminalGradAllReduce() {
 func buildPP(strategy string, spec Spec) ([]sim.Task, error) {
 	w := spec.W
 	p := w.P
-	n := w.N
 	actBytes := w.ActBoundaryBytes()
 	b := newBuilder(spec)
 	ops, err := b.emitPrograms(strategy, func(op order.Op, worker int) string {
@@ -417,26 +406,27 @@ func buildPP(strategy string, spec Spec) ([]sim.Task, error) {
 		return nil, err
 	}
 
-	// Activation transfers r→r+1: F at r+1 waits on the link task, which
-	// waits on F at r. Megatron-style stage-boundary sends are blocking —
-	// the sender's next compute op also waits for the transfer — which is
-	// exactly the coupling WeiPipe's weight prefetching avoids.
-	for r := 0; r < p-1; r++ {
-		for m := 0; m < n; m++ {
-			lt := b.linkFwd(r, actBytes, fmt.Sprintf("act%d@l%d", m, r), ops.f[r][m])
-			b.tasks[ops.f[r+1][m]].Deps = append(b.tasks[ops.f[r+1][m]].Deps, lt)
-			if succ := b.successorOf(r, ops.f[r][m]); succ >= 0 {
-				b.tasks[succ].Deps = append(b.tasks[succ].Deps, lt)
+	// Activation transfers r→r+1 (after F at r, before F at r+1) and
+	// gradient transfers r→r−1 on the reverse direction of link r−1 (after
+	// B at r, before B at r−1), each link in its sender's program order.
+	// Megatron-style stage-boundary sends are blocking — the sender's next
+	// compute op also waits for the transfer — which is exactly the coupling
+	// WeiPipe's weight prefetching avoids.
+	for r, prog := range ops.progs {
+		for i, op := range prog {
+			var lt int
+			switch {
+			case op.Phase == 'F' && r < p-1:
+				lt = b.linkFwd(r, actBytes, fmt.Sprintf("act%d@l%d", op.MB, r), ops.f[r][op.MB])
+				b.tasks[ops.f[r+1][op.MB]].Deps = append(b.tasks[ops.f[r+1][op.MB]].Deps, lt)
+			case op.Phase == 'B' && r > 0:
+				lt = b.linkRev(r-1, actBytes, fmt.Sprintf("grad%d@r%d", op.MB, r-1), ops.b[r][op.MB])
+				b.tasks[ops.b[r-1][op.MB]].Deps = append(b.tasks[ops.b[r-1][op.MB]].Deps, lt)
+			default:
+				continue
 			}
-		}
-	}
-	// Gradient transfers r+1→r (reverse direction of link r), also blocking
-	// on the sender.
-	for r := 0; r < p-1; r++ {
-		for m := 0; m < n; m++ {
-			lt := b.linkRev(r, actBytes, fmt.Sprintf("grad%d@r%d", m, r), ops.b[r+1][m])
-			b.tasks[ops.b[r][m]].Deps = append(b.tasks[ops.b[r][m]].Deps, lt)
-			if succ := b.successorOf(r+1, ops.b[r+1][m]); succ >= 0 {
+			if i+1 < len(prog) {
+				succ := b.prog[r][i+1]
 				b.tasks[succ].Deps = append(b.tasks[succ].Deps, lt)
 			}
 		}
@@ -537,19 +527,22 @@ func buildWeiPipeNaive(spec Spec) ([]sim.Task, error) {
 
 // buildWeiPipe models the interleaved weight-passing schedules (interleave,
 // wzb1, wzb2, and wzb2g on groups of m ranks; m = 1 is the flat ring): every
-// worker's program, and one link task per message of order.Wiring, in the
-// table's order, which the sender's pass or the message it relays gates and
-// whose receiving pass waits for it. Pricing and pacing are the
-// simulator's:
+// worker's program, and one link task per message of order.Wiring, which the
+// sender's pass or the message it relays gates and whose receiving pass
+// waits for it. Every resource runs its link tasks in the order their
+// senders issue them, as the runtime does (sim.Run):
 //
 //   - an exchange hop ('X') from the owner into its own group's holder runs
 //     on the group fabric, and a hop between groups on the boundary link out
 //     of the sending group; each waits for the hop before it, and every pass
-//     of the receiving holder on the chunk waits for it;
+//     of the receiving holder on the chunk waits for it. The exchange runs
+//     at iteration start, ahead of every other row on its resource, hop by
+//     hop and, within a hop, chunk by chunk;
 //   - the flat owner's injection is free, as the retire is. A grouped
 //     holder's injection into its group's first rank runs on the group
 //     fabric after the shard is cached and, past round 0, the holder's own
-//     pass one round earlier, kept-served or not;
+//     pass one round earlier, kept-served or not; the fabric runs the
+//     injections in the order the first rank takes them;
 //   - a relay runs on the ring link out of its sender once the sender's pass
 //     starts, after the compute before it, as the runtime relays
 //     (bindWeights), and, when the sender's use took a row rather than a
@@ -560,7 +553,20 @@ func buildWeiPipeNaive(spec Spec) ([]sim.Task, error) {
 //   - a gradient hop ('D') leaves after its sender's W pass, on one ring
 //     link or, past the owner, a two-link span, and carries nothing under
 //     TerminalGradAllReduce, whose all-reduce closes the iteration instead.
+//     A link runs its relays and gradient hops in its sender's program
+//     order.
 func buildWeiPipe(strategy string, spec Spec, m int) ([]sim.Task, error) {
+	rows, err := order.Wiring(strategy, spec.W.P, spec.W.N, m)
+	if err != nil {
+		return nil, err
+	}
+	return priceRows(strategy, spec, m, rows)
+}
+
+// priceRows is buildWeiPipe over the given rows, order.Wiring's or a subset
+// of them: a row left out is a message not sent, which can only make the
+// schedule faster.
+func priceRows(strategy string, spec Spec, m int, rows []order.Msg) ([]sim.Task, error) {
 	w := spec.W
 	p := w.P
 	b := newBuilder(spec)
@@ -568,20 +574,51 @@ func buildWeiPipe(strategy string, spec Spec, m int) ([]sim.Task, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := order.Wiring(strategy, p, w.N, m)
-	if err != nil {
-		return nil, err
+	// links are the rows that take a link task, sorted into the order their
+	// resources run them (see above): the exchange keeps its table order
+	// (order.Wiring), and a grouped injection's key is the task that takes
+	// it, whose ID follows its receiver's program order.
+	var links []order.Msg
+	for _, r := range rows {
+		if r.Kind != 'R' && (!r.Injects(m) || r.Group) {
+			links = append(links, r)
+		}
 	}
+	issue := func(r order.Msg) int {
+		switch {
+		case r.Kind == 'X':
+			return -1
+		case r.Injects(m) && r.Kind == 'B':
+			return ops.b[r.Chunk][r.Use]
+		case r.Injects(m):
+			return ops.f[r.Chunk][r.Use]
+		case r.Kind == 'D':
+			return 2*r.Pass + 1
+		}
+		return 2 * r.Pass
+	}
+	slices.SortStableFunc(links, func(x, y order.Msg) int { return cmp.Compare(issue(x), issue(y)) })
+
+	// Task ids are known before the tasks are made, so a row can wait for
+	// one that is emitted later.
 	type use struct {
 		kind     byte
 		chunk, j int
 	}
-	delivered := make(map[use]int) // the task delivering each weight use, -1 when free
-	arrive := make([][]int, p/m)   // [group][chunk]: the exchange hop that cached the chunk
+	delivered := make(map[use]int) // the task delivering each weight use that travels
+	arrive := make([][]int, p/m)   // [group][chunk]: the exchange hop that caches the chunk
 	for g := range arrive {
 		arrive[g] = make([]int, p)
 		for c := range arrive[g] {
 			arrive[g][c] = -1
+		}
+	}
+	for k, r := range links {
+		switch id := len(b.tasks) + k; r.Kind {
+		case 'X':
+			arrive[r.Dst/m][r.Chunk] = id
+		case 'F', 'B':
+			delivered[use{r.Kind, r.Chunk, r.Use}] = id
 		}
 	}
 	dep := func(deps []int, id int) []int {
@@ -590,19 +627,21 @@ func buildWeiPipe(strategy string, spec Spec, m int) ([]sim.Task, error) {
 		}
 		return deps
 	}
-	for _, r := range rows {
+	for _, r := range links {
 		c := r.Chunk
 		bytes := chunkBytes(w, c)
 		switch r.Kind {
 		case 'X':
-			deps := dep(nil, arrive[r.Src/m][c])
+			var deps []int
+			if r.Use > 0 {
+				deps = dep(deps, arrive[r.Src/m][c])
+			}
 			var x int
 			if r.Use == 0 {
 				x = b.groupFabric(r.Src/m, bytes, fmt.Sprintf("xchg c%d hop0", c), deps...)
 			} else {
 				x = b.linkFwd((r.Src/m+1)*m-1, bytes, fmt.Sprintf("xchg c%d g%d", c, r.Dst/m), deps...)
 			}
-			arrive[r.Dst/m][c] = x
 			for j := r.Dst; j < w.N; j += p {
 				b.tasks[ops.f[c][j]].Deps = append(b.tasks[ops.f[c][j]].Deps, x)
 				b.tasks[ops.b[c][j]].Deps = append(b.tasks[ops.b[c][j]].Deps, x)
@@ -613,10 +652,6 @@ func buildWeiPipe(strategy string, spec Spec, m int) ([]sim.Task, error) {
 				op, earlier, name = ops.b, ops.bwdEarlier, "Wb"
 			}
 			inject := r.Injects(m)
-			if inject && !r.Group {
-				delivered[use{r.Kind, c, r.Use}] = -1
-				continue
-			}
 			var deps []int
 			if m > 1 && (inject || order.Holds(r.Src, c, p, m)) {
 				deps = dep(deps, arrive[r.Src/m][c])
@@ -627,7 +662,7 @@ func buildWeiPipe(strategy string, spec Spec, m int) ([]sim.Task, error) {
 				}
 			} else {
 				if prev, ok := delivered[use{r.Kind, c, r.Use - 1}]; ok {
-					deps = dep(deps, prev)
+					deps = append(deps, prev)
 				}
 				if r.Pass > 0 {
 					deps = append(deps, b.prog[r.Src][r.Pass-1])
@@ -640,7 +675,6 @@ func buildWeiPipe(strategy string, spec Spec, m int) ([]sim.Task, error) {
 			} else {
 				x = b.linkFwd(r.Src, bytes, fmt.Sprintf("%s c%d u%d", name, c, r.Use), deps...)
 			}
-			delivered[use{r.Kind, c, r.Use}] = x
 			b.tasks[op[c][r.Use]].Deps = append(b.tasks[op[c][r.Use]].Deps, x)
 		case 'D':
 			if spec.TerminalGradAllReduce {
@@ -708,7 +742,12 @@ func buildFSDP(spec Spec) ([]sim.Task, error) {
 	// compute — the collective-communication dependence the paper contrasts
 	// with WeiPipe's fully-prefetchable P2P belts. A pass whose module is
 	// still gathered (order.FSDP's keep rule, the runtime's) waits for none.
-	lastBW := make([]int, nMods)
+	// The last microbatch's backward reduce-scatters each module's gradient,
+	// overlapped with the remaining backward via the fabric. The fabric runs
+	// the collectives in the order the compute issues them, and a backward
+	// that issues both issues the next module's gather first: the compute
+	// waits for it.
+	var scatter func() // the reduce-scatter the last backward issued, not yet emitted
 	for _, u := range order.FSDP(nMods, nLocal) {
 		i, m := u.Chunk, u.MB
 		var deps []int
@@ -722,19 +761,20 @@ func buildFSDP(spec Spec) ([]sim.Task, error) {
 			}
 			deps = []int{b.fabric(top.RingAllGatherTime(modBytes(i)), label, deps...)}
 		}
+		if scatter != nil {
+			scatter()
+			scatter = nil
+		}
 		if u.Phase == 'F' {
 			b.compute(0, modF(i), "F", fmt.Sprintf("F m%d mod%d", m, i), deps...)
 			continue
 		}
-		lastBW[i] = b.compute(0, modBW(i), "B", fmt.Sprintf("BW m%d mod%d", m, i), deps...)
-		if m == nLocal-1 && i == 0 {
-			// reduce-scatter each module's gradient, overlapped with the
-			// remaining backward via the fabric.
-			for i := nMods - 1; i >= 0; i-- {
-				b.fabric(top.RingAllGatherTime(modBytes(i)), fmt.Sprintf("rs mod%d", i), lastBW[i])
-			}
+		bw := b.compute(0, modBW(i), "B", fmt.Sprintf("BW m%d mod%d", m, i), deps...)
+		if m == nLocal-1 {
+			scatter = func() { b.fabric(top.RingAllGatherTime(modBytes(i)), fmt.Sprintf("rs mod%d", i), bw) }
 		}
 	}
+	scatter()
 	return b.tasks, nil
 }
 

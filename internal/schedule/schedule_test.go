@@ -384,3 +384,57 @@ func TestRelayLeavesAtSenderPassStart(t *testing.T) {
 		}
 	}
 }
+
+// TestDroppedRowNeverSlows: the simulator is monotone in the wiring. On
+// interleave, wzb1, wzb2 and wzb2g at p 2…8 and n ∈ {p, 2p}, on NVLink and on
+// NVLink+Ethernet (servers of 2, or of 1 at odd p), pricing order.Wiring
+// without any one of its rows never raises the makespan: a message not sent
+// cannot slow the iteration. Nor can deeper belt buffers: 64 are never slower
+// than the default 2.
+func TestDroppedRowNeverSlows(t *testing.T) {
+	makespan := func(t *testing.T, s string, spec Spec, m int, rows []order.Msg) float64 {
+		t.Helper()
+		tasks, err := priceRows(s, spec, m, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(tasks)
+		if err != nil {
+			t.Fatalf("%s p=%d n=%d on %s: %v", s, spec.W.P, spec.W.N, spec.Top.Name, err)
+		}
+		return res.Makespan
+	}
+	for _, s := range []string{"weipipe-interleave", "wzb1", "wzb2", "wzb2g"} {
+		t.Run(s, func(t *testing.T) {
+			t.Parallel()
+			for p := 2; p <= 8; p++ {
+				perServer := 2 - p%2
+				for _, top := range []cluster.Topology{cluster.NVLinkSingle(p), cluster.NVLinkEthernet(p, perServer)} {
+					m := 1
+					if g := top.GroupSize(); s == "wzb2g" && g > 1 && p%g == 0 {
+						m = g
+					}
+					for _, n := range []int{p, 2 * p} {
+						w := smallWorkload(p)
+						w.N = n
+						spec := Spec{W: w, GPU: cluster.A800(), Top: top}
+						rows, err := order.Wiring(s, p, n, m)
+						if err != nil {
+							t.Fatal(err)
+						}
+						base := makespan(t, s, spec, m, rows)
+						for i, r := range rows {
+							if got := makespan(t, s, spec, m, slices.Delete(slices.Clone(rows), i, i+1)); got > base {
+								t.Errorf("p=%d n=%d on %s: without row %+v the makespan rises %v → %v", p, n, top.Name, r, base, got)
+							}
+						}
+						spec.BeltBuffers = 64
+						if deep := makespan(t, s, spec, m, rows); deep > base {
+							t.Errorf("p=%d n=%d on %s: 64 belt buffers take %v, 2 take %v", p, n, top.Name, deep, base)
+						}
+					}
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -86,13 +87,7 @@ func TestRandomDAGsScheduleConsistently(t *testing.T) {
 
 // Property: the makespan respects the classical list-scheduling bounds —
 // at least the critical path and the busiest resource's load, at most the
-// critical path plus the total work (Graham's bound for greedy schedulers).
-//
-// Note: strict monotonicity in task durations is deliberately NOT asserted.
-// Greedy ready-queue dispatch exhibits Graham's scheduling anomalies:
-// lengthening one task can reorder dispatch and legitimately *shorten* the
-// makespan. (An earlier version of this test asserted monotonicity and the
-// quick checker found a counterexample within a few dozen cases.)
+// critical path plus the total work.
 func TestMakespanWithinGrahamBounds(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := tensor.NewRNG(seed)
@@ -135,6 +130,94 @@ func TestMakespanWithinGrahamBounds(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Property: lengthening one task never shortens the makespan. A simulator
+// that dispatched whichever ready task comes first would fail this: a longer
+// task reorders its resource's queue, which can shorten the schedule
+// (Graham's scheduling anomalies). Fixed resource orders make the makespan a
+// longest path, which no longer task can shorten.
+func TestLongerTaskNeverShortensMakespan(t *testing.T) {
+	f := func(seed uint64, pick uint8) bool {
+		rng := tensor.NewRNG(seed)
+		tasks := randomDAG(rng, 25)
+		base, err := Run(tasks)
+		if err != nil {
+			return false
+		}
+		tasks[int(pick)%len(tasks)].Dur += rng.Float64()
+		longer, err := Run(tasks)
+		if err != nil {
+			return false
+		}
+		if longer.Makespan < base.Makespan {
+			t.Logf("seed %d: task %d longer, makespan %v → %v", seed, int(pick)%len(tasks), base.Makespan, longer.Makespan)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: deleting a task, its dependents taking over its dependencies,
+// never lengthens the makespan — the simulator-level form of "a schedule
+// that sends one message fewer is never slower".
+func TestDeletedTaskNeverLengthensMakespan(t *testing.T) {
+	f := func(seed uint64, pick uint8) bool {
+		rng := tensor.NewRNG(seed)
+		tasks := randomDAG(rng, 25)
+		base, err := Run(tasks)
+		if err != nil {
+			return false
+		}
+		k := int(pick) % len(tasks)
+		fewer := deleteTask(tasks, k)
+		after, err := Run(fewer)
+		if err != nil {
+			t.Logf("seed %d: without task %d: %v", seed, k, err)
+			return false
+		}
+		if after.Makespan > base.Makespan {
+			t.Logf("seed %d: without task %d, makespan %v → %v", seed, k, base.Makespan, after.Makespan)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// deleteTask returns tasks without task k, renumbered: a task that depended
+// on k depends on k's dependencies instead.
+func deleteTask(tasks []Task, k int) []Task {
+	renum := func(d int) int {
+		if d > k {
+			return d - 1
+		}
+		return d
+	}
+	out := make([]Task, 0, len(tasks)-1)
+	for _, t := range tasks {
+		if t.ID == k {
+			continue
+		}
+		var deps []int
+		for _, d := range t.Deps {
+			if d == k {
+				for _, dk := range tasks[k].Deps {
+					deps = append(deps, renum(dk))
+				}
+				continue
+			}
+			deps = append(deps, renum(d))
+		}
+		t.ID, t.Deps = renum(t.ID), deps
+		out = append(out, t)
+	}
+	return out
 }
 
 // Property: the bubble ratio is always in [0, 1).

@@ -1,17 +1,17 @@
-// Package sim is a deterministic discrete-event simulator for pipeline
-// training schedules. A schedule is a list of Tasks, each bound to one
-// serial resource (a worker's compute engine, one direction of a ring link,
-// or the shared collective fabric) with explicit dependencies. A resource
-// runs one task at a time; whenever it is idle it dispatches the
-// lowest-numbered task whose dependencies have completed. Program order on
-// a worker is expressed through dependencies (the schedule package chains
-// every worker's compute ops), so compute engines execute their rank's
-// program exactly while links stay free to relay whichever belt chunk
-// arrives first.
+// Package sim is a deterministic simulator for pipeline training schedules.
+// A schedule is a list of Tasks, each bound to one serial resource (a
+// worker's compute engine, one direction of a ring link, or the shared
+// collective fabric) with explicit dependencies. A resource runs its tasks
+// one at a time in ascending ID order, the order its sender issues them: the
+// schedule package appends a worker's compute in program order and a link's
+// transfers in the order the runtime sends them. A task starts once its
+// dependencies and the task before it on its resource have ended, so the
+// schedule is a longest-path computation, and it is monotone: a longer task
+// or an extra dependency never makes the makespan shorter, and a task taken
+// out never makes it longer.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -96,49 +96,13 @@ func (r *Result) WorkerTimeline(w int) []ScheduledTask {
 	return out
 }
 
-// event is a task completion.
-type event struct {
-	time float64
-	id   int
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].id < h[j].id
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// intHeap is a min-heap of task IDs (the per-resource ready set).
-type intHeap []int
-
-func (h intHeap) Len() int           { return len(h) }
-func (h intHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h intHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *intHeap) Push(x any)        { *h = append(*h, x.(int)) }
-func (h *intHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
-}
-
-// Run executes the schedule and returns the timing result. It returns an
-// error if the schedule deadlocks (a dependency cycle or a dependency on a
-// missing task).
+// Run computes the schedule's start and end times and returns the result.
+// Every resource runs its tasks in ascending ID order, and a task starts when
+// both its last dependency and the task before it on its resource have
+// ended, so the times are one longest-path pass over the dependencies and the
+// resources' chains. It returns an error for a dependency on a missing task
+// and for a cycle — the deadlock error, which a dependency that its
+// resource's order contradicts also makes.
 func Run(tasks []Task) (*Result, error) {
 	n := len(tasks)
 	for i, t := range tasks {
@@ -158,104 +122,43 @@ func Run(tasks []Task) (*Result, error) {
 		}
 	}
 
-	depsLeft := make([]int, n)
-	dependents := make([][]int, n)
-	for _, t := range tasks {
-		depsLeft[t.ID] = len(t.Deps)
+	// waits[i] counts the tasks i starts after that have not ended: its
+	// dependencies and its resource's previous task.
+	waits := make([]int, n)
+	next := make([][]int, n)
+	lastOn := make(map[string]int)
+	for i, t := range tasks {
+		if prev, ok := lastOn[t.Resource]; ok {
+			next[prev] = append(next[prev], i)
+			waits[i]++
+		}
+		lastOn[t.Resource] = i
 		for _, d := range t.Deps {
-			dependents[d] = append(dependents[d], t.ID)
+			next[d] = append(next[d], i)
+			waits[i]++
 		}
 	}
-
-	ready := make(map[string]*intHeap)
-	busy := make(map[string]bool)
 	start := make([]float64, n)
 	end := make([]float64, n)
-	started := make([]bool, n)
-
-	var eh eventHeap
-	now := 0.0
-	startedCount := 0
-
-	dispatch := func(res string) {
-		if busy[res] {
-			return
-		}
-		h := ready[res]
-		if h == nil || h.Len() == 0 {
-			return
-		}
-		id := heap.Pop(h).(int)
-		start[id] = now
-		end[id] = now + tasks[id].Dur
-		started[id] = true
-		busy[res] = true
-		startedCount++
-		heap.Push(&eh, event{time: end[id], id: id})
-	}
-
-	markReady := func(id int) {
-		res := tasks[id].Resource
-		h := ready[res]
-		if h == nil {
-			h = &intHeap{}
-			ready[res] = h
-		}
-		heap.Push(h, id)
-		dispatch(res)
-	}
-
-	for i := 0; i < n; i++ {
-		if depsLeft[i] == 0 {
-			markReady(i)
+	ready := make([]int, 0, n)
+	for i := range waits {
+		if waits[i] == 0 {
+			ready = append(ready, i)
 		}
 	}
-
-	for eh.Len() > 0 {
-		e := heap.Pop(&eh).(event)
-		now = e.time
-		// Drain all completions at this timestamp before dispatching, so
-		// simultaneous arrivals unlock dependents deterministically.
-		completedRes := map[string]bool{}
-		newlyReady := []int{}
-		for {
-			busy[tasks[e.id].Resource] = false
-			completedRes[tasks[e.id].Resource] = true
-			for _, dep := range dependents[e.id] {
-				depsLeft[dep]--
-				if depsLeft[dep] == 0 {
-					newlyReady = append(newlyReady, dep)
-				}
+	for k := 0; k < len(ready); k++ {
+		i := ready[k]
+		end[i] = start[i] + tasks[i].Dur
+		for _, s := range next[i] {
+			start[s] = max(start[s], end[i])
+			if waits[s]--; waits[s] == 0 {
+				ready = append(ready, s)
 			}
-			if eh.Len() == 0 || eh[0].time != now {
-				break
-			}
-			e = heap.Pop(&eh).(event)
-		}
-		sort.Ints(newlyReady)
-		for _, id := range newlyReady {
-			res := tasks[id].Resource
-			h := ready[res]
-			if h == nil {
-				h = &intHeap{}
-				ready[res] = h
-			}
-			heap.Push(h, id)
-			completedRes[res] = true
-		}
-		resList := make([]string, 0, len(completedRes))
-		for r := range completedRes {
-			resList = append(resList, r)
-		}
-		sort.Strings(resList)
-		for _, r := range resList {
-			dispatch(r)
 		}
 	}
-
-	if startedCount != n {
-		for i := 0; i < n; i++ {
-			if !started[i] {
+	if len(ready) < n {
+		for i := range waits {
+			if waits[i] > 0 {
 				return nil, fmt.Errorf("sim: deadlock — task %d (%s on %s) never started",
 					i, tasks[i].Label, tasks[i].Resource)
 			}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -74,19 +75,20 @@ func TestCommOverlapsCompute(t *testing.T) {
 	}
 }
 
-func TestReadyQueueAvoidsHeadOfLineBlocking(t *testing.T) {
-	// Task 0 on l0 is created first but its dep (task 2) finishes late;
-	// task 1 (no deps) must go first rather than deadlock/behind-block.
+func TestResourceOrderIsIDOrder(t *testing.T) {
+	// Task 0 on l0 comes first, so task 1 waits behind it even though it
+	// is ready at once; task 0 waits on task 2, which waits (through task
+	// 3) on task 1. The resource order contradicts the dependencies: a
+	// cycle, reported as a deadlock of the lowest-numbered task.
 	tasks := []Task{
 		{ID: 0, Resource: "l0", Worker: -1, Dur: 1, Deps: []int{2}, Kind: "comm"},
 		{ID: 1, Resource: "l0", Worker: -1, Dur: 1, Kind: "comm"},
 		{ID: 2, Resource: "w0", Worker: 0, Dur: 5, Deps: []int{3}, Kind: "F"},
 		{ID: 3, Resource: "w0", Worker: 0, Dur: 1, Deps: []int{1}, Kind: "F"},
 	}
-	r := mustRun(t, tasks)
-	// l0 runs task1 at 0→1; w0 task3 1→2, task2 2→7; l0 task0 7→8
-	if r.Makespan != 8 {
-		t.Fatalf("makespan = %v", r.Makespan)
+	_, err := Run(tasks)
+	if err == nil || !strings.Contains(err.Error(), "task 0 ") {
+		t.Fatalf("err = %v, want a deadlock naming task 0", err)
 	}
 }
 
