@@ -230,16 +230,12 @@ func writeTrace(rc runConfig, res *weipipe.ClusterResult) error {
 // CRC-rejected and duplicate frames).
 func printStats(all []*weipipe.CommStats) {
 	fmt.Println("communication statistics:")
-	var checks, fails int64
 	total := comm.NewStats()
 	for r, s := range all {
 		fmt.Printf("  rank %d: %s\n", r, s)
-		c, f := s.TotalIntegrityChecks()
-		checks += c
-		fails += f
 		total.Add(s)
 	}
-	if checks > 0 {
+	if checks, fails := total.TotalIntegrityChecks(); checks > 0 {
 		fmt.Printf("  integrity: %d checks, %d failures detected\n", checks, fails)
 	}
 	if m := total.GroupSize(); m > 1 {

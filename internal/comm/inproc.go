@@ -60,7 +60,7 @@ func NewClusterCodec(n int, codec CodecFunc) *Cluster {
 	c := &Cluster{boxes: make([]*mailbox, n), stats: make([]*Stats, n), codec: codec, dead: make([]bool, n)}
 	for i := range c.boxes {
 		c.boxes[i] = newMailbox()
-		c.stats[i] = newStats()
+		c.stats[i] = NewStats()
 		c.boxes[i].stats = c.stats[i]
 	}
 	return c

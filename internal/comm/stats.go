@@ -2,7 +2,7 @@ package comm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -15,28 +15,33 @@ import (
 // microbatch size and sequence length, while activation-passing pipelines
 // scale with G·S·H.
 type Stats struct {
-	mu        sync.Mutex
-	sentBytes map[Kind]int64
-	sentMsgs  map[Kind]int64
-	faults    map[int]*PeerFaults
+	mu sync.Mutex
+	c  counters
+}
+
+// counters is the meter's value. Its label space is fixed and small (kinds,
+// peers, two link tiers), so every counter is a plain field or array and
+// add is the one merge.
+type counters struct {
+	sentBytes [kindCount]int64
+	sentMsgs  [kindCount]int64
+	faults    []PeerFaults // indexed by peer rank
 
 	// Exposed-communication telemetry. recvWaitNs is the total time
 	// receivers spent blocked inside the transport waiting for a matching
 	// message (from any goroutine). beltStallNs is recorded by the runners
 	// themselves: the compute thread's critical-path wait for belt payloads.
-	// inflightBytes gauges the bytes delivered to this rank's mailbox but not
+	// inflight gauges the bytes delivered to this rank's mailbox but not
 	// yet consumed; maxInflight is its high-water mark.
-	recvWaitNs    int64
-	beltStallNs   int64
-	inflightBytes int64
-	maxInflight   int64
+	recvWaitNs  int64
+	beltStallNs int64
+	inflight    int64
+	maxInflight int64
 
 	// Integrity telemetry: end-to-end checksum verifications by payload
-	// kind (resident-state and kernel checks record under KindCtl). The
-	// maps stay nil until the first check, so runs with integrity off pay
-	// nothing.
-	integrityChecks map[Kind]int64
-	integrityFails  map[Kind]int64
+	// kind (resident-state and kernel checks record under KindCtl).
+	checks [kindCount]int64
+	fails  [kindCount]int64
 
 	// Link-tier accounting. When groupSize > 0 every data-plane send whose
 	// source and destination ranks are known is classified as intra-group
@@ -58,6 +63,40 @@ type Stats struct {
 	wireWrites int64
 }
 
+// add accumulates o into c. Every counter sums except three: maxInflight
+// takes the larger mark, groupSize keeps the first non-zero size, and the
+// live inflight gauge, which describes one rank's mailbox, is not carried.
+func (c *counters) add(o *counters) {
+	for k := range kindCount {
+		c.sentBytes[k] += o.sentBytes[k]
+		c.sentMsgs[k] += o.sentMsgs[k]
+		c.checks[k] += o.checks[k]
+		c.fails[k] += o.fails[k]
+	}
+	for p, f := range o.faults {
+		c.peer(p).add(f)
+	}
+	c.recvWaitNs += o.recvWaitNs
+	c.beltStallNs += o.beltStallNs
+	c.maxInflight = max(c.maxInflight, o.maxInflight)
+	if c.groupSize == 0 {
+		c.groupSize = o.groupSize
+	}
+	c.intraBytes += o.intraBytes
+	c.intraMsgs += o.intraMsgs
+	c.interBytes += o.interBytes
+	c.interMsgs += o.interMsgs
+	c.wireWrites += o.wireWrites
+}
+
+// peer returns peer p's fault record, growing the table to hold it.
+func (c *counters) peer(p int) *PeerFaults {
+	if p >= len(c.faults) {
+		c.faults = append(c.faults, make([]PeerFaults, p+1-len(c.faults))...)
+	}
+	return &c.faults[p]
+}
+
 // PeerFaults counts the fault-handling events of one peer link: the
 // observability surface of the resilience layer (retransmissions, receive
 // timeouts, reconnections, heartbeat misses, CRC failures and duplicate
@@ -72,22 +111,18 @@ type PeerFaults struct {
 	StaleEpochs     int64 // frames/handshakes rejected by the epoch fence
 }
 
-func (f PeerFaults) zero() bool {
-	return f.Retransmits == 0 && f.Timeouts == 0 && f.Reconnects == 0 &&
-		f.HeartbeatMisses == 0 && f.CorruptFrames == 0 && f.DupFrames == 0 &&
-		f.StaleEpochs == 0
+func (f *PeerFaults) add(o PeerFaults) {
+	f.Retransmits += o.Retransmits
+	f.Timeouts += o.Timeouts
+	f.Reconnects += o.Reconnects
+	f.HeartbeatMisses += o.HeartbeatMisses
+	f.CorruptFrames += o.CorruptFrames
+	f.DupFrames += o.DupFrames
+	f.StaleEpochs += o.StaleEpochs
 }
 
 // NewStats returns an empty meter (used for aggregation).
-func NewStats() *Stats { return newStats() }
-
-func newStats() *Stats {
-	return &Stats{
-		sentBytes: make(map[Kind]int64),
-		sentMsgs:  make(map[Kind]int64),
-		faults:    make(map[int]*PeerFaults),
-	}
-}
+func NewStats() *Stats { return new(Stats) }
 
 func (s *Stats) record(kind Kind, elems, bytesPerElem int) {
 	s.recordPeer(-1, -1, kind, elems, bytesPerElem)
@@ -98,15 +133,16 @@ func (s *Stats) record(kind Kind, elems, bytesPerElem int) {
 func (s *Stats) recordPeer(src, dst int, kind Kind, elems, bytesPerElem int) {
 	b := int64(elems) * int64(bytesPerElem)
 	s.mu.Lock()
-	s.sentBytes[kind] += b
-	s.sentMsgs[kind]++
-	if s.groupSize > 0 && src >= 0 && dst >= 0 && kind != KindCtl {
-		if src/s.groupSize == dst/s.groupSize {
-			s.intraBytes += b
-			s.intraMsgs++
+	c := &s.c
+	c.sentBytes[kind] += b
+	c.sentMsgs[kind]++
+	if c.groupSize > 0 && src >= 0 && dst >= 0 && kind != KindCtl {
+		if src/c.groupSize == dst/c.groupSize {
+			c.intraBytes += b
+			c.intraMsgs++
 		} else {
-			s.interBytes += b
-			s.interMsgs++
+			c.interBytes += b
+			c.interMsgs++
 		}
 	}
 	s.mu.Unlock()
@@ -116,11 +152,8 @@ func (s *Stats) recordPeer(src, dst int, kind Kind, elems, bytesPerElem int) {
 // contiguous block of m ranks count as intra-group, the rest as
 // inter-group. m <= 0 disables tier accounting (the default).
 func (s *Stats) SetGroupSize(m int) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
-	s.groupSize = m
+	s.c.groupSize = m
 	s.mu.Unlock()
 }
 
@@ -128,7 +161,7 @@ func (s *Stats) SetGroupSize(m int) {
 func (s *Stats) GroupSize() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.groupSize
+	return s.c.groupSize
 }
 
 // IntraGroupTraffic returns the bytes and messages sent on intra-group
@@ -136,7 +169,7 @@ func (s *Stats) GroupSize() int {
 func (s *Stats) IntraGroupTraffic() (bytes, msgs int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.intraBytes, s.intraMsgs
+	return s.c.intraBytes, s.c.intraMsgs
 }
 
 // InterGroupTraffic returns the bytes and messages sent across group
@@ -144,13 +177,13 @@ func (s *Stats) IntraGroupTraffic() (bytes, msgs int64) {
 func (s *Stats) InterGroupTraffic() (bytes, msgs int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.interBytes, s.interMsgs
+	return s.c.interBytes, s.c.interMsgs
 }
 
 // noteRecvWait accumulates time a receiver spent blocked in the transport.
 func (s *Stats) noteRecvWait(d time.Duration) {
 	s.mu.Lock()
-	s.recvWaitNs += int64(d)
+	s.c.recvWaitNs += int64(d)
 	s.mu.Unlock()
 }
 
@@ -158,10 +191,8 @@ func (s *Stats) noteRecvWait(d time.Duration) {
 // tracks its high-water mark.
 func (s *Stats) noteInflight(delta int64) {
 	s.mu.Lock()
-	s.inflightBytes += delta
-	if s.inflightBytes > s.maxInflight {
-		s.maxInflight = s.inflightBytes
-	}
+	s.c.inflight += delta
+	s.c.maxInflight = max(s.c.maxInflight, s.c.inflight)
 	s.mu.Unlock()
 }
 
@@ -169,11 +200,11 @@ func (s *Stats) noteInflight(delta int64) {
 // payload. The pipeline runners call it around their critical-path
 // receives: it is the measured exposed-communication figure.
 func (s *Stats) RecordBeltStall(d time.Duration) {
-	if s == nil || d <= 0 {
+	if d <= 0 {
 		return
 	}
 	s.mu.Lock()
-	s.beltStallNs += int64(d)
+	s.c.beltStallNs += int64(d)
 	s.mu.Unlock()
 }
 
@@ -181,7 +212,7 @@ func (s *Stats) RecordBeltStall(d time.Duration) {
 func (s *Stats) RecvWait() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return time.Duration(s.recvWaitNs)
+	return time.Duration(s.c.recvWaitNs)
 }
 
 // BeltStall returns the cumulative critical-path belt wait recorded by the
@@ -189,30 +220,23 @@ func (s *Stats) RecvWait() time.Duration {
 func (s *Stats) BeltStall() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return time.Duration(s.beltStallNs)
+	return time.Duration(s.c.beltStallNs)
 }
 
 // MaxInFlightBytes returns the in-flight gauge's high-water mark.
 func (s *Stats) MaxInFlightBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.maxInflight
+	return s.c.maxInflight
 }
 
 // RecordIntegrityCheck counts one end-to-end integrity verification of a
 // payload of the given kind, and whether it failed.
 func (s *Stats) RecordIntegrityCheck(kind Kind, ok bool) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
-	if s.integrityChecks == nil {
-		s.integrityChecks = make(map[Kind]int64)
-		s.integrityFails = make(map[Kind]int64)
-	}
-	s.integrityChecks[kind]++
+	s.c.checks[kind]++
 	if !ok {
-		s.integrityFails[kind]++
+		s.c.fails[kind]++
 	}
 	s.mu.Unlock()
 }
@@ -222,78 +246,35 @@ func (s *Stats) RecordIntegrityCheck(kind Kind, ok bool) {
 func (s *Stats) IntegrityChecks(kind Kind) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.integrityChecks[kind]
+	return s.c.checks[kind]
 }
 
 // TotalIntegrityChecks sums integrity verifications across all kinds.
 func (s *Stats) TotalIntegrityChecks() (checks, failures int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, v := range s.integrityChecks {
-		checks += v
-	}
-	for _, v := range s.integrityFails {
-		failures += v
-	}
-	return checks, failures
+	return sum(s.c.checks), sum(s.c.fails)
 }
 
-// peerFaults returns the (locked-caller) fault record for peer.
-func (s *Stats) peerFaults(peer int) *PeerFaults {
-	f := s.faults[peer]
-	if f == nil {
-		f = &PeerFaults{}
-		s.faults[peer] = f
-	}
-	return f
-}
-
-func (s *Stats) recordRetransmit(peer int, n int64) {
+// recordFault adds d to peer's fault counters.
+func (s *Stats) recordFault(peer int, d PeerFaults) {
 	s.mu.Lock()
-	s.peerFaults(peer).Retransmits += n
+	s.c.peer(peer).add(d)
 	s.mu.Unlock()
 }
 
-func (s *Stats) recordTimeout(peer int) {
-	s.mu.Lock()
-	s.peerFaults(peer).Timeouts++
-	s.mu.Unlock()
-}
-
-func (s *Stats) recordReconnect(peer int) {
-	s.mu.Lock()
-	s.peerFaults(peer).Reconnects++
-	s.mu.Unlock()
-}
-
-func (s *Stats) recordHeartbeatMiss(peer int) {
-	s.mu.Lock()
-	s.peerFaults(peer).HeartbeatMisses++
-	s.mu.Unlock()
-}
-
-func (s *Stats) recordCorrupt(peer int) {
-	s.mu.Lock()
-	s.peerFaults(peer).CorruptFrames++
-	s.mu.Unlock()
-}
-
-func (s *Stats) recordDup(peer int) {
-	s.mu.Lock()
-	s.peerFaults(peer).DupFrames++
-	s.mu.Unlock()
-}
-
-func (s *Stats) recordStaleEpoch(peer int) {
-	s.mu.Lock()
-	s.peerFaults(peer).StaleEpochs++
-	s.mu.Unlock()
-}
+func (s *Stats) recordRetransmit(peer int, n int64) { s.recordFault(peer, PeerFaults{Retransmits: n}) }
+func (s *Stats) recordTimeout(peer int)             { s.recordFault(peer, PeerFaults{Timeouts: 1}) }
+func (s *Stats) recordReconnect(peer int)           { s.recordFault(peer, PeerFaults{Reconnects: 1}) }
+func (s *Stats) recordHeartbeatMiss(peer int)       { s.recordFault(peer, PeerFaults{HeartbeatMisses: 1}) }
+func (s *Stats) recordCorrupt(peer int)             { s.recordFault(peer, PeerFaults{CorruptFrames: 1}) }
+func (s *Stats) recordDup(peer int)                 { s.recordFault(peer, PeerFaults{DupFrames: 1}) }
+func (s *Stats) recordStaleEpoch(peer int)          { s.recordFault(peer, PeerFaults{StaleEpochs: 1}) }
 
 // recordWireWrite counts one kernel write of framed traffic.
 func (s *Stats) recordWireWrite() {
 	s.mu.Lock()
-	s.wireWrites++
+	s.c.wireWrites++
 	s.mu.Unlock()
 }
 
@@ -301,17 +282,17 @@ func (s *Stats) recordWireWrite() {
 func (s *Stats) WireWrites() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.wireWrites
+	return s.c.wireWrites
 }
 
 // Faults returns a copy of the fault counters for one peer link.
 func (s *Stats) Faults(peer int) PeerFaults {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f := s.faults[peer]; f != nil {
-		return *f
+	if peer < 0 || peer >= len(s.c.faults) {
+		return PeerFaults{}
 	}
-	return PeerFaults{}
+	return s.c.faults[peer]
 }
 
 // TotalFaults sums the fault counters across all peers.
@@ -319,14 +300,8 @@ func (s *Stats) TotalFaults() PeerFaults {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var t PeerFaults
-	for _, f := range s.faults {
-		t.Retransmits += f.Retransmits
-		t.Timeouts += f.Timeouts
-		t.Reconnects += f.Reconnects
-		t.HeartbeatMisses += f.HeartbeatMisses
-		t.CorruptFrames += f.CorruptFrames
-		t.DupFrames += f.DupFrames
-		t.StaleEpochs += f.StaleEpochs
+	for _, f := range s.c.faults {
+		t.add(f)
 	}
 	return t
 }
@@ -335,22 +310,25 @@ func (s *Stats) TotalFaults() PeerFaults {
 func (s *Stats) SentBytes(kind Kind) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sentBytes[kind]
+	return s.c.sentBytes[kind]
 }
 
 // SentMsgs returns the message count sent under the given kind.
 func (s *Stats) SentMsgs(kind Kind) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sentMsgs[kind]
+	return s.c.sentMsgs[kind]
 }
 
 // TotalSentBytes returns the bytes sent across all kinds.
 func (s *Stats) TotalSentBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var t int64
-	for _, v := range s.sentBytes {
+	return sum(s.c.sentBytes)
+}
+
+func sum(a [kindCount]int64) (t int64) {
+	for _, v := range a {
 		t += v
 	}
 	return t
@@ -359,112 +337,37 @@ func (s *Stats) TotalSentBytes() int64 {
 // Add accumulates o into s (used to aggregate per-rank meters).
 func (s *Stats) Add(o *Stats) {
 	o.mu.Lock()
-	kinds := make([]Kind, 0, len(o.sentBytes))
-	for k := range o.sentBytes {
-		kinds = append(kinds, k)
-	}
-	bytesCopy := make(map[Kind]int64, len(kinds))
-	msgsCopy := make(map[Kind]int64, len(kinds))
-	for _, k := range kinds {
-		bytesCopy[k] = o.sentBytes[k]
-		msgsCopy[k] = o.sentMsgs[k]
-	}
-	faultsCopy := make(map[int]PeerFaults, len(o.faults))
-	for p, f := range o.faults {
-		faultsCopy[p] = *f
-	}
-	recvWait, beltStall, maxFly := o.recvWaitNs, o.beltStallNs, o.maxInflight
-	gsz := o.groupSize
-	intraB, intraM, interB, interM := o.intraBytes, o.intraMsgs, o.interBytes, o.interMsgs
-	wireWrites := o.wireWrites
-	var icCopy, ifCopy map[Kind]int64
-	if o.integrityChecks != nil {
-		icCopy = make(map[Kind]int64, len(o.integrityChecks))
-		ifCopy = make(map[Kind]int64, len(o.integrityFails))
-		for k, v := range o.integrityChecks {
-			icCopy[k] = v
-		}
-		for k, v := range o.integrityFails {
-			ifCopy[k] = v
-		}
-	}
+	c := o.c
+	c.faults = slices.Clone(c.faults)
 	o.mu.Unlock()
-
 	s.mu.Lock()
-	for k, v := range bytesCopy {
-		s.sentBytes[k] += v
-	}
-	for k, v := range msgsCopy {
-		s.sentMsgs[k] += v
-	}
-	for p, f := range faultsCopy {
-		t := s.peerFaults(p)
-		t.Retransmits += f.Retransmits
-		t.Timeouts += f.Timeouts
-		t.Reconnects += f.Reconnects
-		t.HeartbeatMisses += f.HeartbeatMisses
-		t.CorruptFrames += f.CorruptFrames
-		t.DupFrames += f.DupFrames
-		t.StaleEpochs += f.StaleEpochs
-	}
-	s.recvWaitNs += recvWait
-	s.beltStallNs += beltStall
-	if s.groupSize == 0 {
-		s.groupSize = gsz
-	}
-	s.intraBytes += intraB
-	s.intraMsgs += intraM
-	s.interBytes += interB
-	s.interMsgs += interM
-	s.wireWrites += wireWrites
-	if maxFly > s.maxInflight {
-		s.maxInflight = maxFly
-	}
-	if icCopy != nil {
-		if s.integrityChecks == nil {
-			s.integrityChecks = make(map[Kind]int64)
-			s.integrityFails = make(map[Kind]int64)
-		}
-		for k, v := range icCopy {
-			s.integrityChecks[k] += v
-		}
-		for k, v := range ifCopy {
-			s.integrityFails[k] += v
-		}
-	}
+	s.c.add(&c)
 	s.mu.Unlock()
+}
+
+// kindNames are the kinds' labels in String, indexed by Kind.
+var kindNames = [kindCount]string{
+	KindWeight: "weights", KindGrad: "weight-grads", KindAct: "activations",
+	KindActGrad: "act-grads", KindColl: "collectives", KindCtl: "control",
+	KindBuddy: "buddy",
 }
 
 // String renders the meter sorted by kind.
 func (s *Stats) String() string {
-	names := map[Kind]string{
-		KindWeight: "weights", KindGrad: "weight-grads", KindAct: "activations",
-		KindActGrad: "act-grads", KindColl: "collectives", KindCtl: "control",
-		KindBuddy: "buddy",
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	kinds := make([]int, 0, len(s.sentBytes))
-	for k := range s.sentBytes {
-		kinds = append(kinds, int(k))
+	c := &s.c
+	var parts []string
+	for k, n := range c.sentMsgs {
+		if n > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%dB/%d msgs", kindNames[k], c.sentBytes[k], n))
+		}
 	}
-	sort.Ints(kinds)
-	parts := make([]string, 0, len(kinds))
-	for _, k := range kinds {
-		parts = append(parts, fmt.Sprintf("%s=%dB/%d msgs",
-			names[Kind(k)], s.sentBytes[Kind(k)], s.sentMsgs[Kind(k)]))
+	if c.wireWrites > 0 {
+		parts = append(parts, fmt.Sprintf("writes=%d", c.wireWrites))
 	}
-	if s.wireWrites > 0 {
-		parts = append(parts, fmt.Sprintf("writes=%d", s.wireWrites))
-	}
-	peers := make([]int, 0, len(s.faults))
-	for p := range s.faults {
-		peers = append(peers, p)
-	}
-	sort.Ints(peers)
-	for _, p := range peers {
-		f := s.faults[p]
-		if f.zero() {
+	for p, f := range c.faults {
+		if f == (PeerFaults{}) {
 			continue
 		}
 		parts = append(parts, fmt.Sprintf(
@@ -472,23 +375,16 @@ func (s *Stats) String() string {
 			p, f.Retransmits, f.Timeouts, f.Reconnects, f.HeartbeatMisses,
 			f.CorruptFrames, f.DupFrames, f.StaleEpochs))
 	}
-	if s.groupSize > 0 && (s.intraMsgs > 0 || s.interMsgs > 0) {
+	if c.groupSize > 0 && (c.intraMsgs > 0 || c.interMsgs > 0) {
 		parts = append(parts, fmt.Sprintf("tiers[m=%d intra=%dB/%d inter=%dB/%d]",
-			s.groupSize, s.intraBytes, s.intraMsgs, s.interBytes, s.interMsgs))
+			c.groupSize, c.intraBytes, c.intraMsgs, c.interBytes, c.interMsgs))
 	}
-	if s.recvWaitNs > 0 || s.beltStallNs > 0 || s.maxInflight > 0 {
+	if c.recvWaitNs > 0 || c.beltStallNs > 0 || c.maxInflight > 0 {
 		parts = append(parts, fmt.Sprintf("exposed[wait=%s stall=%s maxfly=%dB]",
-			time.Duration(s.recvWaitNs).Round(time.Microsecond),
-			time.Duration(s.beltStallNs).Round(time.Microsecond), s.maxInflight))
+			time.Duration(c.recvWaitNs).Round(time.Microsecond),
+			time.Duration(c.beltStallNs).Round(time.Microsecond), c.maxInflight))
 	}
-	if len(s.integrityChecks) > 0 {
-		var checks, fails int64
-		for _, v := range s.integrityChecks {
-			checks += v
-		}
-		for _, v := range s.integrityFails {
-			fails += v
-		}
+	if checks, fails := sum(c.checks), sum(c.fails); checks > 0 {
 		parts = append(parts, fmt.Sprintf("integrity[checks=%d fails=%d]", checks, fails))
 	}
 	return strings.Join(parts, " ")

@@ -137,7 +137,7 @@ func DialTCPOpts(rank int, addrs []string, opts TCPOptions) (*TCPTransport, erro
 		opts:      opts,
 		box:       newMailbox(),
 		links:     make([]*tcpLink, size),
-		stats:     newStats(),
+		stats:     NewStats(),
 		deadPeers: make(map[int]error),
 		done:      make(chan struct{}),
 	}
