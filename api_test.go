@@ -90,6 +90,27 @@ func TestPublicAPISimulate(t *testing.T) {
 	}
 }
 
+// The zero-bubble baselines never recompute, in the runtime (NewPP) and in
+// the model alike: the Recompute flag leaves their simulation unchanged.
+func TestSimulateZeroBubbleIgnoresRecompute(t *testing.T) {
+	top := NVLinkSingle(8)
+	for _, s := range []Strategy{ZB1, ZB2} {
+		w := Workload{H: 1024, S: 4096, G: 1, L: 32, N: 32, P: 8}
+		off, err := Simulate(s, w, top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Recompute = true
+		on, err := Simulate(s, w, top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if on != off {
+			t.Errorf("%s: Recompute on gives %+v, off %+v", s, on, off)
+		}
+	}
+}
+
 func TestStrategiesListed(t *testing.T) {
 	ss := Strategies()
 	if len(ss) < 10 {

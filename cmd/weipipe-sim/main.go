@@ -103,11 +103,7 @@ func runCompare(w weipipe.Workload, top weipipe.Topology, mtbf time.Duration, ck
 	var rows []row
 	for _, name := range schedule.Strategies() {
 		s := weipipe.Strategy(name)
-		wl := w
-		if s == weipipe.ZB1 || s == weipipe.ZB2 {
-			wl.Recompute = false
-		}
-		res, err := weipipe.Simulate(s, wl, top)
+		res, err := weipipe.Simulate(s, w, top)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "weipipe-sim: %s: %v\n", s, err)
 			continue

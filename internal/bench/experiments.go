@@ -21,9 +21,9 @@ type paperCell struct {
 var oomCell = paperCell{tps: -1, mem: -1}
 
 // zbWorkload applies the paper's zero-bubble microbatch policy: G=4 at
-// S=4096, G=1 for longer sequences (memory limits), and no recomputation.
+// S=4096, G=1 for longer sequences (memory limits). schedule.Build turns
+// their recomputation off.
 func zbWorkload(w cost.Workload) cost.Workload {
-	w.Recompute = false
 	if w.S == 4096 {
 		w.G = 4
 	} else {
@@ -231,9 +231,6 @@ func scalingExperiment(id, title string, strategies []string, gpus []int, perSer
 		row := Row{Label: fmt.Sprintf("P=%d", p), Cells: make(map[string]Cell)}
 		for _, st := range strategies {
 			w := cost.Workload{H: h, S: s, G: g, L: layers, N: microbatches(p), P: p, Recompute: true}.WithDefaults()
-			if st == "zb1" || st == "zb2" {
-				w.Recompute = false
-			}
 			cell, err := RunCell(st, a800(w, top))
 			if err != nil {
 				return nil, err

@@ -21,7 +21,7 @@ func ExtBubble() (*Experiment, error) {
 	for _, n := range []int{4, 8, 16, 32} {
 		row := Row{Label: fmt.Sprintf("N=%d", n), Cells: make(map[string]Cell)}
 		for _, s := range e.Strategies {
-			w := cost.Workload{H: 1024, S: 4096, G: 4, L: 8, N: n, P: 4, Recompute: s != "zb1" && s != "zb2"}.WithDefaults()
+			w := cost.Workload{H: 1024, S: 4096, G: 4, L: 8, N: n, P: 4, Recompute: true}.WithDefaults()
 			cell, err := RunCell(s, a800(w, top))
 			if err != nil {
 				return nil, err

@@ -221,9 +221,10 @@ func (f *outFrame) appendTo(bufs net.Buffers) net.Buffers {
 	return bufs
 }
 
-// image materialises the frame as one contiguous buffer, for the chaos
-// injector, which flips, holds and replays whole frames; the writev path
-// never calls it.
+// image copies the frame into one contiguous buffer, for the chaos
+// injector: a held or corrupted frame goes into the writer's batch as a
+// copy, which outlives the frame's acknowledgement and leaves the payload
+// unflipped. An unedited frame goes in as appendTo's views.
 func (f *outFrame) image() []byte {
 	return append(append(make([]byte, 0, frameHeaderLen+len(f.body)), f.hdr[:]...), f.body...)
 }

@@ -24,7 +24,8 @@ import (
 //   - the sender keeps frames until they are acknowledged and retransmits
 //     them when acknowledgements stall (or after a reconnection), so frame
 //     loss, duplication and reordering below the transport — including the
-//     deterministic ChaosConfig injector used by the chaos test suite —
+//     deterministic ChaosConfig injector used by the chaos test suite, which
+//     edits the writer's batch and so runs the production write path —
 //     never reach the training protocol;
 //   - heartbeats flow on idle links; a broken connection is re-dialed with
 //     bounded exponential backoff, and a peer silent past Deadlines.PeerDead
@@ -106,7 +107,7 @@ type ChaosConfig struct {
 	Reorder float64
 	// Corrupt flips one payload byte (CRC must reject the frame).
 	Corrupt float64
-	// DelayProb sleeps the writer up to MaxDelay before the frame.
+	// DelayProb sleeps the writer up to MaxDelay before the frame's batch.
 	DelayProb float64
 	MaxDelay  time.Duration
 	// ResetEvery forcibly closes the connection after every n-th data frame
@@ -167,7 +168,7 @@ func DialTCPOpts(rank int, addrs []string, opts TCPOptions) (*TCPTransport, erro
 			up:          make(chan struct{}),
 		}
 		if ch := opts.Chaos; ch != nil && ch.ResetEvery > 0 && ch.ResetEvery/2 < l.window {
-			// Guaranteed progress under a write-count-keyed connection
+			// Guaranteed progress under a frame-count-keyed connection
 			// killer needs the in-flight set strictly smaller than the kill
 			// period: everything acknowledged before a reset is retired for
 			// good, everything in flight may die with the connection.
@@ -183,9 +184,9 @@ func DialTCPOpts(rank int, addrs []string, opts TCPOptions) (*TCPTransport, erro
 	}
 
 	// Accept connections from higher ranks — during bring-up and, for
-	// reconnections, for the transport's whole lifetime.
+	// reconnections, until Close closes the listener.
 	t.wg.Add(1)
-	go t.acceptLoop(deadline)
+	go t.acceptLoop()
 
 	// Dial all lower ranks (with retry: peers may not be listening yet).
 	errc := make(chan error, size)
@@ -199,32 +200,22 @@ func DialTCPOpts(rank int, addrs []string, opts TCPOptions) (*TCPTransport, erro
 		}(peer)
 	}
 
-	// Wait for every link to come up once, the deadline, or a dial error.
-	for {
-		allUp := true
-		for peer, l := range t.links {
-			if l == nil {
-				continue
-			}
-			select {
-			case <-l.up:
-			default:
-				allUp = false
-				if time.Now().After(deadline) {
-					t.Close()
-					return nil, fmt.Errorf("comm: rank %d: peer %d (%s) not connected after %v",
-						rank, peer, addrs[peer], opts.Deadlines.Dial)
-				}
-			}
-		}
-		if allUp {
-			break
+	// Wait for every link to come up once, a dial error, or the deadline.
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	for peer, l := range t.links {
+		if l == nil {
+			continue
 		}
 		select {
+		case <-l.up:
 		case err := <-errc:
 			t.Close()
 			return nil, err
-		case <-time.After(5 * time.Millisecond):
+		case <-timer.C:
+			t.Close()
+			return nil, fmt.Errorf("comm: rank %d: peer %d (%s) not connected after %v",
+				rank, peer, addrs[peer], opts.Deadlines.Dial)
 		}
 	}
 
@@ -271,29 +262,14 @@ func (t *TCPTransport) dialPeer(peer int, deadline time.Time) error {
 	}
 }
 
-// acceptLoop accepts handshakes from higher ranks for the transport's
-// lifetime; during bring-up the listener carries the overall deadline so a
-// missing peer cannot park the goroutine forever.
-func (t *TCPTransport) acceptLoop(bringup time.Time) {
+// acceptLoop accepts handshakes from higher ranks until Close closes the
+// listener; a failed bring-up closes it too, so a missing peer cannot park
+// the goroutine.
+func (t *TCPTransport) acceptLoop() {
 	defer t.wg.Done()
 	for {
-		if t.isClosed() {
-			return
-		}
-		if t.meshUp() {
-			t.ln.SetDeadline(time.Time{})
-		} else {
-			t.ln.SetDeadline(bringup)
-		}
 		conn, err := t.ln.Accept()
 		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				if !t.meshUp() {
-					return // bring-up failed; DialTCPOpts reports the missing peer
-				}
-				continue
-			}
 			return // listener closed
 		}
 		conn.SetReadDeadline(time.Now().Add(3 * time.Second))
@@ -369,21 +345,6 @@ func (t *TCPTransport) helloBytes() []byte {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(t.rank))
 	binary.LittleEndian.PutUint32(hdr[4:8], t.opts.Epoch)
 	return hdr[:]
-}
-
-// meshUp reports whether every link has connected at least once.
-func (t *TCPTransport) meshUp() bool {
-	for _, l := range t.links {
-		if l == nil {
-			continue
-		}
-		select {
-		case <-l.up:
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 func (t *TCPTransport) isClosed() bool {
@@ -955,8 +916,8 @@ func (l *tcpLink) tick(now time.Time) {
 // thread — and the whole batch (control + data) goes out as a single
 // net.Buffers writev of headers and the payloads' own bytes: one syscall
 // per flush instead of one per frame, and no copy on the way. The chaos
-// injector, when armed, takes the per-frame path instead so its
-// write-count-keyed fault decisions stay deterministic.
+// injector, when armed, edits that batch frame by frame (chaos) and the
+// edited batch goes out through the same writev.
 func (l *tcpLink) writeLoop() {
 	defer l.t.wg.Done()
 	for {
@@ -1014,30 +975,26 @@ func (l *tcpLink) writeLoop() {
 			}
 		}
 
+		var out net.Buffers
+		for _, f := range ctl {
+			out = f.appendTo(out)
+		}
+		reset := false
+		for _, f := range frames {
+			if out, reset = l.chaos(out, f); reset {
+				break
+			}
+		}
+		// The batch is empty when data is held back post-reconnect with no
+		// control frame due, or when chaos dropped every frame.
 		var err error
-		switch {
-		case l.t.opts.Chaos != nil:
-			// Per-write chaos: ctl frames go plain (the injector only rolls
-			// on data writes), data goes frame-per-write as one contiguous
-			// image the injector can flip, hold and replay, so its write
-			// ordinals stay deterministic for a given traffic pattern.
-			for _, f := range ctl {
-				if _, err = conn.Write(f.hdr[:]); err != nil {
-					break
-				}
-			}
-			for i := 0; err == nil && i < len(frames); i++ {
-				l.t.stats.recordWireWrite()
-				err = l.writeData(conn, frames[i].image())
-			}
-		case len(ctl)+len(frames) > 0:
-			// Nothing is claimed while data is held back post-reconnect.
-			var out net.Buffers
-			for _, f := range append(ctl, frames...) {
-				out = f.appendTo(out)
-			}
+		if len(out) > 0 {
 			l.t.stats.recordWireWrite()
 			_, err = out.WriteTo(conn)
+		}
+		if err == nil && reset {
+			conn.Close()
+			err = errChaosReset
 		}
 		if err != nil {
 			l.markDown(gen)
@@ -1080,15 +1037,17 @@ func (l *tcpLink) releaseRetiredLocked() {
 
 var errChaosReset = errors.New("comm: chaos connection reset")
 
-// writeData writes one data frame, applying the chaos injector when
-// configured. Chaos faults never surface to the application: a dropped or
-// corrupted frame stays unacknowledged and is retransmitted; a reset breaks
-// the connection, which reconnects and retransmits.
-func (l *tcpLink) writeData(conn net.Conn, wire []byte) error {
+// chaos adds data frame f to the writer's batch, edited by the chaos
+// injector when one is armed. Chaos faults never surface to the
+// application: a dropped or corrupted frame stays unacknowledged and is
+// retransmitted; a reset (reported as true: the caller writes the batch so
+// far, then breaks the connection) reconnects and retransmits. A held or
+// corrupted frame is a copy: the original may be acknowledged and its
+// payload released before the copy is written.
+func (l *tcpLink) chaos(out net.Buffers, f *outFrame) (net.Buffers, bool) {
 	ch := l.t.opts.Chaos
 	if ch == nil {
-		_, err := conn.Write(wire)
-		return err
+		return f.appendTo(out), false
 	}
 	n := l.chaosN
 	l.chaosN++
@@ -1105,37 +1064,23 @@ func (l *tcpLink) writeData(conn net.Conn, wire []byte) error {
 
 	switch {
 	case ch.Drop > 0 && roll(0) < ch.Drop:
-		// dropped: pretend success; retransmission recovers it
+		// dropped: left out of the batch; retransmission recovers it
 	case ch.Reorder > 0 && roll(2) < ch.Reorder && !reset:
-		l.chaosHeld = wire
-	case ch.Corrupt > 0 && roll(5) < ch.Corrupt && len(wire) > frameHeaderLen:
-		bad := make([]byte, len(wire))
-		copy(bad, wire)
-		off := frameHeaderLen + int(roll(6)*float64(len(wire)-frameHeaderLen))
-		bad[off] ^= 0x40
-		if _, err := conn.Write(bad); err != nil {
-			return err
-		}
+		l.chaosHeld = f.image()
+	case ch.Corrupt > 0 && roll(5) < ch.Corrupt && len(f.body) > 0:
+		bad := f.image()
+		bad[frameHeaderLen+int(roll(6)*float64(len(f.body)))] ^= 0x40
+		out = append(out, bad)
 	default:
-		if _, err := conn.Write(wire); err != nil {
-			return err
-		}
+		out = f.appendTo(out)
 		if ch.Dup > 0 && roll(1) < ch.Dup {
-			if _, err := conn.Write(wire); err != nil {
-				return err
-			}
+			out = f.appendTo(out)
 		}
 	}
 	if held != nil {
-		if _, err := conn.Write(held); err != nil {
-			return err
-		}
+		out = append(out, held)
 	}
-	if reset {
-		conn.Close()
-		return errChaosReset
-	}
-	return nil
+	return out, reset
 }
 
 // readLoop dispatches the connection's incoming frames until it breaks.

@@ -323,28 +323,36 @@ func TestTCPChaosRetransmitsRetainedPayload(t *testing.T) {
 
 // The writer hands everything a flush made ready to one writev, so frames
 // queued while the link could not write cost far fewer kernel writes than
-// frames: the byte stream coalesces them without any envelope.
+// frames: the byte stream coalesces them without any envelope. An armed
+// chaos injector edits that batch rather than writing frame by frame.
 func TestTCPFlushCoalescesQueuedFrames(t *testing.T) {
-	trs := dialMeshOpts(t, 2, TCPOptions{})
-	trs[0].Blackhole([]int{1}, 50*time.Millisecond)
-	const n = 40
-	for i := 0; i < n; i++ {
-		if err := trs[0].Send(1, Tag{Kind: KindWeight, A: i}, []float32{float32(i), -float32(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		got, err := trs[1].RecvTimeout(0, Tag{Kind: KindWeight, A: i}, 10*time.Second)
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-		if len(got) != 2 || got[0] != float32(i) || got[1] != -float32(i) {
-			t.Fatalf("recv %d: got %v", i, got)
-		}
-		Release(got)
-	}
-	if w := trs[0].CommStats().WireWrites(); w == 0 || w >= n {
-		t.Fatalf("%d kernel writes for %d queued frames, want 0 < writes < %d", w, n, n)
+	for _, tc := range []struct {
+		name  string
+		chaos *ChaosConfig
+	}{{"plain", nil}, {"chaos", &ChaosConfig{Seed: 1}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			trs := dialMeshOpts(t, 2, TCPOptions{Chaos: tc.chaos})
+			trs[0].Blackhole([]int{1}, 50*time.Millisecond)
+			const n = 40
+			for i := 0; i < n; i++ {
+				if err := trs[0].Send(1, Tag{Kind: KindWeight, A: i}, []float32{float32(i), -float32(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < n; i++ {
+				got, err := trs[1].RecvTimeout(0, Tag{Kind: KindWeight, A: i}, 10*time.Second)
+				if err != nil {
+					t.Fatalf("recv %d: %v", i, err)
+				}
+				if len(got) != 2 || got[0] != float32(i) || got[1] != -float32(i) {
+					t.Fatalf("recv %d: got %v", i, got)
+				}
+				Release(got)
+			}
+			if w := trs[0].CommStats().WireWrites(); w == 0 || w >= n {
+				t.Fatalf("%d kernel writes for %d queued frames, want 0 < writes < %d", w, n, n)
+			}
+		})
 	}
 }
 

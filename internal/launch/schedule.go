@@ -1,21 +1,10 @@
 package launch
 
-import "time"
+import (
+	"time"
 
-// splitmix64 is the seeded PRNG behind GenSchedule — deterministic and
-// dependency-free, so the same seed always yields the same fault schedule
-// on every platform (the soak harness's reproducibility contract).
-type splitmix64 struct{ s uint64 }
-
-func (r *splitmix64) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *splitmix64) intn(n int) int { return int(r.next() % uint64(n)) }
+	"weipipe/internal/tensor"
+)
 
 // GenSchedule derives a randomized fault schedule from seed: up to events
 // faults mixing SIGKILLs, survivable stalls, lethal stalls (long enough
@@ -28,8 +17,11 @@ func (r *splitmix64) intn(n int) int { return int(r.next() % uint64(n)) }
 // exceed the peer-death budget, so the victim's peers bury it — lethal for
 // the victim's membership but recoverable, and the fault the epoch-fencing
 // guarantee ("never two progressing segments") is proven against.
+//
+// The draws come from tensor.RNG, so the same seed yields the same
+// schedule on every platform (the soak harness's reproducibility contract).
 func GenSchedule(seed uint64, ranks, iters, events int) []FaultEvent {
-	r := &splitmix64{s: seed}
+	r := tensor.NewRNG(seed)
 	lethalBudget := ranks - 2
 	var out []FaultEvent
 	for i := 0; i < events; i++ {
@@ -37,9 +29,9 @@ func GenSchedule(seed uint64, ranks, iters, events int) []FaultEvent {
 		// finish. Iterations 0–1 stay clean: every rank dials in and (with
 		// CheckpointEvery=1) at least one coordinated checkpoint lands on
 		// disk before any fault, so the restart fallback always has a file.
-		at := 2 + r.intn(max(1, 2*iters/3))
-		target := r.intn(ranks)
-		switch r.intn(4) {
+		at := 2 + r.Intn(max(1, 2*iters/3))
+		target := r.Intn(ranks)
+		switch r.Intn(4) {
 		case 0: // SIGKILL mid-iteration
 			if lethalBudget <= 0 {
 				continue
@@ -48,7 +40,7 @@ func GenSchedule(seed uint64, ranks, iters, events int) []FaultEvent {
 			out = append(out, FaultEvent{AtIter: at, Action: "kill", Target: target})
 		case 1: // survivable stall: shorter than the death budget
 			out = append(out, FaultEvent{AtIter: at, Action: "stall", Target: target,
-				Dur: time.Duration(50+r.intn(200)) * time.Millisecond})
+				Dur: time.Duration(50+r.Intn(200)) * time.Millisecond})
 		case 2: // lethal stall: the detector buries the rank before SIGCONT
 			if lethalBudget <= 0 {
 				continue
@@ -72,11 +64,4 @@ func GenSchedule(seed uint64, ranks, iters, events int) []FaultEvent {
 		}
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

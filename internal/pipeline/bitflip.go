@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"weipipe/internal/tensor"
 )
 
 // Seeded in-memory bit-flip chaos. The transport chaos injectors (frame
@@ -87,8 +89,8 @@ type BitFlipEvent struct {
 // GenBitFlips derives a deterministic flip schedule from a seed: count
 // events spread over iterations [2, iters) (leaving the first iterations
 // clean so a checkpoint exists before the first fault) across ranks and
-// the given sites. Iteration/rank/site/word/bit are all drawn from
-// independent splitmix64 streams, mirroring launch.GenSchedule.
+// the given sites. Rank, iteration, site, word and bit are drawn in turn
+// from one tensor.RNG stream, as launch.GenSchedule draws its faults.
 func GenBitFlips(seed uint64, ranks, iters, count int, sites []FlipSite) []BitFlipEvent {
 	if len(sites) == 0 {
 		sites = []FlipSite{FlipWeights, FlipMomentM, FlipMomentV, FlipBeltWeight, FlipBeltGrad}
@@ -102,25 +104,18 @@ func GenBitFlips(seed uint64, ranks, iters, count int, sites []FlipSite) []BitFl
 		span = 1
 	}
 	out := make([]BitFlipEvent, 0, count)
-	s := seed
-	draw := func() uint64 {
-		s += 0x9E3779B97F4A7C15
-		z := s
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
+	r := tensor.NewRNG(seed)
 	for i := 0; i < count; i++ {
 		ev := BitFlipEvent{
-			Rank: int(draw() % uint64(ranks)),
-			Iter: lo + int(draw()%uint64(span)),
-			Site: sites[draw()%uint64(len(sites))],
-			Word: draw(),
+			Rank: r.Intn(ranks),
+			Iter: lo + r.Intn(span),
+			Site: sites[r.Intn(len(sites))],
+			Word: r.Uint64(),
 			// Exponent and high-mantissa bits (16–30): the corruption class
 			// that actually damages training. Checksummed sites detect any
 			// bit, but keeping the schedule in the damaging band makes an
 			// undetected flip a training-visible failure, not a benign one.
-			Bit: 16 + uint(draw()%15),
+			Bit: 16 + uint(r.Intn(15)),
 		}
 		if ev.Site == FlipKernel {
 			// Kernel flips are caught by the ABFT magnitude envelope, not a

@@ -62,7 +62,7 @@ type groupedState struct {
 // group count exceeding the salt space) falls back to the flat belt, which
 // keeps elastic shrink-to-p−1 rebuilds working.
 func NewWeiPipeGrouped(t Transport, cfg model.Config, opts Options) (Trainer, error) {
-	w, err := NewWeiPipe(t, cfg, opts, WeiPipeZB2)
+	w, err := NewWeiPipe(t, cfg, opts, StrategyWZB2)
 	if err != nil {
 		return nil, err
 	}

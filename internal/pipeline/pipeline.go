@@ -28,13 +28,25 @@ type Strategy string
 
 // The implemented strategies.
 const (
-	StrategySerial            Strategy = "serial"
-	StrategyDP                Strategy = "dp"
-	StrategyFSDP              Strategy = "fsdp"
-	StrategyGPipe             Strategy = "gpipe"
-	Strategy1F1B              Strategy = "1f1b"
-	StrategyZB1               Strategy = "zb1"
-	StrategyZB2               Strategy = "zb2"
+	StrategySerial Strategy = "serial"
+	StrategyDP     Strategy = "dp"
+	StrategyFSDP   Strategy = "fsdp"
+	StrategyGPipe  Strategy = "gpipe"
+	Strategy1F1B   Strategy = "1f1b"
+	StrategyZB1    Strategy = "zb1"
+	StrategyZB2    Strategy = "zb2"
+	// The four weight-passing schedules of the paper (§4.2). All share the
+	// same dataflow, and so the same gradients, but interleave forward, B
+	// and W work differently, which is what the simulator distinguishes
+	// them by; internal/order writes each one's order under its name. Naive
+	// alternates whole-microbatch forward and backward phases (§4.2.1);
+	// Interleave pairs, once warm, one forward stage of a new microbatch
+	// with one backward stage of an old one per turn (§4.2.2); WZB1 is
+	// Interleave with the backward split and each W pass delayed by one
+	// step (§4.2.3.1); WZB2 runs a microbatch's W passes after its B
+	// passes, in forward layer order (§4.2.3.2). From two rounds up Naive
+	// keeps other chunks than the rest, so it defers other gradient rounds
+	// (order.Deferred) and sums in another order.
 	StrategyWeiPipeNaive      Strategy = "weipipe-naive"
 	StrategyWeiPipeInterleave Strategy = "weipipe-interleave"
 	StrategyWZB1              Strategy = "wzb1"
@@ -233,14 +245,8 @@ func New(s Strategy, t Transport, cfg model.Config, opts Options) (Trainer, erro
 		return NewFSDP(t, cfg, opts)
 	case StrategyGPipe, Strategy1F1B, StrategyZB1, StrategyZB2:
 		return NewPP(t, cfg, opts, s)
-	case StrategyWeiPipeNaive:
-		return NewWeiPipe(t, cfg, opts, WeiPipeNaive)
-	case StrategyWeiPipeInterleave:
-		return NewWeiPipe(t, cfg, opts, WeiPipeInterleave)
-	case StrategyWZB1:
-		return NewWeiPipe(t, cfg, opts, WeiPipeZB1)
-	case StrategyWZB2:
-		return NewWeiPipe(t, cfg, opts, WeiPipeZB2)
+	case StrategyWeiPipeNaive, StrategyWeiPipeInterleave, StrategyWZB1, StrategyWZB2:
+		return NewWeiPipe(t, cfg, opts, s)
 	case StrategyWZB2G:
 		return NewWeiPipeGrouped(t, cfg, opts)
 	case StrategyWeiPipeDP:
@@ -248,7 +254,7 @@ func New(s Strategy, t Transport, cfg model.Config, opts Options) (Trainer, erro
 		if ring <= 0 || t.Size()%ring != 0 {
 			ring = t.Size()
 		}
-		return NewWeiPipeDP(t, cfg, opts, WeiPipeInterleave, ring)
+		return NewWeiPipeDP(t, cfg, opts, ring)
 	default:
 		return nil, fmt.Errorf("pipeline: unknown strategy %q", s)
 	}

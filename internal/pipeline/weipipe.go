@@ -13,47 +13,6 @@ import (
 	"weipipe/internal/trace"
 )
 
-// WeiPipeVariant selects which of the paper's weight-passing schedules a
-// WeiPipe trainer runs.
-type WeiPipeVariant int
-
-// The four schedules of the paper (§4.2). All share the same dataflow —
-// and therefore produce the same gradients — but differ in the local
-// interleaving of forward, B and W work, which is what the performance
-// simulator distinguishes them by. The orders themselves are written in
-// internal/order (Program, under the variant's String name). From two
-// rounds up Naive keeps other chunks than the rest, so it defers other
-// gradient rounds (order.Deferred) and sums in another order.
-const (
-	// WeiPipeNaive alternates whole-microbatch forward and backward phases;
-	// both weight belts circulate but only one is used at a time (§4.2.1).
-	WeiPipeNaive WeiPipeVariant = iota
-	// WeiPipeInterleave pairs, once warm, one forward stage of a new
-	// microbatch with one backward stage of an old one per turn (§4.2.2).
-	WeiPipeInterleave
-	// WeiPipeZB1 is Interleave with the backward split and each W pass
-	// delayed by one step (§4.2.3.1).
-	WeiPipeZB1
-	// WeiPipeZB2 runs a microbatch's W passes after its B passes, in forward
-	// layer order, so chunk gradients retire as early as possible (§4.2.3.2).
-	WeiPipeZB2
-)
-
-// String returns the paper's name for the variant.
-func (v WeiPipeVariant) String() string {
-	switch v {
-	case WeiPipeNaive:
-		return "weipipe-naive"
-	case WeiPipeInterleave:
-		return "weipipe-interleave"
-	case WeiPipeZB1:
-		return "wzb1"
-	case WeiPipeZB2:
-		return "wzb2"
-	}
-	return "weipipe-unknown"
-}
-
 // WeiPipe is the weight-passing pipeline runtime. The model's modules are
 // split into P contiguous chunks, which circulate around the worker ring as
 // "belts":
@@ -117,10 +76,10 @@ type WeiPipe struct {
 	// (master); its modules are views of them for good, and every other
 	// module has weights only while a stage has it bound to a belt buffer.
 	owned
-	t       Transport
-	bounds  [][2]int
-	variant WeiPipeVariant
-	opts    Options
+	t        Transport
+	bounds   [][2]int
+	strategy Strategy
+	opts     Options
 
 	ownChunk int // the chunk this worker owns: (rank+1) mod P
 
@@ -134,7 +93,7 @@ type WeiPipe struct {
 
 	iter int
 
-	// plan is this rank's weight plan (order.BeltPlan of the variant).
+	// plan is this rank's weight plan (order.BeltPlan of the strategy).
 	plan beltPlan
 
 	// wGrads is the W pass's per-module gradient sets. They own no storage
@@ -248,21 +207,23 @@ const (
 	beltUseBits = 36
 )
 
-// NewWeiPipe builds a WeiPipe trainer for this rank.
-func NewWeiPipe(t Transport, cfg model.Config, opts Options, v WeiPipeVariant) (*WeiPipe, error) {
+// NewWeiPipe builds this rank's WeiPipe trainer for strategy s:
+// StrategyWeiPipeNaive, StrategyWeiPipeInterleave, StrategyWZB1 or
+// StrategyWZB2.
+func NewWeiPipe(t Transport, cfg model.Config, opts Options, s Strategy) (*WeiPipe, error) {
 	mdl := model.BuildShells(cfg)
 	p := t.Size()
 	if p > len(mdl.Modules) {
 		return nil, fmt.Errorf("pipeline: %d ranks exceed %d modules", p, len(mdl.Modules))
 	}
 	w := &WeiPipe{
-		owned:   owned{mdl: mdl, stepRule: newStepRule(opts, t.Rank())},
-		t:       t,
-		bounds:  mdl.Partition(p),
-		variant: v,
-		opts:    opts,
-		kept:    make([][]float32, p),
-		dAcc:    make([][]float32, p),
+		owned:    owned{mdl: mdl, stepRule: newStepRule(opts, t.Rank())},
+		t:        t,
+		bounds:   mdl.Partition(p),
+		strategy: s,
+		opts:     opts,
+		kept:     make([][]float32, p),
+		dAcc:     make([][]float32, p),
 	}
 	w.ownChunk = (t.Rank() + 1) % p
 	if opts.Integrity {
@@ -317,7 +278,7 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	defer w.recoverIntegrity(&err)
 	n := len(batches)
 	// Compiling also rejects a microbatch count the ring does not divide.
-	if err := w.plan.compile(w.variant.String(), w.t, n, w.groupSize()); err != nil {
+	if err := w.plan.compile(string(w.strategy), w.t, n, w.groupSize()); err != nil {
 		return 0, err
 	}
 	// Chaos-tier resident-state flips land before the guard check, so a

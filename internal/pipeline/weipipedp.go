@@ -33,8 +33,9 @@ type WeiPipeDP struct {
 }
 
 // NewWeiPipeDP builds the hybrid trainer. wpSize must divide the world
-// size; workers [g·wpSize, (g+1)·wpSize) form replica g.
-func NewWeiPipeDP(t Transport, cfg model.Config, opts Options, v WeiPipeVariant, wpSize int) (*WeiPipeDP, error) {
+// size; workers [g·wpSize, (g+1)·wpSize) form replica g, a
+// weipipe-interleave ring.
+func NewWeiPipeDP(t Transport, cfg model.Config, opts Options, wpSize int) (*WeiPipeDP, error) {
 	world := t.Size()
 	if wpSize <= 0 || world%wpSize != 0 {
 		return nil, fmt.Errorf("pipeline: world %d not divisible into WeiPipe rings of %d", world, wpSize)
@@ -55,7 +56,7 @@ func NewWeiPipeDP(t Transport, cfg model.Config, opts Options, v WeiPipeVariant,
 	// gradient; with a cross-replica reduce in the step path the replay
 	// would diverge, so the hybrid disables it.
 	opts.buddy = false
-	w, err := NewWeiPipe(ring, cfg, opts, v)
+	w, err := NewWeiPipe(ring, cfg, opts, StrategyWeiPipeInterleave)
 	if err != nil {
 		return nil, err
 	}

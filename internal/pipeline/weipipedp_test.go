@@ -28,7 +28,7 @@ func runHybrid(t *testing.T, trs []comm.Transport, wpSize, iters, n int, opts Op
 					fail()
 				}
 			}()
-			tr, err := NewWeiPipeDP(trs[r], eqCfg(), opts, WeiPipeInterleave, wpSize)
+			tr, err := NewWeiPipeDP(trs[r], eqCfg(), opts, wpSize)
 			if err != nil {
 				errs[r] = err
 				return
@@ -105,7 +105,7 @@ func TestWeiPipeDPWithClipMatchesSerial(t *testing.T) {
 
 func TestWeiPipeDPValidation(t *testing.T) {
 	cl := comm.NewCluster(4)
-	if _, err := NewWeiPipeDP(cl.Transport(0), eqCfg(), eqOpts(), WeiPipeInterleave, 3); err == nil {
+	if _, err := NewWeiPipeDP(cl.Transport(0), eqCfg(), eqOpts(), 3); err == nil {
 		t.Fatal("indivisible ring size accepted")
 	}
 	// microbatch divisibility enforced at iteration time
@@ -115,7 +115,7 @@ func TestWeiPipeDPValidation(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			tr, err := NewWeiPipeDP(cl.Transport(r), eqCfg(), eqOpts(), WeiPipeInterleave, 2)
+			tr, err := NewWeiPipeDP(cl.Transport(r), eqCfg(), eqOpts(), 2)
 			if err != nil {
 				errs[r] = err
 				return

@@ -68,9 +68,14 @@ func Strategies() []string {
 }
 
 // Build compiles the named strategy, one of Strategies. Strategy names match
-// the pipeline package's Strategy constants.
+// the pipeline package's Strategy constants. zb1 and zb2 never recompute,
+// whatever spec.W.Recompute says: the runtime forces it off for them
+// (pipeline.NewPP), as the paper runs its zero-bubble baselines.
 func Build(strategy string, spec Spec) ([]sim.Task, error) {
 	spec.W = spec.W.WithDefaults()
+	if strategy == "zb1" || strategy == "zb2" {
+		spec.W.Recompute = false
+	}
 	if spec.W.P != spec.Top.P {
 		return nil, fmt.Errorf("schedule: workload P=%d but topology P=%d", spec.W.P, spec.Top.P)
 	}

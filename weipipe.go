@@ -390,5 +390,5 @@ func LoadCheckpoint(path string) (*Snapshot, error) { return checkpoint.Load(pat
 // their accumulated gradients across replicas once per iteration. See
 // pipeline.WeiPipeDP.
 func NewHybridTrainer(t Transport, cfg Config, opts Options, wpSize int) (Trainer, error) {
-	return pipeline.NewWeiPipeDP(t, cfg, opts, pipeline.WeiPipeInterleave, wpSize)
+	return pipeline.NewWeiPipeDP(t, cfg, opts, wpSize)
 }
