@@ -79,7 +79,8 @@ chaos:
 # shrink/spare repair after a crash, an integrity flip or a watchdog
 # declaration (including the headline kill-over-chaotic-TCP bit-identity
 # test), the no-quorum and double-death checkpoint fallbacks, the driver's
-# checkpoint gathers, resume rule and tracing, and restart-loop edge cases.
+# checkpoint gathers, resume rule and tracing, the control plane's one
+# exchange, and restart-loop edge cases.
 elastic:
 	$(GO) test -race -timeout 300s \
 		-run 'Elastic|Buddy|Watchdog|Repair|Membership|DeadPeer|Agree|RunRank|Driver' \
@@ -204,11 +205,11 @@ experiments:
 # embedded interfaces expanded, and fails above 8: a checkpoint copies
 # straight between a trainer's pieces and the snapshot (one unexported
 # method reaches them), so a copy-returning export added beside it shows up
-# here. It fails when internal/comm/tcp.go grows past 1177 lines: the
+# here. It fails when internal/comm/tcp.go grows past 1166 lines: the
 # transport shrinks by deleting paths, and a new one must retire another.
 # It also prints DESIGN.md's size in bytes
 # and the longest and the newest CHANGES.md entry (one entry a line), and
-# fails when DESIGN.md grows past 117954 bytes — a doc edit replaces text
+# fails when DESIGN.md grows past 117911 bytes — a doc edit replaces text
 # instead of appending it — or when the newest entry is over 4096 bytes.
 surface:
 	@echo "non-test Go lines: $$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}' ./... \
@@ -251,10 +252,10 @@ surface:
 		[ $$n -le 8 ] || { echo "surface: pipeline.Trainer has $$n methods, at most 8"; exit 1; }
 	@echo "WEIPIPE_* environment variables: $$(grep -rhoE --include='*.go' --include=Makefile 'WEIPIPE_[A-Z_]+' . | sort -u | wc -l)"
 	@n=$$(wc -l < internal/comm/tcp.go); echo "internal/comm/tcp.go lines: $$n"; \
-		[ $$n -le 1177 ] || { echo "surface: internal/comm/tcp.go has $$n lines, at most 1177"; exit 1; }
+		[ $$n -le 1166 ] || { echo "surface: internal/comm/tcp.go has $$n lines, at most 1166"; exit 1; }
 	@wc -l internal/tensor/*.s
 	@n=$$(wc -c < DESIGN.md); echo "DESIGN.md bytes: $$n"; \
-		[ $$n -le 117954 ] || { echo "surface: DESIGN.md has $$n bytes, at most 117954"; exit 1; }
+		[ $$n -le 117911 ] || { echo "surface: DESIGN.md has $$n bytes, at most 117911"; exit 1; }
 	@echo "longest CHANGES.md entry, bytes: $$(LC_ALL=C awk 'length($$0) > m { m = length($$0) } END { print m + 0 }' CHANGES.md)"
 	@n=$$(LC_ALL=C awk 'END { print length($$0) }' CHANGES.md); echo "newest CHANGES.md entry, bytes: $$n"; \
 		[ $$n -le 4096 ] || { echo "surface: the newest CHANGES.md entry has $$n bytes, at most 4096"; exit 1; }

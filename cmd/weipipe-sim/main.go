@@ -64,7 +64,7 @@ func main() {
 	}
 	fmt.Printf("strategy           %s\n", *strategy)
 	fmt.Printf("workload           H=%d S=%d G=%d L=%d N=%d P=%d recompute=%v\n",
-		*h, *s, *g, *l, *n, *p, *recompute)
+		*h, *s, *g, *l, *n, *p, schedule.Recomputes(*strategy, w))
 	fmt.Printf("topology           %s\n", top.Name)
 	fmt.Printf("memory             %.1f GB\n", res.MemoryGB)
 	if res.OOM {

@@ -41,6 +41,22 @@ func TestSmokeSimulate(t *testing.T) {
 	}
 }
 
+// The workload line prints the recomputation the model ran: zb1 and zb2
+// never recompute, whatever -recompute says.
+func TestSmokeSimulateEchoesEffectiveRecompute(t *testing.T) {
+	for s, want := range map[string]string{"zb1": "false", "zb2": "false", "1f1b": "true", "wzb2": "true"} {
+		out, err := runSelf(t,
+			"-strategy", s, "-H", "512", "-S", "1024", "-G", "1",
+			"-L", "4", "-N", "8", "-P", "4", "-topo", "nvlink")
+		if err != nil {
+			t.Fatalf("%s: simulate failed: %v\n%s", s, err, out)
+		}
+		if !strings.Contains(out, "recompute="+want+"\n") {
+			t.Errorf("%s: workload line does not say recompute=%s:\n%s", s, want, out)
+		}
+	}
+}
+
 func TestSmokeCompareTable(t *testing.T) {
 	out, err := runSelf(t,
 		"-compare", "-H", "512", "-S", "1024", "-G", "1",

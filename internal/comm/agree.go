@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Membership agreement: when a rank dies, the survivors must converge on
@@ -77,8 +78,8 @@ func (m Membership) Survivors() []int {
 
 // IsDead reports whether old-world rank r is in the dead set.
 func (m Membership) IsDead(r int) bool {
-	i := sort.SearchInts(m.Dead, r)
-	return i < len(m.Dead) && m.Dead[i] == r
+	_, found := slices.BinarySearch(m.Dead, r)
+	return found
 }
 
 // Evidence is one rank's suspected-dead set at one round of the exchange.
@@ -96,100 +97,89 @@ type Evidence struct {
 	Dead []int
 }
 
-// Evidence wire format (little-endian):
+// Evidence rides a KindCtl payload as control words (IntWord):
 //
-//	magic "ME" | version u8 | pad u8 | epoch u32 | oldSize u16 | round u16 |
-//	from u16 | nDead u16 | dead nDead×u16 (strictly increasing)
+//	epoch | oldSize | round | from | nDead | dead × nDead (strictly increasing)
 const (
-	evidenceMagic0  = 'M'
-	evidenceMagic1  = 'E'
-	evidenceVersion = 1
-	evidenceFixed   = 2 + 1 + 1 + 4 + 2 + 2 + 2 + 2
+	evidenceFixed = 5
 
 	// maxEvidenceWorld bounds the world size the codec accepts; it exists
-	// to keep a fuzzer (or a corrupted length) from driving allocations,
-	// not as a deployment limit.
+	// to keep a fuzzer (or a corrupted word) from driving allocations, not
+	// as a deployment limit.
 	maxEvidenceWorld = 1 << 14
 )
 
-// EncodeEvidence serialises ev. It panics on structurally invalid input
-// (the encoder is always fed locally-built values).
-func EncodeEvidence(ev Evidence) []byte {
+// EncodeEvidence lays ev out as control words. It panics on structurally
+// invalid input (the encoder is always fed locally-built values).
+func EncodeEvidence(ev Evidence) []float32 {
 	if ev.OldSize <= 0 || ev.OldSize > maxEvidenceWorld {
 		panic(fmt.Sprintf("comm: evidence world size %d out of range", ev.OldSize))
 	}
-	buf := make([]byte, evidenceFixed+2*len(ev.Dead))
-	buf[0], buf[1], buf[2] = evidenceMagic0, evidenceMagic1, evidenceVersion
-	binary.LittleEndian.PutUint32(buf[4:8], ev.Epoch)
-	binary.LittleEndian.PutUint16(buf[8:10], uint16(ev.OldSize))
-	binary.LittleEndian.PutUint16(buf[10:12], uint16(ev.Round))
-	binary.LittleEndian.PutUint16(buf[12:14], uint16(ev.From))
-	binary.LittleEndian.PutUint16(buf[14:16], uint16(len(ev.Dead)))
-	for i, r := range ev.Dead {
-		binary.LittleEndian.PutUint16(buf[evidenceFixed+2*i:], uint16(r))
+	out := make([]float32, 0, evidenceFixed+len(ev.Dead))
+	out = append(out, IntWord(int(ev.Epoch)), IntWord(ev.OldSize), IntWord(ev.Round),
+		IntWord(ev.From), IntWord(len(ev.Dead)))
+	for _, r := range ev.Dead {
+		out = append(out, IntWord(r))
 	}
-	return buf
+	return out
 }
 
-// DecodeEvidence parses and validates an evidence record. Every failure
-// is an error — the decoder never panics and never trusts a length field.
-func DecodeEvidence(b []byte) (Evidence, error) {
-	if len(b) < evidenceFixed {
-		return Evidence{}, fmt.Errorf("comm: evidence truncated (%d bytes)", len(b))
-	}
-	if b[0] != evidenceMagic0 || b[1] != evidenceMagic1 {
-		return Evidence{}, fmt.Errorf("comm: evidence bad magic %#x%x", b[0], b[1])
-	}
-	if b[2] != evidenceVersion {
-		return Evidence{}, fmt.Errorf("comm: evidence version %d unsupported", b[2])
-	}
-	if b[3] != 0 {
-		// The pad byte must be zero or the encoding is not canonical: one
-		// evidence value must have exactly one wire form.
-		return Evidence{}, fmt.Errorf("comm: evidence nonzero pad byte %#x", b[3])
+// DecodeEvidence parses and validates an evidence payload. Every failure
+// is an error — the decoder never panics and never trusts a count word.
+func DecodeEvidence(p []float32) (Evidence, error) {
+	if len(p) < evidenceFixed {
+		return Evidence{}, fmt.Errorf("comm: evidence truncated (%d words)", len(p))
 	}
 	ev := Evidence{
-		Epoch:   binary.LittleEndian.Uint32(b[4:8]),
-		OldSize: int(binary.LittleEndian.Uint16(b[8:10])),
-		Round:   int(binary.LittleEndian.Uint16(b[10:12])),
-		From:    int(binary.LittleEndian.Uint16(b[12:14])),
+		Epoch:   uint32(WordInt(p[0])),
+		OldSize: WordInt(p[1]),
+		Round:   WordInt(p[2]),
+		From:    WordInt(p[3]),
 	}
-	n := int(binary.LittleEndian.Uint16(b[14:16]))
+	n := WordInt(p[4])
 	if ev.OldSize <= 0 || ev.OldSize > maxEvidenceWorld {
 		return Evidence{}, fmt.Errorf("comm: evidence world size %d out of range", ev.OldSize)
 	}
 	if ev.From < 0 || ev.From >= ev.OldSize {
 		return Evidence{}, fmt.Errorf("comm: evidence from-rank %d out of world %d", ev.From, ev.OldSize)
 	}
-	if n > ev.OldSize {
-		return Evidence{}, fmt.Errorf("comm: evidence dead count %d exceeds world %d", n, ev.OldSize)
+	if n < 0 || n > ev.OldSize {
+		return Evidence{}, fmt.Errorf("comm: evidence dead count %d out of world %d", n, ev.OldSize)
 	}
-	if len(b) != evidenceFixed+2*n {
-		return Evidence{}, fmt.Errorf("comm: evidence length %d != %d", len(b), evidenceFixed+2*n)
+	if len(p) != evidenceFixed+n {
+		return Evidence{}, fmt.Errorf("comm: evidence length %d != %d", len(p), evidenceFixed+n)
 	}
-	prev := -1
-	for i := 0; i < n; i++ {
-		r := int(binary.LittleEndian.Uint16(b[evidenceFixed+2*i:]))
-		if r >= ev.OldSize {
+	for i, w := range p[evidenceFixed:] {
+		r := WordInt(w)
+		if r < 0 || r >= ev.OldSize {
 			return Evidence{}, fmt.Errorf("comm: evidence dead rank %d out of world %d", r, ev.OldSize)
 		}
-		if r <= prev {
+		if i > 0 && r <= ev.Dead[i-1] {
 			return Evidence{}, fmt.Errorf("comm: evidence dead set not strictly increasing at %d", r)
 		}
-		prev = r
 		ev.Dead = append(ev.Dead, r)
 	}
 	return ev, nil
 }
 
-// PackBytes bit-casts a byte string into a []float32 payload so it can
-// ride any Transport: word 0 carries the byte length, each following word
-// carries 4 bytes. The cast is exact — Go float loads/stores and the f32
-// wire codec preserve every bit pattern, including NaNs — and control-
-// kind payloads are never bf16-narrowed by the belt codec.
+// Control values ride KindCtl payloads as words: an int as the bits of its
+// int32 (IntWord, WordInt), never as a float32 value, which rounds past
+// 2^24; an f64 as two such words, its low and high halves. The f32 wire
+// keeps every bit pattern, NaN ones included, and control payloads are
+// never bf16-narrowed, so a word arrives exactly as it was sent.
+
+// IntWord bit-aliases v's low 32 bits into a control word.
+func IntWord(v int) float32 { return math.Float32frombits(uint32(int32(v))) }
+
+// WordInt reads back the int32 a control word carries.
+func WordInt(w float32) int { return int(int32(math.Float32bits(w))) }
+
+// PackBytes bit-casts a byte string into control words so it can ride any
+// Transport: word 0 carries the byte length, each following word carries 4
+// bytes.
 func PackBytes(b []byte) []float32 {
 	out := make([]float32, 1+(len(b)+3)/4)
-	out[0] = math.Float32frombits(uint32(len(b)))
+	out[0] = IntWord(len(b))
 	var word [4]byte
 	for i := 1; i < len(out); i++ {
 		off := (i - 1) * 4
@@ -205,7 +195,7 @@ func UnpackBytes(p []float32) ([]byte, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("comm: packed bytes: empty payload")
 	}
-	n := int(math.Float32bits(p[0]))
+	n := WordInt(p[0])
 	if n < 0 || (n+3)/4 != len(p)-1 {
 		return nil, fmt.Errorf("comm: packed bytes: length %d inconsistent with %d words", n, len(p)-1)
 	}
@@ -217,14 +207,10 @@ func UnpackBytes(p []float32) ([]byte, error) {
 }
 
 // agreeTagBase reserves a KindCtl tag namespace for the agreement
-// protocol, far above any training-loop control tag.
+// protocol, far above any training-loop control tag; B is the round. A
+// transport carries one agreement: a failure ends its incarnation,
+// whatever the outcome.
 const agreeTagBase = 1 << 30
-
-// agreeTag is the per-round message tag. A transport carries one
-// agreement: a failure ends its incarnation, whatever the outcome.
-func agreeTag(round int) Tag {
-	return Tag{Kind: KindCtl, A: agreeTagBase, B: round}
-}
 
 // AgreeConfig parameterises AgreeOverTransport.
 type AgreeConfig struct {
@@ -259,9 +245,9 @@ func AgreeOverTransport(t Transport, initial []int, cfg AgreeConfig) (Membership
 	evicted := false
 
 	for round := 0; round < oldSize; round++ {
-		ev := Evidence{Epoch: cfg.Epoch, OldSize: oldSize, Round: round, From: self, Dead: sortedSet(suspect)}
-		payload := PackBytes(EncodeEvidence(ev))
-		tag := agreeTag(round)
+		payload := EncodeEvidence(Evidence{Epoch: cfg.Epoch, OldSize: oldSize, Round: round, From: self,
+			Dead: slices.Sorted(maps.Keys(suspect))})
+		tag := Tag{Kind: KindCtl, A: agreeTagBase, B: round}
 
 		for peer := 0; peer < oldSize; peer++ {
 			if peer == self || suspect[peer] {
@@ -303,12 +289,8 @@ func AgreeOverTransport(t Transport, initial []int, cfg AgreeConfig) (Membership
 			}
 			switch {
 			case err == nil:
-				raw, uerr := UnpackBytes(pl)
+				got, derr := DecodeEvidence(pl)
 				Release(pl)
-				if uerr != nil {
-					return Membership{}, fmt.Errorf("comm: agreement evidence from %d: %w", peer, uerr)
-				}
-				got, derr := DecodeEvidence(raw)
 				if derr != nil {
 					return Membership{}, fmt.Errorf("comm: agreement evidence from %d: %w", peer, derr)
 				}
@@ -339,7 +321,7 @@ func AgreeOverTransport(t Transport, initial []int, cfg AgreeConfig) (Membership
 		}
 	}
 
-	m := Membership{OldSize: oldSize, Dead: sortedSet(suspect)}
+	m := Membership{OldSize: oldSize, Dead: slices.Sorted(maps.Keys(suspect))}
 	survivors := oldSize - len(m.Dead)
 	if evicted {
 		return m, fmt.Errorf("comm: rank %d named dead by surviving peers: %w", self, ErrEvicted)
@@ -348,14 +330,4 @@ func AgreeOverTransport(t Transport, initial []int, cfg AgreeConfig) (Membership
 		return m, fmt.Errorf("comm: %d of %d survive: %w", survivors, oldSize, ErrNoQuorum)
 	}
 	return m, nil
-}
-
-// sortedSet flattens a rank set into a sorted slice.
-func sortedSet(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -77,26 +78,43 @@ func TestMembershipEvidenceRoundTrip(t *testing.T) {
 			t.Fatalf("roundtrip %+v -> %+v", ev, got)
 		}
 	}
-	bad := [][]byte{
+	long := EncodeEvidence(cases[1])
+	bad := [][]float32{
 		nil,
-		{'M'},
-		EncodeEvidence(cases[1])[:evidenceFixed+1],           // truncated dead set
-		append(EncodeEvidence(cases[1]), 0),                  // trailing bytes
-		{'X', 'E', 1, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0}, // bad magic
+		long[:evidenceFixed-1],                // truncated header
+		long[:evidenceFixed+1],                // truncated dead set
+		append(slices.Clone(long), 0),         // trailing word
+		withWord(long, 1, 0),                  // world size 0
+		withWord(long, 1, maxEvidenceWorld+1), // world size past the bound
+		withWord(long, 3, 4),                  // from-rank out of world
+		withWord(long, 3, -1),                 // negative from-rank
+		withWord(long, 4, 5),                  // dead count past the world
+		withWord(long, 4, -1),                 // negative dead count
+		withWord(long, evidenceFixed, 4),      // dead rank out of world
+		withWord(long, evidenceFixed, -1),     // negative dead rank
+		withWord(long, evidenceFixed, 2),      // {2, 2}: not strictly increasing
+		withWord(long, evidenceFixed+1, 0),    // {0, 0}
 	}
 	unsorted := EncodeEvidence(Evidence{OldSize: 4, From: 0, Dead: []int{1, 2}})
-	unsorted[evidenceFixed], unsorted[evidenceFixed+2] = unsorted[evidenceFixed+2], unsorted[evidenceFixed] // {2, 1}
+	unsorted[evidenceFixed], unsorted[evidenceFixed+1] = unsorted[evidenceFixed+1], unsorted[evidenceFixed] // {2, 1}
 	bad = append(bad, unsorted)
-	for i, b := range bad {
-		if _, err := DecodeEvidence(b); err == nil {
+	for i, p := range bad {
+		if _, err := DecodeEvidence(p); err == nil {
 			t.Fatalf("bad input %d accepted", i)
 		}
 	}
 }
 
-// PackBytes rides evidence (and snapshots) over float32 payloads; every
-// bit pattern — including ones that alias NaNs — must survive a real TCP
-// hop exactly.
+// withWord returns a copy of p with word i set to the int v.
+func withWord(p []float32, i, v int) []float32 {
+	q := slices.Clone(p)
+	q[i] = IntWord(v)
+	return q
+}
+
+// Evidence and PackBytes (the checkpoint bytes a spare is seeded with) ride
+// over float32 payloads; every bit pattern — including ones that alias
+// NaNs — must survive a real TCP hop exactly.
 func TestMembershipEvidencePackBytesTCP(t *testing.T) {
 	trs := dialMeshOpts(t, 2, TCPOptions{Deadlines: testDeadlines()})
 	msg := make([]byte, 0, 300)
@@ -105,14 +123,24 @@ func TestMembershipEvidencePackBytesTCP(t *testing.T) {
 	}
 	// words that decode to sNaN/qNaN/Inf patterns on the f32 wire
 	msg = append(msg, 0x01, 0x00, 0xC0, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x80, 0x7F, 0xAB)
+	// an epoch whose word is a signalling NaN, another an infinity
+	ev := Evidence{Epoch: 0x7F800001, OldSize: 2, Round: 1, From: 0, Dead: []int{1}}
+	inf := Evidence{Epoch: 0xFF800000, OldSize: 2, From: 1}
 	tag := Tag{Kind: KindCtl, A: agreeTagBase - 1}
-	if err := trs[0].Send(1, tag, PackBytes(msg)); err != nil {
-		t.Fatal(err)
+	for i, p := range [][]float32{PackBytes(msg), EncodeEvidence(ev), EncodeEvidence(inf)} {
+		if err := trs[0].Send(1, Tag{Kind: tag.Kind, A: tag.A, B: i}, p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	pl, err := trs[1].RecvTimeout(0, tag, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	recv := func(i int) []float32 {
+		pl, err := trs[1].RecvTimeout(0, Tag{Kind: tag.Kind, A: tag.A, B: i}, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { Release(pl) })
+		return pl
 	}
+	pl := recv(0)
 	got, err := UnpackBytes(pl)
 	if err != nil {
 		t.Fatal(err)
@@ -120,11 +148,19 @@ func TestMembershipEvidencePackBytesTCP(t *testing.T) {
 	if !reflect.DeepEqual(got, msg) {
 		t.Fatalf("packed bytes corrupted over TCP: %d vs %d bytes", len(got), len(msg))
 	}
-	if math.IsNaN(float64(pl[1])) == false {
-		// sanity: the payload really did carry NaN-aliasing words
-		t.Log("warning: expected at least one NaN-pattern word in payload")
+	for i, want := range []Evidence{ev, inf} {
+		pl := recv(1 + i)
+		if !math.IsNaN(float64(pl[0])) && !math.IsInf(float64(pl[0]), 0) {
+			t.Fatalf("evidence %d: epoch word %#x is not the NaN/Inf pattern under test", i, math.Float32bits(pl[0]))
+		}
+		got, err := DecodeEvidence(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("evidence corrupted over TCP: %+v, want %+v", got, want)
+		}
 	}
-	Release(pl)
 }
 
 // failureFabrics are the fabrics that honour the failure contract: a

@@ -208,34 +208,9 @@ func Broadcast(t Transport, root int, data []float32, seq int) ([]float32, error
 	return buf, nil
 }
 
-// Barrier blocks until every rank has entered it.
-func Barrier(t Transport, seq int) error {
-	p := t.Size()
-	if p == 1 {
-		return nil
-	}
-	r := t.Rank()
-	if r == 0 {
-		for src := 1; src < p; src++ {
-			if _, err := t.Recv(src, Tag{Kind: KindColl, A: seq, B: -1}); err != nil {
-				return err
-			}
-		}
-		for dst := 1; dst < p; dst++ {
-			if err := t.Send(dst, Tag{Kind: KindColl, A: seq, B: -2}, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := t.Send(0, Tag{Kind: KindColl, A: seq, B: -1}, nil); err != nil {
-		return err
-	}
-	_, err := t.Recv(0, Tag{Kind: KindColl, A: seq, B: -2})
-	return err
-}
-
-// AllReduceScalarSum sums one float64 across ranks (used for loss logging).
+// AllReduceScalarSum sums v across ranks in float32: v is rounded to
+// float32 before the ring sum, and every rank gets the identical
+// float32-rounded sum, widened back to float64.
 func AllReduceScalarSum(t Transport, v float64, seq int) (float64, error) {
 	buf := []float32{float32(v)}
 	if err := RingAllReduceSum(t, buf, seq); err != nil {

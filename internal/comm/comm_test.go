@@ -288,23 +288,6 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	var phase sync.Map
-	runRanks(t, 4, func(tr Transport) error {
-		phase.Store(tr.Rank(), 1)
-		if err := Barrier(tr, 5); err != nil {
-			return err
-		}
-		// after the barrier everyone must have stored phase 1
-		for r := 0; r < 4; r++ {
-			if _, ok := phase.Load(r); !ok {
-				t.Errorf("rank %d passed barrier before rank %d entered", tr.Rank(), r)
-			}
-		}
-		return nil
-	})
-}
-
 func TestAllReduceScalarSum(t *testing.T) {
 	runRanks(t, 3, func(tr Transport) error {
 		got, err := AllReduceScalarSum(tr, float64(tr.Rank()+1), 6)

@@ -125,6 +125,10 @@ func (g *Group) RecvTimeout(src int, tag Tag, timeout time.Duration) ([]float32,
 // runs its recovery.
 func (g *Group) BeginRecovery() []int { return nil }
 
+// Flush implements Transport; like Close it is a no-op: whoever owns the
+// parent flushes it.
+func (g *Group) Flush(time.Duration) error { return nil }
+
 // Close implements Transport; closing a group is a no-op (the parent owns
 // the resources).
 func (g *Group) Close() error { return nil }

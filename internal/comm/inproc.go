@@ -232,6 +232,9 @@ func (t *inprocTransport) RecvTimeout(src int, tag Tag, timeout time.Duration) (
 	return payload, err
 }
 
+// Flush implements Transport: a send is delivered before it returns.
+func (t *inprocTransport) Flush(time.Duration) error { return nil }
+
 // Close implements Transport: this rank dies (see Cluster).
 func (t *inprocTransport) Close() error {
 	t.cluster.kill(t.rank)

@@ -514,13 +514,12 @@ func (t *TCPTransport) RecvTimeout(src int, tag Tag, timeout time.Duration) ([]f
 	return payload, err
 }
 
-// Flush blocks until every frame queued for a live peer has been
-// acknowledged (or timeout expires, or the endpoint closes). Close drops
-// unacknowledged frames by design — it models an abrupt kill — so a clean
-// shutdown must flush first, or the tail of an exchange protocol can
-// vanish from under a peer that is still receiving. Links to peers the
-// failure detector has declared dead are skipped: their backlog can never
-// drain.
+// Flush implements Transport: it blocks until every frame queued for a
+// live peer has been acknowledged (or timeout expires, or the endpoint
+// closes). Close drops unacknowledged frames by design, so without a flush
+// the tail of an exchange protocol can vanish from under a peer that is
+// still receiving. Links to peers the failure detector has declared dead
+// are skipped: their backlog can never drain.
 func (t *TCPTransport) Flush(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -543,16 +542,6 @@ func (t *TCPTransport) Flush(timeout time.Duration) error {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// FlushTransport drains t's send queues when the transport supports it
-// (see TCPTransport.Flush); in-process transports deliver synchronously
-// and need no flush.
-func FlushTransport(t Transport, timeout time.Duration) error {
-	if f, ok := t.(interface{ Flush(time.Duration) error }); ok {
-		return f.Flush(timeout)
-	}
-	return nil
 }
 
 // Close implements Transport. It fails all pending receives, tears down

@@ -131,6 +131,11 @@ type Transport interface {
 	// exchanges), and returns the locally observed dead set in ascending
 	// rank order.
 	BeginRecovery() []int
+	// Flush blocks until every frame queued for a live peer has been
+	// delivered, or timeout expires (an error). Close abandons queued frames
+	// — it models an abrupt kill — so a clean shutdown flushes first. The
+	// in-process fabric delivers at Send and returns nil at once.
+	Flush(timeout time.Duration) error
 	// Close releases resources. Pending Recvs fail after Close.
 	Close() error
 }

@@ -26,8 +26,8 @@ import (
 // moments are zero), and each iteration both apply the identical
 // arithmetic — the same raw gradient bytes, the same 1/(n·scale) factor,
 // the same globally-all-reduced clip/guard decision (AllReduceScalarSum
-// returns the identical float64 on every rank). By induction the shadow
-// state is bit-identical to the owner's forever.
+// returns the identical float32-rounded sum on every rank). By induction
+// the shadow state is bit-identical to the owner's forever.
 //
 // Rank r owns chunk (r+1) mod P, so r's successor owns chunk (r+2) mod P:
 // that is the chunk rank r shadows, and its successor sends it the

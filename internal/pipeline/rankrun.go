@@ -11,6 +11,7 @@ import (
 	"weipipe/internal/checkpoint"
 	"weipipe/internal/comm"
 	"weipipe/internal/data"
+	"weipipe/internal/tensor"
 	"weipipe/internal/trace"
 )
 
@@ -110,7 +111,7 @@ func (h RunHooks) batches(spec RunSpec) func(int) []data.Batch {
 // toward live peers; otherwise the tail of an exchange protocol disappears
 // from under a slower rank and a healthy run reports a phantom death.
 func CloseMesh(t comm.Transport, dl comm.Deadlines) {
-	comm.FlushTransport(t, dl.WithDefaults().Barrier)
+	t.Flush(dl.WithDefaults().Barrier)
 	t.Close()
 }
 
@@ -262,35 +263,56 @@ func gatherCapture(a RankAssignment, dl comm.Deadlines, t comm.Transport, tr Tra
 func exchangeShares(a RankAssignment, t comm.Transport, dl comm.Deadlines, tag Tag,
 	group []int, snap *checkpoint.Snapshot, own share) ([]share, error) {
 
-	peers := slices.DeleteFunc(slices.Clone(group), func(r int) bool { return r == a.Rank })
-	if len(peers) > 0 {
-		payload := packShare(snap, own)
-		for range peers[1:] {
-			comm.Retain(payload)
-		}
-		for i, r := range peers {
-			if err := t.SendOwned(r, tag, payload); err != nil {
-				for range peers[i+1:] {
-					comm.Release(payload) // the references never sent
-				}
-				return nil, err
-			}
-		}
-	}
 	shares := []share{own}
-	for _, r := range peers {
-		got, err := t.RecvTimeout(r, tag, dl.Barrier)
-		if err != nil {
-			return nil, err
-		}
+	err := exchange(a, t, dl, tag, group, packShare(snap, own), func(r int, got []float32) error {
 		sh, err := placeShare(snap, got)
-		comm.Release(got)
 		if err != nil {
-			return nil, fmt.Errorf("pipeline: rank %d's share: %w", r, err)
+			return fmt.Errorf("pipeline: rank %d's share: %w", r, err)
 		}
 		shares = append(shares, sh)
+		return nil
+	})
+	return shares, err
+}
+
+// exchange is the control plane's one all-to-all. It sends payload, a
+// comm.GetBuf buffer it takes over, to every other rank of group — one
+// buffer, a reference per peer — then receives each peer's payload under
+// the same tag, in rank order, and hands it to got, which must not keep it.
+// The receive deadline is the Barrier budget, which exceeds PeerDead by
+// construction, so a dead peer surfaces as typed evidence — never as an
+// anonymous timeout racing it.
+func exchange(a RankAssignment, t comm.Transport, dl comm.Deadlines, tag Tag,
+	group []int, payload []float32, got func(r int, p []float32) error) error {
+
+	peers := slices.DeleteFunc(slices.Clone(group), func(r int) bool { return r == a.Rank })
+	if len(peers) == 0 {
+		comm.Release(payload)
+		return nil
 	}
-	return shares, nil
+	for range peers[1:] {
+		comm.Retain(payload)
+	}
+	for i, r := range peers {
+		if err := t.SendOwned(r, tag, payload); err != nil {
+			for range peers[i+1:] {
+				comm.Release(payload) // the references never sent
+			}
+			return err
+		}
+	}
+	for _, r := range peers {
+		p, err := t.RecvTimeout(r, tag, dl.Barrier)
+		if err != nil {
+			return err
+		}
+		err = got(r, p)
+		comm.Release(p)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // save writes a coordinated checkpoint to CheckpointPath when
@@ -307,12 +329,7 @@ func (s RunSpec) save(a RankAssignment, snap *checkpoint.Snapshot) error {
 // drivers and the replay oracle compare these instead of full vectors.
 func HashWeights(w []float32) uint64 {
 	h := fnv.New64a()
-	var b [4]byte
-	for _, v := range w {
-		bits := math.Float32bits(v)
-		b[0], b[1], b[2], b[3] = byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24)
-		h.Write(b[:])
-	}
+	h.Write(tensor.F32LE(w))
 	return h.Sum64()
 }
 
@@ -343,68 +360,45 @@ func seedExchange(a RankAssignment, spec RunSpec, t comm.Transport, snap *checkp
 		}
 		return snap, nil
 	}
-	for _, dst := range a.SeedTo {
-		if dst != a.Rank {
-			continue
-		}
-		payload, err := t.RecvTimeout(a.SeedFrom, tag, spec.Deadlines.WithDefaults().Barrier)
-		if err != nil {
-			return nil, err
-		}
-		raw, err := comm.UnpackBytes(payload)
-		comm.Release(payload)
-		if err != nil {
-			return nil, err
-		}
-		return checkpoint.Unmarshal(raw)
+	if !slices.Contains(a.SeedTo, a.Rank) {
+		return snap, nil
 	}
-	return snap, nil
+	payload, err := t.RecvTimeout(a.SeedFrom, tag, spec.Deadlines.WithDefaults().Barrier)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := comm.UnpackBytes(payload)
+	comm.Release(payload)
+	if err != nil {
+		return nil, err
+	}
+	return checkpoint.Unmarshal(raw)
 }
 
-// lossBarrier is the per-iteration all-to-all control barrier: every rank
-// broadcasts its loss, waits for every peer's, and adopts rank 0's as the
+// lossBarrier is the per-iteration control barrier: every rank sends every
+// peer its loss, waits for every peer's, and adopts rank 0's as the
 // canonical value. A rank that cannot complete the barrier knows the
-// iteration did not commit cluster-wide. The receive deadline is the
-// Barrier budget, which exceeds PeerDead by construction, so a dead peer
-// surfaces as typed evidence — never as an anonymous timeout racing it.
+// iteration did not commit cluster-wide. The loss rides as two words, so
+// it survives the wire bit-exactly.
 func lossBarrier(a RankAssignment, t comm.Transport, dl comm.Deadlines, iter int, loss float64) (float64, error) {
-	tag := Tag{Kind: comm.KindCtl, A: barrierTagBase + iter}
-	// The f64 loss rides as two f32 bit-alias words: a float32 cast would
-	// round it, and the canonical loss must survive the wire bit-exactly.
 	bits := math.Float64bits(loss)
-	payload := []float32{
-		math.Float32frombits(uint32(bits)),
-		math.Float32frombits(uint32(bits >> 32)),
-	}
-	for r := 0; r < a.World; r++ {
-		if r == a.Rank {
-			continue
-		}
-		if err := t.Send(r, tag, payload); err != nil {
-			return 0, fmt.Errorf("iteration %d barrier: %w", iter, err)
-		}
-	}
+	payload := comm.GetBuf(2)
+	payload[0], payload[1] = comm.IntWord(int(bits)), comm.IntWord(int(bits>>32))
+	everyone := comm.Membership{OldSize: a.World}.Survivors()
 	canonical := loss
-	for r := 0; r < a.World; r++ {
-		if r == a.Rank {
-			continue
-		}
-		got, err := t.RecvTimeout(r, tag, dl.Barrier)
-		if err != nil {
-			return 0, fmt.Errorf("iteration %d barrier: %w", iter, err)
-		}
-		if len(got) != 2 {
-			comm.Release(got)
-			return 0, fmt.Errorf("iteration %d barrier: malformed loss frame from rank %d", iter, r)
-		}
-		if r == 0 {
-			canonical = math.Float64frombits(
-				uint64(math.Float32bits(got[0])) | uint64(math.Float32bits(got[1]))<<32)
-		}
-		comm.Release(got)
-	}
-	if a.Rank == 0 {
-		canonical = loss
+	err := exchange(a, t, dl, Tag{Kind: comm.KindCtl, A: barrierTagBase + iter}, everyone, payload,
+		func(r int, got []float32) error {
+			if len(got) != 2 {
+				return fmt.Errorf("malformed loss frame from rank %d", r)
+			}
+			if r == 0 {
+				canonical = math.Float64frombits(uint64(uint32(comm.WordInt(got[0]))) |
+					uint64(uint32(comm.WordInt(got[1])))<<32)
+			}
+			return nil
+		})
+	if err != nil {
+		return 0, fmt.Errorf("iteration %d barrier: %w", iter, err)
 	}
 	return canonical, nil
 }
@@ -524,58 +518,31 @@ func wireHarvest(a RankAssignment, t comm.Transport, dl comm.Deadlines,
 func agreeCut(a RankAssignment, t comm.Transport, dl comm.Deadlines, wp *WeiPipe,
 	m comm.Membership, survivors []int) (int, error) {
 
-	deadHash := hashDeadSet(a.Epoch, m)
-	metaTag := Tag{Kind: comm.KindCtl, A: harvestTagMeta, B: int(a.Epoch)}
-	meta := []float32{
-		math.Float32frombits(uint32(deadHash)),
-		float32(wp.CompletedStepPhases()),
-	}
-	for _, r := range survivors {
-		if r == a.Rank {
-			continue
-		}
-		if err := t.Send(r, metaTag, meta); err != nil {
-			return 0, err
-		}
-	}
-	cut := wp.CompletedStepPhases()
-	for _, r := range survivors {
-		if r == a.Rank {
-			continue
-		}
-		got, err := t.RecvTimeout(r, metaTag, dl.Barrier)
-		if err != nil {
-			return 0, err
-		}
-		if len(got) != len(meta) {
-			comm.Release(got)
-			return 0, fmt.Errorf("pipeline: malformed harvest meta from rank %d", r)
-		}
-		if math.Float32bits(got[0]) != uint32(deadHash) {
-			comm.Release(got)
-			return 0, fmt.Errorf("pipeline: rank %d agreed a different dead set", r)
-		}
-		if c := int(got[1]); c < cut {
-			cut = c
-		}
-		comm.Release(got)
-	}
-	return cut, nil
+	deadHash, cut := hashDeadSet(a.Epoch, m), wp.CompletedStepPhases()
+	meta := comm.GetBuf(2)
+	meta[0], meta[1] = comm.IntWord(int(deadHash)), comm.IntWord(cut)
+	err := exchange(a, t, dl, Tag{Kind: comm.KindCtl, A: harvestTagMeta, B: int(a.Epoch)}, survivors, meta,
+		func(r int, got []float32) error {
+			switch {
+			case len(got) != 2:
+				return fmt.Errorf("pipeline: malformed harvest meta from rank %d", r)
+			case uint32(comm.WordInt(got[0])) != deadHash:
+				return fmt.Errorf("pipeline: rank %d agreed a different dead set", r)
+			}
+			cut = min(cut, comm.WordInt(got[1]))
+			return nil
+		})
+	return cut, err
 }
 
 // hashDeadSet fingerprints (epoch, oldSize, dead...) so survivors can
 // verify they agreed on the same membership before mixing chunk states.
 func hashDeadSet(epoch uint32, m comm.Membership) uint32 {
-	h := fnv.New32a()
-	var b [4]byte
-	put := func(v uint32) {
-		b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		h.Write(b[:])
-	}
-	put(epoch)
-	put(uint32(m.OldSize))
+	words := []float32{comm.IntWord(int(epoch)), comm.IntWord(m.OldSize)}
 	for _, d := range m.Dead {
-		put(uint32(d))
+		words = append(words, comm.IntWord(d))
 	}
+	h := fnv.New32a()
+	h.Write(tensor.F32LE(words))
 	return h.Sum32()
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -259,6 +260,40 @@ func TestRunRankSpareSeedMembershipTCP(t *testing.T) {
 			o.Losses[cut:], ref.Losses[cut:], o.Weights, ref.Weights)
 	}
 	waitPipelineGoroutines(t, base)
+}
+
+// The control plane's exchange sends one buffer, a reference per peer,
+// and gives back every reference a failed send leaves unsent: with rank 2
+// dead, rank 0's send to rank 1 lands, the send to rank 2 fails, and the
+// reference meant for rank 3 is released, so the buffer's last release
+// poisons it (TestMain) instead of leaking it.
+func TestRunRankExchangeGivesBackUnsentReferences(t *testing.T) {
+	cl := comm.NewCluster(4)
+	defer cl.Close()
+	cl.Transport(2).Close()
+	tag := Tag{Kind: comm.KindCtl, A: barrierTagBase}
+	payload := comm.GetBuf(2)
+	payload[0], payload[1] = comm.IntWord(7), comm.IntWord(-7)
+	err := exchange(RankAssignment{Rank: 0, World: 4}, cl.Transport(0), rankDeadlines(), tag, []int{0, 1, 2, 3}, payload,
+		func(r int, _ []float32) error {
+			t.Errorf("rank %d's payload arrived", r)
+			return nil
+		})
+	released := math.IsNaN(float64(payload[0]))
+	if r, ok := comm.DeadPeer(err); !ok || r != 2 {
+		t.Fatalf("exchange with rank 2 dead returned %v", err)
+	}
+	if !released {
+		t.Error("the references the failed send left unsent were not given back")
+	}
+	got, err := cl.Transport(1).RecvTimeout(0, tag, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || comm.WordInt(got[0]) != 7 || comm.WordInt(got[1]) != -7 {
+		t.Errorf("rank 1 received %v", got)
+	}
+	comm.Release(got)
 }
 
 // A rank that dies between iterations (no training traffic in flight) is

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"slices"
 	"sync"
@@ -143,17 +142,16 @@ func sealCapture(snap *checkpoint.Snapshot, shares []share, tr Trainer) error {
 
 // packShare flattens a share for the wire into a comm.GetBuf buffer the
 // caller owns: the step and the span count, then each span as (vec, lo, hi)
-// followed by its values. The ints ride as bit-aliased words, since a
-// float32 conversion would round offsets past 2^24.
+// followed by its values. The ints ride as control words (comm.IntWord).
 func packShare(snap *checkpoint.Snapshot, sh share) []float32 {
 	n := 2
 	for _, sp := range sh.spans {
 		n += 3 + sp.hi - sp.lo
 	}
 	out := comm.GetBuf(n)[:0]
-	out = append(out, intWord(int(sh.step)), intWord(len(sh.spans)))
+	out = append(out, comm.IntWord(int(sh.step)), comm.IntWord(len(sh.spans)))
 	for _, sp := range sh.spans {
-		out = append(out, intWord(sp.vec), intWord(sp.lo), intWord(sp.hi))
+		out = append(out, comm.IntWord(sp.vec), comm.IntWord(sp.lo), comm.IntWord(sp.hi))
 		out = append(out, vector(snap, sp.vec)[sp.lo:sp.hi]...)
 	}
 	return out
@@ -166,13 +164,13 @@ func placeShare(snap *checkpoint.Snapshot, payload []float32) (share, error) {
 	if len(payload) < 2 {
 		return share{}, malformed
 	}
-	sh := share{step: int64(wordInt(payload[0]))}
+	sh := share{step: int64(comm.WordInt(payload[0]))}
 	body := payload[2:]
-	for range wordInt(payload[1]) {
+	for range comm.WordInt(payload[1]) {
 		if len(body) < 3 {
 			return share{}, malformed
 		}
-		sp := span{wordInt(body[0]), wordInt(body[1]), wordInt(body[2])}
+		sp := span{comm.WordInt(body[0]), comm.WordInt(body[1]), comm.WordInt(body[2])}
 		dst, body3 := vector(snap, sp.vec), body[3:]
 		if sp.lo < 0 || sp.hi < sp.lo || sp.hi > len(dst) || sp.hi-sp.lo > len(body3) {
 			return share{}, malformed
@@ -186,9 +184,6 @@ func placeShare(snap *checkpoint.Snapshot, payload []float32) (share, error) {
 	}
 	return sh, nil
 }
-
-func intWord(v int) float32 { return math.Float32frombits(uint32(int32(v))) }
-func wordInt(w float32) int { return int(int32(math.Float32bits(w))) }
 
 // CaptureSnapshot takes a coordinated checkpoint of a cluster whose
 // trainers share this process: the assembled post-step weights plus the

@@ -68,6 +68,31 @@ func TestWatchdogBeaconKeepsZeroCopyPath(t *testing.T) {
 	}()
 }
 
+// The beacon keeps the whole endpoint contract, Flush included: a frame
+// queued behind a partition holds a wrapped TCP endpoint's flush until its
+// timeout, as it holds the bare endpoint's, so CloseMesh under the watchdog
+// drains the mesh before it closes it.
+func TestWatchdogBeaconFlushes(t *testing.T) {
+	trs := dialMesh(t, 2, comm.TCPOptions{Deadlines: comm.Deadlines{Dial: 5 * time.Second}})
+	defer func() {
+		for _, tr := range trs {
+			tr.Close()
+		}
+	}()
+	trs[0].(*comm.TCPTransport).Blackhole([]int{1}, time.Minute)
+	w := WrapBeacon(trs[0], NewProgressBoard(2), 0)
+	if err := w.Send(1, Tag{Kind: comm.KindCtl}, []float32{1}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := w.Flush(50 * time.Millisecond); err == nil {
+		t.Fatal("the wrapped flush returned nil with a frame queued behind a partition")
+	}
+	if d := time.Since(start); d < 50*time.Millisecond {
+		t.Errorf("the wrapped flush gave up after %v, before its 50ms timeout", d)
+	}
+}
+
 func TestWatchdogNoFalsePositives(t *testing.T) {
 	const iters, n = 3, 4
 	for _, s := range Strategies() {

@@ -381,8 +381,9 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 		denom = w.globalN
 	}
 	// One scalar all-reduce gives the step rule its Σg²: NaN/Inf propagates
-	// through the sum, and the agreed float64 is bit-identical everywhere,
-	// so every rank (and every buddy shadow) reaches the identical verdict.
+	// through the sum, and every rank gets the identical float32-rounded
+	// sum, so every rank (and every buddy shadow) reaches the identical
+	// verdict.
 	scale, gs, skip, err := w.decideStep(denom, func(local float64) (float64, error) {
 		return comm.AllReduceScalarSum(w.t, local, (1<<30)+w.iter)
 	}, db)

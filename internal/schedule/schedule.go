@@ -67,15 +67,20 @@ func Strategies() []string {
 	}
 }
 
+// Recomputes reports whether Build runs strategy with activation
+// recomputation: w.Recompute, except that zb1 and zb2 never recompute — the
+// runtime forces it off for them (pipeline.NewPP), as the paper runs its
+// zero-bubble baselines.
+func Recomputes(strategy string, w cost.Workload) bool {
+	return w.Recompute && strategy != "zb1" && strategy != "zb2"
+}
+
 // Build compiles the named strategy, one of Strategies. Strategy names match
-// the pipeline package's Strategy constants. zb1 and zb2 never recompute,
-// whatever spec.W.Recompute says: the runtime forces it off for them
-// (pipeline.NewPP), as the paper runs its zero-bubble baselines.
+// the pipeline package's Strategy constants; the workload recomputes as
+// Recomputes says.
 func Build(strategy string, spec Spec) ([]sim.Task, error) {
 	spec.W = spec.W.WithDefaults()
-	if strategy == "zb1" || strategy == "zb2" {
-		spec.W.Recompute = false
-	}
+	spec.W.Recompute = Recomputes(strategy, spec.W)
 	if spec.W.P != spec.Top.P {
 		return nil, fmt.Errorf("schedule: workload P=%d but topology P=%d", spec.W.P, spec.Top.P)
 	}

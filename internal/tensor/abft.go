@@ -65,11 +65,13 @@ func (e *ABFTError) Error() string {
 		e.Op, e.M, e.K, e.N, e.Backend, e.Row, e.Diff, e.Tol)
 }
 
-// abftBackend wraps another backend, verifying every matmul. All other
-// kernels delegate untouched: they are O(n) with no reduction structure to
-// checksum, so the belt/resident-state CRCs cover their outputs instead.
+// abftBackend wraps another backend, verifying every matmul. Every other
+// kernel is the embedded backend's own, unverified: the elementwise ones are
+// O(n) with no reduction structure to checksum, so the belt/resident-state
+// CRCs cover their outputs instead, and the fused attention kernel has no
+// matmul-shaped output (its scores never materialise).
 type abftBackend struct {
-	inner Backend
+	Backend
 }
 
 // abftFault, when non-nil, is called with every verified matmul's output
@@ -98,7 +100,7 @@ func EnableABFT() {
 	if _, ok := cur.(*abftBackend); ok {
 		return
 	}
-	b := Backend(&abftBackend{inner: cur})
+	b := Backend(&abftBackend{Backend: cur})
 	curBackend.Store(&b)
 }
 
@@ -107,7 +109,7 @@ func DisableABFT() {
 	backendMu.Lock()
 	defer backendMu.Unlock()
 	if w, ok := (*curBackend.Load()).(*abftBackend); ok {
-		curBackend.Store(&w.inner)
+		curBackend.Store(&w.Backend)
 	}
 }
 
@@ -118,10 +120,7 @@ func ABFTEnabled() bool {
 }
 
 // Name implements Backend.
-func (b *abftBackend) Name() string { return "abft(" + b.inner.Name() + ")" }
-
-// Exact implements Backend: verification never alters results.
-func (b *abftBackend) Exact() bool { return b.inner.Exact() }
+func (b *abftBackend) Name() string { return "abft(" + b.Backend.Name() + ")" }
 
 // abftScratch pools the per-call float64 checksum vectors (s, ŝ, and the
 // row budget both live in one backing slice) so steady-state verification
@@ -162,7 +161,7 @@ func (b *abftBackend) rowSumCheck(op string, dst *Tensor, m, n, k int, y, yabs, 
 			tol += relScale * math.Abs(prev[i])
 		}
 		if diff > tol || r != r {
-			panic(&ABFTError{Op: op, M: m, N: n, K: k, Row: i, Diff: diff, Tol: tol, Backend: b.inner.Name()})
+			panic(&ABFTError{Op: op, M: m, N: n, K: k, Row: i, Diff: diff, Tol: tol, Backend: b.Backend.Name()})
 		}
 	}
 }
@@ -225,7 +224,7 @@ func (b *abftBackend) MatMulNN(dst, a, bb *Tensor, acc bool) {
 			}
 			return s, sa
 		},
-		func() { b.inner.MatMulNN(dst, a, bb, acc) })
+		func() { b.Backend.MatMulNN(dst, a, bb, acc) })
 }
 
 // MatMulNT implements Backend with ABFT verification.
@@ -244,7 +243,7 @@ func (b *abftBackend) MatMulNT(dst, a, bb *Tensor, acc bool) {
 			}
 			return s, sa
 		},
-		func() { b.inner.MatMulNT(dst, a, bb, acc) })
+		func() { b.Backend.MatMulNT(dst, a, bb, acc) })
 }
 
 // MatMulTN implements Backend with ABFT verification.
@@ -261,45 +260,7 @@ func (b *abftBackend) MatMulTN(dst, a, bb *Tensor, acc bool) {
 			}
 			return s, sa
 		},
-		func() { b.inner.MatMulTN(dst, a, bb, acc) })
-}
-
-// The remaining kernels delegate untouched.
-
-func (b *abftBackend) Add(dst, a, bb *Tensor)                 { b.inner.Add(dst, a, bb) }
-func (b *abftBackend) Mul(dst, a, bb *Tensor)                 { b.inner.Mul(dst, a, bb) }
-func (b *abftBackend) Axpy(dst *Tensor, s float32, a *Tensor) { b.inner.Axpy(dst, s, a) }
-func (b *abftBackend) Scale(dst, a []float32, s float32)      { b.inner.Scale(dst, a, s) }
-func (b *abftBackend) AddInto(dst, a []float32)               { b.inner.AddInto(dst, a) }
-func (b *abftBackend) Dot(a, bb *Tensor) float64              { return b.inner.Dot(a, bb) }
-func (b *abftBackend) DotF32(a, bb *Tensor) float32           { return b.inner.DotF32(a, bb) }
-func (b *abftBackend) SiLU(dst, a *Tensor)                    { b.inner.SiLU(dst, a) }
-func (b *abftBackend) SiLUBackward(dst, x, dy *Tensor)        { b.inner.SiLUBackward(dst, x, dy) }
-func (b *abftBackend) SoftmaxRows(dst, a *Tensor)             { b.inner.SoftmaxRows(dst, a) }
-func (b *abftBackend) RMSNormRows(y, inv, x, gain *Tensor, eps float64) {
-	b.inner.RMSNormRows(y, inv, x, gain, eps)
-}
-func (b *abftBackend) RMSNormBackward(dx, x, dy, gain, inv *Tensor) {
-	b.inner.RMSNormBackward(dx, x, dy, gain, inv)
-}
-func (b *abftBackend) RMSNormGainTerms(q, x, dy, inv *Tensor) {
-	b.inner.RMSNormGainTerms(q, x, dy, inv)
-}
-func (b *abftBackend) AddRowsInto(dst, a *Tensor) { b.inner.AddRowsInto(dst, a) }
-func (b *abftBackend) Rope(q *Tensor, cos, sin []float32, seqLen, heads int, dir float32) {
-	b.inner.Rope(q, cos, sin, seqLen, heads, dir)
-}
-func (b *abftBackend) AdamW(w, g, m, v []float32, s AdamWStep) {
-	b.inner.AdamW(w, g, m, v, s)
-}
-
-// The fused attention kernel has no matmul-shaped output to checksum (its
-// scores never materialise), so it runs unverified.
-func (b *abftBackend) CausalAttention(out, lse, q, k, v *Tensor, heads, sq, sk, qOffset int) {
-	b.inner.CausalAttention(out, lse, q, k, v, heads, sq, sk, qOffset)
-}
-func (b *abftBackend) CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse *Tensor, heads, sq, sk, qOffset int) {
-	b.inner.CausalAttentionBackward(dq, dk, dv, q, k, v, out, dout, lse, heads, sq, sk, qOffset)
+		func() { b.Backend.MatMulTN(dst, a, bb, acc) })
 }
 
 var _ Backend = (*abftBackend)(nil)
